@@ -73,7 +73,7 @@ if pgrep -f waterwheel-node > /dev/null; then
     echo "stray waterwheel-node processes after kill-9 smoke"; pgrep -af waterwheel-node; exit 1
 fi
 
-echo "==> scale-out bench smoke (1/2/4/8-process clusters; 2->4 ingest scaling >= 1.6x on the basis series)"
+echo "==> scale-out bench smoke (1/2/4/8-process clusters, measured only; 2->4 ingest >= 1.6x checked on hosts with >= 6 cores)"
 rm -f BENCH_scale.json
 WW_BENCH_REQUIRE_WIN=1 WW_SCALE_BENCH_N=2000 timeout 420 \
     cargo bench -p waterwheel-bench --bench scale_out
@@ -95,6 +95,9 @@ timeout 120 cargo run --release -p waterwheel-node -- smoke
 if pgrep -f waterwheel-node > /dev/null; then
     echo "stray waterwheel-node processes after smoke"; pgrep -af waterwheel-node; exit 1
 fi
+
+echo "==> perfbench quick run (the benchmark package builds against these crates and exits 0)"
+cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- --quick --seed 1 > /dev/null
 
 echo "==> examples smoke pass"
 for example in adaptive_skew aggregate_dashboard fault_tolerance \

@@ -7,25 +7,17 @@
 //! timed window, then checks exactness (every tuple queryable, COUNT
 //! agrees) before timing a query phase.
 //!
-//! Two series are reported, following the paper's figure:
-//!
-//! * **measured** — wall-clock rates of the processes as launched. On a
-//!   multi-core host these scale with the process count; on a single
-//!   hardware thread every "process" shares one core, so the measured
-//!   curve is flat by construction — honest, but not what Fig. 17 plots.
-//! * **modelled** — the standard projection for core-starved hosts:
-//!   `P × single-process rate × 0.95` (5% coordination tax per doubling
-//!   step, calibrated against the embedded pipeline's parallel speedup).
-//!
-//! `scaling_basis` in the emitted JSON records which series the scaling
-//! ratio (and the CI gate) is computed from: *measured* when the host has
-//! at least 6 hardware threads (enough to let a 4-process cluster run
-//! concurrently), *modelled* otherwise.
+//! Only measured wall-clock rates are printed and emitted. A 4-process
+//! cluster is 10 OS processes: on a host with fewer than 6 hardware
+//! threads they time-slice the same cores, so the curve there shows
+//! scheduler contention rather than scale-out — it is reported as-is and
+//! the scaling check does not run.
 //!
 //! Knobs:
 //! * `WW_SCALE_BENCH_N` — tuples per size (default `scaled(4_000)`).
-//! * `WW_BENCH_REQUIRE_WIN=1` — exit non-zero unless ingest scaling from
-//!   2 → 4 processes reaches 1.6× on the `scaling_basis` series.
+//! * `WW_BENCH_REQUIRE_WIN=1` — on a host with at least 6 hardware
+//!   threads, exit non-zero unless measured ingest scaling from 2 → 4
+//!   processes reaches 1.6×; otherwise print `not gated: <n> cores`.
 //!
 //! Emits `BENCH_scale.json` at the workspace root for tooling.
 
@@ -135,56 +127,31 @@ fn main() {
     let sizes = [1usize, 2, 4, 8];
     let results: Vec<SizeResult> = sizes.iter().map(|&p| bench_size(p, &tuples)).collect();
 
-    let single = results[0].ingest_rate;
-    let modelled = |p: usize| single * p as f64 * 0.95;
-    // A 4-process cluster is 10 OS processes; below 6 hardware threads
-    // the measured curve only reflects scheduler time-slicing, so the
-    // scaling ratio falls back to the modelled projection.
-    let basis = if host_cores >= 6 {
-        "measured"
-    } else {
-        "modelled"
-    };
-    let basis_rate = |r: &SizeResult| {
-        if basis == "measured" {
-            r.ingest_rate
-        } else {
-            modelled(r.processes)
-        }
-    };
     let at = |p: usize| results.iter().find(|r| r.processes == p).unwrap();
-    let scaling_2_to_4 = basis_rate(at(4)) / basis_rate(at(2));
+    let scaling_2_to_4 = at(4).ingest_rate / at(2).ingest_rate;
 
     print_table(
-        "Fig. 17 scale-out (ingest + query over TCP)",
-        &["processes", "ingest measured", "ingest modelled", "query/s"],
+        "Fig. 17 scale-out (measured ingest + query over TCP)",
+        &["processes", "ingest", "query/s"],
         &results
             .iter()
             .map(|r| {
                 vec![
                     r.processes.to_string(),
                     fmt_rate(r.ingest_rate),
-                    fmt_rate(modelled(r.processes)),
                     format!("{:.1}", r.query_qps),
                 ]
             })
             .collect::<Vec<_>>(),
     );
-    println!(
-        "scaling 2\u{2192}4 on the {basis} series: {scaling_2_to_4:.2}x \
-         (single-process calibration: {})",
-        fmt_rate(single)
-    );
+    println!("measured ingest scaling 2\u{2192}4: {scaling_2_to_4:.2}x");
 
     let size_rows = results
         .iter()
         .map(|r| {
             format!(
-                "    {{ \"processes\": {}, \"ingest_measured\": {:.1}, \"ingest_modelled\": {:.1}, \"query_qps\": {:.2} }}",
-                r.processes,
-                r.ingest_rate,
-                modelled(r.processes),
-                r.query_qps
+                "    {{ \"processes\": {}, \"ingest_measured\": {:.1}, \"query_qps\": {:.2} }}",
+                r.processes, r.ingest_rate, r.query_qps
             )
         })
         .collect::<Vec<_>>()
@@ -195,14 +162,12 @@ fn main() {
             "  \"bench\": \"scale_out\",\n",
             "  \"tuples_per_size\": {n},\n",
             "  \"host_cores\": {cores},\n",
-            "  \"scaling_basis\": \"{basis}\",\n",
             "  \"sizes\": [\n{rows}\n  ],\n",
             "  \"ingest_scaling_2_to_4\": {scaling:.3}\n",
             "}}\n"
         ),
         n = n,
         cores = host_cores,
-        basis = basis,
         rows = size_rows,
         scaling = scaling_2_to_4,
     );
@@ -211,13 +176,16 @@ fn main() {
     println!("wrote {out}");
 
     if std::env::var("WW_BENCH_REQUIRE_WIN").as_deref() == Ok("1") {
-        if scaling_2_to_4 < 1.6 {
+        if host_cores < 6 {
+            println!("not gated: {host_cores} cores");
+        } else if scaling_2_to_4 < 1.6 {
             eprintln!(
-                "FAIL: ingest scaling 2\u{2192}4 is {scaling_2_to_4:.2}x on the {basis} \
-                 series, below the required 1.6x"
+                "FAIL: measured ingest scaling 2\u{2192}4 is {scaling_2_to_4:.2}x, \
+                 below the required 1.6x"
             );
             std::process::exit(1);
+        } else {
+            println!("require-win gate passed");
         }
-        println!("require-win gate passed");
     }
 }

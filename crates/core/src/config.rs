@@ -31,10 +31,6 @@ pub struct SystemConfig {
     /// the mean (paper §III-D: 20 %).
     pub partition_imbalance_threshold: f64,
 
-    /// Width of the sliding window over which dispatchers sample key
-    /// frequencies (paper §III-D: "a few seconds").
-    pub freq_sample_window: Duration,
-
     /// Late-visibility parameter Δt (paper §IV-D): tuples arriving no later
     /// than Δt behind an indexing server's high-water mark stay in the main
     /// tree and remain query-visible via widened region bounds.
@@ -56,14 +52,6 @@ pub struct SystemConfig {
     /// Replication factor for chunks in the simulated DFS (HDFS default: 3).
     pub dfs_replication: usize,
 
-    /// Per-file-open latency of the simulated DFS. The paper measures HDFS
-    /// at 2–50 ms per access (§VI-B); tests default to zero.
-    pub dfs_open_latency: Duration,
-
-    /// Simulated DFS read bandwidth in bytes/sec; `None` disables throughput
-    /// modelling (reads cost only the open latency).
-    pub dfs_read_bandwidth: Option<u64>,
-
     /// Query-server cache capacity in bytes (paper §VI: 1 GB per server;
     /// scaled default 64 MB).
     pub cache_capacity_bytes: usize,
@@ -82,9 +70,6 @@ pub struct SystemConfig {
     /// set). Independent coalesced leaf reads proceed in parallel up to
     /// this bound; `1` restores the old all-of-DFS serial lock.
     pub query_io_permits: usize,
-
-    /// Number of time mini-ranges per leaf bloom filter (paper §IV-B).
-    pub bloom_mini_ranges: usize,
 
     /// Bits per entry in the leaf bloom filters.
     pub bloom_bits_per_entry: usize,
@@ -223,12 +208,6 @@ pub struct SystemConfig {
     /// never change.
     pub decoded_column_cache: bool,
 
-    /// Decode and filter v2 columns with the batched (8/16-wide) scan
-    /// kernels. Disabling routes every columnar scan through the scalar
-    /// reference implementation — same answers, byte for byte; the knob
-    /// exists for A/B measurement and as the equivalence-test control.
-    pub vectorized_scan: bool,
-
     /// Interval between membership heartbeats a server sends to the meta
     /// service to renew its lease (paper Fig. 17 elasticity: ZooKeeper
     /// ephemeral-node session pings).
@@ -239,11 +218,6 @@ pub struct SystemConfig {
     /// re-replicated, and routing tables move to the next epoch. Must be
     /// longer than `heartbeat_interval` (several missed beats, not one).
     pub lease_ttl: Duration,
-
-    /// Byte budget per sealed-chunk shipment batch while migrating a key
-    /// range between indexing servers. Bounds how long the migration state
-    /// machine holds the source busy per step.
-    pub migration_batch_bytes: usize,
 }
 
 impl Default for SystemConfig {
@@ -256,20 +230,16 @@ impl Default for SystemConfig {
             leaf_capacity: 64,
             skew_threshold: 0.2,
             partition_imbalance_threshold: 0.2,
-            freq_sample_window: Duration::from_secs(2),
             late_visibility: Duration::from_secs(5),
             side_store_enabled: true,
             indexing_servers: 2,
             query_servers: 4,
             dispatchers: 2,
             dfs_replication: 3,
-            dfs_open_latency: Duration::ZERO,
-            dfs_read_bandwidth: None,
             cache_capacity_bytes: 64 << 20,
             cache_shards: 8,
             query_workers: 4,
             query_io_permits: 4,
-            bloom_mini_ranges: 64,
             bloom_bits_per_entry: 10,
             bloom_enabled: true,
             skew_check_interval: 4096,
@@ -296,22 +266,21 @@ impl Default for SystemConfig {
             chunk_compression: true,
             measure_pruning: true,
             decoded_column_cache: true,
-            vectorized_scan: true,
             heartbeat_interval: Duration::from_millis(500),
             lease_ttl: Duration::from_secs(3),
-            migration_batch_bytes: 1 << 20,
         }
     }
 }
 
 impl SystemConfig {
     /// The paper's cluster-scale settings (16 MB chunks, 1 GB cache,
-    /// 2 indexing / 4 query servers and 2 dispatchers per node).
+    /// 2 indexing / 4 query servers and 2 dispatchers per node). The
+    /// paper's 2–50 ms HDFS access cost (§VI-B) is not a config field:
+    /// model it with `WaterwheelBuilder::dfs_latency`.
     pub fn paper_scale() -> Self {
         Self {
             chunk_size_bytes: 16 << 20,
             cache_capacity_bytes: 1 << 30,
-            dfs_open_latency: Duration::from_millis(2),
             ..Self::default()
         }
     }
@@ -387,9 +356,6 @@ impl SystemConfig {
         if self.lease_ttl <= self.heartbeat_interval {
             return Err("lease_ttl must exceed heartbeat_interval".into());
         }
-        if self.migration_batch_bytes == 0 {
-            return Err("migration_batch_bytes must be positive".into());
-        }
         Ok(())
     }
 }
@@ -441,7 +407,6 @@ mod tests {
             |c: &mut SystemConfig| c.chunk_format_version = 3,
             |c: &mut SystemConfig| c.heartbeat_interval = Duration::ZERO,
             |c: &mut SystemConfig| c.lease_ttl = Duration::from_millis(1),
-            |c: &mut SystemConfig| c.migration_batch_bytes = 0,
         ] {
             let mut c = SystemConfig::default();
             breakage(&mut c);

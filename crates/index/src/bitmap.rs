@@ -243,7 +243,9 @@ impl Bitmap {
     /// Reads a bitmap written by [`encode`](Self::encode).
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         let n = dec.get_u32()? as usize;
-        let mut containers = Vec::with_capacity(n);
+        // Every container is at least its `high` + `kind` words: never
+        // allocate for more of them than the bytes present can hold.
+        let mut containers = Vec::with_capacity(n.min(dec.remaining() / 8));
         let mut last_high: Option<u16> = None;
         for _ in 0..n {
             let high = dec.get_u32()?;

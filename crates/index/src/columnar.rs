@@ -41,8 +41,8 @@
 //!   [`ScanScratch`] so pipelined workers reuse them across leaves.
 //! * **Scalar reference** — [`decode_leaf_scalar`] / [`scan_leaf_scalar`]
 //!   keep the original row-at-a-time implementation. They are the oracle
-//!   the vectorized kernels are property-tested against and the path taken
-//!   when `SystemConfig::vectorized_scan` is off.
+//!   the vectorized kernels are property-tested against (in-module and
+//!   in `tests/columnar_kernels.rs`); no deployment selects them.
 //!
 //! Both layers implement late materialization: the payload block —
 //! including its decompression — is touched only when at least one row
@@ -363,8 +363,7 @@ pub fn decode_leaf_scalar(bytes: &[u8], expected: u32) -> Result<Vec<Tuple>> {
 }
 
 /// Scalar reference for [`scan_leaf`]: row-at-a-time column decode and
-/// filtering, exactly the PR 8 implementation. Also the path taken when
-/// `SystemConfig::vectorized_scan` is off.
+/// filtering, exactly the PR 8 implementation.
 pub fn scan_leaf_scalar(
     bytes: &[u8],
     expected: u32,

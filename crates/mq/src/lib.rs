@@ -141,6 +141,9 @@ impl MessageQueue {
     /// of the configured policy (call before a planned shutdown;
     /// crash-safety of plain appends is bounded by the group-commit size).
     pub fn sync(&self) -> Result<()> {
+        if self.root.is_none() {
+            return Ok(());
+        }
         let topics: Vec<Arc<Topic>> = self.topics.read().values().cloned().collect();
         for topic in topics {
             for log in &topic.partitions {

@@ -3,30 +3,25 @@
 //! TCP listener until a `Shutdown` RPC (or losing the launcher's stdin
 //! pipe) tears the process down.
 
-use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::io::{BufRead, Write};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Duration;
-use waterwheel_cluster::{Cluster, LatencyModel};
-use waterwheel_core::{KeyInterval, NodeId, Query, Result, ServerId, SystemConfig, WwError};
+use waterwheel_cluster::LatencyModel;
+use waterwheel_core::{Query, Result, ServerId, SystemConfig, WwError};
 use waterwheel_meta::{MemberRole, MetadataService, PartitionSchema};
-use waterwheel_mq::{Consumer, MessageQueue};
+use waterwheel_mq::MessageQueue;
 use waterwheel_net::{
     serve_meta, HandlerRegistry, MetaClient, Request, Response, RpcClient, TcpRpcServer,
     TcpTransport, Transport, WireStats, COORDINATOR, META_SERVER,
 };
-use waterwheel_server::{
-    AttrRegistry, Coordinator, DispatchPolicy, Dispatcher, IndexingServer, QueryServer,
-};
-use waterwheel_storage::SimDfs;
+use waterwheel_server::roles::{self, Host, IndexingRole, IngestDedup, Topology};
+pub use waterwheel_server::roles::{dispatcher_ids, indexing_ids, query_ids};
+use waterwheel_server::{AttrRegistry, Coordinator, DispatchPolicy, Dispatcher};
 use waterwheel_wal::FsyncPolicy;
-
-/// Name of the ingestion topic (must match the embedded system's).
-const INGEST_TOPIC: &str = "ingest";
 
 /// The well-known secondary attribute (paper §VIII) every node process
 /// registers deterministically: the first payload byte. Indexing
@@ -281,21 +276,6 @@ impl NodeConfig {
     }
 }
 
-/// Indexing-server ids for a cluster with `n` of them (`0..`).
-pub fn indexing_ids(n: usize) -> Vec<ServerId> {
-    (0..n as u32).map(ServerId).collect()
-}
-
-/// Query-server ids (`1000..`).
-pub fn query_ids(n: usize) -> Vec<ServerId> {
-    (0..n as u32).map(|i| ServerId(1_000 + i)).collect()
-}
-
-/// Dispatcher ids (`2000..`).
-pub fn dispatcher_ids(n: usize) -> Vec<ServerId> {
-    (0..n as u32).map(|i| ServerId(2_000 + i)).collect()
-}
-
 /// The contiguous slice of a role's server ids hosted by process `p` of
 /// `n`. Launchers keep `ids.len()` divisible by `n`, so slices are
 /// equal-sized — and because growth adds whole slices at the top, an
@@ -305,184 +285,55 @@ pub fn slice_ids(ids: &[ServerId], p: usize, n: usize) -> Vec<ServerId> {
     ids.iter().skip(p * per).take(per).copied().collect()
 }
 
-/// The deterministic layout every process rebuilds identically: system
-/// config, simulated cluster with server placement, and the id vectors.
-struct Layout {
-    cfg: SystemConfig,
-    cluster: Cluster,
-    ix_ids: Vec<ServerId>,
-    qs_ids: Vec<ServerId>,
-    disp_ids: Vec<ServerId>,
-    ix_procs: usize,
-    qs_procs: usize,
+/// The system configuration every process of the cluster rebuilds
+/// identically from its [`NodeConfig`].
+fn system_config(nc: &NodeConfig) -> Result<SystemConfig> {
+    let mut cfg = SystemConfig::default();
+    cfg.indexing_servers = nc.indexing_servers;
+    cfg.query_servers = nc.query_servers;
+    cfg.dispatchers = nc.dispatchers;
+    cfg.chunk_size_bytes = nc.chunk_size_bytes;
+    cfg.durability_fsync = nc.durability_fsync;
+    cfg.wal_segment_bytes = nc.wal_segment_bytes;
+    cfg.chunk_format_version = nc.chunk_format_version;
+    cfg.heartbeat_interval = nc.heartbeat_interval;
+    cfg.lease_ttl = nc.lease_ttl;
+    // Nested flush RPCs (gateway → indexing pump-until-empty) can
+    // outlive the embedded default; loopback never needs to give up
+    // that early.
+    cfg.rpc_timeout = std::time::Duration::from_secs(10);
+    cfg.validate().map_err(WwError::Config)?;
+    if cfg.indexing_servers % nc.indexing_processes.max(1) != 0
+        || cfg.query_servers % nc.query_processes.max(1) != 0
+    {
+        return Err(WwError::Config(
+            "server counts must divide evenly across role processes".into(),
+        ));
+    }
+    Ok(cfg)
 }
 
-impl Layout {
-    fn new(nc: &NodeConfig) -> Result<Self> {
-        let mut cfg = SystemConfig::default();
-        cfg.indexing_servers = nc.indexing_servers;
-        cfg.query_servers = nc.query_servers;
-        cfg.dispatchers = nc.dispatchers;
-        cfg.chunk_size_bytes = nc.chunk_size_bytes;
-        cfg.durability_fsync = nc.durability_fsync;
-        cfg.wal_segment_bytes = nc.wal_segment_bytes;
-        cfg.chunk_format_version = nc.chunk_format_version;
-        cfg.heartbeat_interval = nc.heartbeat_interval;
-        cfg.lease_ttl = nc.lease_ttl;
-        // Nested flush RPCs (gateway → indexing pump-until-empty) can
-        // outlive the embedded default; loopback never needs to give up
-        // that early.
-        cfg.rpc_timeout = std::time::Duration::from_secs(10);
-        cfg.validate().map_err(WwError::Config)?;
-        let ix_procs = nc.indexing_processes.max(1);
-        let qs_procs = nc.query_processes.max(1);
-        if cfg.indexing_servers % ix_procs != 0 || cfg.query_servers % qs_procs != 0 {
-            return Err(WwError::Config(
-                "server counts must divide evenly across role processes".into(),
-            ));
-        }
-        let cluster = Cluster::new(nc.nodes.max(1));
-        let ix_ids = indexing_ids(cfg.indexing_servers);
-        let qs_ids = query_ids(cfg.query_servers);
-        let disp_ids = dispatcher_ids(cfg.dispatchers);
-        // Same placement order as the embedded builder: query servers
-        // first, then indexing servers.
-        cluster.place_servers_round_robin(qs_ids.iter().copied());
-        cluster.place_servers_round_robin(ix_ids.iter().copied());
-        Ok(Self {
-            cfg,
-            cluster,
-            ix_ids,
-            qs_ids,
-            disp_ids,
-            ix_procs,
-            qs_procs,
-        })
-    }
-
-    /// The indexing-server ids process `p` hosts.
-    fn hosted_ix(&self, p: usize) -> Vec<ServerId> {
-        slice_ids(&self.ix_ids, p, self.ix_procs)
-    }
-
-    /// The query-server ids process `p` hosts.
-    fn hosted_qs(&self, p: usize) -> Vec<ServerId> {
-        slice_ids(&self.qs_ids, p, self.qs_procs)
-    }
-}
-
-/// Builds the client transport with the peer map routing every server id
-/// to the process hosting it.
-fn peer_transport(nc: &NodeConfig, layout: &Layout) -> Arc<TcpTransport> {
-    let t = Arc::new(TcpTransport::with_options(
-        Arc::new(WireStats::default()),
-        waterwheel_net::TcpClientOptions {
-            reactor_threads: layout.cfg.net_reactor_threads,
-            pool_idle_timeout: layout.cfg.net_pool_idle_timeout,
-            pool_max_connections: layout.cfg.net_pool_max_connections,
-        },
-    ));
-    route_peers(&t, &nc.peers, layout);
-    t
-}
-
-fn route_peers(t: &TcpTransport, peers: &[(Role, usize, SocketAddr)], layout: &Layout) {
+/// Routes every server id to the address of the process hosting it.
+/// `indexing` and `query` pair a role's ids with how many processes share
+/// them.
+pub(crate) fn route_peers(
+    t: &TcpTransport,
+    peers: &[(Role, usize, SocketAddr)],
+    indexing: (&[ServerId], usize),
+    query: (&[ServerId], usize),
+    dispatchers: &[ServerId],
+) {
     for &(role, idx, addr) in peers {
         match role {
             Role::Meta => t.add_peer(META_SERVER, addr),
-            Role::Indexing => t.add_peers(layout.hosted_ix(idx), addr),
-            Role::Query => t.add_peers(layout.hosted_qs(idx), addr),
+            Role::Indexing => t.add_peers(slice_ids(indexing.0, idx, indexing.1), addr),
+            Role::Query => t.add_peers(slice_ids(query.0, idx, query.1), addr),
             Role::Dispatcher => {
-                t.add_peers(layout.disp_ids.iter().copied(), addr);
+                t.add_peers(dispatchers.iter().copied(), addr);
                 t.add_peer(COORDINATOR, addr);
             }
         }
     }
-}
-
-/// Installs freshly announced `(server id, address)` routes on this
-/// process's shared transport — how an already-running process learns
-/// about servers that joined after it launched.
-fn add_wire_peers(t: &TcpTransport, peers: &[(ServerId, String)]) -> Result<()> {
-    for (id, addr) in peers {
-        let addr: SocketAddr = addr.parse().map_err(|_| {
-            WwError::InvalidState(format!("unparseable announced peer address {addr:?}"))
-        })?;
-        t.add_peer(*id, addr);
-    }
-    Ok(())
-}
-
-/// Receiver-side dedup for retried ingest batches, mirroring the embedded
-/// system's exactly-once contract: a `(src, dst)` link's batch sequence
-/// numbers land at most once.
-struct BatchDedup {
-    last_seq: Mutex<HashMap<(ServerId, ServerId), u64>>,
-}
-
-impl BatchDedup {
-    fn new() -> Self {
-        Self {
-            last_seq: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Seeds the dedup table from recovered WAL markers: a restarted
-    /// indexing process must recognise redeliveries of batches whose
-    /// append was durable before the crash but whose ack was lost.
-    fn seed(&self, src: ServerId, dst: ServerId, seq: u64) {
-        let mut last = self.last_seq.lock();
-        let e = last.entry((src, dst)).or_insert(seq);
-        *e = (*e).max(seq);
-    }
-
-    fn apply_once(
-        &self,
-        src: ServerId,
-        dst: ServerId,
-        seq: u64,
-        apply: impl FnOnce() -> Result<()>,
-    ) -> Result<bool> {
-        let mut last = self.last_seq.lock();
-        if last.get(&(src, dst)).is_some_and(|&l| seq <= l) {
-            return Ok(true);
-        }
-        apply()?;
-        last.insert((src, dst), seq);
-        Ok(false)
-    }
-}
-
-/// Spawns the background thread renewing the membership leases of every
-/// server this process hosts (ZooKeeper's ephemeral nodes, §II-B): a
-/// heartbeat per interval while running, a graceful `leave` per server on
-/// clean shutdown. Renewal errors are ignored — if the lease already
-/// lapsed (a long stall), the metadata server has evicted this member and
-/// the operator restarts the process rather than having it fight a
-/// cluster that moved on. Callers hand this a *short-deadline, no-retry*
-/// meta client: a heartbeat that misses one interval is harmless, and the
-/// farewell `leave` must not stall process teardown when the metadata
-/// server is already gone.
-fn spawn_lease_keeper(
-    handles: &mut Vec<std::thread::JoinHandle<()>>,
-    stop: &Arc<AtomicBool>,
-    meta: MetaClient,
-    ids: Vec<ServerId>,
-    heartbeat: Duration,
-    ttl: Duration,
-) {
-    let stop = Arc::clone(stop);
-    handles.push(std::thread::spawn(move || {
-        while !stop.load(Ordering::SeqCst) {
-            std::thread::sleep(heartbeat);
-            for &id in &ids {
-                let _ = meta.heartbeat(id, ttl);
-            }
-        }
-        for &id in &ids {
-            let _ = meta.leave(id);
-        }
-    }));
 }
 
 /// Fetches the partition schema from the metadata process (bootstrapped
@@ -565,34 +416,32 @@ fn migrate_to_uniform(
 /// the listener is accepting, answers RPCs, and returns after a
 /// [`Request::Shutdown`] lands or the launcher's stdin pipe closes.
 pub fn run_node(nc: NodeConfig) -> Result<()> {
-    let layout = Layout::new(&nc)?;
+    let cfg = system_config(&nc)?;
+    let topology = Topology::new(&cfg, nc.nodes);
+    let (ix_procs, qs_procs) = (nc.indexing_processes.max(1), nc.query_processes.max(1));
     let registry = Arc::new(HandlerRegistry::new());
     // Every node process guards its handlers with the same class-aware
     // admission controller the embedded system installs: overload sheds
     // typed `Overloaded` answers instead of queueing without bound.
-    registry.set_admission(Arc::new(waterwheel_server::AdmissionController::new(
-        &layout.cfg,
-    )));
+    registry.set_admission(Arc::new(waterwheel_server::AdmissionController::new(&cfg)));
     let wire = Arc::new(WireStats::default());
-    let transport = peer_transport(&nc, &layout);
-    let rpc_for = |src: ServerId| {
-        RpcClient::new(
-            Arc::clone(&transport) as Arc<dyn Transport>,
-            src,
-            &layout.cfg,
-        )
+    let transport = Arc::new(TcpTransport::with_options(
+        Arc::new(WireStats::default()),
+        roles::tcp_client_options(&cfg),
+    ));
+    route_peers(
+        &transport,
+        &nc.peers,
+        (&topology.indexing, ix_procs),
+        (&topology.query, qs_procs),
+        &topology.dispatchers,
+    );
+    let host = Host {
+        cfg,
+        topology,
+        plane: Arc::clone(&transport) as Arc<dyn Transport>,
+        tcp: Some(transport),
     };
-    // Lease traffic gets its own client: deadline of one heartbeat, no
-    // retries. Losing a renewal is harmless (the next interval covers it),
-    // and the farewell `leave` must not stall process teardown for a full
-    // RPC deadline when the metadata process is already gone.
-    let lease_rpc_for = |src: ServerId| {
-        let mut cfg = layout.cfg.clone();
-        cfg.rpc_timeout = cfg.heartbeat_interval;
-        cfg.rpc_retries = 0;
-        RpcClient::new(Arc::clone(&transport) as Arc<dyn Transport>, src, &cfg)
-    };
-
     let pumps_stop = Arc::new(AtomicBool::new(false));
     let mut pump_handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
 
@@ -600,45 +449,35 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
         Role::Meta => {
             let meta = MetadataService::open_with(
                 nc.root.join("meta.snapshot"),
-                FsyncPolicy::from_flag(layout.cfg.durability_fsync),
-                layout.cfg.wal_segment_bytes,
+                FsyncPolicy::from_flag(host.cfg.durability_fsync),
+                host.cfg.wal_segment_bytes,
             )?;
-            // Bootstrap the uniform schema exactly like the embedded
-            // builder, so every later-starting role finds it.
-            if meta.partition().is_none() {
-                let mut s = PartitionSchema::uniform(&layout.ix_ids);
-                s.version = 1;
-                meta.set_partition(s)?;
-            }
+            // Bootstrapped before this process reports ready, so every
+            // later-starting role finds the schema.
+            roles::bootstrap_schema(&meta, &host.topology.indexing)?;
             // Lease sweeper: members that stop heartbeating (a kill -9'd
             // process, a partitioned node) are evicted after the TTL and
             // the membership epoch bumps, so routing tables converge on
             // the survivors without operator action.
-            {
-                let meta = meta.clone();
-                let stop = Arc::clone(&pumps_stop);
-                let hb = layout.cfg.heartbeat_interval;
-                let grace = layout.cfg.lease_ttl;
-                pump_handles.push(std::thread::spawn(move || {
-                    while !stop.load(Ordering::SeqCst) {
-                        std::thread::sleep(hb);
-                        let _ = meta.expire_lapsed_leases(grace);
-                    }
-                }));
-            }
+            let (sweeper, grace) = (meta.clone(), host.cfg.lease_ttl);
+            pump_handles.push(roles::spawn_every(
+                &pumps_stop,
+                host.cfg.heartbeat_interval,
+                move || {
+                    let _ = sweeper.expire_lapsed_leases(grace);
+                },
+            ));
             serve_meta(&registry, meta);
         }
         Role::Indexing => {
-            let hosted = layout.hosted_ix(nc.proc_index);
+            let hosted = slice_ids(&host.topology.indexing, nc.proc_index, ix_procs);
             // The §V durability boundary: the ingest queue is a WAL under
-            // the node root. Acked batches commit (marker + tuples in one
-            // frame) before the ack leaves, so a kill -9 after the ack
-            // cannot lose them — the restarted process replays this log
-            // from each server's durable offset. Each indexing process
-            // owns its own queue directory (partition files must not be
-            // shared across processes); the first keeps the legacy "mq"
-            // name so single-process stores recover across upgrades.
-            let policy = FsyncPolicy::from_flag(layout.cfg.durability_fsync);
+            // the node root, so a kill -9 after an ack cannot lose the
+            // batch — the restarted process replays this log from each
+            // server's durable offset. Each indexing process owns its own
+            // queue directory (partition files must not be shared across
+            // processes); the first keeps the legacy "mq" name so
+            // single-process stores recover across upgrades.
             let mq_dir = if nc.proc_index == 0 {
                 "mq".to_string()
             } else {
@@ -646,214 +485,45 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
             };
             let mq = MessageQueue::durable_with(
                 nc.root.join(mq_dir),
-                policy,
-                layout.cfg.wal_segment_bytes,
+                FsyncPolicy::from_flag(host.cfg.durability_fsync),
+                host.cfg.wal_segment_bytes,
             )?;
-            mq.create_topic(INGEST_TOPIC, layout.cfg.indexing_servers)?;
-            let dfs = SimDfs::new(
-                nc.root.join("chunks"),
-                layout.cluster.clone(),
-                layout.cfg.dfs_replication.min(nc.nodes.max(1)),
-                LatencyModel::default(),
-            )?
-            .with_fsync(policy);
-            let meta = MetaClient::new(rpc_for(hosted[0]));
-            let schema = fetch_schema(&meta)?;
+            let dfs =
+                roles::open_dfs(&nc.root, &host.topology, &host.cfg, LatencyModel::default())?;
             let attrs = Arc::new(AttrRegistry::new());
             register_well_known_attrs(&attrs);
-            let dedup = Arc::new(BatchDedup::new());
+            let role = IndexingRole::new(host.clone(), mq, dfs, attrs)?;
             for &id in &hosted {
-                // Global queue-partition index: indexing ids are `0..n`,
-                // so the raw id doubles as the partition number even when
-                // this process hosts only a slice of them.
-                let i = id.raw() as usize;
-                // A server joining an elastic cluster may not be in the
-                // published schema yet — it owns nothing until the first
-                // `MigrateUniform` cut-over reassigns it, so any
-                // placeholder interval works; `full()` keeps the template
-                // tree's fan-out shape sensible.
-                let interval = schema.interval_of(id).unwrap_or_else(KeyInterval::full);
-                // Recovery: resume consuming at the offset the last chunk
-                // registration persisted, and remember which batch
-                // sequence numbers already landed in the WAL.
-                let offset = meta.durable_offset(id)?;
-                for (src, seq) in mq.recovered_seqs(INGEST_TOPIC, i)? {
-                    dedup.seed(ServerId(src), id, seq);
-                }
-                let server = Arc::new(IndexingServer::new(
-                    id,
-                    interval,
-                    layout.cfg.clone(),
-                    Consumer::new(mq.clone(), INGEST_TOPIC, i, offset),
-                    dfs.clone(),
-                    MetaClient::new(rpc_for(id)),
-                ));
-                server.set_attr_registry(Arc::clone(&attrs));
-                // Background pump: the Storm executor keeping freshly
-                // queued tuples queryable without waiting for a flush.
-                {
-                    let server = Arc::clone(&server);
-                    let stop = Arc::clone(&pumps_stop);
-                    pump_handles.push(std::thread::spawn(move || {
-                        while !stop.load(Ordering::SeqCst) {
-                            match server.pump(1_024) {
-                                Ok(0) | Err(_) => {
-                                    std::thread::sleep(std::time::Duration::from_millis(1))
-                                }
-                                Ok(_) => {}
-                            }
-                        }
-                    }));
-                }
-                let mq = mq.clone();
-                let dedup = Arc::clone(&dedup);
-                let transport = Arc::clone(&transport);
-                registry.bind(id, move |env| match &env.payload {
-                    Request::Ingest { tuple } => {
-                        // Single-tuple ingest has no batch marker; force
-                        // the record out of process buffers before acking
-                        // so a kill -9 cannot take it back.
-                        mq.append(INGEST_TOPIC, i, tuple.clone())?;
-                        mq.sync()?;
-                        Ok(Response::Ack)
-                    }
-                    Request::IngestBatch { seq, tuples } => {
-                        // Marker + tuples land as one atomic WAL frame,
-                        // committed before the ack: the durability point
-                        // of the exactly-once contract.
-                        let deduped = dedup.apply_once(env.src, id, *seq, || {
-                            mq.append_batch_from(
-                                INGEST_TOPIC,
-                                i,
-                                env.src.raw(),
-                                *seq,
-                                tuples.to_vec(),
-                            )
-                            .map(|_| ())
-                        })?;
-                        Ok(Response::AckBatch {
-                            tuples: tuples.len() as u32,
-                            deduped,
-                        })
-                    }
-                    Request::Flush => {
-                        // Seal everything queued so far: pump until the
-                        // partition is drained, then flush the tree.
-                        while server.pump(4_096)? > 0 {}
-                        Ok(Response::Flushed(server.flush()?))
-                    }
-                    Request::InMemorySubquery { sq } => {
-                        Ok(Response::Tuples(server.query_in_memory(sq)?))
-                    }
-                    Request::AggregateInMemory { slices, covered } => Ok(Response::Fold(
-                        server.aggregate_in_memory(*slices, covered)?,
-                    )),
-                    Request::Reassign { interval } => {
-                        // Migration cut-over: only the *assigned* interval
-                        // changes; out-of-interval tuples already in memory
-                        // stay queryable until flush (§III-D overlap).
-                        server.reassign(*interval);
-                        Ok(Response::Ack)
-                    }
-                    Request::RegisterPeers { peers } => {
-                        add_wire_peers(&transport, peers)?;
-                        Ok(Response::Ack)
-                    }
-                    Request::Ping => Ok(Response::Pong),
-                    _ => Err(WwError::InvalidState(
-                        "unsupported request for an indexing server".into(),
-                    )),
-                });
+                let slot = role.serve(&registry, id)?;
+                pump_handles.push(roles::spawn_pump(&slot, &pumps_stop));
             }
             // Dynamic membership (Fig. 17): every hosted server registers
             // under a heartbeat lease before this process reports ready,
             // so a launcher that waits for the ready line can rely on the
             // membership epoch already covering it.
-            for &id in &hosted {
-                let node = layout.cluster.node_of(id).unwrap_or(NodeId(0));
-                meta.join(id, MemberRole::Indexing, node, layout.cfg.lease_ttl)?;
-            }
-            spawn_lease_keeper(
-                &mut pump_handles,
-                &pumps_stop,
-                MetaClient::new(lease_rpc_for(hosted[0])),
-                hosted.clone(),
-                layout.cfg.heartbeat_interval,
-                layout.cfg.lease_ttl,
-            );
+            host.join_members(&hosted, MemberRole::Indexing)?;
+            pump_handles.push(roles::spawn_lease_keeper(&host, &pumps_stop, hosted));
         }
         Role::Query => {
-            let hosted = layout.hosted_qs(nc.proc_index);
-            let dfs = SimDfs::new(
-                nc.root.join("chunks"),
-                layout.cluster.clone(),
-                layout.cfg.dfs_replication.min(nc.nodes.max(1)),
-                LatencyModel::default(),
-            )?;
+            let hosted = slice_ids(&host.topology.query, nc.proc_index, qs_procs);
+            let dfs =
+                roles::open_dfs(&nc.root, &host.topology, &host.cfg, LatencyModel::default())?;
             for &id in &hosted {
-                let node = layout.cluster.node_of(id).unwrap_or(NodeId(0));
-                let qs = Arc::new(QueryServer::with_config(id, node, dfs.clone(), &layout.cfg));
-                let transport = Arc::clone(&transport);
-                registry.bind(id, move |env| match &env.payload {
-                    Request::ChunkSubquery {
-                        sq,
-                        chunk,
-                        leaf_filter,
-                    } => Ok(Response::Tuples(qs.execute_filtered(
-                        sq,
-                        *chunk,
-                        leaf_filter.as_ref(),
-                    )?)),
-                    Request::ReadSummary { chunk } => {
-                        Ok(Response::Summary(qs.read_summary(*chunk)?))
-                    }
-                    Request::RegisterPeers { peers } => {
-                        add_wire_peers(&transport, peers)?;
-                        Ok(Response::Ack)
-                    }
-                    Request::Ping => Ok(Response::Pong),
-                    _ => Err(WwError::InvalidState(
-                        "unsupported request for a query server".into(),
-                    )),
-                });
+                roles::serve_query(&host, &registry, &dfs, id);
             }
-            let meta = MetaClient::new(rpc_for(hosted[0]));
-            for &id in &hosted {
-                let node = layout.cluster.node_of(id).unwrap_or(NodeId(0));
-                meta.join(id, MemberRole::Query, node, layout.cfg.lease_ttl)?;
-            }
-            spawn_lease_keeper(
-                &mut pump_handles,
-                &pumps_stop,
-                MetaClient::new(lease_rpc_for(hosted[0])),
-                hosted.clone(),
-                layout.cfg.heartbeat_interval,
-                layout.cfg.lease_ttl,
-            );
+            host.join_members(&hosted, MemberRole::Query)?;
+            pump_handles.push(roles::spawn_lease_keeper(&host, &pumps_stop, hosted));
         }
         Role::Dispatcher => {
-            let meta = MetaClient::new(rpc_for(layout.disp_ids[0]));
+            let disp_ids = &host.topology.dispatchers;
+            let meta = host.meta(disp_ids[0]);
             let schema = fetch_schema(&meta)?;
-            let dispatchers: Arc<Vec<Arc<Dispatcher>>> = Arc::new(
-                layout
-                    .disp_ids
-                    .iter()
-                    .map(|&id| {
-                        Arc::new(Dispatcher::new(
-                            id,
-                            rpc_for(id),
-                            schema.clone(),
-                            &layout.cfg,
-                        ))
-                    })
-                    .collect(),
-            );
-            let gateway_dedup = Arc::new(BatchDedup::new());
-            let ix_ids = layout.ix_ids.clone();
-            for (i, &id) in layout.disp_ids.iter().enumerate() {
+            let dispatchers = Arc::new(host.dispatchers(&schema));
+            let gateway_dedup = Arc::new(IngestDedup::new());
+            for (i, &id) in disp_ids.iter().enumerate() {
                 let dispatchers = Arc::clone(&dispatchers);
                 let dedup = Arc::clone(&gateway_dedup);
-                let ix_ids = ix_ids.clone();
+                let ix_ids = host.topology.indexing.clone();
                 let meta = meta.clone();
                 registry.bind(id, move |env| match &env.payload {
                     Request::Ingest { tuple } => {
@@ -899,27 +569,17 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
                     )),
                 });
             }
-            let coordinator = Arc::new(Coordinator::new(
-                rpc_for(COORDINATOR),
-                layout.cluster.clone(),
-                layout.qs_ids.clone(),
-                layout.ix_ids.clone(),
-                layout.cfg.dfs_replication.min(nc.nodes.max(1)),
-                DispatchPolicy::Lada,
-                layout.cfg.clone(),
-            ));
             // The same well-known attrs the indexing process indexes
             // under: `attr == value` client queries prune through them.
             let attrs = Arc::new(AttrRegistry::new());
             register_well_known_attrs(&attrs);
-            coordinator.set_attr_registry(attrs);
+            let coordinator = host.coordinator(DispatchPolicy::Lada, &attrs);
             {
                 let coordinator = Arc::clone(&coordinator);
                 let dispatchers = Arc::clone(&dispatchers);
                 let meta = meta.clone();
-                let control = rpc_for(COORDINATOR);
-                let transport = Arc::clone(&transport);
-                let fallback_ix = layout.ix_ids.clone();
+                let control = host.rpc(COORDINATOR);
+                let (tcp, fallback_ix) = (host.tcp.clone(), host.topology.indexing.clone());
                 registry.bind(COORDINATOR, move |env| match &env.payload {
                     Request::ClientQuery {
                         keys,
@@ -937,8 +597,7 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
                         Ok(Response::Aggregate(coordinator.execute_aggregate(&aq)?))
                     }
                     Request::RegisterPeers { peers } => {
-                        add_wire_peers(&transport, peers)?;
-                        Ok(Response::Ack)
+                        roles::register_peers(tcp.as_deref(), peers)
                     }
                     Request::MigrateUniform => migrate_to_uniform(
                         &meta,
@@ -957,17 +616,13 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
             // heartbeat cadence so servers joining (or being evicted)
             // after launch reach the coordinator's routing table without
             // waiting for a query to fail first.
-            {
-                let coordinator = Arc::clone(&coordinator);
-                let stop = Arc::clone(&pumps_stop);
-                let hb = layout.cfg.heartbeat_interval;
-                pump_handles.push(std::thread::spawn(move || {
-                    while !stop.load(Ordering::SeqCst) {
-                        std::thread::sleep(hb);
-                        let _ = coordinator.refresh_membership();
-                    }
-                }));
-            }
+            pump_handles.push(roles::spawn_every(
+                &pumps_stop,
+                host.cfg.heartbeat_interval,
+                move || {
+                    let _ = coordinator.refresh_membership();
+                },
+            ));
         }
     }
 
@@ -996,12 +651,7 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
                 Arc::clone(&registry),
                 Arc::clone(&wire),
                 Some(hook),
-                waterwheel_net::TcpServerOptions {
-                    reactor_threads: layout.cfg.net_reactor_threads,
-                    workers: layout.cfg.net_server_workers,
-                    overflow_retry_after: layout.cfg.admission_retry_after,
-                    ..waterwheel_net::TcpServerOptions::default()
-                },
+                roles::tcp_server_options(&host.cfg),
             ) {
                 Ok(s) => break s,
                 Err(e) if std::time::Instant::now() >= deadline => return Err(e),
@@ -1051,13 +701,6 @@ mod tests {
             assert_eq!(Role::parse(role.as_str()), Some(role));
         }
         assert_eq!(Role::parse("zookeeper"), None);
-    }
-
-    #[test]
-    fn id_layout_matches_the_embedded_system() {
-        assert_eq!(indexing_ids(2), vec![ServerId(0), ServerId(1)]);
-        assert_eq!(query_ids(1), vec![ServerId(1_000)]);
-        assert_eq!(dispatcher_ids(2), vec![ServerId(2_000), ServerId(2_001)]);
     }
 
     #[test]
@@ -1129,19 +772,5 @@ mod tests {
         assert_eq!(slice_ids(&six, 0, 3), slice_ids(&four, 0, 2));
         assert_eq!(slice_ids(&six, 1, 3), slice_ids(&four, 1, 2));
         assert_eq!(slice_ids(&six, 2, 3), vec![ServerId(4), ServerId(5)]);
-    }
-
-    #[test]
-    fn batch_dedup_mirrors_the_embedded_contract() {
-        let dedup = BatchDedup::new();
-        let (a, b) = (ServerId(5_000), ServerId(2_000));
-        assert!(!dedup.apply_once(a, b, 0, || Ok(())).unwrap());
-        assert!(dedup
-            .apply_once(a, b, 0, || panic!("must not re-apply"))
-            .unwrap());
-        assert!(dedup
-            .apply_once(a, b, 1, || Err(WwError::Injected("boom")))
-            .is_err());
-        assert!(!dedup.apply_once(a, b, 1, || Ok(())).unwrap());
     }
 }

@@ -12,7 +12,9 @@
 //! gateway first, metadata last) with a kill fallback, and dropping the
 //! handle kills anything still running — tests never leak processes.
 
-use crate::runtime::{dispatcher_ids, indexing_ids, query_ids, slice_ids, NodeConfig, Role};
+use crate::runtime::{
+    dispatcher_ids, indexing_ids, query_ids, route_peers, slice_ids, NodeConfig, Role,
+};
 use std::io::BufRead;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -571,19 +573,13 @@ impl ClusterClient {
         let qs_ids = query_ids(spec.query_servers);
         let ix_ids = indexing_ids(spec.indexing_servers);
         let t = Arc::new(TcpTransport::new());
-        for &(role, idx, addr) in peers {
-            match role {
-                Role::Meta => t.add_peer(META_SERVER, addr),
-                Role::Indexing => {
-                    t.add_peers(slice_ids(&ix_ids, idx, spec.indexing_processes), addr)
-                }
-                Role::Query => t.add_peers(slice_ids(&qs_ids, idx, spec.query_processes), addr),
-                Role::Dispatcher => {
-                    t.add_peers(disp_ids.iter().copied(), addr);
-                    t.add_peer(COORDINATOR, addr);
-                }
-            }
-        }
+        route_peers(
+            &t,
+            peers,
+            (&ix_ids, spec.indexing_processes),
+            (&qs_ids, spec.query_processes),
+            &disp_ids,
+        );
         let mut cfg = SystemConfig::default();
         cfg.rpc_timeout = timeout;
         cfg.rpc_retries = retries;
@@ -594,7 +590,10 @@ impl ClusterClient {
             qs_ids,
             ix_ids,
             next: AtomicUsize::new(0),
-            batch_seq: AtomicU64::new(0),
+            // Above every earlier client incarnation under this id, so a
+            // gateway that outlived them never mistakes a fresh batch for
+            // a redelivery.
+            batch_seq: AtomicU64::new(waterwheel_server::incarnation_seq_base()),
         }
     }
 
@@ -619,11 +618,8 @@ impl ClusterClient {
     pub fn insert_batch(&self, tuples: Vec<Tuple>) -> Result<u32> {
         let seq = self.batch_seq.fetch_add(1, Ordering::Relaxed);
         let dst = self.disp_ids[seq as usize % self.disp_ids.len()];
-        let (n, _deduped) = self
-            .rpc
-            .call(dst, Request::IngestBatch { seq, tuples })?
-            .into_ack_batch()?;
-        Ok(n)
+        // Every call numbers a new batch, so nothing was sent before.
+        waterwheel_server::send_batch(&self.rpc, dst, seq, tuples, &mut false)
     }
 
     /// Flushes the whole pipeline: buffered batches, queued tuples, and

@@ -34,12 +34,68 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use waterwheel_core::{ChunkId, Key, Result, ServerId, SystemConfig, Tuple};
+use waterwheel_core::{ChunkId, Key, Result, ServerId, SystemConfig, Tuple, WwError};
 use waterwheel_meta::PartitionSchema;
 use waterwheel_net::{Request, Response, RpcClient};
 
 /// Reservoir capacity per sampling window.
 const RESERVOIR_CAP: usize = 4_096;
+
+/// The first batch sequence number of a sender constructed now. Receivers
+/// remember — durably, in the queue's journal — the highest `seq` per
+/// (sender, receiver) link and drop `seq <= last` as a redelivery, so a
+/// sender rebuilt under the same id (a restarted dispatcher process, a
+/// re-opened embedded store) must number above every earlier incarnation or
+/// its fresh batches are acknowledged as duplicates and lost. Wall-clock
+/// nanoseconds since the epoch give that without persisting anything on the
+/// sender: no sender emits a batch per nanosecond, so one incarnation's
+/// numbers stay below the next one's base — given a clock that does not step
+/// back across the restart; [`send_batch`] turns the case where it did into
+/// an error instead of a silent loss.
+pub fn incarnation_seq_base() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos() as u64)
+}
+
+/// Sends batch `seq` to `dst`; returns how many tuples the receiver took.
+/// `resent` says an earlier send of this very batch failed (it may have
+/// landed with only the ack lost) and is set when this one fails.
+///
+/// A `deduped` ack means the receiver already holds `seq` or younger from
+/// this sender. Only an earlier delivery of this batch explains that: an
+/// earlier failed send (`resent`) or a retry inside this call (the link's
+/// `retried` counter moves). With neither, the numbering collides with a
+/// previous incarnation's — its clock ran ahead of this sender's
+/// [`incarnation_seq_base`] — and the receiver has just dropped fresh
+/// tuples: that is a typed error, never an acknowledged loss.
+pub fn send_batch(
+    rpc: &RpcClient,
+    dst: ServerId,
+    seq: u64,
+    tuples: Vec<Tuple>,
+    resent: &mut bool,
+) -> Result<u32> {
+    let link = rpc.transport().stats().link(rpc.src(), dst);
+    let retried = link.retried.load(Ordering::Relaxed);
+    let acked = rpc
+        .call(dst, Request::IngestBatch { seq, tuples })
+        .and_then(Response::into_ack_batch);
+    let redelivered = *resent || link.retried.load(Ordering::Relaxed) != retried;
+    match acked {
+        Ok((_, true)) if !redelivered => Err(WwError::InvalidState(format!(
+            "{dst:?} dropped batch {seq} from {:?} as a redelivery, but it was never sent \
+             before: batch numbering restarted below an earlier incarnation's (did the \
+             clock step back?)",
+            rpc.src()
+        ))),
+        Ok((n, _)) => Ok(n),
+        Err(e) => {
+            *resent = true;
+            Err(e)
+        }
+    }
+}
 
 /// One window of key-frequency statistics.
 #[derive(Debug, Default, Clone)]
@@ -97,7 +153,10 @@ struct DestState {
     /// A batch whose send failed, retried under its original sequence
     /// number before anything younger may leave.
     pending: Option<(u64, Vec<Tuple>)>,
-    /// Next batch sequence number for this destination.
+    /// Whether a send of `pending` already failed (see [`send_batch`]).
+    resent: bool,
+    /// Next batch sequence number for this destination; starts at the
+    /// dispatcher's [`incarnation_seq_base`].
     next_seq: u64,
 }
 
@@ -109,6 +168,7 @@ pub struct Dispatcher {
     sampler: Mutex<Sampler>,
     batch_size: usize,
     linger: Duration,
+    seq_base: u64,
     dests: Mutex<HashMap<ServerId, Arc<Mutex<DestState>>>>,
     dispatched: AtomicU64,
     batches_sent: AtomicU64,
@@ -129,6 +189,7 @@ impl Dispatcher {
             }),
             batch_size: cfg.ingest_batch_size.max(1),
             linger: cfg.ingest_linger,
+            seq_base: incarnation_seq_base(),
             dests: Mutex::new(HashMap::new()),
             dispatched: AtomicU64::new(0),
             batches_sent: AtomicU64::new(0),
@@ -171,7 +232,12 @@ impl Dispatcher {
     }
 
     fn dest_state(&self, dest: ServerId) -> Arc<Mutex<DestState>> {
-        Arc::clone(self.dests.lock().entry(dest).or_default())
+        Arc::clone(self.dests.lock().entry(dest).or_insert_with(|| {
+            Arc::new(Mutex::new(DestState {
+                next_seq: self.seq_base,
+                ..DestState::default()
+            }))
+        }))
     }
 
     /// Sends everything batched for `dest` (failed batch first, then the
@@ -186,19 +252,14 @@ impl Dispatcher {
                 let tuples = std::mem::take(&mut st.buffer);
                 st.first_buffered_at = None;
                 st.pending = Some((st.next_seq, tuples));
+                st.resent = false;
                 st.next_seq += 1;
             }
             let (seq, tuples) = st.pending.as_ref().expect("pending set above");
-            let req = Request::IngestBatch {
-                seq: *seq,
-                tuples: tuples.clone(),
-            };
             // On failure the batch stays pending under its original seq —
             // the first attempt may have landed with only the ack lost, and
             // a renumbered resend would slip past the receiver's dedup.
-            self.rpc
-                .call(dest, req)
-                .and_then(Response::into_ack_batch)?;
+            send_batch(&self.rpc, dest, *seq, tuples.clone(), &mut st.resent)?;
             let (_, tuples) = st.pending.take().expect("pending still set");
             self.batches_sent.fetch_add(1, Ordering::Relaxed);
             self.batch_tuples
@@ -431,15 +492,72 @@ mod tests {
     #[test]
     fn batch_sequence_numbers_are_per_destination_and_monotonic() {
         let (_mq, _t, d) = setup_with(2, 4);
-        // Spread across both destinations; each sees its own 0,1,2,...
+        // Spread across both destinations; each numbers its own batches
+        // base, base+1, base+2, ...
         for i in 0..32u64 {
             d.dispatch(Tuple::bare(if i % 2 == 0 { 0 } else { u64::MAX }, i))
                 .unwrap();
         }
         let dests = d.dests.lock();
         for st in dests.values() {
-            assert_eq!(st.lock().next_seq, 4, "16 tuples / batch of 4");
+            assert_eq!(st.lock().next_seq, d.seq_base + 4, "16 tuples / batch of 4");
         }
+    }
+
+    /// A receiver whose dedup table was seeded (from its journal) above
+    /// this dispatcher's base — the previous incarnation's clock ran ahead
+    /// — drops the fresh batch as a redelivery. The dispatcher must report
+    /// that on every flush and keep the tuples, not count them delivered;
+    /// a batch the plane really redelivered is still acknowledged quietly.
+    #[test]
+    fn a_seq_base_below_the_receivers_marker_is_an_error_not_a_silent_drop() {
+        let (mq, t, mut d) = setup_with(1, 4);
+        d.seq_base = 1_000;
+        let (src, ix) = (ServerId(100), ServerId(0));
+        let dedup = Arc::new(crate::roles::IngestDedup::new());
+        let (queue, table) = (mq.clone(), Arc::clone(&dedup));
+        t.bind(ix, move |env| match &env.payload {
+            Request::IngestBatch { seq, tuples } => {
+                let deduped = table.apply_once(env.src, ix, *seq, || {
+                    queue.append_batch("ingest", 0, tuples.clone()).map(|_| ())
+                })?;
+                Ok(Response::AckBatch {
+                    tuples: tuples.len() as u32,
+                    deduped,
+                })
+            }
+            _ => Ok(Response::Pong),
+        });
+        dedup.seed(src, ix, 5_000);
+        for i in 0..3u64 {
+            d.dispatch(Tuple::bare(i, i)).unwrap();
+        }
+        let err = d.dispatch(Tuple::bare(3, 3)).unwrap_err();
+        assert!(matches!(err, WwError::InvalidState(_)), "{err:?}");
+        assert!(d.flush_batches().is_err(), "the collision must stay loud");
+        assert_eq!((d.dispatched(), d.pending()), (0, 4));
+        assert_eq!(mq.latest_offset("ingest", 0).unwrap(), 0);
+
+        // Same receiver, numbering above the marker, every first ack lost:
+        // the RPC layer's retry is answered `deduped` and that is fine.
+        d.seq_base = 6_000;
+        d.dests.lock().clear();
+        t.set_link_profile(
+            src,
+            ix,
+            waterwheel_net::LinkProfile {
+                response_loss: 1.0,
+                ..Default::default()
+            },
+        );
+        for i in 0..4u64 {
+            let _ = d.dispatch(Tuple::bare(i, i));
+        }
+        t.clear_faults();
+        d.flush_batches().unwrap();
+        assert_eq!((d.dispatched(), d.pending()), (4, 0));
+        assert_eq!(mq.latest_offset("ingest", 0).unwrap(), 4, "applied once");
+        assert!(dedup.drops() > 2, "collision drops plus the redelivery");
     }
 
     #[test]

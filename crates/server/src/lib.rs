@@ -27,12 +27,29 @@
 //! | §IV-A decomposition, §V query recovery  | [`coordinator`] |
 //! | §IV-B subquery execution, caching       | [`query_server`] |
 //! | §IV-C LADA + baseline dispatch          | [`dispatch`] |
-//! | Figure 3 topology                       | [`system`] |
+//! | Figure 3 roles: ids, placement, construction, RPC verbs, loops | [`roles`] |
+//! | Figure 3 topology, embedded             | [`system`] |
 //!
 //! Every cross-server hop (ingest, flush, subqueries, summary reads,
 //! metadata calls) is a typed RPC on the `waterwheel-net` message plane;
 //! [`Waterwheel::transport`] exposes it for fault injection and per-link
-//! statistics.
+//! statistics. What a role *is* — how its server is built from durable
+//! state, which verbs it answers and how — lives once in [`roles`]; the
+//! embedded [`Waterwheel`] and the `waterwheel-node` processes both
+//! register it, so the deployments cannot disagree. The settled verb
+//! semantics:
+//!
+//! | Verb | Indexing role | Query role |
+//! |---|---|---|
+//! | `Ingest` | append, then `mq.sync()` before `Ack` | — |
+//! | `IngestBatch` | append once per `(src, seq)`; the marker is journalled in the batch's frame and committed before `AckBatch` | — |
+//! | `Flush` | `Injected` if failed, else pump the partition empty and seal | — |
+//! | `InMemorySubquery`, `AggregateInMemory`, `Reassign` | served | — |
+//! | `ChunkSubquery`, `ReadSummary` | — | served |
+//! | `Ping` | `Injected` if failed, else `Pong` | same |
+//! | `RegisterPeers` | routes installed on the process's TCP transport; `InvalidState` on the in-process plane | same |
+//!
+//! Every other verb answers a typed `InvalidState`.
 
 #![warn(missing_docs)]
 
@@ -46,16 +63,18 @@ pub mod metrics;
 pub mod migration;
 pub mod partitioning;
 pub mod query_server;
+pub mod roles;
 pub mod system;
 
 pub use admission::{AdmissionController, AdmissionTotals};
 pub use attributes::AttrRegistry;
 pub use coordinator::{Coordinator, CoordinatorStats};
 pub use dispatch::{build_plan, execute_plan, DispatchPlan, DispatchPolicy, PlanRun};
-pub use dispatcher::{Dispatcher, SampleWindow};
+pub use dispatcher::{incarnation_seq_base, send_batch, Dispatcher, SampleWindow};
 pub use indexing::{IndexingServer, IndexingStats};
 pub use metrics::SystemMetrics;
 pub use migration::{diff_moves, MigrationPhase, MigrationPlan, MigrationStats, RangeMove};
 pub use partitioning::{BalanceOutcome, BalancerStats, PartitionBalancer, PlanOutcome};
 pub use query_server::{QueryServer, QueryServerStats};
+pub use roles::{Host, IndexingRole, IndexingSlot, IngestDedup, Topology};
 pub use system::{Waterwheel, WaterwheelBuilder};

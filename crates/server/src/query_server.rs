@@ -175,9 +175,6 @@ pub struct QueryServer {
     /// Cache hot v2 leaves in decoded-column form
     /// (`SystemConfig::decoded_column_cache`).
     decoded_cache: bool,
-    /// Use the batched scan kernels (`SystemConfig::vectorized_scan`);
-    /// `false` routes columnar scans through the scalar reference.
-    vectorized: bool,
     /// Per-worker scratch arenas: each subquery checks one out and reuses
     /// its decode/select buffers across every leaf it touches.
     scratch_pool: Mutex<Vec<ScanScratch>>,
@@ -204,16 +201,14 @@ impl QueryServer {
             cfg.cache_shards,
             cfg.query_io_permits,
         )
-        .scan_options(cfg.decoded_column_cache, cfg.vectorized_scan)
+        .scan_options(cfg.decoded_column_cache)
     }
 
-    /// Sets the columnar scan knobs (`decoded_column_cache`,
-    /// `vectorized_scan`); both default to on. Answers never depend on
-    /// either — the equivalence suite holds all four combinations to
-    /// byte-identical results.
-    pub fn scan_options(mut self, decoded_cache: bool, vectorized: bool) -> Self {
+    /// Sets the columnar scan knob (`decoded_column_cache`, default on).
+    /// Answers never depend on it — the equivalence suite holds both
+    /// settings to byte-identical results.
+    pub fn scan_options(mut self, decoded_cache: bool) -> Self {
         self.decoded_cache = decoded_cache;
-        self.vectorized = vectorized;
         self
     }
 
@@ -237,7 +232,6 @@ impl QueryServer {
             template_flights: Singleflight::new(),
             summary_flights: Singleflight::new(),
             decoded_cache: true,
-            vectorized: true,
             scratch_pool: Mutex::new(Vec::new()),
         }
     }
@@ -527,8 +521,7 @@ impl QueryServer {
                 .fetch_add(1, Ordering::Relaxed);
             let count = index.leaves[li].count;
             let hits = if self.decoded_cache {
-                let decoded =
-                    Arc::new(DecodedLeaf::decode(image, count, self.vectorized, scratch)?);
+                let decoded = Arc::new(DecodedLeaf::decode(image, count, true, scratch)?);
                 let scanned = decoded.scan(&sq.keys, &sq.times, scratch)?;
                 self.cache.put(
                     BlockKey::Leaf(chunk, li as u32),
@@ -536,14 +529,7 @@ impl QueryServer {
                 );
                 scanned
             } else {
-                columnar::scan_leaf_with(
-                    image,
-                    count,
-                    &sq.keys,
-                    &sq.times,
-                    self.vectorized,
-                    scratch,
-                )?
+                columnar::scan_leaf_with(image, count, &sq.keys, &sq.times, true, scratch)?
             };
             collect_hits(hits, out);
             Ok(())

@@ -12,11 +12,11 @@
 //! ```
 //!
 //! Every cross-server hop rides the message plane: the builder creates one
-//! [`InProcTransport`], binds a typed handler per server address (plus the
-//! metadata server at its well-known address), and hands each sender an
-//! [`RpcClient`]. Fault injection — loss, latency, partitions, dead nodes —
-//! therefore applies uniformly to ingestion, queries, and metadata traffic;
-//! see [`Waterwheel::transport`].
+//! [`InProcTransport`] and registers every role of the shared role layer
+//! ([`crate::roles`]) on its registry, plus the metadata server at its
+//! well-known address. Fault injection — loss, latency, partitions, dead
+//! nodes — therefore applies uniformly to ingestion, queries, and metadata
+//! traffic; see [`Waterwheel::transport`].
 
 use crate::attributes::AttrRegistry;
 use crate::coordinator::Coordinator;
@@ -26,73 +26,24 @@ use crate::indexing::IndexingServer;
 use crate::migration::{MigrationPlan, MigrationStats};
 use crate::partitioning::{BalanceOutcome, PartitionBalancer, PlanOutcome};
 use crate::query_server::QueryServer;
+use crate::roles::{self, Host, IndexingRole, IndexingSlot, Topology};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use waterwheel_agg::AggregateAnswer;
 use waterwheel_cluster::{Cluster, LatencyModel};
 use waterwheel_core::aggregate::{default_measure, AggregateQuery, MeasureFn};
 use waterwheel_core::{Query, QueryResult, Result, ServerId, SystemConfig, Tuple, WwError};
-use waterwheel_meta::{MemberRole, MetadataService, PartitionSchema};
-use waterwheel_mq::{Consumer, MessageQueue};
+use waterwheel_meta::{MemberRole, MetadataService};
+use waterwheel_mq::MessageQueue;
 use waterwheel_net::{
-    serve_meta, HandlerRegistry, InProcTransport, MetaClient, Request, Response, RpcClient,
-    RpcTotals, TcpRpcServer, TcpTransport, Transport, WireStats, WireTotals, COORDINATOR,
+    serve_meta, HandlerRegistry, InProcTransport, RpcTotals, TcpRpcServer, TcpTransport, Transport,
+    WireStats, WireTotals,
 };
 use waterwheel_storage::SimDfs;
 use waterwheel_wal::FsyncPolicy;
-
-/// Name of the ingestion topic.
-const INGEST_TOPIC: &str = "ingest";
-
-/// Receiver-side dedup for batched ingest. Remembers, per directed
-/// (dispatcher → indexing-server) link, the highest batch sequence number
-/// whose append succeeded. A dispatcher retries a failed batch under its
-/// original number and never sends a younger batch past an undelivered
-/// older one, so `seq <= last` identifies a redelivery whose first attempt
-/// landed with only the ack lost — it is acknowledged without appending
-/// again. This lives beside the queue (not inside an `IndexingServer`) so
-/// it survives server recovery swaps, like the queue itself.
-pub(crate) struct IngestDedup {
-    last_seq: Mutex<HashMap<(ServerId, ServerId), u64>>,
-    drops: AtomicU64,
-}
-
-impl IngestDedup {
-    fn new() -> Self {
-        Self {
-            last_seq: Mutex::new(HashMap::new()),
-            drops: AtomicU64::new(0),
-        }
-    }
-
-    /// Runs `apply` unless `seq` on the `src → dst` link already landed;
-    /// returns whether the batch was recognised as a duplicate. The
-    /// sequence number is recorded only after `apply` succeeds, so a
-    /// failed append stays retryable rather than becoming a silent drop.
-    fn apply_once(
-        &self,
-        src: ServerId,
-        dst: ServerId,
-        seq: u64,
-        apply: impl FnOnce() -> Result<()>,
-    ) -> Result<bool> {
-        let mut last = self.last_seq.lock();
-        if last.get(&(src, dst)).is_some_and(|&l| seq <= l) {
-            self.drops.fetch_add(1, Ordering::Relaxed);
-            return Ok(true);
-        }
-        apply()?;
-        last.insert((src, dst), seq);
-        Ok(false)
-    }
-
-    fn drops(&self) -> u64 {
-        self.drops.load(Ordering::Relaxed)
-    }
-}
 
 /// Builder for an embedded [`Waterwheel`] deployment.
 pub struct WaterwheelBuilder {
@@ -177,7 +128,7 @@ impl WaterwheelBuilder {
     /// Builds and wires the system.
     pub fn build(self) -> Result<Waterwheel> {
         self.cfg.validate().map_err(WwError::Config)?;
-        let cluster = Cluster::new(self.nodes);
+        let topology = Topology::new(&self.cfg, self.nodes);
         // One fsync policy governs every durable surface (queue WAL, chunk
         // seals, metadata log): `durability_fsync` trades power-loss safety
         // for ingest latency, `wal_segment_bytes` bounds log segments and
@@ -188,14 +139,7 @@ impl WaterwheelBuilder {
         } else {
             MessageQueue::new()
         };
-        mq.create_topic(INGEST_TOPIC, self.cfg.indexing_servers)?;
-        let dfs = SimDfs::new(
-            self.root.join("chunks"),
-            cluster.clone(),
-            self.cfg.dfs_replication.min(self.nodes),
-            self.latency,
-        )?
-        .with_fsync(policy);
+        let dfs = roles::open_dfs(&self.root, &topology, &self.cfg, self.latency)?;
         let meta = if self.durable_meta {
             MetadataService::open_with(
                 self.root.join("meta.snapshot"),
@@ -206,7 +150,7 @@ impl WaterwheelBuilder {
             MetadataService::in_memory()
         };
 
-        // The message plane: every server binds its handler into one shared
+        // The message plane: every role binds its handler into one shared
         // registry; the registry is then fronted either by the in-process
         // transport (default — carries the cluster hook and fault
         // injection) or by a real TCP loopback listener plus a pooled
@@ -220,6 +164,7 @@ impl WaterwheelBuilder {
         let mut inproc = None;
         let mut wire = None;
         let mut rpc_server = None;
+        let mut tcp = None;
         let plane: Arc<dyn Transport> = if self.tcp_loopback {
             let stats = Arc::new(WireStats::default());
             let server = TcpRpcServer::bind_with(
@@ -227,218 +172,68 @@ impl WaterwheelBuilder {
                 Arc::clone(&registry),
                 Arc::clone(&stats),
                 None,
-                waterwheel_net::TcpServerOptions {
-                    reactor_threads: self.cfg.net_reactor_threads,
-                    workers: self.cfg.net_server_workers,
-                    overflow_retry_after: self.cfg.admission_retry_after,
-                    ..waterwheel_net::TcpServerOptions::default()
-                },
+                roles::tcp_server_options(&self.cfg),
             )?;
-            let tcp = TcpTransport::with_options(
+            let t = Arc::new(TcpTransport::with_options(
                 Arc::clone(&stats),
-                waterwheel_net::TcpClientOptions {
-                    reactor_threads: self.cfg.net_reactor_threads,
-                    pool_idle_timeout: self.cfg.net_pool_idle_timeout,
-                    pool_max_connections: self.cfg.net_pool_max_connections,
-                },
-            );
-            tcp.set_default_route(Some(server.local_addr()));
+                roles::tcp_client_options(&self.cfg),
+            ));
+            t.set_default_route(Some(server.local_addr()));
             wire = Some(stats);
             rpc_server = Some(server);
-            Arc::new(tcp)
+            tcp = Some(Arc::clone(&t));
+            t
         } else {
             let t = Arc::new(InProcTransport::with_registry(
-                Some(cluster.clone()),
+                Some(topology.cluster.clone()),
                 Arc::clone(&registry),
             ));
             inproc = Some(Arc::clone(&t));
             t
         };
-        let rpc_for = |src: ServerId| RpcClient::new(Arc::clone(&plane), src, &self.cfg);
-
-        // Server ids: indexing 0.., query 1000.., dispatchers 2000.. .
-        let ix_ids: Vec<ServerId> = (0..self.cfg.indexing_servers as u32)
-            .map(ServerId)
-            .collect();
-        let qs_ids: Vec<ServerId> = (0..self.cfg.query_servers as u32)
-            .map(|i| ServerId(1_000 + i))
-            .collect();
-        let disp_ids: Vec<ServerId> = (0..self.cfg.dispatchers as u32)
-            .map(|i| ServerId(2_000 + i))
-            .collect();
-        // Co-locate servers round-robin across nodes (paper: fixed counts
-        // per node).
-        cluster.place_servers_round_robin(qs_ids.iter().copied());
-        cluster.place_servers_round_robin(ix_ids.iter().copied());
-
-        // Register every server as a leased member of the cluster: the
-        // membership view (and its epoch) is what the coordinator routes
-        // by, and what elasticity — joins, drains, lease expiry — mutates
-        // at runtime. Re-joining identical members after a restart only
-        // renews leases, so epochs stay stable across recoveries.
-        for &id in &ix_ids {
-            let node = cluster.node_of(id).expect("indexing server placed");
-            meta.join(id, MemberRole::Indexing, node, self.cfg.lease_ttl)?;
-        }
-        for &id in &qs_ids {
-            let node = cluster.node_of(id).expect("query server placed");
-            meta.join(id, MemberRole::Query, node, self.cfg.lease_ttl)?;
-        }
-
-        // Partition schema: recover the durable one or bootstrap uniform.
-        let schema = match meta.partition() {
-            Some(s) => s,
-            None => {
-                let mut s = PartitionSchema::uniform(&ix_ids);
-                s.version = 1;
-                meta.set_partition(s.clone())?;
-                s
-            }
+        let host = Host {
+            cfg: self.cfg,
+            topology,
+            plane,
+            tcp,
         };
-        let dispatchers: Vec<Arc<Dispatcher>> = disp_ids
-            .iter()
-            .map(|&id| Arc::new(Dispatcher::new(id, rpc_for(id), schema.clone(), &self.cfg)))
-            .collect();
-        let ingest_dedup = Arc::new(IngestDedup::new());
 
-        let indexing: Vec<Arc<IndexingServer>> = ix_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| {
-                let interval = schema
-                    .interval_of(id)
-                    .expect("schema covers every indexing server");
-                // Recovery: replay from the durable offset.
-                let offset = meta.durable_offset(id);
-                Arc::new(IndexingServer::new(
-                    id,
-                    interval,
-                    self.cfg.clone(),
-                    Consumer::new(mq.clone(), INGEST_TOPIC, i, offset),
-                    dfs.clone(),
-                    MetaClient::new(rpc_for(id)),
-                ))
-            })
-            .collect();
-        let indexing = Arc::new(RwLock::new(indexing));
+        // Every server is a leased member of the cluster: the membership
+        // view (and its epoch) is what the coordinator routes by, and what
+        // elasticity — joins, drains, lease expiry — mutates at runtime.
+        host.join_members(&host.topology.indexing, MemberRole::Indexing)?;
+        host.join_members(&host.topology.query, MemberRole::Query)?;
 
-        // Bind each indexing address. The handler resolves the *current*
-        // instance at call time so it survives recovery swaps; ingest
-        // appends to the queue partition regardless of the server's health
-        // (Kafka accepts writes while a consumer is down — they replay).
-        for (i, &id) in ix_ids.iter().enumerate() {
-            let indexing = Arc::clone(&indexing);
-            let mq = mq.clone();
-            let dedup = Arc::clone(&ingest_dedup);
-            registry.bind(id, move |env| match &env.payload {
-                Request::Ingest { tuple } => {
-                    mq.append(INGEST_TOPIC, i, tuple.clone())?;
-                    Ok(Response::Ack)
-                }
-                Request::IngestBatch { seq, tuples } => {
-                    let deduped = dedup.apply_once(env.src, id, *seq, || {
-                        mq.append_batch(INGEST_TOPIC, i, tuples.iter().cloned())
-                            .map(|_| ())
-                    })?;
-                    Ok(Response::AckBatch {
-                        tuples: tuples.len() as u32,
-                        deduped,
-                    })
-                }
-                other => {
-                    let server = indexing.read().get(i).cloned();
-                    let Some(server) = server else {
-                        return Err(WwError::Unreachable("indexing server removed"));
-                    };
-                    match other {
-                        Request::Flush => {
-                            if server.is_failed() {
-                                return Err(WwError::Injected("indexing server down"));
-                            }
-                            Ok(Response::Flushed(server.flush()?))
-                        }
-                        Request::InMemorySubquery { sq } => {
-                            Ok(Response::Tuples(server.query_in_memory(sq)?))
-                        }
-                        Request::AggregateInMemory { slices, covered } => Ok(Response::Fold(
-                            server.aggregate_in_memory(*slices, covered)?,
-                        )),
-                        Request::Ping => {
-                            if server.is_failed() {
-                                Err(WwError::Injected("indexing server down"))
-                            } else {
-                                Ok(Response::Pong)
-                            }
-                        }
-                        _ => Err(WwError::InvalidState(
-                            "unsupported request for an indexing server".into(),
-                        )),
-                    }
-                }
-            });
-        }
-
-        let query_servers: Vec<Arc<QueryServer>> = qs_ids
-            .iter()
-            .map(|&id| {
-                let node = cluster.node_of(id).expect("query server placed");
-                Arc::new(QueryServer::with_config(id, node, dfs.clone(), &self.cfg))
-            })
-            .collect();
-        for qs in &query_servers {
-            let qs = Arc::clone(qs);
-            registry.bind(qs.id(), move |env| match &env.payload {
-                Request::ChunkSubquery {
-                    sq,
-                    chunk,
-                    leaf_filter,
-                } => Ok(Response::Tuples(qs.execute_filtered(
-                    sq,
-                    *chunk,
-                    leaf_filter.as_ref(),
-                )?)),
-                Request::ReadSummary { chunk } => Ok(Response::Summary(qs.read_summary(*chunk)?)),
-                Request::Ping => {
-                    if qs.is_failed() {
-                        Err(WwError::Injected("query server down"))
-                    } else {
-                        Ok(Response::Pong)
-                    }
-                }
-                _ => Err(WwError::InvalidState(
-                    "unsupported request for a query server".into(),
-                )),
-            });
-        }
+        let schema = roles::bootstrap_schema(&meta, &host.topology.indexing)?;
+        let dispatchers = host.dispatchers(&schema);
 
         let attrs = Arc::new(AttrRegistry::new());
-        for server in indexing.read().iter() {
-            server.set_attr_registry(Arc::clone(&attrs));
-        }
-        let coordinator = Arc::new(Coordinator::new(
-            rpc_for(COORDINATOR),
-            cluster.clone(),
-            qs_ids,
-            ix_ids,
-            dfs.replication(),
-            self.policy,
-            self.cfg.clone(),
-        ));
-        coordinator.set_attr_registry(Arc::clone(&attrs));
-        let balancer = PartitionBalancer::new(meta.clone(), self.cfg.partition_imbalance_threshold);
+        let ix_role = IndexingRole::new(host.clone(), mq.clone(), dfs.clone(), Arc::clone(&attrs))?;
+        let indexing = host
+            .topology
+            .indexing
+            .iter()
+            .map(|&id| ix_role.serve(&registry, id))
+            .collect::<Result<Vec<_>>>()?;
+        let query_servers = host
+            .topology
+            .query
+            .iter()
+            .map(|&id| roles::serve_query(&host, &registry, &dfs, id))
+            .collect();
+        let coordinator = host.coordinator(self.policy, &attrs);
+        let balancer = PartitionBalancer::new(meta.clone(), host.cfg.partition_imbalance_threshold);
 
         Ok(Waterwheel {
-            cfg: self.cfg,
+            host,
             mq,
             dfs,
             meta,
-            cluster,
-            plane,
             inproc,
             wire,
             rpc_server,
             dispatchers,
-            ingest_dedup,
+            ix_role,
             indexing,
             query_servers,
             coordinator: RwLock::new(coordinator),
@@ -446,38 +241,37 @@ impl WaterwheelBuilder {
             migration_stats: MigrationStats::default(),
             attrs,
             admission,
-            measure: parking_lot::Mutex::new(default_measure()),
+            measure: Mutex::new(default_measure()),
             next_dispatcher: AtomicUsize::new(0),
-            pumps_running: Arc::new(AtomicBool::new(false)),
-            pump_handles: parking_lot::Mutex::new(Vec::new()),
+            pumps_stop: Arc::new(AtomicBool::new(false)),
+            pump_handles: Mutex::new(Vec::new()),
         })
     }
 }
 
 /// An embedded Waterwheel deployment.
 pub struct Waterwheel {
-    cfg: SystemConfig,
+    pub(crate) host: Host,
     mq: MessageQueue,
     dfs: SimDfs,
     meta: MetadataService,
-    cluster: Cluster,
-    plane: Arc<dyn Transport>,
     inproc: Option<Arc<InProcTransport>>,
     wire: Option<Arc<WireStats>>,
     rpc_server: Option<TcpRpcServer>,
     dispatchers: Vec<Arc<Dispatcher>>,
-    ingest_dedup: Arc<IngestDedup>,
-    indexing: Arc<RwLock<Vec<Arc<IndexingServer>>>>,
+    ix_role: IndexingRole,
+    /// One slot per indexing server, in id order (ids are `0..n`).
+    indexing: Vec<IndexingSlot>,
     query_servers: Vec<Arc<QueryServer>>,
     coordinator: RwLock<Arc<Coordinator>>,
     balancer: PartitionBalancer,
     migration_stats: MigrationStats,
     attrs: Arc<AttrRegistry>,
     admission: Arc<crate::admission::AdmissionController>,
-    measure: parking_lot::Mutex<MeasureFn>,
+    measure: Mutex<MeasureFn>,
     next_dispatcher: AtomicUsize,
-    pumps_running: Arc<AtomicBool>,
-    pump_handles: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>,
+    pumps_stop: Arc<AtomicBool>,
+    pump_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl Waterwheel {
@@ -488,7 +282,7 @@ impl Waterwheel {
 
     /// The active configuration.
     pub fn config(&self) -> &SystemConfig {
-        &self.cfg
+        &self.host.cfg
     }
 
     /// The metadata service handle.
@@ -503,7 +297,7 @@ impl Waterwheel {
 
     /// The simulated cluster handle.
     pub fn cluster(&self) -> &Cluster {
-        &self.cluster
+        &self.host.topology.cluster
     }
 
     /// The message queue handle.
@@ -532,7 +326,7 @@ impl Waterwheel {
 
     /// Per-link RPC totals from whichever plane carries this deployment.
     pub fn rpc_totals(&self) -> RpcTotals {
-        self.plane.stats().totals()
+        self.host.plane.stats().totals()
     }
 
     /// Wire-level socket counters (bytes, connects, decode errors). All
@@ -550,7 +344,7 @@ impl Waterwheel {
     /// Per-request-kind RPC latency percentiles observed by this
     /// system's clients.
     pub fn rpc_latencies(&self) -> Vec<waterwheel_net::LatencySnapshot> {
-        self.plane.stats().latency_snapshot()
+        self.host.plane.stats().latency_snapshot()
     }
 
     /// The coordinator (policy switching, stats).
@@ -566,16 +360,7 @@ impl Waterwheel {
     /// fail independently.
     pub fn restart_coordinator(&self) {
         let old = self.coordinator();
-        let fresh = Arc::new(Coordinator::new(
-            RpcClient::new(Arc::clone(&self.plane), COORDINATOR, &self.cfg),
-            self.cluster.clone(),
-            self.query_servers.iter().map(|q| q.id()).collect(),
-            self.indexing.read().iter().map(|s| s.id()).collect(),
-            self.dfs.replication(),
-            old.policy(),
-            self.cfg.clone(),
-        ));
-        fresh.set_attr_registry(Arc::clone(&self.attrs));
+        let fresh = self.host.coordinator(old.policy(), &self.attrs);
         fresh.set_measure(self.measure.lock().clone());
         fresh.set_summaries_enabled(old.summaries_enabled());
         *self.coordinator.write() = fresh;
@@ -588,7 +373,10 @@ impl Waterwheel {
 
     /// Snapshot of the indexing servers (stats, failure injection).
     pub fn indexing_servers(&self) -> Vec<Arc<IndexingServer>> {
-        self.indexing.read().clone()
+        self.indexing
+            .iter()
+            .map(|s| Arc::clone(&s.read()))
+            .collect()
     }
 
     /// The dispatchers.
@@ -617,7 +405,7 @@ impl Waterwheel {
     pub fn register_measure(&self, measure: impl Fn(&Tuple) -> u64 + Send + Sync + 'static) {
         let measure: MeasureFn = Arc::new(measure);
         *self.measure.lock() = Arc::clone(&measure);
-        for server in self.indexing.read().iter() {
+        for server in self.indexing_servers() {
             server.set_measure(Arc::clone(&measure));
         }
         self.coordinator().set_measure(measure);
@@ -658,7 +446,7 @@ impl Waterwheel {
     /// Redelivered ingest batches the receivers recognised by sequence
     /// number and dropped instead of appending twice.
     pub fn ingest_dedup_drops(&self) -> u64 {
-        self.ingest_dedup.drops()
+        self.ix_role.dedup().drops()
     }
 
     /// Synchronously pumps every indexing server once; returns tuples moved
@@ -666,7 +454,7 @@ impl Waterwheel {
     /// [`Self::start_pumps`]) to make inserted data visible.
     pub fn pump_all(&self, max_per_server: usize) -> Result<usize> {
         let mut total = 0;
-        for server in self.indexing.read().iter() {
+        for server in self.indexing_servers() {
             if server.is_failed() {
                 continue;
             }
@@ -692,46 +480,27 @@ impl Waterwheel {
     /// Spawns one background pump thread per indexing server (the embedded
     /// equivalent of the Storm topology's running executors). Idempotent.
     pub fn start_pumps(&self) {
-        if self.pumps_running.swap(true, Ordering::SeqCst) {
+        let mut handles = self.pump_handles.lock();
+        if !handles.is_empty() {
             return;
         }
-        let mut handles = self.pump_handles.lock();
-        let servers = self.indexing.read().clone();
-        for (i, _) in servers.iter().enumerate() {
-            let running = Arc::clone(&self.pumps_running);
-            let indexing = Arc::clone(&self.indexing);
-            handles.push(std::thread::spawn(move || {
-                while running.load(Ordering::SeqCst) {
-                    // Re-read each round so recovery swaps take effect.
-                    let server = {
-                        let servers = indexing.read();
-                        servers.get(i).cloned()
-                    };
-                    let Some(server) = server else { break };
-                    match server.pump(1_024) {
-                        Ok(0) | Err(_) => std::thread::sleep(std::time::Duration::from_millis(1)),
-                        Ok(_) => {}
-                    }
-                }
-            }));
-        }
+        self.pumps_stop.store(false, Ordering::SeqCst);
+        handles.extend(
+            self.indexing
+                .iter()
+                .map(|slot| roles::spawn_pump(slot, &self.pumps_stop)),
+        );
         // Linger flusher: partial batches older than `ingest_linger` are
         // pushed out so a trickling stream becomes visible without waiting
         // for a batch to fill. Errors are left for the next round — the
         // failed batch stays pending in its dispatcher.
-        if self.cfg.ingest_batch_size > 1 {
-            let running = Arc::clone(&self.pumps_running);
+        if self.host.cfg.ingest_batch_size > 1 {
             let dispatchers = self.dispatchers.clone();
-            let linger = self
-                .cfg
-                .ingest_linger
-                .max(std::time::Duration::from_millis(1));
-            handles.push(std::thread::spawn(move || {
-                while running.load(Ordering::SeqCst) {
-                    std::thread::sleep(linger);
-                    for d in &dispatchers {
-                        let _ = d.flush_lingering();
-                    }
+            let linger = self.host.cfg.ingest_linger;
+            let linger = linger.max(std::time::Duration::from_millis(1));
+            handles.push(roles::spawn_every(&self.pumps_stop, linger, move || {
+                for d in &dispatchers {
+                    let _ = d.flush_lingering();
                 }
             }));
         }
@@ -739,7 +508,7 @@ impl Waterwheel {
 
     /// Stops the background pump threads and waits for them.
     pub fn stop_pumps(&self) {
-        self.pumps_running.store(false, Ordering::SeqCst);
+        self.pumps_stop.store(true, Ordering::SeqCst);
         for handle in self.pump_handles.lock().drain(..) {
             let _ = handle.join();
         }
@@ -756,19 +525,14 @@ impl Waterwheel {
         self.mq.sync()
     }
 
-    /// Forces every indexing server to flush its in-memory state to chunks
-    /// — issued as `Flush` RPCs through a dispatcher (the control hop of
-    /// the §V durability boundary). Crashed servers are skipped: their
-    /// memory is gone and replays on recovery.
+    /// Forces every indexing server to drain its queue partition and seal
+    /// its in-memory state to chunks — issued as `Flush` RPCs through a
+    /// dispatcher (the control hop of the §V durability boundary). Crashed
+    /// servers are skipped: their memory is gone and replays on recovery.
     pub fn flush_all(&self) -> Result<()> {
         self.flush_ingest_batches()?;
-        let ids: Vec<ServerId> = self.indexing.read().iter().map(|s| s.id()).collect();
-        for id in ids {
-            match self.dispatchers[0].flush(id) {
-                Ok(_) => {}
-                Err(WwError::Injected(_)) => continue,
-                Err(e) => return Err(e),
-            }
+        for &id in &self.host.topology.indexing {
+            self.flush_one(id)?;
         }
         Ok(())
     }
@@ -780,8 +544,10 @@ impl Waterwheel {
     /// cut-over. Queries keep answering exactly throughout — the §III-D
     /// overlap window covers tuples the old owners still hold.
     pub fn rebalance(&self) -> Result<BalanceOutcome> {
-        let indexing = self.indexing.read().clone();
-        match self.balancer.plan_round(&self.dispatchers, &indexing)? {
+        match self
+            .balancer
+            .plan_round(&self.dispatchers, &self.indexing_servers())?
+        {
             PlanOutcome::InsufficientData => Ok(BalanceOutcome::InsufficientData),
             PlanOutcome::Balanced { deviation } => Ok(BalanceOutcome::Balanced { deviation }),
             PlanOutcome::SkippedDegenerate { deviation } => {
@@ -796,16 +562,15 @@ impl Waterwheel {
     /// the node runtime can drive hand-built plans (e.g. "rebalance
     /// uniformly over the grown fleet").
     pub fn migrate(&self, plan: MigrationPlan) -> Result<BalanceOutcome> {
-        let indexing = self.indexing.read().clone();
         let sources: BTreeSet<ServerId> = plan.moves.iter().map(|m| m.from).collect();
 
         // Phase 1 — snapshot ship: push buffered dispatcher batches into
-        // the queue, drain it, and seal every source's in-memory tree to
-        // chunks. Sealed chunks are globally reachable through the DFS, so
-        // the moved ranges' history needs no peer-to-peer copy.
+        // the queue, then have every source drain its partition and seal
+        // its in-memory tree to chunks (`Flush` does both). Sealed chunks
+        // are globally reachable through the DFS, so the moved ranges'
+        // history needs no peer-to-peer copy.
         self.flush_ingest_batches()?;
         for &src in &sources {
-            self.drain_one(&indexing, src)?;
             self.flush_one(src)?;
         }
 
@@ -824,13 +589,13 @@ impl Waterwheel {
         // a moved range now land on its new owner; tuples the old owner
         // still holds stay queryable because the metadata server tracks
         // actual memory regions (§III-D overlap window).
-        self.balancer.install(&plan, &self.dispatchers, &indexing)?;
+        self.balancer
+            .install(&plan, &self.dispatchers, &self.indexing_servers())?;
 
         // Phase 4 — straggler flush: anything that reached a source
         // between the snapshot and the install (queued tuples routed under
         // the old schema) is drained and sealed, closing the overlap.
         for &src in &sources {
-            self.drain_one(&indexing, src)?;
             self.flush_one(src)?;
         }
 
@@ -857,26 +622,8 @@ impl Waterwheel {
         &self.balancer
     }
 
-    /// Pumps one indexing server until its queue partition is empty, in
-    /// batches bounded by `migration_batch_bytes` (coarsely: assuming
-    /// small tuples, `bytes / 64` tuples per step) so a migration never
-    /// holds a source busy for an unbounded stretch. Crashed servers are
-    /// skipped — their memory is gone and replays on recovery.
-    fn drain_one(&self, indexing: &[Arc<IndexingServer>], id: ServerId) -> Result<()> {
-        let Some(server) = indexing.iter().find(|s| s.id() == id) else {
-            return Ok(());
-        };
-        if server.is_failed() {
-            return Ok(());
-        }
-        let batch = (self.cfg.migration_batch_bytes / 64).max(1);
-        while server.pump(batch)? > 0 {}
-        Ok(())
-    }
-
-    /// Seals one indexing server's in-memory state to chunks through the
-    /// dispatcher control hop; a crashed server is skipped like
-    /// [`flush_all`](Self::flush_all) does.
+    /// Drains and seals one indexing server through the dispatcher control
+    /// hop; a crashed server is skipped.
     fn flush_one(&self, id: ServerId) -> Result<()> {
         match self.dispatchers[0].flush(id) {
             Ok(_) => Ok(()),
@@ -889,9 +636,9 @@ impl Waterwheel {
     /// deployment's heartbeat tick; separate processes run their own
     /// heartbeat threads). Returns the membership epoch.
     pub fn heartbeat_members(&self) -> Result<u64> {
-        let ttl = self.cfg.lease_ttl;
+        let ttl = self.host.cfg.lease_ttl;
         let mut epoch = self.meta.membership_epoch();
-        for s in self.indexing.read().iter() {
+        for s in self.indexing_servers() {
             if !s.is_failed() {
                 epoch = self.meta.heartbeat(s.id(), ttl)?;
             }
@@ -908,7 +655,7 @@ impl Waterwheel {
     /// heartbeating), fails nodes that no longer host any member, and
     /// re-replicates chunks off those nodes. Returns the evicted servers.
     pub fn expire_lapsed_members(&self) -> Result<Vec<ServerId>> {
-        let evicted = self.meta.expire_lapsed_leases(self.cfg.lease_ttl)?;
+        let evicted = self.meta.expire_lapsed_leases(self.host.cfg.lease_ttl)?;
         let mut out = Vec::with_capacity(evicted.len());
         for (server, node) in evicted {
             out.push(server);
@@ -919,7 +666,7 @@ impl Waterwheel {
                 .chain(view.query.iter())
                 .any(|&(_, n)| n == node);
             if !node_still_hosts {
-                self.cluster.fail_node(node)?;
+                self.cluster().fail_node(node)?;
                 self.dfs.re_replicate(node);
             }
         }
@@ -929,15 +676,16 @@ impl Waterwheel {
         Ok(out)
     }
 
+    fn slot(&self, id: ServerId) -> Result<&IndexingSlot> {
+        self.indexing
+            .get(id.raw() as usize)
+            .ok_or_else(|| WwError::not_found("indexing server", id))
+    }
+
     /// Crashes an indexing server: its in-memory tuples are lost and it
     /// stops serving until [`Self::recover_indexing_server`].
     pub fn crash_indexing_server(&self, id: ServerId) -> Result<()> {
-        let servers = self.indexing.read();
-        let server = servers
-            .iter()
-            .find(|s| s.id() == id)
-            .ok_or_else(|| WwError::not_found("indexing server", id))?;
-        server.set_failed(true);
+        self.slot(id)?.read().set_failed(true);
         self.meta.update_memory_region(id, None);
         Ok(())
     }
@@ -946,44 +694,20 @@ impl Waterwheel {
     /// from the durable offset (paper §V) — the replacement instance ends up
     /// with exactly the tuples the old one held in memory.
     pub fn recover_indexing_server(&self, id: ServerId) -> Result<()> {
-        let mut servers = self.indexing.write();
-        let pos = servers
-            .iter()
-            .position(|s| s.id() == id)
-            .ok_or_else(|| WwError::not_found("indexing server", id))?;
-        let offset = self.meta.durable_offset(id);
-        let interval = self
-            .meta
-            .partition()
-            .and_then(|p| p.interval_of(id))
-            .unwrap_or_else(waterwheel_core::KeyInterval::full);
-        let replacement = Arc::new(IndexingServer::new(
-            id,
-            interval,
-            self.cfg.clone(),
-            Consumer::new(self.mq.clone(), INGEST_TOPIC, pos, offset),
-            self.dfs.clone(),
-            MetaClient::new(RpcClient::new(Arc::clone(&self.plane), id, &self.cfg)),
-        ));
-        replacement.set_attr_registry(Arc::clone(&self.attrs));
+        let slot = self.slot(id)?;
+        let replacement = self.ix_role.build(id)?;
         replacement.set_measure(self.measure.lock().clone());
-        servers[pos] = replacement;
-        drop(servers);
+        *slot.write() = replacement;
         // Re-join the membership: if the crash outlived the lease, the
         // member was evicted and needs a fresh registration (which bumps
         // the epoch); otherwise this just renews the lease.
-        if let Some(node) = self.cluster.node_of(id) {
-            self.meta
-                .join(id, MemberRole::Indexing, node, self.cfg.lease_ttl)?;
-        }
-        Ok(())
+        self.host.join_members(&[id], MemberRole::Indexing)
     }
 
     /// Total tuples currently queryable (in-memory + flushed).
     pub fn total_visible(&self) -> usize {
         let in_mem: usize = self
-            .indexing
-            .read()
+            .indexing_servers()
             .iter()
             .filter(|s| !s.is_failed())
             .map(|s| s.in_memory())
@@ -1172,31 +896,6 @@ mod tests {
             .query(&Query::range(KeyInterval::full(), TimeInterval::full()))
             .unwrap();
         assert_eq!(r.tuples.len(), 600);
-    }
-
-    #[test]
-    fn ingest_dedup_drops_redeliveries_but_keeps_failures_retryable() {
-        let dedup = IngestDedup::new();
-        let (disp, ix) = (ServerId(2_000), ServerId(0));
-        assert!(!dedup.apply_once(disp, ix, 0, || Ok(())).unwrap());
-        // Redelivery of an applied seq: apply must not run.
-        let mut ran = false;
-        assert!(dedup
-            .apply_once(disp, ix, 0, || {
-                ran = true;
-                Ok(())
-            })
-            .unwrap());
-        assert!(!ran, "duplicate batch must not be applied again");
-        assert_eq!(dedup.drops(), 1);
-        // A failed apply records nothing: the same seq retries and lands.
-        assert!(dedup
-            .apply_once(disp, ix, 1, || Err(WwError::Injected("disk full")))
-            .is_err());
-        assert!(!dedup.apply_once(disp, ix, 1, || Ok(())).unwrap());
-        // Links are independent: another dispatcher's seq 0 is fresh.
-        assert!(!dedup.apply_once(ServerId(2_001), ix, 0, || Ok(())).unwrap());
-        assert_eq!(dedup.drops(), 1);
     }
 
     #[test]

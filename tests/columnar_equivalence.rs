@@ -20,7 +20,7 @@ fn fresh_root(name: &str) -> std::path::PathBuf {
 }
 
 fn system(name: &str, version: u32, compression: bool, pruning: bool) -> Waterwheel {
-    system_with(name, version, compression, pruning, true, true)
+    system_with(name, version, compression, pruning, true)
 }
 
 fn system_with(
@@ -29,7 +29,6 @@ fn system_with(
     compression: bool,
     pruning: bool,
     decoded_cache: bool,
-    vectorized: bool,
 ) -> Waterwheel {
     let mut cfg = SystemConfig::default();
     cfg.chunk_size_bytes = 32 * 1024;
@@ -42,7 +41,6 @@ fn system_with(
     cfg.chunk_compression = compression;
     cfg.measure_pruning = pruning;
     cfg.decoded_column_cache = decoded_cache;
-    cfg.vectorized_scan = vectorized;
     let ww = Waterwheel::builder(fresh_root(name))
         .config(cfg)
         .build()
@@ -71,10 +69,10 @@ fn v1_and_v2_answer_byte_identically() {
         system("v1", 1, false, true),
         system("v2", 2, true, true),
         system("v2-raw", 2, false, true),
-        // Scan-path knobs off: no decoded-column cache, scalar kernels.
-        // Answers must not move — only throughput may.
-        system_with("v2-nocache", 2, true, true, false, true),
-        system_with("v2-scalar", 2, true, true, false, false),
+        // Decoded-column cache off: answers must not move — only
+        // throughput may. (Scalar ≡ vectorized kernels is checked on
+        // arbitrary leaf images in crates/index/tests/columnar_kernels.rs.)
+        system_with("v2-nocache", 2, true, true, false),
     ];
     let mut fleet = TDriveGen::new(TDriveConfig {
         taxis: 200,

@@ -182,13 +182,20 @@ fn durable_queue_survives_full_process_restart_with_unflushed_data() {
             .durable_queue()
             .build()
             .unwrap();
-        for i in 0..inserted {
+        let flushed = inserted / 2;
+        for i in 0..flushed {
             ww.insert(Tuple::bare(spread_key(i), 1_000 + i)).unwrap();
         }
-        // Pump only some of it; flush some of that. The rest lives only in
-        // the queue when the "process" dies.
-        ww.pump_all(500).unwrap();
+        // `Flush` drains each partition before sealing, so everything so
+        // far reaches chunks. The tail inserted afterwards is pumped only
+        // in part and never sealed: it lives only in the queue when the
+        // "process" dies.
         ww.flush_all().unwrap();
+        for i in flushed..inserted {
+            ww.insert(Tuple::bare(spread_key(i), 1_000 + i)).unwrap();
+        }
+        ww.flush_ingest_batches().unwrap();
+        ww.pump_all(500).unwrap();
         ww.sync_queue().unwrap();
     }
     let ww = Waterwheel::builder(&root)
@@ -196,12 +203,77 @@ fn durable_queue_survives_full_process_restart_with_unflushed_data() {
         .durable_queue()
         .build()
         .unwrap();
+    let from_chunks = ww.total_visible() as u64;
+    assert!(
+        from_chunks < inserted,
+        "the restart must have queue-only tuples left to replay"
+    );
     ww.drain().unwrap();
     let got = ww.query(&all()).unwrap().tuples.len();
     assert_eq!(
         got as u64, inserted,
         "durable queue lost or duplicated data"
     );
+}
+
+#[test]
+fn rebuilt_durable_system_dedups_old_batches_and_accepts_new_ones() {
+    // A re-opened durable store remembers, from the batch markers in its
+    // queue journal, which (dispatcher, seq) batches already landed. A
+    // redelivery from the previous incarnation must be dropped — and the
+    // rebuilt dispatchers (same ids) must number their fresh batches above
+    // it, or those would be acknowledged as duplicates and lost.
+    use waterwheel::core::ServerId;
+    use waterwheel::net::{Request, RpcClient, Transport};
+    let root = fresh_root("rebuild-dedup");
+    let (n, m) = (1_000u64, 700u64);
+    {
+        let ww = Waterwheel::builder(&root)
+            .config(cfg())
+            .durable_queue()
+            .build()
+            .unwrap();
+        for i in 0..n {
+            ww.insert(Tuple::bare(spread_key(i), 1_000 + i)).unwrap();
+        }
+        ww.flush_ingest_batches().unwrap();
+    }
+    let ww = Waterwheel::builder(&root)
+        .config(cfg())
+        .durable_queue()
+        .build()
+        .unwrap();
+    let ix = ww.indexing_servers()[0].id();
+    let mq = ww.message_queue();
+    let &(src, last_seq) = mq
+        .recovered_seqs("ingest", 0)
+        .unwrap()
+        .first()
+        .expect("acked batches must journal their (src, seq) marker");
+    let before = mq.latest_offset("ingest", 0).unwrap();
+    let plane = std::sync::Arc::clone(ww.transport()) as std::sync::Arc<dyn Transport>;
+    let old_dispatcher = RpcClient::new(plane, ServerId(src), ww.config());
+    let (_, deduped) = old_dispatcher
+        .call(
+            ix,
+            Request::IngestBatch {
+                seq: last_seq,
+                tuples: vec![Tuple::bare(0, 1)],
+            },
+        )
+        .unwrap()
+        .into_ack_batch()
+        .unwrap();
+    assert!(deduped, "redelivery of an acked batch must be dropped");
+    assert_eq!(mq.latest_offset("ingest", 0).unwrap(), before);
+
+    for i in n..n + m {
+        ww.insert(Tuple::bare(spread_key(i), 1_000 + i)).unwrap();
+    }
+    ww.drain().unwrap();
+    assert_eq!(ww.ingest_dedup_drops(), 1, "only the redelivery is a drop");
+    let got = ww.query(&all()).unwrap().tuples.len() as u64;
+    assert_eq!(got, n + m, "fresh batches after a rebuild were lost");
 }
 
 #[test]
