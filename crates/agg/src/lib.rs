@@ -35,6 +35,17 @@ pub use partial::PartialAgg;
 pub use summary::{WheelSummary, SUMMARY_MAGIC};
 pub use wheel::{AggWheel, FoldOutcome, Granularity};
 
+/// Key-slice width exponent the system builds every wheel with: keys are
+/// sliced by their top 4 bits into 16 slices. Indexing servers (live wheels
+/// and sealed summaries) and the coordinator (query-range planner) must
+/// agree on it, so both read this constant.
+pub const SLICE_BITS: u8 = 4;
+
+/// Cap on cells per granularity ring in a sealed chunk summary. Rings over
+/// the cap are dropped finest-first; dropped coverage degrades to exact
+/// tuple-scan residues, never to approximate answers.
+pub const MAX_CELLS_PER_RING: usize = 8192;
+
 use waterwheel_core::aggregate::AggregateKind;
 use waterwheel_core::QueryId;
 

@@ -30,7 +30,7 @@ pub struct LsmConfig {
     pub memtable_limit: usize,
     /// Size-tiered trigger: merge when this many runs share a size tier.
     pub tier_fanout: usize,
-    /// WAL file path.
+    /// WAL directory.
     pub wal_path: PathBuf,
     /// Per-group-commit remote durability cost (HDFS hflush pipeline /
     /// journal hand-off); zero by default.

@@ -27,7 +27,7 @@ use waterwheel_core::{Key, KeyInterval, TimeInterval, Timestamp, Tuple};
 pub struct TimeStoreConfig {
     /// Segment width in milliseconds (Druid's `segmentGranularity`).
     pub segment_ms: u64,
-    /// WAL file path.
+    /// WAL directory.
     pub wal_path: PathBuf,
     /// Per-group-commit remote durability cost (HDFS hflush pipeline /
     /// journal hand-off); zero by default.

@@ -39,12 +39,12 @@ fn bench_size(processes: usize, tuples: &[Tuple]) -> SizeResult {
         std::env::temp_dir().join(format!("ww-bench-scale-{processes}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let mut spec = ClusterSpec::new(&root);
-    spec.indexing_servers = processes;
+    spec.system.indexing_servers = processes;
     spec.indexing_processes = processes;
-    spec.query_servers = processes;
+    spec.system.query_servers = processes;
     spec.query_processes = processes;
-    spec.dispatchers = 2;
-    spec.chunk_size_bytes = 64 * 1024;
+    spec.system.dispatchers = 2;
+    spec.system.chunk_size_bytes = 64 * 1024;
     let exe = std::env::current_exe().unwrap();
     let cluster = spec.launch(exe).expect("cluster launch");
     let client = cluster.client();

@@ -1,275 +1,246 @@
-//! System-wide configuration knobs.
+//! System-wide configuration, declared once.
 //!
-//! Every tunable the paper mentions is collected here with its paper default
-//! (and, where the paper value is cluster-scale, a scaled-down default noted
-//! in the field docs). Components receive a shared [`SystemConfig`] at
-//! construction time.
+//! Every setting is one row of the table below — doc, name, type, default —
+//! and the struct, its `Default`, the `name=value` setter
+//! ([`SystemConfig::set`]) and its inverse (`Display`) are all derived from
+//! that row. Embedded, TCP-loopback and multi-process deployments carry the
+//! same struct (node processes receive its text form whole), so adding a
+//! setting is a one-row change here that every deployment sees.
+//!
+//! Only values some test, bench or deployment actually varies are settings.
+//! What the paper states as a constant (§III-C skew threshold 0.2, §III-D
+//! 20 % imbalance, …) is a default or `const` beside the component that
+//! uses it; README "Configuration" lists where each one lives.
 
+use crate::{Result, WwError};
+use std::fmt;
+use std::str::FromStr;
 use std::time::Duration;
 
-/// Configuration for an embedded Waterwheel deployment.
-#[derive(Clone, Debug)]
-pub struct SystemConfig {
-    /// Chunk flush threshold in bytes (paper §III-A and §VI: 16 MB default).
-    ///
-    /// An indexing server flushes its in-memory B+ tree to the file system as
-    /// an immutable chunk once the accumulated tuple bytes reach this value.
-    pub chunk_size_bytes: usize,
+/// The text form of one setting's value.
+trait Value: Sized {
+    fn parse(s: &str) -> Option<Self>;
+    fn render(&self) -> String;
+}
 
-    /// B+ tree fanout: maximum children per inner node.
-    pub btree_fanout: usize,
+macro_rules! plain_value {
+    ($($ty:ty),*) => {$(
+        impl Value for $ty {
+            fn parse(s: &str) -> Option<Self> {
+                s.parse().ok()
+            }
+            fn render(&self) -> String {
+                self.to_string()
+            }
+        }
+    )*};
+}
+plain_value!(usize, u32, u64, bool);
 
-    /// Target number of tuples per leaf when (re)building a template.
-    pub leaf_capacity: usize,
+/// Durations are a whole number with a unit (`5s`, `2ms`, `750us`, `1ns`),
+/// written in the coarsest unit that loses nothing.
+impl Value for Duration {
+    fn parse(s: &str) -> Option<Self> {
+        let digits = s.trim_end_matches(|c: char| c.is_ascii_alphabetic());
+        let n: u64 = digits.parse().ok()?;
+        match &s[digits.len()..] {
+            "s" => Some(Duration::from_secs(n)),
+            "ms" => Some(Duration::from_millis(n)),
+            "us" => Some(Duration::from_micros(n)),
+            "ns" => Some(Duration::from_nanos(n)),
+            _ => None,
+        }
+    }
+    fn render(&self) -> String {
+        let ns = self.as_nanos();
+        for (unit, per) in [("s", 1_000_000_000), ("ms", 1_000_000), ("us", 1_000)] {
+            if ns.is_multiple_of(per) {
+                return format!("{}{unit}", ns / per);
+            }
+        }
+        format!("{ns}ns")
+    }
+}
 
-    /// Skewness threshold above which a template is marked obsolete and
-    /// rebuilt (paper §III-C: 0.2).
-    pub skew_threshold: f64,
+macro_rules! settings {
+    ($( $(#[$doc:meta])* $name:ident: $ty:ty = $default:expr, )*) => {
+        /// Configuration of a Waterwheel deployment.
+        #[derive(Clone, Debug, PartialEq)]
+        pub struct SystemConfig {
+            $( $(#[$doc])* pub $name: $ty, )*
+        }
 
-    /// Load-imbalance threshold for adaptive key partitioning: repartition
-    /// when any indexing server's sampled load deviates this fraction from
-    /// the mean (paper §III-D: 20 %).
-    pub partition_imbalance_threshold: f64,
+        impl Default for SystemConfig {
+            fn default() -> Self {
+                Self { $( $name: $default, )* }
+            }
+        }
+
+        impl SystemConfig {
+            fn set_field(&mut self, name: &str, value: &str) -> Result<()> {
+                match name {
+                    $( stringify!($name) => {
+                        self.$name = Value::parse(value).ok_or_else(|| {
+                            WwError::Config(format!(
+                                "{name}: {value:?} is not a valid {}",
+                                stringify!($ty)
+                            ))
+                        })?;
+                    } )*
+                    _ => return Err(WwError::Config(format!("unknown setting {name:?}"))),
+                }
+                Ok(())
+            }
+        }
+
+        /// One `name=value` line per field — the inverse of
+        /// [`SystemConfig::set`], read back by `FromStr`.
+        impl fmt::Display for SystemConfig {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                $( writeln!(f, "{}={}", stringify!($name), self.$name.render())?; )*
+                Ok(())
+            }
+        }
+    };
+}
+
+settings! {
+    /// Chunk flush threshold in bytes (paper §III-A and §VI: 16 MB; the
+    /// default is scaled down so test suites run in seconds). An indexing
+    /// server seals its in-memory B+ tree into an immutable chunk once the
+    /// accumulated tuple bytes reach this value.
+    chunk_size_bytes: usize = 1 << 20,
 
     /// Late-visibility parameter Δt (paper §IV-D): tuples arriving no later
     /// than Δt behind an indexing server's high-water mark stay in the main
-    /// tree and remain query-visible via widened region bounds.
-    pub late_visibility: Duration,
-
-    /// Tuples later than Δt are diverted to a per-server side store so the
-    /// main chunks keep tight temporal bounds (paper §IV-D).
-    pub side_store_enabled: bool,
+    /// tree and remain query-visible via widened region bounds; later ones
+    /// go to the per-server side store.
+    late_visibility: Duration = Duration::from_secs(5),
 
     /// Number of indexing servers (one per key interval, paper §III-A).
-    pub indexing_servers: usize,
+    indexing_servers: usize = 2,
 
     /// Number of query servers.
-    pub query_servers: usize,
+    query_servers: usize = 4,
 
     /// Number of dispatchers feeding the indexing servers.
-    pub dispatchers: usize,
+    dispatchers: usize = 2,
 
     /// Replication factor for chunks in the simulated DFS (HDFS default: 3).
-    pub dfs_replication: usize,
+    dfs_replication: usize = 3,
 
     /// Query-server cache capacity in bytes (paper §VI: 1 GB per server;
     /// scaled default 64 MB).
-    pub cache_capacity_bytes: usize,
+    cache_capacity_bytes: usize = 64 << 20,
 
     /// Shards the block cache N ways by key hash: each shard holds its own
     /// LRU list and `capacity / N` byte budget, so concurrent subqueries
     /// stop contending on one mutex. `1` restores the single-mutex cache.
-    pub cache_shards: usize,
+    cache_shards: usize = 8,
 
     /// Subquery worker threads per query server: how many chunk subqueries
     /// one server executes concurrently under a dispatch plan. `1` restores
     /// the serial one-subquery-at-a-time server.
-    pub query_workers: usize,
+    query_workers: usize = 4,
 
     /// Concurrent DFS reads a query server may have in flight (I/O permit
-    /// set). Independent coalesced leaf reads proceed in parallel up to
-    /// this bound; `1` restores the old all-of-DFS serial lock.
-    pub query_io_permits: usize,
+    /// set). `1` restores the all-of-DFS serial lock.
+    query_io_permits: usize = 4,
 
-    /// Bits per entry in the leaf bloom filters.
-    pub bloom_bits_per_entry: usize,
-
-    /// Enable the per-leaf temporal bloom filters (ablation knob).
-    pub bloom_enabled: bool,
+    /// Enable the per-leaf temporal bloom filters (ablation switch).
+    bloom_enabled: bool = true,
 
     /// How many tuples an indexing server inserts between skewness checks.
-    pub skew_check_interval: usize,
+    skew_check_interval: usize = 4096,
 
-    /// Key-slice width exponent for the aggregate wheel: keys are sliced by
-    /// their top `agg_slice_bits` bits into `2^agg_slice_bits` slices
-    /// (1..=16). More slices answer narrower key ranges from summaries at
-    /// the cost of more cells per ring.
-    pub agg_slice_bits: u8,
-
-    /// Cap on cells per granularity ring in a sealed chunk summary. Rings
-    /// over the cap are dropped finest-first; dropped coverage degrades to
-    /// exact tuple-scan residues, never to approximate answers.
-    pub agg_max_cells_per_ring: usize,
-
-    /// Maintain live wheels and seal chunk summaries (ablation knob; when
+    /// Maintain live wheels and seal chunk summaries (ablation switch; when
     /// off, aggregate queries fall back to the tuple-scan path end to end).
-    pub agg_summaries_enabled: bool,
+    agg_summaries_enabled: bool = true,
 
     /// Tuples per `Request::IngestBatch` envelope on the dispatcher →
     /// indexing hop (paper §VI Fig. 15: ingest throughput comes from
     /// amortizing per-record overhead). `1` disables batching and restores
     /// per-tuple `Request::Ingest` RPCs.
-    pub ingest_batch_size: usize,
+    ingest_batch_size: usize = 128,
 
     /// Longest a partially filled ingest batch may sit buffered in a
-    /// dispatcher before a background flush sends it anyway. Bounds the
-    /// extra visibility latency batching can add to a trickling stream.
-    pub ingest_linger: Duration,
+    /// dispatcher before the background linger flusher sends it anyway.
+    /// Bounds the visibility latency batching can add to a trickling stream.
+    ingest_linger: Duration = Duration::from_millis(2),
 
     /// Per-attempt deadline for every cross-server RPC. An attempt whose
-    /// simulated transit time exceeds the remaining budget fails with
-    /// [`WwError::Timeout`](crate::WwError::Timeout) without reaching the
-    /// destination.
-    pub rpc_timeout: Duration,
+    /// transit exceeds the remaining budget fails with
+    /// [`WwError::Timeout`](crate::WwError::Timeout).
+    rpc_timeout: Duration = Duration::from_secs(1),
 
     /// Extra attempts after a retryable RPC failure (timeout/unreachable);
-    /// `2` means up to three attempts in total. Non-retryable errors —
-    /// actual answers from the destination — are never retried.
-    pub rpc_retries: u32,
-
-    /// Base backoff slept between RPC attempts, scaled linearly by the
-    /// attempt number. Zero (the default for the in-process transport)
-    /// retries immediately.
-    pub rpc_backoff: Duration,
-
-    /// Reactor threads multiplexing a process's TCP sockets. One thread
-    /// polls every pooled client connection and every accepted server
-    /// connection; more threads shard the sockets between them. The whole
-    /// endpoint runs on `net_reactor_threads + net_server_workers` threads
-    /// regardless of connection count.
-    pub net_reactor_threads: usize,
-
-    /// Worker threads executing decoded requests behind a TCP listener.
-    /// Bounds handler concurrency independently of connection count (a
-    /// thousand idle connections cost no threads; a thousand concurrent
-    /// requests queue for this many workers).
-    pub net_server_workers: usize,
-
-    /// Pooled client connections idle (no RPC in flight, none completed)
-    /// longer than this are closed and reaped. Zero disables reaping.
-    pub net_pool_idle_timeout: Duration,
-
-    /// Cap on pooled client connections per transport; dialing past the
-    /// cap evicts the least-recently-used idle connection.
-    pub net_pool_max_connections: usize,
+    /// `2` means up to three attempts in total. Answers from the
+    /// destination — errors included — are never retried.
+    rpc_retries: u32 = 2,
 
     /// Admission control: requests in flight (admitted, not yet answered)
     /// a server allows before shedding. Budgets are graduated by priority —
     /// metadata sheds at half this depth, queries at three quarters, ingest
-    /// only at the full depth — so load shedding starts with the least
-    /// critical traffic (control probes and shutdown are always admitted).
-    pub admission_max_inflight: usize,
+    /// only at the full depth (control probes and shutdown are always
+    /// admitted).
+    admission_max_inflight: usize = 4_096,
 
     /// Retry-after hint stamped into [`WwError::Overloaded`](crate::WwError)
     /// responses when a request is shed by queue depth.
-    pub admission_retry_after: Duration,
+    admission_retry_after: Duration = Duration::from_millis(50),
 
     /// Per-client (per source server id) token-bucket refill rate in
     /// requests/second. Zero disables client rate limiting.
-    pub client_rate_limit: u64,
+    client_rate_limit: u64 = 0,
 
     /// Token-bucket burst capacity: a client may send this many requests
     /// back-to-back before the refill rate governs.
-    pub client_rate_burst: u64,
-
-    /// Rounds of coordinator-level subquery re-dispatch after the first
-    /// dispatch plan: subqueries that failed (server crashed mid-plan, link
-    /// down past the RPC retry budget) are re-planned across the servers
-    /// that still answer pings (paper §V).
-    pub rpc_redispatch_rounds: usize,
+    client_rate_burst: u64 = 256,
 
     /// When `true`, every durable commit point — an acked ingest batch in
     /// the message queue, a meta-service mutation, a sealed chunk file —
     /// is `fsync`ed before it is acknowledged, so acked data survives
-    /// `kill -9` *and* machine crash. When `false`, commits are flushed to
-    /// the OS page cache only: they still survive process death (kill -9),
-    /// but not power loss. Paper §V assumes the former for its replayable
-    /// queues.
-    pub durability_fsync: bool,
+    /// `kill -9` *and* machine crash. When `false`, commits reach the OS
+    /// page cache only: they survive process death, not power loss.
+    durability_fsync: bool = true,
 
     /// Rotation threshold for write-ahead log segments (message-queue
     /// partition logs and the meta-service mutation log). The meta service
     /// also compacts its log into a fresh snapshot once the log outgrows
     /// this bound.
-    pub wal_segment_bytes: usize,
+    wal_segment_bytes: usize = 8 << 20,
 
     /// On-disk chunk format written at flush: `1` for the row-tuple v1
-    /// layout, `2` for columnar leaves (delta-of-delta timestamps,
-    /// delta/dictionary keys, compressed payload blocks) with per-leaf and
-    /// per-chunk MIN/MAX measure bounds. Readers dispatch on the header
-    /// version, so a store may mix both formats.
-    pub chunk_format_version: u32,
+    /// layout, `2` for columnar leaves with per-leaf and per-chunk MIN/MAX
+    /// measure bounds. Readers dispatch on the header version, so a store
+    /// may mix both formats.
+    chunk_format_version: u32 = 2,
 
     /// Compress v2 payload blocks (byte-shuffle + LZ, whichever encoding is
     /// smallest per leaf). Ignored when writing v1 chunks.
-    pub chunk_compression: bool,
+    chunk_compression: bool = true,
 
     /// Use persisted MIN/MAX measure bounds to skip chunks (coordinator)
     /// and leaves (query server) that cannot satisfy a query's
     /// `measure_range` filter. Disabling only loses the pruning, never
     /// changes answers.
-    pub measure_pruning: bool,
+    measure_pruning: bool = true,
 
     /// Cache hot v2 leaves with their key/timestamp columns already decoded
-    /// (payload blocks stay compressed): repeated scans skip the varint
-    /// decode entirely. Decoded entries charge their actual resident bytes
-    /// against `cache_capacity_bytes`, so the same budget holds fewer — but
-    /// much faster — leaves. Disabling caches encoded images only; answers
-    /// never change.
-    pub decoded_column_cache: bool,
+    /// (payload blocks stay compressed), charged at their resident bytes
+    /// against `cache_capacity_bytes`. Disabling caches encoded images
+    /// only; answers never change.
+    decoded_column_cache: bool = true,
 
-    /// Interval between membership heartbeats a server sends to the meta
-    /// service to renew its lease (paper Fig. 17 elasticity: ZooKeeper
-    /// ephemeral-node session pings).
-    pub heartbeat_interval: Duration,
+    /// Interval between the membership heartbeats a server sends to the
+    /// meta service to renew its lease (ZooKeeper session pings).
+    heartbeat_interval: Duration = Duration::from_millis(500),
 
     /// Membership lease TTL granted per join/heartbeat. A server whose
     /// lease lapses is evicted from the membership view, its chunks are
     /// re-replicated, and routing tables move to the next epoch. Must be
     /// longer than `heartbeat_interval` (several missed beats, not one).
-    pub lease_ttl: Duration,
-}
-
-impl Default for SystemConfig {
-    fn default() -> Self {
-        Self {
-            // Scaled-down default so test suites run in seconds; the paper
-            // value is 16 MiB.
-            chunk_size_bytes: 1 << 20,
-            btree_fanout: 16,
-            leaf_capacity: 64,
-            skew_threshold: 0.2,
-            partition_imbalance_threshold: 0.2,
-            late_visibility: Duration::from_secs(5),
-            side_store_enabled: true,
-            indexing_servers: 2,
-            query_servers: 4,
-            dispatchers: 2,
-            dfs_replication: 3,
-            cache_capacity_bytes: 64 << 20,
-            cache_shards: 8,
-            query_workers: 4,
-            query_io_permits: 4,
-            bloom_bits_per_entry: 10,
-            bloom_enabled: true,
-            skew_check_interval: 4096,
-            agg_slice_bits: 4,
-            agg_max_cells_per_ring: 8192,
-            agg_summaries_enabled: true,
-            ingest_batch_size: 128,
-            ingest_linger: Duration::from_millis(2),
-            rpc_timeout: Duration::from_secs(1),
-            rpc_retries: 2,
-            rpc_backoff: Duration::ZERO,
-            net_reactor_threads: 1,
-            net_server_workers: 8,
-            net_pool_idle_timeout: Duration::from_secs(60),
-            net_pool_max_connections: 64,
-            admission_max_inflight: 4_096,
-            admission_retry_after: Duration::from_millis(50),
-            client_rate_limit: 0,
-            client_rate_burst: 256,
-            rpc_redispatch_rounds: 2,
-            durability_fsync: true,
-            wal_segment_bytes: 8 << 20,
-            chunk_format_version: 2,
-            chunk_compression: true,
-            measure_pruning: true,
-            decoded_column_cache: true,
-            heartbeat_interval: Duration::from_millis(500),
-            lease_ttl: Duration::from_secs(3),
-        }
-    }
+    lease_ttl: Duration = Duration::from_secs(3),
 }
 
 impl SystemConfig {
@@ -285,78 +256,63 @@ impl SystemConfig {
         }
     }
 
-    /// Validates internal consistency; call once at system start.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.btree_fanout < 2 {
-            return Err("btree_fanout must be at least 2".into());
+    /// Applies one `name=value` assignment. Unknown names and values that
+    /// do not parse as the field's type are [`WwError::Config`]; the
+    /// cross-field rules are [`Self::validate`]'s.
+    pub fn set(&mut self, assignment: &str) -> Result<()> {
+        let (name, value) = assignment
+            .split_once('=')
+            .ok_or_else(|| WwError::Config(format!("{assignment:?} is not name=value")))?;
+        self.set_field(name, value)
+    }
+
+    /// Checks internal consistency; every deployment calls it at start.
+    pub fn validate(&self) -> Result<()> {
+        let positive = [
+            ("indexing_servers", self.indexing_servers),
+            ("query_servers", self.query_servers),
+            ("dispatchers", self.dispatchers),
+            ("dfs_replication", self.dfs_replication),
+            ("chunk_size_bytes", self.chunk_size_bytes),
+            ("ingest_batch_size", self.ingest_batch_size),
+            ("cache_shards", self.cache_shards),
+            ("query_workers", self.query_workers),
+            ("query_io_permits", self.query_io_permits),
+            ("admission_max_inflight", self.admission_max_inflight),
+        ];
+        let broken = if let Some((name, _)) = positive.iter().find(|(_, v)| *v == 0) {
+            format!("{name} must be at least 1")
+        } else if self.rpc_timeout.is_zero() {
+            "rpc_timeout must be positive".into()
+        } else if self.client_rate_limit > 0 && self.client_rate_burst == 0 {
+            "client_rate_burst must be positive when rate limiting".into()
+        } else if self.wal_segment_bytes < 4096 {
+            "wal_segment_bytes must be at least 4096".into()
+        } else if !(1..=2).contains(&self.chunk_format_version) {
+            "chunk_format_version must be 1 or 2".into()
+        } else if self.heartbeat_interval.is_zero() {
+            "heartbeat_interval must be positive".into()
+        } else if self.lease_ttl <= self.heartbeat_interval {
+            "lease_ttl must exceed heartbeat_interval".into()
+        } else {
+            return Ok(());
+        };
+        Err(WwError::Config(broken))
+    }
+}
+
+/// Defaults overlaid with whitespace-separated `name=value` assignments
+/// (what `Display` writes), then validated.
+impl FromStr for SystemConfig {
+    type Err = WwError;
+
+    fn from_str(text: &str) -> Result<Self> {
+        let mut cfg = Self::default();
+        for assignment in text.split_whitespace() {
+            cfg.set(assignment)?;
         }
-        if self.leaf_capacity == 0 {
-            return Err("leaf_capacity must be positive".into());
-        }
-        if self.indexing_servers == 0 || self.query_servers == 0 || self.dispatchers == 0 {
-            return Err("server counts must be positive".into());
-        }
-        if self.dfs_replication == 0 {
-            return Err("dfs_replication must be positive".into());
-        }
-        if !(0.0..=10.0).contains(&self.skew_threshold) {
-            return Err("skew_threshold out of range".into());
-        }
-        if !(0.0..=10.0).contains(&self.partition_imbalance_threshold) {
-            return Err("partition_imbalance_threshold out of range".into());
-        }
-        if self.chunk_size_bytes == 0 {
-            return Err("chunk_size_bytes must be positive".into());
-        }
-        if !(1..=16).contains(&self.agg_slice_bits) {
-            return Err("agg_slice_bits must be in 1..=16".into());
-        }
-        if self.ingest_batch_size == 0 {
-            return Err("ingest_batch_size must be at least 1".into());
-        }
-        if self.cache_shards == 0 {
-            return Err("cache_shards must be at least 1".into());
-        }
-        if self.query_workers == 0 {
-            return Err("query_workers must be at least 1".into());
-        }
-        if self.query_io_permits == 0 {
-            return Err("query_io_permits must be at least 1".into());
-        }
-        if self.rpc_timeout.is_zero() {
-            return Err("rpc_timeout must be positive".into());
-        }
-        if self.rpc_redispatch_rounds == 0 {
-            return Err("rpc_redispatch_rounds must be at least 1".into());
-        }
-        if self.net_reactor_threads == 0 {
-            return Err("net_reactor_threads must be at least 1".into());
-        }
-        if self.net_server_workers == 0 {
-            return Err("net_server_workers must be at least 1".into());
-        }
-        if self.net_pool_max_connections == 0 {
-            return Err("net_pool_max_connections must be at least 1".into());
-        }
-        if self.admission_max_inflight == 0 {
-            return Err("admission_max_inflight must be at least 1".into());
-        }
-        if self.client_rate_limit > 0 && self.client_rate_burst == 0 {
-            return Err("client_rate_burst must be positive when rate limiting".into());
-        }
-        if self.wal_segment_bytes < 4096 {
-            return Err("wal_segment_bytes must be at least 4096".into());
-        }
-        if !(1..=2).contains(&self.chunk_format_version) {
-            return Err("chunk_format_version must be 1 or 2".into());
-        }
-        if self.heartbeat_interval.is_zero() {
-            return Err("heartbeat_interval must be positive".into());
-        }
-        if self.lease_ttl <= self.heartbeat_interval {
-            return Err("lease_ttl must exceed heartbeat_interval".into());
-        }
-        Ok(())
+        cfg.validate()?;
+        Ok(cfg)
     }
 }
 
@@ -380,24 +336,15 @@ mod tests {
     #[test]
     fn validate_rejects_degenerate_settings() {
         for breakage in [
-            |c: &mut SystemConfig| c.btree_fanout = 1,
-            |c: &mut SystemConfig| c.leaf_capacity = 0,
             |c: &mut SystemConfig| c.indexing_servers = 0,
             |c: &mut SystemConfig| c.dfs_replication = 0,
-            |c: &mut SystemConfig| c.skew_threshold = -1.0,
             |c: &mut SystemConfig| c.chunk_size_bytes = 0,
-            |c: &mut SystemConfig| c.agg_slice_bits = 0,
-            |c: &mut SystemConfig| c.agg_slice_bits = 17,
             |c: &mut SystemConfig| c.ingest_batch_size = 0,
             |c: &mut SystemConfig| c.cache_shards = 0,
             |c: &mut SystemConfig| c.query_workers = 0,
             |c: &mut SystemConfig| c.query_io_permits = 0,
             |c: &mut SystemConfig| c.rpc_timeout = Duration::ZERO,
-            |c: &mut SystemConfig| c.rpc_redispatch_rounds = 0,
             |c: &mut SystemConfig| c.wal_segment_bytes = 0,
-            |c: &mut SystemConfig| c.net_reactor_threads = 0,
-            |c: &mut SystemConfig| c.net_server_workers = 0,
-            |c: &mut SystemConfig| c.net_pool_max_connections = 0,
             |c: &mut SystemConfig| c.admission_max_inflight = 0,
             |c: &mut SystemConfig| {
                 c.client_rate_limit = 100;
@@ -410,7 +357,97 @@ mod tests {
         ] {
             let mut c = SystemConfig::default();
             breakage(&mut c);
-            assert!(c.validate().is_err());
+            assert!(matches!(c.validate(), Err(WwError::Config(_))));
         }
+    }
+
+    /// Every field, each with a value that differs from its default.
+    const OFF_DEFAULT: [&str; 29] = [
+        "chunk_size_bytes=65536",
+        "late_visibility=750us",
+        "indexing_servers=3",
+        "query_servers=5",
+        "dispatchers=1",
+        "dfs_replication=2",
+        "cache_capacity_bytes=1048576",
+        "cache_shards=2",
+        "query_workers=1",
+        "query_io_permits=7",
+        "bloom_enabled=false",
+        "skew_check_interval=100",
+        "agg_summaries_enabled=false",
+        "ingest_batch_size=1",
+        "ingest_linger=9ms",
+        "rpc_timeout=10s",
+        "rpc_retries=0",
+        "admission_max_inflight=12",
+        "admission_retry_after=1ns",
+        "client_rate_limit=1000",
+        "client_rate_burst=5",
+        "durability_fsync=false",
+        "wal_segment_bytes=4096",
+        "chunk_format_version=1",
+        "chunk_compression=false",
+        "measure_pruning=false",
+        "decoded_column_cache=false",
+        "heartbeat_interval=100ms",
+        "lease_ttl=1500ms",
+    ];
+
+    #[test]
+    fn every_field_round_trips_through_the_text_form() {
+        let defaults = SystemConfig::default().to_string();
+        let mut cfg = SystemConfig::default();
+        for assignment in OFF_DEFAULT {
+            cfg.set(assignment).unwrap();
+        }
+        cfg.validate().unwrap();
+        let text = cfg.to_string();
+        // The table covers the struct: one line per field, in field order,
+        // and none of them still at its default.
+        assert_eq!(text.lines().collect::<Vec<_>>(), OFF_DEFAULT);
+        for (changed, default) in text.lines().zip(defaults.lines()) {
+            assert_ne!(changed, default);
+        }
+        assert_eq!(text.parse::<SystemConfig>().unwrap(), cfg);
+        assert_eq!(
+            defaults.parse::<SystemConfig>().unwrap(),
+            SystemConfig::default()
+        );
+        // Assignments overlay the defaults; a partial text is fine.
+        let partial: SystemConfig = "dispatchers=7 lease_ttl=4s".parse().unwrap();
+        assert_eq!(partial.dispatchers, 7);
+        assert_eq!(partial.lease_ttl, Duration::from_secs(4));
+        assert_eq!(partial.query_servers, SystemConfig::default().query_servers);
+    }
+
+    #[test]
+    fn bad_text_is_a_typed_error_never_a_silent_default() {
+        for bad in [
+            "btree_fanout=16",        // a removed knob is an unknown name
+            "no_such_setting=1",      // unknown name
+            "dispatchers",            // not name=value
+            "dispatchers=",           // empty value
+            "dispatchers=two",        // malformed number
+            "dispatchers=-1",         // out of the type's range
+            "rpc_retries=4294967296", // overflows u32
+            "bloom_enabled=yes",      // not a bool
+            "ingest_linger=2",        // duration without a unit
+            "ingest_linger=2min",     // unknown unit
+            "ingest_linger=ms",       // unit without a number
+            "dispatchers=0",          // parses, validate() rejects
+            "chunk_format_version=3",
+            "heartbeat_interval=5s", // not below the default lease_ttl
+        ] {
+            let err = bad.parse::<SystemConfig>().err();
+            assert!(
+                matches!(err, Some(WwError::Config(_))),
+                "{bad:?} gave {err:?}"
+            );
+        }
+        // A failed assignment leaves the field as it was.
+        let mut cfg = SystemConfig::default();
+        assert!(cfg.set("dispatchers=two").is_err());
+        assert_eq!(cfg, SystemConfig::default());
     }
 }

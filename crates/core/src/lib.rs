@@ -14,8 +14,8 @@
 //! * [`zorder`] — the Morton encoding used to linearise two-dimensional keys
 //!   such as GPS coordinates (paper §VI evaluates with z-ordered T-Drive
 //!   trajectories).
-//! * [`config::SystemConfig`] — every tunable the paper mentions (chunk size,
-//!   skewness threshold, late-visibility Δt, …) in one place.
+//! * [`config::SystemConfig`] — the settings a deployment varies (chunk size,
+//!   late-visibility Δt, server counts, …), declared once with one text form.
 //!
 //! The crate is dependency-light by design: everything heavier (trees,
 //! chunks, servers) lives in the crates layered on top of it.

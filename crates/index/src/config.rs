@@ -1,4 +1,7 @@
-//! Index-level configuration, derived from the system-wide config.
+//! Index-level configuration. The structural constants (fanout, leaf
+//! capacity, the paper's §III-C skew threshold, bloom sizing) are owned here
+//! as defaults; the system-wide config contributes only what deployments
+//! vary: the skew-check cadence and the bloom ablation switch.
 
 use waterwheel_core::SystemConfig;
 
@@ -52,14 +55,9 @@ impl IndexConfig {
     /// Derives the index configuration from the system configuration.
     pub fn from_system(sys: &SystemConfig) -> Self {
         Self {
-            fanout: sys.btree_fanout,
-            leaf_capacity: sys.leaf_capacity,
-            skew_threshold: sys.skew_threshold,
             skew_check_interval: sys.skew_check_interval,
-            bloom: sys.bloom_enabled.then_some(BloomConfig {
-                mini_range_ms: 1_000,
-                bits_per_entry: sys.bloom_bits_per_entry,
-            }),
+            bloom: sys.bloom_enabled.then(BloomConfig::default),
+            ..Self::default()
         }
     }
 
@@ -80,9 +78,10 @@ mod tests {
         sys.bloom_enabled = false;
         assert!(IndexConfig::from_system(&sys).bloom.is_none());
         sys.bloom_enabled = true;
-        sys.bloom_bits_per_entry = 12;
+        sys.skew_check_interval = 77;
         let cfg = IndexConfig::from_system(&sys);
-        assert_eq!(cfg.bloom.unwrap().bits_per_entry, 12);
+        assert_eq!(cfg.bloom.unwrap().bits_per_entry, 10);
+        assert_eq!(cfg.skew_check_interval, 77);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use bitmap::Bitmap;
 pub use bloom::TimeBloom;
 pub use bulk::BulkLoadingBTree;
 pub use concurrent::ConcurrentBTree;
-pub use config::IndexConfig;
+pub use config::{BloomConfig, IndexConfig};
 pub use sealed::{SealedLeaf, SealedTree};
 pub use secondary::{AttrId, AttrProbe, AttributeExtractor, ChunkAttrIndex, ValueBloom};
 pub use stats::{IndexStats, StatsSnapshot};

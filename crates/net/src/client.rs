@@ -1,18 +1,17 @@
-//! Retrying RPC client: deadlines, bounded retry with backoff, stats.
+//! Retrying RPC client: deadlines, bounded retry, stats.
 //!
 //! An [`RpcClient`] is one sender's handle onto the message plane. Each
 //! `call` stamps a fresh per-attempt deadline from
 //! [`SystemConfig::rpc_timeout`], and retries **only** delivery failures
 //! ([`WwError::is_retryable`]: timeout/unreachable/overloaded) up to
-//! [`SystemConfig::rpc_retries`] extra attempts, sleeping a *jittered*
-//! `rpc_backoff × attempt` between them — the jitter (a uniform factor in
-//! `[0.5, 1.5)`) decorrelates the retry storms of many clients that failed
-//! at the same instant. When the destination shed the request with
-//! [`WwError::Overloaded`], its retry-after hint becomes the floor of the
-//! sleep, so retries respect the server's own estimate of when capacity
-//! returns. Errors produced by the destination itself (an injected crash,
-//! a missing chunk) are answers, not delivery failures, and propagate
-//! immediately.
+//! [`SystemConfig::rpc_retries`] extra attempts. A lost or late attempt is
+//! retried at once; when the destination shed the request with
+//! [`WwError::Overloaded`], the client first sleeps the server's retry-after
+//! hint — its own estimate of when capacity returns — times a *jitter* (a
+//! uniform factor in `[0.5, 1.5)`) that decorrelates the retry storms of
+//! many clients shed at the same instant. Errors produced by the
+//! destination itself (an injected crash, a missing chunk) are answers, not
+//! delivery failures, and propagate immediately.
 //!
 //! Every completed call (answered or failed) is also recorded in the
 //! transport's per-request-kind latency histograms
@@ -43,7 +42,6 @@ pub struct RpcClient {
     src: ServerId,
     timeout: Duration,
     retries: u32,
-    backoff: Duration,
     next_rpc_id: Arc<AtomicU64>,
 }
 
@@ -55,7 +53,6 @@ impl RpcClient {
             src,
             timeout: cfg.rpc_timeout,
             retries: cfg.rpc_retries,
-            backoff: cfg.rpc_backoff,
             next_rpc_id: Arc::new(AtomicU64::new(1)),
         }
     }
@@ -103,12 +100,10 @@ impl RpcClient {
                         .link(self.src, dst)
                         .retried
                         .fetch_add(1, Ordering::Relaxed);
-                    // An overloaded destination's retry-after hint floors
-                    // the backoff: never poke it sooner than it asked.
-                    let base = (self.backoff * attempt).max(e.retry_after().unwrap_or_default());
-                    if !base.is_zero() {
+                    // An overloaded destination says when to come back.
+                    if let Some(hint) = e.retry_after() {
                         let seed = rpc_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(attempt);
-                        std::thread::sleep(base.mul_f64(jitter_factor(seed)));
+                        std::thread::sleep(hint.mul_f64(jitter_factor(seed)));
                     }
                 }
                 Err(e) => return Err(e),

@@ -238,8 +238,8 @@ impl PoolState {
     }
 }
 
-/// Construction knobs for [`TcpTransport`] (see the `net_*` fields of
-/// `SystemConfig` for the system-level plumbing).
+/// Construction knobs for [`TcpTransport`]. The system runs on the
+/// defaults; the saturation bench and the pool tests vary them.
 #[derive(Clone, Copy, Debug)]
 pub struct TcpClientOptions {
     /// Reactor shard threads multiplexing the pooled sockets.

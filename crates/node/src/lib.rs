@@ -11,11 +11,13 @@
 //! | `query` | query ids `1000..` | chunk subquery execution over the shared DFS root |
 //! | `dispatcher` | dispatcher ids `2000..` + `COORDINATOR` | ingest routing, query decomposition, client gateway |
 //!
-//! Every process rebuilds the same deterministic layout (cluster
-//! placement, server ids, uniform partition schema) from a handful of
-//! counts, so no process needs the others' in-memory state — only their
-//! addresses (a peer map) and the shared filesystem root where chunks and
-//! metadata live.
+//! Every process is handed the deployment's whole
+//! [`SystemConfig`](waterwheel_core::SystemConfig) (in its text form, as
+//! `WW_NODE_CONFIG` or `--set name=value` flags) and rebuilds the same
+//! deterministic layout (cluster placement, server ids, uniform partition
+//! schema) from its counts, so no process needs the others' in-memory
+//! state — only their addresses (a peer map) and the shared filesystem
+//! root where chunks and metadata live.
 //!
 //! [`ClusterSpec::launch`](spec::ClusterSpec::launch) spawns the four
 //! roles as children of the calling process and returns a

@@ -4,16 +4,20 @@
 //! ```text
 //! waterwheel-node --role meta --listen 127.0.0.1:4100 --root /tmp/ww
 //! waterwheel-node --role indexing --listen 127.0.0.1:0 --root /tmp/ww \
-//!     --peer meta=127.0.0.1:4100 --ix 2 --qs 2 --disp 2
+//!     --peer meta=127.0.0.1:4100 --set chunk_size_bytes=65536
 //! waterwheel-node smoke [--root DIR] [--tuples N]
 //! ```
 //!
-//! Children spawned by the launcher are configured through `WW_NODE_*`
-//! environment variables instead of flags; both paths funnel into the
-//! same [`NodeConfig`].
+//! `--set name=value` assigns any `SystemConfig` field through the same
+//! setter the launcher's `WW_NODE_CONFIG` variable is read with; every
+//! process of a deployment must be given the same settings. Children
+//! spawned by the launcher are configured through `WW_NODE_*` environment
+//! variables instead of flags; both paths funnel into the same
+//! [`NodeConfig`].
 
 use std::path::PathBuf;
 use waterwheel_core::{AggregateKind, KeyInterval, TimeInterval, Tuple};
+use waterwheel_node::runtime::parse_peer;
 use waterwheel_node::{ClusterSpec, NodeConfig, Role};
 
 fn main() {
@@ -36,7 +40,7 @@ fn main() {
 
 fn usage() -> String {
     "usage: waterwheel-node --role <meta|indexing|query|dispatcher> --listen ADDR --root DIR \
-     [--peer role=addr]... [--ix N] [--qs N] [--disp N] [--nodes N] [--chunk-bytes N]\n\
+     [--peer role[:proc]=addr]... [--nodes N] [--set name=value]...\n\
      \u{20}      waterwheel-node smoke [--root DIR] [--tuples N]"
         .into()
 }
@@ -46,45 +50,22 @@ fn parse_role_cli(args: &[String]) -> Result<NodeConfig, String> {
     let mut listen = None;
     let mut root = None;
     let mut peers = Vec::new();
-    let mut counts: [Option<usize>; 5] = [None; 5];
+    let mut nodes = None;
+    let mut settings = Vec::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
+        let value = it
+            .next()
+            .ok_or_else(|| format!("{flag} needs a value\n{}", usage()))?;
         match flag.as_str() {
             "--role" => {
-                let v = value("--role")?;
-                role = Some(Role::parse(v).ok_or_else(|| format!("unknown role {v:?}"))?);
+                role = Some(Role::parse(value).ok_or_else(|| format!("unknown role {value:?}"))?)
             }
-            "--listen" => listen = Some(value("--listen")?.clone()),
-            "--root" => root = Some(PathBuf::from(value("--root")?)),
-            "--peer" => {
-                let v = value("--peer")?;
-                let (r, addr) = v
-                    .split_once('=')
-                    .ok_or_else(|| format!("--peer {v:?} is not role[:proc]=addr"))?;
-                // `role:IDX=addr` names one process of a multi-process
-                // role; bare `role=addr` means its first process.
-                let (r, idx) = match r.split_once(':') {
-                    Some((r, idx)) => (
-                        r,
-                        idx.parse::<usize>()
-                            .map_err(|e| format!("--peer {v:?}: {e}"))?,
-                    ),
-                    None => (r, 0),
-                };
-                let r = Role::parse(r).ok_or_else(|| format!("unknown peer role {r:?}"))?;
-                let addr = addr.parse().map_err(|e| format!("--peer {v:?}: {e}"))?;
-                peers.push((r, idx, addr));
-            }
-            "--ix" => counts[0] = Some(parse_num("--ix", value("--ix")?)?),
-            "--qs" => counts[1] = Some(parse_num("--qs", value("--qs")?)?),
-            "--disp" => counts[2] = Some(parse_num("--disp", value("--disp")?)?),
-            "--nodes" => counts[3] = Some(parse_num("--nodes", value("--nodes")?)?),
-            "--chunk-bytes" => {
-                counts[4] = Some(parse_num("--chunk-bytes", value("--chunk-bytes")?)?)
-            }
+            "--listen" => listen = Some(value.clone()),
+            "--root" => root = Some(PathBuf::from(value)),
+            "--peer" => peers.push(parse_peer(value)?),
+            "--nodes" => nodes = Some(value.parse().map_err(|e| format!("--nodes: {e}"))?),
+            "--set" => settings.push(value),
             other => return Err(format!("unknown flag {other:?}\n{}", usage())),
         }
     }
@@ -92,27 +73,14 @@ fn parse_role_cli(args: &[String]) -> Result<NodeConfig, String> {
     let listen = listen.ok_or("--listen is required")?;
     let root = root.ok_or("--root is required")?;
     let mut cfg = NodeConfig::new(role, listen, root);
-    if let Some(n) = counts[0] {
-        cfg.indexing_servers = n;
+    for assignment in settings {
+        cfg.system.set(assignment).map_err(|e| e.to_string())?;
     }
-    if let Some(n) = counts[1] {
-        cfg.query_servers = n;
-    }
-    if let Some(n) = counts[2] {
-        cfg.dispatchers = n;
-    }
-    if let Some(n) = counts[3] {
+    if let Some(n) = nodes {
         cfg.nodes = n;
-    }
-    if let Some(n) = counts[4] {
-        cfg.chunk_size_bytes = n;
     }
     cfg.peers = peers;
     Ok(cfg)
-}
-
-fn parse_num(name: &str, v: &str) -> Result<usize, String> {
-    v.parse().map_err(|e| format!("{name}: {e}"))
 }
 
 /// Launches a four-process loopback cluster from this very binary,

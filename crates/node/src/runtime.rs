@@ -3,13 +3,13 @@
 //! TCP listener until a `Shutdown` RPC (or losing the launcher's stdin
 //! pipe) tears the process down.
 
+use crate::spec::ClusterSpec;
 use std::collections::BTreeSet;
 use std::io::{BufRead, Write};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::time::Duration;
 use waterwheel_cluster::LatencyModel;
 use waterwheel_core::{Query, Result, ServerId, SystemConfig, WwError};
 use waterwheel_meta::{MemberRole, MetadataService, PartitionSchema};
@@ -76,8 +76,11 @@ impl std::fmt::Display for Role {
     }
 }
 
-/// Everything a node process needs to take its place in the cluster.
-#[derive(Clone, Debug)]
+/// Everything a node process needs to take its place in the cluster: the
+/// [`SystemConfig`] every process of the deployment shares, carried whole,
+/// plus the handful of values that are per-process or describe the process
+/// layout itself.
+#[derive(Clone, Debug, PartialEq)]
 pub struct NodeConfig {
     /// This process's role.
     pub role: Role,
@@ -85,26 +88,10 @@ pub struct NodeConfig {
     pub listen: String,
     /// Shared filesystem root (chunks + metadata snapshot).
     pub root: PathBuf,
-    /// Indexing-server count (identical in every process).
-    pub indexing_servers: usize,
-    /// Query-server count.
-    pub query_servers: usize,
-    /// Dispatcher count.
-    pub dispatchers: usize,
+    /// The deployment's configuration (identical in every process).
+    pub system: SystemConfig,
     /// Simulated cluster nodes.
     pub nodes: usize,
-    /// Chunk size driving flush boundaries.
-    pub chunk_size_bytes: usize,
-    /// Whether durable surfaces (queue WAL, chunk seals, metadata log)
-    /// fsync on commit; see `SystemConfig::durability_fsync`.
-    pub durability_fsync: bool,
-    /// WAL segment size bounding log files and the metadata compaction
-    /// threshold; see `SystemConfig::wal_segment_bytes`.
-    pub wal_segment_bytes: usize,
-    /// On-disk chunk format newly flushed chunks are written in; see
-    /// `SystemConfig::chunk_format_version`. Readers dispatch per chunk,
-    /// so a store may legitimately mix versions across restarts.
-    pub chunk_format_version: u32,
     /// How many OS processes share the indexing role. Each hosts a
     /// contiguous `indexing_servers / indexing_processes` slice of the
     /// server ids, so growing the cluster by one process never moves an
@@ -115,163 +102,78 @@ pub struct NodeConfig {
     /// Which slice of its role this process hosts (`0..processes`). Meta
     /// and dispatcher are single-process and ignore it.
     pub proc_index: usize,
-    /// Membership lease renewal cadence (`SystemConfig::heartbeat_interval`).
-    pub heartbeat_interval: Duration,
-    /// Membership lease duration (`SystemConfig::lease_ttl`).
-    pub lease_ttl: Duration,
     /// Addresses of the role processes this one calls into, as
     /// `(role, proc_index, addr)`.
     pub peers: Vec<(Role, usize, SocketAddr)>,
 }
 
+/// Parses one `role[:proc]=addr` peer. `role:IDX=addr` names one process of
+/// a multi-process role; bare `role=addr` means its first process.
+pub fn parse_peer(s: &str) -> std::result::Result<(Role, usize, SocketAddr), String> {
+    let (role, addr) = s
+        .split_once('=')
+        .ok_or_else(|| format!("peer {s:?} is not role[:proc]=addr"))?;
+    let (role, idx) = role.split_once(':').unwrap_or((role, "0"));
+    Ok((
+        Role::parse(role).ok_or_else(|| format!("unknown peer role {role:?}"))?,
+        idx.parse().map_err(|e| format!("peer {s:?}: {e}"))?,
+        addr.parse().map_err(|e| format!("peer {s:?}: {e}"))?,
+    ))
+}
+
 impl NodeConfig {
-    /// A config with the given role/listen/root and default counts.
+    /// The first process of `role` in a [`ClusterSpec::new`] deployment —
+    /// its defaults are the node defaults — listening on `listen`.
     pub fn new(role: Role, listen: impl Into<String>, root: impl Into<PathBuf>) -> Self {
-        let cfg = SystemConfig::default();
-        Self {
-            role,
-            listen: listen.into(),
-            root: root.into(),
-            indexing_servers: cfg.indexing_servers,
-            query_servers: cfg.query_servers,
-            dispatchers: cfg.dispatchers,
-            nodes: 4,
-            chunk_size_bytes: cfg.chunk_size_bytes,
-            durability_fsync: cfg.durability_fsync,
-            wal_segment_bytes: cfg.wal_segment_bytes,
-            chunk_format_version: cfg.chunk_format_version,
-            indexing_processes: 1,
-            query_processes: 1,
-            proc_index: 0,
-            heartbeat_interval: cfg.heartbeat_interval,
-            lease_ttl: cfg.lease_ttl,
-            peers: Vec::new(),
-        }
+        let mut nc = ClusterSpec::new(root).node_config(role, 0, Vec::new());
+        nc.listen = listen.into();
+        nc
     }
 
     /// Reads the `WW_NODE_*` environment contract written by
-    /// [`ClusterSpec::launch`](crate::spec::ClusterSpec::launch).
+    /// [`Self::apply_env`].
     pub fn from_env() -> std::result::Result<Self, String> {
         let var = |k: &str| std::env::var(k).map_err(|_| format!("{k} is not set"));
         let num = |k: &str| -> std::result::Result<usize, String> {
             var(k)?.parse().map_err(|e| format!("{k}: {e}"))
         };
         let role = var("WW_NODE_ROLE")?;
-        let role = Role::parse(&role).ok_or_else(|| format!("unknown role {role:?}"))?;
-        let mut peers = Vec::new();
-        for part in var("WW_NODE_PEERS").unwrap_or_default().split(',') {
-            if part.is_empty() {
-                continue;
-            }
-            let (r, addr) = part
-                .split_once('=')
-                .ok_or_else(|| format!("peer {part:?} is not role[:proc]=addr"))?;
-            // `role:IDX=addr` names one process of a multi-process role;
-            // bare `role=addr` (older launchers) means its first process.
-            let (r, idx) = match r.split_once(':') {
-                Some((r, idx)) => (
-                    r,
-                    idx.parse::<usize>()
-                        .map_err(|e| format!("peer {part:?}: {e}"))?,
-                ),
-                None => (r, 0),
-            };
-            let r = Role::parse(r).ok_or_else(|| format!("unknown peer role {r:?}"))?;
-            let addr = addr.parse().map_err(|e| format!("peer {part:?}: {e}"))?;
-            peers.push((r, idx, addr));
-        }
-        // Durability knobs are optional in the contract (older launchers
-        // omit them): absent means the SystemConfig defaults.
-        let defaults = SystemConfig::default();
-        let durability_fsync = match std::env::var("WW_NODE_FSYNC") {
-            Ok(v) => v != "0",
-            Err(_) => defaults.durability_fsync,
-        };
-        let wal_segment_bytes = match std::env::var("WW_NODE_WAL_SEG") {
-            Ok(v) => v.parse().map_err(|e| format!("WW_NODE_WAL_SEG: {e}"))?,
-            Err(_) => defaults.wal_segment_bytes,
-        };
-        let chunk_format_version = match std::env::var("WW_NODE_CHUNK_FORMAT") {
-            Ok(v) => v
-                .parse()
-                .map_err(|e| format!("WW_NODE_CHUNK_FORMAT: {e}"))?,
-            Err(_) => defaults.chunk_format_version,
-        };
-        // Elasticity knobs are likewise optional: absent means one process
-        // per role and the default lease cadence.
-        let opt_num = |k: &str, default: usize| -> std::result::Result<usize, String> {
-            match std::env::var(k) {
-                Ok(v) => v.parse().map_err(|e| format!("{k}: {e}")),
-                Err(_) => Ok(default),
-            }
-        };
-        let opt_ms = |k: &str, default: Duration| -> std::result::Result<Duration, String> {
-            match std::env::var(k) {
-                Ok(v) => v
-                    .parse()
-                    .map(Duration::from_millis)
-                    .map_err(|e| format!("{k}: {e}")),
-                Err(_) => Ok(default),
-            }
-        };
-        let indexing_processes = opt_num("WW_NODE_IX_PROCS", 1)?;
-        let query_processes = opt_num("WW_NODE_QS_PROCS", 1)?;
-        let proc_index = opt_num("WW_NODE_PROC", 0)?;
-        let heartbeat_interval = opt_ms("WW_NODE_HB_MS", defaults.heartbeat_interval)?;
-        let lease_ttl = opt_ms("WW_NODE_LEASE_MS", defaults.lease_ttl)?;
         Ok(Self {
-            role,
+            role: Role::parse(&role).ok_or_else(|| format!("unknown role {role:?}"))?,
             listen: var("WW_NODE_LISTEN")?,
             root: PathBuf::from(var("WW_NODE_ROOT")?),
-            indexing_servers: num("WW_NODE_IX")?,
-            query_servers: num("WW_NODE_QS")?,
-            dispatchers: num("WW_NODE_DISP")?,
+            system: var("WW_NODE_CONFIG")?
+                .parse()
+                .map_err(|e: WwError| format!("WW_NODE_CONFIG: {e}"))?,
             nodes: num("WW_NODE_NODES")?,
-            chunk_size_bytes: num("WW_NODE_CHUNK_BYTES")?,
-            durability_fsync,
-            wal_segment_bytes,
-            chunk_format_version,
-            indexing_processes,
-            query_processes,
-            proc_index,
-            heartbeat_interval,
-            lease_ttl,
-            peers,
+            indexing_processes: num("WW_NODE_IX_PROCS")?,
+            query_processes: num("WW_NODE_QS_PROCS")?,
+            proc_index: num("WW_NODE_PROC")?,
+            peers: var("WW_NODE_PEERS")?
+                .split(',')
+                .filter(|part| !part.is_empty())
+                .map(parse_peer)
+                .collect::<std::result::Result<_, _>>()?,
         })
     }
 
-    /// Writes the environment contract onto a child command.
+    /// Writes the environment contract onto a child command: the per-process
+    /// values one variable each, the whole [`SystemConfig`] in its text form
+    /// as `WW_NODE_CONFIG`.
     pub fn apply_env(&self, cmd: &mut std::process::Command) {
         let peers: Vec<String> = self
             .peers
             .iter()
-            .map(|(r, idx, a)| format!("{}:{idx}={a}", r.as_str()))
+            .map(|(r, idx, a)| format!("{r}:{idx}={a}"))
             .collect();
         cmd.env("WW_NODE_ROLE", self.role.as_str())
             .env("WW_NODE_LISTEN", &self.listen)
             .env("WW_NODE_ROOT", &self.root)
-            .env("WW_NODE_IX", self.indexing_servers.to_string())
-            .env("WW_NODE_QS", self.query_servers.to_string())
-            .env("WW_NODE_DISP", self.dispatchers.to_string())
+            .env("WW_NODE_CONFIG", self.system.to_string())
             .env("WW_NODE_NODES", self.nodes.to_string())
-            .env("WW_NODE_CHUNK_BYTES", self.chunk_size_bytes.to_string())
-            .env(
-                "WW_NODE_FSYNC",
-                if self.durability_fsync { "1" } else { "0" },
-            )
-            .env("WW_NODE_WAL_SEG", self.wal_segment_bytes.to_string())
-            .env(
-                "WW_NODE_CHUNK_FORMAT",
-                self.chunk_format_version.to_string(),
-            )
             .env("WW_NODE_IX_PROCS", self.indexing_processes.to_string())
             .env("WW_NODE_QS_PROCS", self.query_processes.to_string())
             .env("WW_NODE_PROC", self.proc_index.to_string())
-            .env(
-                "WW_NODE_HB_MS",
-                self.heartbeat_interval.as_millis().to_string(),
-            )
-            .env("WW_NODE_LEASE_MS", self.lease_ttl.as_millis().to_string())
             .env("WW_NODE_PEERS", peers.join(","));
     }
 }
@@ -283,34 +185,6 @@ impl NodeConfig {
 pub fn slice_ids(ids: &[ServerId], p: usize, n: usize) -> Vec<ServerId> {
     let per = ids.len() / n.max(1);
     ids.iter().skip(p * per).take(per).copied().collect()
-}
-
-/// The system configuration every process of the cluster rebuilds
-/// identically from its [`NodeConfig`].
-fn system_config(nc: &NodeConfig) -> Result<SystemConfig> {
-    let mut cfg = SystemConfig::default();
-    cfg.indexing_servers = nc.indexing_servers;
-    cfg.query_servers = nc.query_servers;
-    cfg.dispatchers = nc.dispatchers;
-    cfg.chunk_size_bytes = nc.chunk_size_bytes;
-    cfg.durability_fsync = nc.durability_fsync;
-    cfg.wal_segment_bytes = nc.wal_segment_bytes;
-    cfg.chunk_format_version = nc.chunk_format_version;
-    cfg.heartbeat_interval = nc.heartbeat_interval;
-    cfg.lease_ttl = nc.lease_ttl;
-    // Nested flush RPCs (gateway → indexing pump-until-empty) can
-    // outlive the embedded default; loopback never needs to give up
-    // that early.
-    cfg.rpc_timeout = std::time::Duration::from_secs(10);
-    cfg.validate().map_err(WwError::Config)?;
-    if cfg.indexing_servers % nc.indexing_processes.max(1) != 0
-        || cfg.query_servers % nc.query_processes.max(1) != 0
-    {
-        return Err(WwError::Config(
-            "server counts must divide evenly across role processes".into(),
-        ));
-    }
-    Ok(cfg)
 }
 
 /// Routes every server id to the address of the process hosting it.
@@ -416,19 +290,23 @@ fn migrate_to_uniform(
 /// the listener is accepting, answers RPCs, and returns after a
 /// [`Request::Shutdown`] lands or the launcher's stdin pipe closes.
 pub fn run_node(nc: NodeConfig) -> Result<()> {
-    let cfg = system_config(&nc)?;
-    let topology = Topology::new(&cfg, nc.nodes);
+    let cfg = nc.system;
+    cfg.validate()?;
     let (ix_procs, qs_procs) = (nc.indexing_processes.max(1), nc.query_processes.max(1));
+    if !cfg.indexing_servers.is_multiple_of(ix_procs) || !cfg.query_servers.is_multiple_of(qs_procs)
+    {
+        return Err(WwError::Config(
+            "server counts must divide evenly across role processes".into(),
+        ));
+    }
+    let topology = Topology::new(&cfg, nc.nodes);
     let registry = Arc::new(HandlerRegistry::new());
     // Every node process guards its handlers with the same class-aware
     // admission controller the embedded system installs: overload sheds
     // typed `Overloaded` answers instead of queueing without bound.
     registry.set_admission(Arc::new(waterwheel_server::AdmissionController::new(&cfg)));
     let wire = Arc::new(WireStats::default());
-    let transport = Arc::new(TcpTransport::with_options(
-        Arc::new(WireStats::default()),
-        roles::tcp_client_options(&cfg),
-    ));
+    let transport = Arc::new(TcpTransport::new());
     route_peers(
         &transport,
         &nc.peers,
@@ -519,6 +397,11 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
             let meta = host.meta(disp_ids[0]);
             let schema = fetch_schema(&meta)?;
             let dispatchers = Arc::new(host.dispatchers(&schema));
+            pump_handles.extend(roles::spawn_linger_flusher(
+                &host.cfg,
+                dispatchers.to_vec(),
+                &pumps_stop,
+            ));
             let gateway_dedup = Arc::new(IngestDedup::new());
             for (i, &id) in disp_ids.iter().enumerate() {
                 let dispatchers = Arc::clone(&dispatchers);
@@ -704,20 +587,31 @@ mod tests {
     }
 
     #[test]
-    fn env_contract_round_trips() {
-        let mut nc = NodeConfig::new(Role::Query, "127.0.0.1:0", "/tmp/ww-env");
-        nc.durability_fsync = false;
-        nc.wal_segment_bytes = 65_536;
-        nc.chunk_format_version = 1;
-        nc.peers = vec![
+    fn env_contract_round_trips_the_whole_config() {
+        let mut spec = ClusterSpec::new("/tmp/ww-env");
+        // Off-default settings, most of which the old per-field contract
+        // silently dropped on the way to the child.
+        for assignment in [
+            "cache_capacity_bytes=1048576",
+            "ingest_batch_size=7",
+            "late_visibility=750us",
+            "durability_fsync=false",
+            "chunk_format_version=1",
+            "heartbeat_interval=250ms",
+            "lease_ttl=900ms",
+        ] {
+            spec.system.set(assignment).unwrap();
+        }
+        spec.system.indexing_servers = 6;
+        spec.nodes = 3;
+        spec.indexing_processes = 3;
+        spec.query_processes = 2;
+        let peers = vec![
             (Role::Meta, 0, "127.0.0.1:4100".parse().unwrap()),
             (Role::Indexing, 2, "127.0.0.1:4102".parse().unwrap()),
             (Role::Dispatcher, 0, "127.0.0.1:4101".parse().unwrap()),
         ];
-        nc.indexing_processes = 3;
-        nc.proc_index = 1;
-        nc.heartbeat_interval = Duration::from_millis(250);
-        nc.lease_ttl = Duration::from_millis(900);
+        let nc = spec.node_config(Role::Query, 1, peers);
         let mut cmd = std::process::Command::new("true");
         nc.apply_env(&mut cmd);
         // Replay the command's captured env through from_env's parser by
@@ -725,39 +619,33 @@ mod tests {
         for (k, v) in cmd.get_envs() {
             std::env::set_var(k, v.unwrap());
         }
-        let back = NodeConfig::from_env().unwrap();
-        assert_eq!(back.role, nc.role);
-        assert_eq!(back.root, nc.root);
-        assert_eq!(back.indexing_servers, nc.indexing_servers);
-        assert_eq!(back.durability_fsync, nc.durability_fsync);
-        assert_eq!(back.wal_segment_bytes, nc.wal_segment_bytes);
-        assert_eq!(back.chunk_format_version, nc.chunk_format_version);
-        assert_eq!(back.indexing_processes, nc.indexing_processes);
-        assert_eq!(back.query_processes, nc.query_processes);
-        assert_eq!(back.proc_index, nc.proc_index);
-        assert_eq!(back.heartbeat_interval, nc.heartbeat_interval);
-        assert_eq!(back.lease_ttl, nc.lease_ttl);
-        assert_eq!(back.peers, nc.peers);
-        for key in [
-            "WW_NODE_ROLE",
-            "WW_NODE_LISTEN",
-            "WW_NODE_ROOT",
-            "WW_NODE_IX",
-            "WW_NODE_QS",
-            "WW_NODE_DISP",
-            "WW_NODE_NODES",
-            "WW_NODE_CHUNK_BYTES",
-            "WW_NODE_FSYNC",
-            "WW_NODE_WAL_SEG",
-            "WW_NODE_CHUNK_FORMAT",
-            "WW_NODE_IX_PROCS",
-            "WW_NODE_QS_PROCS",
-            "WW_NODE_PROC",
-            "WW_NODE_HB_MS",
-            "WW_NODE_LEASE_MS",
-            "WW_NODE_PEERS",
+        let back = NodeConfig::from_env();
+        for (k, _) in cmd.get_envs() {
+            std::env::remove_var(k);
+        }
+        let back = back.unwrap();
+        assert_eq!(back, nc);
+        // What the child runs on is what the spec said, every field of it.
+        assert_eq!(back.system, spec.system);
+        assert!(cmd.get_envs().count() <= 9, "the env contract grew");
+    }
+
+    #[test]
+    fn peers_parse_with_and_without_a_process_index() {
+        let addr: SocketAddr = "127.0.0.1:4100".parse().unwrap();
+        assert_eq!(
+            parse_peer("indexing:2=127.0.0.1:4100"),
+            Ok((Role::Indexing, 2, addr))
+        );
+        // Bare `role=addr` means the role's first process.
+        assert_eq!(parse_peer("meta=127.0.0.1:4100"), Ok((Role::Meta, 0, addr)));
+        for bad in [
+            "meta",
+            "zookeeper=127.0.0.1:1",
+            "meta:x=127.0.0.1:1",
+            "meta=nowhere",
         ] {
-            std::env::remove_var(key);
+            assert!(parse_peer(bad).is_err(), "{bad:?} parsed");
         }
     }
 

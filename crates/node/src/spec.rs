@@ -37,91 +37,65 @@ use waterwheel_net::{
 /// id range).
 pub const CLIENT_ID: ServerId = ServerId(5_000);
 
-/// Shape of a multi-process cluster: the shared filesystem root plus the
-/// same counts the embedded builder takes.
+/// Shape of a multi-process cluster: the [`SystemConfig`] every process
+/// receives whole (`spec.system.chunk_size_bytes = …`), plus what only a
+/// process layout has — the shared root and how many OS processes share
+/// each role.
 #[derive(Clone, Debug)]
 pub struct ClusterSpec {
     /// Shared root (chunks, metadata snapshot) every process opens.
     pub root: PathBuf,
-    /// Indexing-server count.
-    pub indexing_servers: usize,
-    /// Query-server count.
-    pub query_servers: usize,
-    /// Dispatcher count.
-    pub dispatchers: usize,
+    /// The deployment's configuration, identical in every process.
+    pub system: SystemConfig,
     /// Simulated cluster nodes.
     pub nodes: usize,
-    /// Chunk size driving flush boundaries.
-    pub chunk_size_bytes: usize,
-    /// Whether durable surfaces fsync on commit
-    /// (`SystemConfig::durability_fsync`).
-    pub durability_fsync: bool,
-    /// WAL segment size (`SystemConfig::wal_segment_bytes`).
-    pub wal_segment_bytes: usize,
-    /// Chunk format newly flushed chunks are written in
-    /// (`SystemConfig::chunk_format_version`); readers dispatch per
-    /// chunk, so restarting with a different value yields a valid
-    /// mixed-version store.
-    pub chunk_format_version: u32,
-    /// OS processes sharing the indexing role; `indexing_servers` must
-    /// divide evenly across them. [`ClusterHandle::add_node`] grows this
-    /// count live.
+    /// OS processes sharing the indexing role; `system.indexing_servers`
+    /// must divide evenly across them. [`ClusterHandle::add_node`] grows
+    /// this count live.
     pub indexing_processes: usize,
-    /// OS processes sharing the query role; `query_servers` must divide
-    /// evenly across them.
+    /// OS processes sharing the query role; `system.query_servers` must
+    /// divide evenly across them.
     pub query_processes: usize,
-    /// Membership lease renewal cadence
-    /// (`SystemConfig::heartbeat_interval`).
-    pub heartbeat_interval: Duration,
-    /// Membership lease duration (`SystemConfig::lease_ttl`); a process
-    /// that stops heartbeating for this long is evicted by the metadata
-    /// server's sweeper.
-    pub lease_ttl: Duration,
 }
 
 impl ClusterSpec {
-    /// A spec with small, test-friendly defaults.
+    /// A spec with small, test-friendly defaults: one process per role,
+    /// two servers of each kind.
     pub fn new(root: impl Into<PathBuf>) -> Self {
-        let cfg = SystemConfig::default();
+        let mut system = SystemConfig::default();
+        system.indexing_servers = 2;
+        system.query_servers = 2;
+        system.dispatchers = 2;
+        // Nested flush RPCs (client → gateway → indexing pump-until-empty)
+        // wrap whole pipeline stages and can outlive the embedded default;
+        // loopback never needs to give up that early.
+        system.rpc_timeout = Duration::from_secs(10);
         Self {
             root: root.into(),
-            indexing_servers: 2,
-            query_servers: 2,
-            dispatchers: 2,
+            system,
             nodes: 4,
-            chunk_size_bytes: cfg.chunk_size_bytes,
-            durability_fsync: cfg.durability_fsync,
-            wal_segment_bytes: cfg.wal_segment_bytes,
-            chunk_format_version: cfg.chunk_format_version,
             indexing_processes: 1,
             query_processes: 1,
-            heartbeat_interval: cfg.heartbeat_interval,
-            lease_ttl: cfg.lease_ttl,
         }
     }
 
-    fn node_config(
+    pub(crate) fn node_config(
         &self,
         role: Role,
         proc_index: usize,
         peers: Vec<(Role, usize, SocketAddr)>,
     ) -> NodeConfig {
-        let mut nc = NodeConfig::new(role, "127.0.0.1:0", &self.root);
-        nc.indexing_servers = self.indexing_servers;
-        nc.query_servers = self.query_servers;
-        nc.dispatchers = self.dispatchers;
-        nc.nodes = self.nodes;
-        nc.chunk_size_bytes = self.chunk_size_bytes;
-        nc.durability_fsync = self.durability_fsync;
-        nc.wal_segment_bytes = self.wal_segment_bytes;
-        nc.chunk_format_version = self.chunk_format_version;
-        nc.indexing_processes = self.indexing_processes;
-        nc.query_processes = self.query_processes;
-        nc.proc_index = proc_index;
-        nc.heartbeat_interval = self.heartbeat_interval;
-        nc.lease_ttl = self.lease_ttl;
-        nc.peers = peers;
-        nc
+        NodeConfig {
+            role,
+            listen: "127.0.0.1:0".into(),
+            root: self.root.clone(),
+            system: self.system.clone(),
+            nodes: self.nodes,
+            indexing_processes: self.indexing_processes,
+            query_processes: self.query_processes,
+            proc_index,
+            peers,
+        }
     }
 
     /// The launch plan: every `(role, proc_index)` in dependency order —
@@ -214,7 +188,11 @@ struct NodeProc {
 
 /// A running multi-process cluster; owns the child processes.
 pub struct ClusterHandle {
-    spec: ClusterSpec,
+    /// What later [`Self::restart`] / [`Self::add_node`] launches are
+    /// configured from. Already-sealed chunks keep their format — readers
+    /// dispatch per chunk — so flipping `system.chunk_format_version`
+    /// across a restart produces a mixed-version store on purpose.
+    pub spec: ClusterSpec,
     binary: PathBuf,
     procs: Vec<NodeProc>,
 }
@@ -225,11 +203,10 @@ impl ClusterHandle {
         self.procs.iter().find(|p| p.role == role).map(|p| p.addr)
     }
 
-    /// A client speaking the gateway RPC verbs against this cluster.
+    /// A client speaking the gateway RPC verbs against this cluster, with
+    /// the spec's own RPC deadline and retry budget.
     pub fn client(&self) -> ClusterClient {
-        // Client calls wrap whole pipeline stages (a Flush pumps every
-        // queued tuple); give them room before a retry re-enters.
-        self.client_with_timeout(Duration::from_secs(10), 2)
+        self.client_with_timeout(self.spec.system.rpc_timeout, self.spec.system.rpc_retries)
     }
 
     /// A client with an explicit per-attempt deadline and retry budget —
@@ -241,7 +218,7 @@ impl ClusterHandle {
             .iter()
             .map(|p| (p.role, p.proc_index, p.addr))
             .collect();
-        ClusterClient::connect(&self.spec, &peers, timeout, retries)
+        ClusterClient::connect_as(&self.spec, &peers, timeout, retries, CLIENT_ID)
     }
 
     /// A client with its own source identity for batch ingest. Each
@@ -258,8 +235,8 @@ impl ClusterHandle {
         ClusterClient::connect_as(
             &self.spec,
             &peers,
-            Duration::from_secs(10),
-            2,
+            self.spec.system.rpc_timeout,
+            self.spec.system.rpc_retries,
             ServerId(CLIENT_ID.0 + 1 + lane),
         )
     }
@@ -280,14 +257,6 @@ impl ClusterHandle {
         p.child.wait()?;
         p.killed = true;
         Ok(())
-    }
-
-    /// Changes the chunk format that processes launched by later
-    /// [`Self::restart`] calls write. Already-sealed chunks keep their
-    /// format — readers dispatch per chunk — so flipping this across a
-    /// restart produces a mixed-version store on purpose.
-    pub fn set_chunk_format_version(&mut self, version: u32) {
-        self.spec.chunk_format_version = version;
     }
 
     /// Respawns a role (after [`Self::kill_nine`]) at its **original
@@ -346,14 +315,14 @@ impl ClusterHandle {
     fn rep_id(&self, role: Role, proc_index: usize) -> ServerId {
         match role {
             Role::Meta => META_SERVER,
-            Role::Dispatcher => dispatcher_ids(self.spec.dispatchers)[0],
+            Role::Dispatcher => dispatcher_ids(self.spec.system.dispatchers)[0],
             Role::Indexing => slice_ids(
-                &indexing_ids(self.spec.indexing_servers),
+                &indexing_ids(self.spec.system.indexing_servers),
                 proc_index,
                 self.spec.indexing_processes,
             )[0],
             Role::Query => slice_ids(
-                &query_ids(self.spec.query_servers),
+                &query_ids(self.spec.system.query_servers),
                 proc_index,
                 self.spec.query_processes,
             )[0],
@@ -369,10 +338,10 @@ impl ClusterHandle {
     /// answering exactly — throughout. Returns the membership epoch after
     /// the cut-over.
     pub fn add_node(&mut self) -> Result<u64> {
-        let per = self.spec.indexing_servers / self.spec.indexing_processes;
+        let per = self.spec.system.indexing_servers / self.spec.indexing_processes;
         let proc_index = self.spec.indexing_processes;
         let mut grown = self.spec.clone();
-        grown.indexing_servers += per;
+        grown.system.indexing_servers += per;
         grown.indexing_processes += 1;
         let peers: Vec<(Role, usize, SocketAddr)> = self
             .procs
@@ -408,7 +377,7 @@ impl ClusterHandle {
         // before the rebalance reassigns ownership onto them.
         let client = self.client();
         let new_ids = slice_ids(
-            &indexing_ids(self.spec.indexing_servers),
+            &indexing_ids(self.spec.system.indexing_servers),
             proc_index,
             self.spec.indexing_processes,
         );
@@ -429,9 +398,9 @@ impl ClusterHandle {
             ));
         }
         let victim_proc = self.spec.indexing_processes - 1;
-        let per = self.spec.indexing_servers / self.spec.indexing_processes;
+        let per = self.spec.system.indexing_servers / self.spec.indexing_processes;
         let victim_ids = slice_ids(
-            &indexing_ids(self.spec.indexing_servers),
+            &indexing_ids(self.spec.system.indexing_servers),
             victim_proc,
             self.spec.indexing_processes,
         );
@@ -456,7 +425,7 @@ impl ClusterHandle {
             .ok_or_else(|| WwError::InvalidState("no process hosts the drained slice".into()))?;
         let mut p = self.procs.remove(pos);
         wait_or_kill(&mut p.child, Duration::from_secs(10));
-        self.spec.indexing_servers -= per;
+        self.spec.system.indexing_servers -= per;
         self.spec.indexing_processes -= 1;
         Ok(epoch)
     }
@@ -553,15 +522,6 @@ pub struct ClusterClient {
 }
 
 impl ClusterClient {
-    fn connect(
-        spec: &ClusterSpec,
-        peers: &[(Role, usize, SocketAddr)],
-        timeout: Duration,
-        retries: u32,
-    ) -> Self {
-        Self::connect_as(spec, peers, timeout, retries, CLIENT_ID)
-    }
-
     fn connect_as(
         spec: &ClusterSpec,
         peers: &[(Role, usize, SocketAddr)],
@@ -569,9 +529,9 @@ impl ClusterClient {
         retries: u32,
         src: ServerId,
     ) -> Self {
-        let disp_ids = dispatcher_ids(spec.dispatchers);
-        let qs_ids = query_ids(spec.query_servers);
-        let ix_ids = indexing_ids(spec.indexing_servers);
+        let disp_ids = dispatcher_ids(spec.system.dispatchers);
+        let qs_ids = query_ids(spec.system.query_servers);
+        let ix_ids = indexing_ids(spec.system.indexing_servers);
         let t = Arc::new(TcpTransport::new());
         route_peers(
             &t,
@@ -580,7 +540,7 @@ impl ClusterClient {
             (&qs_ids, spec.query_processes),
             &disp_ids,
         );
-        let mut cfg = SystemConfig::default();
+        let mut cfg = spec.system.clone();
         cfg.rpc_timeout = timeout;
         cfg.rpc_retries = retries;
         let rpc = RpcClient::new(t as Arc<dyn Transport>, src, &cfg);

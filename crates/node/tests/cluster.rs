@@ -78,6 +78,36 @@ fn four_process_cluster_answers_exactly_and_shuts_down_clean() {
     cluster.shutdown().expect("a node had to be killed");
 }
 
+/// Immediate visibility through the gateway: a trickle far smaller than
+/// `ingest_batch_size` sits in the dispatchers' partial batches until the
+/// gateway's linger flusher pushes it out — nobody calls `flush()` here.
+#[test]
+fn a_partial_batch_becomes_visible_without_a_flush() {
+    let spec = ClusterSpec::new(fresh_root("linger"));
+    assert!(spec.system.ingest_batch_size > 10);
+    let cluster = spec.launch(env!("CARGO_BIN_EXE_waterwheel-node")).unwrap();
+    let client = cluster.client();
+    for i in 0..10u64 {
+        client
+            .insert(Tuple::bare(i * 1_000_000, 1_000 + i))
+            .unwrap();
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+    let seen = loop {
+        let seen = client
+            .query(KeyInterval::full(), TimeInterval::full())
+            .unwrap()
+            .tuples
+            .len();
+        if seen == 10 || std::time::Instant::now() >= deadline {
+            break seen;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    };
+    assert_eq!(seen, 10, "unflushed tuples never became visible");
+    cluster.shutdown().unwrap();
+}
+
 #[test]
 fn shutdown_actually_tears_the_listeners_down() {
     let spec = ClusterSpec::new(fresh_root("teardown"));

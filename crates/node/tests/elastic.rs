@@ -127,13 +127,13 @@ fn add_node_migrates_live_with_byte_exact_answers() {
     let root = fresh_root("add");
     let twin_root = fresh_root("add-twin");
     let mut spec = ClusterSpec::new(&root);
-    spec.indexing_servers = 2;
+    spec.system.indexing_servers = 2;
     spec.indexing_processes = 2; // one server per process: per-slice = 1
-    spec.query_servers = 2;
+    spec.system.query_servers = 2;
     spec.query_processes = 2;
-    spec.chunk_size_bytes = 32 * 1_024;
-    spec.heartbeat_interval = Duration::from_millis(100);
-    spec.lease_ttl = Duration::from_millis(1_500);
+    spec.system.chunk_size_bytes = 32 * 1_024;
+    spec.system.heartbeat_interval = Duration::from_millis(100);
+    spec.system.lease_ttl = Duration::from_millis(1_500);
     let mut twin_spec = spec.clone();
     twin_spec.root = twin_root.clone();
 
@@ -248,7 +248,7 @@ fn add_node_migrates_live_with_byte_exact_answers() {
     // globally-reachable chunks; once its lease lapses and the epoch
     // bumps, answers come from the survivors — still byte-exact.
     cluster.kill_nine(Role::Indexing).unwrap();
-    std::thread::sleep(spec.lease_ttl + Duration::from_millis(500));
+    std::thread::sleep(spec.system.lease_ttl + Duration::from_millis(500));
     assert_twin_exact(&client, &twin_client, "post-kill-9-of-source");
 
     let _ = cluster.shutdown(); // the killed source makes this deliberately dirty
@@ -261,11 +261,11 @@ fn add_node_migrates_live_with_byte_exact_answers() {
 fn drain_node_moves_ownership_before_retiring_the_process() {
     let root = fresh_root("drain");
     let mut spec = ClusterSpec::new(&root);
-    spec.indexing_servers = 2;
+    spec.system.indexing_servers = 2;
     spec.indexing_processes = 2;
-    spec.chunk_size_bytes = 32 * 1_024;
-    spec.heartbeat_interval = Duration::from_millis(100);
-    spec.lease_ttl = Duration::from_millis(1_500);
+    spec.system.chunk_size_bytes = 32 * 1_024;
+    spec.system.heartbeat_interval = Duration::from_millis(100);
+    spec.system.lease_ttl = Duration::from_millis(1_500);
     let mut cluster = spec.launch(env!("CARGO_BIN_EXE_waterwheel-node")).unwrap();
     let client = cluster.client();
 

@@ -144,7 +144,7 @@ fn kill_nine_recovery_answers_byte_exactly() {
     // recovered store mixes both on-disk formats and the oracle must hold
     // across the version-dispatched read path.
     let mut spec = ClusterSpec::new(fresh_root("crash"));
-    spec.chunk_format_version = 1;
+    spec.system.chunk_format_version = 1;
     let mut cluster = spec.launch(env!("CARGO_BIN_EXE_waterwheel-node")).unwrap();
     let client = cluster.client();
     for i in 0..a_end {
@@ -157,7 +157,7 @@ fn kill_nine_recovery_answers_byte_exactly() {
     // No flush: phase B is durable only as acked WAL frames (full
     // batches) plus the gateway's buffered partial batches.
     cluster.kill_nine(Role::Indexing).unwrap();
-    cluster.set_chunk_format_version(2);
+    cluster.spec.system.chunk_format_version = 2;
     cluster.restart(Role::Indexing).unwrap();
     for i in b_end..n {
         client.insert(tuple(i)).unwrap();

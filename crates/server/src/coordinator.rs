@@ -22,15 +22,14 @@
 //!
 //! Fault tolerance (§V): a subquery that fails (server down, link cut) is
 //! re-dispatched to the remaining healthy servers for up to
-//! [`SystemConfig::rpc_redispatch_rounds`] rounds; no intermediate results
-//! are persisted.
+//! [`REDISPATCH_ROUNDS`] rounds; no intermediate results are persisted.
 
 use crate::attributes::AttrRegistry;
 use crate::dispatch::{self, DispatchPolicy};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use waterwheel_agg::{plan, AggregateAnswer, PartialAgg, WheelSummary};
+use waterwheel_agg::{plan, AggregateAnswer, PartialAgg, WheelSummary, SLICE_BITS};
 use waterwheel_cluster::Cluster;
 use waterwheel_core::aggregate::{default_measure, AggregateQuery, MeasureFn};
 use waterwheel_core::{
@@ -40,6 +39,11 @@ use waterwheel_core::{
 use waterwheel_index::secondary::AttrProbe;
 use waterwheel_index::Bitmap;
 use waterwheel_net::{MetaClient, Request, RpcClient};
+
+/// Rounds of subquery re-dispatch after the first dispatch plan (paper §V):
+/// subqueries that failed (server crashed mid-plan, link down past the RPC
+/// retry budget) are re-planned across the servers that still answer pings.
+pub const REDISPATCH_ROUNDS: usize = 2;
 
 /// Coordinator-side counters.
 #[derive(Debug, Default)]
@@ -430,7 +434,7 @@ impl Coordinator {
             });
         }
 
-        let slice_bits = self.cfg.agg_slice_bits;
+        let slice_bits = SLICE_BITS;
         let kp = plan::plan_keys(&q.keys, slice_bits);
         let tp = plan::plan_time(&q.times);
 
@@ -650,7 +654,7 @@ impl Coordinator {
         // that still answer a liveness probe, with a work-conserving plan,
         // for a configurable number of rounds.
         let mut results = results.into_inner();
-        for _round in 0..self.cfg.rpc_redispatch_rounds {
+        for _round in 0..REDISPATCH_ROUNDS {
             let remaining: Vec<usize> = results
                 .iter()
                 .enumerate()

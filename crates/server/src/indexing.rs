@@ -26,13 +26,13 @@ use crate::attributes::AttrRegistry;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use waterwheel_agg::{AggWheel, FoldOutcome, WheelSummary};
+use waterwheel_agg::{AggWheel, FoldOutcome, WheelSummary, MAX_CELLS_PER_RING, SLICE_BITS};
 use waterwheel_core::aggregate::{default_measure, MeasureFn};
 use waterwheel_core::{
     ChunkId, KeyInterval, Region, Result, ServerId, SubQuery, SystemConfig, TimeInterval, Tuple,
 };
 use waterwheel_index::secondary::ChunkAttrIndex;
-use waterwheel_index::{IndexConfig, SealedTree, TemplateBTree, TupleIndex};
+use waterwheel_index::{BloomConfig, IndexConfig, SealedTree, TemplateBTree, TupleIndex};
 use waterwheel_meta::{ChunkInfo, SummaryExtent};
 use waterwheel_mq::Consumer;
 use waterwheel_net::MetaClient;
@@ -80,6 +80,8 @@ pub struct IndexingServer {
     /// Measure extractor feeding the wheel; shared with the coordinator so
     /// summary cells and scan folds agree. Install before ingesting.
     measure: parking_lot::RwLock<MeasureFn>,
+    /// Held for a whole `flush`, seal through chunk registration.
+    flushing: Mutex<()>,
 }
 
 impl IndexingServer {
@@ -107,8 +109,9 @@ impl IndexingServer {
             stats: IndexingStats::default(),
             failed: AtomicBool::new(false),
             attrs: parking_lot::RwLock::new(Arc::new(AttrRegistry::new())),
-            wheel: Mutex::new(AggWheel::new(cfg.agg_slice_bits)),
+            wheel: Mutex::new(AggWheel::new(SLICE_BITS)),
             measure: parking_lot::RwLock::new(default_measure()),
+            flushing: Mutex::new(()),
             cfg,
         }
     }
@@ -140,7 +143,7 @@ impl IndexingServer {
                 .iter()
                 .map(|leaf| leaf.entries.iter().filter_map(|t| extract(t)).collect())
                 .collect();
-            let index = ChunkAttrIndex::build(&leaf_values, self.cfg.bloom_bits_per_entry);
+            let index = ChunkAttrIndex::build(&leaf_values, BloomConfig::default().bits_per_entry);
             self.meta.register_attr_index(chunk, attr, index)?;
         }
         Ok(())
@@ -242,7 +245,7 @@ impl IndexingServer {
                 .fetch_max(tuple.ts, Ordering::AcqRel)
                 .max(tuple.ts);
             let late_by = hw.saturating_sub(tuple.ts);
-            if self.cfg.side_store_enabled && late_by > late_limit {
+            if late_by > late_limit {
                 side_bytes += tuple.encoded_len() as u64;
                 side.push(tuple);
             } else {
@@ -343,8 +346,8 @@ impl IndexingServer {
                     .iter()
                     .flat_map(|l| l.entries.iter())
                     .map(|t| (t.key, t.ts, measure(t))),
-                self.cfg.agg_slice_bits,
-                self.cfg.agg_max_cells_per_ring,
+                SLICE_BITS,
+                MAX_CELLS_PER_RING,
             );
             (!summary.is_empty()).then_some(summary)
         } else {
@@ -397,6 +400,13 @@ impl IndexingServer {
     /// registers them (plus the durable offset) with the metadata server.
     /// Returns the flushed chunk ids. No-op on an empty server.
     pub fn flush(&self) -> Result<Vec<ChunkId>> {
+        // Whole flushes are serialized. The seal empties memory long before
+        // the chunk is written and registered; a second caller (the `Flush`
+        // RPC racing the pump's own threshold flush) that found nothing to
+        // seal would otherwise return while the first caller's tuples are
+        // in no registered chunk, and a client querying right after its
+        // `flush()` would miss them.
+        let _whole_flush = self.flushing.lock();
         let mut flushed = Vec::new();
         // Read the durable offset, seal the tree, take the side store, and
         // drain the wheel in ONE critical section, ordered consumer lock →

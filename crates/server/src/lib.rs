@@ -43,7 +43,7 @@
 //! |---|---|---|
 //! | `Ingest` | append, then `mq.sync()` before `Ack` | — |
 //! | `IngestBatch` | append once per `(src, seq)`; the marker is journalled in the batch's frame and committed before `AckBatch` | — |
-//! | `Flush` | `Injected` if failed, else pump the partition empty and seal | — |
+//! | `Flush` | `Injected` if failed, else pump the partition empty and seal; flushes of one server are serialized, so it returns only once everything sealed so far is in registered chunks | — |
 //! | `InMemorySubquery`, `AggregateInMemory`, `Reassign` | served | — |
 //! | `ChunkSubquery`, `ReadSummary` | — | served |
 //! | `Ping` | `Injected` if failed, else `Pong` | same |

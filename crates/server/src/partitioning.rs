@@ -35,9 +35,6 @@ pub struct BalancerStats {
 /// The centralized repartitioning process.
 pub struct PartitionBalancer {
     meta: MetadataService,
-    /// Relative deviation from the mean that triggers repartitioning
-    /// (paper: 0.2).
-    threshold: f64,
     stats: BalancerStats,
 }
 
@@ -88,12 +85,16 @@ pub enum PlanOutcome {
     Plan(MigrationPlan),
 }
 
+/// Load-imbalance threshold for adaptive key partitioning: repartition when
+/// any indexing server's sampled load deviates this fraction from the mean
+/// (paper §III-D: 20 %).
+pub const IMBALANCE_THRESHOLD: f64 = 0.2;
+
 impl PartitionBalancer {
-    /// Creates a balancer with the given imbalance threshold.
-    pub fn new(meta: MetadataService, threshold: f64) -> Self {
+    /// Creates a balancer repartitioning past [`IMBALANCE_THRESHOLD`].
+    pub fn new(meta: MetadataService) -> Self {
         Self {
             meta,
-            threshold,
             stats: BalancerStats::default(),
         }
     }
@@ -147,7 +148,7 @@ impl PartitionBalancer {
             return Ok(PlanOutcome::InsufficientData);
         }
         let deviation = Self::deviation(&counts);
-        if deviation <= self.threshold {
+        if deviation <= IMBALANCE_THRESHOLD {
             return Ok(PlanOutcome::Balanced { deviation });
         }
         // Equal-depth boundaries over the sampled keys.
@@ -323,7 +324,7 @@ mod tests {
     #[test]
     fn balanced_load_keeps_schema() {
         let r = rig("balanced", 2);
-        let balancer = PartitionBalancer::new(r.meta.clone(), 0.2);
+        let balancer = PartitionBalancer::new(r.meta.clone());
         // Uniform keys over the full domain: both halves loaded equally.
         let mut x = 0x9E3779B97F4A7C15u64;
         for i in 0..2_000u64 {
@@ -340,7 +341,7 @@ mod tests {
     #[test]
     fn skewed_load_triggers_repartition_and_balances_routing() {
         let r = rig("skewed", 2);
-        let balancer = PartitionBalancer::new(r.meta.clone(), 0.2);
+        let balancer = PartitionBalancer::new(r.meta.clone());
         // All keys in the low half: server 0 takes everything.
         for i in 0..2_000u64 {
             r.dispatchers[0]
@@ -381,7 +382,7 @@ mod tests {
     #[test]
     fn insufficient_samples_do_nothing() {
         let r = rig("sparse", 2);
-        let balancer = PartitionBalancer::new(r.meta.clone(), 0.2);
+        let balancer = PartitionBalancer::new(r.meta.clone());
         for i in 0..5u64 {
             r.dispatchers[0].dispatch(Tuple::bare(i, i)).unwrap();
         }
@@ -394,7 +395,7 @@ mod tests {
     #[test]
     fn duplicate_heavy_samples_keep_schema() {
         let r = rig("dups", 4);
-        let balancer = PartitionBalancer::new(r.meta.clone(), 0.2);
+        let balancer = PartitionBalancer::new(r.meta.clone());
         // One single hot key: no boundaries can split it. The system is
         // genuinely skewed, so the no-op must say so — reporting
         // `Balanced` here would hide a hot spot from callers and metrics.
@@ -419,7 +420,7 @@ mod tests {
     #[test]
     fn plan_round_computes_moves_without_installing() {
         let r = rig("plan", 2);
-        let balancer = PartitionBalancer::new(r.meta.clone(), 0.2);
+        let balancer = PartitionBalancer::new(r.meta.clone());
         for i in 0..2_000u64 {
             r.dispatchers[0]
                 .dispatch(Tuple::bare(i * 1_000, i))

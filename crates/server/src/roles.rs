@@ -31,8 +31,8 @@ use waterwheel_core::{KeyInterval, NodeId, Result, ServerId, SystemConfig, WwErr
 use waterwheel_meta::{MemberRole, MetadataService, PartitionSchema};
 use waterwheel_mq::{Consumer, MessageQueue};
 use waterwheel_net::{
-    HandlerHost, MetaClient, Request, Response, RpcClient, TcpClientOptions, TcpServerOptions,
-    TcpTransport, Transport, COORDINATOR,
+    HandlerHost, MetaClient, Request, Response, RpcClient, TcpServerOptions, TcpTransport,
+    Transport, COORDINATOR,
 };
 use waterwheel_storage::SimDfs;
 use waterwheel_wal::FsyncPolicy;
@@ -134,20 +134,10 @@ pub fn open_dfs(
     .with_fsync(FsyncPolicy::from_flag(cfg.durability_fsync)))
 }
 
-/// Client-side TCP options from the `net_*` knobs.
-pub fn tcp_client_options(cfg: &SystemConfig) -> TcpClientOptions {
-    TcpClientOptions {
-        reactor_threads: cfg.net_reactor_threads,
-        pool_idle_timeout: cfg.net_pool_idle_timeout,
-        pool_max_connections: cfg.net_pool_max_connections,
-    }
-}
-
-/// Listener-side TCP options from the `net_*` / admission knobs.
+/// Listener-side TCP options: the net crate's defaults, with queue-overflow
+/// sheds carrying the same retry-after hint as admission sheds.
 pub fn tcp_server_options(cfg: &SystemConfig) -> TcpServerOptions {
     TcpServerOptions {
-        reactor_threads: cfg.net_reactor_threads,
-        workers: cfg.net_server_workers,
         overflow_retry_after: cfg.admission_retry_after,
         ..TcpServerOptions::default()
     }
@@ -478,6 +468,26 @@ pub fn spawn_pump(slot: &IndexingSlot, stop: &Arc<AtomicBool>) -> JoinHandle<()>
                 Ok(_) => {}
             }
         }
+    })
+}
+
+/// Spawns the linger flusher of a process's dispatchers: partial batches
+/// older than `ingest_linger` are pushed out, so a trickling stream becomes
+/// visible without waiting for a batch to fill. Errors are left for the next
+/// round — the failed batch stays pending in its dispatcher. `None` when
+/// batching is off and nothing ever lingers.
+pub fn spawn_linger_flusher(
+    cfg: &SystemConfig,
+    dispatchers: Vec<Arc<Dispatcher>>,
+    stop: &Arc<AtomicBool>,
+) -> Option<JoinHandle<()>> {
+    (cfg.ingest_batch_size > 1).then(|| {
+        let linger = cfg.ingest_linger.max(Duration::from_millis(1));
+        spawn_every(stop, linger, move || {
+            for d in &dispatchers {
+                let _ = d.flush_lingering();
+            }
+        })
     })
 }
 

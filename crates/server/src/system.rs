@@ -127,7 +127,7 @@ impl WaterwheelBuilder {
 
     /// Builds and wires the system.
     pub fn build(self) -> Result<Waterwheel> {
-        self.cfg.validate().map_err(WwError::Config)?;
+        self.cfg.validate()?;
         let topology = Topology::new(&self.cfg, self.nodes);
         // One fsync policy governs every durable surface (queue WAL, chunk
         // seals, metadata log): `durability_fsync` trades power-loss safety
@@ -174,10 +174,7 @@ impl WaterwheelBuilder {
                 None,
                 roles::tcp_server_options(&self.cfg),
             )?;
-            let t = Arc::new(TcpTransport::with_options(
-                Arc::clone(&stats),
-                roles::tcp_client_options(&self.cfg),
-            ));
+            let t = Arc::new(TcpTransport::with_wire_stats(Arc::clone(&stats)));
             t.set_default_route(Some(server.local_addr()));
             wire = Some(stats);
             rpc_server = Some(server);
@@ -222,7 +219,7 @@ impl WaterwheelBuilder {
             .map(|&id| roles::serve_query(&host, &registry, &dfs, id))
             .collect();
         let coordinator = host.coordinator(self.policy, &attrs);
-        let balancer = PartitionBalancer::new(meta.clone(), host.cfg.partition_imbalance_threshold);
+        let balancer = PartitionBalancer::new(meta.clone());
 
         Ok(Waterwheel {
             host,
@@ -490,20 +487,11 @@ impl Waterwheel {
                 .iter()
                 .map(|slot| roles::spawn_pump(slot, &self.pumps_stop)),
         );
-        // Linger flusher: partial batches older than `ingest_linger` are
-        // pushed out so a trickling stream becomes visible without waiting
-        // for a batch to fill. Errors are left for the next round — the
-        // failed batch stays pending in its dispatcher.
-        if self.host.cfg.ingest_batch_size > 1 {
-            let dispatchers = self.dispatchers.clone();
-            let linger = self.host.cfg.ingest_linger;
-            let linger = linger.max(std::time::Duration::from_millis(1));
-            handles.push(roles::spawn_every(&self.pumps_stop, linger, move || {
-                for d in &dispatchers {
-                    let _ = d.flush_lingering();
-                }
-            }));
-        }
+        handles.extend(roles::spawn_linger_flusher(
+            &self.host.cfg,
+            self.dispatchers.clone(),
+            &self.pumps_stop,
+        ));
     }
 
     /// Stops the background pump threads and waits for them.

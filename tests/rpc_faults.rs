@@ -430,3 +430,49 @@ fn membership_epoch_race_is_typed_retryable_and_never_wrong() {
         "retry after the race must be exact"
     );
 }
+
+/// `IndexingServer::flush` seals the tree long before the chunk is written
+/// and registered. A second caller arriving in that window (the `Flush` RPC
+/// racing the pump's own threshold flush) finds nothing to seal; it must
+/// still not return before the first caller's tuples are queryable again,
+/// or a client that queries right after its `flush()` misses them. The
+/// window is held open deterministically: 40 ms of transit latency on the
+/// indexing → metadata link puts the first flush's chunk-id allocation and
+/// registration that far behind its seal.
+#[test]
+fn a_flush_racing_another_never_returns_before_the_sealed_tuples_are_registered() {
+    let mut cfg = SystemConfig::default();
+    cfg.indexing_servers = 1;
+    cfg.chunk_size_bytes = 1 << 30; // no threshold flush: only the two below
+    let ww = Waterwheel::builder(fresh_root("flush-race"))
+        .config(cfg)
+        .build()
+        .unwrap();
+    const N: u64 = 1_000;
+    for i in 0..N {
+        ww.insert(Tuple::bare(spread_key(i), 1_000 + i)).unwrap();
+    }
+    ww.drain().unwrap();
+    let server = ww.indexing_servers().remove(0);
+    assert_eq!(server.in_memory() as u64, N);
+    ww.transport().set_link_profile(
+        server.id(),
+        META_SERVER,
+        LinkProfile {
+            latency: Duration::from_millis(40),
+            ..LinkProfile::default()
+        },
+    );
+    std::thread::scope(|s| {
+        let first = s.spawn(|| server.flush());
+        // The seal is the first thing a flush does; everything after it
+        // waits on the slowed link.
+        while server.in_memory() > 0 {
+            std::thread::yield_now();
+        }
+        server.flush().unwrap();
+        let seen = ww.query(&all()).unwrap().tuples.len() as u64;
+        assert_eq!(seen, N, "a finished flush() left sealed tuples invisible");
+        assert_eq!(first.join().unwrap().unwrap().len(), 1);
+    });
+}
