@@ -16,8 +16,9 @@
 //! Knobs:
 //! * `WW_COLUMNAR_BENCH_N` — tuple count override (default `scaled(200_000)`).
 //! * `WW_BENCH_REQUIRE_WIN=1` — exit non-zero unless v2 bytes/tuple is
-//!   ≤ 0.6× of v1, the v2 hot scan rate is ≥ 1.0× of v1, and all paths
-//!   materialize the identical tuples (the CI smoke gate).
+//!   ≤ 0.6× of v1, the v2 hot scan rate is ≥ 1.0× of v1 (each scan rate the
+//!   best of five timed repetitions), and all paths materialize the
+//!   identical tuples (the CI smoke gate).
 //!
 //! Emits `BENCH_columnar.json` at the workspace root for tooling.
 
@@ -29,6 +30,17 @@ use waterwheel_storage::{write_chunk_opts, ChunkReader, ChunkWriteOptions};
 
 /// Tuples per sealed tree — roughly one flush interval's worth.
 const CHUNK_TUPLES: usize = 16_384;
+
+/// Times `scan` five times and keeps the fastest repetition: at the CI
+/// smoke size one scan is a few milliseconds, and a single sample of each
+/// side is at the mercy of the scheduler. Returns `(tuples, checksum)` of
+/// the kept repetition with its duration.
+fn best_of_five(mut scan: impl FnMut() -> (usize, u64)) -> ((usize, u64), std::time::Duration) {
+    (0..5)
+        .map(|_| time(&mut scan))
+        .min_by_key(|&(_, elapsed)| elapsed)
+        .expect("five repetitions")
+}
 
 struct FormatResult {
     bytes: u64,
@@ -53,9 +65,8 @@ fn run(
     });
     let bytes: u64 = chunks.iter().map(|c| c.len() as u64).sum();
 
-    let mut checksum = 0u64;
-    let (scanned, scan_elapsed) = time(|| {
-        let mut scanned = 0usize;
+    let ((scanned, checksum), scan_elapsed) = best_of_five(|| {
+        let (mut scanned, mut checksum) = (0usize, 0u64);
         for chunk in &chunks {
             let reader = ChunkReader::new(chunk.as_slice());
             let index = reader.load_index().unwrap();
@@ -71,7 +82,7 @@ fn run(
                 scanned += page.len();
             }
         }
-        scanned
+        (scanned, checksum)
     });
     assert_eq!(scanned, n, "scan must materialize every written tuple");
     (
@@ -107,9 +118,8 @@ fn run_hot(chunks: &[Vec<u8>], n: usize) -> (f64, u64) {
 
     let keys = KeyInterval::full();
     let times = TimeInterval::full();
-    let mut checksum = 0u64;
-    let (scanned, scan_elapsed) = time(|| {
-        let mut scanned = 0usize;
+    let ((scanned, checksum), scan_elapsed) = best_of_five(|| {
+        let (mut scanned, mut checksum) = (0usize, 0u64);
         for leaf in &decoded {
             let hits = leaf.scan(&keys, &times, &mut scratch).unwrap();
             for t in &hits {
@@ -119,7 +129,7 @@ fn run_hot(chunks: &[Vec<u8>], n: usize) -> (f64, u64) {
             }
             scanned += hits.len();
         }
-        scanned
+        (scanned, checksum)
     });
     assert_eq!(scanned, n, "hot scan must materialize every written tuple");
     (throughput(scanned, scan_elapsed), checksum)

@@ -207,7 +207,9 @@ impl ChunkAttrIndex {
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         let bloom = ValueBloom::decode(dec)?;
         let n = dec.get_u32()? as usize;
-        let mut hot_values = HashMap::with_capacity(n);
+        // Bounded by what the buffer can hold (an entry is over 8 bytes):
+        // the count comes off the wire.
+        let mut hot_values = HashMap::with_capacity(n.min(dec.remaining() / 8));
         for _ in 0..n {
             let v = dec.get_u64()?;
             hot_values.insert(v, Bitmap::decode(dec)?);

@@ -143,7 +143,9 @@ impl PartitionSchema {
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         let version = dec.get_u64()?;
         let n = dec.get_u32()? as usize;
-        let mut entries = Vec::with_capacity(n);
+        // Bounded by what the buffer can hold (20 bytes an entry): the
+        // count comes off the wire.
+        let mut entries = Vec::with_capacity(n.min(dec.remaining() / 20));
         for _ in 0..n {
             let lo = dec.get_u64()?;
             let hi = dec.get_u64()?;

@@ -435,6 +435,12 @@ impl MetadataService {
         })?;
         let mut state = self.state.write();
         if let Some(current) = &state.partition {
+            // Re-publishing the installed schema is a no-op, so a retried
+            // (or re-driven) install is safe; anything else at or below
+            // the current version is a stale publisher.
+            if schema == *current {
+                return Ok(());
+            }
             if schema.version <= current.version {
                 return Err(WwError::InvalidState(format!(
                     "stale partition version {} (current {})",
@@ -636,7 +642,10 @@ impl MetadataService {
 
     /// Durably records the start of a key-range migration and bumps the
     /// membership epoch (routers holding the old epoch re-plan). Returns
-    /// the in-flight record.
+    /// the in-flight record. A repeat of an identical in-flight
+    /// `(keys, from, to)` is answered with the existing record: a retried
+    /// request, or a driver re-running a move whose first driver died,
+    /// adopts the record instead of writing a second one.
     pub fn begin_migration(
         &self,
         keys: KeyInterval,
@@ -644,6 +653,11 @@ impl MetadataService {
         to: ServerId,
     ) -> Result<MigrationRecord> {
         let mut state = self.state.write();
+        let same =
+            |r: &&MigrationRecord| !r.completed() && (r.keys, r.from, r.to) == (keys, from, to);
+        if let Some(rec) = state.migrations.values().find(same) {
+            return Ok(*rec);
+        }
         let id = state.next_migration;
         state.next_migration += 1;
         state.membership_epoch += 1;
@@ -1128,7 +1142,13 @@ mod tests {
         let mut schema = PartitionSchema::uniform(&servers);
         schema.version = 1;
         meta.set_partition(schema.clone()).unwrap();
-        assert!(meta.set_partition(schema.clone()).is_err());
+        // Re-publishing the installed schema is a no-op (a retried install);
+        // a different schema at the same version is a stale publisher.
+        meta.set_partition(schema.clone()).unwrap();
+        let mut other = PartitionSchema::from_boundaries(&[7], &servers, 1).unwrap();
+        assert!(meta.set_partition(other.clone()).is_err());
+        other.version = 0;
+        assert!(meta.set_partition(other).is_err());
         schema.version = 2;
         meta.set_partition(schema).unwrap();
         assert_eq!(meta.partition().unwrap().version, 2);
@@ -1345,6 +1365,31 @@ mod tests {
             .begin_migration(KeyInterval::new(0, 9), ServerId(0), ServerId(1))
             .unwrap();
         assert_eq!(rec.id, 2);
+    }
+
+    #[test]
+    fn begin_migration_adopts_an_identical_in_flight_record() {
+        let path = tmp_path("migrations-idem");
+        let (keys, from, to) = (KeyInterval::new(100, 199), ServerId(0), ServerId(2));
+        {
+            let meta = MetadataService::open(&path).unwrap();
+            let first = meta.begin_migration(keys, from, to).unwrap();
+            // The repeat writes nothing: same record, same epoch.
+            assert_eq!(meta.begin_migration(keys, from, to).unwrap(), first);
+            assert_eq!(meta.membership_epoch(), 1);
+            // Any differing field is a different move.
+            let other = meta.begin_migration(keys, from, ServerId(3)).unwrap();
+            assert_eq!(other.id, first.id + 1);
+        }
+        // The in-flight record is adopted across a restart too; once it is
+        // completed, the same move begins a fresh record.
+        let meta = MetadataService::open(&path).unwrap();
+        let adopted = meta.begin_migration(keys, from, to).unwrap();
+        assert_eq!(adopted.id, 0);
+        assert_eq!(meta.migrations().len(), 2);
+        meta.complete_migration(adopted.id).unwrap();
+        assert_eq!(meta.begin_migration(keys, from, to).unwrap().id, 2);
+        assert_eq!(meta.migrations().len(), 3);
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! | coordinator → indexing server | [`Request::InMemorySubquery`], [`Request::AggregateInMemory`] |
 //! | coordinator → query server | [`Request::ChunkSubquery`], [`Request::ReadSummary`] |
 //! | any server → metadata server | [`Request::Meta`] |
+//! | client → gateway, a dispatcher id | [`Request::Ingest`], [`Request::IngestBatch`], [`Request::Flush`] |
+//! | client → gateway, [`COORDINATOR`] | [`Request::ClientQuery`], [`Request::ClientAggregate`], [`Request::MigrateUniform`] |
+//! | migration driver → indexing server | [`Request::Flush`], [`Request::Reassign`] |
 //! | health probe (any → any) | [`Request::Ping`] |
 //!
 //! Requests are `Clone` so a retrying client can resend them verbatim.
@@ -113,8 +116,8 @@ pub enum Request {
     /// A metadata-service call (any server → metadata server).
     Meta(MetaRequest),
     /// A full temporal range query from an external client, addressed to
-    /// the coordinator of a node process (client → dispatcher node). The
-    /// coordinator decomposes it exactly as an embedded `query()` call;
+    /// the gateway's [`COORDINATOR`] address (in a node process or an
+    /// embedded system alike). It runs exactly as an embedded `query()` call;
     /// the optional attribute-equality constraint is folded into the
     /// predicate before decomposition.
     ClientQuery {
@@ -126,7 +129,7 @@ pub enum Request {
         attr_eq: Option<(AttrId, u64)>,
     },
     /// A full temporal aggregate query from an external client, addressed
-    /// to the coordinator of a node process.
+    /// to the gateway's [`COORDINATOR`] address.
     ClientAggregate {
         /// Key range.
         keys: KeyInterval,
@@ -296,6 +299,24 @@ pub enum MetaRequest {
         /// The schema to publish.
         schema: PartitionSchema,
     },
+    /// Durably record that `keys` is about to move from `from` to `to`
+    /// (the migration driver, before anything routes differently). A
+    /// repeat of an identical in-flight move is answered with the existing
+    /// record's id. Answered with [`MetaResponse::Migration`].
+    BeginMigration {
+        /// The key range changing owners.
+        keys: KeyInterval,
+        /// The current owner.
+        from: ServerId,
+        /// The new owner.
+        to: ServerId,
+    },
+    /// Stamp the cut-over membership epoch on a migration record; repeats
+    /// return the recorded epoch. Answered with [`MetaResponse::Epoch`].
+    CompleteMigration {
+        /// The record's id, from [`MetaResponse::Migration`].
+        id: u64,
+    },
 }
 
 /// A response payload.
@@ -357,8 +378,12 @@ pub enum MetaResponse {
     Partition(Option<PartitionSchema>),
     /// A durable queue offset (answer to [`MetaRequest::DurableOffset`]).
     Offset(u64),
-    /// The membership epoch after a join/heartbeat/leave mutation.
+    /// The membership epoch after a join/heartbeat/leave mutation or a
+    /// migration cut-over.
     Epoch(u64),
+    /// The id of the in-flight migration record (answer to
+    /// [`MetaRequest::BeginMigration`]).
+    Migration(u64),
     /// The epoch-numbered membership view (answer to
     /// [`MetaRequest::Membership`]).
     Membership(MembershipView),

@@ -13,13 +13,16 @@
 //! conflict-checked by the service (`register_chunk` rejects duplicate
 //! ids; `update_memory_region` is last-writer-wins from a single owner;
 //! `allocate_chunk_id` may burn an id on a lost *response*, which only
-//! leaves a gap in the sequence).
+//! leaves a gap in the sequence; `set_partition` accepts a repeat of the
+//! installed schema; `begin_migration` answers a repeat of an identical
+//! in-flight move with the record it already wrote; `complete_migration`
+//! returns the epoch it already stamped).
 
 use crate::client::RpcClient;
 use crate::envelope::{MetaRequest, MetaResponse, Request, Response, META_SERVER};
 use crate::transport::HandlerHost;
 use std::time::Duration;
-use waterwheel_core::{ChunkId, NodeId, Region, Result, ServerId, WwError};
+use waterwheel_core::{ChunkId, KeyInterval, NodeId, Region, Result, ServerId, WwError};
 use waterwheel_index::secondary::{AttrId, AttrProbe, ChunkAttrIndex};
 use waterwheel_meta::{
     ChunkInfo, MemberRole, MembershipView, MetadataService, PartitionSchema, SummaryExtent,
@@ -92,6 +95,12 @@ pub fn serve_meta<H: HandlerHost + ?Sized>(host: &H, meta: MetadataService) {
             MetaRequest::SetPartition { schema } => {
                 meta.set_partition(schema)?;
                 MetaResponse::Ack
+            }
+            MetaRequest::BeginMigration { keys, from, to } => {
+                MetaResponse::Migration(meta.begin_migration(keys, from, to)?.id)
+            }
+            MetaRequest::CompleteMigration { id } => {
+                MetaResponse::Epoch(meta.complete_migration(id)?)
             }
         };
         Ok(Response::Meta(resp))
@@ -271,6 +280,21 @@ impl MetaClient {
         self.expect_ack(MetaRequest::SetPartition { schema })
     }
 
+    /// See [`MetadataService::begin_migration`]; returns the record's id.
+    pub fn begin_migration(&self, keys: KeyInterval, from: ServerId, to: ServerId) -> Result<u64> {
+        match self.call(MetaRequest::BeginMigration { keys, from, to })? {
+            MetaResponse::Migration(id) => Ok(id),
+            _ => Err(WwError::InvalidState(
+                "metadata server answered the wrong variant".into(),
+            )),
+        }
+    }
+
+    /// See [`MetadataService::complete_migration`].
+    pub fn complete_migration(&self, id: u64) -> Result<u64> {
+        self.expect_epoch(MetaRequest::CompleteMigration { id })
+    }
+
     /// See [`MetadataService::membership`].
     pub fn membership(&self) -> Result<MembershipView> {
         match self.call(MetaRequest::Membership)? {
@@ -396,6 +420,32 @@ mod tests {
         let err = client.heartbeat(ServerId(0), ttl).unwrap_err();
         assert!(!err.is_retryable());
         assert_eq!(meta.membership_epoch(), 3);
+    }
+
+    #[test]
+    fn a_retried_begin_migration_leaves_exactly_one_record() {
+        let (t, client, meta) = rig();
+        let keys = waterwheel_core::KeyInterval::new(100, 199);
+        // Every response is lost: the handler runs on each of the 31
+        // attempts, and all of them must land on the same record.
+        t.set_default_profile(LinkProfile {
+            response_loss: 1.0,
+            ..LinkProfile::default()
+        });
+        let err = client.begin_migration(keys, ServerId(0), ServerId(1));
+        assert!(matches!(err, Err(WwError::Timeout(_))), "{err:?}");
+        assert!(t.stats().totals().retried > 0);
+        t.clear_faults();
+        let id = client
+            .begin_migration(keys, ServerId(0), ServerId(1))
+            .unwrap();
+        let recs = meta.migrations();
+        assert_eq!(recs.len(), 1, "{recs:?}");
+        assert_eq!((recs[0].id, recs[0].completed()), (id, false));
+        // Completing is repeatable too, and returns the stamped epoch.
+        let epoch = client.complete_migration(id).unwrap();
+        assert_eq!(client.complete_migration(id).unwrap(), epoch);
+        assert_eq!(meta.migrations()[0].cutover_epoch, Some(epoch));
     }
 
     #[test]

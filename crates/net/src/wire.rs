@@ -607,6 +607,16 @@ fn encode_meta_request(out: &mut Vec<u8>, req: &MetaRequest) {
             out.push(15);
             schema.encode(out);
         }
+        MetaRequest::BeginMigration { keys, from, to } => {
+            out.push(16);
+            encode_key_interval(out, keys);
+            out.put_u32(from.raw());
+            out.put_u32(to.raw());
+        }
+        MetaRequest::CompleteMigration { id } => {
+            out.push(17);
+            out.put_u64(*id);
+        }
     }
 }
 
@@ -675,6 +685,12 @@ fn decode_meta_request(dec: &mut Decoder<'_>) -> Result<MetaRequest> {
         15 => MetaRequest::SetPartition {
             schema: PartitionSchema::decode(dec)?,
         },
+        16 => MetaRequest::BeginMigration {
+            keys: decode_key_interval(dec)?,
+            from: ServerId(dec.get_u32()?),
+            to: ServerId(dec.get_u32()?),
+        },
+        17 => MetaRequest::CompleteMigration { id: dec.get_u64()? },
         other => {
             return Err(WwError::corrupt(
                 "frame",
@@ -975,6 +991,10 @@ fn encode_meta_response(out: &mut Vec<u8>, resp: &MetaResponse) {
             out.push(8);
             out.put_u64(*epoch);
         }
+        MetaResponse::Migration(id) => {
+            out.push(10);
+            out.put_u64(*id);
+        }
         MetaResponse::Membership(view) => {
             out.push(9);
             view.encode(out);
@@ -1036,6 +1056,7 @@ fn decode_meta_response(dec: &mut Decoder<'_>) -> Result<MetaResponse> {
         7 => MetaResponse::Offset(dec.get_u64()?),
         8 => MetaResponse::Epoch(dec.get_u64()?),
         9 => MetaResponse::Membership(MembershipView::decode(dec)?),
+        10 => MetaResponse::Migration(dec.get_u64()?),
         other => {
             return Err(WwError::corrupt(
                 "frame",
@@ -1325,6 +1346,12 @@ mod tests {
             MetaRequest::SetPartition {
                 schema: PartitionSchema::uniform(&[ServerId(0), ServerId(1)]),
             },
+            MetaRequest::BeginMigration {
+                keys: KeyInterval::new(100, 199),
+                from: ServerId(0),
+                to: ServerId(2),
+            },
+            MetaRequest::CompleteMigration { id: 5 },
         ];
         for req in reqs {
             let decoded = roundtrip_request(Request::Meta(req.clone()));
@@ -1410,6 +1437,7 @@ mod tests {
                 ranges: 3,
             },
             Response::Meta(MetaResponse::Epoch(7)),
+            Response::Meta(MetaResponse::Migration(3)),
             Response::Meta(MetaResponse::Membership(MembershipView {
                 epoch: 4,
                 indexing: vec![(ServerId(0), waterwheel_core::NodeId(0))],

@@ -121,7 +121,7 @@ impl Gen {
     }
 
     fn meta_request(&mut self) -> MetaRequest {
-        match self.below(10) {
+        match self.below(13) {
             0 => MetaRequest::UpdateMemoryRegion {
                 server: ServerId(self.next() as u32),
                 region: if self.below(2) == 0 {
@@ -173,6 +173,18 @@ impl Gen {
             8 => MetaRequest::SummaryExtent {
                 chunk: ChunkId(self.next()),
             },
+            9 => MetaRequest::BeginMigration {
+                keys: self.interval_keys(),
+                from: ServerId(self.next() as u32),
+                to: ServerId(self.next() as u32),
+            },
+            10 => MetaRequest::CompleteMigration { id: self.next() },
+            11 => {
+                let servers: Vec<ServerId> = (0..=self.below(6) as u32).map(ServerId).collect();
+                MetaRequest::SetPartition {
+                    schema: PartitionSchema::uniform(&servers),
+                }
+            }
             _ => MetaRequest::Partition,
         }
     }

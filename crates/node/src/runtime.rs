@@ -4,23 +4,22 @@
 //! pipe) tears the process down.
 
 use crate::spec::ClusterSpec;
-use std::collections::BTreeSet;
 use std::io::{BufRead, Write};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use waterwheel_cluster::LatencyModel;
-use waterwheel_core::{Query, Result, ServerId, SystemConfig, WwError};
-use waterwheel_meta::{MemberRole, MetadataService, PartitionSchema};
+use waterwheel_core::{Result, ServerId, SystemConfig, WwError};
+use waterwheel_meta::{MemberRole, MetadataService};
 use waterwheel_mq::MessageQueue;
 use waterwheel_net::{
-    serve_meta, HandlerRegistry, MetaClient, Request, Response, RpcClient, TcpRpcServer,
-    TcpTransport, Transport, WireStats, COORDINATOR, META_SERVER,
+    serve_meta, HandlerRegistry, TcpRpcServer, TcpTransport, Transport, WireStats, COORDINATOR,
+    META_SERVER,
 };
-use waterwheel_server::roles::{self, Host, IndexingRole, IngestDedup, Topology};
+use waterwheel_server::roles::{self, Host, IndexingRole, Topology};
 pub use waterwheel_server::roles::{dispatcher_ids, indexing_ids, query_ids};
-use waterwheel_server::{AttrRegistry, Coordinator, DispatchPolicy, Dispatcher};
+use waterwheel_server::{AttrRegistry, DispatchPolicy, Gateway};
 use waterwheel_wal::FsyncPolicy;
 
 /// The well-known secondary attribute (paper §VIII) every node process
@@ -210,82 +209,6 @@ pub(crate) fn route_peers(
     }
 }
 
-/// Fetches the partition schema from the metadata process (bootstrapped
-/// there before it reports ready).
-fn fetch_schema(meta: &MetaClient) -> Result<PartitionSchema> {
-    meta.partition()?
-        .ok_or_else(|| WwError::InvalidState("metadata process has no partition schema yet".into()))
-}
-
-/// The gateway side of the live key-range migration state machine
-/// (`Request::MigrateUniform`): rebalance ownership uniformly across the
-/// *current* indexing membership.
-///
-/// Three steps, answers stay byte-exact throughout:
-///
-/// 1. **snapshot ship** — seal every source server's in-memory tree into
-///    chunks; sealed chunks are globally reachable through the shared DFS,
-///    so the new owner serves them without a peer-to-peer copy;
-/// 2. **cut over** — publish the bumped schema to the metadata server
-///    (the durable cut-over record a crashed process recovers from), swap
-///    it into the local dispatchers, and `Reassign` every indexing server
-///    to its new interval. Tuples that raced the swap land on the old
-///    owner and stay queryable from its in-memory overlap (§III-D);
-/// 3. **straggler drain** — flush the sources once more so anything
-///    dual-written during the window is sealed, then refresh the
-///    coordinator's routing table.
-fn migrate_to_uniform(
-    meta: &MetaClient,
-    dispatchers: &[Arc<Dispatcher>],
-    coordinator: &Coordinator,
-    control: &RpcClient,
-    fallback_ix: &[ServerId],
-) -> Result<Response> {
-    let view = meta.membership()?;
-    let mut ix = view.indexing_ids();
-    if ix.is_empty() {
-        ix = fallback_ix.to_vec();
-    }
-    let old = meta
-        .partition()?
-        .unwrap_or_else(|| PartitionSchema::uniform(&ix));
-    let mut schema = PartitionSchema::uniform(&ix);
-    schema.version = old.version + 1;
-    let moves = waterwheel_server::diff_moves(&old, &schema);
-    if moves.is_empty() {
-        return Ok(Response::Migrated {
-            epoch: view.epoch,
-            ranges: 0,
-        });
-    }
-    for d in dispatchers {
-        d.flush_batches()?;
-    }
-    let sources: BTreeSet<ServerId> = moves.iter().map(|m| m.from).collect();
-    for &src in &sources {
-        dispatchers[0].flush(src)?;
-    }
-    meta.set_partition(schema.clone())?;
-    for d in dispatchers {
-        d.update_schema(schema.clone());
-    }
-    for &id in &ix {
-        if let Some(interval) = schema.interval_of(id) {
-            control
-                .call(id, Request::Reassign { interval })?
-                .into_ack()?;
-        }
-    }
-    for &src in &sources {
-        dispatchers[0].flush(src)?;
-    }
-    let epoch = coordinator.refresh_membership()?;
-    Ok(Response::Migrated {
-        epoch,
-        ranges: moves.len() as u32,
-    })
-}
-
 /// Runs one node role until shut down. Prints `WW_NODE_READY <addr>` once
 /// the listener is accepting, answers RPCs, and returns after a
 /// [`Request::Shutdown`] lands or the launcher's stdin pipe closes.
@@ -393,108 +316,17 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
             pump_handles.push(roles::spawn_lease_keeper(&host, &pumps_stop, hosted));
         }
         Role::Dispatcher => {
-            let disp_ids = &host.topology.dispatchers;
-            let meta = host.meta(disp_ids[0]);
-            let schema = fetch_schema(&meta)?;
-            let dispatchers = Arc::new(host.dispatchers(&schema));
-            pump_handles.extend(roles::spawn_linger_flusher(
-                &host.cfg,
-                dispatchers.to_vec(),
-                &pumps_stop,
-            ));
-            let gateway_dedup = Arc::new(IngestDedup::new());
-            for (i, &id) in disp_ids.iter().enumerate() {
-                let dispatchers = Arc::clone(&dispatchers);
-                let dedup = Arc::clone(&gateway_dedup);
-                let ix_ids = host.topology.indexing.clone();
-                let meta = meta.clone();
-                registry.bind(id, move |env| match &env.payload {
-                    Request::Ingest { tuple } => {
-                        dispatchers[i].dispatch(tuple.clone())?;
-                        Ok(Response::Ack)
-                    }
-                    Request::IngestBatch { seq, tuples } => {
-                        let deduped = dedup.apply_once(env.src, id, *seq, || {
-                            for t in tuples.iter() {
-                                dispatchers[i].dispatch(t.clone())?;
-                            }
-                            Ok(())
-                        })?;
-                        Ok(Response::AckBatch {
-                            tuples: tuples.len() as u32,
-                            deduped,
-                        })
-                    }
-                    Request::Flush => {
-                        // The client's durability verb: push every
-                        // buffered batch out, then seal every indexing
-                        // server's memory into chunks. The server list
-                        // comes from the live membership view so servers
-                        // that joined after launch get flushed too.
-                        for d in dispatchers.iter() {
-                            d.flush_batches()?;
-                        }
-                        let live = meta
-                            .membership()
-                            .map(|v| v.indexing_ids())
-                            .ok()
-                            .filter(|v| !v.is_empty())
-                            .unwrap_or_else(|| ix_ids.clone());
-                        let mut chunks = Vec::new();
-                        for &ix in &live {
-                            chunks.extend(dispatchers[i].flush(ix)?);
-                        }
-                        Ok(Response::Flushed(chunks))
-                    }
-                    Request::Ping => Ok(Response::Pong),
-                    _ => Err(WwError::InvalidState(
-                        "unsupported request for a dispatcher".into(),
-                    )),
-                });
-            }
             // The same well-known attrs the indexing process indexes
             // under: `attr == value` client queries prune through them.
             let attrs = Arc::new(AttrRegistry::new());
             register_well_known_attrs(&attrs);
-            let coordinator = host.coordinator(DispatchPolicy::Lada, &attrs);
-            {
-                let coordinator = Arc::clone(&coordinator);
-                let dispatchers = Arc::clone(&dispatchers);
-                let meta = meta.clone();
-                let control = host.rpc(COORDINATOR);
-                let (tcp, fallback_ix) = (host.tcp.clone(), host.topology.indexing.clone());
-                registry.bind(COORDINATOR, move |env| match &env.payload {
-                    Request::ClientQuery {
-                        keys,
-                        times,
-                        attr_eq,
-                    } => {
-                        let mut q = Query::range(*keys, *times);
-                        if let Some((attr, value)) = attr_eq {
-                            q = q.and_attr_eq(*attr, *value);
-                        }
-                        Ok(Response::Query(coordinator.execute(&q)?))
-                    }
-                    Request::ClientAggregate { keys, times, kind } => {
-                        let aq = Query::range(*keys, *times).aggregate(*kind);
-                        Ok(Response::Aggregate(coordinator.execute_aggregate(&aq)?))
-                    }
-                    Request::RegisterPeers { peers } => {
-                        roles::register_peers(tcp.as_deref(), peers)
-                    }
-                    Request::MigrateUniform => migrate_to_uniform(
-                        &meta,
-                        &dispatchers,
-                        &coordinator,
-                        &control,
-                        &fallback_ix,
-                    ),
-                    Request::Ping => Ok(Response::Pong),
-                    _ => Err(WwError::InvalidState(
-                        "unsupported request for the coordinator".into(),
-                    )),
-                });
-            }
+            let gateway = Gateway::new(host.clone(), DispatchPolicy::Lada, attrs)?;
+            gateway.serve(&*registry);
+            pump_handles.extend(roles::spawn_linger_flusher(
+                &host.cfg,
+                gateway.dispatchers().to_vec(),
+                &pumps_stop,
+            ));
             // Routing freshness: poll the membership epoch at the
             // heartbeat cadence so servers joining (or being evicted)
             // after launch reach the coordinator's routing table without
@@ -503,7 +335,7 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
                 &pumps_stop,
                 host.cfg.heartbeat_interval,
                 move || {
-                    let _ = coordinator.refresh_membership();
+                    let _ = gateway.coordinator().refresh_membership();
                 },
             ));
         }

@@ -113,46 +113,44 @@ impl ClusterSpec {
     /// `main` calls [`crate::maybe_run_child`] first — the
     /// `waterwheel-node` binary, or a self-hosting example/test).
     pub fn launch(&self, binary: impl AsRef<Path>) -> Result<ClusterHandle> {
-        let binary = binary.as_ref();
         std::fs::create_dir_all(&self.root)?;
-        let mut procs: Vec<NodeProc> = Vec::new();
-        let mut peers: Vec<(Role, usize, SocketAddr)> = Vec::new();
-        for (role, proc_index) in self.launch_order() {
-            let mut cmd = Command::new(binary);
-            cmd.stdin(Stdio::piped())
-                .stdout(Stdio::piped())
-                .stderr(Stdio::inherit());
-            self.node_config(role, proc_index, peers.clone())
-                .apply_env(&mut cmd);
-            let mut child = cmd.spawn()?;
-            let addr = match read_ready(&mut child) {
-                Ok(addr) => addr,
-                Err(e) => {
-                    // Reap what already started; nothing must outlive a
-                    // failed launch.
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    for mut p in procs {
-                        let _ = p.child.kill();
-                        let _ = p.child.wait();
-                    }
-                    return Err(e);
-                }
-            };
-            peers.push((role, proc_index, addr));
-            procs.push(NodeProc {
-                role,
-                proc_index,
-                child,
-                addr,
-                killed: false,
-            });
-        }
-        Ok(ClusterHandle {
+        // Dropping the handle reaps what already started: nothing must
+        // outlive a failed launch.
+        let mut cluster = ClusterHandle {
             spec: self.clone(),
-            binary: binary.to_path_buf(),
-            procs,
-        })
+            binary: binary.as_ref().to_path_buf(),
+            procs: Vec::new(),
+        };
+        for (role, proc_index) in self.launch_order() {
+            let nc = self.node_config(role, proc_index, cluster.peers());
+            cluster.procs.push(spawn_proc(&cluster.binary, &nc)?);
+        }
+        Ok(cluster)
+    }
+}
+
+/// Spawns one node process from `binary` configured by `nc` and blocks
+/// until it reports ready; a child that fails to is killed and reaped.
+fn spawn_proc(binary: &Path, nc: &NodeConfig) -> Result<NodeProc> {
+    let mut cmd = Command::new(binary);
+    cmd.stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::inherit());
+    nc.apply_env(&mut cmd);
+    let mut child = cmd.spawn()?;
+    match read_ready(&mut child) {
+        Ok(addr) => Ok(NodeProc {
+            role: nc.role,
+            proc_index: nc.proc_index,
+            child,
+            addr,
+            killed: false,
+        }),
+        Err(e) => {
+            let _ = child.kill();
+            let _ = child.wait();
+            Err(e)
+        }
     }
 }
 
@@ -198,6 +196,15 @@ pub struct ClusterHandle {
 }
 
 impl ClusterHandle {
+    /// Every running process as the `(role, proc_index, addr)` peer list
+    /// children and clients route by.
+    fn peers(&self) -> Vec<(Role, usize, SocketAddr)> {
+        self.procs
+            .iter()
+            .map(|p| (p.role, p.proc_index, p.addr))
+            .collect()
+    }
+
     /// The listen address of a role's process.
     pub fn addr(&self, role: Role) -> Option<SocketAddr> {
         self.procs.iter().find(|p| p.role == role).map(|p| p.addr)
@@ -213,12 +220,7 @@ impl ClusterHandle {
     /// probes that expect the cluster to be down want a short one, since
     /// the transport keeps re-connecting until the deadline expires.
     pub fn client_with_timeout(&self, timeout: Duration, retries: u32) -> ClusterClient {
-        let peers: Vec<(Role, usize, SocketAddr)> = self
-            .procs
-            .iter()
-            .map(|p| (p.role, p.proc_index, p.addr))
-            .collect();
-        ClusterClient::connect_as(&self.spec, &peers, timeout, retries, CLIENT_ID)
+        ClusterClient::connect_as(&self.spec, &self.peers(), timeout, retries, CLIENT_ID)
     }
 
     /// A client with its own source identity for batch ingest. Each
@@ -227,14 +229,9 @@ impl ClusterHandle {
     /// `(client id, dispatcher id)` sequence watermarks, so two threads
     /// sharing one identity would shadow each other's batches.
     pub fn ingest_client(&self, lane: u32) -> ClusterClient {
-        let peers: Vec<(Role, usize, SocketAddr)> = self
-            .procs
-            .iter()
-            .map(|p| (p.role, p.proc_index, p.addr))
-            .collect();
         ClusterClient::connect_as(
             &self.spec,
-            &peers,
+            &self.peers(),
             self.spec.system.rpc_timeout,
             self.spec.system.rpc_retries,
             ServerId(CLIENT_ID.0 + 1 + lane),
@@ -270,42 +267,19 @@ impl ClusterHandle {
             .iter()
             .position(|p| p.role == role && p.proc_index == 0)
             .ok_or_else(|| WwError::InvalidState(format!("no {role} process to restart")))?;
-        let peers: Vec<(Role, usize, SocketAddr)> = self
-            .procs
-            .iter()
-            .map(|p| (p.role, p.proc_index, p.addr))
-            .collect();
         let old_addr = self.procs[pos].addr;
-        let mut nc = self.spec.node_config(role, 0, peers);
+        let mut nc = self.spec.node_config(role, 0, self.peers());
         nc.listen = old_addr.to_string();
-        let mut cmd = Command::new(&self.binary);
-        cmd.stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit());
-        nc.apply_env(&mut cmd);
-        let mut child = cmd.spawn()?;
-        let addr = match read_ready(&mut child) {
-            Ok(addr) => addr,
-            Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(e);
-            }
-        };
-        if addr != old_addr {
-            let _ = child.kill();
-            let _ = child.wait();
+        let mut fresh = spawn_proc(&self.binary, &nc)?;
+        if fresh.addr != old_addr {
+            let _ = fresh.child.kill();
+            let _ = fresh.child.wait();
             return Err(WwError::InvalidState(format!(
-                "restarted {role} bound {addr}, expected {old_addr}"
+                "restarted {role} bound {}, expected {old_addr}",
+                fresh.addr
             )));
         }
-        self.procs[pos] = NodeProc {
-            role,
-            proc_index: 0,
-            child,
-            addr,
-            killed: false,
-        };
+        self.procs[pos] = fresh;
         Ok(())
     }
 
@@ -343,34 +317,12 @@ impl ClusterHandle {
         let mut grown = self.spec.clone();
         grown.system.indexing_servers += per;
         grown.indexing_processes += 1;
-        let peers: Vec<(Role, usize, SocketAddr)> = self
-            .procs
-            .iter()
-            .map(|p| (p.role, p.proc_index, p.addr))
-            .collect();
-        let mut cmd = Command::new(&self.binary);
-        cmd.stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit());
-        grown
-            .node_config(Role::Indexing, proc_index, peers)
-            .apply_env(&mut cmd);
-        let mut child = cmd.spawn()?;
-        let addr = match read_ready(&mut child) {
-            Ok(addr) => addr,
-            Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(e);
-            }
-        };
-        self.procs.push(NodeProc {
-            role: Role::Indexing,
-            proc_index,
-            child,
-            addr,
-            killed: false,
-        });
+        let joiner = spawn_proc(
+            &self.binary,
+            &grown.node_config(Role::Indexing, proc_index, self.peers()),
+        )?;
+        let addr = joiner.addr;
+        self.procs.push(joiner);
         self.spec = grown;
         // The joiner registered its membership leases before reporting
         // ready; the rest of the cluster just needs routes to the new ids

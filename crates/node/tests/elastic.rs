@@ -11,8 +11,10 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use waterwheel_core::{AggregateKind, KeyInterval, QueryResult, TimeInterval, Tuple};
+use waterwheel_core::{AggregateKind, KeyInterval, QueryResult, ServerId, TimeInterval, Tuple};
+use waterwheel_meta::MetadataService;
 use waterwheel_node::{ClusterClient, ClusterSpec, Role, PAYLOAD_BYTE_ATTR};
+use waterwheel_wal::FsyncPolicy;
 
 fn fresh_root(name: &str) -> std::path::PathBuf {
     let root = std::env::temp_dir().join(format!("ww-elastic-{name}-{}", std::process::id()));
@@ -253,6 +255,24 @@ fn add_node_migrates_live_with_byte_exact_answers() {
 
     let _ = cluster.shutdown(); // the killed source makes this deliberately dirty
     twin.shutdown().unwrap();
+
+    // Both grow steps went through the one migration driver: every move
+    // left a durable record at the metadata process, all cut over, and each
+    // joiner (ids 2 and 3) took up a range. (A uniform re-split also shifts
+    // boundaries between the old servers, so not every `to` is a joiner.)
+    let meta = MetadataService::open_with(
+        root.join("meta.snapshot"),
+        FsyncPolicy::from_flag(spec.system.durability_fsync),
+        spec.system.wal_segment_bytes,
+    )
+    .unwrap();
+    let migs = meta.migrations();
+    assert!(!migs.is_empty(), "a multi-process migration left no record");
+    assert!(migs.iter().all(|m| m.completed()), "{migs:?}");
+    for joiner in [ServerId(2), ServerId(3)] {
+        assert!(migs.iter().any(|m| m.to == joiner), "{joiner}: {migs:?}");
+    }
+    assert!(migs.iter().all(|m| m.from.raw() < 4 && m.to.raw() < 4));
     let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_dir_all(&twin_root);
 }

@@ -28,28 +28,36 @@
 //! | §IV-B subquery execution, caching       | [`query_server`] |
 //! | §IV-C LADA + baseline dispatch          | [`dispatch`] |
 //! | Figure 3 roles: ids, placement, construction, RPC verbs, loops | [`roles`] |
+//! | §IV-A the coordinator clients talk to, §III-D the repartitioning process | [`gateway`] |
+//! | Fig. 17 live key-range migration: the one driver | [`migration`] |
 //! | Figure 3 topology, embedded             | [`system`] |
 //!
 //! Every cross-server hop (ingest, flush, subqueries, summary reads,
-//! metadata calls) is a typed RPC on the `waterwheel-net` message plane;
-//! [`Waterwheel::transport`] exposes it for fault injection and per-link
-//! statistics. What a role *is* — how its server is built from durable
-//! state, which verbs it answers and how — lives once in [`roles`]; the
-//! embedded [`Waterwheel`] and the `waterwheel-node` processes both
-//! register it, so the deployments cannot disagree. The settled verb
-//! semantics:
+//! metadata calls, migration steps) is a typed RPC on the `waterwheel-net`
+//! message plane; [`Waterwheel::transport`] exposes it for fault injection
+//! and per-link statistics. What a role *is* — how its server is built
+//! from durable state, which verbs it answers and how — lives once in
+//! [`roles`] and [`gateway`]; the embedded [`Waterwheel`] and the
+//! `waterwheel-node` processes both register them, so the deployments
+//! cannot disagree. The settled verb semantics, by the address that serves
+//! each verb (identical in the in-process, TCP-loopback and multi-process
+//! deployments):
 //!
-//! | Verb | Indexing role | Query role |
-//! |---|---|---|
-//! | `Ingest` | append, then `mq.sync()` before `Ack` | — |
-//! | `IngestBatch` | append once per `(src, seq)`; the marker is journalled in the batch's frame and committed before `AckBatch` | — |
-//! | `Flush` | `Injected` if failed, else pump the partition empty and seal; flushes of one server are serialized, so it returns only once everything sealed so far is in registered chunks | — |
-//! | `InMemorySubquery`, `AggregateInMemory`, `Reassign` | served | — |
-//! | `ChunkSubquery`, `ReadSummary` | — | served |
-//! | `Ping` | `Injected` if failed, else `Pong` | same |
-//! | `RegisterPeers` | routes installed on the process's TCP transport; `InvalidState` on the in-process plane | same |
+//! | Verb | Indexing id | Query id | Dispatcher id | `COORDINATOR` |
+//! |---|---|---|---|---|
+//! | `Ingest` | append, then `mq.sync()` before `Ack` | — | route through this dispatcher | — |
+//! | `IngestBatch` | append once per `(src, seq)`; the marker is journalled in the batch's frame and committed before `AckBatch` | — | route every tuple through this dispatcher, once per `(src, seq)` | — |
+//! | `Flush` | `Injected` if failed, else pump the partition empty and seal; flushes of one server are serialized, so it returns only once everything sealed so far is in registered chunks | — | [`Gateway::flush_all`]: push buffered batches, then `Flush` every indexing server of the live membership (a metadata error fails the flush; only an `Injected` server is skipped); answers the sealed chunks | — |
+//! | `InMemorySubquery`, `AggregateInMemory`, `Reassign` | served | — | — | — |
+//! | `ChunkSubquery`, `ReadSummary` | — | served | — | — |
+//! | `ClientQuery`, `ClientAggregate` | — | — | — | [`Gateway::query`] / [`Gateway::aggregate`] on the current coordinator |
+//! | `MigrateUniform` | — | — | — | [`Gateway::migrate_uniform`]: uniform plan over the live membership, run by [`migration::run`] |
+//! | `Ping` | `Injected` if failed, else `Pong` | same | `Pong` | `Pong` |
+//! | `RegisterPeers` | routes installed on the process's TCP transport; `InvalidState` on the in-process plane | same | — | same |
 //!
-//! Every other verb answers a typed `InvalidState`.
+//! `Meta(..)` is served at `META_SERVER` (`waterwheel_net::serve_meta`);
+//! `Shutdown` belongs to a node process's listener. Every other pairing
+//! answers a typed `InvalidState`.
 
 #![warn(missing_docs)]
 
@@ -58,6 +66,7 @@ pub mod attributes;
 pub mod coordinator;
 pub mod dispatch;
 pub mod dispatcher;
+pub mod gateway;
 pub mod indexing;
 pub mod metrics;
 pub mod migration;
@@ -71,9 +80,10 @@ pub use attributes::AttrRegistry;
 pub use coordinator::{Coordinator, CoordinatorStats};
 pub use dispatch::{build_plan, execute_plan, DispatchPlan, DispatchPolicy, PlanRun};
 pub use dispatcher::{incarnation_seq_base, send_batch, Dispatcher, SampleWindow};
+pub use gateway::Gateway;
 pub use indexing::{IndexingServer, IndexingStats};
 pub use metrics::SystemMetrics;
-pub use migration::{diff_moves, MigrationPhase, MigrationPlan, MigrationStats, RangeMove};
+pub use migration::{diff_moves, MigrationPlan, MigrationStats, RangeMove};
 pub use partitioning::{BalanceOutcome, BalancerStats, PartitionBalancer, PlanOutcome};
 pub use query_server::{QueryServer, QueryServerStats};
 pub use roles::{Host, IndexingRole, IndexingSlot, IngestDedup, Topology};

@@ -4,37 +4,42 @@
 //! A migration moves ownership of one or more key ranges from source
 //! indexing servers to destination servers while the system keeps
 //! ingesting and answering queries, with byte-exact answers throughout.
-//! The state machine:
+//! [`run`] is the one driver, in every deployment; every step is an RPC on
+//! the message plane, so each can be lost, retried or cut off like any
+//! other hop:
 //!
-//! 1. **Snapshot ship** — every source seals its in-memory tree to chunks
-//!    on the DFS. Sealed chunks are globally reachable (any query server
-//!    reads them), so "shipping" is a flush plus metadata registration.
-//! 2. **Dual write** — the new partition schema is installed at the
-//!    metadata server, pushed to every dispatcher, and the indexing
-//!    servers re-assign their intervals. Fresh tuples for a moved range
-//!    now land on the new owner while tuples the old owner still holds in
-//!    memory stay queryable: the metadata server tracks *actual* memory
-//!    regions, not assignments, so the coordinator plans subqueries
-//!    against both servers during the overlap window (§III-D).
-//! 3. **Cut over** — a straggler flush seals anything the old owner
-//!    absorbed between steps 1 and 2, and the migration is completed at
-//!    the metadata server, which stamps the cut-over membership epoch.
+//! 1. **Snapshot flush** — the gateway's dispatchers push their buffered
+//!    batches out, then every source drains its queue partition and seals
+//!    its in-memory tree to chunks (`Flush`). Sealed chunks are globally
+//!    reachable through the DFS, so the moved ranges' history needs no
+//!    peer-to-peer copy.
+//! 2. **Begin** — one durable record per move at the metadata server
+//!    (`BeginMigration`), before anything routes differently. A driver that
+//!    dies from here on leaves typed in-flight records, never a
+//!    half-forgotten move; a driver re-running the same moves adopts them.
+//! 3. **Install** — the new schema is published (`SetPartition`), swapped
+//!    into the dispatchers, and every server it names is told its interval
+//!    (`Reassign`). Fresh tuples for a moved range now land on the new
+//!    owner while tuples the old owner still holds stay queryable: the
+//!    metadata server tracks *actual* memory regions, not assignments, so
+//!    the coordinator plans against both during the overlap (§III-D).
+//! 4. **Straggler flush** — anything a source absorbed between steps 1
+//!    and 3 (queued tuples routed under the old schema) is drained and
+//!    sealed, closing the overlap.
+//! 5. **Complete** — `CompleteMigration` stamps the cut-over membership
+//!    epoch on each record.
 //!
-//! Each step is durable at the metadata server ([`MetadataService::
-//! begin_migration`](waterwheel_meta::MetadataService::begin_migration) /
-//! `complete_migration`), so a coordinator restart — or `kill -9` of the
-//! driving process — finds the in-flight record and the overlap window
-//! keeps answers exact until someone finishes the cut-over.
-//!
-//! This module holds the *pure* half: plan representation, the old→new
-//! schema diff, phase bookkeeping, and counters. The driving side effects
-//! (flush RPCs, schema pushes, metadata calls) live in
-//! [`Waterwheel::rebalance`](crate::Waterwheel::rebalance) and the node
-//! runtime, which own the handles.
+//! Every step is repeatable, so after a failure the same plan can simply
+//! be run again. Beside the driver this module holds the plan
+//! representation, the old→new schema diff, and the counters.
 
+use crate::dispatcher::Dispatcher;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use waterwheel_core::{Key, KeyInterval, ServerId};
+use std::sync::Arc;
+use waterwheel_core::{ChunkId, Key, KeyInterval, Result, ServerId, WwError};
 use waterwheel_meta::PartitionSchema;
+use waterwheel_net::{MetaClient, Request, RpcClient};
 
 /// One planned ownership move: `keys` leaves `from` for `to`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,20 +62,6 @@ pub struct MigrationPlan {
     pub moves: Vec<RangeMove>,
     /// The measured load deviation that triggered the plan.
     pub deviation: f64,
-}
-
-/// Phases of the migration state machine, in execution order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum MigrationPhase {
-    /// Moves computed and recorded at the metadata server; nothing
-    /// installed yet.
-    Planned,
-    /// Sources flushed: the moved ranges' history is sealed in chunks.
-    SnapshotShipped,
-    /// New schema live everywhere; old and new owners overlap (§III-D).
-    DualWrite,
-    /// Straggler flush done, migration completed at the metadata server.
-    CutOver,
 }
 
 /// Counters for the migration engine, snapshotted into
@@ -96,6 +87,69 @@ impl MigrationStats {
     pub fn record_completed(&self) {
         self.completed.fetch_add(1, Ordering::Relaxed);
     }
+}
+
+/// Drains and seals indexing server `id` through a dispatcher's control
+/// hop. A server answering [`WwError::Injected`] — the embedded crash
+/// switch — is skipped: its memory is gone and replays on recovery.
+pub(crate) fn flush_live(via: &Dispatcher, id: ServerId) -> Result<Vec<ChunkId>> {
+    match via.flush(id) {
+        Err(WwError::Injected(_)) => Ok(Vec::new()),
+        flushed => flushed,
+    }
+}
+
+/// Runs `plan` through the five steps of the module docs and returns the
+/// membership epoch of the last cut-over. Written only against what exists
+/// on the wire — the metadata stub, the gateway's dispatchers, and one
+/// control client for `Reassign` — so the embedded system and a node
+/// process drive a migration identically.
+pub fn run(
+    plan: &MigrationPlan,
+    meta: &MetaClient,
+    dispatchers: &[Arc<Dispatcher>],
+    control: &RpcClient,
+    stats: &MigrationStats,
+) -> Result<u64> {
+    let sources: BTreeSet<ServerId> = plan.moves.iter().map(|m| m.from).collect();
+    let flush_sources = || {
+        sources
+            .iter()
+            .try_for_each(|&src| flush_live(&dispatchers[0], src).map(drop))
+    };
+
+    for d in dispatchers {
+        d.flush_batches()?;
+    }
+    flush_sources()?;
+
+    let mut records = Vec::with_capacity(plan.moves.len());
+    for m in &plan.moves {
+        records.push(meta.begin_migration(m.keys, m.from, m.to)?);
+    }
+    stats.record_started(plan.moves.len() as u64);
+
+    meta.set_partition(plan.schema.clone())?;
+    for d in dispatchers {
+        d.update_schema(plan.schema.clone());
+    }
+    for e in &plan.schema.entries {
+        // Only the *assigned* interval changes; what a server already holds
+        // outside it stays queryable until the straggler flush.
+        let interval = e.interval;
+        control
+            .call(e.server, Request::Reassign { interval })?
+            .into_ack()?;
+    }
+
+    flush_sources()?;
+
+    let mut epoch = 0;
+    for id in records {
+        epoch = meta.complete_migration(id)?;
+    }
+    stats.record_completed();
+    Ok(epoch)
 }
 
 /// Computes the ownership moves implied by replacing `old` with `new`:
@@ -231,13 +285,6 @@ mod tests {
                 },
             ]
         );
-    }
-
-    #[test]
-    fn phases_are_ordered() {
-        assert!(MigrationPhase::Planned < MigrationPhase::SnapshotShipped);
-        assert!(MigrationPhase::SnapshotShipped < MigrationPhase::DualWrite);
-        assert!(MigrationPhase::DualWrite < MigrationPhase::CutOver);
     }
 
     #[test]

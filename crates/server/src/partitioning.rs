@@ -8,20 +8,20 @@
 //!
 //! The balancer collects each dispatcher's sampling window, measures the
 //! per-indexing-server load imbalance, and — past the threshold — computes
-//! new boundaries that equally divide the sampled keys, installs the bumped
-//! schema at the metadata server, pushes it to every dispatcher, and
-//! re-assigns the indexing servers' intervals. The resulting temporary
-//! region overlap is already handled by the metadata server tracking actual
-//! regions (§III-D's correctness argument).
+//! new boundaries that equally divide the sampled keys and the ownership
+//! moves they imply. It only plans: the one migration driver
+//! ([`crate::migration::run`]) installs a plan, and the temporary region
+//! overlap that opens is already handled by the metadata server tracking
+//! actual regions (§III-D's correctness argument).
 
 use crate::dispatcher::Dispatcher;
-use crate::indexing::IndexingServer;
 use crate::migration::{self, MigrationPlan};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use waterwheel_core::{Key, Result, ServerId};
 use waterwheel_index::skew;
-use waterwheel_meta::{MetadataService, PartitionSchema};
+use waterwheel_meta::PartitionSchema;
+use waterwheel_net::MetaClient;
 
 /// Balancer-side counters, snapshotted into
 /// [`SystemMetrics`](crate::SystemMetrics).
@@ -34,7 +34,7 @@ pub struct BalancerStats {
 
 /// The centralized repartitioning process.
 pub struct PartitionBalancer {
-    meta: MetadataService,
+    meta: MetaClient,
     stats: BalancerStats,
 }
 
@@ -65,22 +65,12 @@ pub enum BalanceOutcome {
     },
 }
 
-/// Outcome of one planning pass: either a no-op (with the reason) or a
-/// [`MigrationPlan`] ready to install or migrate.
+/// Outcome of one planning pass.
 #[derive(Debug)]
 pub enum PlanOutcome {
-    /// Not enough samples to judge.
-    InsufficientData,
-    /// Load within the threshold — no change.
-    Balanced {
-        /// The measured maximum relative deviation.
-        deviation: f64,
-    },
-    /// Skewed but unactionable (duplicate-heavy samples).
-    SkippedDegenerate {
-        /// The measured deviation that could not be acted on.
-        deviation: f64,
-    },
+    /// Nothing to migrate, and why (any outcome but
+    /// [`BalanceOutcome::Repartitioned`]).
+    Keep(BalanceOutcome),
     /// A plan worth executing.
     Plan(MigrationPlan),
 }
@@ -92,7 +82,7 @@ pub const IMBALANCE_THRESHOLD: f64 = 0.2;
 
 impl PartitionBalancer {
     /// Creates a balancer repartitioning past [`IMBALANCE_THRESHOLD`].
-    pub fn new(meta: MetadataService) -> Self {
+    pub fn new(meta: MetaClient) -> Self {
         Self {
             meta,
             stats: BalancerStats::default(),
@@ -120,54 +110,55 @@ impl PartitionBalancer {
             .fold(0.0, f64::max)
     }
 
-    /// Collects the dispatchers' sampling windows, measures the imbalance,
-    /// and — past the threshold — computes the new schema plus the
-    /// ownership moves it implies, **without installing anything**. The
-    /// migration engine ([`Waterwheel::rebalance`](crate::Waterwheel::rebalance))
-    /// runs the plan through the full live-migration state machine;
-    /// [`run_round`](Self::run_round) installs it immediately.
+    /// Collects the dispatchers' sampling windows, measures the imbalance
+    /// over `servers` (the indexing servers to balance across), and — past
+    /// the threshold — computes the new schema plus the ownership moves it
+    /// implies, **without installing anything**:
+    /// [`Gateway::rebalance`](crate::Gateway::rebalance) hands the plan to
+    /// the migration driver.
     pub fn plan_round(
         &self,
         dispatchers: &[Arc<Dispatcher>],
-        indexing: &[Arc<IndexingServer>],
+        servers: &[ServerId],
     ) -> Result<PlanOutcome> {
         // Accumulate the global key frequencies from all dispatchers.
         let mut keys: Vec<Key> = Vec::new();
-        let mut counts: Vec<u64> = vec![0; indexing.len()];
-        let server_ids: Vec<ServerId> = indexing.iter().map(|s| s.id()).collect();
+        let mut counts: Vec<u64> = vec![0; servers.len()];
         for d in dispatchers {
             let window = d.take_window();
             keys.extend(window.keys);
             for (server, count) in window.per_server {
-                if let Some(pos) = server_ids.iter().position(|&s| s == server) {
+                if let Some(pos) = servers.iter().position(|&s| s == server) {
                     counts[pos] += count;
                 }
             }
         }
-        if keys.len() < indexing.len() * 8 {
-            return Ok(PlanOutcome::InsufficientData);
+        if keys.len() < servers.len() * 8 {
+            return Ok(PlanOutcome::Keep(BalanceOutcome::InsufficientData));
         }
         let deviation = Self::deviation(&counts);
         if deviation <= IMBALANCE_THRESHOLD {
-            return Ok(PlanOutcome::Balanced { deviation });
+            return Ok(PlanOutcome::Keep(BalanceOutcome::Balanced { deviation }));
         }
         // Equal-depth boundaries over the sampled keys.
         keys.sort_unstable();
-        let boundaries = skew::equal_depth_boundaries(&keys, indexing.len());
-        if boundaries.len() + 1 != indexing.len() {
+        let boundaries = skew::equal_depth_boundaries(&keys, servers.len());
+        if boundaries.len() + 1 != servers.len() {
             // Duplicate-heavy samples cannot produce enough distinct
             // boundaries; keep the current schema — but report the skew
             // honestly instead of claiming the load is balanced.
             self.stats
                 .skipped_degenerate
                 .fetch_add(1, Ordering::Relaxed);
-            return Ok(PlanOutcome::SkippedDegenerate { deviation });
+            return Ok(PlanOutcome::Keep(BalanceOutcome::SkippedDegenerate {
+                deviation,
+            }));
         }
         let old = self
             .meta
-            .partition()
-            .unwrap_or_else(|| PartitionSchema::uniform(&server_ids));
-        let schema = PartitionSchema::from_boundaries(&boundaries, &server_ids, old.version + 1)?;
+            .partition()?
+            .unwrap_or_else(|| PartitionSchema::uniform(servers));
+        let schema = PartitionSchema::from_boundaries(&boundaries, servers, old.version + 1)?;
         let moves = migration::diff_moves(&old, &schema);
         Ok(PlanOutcome::Plan(MigrationPlan {
             schema,
@@ -175,71 +166,46 @@ impl PartitionBalancer {
             deviation,
         }))
     }
-
-    /// Installs a planned schema everywhere at once: metadata server,
-    /// dispatchers, indexing-server assignments. The temporary region
-    /// overlap this opens is the §III-D dual-write window — the metadata
-    /// server keeps tracking *actual* memory regions, so queries stay
-    /// exact while old owners still hold moved keys in memory.
-    pub fn install(
-        &self,
-        plan: &MigrationPlan,
-        dispatchers: &[Arc<Dispatcher>],
-        indexing: &[Arc<IndexingServer>],
-    ) -> Result<()> {
-        self.meta.set_partition(plan.schema.clone())?;
-        for d in dispatchers {
-            d.update_schema(plan.schema.clone());
-        }
-        for server in indexing {
-            if let Some(interval) = plan.schema.interval_of(server.id()) {
-                server.reassign(interval);
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs one balancing round: collect windows, measure, maybe install a
-    /// new partition. Equivalent to [`plan_round`](Self::plan_round)
-    /// followed by an immediate [`install`](Self::install) — no durable
-    /// migration records, no snapshot ship; the live-migration state
-    /// machine wraps these same pieces with them.
-    pub fn run_round(
-        &self,
-        dispatchers: &[Arc<Dispatcher>],
-        indexing: &[Arc<IndexingServer>],
-    ) -> Result<BalanceOutcome> {
-        match self.plan_round(dispatchers, indexing)? {
-            PlanOutcome::InsufficientData => Ok(BalanceOutcome::InsufficientData),
-            PlanOutcome::Balanced { deviation } => Ok(BalanceOutcome::Balanced { deviation }),
-            PlanOutcome::SkippedDegenerate { deviation } => {
-                Ok(BalanceOutcome::SkippedDegenerate { deviation })
-            }
-            PlanOutcome::Plan(plan) => {
-                self.install(&plan, dispatchers, indexing)?;
-                Ok(BalanceOutcome::Repartitioned {
-                    version: plan.schema.version,
-                    deviation: plan.deviation,
-                })
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::indexing::IndexingServer;
+    use crate::migration::MigrationStats;
     use waterwheel_cluster::{Cluster, LatencyModel};
     use waterwheel_core::{SystemConfig, Tuple};
+    use waterwheel_meta::MetadataService;
     use waterwheel_mq::{Consumer, MessageQueue};
-    use waterwheel_net::{serve_meta, InProcTransport, MetaClient, Request, Response, RpcClient};
+    use waterwheel_net::{serve_meta, InProcTransport, Request, Response, RpcClient};
     use waterwheel_storage::SimDfs;
 
     struct Rig {
         mq: MessageQueue,
         meta: MetadataService,
+        balancer: PartitionBalancer,
+        control: RpcClient,
         dispatchers: Vec<Arc<Dispatcher>>,
         indexing: Vec<Arc<IndexingServer>>,
+    }
+
+    impl Rig {
+        fn ids(&self) -> Vec<ServerId> {
+            self.indexing.iter().map(|s| s.id()).collect()
+        }
+
+        fn plan_round(&self) -> PlanOutcome {
+            self.balancer
+                .plan_round(&self.dispatchers, &self.ids())
+                .unwrap()
+        }
+
+        /// Runs a plan through the one migration driver.
+        fn migrate(&self, plan: &MigrationPlan) {
+            let meta = MetaClient::new(self.control.clone());
+            let stats = MigrationStats::default();
+            migration::run(plan, &meta, &self.dispatchers, &self.control, &stats).unwrap();
+        }
     }
 
     fn rig(name: &str, servers: u32) -> Rig {
@@ -260,24 +226,6 @@ mod tests {
             s
         })
         .unwrap();
-        // Ingest handler per indexing address, as the system facade wires.
-        for &id in &ids {
-            let mq = mq.clone();
-            transport.bind(id, move |env| match &env.payload {
-                Request::Ingest { tuple } => {
-                    mq.append("ingest", id.raw() as usize, tuple.clone())?;
-                    Ok(Response::Ack)
-                }
-                Request::IngestBatch { tuples, .. } => {
-                    mq.append_batch("ingest", id.raw() as usize, tuples.iter().cloned())?;
-                    Ok(Response::AckBatch {
-                        tuples: tuples.len() as u32,
-                        deduped: false,
-                    })
-                }
-                _ => Ok(Response::Pong),
-            });
-        }
         let rpc = |src: ServerId| {
             RpcClient::new(
                 Arc::clone(&transport) as Arc<dyn waterwheel_net::Transport>,
@@ -285,13 +233,7 @@ mod tests {
                 &cfg,
             )
         };
-        let dispatchers = vec![Arc::new(Dispatcher::new(
-            ServerId(100),
-            rpc(ServerId(100)),
-            schema.clone(),
-            &cfg,
-        ))];
-        let indexing = ids
+        let indexing: Vec<Arc<IndexingServer>> = ids
             .iter()
             .map(|&id| {
                 Arc::new(IndexingServer::new(
@@ -304,9 +246,43 @@ mod tests {
                 ))
             })
             .collect();
+        // The verbs the dispatchers and the migration driver send, per
+        // indexing address, as the role layer serves them.
+        for server in &indexing {
+            let (mq, server) = (mq.clone(), Arc::clone(server));
+            let partition = server.id().raw() as usize;
+            transport.bind(server.id(), move |env| match &env.payload {
+                Request::Ingest { tuple } => {
+                    mq.append("ingest", partition, tuple.clone())?;
+                    Ok(Response::Ack)
+                }
+                Request::IngestBatch { tuples, .. } => {
+                    mq.append_batch("ingest", partition, tuples.iter().cloned())?;
+                    Ok(Response::AckBatch {
+                        tuples: tuples.len() as u32,
+                        deduped: false,
+                    })
+                }
+                Request::Flush => Ok(Response::Flushed(server.flush()?)),
+                Request::Reassign { interval } => {
+                    server.reassign(*interval);
+                    Ok(Response::Ack)
+                }
+                _ => Ok(Response::Pong),
+            });
+        }
+        let dispatchers = vec![Arc::new(Dispatcher::new(
+            ServerId(100),
+            rpc(ServerId(100)),
+            schema.clone(),
+            &cfg,
+        ))];
+        let control = rpc(ServerId(101));
         Rig {
             mq,
             meta,
+            balancer: PartitionBalancer::new(MetaClient::new(control.clone())),
+            control,
             dispatchers,
             indexing,
         }
@@ -324,15 +300,14 @@ mod tests {
     #[test]
     fn balanced_load_keeps_schema() {
         let r = rig("balanced", 2);
-        let balancer = PartitionBalancer::new(r.meta.clone());
         // Uniform keys over the full domain: both halves loaded equally.
         let mut x = 0x9E3779B97F4A7C15u64;
         for i in 0..2_000u64 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             r.dispatchers[0].dispatch(Tuple::bare(x, i)).unwrap();
         }
-        match balancer.run_round(&r.dispatchers, &r.indexing).unwrap() {
-            BalanceOutcome::Balanced { deviation } => assert!(deviation < 0.2),
+        match r.plan_round() {
+            PlanOutcome::Keep(BalanceOutcome::Balanced { deviation }) => assert!(deviation < 0.2),
             other => panic!("expected Balanced, got {other:?}"),
         }
         assert_eq!(r.meta.partition().unwrap().version, 1);
@@ -341,20 +316,19 @@ mod tests {
     #[test]
     fn skewed_load_triggers_repartition_and_balances_routing() {
         let r = rig("skewed", 2);
-        let balancer = PartitionBalancer::new(r.meta.clone());
         // All keys in the low half: server 0 takes everything.
         for i in 0..2_000u64 {
             r.dispatchers[0]
                 .dispatch(Tuple::bare(i * 1_000, i))
                 .unwrap();
         }
-        let outcome = balancer.run_round(&r.dispatchers, &r.indexing).unwrap();
-        match outcome {
-            BalanceOutcome::Repartitioned { version, deviation } => {
-                assert_eq!(version, 2);
-                assert!(deviation > 0.9);
+        match r.plan_round() {
+            PlanOutcome::Plan(plan) => {
+                assert_eq!(plan.schema.version, 2);
+                assert!(plan.deviation > 0.9);
+                r.migrate(&plan);
             }
-            other => panic!("expected Repartitioned, got {other:?}"),
+            other => panic!("expected Plan, got {other:?}"),
         }
         // Dispatcher now routes the same key distribution evenly.
         assert_eq!(r.dispatchers[0].schema_version(), 2);
@@ -382,20 +356,18 @@ mod tests {
     #[test]
     fn insufficient_samples_do_nothing() {
         let r = rig("sparse", 2);
-        let balancer = PartitionBalancer::new(r.meta.clone());
         for i in 0..5u64 {
             r.dispatchers[0].dispatch(Tuple::bare(i, i)).unwrap();
         }
-        assert_eq!(
-            balancer.run_round(&r.dispatchers, &r.indexing).unwrap(),
-            BalanceOutcome::InsufficientData
-        );
+        assert!(matches!(
+            r.plan_round(),
+            PlanOutcome::Keep(BalanceOutcome::InsufficientData)
+        ));
     }
 
     #[test]
     fn duplicate_heavy_samples_keep_schema() {
         let r = rig("dups", 4);
-        let balancer = PartitionBalancer::new(r.meta.clone());
         // One single hot key: no boundaries can split it. The system is
         // genuinely skewed, so the no-op must say so — reporting
         // `Balanced` here would hide a hot spot from callers and metrics.
@@ -403,15 +375,18 @@ mod tests {
             r.dispatchers[0].dispatch(Tuple::bare(42, i)).unwrap();
         }
         r.dispatchers[0].flush_batches().unwrap();
-        match balancer.run_round(&r.dispatchers, &r.indexing).unwrap() {
-            BalanceOutcome::SkippedDegenerate { deviation } => {
+        match r.plan_round() {
+            PlanOutcome::Keep(BalanceOutcome::SkippedDegenerate { deviation }) => {
                 assert!(deviation > 0.2, "skew was measured: {deviation}");
             }
             other => panic!("expected SkippedDegenerate, got {other:?}"),
         }
         assert_eq!(r.meta.partition().unwrap().version, 1, "schema kept");
         assert_eq!(
-            balancer.stats().skipped_degenerate.load(Ordering::Relaxed),
+            r.balancer
+                .stats()
+                .skipped_degenerate
+                .load(Ordering::Relaxed),
             1,
             "degenerate skips must be counted"
         );
@@ -420,13 +395,12 @@ mod tests {
     #[test]
     fn plan_round_computes_moves_without_installing() {
         let r = rig("plan", 2);
-        let balancer = PartitionBalancer::new(r.meta.clone());
         for i in 0..2_000u64 {
             r.dispatchers[0]
                 .dispatch(Tuple::bare(i * 1_000, i))
                 .unwrap();
         }
-        let plan = match balancer.plan_round(&r.dispatchers, &r.indexing).unwrap() {
+        let plan = match r.plan_round() {
             PlanOutcome::Plan(plan) => plan,
             other => panic!("expected Plan, got {other:?}"),
         };
@@ -440,13 +414,15 @@ mod tests {
             assert_eq!(plan.schema.route(m.keys.lo()), m.to);
         }
         // Nothing installed: metadata, dispatcher, and assignments are
-        // untouched until `install` (or the migration engine) runs.
+        // untouched until the migration driver runs.
         assert_eq!(r.meta.partition().unwrap().version, 1);
         assert_eq!(r.dispatchers[0].schema_version(), 0, "rig ships v0");
-        balancer
-            .install(&plan, &r.dispatchers, &r.indexing)
-            .unwrap();
+        r.migrate(&plan);
         assert_eq!(r.meta.partition().unwrap().version, 2);
         assert_eq!(r.dispatchers[0].schema_version(), 2);
+        // The driver, unlike the old direct install, leaves the records.
+        let migs = r.meta.migrations();
+        assert_eq!(migs.len(), plan.moves.len());
+        assert!(migs.iter().all(|m| m.completed()), "{migs:?}");
     }
 }

@@ -291,7 +291,7 @@ impl IngestDedup {
 /// processes use the same slot and simply never swap.
 pub type IndexingSlot = Arc<RwLock<Arc<IndexingServer>>>;
 
-fn unsupported(role: &str) -> Result<Response> {
+pub(crate) fn unsupported(role: &str) -> Result<Response> {
     Err(WwError::InvalidState(format!(
         "unsupported request for {role}"
     )))
@@ -563,7 +563,7 @@ mod tests {
     use crate::Waterwheel;
     use waterwheel_core::aggregate::AggregateKind;
     use waterwheel_core::{
-        ChunkId, QueryId, SubQuery, SubQueryId, SubQueryTarget, TimeInterval, Tuple,
+        ChunkId, Query, QueryId, SubQuery, SubQueryId, SubQueryTarget, TimeInterval, Tuple,
     };
     use waterwheel_net::{MetaRequest, META_SERVER};
 
@@ -604,6 +604,8 @@ mod tests {
         Indexing,
         Query,
         Meta,
+        Dispatcher,
+        Coordinator,
     }
 
     /// The roles that serve `req`; every other bound address must answer a
@@ -611,23 +613,31 @@ mod tests {
     /// compile until it is placed here.
     fn accepted_by(req: &Request, tcp: bool) -> &'static [Bound] {
         match req {
-            Request::Ingest { .. }
-            | Request::IngestBatch { .. }
-            | Request::Flush
-            | Request::InMemorySubquery { .. }
+            Request::Ingest { .. } | Request::IngestBatch { .. } | Request::Flush => {
+                &[Bound::Indexing, Bound::Dispatcher]
+            }
+            Request::InMemorySubquery { .. }
             | Request::AggregateInMemory { .. }
             | Request::Reassign { .. } => &[Bound::Indexing],
             Request::ChunkSubquery { .. } | Request::ReadSummary { .. } => &[Bound::Query],
-            Request::Ping => &[Bound::Indexing, Bound::Query],
+            Request::Ping => &[
+                Bound::Indexing,
+                Bound::Query,
+                Bound::Dispatcher,
+                Bound::Coordinator,
+            ],
             Request::Meta(_) => &[Bound::Meta],
-            Request::RegisterPeers { .. } if tcp => &[Bound::Indexing, Bound::Query],
-            // Gateway and launcher verbs: served by the node process's
-            // coordinator/dispatcher bindings and listener, not by a role.
-            Request::RegisterPeers { .. }
-            | Request::ClientQuery { .. }
+            Request::ClientQuery { .. }
             | Request::ClientAggregate { .. }
-            | Request::MigrateUniform
-            | Request::Shutdown => &[],
+            | Request::MigrateUniform => &[Bound::Coordinator],
+            Request::RegisterPeers { .. } if tcp => {
+                &[Bound::Indexing, Bound::Query, Bound::Coordinator]
+            }
+            // No plane to install routes on.
+            Request::RegisterPeers { .. } => &[],
+            // The listener's: a TCP server with a shutdown hook answers it
+            // before any handler sees it.
+            Request::Shutdown => &[],
         }
     }
 
@@ -694,9 +704,10 @@ mod tests {
         ]
     }
 
-    /// Sends one sample of every verb to every address the role layer (and
-    /// `serve_meta`) bound on an embedded system's registry — fronted by
-    /// the in-process plane or by its `TcpRpcServer`.
+    /// Sends one sample of every verb to every address the role layer, the
+    /// gateway and `serve_meta` bound on an embedded system's registry —
+    /// fronted by the in-process plane or by its `TcpRpcServer` — and holds
+    /// the gateway's answers to what the embedded methods return.
     fn check_verb_table(tcp: bool) {
         let root =
             std::env::temp_dir().join(format!("ww-roles-verbs-{tcp}-{}", std::process::id()));
@@ -711,6 +722,7 @@ mod tests {
         let ww = builder.build().unwrap();
         let host = &ww.host;
         let (ix, qs) = (host.topology.indexing[0], host.topology.query[0]);
+        let disp = host.topology.dispatchers[1];
 
         // Seal one chunk through the verbs themselves so the query-role
         // samples name something real.
@@ -732,6 +744,8 @@ mod tests {
                 (Bound::Indexing, ix),
                 (Bound::Query, qs),
                 (Bound::Meta, META_SERVER),
+                (Bound::Dispatcher, disp),
+                (Bound::Coordinator, COORDINATOR),
             ] {
                 let answer = client.call(dst, req.clone());
                 if accepted.contains(&bound) {
@@ -744,6 +758,47 @@ mod tests {
                 }
             }
         }
+
+        // One gateway: a verb arriving on the plane answers what the
+        // embedded method answers. The loop above ingested through the
+        // dispatcher id (1 + 1 tuples, flushed by its `Flush`) and through
+        // the indexing id (another 1 + 1, still queued).
+        ww.insert(Tuple::bare(3, 1_002)).unwrap();
+        let (keys, times) = (KeyInterval::full(), TimeInterval::full());
+        let sealed = client.call(disp, Request::Flush).unwrap();
+        assert_eq!(
+            sealed.into_flushed().unwrap().len(),
+            1,
+            "Flush seals like flush_all"
+        );
+        ww.flush_all().unwrap();
+        let attr_eq = None;
+        let over_the_plane = client
+            .call(
+                COORDINATOR,
+                Request::ClientQuery {
+                    keys,
+                    times,
+                    attr_eq,
+                },
+            )
+            .unwrap()
+            .into_query()
+            .unwrap();
+        let direct = ww.query(&Query::range(keys, times)).unwrap();
+        assert_eq!(over_the_plane.tuples, direct.tuples);
+        assert_eq!(direct.tuples.len(), 64 + 5);
+        let kind = AggregateKind::Count;
+        let over_the_plane = client
+            .call(COORDINATOR, Request::ClientAggregate { keys, times, kind })
+            .unwrap()
+            .into_aggregate()
+            .unwrap();
+        let direct = ww
+            .aggregate(&Query::range(keys, times).aggregate(kind))
+            .unwrap();
+        assert_eq!(over_the_plane.agg.count, direct.agg.count);
+        assert_eq!(direct.agg.count, 64 + 5);
     }
 
     #[test]

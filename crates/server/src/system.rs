@@ -13,24 +13,27 @@
 //!
 //! Every cross-server hop rides the message plane: the builder creates one
 //! [`InProcTransport`] and registers every role of the shared role layer
-//! ([`crate::roles`]) on its registry, plus the metadata server at its
-//! well-known address. Fault injection — loss, latency, partitions, dead
-//! nodes — therefore applies uniformly to ingestion, queries, and metadata
-//! traffic; see [`Waterwheel::transport`].
+//! ([`crate::roles`], [`crate::gateway`]) on its registry, plus the metadata
+//! server at its well-known address. Fault injection — loss, latency,
+//! partitions, dead nodes — therefore applies uniformly to ingestion,
+//! queries, metadata traffic and migration steps; see
+//! [`Waterwheel::transport`]. `insert`, `query` and the rest call the
+//! gateway's methods directly (no RPC hop); the same methods answer the
+//! client verbs for callers on the plane.
 
 use crate::attributes::AttrRegistry;
 use crate::coordinator::Coordinator;
 use crate::dispatch::DispatchPolicy;
 use crate::dispatcher::Dispatcher;
+use crate::gateway::Gateway;
 use crate::indexing::IndexingServer;
 use crate::migration::{MigrationPlan, MigrationStats};
-use crate::partitioning::{BalanceOutcome, PartitionBalancer, PlanOutcome};
+use crate::partitioning::{BalanceOutcome, PartitionBalancer};
 use crate::query_server::QueryServer;
 use crate::roles::{self, Host, IndexingRole, IndexingSlot, Topology};
-use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeSet;
+use parking_lot::Mutex;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use waterwheel_agg::AggregateAnswer;
 use waterwheel_cluster::{Cluster, LatencyModel};
@@ -201,8 +204,7 @@ impl WaterwheelBuilder {
         host.join_members(&host.topology.indexing, MemberRole::Indexing)?;
         host.join_members(&host.topology.query, MemberRole::Query)?;
 
-        let schema = roles::bootstrap_schema(&meta, &host.topology.indexing)?;
-        let dispatchers = host.dispatchers(&schema);
+        roles::bootstrap_schema(&meta, &host.topology.indexing)?;
 
         let attrs = Arc::new(AttrRegistry::new());
         let ix_role = IndexingRole::new(host.clone(), mq.clone(), dfs.clone(), Arc::clone(&attrs))?;
@@ -218,8 +220,8 @@ impl WaterwheelBuilder {
             .iter()
             .map(|&id| roles::serve_query(&host, &registry, &dfs, id))
             .collect();
-        let coordinator = host.coordinator(self.policy, &attrs);
-        let balancer = PartitionBalancer::new(meta.clone());
+        let gateway = Gateway::new(host.clone(), self.policy, Arc::clone(&attrs))?;
+        gateway.serve(&*registry);
 
         Ok(Waterwheel {
             host,
@@ -229,17 +231,13 @@ impl WaterwheelBuilder {
             inproc,
             wire,
             rpc_server,
-            dispatchers,
+            gateway,
             ix_role,
             indexing,
             query_servers,
-            coordinator: RwLock::new(coordinator),
-            balancer,
-            migration_stats: MigrationStats::default(),
             attrs,
             admission,
             measure: Mutex::new(default_measure()),
-            next_dispatcher: AtomicUsize::new(0),
             pumps_stop: Arc::new(AtomicBool::new(false)),
             pump_handles: Mutex::new(Vec::new()),
         })
@@ -255,18 +253,14 @@ pub struct Waterwheel {
     inproc: Option<Arc<InProcTransport>>,
     wire: Option<Arc<WireStats>>,
     rpc_server: Option<TcpRpcServer>,
-    dispatchers: Vec<Arc<Dispatcher>>,
+    gateway: Arc<Gateway>,
     ix_role: IndexingRole,
     /// One slot per indexing server, in id order (ids are `0..n`).
     indexing: Vec<IndexingSlot>,
     query_servers: Vec<Arc<QueryServer>>,
-    coordinator: RwLock<Arc<Coordinator>>,
-    balancer: PartitionBalancer,
-    migration_stats: MigrationStats,
     attrs: Arc<AttrRegistry>,
     admission: Arc<crate::admission::AdmissionController>,
     measure: Mutex<MeasureFn>,
-    next_dispatcher: AtomicUsize,
     pumps_stop: Arc<AtomicBool>,
     pump_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
@@ -346,7 +340,7 @@ impl Waterwheel {
 
     /// The coordinator (policy switching, stats).
     pub fn coordinator(&self) -> Arc<Coordinator> {
-        Arc::clone(&self.coordinator.read())
+        self.gateway.coordinator()
     }
 
     /// Replaces the query coordinator with a fresh instance (paper §V:
@@ -356,11 +350,8 @@ impl Waterwheel {
     /// metadata service; in-flight queries on the old instance complete or
     /// fail independently.
     pub fn restart_coordinator(&self) {
-        let old = self.coordinator();
-        let fresh = self.host.coordinator(old.policy(), &self.attrs);
-        fresh.set_measure(self.measure.lock().clone());
-        fresh.set_summaries_enabled(old.summaries_enabled());
-        *self.coordinator.write() = fresh;
+        self.gateway
+            .restart_coordinator(self.measure.lock().clone());
     }
 
     /// The query servers (stats, failure injection).
@@ -378,7 +369,7 @@ impl Waterwheel {
 
     /// The dispatchers.
     pub fn dispatchers(&self) -> &[Arc<Dispatcher>] {
-        &self.dispatchers
+        self.gateway.dispatchers()
     }
 
     /// Registers a secondary attribute (paper §VIII): chunks flushed after
@@ -412,7 +403,7 @@ impl Waterwheel {
     /// registered measure over a key × time rectangle, answered from
     /// hierarchical wheel summaries where possible (DESIGN.md §4b).
     pub fn aggregate(&self, aq: &AggregateQuery) -> Result<AggregateAnswer> {
-        self.coordinator().execute_aggregate(aq)
+        self.gateway.aggregate(aq)
     }
 
     /// Ingests one tuple through a dispatcher (round-robin across them).
@@ -421,23 +412,19 @@ impl Waterwheel {
     /// [`Self::drain`], [`Self::flush_all`] and the background pumps all
     /// flush those buffers.
     pub fn insert(&self, tuple: Tuple) -> Result<()> {
-        let d = self.next_dispatcher.fetch_add(1, Ordering::Relaxed) % self.dispatchers.len();
-        self.dispatchers[d].dispatch(tuple)
+        self.gateway.insert(tuple)
     }
 
     /// Sends every partially filled ingest batch buffered in the
     /// dispatchers (and retries any batch whose earlier send failed).
     pub fn flush_ingest_batches(&self) -> Result<()> {
-        for d in &self.dispatchers {
-            d.flush_batches()?;
-        }
-        Ok(())
+        self.gateway.flush_batches()
     }
 
     /// Tuples accepted by [`Self::insert`] but not yet acknowledged by an
     /// indexing server (still buffered in dispatcher batches).
     pub fn pending_ingest(&self) -> u64 {
-        self.dispatchers.iter().map(|d| d.pending()).sum()
+        self.gateway.pending()
     }
 
     /// Redelivered ingest batches the receivers recognised by sequence
@@ -489,7 +476,7 @@ impl Waterwheel {
         );
         handles.extend(roles::spawn_linger_flusher(
             &self.host.cfg,
-            self.dispatchers.clone(),
+            self.dispatchers().to_vec(),
             &self.pumps_stop,
         ));
     }
@@ -504,7 +491,7 @@ impl Waterwheel {
 
     /// Executes a query.
     pub fn query(&self, query: &Query) -> Result<QueryResult> {
-        self.coordinator().execute(query)
+        self.gateway.query(query)
     }
 
     /// Forces queued-but-unflushed records to the OS (durable-queue mode);
@@ -513,111 +500,40 @@ impl Waterwheel {
         self.mq.sync()
     }
 
-    /// Forces every indexing server to drain its queue partition and seal
-    /// its in-memory state to chunks — issued as `Flush` RPCs through a
-    /// dispatcher (the control hop of the §V durability boundary). Crashed
-    /// servers are skipped: their memory is gone and replays on recovery.
+    /// Forces every indexing server of the live membership to drain its
+    /// queue partition and seal its in-memory state to chunks — issued as
+    /// `Flush` RPCs through a dispatcher (the control hop of the §V
+    /// durability boundary). Crashed servers are skipped: their memory is
+    /// gone and replays on recovery.
     pub fn flush_all(&self) -> Result<()> {
-        self.flush_ingest_batches()?;
-        for &id in &self.host.topology.indexing {
-            self.flush_one(id)?;
-        }
-        Ok(())
+        self.gateway.flush_all().map(drop)
     }
 
     /// Runs one adaptive-key-partitioning round (paper §III-D). When the
-    /// round produces a plan, it is executed through the full live-migration
-    /// state machine ([`crate::migration`]): snapshot ship → durable
-    /// migration records → dual-write schema install → straggler flush →
-    /// cut-over. Queries keep answering exactly throughout — the §III-D
-    /// overlap window covers tuples the old owners still hold.
+    /// round produces a plan, it is executed through the live-migration
+    /// driver ([`crate::migration::run`]): snapshot flush → durable
+    /// migration records → schema install → straggler flush → cut-over.
+    /// Queries keep answering exactly throughout — the §III-D overlap
+    /// window covers tuples the old owners still hold.
     pub fn rebalance(&self) -> Result<BalanceOutcome> {
-        match self
-            .balancer
-            .plan_round(&self.dispatchers, &self.indexing_servers())?
-        {
-            PlanOutcome::InsufficientData => Ok(BalanceOutcome::InsufficientData),
-            PlanOutcome::Balanced { deviation } => Ok(BalanceOutcome::Balanced { deviation }),
-            PlanOutcome::SkippedDegenerate { deviation } => {
-                Ok(BalanceOutcome::SkippedDegenerate { deviation })
-            }
-            PlanOutcome::Plan(plan) => self.migrate(plan),
-        }
+        self.gateway.rebalance()
     }
 
-    /// Executes one [`MigrationPlan`] through the live-migration state
-    /// machine. Separated from [`rebalance`](Self::rebalance) so tests and
-    /// the node runtime can drive hand-built plans (e.g. "rebalance
-    /// uniformly over the grown fleet").
+    /// Executes one [`MigrationPlan`] through the migration driver.
+    /// Separated from [`rebalance`](Self::rebalance) so tests can drive
+    /// hand-built plans.
     pub fn migrate(&self, plan: MigrationPlan) -> Result<BalanceOutcome> {
-        let sources: BTreeSet<ServerId> = plan.moves.iter().map(|m| m.from).collect();
-
-        // Phase 1 — snapshot ship: push buffered dispatcher batches into
-        // the queue, then have every source drain its partition and seal
-        // its in-memory tree to chunks (`Flush` does both). Sealed chunks
-        // are globally reachable through the DFS, so the moved ranges'
-        // history needs no peer-to-peer copy.
-        self.flush_ingest_batches()?;
-        for &src in &sources {
-            self.flush_one(src)?;
-        }
-
-        // Phase 2 — record the migration durably before anything routes
-        // differently: a crash from here on leaves typed in-flight records
-        // for an operator (or restart) to finish, never a half-forgotten
-        // move.
-        let mut records = Vec::with_capacity(plan.moves.len());
-        for m in &plan.moves {
-            records.push(self.meta.begin_migration(m.keys, m.from, m.to)?);
-        }
-        self.migration_stats.record_started(plan.moves.len() as u64);
-
-        // Phase 3 — dual write: install the schema at the metadata server,
-        // the dispatchers, and the indexing assignments. Fresh tuples for
-        // a moved range now land on its new owner; tuples the old owner
-        // still holds stay queryable because the metadata server tracks
-        // actual memory regions (§III-D overlap window).
-        self.balancer
-            .install(&plan, &self.dispatchers, &self.indexing_servers())?;
-
-        // Phase 4 — straggler flush: anything that reached a source
-        // between the snapshot and the install (queued tuples routed under
-        // the old schema) is drained and sealed, closing the overlap.
-        for &src in &sources {
-            self.flush_one(src)?;
-        }
-
-        // Phase 5 — cut over: completion stamps the membership epoch on
-        // each durable record.
-        for rec in records {
-            self.meta.complete_migration(rec.id)?;
-        }
-        self.migration_stats.record_completed();
-        let _ = self.coordinator().refresh_membership();
-        Ok(BalanceOutcome::Repartitioned {
-            version: plan.schema.version,
-            deviation: plan.deviation,
-        })
+        self.gateway.migrate(plan)
     }
 
     /// Migration-engine counters (started, completed, ranges reassigned).
     pub fn migration_stats(&self) -> &MigrationStats {
-        &self.migration_stats
+        self.gateway.migration_stats()
     }
 
-    /// The partition balancer (stats, direct rounds).
+    /// The partition balancer (stats, planning).
     pub fn balancer(&self) -> &PartitionBalancer {
-        &self.balancer
-    }
-
-    /// Drains and seals one indexing server through the dispatcher control
-    /// hop; a crashed server is skipped.
-    fn flush_one(&self, id: ServerId) -> Result<()> {
-        match self.dispatchers[0].flush(id) {
-            Ok(_) => Ok(()),
-            Err(WwError::Injected(_)) => Ok(()),
-            Err(e) => Err(e),
-        }
+        self.gateway.balancer()
     }
 
     /// Renews the membership lease of every live server (the embedded
@@ -715,7 +631,7 @@ impl Drop for Waterwheel {
         self.stop_pumps();
         // Best-effort: push buffered batches into the queue so a durable
         // queue persists them before the final sync.
-        for d in &self.dispatchers {
+        for d in self.dispatchers() {
             let _ = d.flush_batches();
         }
         let _ = self.mq.sync();

@@ -10,13 +10,16 @@
 //! compared byte-exact between the twins afterwards — including after
 //! the migration source crashes post-cutover and is evicted from the
 //! membership. Both the in-process plane and the TCP loopback plane run
-//! the same oracle.
+//! the same oracle. A second oracle cuts the driver off at every one of its
+//! RPCs in turn and checks what it leaves behind.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use waterwheel::core::{ServerId, WwError};
+use waterwheel::net::{LinkProfile, Transport, COORDINATOR, META_SERVER};
 use waterwheel::prelude::*;
-use waterwheel::server::BalanceOutcome;
+use waterwheel::server::{BalanceOutcome, MigrationPlan, PlanOutcome};
 
 fn fresh_root(name: &str) -> std::path::PathBuf {
     let root = std::env::temp_dir().join(format!("ww-migor-{name}-{}", std::process::id()));
@@ -36,9 +39,13 @@ const ATTR: u16 = 1;
 const ATTR_VALUE: u64 = 7;
 
 fn build(name: &str, tcp: bool) -> Waterwheel {
+    build_with(name, tcp, 2)
+}
+
+fn build_with(name: &str, tcp: bool, indexing_servers: usize) -> Waterwheel {
     let mut cfg = SystemConfig::default();
     cfg.chunk_size_bytes = 8 * 1024;
-    cfg.indexing_servers = 2;
+    cfg.indexing_servers = indexing_servers;
     cfg.query_servers = 3;
     cfg.dispatchers = 2;
     cfg.heartbeat_interval = Duration::from_millis(10);
@@ -245,4 +252,120 @@ fn live_migration_answers_byte_exact_in_process() {
 #[test]
 fn live_migration_answers_byte_exact_over_tcp() {
     run_migration_oracle(build("subj-tcp", true), build("ctrl-tcp", false));
+}
+
+/// A fed, unflushed system (so the snapshot flush has work to do) and the
+/// plan its skew calls for. The stream is a pure function of `seed`.
+fn fed_with_plan(name: &str, seed: u64) -> (Waterwheel, MigrationPlan) {
+    // Three servers: the plan has several moves and more than one source.
+    let ww = build_with(name, false, 3);
+    let mut x = seed;
+    for i in 0..1_500u64 {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+        let key = (x >> 33) % 2_000_000; // low end of the domain: skewed
+        ww.insert(Tuple::new(key, 1_000 + i, vec![(i % 251) as u8]))
+            .unwrap();
+    }
+    ww.drain().unwrap();
+    let ids: Vec<ServerId> = ww.indexing_servers().iter().map(|s| s.id()).collect();
+    match ww.balancer().plan_round(ww.dispatchers(), &ids).unwrap() {
+        PlanOutcome::Plan(plan) => (ww, plan),
+        other => panic!("seed {seed}: skewed load must plan, got {other:?}"),
+    }
+}
+
+fn sent_on(ww: &Waterwheel, link: (ServerId, ServerId)) -> u64 {
+    let per_link = ww.transport().stats().per_link();
+    per_link
+        .iter()
+        .find(|(l, _)| *l == link)
+        .map_or(0, |(_, t)| t.sent)
+}
+
+/// `(records begun, records completed, whether `migrate` fails)` when the
+/// driver's `k + 1`-th RPC on `link` — and everything after it there — is
+/// dropped, for a plan of `m` moves. This is the step order of the
+/// `waterwheel_server::migration` module docs, per link: the first
+/// dispatcher sends `Flush`, `Flush` to each source and `BeginMigration` ×
+/// m, `SetPartition`, `CompleteMigration` × m to the metadata server; the
+/// coordinator address sends one `Reassign` to each server of the new
+/// schema and, once the records are complete, one best-effort membership
+/// refresh.
+fn expected(link: (ServerId, ServerId), k: u64, m: u64) -> (u64, u64, bool) {
+    match link {
+        (COORDINATOR, META_SERVER) => (m, m, false),
+        (COORDINATOR, _) => (m, 0, true),
+        (_, META_SERVER) => (k.min(m), k.saturating_sub(m + 1), true),
+        (_, _source) => (if k == 0 { 0 } else { m }, 0, true),
+    }
+}
+
+#[test]
+fn a_driver_cut_off_at_any_rpc_leaves_truthful_records_and_exact_answers() {
+    const SEED: u64 = 0x5EED_FA11;
+    let exact = |subject: &Waterwheel, control: &Waterwheel, what: &str| {
+        for (keys, times) in windows() {
+            let q = Query::range(keys, times);
+            let a = normalized(subject.query(&q).unwrap().tuples);
+            let b = normalized(control.query(&q).unwrap().tuples);
+            assert_eq!(a, b, "{what}: window {keys:?}/{times:?} diverged");
+        }
+    };
+    // The twin never migrates; the fault-free run tells which links the
+    // driver uses and how many RPCs it sends on each.
+    let (control, _) = fed_with_plan("cut-ctrl", SEED);
+    let (clean, plan) = fed_with_plan("cut-clean", SEED);
+    let m = plan.moves.len() as u64;
+    let before = clean.transport().stats().per_link();
+    clean.migrate(plan).unwrap();
+    let mut links: Vec<((ServerId, ServerId), u64)> = clean
+        .transport()
+        .stats()
+        .per_link()
+        .into_iter()
+        .map(|(link, after)| {
+            let was = before.iter().find(|(l, _)| *l == link);
+            (link, after.sent - was.map_or(0, |(_, t)| t.sent))
+        })
+        .filter(|&(_, sent)| sent > 0)
+        .collect();
+    links.sort();
+    exact(&clean, &control, "fault-free");
+    let rpcs: u64 = links.iter().map(|&(_, n)| n).sum();
+    // At least: two flushes of a source, begin + complete per move, one
+    // install, a `Reassign` per server (3), one refresh.
+    assert!(m >= 2 && rpcs >= 2 * m + 7, "{m} moves, {links:?}");
+
+    for &(link, sent) in &links {
+        for k in 0..sent {
+            let what = format!("seed {SEED:#x}, {link:?} cut after {k} of {sent}");
+            let (ww, plan) = fed_with_plan(&format!("cut-{}-{}-{k}", link.0, link.1), SEED);
+            let cut = LinkProfile {
+                drop_after: Some(sent_on(&ww, link) + k),
+                ..LinkProfile::default()
+            };
+            ww.transport().set_link_profile(link.0, link.1, cut);
+            let (begun, completed, fails) = expected(link, k, m);
+            // (a) a typed delivery error, never a panic or a hang.
+            match ww.migrate(plan.clone()) {
+                Err(WwError::Timeout(_)) if fails => {}
+                Ok(_) if !fails => {}
+                other => panic!("{what}: {other:?}"),
+            }
+            // (c) the records say exactly how far the driver got.
+            let migs = ww.metadata().migrations();
+            let done = migs.iter().filter(|r| r.completed()).count() as u64;
+            assert_eq!((migs.len() as u64, done), (begun, completed), "{what}");
+            // (b) whatever it left, every answer is still exact.
+            ww.transport().clear_faults();
+            exact(&ww, &control, &what);
+            // (d) running the same plan again finishes the job: in-flight
+            // records are adopted, only completed moves record afresh.
+            ww.migrate(plan).unwrap();
+            let migs = ww.metadata().migrations();
+            assert!(migs.iter().all(|r| r.completed()), "{what}: {migs:?}");
+            assert_eq!(migs.len() as u64, m + completed, "{what}: {migs:?}");
+            exact(&ww, &control, &format!("{what}, re-driven"));
+        }
+    }
 }

@@ -6,8 +6,10 @@
 //! All faults are driven by a deterministic per-transport RNG, so every
 //! test here is reproducible.
 
+use std::sync::Arc;
 use std::time::Duration;
-use waterwheel::net::{LinkProfile, COORDINATOR, META_SERVER};
+use waterwheel::core::{ServerId, WwError};
+use waterwheel::net::{LinkProfile, Request, RpcClient, Transport, COORDINATOR, META_SERVER};
 use waterwheel::prelude::*;
 use waterwheel::server::SystemMetrics;
 
@@ -307,6 +309,49 @@ fn partitioned_metadata_fails_loudly_then_heals() {
     );
     ww.transport().heal(COORDINATOR, META_SERVER);
     assert_eq!(ww.query(&all()).unwrap().tuples.len(), 1_000);
+}
+
+#[test]
+fn a_gateway_flush_that_cannot_read_the_membership_fails_instead_of_acknowledging() {
+    let ww = Waterwheel::builder(fresh_root("flush-meta-part"))
+        .config(cfg())
+        .build()
+        .unwrap();
+    for i in 0..200u64 {
+        ww.insert(Tuple::bare(spread_key(i), 1_000 + i)).unwrap();
+    }
+    ww.drain().unwrap();
+    // The gateway reads which servers to flush from the live membership,
+    // sending as its first dispatcher. Cut that link: a client's `Flush`
+    // must come back as the typed delivery error it is — never `Flushed`
+    // for a flush that skipped servers — and seal nothing.
+    let client = RpcClient::new(
+        Arc::clone(ww.transport()) as Arc<dyn Transport>,
+        ServerId(9_000),
+        ww.config(),
+    );
+    let (first, dst) = (ww.dispatchers()[0].id(), ww.dispatchers()[1].id());
+    ww.transport().partition(first, META_SERVER);
+    let answer = client.call(dst, Request::Flush);
+    assert!(
+        matches!(
+            answer,
+            Err(WwError::Timeout(_)) | Err(WwError::Unreachable(_))
+        ),
+        "{answer:?}"
+    );
+    assert!(
+        ww.flush_all().is_err(),
+        "the embedded call is the same code"
+    );
+    assert_eq!(ww.metadata().chunk_count(), 0);
+    ww.transport().heal(first, META_SERVER);
+    let sealed = client.call(dst, Request::Flush).unwrap().into_flushed();
+    assert!(
+        !sealed.unwrap().is_empty(),
+        "healed: the flush names chunks"
+    );
+    assert_eq!(ww.query(&all()).unwrap().tuples.len(), 200);
 }
 
 #[test]
