@@ -51,9 +51,7 @@ impl WheelSummary {
         max_cells_per_ring: usize,
     ) -> Self {
         let mut wheel = AggWheel::new(slice_bits);
-        for (key, ts, value) in tuples {
-            wheel.insert(key, ts, value);
-        }
+        wheel.insert_batch(tuples);
         Self::seal(&wheel, max_cells_per_ring)
     }
 

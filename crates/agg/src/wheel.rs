@@ -133,21 +133,34 @@ impl AggWheel {
 
     /// Folds one measured tuple into every ring.
     pub fn insert(&mut self, key: u64, ts: u64, value: u64) {
-        let slice = slice_of(key, self.slice_bits);
-        for gran in Granularity::ALL {
-            let bucket = ts / gran.span_ms();
-            self.rings[gran.index()]
-                .entry((bucket, slice))
+        self.insert_batch([(key, ts, value)]);
+    }
+
+    /// Folds measured `(key, ts, value)` tuples into every ring. The batch
+    /// is first merged per distinct `(second, slice)`, so each ring is
+    /// touched once per cell instead of once per tuple; merging is exact,
+    /// so the rings end up the same either way.
+    pub fn insert_batch(&mut self, tuples: impl IntoIterator<Item = (u64, u64, u64)>) {
+        let mut cells: BTreeMap<(u64, u16), PartialAgg> = BTreeMap::new();
+        for (key, ts, value) in tuples {
+            cells
+                .entry((ts / 1_000, slice_of(key, self.slice_bits)))
                 .or_default()
                 .insert(value);
-        }
-        self.hull = Some(match self.hull {
-            None => TimeInterval::point(ts),
-            Some(mut h) => {
-                h.extend_to(ts);
-                h
+            match &mut self.hull {
+                None => self.hull = Some(TimeInterval::point(ts)),
+                Some(hull) => hull.extend_to(ts),
             }
-        });
+        }
+        for ((second, slice), agg) in cells {
+            for gran in Granularity::ALL {
+                let bucket = second / (gran.span_ms() / 1_000);
+                self.rings[gran.index()]
+                    .entry((bucket, slice))
+                    .or_default()
+                    .merge(&agg);
+            }
+        }
     }
 
     /// Drops every cell (called after the owning region flushes; the data
@@ -214,6 +227,26 @@ mod tests {
         assert_eq!(w.ring_len(Granularity::Minute), 1);
         assert_eq!(w.ring_len(Granularity::Day), 1);
         assert_eq!(w.hull(), Some(TimeInterval::new(5_500, 6_500)));
+    }
+
+    #[test]
+    fn insert_batch_over_any_split_builds_the_same_rings() {
+        // Tuples on both sides of second, minute and slice boundaries.
+        let tuples: Vec<(u64, u64, u64)> = (0..600u64)
+            .map(|i| ((i % 5) << 60 | i, 58_000 + i * 7, i * 31 % 97))
+            .collect();
+        let mut one_by_one = AggWheel::new(4);
+        for &(key, ts, value) in &tuples {
+            one_by_one.insert(key, ts, value);
+        }
+        for batch in [1, 7, 256, 600] {
+            let mut batched = AggWheel::new(4);
+            for chunk in tuples.chunks(batch) {
+                batched.insert_batch(chunk.iter().copied());
+            }
+            assert_eq!(batched.rings, one_by_one.rings, "batches of {batch}");
+            assert_eq!(batched.hull, one_by_one.hull);
+        }
     }
 
     #[test]

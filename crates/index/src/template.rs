@@ -132,7 +132,19 @@ impl Template {
     }
 }
 
+/// Appends a leaf holds behind its sorted run before it merges them in.
+/// Bounds what a scan filters linearly per leaf, and how often an insert
+/// pays a merge: a leaf fills to about `leaf_capacity`, so it merges a
+/// handful of times between seals.
+const LEAF_TAIL_MAX: usize = 32;
+
 /// One leaf: latched tuple storage plus pruning metadata.
+///
+/// Inserts append; order is restored later. `entries[..sorted]` is the
+/// `(key, ts)`-sorted run, `entries[sorted..]` the tail of newer appends in
+/// arrival order. The writer that pushes the tail past [`LEAF_TAIL_MAX`]
+/// merges it under the write latch it already holds, and `seal` /
+/// `update_template` merge before they drain — readers never sort.
 ///
 /// Min/max bounds are plain fields updated under the leaf latch — keeping
 /// them here (rather than in tree-global atomics) keeps the hot insert path
@@ -141,8 +153,8 @@ impl Template {
 /// per insert.
 #[derive(Debug)]
 struct LeafData {
-    /// Tuples sorted by `(key, ts)`.
     entries: Vec<Tuple>,
+    sorted: usize,
     min_ts: Timestamp,
     max_ts: Timestamp,
     min_key: Key,
@@ -150,9 +162,10 @@ struct LeafData {
 }
 
 impl LeafData {
-    fn new(_cfg: &IndexConfig) -> Self {
+    fn new() -> Self {
         Self {
             entries: Vec::new(),
+            sorted: 0,
             min_ts: Timestamp::MAX,
             max_ts: 0,
             min_key: Key::MAX,
@@ -160,23 +173,41 @@ impl LeafData {
         }
     }
 
-    fn insert(&mut self, tuple: Tuple) {
+    /// Appends one tuple to the tail. The first push reserves a whole
+    /// leaf, so a leaf never grows 0 → 4 → … → `leaf_capacity`.
+    fn push(&mut self, tuple: Tuple, leaf_capacity: usize) {
+        if self.entries.capacity() == 0 {
+            self.entries.reserve(leaf_capacity);
+        }
         self.min_ts = self.min_ts.min(tuple.ts);
         self.max_ts = self.max_ts.max(tuple.ts);
         self.min_key = self.min_key.min(tuple.key);
         self.max_key = self.max_key.max(tuple.key);
-        let pos = self
-            .entries
-            .partition_point(|e| (e.key, e.ts) <= (tuple.key, tuple.ts));
-        self.entries.insert(pos, tuple);
+        self.entries.push(tuple);
     }
 
-    fn reset(&mut self) {
-        self.entries = Vec::new();
-        self.min_ts = Timestamp::MAX;
-        self.max_ts = 0;
-        self.min_key = Key::MAX;
-        self.max_key = 0;
+    /// Merges the tail into the run. The sort is stable, the run precedes
+    /// the tail and the tail is in arrival order, so ties on `(key, ts)`
+    /// end up in arrival order — exactly where one-at-a-time sorted
+    /// insertion would have put them, whatever the batch boundaries were.
+    ///
+    /// Only the run's suffix above the tail's minimum can interleave with
+    /// the tail, so only that suffix is sorted: a leaf that is one hot key
+    /// arriving in time order (indivisible, so it can grow to a large share
+    /// of the tree) pays for its newest entries, not for its length.
+    fn merge_tail(&mut self) {
+        let (run, tail) = self.run_and_tail();
+        let Some(tail_min) = tail.iter().map(|e| (e.key, e.ts)).min() else {
+            return;
+        };
+        let settled = run.partition_point(|e| (e.key, e.ts) <= tail_min);
+        self.entries[settled..].sort_by_key(|e| (e.key, e.ts));
+        self.sorted = self.entries.len();
+    }
+
+    /// The sorted run and the unsorted tail.
+    fn run_and_tail(&self) -> (&[Tuple], &[Tuple]) {
+        self.entries.split_at(self.sorted)
     }
 }
 
@@ -187,8 +218,8 @@ struct TreeCore {
 }
 
 impl TreeCore {
-    fn new_leaves(cfg: &IndexConfig, n: usize) -> Vec<RwLock<LeafData>> {
-        (0..n).map(|_| RwLock::new(LeafData::new(cfg))).collect()
+    fn new_leaves(n: usize) -> Vec<RwLock<LeafData>> {
+        (0..n).map(|_| RwLock::new(LeafData::new())).collect()
     }
 }
 
@@ -227,7 +258,7 @@ impl TemplateBTree {
     /// to seed from a sampled distribution.
     pub fn with_separators(assigned: KeyInterval, cfg: IndexConfig, separators: Vec<Key>) -> Self {
         let template = Template::build(separators, cfg.fanout.max(2));
-        let leaves = TreeCore::new_leaves(&cfg, template.leaf_count());
+        let leaves = TreeCore::new_leaves(template.leaf_count());
         Self {
             cfg,
             assigned,
@@ -357,10 +388,13 @@ impl TemplateBTree {
         let t0 = Instant::now();
         let mut core = self.core.write();
         // Drain all leaves; concatenation is (key, ts)-sorted because leaf
-        // key ranges are disjoint and each leaf is sorted.
+        // key ranges are disjoint and each leaf is sorted once its tail is
+        // merged.
         let mut entries: Vec<Tuple> = Vec::with_capacity(self.count.load(Ordering::Relaxed));
-        for leaf in &core.leaves {
-            entries.append(&mut leaf.write().entries);
+        for leaf in &mut core.leaves {
+            let leaf = leaf.get_mut();
+            leaf.merge_tail();
+            entries.append(&mut leaf.entries);
         }
         debug_assert!(entries
             .windows(2)
@@ -369,18 +403,24 @@ impl TemplateBTree {
         let leaves = self.ideal_leaf_count(entries.len());
         let separators = skew::equal_depth_boundaries(&keys, leaves);
         core.template = Template::build(separators, self.cfg.fanout.max(2));
-        core.leaves = TreeCore::new_leaves(&self.cfg, core.template.leaf_count());
-        let mut rebuilt_counts = vec![0usize; core.template.leaf_count()];
-        for t in entries {
-            let li = core.template.route(t.key);
-            rebuilt_counts[li] += 1;
-            // Entries arrive in sorted order, so pushing keeps leaves sorted.
-            let mut leaf = core.leaves[li].write();
-            leaf.min_ts = leaf.min_ts.min(t.ts);
-            leaf.max_ts = leaf.max_ts.max(t.ts);
-            leaf.min_key = leaf.min_key.min(t.key);
-            leaf.max_key = leaf.max_key.max(t.key);
-            leaf.entries.push(t);
+        core.leaves = TreeCore::new_leaves(core.template.leaf_count());
+        // The sorted entries fall into the new leaves as consecutive runs.
+        let TreeCore { template, leaves } = &mut *core;
+        let mut rebuilt_counts = Vec::with_capacity(leaves.len());
+        let mut entries = entries.into_iter();
+        let mut start = 0;
+        for (li, leaf) in leaves.iter_mut().enumerate() {
+            let end = match template.separators.get(li) {
+                Some(&sep) => start + keys[start..].partition_point(|&k| k < sep),
+                None => keys.len(),
+            };
+            let leaf = leaf.get_mut();
+            for t in entries.by_ref().take(end - start) {
+                leaf.push(t, self.cfg.leaf_capacity);
+            }
+            leaf.sorted = leaf.entries.len();
+            rebuilt_counts.push(end - start);
+            start = end;
         }
         drop(core);
         let total: usize = rebuilt_counts.iter().sum();
@@ -389,6 +429,74 @@ impl TemplateBTree {
         self.last_rebuild_count.store(total, Ordering::Relaxed);
         self.stats.add(&self.stats.build_ns, t0.elapsed());
         self.stats.template_updates.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Inserts a batch, visible to queries on return: one routed pass
+    /// under one tree-level read lock, one latch per touched leaf.
+    ///
+    /// Sealed trees do not depend on how a stream was cut into batches —
+    /// [`TupleIndex::insert`] is this with a batch of one. Two things make
+    /// that so: leaves restore `(key, ts)` order with ties in arrival order
+    /// whenever they are drained, and a batch is cut where the skew-check
+    /// counter fills, so template updates see the tree at the same tuple
+    /// counts as one-at-a-time insertion.
+    pub fn insert_batch(&self, mut tuples: Vec<Tuple>) {
+        let interval = self.cfg.skew_check_interval.max(1);
+        while !tuples.is_empty() {
+            let t0 = Instant::now();
+            let since_check = {
+                let core = self.core.read();
+                let room = interval.saturating_sub(self.since_skew_check.load(Ordering::Relaxed));
+                let take = room.clamp(1, tuples.len());
+                // Stable by key: groups the cut by destination leaf and
+                // keeps arrival order among equal keys.
+                tuples[..take].sort_by_cached_key(|t| t.key);
+                self.append_routed(&core, tuples.drain(..take))
+            };
+            self.finish_insert(t0, since_check);
+        }
+    }
+
+    /// The one leaf write path: appends `tuples` — key-ordered, so each
+    /// destination leaf is one consecutive group — latching each touched
+    /// leaf once, then publishes the counters. Returns the skew-check
+    /// counter after the bump.
+    ///
+    /// The counter updates must happen under the tree-level read lock the
+    /// caller holds: `seal` swaps `count` under the write lock while
+    /// draining the leaves, so a counter bumped after the leaf append but
+    /// outside the lock could be missed by one seal and then land on the
+    /// next — making `SealedTree::count` disagree with its leaves in both
+    /// directions.
+    fn append_routed(&self, core: &TreeCore, tuples: impl Iterator<Item = Tuple>) -> usize {
+        let mut tuples = tuples.peekable();
+        let (mut count, mut bytes) = (0, 0);
+        while let Some(first) = tuples.peek() {
+            let li = core.template.route(first.key);
+            let below = core.template.separators.get(li).copied();
+            let mut leaf = core.leaves[li].write();
+            while let Some(t) = tuples.next_if(|t| below.is_none_or(|sep| t.key < sep)) {
+                count += 1;
+                bytes += t.encoded_len();
+                leaf.push(t, self.cfg.leaf_capacity);
+            }
+            if leaf.entries.len() - leaf.sorted > LEAF_TAIL_MAX {
+                leaf.merge_tail();
+            }
+        }
+        self.count.fetch_add(count, Ordering::AcqRel);
+        self.bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.since_skew_check.fetch_add(count, Ordering::Relaxed) + count
+    }
+
+    /// Books the insert time and runs the periodic skewness check (paper
+    /// §III-C1) once the counter has filled. Call without the core lock.
+    fn finish_insert(&self, t0: Instant, since_check: usize) {
+        self.stats.add(&self.stats.insert_ns, t0.elapsed());
+        if since_check >= self.cfg.skew_check_interval {
+            self.since_skew_check.store(0, Ordering::Relaxed);
+            self.maybe_update_template();
+        }
     }
 
     /// Seals the current contents as an immutable [`SealedTree`] and resets
@@ -415,8 +523,9 @@ impl TemplateBTree {
         let (mut min_key, mut max_key) = (Key::MAX, 0);
         let mut leaves = Vec::with_capacity(core.leaves.len());
         let mut all_keys: Vec<Key> = Vec::with_capacity(count);
-        for slot in &core.leaves {
-            let mut leaf = slot.write();
+        for slot in std::mem::take(&mut core.leaves) {
+            let mut leaf = slot.into_inner();
+            leaf.merge_tail();
             let (time_range, bloom) = if leaf.entries.is_empty() {
                 (None, None)
             } else {
@@ -437,11 +546,9 @@ impl TemplateBTree {
                 });
                 (Some(TimeInterval::new(leaf.min_ts, leaf.max_ts)), bloom)
             };
-            let entries = std::mem::take(&mut leaf.entries);
-            leaf.reset();
-            all_keys.extend(entries.iter().map(|e| e.key));
+            all_keys.extend(leaf.entries.iter().map(|e| e.key));
             leaves.push(SealedLeaf {
-                entries,
+                entries: leaf.entries,
                 bloom,
                 time_range,
             });
@@ -455,7 +562,7 @@ impl TemplateBTree {
             let new_seps = skew::equal_depth_boundaries(&all_keys, ideal);
             core.template = Template::build(new_seps, self.cfg.fanout.max(2));
         }
-        core.leaves = TreeCore::new_leaves(&self.cfg, core.template.leaf_count());
+        core.leaves = TreeCore::new_leaves(core.template.leaf_count());
         drop(core);
 
         Some(SealedTree {
@@ -473,28 +580,8 @@ impl TemplateBTree {
 impl TupleIndex for TemplateBTree {
     fn insert(&self, tuple: Tuple) {
         let t0 = Instant::now();
-        let key = tuple.key;
-        let len = tuple.encoded_len();
-        {
-            // The count/byte updates must happen under the tree-level read
-            // lock: `seal` swaps `count` under the write lock while draining
-            // the leaves, so a counter bumped after the leaf insert but
-            // outside the lock could be missed by one seal and then land on
-            // the next — making `SealedTree::count` disagree with its
-            // leaves in both directions.
-            let core = self.core.read();
-            let li = core.template.route(key);
-            core.leaves[li].write().insert(tuple);
-            self.count.fetch_add(1, Ordering::AcqRel);
-            self.bytes.fetch_add(len, Ordering::Relaxed);
-        }
-        self.stats.add(&self.stats.insert_ns, t0.elapsed());
-        // Periodic skewness check (paper §III-C1).
-        if self.since_skew_check.fetch_add(1, Ordering::Relaxed) + 1 >= self.cfg.skew_check_interval
-        {
-            self.since_skew_check.store(0, Ordering::Relaxed);
-            self.maybe_update_template();
-        }
+        let since_check = self.append_routed(&self.core.read(), std::iter::once(tuple));
+        self.finish_insert(t0, since_check);
     }
 
     fn query(
@@ -506,6 +593,7 @@ impl TupleIndex for TemplateBTree {
         let core = self.core.read();
         let lo_leaf = core.template.route(keys.lo());
         let hi_leaf = core.template.route(keys.hi());
+        let matches = |e: &Tuple| times.contains(e.ts) && predicate.is_none_or(|p| p(e));
         let mut out = Vec::new();
         for li in lo_leaf..=hi_leaf {
             let leaf = core.leaves[li].read();
@@ -518,12 +606,20 @@ impl TupleIndex for TemplateBTree {
                 continue;
             }
             self.stats.leaves_scanned.fetch_add(1, Ordering::Relaxed);
-            let start = leaf.entries.partition_point(|e| e.key < keys.lo());
-            for e in &leaf.entries[start..] {
+            // Binary-search the run, filter the bounded tail: a reader
+            // never sorts, so it never needs more than the read latch.
+            let (run, tail) = leaf.run_and_tail();
+            let start = run.partition_point(|e| e.key < keys.lo());
+            for e in &run[start..] {
                 if e.key > keys.hi() {
                     break;
                 }
-                if times.contains(e.ts) && predicate.is_none_or(|p| p(e)) {
+                if matches(e) {
+                    out.push(e.clone());
+                }
+            }
+            for e in tail {
+                if keys.contains(e.key) && matches(e) {
                     out.push(e.clone());
                 }
             }
@@ -614,6 +710,36 @@ mod tests {
             Some(&pred),
         );
         assert_eq!(hits.len(), 6);
+    }
+
+    #[test]
+    fn leaves_keep_a_sorted_run_and_a_bounded_tail() {
+        // One wide leaf (default capacity, no skew check in reach): the
+        // only thing restoring order is the tail bound.
+        let t = TemplateBTree::new(KeyInterval::full(), IndexConfig::default());
+        let mut batch = Vec::new();
+        for i in 0..500u64 {
+            batch.push(Tuple::bare(i * 7919 % 500, i));
+            // Single inserts and batches of every size up to 13.
+            if batch.len() as u64 > i % 13 {
+                t.insert_batch(std::mem::take(&mut batch));
+            } else if i % 5 == 0 {
+                t.insert(batch.pop().unwrap());
+            }
+            let core = t.core.read();
+            let leaf = core.leaves[0].read();
+            let (run, tail) = leaf.run_and_tail();
+            assert!(tail.len() <= LEAF_TAIL_MAX, "tail of {}", tail.len());
+            assert!(run
+                .windows(2)
+                .all(|w| (w[0].key, w[0].ts) <= (w[1].key, w[1].ts)));
+        }
+        t.insert_batch(batch);
+        assert_eq!(t.len(), 500);
+        assert_eq!(t.leaf_counts(), vec![500]);
+        let hits = t.query(&KeyInterval::new(100, 199), &TimeInterval::full(), None);
+        assert_eq!(hits.len(), 100);
+        t.seal().unwrap().check_invariants().unwrap();
     }
 
     #[test]

@@ -209,64 +209,64 @@ impl IndexingServer {
             let records = consumer.poll(max)?;
             let n = records.len();
             if n > 0 {
-                self.ingest_batch(records.into_iter().map(|r| r.tuple));
+                self.ingest_batch(records.into_iter().map(|r| r.tuple).collect());
             }
             n
         };
         if n > 0 {
             self.report_memory_region()?;
         }
-        if self.tree.byte_size() >= self.cfg.chunk_size_bytes {
+        // The side store counts toward the threshold: a stream of very-late
+        // tuples never grows the tree, and every query walks the store.
+        let in_memory = self.tree.byte_size() as u64 + self.side_bytes.load(Ordering::Relaxed);
+        if in_memory >= self.cfg.chunk_size_bytes as u64 {
             self.flush()?;
         }
         Ok(n)
     }
 
-    /// Ingests one polled batch, amortizing the per-tuple costs the
-    /// per-record path paid: the measure extractor is cloned once, the
-    /// wheel lock is taken once for the whole batch, and the side store
-    /// and stat counters are touched once at the end.
-    fn ingest_batch(&self, tuples: impl IntoIterator<Item = Tuple>) {
-        let measure = self
-            .cfg
-            .agg_summaries_enabled
-            .then(|| self.measure.read().clone());
-        let mut wheel = measure.is_some().then(|| self.wheel.lock());
-        let late_limit = self.late_limit_ms();
-        let mut ingested = 0u64;
-        let mut side = Vec::new();
-        let mut side_bytes = 0u64;
-        for tuple in tuples {
-            if let (Some(measure), Some(wheel)) = (&measure, wheel.as_mut()) {
-                wheel.insert(tuple.key, tuple.ts, measure(&tuple));
-            }
-            let hw = self
-                .high_water
-                .fetch_max(tuple.ts, Ordering::AcqRel)
-                .max(tuple.ts);
-            let late_by = hw.saturating_sub(tuple.ts);
-            if late_by > late_limit {
-                side_bytes += tuple.encoded_len() as u64;
-                side.push(tuple);
-            } else {
-                self.tree.insert(tuple);
-                ingested += 1;
-            }
+    /// Ingests one polled batch, doing per batch what the per-record path
+    /// did per tuple: the wheel is locked and folded once, the high-water
+    /// mark published once, and the on-time tuples reach the tree in one
+    /// `insert_batch` call.
+    fn ingest_batch(&self, tuples: Vec<Tuple>) {
+        // Held to the end: `flush` drains tree, side store, and wheel in
+        // one wheel-locked critical section, so a batch must become visible
+        // to all three atomically or a flush sliding in between would wipe
+        // its wheel contributions while the tuples stay behind as fresh
+        // data.
+        let mut wheel = self.wheel.lock();
+        if self.cfg.agg_summaries_enabled {
+            let measure = self.measure.read().clone();
+            wheel.insert_batch(tuples.iter().map(|t| (t.key, t.ts, measure(t))));
         }
+        // `pump` holds the consumer lock, so one batch runs at a time and
+        // a local high-water mark sees every earlier tuple.
+        let late_limit = self.late_limit_ms();
+        let mut high_water = self.high_water.load(Ordering::Acquire);
+        let mut side_bytes = 0u64;
+        let mut on_time = tuples;
+        let side: Vec<Tuple> = on_time
+            .extract_if(.., |t| {
+                high_water = high_water.max(t.ts);
+                let late = high_water - t.ts > late_limit;
+                if late {
+                    side_bytes += t.encoded_len() as u64;
+                }
+                late
+            })
+            .collect();
+        self.high_water.fetch_max(high_water, Ordering::AcqRel);
         if !side.is_empty() {
             self.side_bytes.fetch_add(side_bytes, Ordering::Relaxed);
             self.stats
                 .side_stored
                 .fetch_add(side.len() as u64, Ordering::Relaxed);
-            // Still under the wheel lock: `flush` drains tree, side store,
-            // and wheel in one wheel-locked critical section, so a batch
-            // must become visible to all three atomically or a flush
-            // sliding in between would wipe its wheel contributions while
-            // the tuples stay behind as fresh data.
             self.side_store.lock().extend(side);
         }
-        drop(wheel);
+        let ingested = on_time.len() as u64;
         if ingested > 0 {
+            self.tree.insert_batch(on_time);
             self.stats.ingested.fetch_add(ingested, Ordering::Relaxed);
         }
     }
@@ -432,6 +432,7 @@ impl IndexingServer {
             let mut wheel = self.wheel.lock();
             let sealed = self.tree.seal();
             let side: Vec<Tuple> = std::mem::take(&mut *self.side_store.lock());
+            self.side_bytes.store(0, Ordering::Relaxed);
             if sealed.is_some() || !side.is_empty() {
                 // Everything drained here flushes below, so the wheel's
                 // contents are now covered by chunk summaries. (A failed
@@ -448,14 +449,11 @@ impl IndexingServer {
         // Side store flushes as its own chunk so main chunks keep tight
         // temporal bounds (§IV-D).
         if !side.is_empty() {
-            self.side_bytes.store(0, Ordering::Relaxed);
             let tmp = TemplateBTree::new(
                 self.assigned_interval(),
                 IndexConfig::from_system(&self.cfg),
             );
-            for t in side {
-                tmp.insert(t);
-            }
+            tmp.insert_batch(side);
             let sealed = tmp.seal().expect("side store non-empty");
             flushed.push(self.write_and_register(&sealed, durable_offset)?);
         }
@@ -617,6 +615,99 @@ mod tests {
         assert!(main.region.times.lo() >= 100_000);
         let side = rig.meta.chunk_info(flushed[1]).unwrap();
         assert!(side.region.times.contains(40_000));
+    }
+
+    /// A stream of nothing but very-late tuples never grows the tree, so
+    /// the side store has to count toward the flush threshold itself.
+    #[test]
+    fn an_all_late_stream_flushes_the_side_store_at_the_chunk_threshold() {
+        let rig = Rig::new("side-flush");
+        let server = rig.server(0, 0);
+        rig.mq
+            .append("ingest", 0, Tuple::bare(0, 1_000_000))
+            .unwrap();
+        // Every one far more than Δt = 5 s behind the first: 1 000 × 20 B
+        // against a 4 KiB threshold.
+        for i in 0..1_000u64 {
+            rig.mq.append("ingest", 0, Tuple::bare(i, i)).unwrap();
+        }
+        while server.pump(100).unwrap() > 0 {}
+        assert_eq!(server.stats().side_stored.load(Ordering::Relaxed), 1_000);
+        assert!(
+            server.stats().chunks_flushed.load(Ordering::Relaxed) >= 4,
+            "the side store never flushed on its own"
+        );
+        assert!(
+            server.in_memory() * 20 < rig.cfg.chunk_size_bytes + 100 * 20,
+            "{} late tuples still in memory",
+            server.in_memory()
+        );
+        // Nothing was lost on the way out.
+        let in_chunks: u64 = rig
+            .meta
+            .chunks_overlapping(&Region::full())
+            .iter()
+            .map(|(id, _)| rig.meta.chunk_info(*id).unwrap().count)
+            .sum();
+        assert_eq!(in_chunks + server.in_memory() as u64, 1_001);
+    }
+
+    /// Kill-9 replay polls the same queue in different batches than the
+    /// first run did. Sealed chunks must not notice: the same records
+    /// pumped 1 024 and 7 at a time give byte-identical chunk files.
+    ///
+    /// Where a flush happens is checked per pump, so the threshold is set
+    /// to a common multiple of both batch sizes (7 168 records of 24 B) and
+    /// both servers seal at the same stream positions; what the test pins
+    /// is that the batch cuts in between leave no trace in the bytes —
+    /// through template updates, duplicate `(key, ts)` pairs and a side
+    /// store that flushes beside the tree.
+    #[test]
+    fn chunk_files_do_not_depend_on_pump_batch_size() {
+        use waterwheel_storage::RangedRead;
+        const PER_CHUNK: u64 = 7 * 1_024;
+        let run = |name: &str, batch: usize| {
+            let mut rig = Rig::new(name);
+            rig.cfg.chunk_size_bytes = (PER_CHUNK * 24) as usize;
+            let server = rig.server(0, 0);
+            for i in 0..3 * PER_CHUNK + 500 {
+                // Keys collide often, timestamps in pairs; one record in
+                // 50 arrives a minute late; the payload tells twins apart.
+                let key = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 54;
+                let ts = if i % 50 == 49 { i / 2 } else { 100_000 + i / 2 };
+                let t = Tuple::new(key, ts, (i as u32).to_le_bytes().to_vec());
+                rig.mq.append("ingest", 0, t).unwrap();
+            }
+            while server.pump(batch).unwrap() > 0 {}
+            server.flush().unwrap();
+            let mut files: Vec<(ChunkId, Vec<u8>)> = rig
+                .meta
+                .chunks_overlapping(&Region::full())
+                .into_iter()
+                .map(|(id, _)| {
+                    let file = rig.dfs.open(id, None).unwrap();
+                    (id, file.read_range(0, file.len().unwrap()).unwrap())
+                })
+                .collect();
+            files.sort();
+            (
+                files,
+                server.stats().chunks_flushed.load(Ordering::Relaxed),
+                server.stats().side_stored.load(Ordering::Relaxed),
+            )
+        };
+        let (big, big_flushed, big_side) = run("batch-1024", 1_024);
+        let (small, small_flushed, small_side) = run("batch-7", 7);
+        assert_eq!(
+            big_flushed, 8,
+            "three threshold flushes and the last, tree + side store each"
+        );
+        assert_eq!(big_flushed, small_flushed);
+        assert!(big_side > 0 && big_side == small_side);
+        assert_eq!(big.len(), small.len());
+        for (a, b) in big.iter().zip(&small) {
+            assert!(a == b, "{:?} differs between pump(1024) and pump(7)", a.0);
+        }
     }
 
     #[test]

@@ -209,6 +209,58 @@ fn late_tuples_are_aggregated() {
     assert_eq!(got.agg.count, 450);
 }
 
+/// One pump batch that straddles a second boundary and a key-slice
+/// boundary: the wheel folds a batch as one partial aggregate per
+/// `(second, slice)`, so neighbours across either boundary must stay apart.
+#[test]
+fn one_batch_across_a_second_and_a_slice_boundary_stays_exact() {
+    let root = std::env::temp_dir().join(format!("ww-agg-boundary-{}", std::process::id()));
+    let ww = system(&root);
+    // Slices 0 and 1 of the 16 (both on the first indexing server), the
+    // last 40 ms of second 7 and the first 40 ms of second 8.
+    let mut all = Vec::new();
+    for i in 0..80u64 {
+        let key = (1u64 << 60) - 40 + i;
+        for ts in [7_960 + i, 8_039 - i] {
+            all.push(Tuple::bare(key, ts));
+        }
+    }
+    for t in &all {
+        ww.insert(t.clone()).unwrap();
+    }
+    // One drain: each server pumps its share as a single batch.
+    ww.drain().unwrap();
+    let slices = [
+        KeyInterval::new(0, (1 << 60) - 1),
+        KeyInterval::new(1 << 60, (2 << 60) - 1),
+        KeyInterval::new(0, (2 << 60) - 1),
+    ];
+    let seconds = [
+        TimeInterval::new(7_000, 7_999),
+        TimeInterval::new(8_000, 8_999),
+        TimeInterval::new(7_000, 8_999),
+    ];
+    let check = |ww: &Waterwheel| {
+        for keys in &slices {
+            for times in &seconds {
+                let want = naive(&all, keys, times);
+                assert!(want.count > 0);
+                for kind in AggregateKind::ALL {
+                    let got = ww
+                        .aggregate(&Query::range(*keys, *times).aggregate(kind))
+                        .unwrap();
+                    assert_eq!(got.agg, want, "{keys:?} x {times:?}");
+                    assert_eq!(got.scanned_tuples, 0, "whole cells need no scan");
+                }
+            }
+        }
+    };
+    check(&ww); // from the live wheel
+    ww.flush_all().unwrap();
+    check(&ww); // from the chunk summary
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// Cheap deterministic suffix so concurrent proptest cases get distinct
 /// roots without pulling in a clock (keeps runs reproducible).
 fn suffix(tuples: &[Tuple], salt: usize) -> u64 {
