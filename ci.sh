@@ -10,7 +10,12 @@ echo "==> cargo build --release"
 cargo build --workspace --release
 
 echo "==> cargo test -q"
-cargo test --workspace -q
+# Compile first, then run under a hard timeout: query fan-out runs on a
+# persistent thread pool, and a pool can hang where the scoped threads it
+# replaced could not — a lost wake-up must fail CI in minutes, not wedge it.
+# (Once compiled, the whole suite runs in under a minute on two cores.)
+cargo test --workspace -q --no-run
+timeout 600 cargo test --workspace -q
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check

@@ -81,7 +81,7 @@ impl PartialAgg {
     pub const ENCODED_LEN: usize = 40;
 
     /// Appends the fixed-layout encoding.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub fn encode(&self, out: &mut impl Encoder) {
         out.put_u64(self.count);
         out.put_u64(self.sum as u64);
         out.put_u64((self.sum >> 64) as u64);

@@ -153,9 +153,22 @@ impl WheelSummary {
         }
     }
 
+    /// Exact length of [`encode`](Self::encode)'s output, computed from the
+    /// ring sizes alone (every cell is a fixed-width key plus a
+    /// [`PartialAgg`]).
+    pub fn encoded_len(&self) -> usize {
+        const CELL: usize = 8 + 2 + 5 * 8;
+        let rings: usize = self
+            .rings
+            .iter()
+            .map(|ring| 4 + ring.as_ref().map_or(0, |r| r.len() * CELL))
+            .sum();
+        8 + 2 + 2 + 16 + rings + 8
+    }
+
     /// Encodes the summary with a trailing FNV-1a checksum.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.encoded_len());
         out.put_u64(SUMMARY_MAGIC);
         out.put_u16(self.slice_bits as u16);
         match self.hull {
@@ -357,6 +370,7 @@ mod tests {
         let data = workload(500);
         let summary = WheelSummary::build(data.iter().copied(), 4, 128);
         let bytes = summary.encode();
+        assert_eq!(bytes.len(), summary.encoded_len());
         assert_eq!(WheelSummary::decode(&bytes).unwrap(), summary);
 
         let mut bad = bytes.clone();
@@ -371,6 +385,7 @@ mod tests {
         let summary = WheelSummary::build(std::iter::empty(), 4, 1_024);
         assert!(summary.is_empty());
         let bytes = summary.encode();
+        assert_eq!(bytes.len(), summary.encoded_len());
         let back = WheelSummary::decode(&bytes).unwrap();
         assert!(back.is_empty());
         let out = back.fold((0, 15), &TimeInterval::new(0, 999_999));

@@ -197,7 +197,7 @@ fn overload(conns_hint: usize) -> OverloadOutcome {
                         deadline: Instant::now() + Duration::from_secs(10),
                         payload: Request::Ping,
                     };
-                    match t.send(env) {
+                    match t.send(&env) {
                         Ok(Response::Pong) => {
                             ok.fetch_add(1, Ordering::Relaxed);
                         }

@@ -31,6 +31,14 @@ pub trait Encoder {
     fn put_ivarint(&mut self, v: i64) {
         self.put_uvarint(zigzag(v));
     }
+    /// Appends a length-prefixed blob of exactly `len` bytes that `bytes`
+    /// produces. A sink that only counts ([`ByteCount`]) never calls
+    /// `bytes`, so sizing a frame does not serialize its large parts.
+    fn put_sized(&mut self, len: usize, bytes: impl FnOnce() -> Vec<u8>) {
+        let blob = bytes();
+        debug_assert_eq!(blob.len(), len, "put_sized: announced length is wrong");
+        self.put_bytes(&blob);
+    }
 }
 
 impl Encoder for Vec<u8> {
@@ -61,6 +69,42 @@ impl Encoder for Vec<u8> {
             v >>= 7;
         }
         self.push(v as u8);
+    }
+}
+
+/// An [`Encoder`] that keeps no bytes, only their count: run any encoder
+/// against it to learn the exact encoded length without building the buffer.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ByteCount(pub usize);
+
+impl Encoder for ByteCount {
+    fn put_u8(&mut self, _: u8) {
+        self.0 += 1;
+    }
+
+    fn put_u16(&mut self, _: u16) {
+        self.0 += 2;
+    }
+
+    fn put_u32(&mut self, _: u32) {
+        self.0 += 4;
+    }
+
+    fn put_u64(&mut self, _: u64) {
+        self.0 += 8;
+    }
+
+    fn put_bytes(&mut self, v: &[u8]) {
+        self.0 += 4 + v.len();
+    }
+
+    fn put_uvarint(&mut self, v: u64) {
+        // 7 payload bits per byte; zero still takes one.
+        self.0 += (64 - (v | 1).leading_zeros() as usize).div_ceil(7);
+    }
+
+    fn put_sized(&mut self, len: usize, _: impl FnOnce() -> Vec<u8>) {
+        self.0 += 4 + len;
     }
 }
 
@@ -229,7 +273,7 @@ impl<'a> Decoder<'a> {
 }
 
 /// Encodes a tuple as `key | ts | payload-len | payload`.
-pub fn encode_tuple(out: &mut Vec<u8>, t: &Tuple) {
+pub fn encode_tuple(out: &mut impl Encoder, t: &Tuple) {
     out.put_u64(t.key);
     out.put_u64(t.ts);
     out.put_bytes(&t.payload);
@@ -244,7 +288,7 @@ pub fn decode_tuple(dec: &mut Decoder<'_>) -> Result<Tuple> {
 }
 
 /// Encodes a region as four `u64` bounds.
-pub fn encode_region(out: &mut Vec<u8>, r: &Region) {
+pub fn encode_region(out: &mut impl Encoder, r: &Region) {
     out.put_u64(r.keys.lo());
     out.put_u64(r.keys.hi());
     out.put_u64(r.times.lo());
@@ -290,6 +334,28 @@ mod tests {
         assert_eq!(dec.get_u64().unwrap(), u64::MAX);
         assert_eq!(dec.get_bytes().unwrap(), b"abc");
         assert_eq!(dec.remaining(), 0);
+    }
+
+    #[test]
+    fn byte_count_matches_the_bytes_a_vec_receives() {
+        fn write(out: &mut impl Encoder) {
+            out.put_u8(1);
+            out.put_u16(2);
+            out.put_u32(3);
+            out.put_u64(4);
+            out.put_bytes(b"abcde");
+            for v in [0, 1, 127, 128, 16_383, 16_384, u64::MAX >> 1, u64::MAX] {
+                out.put_uvarint(v);
+            }
+            out.put_ivarint(-70_000);
+            out.put_sized(3, || vec![7, 8, 9]);
+            encode_tuple(out, &Tuple::new(1, 2, vec![0u8; 11]));
+        }
+        let mut buf = Vec::new();
+        write(&mut buf);
+        let mut count = ByteCount::default();
+        write(&mut count);
+        assert_eq!(count.0, buf.len());
     }
 
     #[test]

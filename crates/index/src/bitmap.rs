@@ -218,7 +218,7 @@ impl Bitmap {
     }
 
     /// Appends the bitmap to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub fn encode(&self, out: &mut impl Encoder) {
         out.put_u32(self.containers.len() as u32);
         for (high, c) in &self.containers {
             out.put_u32(*high as u32);

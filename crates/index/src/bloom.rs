@@ -122,7 +122,7 @@ impl TimeBloom {
     }
 
     /// Appends the filter to `out` (chunk serialization).
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub fn encode(&self, out: &mut impl Encoder) {
         out.put_u64(self.mini_range_ms);
         out.put_u64(self.num_bits);
         out.put_u32(self.hashes);

@@ -95,7 +95,7 @@ impl ValueBloom {
     }
 
     /// Appends the filter to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub fn encode(&self, out: &mut impl Encoder) {
         out.put_u64(self.num_bits);
         out.put_u32(self.hashes);
         out.put_u64(self.entries);
@@ -192,7 +192,7 @@ impl ChunkAttrIndex {
     }
 
     /// Appends the index to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub fn encode(&self, out: &mut impl Encoder) {
         self.bloom.encode(out);
         out.put_u32(self.hot_values.len() as u32);
         let mut entries: Vec<(&u64, &Bitmap)> = self.hot_values.iter().collect();

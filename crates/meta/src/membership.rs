@@ -82,7 +82,7 @@ impl MembershipView {
     }
 
     /// Serializes the view (wire codec, metadata snapshots).
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub fn encode(&self, out: &mut impl Encoder) {
         out.put_u64(self.epoch);
         for list in [&self.indexing, &self.query] {
             out.put_u32(list.len() as u32);

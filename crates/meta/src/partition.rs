@@ -129,7 +129,7 @@ impl PartitionSchema {
     }
 
     /// Serializes the schema (metadata snapshots).
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub fn encode(&self, out: &mut impl Encoder) {
         out.put_u64(self.version);
         out.put_u32(self.entries.len() as u32);
         for e in &self.entries {

@@ -82,16 +82,18 @@ impl RpcClient {
 
     fn call_inner(&self, dst: ServerId, req: Request) -> Result<Response> {
         let rpc_id = self.next_rpc_id.fetch_add(1, Ordering::Relaxed);
+        // One envelope per call: transports only borrow it, so a retry
+        // re-sends the same payload under a fresh deadline.
+        let mut env = Envelope {
+            src: self.src,
+            dst,
+            rpc_id,
+            deadline: Instant::now() + self.timeout,
+            payload: req,
+        };
         let mut attempt = 0u32;
         loop {
-            let env = Envelope {
-                src: self.src,
-                dst,
-                rpc_id,
-                deadline: Instant::now() + self.timeout,
-                payload: req.clone(),
-            };
-            match self.transport.send(env) {
+            match self.transport.send(&env) {
                 Ok(resp) => return Ok(resp),
                 Err(e) if e.is_retryable() && attempt < self.retries => {
                     attempt += 1;
@@ -105,6 +107,7 @@ impl RpcClient {
                         let seed = rpc_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(attempt);
                         std::thread::sleep(hint.mul_f64(jitter_factor(seed)));
                     }
+                    env.deadline = Instant::now() + self.timeout;
                 }
                 Err(e) => return Err(e),
             }

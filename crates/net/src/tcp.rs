@@ -443,7 +443,7 @@ impl Drop for TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn send(&self, env: Envelope) -> Result<Response> {
+    fn send(&self, env: &Envelope) -> Result<Response> {
         let link = self.stats.link(env.src, env.dst);
         link.sent.fetch_add(1, Ordering::Relaxed);
 
@@ -475,7 +475,7 @@ impl Transport for TcpTransport {
             .unwrap()
             .insert(corr, Arc::clone(&slot));
 
-        let frame = wire::encode_request(corr, &env);
+        let frame = wire::encode_request(corr, env);
         link.bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
         self.wire
             .bytes_out
@@ -1000,7 +1000,7 @@ mod tests {
         registry.bind(ServerId(1), |_| Ok(Response::Pong));
         let (_server, t) = rig(Arc::clone(&registry));
         let r = t
-            .send(env(0, 1, Duration::from_secs(5), Request::Ping))
+            .send(&env(0, 1, Duration::from_secs(5), Request::Ping))
             .unwrap();
         assert!(matches!(r, Response::Pong));
         let totals = t.stats().totals();
@@ -1026,7 +1026,9 @@ mod tests {
         let handles: Vec<_> = (0..8)
             .map(|i| {
                 let t = Arc::clone(&t);
-                std::thread::spawn(move || t.send(env(i, 1, Duration::from_secs(5), Request::Ping)))
+                std::thread::spawn(move || {
+                    t.send(&env(i, 1, Duration::from_secs(5), Request::Ping))
+                })
             })
             .collect();
         for h in handles {
@@ -1049,7 +1051,7 @@ mod tests {
         });
         let (_server, t) = rig(Arc::clone(&registry));
         let e = t
-            .send(env(0, 1, Duration::from_millis(40), Request::Flush))
+            .send(&env(0, 1, Duration::from_millis(40), Request::Flush))
             .unwrap_err();
         assert!(matches!(e, WwError::Timeout(_)));
         assert_eq!(t.stats().totals().timed_out, 1);
@@ -1057,7 +1059,7 @@ mod tests {
         // serving later RPCs.
         std::thread::sleep(Duration::from_millis(300));
         assert!(t
-            .send(env(0, 1, Duration::from_secs(5), Request::Ping))
+            .send(&env(0, 1, Duration::from_secs(5), Request::Ping))
             .is_ok());
         assert_eq!(t.wire().totals().connects, 1, "no reconnect needed");
     }
@@ -1066,7 +1068,7 @@ mod tests {
     fn no_route_and_refused_connections_are_unreachable() {
         let t = TcpTransport::new();
         let e = t
-            .send(env(0, 1, Duration::from_millis(100), Request::Ping))
+            .send(&env(0, 1, Duration::from_millis(100), Request::Ping))
             .unwrap_err();
         assert!(matches!(e, WwError::Unreachable(_)));
 
@@ -1076,7 +1078,7 @@ mod tests {
         drop(dead);
         t.add_peer(ServerId(1), addr);
         let e = t
-            .send(env(0, 1, Duration::from_millis(120), Request::Ping))
+            .send(&env(0, 1, Duration::from_millis(120), Request::Ping))
             .unwrap_err();
         assert!(matches!(e, WwError::Unreachable(_)));
         assert_eq!(t.stats().totals().unreachable, 2);
@@ -1088,7 +1090,7 @@ mod tests {
         registry.bind(ServerId(1), |_| Err(WwError::Injected("crash test")));
         let (_server, t) = rig(Arc::clone(&registry));
         let e = t
-            .send(env(0, 1, Duration::from_secs(5), Request::Ping))
+            .send(&env(0, 1, Duration::from_secs(5), Request::Ping))
             .unwrap_err();
         assert!(matches!(e, WwError::Injected(_)), "got {e}");
         assert!(!e.is_retryable());
@@ -1102,7 +1104,7 @@ mod tests {
         let registry = Arc::new(HandlerRegistry::new());
         let (_server, t) = rig(registry);
         let e = t
-            .send(env(0, 42, Duration::from_secs(5), Request::Ping))
+            .send(&env(0, 42, Duration::from_secs(5), Request::Ping))
             .unwrap_err();
         assert!(matches!(e, WwError::Unreachable(_)));
     }
@@ -1131,7 +1133,7 @@ mod tests {
             target: SubQueryTarget::Chunk(ChunkId(0)),
         };
         let r = t
-            .send(env(
+            .send(&env(
                 0,
                 1,
                 Duration::from_secs(5),
@@ -1166,14 +1168,14 @@ mod tests {
         let t = TcpTransport::with_wire_stats(Arc::clone(&wire));
         t.add_peer(ServerId(1), addr);
         assert!(t
-            .send(env(0, 1, Duration::from_secs(5), Request::Ping))
+            .send(&env(0, 1, Duration::from_secs(5), Request::Ping))
             .is_ok());
 
         server.shutdown();
         // The pooled connection is dead; the send fails as Unreachable
         // (either detected on write or when dialing is refused).
         let e = t
-            .send(env(0, 1, Duration::from_millis(200), Request::Ping))
+            .send(&env(0, 1, Duration::from_millis(200), Request::Ping))
             .unwrap_err();
         assert!(matches!(e, WwError::Unreachable(_)), "got {e}");
 
@@ -1196,7 +1198,7 @@ mod tests {
         }
         let _revived = revived.expect("could not rebind the listener port");
         assert!(t
-            .send(env(0, 1, Duration::from_secs(5), Request::Ping))
+            .send(&env(0, 1, Duration::from_secs(5), Request::Ping))
             .is_ok());
         let w = wire.totals();
         assert_eq!(w.connects, 1);
@@ -1219,7 +1221,7 @@ mod tests {
         let t = TcpTransport::with_wire_stats(wire);
         t.set_default_route(Some(server.local_addr()));
         let r = t
-            .send(env(0, 1, Duration::from_secs(5), Request::Shutdown))
+            .send(&env(0, 1, Duration::from_secs(5), Request::Shutdown))
             .unwrap();
         assert!(matches!(r, Response::Ack));
         assert!(fired.load(Ordering::Acquire));
@@ -1231,7 +1233,7 @@ mod tests {
         registry.bind(ServerId(1), |_| Ok(Response::Pong));
         let (mut server, t) = rig(Arc::clone(&registry));
         assert!(t
-            .send(env(0, 1, Duration::from_secs(5), Request::Ping))
+            .send(&env(0, 1, Duration::from_secs(5), Request::Ping))
             .is_ok());
         let addr = server.local_addr();
         server.shutdown();
@@ -1257,7 +1259,7 @@ mod tests {
         );
         t.set_default_route(Some(_server.local_addr()));
         assert!(t
-            .send(env(0, 1, Duration::from_secs(5), Request::Ping))
+            .send(&env(0, 1, Duration::from_secs(5), Request::Ping))
             .is_ok());
         assert_eq!(t.pooled_connections(), 1);
         // The reaper runs on the ~250ms reactor tick; give it two ticks.
@@ -1268,7 +1270,7 @@ mod tests {
         }
         // The next send redials and counts as a reconnect.
         assert!(t
-            .send(env(0, 1, Duration::from_secs(5), Request::Ping))
+            .send(&env(0, 1, Duration::from_secs(5), Request::Ping))
             .is_ok());
         let w = wire.totals();
         assert_eq!(w.connects, 1);
@@ -1305,7 +1307,7 @@ mod tests {
         }
         for dst in 1..=3u32 {
             assert!(t
-                .send(env(0, dst, Duration::from_secs(5), Request::Ping))
+                .send(&env(0, dst, Duration::from_secs(5), Request::Ping))
                 .is_ok());
         }
         assert!(
@@ -1341,7 +1343,9 @@ mod tests {
         let handles: Vec<_> = (0..8)
             .map(|i| {
                 let t = Arc::clone(&t);
-                std::thread::spawn(move || t.send(env(i, 1, Duration::from_secs(5), Request::Ping)))
+                std::thread::spawn(move || {
+                    t.send(&env(i, 1, Duration::from_secs(5), Request::Ping))
+                })
             })
             .collect();
         let mut ok = 0;

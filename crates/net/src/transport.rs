@@ -117,6 +117,18 @@ impl HandlerRegistry {
         self.handlers.read().get(&dst).cloned()
     }
 
+    /// Unbinds every handler and the admission controller. Handlers hold
+    /// their servers, and servers hold the plane that delivers to this
+    /// registry; a deployment being torn down calls this to break that
+    /// cycle, so its servers — and the threads they own — are released.
+    pub fn clear(&self) {
+        let handlers = std::mem::take(&mut *self.handlers.write());
+        *self.admission.write() = None;
+        // Dropped outside the lock: releasing the last handle on a server
+        // may join its threads.
+        drop(handlers);
+    }
+
     /// The addresses currently bound.
     pub fn bound(&self) -> Vec<ServerId> {
         self.handlers.read().keys().copied().collect()
@@ -195,7 +207,7 @@ impl<T: HandlerHost + ?Sized> HandlerHost for Arc<T> {
 pub trait Transport: Send + Sync {
     /// Delivers one envelope and returns the destination's response, or a
     /// delivery error ([`WwError::Timeout`] / [`WwError::Unreachable`]).
-    fn send(&self, env: Envelope) -> Result<Response>;
+    fn send(&self, env: &Envelope) -> Result<Response>;
 
     /// The per-link statistics registry.
     fn stats(&self) -> &RpcStatsRegistry;
@@ -511,13 +523,14 @@ impl InProcTransport {
 }
 
 impl Transport for InProcTransport {
-    fn send(&self, env: Envelope) -> Result<Response> {
+    fn send(&self, env: &Envelope) -> Result<Response> {
         let link = self.stats.link(env.src, env.dst);
         let n_sent = link.sent.fetch_add(1, Ordering::Relaxed) + 1;
         // Charge the byte counter with the real encoded frame length — the
-        // exact bytes TcpTransport would put on a socket for this envelope.
+        // exact bytes TcpTransport would put on a socket for this envelope
+        // — sized without building the frame.
         link.bytes.fetch_add(
-            crate::wire::encode_request(0, &env).len() as u64,
+            crate::wire::request_frame_len(env) as u64,
             Ordering::Relaxed,
         );
 
@@ -565,12 +578,12 @@ impl Transport for InProcTransport {
                 // an answer from the destination — no fault counters —
                 // and the permit is held for the handler's duration.
                 let _permit = match self.handlers.admission() {
-                    Some(a) => Some(a.admit(&env)?),
+                    Some(a) => Some(a.admit(env)?),
                     None => None,
                 };
-                let resp = h(&env)?;
+                let resp = h(env)?;
                 link.bytes.fetch_add(
-                    crate::wire::encode_response_ok(0, &resp).len() as u64,
+                    crate::wire::response_ok_frame_len(&resp) as u64,
                     Ordering::Relaxed,
                 );
                 // The handler ran — its side effects are real — but the ack
@@ -618,7 +631,7 @@ mod tests {
     #[test]
     fn delivers_to_bound_handler_and_counts() {
         let t = pong_transport();
-        let r = t.send(env(0, 1, Duration::from_secs(1))).unwrap();
+        let r = t.send(&env(0, 1, Duration::from_secs(1))).unwrap();
         assert!(matches!(r, Response::Pong));
         let totals = t.stats().totals();
         assert_eq!(totals.sent, 1);
@@ -629,7 +642,7 @@ mod tests {
     #[test]
     fn unbound_destination_is_unreachable() {
         let t = pong_transport();
-        let e = t.send(env(0, 9, Duration::from_secs(1))).unwrap_err();
+        let e = t.send(&env(0, 9, Duration::from_secs(1))).unwrap_err();
         assert!(matches!(e, WwError::Unreachable(_)));
         assert_eq!(
             t.stats()
@@ -646,14 +659,14 @@ mod tests {
         t.bind(ServerId(2), |_| Ok(Response::Pong));
         t.partition(ServerId(0), ServerId(1));
         assert!(matches!(
-            t.send(env(0, 1, Duration::from_secs(1))),
+            t.send(&env(0, 1, Duration::from_secs(1))),
             Err(WwError::Unreachable(_))
         ));
         // Other links unaffected.
-        assert!(t.send(env(0, 2, Duration::from_secs(1))).is_ok());
-        assert!(t.send(env(3, 1, Duration::from_secs(1))).is_ok());
+        assert!(t.send(&env(0, 2, Duration::from_secs(1))).is_ok());
+        assert!(t.send(&env(3, 1, Duration::from_secs(1))).is_ok());
         t.heal(ServerId(0), ServerId(1));
-        assert!(t.send(env(0, 1, Duration::from_secs(1))).is_ok());
+        assert!(t.send(&env(0, 1, Duration::from_secs(1))).is_ok());
     }
 
     #[test]
@@ -671,7 +684,7 @@ mod tests {
         });
         let mut lost = 0;
         for _ in 0..400 {
-            match t.send(env(0, 1, Duration::from_secs(1))) {
+            match t.send(&env(0, 1, Duration::from_secs(1))) {
                 Err(WwError::Timeout(_)) => lost += 1,
                 Ok(_) => {}
                 Err(e) => panic!("unexpected error: {e}"),
@@ -696,7 +709,7 @@ mod tests {
             response_loss: 1.0,
             ..LinkProfile::default()
         });
-        let e = t.send(env(0, 1, Duration::from_secs(1))).unwrap_err();
+        let e = t.send(&env(0, 1, Duration::from_secs(1))).unwrap_err();
         assert!(matches!(e, WwError::Timeout(_)));
         // Unlike request loss, the side effect already happened: the
         // handler ran even though the sender saw a timeout.
@@ -722,13 +735,13 @@ mod tests {
             },
         );
         let started = Instant::now();
-        let e = t.send(env(0, 1, Duration::from_millis(1))).unwrap_err();
+        let e = t.send(&env(0, 1, Duration::from_millis(1))).unwrap_err();
         assert!(matches!(e, WwError::Timeout(_)));
         assert_eq!(calls.load(Ordering::Relaxed), 0, "handler must not run");
         // The wait is simulated, not slept.
         assert!(started.elapsed() < Duration::from_millis(40));
         // A generous deadline delivers (and genuinely waits).
-        assert!(t.send(env(0, 1, Duration::from_secs(5))).is_ok());
+        assert!(t.send(&env(0, 1, Duration::from_secs(5))).is_ok());
         assert_eq!(calls.load(Ordering::Relaxed), 1);
     }
 
@@ -744,16 +757,16 @@ mod tests {
             },
         );
         for _ in 0..3 {
-            assert!(t.send(env(0, 1, Duration::from_secs(1))).is_ok());
+            assert!(t.send(&env(0, 1, Duration::from_secs(1))).is_ok());
         }
         for _ in 0..5 {
             assert!(matches!(
-                t.send(env(0, 1, Duration::from_secs(1))),
+                t.send(&env(0, 1, Duration::from_secs(1))),
                 Err(WwError::Timeout(_))
             ));
         }
         // Other source links keep working.
-        assert!(t.send(env(7, 1, Duration::from_secs(1))).is_ok());
+        assert!(t.send(&env(7, 1, Duration::from_secs(1))).is_ok());
     }
 
     #[test]
@@ -765,16 +778,16 @@ mod tests {
         let t = InProcTransport::new(Some(cluster.clone()));
         t.bind(ServerId(1), |_| Ok(Response::Pong));
         t.bind(ServerId(99), |_| Ok(Response::Pong)); // not placed on a node
-        assert!(t.send(env(0, 1, Duration::from_secs(1))).is_ok());
+        assert!(t.send(&env(0, 1, Duration::from_secs(1))).is_ok());
         cluster.fail_node(waterwheel_core::NodeId(0)).unwrap();
         assert!(matches!(
-            t.send(env(0, 1, Duration::from_secs(1))),
+            t.send(&env(0, 1, Duration::from_secs(1))),
             Err(WwError::Unreachable(_))
         ));
         // Servers not placed on any node (meta, coordinator) are exempt.
-        assert!(t.send(env(0, 99, Duration::from_secs(1))).is_ok());
+        assert!(t.send(&env(0, 99, Duration::from_secs(1))).is_ok());
         cluster.recover_node(waterwheel_core::NodeId(0)).unwrap();
-        assert!(t.send(env(0, 1, Duration::from_secs(1))).is_ok());
+        assert!(t.send(&env(0, 1, Duration::from_secs(1))).is_ok());
     }
 
     #[test]
@@ -787,7 +800,7 @@ mod tests {
         });
         t.clear_faults();
         for _ in 0..20 {
-            assert!(t.send(env(0, 1, Duration::from_secs(1))).is_ok());
+            assert!(t.send(&env(0, 1, Duration::from_secs(1))).is_ok());
         }
     }
 
@@ -797,7 +810,7 @@ mod tests {
         let e = env(0, 1, Duration::from_secs(1));
         let req_len = crate::wire::encode_request(0, &e).len() as u64;
         let resp_len = crate::wire::encode_response_ok(0, &Response::Pong).len() as u64;
-        t.send(e).unwrap();
+        t.send(&e).unwrap();
         assert_eq!(
             t.stats().totals().bytes,
             req_len + resp_len,
@@ -810,7 +823,7 @@ mod tests {
         let registry = Arc::new(HandlerRegistry::new());
         registry.bind(ServerId(1), |_| Ok(Response::Pong));
         let t = InProcTransport::with_registry(None, Arc::clone(&registry));
-        assert!(t.send(env(0, 1, Duration::from_secs(1))).is_ok());
+        assert!(t.send(&env(0, 1, Duration::from_secs(1))).is_ok());
         // A handler bound later through either side is visible to both.
         t.bind(ServerId(2), |_| Ok(Response::Ack));
         assert!(registry.get(ServerId(2)).is_some());
@@ -849,7 +862,7 @@ mod tests {
         }));
 
         // Shed: typed Overloaded, handler never ran, no fault counters.
-        let e = t.send(env(0, 1, Duration::from_secs(1))).unwrap_err();
+        let e = t.send(&env(0, 1, Duration::from_secs(1))).unwrap_err();
         assert!(matches!(e, WwError::Overloaded { .. }), "got {e}");
         assert_eq!(e.retry_after(), Some(Duration::from_millis(7)));
         assert!(e.is_retryable());
@@ -862,14 +875,14 @@ mod tests {
         admitted.payload = Request::Flush;
         // Flush is unhandled payload-wise but the bound handler accepts
         // any envelope; the permit release must have fired exactly once.
-        t.send(admitted).unwrap();
+        t.send(&admitted).unwrap();
         assert_eq!(calls.load(Ordering::Relaxed), 1);
         assert_eq!(released.load(Ordering::Relaxed), 1);
 
         // Unbound destinations shed as Unreachable, not Overloaded.
         let mut unbound = env(0, 9, Duration::from_secs(1));
         unbound.payload = Request::Flush;
-        let e = t.send(unbound).unwrap_err();
+        let e = t.send(&unbound).unwrap_err();
         assert!(matches!(e, WwError::Unreachable(_)));
     }
 
@@ -944,9 +957,9 @@ mod tests {
     fn per_link_stats_are_directed() {
         let t = pong_transport();
         t.bind(ServerId(2), |_| Ok(Response::Pong));
-        t.send(env(0, 1, Duration::from_secs(1))).unwrap();
-        t.send(env(0, 1, Duration::from_secs(1))).unwrap();
-        t.send(env(1, 2, Duration::from_secs(1))).unwrap();
+        t.send(&env(0, 1, Duration::from_secs(1))).unwrap();
+        t.send(&env(0, 1, Duration::from_secs(1))).unwrap();
+        t.send(&env(1, 2, Duration::from_secs(1))).unwrap();
         let links: HashMap<_, _> = t.stats().per_link().into_iter().collect();
         assert_eq!(links[&(ServerId(0), ServerId(1))].sent, 2);
         assert_eq!(links[&(ServerId(1), ServerId(2))].sent, 1);

@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 use waterwheel_agg::{AggregateAnswer, FoldOutcome, PartialAgg, WheelSummary};
 use waterwheel_core::aggregate::AggregateKind;
 use waterwheel_core::codec::{decode_region, decode_tuple, encode_region, encode_tuple};
-use waterwheel_core::codec::{Decoder, Encoder};
+use waterwheel_core::codec::{ByteCount, Decoder, Encoder};
 use waterwheel_core::{
     ChunkId, KeyInterval, NodeId, QueryId, QueryResult, Result, ServerId, SubQuery, SubQueryId,
     SubQueryTarget, TimeInterval, Tuple, WwError,
@@ -93,37 +93,28 @@ pub enum Frame {
 
 /// Encodes a full request frame (length prefix included) for `env`.
 pub fn encode_request(corr: u64, env: &Envelope) -> Vec<u8> {
-    let mut body = Vec::with_capacity(64);
-    body.push(WIRE_VERSION);
-    body.push(KIND_REQUEST);
-    body.put_u64(corr);
-    body.put_u32(env.src.raw());
-    body.put_u32(env.dst.raw());
-    body.put_u64(env.rpc_id);
     let budget = env.deadline.saturating_duration_since(Instant::now());
-    body.put_u64(budget.as_millis().min(u64::MAX as u128) as u64);
-    encode_request_payload(&mut body, &env.payload);
-    finish_frame(body)
+    let budget_ms = budget.as_millis().min(u64::MAX as u128) as u64;
+    let mut frame = start_frame(request_frame_len(env));
+    write_request(&mut frame, corr, env, budget_ms);
+    finish_frame(frame)
 }
 
 /// Encodes a full success-response frame (length prefix included).
 pub fn encode_response_ok(corr: u64, resp: &Response) -> Vec<u8> {
-    let mut body = Vec::with_capacity(32);
-    body.push(WIRE_VERSION);
-    body.push(KIND_RESPONSE_OK);
-    body.put_u64(corr);
-    encode_response_payload(&mut body, resp);
-    finish_frame(body)
+    let mut frame = start_frame(response_ok_frame_len(resp));
+    write_response_ok(&mut frame, corr, resp);
+    finish_frame(frame)
 }
 
 /// Encodes a full error-response frame (length prefix included).
 pub fn encode_response_err(corr: u64, err: &WwError) -> Vec<u8> {
-    let mut body = Vec::with_capacity(32);
-    body.push(WIRE_VERSION);
-    body.push(KIND_RESPONSE_ERR);
-    body.put_u64(corr);
-    encode_error(&mut body, err);
-    finish_frame(body)
+    let mut frame = start_frame(4 + 32);
+    frame.put_u8(WIRE_VERSION);
+    frame.put_u8(KIND_RESPONSE_ERR);
+    frame.put_u64(corr);
+    encode_error(&mut frame, err);
+    finish_frame(frame)
 }
 
 /// Encodes a full response frame for a handler outcome.
@@ -134,11 +125,56 @@ pub fn encode_response(corr: u64, result: &Result<Response>) -> Vec<u8> {
     }
 }
 
-fn finish_frame(body: Vec<u8>) -> Vec<u8> {
-    debug_assert!(body.len() <= MAX_FRAME_LEN, "frame exceeds MAX_FRAME_LEN");
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.put_u32(body.len() as u32);
-    frame.extend_from_slice(&body);
+/// Exact length of [`encode_request`]'s frame for `env`, without building
+/// it: the same encoder runs against a sink that only counts. This is what
+/// the in-process transport charges its byte counters with.
+pub fn request_frame_len(env: &Envelope) -> usize {
+    let mut len = ByteCount(4);
+    write_request(&mut len, 0, env, 0);
+    len.0
+}
+
+/// Exact length of [`encode_response_ok`]'s frame for `resp`, without
+/// building it.
+pub fn response_ok_frame_len(resp: &Response) -> usize {
+    let mut len = ByteCount(4);
+    write_response_ok(&mut len, 0, resp);
+    len.0
+}
+
+fn write_request(out: &mut impl Encoder, corr: u64, env: &Envelope, budget_ms: u64) {
+    out.put_u8(WIRE_VERSION);
+    out.put_u8(KIND_REQUEST);
+    out.put_u64(corr);
+    out.put_u32(env.src.raw());
+    out.put_u32(env.dst.raw());
+    out.put_u64(env.rpc_id);
+    out.put_u64(budget_ms);
+    encode_request_payload(out, &env.payload);
+}
+
+fn write_response_ok(out: &mut impl Encoder, corr: u64, resp: &Response) {
+    out.put_u8(WIRE_VERSION);
+    out.put_u8(KIND_RESPONSE_OK);
+    out.put_u64(corr);
+    encode_response_payload(out, resp);
+}
+
+/// A frame buffer of `frame_len` bytes' capacity (requests and success
+/// responses are sized exactly first, so encoding never reallocates) that
+/// starts with room for the length prefix; [`finish_frame`] fills that in
+/// once the body is written — the body is encoded in place, never copied
+/// behind a prefix afterwards.
+fn start_frame(frame_len: usize) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(frame_len);
+    frame.put_u32(0);
+    frame
+}
+
+fn finish_frame(mut frame: Vec<u8>) -> Vec<u8> {
+    let body_len = frame.len() - 4;
+    debug_assert!(body_len <= MAX_FRAME_LEN, "frame exceeds MAX_FRAME_LEN");
+    frame[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
     frame
 }
 
@@ -220,7 +256,7 @@ pub fn decode_frame(body: &[u8]) -> Result<Frame> {
 // Small shared helpers
 // ---------------------------------------------------------------------------
 
-fn put_string(out: &mut Vec<u8>, s: &str) {
+fn put_string(out: &mut impl Encoder, s: &str) {
     out.put_bytes(s.as_bytes());
 }
 
@@ -239,7 +275,7 @@ fn checked_cap(dec: &Decoder<'_>, count: usize, min_elem: usize) -> usize {
     count.min(dec.remaining() / min_elem.max(1) + 1)
 }
 
-fn encode_key_interval(out: &mut Vec<u8>, i: &KeyInterval) {
+fn encode_key_interval(out: &mut impl Encoder, i: &KeyInterval) {
     out.put_u64(i.lo());
     out.put_u64(i.hi());
 }
@@ -250,7 +286,7 @@ fn decode_key_interval(dec: &mut Decoder<'_>) -> Result<KeyInterval> {
     KeyInterval::checked(lo, hi).ok_or_else(|| WwError::corrupt("frame", "inverted key interval"))
 }
 
-fn encode_time_interval(out: &mut Vec<u8>, i: &TimeInterval) {
+fn encode_time_interval(out: &mut impl Encoder, i: &TimeInterval) {
     out.put_u64(i.lo());
     out.put_u64(i.hi());
 }
@@ -261,7 +297,7 @@ fn decode_time_interval(dec: &mut Decoder<'_>) -> Result<TimeInterval> {
     TimeInterval::checked(lo, hi).ok_or_else(|| WwError::corrupt("frame", "inverted time interval"))
 }
 
-fn encode_tuples(out: &mut Vec<u8>, tuples: &[Tuple]) {
+fn encode_tuples(out: &mut impl Encoder, tuples: &[Tuple]) {
     out.put_u32(tuples.len() as u32);
     for t in tuples {
         encode_tuple(out, t);
@@ -281,31 +317,31 @@ fn decode_tuples(dec: &mut Decoder<'_>) -> Result<Vec<Tuple>> {
 // Subqueries
 // ---------------------------------------------------------------------------
 
-fn encode_subquery(out: &mut Vec<u8>, sq: &SubQuery) {
+fn encode_subquery(out: &mut impl Encoder, sq: &SubQuery) {
     out.put_u64(sq.id.query.raw());
     out.put_u32(sq.id.index);
     encode_key_interval(out, &sq.keys);
     encode_time_interval(out, &sq.times);
     // Opaque closure: presence flag only. The transport re-applies the
     // predicate sender-side (module docs).
-    out.push(sq.predicate.is_some() as u8);
+    out.put_u8(sq.predicate.is_some() as u8);
     // The structured measure range is plain data and crosses for real:
     // executors prune leaves by persisted MIN/MAX bounds against it.
     match sq.measure_range {
         Some((lo, hi)) => {
-            out.push(1);
+            out.put_u8(1);
             out.put_u64(lo);
             out.put_u64(hi);
         }
-        None => out.push(0),
+        None => out.put_u8(0),
     }
     match sq.target {
         SubQueryTarget::InMemory(server) => {
-            out.push(0);
+            out.put_u8(0);
             out.put_u32(server.raw());
         }
         SubQueryTarget::Chunk(chunk) => {
-            out.push(1);
+            out.put_u8(1);
             out.put_u64(chunk.raw());
         }
     }
@@ -358,24 +394,24 @@ fn decode_subquery(dec: &mut Decoder<'_>) -> Result<SubQuery> {
 // Requests
 // ---------------------------------------------------------------------------
 
-fn encode_request_payload(out: &mut Vec<u8>, req: &Request) {
+fn encode_request_payload(out: &mut impl Encoder, req: &Request) {
     match req {
         Request::Ingest { tuple } => {
-            out.push(0);
+            out.put_u8(0);
             encode_tuple(out, tuple);
         }
         Request::IngestBatch { seq, tuples } => {
-            out.push(1);
+            out.put_u8(1);
             out.put_u64(*seq);
             encode_tuples(out, tuples);
         }
-        Request::Flush => out.push(2),
+        Request::Flush => out.put_u8(2),
         Request::InMemorySubquery { sq } => {
-            out.push(3);
+            out.put_u8(3);
             encode_subquery(out, sq);
         }
         Request::AggregateInMemory { slices, covered } => {
-            out.push(4);
+            out.put_u8(4);
             out.put_u16(slices.0);
             out.put_u16(slices.1);
             encode_time_interval(out, covered);
@@ -385,24 +421,24 @@ fn encode_request_payload(out: &mut Vec<u8>, req: &Request) {
             chunk,
             leaf_filter,
         } => {
-            out.push(5);
+            out.put_u8(5);
             encode_subquery(out, sq);
             out.put_u64(chunk.raw());
             match leaf_filter {
                 Some(b) => {
-                    out.push(1);
+                    out.put_u8(1);
                     b.encode(out);
                 }
-                None => out.push(0),
+                None => out.put_u8(0),
             }
         }
         Request::ReadSummary { chunk } => {
-            out.push(6);
+            out.put_u8(6);
             out.put_u64(chunk.raw());
         }
-        Request::Ping => out.push(7),
+        Request::Ping => out.put_u8(7),
         Request::Meta(m) => {
-            out.push(8);
+            out.put_u8(8);
             encode_meta_request(out, m);
         }
         Request::ClientQuery {
@@ -410,27 +446,27 @@ fn encode_request_payload(out: &mut Vec<u8>, req: &Request) {
             times,
             attr_eq,
         } => {
-            out.push(9);
+            out.put_u8(9);
             encode_key_interval(out, keys);
             encode_time_interval(out, times);
             match attr_eq {
                 Some((attr, value)) => {
-                    out.push(1);
+                    out.put_u8(1);
                     out.put_u16(*attr);
                     out.put_u64(*value);
                 }
-                None => out.push(0),
+                None => out.put_u8(0),
             }
         }
         Request::ClientAggregate { keys, times, kind } => {
-            out.push(10);
+            out.put_u8(10);
             encode_key_interval(out, keys);
             encode_time_interval(out, times);
-            out.push(encode_agg_kind(*kind));
+            out.put_u8(encode_agg_kind(*kind));
         }
-        Request::Shutdown => out.push(11),
+        Request::Shutdown => out.put_u8(11),
         Request::RegisterPeers { peers } => {
-            out.push(12);
+            out.put_u8(12);
             out.put_u32(peers.len() as u32);
             for (server, addr) in peers {
                 out.put_u32(server.raw());
@@ -438,10 +474,10 @@ fn encode_request_payload(out: &mut Vec<u8>, req: &Request) {
             }
         }
         Request::Reassign { interval } => {
-            out.push(13);
+            out.put_u8(13);
             encode_key_interval(out, interval);
         }
-        Request::MigrateUniform => out.push(14),
+        Request::MigrateUniform => out.put_u8(14),
     }
 }
 
@@ -523,62 +559,62 @@ fn decode_request_payload(dec: &mut Decoder<'_>) -> Result<Request> {
     })
 }
 
-fn encode_meta_request(out: &mut Vec<u8>, req: &MetaRequest) {
+fn encode_meta_request(out: &mut impl Encoder, req: &MetaRequest) {
     match req {
         MetaRequest::UpdateMemoryRegion { server, region } => {
-            out.push(0);
+            out.put_u8(0);
             out.put_u32(server.raw());
             match region {
                 Some(r) => {
-                    out.push(1);
+                    out.put_u8(1);
                     encode_region(out, r);
                 }
-                None => out.push(0),
+                None => out.put_u8(0),
             }
         }
-        MetaRequest::AllocateChunkId => out.push(1),
+        MetaRequest::AllocateChunkId => out.put_u8(1),
         MetaRequest::RegisterChunk {
             chunk,
             info,
             durable_offset,
         } => {
-            out.push(2);
+            out.put_u8(2);
             out.put_u64(chunk.raw());
             encode_chunk_info(out, info);
             out.put_u64(*durable_offset);
         }
         MetaRequest::RegisterSummary { chunk, extent } => {
-            out.push(3);
+            out.put_u8(3);
             out.put_u64(chunk.raw());
             encode_summary_extent(out, extent);
         }
         MetaRequest::RegisterAttrIndex { chunk, attr, index } => {
-            out.push(4);
+            out.put_u8(4);
             out.put_u64(chunk.raw());
             out.put_u16(*attr);
             index.encode(out);
         }
         MetaRequest::ChunksOverlapping { region } => {
-            out.push(5);
+            out.put_u8(5);
             encode_region(out, region);
         }
         MetaRequest::MemoryRegionsOverlapping { region } => {
-            out.push(6);
+            out.put_u8(6);
             encode_region(out, region);
         }
         MetaRequest::AttrProbe { chunk, attr, value } => {
-            out.push(7);
+            out.put_u8(7);
             out.put_u64(chunk.raw());
             out.put_u16(*attr);
             out.put_u64(*value);
         }
         MetaRequest::SummaryExtent { chunk } => {
-            out.push(8);
+            out.put_u8(8);
             out.put_u64(chunk.raw());
         }
-        MetaRequest::Partition => out.push(9),
+        MetaRequest::Partition => out.put_u8(9),
         MetaRequest::DurableOffset { server } => {
-            out.push(10);
+            out.put_u8(10);
             out.put_u32(server.raw());
         }
         MetaRequest::Join {
@@ -587,34 +623,34 @@ fn encode_meta_request(out: &mut Vec<u8>, req: &MetaRequest) {
             node,
             ttl_ms,
         } => {
-            out.push(11);
+            out.put_u8(11);
             out.put_u32(server.raw());
-            out.push(role.as_u8());
+            out.put_u8(role.as_u8());
             out.put_u32(node.raw());
             out.put_u64(*ttl_ms);
         }
         MetaRequest::Heartbeat { server, ttl_ms } => {
-            out.push(12);
+            out.put_u8(12);
             out.put_u32(server.raw());
             out.put_u64(*ttl_ms);
         }
         MetaRequest::Leave { server } => {
-            out.push(13);
+            out.put_u8(13);
             out.put_u32(server.raw());
         }
-        MetaRequest::Membership => out.push(14),
+        MetaRequest::Membership => out.put_u8(14),
         MetaRequest::SetPartition { schema } => {
-            out.push(15);
+            out.put_u8(15);
             schema.encode(out);
         }
         MetaRequest::BeginMigration { keys, from, to } => {
-            out.push(16);
+            out.put_u8(16);
             encode_key_interval(out, keys);
             out.put_u32(from.raw());
             out.put_u32(to.raw());
         }
         MetaRequest::CompleteMigration { id } => {
-            out.push(17);
+            out.put_u8(17);
             out.put_u64(*id);
         }
     }
@@ -700,7 +736,7 @@ fn decode_meta_request(dec: &mut Decoder<'_>) -> Result<MetaRequest> {
     })
 }
 
-fn encode_chunk_info(out: &mut Vec<u8>, info: &ChunkInfo) {
+fn encode_chunk_info(out: &mut impl Encoder, info: &ChunkInfo) {
     encode_region(out, &info.region);
     out.put_u64(info.count);
     out.put_u64(info.bytes);
@@ -716,18 +752,18 @@ fn decode_chunk_info(dec: &mut Decoder<'_>) -> Result<ChunkInfo> {
     })
 }
 
-fn encode_summary_extent(out: &mut Vec<u8>, e: &SummaryExtent) {
+fn encode_summary_extent(out: &mut impl Encoder, e: &SummaryExtent) {
     out.put_u64(e.cells);
     out.put_u64(e.bytes);
-    out.push(e.levels);
-    out.push(e.slice_bits);
+    out.put_u8(e.levels);
+    out.put_u8(e.slice_bits);
     match e.measure_range {
         Some((lo, hi)) => {
-            out.push(1);
+            out.put_u8(1);
             out.put_u64(lo);
             out.put_u64(hi);
         }
-        None => out.push(0),
+        None => out.put_u8(0),
     }
 }
 
@@ -792,28 +828,28 @@ fn decode_agg_kind(tag: u8) -> Result<AggregateKind> {
 // Responses
 // ---------------------------------------------------------------------------
 
-fn encode_response_payload(out: &mut Vec<u8>, resp: &Response) {
+fn encode_response_payload(out: &mut impl Encoder, resp: &Response) {
     match resp {
-        Response::Ack => out.push(0),
+        Response::Ack => out.put_u8(0),
         Response::AckBatch { tuples, deduped } => {
-            out.push(1);
+            out.put_u8(1);
             out.put_u32(*tuples);
-            out.push(*deduped as u8);
+            out.put_u8(*deduped as u8);
         }
-        Response::Pong => out.push(2),
+        Response::Pong => out.put_u8(2),
         Response::Tuples(tuples) => {
-            out.push(3);
+            out.put_u8(3);
             encode_tuples(out, tuples);
         }
         Response::Flushed(chunks) => {
-            out.push(4);
+            out.put_u8(4);
             out.put_u32(chunks.len() as u32);
             for c in chunks {
                 out.put_u64(c.raw());
             }
         }
         Response::Fold(fold) => {
-            out.push(5);
+            out.put_u8(5);
             fold.agg.encode(out);
             out.put_u64(fold.cells_merged);
             out.put_u32(fold.residues.len() as u32);
@@ -822,35 +858,35 @@ fn encode_response_payload(out: &mut Vec<u8>, resp: &Response) {
             }
         }
         Response::Summary(summary) => {
-            out.push(6);
+            out.put_u8(6);
             match summary {
                 Some(s) => {
-                    out.push(1);
-                    out.put_bytes(&s.encode());
+                    out.put_u8(1);
+                    out.put_sized(s.encoded_len(), || s.encode());
                 }
-                None => out.push(0),
+                None => out.put_u8(0),
             }
         }
         Response::Meta(m) => {
-            out.push(7);
+            out.put_u8(7);
             encode_meta_response(out, m);
         }
         Response::Query(result) => {
-            out.push(8);
+            out.put_u8(8);
             out.put_u64(result.query_id.raw());
             out.put_u32(result.subqueries);
             encode_tuples(out, &result.tuples);
         }
         Response::Aggregate(answer) => {
-            out.push(9);
+            out.put_u8(9);
             out.put_u64(answer.query_id.raw());
-            out.push(encode_agg_kind(answer.kind));
+            out.put_u8(encode_agg_kind(answer.kind));
             answer.agg.encode(out);
             out.put_u64(answer.cells_merged);
             out.put_u64(answer.scanned_tuples);
         }
         Response::Migrated { epoch, ranges } => {
-            out.push(10);
+            out.put_u8(10);
             out.put_u64(*epoch);
             out.put_u32(*ranges);
         }
@@ -929,15 +965,15 @@ fn decode_response_payload(dec: &mut Decoder<'_>) -> Result<Response> {
     })
 }
 
-fn encode_meta_response(out: &mut Vec<u8>, resp: &MetaResponse) {
+fn encode_meta_response(out: &mut impl Encoder, resp: &MetaResponse) {
     match resp {
-        MetaResponse::Ack => out.push(0),
+        MetaResponse::Ack => out.put_u8(0),
         MetaResponse::Allocated(id) => {
-            out.push(1);
+            out.put_u8(1);
             out.put_u64(id.raw());
         }
         MetaResponse::Chunks(chunks) => {
-            out.push(2);
+            out.put_u8(2);
             out.put_u32(chunks.len() as u32);
             for (id, region) in chunks {
                 out.put_u64(id.raw());
@@ -945,7 +981,7 @@ fn encode_meta_response(out: &mut Vec<u8>, resp: &MetaResponse) {
             }
         }
         MetaResponse::Regions(regions) => {
-            out.push(3);
+            out.put_u8(3);
             out.put_u32(regions.len() as u32);
             for (server, region) in regions {
                 out.put_u32(server.raw());
@@ -953,50 +989,50 @@ fn encode_meta_response(out: &mut Vec<u8>, resp: &MetaResponse) {
             }
         }
         MetaResponse::Probe(probe) => {
-            out.push(4);
+            out.put_u8(4);
             match probe {
-                AttrProbe::Absent => out.push(0),
+                AttrProbe::Absent => out.put_u8(0),
                 AttrProbe::Leaves(bitmap) => {
-                    out.push(1);
+                    out.put_u8(1);
                     bitmap.encode(out);
                 }
-                AttrProbe::Unknown => out.push(2),
+                AttrProbe::Unknown => out.put_u8(2),
             }
         }
         MetaResponse::Extent(extent) => {
-            out.push(5);
+            out.put_u8(5);
             match extent {
                 Some(e) => {
-                    out.push(1);
+                    out.put_u8(1);
                     encode_summary_extent(out, e);
                 }
-                None => out.push(0),
+                None => out.put_u8(0),
             }
         }
         MetaResponse::Partition(schema) => {
-            out.push(6);
+            out.put_u8(6);
             match schema {
                 Some(s) => {
-                    out.push(1);
+                    out.put_u8(1);
                     s.encode(out);
                 }
-                None => out.push(0),
+                None => out.put_u8(0),
             }
         }
         MetaResponse::Offset(offset) => {
-            out.push(7);
+            out.put_u8(7);
             out.put_u64(*offset);
         }
         MetaResponse::Epoch(epoch) => {
-            out.push(8);
+            out.put_u8(8);
             out.put_u64(*epoch);
         }
         MetaResponse::Migration(id) => {
-            out.push(10);
+            out.put_u8(10);
             out.put_u64(*id);
         }
         MetaResponse::Membership(view) => {
-            out.push(9);
+            out.put_u8(9);
             view.encode(out);
         }
     }
@@ -1070,48 +1106,48 @@ fn decode_meta_response(dec: &mut Decoder<'_>) -> Result<MetaResponse> {
 // Errors over the wire
 // ---------------------------------------------------------------------------
 
-fn encode_error(out: &mut Vec<u8>, err: &WwError) {
+fn encode_error(out: &mut impl Encoder, err: &WwError) {
     match err {
         WwError::Io(e) => {
-            out.push(0);
+            out.put_u8(0);
             put_string(out, &e.to_string());
         }
         WwError::Corrupt { what, detail } => {
-            out.push(1);
+            out.put_u8(1);
             put_string(out, what);
             put_string(out, detail);
         }
         WwError::NotFound { what, id } => {
-            out.push(2);
+            out.put_u8(2);
             put_string(out, what);
             put_string(out, id);
         }
         WwError::InvalidState(msg) => {
-            out.push(3);
+            out.put_u8(3);
             put_string(out, msg);
         }
         WwError::Config(msg) => {
-            out.push(4);
+            out.put_u8(4);
             put_string(out, msg);
         }
         WwError::Shutdown(who) => {
-            out.push(5);
+            out.put_u8(5);
             put_string(out, who);
         }
         WwError::Injected(what) => {
-            out.push(6);
+            out.put_u8(6);
             put_string(out, what);
         }
         WwError::Timeout(what) => {
-            out.push(7);
+            out.put_u8(7);
             put_string(out, what);
         }
         WwError::Unreachable(what) => {
-            out.push(8);
+            out.put_u8(8);
             put_string(out, what);
         }
         WwError::Overloaded { retry_after } => {
-            out.push(9);
+            out.put_u8(9);
             out.put_u64(retry_after.as_millis().min(u64::MAX as u128) as u64);
         }
     }
@@ -1189,8 +1225,12 @@ mod tests {
         }
     }
 
+    /// Every round-tripped frame also checks the length-only sizing: the
+    /// byte counters of an in-process run rest on it.
     fn roundtrip_request(payload: Request) -> Envelope {
-        let frame = encode_request(7, &env(payload));
+        let sent = env(payload);
+        let frame = encode_request(7, &sent);
+        assert_eq!(request_frame_len(&sent), frame.len(), "{:?}", sent.payload);
         let body = read_frame(&mut &frame[..]).unwrap().unwrap();
         match decode_frame(&body).unwrap() {
             Frame::Request { corr, env } => {
@@ -1203,6 +1243,7 @@ mod tests {
 
     fn roundtrip_response(resp: Response) -> Response {
         let frame = encode_response_ok(9, &resp);
+        assert_eq!(response_ok_frame_len(&resp), frame.len(), "{resp:?}");
         let body = read_frame(&mut &frame[..]).unwrap().unwrap();
         match decode_frame(&body).unwrap() {
             Frame::Response { corr, result } => {

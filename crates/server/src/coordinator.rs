@@ -16,16 +16,26 @@
 //! Every hop is an RPC on the message plane: the coordinator holds only
 //! server *addresses* and reaches indexing servers, query servers, and the
 //! metadata server through its [`RpcClient`], inheriting the plane's
-//! deadlines, retries, and fault injection. In-memory subqueries fan out
-//! concurrently on scoped threads — one in-flight RPC per fresh-data
-//! subquery, no shared lock on the indexing tier.
+//! deadlines, retries, and fault injection.
+//!
+//! Subqueries fan out without creating threads: the coordinator owns one
+//! persistent [`FanoutPool`] (at most `query_servers × query_workers`
+//! threads, started on first need, parked between queries, joined when the
+//! coordinator is dropped or restarted). The thread that calls
+//! [`Coordinator::execute`] is always the first worker of every dispatch
+//! plan — a one-subquery plan never leaves it — and the pool only lends
+//! helpers, so a busy pool slows nobody down and cannot deadlock
+//! ([`dispatch::execute_plan`]). Chunk subqueries, their §V redispatch
+//! rounds and the in-memory subqueries (one in-flight RPC per fresh-data
+//! subquery, no shared lock on the indexing tier) all go through it.
 //!
 //! Fault tolerance (§V): a subquery that fails (server down, link cut) is
 //! re-dispatched to the remaining healthy servers for up to
 //! [`REDISPATCH_ROUNDS`] rounds; no intermediate results are persisted.
 
 use crate::attributes::AttrRegistry;
-use crate::dispatch::{self, DispatchPolicy};
+use crate::dispatch::{self, DispatchPlan, DispatchPolicy};
+use crate::fanout::FanoutPool;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,6 +54,9 @@ use waterwheel_net::{MetaClient, Request, RpcClient};
 /// subqueries that failed (server crashed mid-plan, link down past the RPC
 /// retry budget) are re-planned across the servers that still answer pings.
 pub const REDISPATCH_ROUNDS: usize = 2;
+
+/// Per-subquery answer slots, filled in by whichever worker runs each one.
+type Slots<T> = Arc<Mutex<Vec<Option<T>>>>;
 
 /// Coordinator-side counters.
 #[derive(Debug, Default)]
@@ -106,6 +119,9 @@ pub struct Coordinator {
     measure: RwLock<MeasureFn>,
     next_query: AtomicU64,
     stats: CoordinatorStats,
+    /// The threads subqueries fan out on (module docs). Declared last:
+    /// dropping it joins them.
+    pool: FanoutPool,
 }
 
 impl Coordinator {
@@ -122,6 +138,7 @@ impl Coordinator {
         cfg: SystemConfig,
     ) -> Self {
         assert!(!query_servers.is_empty());
+        let pool = FanoutPool::new(query_servers.len() * cfg.query_workers);
         Self {
             meta: MetaClient::new(rpc.clone()),
             rpc,
@@ -139,7 +156,13 @@ impl Coordinator {
             measure: RwLock::new(default_measure()),
             next_query: AtomicU64::new(0),
             stats: CoordinatorStats::default(),
+            pool,
         }
+    }
+
+    /// The fan-out pool (thread and ticket counters, for diagnostics).
+    pub fn fanout_pool(&self) -> &FanoutPool {
+        &self.pool
     }
 
     /// Installs the shared secondary-attribute registry (query side).
@@ -165,6 +188,7 @@ impl Coordinator {
             let query = view.query_ids();
             let indexing = view.indexing_ids();
             if !query.is_empty() {
+                self.pool.set_cap(query.len() * self.cfg.query_workers);
                 rt.query_servers = query;
             }
             if !indexing.is_empty() {
@@ -353,31 +377,34 @@ impl Coordinator {
             }
         }
         // In-memory subqueries fan out concurrently, one RPC per owning
-        // indexing server — the fresh-data path of §IV-A.
+        // indexing server — the fresh-data path of §IV-A. A single one runs
+        // right here; more share the pool with the chunk subqueries.
         let mut tuples: Vec<Tuple> = Vec::new();
         if !mem_sqs.is_empty() {
-            let partials: Vec<Result<Vec<Tuple>>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = mem_sqs
-                    .into_iter()
-                    .map(|(server, sq)| {
-                        scope.spawn(move || {
-                            self.rpc
-                                .call(server, Request::InMemorySubquery { sq })?
-                                .into_tuples()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("in-memory subquery thread panicked"))
-                    .collect()
-            });
-            for partial in partials {
-                tuples.extend(partial?);
+            let n = mem_sqs.len();
+            let partials: Slots<Result<Vec<Tuple>>> =
+                Arc::new(Mutex::new((0..n).map(|_| None).collect()));
+            let exec = {
+                let rpc = self.rpc.clone();
+                let partials = Arc::clone(&partials);
+                move |_slot: usize, i: usize| {
+                    let (server, sq) = &mem_sqs[i];
+                    let partial = rpc
+                        .call(*server, Request::InMemorySubquery { sq: sq.clone() })
+                        .and_then(|r| r.into_tuples());
+                    partials.lock()[i] = Some(partial);
+                    true
+                }
+            };
+            dispatch::execute_plan(&self.pool, DispatchPlan::one_each(n), 1, exec);
+            for partial in std::mem::take(&mut *partials.lock()) {
+                tuples.extend(partial.ok_or_else(|| {
+                    WwError::InvalidState("an in-memory subquery did not complete".into())
+                })??);
             }
         }
         // Chunk subqueries run across the query servers.
-        tuples.extend(self.execute_chunk_subqueries(&chunk_sqs)?);
+        tuples.extend(self.execute_chunk_subqueries(chunk_sqs)?);
         Ok(QueryResult {
             query_id: qid,
             subqueries: n_subqueries,
@@ -522,7 +549,7 @@ impl Coordinator {
                     self.stats
                         .subqueries
                         .fetch_add(chunk_sqs.len() as u64, Ordering::Relaxed);
-                    let tuples = self.execute_chunk_subqueries(&chunk_sqs)?;
+                    let tuples = self.execute_chunk_subqueries(chunk_sqs)?;
                     scanned += tuples.len() as u64;
                     for t in &tuples {
                         agg.insert(measure(t));
@@ -605,7 +632,7 @@ impl Coordinator {
 
     fn execute_chunk_subqueries(
         &self,
-        chunk_sqs: &[(SubQuery, ChunkId, Option<Bitmap>)],
+        chunk_sqs: Vec<(SubQuery, ChunkId, Option<Bitmap>)>,
     ) -> Result<Vec<Tuple>> {
         if chunk_sqs.is_empty() {
             return Ok(Vec::new());
@@ -622,30 +649,41 @@ impl Coordinator {
             self.cluster
                 .is_colocated(rt.query_servers[s], chunk, self.replication)
         });
-        let results: Mutex<Vec<Option<Vec<Tuple>>>> = Mutex::new(vec![None; chunk_sqs.len()]);
-        let run = |server: ServerId, i: usize| -> Option<Vec<Tuple>> {
-            let (sq, chunk, filter) = &chunk_sqs[i];
-            self.rpc
-                .call(
-                    server,
-                    Request::ChunkSubquery {
-                        sq: sq.clone(),
-                        chunk: *chunk,
-                        leaf_filter: filter.clone(),
-                    },
-                )
-                .and_then(|r| r.into_tuples())
-                .ok()
-        };
-        let planned = dispatch::execute_plan(&plan, servers, self.cfg.query_workers, |s, i| {
-            match run(rt.query_servers[s], i) {
-                Some(tuples) => {
-                    results.lock()[i] = Some(tuples);
-                    true
+        // What a worker does for subquery `i` as `server`: one RPC, the
+        // answer filed under `i`. Owned (not borrowed) state throughout —
+        // pool threads outlive this call.
+        let results: Slots<Vec<Tuple>> = Arc::new(Mutex::new(vec![None; chunk_sqs.len()]));
+        let run = {
+            let rpc = self.rpc.clone();
+            let results = Arc::clone(&results);
+            Arc::new(move |server: ServerId, i: usize| -> bool {
+                let (sq, chunk, filter) = &chunk_sqs[i];
+                let answer = rpc
+                    .call(
+                        server,
+                        Request::ChunkSubquery {
+                            sq: sq.clone(),
+                            chunk: *chunk,
+                            leaf_filter: filter.clone(),
+                        },
+                    )
+                    .and_then(|r| r.into_tuples());
+                match answer {
+                    Ok(tuples) => {
+                        results.lock()[i] = Some(tuples);
+                        true
+                    }
+                    Err(_) => false,
                 }
-                None => false,
-            }
-        });
+            })
+        };
+        let planned = {
+            let run = Arc::clone(&run);
+            let slots = rt.query_servers.clone();
+            dispatch::execute_plan(&self.pool, plan, self.cfg.query_workers, move |s, i| {
+                run(slots[s], i)
+            })
+        };
         self.stats
             .worker_queue_peak
             .fetch_max(planned.queue_depth as u64, Ordering::Relaxed);
@@ -653,9 +691,9 @@ impl Coordinator {
         // the coordinator discards partial results and retries on servers
         // that still answer a liveness probe, with a work-conserving plan,
         // for a configurable number of rounds.
-        let mut results = results.into_inner();
         for _round in 0..REDISPATCH_ROUNDS {
             let remaining: Vec<usize> = results
+                .lock()
                 .iter()
                 .enumerate()
                 .filter(|(_, r)| r.is_none())
@@ -683,26 +721,16 @@ impl Coordinator {
                 healthy.len(),
                 |_, _| true,
             );
-            let retry_results: Mutex<Vec<(usize, Vec<Tuple>)>> = Mutex::new(Vec::new());
+            let run = Arc::clone(&run);
             dispatch::execute_plan(
-                &retry_plan,
-                healthy.len(),
+                &self.pool,
+                retry_plan,
                 self.cfg.query_workers,
-                |hs, ri| {
-                    let i = remaining[ri];
-                    match run(healthy[hs], i) {
-                        Some(tuples) => {
-                            retry_results.lock().push((i, tuples));
-                            true
-                        }
-                        None => false,
-                    }
-                },
+                move |hs, ri| run(healthy[hs], remaining[ri]),
             );
-            for (i, tuples) in retry_results.into_inner() {
-                results[i] = Some(tuples);
-            }
         }
+        // Every plan above has returned, so no worker holds a subquery.
+        let results = std::mem::take(&mut *results.lock());
         if results.iter().any(Option::is_none) {
             // Same epoch-race rule as `load_summary`: if membership moved
             // past the planned epoch, the failure is "planned against a

@@ -18,8 +18,9 @@
 //! (fixed assignment, no work stealing) and a shared FIFO queue
 //! (work-conserving, but locality-blind).
 
-use parking_lot::Mutex;
-use std::collections::HashSet;
+use crate::fanout::{Assist, FanoutPool};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use waterwheel_core::ChunkId;
 
 /// Which dispatch policy to use (paper §VI-C2 compares all four).
@@ -57,6 +58,17 @@ pub struct DispatchPlan {
     /// Work-conserving plans let an idle server take any pending subquery
     /// (in its preference order); fixed-assignment plans do not.
     pub work_conserving: bool,
+}
+
+impl DispatchPlan {
+    /// `n` subqueries with one dedicated slot each — plain concurrent
+    /// fan-out of calls that already know where they go.
+    pub fn one_each(n: usize) -> Self {
+        Self {
+            preferences: (0..n).map(|i| vec![i]).collect(),
+            work_conserving: false,
+        }
+    }
 }
 
 /// A deterministic permutation of `0..n` seeded by `seed` (SplitMix64-based
@@ -179,93 +191,171 @@ pub struct PlanRun {
     pub queue_depth: usize,
 }
 
+/// One plan in execution: the pending set, the per-server bid cursors and
+/// the outcome, shared by the calling thread and whichever pool threads
+/// come to help. `Arc`-owned, so a helper arriving after the caller has
+/// returned finds an empty pending set and nothing else.
+struct PlanJob<E> {
+    plan: DispatchPlan,
+    exec: E,
+    state: Mutex<PickState>,
+    /// Signalled when the last claimed subquery finishes.
+    settled: Condvar,
+}
+
+struct PickState {
+    /// `pending[sq]`: not yet claimed by any worker.
+    pending: Vec<bool>,
+    pending_left: usize,
+    /// Per-server scan offset into its preference array; everything
+    /// before the cursor is already taken, so workers of one server
+    /// never re-scan a claimed prefix.
+    cursors: Vec<usize>,
+    /// Claimed subqueries whose `exec` has not returned yet.
+    in_flight: usize,
+    executed_by: Vec<Option<usize>>,
+}
+
+impl<E> PlanJob<E> {
+    /// Nothing but counters and flags changes under this lock, and `exec`
+    /// runs outside it, so a poisoned lock still guards a valid state.
+    fn lock(&self) -> MutexGuard<'_, PickState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Bid as `server`: its first still-pending subquery in preference
+    /// order. The cursor is shared by the server's workers; entries before
+    /// it are gone, the entry at it may have been taken by another server —
+    /// the pending flag decides ownership either way.
+    fn claim(&self, server: usize) -> Option<usize> {
+        let prefs = &self.plan.preferences[server];
+        let mut st = self.lock();
+        let mut cursor = st.cursors[server];
+        let mut found = None;
+        while st.pending_left > 0 && cursor < prefs.len() {
+            let sq = prefs[cursor];
+            if std::mem::take(&mut st.pending[sq]) {
+                st.pending_left -= 1;
+                st.in_flight += 1;
+                found = Some(sq);
+                break;
+            }
+            cursor += 1;
+        }
+        st.cursors[server] = cursor;
+        found
+    }
+}
+
+impl<E> Assist for PlanJob<E>
+where
+    E: Fn(usize, usize) -> bool + Send + Sync,
+{
+    /// One worker of `server`: bids and executes until the server has
+    /// nothing left to claim.
+    fn assist(&self, server: usize) {
+        while let Some(sq) = self.claim(server) {
+            // A panicking `exec` is a failed execution: the subquery stays
+            // unrecorded (the coordinator re-dispatches it) and the thread
+            // — the caller or a pooled helper — carries on.
+            let ok = catch_unwind(AssertUnwindSafe(|| (self.exec)(server, sq))).unwrap_or(false);
+            let mut st = self.lock();
+            if ok {
+                st.executed_by[sq] = Some(server);
+            }
+            st.in_flight -= 1;
+            if st.in_flight == 0 && st.pending_left == 0 {
+                self.settled.notify_all();
+            }
+        }
+    }
+}
+
 /// Executes a plan: each server runs `exec(server, subquery_index)` for the
-/// subqueries it wins, on a pool of `workers` threads per server
-/// (`query_workers`), so one server keeps several subqueries in flight.
+/// subqueries it wins, with up to `workers` workers per server
+/// (`query_workers`) so one server keeps several subqueries in flight.
 /// Workers of one server share a bid cursor over the server's preference
 /// array, preserving LADA preference order; work-conserving plans keep
 /// their stealing semantics — an idle worker takes any pending subquery in
 /// its server's preference order.
-pub fn execute_plan<E>(plan: &DispatchPlan, servers: usize, workers: usize, exec: E) -> PlanRun
+///
+/// No thread is created here. The calling thread is the plan's first
+/// worker; at most `subqueries − 1` helpers are asked of `pool`, in rounds
+/// over the servers so that every server with work has one worker before
+/// any has a second, and they are woken before the caller starts its own
+/// first subquery. The rounds start at slot 0 for a caller that is alone
+/// on the pool and one server further on for each caller already at work,
+/// so concurrent callers — each its own plan's first worker — sit on
+/// different servers instead of all queueing on server 0. The caller works
+/// through every server's array in turn — so it can finish the whole plan
+/// alone when the pool is busy, still executing each subquery only as a
+/// server entitled to it — and returns when the last claimed subquery has
+/// finished.
+pub fn execute_plan<E>(pool: &FanoutPool, plan: DispatchPlan, workers: usize, exec: E) -> PlanRun
 where
-    E: Fn(usize, usize) -> bool + Sync,
+    E: Fn(usize, usize) -> bool + Send + Sync + 'static,
 {
     let workers = workers.max(1);
-    let total: usize = if plan.work_conserving {
-        plan.preferences.first().map_or(0, Vec::len)
-    } else {
-        plan.preferences.iter().map(Vec::len).sum()
-    };
-    struct PickState {
-        pending: HashSet<usize>,
-        /// Per-server scan offset into its preference array; everything
-        /// before the cursor is already taken, so workers of one server
-        /// never re-scan a claimed prefix.
-        cursors: Vec<usize>,
+    let servers = plan.preferences.len();
+    let slots = plan
+        .preferences
+        .iter()
+        .flatten()
+        .max()
+        .map_or(0, |&max| max + 1);
+    let mut pending = vec![false; slots];
+    for &sq in plan.preferences.iter().flatten() {
+        pending[sq] = true;
     }
-    let state: Mutex<PickState> = Mutex::new(PickState {
-        pending: if plan.work_conserving {
-            plan.preferences
-                .first()
-                .map(|p| p.iter().copied().collect())
-                .unwrap_or_default()
+    let total = pending.iter().filter(|p| **p).count();
+    // How many workers a server can use: work-conserving servers may end
+    // up running anything, fixed-assignment servers only their own array.
+    let demand = |s: usize| {
+        let own = if plan.work_conserving {
+            total
         } else {
-            plan.preferences.iter().flatten().copied().collect()
-        },
-        cursors: vec![0; servers],
+            plan.preferences[s].len()
+        };
+        own.min(workers)
+    };
+    let mut staffed: Vec<usize> = (0..servers).filter(|&s| demand(s) > 0).collect();
+    let caller = pool.enter();
+    if !staffed.is_empty() {
+        let first = caller.ahead() % staffed.len();
+        staffed.rotate_left(first);
+    }
+    // Round r seats one more worker on every server that can use more
+    // than r. The very first seat is the caller's; the rest, up to one per
+    // remaining subquery, are asked of the pool.
+    let helpers: Vec<usize> = (0..workers)
+        .flat_map(|round| staffed.iter().copied().filter(move |&s| demand(s) > round))
+        .skip(1)
+        .take(total.saturating_sub(1))
+        .collect();
+    let job = Arc::new(PlanJob {
+        exec,
+        state: Mutex::new(PickState {
+            pending,
+            pending_left: total,
+            cursors: vec![0; servers],
+            in_flight: 0,
+            executed_by: vec![None; slots],
+        }),
+        settled: Condvar::new(),
+        plan,
     });
-    let executed_by: Mutex<Vec<Option<usize>>> = Mutex::new(vec![
-        None;
-        total.max(
-            plan.preferences
-                .iter()
-                .flat_map(|p| p.iter().copied())
-                .max()
-                .map_or(0, |m| m + 1),
-        )
-    ]);
-    std::thread::scope(|scope| {
-        for s in 0..servers {
-            for _ in 0..workers {
-                let state = &state;
-                let executed_by = &executed_by;
-                let exec = &exec;
-                let prefs = &plan.preferences[s];
-                scope.spawn(move || {
-                    loop {
-                        // Bid: first still-pending subquery in preference
-                        // order. The cursor is shared by this server's
-                        // workers; entries before it are gone, entries at
-                        // it may be mid-execution elsewhere — `remove`
-                        // decides ownership either way.
-                        let picked = {
-                            let mut st = state.lock();
-                            let mut found = None;
-                            let mut cursor = st.cursors[s];
-                            while cursor < prefs.len() {
-                                let sq = prefs[cursor];
-                                if st.pending.remove(&sq) {
-                                    found = Some(sq);
-                                    break;
-                                }
-                                cursor += 1;
-                            }
-                            st.cursors[s] = cursor;
-                            found
-                        };
-                        let Some(sq) = picked else { break };
-                        if exec(s, sq) {
-                            executed_by.lock()[sq] = Some(s);
-                        }
-                        // On failure the subquery stays unrecorded; the
-                        // coordinator re-dispatches.
-                    }
-                });
-            }
-        }
-    });
+    pool.submit(&(Arc::clone(&job) as Arc<dyn Assist>), &helpers);
+    for &s in &staffed {
+        job.assist(s);
+    }
+    // The caller has bid as every server, so nothing is pending; what
+    // remains is in the hands of helpers.
+    let mut st = job.lock();
+    while st.in_flight > 0 {
+        st = job.settled.wait(st).unwrap_or_else(PoisonError::into_inner);
+    }
     PlanRun {
-        executed_by: executed_by.into_inner(),
+        executed_by: std::mem::take(&mut st.executed_by),
         queue_depth: total,
     }
 }
@@ -273,7 +363,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
 
     fn chunks(n: usize) -> Vec<ChunkId> {
         (0..n as u64).map(ChunkId).collect()
@@ -374,9 +466,11 @@ mod tests {
             for workers in [1, 4] {
                 let sq = chunks(25);
                 let plan = build_plan(policy, &sq, 4, colocated);
-                let count = AtomicUsize::new(0);
-                let run = execute_plan(&plan, 4, workers, |_s, _i| {
-                    count.fetch_add(1, Ordering::Relaxed);
+                let pool = FanoutPool::new(4 * workers);
+                let count = Arc::new(AtomicUsize::new(0));
+                let counted = Arc::clone(&count);
+                let run = execute_plan(&pool, plan, workers, move |_s, _i| {
+                    counted.fetch_add(1, Ordering::Relaxed);
                     true
                 });
                 assert_eq!(
@@ -400,8 +494,9 @@ mod tests {
         // scheduling slack).
         let sq = chunks(4);
         let plan = build_plan(DispatchPolicy::SharedQueue, &sq, 1, colocated);
+        let pool = FanoutPool::new(4);
         let t0 = std::time::Instant::now();
-        let run = execute_plan(&plan, 1, 4, |_s, _i| {
+        let run = execute_plan(&pool, plan, 4, |_s, _i| {
             std::thread::sleep(std::time::Duration::from_millis(20));
             true
         });
@@ -420,16 +515,17 @@ mod tests {
         // preference array in order even when there are several of them.
         let sq = chunks(12);
         let plan = build_plan(DispatchPolicy::Lada, &sq, 1, colocated);
-        let order: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        execute_plan(&plan, 1, 3, |_s, i| {
-            order.lock().push(i);
+        let prefs = plan.preferences[0].clone();
+        let order: Arc<Mutex<Vec<usize>>> = Arc::default();
+        let log = Arc::clone(&order);
+        execute_plan(&FanoutPool::new(3), plan, 3, move |_s, i| {
+            log.lock().unwrap().push(i);
             true
         });
-        let order = order.into_inner();
+        let order = order.lock().unwrap().clone();
         // Each subquery's *start* follows the preference array: the k-th
         // distinct pick must be within the first k + workers entries of
         // the preference array (workers race only inside a small window).
-        let prefs = &plan.preferences[0];
         for (k, picked) in order.iter().enumerate() {
             let pos = prefs.iter().position(|p| p == picked).unwrap();
             assert!(
@@ -445,7 +541,7 @@ mod tests {
         // work-conserving policy, server 0 ends up doing most of the work.
         let sq = chunks(20);
         let plan = build_plan(DispatchPolicy::SharedQueue, &sq, 4, colocated);
-        let run = execute_plan(&plan, 4, 1, |s, _i| {
+        let run = execute_plan(&FanoutPool::new(4), plan, 1, |s, _i| {
             if s != 0 {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
@@ -460,7 +556,7 @@ mod tests {
         let sq = chunks(10);
         let plan = build_plan(DispatchPolicy::RoundRobin, &sq, 2, colocated);
         // Server 1 fails everything.
-        let run = execute_plan(&plan, 2, 2, |s, _i| s == 0);
+        let run = execute_plan(&FanoutPool::new(4), plan, 2, |s, _i| s == 0);
         let done = run.executed_by.iter().filter(|b| b.is_some()).count();
         assert_eq!(done, 5);
         assert!(run
@@ -473,8 +569,144 @@ mod tests {
     #[test]
     fn empty_plan_is_fine() {
         let plan = build_plan(DispatchPolicy::Lada, &[], 3, colocated);
-        let run = execute_plan(&plan, 3, 2, |_, _| true);
+        let pool = FanoutPool::new(6);
+        let run = execute_plan(&pool, plan, 2, |_, _| true);
         assert!(run.executed_by.is_empty());
         assert_eq!(run.queue_depth, 0);
+        assert_eq!(pool.tickets_issued(), 0);
+    }
+
+    #[test]
+    fn a_plan_asks_for_at_most_one_helper_per_subquery_beyond_the_first() {
+        for policy in [
+            DispatchPolicy::Lada,
+            DispatchPolicy::RoundRobin,
+            DispatchPolicy::Hash,
+            DispatchPolicy::SharedQueue,
+        ] {
+            for n in [1usize, 2, 3, 7, 40] {
+                let pool = FanoutPool::new(16);
+                let plan = build_plan(policy, &chunks(n), 4, colocated);
+                let run = execute_plan(&pool, plan, 4, |_, _| true);
+                assert!(run.executed_by.iter().all(Option::is_some));
+                let asked = pool.tickets_issued() as usize;
+                assert!(
+                    asked <= (n - 1).min(15),
+                    "{policy:?}: {n} subqueries asked for {asked} helpers"
+                );
+                assert!(pool.threads_started() as usize <= asked);
+                if n == 1 {
+                    assert_eq!(
+                        asked, 0,
+                        "{policy:?}: one subquery runs on the caller alone"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn saturated_pool_still_runs_every_subquery_exactly_once() {
+        // 64 callers share a pool of 4: most plans get no helper at all and
+        // finish on their caller. Nobody may wait for the pool.
+        let pool = Arc::new(FanoutPool::new(4));
+        let deadline = Instant::now() + Duration::from_secs(60);
+        std::thread::scope(|scope| {
+            for caller in 0..64usize {
+                let pool = Arc::clone(&pool);
+                scope.spawn(move || {
+                    let policy = [
+                        DispatchPolicy::Lada,
+                        DispatchPolicy::RoundRobin,
+                        DispatchPolicy::Hash,
+                        DispatchPolicy::SharedQueue,
+                    ][caller % 4];
+                    for round in 0..20 {
+                        let n = 1 + (caller + round) % 9;
+                        let plan = build_plan(policy, &chunks(n), 2, colocated);
+                        let runs: Arc<Vec<AtomicUsize>> =
+                            Arc::new((0..n).map(|_| AtomicUsize::new(0)).collect());
+                        let seen = Arc::clone(&runs);
+                        let run = execute_plan(&pool, plan, 2, move |_s, i| {
+                            seen[i].fetch_add(1, Ordering::SeqCst);
+                            true
+                        });
+                        assert!(run.executed_by.iter().all(Option::is_some));
+                        assert!(runs.iter().all(|c| c.load(Ordering::SeqCst) == 1));
+                        assert!(Instant::now() < deadline, "plans stalled behind the pool");
+                    }
+                });
+            }
+        });
+        assert!(pool.threads_started() <= 4);
+    }
+
+    /// Returns `true` once `n` callers have arrived (a later arrival passes
+    /// straight through), `false` if they have not within 20 s.
+    fn meet(gate: &(Mutex<usize>, Condvar), n: usize) -> bool {
+        let (arrived, changed) = gate;
+        let mut arrived = arrived.lock().unwrap();
+        *arrived += 1;
+        changed.notify_all();
+        let (_arrived, wait) = changed
+            .wait_timeout_while(arrived, Duration::from_secs(20), |a| *a < n)
+            .unwrap();
+        !wait.timed_out()
+    }
+
+    #[test]
+    fn a_panicking_exec_is_a_failed_execution_and_the_pool_survives() {
+        // One server, four seats: the caller plus all three pool threads
+        // are inside `exec` together, and every one of them panics there.
+        let pool = FanoutPool::new(3);
+        let plan = build_plan(DispatchPolicy::SharedQueue, &chunks(8), 1, colocated);
+        let gate = Arc::new((Mutex::new(0), Condvar::new()));
+        let run = execute_plan(&pool, plan, 4, move |_s, i| -> bool {
+            meet(&gate, 4);
+            panic!("injected: subquery {i} blows up");
+        });
+        assert_eq!(run.executed_by, vec![None; 8], "left for redispatch");
+        assert_eq!(pool.threads_started(), 3);
+        // The next plan needs the same three threads (the pool may not
+        // start a fourth) to be inside `exec` with the caller again.
+        let plan = build_plan(DispatchPolicy::SharedQueue, &chunks(8), 1, colocated);
+        let gate = Arc::new((Mutex::new(0), Condvar::new()));
+        let run = execute_plan(&pool, plan, 4, move |_s, _i| meet(&gate, 4));
+        assert_eq!(run.executed_by, vec![Some(0); 8]);
+        assert_eq!(pool.threads_started(), 3);
+    }
+
+    #[test]
+    fn fixed_plans_run_a_subquery_only_as_its_owner_even_without_helpers() {
+        // A pool that may not start a single thread: the caller alone walks
+        // every server's array, and still acts as the owning server.
+        for policy in [DispatchPolicy::RoundRobin, DispatchPolicy::Hash] {
+            let sq = chunks(23);
+            let plan = build_plan(policy, &sq, 4, colocated);
+            let owner: Vec<usize> = (0..sq.len())
+                .map(|i| {
+                    plan.preferences
+                        .iter()
+                        .position(|p| p.contains(&i))
+                        .unwrap()
+                })
+                .collect();
+            let pool = FanoutPool::new(0);
+            let ran_as: Arc<Mutex<Vec<(usize, usize)>>> = Arc::default();
+            let log = Arc::clone(&ran_as);
+            let run = execute_plan(&pool, plan, 4, move |s, i| {
+                log.lock().unwrap().push((s, i));
+                true
+            });
+            assert_eq!(pool.threads_started(), 0);
+            let ran_as = ran_as.lock().unwrap();
+            assert_eq!(ran_as.len(), sq.len());
+            let distinct: HashSet<usize> = ran_as.iter().map(|&(_, i)| i).collect();
+            assert_eq!(distinct.len(), sq.len());
+            for &(s, i) in ran_as.iter() {
+                assert_eq!(s, owner[i], "{policy:?}: subquery {i} ran as server {s}");
+                assert_eq!(run.executed_by[i], Some(owner[i]));
+            }
+        }
     }
 }

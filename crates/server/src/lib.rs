@@ -27,6 +27,7 @@
 //! | §IV-A decomposition, §V query recovery  | [`coordinator`] |
 //! | §IV-B subquery execution, caching       | [`query_server`] |
 //! | §IV-C LADA + baseline dispatch          | [`dispatch`] |
+//! | §IV-C the threads subqueries fan out on | [`fanout`] |
 //! | Figure 3 roles: ids, placement, construction, RPC verbs, loops | [`roles`] |
 //! | §IV-A the coordinator clients talk to, §III-D the repartitioning process | [`gateway`] |
 //! | Fig. 17 live key-range migration: the one driver | [`migration`] |
@@ -66,6 +67,7 @@ pub mod attributes;
 pub mod coordinator;
 pub mod dispatch;
 pub mod dispatcher;
+pub mod fanout;
 pub mod gateway;
 pub mod indexing;
 pub mod metrics;
@@ -80,6 +82,7 @@ pub use attributes::AttrRegistry;
 pub use coordinator::{Coordinator, CoordinatorStats};
 pub use dispatch::{build_plan, execute_plan, DispatchPlan, DispatchPolicy, PlanRun};
 pub use dispatcher::{incarnation_seq_base, send_batch, Dispatcher, SampleWindow};
+pub use fanout::FanoutPool;
 pub use gateway::Gateway;
 pub use indexing::{IndexingServer, IndexingStats};
 pub use metrics::SystemMetrics;

@@ -23,10 +23,12 @@
 //! * template and summary loads are **singleflighted** — concurrent
 //!   subqueries missing on the same chunk's index block issue one DFS read
 //!   and share the parsed result;
-//! * within a subquery, leaf fetching is **pipelined**: a reader thread
-//!   streams coalesced miss-runs in leaf order while the caller filters
-//!   pages already in hand, so a mid-run cache hit no longer stalls the
-//!   scan behind the next read.
+//! * within a subquery, leaf fetching is **pipelined** where that can
+//!   overlap anything: a reader thread streams coalesced miss-runs in leaf
+//!   order while the caller filters pages already in hand, so a mid-run
+//!   cache hit no longer stalls the scan behind the next read. A subquery
+//!   whose misses are one run with no cached page ahead of it has nothing
+//!   to overlap, and reads that run on its own thread.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -474,10 +476,7 @@ impl QueryServer {
                 }
             }
         }
-        // 4. Pipelined fetch + filter. A reader thread streams the miss
-        // runs in leaf order through a channel while this thread filters
-        // cached pages and arrivals — so filtering overlaps the next
-        // coalesced read instead of stalling behind it.
+        // 4. Fetch + filter, in leaf order.
         let filter_into = |page: &[Tuple], out: &mut Vec<Tuple>| {
             let start = page.partition_point(|t| t.key < sq.keys.lo());
             for t in &page[start..] {
@@ -534,73 +533,96 @@ impl QueryServer {
             collect_hits(hits, out);
             Ok(())
         };
-        if miss_runs.is_empty() {
+        enum Page {
+            Rows(Arc<Vec<Tuple>>),
+            Cols(Arc<Vec<u8>>),
+        }
+        let columnar_chunk = index.version != VERSION_V1;
+        // One coalesced DFS access for the miss run `mlo..=mhi`: read under
+        // an I/O permit, count, and cache what the filter step will not
+        // cache in a better form itself.
+        let fetch_run = |mlo: usize, mhi: usize| -> Result<Vec<Page>> {
+            let pages: Vec<Page> = {
+                let _io = self.io_permits.acquire(&self.stats.io_wait_ns);
+                let reader = ChunkReader::new(self.dfs.open(chunk, Some(self.node))?);
+                if columnar_chunk {
+                    // Cache and ship the encoded column images; decoding
+                    // waits for the filter step.
+                    let pages = reader.read_leaf_pages(&index, mlo, mhi)?;
+                    pages.into_iter().map(|p| Page::Cols(Arc::new(p))).collect()
+                } else {
+                    let pages = reader.read_leaves(&index, mlo, mhi)?;
+                    pages.into_iter().map(|p| Page::Rows(Arc::new(p))).collect()
+                }
+            };
+            self.stats
+                .leaf_reads
+                .fetch_add((mhi - mlo + 1) as u64, Ordering::Relaxed);
+            for (offset, page) in pages.iter().enumerate() {
+                // With the decoded-column cache on, the filter step caches
+                // the *decoded* form of a column page instead — caching the
+                // encoded image here would immediately be evicted by the
+                // upgrade.
+                let block = match page {
+                    Page::Rows(p) => Block::Leaf(Arc::clone(p)),
+                    Page::Cols(_) if self.decoded_cache => continue,
+                    Page::Cols(p) => Block::Column(Arc::clone(p)),
+                };
+                self.cache
+                    .put(BlockKey::Leaf(chunk, (mlo + offset) as u32), block);
+            }
+            Ok(pages)
+        };
+        // Filters every slot in leaf order; `next_miss` hands over the
+        // fetched page of each `Slot::Miss`, in the same order.
+        let mut filter_slots = |next_miss: &mut dyn FnMut() -> Result<Page>| -> Result<()> {
             for (li, slot) in &slots {
                 match slot {
                     Slot::Rows(page) => filter_into(page, &mut out),
                     Slot::Cols(image) => scan_cols(*li, image, &mut out, scratch)?,
                     Slot::Decoded(leaf) => scan_decoded(leaf, &mut out, scratch)?,
-                    Slot::Miss => unreachable!("no miss runs"),
+                    Slot::Miss => match next_miss()? {
+                        Page::Rows(p) => filter_into(&p, &mut out),
+                        Page::Cols(image) => scan_cols(*li, &image, &mut out, scratch)?,
+                    },
                 }
             }
+            Ok(())
+        };
+        // No miss, or one run with nothing cached ahead of it: there is no
+        // filtering a reader thread could overlap with the read, so the
+        // run is read right here.
+        let nothing_to_overlap = match miss_runs[..] {
+            [] => true,
+            [_] => matches!(slots.first(), Some((_, Slot::Miss))),
+            _ => false,
+        };
+        if nothing_to_overlap {
+            let mut pages = match miss_runs.first() {
+                Some(&(mlo, mhi)) => fetch_run(mlo, mhi)?,
+                None => Vec::new(),
+            }
+            .into_iter();
+            filter_slots(&mut || {
+                pages
+                    .next()
+                    .ok_or_else(|| WwError::InvalidState("leaf read returned too few pages".into()))
+            })?;
             return Ok(out);
         }
-        enum Page {
-            Rows(Arc<Vec<Tuple>>),
-            Cols(Arc<Vec<u8>>),
-        }
-        type PageMsg = Result<(usize, Page)>;
-        let columnar_chunk = index.version != VERSION_V1;
-        let (tx, rx) = std::sync::mpsc::channel::<PageMsg>();
+        // Several runs, or cached pages ahead of the only one: a reader
+        // thread streams the runs in leaf order while this thread filters,
+        // so filtering overlaps the next coalesced read.
+        let (tx, rx) = std::sync::mpsc::channel::<Result<Page>>();
         std::thread::scope(|scope| -> Result<()> {
-            let index = &index;
             let runs = &miss_runs;
+            let fetch_run = &fetch_run;
             scope.spawn(move || {
                 for &(mlo, mhi) in runs {
-                    let fetched = {
-                        let _io = self.io_permits.acquire(&self.stats.io_wait_ns);
-                        self.dfs.open(chunk, Some(self.node)).and_then(|file| {
-                            let reader = ChunkReader::new(file);
-                            if columnar_chunk {
-                                // Cache and ship the encoded column images;
-                                // decoding waits for the filter step.
-                                reader.read_leaf_pages(index, mlo, mhi).map(|pages| {
-                                    pages
-                                        .into_iter()
-                                        .map(|p| Page::Cols(Arc::new(p)))
-                                        .collect::<Vec<Page>>()
-                                })
-                            } else {
-                                reader.read_leaves(index, mlo, mhi).map(|pages| {
-                                    pages
-                                        .into_iter()
-                                        .map(|p| Page::Rows(Arc::new(p)))
-                                        .collect::<Vec<Page>>()
-                                })
-                            }
-                        })
-                    };
-                    match fetched {
+                    match fetch_run(mlo, mhi) {
                         Ok(pages) => {
-                            self.stats
-                                .leaf_reads
-                                .fetch_add((mhi - mlo + 1) as u64, Ordering::Relaxed);
-                            for (offset, page) in pages.into_iter().enumerate() {
-                                let li = mlo + offset;
-                                // With the decoded-column cache on, the
-                                // consumer caches the *decoded* form of a
-                                // column page instead — caching the encoded
-                                // image here would immediately be evicted by
-                                // the upgrade.
-                                let block = match &page {
-                                    Page::Rows(p) => Some(Block::Leaf(Arc::clone(p))),
-                                    Page::Cols(_) if self.decoded_cache => None,
-                                    Page::Cols(p) => Some(Block::Column(Arc::clone(p))),
-                                };
-                                if let Some(block) = block {
-                                    self.cache.put(BlockKey::Leaf(chunk, li as u32), block);
-                                }
-                                if tx.send(Ok((li, page))).is_err() {
+                            for page in pages {
+                                if tx.send(Ok(page)).is_err() {
                                     return; // consumer bailed on an error
                                 }
                             }
@@ -612,24 +634,10 @@ impl QueryServer {
                     }
                 }
             });
-            for (li, slot) in &slots {
-                match slot {
-                    Slot::Rows(page) => filter_into(page, &mut out),
-                    Slot::Cols(image) => scan_cols(*li, image, &mut out, scratch)?,
-                    Slot::Decoded(leaf) => scan_decoded(leaf, &mut out, scratch)?,
-                    Slot::Miss => {
-                        let (got_li, page) = rx
-                            .recv()
-                            .map_err(|_| WwError::Shutdown("leaf reader thread"))??;
-                        debug_assert_eq!(got_li, *li, "pages must arrive in leaf order");
-                        match page {
-                            Page::Rows(p) => filter_into(&p, &mut out),
-                            Page::Cols(image) => scan_cols(got_li, &image, &mut out, scratch)?,
-                        }
-                    }
-                }
-            }
-            Ok(())
+            filter_slots(&mut || {
+                rx.recv()
+                    .map_err(|_| WwError::Shutdown("leaf reader thread"))?
+            })
         })?;
         Ok(out)
     }
@@ -824,6 +832,104 @@ mod tests {
             qs.stats().leaf_cache_hits.load(Ordering::Relaxed) > warmed_hits,
             "warm leaf was re-read instead of served from cache"
         );
+    }
+
+    #[test]
+    fn inline_and_reader_thread_reads_agree() {
+        // The same wide scan, reached two ways. Warming a leaf at the *end*
+        // of the range leaves one miss run with nothing cached ahead of it
+        // (read inline); warming one in the *middle* leaves two runs (read
+        // by the reader thread). Tuples, the read/hit accounting and what
+        // ends up cached must not depend on which way it went — in the v1
+        // row format and in v2 with the decoded-column tier on and off.
+        use waterwheel_storage::{write_chunk_opts, ChunkWriteOptions, VERSION_V2};
+        for (version, decoded_cache) in
+            [(VERSION_V1, true), (VERSION_V2, true), (VERSION_V2, false)]
+        {
+            let (dfs, _, mut tuples) = setup(&format!("paths-{version}-{decoded_cache}"));
+            tuples.sort_by_key(|t| (t.key, t.ts));
+            // `setup` wrote chunk 0 in v1; write the format under test as
+            // chunk 1 from the same tuples.
+            let tree = TemplateBTree::new(
+                KeyInterval::full(),
+                IndexConfig {
+                    leaf_capacity: 16,
+                    fanout: 4,
+                    skew_check_interval: 64,
+                    ..IndexConfig::default()
+                },
+            );
+            for t in &tuples {
+                tree.insert(t.clone());
+            }
+            let opts = ChunkWriteOptions {
+                format_version: version,
+                ..ChunkWriteOptions::default()
+            };
+            let chunk = ChunkId(1);
+            dfs.write_chunk(chunk, &write_chunk_opts(&tree.seal().unwrap(), None, &opts))
+                .unwrap();
+            let wide = subquery(KeyInterval::full(), TimeInterval::full(), chunk);
+            let run = |warm: KeyInterval| {
+                let qs = QueryServer::new(ServerId(0), NodeId(0), dfs.clone(), 8 << 20)
+                    .scan_options(decoded_cache);
+                qs.execute(&subquery(warm, TimeInterval::full(), chunk), chunk)
+                    .unwrap();
+                let warmed = qs.stats().leaf_reads.load(Ordering::Relaxed);
+                assert!(warmed > 0);
+                let mut got = qs.execute(&wide, chunk).unwrap();
+                got.sort_by_key(|t| (t.key, t.ts));
+                let leaves = qs.load_template(chunk).unwrap().leaves.len();
+                // Kind and size of every cached leaf block.
+                let cached: Vec<String> = (0..leaves as u32)
+                    .map(|li| match qs.cache().get(&BlockKey::Leaf(chunk, li)) {
+                        Some(Block::Leaf(p)) => format!("rows:{}", p.len()),
+                        Some(Block::Column(p)) => format!("cols:{}", p.len()),
+                        Some(Block::ColumnDecoded(_)) => "decoded".into(),
+                        _ => "absent".into(),
+                    })
+                    .collect();
+                let reads = qs.stats().leaf_reads.load(Ordering::Relaxed);
+                let hits = qs.stats().leaf_cache_hits.load(Ordering::Relaxed);
+                (
+                    got,
+                    leaves as u64,
+                    warmed,
+                    reads,
+                    hits,
+                    cached,
+                    qs.cache().used_bytes(),
+                )
+            };
+            let last_key = tuples.last().unwrap().key;
+            let inline = run(KeyInterval::new(last_key, last_key));
+            let threaded = run(KeyInterval::new(1_400, 1_500));
+            let label = format!("v{version} decoded_cache={decoded_cache}");
+            assert_eq!(inline.0, tuples, "{label}: inline read");
+            assert_eq!(threaded.0, tuples, "{label}: reader-thread read");
+            for (path, (_, leaves, warmed, reads, hits, cached, _)) in
+                [("inline", &inline), ("threaded", &threaded)]
+            {
+                assert!(
+                    warmed < leaves,
+                    "{label} {path}: the warm-up must leave misses"
+                );
+                assert_eq!(
+                    reads, leaves,
+                    "{label} {path}: every leaf read exactly once"
+                );
+                assert_eq!(
+                    hits, warmed,
+                    "{label} {path}: warm leaves served from cache"
+                );
+                assert!(cached.iter().all(|c| c != "absent"), "{label} {path}");
+            }
+            assert_eq!(
+                inline.5, threaded.5,
+                "{label}: cached block kinds and sizes"
+            );
+            assert_eq!(inline.6, threaded.6, "{label}: cached bytes");
+        }
     }
 
     #[test]

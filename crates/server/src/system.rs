@@ -628,6 +628,10 @@ impl Waterwheel {
 
 impl Drop for Waterwheel {
     fn drop(&mut self) {
+        // Threads go in reverse order of creation: the coordinator's
+        // fan-out helpers (started by the first query) before the pumps
+        // and the listener they call into (`FanoutPool::shutdown`).
+        self.coordinator().fanout_pool().shutdown();
         self.stop_pumps();
         // Best-effort: push buffered batches into the queue so a durable
         // queue persists them before the final sync.
@@ -635,6 +639,13 @@ impl Drop for Waterwheel {
             let _ = d.flush_batches();
         }
         let _ = self.mq.sync();
+        // The in-process plane owns the registry whose handlers own the
+        // roles, which own clients of that plane: unbind, or nothing in
+        // that ring — the coordinator's fan-out threads included — is
+        // ever released.
+        if let Some(plane) = &self.inproc {
+            plane.registry().clear();
+        }
     }
 }
 

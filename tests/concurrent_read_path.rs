@@ -9,8 +9,10 @@
 //! flushing is in flight. Tuples outside the query region are never
 //! tolerated.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+use waterwheel::core::WwError;
 use waterwheel::prelude::*;
 use waterwheel::workloads::oracle;
 
@@ -136,6 +138,102 @@ fn concurrent_clients_stay_exact_during_ingest_and_flush() {
         normalized(got.tuples),
         oracle(&all, &KeyInterval::full(), &TimeInterval::full()),
         "read path lost or duplicated tuples"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Eight clients against settled data while one query server is failed and
+/// healed over and over: every subquery the failed server refuses is
+/// re-dispatched (§V) through the same fan-out pool the clients' first
+/// plans are using, so redispatch runs under contention for helpers.
+/// Answers stay byte-exact throughout, and nobody waits on the pool — the
+/// in-test deadline turns a lost wake-up into a failure, not a hang.
+#[test]
+fn eight_clients_stay_exact_while_a_query_server_fails_and_heals() {
+    let root = std::env::temp_dir().join(format!("ww-read-path-heal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut cfg = SystemConfig::default();
+    cfg.chunk_size_bytes = 16 * 1024;
+    cfg.indexing_servers = 2;
+    cfg.query_servers = 3;
+    cfg.cache_capacity_bytes = 64 * 1024;
+    let ww = Arc::new(Waterwheel::builder(&root).config(cfg).build().unwrap());
+    let data: Vec<Tuple> = (0..12_000u64)
+        .map(|i| Tuple::bare(mix(i), 1_000 + i % 1_000))
+        .collect();
+    for t in &data {
+        ww.insert(t.clone()).unwrap();
+    }
+    ww.drain().unwrap();
+    ww.flush_all().unwrap();
+
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let clients_done = Arc::new(AtomicU64::new(0));
+    std::thread::scope(|scope| {
+        {
+            let ww = Arc::clone(&ww);
+            let clients_done = Arc::clone(&clients_done);
+            scope.spawn(move || {
+                let victim = &ww.query_servers()[1];
+                while clients_done.load(Ordering::SeqCst) < 8 {
+                    victim.set_failed(true);
+                    std::thread::sleep(Duration::from_millis(3));
+                    victim.set_failed(false);
+                    std::thread::sleep(Duration::from_millis(3));
+                    assert!(Instant::now() < deadline, "clients never finished");
+                }
+            });
+        }
+        for client in 0..8u64 {
+            let ww = Arc::clone(&ww);
+            let data = &data;
+            let clients_done = Arc::clone(&clients_done);
+            scope.spawn(move || {
+                // Counted on the way out, panicking or not, so a failing
+                // client ends the run instead of leaving the flipper to
+                // wait out the deadline.
+                struct Done(Arc<AtomicU64>);
+                impl Drop for Done {
+                    fn drop(&mut self) {
+                        self.0.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
+                let _done = Done(clients_done);
+                for round in 0..60u64 {
+                    let a = mix(client << 32 | round);
+                    let b = mix(a);
+                    let keys = KeyInterval::new(a.min(b), a.max(b));
+                    let lo = 1_000 + mix(b) % 600;
+                    let times = TimeInterval::new(lo, lo + 399);
+                    // A subquery that meets the failed server in the first
+                    // plan *and* in both redispatch rounds exhausts §V's
+                    // budget; a typed error is the contract then (the
+                    // retryable epoch-race one the first time a coordinator
+                    // sees it, since its routing table starts at epoch 0),
+                    // and a client asks again. Any answer must be exact.
+                    let r = loop {
+                        assert!(Instant::now() < deadline, "client {client} stalled");
+                        match ww.query(&Query::range(keys, times)) {
+                            Ok(r) => break r,
+                            Err(WwError::InvalidState(why))
+                                if why.contains("all query servers") => {}
+                            Err(WwError::Unreachable(why)) if why.contains("epoch advanced") => {}
+                            Err(e) => panic!("client {client} round {round}: {e}"),
+                        }
+                    };
+                    assert_eq!(
+                        normalized(r.tuples),
+                        oracle(data, &keys, &times),
+                        "client {client} round {round} diverged from the oracle"
+                    );
+                }
+            });
+        }
+    });
+    let stats = ww.coordinator();
+    assert!(
+        stats.stats().redispatches.load(Ordering::Relaxed) > 0,
+        "the failed server was never asked: redispatch went untested"
     );
     let _ = std::fs::remove_dir_all(&root);
 }
