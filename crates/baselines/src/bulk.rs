@@ -12,13 +12,12 @@
 //! data — reproducing the visibility delay that disqualifies bulk loading
 //! for Waterwheel's realtime requirement.
 
-use crate::stats::{IndexStats, StatsSnapshot};
-use crate::traits::TupleIndex;
 use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 use waterwheel_core::{Key, KeyInterval, TimeInterval, Tuple};
+use waterwheel_index::{IndexStats, StatsSnapshot, TupleIndex};
 
 /// A built, immutable B+ tree: sorted leaves plus separator keys.
 struct BuiltIndex {

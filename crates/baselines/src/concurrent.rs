@@ -13,14 +13,13 @@
 //! Split time is accounted separately in [`IndexStats`] — it is the
 //! dominant term of Figure 7(b)'s breakdown for this tree.
 
-use crate::stats::{IndexStats, StatsSnapshot};
-use crate::traits::TupleIndex;
 use parking_lot::lock_api::ArcRwLockWriteGuard;
 use parking_lot::{Mutex, RawRwLock, RwLock};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use waterwheel_core::{Key, KeyInterval, TimeInterval, Tuple};
+use waterwheel_index::{IndexStats, StatsSnapshot, TupleIndex};
 
 type NodeRef = Arc<RwLock<Node>>;
 type WriteGuard = ArcRwLockWriteGuard<RawRwLock, Node>;
@@ -286,7 +285,7 @@ impl TupleIndex for ConcurrentBTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::query_sorted;
+    use waterwheel_index::traits::query_sorted;
 
     fn tree() -> ConcurrentBTree {
         ConcurrentBTree::new(4, 4)

@@ -21,13 +21,27 @@
 //!
 //! Both implement [`StreamStore`], the interface the Figure 14–16 harnesses
 //! drive; the Waterwheel system facade implements it too.
+//!
+//! The index-level comparison trees of §VI-A (Figures 7–9) live here as
+//! well, behind `waterwheel-index`'s `TupleIndex`:
+//!
+//! * [`ConcurrentBTree`] — a traditional B+ tree with node splits and the
+//!   Bayer–Schkolnick latch-crabbing concurrency protocol (paper ref [4]).
+//! * [`BulkLoadingBTree`] — accumulates tuples, sorts them, and builds the
+//!   index bottom-up; tuples are invisible to queries until the build
+//!   completes, which is exactly why the paper rejects bulk loading for
+//!   realtime visibility.
 
 #![warn(missing_docs)]
 
+pub mod bulk;
+pub mod concurrent;
 pub mod lsm;
 pub mod timestore;
 pub mod wal;
 
+pub use bulk::BulkLoadingBTree;
+pub use concurrent::ConcurrentBTree;
 pub use lsm::{LsmConfig, LsmStore};
 pub use timestore::{TimeStore, TimeStoreConfig};
 pub use wal::WriteAheadLog;

@@ -18,11 +18,10 @@
 //! template pays only a negligible template-update cost.
 
 use std::time::{Duration, Instant};
+use waterwheel_baselines::{BulkLoadingBTree, ConcurrentBTree};
 use waterwheel_bench::*;
 use waterwheel_core::{KeyInterval, Tuple};
-use waterwheel_index::{
-    BulkLoadingBTree, ConcurrentBTree, IndexConfig, StatsSnapshot, TemplateBTree, TupleIndex,
-};
+use waterwheel_index::{IndexConfig, StatsSnapshot, TemplateBTree, TupleIndex};
 
 /// Tuples per chunk: ≈1 MB of 36-byte T-Drive tuples.
 const CHUNK_TUPLES: usize = 28_000;

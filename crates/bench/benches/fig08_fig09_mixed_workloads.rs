@@ -10,9 +10,10 @@
 //! template *also* faster, because reads never latch inner nodes).
 
 use std::time::{Duration, Instant};
+use waterwheel_baselines::ConcurrentBTree;
 use waterwheel_bench::*;
 use waterwheel_core::{KeyInterval, TimeInterval, Tuple};
-use waterwheel_index::{ConcurrentBTree, IndexConfig, TemplateBTree, TupleIndex};
+use waterwheel_index::{IndexConfig, TemplateBTree, TupleIndex};
 use waterwheel_workloads::{key_hull, Rng};
 
 struct MixResult {

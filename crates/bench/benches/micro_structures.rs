@@ -5,9 +5,10 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::time::Duration;
+use waterwheel_baselines::{BulkLoadingBTree, ConcurrentBTree};
 use waterwheel_bench::{network_tuples, tdrive_tuples};
 use waterwheel_core::{zorder, KeyInterval, Region, TimeInterval};
-use waterwheel_index::{BulkLoadingBTree, ConcurrentBTree, IndexConfig, TemplateBTree, TupleIndex};
+use waterwheel_index::{IndexConfig, TemplateBTree, TupleIndex};
 use waterwheel_meta::RTree;
 use waterwheel_storage::{write_chunk, ChunkReader};
 

@@ -138,18 +138,6 @@ settings! {
     /// stop contending on one mutex. `1` restores the single-mutex cache.
     cache_shards: usize = 8,
 
-    /// Subquery worker threads per query server: how many chunk subqueries
-    /// one server executes concurrently under a dispatch plan. `1` restores
-    /// the serial one-subquery-at-a-time server.
-    query_workers: usize = 4,
-
-    /// Concurrent DFS reads a query server may have in flight (I/O permit
-    /// set). `1` restores the all-of-DFS serial lock.
-    query_io_permits: usize = 4,
-
-    /// Enable the per-leaf temporal bloom filters (ablation switch).
-    bloom_enabled: bool = true,
-
     /// How many tuples an indexing server inserts between skewness checks.
     skew_check_interval: usize = 4096,
 
@@ -159,14 +147,9 @@ settings! {
 
     /// Tuples per `Request::IngestBatch` envelope on the dispatcher →
     /// indexing hop (paper §VI Fig. 15: ingest throughput comes from
-    /// amortizing per-record overhead). `1` disables batching and restores
-    /// per-tuple `Request::Ingest` RPCs.
+    /// amortizing per-record overhead). `1` makes every tuple a batch of
+    /// one — still sequence-numbered, deduplicated and journaled.
     ingest_batch_size: usize = 128,
-
-    /// Longest a partially filled ingest batch may sit buffered in a
-    /// dispatcher before the background linger flusher sends it anyway.
-    /// Bounds the visibility latency batching can add to a trickling stream.
-    ingest_linger: Duration = Duration::from_millis(2),
 
     /// Per-attempt deadline for every cross-server RPC. An attempt whose
     /// transit exceeds the remaining budget fails with
@@ -220,18 +203,6 @@ settings! {
     /// smallest per leaf). Ignored when writing v1 chunks.
     chunk_compression: bool = true,
 
-    /// Use persisted MIN/MAX measure bounds to skip chunks (coordinator)
-    /// and leaves (query server) that cannot satisfy a query's
-    /// `measure_range` filter. Disabling only loses the pruning, never
-    /// changes answers.
-    measure_pruning: bool = true,
-
-    /// Cache hot v2 leaves with their key/timestamp columns already decoded
-    /// (payload blocks stay compressed), charged at their resident bytes
-    /// against `cache_capacity_bytes`. Disabling caches encoded images
-    /// only; answers never change.
-    decoded_column_cache: bool = true,
-
     /// Interval between the membership heartbeats a server sends to the
     /// meta service to renew its lease (ZooKeeper session pings).
     heartbeat_interval: Duration = Duration::from_millis(500),
@@ -276,8 +247,6 @@ impl SystemConfig {
             ("chunk_size_bytes", self.chunk_size_bytes),
             ("ingest_batch_size", self.ingest_batch_size),
             ("cache_shards", self.cache_shards),
-            ("query_workers", self.query_workers),
-            ("query_io_permits", self.query_io_permits),
             ("admission_max_inflight", self.admission_max_inflight),
         ];
         let broken = if let Some((name, _)) = positive.iter().find(|(_, v)| *v == 0) {
@@ -341,8 +310,6 @@ mod tests {
             |c: &mut SystemConfig| c.chunk_size_bytes = 0,
             |c: &mut SystemConfig| c.ingest_batch_size = 0,
             |c: &mut SystemConfig| c.cache_shards = 0,
-            |c: &mut SystemConfig| c.query_workers = 0,
-            |c: &mut SystemConfig| c.query_io_permits = 0,
             |c: &mut SystemConfig| c.rpc_timeout = Duration::ZERO,
             |c: &mut SystemConfig| c.wal_segment_bytes = 0,
             |c: &mut SystemConfig| c.admission_max_inflight = 0,
@@ -362,7 +329,7 @@ mod tests {
     }
 
     /// Every field, each with a value that differs from its default.
-    const OFF_DEFAULT: [&str; 29] = [
+    const OFF_DEFAULT: [&str; 23] = [
         "chunk_size_bytes=65536",
         "late_visibility=750us",
         "indexing_servers=3",
@@ -371,13 +338,9 @@ mod tests {
         "dfs_replication=2",
         "cache_capacity_bytes=1048576",
         "cache_shards=2",
-        "query_workers=1",
-        "query_io_permits=7",
-        "bloom_enabled=false",
         "skew_check_interval=100",
         "agg_summaries_enabled=false",
         "ingest_batch_size=1",
-        "ingest_linger=9ms",
         "rpc_timeout=10s",
         "rpc_retries=0",
         "admission_max_inflight=12",
@@ -388,8 +351,6 @@ mod tests {
         "wal_segment_bytes=4096",
         "chunk_format_version=1",
         "chunk_compression=false",
-        "measure_pruning=false",
-        "decoded_column_cache=false",
         "heartbeat_interval=100ms",
         "lease_ttl=1500ms",
     ];
@@ -425,16 +386,17 @@ mod tests {
     fn bad_text_is_a_typed_error_never_a_silent_default() {
         for bad in [
             "btree_fanout=16",        // a removed knob is an unknown name
+            "query_workers=1",        // so is a retired ablation switch
             "no_such_setting=1",      // unknown name
             "dispatchers",            // not name=value
             "dispatchers=",           // empty value
             "dispatchers=two",        // malformed number
             "dispatchers=-1",         // out of the type's range
             "rpc_retries=4294967296", // overflows u32
-            "bloom_enabled=yes",      // not a bool
-            "ingest_linger=2",        // duration without a unit
-            "ingest_linger=2min",     // unknown unit
-            "ingest_linger=ms",       // unit without a number
+            "chunk_compression=yes",  // not a bool
+            "late_visibility=2",      // duration without a unit
+            "late_visibility=2min",   // unknown unit
+            "late_visibility=ms",     // unit without a number
             "dispatchers=0",          // parses, validate() rejects
             "chunk_format_version=3",
             "heartbeat_interval=5s", // not below the default lease_ttl
@@ -445,6 +407,8 @@ mod tests {
                 "{bad:?} gave {err:?}"
             );
         }
+        let retired = "query_workers=1".parse::<SystemConfig>().unwrap_err();
+        assert!(retired.to_string().contains("unknown setting"), "{retired}");
         // A failed assignment leaves the field as it was.
         let mut cfg = SystemConfig::default();
         assert!(cfg.set("dispatchers=two").is_err());

@@ -146,7 +146,9 @@ impl TimeBloom {
             return Err(WwError::corrupt("bloom", "bit/word count mismatch"));
         }
         let entries = dec.get_u64()?;
-        let mut bits = Vec::with_capacity(words);
+        // `words` only agrees with another on-disk field so far; size the
+        // allocation by the bytes that are actually there.
+        let mut bits = Vec::with_capacity(words.min(dec.remaining() / 8));
         for _ in 0..words {
             bits.push(dec.get_u64()?);
         }
@@ -247,6 +249,16 @@ mod tests {
             *b = 0;
         }
         assert!(TimeBloom::decode(&mut Decoder::new(&buf, "test")).is_err());
+
+        // A forged word count that agrees with a forged bit count passes
+        // the geometry check; it must run out of bytes as a typed error,
+        // not size a 32 GiB allocation first.
+        let mut buf = Vec::new();
+        filter().encode(&mut buf);
+        buf[8..16].copy_from_slice(&(u64::from(u32::MAX) * 64).to_le_bytes());
+        buf[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = TimeBloom::decode(&mut Decoder::new(&buf, "test")).unwrap_err();
+        assert!(matches!(err, WwError::Corrupt { .. }), "{err:?}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Index-level configuration. The structural constants (fanout, leaf
 //! capacity, the paper's §III-C skew threshold, bloom sizing) are owned here
 //! as defaults; the system-wide config contributes only what deployments
-//! vary: the skew-check cadence and the bloom ablation switch.
+//! vary: the skew-check cadence.
 
 use waterwheel_core::SystemConfig;
 
@@ -56,12 +56,12 @@ impl IndexConfig {
     pub fn from_system(sys: &SystemConfig) -> Self {
         Self {
             skew_check_interval: sys.skew_check_interval,
-            bloom: sys.bloom_enabled.then(BloomConfig::default),
             ..Self::default()
         }
     }
 
-    /// Disables bloom filters (builder-style, for ablation benches).
+    /// Disables bloom filters (builder-style, for the component-level
+    /// ablation bench).
     pub fn without_bloom(mut self) -> Self {
         self.bloom = None;
         self
@@ -73,11 +73,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_system_respects_bloom_toggle() {
+    fn from_system_takes_the_skew_check_cadence() {
         let mut sys = SystemConfig::default();
-        sys.bloom_enabled = false;
-        assert!(IndexConfig::from_system(&sys).bloom.is_none());
-        sys.bloom_enabled = true;
         sys.skew_check_interval = 77;
         let cfg = IndexConfig::from_system(&sys);
         assert_eq!(cfg.bloom.unwrap().bits_per_entry, 10);

@@ -6,15 +6,9 @@
 //! during normal operation, so concurrent inserts and reads only contend on
 //! individual leaf latches.
 //!
-//! Two baseline indexes from the paper's evaluation (§VI-A) live alongside
-//! it:
-//!
-//! * [`ConcurrentBTree`] — a traditional B+ tree with node splits and the
-//!   Bayer–Schkolnick latch-crabbing concurrency protocol (paper ref [4]).
-//! * [`BulkLoadingBTree`] — accumulates tuples, sorts them, and builds the
-//!   index bottom-up; tuples are invisible to queries until the build
-//!   completes, which is exactly why the paper rejects bulk loading for
-//!   realtime visibility.
+//! The paper's comparison trees (§VI-A: the latch-crabbing concurrent B+
+//! tree and the bulk-loading tree) live in `waterwheel-baselines`; they
+//! implement this crate's [`TupleIndex`].
 //!
 //! Supporting machinery:
 //!
@@ -31,9 +25,7 @@
 
 pub mod bitmap;
 pub mod bloom;
-pub mod bulk;
 pub mod columnar;
-pub mod concurrent;
 pub mod config;
 pub mod sealed;
 pub mod secondary;
@@ -44,8 +36,6 @@ pub mod traits;
 
 pub use bitmap::Bitmap;
 pub use bloom::TimeBloom;
-pub use bulk::BulkLoadingBTree;
-pub use concurrent::ConcurrentBTree;
 pub use config::{BloomConfig, IndexConfig};
 pub use sealed::{SealedLeaf, SealedTree};
 pub use secondary::{AttrId, AttrProbe, AttributeExtractor, ChunkAttrIndex, ValueBloom};

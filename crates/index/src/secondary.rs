@@ -114,7 +114,9 @@ impl ValueBloom {
         if words as u64 != num_bits.div_ceil(64) || hashes == 0 || hashes > 16 {
             return Err(WwError::corrupt("value bloom", "bad geometry"));
         }
-        let mut bits = Vec::with_capacity(words);
+        // `words` only agrees with another on-disk field so far; size the
+        // allocation by the bytes that are actually there.
+        let mut bits = Vec::with_capacity(words.min(dec.remaining() / 8));
         for _ in 0..words {
             bits.push(dec.get_u64()?);
         }
@@ -290,6 +292,19 @@ mod tests {
         assert_eq!(got.probe(7), idx.probe(7));
         assert_eq!(got.probe(42_424_242), AttrProbe::Absent);
         assert_eq!(got.probe(100), AttrProbe::Unknown);
+    }
+
+    #[test]
+    fn value_bloom_decode_survives_a_forged_word_count() {
+        // Word and bit counts forged to agree with each other: decoding
+        // must run out of bytes as a typed error, not size a 32 GiB
+        // allocation from the count first.
+        let mut buf = Vec::new();
+        ValueBloom::new(16, 10).encode(&mut buf);
+        buf[0..8].copy_from_slice(&(u64::from(u32::MAX) * 64).to_le_bytes());
+        buf[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = ValueBloom::decode(&mut Decoder::new(&buf, "test")).unwrap_err();
+        assert!(matches!(err, WwError::Corrupt { .. }), "{err:?}");
     }
 
     #[test]

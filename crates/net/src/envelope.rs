@@ -7,11 +7,11 @@
 //!
 //! | Hop | Payloads |
 //! |---|---|
-//! | dispatcher → indexing server | [`Request::Ingest`], [`Request::IngestBatch`], [`Request::Flush`] |
+//! | dispatcher → indexing server | [`Request::IngestBatch`], [`Request::Flush`] |
 //! | coordinator → indexing server | [`Request::InMemorySubquery`], [`Request::AggregateInMemory`] |
 //! | coordinator → query server | [`Request::ChunkSubquery`], [`Request::ReadSummary`] |
 //! | any server → metadata server | [`Request::Meta`] |
-//! | client → gateway, a dispatcher id | [`Request::Ingest`], [`Request::IngestBatch`], [`Request::Flush`] |
+//! | client → gateway, a dispatcher id | [`Request::IngestBatch`], [`Request::Flush`] |
 //! | client → gateway, [`COORDINATOR`] | [`Request::ClientQuery`], [`Request::ClientAggregate`], [`Request::MigrateUniform`] |
 //! | migration driver → indexing server | [`Request::Flush`], [`Request::Reassign`] |
 //! | health probe (any → any) | [`Request::Ping`] |
@@ -57,15 +57,10 @@ pub struct Envelope {
 /// A request payload — every cross-server call in the system.
 #[derive(Clone, Debug)]
 pub enum Request {
-    /// Route one tuple into the destination indexing server's partition of
-    /// the ingestion queue (dispatcher → indexing, §III-A).
-    Ingest {
-        /// The tuple to ingest.
-        tuple: Tuple,
-    },
     /// Route a batch of tuples into the destination indexing server's
     /// partition of the ingestion queue in one envelope (dispatcher →
-    /// indexing, §VI Fig. 15). `seq` is the sender's per-destination
+    /// indexing, §III-A and §VI Fig. 15) — the only ingest verb; a single
+    /// insert is a batch of one. `seq` is the sender's per-destination
     /// monotonic batch number: because a retried batch keeps its original
     /// `seq`, the handler can recognise a redelivery whose first attempt
     /// already landed (the ack, not the request, was lost) and acknowledge
@@ -170,7 +165,6 @@ impl Request {
     /// histograms and the admission layer's priority classes.
     pub fn kind(&self) -> &'static str {
         match self {
-            Request::Ingest { .. } => "ingest",
             Request::IngestBatch { .. } => "ingest_batch",
             Request::Flush => "flush",
             Request::InMemorySubquery { .. } => "mem_subquery",
@@ -499,17 +493,11 @@ mod tests {
             )
             .len()
         };
-        let small = frame(Request::Ingest {
-            tuple: Tuple::bare(1, 2),
-        });
-        let big = frame(Request::Ingest {
-            tuple: Tuple::new(1, 2, vec![0u8; 1_000]),
-        });
+        let batch_of = |tuples: Vec<Tuple>| frame(Request::IngestBatch { seq: 0, tuples });
+        let small = batch_of(vec![Tuple::bare(1, 2)]);
+        let big = batch_of(vec![Tuple::new(1, 2, vec![0u8; 1_000])]);
         assert!(big > small + 900);
-        let batch = frame(Request::IngestBatch {
-            seq: 0,
-            tuples: vec![Tuple::bare(1, 2); 64],
-        });
+        let batch = batch_of(vec![Tuple::bare(1, 2); 64]);
         assert!(batch < 64 * small);
         assert!(batch > 64 * Tuple::bare(1, 2).encoded_len());
     }

@@ -629,8 +629,7 @@ fn bind_reuseaddr_one(sa: SocketAddr) -> std::io::Result<TcpListener> {
 /// liveness probes answer even under load.
 fn priority_band(req: &Request) -> usize {
     match req {
-        Request::Ingest { .. }
-        | Request::IngestBatch { .. }
+        Request::IngestBatch { .. }
         | Request::Flush
         | Request::Ping
         | Request::Shutdown

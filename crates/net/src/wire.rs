@@ -396,10 +396,7 @@ fn decode_subquery(dec: &mut Decoder<'_>) -> Result<SubQuery> {
 
 fn encode_request_payload(out: &mut impl Encoder, req: &Request) {
     match req {
-        Request::Ingest { tuple } => {
-            out.put_u8(0);
-            encode_tuple(out, tuple);
-        }
+        // Tag 0 was the per-tuple `Ingest` verb; it is retired, never reused.
         Request::IngestBatch { seq, tuples } => {
             out.put_u8(1);
             out.put_u64(*seq);
@@ -483,9 +480,6 @@ fn encode_request_payload(out: &mut impl Encoder, req: &Request) {
 
 fn decode_request_payload(dec: &mut Decoder<'_>) -> Result<Request> {
     Ok(match dec.get_u8()? {
-        0 => Request::Ingest {
-            tuple: decode_tuple(dec)?,
-        },
         1 => Request::IngestBatch {
             seq: dec.get_u64()?,
             tuples: decode_tuples(dec)?,

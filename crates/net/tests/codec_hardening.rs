@@ -190,10 +190,9 @@ impl Gen {
     }
 
     fn request(&mut self) -> Request {
-        match self.below(12) {
-            0 => Request::Ingest {
-                tuple: self.tuple(),
-            },
+        // Arm numbers are the wire tags; 0 is retired (see
+        // `retired_request_tag_zero_is_a_typed_error`).
+        match 1 + self.below(11) {
             1 => Request::IngestBatch {
                 seq: self.next(),
                 tuples: self.tuples(),
@@ -466,5 +465,34 @@ fn oversized_announcement_and_predicate_flag() {
     match got.payload {
         Request::InMemorySubquery { sq } => assert!(sq.predicate.is_none()),
         other => panic!("wrong payload: {other:?}"),
+    }
+}
+
+/// Wire tag 0 was the per-tuple `Ingest` verb. It is retired, not reused:
+/// a frame from an old sender that still carries it — a well-formed tuple
+/// behind the tag included — is a typed decode error, never a panic and
+/// never some other verb.
+#[test]
+fn retired_request_tag_zero_is_a_typed_error() {
+    use waterwheel_core::WwError;
+    let env = Envelope {
+        src: ServerId(2_000),
+        dst: ServerId(0),
+        rpc_id: 1,
+        deadline: Instant::now() + Duration::from_secs(1),
+        payload: Request::Ping,
+    };
+    let frame = wire::encode_request(1, &env);
+    let mut body = wire::read_frame(&mut &frame[..]).unwrap().unwrap();
+    // Ping is a bare tag, so the request tag is the body's last byte.
+    *body.last_mut().unwrap() = 0;
+    let mut old_payload = Vec::new();
+    waterwheel_core::codec::encode_tuple(&mut old_payload, &Tuple::new(7, 9, vec![1, 2, 3]));
+    for tail in [&[][..], &old_payload[..]] {
+        let mut forged = body.clone();
+        forged.extend_from_slice(tail);
+        let err = wire::decode_frame(&forged).unwrap_err();
+        assert!(matches!(err, WwError::Corrupt { .. }), "{err:?}");
+        assert!(err.to_string().contains("unknown request tag 0"), "{err}");
     }
 }

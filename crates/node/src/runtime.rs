@@ -322,8 +322,7 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
             register_well_known_attrs(&attrs);
             let gateway = Gateway::new(host.clone(), DispatchPolicy::Lada, attrs)?;
             gateway.serve(&*registry);
-            pump_handles.extend(roles::spawn_linger_flusher(
-                &host.cfg,
+            pump_handles.push(roles::spawn_linger_flusher(
                 gateway.dispatchers().to_vec(),
                 &pumps_stop,
             ));

@@ -19,7 +19,7 @@ use std::io::BufRead;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use waterwheel_agg::AggregateAnswer;
@@ -469,7 +469,6 @@ pub struct ClusterClient {
     disp_ids: Vec<ServerId>,
     qs_ids: Vec<ServerId>,
     ix_ids: Vec<ServerId>,
-    next: AtomicUsize,
     batch_seq: AtomicU64,
 }
 
@@ -501,7 +500,6 @@ impl ClusterClient {
             disp_ids,
             qs_ids,
             ix_ids,
-            next: AtomicUsize::new(0),
             // Above every earlier client incarnation under this id, so a
             // gateway that outlived them never mistakes a fresh batch for
             // a redelivery.
@@ -509,12 +507,9 @@ impl ClusterClient {
         }
     }
 
-    /// Ingests one tuple (round-robin across dispatcher processes' ids).
+    /// Ingests one tuple: a batch of one, exactly-once like any other.
     pub fn insert(&self, tuple: Tuple) -> Result<()> {
-        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.disp_ids.len();
-        self.rpc
-            .call(self.disp_ids[i], Request::Ingest { tuple })?
-            .into_ack()
+        self.insert_batch(vec![tuple]).map(|_| ())
     }
 
     /// Ingests a whole batch in one exactly-once RPC, returning how many

@@ -53,7 +53,7 @@ fn classify(req: &Request) -> Class {
         | Request::RegisterPeers { .. }
         | Request::Reassign { .. }
         | Request::MigrateUniform => Class::Control,
-        Request::Ingest { .. } | Request::IngestBatch { .. } | Request::Flush => Class::Ingest,
+        Request::IngestBatch { .. } | Request::Flush => Class::Ingest,
         Request::InMemorySubquery { .. }
         | Request::AggregateInMemory { .. }
         | Request::ChunkSubquery { .. }

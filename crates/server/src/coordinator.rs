@@ -19,7 +19,7 @@
 //! deadlines, retries, and fault injection.
 //!
 //! Subqueries fan out without creating threads: the coordinator owns one
-//! persistent [`FanoutPool`] (at most `query_servers × query_workers`
+//! persistent [`FanoutPool`] (at most `query_servers × WORKERS_PER_SERVER`
 //! threads, started on first need, parked between queries, joined when the
 //! coordinator is dropped or restarted). The thread that calls
 //! [`Coordinator::execute`] is always the first worker of every dispatch
@@ -34,7 +34,7 @@
 //! [`REDISPATCH_ROUNDS`] rounds; no intermediate results are persisted.
 
 use crate::attributes::AttrRegistry;
-use crate::dispatch::{self, DispatchPlan, DispatchPolicy};
+use crate::dispatch::{self, DispatchPlan, DispatchPolicy, WORKERS_PER_SERVER};
 use crate::fanout::FanoutPool;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -110,7 +110,6 @@ pub struct Coordinator {
     policy: RwLock<DispatchPolicy>,
     /// Secondary-attribute registry shared with the indexing servers.
     attrs: RwLock<Arc<AttrRegistry>>,
-    cfg: SystemConfig,
     /// Ablation knob: when cleared, aggregate queries take the tuple-scan
     /// path end to end even if summaries exist.
     summaries_enabled: AtomicBool,
@@ -135,10 +134,10 @@ impl Coordinator {
         indexing: Vec<ServerId>,
         replication: usize,
         policy: DispatchPolicy,
-        cfg: SystemConfig,
+        cfg: &SystemConfig,
     ) -> Self {
         assert!(!query_servers.is_empty());
-        let pool = FanoutPool::new(query_servers.len() * cfg.query_workers);
+        let pool = FanoutPool::new(query_servers.len() * WORKERS_PER_SERVER);
         Self {
             meta: MetaClient::new(rpc.clone()),
             rpc,
@@ -152,7 +151,6 @@ impl Coordinator {
             policy: RwLock::new(policy),
             attrs: RwLock::new(Arc::new(AttrRegistry::new())),
             summaries_enabled: AtomicBool::new(cfg.agg_summaries_enabled),
-            cfg,
             measure: RwLock::new(default_measure()),
             next_query: AtomicU64::new(0),
             stats: CoordinatorStats::default(),
@@ -188,7 +186,7 @@ impl Coordinator {
             let query = view.query_ids();
             let indexing = view.indexing_ids();
             if !query.is_empty() {
-                self.pool.set_cap(query.len() * self.cfg.query_workers);
+                self.pool.set_cap(query.len() * WORKERS_PER_SERVER);
                 rt.query_servers = query;
             }
             if !indexing.is_empty() {
@@ -247,12 +245,8 @@ impl Coordinator {
         let mut index = 0u32;
         // The measure range travels on subqueries only as a pruning hint
         // (bounds checks against stored MIN/MAX); exactness comes from the
-        // folded predicate, so disabling the knob changes no answers.
-        let measure_range = if self.cfg.measure_pruning {
-            query.measure_range
-        } else {
-            None
-        };
+        // folded predicate.
+        let measure_range = query.measure_range;
         let mut push = |keys, times, target| {
             out.push(SubQuery {
                 id: SubQueryId { query: qid, index },
@@ -680,7 +674,7 @@ impl Coordinator {
         let planned = {
             let run = Arc::clone(&run);
             let slots = rt.query_servers.clone();
-            dispatch::execute_plan(&self.pool, plan, self.cfg.query_workers, move |s, i| {
+            dispatch::execute_plan(&self.pool, plan, WORKERS_PER_SERVER, move |s, i| {
                 run(slots[s], i)
             })
         };
@@ -722,12 +716,9 @@ impl Coordinator {
                 |_, _| true,
             );
             let run = Arc::clone(&run);
-            dispatch::execute_plan(
-                &self.pool,
-                retry_plan,
-                self.cfg.query_workers,
-                move |hs, ri| run(healthy[hs], remaining[ri]),
-            );
+            dispatch::execute_plan(&self.pool, retry_plan, WORKERS_PER_SERVER, move |hs, ri| {
+                run(healthy[hs], remaining[ri])
+            });
         }
         // Every plan above has returned, so no worker holds a subquery.
         let results = std::mem::take(&mut *results.lock());
@@ -840,7 +831,7 @@ mod tests {
                 vec![ServerId(0)],
                 2,
                 DispatchPolicy::Lada,
-                cfg,
+                &cfg,
             ),
             meta,
         )
@@ -959,7 +950,7 @@ mod tests {
             vec![],
             1,
             DispatchPolicy::Lada,
-            cfg,
+            &cfg,
         );
         (coord, probes10, probes11)
     }

@@ -23,6 +23,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use waterwheel_core::ChunkId;
 
+/// Subquery workers per query server: how many chunk subqueries one server
+/// executes concurrently under a dispatch plan — and, × the query servers,
+/// the cap of the coordinator's fan-out pool.
+pub const WORKERS_PER_SERVER: usize = 4;
+
 /// Which dispatch policy to use (paper §VI-C2 compares all four).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DispatchPolicy {
@@ -272,9 +277,9 @@ where
 }
 
 /// Executes a plan: each server runs `exec(server, subquery_index)` for the
-/// subqueries it wins, with up to `workers` workers per server
-/// (`query_workers`) so one server keeps several subqueries in flight.
-/// Workers of one server share a bid cursor over the server's preference
+/// subqueries it wins, with up to `workers` workers per server (the
+/// coordinator passes [`WORKERS_PER_SERVER`]) so one server keeps several
+/// subqueries in flight. Workers of one server share a bid cursor over the server's preference
 /// array, preserving LADA preference order; work-conserving plans keep
 /// their stealing semantics — an idle worker takes any pending subquery in
 /// its server's preference order.

@@ -8,10 +8,11 @@
 //! replayable input queue, so delivery inherits the plane's deadlines,
 //! retries, and fault injection.
 //!
-//! **Batching.** With `ingest_batch_size > 1` tuples are buffered per
-//! destination and shipped as one [`Request::IngestBatch`] envelope when
-//! the buffer fills (or when a background flush notices a partial batch
-//! older than `ingest_linger`). One envelope, one queue append-batch, one
+//! **Batching.** Tuples are buffered per destination and shipped as one
+//! [`Request::IngestBatch`] envelope when the buffer reaches
+//! `ingest_batch_size` (or when a background flush notices a partial batch
+//! older than [`INGEST_LINGER`]); at `ingest_batch_size = 1` every tuple is
+//! a batch of one. One envelope, one queue append-batch, one
 //! round-trip per *batch* instead of per tuple is where the paper's
 //! realtime ingest rate comes from (Fig. 15). Each batch carries a
 //! per-(dispatcher, destination) monotonic sequence number; a batch that
@@ -25,7 +26,7 @@
 //! stream in a sliding window of a few seconds" — implemented as
 //! per-server counts plus a reservoir sample of keys per window, which the
 //! partition balancer periodically collects. Only *acknowledged* tuples
-//! are recorded (per-tuple on the Ack, batched on the batch Ack): a send
+//! are recorded (on the batch ack): a send
 //! that never reached its server must not inflate that server's load in
 //! the balancer's eyes.
 
@@ -40,6 +41,11 @@ use waterwheel_net::{Request, Response, RpcClient};
 
 /// Reservoir capacity per sampling window.
 const RESERVOIR_CAP: usize = 4_096;
+
+/// Longest a partially filled ingest batch may sit buffered in a dispatcher
+/// before the background linger flusher sends it anyway. Bounds the
+/// visibility latency batching can add to a trickling stream.
+pub const INGEST_LINGER: Duration = Duration::from_millis(2);
 
 /// The first batch sequence number of a sender constructed now. Receivers
 /// remember — durably, in the queue's journal — the highest `seq` per
@@ -167,12 +173,10 @@ pub struct Dispatcher {
     schema: RwLock<PartitionSchema>,
     sampler: Mutex<Sampler>,
     batch_size: usize,
-    linger: Duration,
     seq_base: u64,
     dests: Mutex<HashMap<ServerId, Arc<Mutex<DestState>>>>,
     dispatched: AtomicU64,
     batches_sent: AtomicU64,
-    batch_tuples: AtomicU64,
 }
 
 impl Dispatcher {
@@ -188,12 +192,10 @@ impl Dispatcher {
                 rng_state: 0x2545F4914F6CDD1D ^ id.raw() as u64,
             }),
             batch_size: cfg.ingest_batch_size.max(1),
-            linger: cfg.ingest_linger,
             seq_base: incarnation_seq_base(),
             dests: Mutex::new(HashMap::new()),
             dispatched: AtomicU64::new(0),
             batches_sent: AtomicU64::new(0),
-            batch_tuples: AtomicU64::new(0),
         }
     }
 
@@ -212,9 +214,9 @@ impl Dispatcher {
         self.batches_sent.load(Ordering::Relaxed)
     }
 
-    /// Tuples acknowledged via the batched path since creation.
+    /// Tuples those batches carried — every acknowledged tuple rides one.
     pub fn batch_tuples(&self) -> u64 {
-        self.batch_tuples.load(Ordering::Relaxed)
+        self.dispatched()
     }
 
     /// Tuples accepted by [`dispatch`](Self::dispatch) but not yet
@@ -262,8 +264,6 @@ impl Dispatcher {
             send_batch(&self.rpc, dest, *seq, tuples.clone(), &mut st.resent)?;
             let (_, tuples) = st.pending.take().expect("pending still set");
             self.batches_sent.fetch_add(1, Ordering::Relaxed);
-            self.batch_tuples
-                .fetch_add(tuples.len() as u64, Ordering::Relaxed);
             self.dispatched
                 .fetch_add(tuples.len() as u64, Ordering::Relaxed);
             let mut sampler = self.sampler.lock();
@@ -273,23 +273,14 @@ impl Dispatcher {
         }
     }
 
-    /// Routes one tuple to its indexing server. With batching on, the
-    /// tuple is buffered and the call only touches the plane when its
-    /// destination's batch fills; errors surface on the flushing call (and
-    /// stick until [`flush_batches`](Self::flush_batches) succeeds).
-    /// Routing to a server with no address on the plane fails loudly
-    /// (unreachable), never silently drops.
+    /// Routes one tuple to its indexing server. The tuple is buffered and
+    /// the call only touches the plane when its destination's batch fills;
+    /// errors surface on the flushing call (and stick until
+    /// [`flush_batches`](Self::flush_batches) succeeds). Routing to a
+    /// server with no address on the plane fails loudly (unreachable),
+    /// never silently drops.
     pub fn dispatch(&self, tuple: Tuple) -> Result<()> {
         let server = self.schema.read().route(tuple.key);
-        if self.batch_size <= 1 {
-            let key = tuple.key;
-            self.rpc
-                .call(server, Request::Ingest { tuple })?
-                .into_ack()?;
-            self.dispatched.fetch_add(1, Ordering::Relaxed);
-            self.sampler.lock().record(key, server);
-            return Ok(());
-        }
         let dest = self.dest_state(server);
         let mut st = dest.lock();
         st.buffer.push(tuple);
@@ -317,7 +308,7 @@ impl Dispatcher {
         Ok(())
     }
 
-    /// Sends partial batches older than `ingest_linger` (and retries any
+    /// Sends partial batches older than [`INGEST_LINGER`] (and retries any
     /// failed batch). The system facade's background flusher calls this so
     /// a trickling stream becomes visible without filling a batch.
     pub fn flush_lingering(&self) -> Result<()> {
@@ -332,7 +323,7 @@ impl Dispatcher {
             let overdue = st.pending.is_some()
                 || st
                     .first_buffered_at
-                    .is_some_and(|t| t.elapsed() >= self.linger);
+                    .is_some_and(|t| t.elapsed() >= INGEST_LINGER);
             if overdue {
                 self.flush_dest(id, &mut st)?;
             }
@@ -388,10 +379,6 @@ mod tests {
         for partition in 0..servers as usize {
             let mq = mq.clone();
             transport.bind(ServerId(partition as u32), move |env| match &env.payload {
-                Request::Ingest { tuple } => {
-                    mq.append("ingest", partition, tuple.clone())?;
-                    Ok(Response::Ack)
-                }
                 Request::IngestBatch { tuples, .. } => {
                     mq.append_batch("ingest", partition, tuples.clone())?;
                     Ok(Response::AckBatch {
@@ -417,7 +404,7 @@ mod tests {
         (mq, transport, d)
     }
 
-    /// Per-tuple rig: every dispatch is one envelope.
+    /// Batch-of-one rig: every dispatch is one envelope.
     fn setup(servers: u32) -> (MessageQueue, Arc<InProcTransport>, Dispatcher) {
         setup_with(servers, 1)
     }
@@ -480,10 +467,10 @@ mod tests {
     fn lingering_flush_sends_only_overdue_buffers() {
         let (mq, _t, d) = setup_with(2, 64);
         d.dispatch(Tuple::bare(1, 1)).unwrap();
-        // A fresh buffer is younger than the (default 2 ms) linger.
+        // A fresh buffer is younger than the linger.
         d.flush_lingering().unwrap();
         assert_eq!(mq.latest_offset("ingest", 0).unwrap(), 0);
-        std::thread::sleep(Duration::from_millis(5));
+        std::thread::sleep(INGEST_LINGER * 2);
         d.flush_lingering().unwrap();
         assert_eq!(mq.latest_offset("ingest", 0).unwrap(), 1);
         assert_eq!(d.dispatched(), 1);

@@ -5,7 +5,7 @@
 //! are the [`Gateway`]: it owns the dispatchers, the (restartable) query
 //! coordinator, the ingest dedup table of its dispatcher addresses, the
 //! partition balancer and the migration counters. [`Gateway::serve`] binds
-//! the client verbs — `Ingest`, `IngestBatch`, `Flush`, `Ping` at every
+//! the client verbs — `IngestBatch`, `Flush`, `Ping` at every
 //! dispatcher id; `ClientQuery`, `ClientAggregate`, `MigrateUniform`,
 //! `RegisterPeers`, `Ping` at [`COORDINATOR`] — to the same methods the
 //! embedded [`Waterwheel`](crate::Waterwheel) calls directly, so a verb
@@ -204,16 +204,12 @@ impl Gateway {
         Ok(epoch)
     }
 
-    /// Binds the client verbs on `registry`: the ingest verbs at every
+    /// Binds the client verbs on `registry`: ingest and flush at every
     /// dispatcher id, the query and control verbs at [`COORDINATOR`].
     pub fn serve<H: HandlerHost + ?Sized>(self: &Arc<Self>, registry: &H) {
         for d in &self.dispatchers {
             let (gw, d) = (Arc::clone(self), Arc::clone(d));
             registry.bind_handler(d.id(), move |env| match &env.payload {
-                Request::Ingest { tuple } => {
-                    d.dispatch(tuple.clone())?;
-                    Ok(Response::Ack)
-                }
                 Request::IngestBatch { seq, tuples } => {
                     let deduped = gw.dedup.apply_once(env.src, d.id(), *seq, || {
                         tuples.iter().try_for_each(|t| d.dispatch(t.clone()))

@@ -46,8 +46,7 @@
 //!
 //! | Verb | Indexing id | Query id | Dispatcher id | `COORDINATOR` |
 //! |---|---|---|---|---|
-//! | `Ingest` | append, then `mq.sync()` before `Ack` | — | route through this dispatcher | — |
-//! | `IngestBatch` | append once per `(src, seq)`; the marker is journalled in the batch's frame and committed before `AckBatch` | — | route every tuple through this dispatcher, once per `(src, seq)` | — |
+//! | `IngestBatch` (the one ingest verb; a single insert is a batch of one) | append once per `(src, seq)`; the marker is journalled in the batch's frame and committed before `AckBatch` | — | route every tuple through this dispatcher, once per `(src, seq)` | — |
 //! | `Flush` | `Injected` if failed, else pump the partition empty and seal; flushes of one server are serialized, so it returns only once everything sealed so far is in registered chunks | — | [`Gateway::flush_all`]: push buffered batches, then `Flush` every indexing server of the live membership (a metadata error fails the flush; only an `Injected` server is skipped); answers the sealed chunks | — |
 //! | `InMemorySubquery`, `AggregateInMemory`, `Reassign` | served | — | — | — |
 //! | `ChunkSubquery`, `ReadSummary` | — | served | — | — |

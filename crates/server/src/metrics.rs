@@ -58,7 +58,7 @@ pub struct SystemMetrics {
     /// in-flight DFS read (singleflight de-duplication).
     pub singleflight_shared: u64,
     /// Milliseconds query servers spent waiting for an I/O permit
-    /// (`query_io_permits` contention).
+    /// (`IO_PERMITS` contention).
     pub io_wait_ms: u64,
     /// Largest chunk-subquery backlog one dispatch plan handed to the
     /// query-server worker pools (worker-pool queue depth).

@@ -252,10 +252,6 @@ mod tests {
             let (mq, server) = (mq.clone(), Arc::clone(server));
             let partition = server.id().raw() as usize;
             transport.bind(server.id(), move |env| match &env.payload {
-                Request::Ingest { tuple } => {
-                    mq.append("ingest", partition, tuple.clone())?;
-                    Ok(Response::Ack)
-                }
                 Request::IngestBatch { tuples, .. } => {
                     mq.append_batch("ingest", partition, tuples.iter().cloned())?;
                     Ok(Response::AckBatch {

@@ -17,7 +17,7 @@
 //! The read path is parallel inside one server (the paper's millisecond
 //! latencies at high client concurrency, §VI-C):
 //!
-//! * DFS access is bounded by an **I/O permit set** (`query_io_permits`)
+//! * DFS access is bounded by an **I/O permit set** ([`IO_PERMITS`])
 //!   instead of one coarse lock, so independent coalesced leaf reads from
 //!   concurrent subqueries proceed together;
 //! * template and summary loads are **singleflighted** — concurrent
@@ -36,7 +36,7 @@ use waterwheel_agg::WheelSummary;
 use waterwheel_cluster::Cluster;
 use waterwheel_core::{ChunkId, NodeId, Result, ServerId, SubQuery, SystemConfig, Tuple, WwError};
 use waterwheel_index::columnar::{DecodedLeaf, ScanScratch};
-use waterwheel_index::{columnar, Bitmap};
+use waterwheel_index::Bitmap;
 use waterwheel_storage::{
     Block, BlockCache, BlockKey, ChunkReader, SimDfs, Singleflight, VERSION_V1,
 };
@@ -45,6 +45,10 @@ use waterwheel_storage::{
 /// are dropped rather than retained. Concurrent subqueries rarely exceed
 /// the worker count, so the pool stays tiny.
 const SCRATCH_POOL_CAP: usize = 32;
+
+/// Concurrent DFS reads a query server of a deployment may have in flight
+/// (its I/O permit set).
+pub const IO_PERMITS: usize = 4;
 
 /// Per-server execution counters.
 #[derive(Debug, Default)]
@@ -168,15 +172,12 @@ pub struct QueryServer {
     stats: QueryServerStats,
     /// Failure injection: when set, every subquery errors.
     failed: AtomicBool,
-    /// Bounds concurrent DFS accesses (`query_io_permits`).
+    /// Bounds concurrent DFS accesses.
     io_permits: IoPermits,
     /// Concurrent template loads of one chunk collapse to one DFS read.
     template_flights: Singleflight<ChunkId, Arc<waterwheel_storage::ChunkIndex>>,
     /// Same for footer-only summary loads.
     summary_flights: Singleflight<ChunkId, Option<Arc<WheelSummary>>>,
-    /// Cache hot v2 leaves in decoded-column form
-    /// (`SystemConfig::decoded_column_cache`).
-    decoded_cache: bool,
     /// Per-worker scratch arenas: each subquery checks one out and reuses
     /// its decode/select buffers across every leaf it touches.
     scratch_pool: Mutex<Vec<ScanScratch>>,
@@ -191,9 +192,9 @@ impl QueryServer {
         Self::with_layout(id, node, dfs, cache_bytes, 1, 1)
     }
 
-    /// Creates a query server with the read-path parallelism knobs taken
-    /// from `cfg` (`cache_capacity_bytes`, `cache_shards`,
-    /// `query_io_permits`).
+    /// Creates a deployment's query server: the cache sized and sharded by
+    /// `cfg` (`cache_capacity_bytes`, `cache_shards`), [`IO_PERMITS`]
+    /// concurrent DFS reads.
     pub fn with_config(id: ServerId, node: NodeId, dfs: SimDfs, cfg: &SystemConfig) -> Self {
         Self::with_layout(
             id,
@@ -201,20 +202,12 @@ impl QueryServer {
             dfs,
             cfg.cache_capacity_bytes,
             cfg.cache_shards,
-            cfg.query_io_permits,
+            IO_PERMITS,
         )
-        .scan_options(cfg.decoded_column_cache)
     }
 
-    /// Sets the columnar scan knob (`decoded_column_cache`, default on).
-    /// Answers never depend on it — the equivalence suite holds both
-    /// settings to byte-identical results.
-    pub fn scan_options(mut self, decoded_cache: bool) -> Self {
-        self.decoded_cache = decoded_cache;
-        self
-    }
-
-    /// Fully explicit constructor (benches and ablations).
+    /// Fully explicit constructor (benches and the component tests that
+    /// compare layouts).
     pub fn with_layout(
         id: ServerId,
         node: NodeId,
@@ -233,7 +226,6 @@ impl QueryServer {
             io_permits: IoPermits::new(io_permits),
             template_flights: Singleflight::new(),
             summary_flights: Singleflight::new(),
-            decoded_cache: true,
             scratch_pool: Mutex::new(Vec::new()),
         }
     }
@@ -416,11 +408,9 @@ impl QueryServer {
         enum Slot {
             /// v1 page, decoded to row tuples.
             Rows(Arc<Vec<Tuple>>),
-            /// v2 page, kept as its encoded column image (late
-            /// materialization happens at filter time).
-            Cols(Arc<Vec<u8>>),
-            /// v2 page from the decoded-column cache tier: key/timestamp
-            /// columns already decoded, scans skip the varint kernels.
+            /// v2 page, cached with its key/timestamp columns decoded
+            /// (payload blocks stay compressed): scans skip the varint
+            /// kernels.
             Decoded(Arc<DecodedLeaf>),
             Miss,
         }
@@ -452,10 +442,6 @@ impl QueryServer {
                 Some(Block::Leaf(page)) => {
                     self.stats.leaf_cache_hits.fetch_add(1, Ordering::Relaxed);
                     slots.push((li, Slot::Rows(page)));
-                }
-                Some(Block::Column(image)) => {
-                    self.stats.leaf_cache_hits.fetch_add(1, Ordering::Relaxed);
-                    slots.push((li, Slot::Cols(image)));
                 }
                 Some(Block::ColumnDecoded(leaf)) => {
                     self.stats.leaf_cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -507,9 +493,8 @@ impl QueryServer {
                 collect_hits(leaf.scan(&sq.keys, &sq.times, scratch)?, out);
                 Ok(())
             };
-        // An encoded image pays the decode once; with the decoded-column
-        // cache on, the decoded form is cached so the next scan of this
-        // leaf is a decode hit.
+        // An encoded image pays the decode once: the decoded form is what
+        // gets cached, so the next scan of this leaf is a decode hit.
         let scan_cols = |li: usize,
                          image: &[u8],
                          out: &mut Vec<Tuple>,
@@ -519,37 +504,31 @@ impl QueryServer {
                 .column_decode_misses
                 .fetch_add(1, Ordering::Relaxed);
             let count = index.leaves[li].count;
-            let hits = if self.decoded_cache {
-                let decoded = Arc::new(DecodedLeaf::decode(image, count, true, scratch)?);
-                let scanned = decoded.scan(&sq.keys, &sq.times, scratch)?;
-                self.cache.put(
-                    BlockKey::Leaf(chunk, li as u32),
-                    Block::ColumnDecoded(decoded),
-                );
-                scanned
-            } else {
-                columnar::scan_leaf_with(image, count, &sq.keys, &sq.times, true, scratch)?
-            };
-            collect_hits(hits, out);
+            let decoded = Arc::new(DecodedLeaf::decode(image, count, true, scratch)?);
+            collect_hits(decoded.scan(&sq.keys, &sq.times, scratch)?, out);
+            self.cache.put(
+                BlockKey::Leaf(chunk, li as u32),
+                Block::ColumnDecoded(decoded),
+            );
             Ok(())
         };
         enum Page {
             Rows(Arc<Vec<Tuple>>),
-            Cols(Arc<Vec<u8>>),
+            Cols(Vec<u8>),
         }
         let columnar_chunk = index.version != VERSION_V1;
         // One coalesced DFS access for the miss run `mlo..=mhi`: read under
-        // an I/O permit, count, and cache what the filter step will not
-        // cache in a better form itself.
+        // an I/O permit, count, and cache the row pages (a column page is
+        // cached by the filter step, in its decoded form).
         let fetch_run = |mlo: usize, mhi: usize| -> Result<Vec<Page>> {
             let pages: Vec<Page> = {
                 let _io = self.io_permits.acquire(&self.stats.io_wait_ns);
                 let reader = ChunkReader::new(self.dfs.open(chunk, Some(self.node))?);
                 if columnar_chunk {
-                    // Cache and ship the encoded column images; decoding
-                    // waits for the filter step.
+                    // Ship the encoded column images; decoding waits for
+                    // the filter step.
                     let pages = reader.read_leaf_pages(&index, mlo, mhi)?;
-                    pages.into_iter().map(|p| Page::Cols(Arc::new(p))).collect()
+                    pages.into_iter().map(Page::Cols).collect()
                 } else {
                     let pages = reader.read_leaves(&index, mlo, mhi)?;
                     pages.into_iter().map(|p| Page::Rows(Arc::new(p))).collect()
@@ -559,17 +538,12 @@ impl QueryServer {
                 .leaf_reads
                 .fetch_add((mhi - mlo + 1) as u64, Ordering::Relaxed);
             for (offset, page) in pages.iter().enumerate() {
-                // With the decoded-column cache on, the filter step caches
-                // the *decoded* form of a column page instead — caching the
-                // encoded image here would immediately be evicted by the
-                // upgrade.
-                let block = match page {
-                    Page::Rows(p) => Block::Leaf(Arc::clone(p)),
-                    Page::Cols(_) if self.decoded_cache => continue,
-                    Page::Cols(p) => Block::Column(Arc::clone(p)),
-                };
-                self.cache
-                    .put(BlockKey::Leaf(chunk, (mlo + offset) as u32), block);
+                if let Page::Rows(p) = page {
+                    self.cache.put(
+                        BlockKey::Leaf(chunk, (mlo + offset) as u32),
+                        Block::Leaf(Arc::clone(p)),
+                    );
+                }
             }
             Ok(pages)
         };
@@ -579,7 +553,6 @@ impl QueryServer {
             for (li, slot) in &slots {
                 match slot {
                     Slot::Rows(page) => filter_into(page, &mut out),
-                    Slot::Cols(image) => scan_cols(*li, image, &mut out, scratch)?,
                     Slot::Decoded(leaf) => scan_decoded(leaf, &mut out, scratch)?,
                     Slot::Miss => match next_miss()? {
                         Page::Rows(p) => filter_into(&p, &mut out),
@@ -841,12 +814,10 @@ mod tests {
         // (read inline); warming one in the *middle* leaves two runs (read
         // by the reader thread). Tuples, the read/hit accounting and what
         // ends up cached must not depend on which way it went — in the v1
-        // row format and in v2 with the decoded-column tier on and off.
+        // row format and in v2.
         use waterwheel_storage::{write_chunk_opts, ChunkWriteOptions, VERSION_V2};
-        for (version, decoded_cache) in
-            [(VERSION_V1, true), (VERSION_V2, true), (VERSION_V2, false)]
-        {
-            let (dfs, _, mut tuples) = setup(&format!("paths-{version}-{decoded_cache}"));
+        for version in [VERSION_V1, VERSION_V2] {
+            let (dfs, _, mut tuples) = setup(&format!("paths-{version}"));
             tuples.sort_by_key(|t| (t.key, t.ts));
             // `setup` wrote chunk 0 in v1; write the format under test as
             // chunk 1 from the same tuples.
@@ -871,8 +842,7 @@ mod tests {
                 .unwrap();
             let wide = subquery(KeyInterval::full(), TimeInterval::full(), chunk);
             let run = |warm: KeyInterval| {
-                let qs = QueryServer::new(ServerId(0), NodeId(0), dfs.clone(), 8 << 20)
-                    .scan_options(decoded_cache);
+                let qs = QueryServer::new(ServerId(0), NodeId(0), dfs.clone(), 8 << 20);
                 qs.execute(&subquery(warm, TimeInterval::full(), chunk), chunk)
                     .unwrap();
                 let warmed = qs.stats().leaf_reads.load(Ordering::Relaxed);
@@ -884,7 +854,6 @@ mod tests {
                 let cached: Vec<String> = (0..leaves as u32)
                     .map(|li| match qs.cache().get(&BlockKey::Leaf(chunk, li)) {
                         Some(Block::Leaf(p)) => format!("rows:{}", p.len()),
-                        Some(Block::Column(p)) => format!("cols:{}", p.len()),
                         Some(Block::ColumnDecoded(_)) => "decoded".into(),
                         _ => "absent".into(),
                     })
@@ -904,7 +873,7 @@ mod tests {
             let last_key = tuples.last().unwrap().key;
             let inline = run(KeyInterval::new(last_key, last_key));
             let threaded = run(KeyInterval::new(1_400, 1_500));
-            let label = format!("v{version} decoded_cache={decoded_cache}");
+            let label = format!("v{version}");
             assert_eq!(inline.0, tuples, "{label}: inline read");
             assert_eq!(threaded.0, tuples, "{label}: reader-thread read");
             for (path, (_, leaves, warmed, reads, hits, cached, _)) in

@@ -15,7 +15,7 @@
 use crate::attributes::AttrRegistry;
 use crate::coordinator::Coordinator;
 use crate::dispatch::DispatchPolicy;
-use crate::dispatcher::Dispatcher;
+use crate::dispatcher::{Dispatcher, INGEST_LINGER};
 use crate::indexing::IndexingServer;
 use crate::query_server::QueryServer;
 use parking_lot::{Mutex, RwLock};
@@ -189,7 +189,7 @@ impl Host {
             self.topology.indexing.clone(),
             self.topology.replication(&self.cfg),
             policy,
-            self.cfg.clone(),
+            &self.cfg,
         ));
         coordinator.set_attr_registry(Arc::clone(attrs));
         coordinator
@@ -381,18 +381,10 @@ impl IndexingRole {
         let handler_slot = Arc::clone(&slot);
         registry.bind_handler(id, move |env| {
             // Resolved per call so a recovery swap takes effect. The ingest
-            // verbs never look at the server's health: the queue accepts
+            // verb never looks at the server's health: the queue accepts
             // writes while its consumer is down, and they replay (Kafka).
             let server = Arc::clone(&handler_slot.read());
             match &env.payload {
-                Request::Ingest { tuple } => {
-                    // A single tuple carries no batch marker; force it out
-                    // of process buffers before acking so a kill -9 cannot
-                    // take it back.
-                    mq.append(INGEST_TOPIC, partition, tuple.clone())?;
-                    mq.sync()?;
-                    Ok(Response::Ack)
-                }
                 Request::IngestBatch { seq, tuples } => {
                     // Marker + tuples land as one atomic journal frame,
                     // committed before the ack: the durability point of
@@ -472,22 +464,18 @@ pub fn spawn_pump(slot: &IndexingSlot, stop: &Arc<AtomicBool>) -> JoinHandle<()>
 }
 
 /// Spawns the linger flusher of a process's dispatchers: partial batches
-/// older than `ingest_linger` are pushed out, so a trickling stream becomes
-/// visible without waiting for a batch to fill. Errors are left for the next
-/// round — the failed batch stays pending in its dispatcher. `None` when
-/// batching is off and nothing ever lingers.
+/// older than [`INGEST_LINGER`] are pushed out, so a trickling stream becomes
+/// visible without waiting for a batch to fill — and a batch whose send
+/// failed is retried without waiting for the next insert. Errors are left
+/// for the next round: the failed batch stays pending in its dispatcher.
 pub fn spawn_linger_flusher(
-    cfg: &SystemConfig,
     dispatchers: Vec<Arc<Dispatcher>>,
     stop: &Arc<AtomicBool>,
-) -> Option<JoinHandle<()>> {
-    (cfg.ingest_batch_size > 1).then(|| {
-        let linger = cfg.ingest_linger.max(Duration::from_millis(1));
-        spawn_every(stop, linger, move || {
-            for d in &dispatchers {
-                let _ = d.flush_lingering();
-            }
-        })
+) -> JoinHandle<()> {
+    spawn_every(stop, INGEST_LINGER, move || {
+        for d in &dispatchers {
+            let _ = d.flush_lingering();
+        }
     })
 }
 
@@ -613,9 +601,7 @@ mod tests {
     /// compile until it is placed here.
     fn accepted_by(req: &Request, tcp: bool) -> &'static [Bound] {
         match req {
-            Request::Ingest { .. } | Request::IngestBatch { .. } | Request::Flush => {
-                &[Bound::Indexing, Bound::Dispatcher]
-            }
+            Request::IngestBatch { .. } | Request::Flush => &[Bound::Indexing, Bound::Dispatcher],
             Request::InMemorySubquery { .. }
             | Request::AggregateInMemory { .. }
             | Request::Reassign { .. } => &[Bound::Indexing],
@@ -658,9 +644,6 @@ mod tests {
     fn one_of_each(chunk: ChunkId) -> Vec<Request> {
         let ix = ServerId(0);
         vec![
-            Request::Ingest {
-                tuple: Tuple::bare(1, 1_000),
-            },
             Request::IngestBatch {
                 seq: 9,
                 tuples: vec![Tuple::bare(2, 1_001)],
@@ -761,8 +744,8 @@ mod tests {
 
         // One gateway: a verb arriving on the plane answers what the
         // embedded method answers. The loop above ingested through the
-        // dispatcher id (1 + 1 tuples, flushed by its `Flush`) and through
-        // the indexing id (another 1 + 1, still queued).
+        // dispatcher id (one tuple, flushed by its `Flush`) and through the
+        // indexing id (another one, still queued).
         ww.insert(Tuple::bare(3, 1_002)).unwrap();
         let (keys, times) = (KeyInterval::full(), TimeInterval::full());
         let sealed = client.call(disp, Request::Flush).unwrap();
@@ -787,7 +770,7 @@ mod tests {
             .unwrap();
         let direct = ww.query(&Query::range(keys, times)).unwrap();
         assert_eq!(over_the_plane.tuples, direct.tuples);
-        assert_eq!(direct.tuples.len(), 64 + 5);
+        assert_eq!(direct.tuples.len(), 64 + 3);
         let kind = AggregateKind::Count;
         let over_the_plane = client
             .call(COORDINATOR, Request::ClientAggregate { keys, times, kind })
@@ -798,7 +781,7 @@ mod tests {
             .aggregate(&Query::range(keys, times).aggregate(kind))
             .unwrap();
         assert_eq!(over_the_plane.agg.count, direct.agg.count);
-        assert_eq!(direct.agg.count, 64 + 5);
+        assert_eq!(direct.agg.count, 64 + 3);
     }
 
     #[test]

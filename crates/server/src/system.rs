@@ -310,6 +310,13 @@ impl Waterwheel {
             .expect("fault injection needs the in-process transport; this system runs over TCP")
     }
 
+    /// The message plane every role of this system sends on, in-process or
+    /// TCP loopback alike: an `RpcClient` built on it reaches the client
+    /// verbs at the dispatcher ids and `COORDINATOR`.
+    pub fn plane(&self) -> &Arc<dyn Transport> {
+        &self.host.plane
+    }
+
     /// Whether this deployment carries RPCs over real TCP loopback sockets.
     pub fn is_tcp(&self) -> bool {
         self.rpc_server.is_some()
@@ -407,10 +414,10 @@ impl Waterwheel {
     }
 
     /// Ingests one tuple through a dispatcher (round-robin across them).
-    /// With `ingest_batch_size > 1` the tuple may be buffered in the
-    /// dispatcher until its batch fills or lingers past `ingest_linger`;
-    /// [`Self::drain`], [`Self::flush_all`] and the background pumps all
-    /// flush those buffers.
+    /// The tuple may be buffered in the dispatcher until its batch fills
+    /// (`ingest_batch_size`) or lingers past
+    /// [`INGEST_LINGER`](crate::dispatcher::INGEST_LINGER); [`Self::drain`],
+    /// [`Self::flush_all`] and the background pumps all flush those buffers.
     pub fn insert(&self, tuple: Tuple) -> Result<()> {
         self.gateway.insert(tuple)
     }
@@ -474,8 +481,7 @@ impl Waterwheel {
                 .iter()
                 .map(|slot| roles::spawn_pump(slot, &self.pumps_stop)),
         );
-        handles.extend(roles::spawn_linger_flusher(
-            &self.host.cfg,
+        handles.push(roles::spawn_linger_flusher(
             self.dispatchers().to_vec(),
             &self.pumps_stop,
         ));

@@ -330,8 +330,10 @@ pub fn parse_index(prefix: &[u8], file_len: u64) -> Result<ChunkIndex> {
         return Err(WwError::corrupt("chunk", "index checksum mismatch"));
     }
     let mut dec = Decoder::new(index_bytes, "chunk");
+    // Counts are on-disk values checked only against each other: size each
+    // allocation by the bytes that are actually there.
     let sep_count = dec.get_u32()? as usize;
-    let mut separators = Vec::with_capacity(sep_count);
+    let mut separators = Vec::with_capacity(sep_count.min(dec.remaining() / 8));
     for _ in 0..sep_count {
         separators.push(dec.get_u64()?);
     }
@@ -347,7 +349,7 @@ pub fn parse_index(prefix: &[u8], file_len: u64) -> Result<ChunkIndex> {
     // checked (a forged `offset`/`len` near u64::MAX must not wrap past the
     // `file_len` bound), and pages must be non-overlapping and in file
     // order so `read_leaves`' coalesced-slice arithmetic cannot underflow.
-    let mut leaves = Vec::with_capacity(leaf_count);
+    let mut leaves = Vec::with_capacity(leaf_count.min(dec.remaining() / MIN_LEAF_ENTRY_LEN));
     let mut prev_end = data_start;
     for _ in 0..leaf_count {
         let entry_count = dec.get_u32()?;
@@ -414,6 +416,10 @@ pub fn parse_index(prefix: &[u8], file_len: u64) -> Result<ChunkIndex> {
         version,
     })
 }
+
+/// Smallest possible leaf directory entry: 4-byte entry count, 8-byte
+/// offset, 8-byte length, and the 4-byte time-range and bloom flags.
+const MIN_LEAF_ENTRY_LEN: usize = 28;
 
 /// Smallest possible row-encoded tuple: 8-byte key, 8-byte timestamp,
 /// 4-byte payload length prefix.

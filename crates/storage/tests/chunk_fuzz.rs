@@ -191,3 +191,53 @@ proptest! {
         exercise(&mut g, &bytes)?;
     }
 }
+
+/// Counts forged with the index checksum recomputed, so nothing but the
+/// decoder's own bounds stands between the count and the allocation it
+/// sizes: the separator count, and a leaf bloom's word count forged to
+/// agree with its bit count. Each must come back `Corrupt` — not abort on a
+/// 32 GiB reserve. (The leaf count is clamped the same way, but it has to
+/// agree with a separator count whose separators are really there, so it
+/// can amplify an allocation, never by itself exhaust memory.)
+#[test]
+fn forged_counts_with_a_valid_checksum_fail_closed() {
+    use waterwheel_core::codec::fnv1a;
+    use waterwheel_storage::chunk::HEADER_LEN;
+    const INDEX_LEN_AT: usize = 28;
+    const CHECKSUM_AT: usize = 36;
+    let put_u32 = |bytes: &mut [u8], at: usize, v: u32| {
+        bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    };
+    let get_u32 =
+        |bytes: &[u8], at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let valid = waterwheel_storage::write_chunk(&sealed_tree(&mut Gen(7)));
+    let index_len =
+        u64::from_le_bytes(valid[INDEX_LEN_AT..INDEX_LEN_AT + 8].try_into().unwrap()) as usize;
+
+    let mut forged_separators = valid.clone();
+    put_u32(&mut forged_separators, HEADER_LEN, u32::MAX);
+
+    // The first leaf's directory entry: count, offset, len, the time-range
+    // flag and bounds, then the bloom flag and the filter (mini-range
+    // width, bit count, hashes, word count, …).
+    let separators = get_u32(&valid, HEADER_LEN) as usize;
+    let first_leaf_at = HEADER_LEN + 4 + separators * 8 + 4;
+    assert_eq!(get_u32(&valid, first_leaf_at + 20), 1, "has a time range");
+    let bloom_at = first_leaf_at + 20 + 4 + 16 + 4;
+    assert_eq!(get_u32(&valid, bloom_at - 4), 1, "has a bloom");
+    let mut forged_bloom = valid.clone();
+    forged_bloom[bloom_at + 8..bloom_at + 16]
+        .copy_from_slice(&(u64::from(u32::MAX) * 64).to_le_bytes());
+    put_u32(&mut forged_bloom, bloom_at + 20, u32::MAX);
+
+    for (what, mut bytes) in [
+        ("separator count", forged_separators),
+        ("bloom word count", forged_bloom),
+    ] {
+        let sum = fnv1a(&bytes[HEADER_LEN..HEADER_LEN + index_len]);
+        bytes[CHECKSUM_AT..CHECKSUM_AT + 8].copy_from_slice(&sum.to_le_bytes());
+        let err = ChunkReader::new(bytes.as_slice()).load_index().unwrap_err();
+        assert!(is_typed_decode_error(&err), "{what}: {err}");
+        assert!(!err.to_string().contains("checksum"), "{what}: {err}");
+    }
+}

@@ -6,9 +6,10 @@
 //! columnar format changes bytes on disk, never answers. A separate test
 //! shows the persisted measure bounds actually skip whole chunks (and
 //! leaves) for a disjoint `measure_range` — without changing the answer
-//! relative to a pruning-disabled run.
+//! relative to the full-scan oracle filtered by the measure.
 
 use std::sync::atomic::Ordering;
+use waterwheel::agg::PartialAgg;
 use waterwheel::core::AggregateKind;
 use waterwheel::prelude::*;
 use waterwheel::workloads::{oracle, QueryGen, TDriveConfig, TDriveGen, TemporalShape};
@@ -19,17 +20,7 @@ fn fresh_root(name: &str) -> std::path::PathBuf {
     root
 }
 
-fn system(name: &str, version: u32, compression: bool, pruning: bool) -> Waterwheel {
-    system_with(name, version, compression, pruning, true)
-}
-
-fn system_with(
-    name: &str,
-    version: u32,
-    compression: bool,
-    pruning: bool,
-    decoded_cache: bool,
-) -> Waterwheel {
+fn system(name: &str, version: u32, compression: bool) -> Waterwheel {
     let mut cfg = SystemConfig::default();
     cfg.chunk_size_bytes = 32 * 1024;
     cfg.indexing_servers = 2;
@@ -39,8 +30,6 @@ fn system_with(
     cfg.skew_check_interval = 64;
     cfg.chunk_format_version = version;
     cfg.chunk_compression = compression;
-    cfg.measure_pruning = pruning;
-    cfg.decoded_column_cache = decoded_cache;
     let ww = Waterwheel::builder(fresh_root(name))
         .config(cfg)
         .build()
@@ -66,13 +55,9 @@ fn normalized(mut tuples: Vec<Tuple>) -> Vec<Tuple> {
 #[test]
 fn v1_and_v2_answer_byte_identically() {
     let systems = [
-        system("v1", 1, false, true),
-        system("v2", 2, true, true),
-        system("v2-raw", 2, false, true),
-        // Decoded-column cache off: answers must not move — only
-        // throughput may. (Scalar ≡ vectorized kernels is checked on
-        // arbitrary leaf images in crates/index/tests/columnar_kernels.rs.)
-        system_with("v2-nocache", 2, true, true, false),
+        system("v1", 1, false),
+        system("v2", 2, true),
+        system("v2-raw", 2, false),
     ];
     let mut fleet = TDriveGen::new(TDriveConfig {
         taxis: 200,
@@ -139,8 +124,7 @@ fn v1_and_v2_answer_byte_identically() {
     }
 
     // The query battery above revisits the same chunks many times, so the
-    // default v2 system must have served repeat scans from the
-    // decoded-column cache tier; with the knob off that tier stays cold.
+    // v2 system must have served repeat scans from decoded cached leaves.
     let decode_counters = |ww: &Waterwheel| {
         let mut hits = 0u64;
         let mut misses = 0u64;
@@ -158,19 +142,14 @@ fn v1_and_v2_answer_byte_identically() {
     assert!(selected > 0, "columnar scans materialized no rows");
     let (v1_hits, v1_misses, _) = decode_counters(&systems[0]);
     assert_eq!((v1_hits, v1_misses), (0, 0), "v1 has no column decodes");
-    let (nc_hits, nc_misses, nc_selected) = decode_counters(&systems[3]);
-    assert_eq!(nc_hits, 0, "decoded cache off must never register a hit");
-    assert!(nc_misses > 0, "knob off still decodes encoded images");
-    assert!(nc_selected > 0);
 }
 
 /// Persisted MIN/MAX measure bounds skip whole chunks (and v2 leaves) for a
-/// disjoint measure range, and pruning never changes the answer: a twin
-/// system with `measure_pruning = false` returns byte-identical results.
+/// disjoint measure range, and pruning never changes the answer: it is the
+/// full-scan oracle's, filtered by the measure.
 #[test]
 fn measure_bounds_prune_whole_chunks_without_changing_answers() {
-    let pruned = system("prune-on", 2, true, true);
-    let unpruned = system("prune-off", 2, true, false);
+    let pruned = system("prune-on", 2, true);
     // Three disjoint key batches, each flushed into its own chunk(s), so
     // the chunks carry disjoint measure bounds (measure == key).
     let mut all = Vec::new();
@@ -182,13 +161,10 @@ fn measure_bounds_prune_whole_chunks_without_changing_answers() {
                 vec![7; 16],
             );
             all.push(t.clone());
-            pruned.insert(t.clone()).unwrap();
-            unpruned.insert(t).unwrap();
+            pruned.insert(t).unwrap();
         }
-        for ww in [&pruned, &unpruned] {
-            ww.drain().unwrap();
-            ww.flush_all().unwrap();
-        }
+        pruned.drain().unwrap();
+        pruned.flush_all().unwrap();
     }
     assert!(
         pruned.metadata().chunk_count() >= 3,
@@ -199,17 +175,13 @@ fn measure_bounds_prune_whole_chunks_without_changing_answers() {
     let q = Query::range(KeyInterval::full(), TimeInterval::full())
         .and_measure_between(100_000, 100_999);
     let got = normalized(pruned.query(&q).unwrap().tuples);
-    let want: Vec<Tuple> = normalized(
-        all.iter()
-            .filter(|t| (100_000..=100_999).contains(&t.key))
-            .cloned()
-            .collect(),
-    );
+    let mut want = oracle(&all, &q.keys, &q.times);
+    want.retain(|t| (100_000..=100_999).contains(&measure(t)));
     assert_eq!(got, want, "pruned answer diverged from the oracle");
     assert_eq!(
-        got,
-        normalized(unpruned.query(&q).unwrap().tuples),
-        "pruning changed the answer"
+        want.len(),
+        800,
+        "the probe selects exactly the middle batch"
     );
 
     let chunks_skipped = pruned
@@ -221,19 +193,16 @@ fn measure_bounds_prune_whole_chunks_without_changing_answers() {
         chunks_skipped >= 1,
         "expected at least one whole chunk skipped by measure bounds"
     );
-    let unpruned_skips = unpruned
-        .coordinator()
-        .stats()
-        .measure_pruned_chunks
-        .load(Ordering::Relaxed);
-    assert_eq!(unpruned_skips, 0, "knob off must disable pruning entirely");
 
     // Aggregates over a measure range take the tuple-scan fallback and
-    // still agree between the two systems.
+    // still fold exactly the oracle's tuples.
+    let mut folded = PartialAgg::default();
+    for t in &want {
+        folded.insert(measure(t));
+    }
     for kind in AggregateKind::ALL {
-        let a = pruned.aggregate(&q.clone().aggregate(kind)).unwrap();
-        let b = unpruned.aggregate(&q.clone().aggregate(kind)).unwrap();
-        assert_eq!(a.agg, b.agg, "kind={kind:?}");
+        let got = pruned.aggregate(&q.clone().aggregate(kind)).unwrap();
+        assert_eq!(got.agg, folded, "kind={kind:?}");
     }
 }
 
@@ -241,7 +210,7 @@ fn measure_bounds_prune_whole_chunks_without_changing_answers() {
 /// bounds cannot (the chunk straddles the range, some leaves do not).
 #[test]
 fn leaf_bounds_prune_within_a_chunk() {
-    let ww = system("leaf-prune", 2, true, true);
+    let ww = system("leaf-prune", 2, true);
     // Keys spread over the full u64 domain so the template tree's leaves
     // each receive a distinct key slice — and, with measure == key,
     // distinct measure bounds. (Clustered keys would all land in one

@@ -14,6 +14,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use waterwheel::core::WwError;
 use waterwheel::prelude::*;
+use waterwheel::server::dispatch::WORKERS_PER_SERVER;
+use waterwheel::server::query_server::IO_PERMITS;
 use waterwheel::workloads::oracle;
 
 /// SplitMix64 — deterministic per-thread query/key streams.
@@ -46,7 +48,7 @@ fn concurrent_clients_stay_exact_during_ingest_and_flush() {
     // and pipelined leaf reads all stay on the hot path under contention.
     cfg.cache_capacity_bytes = 64 * 1024;
     assert!(
-        cfg.query_workers > 1 && cfg.query_io_permits > 1 && cfg.cache_shards > 1,
+        WORKERS_PER_SERVER > 1 && IO_PERMITS > 1 && cfg.cache_shards > 1,
         "defaults must exercise the parallel read path"
     );
     let ww = Arc::new(Waterwheel::builder(&root).config(cfg).build().unwrap());

@@ -7,6 +7,7 @@
 
 use std::time::{Duration, Instant};
 use waterwheel::prelude::*;
+use waterwheel::server::dispatch::WORKERS_PER_SERVER;
 
 /// Threads alive in this process (Linux); `None` elsewhere, which leaves
 /// the pool's own counter as the only check.
@@ -48,7 +49,7 @@ fn queries_create_no_threads_and_a_coordinator_restart_returns_them() {
     cfg.chunk_size_bytes = 16 * 1024;
     cfg.indexing_servers = 2;
     cfg.query_servers = 3;
-    let cap = (cfg.query_servers * cfg.query_workers) as u64;
+    let cap = (cfg.query_servers * WORKERS_PER_SERVER) as u64;
     let before_build = thread_count();
     let ww = Waterwheel::builder(&root).config(cfg).build().unwrap();
     for i in 0..12_000u64 {

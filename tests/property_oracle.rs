@@ -3,10 +3,9 @@
 //! full-scan oracle.
 
 use proptest::prelude::*;
+use waterwheel::baselines::{BulkLoadingBTree, ConcurrentBTree};
 use waterwheel::core::{KeyInterval, Query, TimeInterval, Tuple};
-use waterwheel::index::{
-    BulkLoadingBTree, ConcurrentBTree, IndexConfig, TemplateBTree, TupleIndex,
-};
+use waterwheel::index::{IndexConfig, TemplateBTree, TupleIndex};
 use waterwheel::prelude::{SystemConfig, Waterwheel};
 use waterwheel::workloads::oracle;
 

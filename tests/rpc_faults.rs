@@ -6,12 +6,16 @@
 //! All faults are driven by a deterministic per-transport RNG, so every
 //! test here is reproducible.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use waterwheel::core::{ServerId, WwError};
-use waterwheel::net::{LinkProfile, Request, RpcClient, Transport, COORDINATOR, META_SERVER};
+use waterwheel::net::{
+    Envelope, LinkProfile, Request, Response, RpcClient, RpcStatsRegistry, Transport, COORDINATOR,
+    META_SERVER,
+};
 use waterwheel::prelude::*;
-use waterwheel::server::SystemMetrics;
+use waterwheel::server::{send_batch, SystemMetrics};
 
 fn fresh_root(name: &str) -> std::path::PathBuf {
     let root = std::env::temp_dir().join(format!("ww-rpc-{name}-{}", std::process::id()));
@@ -104,21 +108,37 @@ fn aggregates_stay_exact_under_loss() {
     assert_eq!(ans.agg.sum, expected_sum);
 }
 
-/// Property: per-tuple and batched ingestion are observationally identical
-/// — same query answers, same aggregate answers — over the same stream,
-/// even with 15 % request loss injected on every link.
+/// Property: the ingest batch size is invisible — batches of 1, 7 and 32
+/// give the same query answers and the same aggregate answers over the same
+/// stream, with 15 % request loss on every link *and* 15 % response loss on
+/// the dispatcher → indexing links (acks vanish after the append happened,
+/// so retries genuinely redeliver applied batches, batches of one included).
 #[test]
-fn per_tuple_and_batched_ingestion_agree_under_loss() {
+fn batch_sizes_agree_under_request_and_response_loss() {
     let measure = |t: &Tuple| t.key.wrapping_mul(31).wrapping_add(t.ts) % 10_000;
-    let build = |name: &str, batch: usize| {
+    let build = |batch: usize| {
         let mut c = cfg();
         c.ingest_batch_size = batch;
-        let ww = Waterwheel::builder(fresh_root(name))
+        // An attempt on a link losing both ways fails 28 % of the time.
+        c.rpc_retries = 12;
+        let ww = Waterwheel::builder(fresh_root(&format!("prop-batch-{batch}")))
             .config(c)
             .build()
             .unwrap();
         ww.register_measure(measure);
         ww.transport().set_default_profile(lossy(0.15));
+        for d in ww.dispatchers() {
+            for ix in ww.indexing_servers() {
+                ww.transport().set_link_profile(
+                    d.id(),
+                    ix.id(),
+                    LinkProfile {
+                        response_loss: 0.15,
+                        ..lossy(0.15)
+                    },
+                );
+            }
+        }
         for i in 0..1_500u64 {
             ww.insert(Tuple::bare(spread_key(i), 1_000 + i)).unwrap();
         }
@@ -126,8 +146,7 @@ fn per_tuple_and_batched_ingestion_agree_under_loss() {
         ww.flush_all().unwrap();
         ww
     };
-    let per_tuple = build("prop-per-tuple", 1);
-    let batched = build("prop-batched", 32);
+    let systems = [build(1), build(7), build(32)];
 
     let canon = |ww: &Waterwheel| {
         let mut tuples: Vec<(u64, u64)> = ww
@@ -140,20 +159,86 @@ fn per_tuple_and_batched_ingestion_agree_under_loss() {
         tuples.sort_unstable();
         tuples
     };
-    assert_eq!(canon(&per_tuple), canon(&batched));
-
     let aq = all().aggregate(AggregateKind::Sum);
-    let a = per_tuple.aggregate(&aq).unwrap();
-    let b = batched.aggregate(&aq).unwrap();
-    assert_eq!(a.agg.count, 1_500);
-    assert_eq!((a.agg.count, a.agg.sum), (b.agg.count, b.agg.sum));
+    let want = canon(&systems[2]);
+    assert_eq!(want.len(), 1_500);
+    let want_agg = systems[2].aggregate(&aq).unwrap().agg;
+    for ww in &systems {
+        assert_eq!(canon(ww), want);
+        let got = ww.aggregate(&aq).unwrap().agg;
+        assert_eq!((got.count, got.sum), (want_agg.count, want_agg.sum));
+        // Every tuple rode a sequence-numbered batch, and some batch of
+        // each size was redelivered and recognised.
+        let m = SystemMetrics::collect(ww);
+        assert_eq!(m.ingest_batch_tuples, 1_500);
+        assert!(m.ingest_dedup_drops > 0);
+    }
+    let batches = |ww: &Waterwheel| SystemMetrics::collect(ww).rpc_batches_sent;
+    assert_eq!(batches(&systems[0]), 1_500, "a batch of one per tuple");
+    assert!(batches(&systems[2]) * 8 <= 1_500);
+}
 
-    // The two paths really differed on the wire.
-    let mt = SystemMetrics::collect(&per_tuple);
-    let mb = SystemMetrics::collect(&batched);
-    assert_eq!(mt.rpc_batches_sent, 0);
-    assert!(mb.rpc_batches_sent > 0);
-    assert_eq!(mb.ingest_batch_tuples, 1_500);
+/// Loses the ack of the first message sent through it: the destination's
+/// handler ran — its side effects are real — but the sender sees a timeout
+/// (`LinkProfile::response_loss = 1.0` for one attempt, then healed). A
+/// wrapper rather than a link profile so the same fault can be scripted on
+/// the TCP-loopback plane, which has no injectors of its own.
+struct LoseFirstAck {
+    inner: Arc<dyn Transport>,
+    armed: AtomicBool,
+}
+
+impl Transport for LoseFirstAck {
+    fn send(&self, env: &Envelope) -> waterwheel::core::Result<Response> {
+        let answer = self.inner.send(env)?;
+        if self.armed.swap(false, Ordering::SeqCst) {
+            return Err(WwError::Timeout("response lost in transit"));
+        }
+        Ok(answer)
+    }
+
+    fn stats(&self) -> &RpcStatsRegistry {
+        self.inner.stats()
+    }
+}
+
+/// A client's single-tuple insert addressed to a dispatcher id is a batch
+/// of one: when its first ack is lost, the RPC layer's retry redelivers it,
+/// the gateway recognises the sequence number, and the tuple is visible
+/// exactly once — on the in-process plane and over TCP loopback.
+#[test]
+fn a_single_insert_whose_ack_was_lost_lands_exactly_once() {
+    for tcp in [false, true] {
+        let mut builder = Waterwheel::builder(fresh_root(&format!("single-{tcp}"))).config(cfg());
+        if tcp {
+            builder = builder.tcp_loopback();
+        }
+        let ww = builder.build().unwrap();
+        let client = RpcClient::new(
+            Arc::new(LoseFirstAck {
+                inner: Arc::clone(ww.plane()),
+                armed: AtomicBool::new(true),
+            }),
+            ServerId(9_000),
+            ww.config(),
+        );
+        let dst = ww.dispatchers()[1].id();
+        let tuple = Tuple::bare(spread_key(1), 1_000);
+        let took = send_batch(&client, dst, 1, vec![tuple.clone()], &mut false).unwrap();
+        assert_eq!(took, 1);
+        let link = client.transport().stats().link(ServerId(9_000), dst);
+        assert_eq!(
+            link.retried.load(Ordering::Relaxed),
+            1,
+            "tcp={tcp}: the lost ack forces exactly one redelivery"
+        );
+        ww.drain().unwrap();
+        assert_eq!(
+            ww.query(&all()).unwrap().tuples,
+            vec![tuple],
+            "tcp={tcp}: the redelivered insert must land exactly once"
+        );
+    }
 }
 
 /// The at-least-once hazard: with response loss on the dispatcher →
