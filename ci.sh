@@ -71,7 +71,7 @@ if pgrep -f "deps/elastic-" > /dev/null; then
     echo "stray elastic test processes after teardown"; pgrep -af "deps/elastic-"; exit 1
 fi
 
-echo "==> multi-process loopback smoke (4 node processes, exact answers, clean shutdown)"
+echo "==> multi-process loopback smoke (4 node processes, exact answers, scraped counters agree — dumped on mismatch — clean shutdown)"
 timeout 120 cargo run --release -p waterwheel-node -- smoke
 # The smoke's clean-shutdown check already fails on stragglers; this is a
 # belt-and-braces sweep so a regression can't leak processes into CI.

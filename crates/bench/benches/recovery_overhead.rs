@@ -54,11 +54,18 @@ fn ingest_run(name: &str, fsync: bool, tuples: &[Tuple]) -> IngestRun {
         ww.drain().unwrap();
     });
     let m = SystemMetrics::collect(&ww);
+    // Summed over the durable surfaces: queue journal, chunk seals, metadata log.
+    let wal = |field: &str| -> u64 {
+        ["queue", "chunks", "meta"]
+            .iter()
+            .map(|surface| m.get(&format!("wal.{surface}.{field}")))
+            .sum()
+    };
     IngestRun {
         secs: elapsed.as_secs_f64(),
         rate: throughput(tuples.len(), elapsed),
-        wal_bytes: m.wal_bytes,
-        wal_fsyncs: m.wal_fsyncs,
+        wal_bytes: wal("bytes"),
+        wal_fsyncs: wal("fsyncs"),
     }
 }
 

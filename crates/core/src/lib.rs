@@ -16,6 +16,8 @@
 //!   trajectories).
 //! * [`config::SystemConfig`] — the settings a deployment varies (chunk size,
 //!   late-visibility Δt, server counts, …), declared once with one text form.
+//! * [`counters!`] / [`Counters`] / [`CounterRegistry`] — statistics declared
+//!   once per component and read by name from any process.
 //!
 //! The crate is dependency-light by design: everything heavier (trees,
 //! chunks, servers) lives in the crates layered on top of it.
@@ -26,6 +28,7 @@ pub mod aggregate;
 pub mod codec;
 pub mod compress;
 pub mod config;
+pub mod counters;
 pub mod error;
 pub mod ids;
 pub mod interval;
@@ -36,6 +39,7 @@ pub mod zorder;
 
 pub use aggregate::{AggregateKind, AggregateQuery, MeasureFn};
 pub use config::SystemConfig;
+pub use counters::{CounterRegistry, Counters, StatRow};
 pub use error::{Result, WwError};
 pub use ids::{ChunkId, NodeId, QueryId, ServerId, SubQueryId};
 pub use interval::{KeyInterval, TimeInterval};

@@ -36,7 +36,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use waterwheel_core::codec::{self, Decoder, Encoder};
-use waterwheel_core::{ChunkId, KeyInterval, NodeId, Region, Result, ServerId, WwError};
+use waterwheel_core::{
+    ChunkId, CounterRegistry, Counters, KeyInterval, NodeId, Region, Result, ServerId, WwError,
+};
 use waterwheel_index::secondary::{AttrId, AttrProbe, ChunkAttrIndex};
 use waterwheel_wal::{write_atomic, FsyncPolicy, Log, WalStats};
 
@@ -339,6 +341,15 @@ impl MetadataService {
     /// mutation records).
     pub fn wal_stats(&self) -> Option<Arc<WalStats>> {
         self.durable.as_ref().map(|d| Arc::clone(&d.stats))
+    }
+
+    /// Registers this service's readouts (`meta.*`, and `wal.meta.*` when
+    /// durable) with a process's counter registry.
+    pub fn register_counters(&self, counters: &CounterRegistry) {
+        counters.register("meta", None, Arc::new(self.clone()));
+        if let Some(wal) = self.wal_stats() {
+            counters.register("wal.meta", None, wal);
+        }
     }
 
     /// Allocates a fresh durable chunk id.
@@ -1062,6 +1073,15 @@ fn apply_record(state: &mut MetaState, record: &[u8]) -> Result<()> {
         ));
     }
     Ok(())
+}
+
+impl Counters for MetadataService {
+    fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
+        let state = self.state.read();
+        f("chunks_registered", state.chunks.len() as u64);
+        f("attr_indexes", state.attr_indexes.len() as u64);
+        f("membership_epoch", state.membership_epoch);
+    }
 }
 
 #[cfg(test)]

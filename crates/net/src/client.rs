@@ -241,11 +241,13 @@ mod tests {
         client.call(ServerId(1), Request::Ping).unwrap();
         client.call(ServerId(1), Request::Ping).unwrap();
         client.call(ServerId(1), Request::Flush).unwrap();
-        let snap = t.stats().latency_snapshot();
-        let ping = snap.iter().find(|s| s.kind == "ping").expect("ping row");
-        assert_eq!(ping.count, 2);
-        assert!(ping.p99 >= ping.p50);
-        assert!(snap.iter().any(|s| s.kind == "flush" && s.count == 1));
+        let mut rows = std::collections::HashMap::new();
+        waterwheel_core::Counters::visit(&**t.stats(), &mut |name, v| {
+            rows.insert(name.to_owned(), v);
+        });
+        assert_eq!(rows["latency.ping.count"], 2);
+        assert!(rows["latency.ping.p99_ns"] >= rows["latency.ping.p50_ns"]);
+        assert_eq!(rows["latency.flush.count"], 1);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! | client → gateway, [`COORDINATOR`] | [`Request::ClientQuery`], [`Request::ClientAggregate`], [`Request::MigrateUniform`] |
 //! | migration driver → indexing server | [`Request::Flush`], [`Request::Reassign`] |
 //! | health probe (any → any) | [`Request::Ping`] |
+//! | scrape (any → any bound address) | [`Request::Stats`] |
 //!
 //! Requests are `Clone` so a retrying client can resend them verbatim.
 
@@ -23,8 +24,8 @@ use std::time::Instant;
 use waterwheel_agg::{AggregateAnswer, FoldOutcome, WheelSummary};
 use waterwheel_core::aggregate::AggregateKind;
 use waterwheel_core::{
-    ChunkId, KeyInterval, NodeId, QueryResult, Region, Result, ServerId, SubQuery, TimeInterval,
-    Tuple, WwError,
+    ChunkId, KeyInterval, NodeId, QueryResult, Region, Result, ServerId, StatRow, SubQuery,
+    TimeInterval, Tuple, WwError,
 };
 use waterwheel_index::secondary::{AttrId, AttrProbe, ChunkAttrIndex};
 use waterwheel_index::Bitmap;
@@ -158,11 +159,51 @@ pub enum Request {
     /// state machine for every range that changes hands (client → gateway
     /// dispatcher node). Answered with [`Response::Migrated`].
     MigrateUniform,
+    /// Read the counters of the process hosting the destination: every
+    /// set its roles registered, as `(name, server, value)` rows. Answered
+    /// by the [`HandlerRegistry`](crate::HandlerRegistry) itself at any
+    /// bound address, not by a role handler.
+    Stats,
+}
+
+/// What a request is for — the one classification the TCP worker bands and
+/// the admission budgets both follow.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RequestClass {
+    /// Liveness, lifecycle, routing and scrapes: must answer precisely when
+    /// the system is busiest.
+    Control,
+    /// Tuple ingestion and flushes.
+    Ingest,
+    /// Subqueries, aggregates, summary reads, client queries.
+    Query,
+    /// Metadata-server calls — the most retryable traffic.
+    Metadata,
 }
 
 impl Request {
+    /// This request's class.
+    pub fn class(&self) -> RequestClass {
+        match self {
+            Request::Ping
+            | Request::Shutdown
+            | Request::RegisterPeers { .. }
+            | Request::Reassign { .. }
+            | Request::MigrateUniform
+            | Request::Stats => RequestClass::Control,
+            Request::IngestBatch { .. } | Request::Flush => RequestClass::Ingest,
+            Request::InMemorySubquery { .. }
+            | Request::AggregateInMemory { .. }
+            | Request::ChunkSubquery { .. }
+            | Request::ReadSummary { .. }
+            | Request::ClientQuery { .. }
+            | Request::ClientAggregate { .. } => RequestClass::Query,
+            Request::Meta(_) => RequestClass::Metadata,
+        }
+    }
+
     /// Stable label for this request's kind, used to key per-RPC latency
-    /// histograms and the admission layer's priority classes.
+    /// histograms.
     pub fn kind(&self) -> &'static str {
         match self {
             Request::IngestBatch { .. } => "ingest_batch",
@@ -179,6 +220,7 @@ impl Request {
             Request::RegisterPeers { .. } => "register_peers",
             Request::Reassign { .. } => "reassign",
             Request::MigrateUniform => "migrate_uniform",
+            Request::Stats => "stats",
         }
     }
 }
@@ -351,6 +393,8 @@ pub enum Response {
         /// Number of key ranges that moved.
         ranges: u32,
     },
+    /// The answering process's counters (answer to [`Request::Stats`]).
+    Stats(Vec<StatRow>),
 }
 
 /// Answers from the metadata server.
@@ -458,6 +502,14 @@ impl Response {
     pub fn into_aggregate(self) -> Result<AggregateAnswer> {
         match self {
             Response::Aggregate(a) => Ok(a),
+            _ => unexpected(),
+        }
+    }
+
+    /// Unwraps [`Response::Stats`].
+    pub fn into_stats(self) -> Result<Vec<StatRow>> {
+        match self {
+            Response::Stats(rows) => Ok(rows),
             _ => unexpected(),
         }
     }

@@ -52,7 +52,7 @@ pub mod wire;
 
 pub use client::RpcClient;
 pub use envelope::{
-    Envelope, MetaRequest, MetaResponse, Request, Response, COORDINATOR, META_SERVER,
+    Envelope, MetaRequest, MetaResponse, Request, RequestClass, Response, COORDINATOR, META_SERVER,
 };
 pub use meta_client::{serve_meta, MetaClient};
 pub use reactor::{ConnHandle, FrameAssembler, ListenerHandle, Reactor, Sink};
@@ -60,7 +60,6 @@ pub use tcp::{
     TcpClientOptions, TcpRpcServer, TcpServerOptions, TcpTransport, WireStats, WireTotals,
 };
 pub use transport::{
-    AdmissionControl, AdmissionPermit, Handler, HandlerHost, HandlerRegistry, InProcTransport,
-    LatencyHistogram, LatencySnapshot, LinkProfile, RpcStats, RpcStatsRegistry, RpcTotals,
-    Transport,
+    AdmissionControl, AdmissionPermit, Handler, HandlerRegistry, InProcTransport, LatencyHistogram,
+    LinkProfile, RpcStats, RpcStatsRegistry, RpcTotals, Transport,
 };

@@ -20,7 +20,7 @@
 
 use crate::client::RpcClient;
 use crate::envelope::{MetaRequest, MetaResponse, Request, Response, META_SERVER};
-use crate::transport::HandlerHost;
+use crate::transport::HandlerRegistry;
 use std::time::Duration;
 use waterwheel_core::{ChunkId, KeyInterval, NodeId, Region, Result, ServerId, WwError};
 use waterwheel_index::secondary::{AttrId, AttrProbe, ChunkAttrIndex};
@@ -28,11 +28,12 @@ use waterwheel_meta::{
     ChunkInfo, MemberRole, MembershipView, MetadataService, PartitionSchema, SummaryExtent,
 };
 
-/// Binds `meta` at [`META_SERVER`] on any handler host (an in-proc
-/// transport or a bare registry served over TCP), translating
-/// [`MetaRequest`]s into service calls.
-pub fn serve_meta<H: HandlerHost + ?Sized>(host: &H, meta: MetadataService) {
-    host.bind_handler(META_SERVER, move |env| {
+/// Binds `meta` at [`META_SERVER`] on `registry` (whichever transport
+/// fronts it), translating [`MetaRequest`]s into service calls, and
+/// registers the service's counters there.
+pub fn serve_meta(registry: &HandlerRegistry, meta: MetadataService) {
+    meta.register_counters(registry.counters());
+    registry.bind(META_SERVER, move |env| {
         let Request::Meta(req) = &env.payload else {
             return Err(WwError::InvalidState(
                 "metadata server received a non-meta request".into(),
@@ -316,7 +317,7 @@ mod tests {
     fn rig() -> (Arc<InProcTransport>, MetaClient, MetadataService) {
         let t = Arc::new(InProcTransport::new(None));
         let meta = MetadataService::in_memory();
-        serve_meta(&t, meta.clone());
+        serve_meta(t.registry(), meta.clone());
         let cfg = SystemConfig {
             rpc_retries: 30,
             ..SystemConfig::default()

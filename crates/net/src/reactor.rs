@@ -501,7 +501,12 @@ impl Drop for Reactor {
             shard.poller.wake();
         }
         let handles = std::mem::take(&mut *self.threads.lock().unwrap_or_else(|e| e.into_inner()));
-        for h in handles {
+        // A shard thread holds the reactor for the moment it reads the stop
+        // flag; when the owner lets go in that moment, this drop runs on the
+        // shard thread, which must not join itself — it sees `stopping` on
+        // its next turn and leaves.
+        let me = std::thread::current().id();
+        for h in handles.into_iter().filter(|h| h.thread().id() != me) {
             let _ = h.join();
         }
     }
@@ -1234,5 +1239,38 @@ mod tests {
             TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err(),
             "listener should refuse after close"
         );
+    }
+
+    /// Reports, when the reactor's fields are dropped, whether that
+    /// happened while unwinding from a panic.
+    struct DropWitness(std::sync::mpsc::Sender<bool>);
+
+    impl Drop for DropWitness {
+        fn drop(&mut self) {
+            let _ = self.0.send(std::thread::panicking());
+        }
+    }
+
+    #[test]
+    fn a_shard_thread_may_hold_the_last_handle() {
+        use std::sync::mpsc::channel;
+        let reactor = Reactor::new(2, Arc::new(WireStats::default())).unwrap();
+        let (entered_tx, entered_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        let (dropped_tx, dropped_rx) = channel();
+        let (release_rx, witness) = (Mutex::new(release_rx), DropWitness(dropped_tx));
+        // The tick runs on shard 0 while that thread holds the reactor.
+        reactor.add_tick(move || {
+            let _witness = &witness;
+            let _ = entered_tx.send(());
+            let _ = release_rx.lock().unwrap().recv();
+        });
+        entered_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        // The owner lets go first, so the drop runs on the shard thread
+        // once the tick returns — it joins the other shard, not itself.
+        drop(reactor);
+        release_tx.send(()).unwrap();
+        let unwinding = dropped_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(!unwinding, "the reactor was dropped by a panicking thread");
     }
 }

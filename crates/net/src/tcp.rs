@@ -40,7 +40,7 @@
 //! transport re-applies the sender's predicate to returned tuples, so
 //! subquery answers are exactly what an in-proc run yields.
 
-use crate::envelope::{Envelope, Request, Response};
+use crate::envelope::{Envelope, Request, RequestClass, Response};
 use crate::reactor::{ConnHandle, ListenerHandle, Reactor, Sink};
 use crate::transport::{HandlerRegistry, RpcStatsRegistry, Transport};
 use crate::wire;
@@ -51,52 +51,22 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 use waterwheel_core::{Result, ServerId, Tuple, WwError};
 
-/// Wire-level counters shared by a process's TCP endpoints (client pool
-/// and listener), surfaced in `SystemMetrics`.
-#[derive(Debug, Default)]
-pub struct WireStats {
-    /// Frame bytes read off sockets (requests on servers, responses on clients).
-    pub bytes_in: AtomicU64,
-    /// Frame bytes written to sockets.
-    pub bytes_out: AtomicU64,
-    /// First successful connections to an address.
-    pub connects: AtomicU64,
-    /// Successful re-connections after a pooled connection died.
-    pub reconnects: AtomicU64,
-    /// Frames that failed to decode (the connection is dropped).
-    pub decode_errors: AtomicU64,
-    /// Reactor poll returns that carried at least one readiness event.
-    pub reactor_wakeups: AtomicU64,
-}
-
-/// A point-in-time snapshot of [`WireStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WireTotals {
-    /// Frame bytes read.
-    pub bytes_in: u64,
-    /// Frame bytes written.
-    pub bytes_out: u64,
-    /// First connects.
-    pub connects: u64,
-    /// Reconnects.
-    pub reconnects: u64,
-    /// Frame decode errors.
-    pub decode_errors: u64,
-    /// Event-bearing reactor wakeups.
-    pub reactor_wakeups: u64,
-}
-
-impl WireStats {
-    /// Snapshot of every counter.
-    pub fn totals(&self) -> WireTotals {
-        WireTotals {
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            connects: self.connects.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
-            decode_errors: self.decode_errors.load(Ordering::Relaxed),
-            reactor_wakeups: self.reactor_wakeups.load(Ordering::Relaxed),
-        }
+waterwheel_core::counters! {
+    /// Wire-level counters shared by a process's TCP endpoints (client pool
+    /// and listener); [`WireTotals`] is their plain form.
+    pub struct WireStats => WireTotals {
+        /// Frame bytes read off sockets (requests on servers, responses on clients).
+        bytes_in,
+        /// Frame bytes written to sockets.
+        bytes_out,
+        /// First successful connections to an address.
+        connects,
+        /// Successful re-connections after a pooled connection died.
+        reconnects,
+        /// Frames that failed to decode (the connection is dropped).
+        decode_errors,
+        /// Reactor poll returns that carried at least one readiness event.
+        reactor_wakeups,
     }
 }
 
@@ -270,7 +240,7 @@ pub struct TcpTransport {
     pool: Arc<PoolState>,
     /// Addresses ever connected, to tell reconnects from first connects.
     ever_connected: Mutex<std::collections::HashSet<SocketAddr>>,
-    stats: RpcStatsRegistry,
+    stats: Arc<RpcStatsRegistry>,
     wire: Arc<WireStats>,
     next_corr: AtomicU64,
     connect_backoff: Duration,
@@ -309,7 +279,7 @@ impl TcpTransport {
             default_route: Mutex::new(None),
             pool,
             ever_connected: Mutex::new(std::collections::HashSet::new()),
-            stats: RpcStatsRegistry::default(),
+            stats: Arc::default(),
             wire,
             next_corr: AtomicU64::new(1),
             connect_backoff: Duration::from_millis(10),
@@ -531,7 +501,7 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn stats(&self) -> &RpcStatsRegistry {
+    fn stats(&self) -> &Arc<RpcStatsRegistry> {
         &self.stats
     }
 }
@@ -625,24 +595,13 @@ fn bind_reuseaddr_one(sa: SocketAddr) -> std::io::Result<TcpListener> {
 // ---------------------------------------------------------------------------
 
 /// Which worker band a request is queued on: ingest beats query beats
-/// metadata. Control traffic (ping, shutdown) rides the top band so
-/// liveness probes answer even under load.
+/// metadata. Control traffic (ping, shutdown, scrapes) rides the top band
+/// so liveness probes answer even under load.
 fn priority_band(req: &Request) -> usize {
-    match req {
-        Request::IngestBatch { .. }
-        | Request::Flush
-        | Request::Ping
-        | Request::Shutdown
-        | Request::RegisterPeers { .. }
-        | Request::Reassign { .. }
-        | Request::MigrateUniform => 0,
-        Request::InMemorySubquery { .. }
-        | Request::AggregateInMemory { .. }
-        | Request::ChunkSubquery { .. }
-        | Request::ReadSummary { .. }
-        | Request::ClientQuery { .. }
-        | Request::ClientAggregate { .. } => 1,
-        Request::Meta(_) => 2,
+    match req.class() {
+        RequestClass::Control | RequestClass::Ingest => 0,
+        RequestClass::Query => 1,
+        RequestClass::Metadata => 2,
     }
 }
 

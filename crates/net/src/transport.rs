@@ -29,14 +29,14 @@
 //! lengths** from [`wire`](crate::wire) — the stats of an embedded run and
 //! a networked run describe the same traffic.
 
-use crate::envelope::{Envelope, Response};
+use crate::envelope::{Envelope, Request, Response};
 use parking_lot::RwLock;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use waterwheel_cluster::Cluster;
-use waterwheel_core::{Result, ServerId, WwError};
+use waterwheel_core::{CounterRegistry, Counters, Result, ServerId, WwError};
 
 /// A message handler bound at a destination address.
 pub type Handler = Arc<dyn Fn(&Envelope) -> Result<Response> + Send + Sync>;
@@ -90,11 +90,19 @@ pub trait AdmissionControl: Send + Sync {
 
 /// The set of handlers serving a process's addresses, shared by every
 /// transport front-end (in-proc delivery and the TCP listener dispatch the
-/// same registry, so a server behaves identically however it is reached).
+/// same registry, so a server behaves identically however it is reached) —
+/// and, beside them, the process's [`CounterRegistry`]: roles register
+/// their counter sets when they bind their handlers, and the registry
+/// itself answers [`Request::Stats`] from them at every bound address.
 #[derive(Default)]
 pub struct HandlerRegistry {
     handlers: RwLock<HashMap<ServerId, Handler>>,
     admission: RwLock<Option<Arc<dyn AdmissionControl>>>,
+    counters: CounterRegistry,
+}
+
+fn unbound() -> WwError {
+    WwError::Unreachable("no server bound at destination")
 }
 
 impl HandlerRegistry {
@@ -117,13 +125,22 @@ impl HandlerRegistry {
         self.handlers.read().get(&dst).cloned()
     }
 
-    /// Unbinds every handler and the admission controller. Handlers hold
-    /// their servers, and servers hold the plane that delivers to this
-    /// registry; a deployment being torn down calls this to break that
-    /// cycle, so its servers — and the threads they own — are released.
+    /// The counter sets of this process: statistics structs, not the
+    /// servers that bump them — and whatever owner of a computed value is
+    /// registered whole (a dispatcher) is released by [`clear`](Self::clear).
+    pub fn counters(&self) -> &CounterRegistry {
+        &self.counters
+    }
+
+    /// Unbinds every handler, the admission controller and every counter
+    /// set. Handlers hold their servers, and servers hold the plane that
+    /// delivers to this registry; a deployment being torn down calls this
+    /// to break that cycle, so its servers — and the threads they own —
+    /// are released.
     pub fn clear(&self) {
         let handlers = std::mem::take(&mut *self.handlers.write());
         *self.admission.write() = None;
+        self.counters.clear();
         // Dropped outside the lock: releasing the last handle on a server
         // may join its threads.
         drop(handlers);
@@ -135,14 +152,9 @@ impl HandlerRegistry {
     }
 
     /// Installs the admission controller consulted by [`dispatch`](Self::dispatch)
-    /// (and by [`InProcTransport`]) before any handler runs.
+    /// before any handler runs.
     pub fn set_admission(&self, admission: Arc<dyn AdmissionControl>) {
         *self.admission.write() = Some(admission);
-    }
-
-    /// The installed admission controller, if any.
-    pub fn admission(&self) -> Option<Arc<dyn AdmissionControl>> {
-        self.admission.read().clone()
     }
 
     /// Full server-side dispatch for one envelope: admission check, then
@@ -150,56 +162,26 @@ impl HandlerRegistry {
     /// transport both deliver through this path, so shed semantics are
     /// identical across deployments.
     pub fn dispatch(&self, env: &Envelope) -> Result<Response> {
-        let Some(handler) = self.get(env.dst) else {
-            return Err(WwError::Unreachable("no server bound at destination"));
+        self.dispatch_bound(env).unwrap_or_else(|| Err(unbound()))
+    }
+
+    /// [`dispatch`](Self::dispatch), with `None` when nothing is bound at
+    /// the destination — which a transport counts as a delivery fault,
+    /// unlike an `Unreachable` a handler answered with.
+    fn dispatch_bound(&self, env: &Envelope) -> Option<Result<Response>> {
+        let handler = self.get(env.dst)?;
+        // Admission runs only when a handler exists (an unbound destination
+        // is unreachable, not overloaded); the permit is held for the
+        // handler's duration.
+        let run = || {
+            let admission = self.admission.read().clone();
+            let _permit = admission.map(|a| a.admit(env)).transpose()?;
+            match env.payload {
+                Request::Stats => Ok(Response::Stats(self.counters.snapshot())),
+                _ => handler(env),
+            }
         };
-        let _permit = match self.admission() {
-            Some(a) => Some(a.admit(env)?),
-            None => None,
-        };
-        handler(env)
-    }
-}
-
-/// Anything handlers can be bound on — a bare [`HandlerRegistry`] or a
-/// transport that owns one. Lets server wiring (e.g.
-/// [`serve_meta`](crate::serve_meta)) stay agnostic of the deployment mode.
-pub trait HandlerHost {
-    /// Binds (or replaces) the handler serving `dst`.
-    fn bind_handler(
-        &self,
-        dst: ServerId,
-        handler: impl Fn(&Envelope) -> Result<Response> + Send + Sync + 'static,
-    );
-}
-
-impl HandlerHost for HandlerRegistry {
-    fn bind_handler(
-        &self,
-        dst: ServerId,
-        handler: impl Fn(&Envelope) -> Result<Response> + Send + Sync + 'static,
-    ) {
-        self.bind(dst, handler);
-    }
-}
-
-impl HandlerHost for InProcTransport {
-    fn bind_handler(
-        &self,
-        dst: ServerId,
-        handler: impl Fn(&Envelope) -> Result<Response> + Send + Sync + 'static,
-    ) {
-        self.bind(dst, handler);
-    }
-}
-
-impl<T: HandlerHost + ?Sized> HandlerHost for Arc<T> {
-    fn bind_handler(
-        &self,
-        dst: ServerId,
-        handler: impl Fn(&Envelope) -> Result<Response> + Send + Sync + 'static,
-    ) {
-        (**self).bind_handler(dst, handler);
+        Some(run())
     }
 }
 
@@ -210,7 +192,7 @@ pub trait Transport: Send + Sync {
     fn send(&self, env: &Envelope) -> Result<Response>;
 
     /// The per-link statistics registry.
-    fn stats(&self) -> &RpcStatsRegistry;
+    fn stats(&self) -> &Arc<RpcStatsRegistry>;
 }
 
 /// Latency and fault profile of one directed link (or the default for all).
@@ -235,34 +217,21 @@ pub struct LinkProfile {
     pub response_loss: f64,
 }
 
-/// Lock-free counters for one directed link.
-#[derive(Debug, Default)]
-pub struct RpcStats {
-    /// Envelopes handed to the transport (including retries).
-    pub sent: AtomicU64,
-    /// Retry attempts made by an [`RpcClient`](crate::RpcClient) on this link.
-    pub retried: AtomicU64,
-    /// Attempts that failed with [`WwError::Timeout`] (lost or late).
-    pub timed_out: AtomicU64,
-    /// Attempts that failed with [`WwError::Unreachable`].
-    pub unreachable: AtomicU64,
-    /// Encoded frame bytes moved (requests + responses).
-    pub bytes: AtomicU64,
-}
-
-/// Aggregated totals across every link.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RpcTotals {
-    /// Envelopes sent.
-    pub sent: u64,
-    /// Retry attempts.
-    pub retried: u64,
-    /// Timed-out attempts.
-    pub timed_out: u64,
-    /// Unreachable attempts.
-    pub unreachable: u64,
-    /// Encoded frame bytes moved.
-    pub bytes: u64,
+waterwheel_core::counters! {
+    /// Lock-free counters for one directed link; [`RpcTotals`] is their
+    /// plain form, per link or summed across links.
+    pub struct RpcStats => RpcTotals {
+        /// Envelopes handed to the transport (including retries).
+        sent,
+        /// Retry attempts made by an [`RpcClient`](crate::RpcClient) on this link.
+        retried,
+        /// Attempts that failed with [`WwError::Timeout`] (lost or late).
+        timed_out,
+        /// Attempts that failed with [`WwError::Unreachable`].
+        unreachable,
+        /// Encoded frame bytes moved (requests + responses).
+        bytes,
+    }
 }
 
 /// Number of power-of-two latency buckets: bucket `i` counts calls whose
@@ -331,26 +300,11 @@ impl LatencyHistogram {
     }
 }
 
-/// One request kind's latency distribution, snapshotted for metrics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LatencySnapshot {
-    /// Request kind label (see `Request::kind`).
-    pub kind: &'static str,
-    /// Completed calls recorded.
-    pub count: u64,
-    /// Median latency (bucket upper bound).
-    pub p50: Duration,
-    /// 95th-percentile latency.
-    pub p95: Duration,
-    /// 99th-percentile latency.
-    pub p99: Duration,
-}
-
 /// Per-link statistics, created on first use of a link.
 #[derive(Default)]
 pub struct RpcStatsRegistry {
     links: RwLock<HashMap<(ServerId, ServerId), Arc<RpcStats>>>,
-    latencies: RwLock<HashMap<&'static str, Arc<LatencyHistogram>>>,
+    latencies: RwLock<BTreeMap<&'static str, Arc<LatencyHistogram>>>,
 }
 
 impl RpcStatsRegistry {
@@ -372,56 +326,34 @@ impl RpcStatsRegistry {
         self.latencies.write().entry(kind).or_default().record(d);
     }
 
-    /// Per-request-kind latency distributions, sorted by kind for stable
-    /// rendering.
-    pub fn latency_snapshot(&self) -> Vec<LatencySnapshot> {
-        let mut rows: Vec<LatencySnapshot> = self
-            .latencies
-            .read()
-            .iter()
-            .map(|(&kind, h)| LatencySnapshot {
-                kind,
-                count: h.count(),
-                p50: h.percentile(0.50),
-                p95: h.percentile(0.95),
-                p99: h.percentile(0.99),
-            })
-            .collect();
-        rows.sort_by_key(|r| r.kind);
-        rows
-    }
-
     /// Snapshot of every link's counters.
     pub fn per_link(&self) -> Vec<((ServerId, ServerId), RpcTotals)> {
-        self.links
-            .read()
-            .iter()
-            .map(|(&link, s)| {
-                (
-                    link,
-                    RpcTotals {
-                        sent: s.sent.load(Ordering::Relaxed),
-                        retried: s.retried.load(Ordering::Relaxed),
-                        timed_out: s.timed_out.load(Ordering::Relaxed),
-                        unreachable: s.unreachable.load(Ordering::Relaxed),
-                        bytes: s.bytes.load(Ordering::Relaxed),
-                    },
-                )
-            })
-            .collect()
+        let links = self.links.read();
+        links.iter().map(|(&l, s)| (l, s.totals())).collect()
     }
 
     /// Totals aggregated across all links.
     pub fn totals(&self) -> RpcTotals {
         let mut t = RpcTotals::default();
-        for (_, l) in self.per_link() {
-            t.sent += l.sent;
-            t.retried += l.retried;
-            t.timed_out += l.timed_out;
-            t.unreachable += l.unreachable;
-            t.bytes += l.bytes;
+        for s in self.links.read().values() {
+            t += s.totals();
         }
         t
+    }
+}
+
+/// The totals across links, then per request kind (client-observed, retries
+/// included) `latency.<kind>.{count, p50_ns, p95_ns, p99_ns}`.
+impl Counters for RpcStatsRegistry {
+    fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
+        self.totals().visit(f);
+        for (kind, h) in self.latencies.read().iter() {
+            f(&format!("latency.{kind}.count"), h.count());
+            for (label, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
+                let nanos = h.percentile(q).as_nanos() as u64;
+                f(&format!("latency.{kind}.{label}_ns"), nanos);
+            }
+        }
     }
 }
 
@@ -435,7 +367,7 @@ pub struct InProcTransport {
     /// Node-liveness hook: a destination placed on a dead cluster node is
     /// unreachable.
     cluster: Option<Cluster>,
-    stats: RpcStatsRegistry,
+    stats: Arc<RpcStatsRegistry>,
     rng: AtomicU64,
 }
 
@@ -456,7 +388,7 @@ impl InProcTransport {
             link_profiles: RwLock::new(HashMap::new()),
             partitions: RwLock::new(HashSet::new()),
             cluster,
-            stats: RpcStatsRegistry::default(),
+            stats: Arc::default(),
             rng: AtomicU64::new(0x9E37_79B9_7F4A_7C15),
         }
     }
@@ -570,39 +502,29 @@ impl Transport for InProcTransport {
         if !delay.is_zero() {
             std::thread::sleep(delay);
         }
-        let handler = self.handlers.get(env.dst);
-        match handler {
-            Some(h) => {
-                // Admission runs only when a handler exists (an unbound
-                // destination is unreachable, not overloaded). A shed is
-                // an answer from the destination — no fault counters —
-                // and the permit is held for the handler's duration.
-                let _permit = match self.handlers.admission() {
-                    Some(a) => Some(a.admit(env)?),
-                    None => None,
-                };
-                let resp = h(env)?;
-                link.bytes.fetch_add(
-                    crate::wire::response_ok_frame_len(&resp) as u64,
-                    Ordering::Relaxed,
-                );
-                // The handler ran — its side effects are real — but the ack
-                // never makes it back. The sender sees a timeout and will
-                // redeliver, so only idempotent handlers survive this fault.
-                if profile.response_loss > 0.0 && self.draw() < profile.response_loss {
-                    link.timed_out.fetch_add(1, Ordering::Relaxed);
-                    return Err(WwError::Timeout("response lost in transit"));
-                }
-                Ok(resp)
-            }
-            None => {
-                link.unreachable.fetch_add(1, Ordering::Relaxed);
-                Err(WwError::Unreachable("no server bound at destination"))
-            }
+        // A shed, or any error a handler answers with, is an answer from
+        // the destination — no fault counters; only an unbound address is
+        // a delivery fault.
+        let Some(answer) = self.handlers.dispatch_bound(env) else {
+            link.unreachable.fetch_add(1, Ordering::Relaxed);
+            return Err(unbound());
+        };
+        let resp = answer?;
+        link.bytes.fetch_add(
+            crate::wire::response_ok_frame_len(&resp) as u64,
+            Ordering::Relaxed,
+        );
+        // The handler ran — its side effects are real — but the ack
+        // never makes it back. The sender sees a timeout and will
+        // redeliver, so only idempotent handlers survive this fault.
+        if profile.response_loss > 0.0 && self.draw() < profile.response_loss {
+            link.timed_out.fetch_add(1, Ordering::Relaxed);
+            return Err(WwError::Timeout("response lost in transit"));
         }
+        Ok(resp)
     }
 
-    fn stats(&self) -> &RpcStatsRegistry {
+    fn stats(&self) -> &Arc<RpcStatsRegistry> {
         &self.stats
     }
 }
@@ -919,6 +841,33 @@ mod tests {
     }
 
     #[test]
+    fn a_bound_address_answers_stats_from_the_registered_counters() {
+        let t = pong_transport();
+        let set = Arc::new(RpcStats::default());
+        set.retried.fetch_add(3, Ordering::Relaxed);
+        t.registry()
+            .counters()
+            .register("probe", Some(ServerId(7)), set);
+        let mut scrape = env(0, 1, Duration::from_secs(1));
+        scrape.payload = Request::Stats;
+        // The registry answers, not the (pong-only) handler.
+        let rows = t.send(&scrape).unwrap().into_stats().unwrap();
+        assert_eq!(rows.len(), 5);
+        assert_eq!(
+            (rows[1].name.as_str(), rows[1].server, rows[1].value),
+            ("probe.retried", Some(ServerId(7)), 3)
+        );
+        // Nothing bound, nothing answers — and the link counts the fault.
+        scrape.dst = ServerId(9);
+        assert!(matches!(t.send(&scrape), Err(WwError::Unreachable(_))));
+        let link = t.stats().link(ServerId(0), ServerId(9));
+        assert_eq!(link.unreachable.load(Ordering::Relaxed), 1);
+        // Teardown forgets the sets along with the handlers.
+        t.registry().clear();
+        assert!(t.registry().counters().snapshot().is_empty());
+    }
+
+    #[test]
     fn latency_histogram_percentiles_bound_from_above() {
         let h = super::LatencyHistogram::default();
         assert_eq!(h.percentile(0.99), Duration::ZERO, "empty → zero");
@@ -939,18 +888,33 @@ mod tests {
     }
 
     #[test]
-    fn latency_snapshot_groups_by_request_kind() {
-        let stats = RpcStatsRegistry::default();
+    fn the_registry_visits_link_totals_then_latencies_by_kind() {
+        let t = pong_transport();
+        t.send(&env(0, 1, Duration::from_secs(1))).unwrap();
+        t.send(&env(2, 1, Duration::from_secs(1))).unwrap();
+        let stats = t.stats();
         stats.record_latency("ping", Duration::from_micros(10));
         stats.record_latency("ping", Duration::from_micros(20));
         stats.record_latency("ingest", Duration::from_micros(5));
-        let rows = stats.latency_snapshot();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].kind, "ingest");
-        assert_eq!(rows[0].count, 1);
-        assert_eq!(rows[1].kind, "ping");
-        assert_eq!(rows[1].count, 2);
-        assert!(rows[1].p99 >= rows[1].p50);
+        let mut rows = Vec::new();
+        stats.visit(&mut |name, v| rows.push((name.to_owned(), v)));
+        assert_eq!(rows[0], ("sent".to_owned(), 2), "summed across links");
+        let names: Vec<&str> = rows.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names[5..],
+            [
+                "latency.ingest.count",
+                "latency.ingest.p50_ns",
+                "latency.ingest.p95_ns",
+                "latency.ingest.p99_ns",
+                "latency.ping.count",
+                "latency.ping.p50_ns",
+                "latency.ping.p95_ns",
+                "latency.ping.p99_ns",
+            ]
+        );
+        assert_eq!(rows[9].1, 2);
+        assert!(rows[12].1 >= rows[10].1, "p99 >= p50");
     }
 
     #[test]

@@ -47,8 +47,8 @@ use waterwheel_core::aggregate::AggregateKind;
 use waterwheel_core::codec::{decode_region, decode_tuple, encode_region, encode_tuple};
 use waterwheel_core::codec::{ByteCount, Decoder, Encoder};
 use waterwheel_core::{
-    ChunkId, KeyInterval, NodeId, QueryId, QueryResult, Result, ServerId, SubQuery, SubQueryId,
-    SubQueryTarget, TimeInterval, Tuple, WwError,
+    ChunkId, KeyInterval, NodeId, QueryId, QueryResult, Result, ServerId, StatRow, SubQuery,
+    SubQueryId, SubQueryTarget, TimeInterval, Tuple, WwError,
 };
 use waterwheel_index::secondary::{AttrProbe, ChunkAttrIndex};
 use waterwheel_index::Bitmap;
@@ -475,6 +475,7 @@ fn encode_request_payload(out: &mut impl Encoder, req: &Request) {
             encode_key_interval(out, interval);
         }
         Request::MigrateUniform => out.put_u8(14),
+        Request::Stats => out.put_u8(15),
     }
 }
 
@@ -544,6 +545,7 @@ fn decode_request_payload(dec: &mut Decoder<'_>) -> Result<Request> {
             interval: decode_key_interval(dec)?,
         },
         14 => Request::MigrateUniform,
+        15 => Request::Stats,
         other => {
             return Err(WwError::corrupt(
                 "frame",
@@ -884,6 +886,21 @@ fn encode_response_payload(out: &mut impl Encoder, resp: &Response) {
             out.put_u64(*epoch);
             out.put_u32(*ranges);
         }
+        Response::Stats(rows) => {
+            out.put_u8(11);
+            out.put_u32(rows.len() as u32);
+            for row in rows {
+                put_string(out, &row.name);
+                match row.server {
+                    Some(server) => {
+                        out.put_u8(1);
+                        out.put_u32(server.raw());
+                    }
+                    None => out.put_u8(0),
+                }
+                out.put_u64(row.value);
+            }
+        }
     }
 }
 
@@ -950,6 +967,30 @@ fn decode_response_payload(dec: &mut Decoder<'_>) -> Result<Response> {
             epoch: dec.get_u64()?,
             ranges: dec.get_u32()?,
         },
+        11 => {
+            let count = dec.get_u32()? as usize;
+            let mut rows = Vec::with_capacity(checked_cap(dec, count, 13));
+            for _ in 0..count {
+                let name = get_string(dec)?;
+                let server = match dec.get_u8()? {
+                    0 => None,
+                    1 => Some(ServerId(dec.get_u32()?)),
+                    other => {
+                        return Err(WwError::corrupt(
+                            "frame",
+                            format!("unknown stat-row server tag {other}"),
+                        ))
+                    }
+                };
+                let value = dec.get_u64()?;
+                rows.push(StatRow {
+                    name,
+                    server,
+                    value,
+                });
+            }
+            Response::Stats(rows)
+        }
         other => {
             return Err(WwError::corrupt(
                 "frame",
@@ -1411,6 +1452,7 @@ mod tests {
             },
             Request::MigrateUniform,
             Request::Shutdown,
+            Request::Stats,
         ];
         for req in reqs {
             let decoded = roundtrip_request(req.clone());
@@ -1471,6 +1513,19 @@ mod tests {
                 epoch: 12,
                 ranges: 3,
             },
+            Response::Stats(vec![
+                StatRow {
+                    name: "query.leaf_reads".into(),
+                    server: Some(ServerId(1_000)),
+                    value: 17,
+                },
+                StatRow {
+                    name: "wire.bytes_in".into(),
+                    server: None,
+                    value: u64::MAX,
+                },
+            ]),
+            Response::Stats(Vec::new()),
             Response::Meta(MetaResponse::Epoch(7)),
             Response::Meta(MetaResponse::Migration(3)),
             Response::Meta(MetaResponse::Membership(MembershipView {

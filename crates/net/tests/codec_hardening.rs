@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use waterwheel_agg::{AggregateAnswer, FoldOutcome, PartialAgg};
 use waterwheel_core::aggregate::AggregateKind;
 use waterwheel_core::{
-    ChunkId, KeyInterval, QueryId, QueryResult, Region, ServerId, SubQuery, SubQueryId,
+    ChunkId, KeyInterval, QueryId, QueryResult, Region, ServerId, StatRow, SubQuery, SubQueryId,
     SubQueryTarget, TimeInterval, Tuple,
 };
 use waterwheel_index::secondary::{AttrProbe, ChunkAttrIndex};
@@ -192,7 +192,7 @@ impl Gen {
     fn request(&mut self) -> Request {
         // Arm numbers are the wire tags; 0 is retired (see
         // `retired_request_tag_zero_is_a_typed_error`).
-        match 1 + self.below(11) {
+        match 1 + self.below(15) {
             1 => Request::IngestBatch {
                 seq: self.next(),
                 tuples: self.tuples(),
@@ -237,8 +237,33 @@ impl Gen {
                 times: self.interval_times(),
                 kind: self.agg_kind(),
             },
-            _ => Request::Shutdown,
+            11 => Request::Shutdown,
+            12 => Request::RegisterPeers {
+                peers: (0..self.below(4))
+                    .map(|i| {
+                        (
+                            ServerId(self.next() as u32),
+                            format!("127.0.0.1:{}", 4_100 + i),
+                        )
+                    })
+                    .collect(),
+            },
+            13 => Request::Reassign {
+                interval: self.interval_keys(),
+            },
+            14 => Request::MigrateUniform,
+            _ => Request::Stats,
         }
+    }
+
+    fn stat_rows(&mut self) -> Vec<StatRow> {
+        (0..self.below(6))
+            .map(|i| StatRow {
+                name: format!("set{i}.field{}", self.below(9)),
+                server: (self.below(2) == 0).then(|| ServerId(self.next() as u32)),
+                value: self.next(),
+            })
+            .collect()
     }
 
     fn meta_response(&mut self) -> MetaResponse {
@@ -277,7 +302,7 @@ impl Gen {
     }
 
     fn response(&mut self) -> Response {
-        match self.below(9) {
+        match self.below(10) {
             0 => Response::Ack,
             1 => Response::AckBatch {
                 tuples: self.next() as u32,
@@ -297,13 +322,14 @@ impl Gen {
                 tuples: self.tuples(),
                 subqueries: self.next() as u32,
             }),
-            _ => Response::Aggregate(AggregateAnswer {
+            8 => Response::Aggregate(AggregateAnswer {
                 query_id: QueryId(self.next()),
                 kind: self.agg_kind(),
                 agg: self.partial_agg(),
                 cells_merged: self.next(),
                 scanned_tuples: self.next(),
             }),
+            _ => Response::Stats(self.stat_rows()),
         }
     }
 }
@@ -495,4 +521,25 @@ fn retired_request_tag_zero_is_a_typed_error() {
         assert!(matches!(err, WwError::Corrupt { .. }), "{err:?}");
         assert!(err.to_string().contains("unknown request tag 0"), "{err}");
     }
+}
+
+/// A `Stats` answer whose row count was forged upward (nothing else in the
+/// frame is protected by a checksum) must fail on the missing rows without
+/// first reserving room for the announced count.
+#[test]
+fn forged_stats_row_count_is_clamped_to_the_bytes_present() {
+    use waterwheel_core::WwError;
+    let rows = vec![StatRow {
+        name: "query.leaf_reads".into(),
+        server: Some(ServerId(1_000)),
+        value: 3,
+    }];
+    let frame = wire::encode_response_ok(1, &Response::Stats(rows));
+    let mut body = wire::read_frame(&mut &frame[..]).unwrap().unwrap();
+    // version, kind, correlation id, response tag — then the row count.
+    let count_at = 1 + 1 + 8 + 1;
+    assert_eq!(body[count_at..count_at + 4], 1u32.to_le_bytes());
+    body[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let err = wire::decode_frame(&body).unwrap_err();
+    assert!(matches!(err, WwError::Corrupt { .. }), "{err:?}");
 }

@@ -1,12 +1,20 @@
-//! The `waterwheel-node` binary: run one cluster role, or `smoke` a whole
-//! four-process loopback cluster end to end.
+//! The `waterwheel-node` binary: run one cluster role, dump a running
+//! cluster's counters, or `smoke` a whole four-process loopback cluster end
+//! to end.
 //!
 //! ```text
 //! waterwheel-node --role meta --listen 127.0.0.1:4100 --root /tmp/ww
 //! waterwheel-node --role indexing --listen 127.0.0.1:0 --root /tmp/ww \
 //!     --peer meta=127.0.0.1:4100 --set chunk_size_bytes=65536
+//! waterwheel-node stats --peer meta=127.0.0.1:4100 --peer indexing=127.0.0.1:4101
 //! waterwheel-node smoke [--root DIR] [--tuples N]
 //! ```
+//!
+//! `stats` scrapes each listed process once (the `Stats` verb) and prints
+//! the rows as an embedded system's `SystemMetrics` prints its own; any
+//! subset may be listed. A role split over several processes lists them as
+//! `role:proc=addr` (the highest index listed + 1 is its process count),
+//! with the deployment's server counts given by `--set` as everywhere else.
 //!
 //! `--set name=value` assigns any `SystemConfig` field through the same
 //! setter the launcher's `WW_NODE_CONFIG` variable is read with; every
@@ -15,10 +23,11 @@
 //! variables instead of flags; both paths funnel into the same
 //! [`NodeConfig`].
 
+use std::io::Write;
 use std::path::PathBuf;
-use waterwheel_core::{AggregateKind, KeyInterval, TimeInterval, Tuple};
+use waterwheel_core::{AggregateKind, KeyInterval, StatRow, TimeInterval, Tuple};
 use waterwheel_node::runtime::parse_peer;
-use waterwheel_node::{ClusterSpec, NodeConfig, Role};
+use waterwheel_node::{ClusterClient, ClusterSpec, NodeConfig, Role};
 
 fn main() {
     // Child processes of the launcher take this exit and never return.
@@ -26,6 +35,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let outcome = match args.first().map(String::as_str) {
         Some("smoke") => smoke(&args[1..]),
+        Some("stats") => stats(&args[1..]),
         Some(_) => match parse_role_cli(&args) {
             Ok(cfg) => waterwheel_node::run_node(cfg).map_err(|e| e.to_string()),
             Err(e) => Err(e),
@@ -41,6 +51,7 @@ fn main() {
 fn usage() -> String {
     "usage: waterwheel-node --role <meta|indexing|query|dispatcher> --listen ADDR --root DIR \
      [--peer role[:proc]=addr]... [--nodes N] [--set name=value]...\n\
+     \u{20}      waterwheel-node stats --peer role[:proc]=addr... [--set name=value]...\n\
      \u{20}      waterwheel-node smoke [--root DIR] [--tuples N]"
         .into()
 }
@@ -81,6 +92,31 @@ fn parse_role_cli(args: &[String]) -> Result<NodeConfig, String> {
     }
     cfg.peers = peers;
     Ok(cfg)
+}
+
+/// Scrapes the processes named by `--peer` and prints their counters.
+fn stats(args: &[String]) -> Result<(), String> {
+    let mut system = ClusterSpec::new("").system;
+    let mut peers = Vec::new();
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let value = it
+            .next()
+            .ok_or_else(|| format!("{flag} needs a value\n{}", usage()))?;
+        match flag.as_str() {
+            "--peer" => peers.push(parse_peer(value)?),
+            "--set" => system.set(value).map_err(|e| e.to_string())?,
+            other => return Err(format!("unknown stats flag {other:?}\n{}", usage())),
+        }
+    }
+    let metrics = ClusterClient::connect(&system, &peers)
+        .and_then(|client| client.stats())
+        .map_err(|e| e.to_string())?;
+    // `stats … | head` closing the pipe early is not an error.
+    match std::io::stdout().write_all(metrics.to_string().as_bytes()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(e.to_string()),
+        _ => Ok(()),
+    }
 }
 
 /// Launches a four-process loopback cluster from this very binary,
@@ -145,10 +181,31 @@ fn smoke(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("aggregate: {e}"))?;
     check_eq("COUNT aggregate", count.agg.count, tuples)?;
 
+    // The cluster's own account of the above, scraped from all four
+    // processes, must agree with what this client sent.
+    let scraped = client.stats().map_err(|e| format!("stats: {e}"))?;
+    let account = || {
+        check_eq(
+            "scraped indexing.ingested + indexing.side_stored",
+            scraped.get("indexing.ingested") + scraped.get("indexing.side_stored"),
+            tuples,
+        )?;
+        check_eq(
+            "scraped coordinator.queries",
+            scraped.get("coordinator.queries"),
+            3,
+        )?;
+        let answered = |r: &&StatRow| r.name == "admission.admitted";
+        let processes = scraped.rows().iter().filter(answered).count();
+        check_eq("processes that answered the scrape", processes as u64, 4)
+    };
+    account().inspect_err(|_| eprintln!("{scraped}"))?;
+
     cluster.shutdown().map_err(|e| format!("shutdown: {e}"))?;
     let _ = std::fs::remove_dir_all(&root);
     println!(
-        "SMOKE OK: {tuples} tuples over 4 processes, exact range + aggregate answers, clean shutdown"
+        "SMOKE OK: {tuples} tuples over 4 processes, exact range + aggregate answers, \
+         scraped counters agree, clean shutdown"
     );
     Ok(())
 }

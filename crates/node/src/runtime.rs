@@ -186,6 +186,19 @@ pub fn slice_ids(ids: &[ServerId], p: usize, n: usize) -> Vec<ServerId> {
     ids.iter().skip(p * per).take(per).copied().collect()
 }
 
+/// Fails unless `cfg` is valid and each role's servers split into equal
+/// slices over its processes — what makes every [`slice_ids`] non-empty.
+pub(crate) fn check_layout(cfg: &SystemConfig, ix_procs: usize, qs_procs: usize) -> Result<()> {
+    cfg.validate()?;
+    if !cfg.indexing_servers.is_multiple_of(ix_procs) || !cfg.query_servers.is_multiple_of(qs_procs)
+    {
+        return Err(WwError::Config(
+            "server counts must divide evenly across role processes".into(),
+        ));
+    }
+    Ok(())
+}
+
 /// Routes every server id to the address of the process hosting it.
 /// `indexing` and `query` pair a role's ids with how many processes share
 /// them.
@@ -214,22 +227,19 @@ pub(crate) fn route_peers(
 /// [`Request::Shutdown`] lands or the launcher's stdin pipe closes.
 pub fn run_node(nc: NodeConfig) -> Result<()> {
     let cfg = nc.system;
-    cfg.validate()?;
     let (ix_procs, qs_procs) = (nc.indexing_processes.max(1), nc.query_processes.max(1));
-    if !cfg.indexing_servers.is_multiple_of(ix_procs) || !cfg.query_servers.is_multiple_of(qs_procs)
-    {
-        return Err(WwError::Config(
-            "server counts must divide evenly across role processes".into(),
-        ));
-    }
+    check_layout(&cfg, ix_procs, qs_procs)?;
     let topology = Topology::new(&cfg, nc.nodes);
+    // Handlers and counter sets of whatever this process hosts; `Stats`
+    // at any of its addresses answers from it.
     let registry = Arc::new(HandlerRegistry::new());
     // Every node process guards its handlers with the same class-aware
     // admission controller the embedded system installs: overload sheds
     // typed `Overloaded` answers instead of queueing without bound.
-    registry.set_admission(Arc::new(waterwheel_server::AdmissionController::new(&cfg)));
+    waterwheel_server::AdmissionController::install(&registry, &cfg);
+    // One set of socket counters for the process: listener and client pool.
     let wire = Arc::new(WireStats::default());
-    let transport = Arc::new(TcpTransport::new());
+    let transport = Arc::new(TcpTransport::with_wire_stats(Arc::clone(&wire)));
     route_peers(
         &transport,
         &nc.peers,
@@ -242,6 +252,12 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
         topology,
         plane: Arc::clone(&transport) as Arc<dyn Transport>,
         tcp: Some(transport),
+    };
+    host.register_plane(&registry);
+    // The shared chunk store, for the two roles that read or write it.
+    let open_dfs = || {
+        let latency = LatencyModel::default();
+        roles::open_dfs(&nc.root, &host.topology, &host.cfg, latency, &registry)
     };
     let pumps_stop = Arc::new(AtomicBool::new(false));
     let mut pump_handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
@@ -289,11 +305,10 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
                 FsyncPolicy::from_flag(host.cfg.durability_fsync),
                 host.cfg.wal_segment_bytes,
             )?;
-            let dfs =
-                roles::open_dfs(&nc.root, &host.topology, &host.cfg, LatencyModel::default())?;
+            let dfs = open_dfs()?;
             let attrs = Arc::new(AttrRegistry::new());
             register_well_known_attrs(&attrs);
-            let role = IndexingRole::new(host.clone(), mq, dfs, attrs)?;
+            let role = IndexingRole::new(host.clone(), &registry, mq, dfs, attrs)?;
             for &id in &hosted {
                 let slot = role.serve(&registry, id)?;
                 pump_handles.push(roles::spawn_pump(&slot, &pumps_stop));
@@ -307,8 +322,7 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
         }
         Role::Query => {
             let hosted = slice_ids(&host.topology.query, nc.proc_index, qs_procs);
-            let dfs =
-                roles::open_dfs(&nc.root, &host.topology, &host.cfg, LatencyModel::default())?;
+            let dfs = open_dfs()?;
             for &id in &hosted {
                 roles::serve_query(&host, &registry, &dfs, id);
             }
@@ -321,7 +335,7 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
             let attrs = Arc::new(AttrRegistry::new());
             register_well_known_attrs(&attrs);
             let gateway = Gateway::new(host.clone(), DispatchPolicy::Lada, attrs)?;
-            gateway.serve(&*registry);
+            gateway.serve(&registry);
             pump_handles.push(roles::spawn_linger_flusher(
                 gateway.dispatchers().to_vec(),
                 &pumps_stop,

@@ -13,7 +13,7 @@
 //! handle kills anything still running — tests never leak processes.
 
 use crate::runtime::{
-    dispatcher_ids, indexing_ids, query_ids, route_peers, slice_ids, NodeConfig, Role,
+    check_layout, dispatcher_ids, indexing_ids, query_ids, route_peers, slice_ids, NodeConfig, Role,
 };
 use std::io::BufRead;
 use std::net::SocketAddr;
@@ -32,6 +32,7 @@ use waterwheel_net::{
     MetaRequest, MetaResponse, Request, Response, RpcClient, TcpTransport, Transport, COORDINATOR,
     META_SERVER,
 };
+use waterwheel_server::SystemMetrics;
 
 /// The source address external clients send from (outside every server
 /// id range).
@@ -95,6 +96,26 @@ impl ClusterSpec {
             query_processes: self.query_processes,
             proc_index,
             peers,
+        }
+    }
+
+    /// The id of the first server hosted by `(role, proc_index)` — the
+    /// representative a process-level RPC (shutdown, flush, stats)
+    /// addresses to reach that process.
+    fn rep_id(&self, role: Role, proc_index: usize) -> ServerId {
+        match role {
+            Role::Meta => META_SERVER,
+            Role::Dispatcher => dispatcher_ids(self.system.dispatchers)[0],
+            Role::Indexing => slice_ids(
+                &indexing_ids(self.system.indexing_servers),
+                proc_index,
+                self.indexing_processes,
+            )[0],
+            Role::Query => slice_ids(
+                &query_ids(self.system.query_servers),
+                proc_index,
+                self.query_processes,
+            )[0],
         }
     }
 
@@ -213,7 +234,8 @@ impl ClusterHandle {
     /// A client speaking the gateway RPC verbs against this cluster, with
     /// the spec's own RPC deadline and retry budget.
     pub fn client(&self) -> ClusterClient {
-        self.client_with_timeout(self.spec.system.rpc_timeout, self.spec.system.rpc_retries)
+        let (timeout, retries) = (self.spec.system.rpc_timeout, self.spec.system.rpc_retries);
+        self.client_with_timeout(timeout, retries)
     }
 
     /// A client with an explicit per-attempt deadline and retry budget —
@@ -281,26 +303,6 @@ impl ClusterHandle {
         }
         self.procs[pos] = fresh;
         Ok(())
-    }
-
-    /// The id of the first server hosted by `(role, proc_index)` — the
-    /// representative a control RPC (shutdown, flush) addresses to reach
-    /// that process.
-    fn rep_id(&self, role: Role, proc_index: usize) -> ServerId {
-        match role {
-            Role::Meta => META_SERVER,
-            Role::Dispatcher => dispatcher_ids(self.spec.system.dispatchers)[0],
-            Role::Indexing => slice_ids(
-                &indexing_ids(self.spec.system.indexing_servers),
-                proc_index,
-                self.spec.indexing_processes,
-            )[0],
-            Role::Query => slice_ids(
-                &query_ids(self.spec.system.query_servers),
-                proc_index,
-                self.spec.query_processes,
-            )[0],
-        }
     }
 
     /// Grows the indexing tier by one OS process (Fig. 17 scale-out),
@@ -403,7 +405,7 @@ impl ClusterHandle {
                     clean = false;
                 } else {
                     clean &= client
-                        .shutdown_server(self.rep_id(role, proc_index))
+                        .shutdown_server(self.spec.rep_id(role, proc_index))
                         .is_ok();
                 }
             }
@@ -469,10 +471,34 @@ pub struct ClusterClient {
     disp_ids: Vec<ServerId>,
     qs_ids: Vec<ServerId>,
     ix_ids: Vec<ServerId>,
+    /// One address per process of the cluster.
+    procs: Vec<ServerId>,
     batch_seq: AtomicU64,
 }
 
 impl ClusterClient {
+    /// A client of a running cluster known only by `peers`, the addresses
+    /// of (some of) its processes, and the `system` settings it was started
+    /// with. A role counts as split over one process more than its highest
+    /// listed process index; fails when its servers do not divide evenly
+    /// over that many (a proc index the deployment cannot have).
+    pub fn connect(system: &SystemConfig, peers: &[(Role, usize, SocketAddr)]) -> Result<Self> {
+        let processes = |role| {
+            let listed = peers.iter().filter(|p| p.0 == role);
+            listed.map(|p| p.1 + 1).max().unwrap_or(1)
+        };
+        let spec = ClusterSpec {
+            root: PathBuf::new(),
+            system: system.clone(),
+            nodes: 0,
+            indexing_processes: processes(Role::Indexing),
+            query_processes: processes(Role::Query),
+        };
+        check_layout(system, spec.indexing_processes, spec.query_processes)?;
+        let (timeout, retries) = (system.rpc_timeout, system.rpc_retries);
+        Ok(Self::connect_as(&spec, peers, timeout, retries, CLIENT_ID))
+    }
+
     fn connect_as(
         spec: &ClusterSpec,
         peers: &[(Role, usize, SocketAddr)],
@@ -500,6 +526,10 @@ impl ClusterClient {
             disp_ids,
             qs_ids,
             ix_ids,
+            procs: peers
+                .iter()
+                .map(|&(role, idx, _)| spec.rep_id(role, idx))
+                .collect(),
             // Above every earlier client incarnation under this id, so a
             // gateway that outlived them never mistakes a fresh batch for
             // a redelivery.
@@ -587,6 +617,17 @@ impl ClusterClient {
         self.rpc
             .call(COORDINATOR, Request::ClientAggregate { keys, times, kind })?
             .into_aggregate()
+    }
+
+    /// Scrapes every process once (`Stats` at one of its addresses) and
+    /// concatenates the rows: the cluster's counters, in the form
+    /// `SystemMetrics::collect` gives for an embedded system.
+    pub fn stats(&self) -> Result<SystemMetrics> {
+        let mut rows = Vec::new();
+        for &id in &self.procs {
+            rows.extend(self.rpc.call(id, Request::Stats)?.into_stats()?);
+        }
+        Ok(SystemMetrics::from_rows(rows))
     }
 
     /// Pings one server id (any role).

@@ -75,7 +75,63 @@ fn four_process_cluster_answers_exactly_and_shuts_down_clean() {
         .unwrap();
     assert_eq!(full.tuples.len() as u64, N + 500);
 
+    // One scrape reads the whole cluster: every process answers `Stats`
+    // with its own rows, and together they account for the traffic above.
+    let stats = client.stats().unwrap();
+    let reported = |name: &str| stats.rows().iter().filter(|r| r.name == name).count();
+    assert_eq!(reported("admission.admitted"), 4, "one row per process");
+    assert_eq!(reported("indexing.ingested"), 2, "one row per server");
+    assert_eq!(reported("meta.membership_epoch"), 1);
+    assert_eq!(
+        stats.get("indexing.ingested") + stats.get("indexing.side_stored"),
+        N + 500
+    );
+    assert_eq!(stats.get("dispatcher.dispatched"), N + 500);
+    assert_eq!(stats.get("coordinator.queries"), 3 + 5);
+    assert!(stats.get("query.leaf_reads") > 0);
+    assert!(stats.get("wire.bytes_in") > 0 && stats.get("wal.queue.bytes") > 0);
+
+    // The CLI reads the same rows, from any subset of the processes.
+    let peer = |role| format!("{role}={}", cluster.addr(role).unwrap());
+    let dump = stats_cli(&["--peer", &peer(Role::Indexing), "--peer", &peer(Role::Meta)]);
+    assert!(dump.status.success(), "{dump:?}");
+    let text = String::from_utf8(dump.stdout).unwrap();
+    assert_eq!(text.matches("admission.admitted ").count(), 2, "{text}");
+    assert_eq!(text.matches("indexing.ingested@srv-").count(), 2, "{text}");
+    assert!(!text.contains("coordinator.queries"), "{text}");
+
     cluster.shutdown().expect("a node had to be killed");
+}
+
+fn stats_cli(args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_waterwheel-node"))
+        .arg("stats")
+        .args(args)
+        .output()
+        .unwrap()
+}
+
+/// `stats` takes its process layout from the command line: whatever is
+/// listed there, the answer is rows or a one-line error — never a panic.
+#[test]
+fn stats_cli_turns_bad_peer_lists_into_errors() {
+    let failed = |args: &[&str]| {
+        let out = stats_cli(args);
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        err
+    };
+    // Process 2 of a role with two servers: no such slice.
+    let err = failed(&["--peer", "indexing:2=127.0.0.1:9"]);
+    assert!(err.contains("divide evenly"), "{err}");
+    // More processes than the (`--set`) servers of the role.
+    let err = failed(&["--set", "query_servers=1", "--peer", "query:1=127.0.0.1:9"]);
+    assert!(err.contains("divide evenly"), "{err}");
+    // A possible layout whose one listed process is not there.
+    let quick = ["--set", "rpc_timeout=50ms", "--set", "rpc_retries=0"];
+    failed(&[&quick[..], &["--peer", "indexing:1=127.0.0.1:9"]].concat());
+    failed(&[&quick[..], &["--peer", "dispatcher=127.0.0.1:9"]].concat());
 }
 
 /// Immediate visibility through the gateway: a trickle far smaller than

@@ -6,8 +6,9 @@
 //! query load spikes (the paper's realtime-indexing guarantee), so the
 //! controller is class-aware rather than a single global gate:
 //!
-//! * **Control** traffic (ping, shutdown) is always admitted — liveness
-//!   probes must answer precisely when the system is busiest.
+//! * **Control** traffic (ping, shutdown, `Stats` scrapes) is always
+//!   admitted — liveness probes and scrapes must answer precisely when the
+//!   system is busiest.
 //! * **Ingest** may use the full in-flight budget
 //!   ([`SystemConfig::admission_max_inflight`]).
 //! * **Query** is capped at 75% of the budget, so a query storm cannot
@@ -24,45 +25,16 @@
 //! The controller implements the net layer's
 //! [`AdmissionControl`] seam, so it guards the [`HandlerRegistry`]
 //! (`registry.dispatch`) identically for the in-proc transport and the
-//! TCP server's worker pool — one policy, every deployment shape.
+//! TCP server's worker pool — one policy, every deployment shape. The
+//! classes are [`Request::class`](waterwheel_net::Request::class), the
+//! same ones the TCP worker bands follow.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use waterwheel_core::{Result, ServerId, SystemConfig, WwError};
-use waterwheel_net::{AdmissionControl, AdmissionPermit, Envelope, Request};
-
-/// Which budget class a request is admitted under.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Class {
-    /// Liveness and lifecycle traffic: always admitted.
-    Control,
-    /// Tuple ingestion and flushes: full budget.
-    Ingest,
-    /// Subqueries, aggregates, summary reads: 75% of the budget.
-    Query,
-    /// Metadata calls: 50% of the budget.
-    Metadata,
-}
-
-fn classify(req: &Request) -> Class {
-    match req {
-        Request::Ping
-        | Request::Shutdown
-        | Request::RegisterPeers { .. }
-        | Request::Reassign { .. }
-        | Request::MigrateUniform => Class::Control,
-        Request::IngestBatch { .. } | Request::Flush => Class::Ingest,
-        Request::InMemorySubquery { .. }
-        | Request::AggregateInMemory { .. }
-        | Request::ChunkSubquery { .. }
-        | Request::ReadSummary { .. }
-        | Request::ClientQuery { .. }
-        | Request::ClientAggregate { .. } => Class::Query,
-        Request::Meta(_) => Class::Metadata,
-    }
-}
+use waterwheel_net::{AdmissionControl, AdmissionPermit, Envelope, HandlerRegistry, RequestClass};
 
 /// One source's token bucket: refilled at `client_rate_limit` tokens per
 /// second up to `client_rate_burst`.
@@ -71,30 +43,28 @@ struct TokenBucket {
     last_refill: Instant,
 }
 
-/// Counters the admission layer exposes to `SystemMetrics`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AdmissionTotals {
-    /// Requests that passed admission.
-    pub admitted: u64,
-    /// Requests shed with an `Overloaded` answer.
-    pub shed: u64,
-    /// Requests currently holding a permit.
-    pub inflight: u64,
-    /// High-water mark of concurrently held permits.
-    pub inflight_peak: u64,
+waterwheel_core::counters! {
+    /// The admission layer's counters (`admission.*`).
+    pub struct AdmissionStats {
+        /// Requests that passed admission.
+        admitted,
+        /// Requests shed with an `Overloaded` answer.
+        shed,
+        /// Requests currently holding a permit.
+        inflight,
+        /// High-water mark of concurrently held permits.
+        inflight_peak,
+    }
 }
 
 /// The class-aware, rate-limiting admission controller installed on the
-/// system's [`HandlerRegistry`](waterwheel_net::HandlerRegistry).
+/// system's [`HandlerRegistry`].
 pub struct AdmissionController {
     max_inflight: u64,
     retry_after: Duration,
     rate_limit: u64,
     rate_burst: u64,
-    inflight: std::sync::Arc<AtomicU64>,
-    inflight_peak: std::sync::Arc<AtomicU64>,
-    admitted: AtomicU64,
-    shed: AtomicU64,
+    stats: Arc<AdmissionStats>,
     buckets: Mutex<HashMap<ServerId, TokenBucket>>,
 }
 
@@ -106,31 +76,29 @@ impl AdmissionController {
             retry_after: cfg.admission_retry_after,
             rate_limit: cfg.client_rate_limit,
             rate_burst: cfg.client_rate_burst.max(1),
-            inflight: std::sync::Arc::new(AtomicU64::new(0)),
-            inflight_peak: std::sync::Arc::new(AtomicU64::new(0)),
-            admitted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
+            stats: Arc::default(),
             buckets: Mutex::new(HashMap::new()),
         }
     }
 
-    /// Snapshot of the admission counters.
-    pub fn totals(&self) -> AdmissionTotals {
-        AdmissionTotals {
-            admitted: self.admitted.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            inflight: self.inflight.load(Ordering::Relaxed),
-            inflight_peak: self.inflight_peak.load(Ordering::Relaxed),
-        }
+    /// Guards `registry` with a controller built from `cfg` and registers
+    /// its counters there: every deployment shape (in-proc, TCP loopback,
+    /// multi-process nodes) sheds — and reports sheds — identically.
+    pub fn install(registry: &HandlerRegistry, cfg: &SystemConfig) {
+        let controller = Self::new(cfg);
+        registry
+            .counters()
+            .register("admission", None, controller.stats.clone());
+        registry.set_admission(Arc::new(controller));
     }
 
     /// The in-flight ceiling for `class`, as a share of the global budget.
-    fn budget(&self, class: Class) -> u64 {
+    fn budget(&self, class: RequestClass) -> u64 {
         match class {
-            Class::Control => u64::MAX,
-            Class::Ingest => self.max_inflight,
-            Class::Query => (self.max_inflight * 3) / 4,
-            Class::Metadata => self.max_inflight / 2,
+            RequestClass::Control => u64::MAX,
+            RequestClass::Ingest => self.max_inflight,
+            RequestClass::Query => (self.max_inflight * 3) / 4,
+            RequestClass::Metadata => self.max_inflight / 2,
         }
     }
 
@@ -160,16 +128,16 @@ impl AdmissionController {
     }
 
     fn shed_with(&self, retry_after: Duration) -> WwError {
-        self.shed.fetch_add(1, Ordering::Relaxed);
+        self.stats.shed.fetch_add(1, Ordering::Relaxed);
         WwError::Overloaded { retry_after }
     }
 }
 
 impl AdmissionControl for AdmissionController {
     fn admit(&self, env: &Envelope) -> Result<AdmissionPermit> {
-        let class = classify(&env.payload);
-        if class == Class::Control {
-            self.admitted.fetch_add(1, Ordering::Relaxed);
+        let class = env.payload.class();
+        if class == RequestClass::Control {
+            self.stats.admitted.fetch_add(1, Ordering::Relaxed);
             return Ok(AdmissionPermit::unguarded());
         }
         if let Err(wait) = self.take_token(env.src) {
@@ -177,16 +145,18 @@ impl AdmissionControl for AdmissionController {
         }
         // Optimistically claim an in-flight slot, backing out on overrun;
         // the permit's drop releases it when the handler finishes.
-        let claimed = self.inflight.fetch_add(1, Ordering::AcqRel) + 1;
+        let claimed = self.stats.inflight.fetch_add(1, Ordering::AcqRel) + 1;
         if claimed > self.budget(class) {
-            self.inflight.fetch_sub(1, Ordering::AcqRel);
+            self.stats.inflight.fetch_sub(1, Ordering::AcqRel);
             return Err(self.shed_with(self.retry_after));
         }
-        self.inflight_peak.fetch_max(claimed, Ordering::AcqRel);
-        self.admitted.fetch_add(1, Ordering::Relaxed);
-        let inflight = std::sync::Arc::clone(&self.inflight);
+        self.stats
+            .inflight_peak
+            .fetch_max(claimed, Ordering::AcqRel);
+        self.stats.admitted.fetch_add(1, Ordering::Relaxed);
+        let stats = Arc::clone(&self.stats);
         Ok(AdmissionPermit::new(move || {
-            inflight.fetch_sub(1, Ordering::AcqRel);
+            stats.inflight.fetch_sub(1, Ordering::AcqRel);
         }))
     }
 }
@@ -195,7 +165,7 @@ impl AdmissionControl for AdmissionController {
 mod tests {
     use super::*;
     use std::time::Instant;
-    use waterwheel_net::Response;
+    use waterwheel_net::{Request, Response};
 
     fn env(src: u32, payload: Request) -> Envelope {
         Envelope {
@@ -237,10 +207,14 @@ mod tests {
         let _i = ctl.admit(&env(0, Request::Flush)).unwrap();
         ctl.admit(&env(0, Request::Ping)).unwrap();
         drop(q);
-        let t = ctl.totals();
-        assert_eq!(t.shed, 1);
-        assert_eq!(t.inflight, 1, "dropped permits released their slots");
-        assert!(t.inflight_peak >= 4);
+        let load = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+        assert_eq!(load(&ctl.stats.shed), 1);
+        assert_eq!(
+            load(&ctl.stats.inflight),
+            1,
+            "dropped permits released their slots"
+        );
+        assert!(load(&ctl.stats.inflight_peak) >= 4);
     }
 
     #[test]
@@ -271,11 +245,21 @@ mod tests {
     }
 
     #[test]
-    fn guards_a_registry_dispatch() {
-        use waterwheel_net::HandlerRegistry;
-        let registry = std::sync::Arc::new(HandlerRegistry::new());
+    fn an_installed_controller_sheds_queries_but_answers_a_scrape() {
+        let registry = HandlerRegistry::new();
         registry.bind(ServerId(1), |_| Ok(Response::Ack));
-        registry.set_admission(std::sync::Arc::new(AdmissionController::new(&cfg(4096))));
-        assert!(registry.dispatch(&env(0, Request::Flush)).is_ok());
+        // Budget 0: nothing but control traffic fits.
+        AdmissionController::install(&registry, &cfg(0));
+        let shed = registry.dispatch(&env(0, Request::Flush)).unwrap_err();
+        assert!(matches!(shed, WwError::Overloaded { .. }));
+        // The scrape is admitted while everything else is being shed, and
+        // reports the shed.
+        let rows = registry
+            .dispatch(&env(0, Request::Stats))
+            .unwrap()
+            .into_stats()
+            .unwrap();
+        let shed = rows.iter().find(|r| r.name == "admission.shed").unwrap();
+        assert_eq!((shed.server, shed.value), (None, 1));
     }
 }

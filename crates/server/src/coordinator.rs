@@ -58,30 +58,31 @@ pub const REDISPATCH_ROUNDS: usize = 2;
 /// Per-subquery answer slots, filled in by whichever worker runs each one.
 type Slots<T> = Arc<Mutex<Vec<Option<T>>>>;
 
-/// Coordinator-side counters.
-#[derive(Debug, Default)]
-pub struct CoordinatorStats {
-    /// Queries executed.
-    pub queries: AtomicU64,
-    /// Subqueries generated.
-    pub subqueries: AtomicU64,
-    /// Subqueries re-dispatched after a server failure.
-    pub redispatches: AtomicU64,
-    /// Chunk subqueries pruned by secondary attribute indexes (§VIII).
-    pub attr_pruned_chunks: AtomicU64,
-    /// Chunk subqueries pruned because the chunk's registered MIN/MAX
-    /// measure bounds cannot intersect the query's measure range.
-    pub measure_pruned_chunks: AtomicU64,
-    /// Aggregate queries executed (DESIGN.md §4b).
-    pub agg_queries: AtomicU64,
-    /// Wheel/summary cells merged into aggregate answers.
-    pub agg_cells_merged: AtomicU64,
-    /// Aggregate subqueries that fell back to the tuple-scan path
-    /// (fringes, residues, summary-less chunks, forced fallbacks).
-    pub agg_fallback_subqueries: AtomicU64,
-    /// Largest chunk-subquery backlog handed to the query-server worker
-    /// pools by a single dispatch plan (worker-pool queue depth).
-    pub worker_queue_peak: AtomicU64,
+waterwheel_core::counters! {
+    /// Coordinator-side counters (`coordinator.*`).
+    pub struct CoordinatorStats {
+        /// Queries executed.
+        queries,
+        /// Subqueries generated.
+        subqueries,
+        /// Subqueries re-dispatched after a server failure.
+        redispatches,
+        /// Chunk subqueries pruned by secondary attribute indexes (§VIII).
+        attr_pruned_chunks,
+        /// Chunk subqueries pruned because the chunk's registered MIN/MAX
+        /// measure bounds cannot intersect the query's measure range.
+        measure_pruned_chunks,
+        /// Aggregate queries executed (DESIGN.md §4b).
+        agg_queries,
+        /// Wheel/summary cells merged into aggregate answers.
+        agg_cells_merged,
+        /// Aggregate subqueries that fell back to the tuple-scan path
+        /// (fringes, residues, summary-less chunks, forced fallbacks).
+        agg_fallback_subqueries,
+        /// Largest chunk-subquery backlog handed to the query-server worker
+        /// pools by a single dispatch plan (worker-pool queue depth).
+        worker_queue_peak,
+    }
 }
 
 /// An epoch-numbered routing table: which servers the coordinator plans
@@ -117,7 +118,7 @@ pub struct Coordinator {
     /// and scan folds agree.
     measure: RwLock<MeasureFn>,
     next_query: AtomicU64,
-    stats: CoordinatorStats,
+    stats: Arc<CoordinatorStats>,
     /// The threads subqueries fan out on (module docs). Declared last:
     /// dropping it joins them.
     pool: FanoutPool,
@@ -153,7 +154,7 @@ impl Coordinator {
             summaries_enabled: AtomicBool::new(cfg.agg_summaries_enabled),
             measure: RwLock::new(default_measure()),
             next_query: AtomicU64::new(0),
-            stats: CoordinatorStats::default(),
+            stats: Arc::default(),
             pool,
         }
     }
@@ -222,7 +223,7 @@ impl Coordinator {
     }
 
     /// Execution counters.
-    pub fn stats(&self) -> &CoordinatorStats {
+    pub fn stats(&self) -> &Arc<CoordinatorStats> {
         &self.stats
     }
 
@@ -770,7 +771,7 @@ mod tests {
         let cfg = SystemConfig::default();
 
         let transport = Arc::new(InProcTransport::new(None));
-        serve_meta(&transport, meta.clone());
+        serve_meta(transport.registry(), meta.clone());
         let qs = Arc::new(QueryServer::new(
             ServerId(10),
             NodeId(0),

@@ -35,7 +35,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use waterwheel_core::{ChunkId, Key, Result, ServerId, SystemConfig, Tuple, WwError};
+use waterwheel_core::{ChunkId, Counters, Key, Result, ServerId, SystemConfig, Tuple, WwError};
 use waterwheel_meta::PartitionSchema;
 use waterwheel_net::{Request, Response, RpcClient};
 
@@ -100,6 +100,16 @@ pub fn send_batch(
             *resent = true;
             Err(e)
         }
+    }
+}
+
+/// `dispatcher.*`, one set per dispatcher: tuples and batch envelopes
+/// acknowledged, and tuples accepted but still buffered.
+impl Counters for Dispatcher {
+    fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
+        f("dispatched", self.dispatched());
+        f("batches_sent", self.batches_sent());
+        f("pending", self.pending());
     }
 }
 

@@ -17,7 +17,7 @@
 //! shared heap state, never a finished caller's stack.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
@@ -43,13 +43,23 @@ struct PoolState {
     shutdown: bool,
 }
 
+waterwheel_core::counters! {
+    /// What a [`FanoutPool`] has done so far (`fanout.*`).
+    pub struct FanoutStats {
+        /// Threads ever started. Constant in steady state: the query path
+        /// creates none once the pool is warm.
+        threads_started,
+        /// Helper tickets ever submitted.
+        tickets_issued,
+    }
+}
+
 struct Shared {
     state: Mutex<PoolState>,
     wake: Condvar,
     /// Ceiling on `threads.len()`.
     cap: AtomicUsize,
-    threads_started: AtomicU64,
-    tickets_issued: AtomicU64,
+    stats: Arc<FanoutStats>,
     /// Callers currently inside [`FanoutPool::enter`]'s guard.
     callers: AtomicUsize,
 }
@@ -96,8 +106,7 @@ impl FanoutPool {
                 }),
                 wake: Condvar::new(),
                 cap: AtomicUsize::new(cap),
-                threads_started: AtomicU64::new(0),
-                tickets_issued: AtomicU64::new(0),
+                stats: Arc::default(),
                 callers: AtomicUsize::new(0),
             }),
         }
@@ -110,15 +119,19 @@ impl FanoutPool {
         self.shared.cap.store(cap, Ordering::Relaxed);
     }
 
-    /// Threads this pool has ever started. Constant in steady state: the
-    /// query path creates none once the pool is warm.
+    /// The pool's counters.
+    pub fn stats(&self) -> &Arc<FanoutStats> {
+        &self.shared.stats
+    }
+
+    /// Threads this pool has ever started.
     pub fn threads_started(&self) -> u64 {
-        self.shared.threads_started.load(Ordering::Relaxed)
+        self.shared.stats.threads_started.load(Ordering::Relaxed)
     }
 
     /// Helper tickets ever submitted.
     pub fn tickets_issued(&self) -> u64 {
-        self.shared.tickets_issued.load(Ordering::Relaxed)
+        self.shared.stats.tickets_issued.load(Ordering::Relaxed)
     }
 
     /// Registers a caller about to work on a job of its own, until the
@@ -153,6 +166,7 @@ impl FanoutPool {
             });
         }
         self.shared
+            .stats
             .tickets_issued
             .fetch_add(slots.len() as u64, Ordering::Relaxed);
         let cap = self.shared.cap.load(Ordering::Relaxed);
@@ -166,7 +180,10 @@ impl FanoutPool {
             // whatever no helper takes.
             let Ok(handle) = spawned else { break };
             st.threads.push(handle);
-            self.shared.threads_started.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .stats
+                .threads_started
+                .fetch_add(1, Ordering::Relaxed);
             unserved -= 1;
         }
         for _ in 0..slots.len().min(st.idle) {
@@ -232,6 +249,7 @@ impl Drop for FanoutPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
     use std::sync::mpsc;
     use std::time::Duration;
 

@@ -25,7 +25,7 @@ use waterwheel_agg::AggregateAnswer;
 use waterwheel_core::aggregate::{AggregateQuery, MeasureFn};
 use waterwheel_core::{ChunkId, Query, QueryResult, Result, Tuple, WwError};
 use waterwheel_meta::PartitionSchema;
-use waterwheel_net::{HandlerHost, MetaClient, Request, Response, RpcClient, COORDINATOR};
+use waterwheel_net::{HandlerRegistry, MetaClient, Request, Response, RpcClient, COORDINATOR};
 
 /// The client-facing role of one process.
 pub struct Gateway {
@@ -34,9 +34,9 @@ pub struct Gateway {
     coordinator: RwLock<Arc<Coordinator>>,
     attrs: Arc<AttrRegistry>,
     /// Exactly-once for batches clients address to a dispatcher id.
-    dedup: IngestDedup,
+    dedup: Arc<IngestDedup>,
     balancer: PartitionBalancer,
-    migration_stats: MigrationStats,
+    migration_stats: Arc<MigrationStats>,
     /// Metadata stub sending as the first dispatcher.
     meta: MetaClient,
     /// Control client sending as [`COORDINATOR`] (`Reassign`).
@@ -57,9 +57,9 @@ impl Gateway {
             dispatchers: host.dispatchers(&schema),
             coordinator: RwLock::new(host.coordinator(policy, &attrs)),
             attrs,
-            dedup: IngestDedup::new(),
+            dedup: Arc::default(),
             balancer: PartitionBalancer::new(meta.clone()),
-            migration_stats: MigrationStats::default(),
+            migration_stats: Arc::default(),
             meta,
             control: host.rpc(COORDINATOR),
             next_dispatcher: AtomicUsize::new(0),
@@ -79,13 +79,22 @@ impl Gateway {
 
     /// Replaces the coordinator with a fresh instance folding `measure`
     /// (paper §V: all coordinator state is rebuilt from the metadata
-    /// server); policy and the summaries switch carry over.
-    pub fn restart_coordinator(&self, measure: MeasureFn) {
+    /// server); policy and the summaries switch carry over, and its
+    /// counters take the old instance's place on `registry`.
+    pub fn restart_coordinator(&self, registry: &HandlerRegistry, measure: MeasureFn) {
         let old = self.coordinator();
         let fresh = self.host.coordinator(old.policy(), &self.attrs);
         fresh.set_measure(measure);
         fresh.set_summaries_enabled(old.summaries_enabled());
         *self.coordinator.write() = fresh;
+        self.register_coordinator(registry);
+    }
+
+    fn register_coordinator(&self, registry: &HandlerRegistry) {
+        let coordinator = self.coordinator();
+        let counters = registry.counters();
+        counters.register("coordinator", None, coordinator.stats().clone());
+        counters.register("fanout", None, coordinator.fanout_pool().stats().clone());
     }
 
     /// The partition balancer (stats, planning).
@@ -205,11 +214,20 @@ impl Gateway {
     }
 
     /// Binds the client verbs on `registry`: ingest and flush at every
-    /// dispatcher id, the query and control verbs at [`COORDINATOR`].
-    pub fn serve<H: HandlerHost + ?Sized>(self: &Arc<Self>, registry: &H) {
+    /// dispatcher id, the query and control verbs at [`COORDINATOR`] — and
+    /// registers the role's counters (`dispatcher.*` per dispatcher,
+    /// `coordinator.*`, `fanout.*`, `gateway.*`, `balancer.*`,
+    /// `migration.*`).
+    pub fn serve(self: &Arc<Self>, registry: &HandlerRegistry) {
+        let counters = registry.counters();
+        self.register_coordinator(registry);
+        counters.register("gateway", None, self.dedup.clone());
+        counters.register("balancer", None, self.balancer.stats().clone());
+        counters.register("migration", None, self.migration_stats.clone());
         for d in &self.dispatchers {
+            counters.register("dispatcher", Some(d.id()), d.clone());
             let (gw, d) = (Arc::clone(self), Arc::clone(d));
-            registry.bind_handler(d.id(), move |env| match &env.payload {
+            registry.bind(d.id(), move |env| match &env.payload {
                 Request::IngestBatch { seq, tuples } => {
                     let deduped = gw.dedup.apply_once(env.src, d.id(), *seq, || {
                         tuples.iter().try_for_each(|t| d.dispatch(t.clone()))
@@ -225,7 +243,7 @@ impl Gateway {
             });
         }
         let gw = Arc::clone(self);
-        registry.bind_handler(COORDINATOR, move |env| match &env.payload {
+        registry.bind(COORDINATOR, move |env| match &env.payload {
             Request::ClientQuery {
                 keys,
                 times,

@@ -38,17 +38,18 @@ use waterwheel_mq::Consumer;
 use waterwheel_net::MetaClient;
 use waterwheel_storage::{write_chunk_opts, ChunkWriteOptions, SimDfs};
 
-/// Ingest-side counters.
-#[derive(Debug, Default)]
-pub struct IndexingStats {
-    /// Tuples ingested into the main tree.
-    pub ingested: AtomicU64,
-    /// Tuples diverted to the side store (later than Δt).
-    pub side_stored: AtomicU64,
-    /// Chunks flushed.
-    pub chunks_flushed: AtomicU64,
-    /// Encoded aggregate-summary bytes sealed into chunk footers.
-    pub summary_bytes_flushed: AtomicU64,
+waterwheel_core::counters! {
+    /// Ingest-side counters (`indexing.*`, one set per server).
+    pub struct IndexingStats {
+        /// Tuples ingested into the main tree.
+        ingested,
+        /// Tuples diverted to the side store (later than Δt).
+        side_stored,
+        /// Chunks flushed.
+        chunks_flushed,
+        /// Encoded aggregate-summary bytes sealed into chunk footers.
+        summary_bytes_flushed,
+    }
 }
 
 /// One indexing server.
@@ -68,7 +69,7 @@ pub struct IndexingServer {
     consumer: Mutex<Consumer>,
     dfs: SimDfs,
     meta: MetaClient,
-    stats: IndexingStats,
+    stats: Arc<IndexingStats>,
     /// Failure injection.
     failed: AtomicBool,
     /// Secondary attributes to index at flush time (paper §VIII).
@@ -106,7 +107,7 @@ impl IndexingServer {
             consumer: Mutex::new(consumer),
             dfs,
             meta,
-            stats: IndexingStats::default(),
+            stats: Arc::default(),
             failed: AtomicBool::new(false),
             attrs: parking_lot::RwLock::new(Arc::new(AttrRegistry::new())),
             wheel: Mutex::new(AggWheel::new(SLICE_BITS)),
@@ -155,7 +156,7 @@ impl IndexingServer {
     }
 
     /// Ingest counters.
-    pub fn stats(&self) -> &IndexingStats {
+    pub fn stats(&self) -> &Arc<IndexingStats> {
         &self.stats
     }
 
@@ -496,7 +497,7 @@ mod tests {
             let dfs = SimDfs::new(root, Cluster::new(3), 3, LatencyModel::default()).unwrap();
             let meta = MetadataService::in_memory();
             let transport = Arc::new(InProcTransport::new(None));
-            serve_meta(&transport, meta.clone());
+            serve_meta(transport.registry(), meta.clone());
             let mut cfg = SystemConfig::default();
             cfg.chunk_size_bytes = 4 * 1024;
             cfg.late_visibility = std::time::Duration::from_secs(5);

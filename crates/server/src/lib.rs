@@ -54,6 +54,7 @@
 //! | `MigrateUniform` | — | — | — | [`Gateway::migrate_uniform`]: uniform plan over the live membership, run by [`migration::run`] |
 //! | `Ping` | `Injected` if failed, else `Pong` | same | `Pong` | `Pong` |
 //! | `RegisterPeers` | routes installed on the process's TCP transport; `InvalidState` on the in-process plane | same | — | same |
+//! | `Stats` | the hosting process's counter rows ([`SystemMetrics`]), answered by the handler registry itself before any role handler — at `META_SERVER` too | same | same | same |
 //!
 //! `Meta(..)` is served at `META_SERVER` (`waterwheel_net::serve_meta`);
 //! `Shutdown` belongs to a node process's listener. Every other pairing
@@ -76,12 +77,12 @@ pub mod query_server;
 pub mod roles;
 pub mod system;
 
-pub use admission::{AdmissionController, AdmissionTotals};
+pub use admission::{AdmissionController, AdmissionStats};
 pub use attributes::AttrRegistry;
 pub use coordinator::{Coordinator, CoordinatorStats};
 pub use dispatch::{build_plan, execute_plan, DispatchPlan, DispatchPolicy, PlanRun};
 pub use dispatcher::{incarnation_seq_base, send_batch, Dispatcher, SampleWindow};
-pub use fanout::FanoutPool;
+pub use fanout::{FanoutPool, FanoutStats};
 pub use gateway::Gateway;
 pub use indexing::{IndexingServer, IndexingStats};
 pub use metrics::SystemMetrics;

@@ -35,7 +35,7 @@
 
 use crate::dispatcher::Dispatcher;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use waterwheel_core::{ChunkId, Key, KeyInterval, Result, ServerId, WwError};
 use waterwheel_meta::PartitionSchema;
@@ -64,16 +64,16 @@ pub struct MigrationPlan {
     pub deviation: f64,
 }
 
-/// Counters for the migration engine, snapshotted into
-/// [`SystemMetrics`](crate::SystemMetrics).
-#[derive(Debug, Default)]
-pub struct MigrationStats {
-    /// Migrations recorded at the metadata server (begin).
-    pub started: AtomicU64,
-    /// Migrations cut over (complete).
-    pub completed: AtomicU64,
-    /// Key ranges whose owner changed across all migrations.
-    pub reassigned_ranges: AtomicU64,
+waterwheel_core::counters! {
+    /// Counters for the migration engine (`migration.*`).
+    pub struct MigrationStats {
+        /// Migrations recorded at the metadata server (begin).
+        started,
+        /// Migrations cut over (complete).
+        completed,
+        /// Key ranges whose owner changed across all migrations.
+        reassigned_ranges,
+    }
 }
 
 impl MigrationStats {

@@ -16,26 +16,26 @@
 
 use crate::dispatcher::Dispatcher;
 use crate::migration::{self, MigrationPlan};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use waterwheel_core::{Key, Result, ServerId};
 use waterwheel_index::skew;
 use waterwheel_meta::PartitionSchema;
 use waterwheel_net::MetaClient;
 
-/// Balancer-side counters, snapshotted into
-/// [`SystemMetrics`](crate::SystemMetrics).
-#[derive(Debug, Default)]
-pub struct BalancerStats {
-    /// Rounds whose deviation exceeded the threshold but whose samples
-    /// were too duplicate-heavy to act on ([`BalanceOutcome::SkippedDegenerate`]).
-    pub skipped_degenerate: AtomicU64,
+waterwheel_core::counters! {
+    /// Balancer-side counters (`balancer.*`).
+    pub struct BalancerStats {
+        /// Rounds whose deviation exceeded the threshold but whose samples
+        /// were too duplicate-heavy to act on ([`BalanceOutcome::SkippedDegenerate`]).
+        skipped_degenerate,
+    }
 }
 
 /// The centralized repartitioning process.
 pub struct PartitionBalancer {
     meta: MetaClient,
-    stats: BalancerStats,
+    stats: Arc<BalancerStats>,
 }
 
 /// Outcome of one balancing round.
@@ -85,12 +85,12 @@ impl PartitionBalancer {
     pub fn new(meta: MetaClient) -> Self {
         Self {
             meta,
-            stats: BalancerStats::default(),
+            stats: Arc::default(),
         }
     }
 
     /// Balancer counters.
-    pub fn stats(&self) -> &BalancerStats {
+    pub fn stats(&self) -> &Arc<BalancerStats> {
         &self.stats
     }
 
@@ -217,7 +217,7 @@ mod tests {
         let meta = MetadataService::in_memory();
         let cfg = SystemConfig::default();
         let transport = Arc::new(InProcTransport::new(None));
-        serve_meta(&transport, meta.clone());
+        serve_meta(transport.registry(), meta.clone());
         let ids: Vec<ServerId> = (0..servers).map(ServerId).collect();
         let schema = PartitionSchema::uniform(&ids);
         meta.set_partition({

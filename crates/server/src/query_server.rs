@@ -34,7 +34,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use waterwheel_agg::WheelSummary;
 use waterwheel_cluster::Cluster;
-use waterwheel_core::{ChunkId, NodeId, Result, ServerId, SubQuery, SystemConfig, Tuple, WwError};
+use waterwheel_core::{
+    ChunkId, CounterRegistry, NodeId, Result, ServerId, SubQuery, SystemConfig, Tuple, WwError,
+};
 use waterwheel_index::columnar::{DecodedLeaf, ScanScratch};
 use waterwheel_index::Bitmap;
 use waterwheel_storage::{
@@ -50,65 +52,42 @@ const SCRATCH_POOL_CAP: usize = 32;
 /// (its I/O permit set).
 pub const IO_PERMITS: usize = 4;
 
-/// Per-server execution counters.
-#[derive(Debug, Default)]
-pub struct QueryServerStats {
-    /// Subqueries executed.
-    pub subqueries: AtomicU64,
-    /// Leaf pages read from the DFS.
-    pub leaf_reads: AtomicU64,
-    /// Leaf pages served from the cache.
-    pub leaf_cache_hits: AtomicU64,
-    /// Leaves skipped by temporal pruning (bounds or bloom).
-    pub leaves_pruned: AtomicU64,
-    /// Leaves skipped because their v2 MIN/MAX measure bounds are disjoint
-    /// from the subquery's measure range.
-    pub measure_pruned_leaves: AtomicU64,
-    /// Templates (index blocks) read from the DFS.
-    pub template_reads: AtomicU64,
-    /// Templates served from the cache.
-    pub template_cache_hits: AtomicU64,
-    /// Chunk summaries read from the DFS (footer-only accesses).
-    pub summary_reads: AtomicU64,
-    /// Chunk summaries served from the cache.
-    pub summary_cache_hits: AtomicU64,
-    /// Nanoseconds spent waiting for an I/O permit (contention signal:
-    /// stays near zero until concurrent subqueries outnumber the permits).
-    pub io_wait_ns: AtomicU64,
-    /// Total busy nanoseconds (for load-balance diagnostics).
-    pub busy_ns: AtomicU64,
-    /// Columnar scans served from an already-decoded cached leaf (the
-    /// decoded-column cache tier's hits).
-    pub column_decode_hits: AtomicU64,
-    /// Columnar scans that had to decode the leaf's key/timestamp columns
-    /// from their encoded image first.
-    pub column_decode_misses: AtomicU64,
-    /// Rows surviving the key/time selection vector across all columnar
-    /// scans (before any residual predicate).
-    pub scan_selected_rows: AtomicU64,
-}
-
-impl QueryServerStats {
-    /// Template cache hit ratio in `[0, 1]`.
-    pub fn template_hit_ratio(&self) -> f64 {
-        let h = self.template_cache_hits.load(Ordering::Relaxed) as f64;
-        let r = self.template_reads.load(Ordering::Relaxed) as f64;
-        if h + r == 0.0 {
-            0.0
-        } else {
-            h / (h + r)
-        }
-    }
-
-    /// Leaf cache hit ratio in `[0, 1]`.
-    pub fn leaf_hit_ratio(&self) -> f64 {
-        let h = self.leaf_cache_hits.load(Ordering::Relaxed) as f64;
-        let r = self.leaf_reads.load(Ordering::Relaxed) as f64;
-        if h + r == 0.0 {
-            0.0
-        } else {
-            h / (h + r)
-        }
+waterwheel_core::counters! {
+    /// Per-server execution counters (`query.*`).
+    pub struct QueryServerStats {
+        /// Subqueries executed.
+        subqueries,
+        /// Leaf pages read from the DFS.
+        leaf_reads,
+        /// Leaf pages served from the cache.
+        leaf_cache_hits,
+        /// Leaves skipped by temporal pruning (bounds or bloom).
+        leaves_pruned,
+        /// Leaves skipped because their v2 MIN/MAX measure bounds are disjoint
+        /// from the subquery's measure range.
+        measure_pruned_leaves,
+        /// Templates (index blocks) read from the DFS.
+        template_reads,
+        /// Templates served from the cache.
+        template_cache_hits,
+        /// Chunk summaries read from the DFS (footer-only accesses).
+        summary_reads,
+        /// Chunk summaries served from the cache.
+        summary_cache_hits,
+        /// Nanoseconds spent waiting for an I/O permit (contention signal:
+        /// stays near zero until concurrent subqueries outnumber the permits).
+        io_wait_ns,
+        /// Total busy nanoseconds (for load-balance diagnostics).
+        busy_ns,
+        /// Columnar scans served from an already-decoded cached leaf (the
+        /// decoded-column cache tier's hits).
+        column_decode_hits,
+        /// Columnar scans that had to decode the leaf's key/timestamp columns
+        /// from their encoded image first.
+        column_decode_misses,
+        /// Rows surviving the key/time selection vector across all columnar
+        /// scans (before any residual predicate).
+        scan_selected_rows,
     }
 }
 
@@ -169,7 +148,7 @@ pub struct QueryServer {
     node: NodeId,
     dfs: SimDfs,
     cache: BlockCache,
-    stats: QueryServerStats,
+    stats: Arc<QueryServerStats>,
     /// Failure injection: when set, every subquery errors.
     failed: AtomicBool,
     /// Bounds concurrent DFS accesses.
@@ -221,7 +200,7 @@ impl QueryServer {
             node,
             dfs,
             cache: BlockCache::with_shards(cache_bytes, cache_shards),
-            stats: QueryServerStats::default(),
+            stats: Arc::default(),
             failed: AtomicBool::new(false),
             io_permits: IoPermits::new(io_permits),
             template_flights: Singleflight::new(),
@@ -241,19 +220,31 @@ impl QueryServer {
     }
 
     /// Execution counters.
-    pub fn stats(&self) -> &QueryServerStats {
+    pub fn stats(&self) -> &Arc<QueryServerStats> {
         &self.stats
+    }
+
+    /// Registers this server's counter sets — execution, block cache, and
+    /// the template/summary singleflight groups — under its id.
+    pub fn register_counters(&self, counters: &CounterRegistry) {
+        let id = Some(self.id);
+        counters.register("query", id, self.stats.clone());
+        counters.register("cache", id, self.cache.stats().clone());
+        counters.register(
+            "query.template_flights",
+            id,
+            self.template_flights.stats().clone(),
+        );
+        counters.register(
+            "query.summary_flights",
+            id,
+            self.summary_flights.stats().clone(),
+        );
     }
 
     /// Cache handle (diagnostics and the cache-ablation bench).
     pub fn cache(&self) -> &BlockCache {
         &self.cache
-    }
-
-    /// Template/summary loads answered by joining another subquery's
-    /// in-flight DFS read instead of issuing a duplicate one.
-    pub fn singleflight_shared(&self) -> u64 {
-        self.template_flights.shared() + self.summary_flights.shared()
     }
 
     /// Injects (or clears) a failure; failed servers error on every
@@ -709,7 +700,6 @@ mod tests {
         assert_eq!(dfs.stats().opens.load(Ordering::Relaxed), opens_after_first);
         assert!(qs.stats().leaf_cache_hits.load(Ordering::Relaxed) >= leaf_reads_first);
         assert_eq!(qs.stats().template_cache_hits.load(Ordering::Relaxed), 1);
-        assert!(qs.stats().template_hit_ratio() > 0.0);
     }
 
     #[test]
@@ -751,7 +741,7 @@ mod tests {
         assert!(reads >= 1);
         assert_eq!(reads + hits + qs.template_flights.shared(), 6);
         assert!(
-            qs.singleflight_shared() > 0 || hits > 0,
+            qs.template_flights.shared() > 0 || hits > 0,
             "no de-duplication happened at all"
         );
     }

@@ -11,6 +11,11 @@
 //! membership joins and the lease keeper — so a verb or a durability rule
 //! exists in exactly one place. The crate docs tabulate the settled verb
 //! semantics; the verb-table test below holds both registries to them.
+//!
+//! Whatever binds a handler here also registers the counter sets behind it
+//! on the same [`HandlerRegistry`] (`registry.counters()`), so a process
+//! reports exactly the roles it hosts; the registry holds the statistics
+//! structs, not the indexing and query servers that bump them.
 
 use crate::attributes::AttrRegistry;
 use crate::coordinator::Coordinator;
@@ -27,11 +32,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use waterwheel_cluster::{Cluster, LatencyModel};
-use waterwheel_core::{KeyInterval, NodeId, Result, ServerId, SystemConfig, WwError};
+use waterwheel_core::{Counters, KeyInterval, NodeId, Result, ServerId, SystemConfig, WwError};
 use waterwheel_meta::{MemberRole, MetadataService, PartitionSchema};
 use waterwheel_mq::{Consumer, MessageQueue};
 use waterwheel_net::{
-    HandlerHost, MetaClient, Request, Response, RpcClient, TcpServerOptions, TcpTransport,
+    HandlerRegistry, MetaClient, Request, Response, RpcClient, TcpServerOptions, TcpTransport,
     Transport, COORDINATOR,
 };
 use waterwheel_storage::SimDfs;
@@ -117,21 +122,30 @@ pub fn bootstrap_schema(meta: &MetadataService, indexing: &[ServerId]) -> Result
     Ok(schema)
 }
 
-/// Opens the shared chunk store under `root`. One fsync policy
-/// (`durability_fsync`) governs every durable surface, chunk seals included.
+/// Opens the shared chunk store under `root` and registers its counters
+/// (`dfs.*`, `wal.chunks.*`). One fsync policy (`durability_fsync`) governs
+/// every durable surface, chunk seals included.
 pub fn open_dfs(
     root: &Path,
     topology: &Topology,
     cfg: &SystemConfig,
     latency: LatencyModel,
+    registry: &HandlerRegistry,
 ) -> Result<SimDfs> {
-    Ok(SimDfs::new(
+    let dfs = SimDfs::new(
         root.join("chunks"),
         topology.cluster.clone(),
         topology.replication(cfg),
         latency,
     )?
-    .with_fsync(FsyncPolicy::from_flag(cfg.durability_fsync)))
+    .with_fsync(FsyncPolicy::from_flag(cfg.durability_fsync));
+    registry
+        .counters()
+        .register("dfs", None, dfs.stats().clone());
+    registry
+        .counters()
+        .register("wal.chunks", None, dfs.wal_stats());
+    Ok(dfs)
 }
 
 /// Listener-side TCP options: the net crate's defaults, with queue-overflow
@@ -167,6 +181,16 @@ impl Host {
     /// A metadata-server stub sending as `src`.
     pub fn meta(&self, src: ServerId) -> MetaClient {
         MetaClient::new(self.rpc(src))
+    }
+
+    /// Registers the counters of the plane this process sends on: `rpc.*`
+    /// (link totals, per-kind latencies) and, over sockets, `wire.*`.
+    pub fn register_plane(&self, registry: &HandlerRegistry) {
+        let counters = registry.counters();
+        counters.register("rpc", None, self.plane.stats().clone());
+        if let Some(tcp) = &self.tcp {
+            counters.register("wire", None, tcp.wire().clone());
+        }
     }
 
     /// One dispatcher per dispatcher id, routing under `schema`.
@@ -285,6 +309,12 @@ impl IngestDedup {
     }
 }
 
+impl Counters for IngestDedup {
+    fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
+        f("dedup_drops", self.drops());
+    }
+}
+
 /// Where a process keeps one hosted indexing server. The handler and the
 /// pump resolve the current instance through the slot at call time, so the
 /// embedded system's recovery swap takes effect without rebinding; node
@@ -310,33 +340,35 @@ pub struct IndexingRole {
 impl IndexingRole {
     /// Sets the role up over `mq`, creating the ingestion topic with one
     /// partition per indexing server of the deployment (a durable queue
-    /// replays its retained records and batch markers here).
+    /// replays its retained records and batch markers here), and registers
+    /// the role's shared counters (`ingest.*`, `wal.queue.*`).
     pub fn new(
         host: Host,
+        registry: &HandlerRegistry,
         mq: MessageQueue,
         dfs: SimDfs,
         attrs: Arc<AttrRegistry>,
     ) -> Result<Self> {
         mq.create_topic(INGEST_TOPIC, host.cfg.indexing_servers)?;
+        let dedup = Arc::new(IngestDedup::new());
+        let counters = registry.counters();
+        counters.register("ingest", None, dedup.clone());
+        counters.register("wal.queue", None, mq.wal_stats());
         Ok(Self {
             host,
             mq,
             dfs,
             attrs,
-            dedup: Arc::new(IngestDedup::new()),
+            dedup,
         })
-    }
-
-    /// The receiver-side dedup table shared by this role's servers.
-    pub fn dedup(&self) -> &IngestDedup {
-        &self.dedup
     }
 
     /// Builds server `id` from durable state (paper §V): its consumer
     /// resumes at the offset the last chunk registration persisted, its
     /// interval comes from the published schema, and the dedup table
     /// learns which batch sequence numbers already landed in its partition.
-    pub fn build(&self, id: ServerId) -> Result<Arc<IndexingServer>> {
+    /// Its counters (`indexing.*`) take the place of any predecessor's.
+    pub fn build(&self, registry: &HandlerRegistry, id: ServerId) -> Result<Arc<IndexingServer>> {
         // Indexing ids are `0..n`, so the raw id is the partition number
         // even when this process hosts only a slice of them.
         let partition = id.raw() as usize;
@@ -362,16 +394,15 @@ impl IndexingRole {
             meta,
         ));
         server.set_attr_registry(Arc::clone(&self.attrs));
+        registry
+            .counters()
+            .register("indexing", Some(id), server.stats().clone());
         Ok(server)
     }
 
     /// Builds server `id` and binds its RPC handler on `registry`.
-    pub fn serve<H: HandlerHost + ?Sized>(
-        &self,
-        registry: &H,
-        id: ServerId,
-    ) -> Result<IndexingSlot> {
-        let slot: IndexingSlot = Arc::new(RwLock::new(self.build(id)?));
+    pub fn serve(&self, registry: &HandlerRegistry, id: ServerId) -> Result<IndexingSlot> {
+        let slot: IndexingSlot = Arc::new(RwLock::new(self.build(registry, id)?));
         let partition = id.raw() as usize;
         let (tcp, mq, dedup) = (
             self.host.tcp.clone(),
@@ -379,7 +410,7 @@ impl IndexingRole {
             Arc::clone(&self.dedup),
         );
         let handler_slot = Arc::clone(&slot);
-        registry.bind_handler(id, move |env| {
+        registry.bind(id, move |env| {
             // Resolved per call so a recovery swap takes effect. The ingest
             // verb never looks at the server's health: the queue accepts
             // writes while its consumer is down, and they replay (Kafka).
@@ -479,10 +510,11 @@ pub fn spawn_linger_flusher(
     })
 }
 
-/// Builds query server `id` over `dfs` and binds its RPC handler.
-pub fn serve_query<H: HandlerHost + ?Sized>(
+/// Builds query server `id` over `dfs`, binds its RPC handler and registers
+/// its counters.
+pub fn serve_query(
     host: &Host,
-    registry: &H,
+    registry: &HandlerRegistry,
     dfs: &SimDfs,
     id: ServerId,
 ) -> Arc<QueryServer> {
@@ -492,8 +524,9 @@ pub fn serve_query<H: HandlerHost + ?Sized>(
         dfs.clone(),
         &host.cfg,
     ));
+    qs.register_counters(registry.counters());
     let (tcp, server) = (host.tcp.clone(), Arc::clone(&qs));
-    registry.bind_handler(id, move |env| match &env.payload {
+    registry.bind(id, move |env| match &env.payload {
         Request::ChunkSubquery {
             sq,
             chunk,
@@ -624,6 +657,15 @@ mod tests {
             // The listener's: a TCP server with a shutdown hook answers it
             // before any handler sees it.
             Request::Shutdown => &[],
+            // The registry's: answered at whatever is bound, META_SERVER
+            // included, before any handler sees it.
+            Request::Stats => &[
+                Bound::Indexing,
+                Bound::Query,
+                Bound::Meta,
+                Bound::Dispatcher,
+                Bound::Coordinator,
+            ],
         }
     }
 
@@ -684,6 +726,7 @@ mod tests {
                 interval: KeyInterval::full(),
             },
             Request::MigrateUniform,
+            Request::Stats,
         ]
     }
 
@@ -782,6 +825,20 @@ mod tests {
             .unwrap();
         assert_eq!(over_the_plane.agg.count, direct.agg.count);
         assert_eq!(direct.agg.count, 64 + 3);
+
+        // One scrape: whichever bound address is asked, the process answers
+        // with the rows `SystemMetrics::collect` reads directly.
+        let scraped = client.call(META_SERVER, Request::Stats).unwrap();
+        let scraped = crate::SystemMetrics::from_rows(scraped.into_stats().unwrap());
+        let direct = crate::SystemMetrics::collect(&ww);
+        for name in [
+            "indexing.ingested",
+            "coordinator.queries",
+            "meta.chunks_registered",
+        ] {
+            assert_eq!(scraped.get(name), direct.get(name), "{name}");
+        }
+        assert!(direct.get("coordinator.queries") >= 4);
     }
 
     #[test]

@@ -142,7 +142,14 @@ impl WaterwheelBuilder {
         } else {
             MessageQueue::new()
         };
-        let dfs = roles::open_dfs(&self.root, &topology, &self.cfg, self.latency)?;
+        // The message plane: every role binds its handler — and registers
+        // its counters — into one shared registry; the registry is then
+        // fronted either by the in-process transport (default — carries the
+        // cluster hook and fault injection) or by a real TCP loopback
+        // listener plus a pooled client transport. Handlers never know
+        // which plane called them.
+        let registry = Arc::new(HandlerRegistry::new());
+        let dfs = roles::open_dfs(&self.root, &topology, &self.cfg, self.latency, &registry)?;
         let meta = if self.durable_meta {
             MetadataService::open_with(
                 self.root.join("meta.snapshot"),
@@ -153,19 +160,9 @@ impl WaterwheelBuilder {
             MetadataService::in_memory()
         };
 
-        // The message plane: every role binds its handler into one shared
-        // registry; the registry is then fronted either by the in-process
-        // transport (default — carries the cluster hook and fault
-        // injection) or by a real TCP loopback listener plus a pooled
-        // client transport. Handlers never know which plane called them.
-        let registry = Arc::new(HandlerRegistry::new());
         serve_meta(&registry, meta.clone());
-        // Admission guards the registry itself, so every deployment shape
-        // (in-proc, TCP loopback, multi-process nodes) sheds identically.
-        let admission = Arc::new(crate::admission::AdmissionController::new(&self.cfg));
-        registry.set_admission(Arc::clone(&admission) as Arc<dyn waterwheel_net::AdmissionControl>);
+        crate::admission::AdmissionController::install(&registry, &self.cfg);
         let mut inproc = None;
-        let mut wire = None;
         let mut rpc_server = None;
         let mut tcp = None;
         let plane: Arc<dyn Transport> = if self.tcp_loopback {
@@ -177,9 +174,8 @@ impl WaterwheelBuilder {
                 None,
                 roles::tcp_server_options(&self.cfg),
             )?;
-            let t = Arc::new(TcpTransport::with_wire_stats(Arc::clone(&stats)));
+            let t = Arc::new(TcpTransport::with_wire_stats(stats));
             t.set_default_route(Some(server.local_addr()));
-            wire = Some(stats);
             rpc_server = Some(server);
             tcp = Some(Arc::clone(&t));
             t
@@ -197,6 +193,7 @@ impl WaterwheelBuilder {
             plane,
             tcp,
         };
+        host.register_plane(&registry);
 
         // Every server is a leased member of the cluster: the membership
         // view (and its epoch) is what the coordinator routes by, and what
@@ -207,7 +204,13 @@ impl WaterwheelBuilder {
         roles::bootstrap_schema(&meta, &host.topology.indexing)?;
 
         let attrs = Arc::new(AttrRegistry::new());
-        let ix_role = IndexingRole::new(host.clone(), mq.clone(), dfs.clone(), Arc::clone(&attrs))?;
+        let ix_role = IndexingRole::new(
+            host.clone(),
+            &registry,
+            mq.clone(),
+            dfs.clone(),
+            Arc::clone(&attrs),
+        )?;
         let indexing = host
             .topology
             .indexing
@@ -221,22 +224,21 @@ impl WaterwheelBuilder {
             .map(|&id| roles::serve_query(&host, &registry, &dfs, id))
             .collect();
         let gateway = Gateway::new(host.clone(), self.policy, Arc::clone(&attrs))?;
-        gateway.serve(&*registry);
+        gateway.serve(&registry);
 
         Ok(Waterwheel {
             host,
+            registry,
             mq,
             dfs,
             meta,
             inproc,
-            wire,
             rpc_server,
             gateway,
             ix_role,
             indexing,
             query_servers,
             attrs,
-            admission,
             measure: Mutex::new(default_measure()),
             pumps_stop: Arc::new(AtomicBool::new(false)),
             pump_handles: Mutex::new(Vec::new()),
@@ -247,11 +249,12 @@ impl WaterwheelBuilder {
 /// An embedded Waterwheel deployment.
 pub struct Waterwheel {
     pub(crate) host: Host,
+    /// Handlers and counter sets of every role; emptied on drop.
+    registry: Arc<HandlerRegistry>,
     mq: MessageQueue,
     dfs: SimDfs,
     meta: MetadataService,
     inproc: Option<Arc<InProcTransport>>,
-    wire: Option<Arc<WireStats>>,
     rpc_server: Option<TcpRpcServer>,
     gateway: Arc<Gateway>,
     ix_role: IndexingRole,
@@ -259,7 +262,6 @@ pub struct Waterwheel {
     indexing: Vec<IndexingSlot>,
     query_servers: Vec<Arc<QueryServer>>,
     attrs: Arc<AttrRegistry>,
-    admission: Arc<crate::admission::AdmissionController>,
     measure: Mutex<MeasureFn>,
     pumps_stop: Arc<AtomicBool>,
     pump_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -330,19 +332,15 @@ impl Waterwheel {
     /// Wire-level socket counters (bytes, connects, decode errors). All
     /// zero for the in-process deployment, which never touches a socket.
     pub fn wire_totals(&self) -> WireTotals {
-        self.wire.as_ref().map(|w| w.totals()).unwrap_or_default()
+        let tcp = self.host.tcp.as_ref();
+        tcp.map(|t| t.wire().totals()).unwrap_or_default()
     }
 
-    /// Admission-layer counters: requests admitted, shed, and the
-    /// in-flight depth/high-water mark.
-    pub fn admission_totals(&self) -> crate::admission::AdmissionTotals {
-        self.admission.totals()
-    }
-
-    /// Per-request-kind RPC latency percentiles observed by this
-    /// system's clients.
-    pub fn rpc_latencies(&self) -> Vec<waterwheel_net::LatencySnapshot> {
-        self.host.plane.stats().latency_snapshot()
+    /// The registry every role of this system bound its handler and
+    /// registered its counters on ([`SystemMetrics`](crate::SystemMetrics)
+    /// walks it).
+    pub fn registry(&self) -> &HandlerRegistry {
+        &self.registry
     }
 
     /// The coordinator (policy switching, stats).
@@ -358,7 +356,7 @@ impl Waterwheel {
     /// fail independently.
     pub fn restart_coordinator(&self) {
         self.gateway
-            .restart_coordinator(self.measure.lock().clone());
+            .restart_coordinator(&self.registry, self.measure.lock().clone());
     }
 
     /// The query servers (stats, failure injection).
@@ -432,12 +430,6 @@ impl Waterwheel {
     /// indexing server (still buffered in dispatcher batches).
     pub fn pending_ingest(&self) -> u64 {
         self.gateway.pending()
-    }
-
-    /// Redelivered ingest batches the receivers recognised by sequence
-    /// number and dropped instead of appending twice.
-    pub fn ingest_dedup_drops(&self) -> u64 {
-        self.ix_role.dedup().drops()
     }
 
     /// Synchronously pumps every indexing server once; returns tuples moved
@@ -605,7 +597,7 @@ impl Waterwheel {
     /// with exactly the tuples the old one held in memory.
     pub fn recover_indexing_server(&self, id: ServerId) -> Result<()> {
         let slot = self.slot(id)?;
-        let replacement = self.ix_role.build(id)?;
+        let replacement = self.ix_role.build(&self.registry, id)?;
         replacement.set_measure(self.measure.lock().clone());
         *slot.write() = replacement;
         // Re-join the membership: if the crash outlived the lease, the
@@ -645,13 +637,11 @@ impl Drop for Waterwheel {
             let _ = d.flush_batches();
         }
         let _ = self.mq.sync();
-        // The in-process plane owns the registry whose handlers own the
-        // roles, which own clients of that plane: unbind, or nothing in
-        // that ring — the coordinator's fan-out threads included — is
-        // ever released.
-        if let Some(plane) = &self.inproc {
-            plane.registry().clear();
-        }
+        // The in-process plane owns the registry whose handlers (and
+        // counter sets: the dispatchers) own the roles, which own clients
+        // of that plane: empty it, or nothing in that ring — the
+        // coordinator's fan-out threads included — is ever released.
+        self.registry.clear();
     }
 }
 

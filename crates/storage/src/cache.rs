@@ -18,7 +18,7 @@ use crate::chunk::ChunkIndex;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use waterwheel_agg::WheelSummary;
 use waterwheel_core::{ChunkId, Tuple};
@@ -76,15 +76,16 @@ impl Block {
     }
 }
 
-/// Hit/miss counters, aggregated across all shards.
-#[derive(Debug, Default)]
-pub struct CacheStats {
-    /// Lookups that found the block.
-    pub hits: AtomicU64,
-    /// Lookups that missed.
-    pub misses: AtomicU64,
-    /// Blocks evicted under byte pressure.
-    pub evictions: AtomicU64,
+waterwheel_core::counters! {
+    /// Hit/miss counters, aggregated across all shards.
+    pub struct CacheStats {
+        /// Lookups that found the block.
+        hits,
+        /// Lookups that missed.
+        misses,
+        /// Blocks evicted under byte pressure.
+        evictions,
+    }
 }
 
 impl CacheStats {
@@ -123,7 +124,7 @@ pub struct BlockCache {
     /// Per-shard byte budget (`capacity / shards`).
     shard_capacity: usize,
     shards: Vec<Mutex<Shard>>,
-    stats: CacheStats,
+    stats: Arc<CacheStats>,
 }
 
 impl BlockCache {
@@ -140,7 +141,7 @@ impl BlockCache {
         Self {
             shard_capacity: (capacity / shards).max(1),
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            stats: CacheStats::default(),
+            stats: Arc::default(),
         }
     }
 
@@ -161,7 +162,7 @@ impl BlockCache {
     }
 
     /// Hit/miss counters.
-    pub fn stats(&self) -> &CacheStats {
+    pub fn stats(&self) -> &Arc<CacheStats> {
         &self.stats
     }
 

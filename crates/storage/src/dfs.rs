@@ -36,7 +36,7 @@ use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use waterwheel_cluster::{Cluster, LatencyModel};
 use waterwheel_core::codec::fnv1a;
@@ -48,20 +48,21 @@ pub const FOOTER_MAGIC: u64 = u64::from_le_bytes(*b"WWCHKFT1");
 /// Footer length: body length (8) + body checksum (8) + magic (8).
 pub const FOOTER_LEN: u64 = 24;
 
-/// Access counters, exposed for tests and the chunk-size experiments.
-#[derive(Debug, Default)]
-pub struct DfsStats {
-    /// Number of file accesses (each charged one open latency).
-    pub opens: AtomicU64,
-    /// Total bytes read.
-    pub bytes_read: AtomicU64,
-    /// Accesses that hit the co-located fast path.
-    pub local_opens: AtomicU64,
-    /// Whole-body checksum verifications performed (first open per chunk).
-    pub integrity_verifies: AtomicU64,
-    /// Chunks whose replica set was repaired after a node loss
-    /// ([`SimDfs::re_replicate`]).
-    pub re_replications: AtomicU64,
+waterwheel_core::counters! {
+    /// Access counters, exposed for tests and the chunk-size experiments.
+    pub struct DfsStats {
+        /// Number of file accesses (each charged one open latency).
+        opens,
+        /// Total bytes read.
+        bytes_read,
+        /// Accesses that hit the co-located fast path.
+        local_opens,
+        /// Whole-body checksum verifications performed (first open per chunk).
+        integrity_verifies,
+        /// Chunks whose replica set was repaired after a node loss
+        /// ([`SimDfs::re_replicate`]).
+        re_replications,
+    }
 }
 
 struct DfsInner {
@@ -79,7 +80,7 @@ struct DfsInner {
     lengths: Mutex<HashMap<ChunkId, u64>>,
     /// Chunks whose whole-body checksum has been verified this process.
     verified: Mutex<HashSet<ChunkId>>,
-    stats: DfsStats,
+    stats: Arc<DfsStats>,
     /// Durability counters (fsyncs issued, torn/corrupt files detected).
     wal: Arc<WalStats>,
 }
@@ -112,7 +113,7 @@ impl SimDfs {
                 pinned: Mutex::new(HashMap::new()),
                 lengths: Mutex::new(HashMap::new()),
                 verified: Mutex::new(HashSet::new()),
-                stats: DfsStats::default(),
+                stats: Arc::default(),
                 wal: WalStats::shared(),
             }),
         })
@@ -143,7 +144,7 @@ impl SimDfs {
     }
 
     /// Access statistics.
-    pub fn stats(&self) -> &DfsStats {
+    pub fn stats(&self) -> &Arc<DfsStats> {
         &self.inner.stats
     }
 

@@ -11,6 +11,7 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use waterwheel_core::{Result, WwError};
 
@@ -25,13 +26,20 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+waterwheel_core::counters! {
+    /// How a [`Singleflight`]'s loads were answered.
+    pub struct SingleflightStats {
+        /// Loads actually executed (leaders).
+        led,
+        /// Loads answered by joining another caller's flight.
+        shared,
+    }
+}
+
 /// Collapses concurrent loads of the same key into one execution.
 pub struct Singleflight<K, V> {
     inflight: Mutex<HashMap<K, Arc<Flight<V>>>>,
-    /// Loads actually executed (leaders).
-    led: std::sync::atomic::AtomicU64,
-    /// Loads answered by joining another caller's flight.
-    shared: std::sync::atomic::AtomicU64,
+    stats: Arc<SingleflightStats>,
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> Default for Singleflight<K, V> {
@@ -45,19 +53,23 @@ impl<K: Eq + Hash + Clone, V: Clone> Singleflight<K, V> {
     pub fn new() -> Self {
         Self {
             inflight: Mutex::new(HashMap::new()),
-            led: std::sync::atomic::AtomicU64::new(0),
-            shared: std::sync::atomic::AtomicU64::new(0),
+            stats: Arc::default(),
         }
+    }
+
+    /// Leader/follower counters.
+    pub fn stats(&self) -> &Arc<SingleflightStats> {
+        &self.stats
     }
 
     /// Loads executed as the leader.
     pub fn led(&self) -> u64 {
-        self.led.load(std::sync::atomic::Ordering::Relaxed)
+        self.stats.led.load(Ordering::Relaxed)
     }
 
     /// Loads de-duplicated by joining an existing flight.
     pub fn shared(&self) -> u64 {
-        self.shared.load(std::sync::atomic::Ordering::Relaxed)
+        self.stats.shared.load(Ordering::Relaxed)
     }
 
     /// Runs `load` for `key`, unless an identical load is already in
@@ -81,8 +93,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Singleflight<K, V> {
             }
         };
         if !leader {
-            self.shared
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.stats.shared.fetch_add(1, Ordering::Relaxed);
             let mut slot = lock(&flight.slot);
             while slot.is_none() {
                 slot = flight.done.wait(slot).unwrap_or_else(|e| e.into_inner());
@@ -92,7 +103,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Singleflight<K, V> {
                 Err(msg) => Err(WwError::InvalidState(format!("shared load failed: {msg}"))),
             };
         }
-        self.led.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.stats.led.fetch_add(1, Ordering::Relaxed);
         let result = load();
         // Unregister first so callers arriving after completion start a
         // fresh flight (important for errors), then wake the waiters.
@@ -111,7 +122,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Singleflight<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn sequential_loads_each_execute() {

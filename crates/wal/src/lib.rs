@@ -74,20 +74,22 @@ impl FsyncPolicy {
     }
 }
 
-/// Shared durability counters (exposed through `SystemMetrics`).
-#[derive(Debug, Default)]
-pub struct WalStats {
-    /// Bytes appended to logs (frame headers included).
-    pub bytes: AtomicU64,
-    /// `fsync`/`fdatasync` calls issued (logs, atomic writes, directories).
-    pub fsyncs: AtomicU64,
-    /// Torn tails dropped during replay plus torn/damaged whole-file
-    /// artifacts detected by footer or checksum verification.
-    pub torn: AtomicU64,
-    /// Records replayed from disk at recovery, in caller-defined units
-    /// (the message queue counts tuples; the meta service counts
-    /// mutation records).
-    pub replayed: AtomicU64,
+waterwheel_core::counters! {
+    /// Durability counters of one durable surface (`wal.queue.*`,
+    /// `wal.chunks.*`, `wal.meta.*` in a metrics snapshot).
+    pub struct WalStats {
+        /// Bytes appended to logs (frame headers included).
+        bytes,
+        /// `fsync`/`fdatasync` calls issued (logs, atomic writes, directories).
+        fsyncs,
+        /// Torn tails dropped during replay plus torn/damaged whole-file
+        /// artifacts detected by footer or checksum verification.
+        torn,
+        /// Records replayed from disk at recovery, in caller-defined units
+        /// (the message queue counts tuples; the meta service counts
+        /// mutation records).
+        replayed,
+    }
 }
 
 impl WalStats {

@@ -56,7 +56,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\ndashboard answered {} aggregate queries by merging {} summary \
          cells; {} leaf pages were read",
-        m.agg_queries, m.agg_cells_merged, m.leaf_reads
+        m.get("coordinator.agg_queries"),
+        m.get("coordinator.agg_cells_merged"),
+        m.get("query.leaf_reads")
     );
     Ok(())
 }

@@ -91,8 +91,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("visible with a lossy message plane:     {with_loss}");
     assert_eq!(with_loss as u64, total + 5_000, "loss must be masked");
     let m = SystemMetrics::collect(&ww);
-    println!("{}", m.to_string().lines().last().unwrap_or_default());
-    assert!(m.rpc_retried > 0, "loss should have forced retries");
+    let (retried, timed_out) = (m.get("rpc.retried"), m.get("rpc.timed_out"));
+    println!("rpc: {retried} attempts retried after {timed_out} timed out");
+    assert!(retried > 0, "loss should have forced retries");
     ww.transport().clear_faults();
 
     // ----- Full restart: metadata + chunks + queue replay. -----

@@ -170,12 +170,13 @@ fn covered_aggregate_reads_no_leaf_pages() {
 
     let m = SystemMetrics::collect(&ww);
     assert_eq!(
-        m.leaf_reads, 0,
+        m.get("query.leaf_reads"),
+        0,
         "summary-covered aggregate opened leaf pages:\n{m}"
     );
-    assert_eq!(m.agg_queries, 1);
-    assert_eq!(m.agg_fallback_subqueries, 0);
-    assert!(m.summary_bytes_flushed > 0);
+    assert_eq!(m.get("coordinator.agg_queries"), 1);
+    assert_eq!(m.get("coordinator.agg_fallback_subqueries"), 0);
+    assert!(m.get("indexing.summary_bytes_flushed") > 0);
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -12,6 +12,7 @@ use std::sync::atomic::Ordering;
 use waterwheel::agg::PartialAgg;
 use waterwheel::core::AggregateKind;
 use waterwheel::prelude::*;
+use waterwheel::server::SystemMetrics;
 use waterwheel::workloads::{oracle, QueryGen, TDriveConfig, TDriveGen, TemporalShape};
 
 fn fresh_root(name: &str) -> std::path::PathBuf {
@@ -184,11 +185,7 @@ fn measure_bounds_prune_whole_chunks_without_changing_answers() {
         "the probe selects exactly the middle batch"
     );
 
-    let chunks_skipped = pruned
-        .coordinator()
-        .stats()
-        .measure_pruned_chunks
-        .load(Ordering::Relaxed);
+    let chunks_skipped = SystemMetrics::collect(&pruned).get("coordinator.measure_pruned_chunks");
     assert!(
         chunks_skipped >= 1,
         "expected at least one whole chunk skipped by measure bounds"
@@ -240,11 +237,7 @@ fn leaf_bounds_prune_within_a_chunk() {
     assert_eq!(got, want);
     assert!(!want.is_empty(), "probe range must select something");
 
-    let leaves_skipped: u64 = ww
-        .query_servers()
-        .iter()
-        .map(|qs| qs.stats().measure_pruned_leaves.load(Ordering::Relaxed))
-        .sum();
+    let leaves_skipped = SystemMetrics::collect(&ww).get("query.measure_pruned_leaves");
     assert!(
         leaves_skipped >= 1,
         "expected at least one leaf skipped by its persisted bounds"

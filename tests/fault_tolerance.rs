@@ -4,6 +4,7 @@
 
 use std::sync::atomic::Ordering;
 use waterwheel::prelude::*;
+use waterwheel::server::SystemMetrics;
 
 fn fresh_root(name: &str) -> std::path::PathBuf {
     let root = std::env::temp_dir().join(format!("ww-ft-{name}-{}", std::process::id()));
@@ -271,7 +272,11 @@ fn rebuilt_durable_system_dedups_old_batches_and_accepts_new_ones() {
         ww.insert(Tuple::bare(spread_key(i), 1_000 + i)).unwrap();
     }
     ww.drain().unwrap();
-    assert_eq!(ww.ingest_dedup_drops(), 1, "only the redelivery is a drop");
+    assert_eq!(
+        SystemMetrics::collect(&ww).get("ingest.dedup_drops"),
+        1,
+        "only the redelivery is a drop"
+    );
     let got = ww.query(&all()).unwrap().tuples.len() as u64;
     assert_eq!(got, n + m, "fresh batches after a rebuild were lost");
 }

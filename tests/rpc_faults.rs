@@ -71,19 +71,27 @@ fn twenty_percent_loss_is_masked_by_retries_and_counted() {
     assert_eq!(got, 2_000, "loss must be masked, never lose/duplicate");
 
     let m = SystemMetrics::collect(&ww);
-    assert!(m.rpc_retried > 0, "15% loss must have forced retries");
-    assert!(m.rpc_timed_out > 0, "lost requests count as timeouts");
+    assert!(
+        m.get("rpc.retried") > 0,
+        "15% loss must have forced retries"
+    );
+    assert!(
+        m.get("rpc.timed_out") > 0,
+        "lost requests count as timeouts"
+    );
     // Batching amortizes ingest: every tuple rode a batch envelope, and
     // even with retries the plane saw far fewer envelopes than tuples.
-    assert_eq!(m.ingest_batch_tuples, 2_000);
+    let (batches, dispatched) = (
+        m.get("dispatcher.batches_sent"),
+        m.get("dispatcher.dispatched"),
+    );
+    assert_eq!(dispatched, 2_000);
     assert!(
-        m.rpc_batches_sent * 8 <= m.dispatched,
-        "{} batches for {} tuples is under 8× amortization",
-        m.rpc_batches_sent,
-        m.dispatched
+        batches * 8 <= dispatched,
+        "{batches} batches for {dispatched} tuples is under 8× amortization"
     );
     let text = m.to_string();
-    assert!(text.contains("retried"), "metrics must render rpc line");
+    assert!(text.contains("rpc.retried"), "metrics must render rpc rows");
 }
 
 #[test]
@@ -170,10 +178,10 @@ fn batch_sizes_agree_under_request_and_response_loss() {
         // Every tuple rode a sequence-numbered batch, and some batch of
         // each size was redelivered and recognised.
         let m = SystemMetrics::collect(ww);
-        assert_eq!(m.ingest_batch_tuples, 1_500);
-        assert!(m.ingest_dedup_drops > 0);
+        assert_eq!(m.get("dispatcher.dispatched"), 1_500);
+        assert!(m.get("ingest.dedup_drops") > 0);
     }
-    let batches = |ww: &Waterwheel| SystemMetrics::collect(ww).rpc_batches_sent;
+    let batches = |ww: &Waterwheel| SystemMetrics::collect(ww).get("dispatcher.batches_sent");
     assert_eq!(batches(&systems[0]), 1_500, "a batch of one per tuple");
     assert!(batches(&systems[2]) * 8 <= 1_500);
 }
@@ -197,7 +205,7 @@ impl Transport for LoseFirstAck {
         Ok(answer)
     }
 
-    fn stats(&self) -> &RpcStatsRegistry {
+    fn stats(&self) -> &Arc<RpcStatsRegistry> {
         self.inner.stats()
     }
 }
@@ -282,12 +290,15 @@ fn retried_batches_are_deduped_not_double_appended() {
     assert_eq!(appended, 2_000, "retried batches must never double-append");
 
     let m = SystemMetrics::collect(&ww);
-    assert!(m.rpc_retried > 0, "lost acks must have forced retries");
     assert!(
-        m.ingest_dedup_drops > 0,
+        m.get("rpc.retried") > 0,
+        "lost acks must have forced retries"
+    );
+    assert!(
+        m.get("ingest.dedup_drops") > 0,
         "some retried batch must have been recognised as a replay"
     );
-    assert_eq!(m.dispatched, 2_000);
+    assert_eq!(m.get("dispatcher.dispatched"), 2_000);
     assert_eq!(ww.query(&all()).unwrap().tuples.len(), 2_000);
 }
 
@@ -310,10 +321,11 @@ fn latency_and_jitter_within_deadline_only_slow_things_down() {
     assert_eq!(ww.query(&all()).unwrap().tuples.len(), 300);
     let m = SystemMetrics::collect(&ww);
     assert_eq!(
-        m.rpc_timed_out, 0,
+        m.get("rpc.timed_out"),
+        0,
         "transit within the deadline never times out"
     );
-    assert_eq!(m.rpc_retried, 0);
+    assert_eq!(m.get("rpc.retried"), 0);
 }
 
 #[test]
@@ -343,8 +355,11 @@ fn delay_past_the_deadline_times_out_and_is_retried() {
     );
     assert_eq!(ww.query(&all()).unwrap().tuples.len(), 2_000);
     let m = SystemMetrics::collect(&ww);
-    assert!(m.rpc_timed_out > 0, "past-deadline transit must time out");
-    assert!(m.rpc_retried > 0);
+    assert!(
+        m.get("rpc.timed_out") > 0,
+        "past-deadline transit must time out"
+    );
+    assert!(m.get("rpc.retried") > 0);
 }
 
 #[test]
@@ -364,11 +379,11 @@ fn partitioned_query_server_is_masked_by_redispatch() {
     assert_eq!(got, 2_000, "redispatch must mask the severed link");
     let m = SystemMetrics::collect(&ww);
     assert!(
-        m.rpc_unreachable > 0,
+        m.get("rpc.unreachable") > 0,
         "severed link attempts are unreachable"
     );
     assert!(
-        m.redispatches > 0 || m.rpc_retried > 0,
+        m.get("coordinator.redispatches") > 0 || m.get("rpc.retried") > 0,
         "the dead link must have forced rerouting"
     );
 }
@@ -473,7 +488,10 @@ fn link_dying_mid_plan_is_redispatched_deterministically() {
     let second = ww.query(&all()).unwrap().tuples.len();
     assert_eq!(second, first);
     let m = SystemMetrics::collect(&ww);
-    assert!(m.rpc_timed_out > 0, "dropped mid-plan messages time out");
+    assert!(
+        m.get("rpc.timed_out") > 0,
+        "dropped mid-plan messages time out"
+    );
 }
 
 #[test]
@@ -494,10 +512,11 @@ fn clearing_faults_restores_the_clean_plane() {
     assert_eq!(ww.query(&all()).unwrap().tuples.len(), 500);
     let after = SystemMetrics::collect(&ww);
     assert_eq!(
-        after.rpc_retried, before.rpc_retried,
+        after.get("rpc.retried"),
+        before.get("rpc.retried"),
         "clean plane: no retries"
     );
-    assert_eq!(after.rpc_timed_out, before.rpc_timed_out);
+    assert_eq!(after.get("rpc.timed_out"), before.get("rpc.timed_out"));
 }
 
 #[test]
