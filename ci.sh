@@ -23,9 +23,6 @@ cargo fmt --all --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> storage arithmetic lint (warn-only: the decode path should prefer checked math)"
-cargo clippy -p waterwheel-storage -- -W clippy::arithmetic_side_effects || true
-
 echo "==> saturation smoke (256 concurrent connections on flat threads; 2x overload sheds, not crashes)"
 rm -f BENCH_saturation.json
 WW_BENCH_REQUIRE_WIN=1 WW_SAT_CONNS=256 timeout 300 \

@@ -57,6 +57,22 @@ pub struct MemberInfo {
     pub node: NodeId,
 }
 
+impl MemberInfo {
+    /// Serializes the member facts (metadata log and snapshots).
+    pub fn encode(&self, out: &mut impl Encoder) {
+        out.put_u8(self.role.as_u8());
+        out.put_u32(self.node.raw());
+    }
+
+    /// Reads member facts written by [`encode`](Self::encode).
+    pub fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        Ok(Self {
+            role: MemberRole::from_u8(dec.get_u8()?)?,
+            node: NodeId(dec.get_u32()?),
+        })
+    }
+}
+
 /// An epoch-numbered snapshot of the live member set. Equal epochs imply
 /// equal member sets, so routers compare epochs instead of diffing lists.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
@@ -138,6 +154,48 @@ impl MigrationRecord {
     /// Whether the migration has cut over.
     pub fn completed(&self) -> bool {
         self.cutover_epoch.is_some()
+    }
+
+    /// Serializes the record (metadata log and snapshots).
+    pub fn encode(&self, out: &mut impl Encoder) {
+        out.put_u64(self.id);
+        out.put_u64(self.keys.lo());
+        out.put_u64(self.keys.hi());
+        out.put_u32(self.from.raw());
+        out.put_u32(self.to.raw());
+        match self.cutover_epoch {
+            Some(epoch) => {
+                out.put_u8(1);
+                out.put_u64(epoch);
+            }
+            None => out.put_u8(0),
+        }
+    }
+
+    /// Reads a record written by [`encode`](Self::encode).
+    pub fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        let id = dec.get_u64()?;
+        let keys = KeyInterval::checked(dec.get_u64()?, dec.get_u64()?)
+            .ok_or_else(|| WwError::corrupt("migration record", "inverted key range"))?;
+        let from = ServerId(dec.get_u32()?);
+        let to = ServerId(dec.get_u32()?);
+        let cutover_epoch = match dec.get_u8()? {
+            0 => None,
+            1 => Some(dec.get_u64()?),
+            other => {
+                return Err(WwError::corrupt(
+                    "migration record",
+                    format!("unknown cut-over flag {other}"),
+                ))
+            }
+        };
+        Ok(Self {
+            id,
+            keys,
+            from,
+            to,
+            cutover_epoch,
+        })
     }
 }
 

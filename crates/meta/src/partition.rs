@@ -155,7 +155,11 @@ impl PartitionSchema {
             entries.push(PartitionEntry { interval, server });
         }
         let schema = Self { version, entries };
-        schema.validate()?;
+        // Bytes that do not form a valid schema are damage, not a caller's
+        // configuration mistake.
+        schema
+            .validate()
+            .map_err(|e| WwError::corrupt("partition schema", e.to_string()))?;
         Ok(schema)
     }
 }

@@ -14,21 +14,26 @@
 //!   by the late-visibility Δt, §IV-D). These are rebuilt on restart, so
 //!   they are not persisted.
 //!
-//! Persistence is a checksummed whole-state **snapshot** plus an
-//! **incremental mutation log** on the shared WAL layer: each durable
-//! mutation appends one typed, idempotent record (committed per the fsync
-//! policy), and once the log outgrows its budget the state is re-
-//! snapshotted atomically and the log reset. Recovery loads the snapshot
-//! and re-applies the log; because every record is idempotent, a crash
-//! anywhere in the compaction sequence (snapshot rename → segment
-//! deletion) replays harmlessly. Damage at any layer — bad snapshot
-//! checksum, torn non-final log segment, unknown record tag — surfaces as
-//! a typed [`WwError::Corrupt`], never a panic.
+//! The durable state is a fold over one record type. A mutator validates
+//! under the write lock, appends and commits one typed, idempotent record
+//! to the **mutation log** (shared WAL layer, fsync per policy), and only
+//! then applies it — through the same `apply` recovery uses, so an `Err`
+//! always means "not applied" and live and replayed state cannot differ.
+//! Once the log outgrows its budget the state is rewritten as a
+//! **snapshot** — the compacted record stream that rebuilds it, under a
+//! magic + checksum envelope, renamed into place atomically — and the log
+//! reset. Recovery applies the snapshot's records, then the log's; because
+//! every record is idempotent, a crash anywhere in the compaction sequence
+//! (snapshot rename → segment deletion) replays harmlessly. Damage at any
+//! layer — bad snapshot checksum, another format version, torn non-final
+//! log segment, unknown record tag — surfaces as a typed
+//! [`WwError::Corrupt`], never a panic.
 
 use crate::membership::{MemberInfo, MemberRole, MembershipView, MigrationRecord};
 use crate::partition::PartitionSchema;
 use crate::rtree::RTree;
 use parking_lot::RwLock;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
@@ -40,24 +45,9 @@ use waterwheel_core::{
     ChunkId, CounterRegistry, Counters, KeyInterval, NodeId, Region, Result, ServerId, WwError,
 };
 use waterwheel_index::secondary::{AttrId, AttrProbe, ChunkAttrIndex};
-use waterwheel_wal::{write_atomic, FsyncPolicy, Log, WalStats};
+use waterwheel_wal::{sweep_tmp_of, write_atomic, FsyncPolicy, Log, WalStats};
 
-const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"WWMETA01");
-
-/// Default log-compaction threshold when none is configured.
-const DEFAULT_SEGMENT_BYTES: usize = 8 << 20;
-
-/// Mutation-log record tags. Every record is idempotent: re-applying a
-/// suffix of the log over a newer snapshot must be harmless (that is what
-/// makes crash-interrupted compaction safe).
-const REC_ENSURE_NEXT_CHUNK: u8 = 0;
-const REC_REGISTER_CHUNK: u8 = 1;
-const REC_SET_PARTITION: u8 = 2;
-const REC_ATTR_INDEX: u8 = 3;
-const REC_SUMMARY: u8 = 4;
-const REC_MEMBER_JOIN: u8 = 5;
-const REC_MEMBER_LEAVE: u8 = 6;
-const REC_MIGRATION: u8 = 7;
+const SNAPSHOT_MAGIC: &[u8; 8] = b"WWMETA02";
 
 /// Durable facts about one chunk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,6 +60,26 @@ pub struct ChunkInfo {
     pub bytes: u64,
     /// The indexing server that produced it.
     pub producer: ServerId,
+}
+
+impl ChunkInfo {
+    /// Serializes the chunk facts (wire codec, metadata log and snapshots).
+    pub fn encode(&self, out: &mut impl Encoder) {
+        codec::encode_region(out, &self.region);
+        out.put_u64(self.count);
+        out.put_u64(self.bytes);
+        out.put_u32(self.producer.raw());
+    }
+
+    /// Reads chunk facts written by [`encode`](Self::encode).
+    pub fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        Ok(Self {
+            region: codec::decode_region(dec)?,
+            count: dec.get_u64()?,
+            bytes: dec.get_u64()?,
+            producer: ServerId(dec.get_u32()?),
+        })
+    }
 }
 
 /// Durable facts about the aggregate summary sealed into a chunk's footer
@@ -92,87 +102,224 @@ pub struct SummaryExtent {
     pub measure_range: Option<(u64, u64)>,
 }
 
-/// Encodes an optional MIN/MAX measure range as `flag u16 + min/max u64`.
-fn put_measure_range(out: &mut Vec<u8>, mr: Option<(u64, u64)>) {
-    match mr {
-        Some((lo, hi)) => {
-            out.put_u16(1);
-            out.put_u64(lo);
-            out.put_u64(hi);
+impl SummaryExtent {
+    /// Serializes the extent (wire codec, metadata log and snapshots).
+    pub fn encode(&self, out: &mut impl Encoder) {
+        out.put_u64(self.cells);
+        out.put_u64(self.bytes);
+        out.put_u8(self.levels);
+        out.put_u8(self.slice_bits);
+        match self.measure_range {
+            Some((lo, hi)) => {
+                out.put_u8(1);
+                out.put_u64(lo);
+                out.put_u64(hi);
+            }
+            None => out.put_u8(0),
         }
-        None => {
-            out.put_u16(0);
-            out.put_u64(0);
-            out.put_u64(0);
-        }
+    }
+
+    /// Reads an extent written by [`encode`](Self::encode).
+    pub fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        let cells = dec.get_u64()?;
+        let bytes = dec.get_u64()?;
+        let levels = dec.get_u8()?;
+        let slice_bits = dec.get_u8()?;
+        let measure_range = match dec.get_u8()? {
+            0 => None,
+            1 => {
+                let (lo, hi) = (dec.get_u64()?, dec.get_u64()?);
+                if lo > hi {
+                    return Err(WwError::corrupt("summary extent", "inverted measure range"));
+                }
+                Some((lo, hi))
+            }
+            other => {
+                return Err(WwError::corrupt(
+                    "summary extent",
+                    format!("unknown measure-range flag {other}"),
+                ))
+            }
+        };
+        Ok(Self {
+            cells,
+            bytes,
+            levels,
+            slice_bits,
+            measure_range,
+        })
     }
 }
 
-/// Encodes one migration record as a `REC_MIGRATION` mutation, carrying the
-/// membership epoch observed when the mutation was made (for idempotent
-/// max-epoch replay).
-fn encode_migration_record(rec: &MigrationRecord, epoch: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.put_u8(REC_MIGRATION);
-    out.put_u64(rec.id);
-    out.put_u64(rec.keys.lo());
-    out.put_u64(rec.keys.hi());
-    out.put_u32(rec.from.raw());
-    out.put_u32(rec.to.raw());
-    match rec.cutover_epoch {
-        Some(e) => {
-            out.put_u16(1);
-            out.put_u64(e);
+/// One durable state transition: a frame of the mutation log, and — many
+/// of them back to back — the body of a snapshot. Applying a record is
+/// idempotent (inserts keep-or-overwrite, counters, offsets and versions
+/// only move forward), so any suffix of the log may replay over a snapshot
+/// that already holds its effects; that is what makes a crash anywhere in
+/// compaction harmless.
+#[derive(Debug)]
+enum MetaRecord {
+    /// The three monotone counters, max-merged.
+    Counters {
+        next_chunk: u64,
+        next_migration: u64,
+        membership_epoch: u64,
+    },
+    /// A flushed chunk plus its producer's durable read offset.
+    RegisterChunk {
+        id: ChunkId,
+        info: ChunkInfo,
+        durable_offset: u64,
+    },
+    SetPartition(PartitionSchema),
+    AttrIndex {
+        chunk: ChunkId,
+        attr: AttrId,
+        index: ChunkAttrIndex,
+    },
+    Summary {
+        chunk: ChunkId,
+        extent: SummaryExtent,
+    },
+    /// A member (re)registration at membership epoch `epoch`.
+    MemberJoin {
+        server: ServerId,
+        info: MemberInfo,
+        epoch: u64,
+    },
+    /// A member removal (leave or lease lapse) at membership epoch `epoch`.
+    MemberLeave {
+        server: ServerId,
+        epoch: u64,
+    },
+    /// A migration's begin or cut-over at membership epoch `epoch`.
+    Migration {
+        rec: MigrationRecord,
+        epoch: u64,
+    },
+}
+
+impl MetaRecord {
+    fn encode(&self, out: &mut impl Encoder) {
+        match self {
+            MetaRecord::Counters {
+                next_chunk,
+                next_migration,
+                membership_epoch,
+            } => {
+                out.put_u8(0);
+                out.put_u64(*next_chunk);
+                out.put_u64(*next_migration);
+                out.put_u64(*membership_epoch);
+            }
+            MetaRecord::RegisterChunk {
+                id,
+                info,
+                durable_offset,
+            } => {
+                out.put_u8(1);
+                out.put_u64(id.raw());
+                info.encode(out);
+                out.put_u64(*durable_offset);
+            }
+            MetaRecord::SetPartition(schema) => {
+                out.put_u8(2);
+                schema.encode(out);
+            }
+            MetaRecord::AttrIndex { chunk, attr, index } => {
+                out.put_u8(3);
+                out.put_u64(chunk.raw());
+                out.put_u16(*attr);
+                index.encode(out);
+            }
+            MetaRecord::Summary { chunk, extent } => {
+                out.put_u8(4);
+                out.put_u64(chunk.raw());
+                extent.encode(out);
+            }
+            MetaRecord::MemberJoin {
+                server,
+                info,
+                epoch,
+            } => {
+                out.put_u8(5);
+                out.put_u32(server.raw());
+                info.encode(out);
+                out.put_u64(*epoch);
+            }
+            MetaRecord::MemberLeave { server, epoch } => {
+                out.put_u8(6);
+                out.put_u32(server.raw());
+                out.put_u64(*epoch);
+            }
+            MetaRecord::Migration { rec, epoch } => {
+                out.put_u8(7);
+                rec.encode(out);
+                out.put_u64(*epoch);
+            }
         }
-        None => {
-            out.put_u16(0);
-            out.put_u64(0);
+    }
+
+    /// Reads the next record of a stream (a snapshot body).
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        Ok(match dec.get_u8()? {
+            0 => MetaRecord::Counters {
+                next_chunk: dec.get_u64()?,
+                next_migration: dec.get_u64()?,
+                membership_epoch: dec.get_u64()?,
+            },
+            1 => MetaRecord::RegisterChunk {
+                id: ChunkId(dec.get_u64()?),
+                info: ChunkInfo::decode(dec)?,
+                durable_offset: dec.get_u64()?,
+            },
+            2 => MetaRecord::SetPartition(PartitionSchema::decode(dec)?),
+            3 => MetaRecord::AttrIndex {
+                chunk: ChunkId(dec.get_u64()?),
+                attr: dec.get_u16()?,
+                index: ChunkAttrIndex::decode(dec)?,
+            },
+            4 => MetaRecord::Summary {
+                chunk: ChunkId(dec.get_u64()?),
+                extent: SummaryExtent::decode(dec)?,
+            },
+            5 => MetaRecord::MemberJoin {
+                server: ServerId(dec.get_u32()?),
+                info: MemberInfo::decode(dec)?,
+                epoch: dec.get_u64()?,
+            },
+            6 => MetaRecord::MemberLeave {
+                server: ServerId(dec.get_u32()?),
+                epoch: dec.get_u64()?,
+            },
+            7 => MetaRecord::Migration {
+                rec: MigrationRecord::decode(dec)?,
+                epoch: dec.get_u64()?,
+            },
+            other => {
+                return Err(WwError::corrupt(
+                    "meta record",
+                    format!("unknown record tag {other}"),
+                ))
+            }
+        })
+    }
+
+    /// Reads a log frame: exactly one record, nothing after it.
+    fn decode_frame(frame: &[u8]) -> Result<Self> {
+        let mut dec = Decoder::new(frame, "meta log record");
+        let rec = Self::decode(&mut dec)?;
+        if dec.remaining() != 0 {
+            return Err(WwError::corrupt(
+                "meta log record",
+                format!("{} trailing bytes after record", dec.remaining()),
+            ));
         }
-    }
-    out.put_u64(epoch);
-    out
-}
-
-fn decode_migration_record(dec: &mut Decoder<'_>) -> Result<(MigrationRecord, u64)> {
-    let id = dec.get_u64()?;
-    let lo = dec.get_u64()?;
-    let hi = dec.get_u64()?;
-    if lo > hi {
-        return Err(WwError::corrupt("migration record", "inverted key range"));
-    }
-    let from = ServerId(dec.get_u32()?);
-    let to = ServerId(dec.get_u32()?);
-    let flag = dec.get_u16()?;
-    let cut = dec.get_u64()?;
-    let cutover_epoch = match flag {
-        0 => None,
-        1 => Some(cut),
-        _ => return Err(WwError::corrupt("migration record", "bad cut-over flag")),
-    };
-    let epoch = dec.get_u64()?;
-    Ok((
-        MigrationRecord {
-            id,
-            keys: KeyInterval::new(lo, hi),
-            from,
-            to,
-            cutover_epoch,
-        },
-        epoch,
-    ))
-}
-
-fn get_measure_range(dec: &mut Decoder<'_>) -> Result<Option<(u64, u64)>> {
-    let flag = dec.get_u16()?;
-    let lo = dec.get_u64()?;
-    let hi = dec.get_u64()?;
-    match flag {
-        0 => Ok(None),
-        1 if lo <= hi => Ok(Some((lo, hi))),
-        _ => Err(WwError::corrupt("meta summary extent", "bad measure range")),
+        Ok(rec)
     }
 }
 
+#[derive(Default)]
 struct MetaState {
     next_chunk: u64,
     chunks: BTreeMap<ChunkId, ChunkInfo>,
@@ -202,22 +349,128 @@ struct MetaState {
 }
 
 impl MetaState {
-    fn empty() -> Self {
-        Self {
-            next_chunk: 0,
-            chunks: BTreeMap::new(),
-            chunk_rtree: RTree::new(),
-            partition: None,
-            offsets: BTreeMap::new(),
-            attr_indexes: BTreeMap::new(),
-            summaries: BTreeMap::new(),
-            memory_regions: BTreeMap::new(),
-            members: BTreeMap::new(),
-            membership_epoch: 0,
-            migrations: BTreeMap::new(),
-            next_migration: 0,
-            leases: BTreeMap::new(),
+    /// The one place a durable field changes — live mutators (after the
+    /// record is committed) and recovery both come through here, so they
+    /// cannot disagree. Infallible: validation happens before a record is
+    /// built (live) or while it is decoded (replay).
+    fn apply(&mut self, rec: MetaRecord) {
+        match rec {
+            MetaRecord::Counters {
+                next_chunk,
+                next_migration,
+                membership_epoch,
+            } => {
+                self.next_chunk = self.next_chunk.max(next_chunk);
+                self.next_migration = self.next_migration.max(next_migration);
+                self.membership_epoch = self.membership_epoch.max(membership_epoch);
+            }
+            MetaRecord::RegisterChunk {
+                id,
+                info,
+                durable_offset,
+            } => {
+                if let Entry::Vacant(slot) = self.chunks.entry(id) {
+                    slot.insert(info);
+                    self.chunk_rtree.insert(info.region, id);
+                }
+                let offset = self.offsets.entry(info.producer).or_default();
+                *offset = (*offset).max(durable_offset);
+                self.next_chunk = self.next_chunk.max(id.raw().saturating_add(1));
+            }
+            MetaRecord::SetPartition(schema) => {
+                let newer = self
+                    .partition
+                    .as_ref()
+                    .is_none_or(|cur| schema.version > cur.version);
+                if newer {
+                    self.partition = Some(schema);
+                }
+            }
+            MetaRecord::AttrIndex { chunk, attr, index } => {
+                self.attr_indexes.insert((chunk, attr), index);
+            }
+            MetaRecord::Summary { chunk, extent } => {
+                self.summaries.insert(chunk, extent);
+            }
+            MetaRecord::MemberJoin {
+                server,
+                info,
+                epoch,
+            } => {
+                self.members.insert(server, info);
+                self.membership_epoch = self.membership_epoch.max(epoch);
+            }
+            MetaRecord::MemberLeave { server, epoch } => {
+                self.members.remove(&server);
+                self.leases.remove(&server);
+                self.membership_epoch = self.membership_epoch.max(epoch);
+            }
+            MetaRecord::Migration { rec, epoch } => {
+                // A completed record never regresses to in-flight.
+                let stale = self
+                    .migrations
+                    .get(&rec.id)
+                    .is_some_and(|cur| cur.completed() && !rec.completed());
+                if !stale {
+                    self.migrations.insert(rec.id, rec);
+                }
+                self.next_migration = self.next_migration.max(rec.id.saturating_add(1));
+                self.membership_epoch = self.membership_epoch.max(epoch);
+            }
         }
+    }
+
+    /// The compacted record stream: feeds `f` the records that rebuild the
+    /// durable state from empty, in a deterministic order. Every chunk
+    /// carries its producer's current offset (offsets max-merge), members
+    /// and migrations the current epoch.
+    fn for_each_record(&self, mut f: impl FnMut(MetaRecord)) {
+        let epoch = self.membership_epoch;
+        f(MetaRecord::Counters {
+            next_chunk: self.next_chunk,
+            next_migration: self.next_migration,
+            membership_epoch: epoch,
+        });
+        if let Some(schema) = &self.partition {
+            f(MetaRecord::SetPartition(schema.clone()));
+        }
+        for (&id, &info) in &self.chunks {
+            let durable_offset = self.offsets[&info.producer];
+            f(MetaRecord::RegisterChunk {
+                id,
+                info,
+                durable_offset,
+            });
+        }
+        for (&(chunk, attr), index) in &self.attr_indexes {
+            let index = index.clone();
+            f(MetaRecord::AttrIndex { chunk, attr, index });
+        }
+        for (&chunk, &extent) in &self.summaries {
+            f(MetaRecord::Summary { chunk, extent });
+        }
+        for (&server, &info) in &self.members {
+            f(MetaRecord::MemberJoin {
+                server,
+                info,
+                epoch,
+            });
+        }
+        for &rec in self.migrations.values() {
+            f(MetaRecord::Migration { rec, epoch });
+        }
+    }
+
+    /// The snapshot file: magic, FNV-1a of the body, then
+    /// [`for_each_record`](Self::for_each_record)'s records back to back.
+    fn encode_snapshot(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(SNAPSHOT_MAGIC);
+        out.put_u64(0);
+        self.for_each_record(|rec| rec.encode(&mut out));
+        let checksum = codec::fnv1a(&out[16..]);
+        out[8..16].copy_from_slice(&checksum.to_le_bytes());
+        out
     }
 
     fn membership_view(&self) -> MembershipView {
@@ -236,6 +489,29 @@ impl MetaState {
     }
 }
 
+/// Checks a snapshot's envelope and decodes its record stream.
+fn decode_snapshot(bytes: &[u8]) -> Result<Vec<MetaRecord>> {
+    let mut dec = Decoder::new(bytes, "meta snapshot");
+    let magic = dec.get_raw(8)?;
+    if magic != SNAPSHOT_MAGIC {
+        return Err(WwError::corrupt(
+            "meta snapshot",
+            format!("unsupported format {:?}", String::from_utf8_lossy(magic)),
+        ));
+    }
+    let checksum = dec.get_u64()?;
+    let body = &bytes[16..];
+    if codec::fnv1a(body) != checksum {
+        return Err(WwError::corrupt("meta snapshot", "checksum mismatch"));
+    }
+    let mut dec = Decoder::new(body, "meta snapshot");
+    let mut records = Vec::new();
+    while dec.remaining() > 0 {
+        records.push(MetaRecord::decode(&mut dec)?);
+    }
+    Ok(records)
+}
+
 /// Durable backing for the service: the snapshot file plus the mutation
 /// log appended between snapshots.
 struct Durable {
@@ -247,6 +523,23 @@ struct Durable {
     /// Approximate bytes appended to the log since the last snapshot.
     log_bytes: AtomicU64,
     stats: Arc<WalStats>,
+}
+
+impl Durable {
+    /// Compaction: durably publish the snapshot first, then drop the log.
+    /// A crash in between replays the (idempotent) log over the new
+    /// snapshot — harmless by construction.
+    fn compact(&self, state: &MetaState) -> Result<()> {
+        write_atomic(
+            &self.snapshot_path,
+            &state.encode_snapshot(),
+            self.policy,
+            &self.stats,
+        )?;
+        self.log.reset()?;
+        self.log_bytes.store(0, Ordering::Relaxed);
+        Ok(())
+    }
 }
 
 /// Handle to the metadata service; clones share state.
@@ -262,38 +555,26 @@ impl MetadataService {
     /// An in-memory service with no persistence.
     pub fn in_memory() -> Self {
         Self {
-            state: std::sync::Arc::new(RwLock::new(MetaState::empty())),
+            state: std::sync::Arc::new(RwLock::new(MetaState::default())),
             durable: None,
         }
     }
 
     /// Opens (or creates) a durable service backed by the snapshot at
-    /// `path` (and a `<name>.log.*.wal` mutation log beside it). Commits
-    /// reach the page cache only; use [`MetadataService::open_with`] for
-    /// fsync control.
-    pub fn open(path: impl Into<PathBuf>) -> Result<Self> {
-        Self::open_with(path, FsyncPolicy::Never, DEFAULT_SEGMENT_BYTES)
-    }
-
-    /// Opens (or creates) a durable service with an explicit fsync policy
-    /// and log segment/compaction size. Recovery loads the snapshot, then
-    /// re-applies the mutation log — this is the coordinator/metadata
-    /// recovery path (§V).
+    /// `path` (and a `<name>.log.*.wal` mutation log beside it) with an
+    /// explicit fsync policy and log segment/compaction size. Recovery
+    /// folds the snapshot's records, then the log's, into an empty state —
+    /// this is the coordinator/metadata recovery path (§V).
     pub fn open_with(
         path: impl Into<PathBuf>,
         policy: FsyncPolicy,
         segment_bytes: usize,
     ) -> Result<Self> {
         let path = path.into();
-        let had_snapshot = path.exists();
-        let mut state = if had_snapshot {
-            let bytes = fs::read(&path)?;
-            Self::decode_state(&bytes)?
-        } else {
-            if let Some(parent) = path.parent() {
-                fs::create_dir_all(parent)?;
-            }
-            MetaState::empty()
+        let snapshot = match fs::read(&path) {
+            Ok(bytes) => Some(decode_snapshot(&bytes)?),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e.into()),
         };
         let dir = path
             .parent()
@@ -305,35 +586,41 @@ impl MetadataService {
         );
         let stats = WalStats::shared();
         let (log, replay) = Log::open(&dir, &log_name, policy, segment_bytes, Arc::clone(&stats))?;
-        let mut log_bytes = 0u64;
-        for record in &replay.records {
-            apply_record(&mut state, record)?;
-            log_bytes += record.len() as u64;
+        // Temps of a writer killed inside `write_atomic`. Only this
+        // snapshot's own: the directory is the deployment root, which the
+        // node's other roles write into too.
+        sweep_tmp_of(&path)?;
+        let had_snapshot = snapshot.is_some();
+        let logged = replay.records.iter().map(|r| MetaRecord::decode_frame(r));
+        let mut state = MetaState::default();
+        for rec in snapshot.into_iter().flatten().map(Ok).chain(logged) {
+            state.apply(rec?);
         }
         stats
             .replayed
             .fetch_add(replay.records.len() as u64, Ordering::Relaxed);
-        let durable = std::sync::Arc::new(Durable {
+        let log_bytes = replay.records.iter().map(|r| r.len() as u64).sum();
+        let durable = Durable {
             snapshot_path: path,
             log,
             policy,
             compact_bytes: segment_bytes,
             log_bytes: AtomicU64::new(log_bytes),
             stats,
-        });
+        };
         if !had_snapshot {
             // Seed the snapshot so recovery always has a base to replay
             // onto (and so snapshot corruption is detectable from day 1).
             write_atomic(
                 &durable.snapshot_path,
-                &Self::encode_state(&state),
+                &state.encode_snapshot(),
                 policy,
                 &durable.stats,
             )?;
         }
         Ok(Self {
             state: std::sync::Arc::new(RwLock::new(state)),
-            durable: Some(durable),
+            durable: Some(std::sync::Arc::new(durable)),
         })
     }
 
@@ -352,15 +639,42 @@ impl MetadataService {
         }
     }
 
+    /// The second half of every durable mutator, called under the state
+    /// write lock once the request is validated (so log order is apply
+    /// order): append and commit the record, then apply it. `Err` means
+    /// the record is not applied. A service without a log builds no bytes.
+    ///
+    /// Once the log outgrows its budget it is compacted into a fresh
+    /// snapshot. The record is committed by then, so it stays applied and
+    /// acknowledged even when compaction fails; the byte count stays over
+    /// budget and the next mutation tries again.
+    fn commit(&self, state: &mut MetaState, rec: MetaRecord) -> Result<()> {
+        let Some(d) = &self.durable else {
+            state.apply(rec);
+            return Ok(());
+        };
+        let mut frame = Vec::new();
+        rec.encode(&mut frame);
+        d.log.append(&frame)?;
+        d.log.commit()?;
+        state.apply(rec);
+        let len = frame.len() as u64;
+        if d.log_bytes.fetch_add(len, Ordering::Relaxed) + len > d.compact_bytes as u64 {
+            let _ = d.compact(state);
+        }
+        Ok(())
+    }
+
     /// Allocates a fresh durable chunk id.
     pub fn allocate_chunk_id(&self) -> Result<ChunkId> {
         let mut state = self.state.write();
         let id = ChunkId(state.next_chunk);
-        state.next_chunk += 1;
-        let mut rec = Vec::with_capacity(9);
-        rec.put_u8(REC_ENSURE_NEXT_CHUNK);
-        rec.put_u64(state.next_chunk);
-        self.log_mutation(&state, rec)?;
+        let rec = MetaRecord::Counters {
+            next_chunk: id.raw() + 1,
+            next_migration: state.next_migration,
+            membership_epoch: state.membership_epoch,
+        };
+        self.commit(&mut state, rec)?;
         Ok(id)
     }
 
@@ -374,18 +688,12 @@ impl MetadataService {
                 "chunk {id} already registered"
             )));
         }
-        state.chunks.insert(id, info);
-        state.chunk_rtree.insert(info.region, id);
-        state.offsets.insert(info.producer, durable_offset);
-        let mut rec = Vec::new();
-        rec.put_u8(REC_REGISTER_CHUNK);
-        rec.put_u64(id.raw());
-        codec::encode_region(&mut rec, &info.region);
-        rec.put_u64(info.count);
-        rec.put_u64(info.bytes);
-        rec.put_u32(info.producer.raw());
-        rec.put_u64(durable_offset);
-        self.log_mutation(&state, rec)
+        let rec = MetaRecord::RegisterChunk {
+            id,
+            info,
+            durable_offset,
+        };
+        self.commit(&mut state, rec)
     }
 
     /// Durable facts about a chunk.
@@ -440,10 +748,7 @@ impl MetadataService {
     /// Installs a new key-partitioning schema (must be valid and newer than
     /// the current version).
     pub fn set_partition(&self, schema: PartitionSchema) -> Result<()> {
-        schema.validate().map_err(|e| match e {
-            WwError::Config(m) => WwError::Config(m),
-            other => other,
-        })?;
+        schema.validate()?;
         let mut state = self.state.write();
         if let Some(current) = &state.partition {
             // Re-publishing the installed schema is a no-op, so a retried
@@ -459,11 +764,7 @@ impl MetadataService {
                 )));
             }
         }
-        let mut rec = Vec::new();
-        rec.put_u8(REC_SET_PARTITION);
-        schema.encode(&mut rec);
-        state.partition = Some(schema);
-        self.log_mutation(&state, rec)
+        self.commit(&mut state, MetaRecord::SetPartition(schema))
     }
 
     /// The current partitioning schema.
@@ -489,13 +790,7 @@ impl MetadataService {
         if !state.chunks.contains_key(&chunk) {
             return Err(WwError::not_found("chunk", chunk));
         }
-        let mut rec = Vec::new();
-        rec.put_u8(REC_ATTR_INDEX);
-        rec.put_u64(chunk.raw());
-        rec.put_u32(attr as u32);
-        index.encode(&mut rec);
-        state.attr_indexes.insert((chunk, attr), index);
-        self.log_mutation(&state, rec)
+        self.commit(&mut state, MetaRecord::AttrIndex { chunk, attr, index })
     }
 
     /// Probes a chunk's attribute index for an equality constraint.
@@ -522,16 +817,7 @@ impl MetadataService {
         if !state.chunks.contains_key(&chunk) {
             return Err(WwError::not_found("chunk", chunk));
         }
-        state.summaries.insert(chunk, extent);
-        let mut rec = Vec::new();
-        rec.put_u8(REC_SUMMARY);
-        rec.put_u64(chunk.raw());
-        rec.put_u64(extent.cells);
-        rec.put_u64(extent.bytes);
-        rec.put_u16(extent.levels as u16);
-        rec.put_u16(extent.slice_bits as u16);
-        put_measure_range(&mut rec, extent.measure_range);
-        self.log_mutation(&state, rec)
+        self.commit(&mut state, MetaRecord::Summary { chunk, extent })
     }
 
     /// The summary extent of a chunk, when one was sealed into it.
@@ -558,19 +844,16 @@ impl MetadataService {
     ) -> Result<u64> {
         let mut state = self.state.write();
         let info = MemberInfo { role, node };
-        let changed = state.members.insert(server, info) != Some(info);
-        state.leases.insert(server, Instant::now() + ttl);
-        if changed {
-            state.membership_epoch += 1;
-            let epoch = state.membership_epoch;
-            let mut rec = Vec::new();
-            rec.put_u8(REC_MEMBER_JOIN);
-            rec.put_u32(server.raw());
-            rec.put_u16(u16::from(role.as_u8()));
-            rec.put_u32(node.raw());
-            rec.put_u64(epoch);
-            self.log_mutation(&state, rec)?;
+        if state.members.get(&server) != Some(&info) {
+            let epoch = state.membership_epoch + 1;
+            let rec = MetaRecord::MemberJoin {
+                server,
+                info,
+                epoch,
+            };
+            self.commit(&mut state, rec)?;
         }
+        state.leases.insert(server, Instant::now() + ttl);
         Ok(state.membership_epoch)
     }
 
@@ -591,15 +874,9 @@ impl MetadataService {
     /// removal. Idempotent: leaving twice does not bump the epoch again.
     pub fn leave(&self, server: ServerId) -> Result<u64> {
         let mut state = self.state.write();
-        if state.members.remove(&server).is_some() {
-            state.leases.remove(&server);
-            state.membership_epoch += 1;
-            let epoch = state.membership_epoch;
-            let mut rec = Vec::new();
-            rec.put_u8(REC_MEMBER_LEAVE);
-            rec.put_u32(server.raw());
-            rec.put_u64(epoch);
-            self.log_mutation(&state, rec)?;
+        if state.members.contains_key(&server) {
+            let epoch = state.membership_epoch + 1;
+            self.commit(&mut state, MetaRecord::MemberLeave { server, epoch })?;
         }
         Ok(state.membership_epoch)
     }
@@ -613,29 +890,25 @@ impl MetadataService {
         let now = Instant::now();
         let mut state = self.state.write();
         let mut expired = Vec::new();
-        let members: Vec<ServerId> = state.members.keys().copied().collect();
-        for server in members {
+        let members: Vec<(ServerId, NodeId)> =
+            state.members.iter().map(|(&s, i)| (s, i.node)).collect();
+        for (server, node) in members {
             match state.leases.get(&server) {
                 Some(deadline) if *deadline <= now => {
-                    let info = state.members.remove(&server).expect("member present");
-                    state.leases.remove(&server);
-                    expired.push((server, info.node));
+                    let epoch = state.membership_epoch + 1;
+                    match self.commit(&mut state, MetaRecord::MemberLeave { server, epoch }) {
+                        Ok(()) => expired.push((server, node)),
+                        // The evictions already committed must reach the
+                        // caller; the rest keep their lapsed lease for the
+                        // next sweep.
+                        Err(_) if !expired.is_empty() => break,
+                        Err(e) => return Err(e),
+                    }
                 }
                 Some(_) => {}
                 None => {
                     state.leases.insert(server, now + grace);
                 }
-            }
-        }
-        if !expired.is_empty() {
-            for &(server, _) in &expired {
-                state.membership_epoch += 1;
-                let epoch = state.membership_epoch;
-                let mut rec = Vec::new();
-                rec.put_u8(REC_MEMBER_LEAVE);
-                rec.put_u32(server.raw());
-                rec.put_u64(epoch);
-                self.log_mutation(&state, rec)?;
             }
         }
         Ok(expired)
@@ -669,19 +942,15 @@ impl MetadataService {
         if let Some(rec) = state.migrations.values().find(same) {
             return Ok(*rec);
         }
-        let id = state.next_migration;
-        state.next_migration += 1;
-        state.membership_epoch += 1;
         let rec = MigrationRecord {
-            id,
+            id: state.next_migration,
             keys,
             from,
             to,
             cutover_epoch: None,
         };
-        state.migrations.insert(id, rec);
-        let epoch = state.membership_epoch;
-        self.log_mutation(&state, encode_migration_record(&rec, epoch))?;
+        let epoch = state.membership_epoch + 1;
+        self.commit(&mut state, MetaRecord::Migration { rec, epoch })?;
         Ok(rec)
     }
 
@@ -696,14 +965,12 @@ impl MetadataService {
         if let Some(epoch) = rec.cutover_epoch {
             return Ok(epoch);
         }
-        state.membership_epoch += 1;
-        let epoch = state.membership_epoch;
-        let done = MigrationRecord {
+        let epoch = state.membership_epoch + 1;
+        let rec = MigrationRecord {
             cutover_epoch: Some(epoch),
             ..rec
         };
-        state.migrations.insert(id, done);
-        self.log_mutation(&state, encode_migration_record(&done, epoch))?;
+        self.commit(&mut state, MetaRecord::Migration { rec, epoch })?;
         Ok(epoch)
     }
 
@@ -711,368 +978,6 @@ impl MetadataService {
     pub fn migrations(&self) -> Vec<MigrationRecord> {
         self.state.read().migrations.values().copied().collect()
     }
-
-    /// Appends one mutation record to the log (committed per the fsync
-    /// policy) and compacts into a fresh snapshot once the log outgrows
-    /// its budget. Called with the state write lock held, so the log
-    /// order matches the in-memory mutation order.
-    fn log_mutation(&self, state: &MetaState, record: Vec<u8>) -> Result<()> {
-        let Some(d) = &self.durable else {
-            return Ok(());
-        };
-        d.log.append(&record)?;
-        d.log.commit()?;
-        let total = d
-            .log_bytes
-            .fetch_add(record.len() as u64, Ordering::Relaxed)
-            + record.len() as u64;
-        if total as usize > d.compact_bytes {
-            // Compaction: durably publish the snapshot first, then drop
-            // the log. A crash in between replays the (idempotent) log
-            // over the new snapshot — harmless by construction.
-            write_atomic(
-                &d.snapshot_path,
-                &Self::encode_state(state),
-                d.policy,
-                &d.stats,
-            )?;
-            d.log.reset()?;
-            d.log_bytes.store(0, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
-    fn encode_state(state: &MetaState) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.put_u64(state.next_chunk);
-        body.put_u32(state.chunks.len() as u32);
-        for (id, info) in &state.chunks {
-            body.put_u64(id.raw());
-            codec::encode_region(&mut body, &info.region);
-            body.put_u64(info.count);
-            body.put_u64(info.bytes);
-            body.put_u32(info.producer.raw());
-        }
-        match &state.partition {
-            Some(p) => {
-                body.put_u32(1);
-                p.encode(&mut body);
-            }
-            None => body.put_u32(0),
-        }
-        body.put_u32(state.offsets.len() as u32);
-        for (server, offset) in &state.offsets {
-            body.put_u32(server.raw());
-            body.put_u64(*offset);
-        }
-        body.put_u32(state.attr_indexes.len() as u32);
-        for ((chunk, attr), index) in &state.attr_indexes {
-            body.put_u64(chunk.raw());
-            body.put_u32(*attr as u32);
-            index.encode(&mut body);
-        }
-        body.put_u32(state.summaries.len() as u32);
-        for (chunk, extent) in &state.summaries {
-            body.put_u64(chunk.raw());
-            body.put_u64(extent.cells);
-            body.put_u64(extent.bytes);
-            body.put_u16(extent.levels as u16);
-            body.put_u16(extent.slice_bits as u16);
-            put_measure_range(&mut body, extent.measure_range);
-        }
-        // Membership + migration section (trailing-optional, like the two
-        // sections above, so pre-elasticity snapshots still decode).
-        body.put_u64(state.membership_epoch);
-        body.put_u64(state.next_migration);
-        body.put_u32(state.members.len() as u32);
-        for (server, info) in &state.members {
-            body.put_u32(server.raw());
-            body.put_u16(u16::from(info.role.as_u8()));
-            body.put_u32(info.node.raw());
-        }
-        body.put_u32(state.migrations.len() as u32);
-        for rec in state.migrations.values() {
-            body.put_u64(rec.id);
-            body.put_u64(rec.keys.lo());
-            body.put_u64(rec.keys.hi());
-            body.put_u32(rec.from.raw());
-            body.put_u32(rec.to.raw());
-            match rec.cutover_epoch {
-                Some(e) => {
-                    body.put_u16(1);
-                    body.put_u64(e);
-                }
-                None => {
-                    body.put_u16(0);
-                    body.put_u64(0);
-                }
-            }
-        }
-        let mut out = Vec::with_capacity(body.len() + 24);
-        out.put_u64(SNAPSHOT_MAGIC);
-        out.put_u64(codec::fnv1a(&body));
-        out.extend_from_slice(&body);
-        out
-    }
-
-    fn decode_state(bytes: &[u8]) -> Result<MetaState> {
-        let mut dec = Decoder::new(bytes, "meta snapshot");
-        if dec.get_u64()? != SNAPSHOT_MAGIC {
-            return Err(WwError::corrupt("meta snapshot", "bad magic"));
-        }
-        let checksum = dec.get_u64()?;
-        let body = &bytes[16..];
-        if codec::fnv1a(body) != checksum {
-            return Err(WwError::corrupt("meta snapshot", "checksum mismatch"));
-        }
-        let mut dec = Decoder::new(body, "meta snapshot");
-        let next_chunk = dec.get_u64()?;
-        let n_chunks = dec.get_u32()? as usize;
-        let mut chunks = BTreeMap::new();
-        let mut chunk_rtree = RTree::new();
-        for _ in 0..n_chunks {
-            let id = ChunkId(dec.get_u64()?);
-            let region = codec::decode_region(&mut dec)?;
-            let count = dec.get_u64()?;
-            let bytes_ = dec.get_u64()?;
-            let producer = ServerId(dec.get_u32()?);
-            chunks.insert(
-                id,
-                ChunkInfo {
-                    region,
-                    count,
-                    bytes: bytes_,
-                    producer,
-                },
-            );
-            chunk_rtree.insert(region, id);
-        }
-        let partition = if dec.get_u32()? == 1 {
-            Some(PartitionSchema::decode(&mut dec)?)
-        } else {
-            None
-        };
-        let n_offsets = dec.get_u32()? as usize;
-        let mut offsets = BTreeMap::new();
-        for _ in 0..n_offsets {
-            let server = ServerId(dec.get_u32()?);
-            let offset = dec.get_u64()?;
-            offsets.insert(server, offset);
-        }
-        let mut attr_indexes = BTreeMap::new();
-        // Older snapshots end here; the attr-index section is optional.
-        if dec.remaining() > 0 {
-            let n_attr = dec.get_u32()? as usize;
-            for _ in 0..n_attr {
-                let chunk = ChunkId(dec.get_u64()?);
-                let attr = dec.get_u32()? as AttrId;
-                attr_indexes.insert((chunk, attr), ChunkAttrIndex::decode(&mut dec)?);
-            }
-        }
-        let mut summaries = BTreeMap::new();
-        // The summary-extent section is likewise optional (trailing).
-        if dec.remaining() > 0 {
-            let n_summaries = dec.get_u32()? as usize;
-            for _ in 0..n_summaries {
-                let chunk = ChunkId(dec.get_u64()?);
-                let cells = dec.get_u64()?;
-                let bytes_ = dec.get_u64()?;
-                let levels = dec.get_u16()? as u8;
-                let slice_bits = dec.get_u16()? as u8;
-                let measure_range = get_measure_range(&mut dec)?;
-                summaries.insert(
-                    chunk,
-                    SummaryExtent {
-                        cells,
-                        bytes: bytes_,
-                        levels,
-                        slice_bits,
-                        measure_range,
-                    },
-                );
-            }
-        }
-        let mut membership_epoch = 0;
-        let mut next_migration = 0;
-        let mut members = BTreeMap::new();
-        let mut migrations = BTreeMap::new();
-        // Membership + migration section (trailing-optional).
-        if dec.remaining() > 0 {
-            membership_epoch = dec.get_u64()?;
-            next_migration = dec.get_u64()?;
-            let n_members = dec.get_u32()? as usize;
-            for _ in 0..n_members {
-                let server = ServerId(dec.get_u32()?);
-                let role = MemberRole::from_u8(dec.get_u16()? as u8)?;
-                let node = NodeId(dec.get_u32()?);
-                members.insert(server, MemberInfo { role, node });
-            }
-            let n_migrations = dec.get_u32()? as usize;
-            for _ in 0..n_migrations {
-                let id = dec.get_u64()?;
-                let lo = dec.get_u64()?;
-                let hi = dec.get_u64()?;
-                if lo > hi {
-                    return Err(WwError::corrupt(
-                        "meta snapshot",
-                        "inverted migration range",
-                    ));
-                }
-                let from = ServerId(dec.get_u32()?);
-                let to = ServerId(dec.get_u32()?);
-                let flag = dec.get_u16()?;
-                let cut = dec.get_u64()?;
-                let cutover_epoch = match flag {
-                    0 => None,
-                    1 => Some(cut),
-                    _ => return Err(WwError::corrupt("meta snapshot", "bad cut-over flag")),
-                };
-                migrations.insert(
-                    id,
-                    MigrationRecord {
-                        id,
-                        keys: KeyInterval::new(lo, hi),
-                        from,
-                        to,
-                        cutover_epoch,
-                    },
-                );
-            }
-        }
-        Ok(MetaState {
-            next_chunk,
-            chunks,
-            chunk_rtree,
-            partition,
-            offsets,
-            attr_indexes,
-            summaries,
-            memory_regions: BTreeMap::new(),
-            members,
-            membership_epoch,
-            migrations,
-            next_migration,
-            // Leases are volatile: a restarted meta server grants every
-            // recovered member a fresh grace window on the first expiry
-            // sweep instead of inheriting pre-crash deadlines.
-            leases: BTreeMap::new(),
-        })
-    }
-}
-
-/// Re-applies one mutation-log record during recovery. Records are
-/// idempotent (inserts overwrite-or-keep, counters and versions only move
-/// forward) so a suffix of the log may legally replay over a snapshot
-/// that already contains its effects.
-fn apply_record(state: &mut MetaState, record: &[u8]) -> Result<()> {
-    let mut dec = Decoder::new(record, "meta log record");
-    let tag = dec.get_u8()?;
-    match tag {
-        REC_ENSURE_NEXT_CHUNK => {
-            let next = dec.get_u64()?;
-            state.next_chunk = state.next_chunk.max(next);
-        }
-        REC_REGISTER_CHUNK => {
-            let id = ChunkId(dec.get_u64()?);
-            let region = codec::decode_region(&mut dec)?;
-            let count = dec.get_u64()?;
-            let bytes = dec.get_u64()?;
-            let producer = ServerId(dec.get_u32()?);
-            let durable_offset = dec.get_u64()?;
-            if state
-                .chunks
-                .insert(
-                    id,
-                    ChunkInfo {
-                        region,
-                        count,
-                        bytes,
-                        producer,
-                    },
-                )
-                .is_none()
-            {
-                state.chunk_rtree.insert(region, id);
-            }
-            let e = state.offsets.entry(producer).or_insert(durable_offset);
-            *e = (*e).max(durable_offset);
-            state.next_chunk = state.next_chunk.max(id.raw() + 1);
-        }
-        REC_SET_PARTITION => {
-            let schema = PartitionSchema::decode(&mut dec)?;
-            let newer = state
-                .partition
-                .as_ref()
-                .is_none_or(|cur| schema.version > cur.version);
-            if newer {
-                state.partition = Some(schema);
-            }
-        }
-        REC_ATTR_INDEX => {
-            let chunk = ChunkId(dec.get_u64()?);
-            let attr = dec.get_u32()? as AttrId;
-            let index = ChunkAttrIndex::decode(&mut dec)?;
-            state.attr_indexes.insert((chunk, attr), index);
-        }
-        REC_SUMMARY => {
-            let chunk = ChunkId(dec.get_u64()?);
-            let cells = dec.get_u64()?;
-            let bytes = dec.get_u64()?;
-            let levels = dec.get_u16()? as u8;
-            let slice_bits = dec.get_u16()? as u8;
-            let measure_range = get_measure_range(&mut dec)?;
-            state.summaries.insert(
-                chunk,
-                SummaryExtent {
-                    cells,
-                    bytes,
-                    levels,
-                    slice_bits,
-                    measure_range,
-                },
-            );
-        }
-        REC_MEMBER_JOIN => {
-            let server = ServerId(dec.get_u32()?);
-            let role = MemberRole::from_u8(dec.get_u16()? as u8)?;
-            let node = NodeId(dec.get_u32()?);
-            let epoch = dec.get_u64()?;
-            state.members.insert(server, MemberInfo { role, node });
-            state.membership_epoch = state.membership_epoch.max(epoch);
-        }
-        REC_MEMBER_LEAVE => {
-            let server = ServerId(dec.get_u32()?);
-            let epoch = dec.get_u64()?;
-            state.members.remove(&server);
-            state.membership_epoch = state.membership_epoch.max(epoch);
-        }
-        REC_MIGRATION => {
-            let (rec, epoch) = decode_migration_record(&mut dec)?;
-            // A completed record never regresses to in-flight on replay.
-            let stale = state
-                .migrations
-                .get(&rec.id)
-                .is_some_and(|cur| cur.completed() && !rec.completed());
-            if !stale {
-                state.migrations.insert(rec.id, rec);
-            }
-            state.next_migration = state.next_migration.max(rec.id + 1);
-            state.membership_epoch = state.membership_epoch.max(epoch);
-        }
-        other => {
-            return Err(WwError::corrupt(
-                "meta log record",
-                format!("unknown record tag {other}"),
-            ))
-        }
-    }
-    if dec.remaining() != 0 {
-        return Err(WwError::corrupt(
-            "meta log record",
-            format!("{} trailing bytes after record", dec.remaining()),
-        ));
-    }
-    Ok(())
 }
 
 impl Counters for MetadataService {
@@ -1087,7 +992,11 @@ impl Counters for MetadataService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::path::Path;
     use waterwheel_core::{KeyInterval, TimeInterval};
+
+    const TTL: Duration = Duration::from_secs(60);
 
     fn region(k0: u64, k1: u64, t0: u64, t1: u64) -> Region {
         Region::new(KeyInterval::new(k0, k1), TimeInterval::new(t0, t1))
@@ -1106,6 +1015,112 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ww-meta-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir.join("meta.snapshot")
+    }
+
+    /// A durable service under a log budget no test reaches.
+    fn open(path: &Path) -> Result<MetadataService> {
+        MetadataService::open_with(path, FsyncPolicy::Never, 1 << 20)
+    }
+
+    /// One mutation of every durable kind, varied by `step`.
+    fn mutate(meta: &MetadataService, step: u64) {
+        let id = meta.allocate_chunk_id().unwrap();
+        let k = step * 10;
+        meta.register_chunk(id, info(k, k + 9, 0, 50, (step % 3) as u32), step)
+            .unwrap();
+        let extent = SummaryExtent {
+            cells: step,
+            bytes: k,
+            levels: 0b1111,
+            slice_bits: 4,
+            measure_range: step.is_multiple_of(2).then_some((step, k)),
+        };
+        meta.register_summary(id, extent).unwrap();
+        let index = ChunkAttrIndex::build(&[vec![step; 10], vec![step + 1; 10], vec![7]], 10);
+        meta.register_attr_index(id, (step % 2) as AttrId, index)
+            .unwrap();
+        let servers = [ServerId(0), ServerId(1)];
+        meta.set_partition(PartitionSchema::from_boundaries(&[k + 1], &servers, step + 1).unwrap())
+            .unwrap();
+        let member = step as u32 % 5;
+        meta.join(
+            ServerId(member),
+            MemberRole::Indexing,
+            NodeId(step as u32 % 2),
+            TTL,
+        )
+        .unwrap();
+        if step % 4 == 3 {
+            meta.leave(ServerId((member + 1) % 5)).unwrap();
+        }
+        let keys = KeyInterval::new(k, k + 9);
+        let migration = meta
+            .begin_migration(keys, ServerId(0), ServerId(1))
+            .unwrap();
+        if step.is_multiple_of(2) {
+            meta.complete_migration(migration.id).unwrap();
+        }
+    }
+
+    /// An in-memory service that ran `mutate` for `steps` — what any
+    /// durable service that ran the same steps must read back as, however
+    /// often it was reopened in between.
+    fn twin(steps: std::ops::Range<u64>) -> MetadataService {
+        let meta = MetadataService::in_memory();
+        steps.for_each(|step| mutate(&meta, step));
+        meta
+    }
+
+    /// Every durable fact, through the public read surface.
+    fn observe(meta: &MetadataService) -> impl PartialEq + std::fmt::Debug {
+        let chunks = meta.chunks_overlapping(&Region::full());
+        let per_chunk: Vec<_> = chunks
+            .iter()
+            .map(|&(id, _)| {
+                let probes: Vec<AttrProbe> = (0..2)
+                    .flat_map(|attr| [id.raw(), id.raw() + 1, 7, 999].map(move |v| (attr, v)))
+                    .map(|(attr, v)| meta.attr_probe(id, attr, v))
+                    .collect();
+                (meta.chunk_info(id), meta.summary_extent(id), probes)
+            })
+            .collect();
+        let offsets: Vec<u64> = (0..4).map(|s| meta.durable_offset(ServerId(s))).collect();
+        (
+            chunks,
+            per_chunk,
+            offsets,
+            meta.partition(),
+            meta.membership(),
+            meta.migrations(),
+        )
+    }
+
+    /// The files in `dir` named `<prefix>…<suffix>`, in name order.
+    fn files(dir: &Path, prefix: &str, suffix: &str) -> Vec<PathBuf> {
+        let mut files: Vec<PathBuf> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| {
+                let name = p.file_name().unwrap().to_str().unwrap();
+                name.starts_with(prefix) && name.ends_with(suffix)
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    fn log_segments(dir: &Path) -> Vec<PathBuf> {
+        files(dir, "meta.snapshot.log.", ".wal")
+    }
+
+    fn snapshot_temps(dir: &Path) -> Vec<PathBuf> {
+        files(dir, ".meta.snapshot.", ".tmp")
+    }
+
+    /// Bytes the service counts in its log since the last compaction.
+    fn log_bytes(meta: &MetadataService) -> u64 {
+        let durable = meta.durable.as_ref().unwrap();
+        durable.log_bytes.load(Ordering::Relaxed)
     }
 
     #[test]
@@ -1178,7 +1193,7 @@ mod tests {
     fn snapshot_survives_restart() {
         let path = tmp_path("restart");
         {
-            let meta = MetadataService::open(&path).unwrap();
+            let meta = open(&path).unwrap();
             let a = meta.allocate_chunk_id().unwrap();
             meta.register_chunk(a, info(0, 100, 0, 50, 1), 42).unwrap();
             let servers: Vec<ServerId> = (0..2).map(ServerId).collect();
@@ -1187,7 +1202,7 @@ mod tests {
             meta.set_partition(schema).unwrap();
             meta.update_memory_region(ServerId(1), Some(region(0, 10, 0, 10)));
         }
-        let meta = MetadataService::open(&path).unwrap();
+        let meta = open(&path).unwrap();
         assert_eq!(meta.chunk_count(), 1);
         assert_eq!(meta.durable_offset(ServerId(1)), 42);
         assert_eq!(meta.partition().unwrap().version, 5);
@@ -1210,7 +1225,7 @@ mod tests {
             measure_range: Some((3, 907)),
         };
         {
-            let meta = MetadataService::open(&path).unwrap();
+            let meta = open(&path).unwrap();
             let a = meta.allocate_chunk_id().unwrap();
             meta.register_chunk(a, info(0, 100, 0, 50, 1), 42).unwrap();
             // Unregistered chunks are rejected.
@@ -1218,7 +1233,7 @@ mod tests {
             meta.register_summary(a, extent).unwrap();
             assert_eq!(meta.summary_count(), 1);
         }
-        let meta = MetadataService::open(&path).unwrap();
+        let meta = open(&path).unwrap();
         assert_eq!(meta.summary_extent(ChunkId(0)), Some(extent));
         assert_eq!(meta.summary_extent(ChunkId(1)), None);
         assert_eq!(meta.summary_count(), 1);
@@ -1243,43 +1258,161 @@ mod tests {
         assert_eq!(meta.chunk_count(), 50);
         assert_eq!(meta.durable_offset(ServerId(1)), 49);
         assert_eq!(meta.allocate_chunk_id().unwrap(), ChunkId(50));
+
+        // Every point a kill can land on inside `write_atomic` →
+        // `Log::reset`, built by hand. The state just before a compaction:
+        // an older snapshot (a tiny budget compacts the first steps live)
+        // under a log of several segments (each reopen starts one; the
+        // budget is out of reach now).
+        let before = tmp_path("compact-before");
+        let dir = before.parent().unwrap();
+        {
+            let meta = MetadataService::open_with(&before, FsyncPolicy::Never, 512).unwrap();
+            (0..4).for_each(|step| mutate(&meta, step));
+        }
+        assert!(fs::read(&before).unwrap().len() > 200, "no live compaction");
+        for session in 0..3 {
+            let meta = open(&before).unwrap();
+            (0..2).for_each(|i| mutate(&meta, 4 + session * 2 + i));
+        }
+        const STEPS: u64 = 10;
+        let segments = log_segments(dir).len();
+        assert!(segments >= 4, "{segments} segments");
+        let copy_of_before = |name: &str| {
+            let copy = tmp_path(name);
+            fs::create_dir_all(copy.parent().unwrap()).unwrap();
+            for entry in fs::read_dir(dir).unwrap() {
+                let src = entry.unwrap().path();
+                fs::copy(&src, copy.with_file_name(src.file_name().unwrap())).unwrap();
+            }
+            copy
+        };
+        // What the compaction writes: the snapshot of the state so far.
+        let compacted = open(&copy_of_before("compact-after"))
+            .unwrap()
+            .state
+            .read()
+            .encode_snapshot();
+
+        // (label, temp file left behind, new snapshot renamed in, oldest
+        // segments already deleted)
+        let mut crash_points = vec![
+            ("temp written, not renamed", Some(&compacted[..]), false, 0),
+            ("temp half written", Some(&compacted[..99]), false, 0),
+            ("renamed, log untouched", None, true, 0),
+        ];
+        crash_points.extend((1..=segments).map(|n| ("reset under way", None, true, n)));
+        for (i, (label, temp, renamed, deleted)) in crash_points.into_iter().enumerate() {
+            let label = format!("{label}, {deleted} of {segments} segments deleted");
+            let path = copy_of_before(&format!("compact-crash-{i}"));
+            let dir = path.parent().unwrap();
+            // A temp of another role of the node, which is not ours to sweep.
+            let foreign = dir.join(".chunk-7.1.0.tmp");
+            fs::write(&foreign, b"not the snapshot's").unwrap();
+            if let Some(bytes) = temp {
+                fs::write(dir.join(".meta.snapshot.4242.7.tmp"), bytes).unwrap();
+            }
+            if renamed {
+                fs::write(&path, &compacted).unwrap();
+            }
+            for segment in log_segments(dir).iter().take(deleted) {
+                fs::remove_file(segment).unwrap();
+            }
+            let twin = twin(0..STEPS);
+            for round in 0..2 {
+                let meta = open(&path).unwrap();
+                assert_eq!(observe(&meta), observe(&twin), "{label}, reopen {round}");
+                assert_eq!(snapshot_temps(dir), Vec::<PathBuf>::new(), "{label}");
+                assert!(foreign.exists(), "{label}");
+                // The recovered service carries on exactly like the twin.
+                mutate(&meta, STEPS + round);
+                mutate(&twin, STEPS + round);
+                assert_eq!(observe(&meta), observe(&twin), "{label}, after {round}");
+            }
+        }
     }
 
     #[test]
-    fn torn_log_tail_is_tolerated_but_corruption_is_not() {
-        let path = tmp_path("torn-log");
+    fn a_failed_log_write_applies_nothing() {
+        let path = tmp_path("log-fails");
+        // Three records: the reopened service is one record short of its
+        // compaction budget, with room left in its fresh segment.
         {
-            let meta = MetadataService::open(&path).unwrap();
-            let a = meta.allocate_chunk_id().unwrap();
-            meta.register_chunk(a, info(0, 100, 0, 50, 1), 7).unwrap();
+            let meta = MetadataService::open_with(&path, FsyncPolicy::Never, 256).unwrap();
+            for i in 0..3 {
+                meta.register_chunk(ChunkId(i), info(i, i, 0, 1, 1), i)
+                    .unwrap();
+            }
         }
-        // Find the mutation-log segment and tear its tail: the last
-        // record (whatever it was) is dropped, earlier ones survive.
-        let dir = path.parent().unwrap();
-        let seg = fs::read_dir(dir)
-            .unwrap()
-            .filter_map(|e| {
-                let p = e.unwrap().path();
-                let n = p.file_name()?.to_str()?.to_string();
-                (n.starts_with("meta.snapshot.log.") && n.ends_with(".wal")).then_some(p)
-            })
-            .min()
+        let meta = MetadataService::open_with(&path, FsyncPolicy::Never, 256).unwrap();
+        // The open segment keeps taking appends; creating a file — the
+        // snapshot's temp, the next segment — fails from here on.
+        fs::remove_dir_all(path.parent().unwrap()).unwrap();
+        let (mut acked, mut refused) = (0, 0);
+        for i in 3..20u64 {
+            let (id, server) = (ChunkId(i), ServerId(i as u32));
+            match meta.register_chunk(id, info(i, i, 0, 1, 1), i) {
+                Ok(()) => {
+                    acked += 1;
+                    assert_eq!(meta.chunk_info(id), Some(info(i, i, 0, 1, 1)));
+                    assert_eq!(meta.durable_offset(ServerId(1)), i);
+                    // Committed, so acknowledged — although the compaction
+                    // it set off cannot have worked.
+                    assert!(log_bytes(&meta) > 256);
+                }
+                Err(_) => {
+                    refused += 1;
+                    assert_eq!(meta.chunk_info(id), None);
+                    assert!(meta.durable_offset(ServerId(1)) < i);
+                    // The flush's retry meets the same refusal, not
+                    // "already registered".
+                    let again = meta.register_chunk(id, info(i, i, 0, 1, 1), i);
+                    assert!(!matches!(again, Ok(()) | Err(WwError::InvalidState(_))));
+                }
+            }
+            let epoch = meta.membership_epoch();
+            let joined = meta.join(server, MemberRole::Indexing, NodeId(0), TTL);
+            let is_member = meta.membership().indexing_ids().contains(&server);
+            match joined {
+                Ok(after) => assert!(after == epoch + 1 && is_member),
+                Err(_) => assert!(meta.membership_epoch() == epoch && !is_member),
+            }
+            let epoch = meta.membership_epoch();
+            let begun = meta.begin_migration(KeyInterval::new(i, i), ServerId(0), ServerId(1));
+            let recorded = meta.migrations().iter().any(|m| m.keys.lo() == i);
+            match begun {
+                Ok(_) => assert!(meta.membership_epoch() == epoch + 1 && recorded),
+                Err(_) => assert!(meta.membership_epoch() == epoch && !recorded),
+            }
+        }
+        assert!(acked > 0 && refused > 0, "{acked} acked, {refused} refused");
+    }
+
+    #[test]
+    fn a_failed_compaction_is_retried_by_the_next_mutation() {
+        let path = tmp_path("compact-retry");
+        let meta = MetadataService::open_with(&path, FsyncPolicy::Never, 256).unwrap();
+        // A non-empty directory where the snapshot goes: the rename inside
+        // `write_atomic` fails, the log works.
+        fs::remove_file(&path).unwrap();
+        fs::create_dir(&path).unwrap();
+        fs::write(path.join("in-the-way"), b"").unwrap();
+        for i in 0..8 {
+            meta.register_chunk(ChunkId(i), info(i, i, 0, 1, 1), i)
+                .unwrap();
+        }
+        assert!(log_bytes(&meta) > 256);
+        fs::remove_dir_all(&path).unwrap();
+        meta.register_chunk(ChunkId(8), info(8, 8, 0, 1, 1), 8)
             .unwrap();
-        let bytes = fs::read(&seg).unwrap();
-        fs::write(&seg, &bytes[..bytes.len() - 3]).unwrap();
-        let meta = MetadataService::open(&path).unwrap();
-        // The torn record was register_chunk; allocate still replayed.
-        assert_eq!(meta.chunk_count(), 0);
-        assert_eq!(meta.allocate_chunk_id().unwrap(), ChunkId(1));
+        assert_eq!(log_bytes(&meta), 0);
         drop(meta);
-        // A flipped bit inside a complete record is corruption.
-        let seg_bytes = fs::read(&seg).unwrap();
-        if seg_bytes.len() > 20 {
-            let mut b = seg_bytes;
-            b[16] ^= 0xff;
-            fs::write(&seg, &b).unwrap();
-            assert!(MetadataService::open(&path).is_err());
-        }
+        assert_eq!(log_segments(path.parent().unwrap()).len(), 1);
+        assert_eq!(
+            snapshot_temps(path.parent().unwrap()),
+            Vec::<PathBuf>::new()
+        );
+        assert_eq!(open(&path).unwrap().chunk_count(), 9);
     }
 
     #[test]
@@ -1287,7 +1420,7 @@ mod tests {
         let path = tmp_path("members");
         let ttl = Duration::from_secs(60);
         {
-            let meta = MetadataService::open(&path).unwrap();
+            let meta = open(&path).unwrap();
             assert_eq!(meta.membership_epoch(), 0);
             let e1 = meta
                 .join(ServerId(0), MemberRole::Indexing, NodeId(0), ttl)
@@ -1312,7 +1445,7 @@ mod tests {
             assert_eq!(meta.heartbeat(ServerId(1_000), ttl).unwrap(), 4);
             assert!(meta.heartbeat(ServerId(0), ttl).is_err());
         }
-        let meta = MetadataService::open(&path).unwrap();
+        let meta = open(&path).unwrap();
         assert_eq!(meta.membership_epoch(), 4);
         let view = meta.membership();
         assert_eq!(view.epoch, 4);
@@ -1356,7 +1489,7 @@ mod tests {
     fn migrations_are_durable_and_idempotent() {
         let path = tmp_path("migrations");
         {
-            let meta = MetadataService::open(&path).unwrap();
+            let meta = open(&path).unwrap();
             let rec = meta
                 .begin_migration(KeyInterval::new(100, 199), ServerId(0), ServerId(2))
                 .unwrap();
@@ -1373,7 +1506,7 @@ mod tests {
                 .unwrap();
             assert!(meta.complete_migration(99).is_err());
         }
-        let meta = MetadataService::open(&path).unwrap();
+        let meta = open(&path).unwrap();
         let migrations = meta.migrations();
         assert_eq!(migrations.len(), 2);
         assert_eq!(migrations[0].cutover_epoch, Some(2));
@@ -1392,7 +1525,7 @@ mod tests {
         let path = tmp_path("migrations-idem");
         let (keys, from, to) = (KeyInterval::new(100, 199), ServerId(0), ServerId(2));
         {
-            let meta = MetadataService::open(&path).unwrap();
+            let meta = open(&path).unwrap();
             let first = meta.begin_migration(keys, from, to).unwrap();
             // The repeat writes nothing: same record, same epoch.
             assert_eq!(meta.begin_migration(keys, from, to).unwrap(), first);
@@ -1403,7 +1536,7 @@ mod tests {
         }
         // The in-flight record is adopted across a restart too; once it is
         // completed, the same move begins a fresh record.
-        let meta = MetadataService::open(&path).unwrap();
+        let meta = open(&path).unwrap();
         let adopted = meta.begin_migration(keys, from, to).unwrap();
         assert_eq!(adopted.id, 0);
         assert_eq!(meta.migrations().len(), 2);
@@ -1412,17 +1545,190 @@ mod tests {
         assert_eq!(meta.migrations().len(), 3);
     }
 
-    #[test]
-    fn corrupt_snapshot_is_rejected() {
-        let path = tmp_path("corrupt");
-        {
-            let meta = MetadataService::open(&path).unwrap();
-            meta.allocate_chunk_id().unwrap();
+    /// A record of the variant with log tag `tag`, filled from the seeds.
+    fn record(tag: u8, [a, b, c, d]: [u64; 4]) -> MetaRecord {
+        let (server, other) = (ServerId(a as u32), ServerId((a >> 32) as u32));
+        let (lo, hi) = (b.min(c), b.max(c));
+        match tag {
+            0 => MetaRecord::Counters {
+                next_chunk: a,
+                next_migration: b,
+                membership_epoch: c,
+            },
+            1 => MetaRecord::RegisterChunk {
+                id: ChunkId(d),
+                info: ChunkInfo {
+                    region: region(lo, hi, c.min(d), c.max(d)),
+                    count: b,
+                    bytes: c,
+                    producer: server,
+                },
+                durable_offset: a,
+            },
+            2 => MetaRecord::SetPartition(
+                PartitionSchema::from_boundaries(
+                    &[lo / 2 + 1, hi / 2 + 2],
+                    &[server, other, server],
+                    d,
+                )
+                .unwrap(),
+            ),
+            3 => MetaRecord::AttrIndex {
+                chunk: ChunkId(a),
+                attr: b as AttrId,
+                index: ChunkAttrIndex::build(&[vec![c; 9], vec![d; 12], vec![a, b, c]], 10),
+            },
+            4 => MetaRecord::Summary {
+                chunk: ChunkId(a),
+                extent: SummaryExtent {
+                    cells: b,
+                    bytes: c,
+                    levels: d as u8,
+                    slice_bits: (d >> 8) as u8,
+                    measure_range: a.is_multiple_of(2).then_some((lo, hi)),
+                },
+            },
+            5 => MetaRecord::MemberJoin {
+                server,
+                info: MemberInfo {
+                    role: [MemberRole::Indexing, MemberRole::Query][(b % 2) as usize],
+                    node: NodeId(c as u32),
+                },
+                epoch: d,
+            },
+            6 => MetaRecord::MemberLeave { server, epoch: d },
+            _ => MetaRecord::Migration {
+                rec: MigrationRecord {
+                    id: a,
+                    keys: KeyInterval::new(lo, hi),
+                    from: server,
+                    to: other,
+                    cutover_epoch: d.is_multiple_of(2).then_some(d),
+                },
+                epoch: d,
+            },
         }
-        let mut bytes = fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        fs::write(&path, &bytes).unwrap();
-        assert!(MetadataService::open(&path).is_err());
+    }
+
+    fn frame(rec: &MetaRecord) -> Vec<u8> {
+        let mut out = Vec::new();
+        rec.encode(&mut out);
+        out
+    }
+
+    /// Folds a snapshot file's bytes the way `open_with` does; the state is
+    /// returned as its own (deterministic) snapshot, which compares.
+    fn fold(snapshot: &[u8]) -> Result<Vec<u8>> {
+        let mut state = MetaState::default();
+        decode_snapshot(snapshot)?
+            .into_iter()
+            .for_each(|rec| state.apply(rec));
+        Ok(state.encode_snapshot())
+    }
+
+    fn is_corrupt<T>(result: &Result<T>) -> bool {
+        matches!(result, Err(WwError::Corrupt { .. }))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// No checksum stands between `decode_frame` and these bytes, so a
+        /// mutated record may well decode — to something `apply` takes
+        /// without panicking. (A count mutated upward must not size an
+        /// allocation: the process would abort here.)
+        #[test]
+        fn records_round_trip_and_damage_is_typed(
+            seeds in (0..u64::MAX, 0..u64::MAX, 0..u64::MAX, 0..u64::MAX),
+            mask in 1u16..256,
+        ) {
+            for tag in 0..8 {
+                let bytes = frame(&record(tag, seeds.into()));
+                prop_assert_eq!(bytes[0], tag);
+                let decoded = MetaRecord::decode_frame(&bytes);
+                prop_assert!(decoded.is_ok(), "tag {tag}: {:?}", decoded.err());
+                prop_assert_eq!(frame(&decoded.unwrap()), bytes.clone());
+                for cut in 0..bytes.len() {
+                    prop_assert!(is_corrupt(&MetaRecord::decode_frame(&bytes[..cut])), "tag {tag} cut at {cut}");
+                }
+                let mut long = bytes.clone();
+                long.push(0);
+                prop_assert!(is_corrupt(&MetaRecord::decode_frame(&long)), "tag {tag} with a trailing byte");
+                for at in 0..bytes.len() {
+                    let mut bad = bytes.clone();
+                    bad[at] ^= mask as u8;
+                    match MetaRecord::decode_frame(&bad) {
+                        Ok(rec) => {
+                            let mut state = MetaState::default();
+                            state.apply(rec);
+                            state.encode_snapshot();
+                        }
+                        Err(e) => prop_assert!(matches!(e, WwError::Corrupt { .. }), "tag {tag} byte {at}: {e:?}"),
+                    }
+                }
+            }
+            prop_assert!(is_corrupt(&MetaRecord::decode_frame(&[8 + (mask % 248) as u8])), "unknown tag");
+        }
+
+        /// The snapshot is checksummed: any cut or flipped byte is refused,
+        /// or (a cut that lands on the empty body) reads as the same state.
+        #[test]
+        fn a_damaged_snapshot_is_refused(steps in 1u64..4, mask in 1u16..256) {
+            let snapshot = twin(0..steps).state.read().encode_snapshot();
+            let state = fold(&snapshot);
+            prop_assert_eq!(state.as_ref().ok(), Some(&snapshot));
+            for cut in 0..snapshot.len() {
+                let got = fold(&snapshot[..cut]);
+                prop_assert!(is_corrupt(&got), "cut at {cut}: {:?}", got.err());
+            }
+            for at in 0..snapshot.len() {
+                let mut bad = snapshot.clone();
+                bad[at] ^= mask as u8;
+                let got = fold(&bad);
+                prop_assert!(is_corrupt(&got), "byte {at}: {:?}", got.err());
+            }
+        }
+    }
+
+    /// The same refusals through `open_with`, and the one piece of damage
+    /// that is a crash's and not corruption: a torn log tail.
+    #[test]
+    fn damaged_files_fail_the_open_typed() {
+        let path = tmp_path("damaged");
+        {
+            let meta = open(&path).unwrap();
+            let a = meta.allocate_chunk_id().unwrap();
+            meta.register_chunk(a, info(0, 100, 0, 50, 1), 7).unwrap();
+        }
+        let snapshot = fs::read(&path).unwrap();
+        let mut flipped = snapshot.clone();
+        *flipped.last_mut().unwrap() ^= 0xFF;
+        fs::write(&path, &flipped).unwrap();
+        assert!(is_corrupt(&open(&path)));
+        // The format before this one is refused by name, whatever follows
+        // the magic — never half-read.
+        let mut old = snapshot.clone();
+        old[..8].copy_from_slice(b"WWMETA01");
+        fs::write(&path, &old).unwrap();
+        let err = open(&path).err().expect("WWMETA01 must not open");
+        assert!(matches!(err, WwError::Corrupt { .. }), "{err:?}");
+        assert!(err.to_string().contains("WWMETA01"), "{err}");
+        fs::write(&path, &snapshot).unwrap();
+
+        // Tear the log's tail: the last record (register_chunk) is
+        // dropped, the one before it (allocate) survives.
+        let seg = log_segments(path.parent().unwrap()).remove(0);
+        let bytes = fs::read(&seg).unwrap();
+        fs::write(&seg, &bytes[..bytes.len() - 3]).unwrap();
+        let meta = open(&path).unwrap();
+        assert_eq!(meta.chunk_count(), 0);
+        assert_eq!(meta.allocate_chunk_id().unwrap(), ChunkId(1));
+        drop(meta);
+        // A flipped bit inside a complete record is corruption.
+        let mut bytes = fs::read(&seg).unwrap();
+        assert!(bytes.len() > 20);
+        bytes[16] ^= 0xff;
+        fs::write(&seg, &bytes).unwrap();
+        assert!(is_corrupt(&open(&path)));
     }
 }

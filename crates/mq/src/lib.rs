@@ -30,9 +30,6 @@ use std::sync::Arc;
 use waterwheel_core::{Result, Tuple, WwError};
 use waterwheel_wal::{FsyncPolicy, WalStats};
 
-/// Default WAL segment rotation size when none is configured.
-const DEFAULT_SEGMENT_BYTES: usize = 8 << 20;
-
 /// A record stored in a partition: a tuple plus its log offset.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Record {
@@ -92,7 +89,8 @@ impl Default for MessageQueue {
             topics: Arc::default(),
             root: None,
             policy: FsyncPolicy::Never,
-            segment_bytes: DEFAULT_SEGMENT_BYTES,
+            // Read only by durable partitions, which `root: None` has none of.
+            segment_bytes: 0,
             stats: WalStats::shared(),
         }
     }
@@ -107,14 +105,9 @@ impl MessageQueue {
     /// Creates (or reopens) a **durable** broker rooted at `root`: every
     /// append is journalled, and `create_topic` reloads retained records
     /// with identical offsets — Kafka's durability contract (paper §V).
-    /// Commits reach the OS page cache (they survive `kill -9` but not
-    /// power loss); use [`MessageQueue::durable_with`] for fsync control.
-    pub fn durable(root: impl Into<PathBuf>) -> Result<Self> {
-        Self::durable_with(root, FsyncPolicy::Never, DEFAULT_SEGMENT_BYTES)
-    }
-
-    /// [`MessageQueue::durable`] with an explicit fsync policy and WAL
-    /// segment size (the `durability_fsync` / `wal_segment_bytes` knobs).
+    /// `policy` and `segment_bytes` are the `durability_fsync` /
+    /// `wal_segment_bytes` knobs: under [`FsyncPolicy::Never`] commits
+    /// reach the OS page cache (they survive `kill -9`, not power loss).
     pub fn durable_with(
         root: impl Into<PathBuf>,
         policy: FsyncPolicy,
@@ -540,9 +533,7 @@ mod tests {
         let root = std::env::temp_dir().join(format!("ww-mq-durable-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         {
-            let mq =
-                MessageQueue::durable_with(&root, waterwheel_wal::FsyncPolicy::Always, 1 << 20)
-                    .unwrap();
+            let mq = MessageQueue::durable_with(&root, FsyncPolicy::Always, 1 << 20).unwrap();
             mq.create_topic("ingest", 2).unwrap();
             mq.append_batch_from(
                 "ingest",
@@ -565,7 +556,7 @@ mod tests {
         }
         // A fresh broker over the same root replays everything, offsets
         // and exactly-once markers intact.
-        let mq = MessageQueue::durable(&root).unwrap();
+        let mq = MessageQueue::durable_with(&root, FsyncPolicy::Never, 1 << 20).unwrap();
         mq.create_topic("ingest", 2).unwrap();
         assert_eq!(mq.latest_offset("ingest", 0).unwrap(), 3);
         assert_eq!(mq.last_seq("ingest", 0, 2000).unwrap(), Some(2));

@@ -576,13 +576,13 @@ fn encode_meta_request(out: &mut impl Encoder, req: &MetaRequest) {
         } => {
             out.put_u8(2);
             out.put_u64(chunk.raw());
-            encode_chunk_info(out, info);
+            info.encode(out);
             out.put_u64(*durable_offset);
         }
         MetaRequest::RegisterSummary { chunk, extent } => {
             out.put_u8(3);
             out.put_u64(chunk.raw());
-            encode_summary_extent(out, extent);
+            extent.encode(out);
         }
         MetaRequest::RegisterAttrIndex { chunk, attr, index } => {
             out.put_u8(4);
@@ -670,12 +670,12 @@ fn decode_meta_request(dec: &mut Decoder<'_>) -> Result<MetaRequest> {
         1 => MetaRequest::AllocateChunkId,
         2 => MetaRequest::RegisterChunk {
             chunk: ChunkId(dec.get_u64()?),
-            info: decode_chunk_info(dec)?,
+            info: ChunkInfo::decode(dec)?,
             durable_offset: dec.get_u64()?,
         },
         3 => MetaRequest::RegisterSummary {
             chunk: ChunkId(dec.get_u64()?),
-            extent: decode_summary_extent(dec)?,
+            extent: SummaryExtent::decode(dec)?,
         },
         4 => MetaRequest::RegisterAttrIndex {
             chunk: ChunkId(dec.get_u64()?),
@@ -729,68 +729,6 @@ fn decode_meta_request(dec: &mut Decoder<'_>) -> Result<MetaRequest> {
                 format!("unknown meta request tag {other}"),
             ))
         }
-    })
-}
-
-fn encode_chunk_info(out: &mut impl Encoder, info: &ChunkInfo) {
-    encode_region(out, &info.region);
-    out.put_u64(info.count);
-    out.put_u64(info.bytes);
-    out.put_u32(info.producer.raw());
-}
-
-fn decode_chunk_info(dec: &mut Decoder<'_>) -> Result<ChunkInfo> {
-    Ok(ChunkInfo {
-        region: decode_region(dec)?,
-        count: dec.get_u64()?,
-        bytes: dec.get_u64()?,
-        producer: ServerId(dec.get_u32()?),
-    })
-}
-
-fn encode_summary_extent(out: &mut impl Encoder, e: &SummaryExtent) {
-    out.put_u64(e.cells);
-    out.put_u64(e.bytes);
-    out.put_u8(e.levels);
-    out.put_u8(e.slice_bits);
-    match e.measure_range {
-        Some((lo, hi)) => {
-            out.put_u8(1);
-            out.put_u64(lo);
-            out.put_u64(hi);
-        }
-        None => out.put_u8(0),
-    }
-}
-
-fn decode_summary_extent(dec: &mut Decoder<'_>) -> Result<SummaryExtent> {
-    let cells = dec.get_u64()?;
-    let bytes = dec.get_u64()?;
-    let levels = dec.get_u8()?;
-    let slice_bits = dec.get_u8()?;
-    let measure_range = match dec.get_u8()? {
-        0 => None,
-        1 => {
-            let lo = dec.get_u64()?;
-            let hi = dec.get_u64()?;
-            if lo > hi {
-                return Err(WwError::corrupt("frame", "inverted measure range"));
-            }
-            Some((lo, hi))
-        }
-        other => {
-            return Err(WwError::corrupt(
-                "frame",
-                format!("unknown measure-range flag {other}"),
-            ))
-        }
-    };
-    Ok(SummaryExtent {
-        cells,
-        bytes,
-        levels,
-        slice_bits,
-        measure_range,
     })
 }
 
@@ -1039,7 +977,7 @@ fn encode_meta_response(out: &mut impl Encoder, resp: &MetaResponse) {
             match extent {
                 Some(e) => {
                     out.put_u8(1);
-                    encode_summary_extent(out, e);
+                    e.encode(out);
                 }
                 None => out.put_u8(0),
             }
@@ -1106,7 +1044,7 @@ fn decode_meta_response(dec: &mut Decoder<'_>) -> Result<MetaResponse> {
         }),
         5 => MetaResponse::Extent(match dec.get_u8()? {
             0 => None,
-            1 => Some(decode_summary_extent(dec)?),
+            1 => Some(SummaryExtent::decode(dec)?),
             other => {
                 return Err(WwError::corrupt(
                     "frame",

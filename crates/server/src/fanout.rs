@@ -285,12 +285,12 @@ mod tests {
         assert!((1..=2).contains(&started), "started {started}");
         // Later tickets are served by the same threads once they are idle.
         for round in 0..50 {
-            pool.submit(&job, &[round]);
-            assert_eq!(rx.recv_timeout(DEADLINE).unwrap(), round);
-            // Let the helper park again, so the next ticket finds it idle.
+            // Let a helper park first, so the ticket finds it idle.
             while pool.shared.lock().idle == 0 {
                 std::thread::yield_now();
             }
+            pool.submit(&job, &[round]);
+            assert_eq!(rx.recv_timeout(DEADLINE).unwrap(), round);
         }
         assert_eq!(pool.threads_started(), started);
         assert_eq!(pool.tickets_issued(), 52);

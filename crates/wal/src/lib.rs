@@ -427,7 +427,8 @@ static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// [`FsyncPolicy::Always`]), then renamed over `path`, then the parent
 /// directory is fsynced so the rename itself is durable. A crash at any
 /// point leaves either the old file or the new file — never a partial
-/// one. Stray temps from crashed writers are cleared by [`sweep_tmp`].
+/// one. Stray temps from crashed writers are cleared by [`sweep_tmp`] or,
+/// per artifact, [`sweep_tmp_of`].
 pub fn write_atomic(
     path: &Path,
     bytes: &[u8],
@@ -474,12 +475,25 @@ pub fn fsync_dir(dir: &Path) -> Result<()> {
 /// Removes stray `.…tmp` files left by writers that crashed between
 /// temp-file creation and rename. Returns how many were removed.
 pub fn sweep_tmp(dir: &Path) -> Result<u64> {
+    sweep_tmp_prefixed(dir, ".")
+}
+
+/// [`sweep_tmp`] for one artifact in a directory other writers share:
+/// removes only the temps [`write_atomic`] made for `path`.
+pub fn sweep_tmp_of(path: &Path) -> Result<u64> {
+    match (path.parent(), path.file_name().and_then(|n| n.to_str())) {
+        (Some(dir), Some(base)) => sweep_tmp_prefixed(dir, &format!(".{base}.")),
+        _ => Ok(0),
+    }
+}
+
+fn sweep_tmp_prefixed(dir: &Path, prefix: &str) -> Result<u64> {
     let mut removed = 0;
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        if name.starts_with('.') && name.ends_with(".tmp") {
+        if name.starts_with(prefix) && name.ends_with(".tmp") {
             fs::remove_file(entry.path())?;
             removed += 1;
         }

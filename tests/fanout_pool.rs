@@ -15,6 +15,22 @@ fn thread_count() -> Option<usize> {
     std::fs::read_dir("/proc/self/task").ok().map(|d| d.count())
 }
 
+/// [`thread_count`] once it is down to `want`. `join` returns when the
+/// thread has signalled its exit, which is before the kernel unlists it —
+/// microseconds on a quiet host, milliseconds on a loaded one. A leaked
+/// thread never leaves: its count comes back after the wait and fails the
+/// caller's comparison.
+fn settled_thread_count(want: Option<usize>) -> Option<usize> {
+    let patience = Instant::now() + Duration::from_secs(5);
+    loop {
+        let now = thread_count();
+        if now <= want || Instant::now() > patience {
+            return now;
+        }
+        std::thread::yield_now();
+    }
+}
+
 /// SplitMix64: deterministic query rectangles.
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -99,7 +115,11 @@ fn queries_create_no_threads_and_a_coordinator_restart_returns_them() {
     // returns, the fresh one starts empty and grows again on demand.
     for round in 0..50 {
         ww.restart_coordinator();
-        assert_eq!(thread_count(), bare, "restart {round} leaked pool threads");
+        assert_eq!(
+            settled_thread_count(bare),
+            bare,
+            "restart {round} leaked pool threads"
+        );
         assert_eq!(ww.coordinator().fanout_pool().threads_started(), 0);
         run_queries(&ww, 20, 100 + round);
         assert!(ww.coordinator().fanout_pool().threads_started() <= cap);
@@ -110,6 +130,10 @@ fn queries_create_no_threads_and_a_coordinator_restart_returns_them() {
     let coordinator = std::sync::Arc::downgrade(&ww.coordinator());
     drop(ww);
     assert!(coordinator.upgrade().is_none(), "the coordinator leaked");
-    assert_eq!(thread_count(), before_build, "the system left threads");
+    assert_eq!(
+        settled_thread_count(before_build),
+        before_build,
+        "the system left threads"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
