@@ -145,10 +145,13 @@ settings! {
     /// off, aggregate queries fall back to the tuple-scan path end to end).
     agg_summaries_enabled: bool = true,
 
-    /// Tuples per `Request::IngestBatch` envelope on the dispatcher →
-    /// indexing hop (paper §VI Fig. 15: ingest throughput comes from
-    /// amortizing per-record overhead). `1` makes every tuple a batch of
-    /// one — still sequence-numbered, deduplicated and journaled.
+    /// Tuples at which a `Request::IngestBatch` envelope leaves an *idle*
+    /// dispatcher → indexing link (paper §VI Fig. 15: ingest throughput
+    /// comes from amortizing per-record overhead). While a link's batch is
+    /// in flight, the next one leaves at 8× this many (or on linger). The
+    /// in-process plane answers before a send returns, so there every batch
+    /// is this size and `1` makes every tuple a batch of one — still
+    /// sequence-numbered, deduplicated and journaled.
     ingest_batch_size: usize = 128,
 
     /// Per-attempt deadline for every cross-server RPC. An attempt whose

@@ -1,8 +1,9 @@
 //! Retrying RPC client: deadlines, bounded retry, stats.
 //!
 //! An [`RpcClient`] is one sender's handle onto the message plane. Each
-//! `call` stamps a fresh per-attempt deadline from
-//! [`SystemConfig::rpc_timeout`], and retries **only** delivery failures
+//! `call` — or `start`, whose [`PendingCall`] is waited for later — stamps
+//! a fresh per-attempt deadline from [`SystemConfig::rpc_timeout`], and
+//! retries **only** delivery failures
 //! ([`WwError::is_retryable`]: timeout/unreachable/overloaded) up to
 //! [`SystemConfig::rpc_retries`] extra attempts. A lost or late attempt is
 //! retried at once; when the destination shed the request with
@@ -29,7 +30,7 @@
 //! reason.
 
 use crate::envelope::{Envelope, Request, Response};
-use crate::transport::Transport;
+use crate::transport::{Pending, Transport};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -71,52 +72,91 @@ impl RpcClient {
     /// The whole call (retries included) is recorded in the transport's
     /// per-kind latency histogram.
     pub fn call(&self, dst: ServerId, req: Request) -> Result<Response> {
-        let started = Instant::now();
-        let kind = req.kind();
-        let result = self.call_inner(dst, req);
-        self.transport
-            .stats()
-            .record_latency(kind, started.elapsed());
-        result
+        self.start(dst, req).wait()
     }
 
-    fn call_inner(&self, dst: ServerId, req: Request) -> Result<Response> {
-        let rpc_id = self.next_rpc_id.fetch_add(1, Ordering::Relaxed);
-        // One envelope per call: transports only borrow it, so a retry
-        // re-sends the same payload under a fresh deadline.
-        let mut env = Envelope {
+    /// Puts `req` on its way to `dst` and returns at once; the answer —
+    /// retried per the policy — is collected by [`PendingCall::wait`].
+    pub fn start(&self, dst: ServerId, req: Request) -> PendingCall {
+        let started = Instant::now();
+        let env = Envelope {
             src: self.src,
             dst,
-            rpc_id,
+            rpc_id: self.next_rpc_id.fetch_add(1, Ordering::Relaxed),
             deadline: Instant::now() + self.timeout,
             payload: req,
         };
-        let mut attempt = 0u32;
-        loop {
-            match self.transport.send(&env) {
-                Ok(resp) => return Ok(resp),
-                Err(e) if e.is_retryable() && attempt < self.retries => {
-                    attempt += 1;
-                    self.transport
-                        .stats()
-                        .link(self.src, dst)
-                        .retried
-                        .fetch_add(1, Ordering::Relaxed);
-                    // An overloaded destination says when to come back.
-                    if let Some(hint) = e.retry_after() {
-                        let seed = rpc_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(attempt);
-                        std::thread::sleep(hint.mul_f64(jitter_factor(seed)));
-                    }
-                    env.deadline = Instant::now() + self.timeout;
-                }
-                Err(e) => return Err(e),
-            }
+        PendingCall {
+            attempt: self.transport.start(&env),
+            rpc: self.clone(),
+            env,
+            started,
         }
     }
 
     /// Whether `dst` currently answers a liveness probe.
     pub fn ping(&self, dst: ServerId) -> bool {
         matches!(self.call(dst, Request::Ping), Ok(Response::Pong))
+    }
+}
+
+/// One call started by [`RpcClient::start`]. It keeps the envelope, so a
+/// retryable failure is resent — same payload and rpc id, fresh deadline —
+/// when the answer is collected.
+pub struct PendingCall {
+    rpc: RpcClient,
+    env: Envelope,
+    started: Instant,
+    attempt: Pending,
+}
+
+impl PendingCall {
+    /// Whether the transport answered before `start` returned (see
+    /// [`Pending::answered_at_start`]).
+    pub fn answered_at_start(&self) -> bool {
+        self.attempt.answered_at_start()
+    }
+
+    /// Whether the current attempt's answer is in ([`wait`](Self::wait)
+    /// may still block if it is a retryable failure).
+    pub fn is_ready(&self) -> bool {
+        self.attempt.is_ready()
+    }
+
+    /// The answer, retrying delivery failures per the client's policy.
+    pub fn wait(self) -> Result<Response> {
+        let Self {
+            rpc,
+            mut env,
+            started,
+            mut attempt,
+        } = self;
+        let mut retries = 0u32;
+        let result = loop {
+            match attempt.wait() {
+                Err(e) if e.is_retryable() && retries < rpc.retries => {
+                    retries += 1;
+                    rpc.transport
+                        .stats()
+                        .link(rpc.src, env.dst)
+                        .retried
+                        .fetch_add(1, Ordering::Relaxed);
+                    // An overloaded destination says when to come back.
+                    if let Some(hint) = e.retry_after() {
+                        let seed =
+                            env.rpc_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(retries);
+                        std::thread::sleep(hint.mul_f64(jitter_factor(seed)));
+                    }
+                    env.deadline = Instant::now() + rpc.timeout;
+                    attempt = rpc.transport.start(&env);
+                }
+                answer => break answer,
+            }
+        };
+        rpc.transport
+            .stats()
+            .record_latency(env.payload.kind(), started.elapsed());
+        result
     }
 }
 

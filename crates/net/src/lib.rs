@@ -10,13 +10,15 @@
 //! * [`envelope`] — the typed message taxonomy. Every cross-server call
 //!   is a [`Request`] inside an [`Envelope`] (src, dst, rpc id, deadline);
 //!   answers are typed [`Response`]s.
-//! * [`transport`] — the [`Transport`] seam and [`InProcTransport`], the
+//! * [`transport`] — the [`Transport`] seam (`start` an envelope, get a
+//!   [`Pending`] answer) and [`InProcTransport`], the
 //!   in-process implementation with per-link latency/jitter profiles,
 //!   injectable loss/partition/cut-off faults, cluster-liveness awareness,
 //!   and per-link [`RpcStats`].
 //! * [`client`] — [`RpcClient`], the retrying stub: per-attempt deadlines
 //!   from [`SystemConfig::rpc_timeout`](waterwheel_core::SystemConfig),
-//!   bounded retry with backoff for delivery failures only.
+//!   bounded retry with backoff for delivery failures only; a call may be
+//!   started now and waited for later ([`PendingCall`]).
 //! * [`meta_client`] — [`MetaClient`] and [`serve_meta`], restoring the
 //!   network boundary in front of the metadata service.
 //! * [`wire`] — the binary frame codec: every request and response can be
@@ -50,7 +52,7 @@ pub mod tcp;
 pub mod transport;
 pub mod wire;
 
-pub use client::RpcClient;
+pub use client::{PendingCall, RpcClient};
 pub use envelope::{
     Envelope, MetaRequest, MetaResponse, Request, RequestClass, Response, COORDINATOR, META_SERVER,
 };
@@ -61,5 +63,5 @@ pub use tcp::{
 };
 pub use transport::{
     AdmissionControl, AdmissionPermit, Handler, HandlerRegistry, InProcTransport, LatencyHistogram,
-    LinkProfile, RpcStats, RpcStatsRegistry, RpcTotals, Transport,
+    LinkProfile, Pending, PendingAnswer, RpcStats, RpcStatsRegistry, RpcTotals, Transport,
 };

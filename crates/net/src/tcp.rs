@@ -7,7 +7,9 @@
 //! frame. There is no reader thread per connection: every pooled socket
 //! is registered with a shared reactor, whose shard threads assemble
 //! response frames incrementally and wake the exact sender waiting on the
-//! matching correlation id. [`TcpRpcServer`] is the listener side — the
+//! matching correlation id. [`Transport::start`] returns once the frame is
+//! written; the sender collects the answer from its slot when it chooses
+//! (its [`Pending`]). [`TcpRpcServer`] is the listener side — the
 //! same reactor multiplexes the listening socket and every accepted
 //! connection; decoded requests are executed by a small fixed worker pool
 //! (ingest > query > metadata priority bands) dispatching the very same
@@ -42,14 +44,16 @@
 
 use crate::envelope::{Envelope, Request, RequestClass, Response};
 use crate::reactor::{ConnHandle, ListenerHandle, Reactor, Sink};
-use crate::transport::{HandlerRegistry, RpcStatsRegistry, Transport};
+use crate::transport::{
+    HandlerRegistry, Pending, PendingAnswer, RpcStats, RpcStatsRegistry, Transport,
+};
 use crate::wire;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
-use waterwheel_core::{Result, ServerId, Tuple, WwError};
+use waterwheel_core::{Predicate, Result, ServerId, Tuple, WwError};
 
 waterwheel_core::counters! {
     /// Wire-level counters shared by a process's TCP endpoints (client pool
@@ -413,24 +417,26 @@ impl Drop for TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn send(&self, env: &Envelope) -> Result<Response> {
+    /// Registers the correlation slot and writes the frame; the answer is
+    /// collected by the returned [`Pending`].
+    fn start(&self, env: &Envelope) -> Pending {
         let link = self.stats.link(env.src, env.dst);
         link.sent.fetch_add(1, Ordering::Relaxed);
 
         let Some(addr) = self.route(env.dst) else {
             link.unreachable.fetch_add(1, Ordering::Relaxed);
-            return Err(WwError::Unreachable("no route to destination"));
+            return Pending::answered(Err(WwError::Unreachable("no route to destination")));
         };
         let conn = match self.connection(addr, env.deadline) {
             Ok(c) => c,
             Err(e) => {
                 link.unreachable.fetch_add(1, Ordering::Relaxed);
-                return Err(e);
+                return Pending::answered(Err(e));
             }
         };
 
         // The sender's predicate cannot cross the wire; keep it to
-        // re-filter the remote answer below.
+        // re-filter the remote answer on arrival.
         let predicate = match &env.payload {
             Request::InMemorySubquery { sq } => sq.predicate.clone(),
             Request::ChunkSubquery { sq, .. } => sq.predicate.clone(),
@@ -455,24 +461,55 @@ impl Transport for TcpTransport {
             conn.sink.fail_all("connection lost while sending");
             conn.handle.close();
             link.unreachable.fetch_add(1, Ordering::Relaxed);
-            return Err(WwError::Unreachable(
+            return Pending::answered(Err(WwError::Unreachable(
                 if e.kind() == std::io::ErrorKind::BrokenPipe {
                     "connection closed by peer"
                 } else {
                     "connection lost while sending"
                 },
-            ));
+            )));
         }
+        Pending::awaiting(TcpCall {
+            slot,
+            corr,
+            conn,
+            link,
+            predicate,
+            deadline: env.deadline,
+        })
+    }
 
-        // Wait for the reactor to fill the slot, up to the deadline.
-        let (lock, cvar) = &*slot;
+    fn stats(&self) -> &Arc<RpcStatsRegistry> {
+        &self.stats
+    }
+}
+
+/// One request on the wire: the slot the reactor fills with its answer.
+struct TcpCall {
+    slot: Slot,
+    corr: u64,
+    conn: Arc<PooledConn>,
+    link: Arc<RpcStats>,
+    predicate: Option<Predicate>,
+    deadline: Instant,
+}
+
+impl PendingAnswer for TcpCall {
+    fn is_ready(&self) -> bool {
+        self.slot.0.lock().unwrap().is_some() || Instant::now() >= self.deadline
+    }
+
+    /// Waits for the reactor to fill the slot, up to the deadline.
+    fn wait(self: Box<Self>) -> Result<Response> {
+        let link = &self.link;
+        let (lock, cvar) = &*self.slot;
         let mut value = lock.lock().unwrap();
         loop {
             if let Some(v) = value.take() {
                 return match v {
                     SlotValue::Remote(Ok(mut resp), resp_len) => {
                         link.bytes.fetch_add(resp_len, Ordering::Relaxed);
-                        if let (Some(p), Response::Tuples(tuples)) = (&predicate, &mut resp) {
+                        if let (Some(p), Response::Tuples(tuples)) = (&self.predicate, &mut resp) {
                             tuples.retain(|t: &Tuple| p(t));
                         }
                         Ok(resp)
@@ -489,20 +526,16 @@ impl Transport for TcpTransport {
                     }
                 };
             }
-            let remaining = env.deadline.saturating_duration_since(Instant::now());
+            let remaining = self.deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 drop(value);
-                conn.sink.pending.lock().unwrap().remove(&corr);
+                self.conn.sink.pending.lock().unwrap().remove(&self.corr);
                 link.timed_out.fetch_add(1, Ordering::Relaxed);
                 return Err(WwError::Timeout("rpc response exceeded the deadline"));
             }
             let (guard, _) = cvar.wait_timeout(value, remaining).unwrap();
             value = guard;
         }
-    }
-
-    fn stats(&self) -> &Arc<RpcStatsRegistry> {
-        &self.stats
     }
 }
 

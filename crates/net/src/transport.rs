@@ -1,8 +1,11 @@
 //! The pluggable transport and its in-process production implementation.
 //!
 //! [`Transport`] is the single seam every cross-server hop goes through:
-//! it accepts an [`Envelope`] and returns the destination's [`Response`]
-//! or a delivery error. [`InProcTransport`] is the embedded deployment's
+//! it accepts an [`Envelope`] and returns a [`Pending`] answer — the
+//! destination's [`Response`] or a delivery error, already in or still on
+//! its way — so a sender may keep working while its request is on the wire
+//! (the dispatcher's one in-flight batch per link). [`InProcTransport`] is
+//! the embedded deployment's
 //! implementation — direct handler invocation dressed with the properties
 //! of a real network:
 //!
@@ -185,14 +188,74 @@ impl HandlerRegistry {
     }
 }
 
-/// The message plane: every cross-server hop goes through `send`.
+/// The message plane: every cross-server hop goes through `start`.
 pub trait Transport: Send + Sync {
-    /// Delivers one envelope and returns the destination's response, or a
-    /// delivery error ([`WwError::Timeout`] / [`WwError::Unreachable`]).
-    fn send(&self, env: &Envelope) -> Result<Response>;
+    /// Puts one envelope on its way and returns its [`Pending`] answer: the
+    /// destination's response, or a delivery error ([`WwError::Timeout`] /
+    /// [`WwError::Unreachable`]). The in-process plane answers before it
+    /// returns; TCP returns once the frame is written.
+    fn start(&self, env: &Envelope) -> Pending;
+
+    /// Delivers one envelope and waits for its answer.
+    fn send(&self, env: &Envelope) -> Result<Response> {
+        self.start(env).wait()
+    }
 
     /// The per-link statistics registry.
     fn stats(&self) -> &Arc<RpcStatsRegistry>;
+}
+
+/// The answer to one started delivery: either already in, or on its way.
+pub struct Pending(PendingState);
+
+enum PendingState {
+    Answered(Result<Response>),
+    Awaiting(Box<dyn PendingAnswer>),
+}
+
+/// An answer a transport is still waiting for (the TCP plane's
+/// correlation slot; a test transport's held answer).
+pub trait PendingAnswer: Send {
+    /// Whether [`wait`](Self::wait) would return without blocking.
+    fn is_ready(&self) -> bool;
+
+    /// Blocks until the answer is in, or its deadline has passed.
+    fn wait(self: Box<Self>) -> Result<Response>;
+}
+
+impl Pending {
+    /// An answer that is already in — no allocation.
+    pub fn answered(answer: Result<Response>) -> Self {
+        Self(PendingState::Answered(answer))
+    }
+
+    /// An answer still on its way.
+    pub fn awaiting(answer: impl PendingAnswer + 'static) -> Self {
+        Self(PendingState::Awaiting(Box::new(answer)))
+    }
+
+    /// Whether the answer was already in when `start` returned — always
+    /// on the in-process plane, which runs the handler inline; never for
+    /// an answer still on its way then, even once it has come in.
+    pub fn answered_at_start(&self) -> bool {
+        matches!(self.0, PendingState::Answered(_))
+    }
+
+    /// Whether [`wait`](Self::wait) would return without blocking.
+    pub fn is_ready(&self) -> bool {
+        match &self.0 {
+            PendingState::Answered(_) => true,
+            PendingState::Awaiting(a) => a.is_ready(),
+        }
+    }
+
+    /// The answer, blocking until it is in.
+    pub fn wait(self) -> Result<Response> {
+        match self.0 {
+            PendingState::Answered(answer) => answer,
+            PendingState::Awaiting(a) => a.wait(),
+        }
+    }
 }
 
 /// Latency and fault profile of one directed link (or the default for all).
@@ -452,10 +515,8 @@ impl InProcTransport {
         z ^= z >> 31;
         (z >> 11) as f64 / (1u64 << 53) as f64
     }
-}
 
-impl Transport for InProcTransport {
-    fn send(&self, env: &Envelope) -> Result<Response> {
+    fn deliver(&self, env: &Envelope) -> Result<Response> {
         let link = self.stats.link(env.src, env.dst);
         let n_sent = link.sent.fetch_add(1, Ordering::Relaxed) + 1;
         // Charge the byte counter with the real encoded frame length — the
@@ -522,6 +583,13 @@ impl Transport for InProcTransport {
             return Err(WwError::Timeout("response lost in transit"));
         }
         Ok(resp)
+    }
+}
+
+impl Transport for InProcTransport {
+    /// Runs the destination handler inline: the answer is in on return.
+    fn start(&self, env: &Envelope) -> Pending {
+        Pending::answered(self.deliver(env))
     }
 
     fn stats(&self) -> &Arc<RpcStatsRegistry> {

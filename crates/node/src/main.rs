@@ -195,6 +195,17 @@ fn smoke(args: &[String]) -> Result<(), String> {
             scraped.get("coordinator.queries"),
             3,
         )?;
+        // The flush collected every batch the gateway had on the wire.
+        check_eq(
+            "scraped dispatcher.dispatched",
+            scraped.get("dispatcher.dispatched"),
+            tuples,
+        )?;
+        check_eq(
+            "scraped dispatcher.pending + dispatcher.in_flight",
+            scraped.get("dispatcher.pending") + scraped.get("dispatcher.in_flight"),
+            0,
+        )?;
         let answered = |r: &&StatRow| r.name == "admission.admitted";
         let processes = scraped.rows().iter().filter(answered).count();
         check_eq("processes that answered the scrape", processes as u64, 4)

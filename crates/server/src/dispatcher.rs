@@ -8,36 +8,50 @@
 //! replayable input queue, so delivery inherits the plane's deadlines,
 //! retries, and fault injection.
 //!
-//! **Batching.** Tuples are buffered per destination and shipped as one
-//! [`Request::IngestBatch`] envelope when the buffer reaches
-//! `ingest_batch_size` (or when a background flush notices a partial batch
-//! older than [`INGEST_LINGER`]); at `ingest_batch_size = 1` every tuple is
-//! a batch of one. One envelope, one queue append-batch, one
-//! round-trip per *batch* instead of per tuple is where the paper's
-//! realtime ingest rate comes from (Fig. 15). Each batch carries a
-//! per-(dispatcher, destination) monotonic sequence number; a batch that
+//! **Batching.** Tuples are buffered per *link* — one (dispatcher,
+//! destination) pair — and shipped as one [`Request::IngestBatch`]
+//! envelope. One envelope, one queue append-batch, one round-trip per
+//! *batch* instead of per tuple is where the paper's realtime ingest rate
+//! comes from (Fig. 15); not idling on that round trip is what keeps it
+//! over a real network. A link has **at most one batch in flight**. An
+//! idle link sends its buffer when it reaches `ingest_batch_size`. While a
+//! batch is on the wire the buffer keeps filling, and the next batch leaves
+//! when the buffer reaches [`COALESCE_FACTOR`] × `ingest_batch_size` — the
+//! producer waits for the answer there, if it is not in yet — or when the
+//! background linger flusher, which collects answers that are in without
+//! waiting, finds a buffer older than [`INGEST_LINGER`]. A plane that
+//! answers before `start` returns (the in-process one) leaves its link idle
+//! at once, so there every batch is exactly `ingest_batch_size` tuples and
+//! at `1` every tuple is a batch of one. Over TCP a saturating producer no
+//! longer waits for a round trip per batch, and its batches are cut at
+//! points that depend only on the tuple sequence and the flushes, never on
+//! when an answer happened to arrive.
+//!
+//! Each batch carries a per-link monotonic sequence number; a batch that
 //! failed is retried later under its *original* number, never renumbered,
 //! so the receiver can drop redeliveries whose first attempt actually
-//! landed. To keep those numbers meaningful, a destination's batches are
-//! sent strictly in order: a failed batch blocks younger tuples for that
-//! destination until it is delivered.
+//! landed. To keep those numbers meaningful a link's batches are sent
+//! strictly in order — a failed batch blocks younger tuples for that link
+//! until it is delivered — and one at a time: the receiver drops
+//! `seq <= last` as a redelivery and a TCP server runs requests on several
+//! workers, so a second batch in flight on the link could be applied before
+//! the first, which would then be dropped as a "redelivery".
 //!
 //! **Sampling.** "Each dispatcher samples the key frequencies of its input
 //! stream in a sliding window of a few seconds" — implemented as
 //! per-server counts plus a reservoir sample of keys per window, which the
 //! partition balancer periodically collects. Only *acknowledged* tuples
-//! are recorded (on the batch ack): a send
-//! that never reached its server must not inflate that server's load in
-//! the balancer's eyes.
+//! are recorded (on the batch ack): a send that never reached its server
+//! must not inflate that server's load in the balancer's eyes.
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use waterwheel_core::{ChunkId, Counters, Key, Result, ServerId, SystemConfig, Tuple, WwError};
 use waterwheel_meta::PartitionSchema;
-use waterwheel_net::{Request, Response, RpcClient};
+use waterwheel_net::{PendingCall, Request, Response, RpcClient, RpcStats};
 
 /// Reservoir capacity per sampling window.
 const RESERVOIR_CAP: usize = 4_096;
@@ -46,6 +60,11 @@ const RESERVOIR_CAP: usize = 4_096;
 /// before the background linger flusher sends it anyway. Bounds the
 /// visibility latency batching can add to a trickling stream.
 pub const INGEST_LINGER: Duration = Duration::from_millis(2);
+
+/// How far a link's buffer grows while its batch is in flight, in
+/// multiples of `ingest_batch_size`: at this size the next batch leaves,
+/// the producer waiting for the in-flight answer first (back-pressure).
+pub const COALESCE_FACTOR: usize = 8;
 
 /// The first batch sequence number of a sender constructed now. Receivers
 /// remember — durably, in the queue's journal — the highest `seq` per
@@ -64,17 +83,13 @@ pub fn incarnation_seq_base() -> u64 {
         .map_or(0, |d| d.as_nanos() as u64)
 }
 
-/// Sends batch `seq` to `dst`; returns how many tuples the receiver took.
-/// `resent` says an earlier send of this very batch failed (it may have
-/// landed with only the ack lost) and is set when this one fails.
-///
-/// A `deduped` ack means the receiver already holds `seq` or younger from
-/// this sender. Only an earlier delivery of this batch explains that: an
-/// earlier failed send (`resent`) or a retry inside this call (the link's
-/// `retried` counter moves). With neither, the numbering collides with a
-/// previous incarnation's — its clock ran ahead of this sender's
-/// [`incarnation_seq_base`] — and the receiver has just dropped fresh
-/// tuples: that is a typed error, never an acknowledged loss.
+/// Sends batch `seq` to `dst` and waits; returns how many tuples the
+/// receiver took. `resent` says an earlier send of this very batch failed
+/// (it may have landed with only the ack lost) and is set when this one
+/// fails. The ack is read by the same check as the dispatcher's in-flight
+/// batches: a `deduped` answer that neither an earlier failed send nor a
+/// retry of this one explains is a typed error (see
+/// [`incarnation_seq_base`]).
 pub fn send_batch(
     rpc: &RpcClient,
     dst: ServerId,
@@ -82,34 +97,73 @@ pub fn send_batch(
     tuples: Vec<Tuple>,
     resent: &mut bool,
 ) -> Result<u32> {
-    let link = rpc.transport().stats().link(rpc.src(), dst);
-    let retried = link.retried.load(Ordering::Relaxed);
-    let acked = rpc
-        .call(dst, Request::IngestBatch { seq, tuples })
-        .and_then(Response::into_ack_batch);
-    let redelivered = *resent || link.retried.load(Ordering::Relaxed) != retried;
-    match acked {
-        Ok((_, true)) if !redelivered => Err(WwError::InvalidState(format!(
-            "{dst:?} dropped batch {seq} from {:?} as a redelivery, but it was never sent \
-             before: batch numbering restarted below an earlier incarnation's (did the \
-             clock step back?)",
-            rpc.src()
-        ))),
-        Ok((n, _)) => Ok(n),
-        Err(e) => {
-            *resent = true;
-            Err(e)
+    BatchCall::start(rpc, dst, seq, tuples).finish(resent)
+}
+
+/// One `IngestBatch` on its way, with what reading its ack needs: the
+/// link's `retried` count when it was started.
+struct BatchCall {
+    call: PendingCall,
+    link: Arc<RpcStats>,
+    retried: u64,
+    src: ServerId,
+    dst: ServerId,
+    seq: u64,
+}
+
+impl BatchCall {
+    fn start(rpc: &RpcClient, dst: ServerId, seq: u64, tuples: Vec<Tuple>) -> Self {
+        let link = rpc.transport().stats().link(rpc.src(), dst);
+        let retried = link.retried.load(Ordering::Relaxed);
+        Self {
+            call: rpc.start(dst, Request::IngestBatch { seq, tuples }),
+            link,
+            retried,
+            src: rpc.src(),
+            dst,
+            seq,
+        }
+    }
+
+    /// The ack, waiting for it if it is not in yet.
+    ///
+    /// A `deduped` ack means the receiver already holds `seq` or younger
+    /// from this sender. Only an earlier delivery of this batch explains
+    /// that: an earlier failed send (`resent`) or a retry of this one (the
+    /// link's `retried` counter moved since it started). With neither, the
+    /// numbering collides with a previous incarnation's — its clock ran
+    /// ahead of this sender's [`incarnation_seq_base`] — and the receiver
+    /// has just dropped fresh tuples: that is a typed error, never an
+    /// acknowledged loss.
+    fn finish(self, resent: &mut bool) -> Result<u32> {
+        let acked = self.call.wait().and_then(Response::into_ack_batch);
+        let redelivered = *resent || self.link.retried.load(Ordering::Relaxed) != self.retried;
+        match acked {
+            Ok((_, true)) if !redelivered => Err(WwError::InvalidState(format!(
+                "{:?} dropped batch {} from {:?} as a redelivery, but it was never sent \
+                 before: batch numbering restarted below an earlier incarnation's (did the \
+                 clock step back?)",
+                self.dst, self.seq, self.src
+            ))),
+            Ok((n, _)) => Ok(n),
+            Err(e) => {
+                *resent = true;
+                Err(e)
+            }
         }
     }
 }
 
 /// `dispatcher.*`, one set per dispatcher: tuples and batch envelopes
-/// acknowledged, and tuples accepted but still buffered.
+/// acknowledged, tuples accepted but not yet acknowledged, batches on the
+/// wire now, and batches that coalesced past `ingest_batch_size`.
 impl Counters for Dispatcher {
     fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
         f("dispatched", self.dispatched());
         f("batches_sent", self.batches_sent());
         f("pending", self.pending());
+        f("in_flight", self.in_flight());
+        f("coalesced", self.coalesced());
     }
 }
 
@@ -157,19 +211,38 @@ impl Sampler {
     }
 }
 
-/// Buffered and in-flight batches for one destination. The whole struct
-/// sits behind one mutex held across the send, so a destination's batches
-/// leave in sequence order — the invariant the receiver's dedup relies on.
+/// One (dispatcher, destination) link.
+struct Link {
+    /// Tuples accepted for this link and not yet acknowledged: buffered,
+    /// in flight, or in a failed batch. Kept beside the mutex — which a
+    /// wait for the wire may hold — so `pending()` and every stats scrape
+    /// read it without waiting on the wire.
+    unacked: AtomicU64,
+    state: Mutex<DestState>,
+}
+
+impl Link {
+    fn lock(&self) -> MutexGuard<'_, DestState> {
+        self.state.lock()
+    }
+}
+
+/// A link's batches. One mutex guards them all, so the link's batches
+/// leave in sequence order and one at a time — the invariant the
+/// receiver's dedup relies on.
 #[derive(Default)]
 struct DestState {
     /// Tuples accepted but not yet part of a sent batch.
     buffer: Vec<Tuple>,
     /// When the oldest tuple in `buffer` arrived (linger clock).
     first_buffered_at: Option<Instant>,
-    /// A batch whose send failed, retried under its original sequence
-    /// number before anything younger may leave.
+    /// The batch sent and not yet acknowledged, under its sequence number:
+    /// on the wire while `in_flight` is set, otherwise failed — and
+    /// retried under its original number before anything younger leaves.
     pending: Option<(u64, Vec<Tuple>)>,
-    /// Whether a send of `pending` already failed (see [`send_batch`]).
+    /// The call carrying `pending` while it is on the wire.
+    in_flight: Option<BatchCall>,
+    /// Whether a send of `pending` already failed (see [`BatchCall::finish`]).
     resent: bool,
     /// Next batch sequence number for this destination; starts at the
     /// dispatcher's [`incarnation_seq_base`].
@@ -184,9 +257,11 @@ pub struct Dispatcher {
     sampler: Mutex<Sampler>,
     batch_size: usize,
     seq_base: u64,
-    dests: Mutex<HashMap<ServerId, Arc<Mutex<DestState>>>>,
+    dests: Mutex<HashMap<ServerId, Arc<Link>>>,
     dispatched: AtomicU64,
     batches_sent: AtomicU64,
+    in_flight: AtomicU64,
+    coalesced: AtomicU64,
 }
 
 impl Dispatcher {
@@ -206,6 +281,8 @@ impl Dispatcher {
             dests: Mutex::new(HashMap::new()),
             dispatched: AtomicU64::new(0),
             batches_sent: AtomicU64::new(0),
+            in_flight: AtomicU64::new(0),
+            coalesced: AtomicU64::new(0),
         }
     }
 
@@ -229,113 +306,163 @@ impl Dispatcher {
         self.dispatched()
     }
 
+    /// Batches on the wire now (at most one per destination).
+    pub fn in_flight(&self) -> u64 {
+        self.in_flight.load(Ordering::Relaxed)
+    }
+
+    /// Acknowledged batches larger than `ingest_batch_size`: tuples that
+    /// coalesced behind an in-flight batch.
+    pub fn coalesced(&self) -> u64 {
+        self.coalesced.load(Ordering::Relaxed)
+    }
+
     /// Tuples accepted by [`dispatch`](Self::dispatch) but not yet
-    /// acknowledged by their indexing server (buffered or in a failed
-    /// batch awaiting retry).
+    /// acknowledged by their indexing server (buffered, in flight, or in a
+    /// failed batch awaiting retry). Never waits on the wire.
     pub fn pending(&self) -> u64 {
-        let dests: Vec<_> = self.dests.lock().values().cloned().collect();
+        let dests = self.dests.lock();
         dests
-            .iter()
-            .map(|d| {
-                let st = d.lock();
-                (st.buffer.len() + st.pending.as_ref().map_or(0, |(_, t)| t.len())) as u64
-            })
+            .values()
+            .map(|l| l.unacked.load(Ordering::Relaxed))
             .sum()
     }
 
-    fn dest_state(&self, dest: ServerId) -> Arc<Mutex<DestState>> {
+    fn link(&self, dest: ServerId) -> Arc<Link> {
         Arc::clone(self.dests.lock().entry(dest).or_insert_with(|| {
-            Arc::new(Mutex::new(DestState {
-                next_seq: self.seq_base,
-                ..DestState::default()
-            }))
+            Arc::new(Link {
+                unacked: AtomicU64::new(0),
+                state: Mutex::new(DestState {
+                    next_seq: self.seq_base,
+                    ..DestState::default()
+                }),
+            })
         }))
     }
 
-    /// Sends everything batched for `dest` (failed batch first, then the
-    /// buffer), in sequence order. Leaves state intact on failure so the
-    /// next flush resumes where this one stopped.
-    fn flush_dest(&self, dest: ServerId, st: &mut DestState) -> Result<()> {
+    fn links(&self) -> Vec<(ServerId, Arc<Link>)> {
+        let dests = self.dests.lock();
+        dests.iter().map(|(&id, l)| (id, Arc::clone(l))).collect()
+    }
+
+    /// Puts the failed batch — or, with none, the whole buffer as the next
+    /// batch — on the wire, and collects its answer on the spot if the
+    /// plane answered before `start` returned. The link must be idle.
+    fn send_next(&self, dest: ServerId, link: &Link, st: &mut DestState) -> Result<()> {
+        if st.pending.is_none() {
+            let tuples = std::mem::take(&mut st.buffer);
+            st.first_buffered_at = None;
+            st.pending = Some((st.next_seq, tuples));
+            st.resent = false;
+            st.next_seq += 1;
+        }
+        let (seq, tuples) = st.pending.as_ref().expect("pending set above");
+        let call = BatchCall::start(&self.rpc, dest, *seq, tuples.clone());
+        let answered = call.call.answered_at_start();
+        st.in_flight = Some(call);
+        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        if answered {
+            self.collect(dest, link, st, true)?;
+        }
+        Ok(())
+    }
+
+    /// Collects the link's in-flight answer if it is in — or, with `wait`,
+    /// once it is. On failure the batch stays pending under its original
+    /// seq: the first attempt may have landed with only the ack lost, and a
+    /// renumbered resend would slip past the receiver's dedup.
+    fn collect(&self, dest: ServerId, link: &Link, st: &mut DestState, wait: bool) -> Result<()> {
+        let Some(call) = st.in_flight.take_if(|c| wait || c.call.is_ready()) else {
+            return Ok(());
+        };
+        let acked = call.finish(&mut st.resent);
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        acked?;
+        let (_, tuples) = st
+            .pending
+            .take()
+            .expect("a call in flight carries `pending`");
+        let n = tuples.len() as u64;
+        self.batches_sent.fetch_add(1, Ordering::Relaxed);
+        if tuples.len() > self.batch_size {
+            self.coalesced.fetch_add(1, Ordering::Relaxed);
+        }
+        self.dispatched.fetch_add(n, Ordering::Relaxed);
+        link.unacked.fetch_sub(n, Ordering::Relaxed);
+        let mut sampler = self.sampler.lock();
+        for t in &tuples {
+            sampler.record(t.key, dest);
+        }
+        Ok(())
+    }
+
+    /// Sends everything batched for `dest` — the in-flight answer first,
+    /// then a failed batch, then the buffer. With `wait` every answer is
+    /// waited for; without, this stops at the first one still on the wire.
+    /// Leaves state intact on failure so the next flush resumes where this
+    /// one stopped.
+    fn send_all(&self, dest: ServerId, link: &Link, st: &mut DestState, wait: bool) -> Result<()> {
         loop {
-            if st.pending.is_none() {
-                if st.buffer.is_empty() {
-                    return Ok(());
-                }
-                let tuples = std::mem::take(&mut st.buffer);
-                st.first_buffered_at = None;
-                st.pending = Some((st.next_seq, tuples));
-                st.resent = false;
-                st.next_seq += 1;
+            self.collect(dest, link, st, wait)?;
+            if st.in_flight.is_some() || (st.pending.is_none() && st.buffer.is_empty()) {
+                return Ok(());
             }
-            let (seq, tuples) = st.pending.as_ref().expect("pending set above");
-            // On failure the batch stays pending under its original seq —
-            // the first attempt may have landed with only the ack lost, and
-            // a renumbered resend would slip past the receiver's dedup.
-            send_batch(&self.rpc, dest, *seq, tuples.clone(), &mut st.resent)?;
-            let (_, tuples) = st.pending.take().expect("pending still set");
-            self.batches_sent.fetch_add(1, Ordering::Relaxed);
-            self.dispatched
-                .fetch_add(tuples.len() as u64, Ordering::Relaxed);
-            let mut sampler = self.sampler.lock();
-            for t in &tuples {
-                sampler.record(t.key, dest);
-            }
+            self.send_next(dest, link, st)?;
         }
     }
 
     /// Routes one tuple to its indexing server. The tuple is buffered and
-    /// the call only touches the plane when its destination's batch fills;
-    /// errors surface on the flushing call (and stick until
+    /// the call only touches the plane when its link's batch fills — at
+    /// `ingest_batch_size` on an idle link, at the coalescing cap behind an
+    /// in-flight batch, whose answer it then waits for. Errors surface on
+    /// the call that collects or sends (and stick until
     /// [`flush_batches`](Self::flush_batches) succeeds). Routing to a
     /// server with no address on the plane fails loudly (unreachable),
     /// never silently drops.
     pub fn dispatch(&self, tuple: Tuple) -> Result<()> {
         let server = self.schema.read().route(tuple.key);
-        let dest = self.dest_state(server);
-        let mut st = dest.lock();
+        let link = self.link(server);
+        let mut st = link.lock();
         st.buffer.push(tuple);
+        link.unacked.fetch_add(1, Ordering::Relaxed);
         if st.first_buffered_at.is_none() {
             st.first_buffered_at = Some(Instant::now());
         }
-        if st.buffer.len() >= self.batch_size {
-            self.flush_dest(server, &mut st)?;
+        if st.in_flight.is_some() && st.buffer.len() >= self.batch_size * COALESCE_FACTOR {
+            self.collect(server, &link, &mut st, true)?;
+        }
+        while st.in_flight.is_none() && st.buffer.len() >= self.batch_size {
+            self.send_next(server, &link, &mut st)?;
         }
         Ok(())
     }
 
-    /// Sends every buffered or failed batch now, regardless of age. Tests
-    /// and shutdown paths call this to make the stream fully visible.
+    /// Sends every buffered, failed or in-flight batch now, regardless of
+    /// age, and waits for their answers. Tests and shutdown paths call
+    /// this to make the stream fully visible.
     pub fn flush_batches(&self) -> Result<()> {
-        let dests: Vec<_> = self
-            .dests
-            .lock()
-            .iter()
-            .map(|(&id, st)| (id, Arc::clone(st)))
-            .collect();
-        for (id, st) in dests {
-            self.flush_dest(id, &mut st.lock())?;
+        for (id, link) in self.links() {
+            self.send_all(id, &link, &mut link.lock(), true)?;
         }
         Ok(())
     }
 
-    /// Sends partial batches older than [`INGEST_LINGER`] (and retries any
+    /// Collects in-flight answers that are in, then — on an idle link —
+    /// sends partial batches older than [`INGEST_LINGER`] (and retries any
     /// failed batch). The system facade's background flusher calls this so
-    /// a trickling stream becomes visible without filling a batch.
+    /// a trickling stream becomes visible without filling a batch. It never
+    /// waits for an answer still on the wire: that would hold the link
+    /// against its producer for a round trip.
     pub fn flush_lingering(&self) -> Result<()> {
-        let dests: Vec<_> = self
-            .dests
-            .lock()
-            .iter()
-            .map(|(&id, st)| (id, Arc::clone(st)))
-            .collect();
-        for (id, st) in dests {
-            let mut st = st.lock();
+        for (id, link) in self.links() {
+            let mut st = link.lock();
+            self.collect(id, &link, &mut st, false)?;
             let overdue = st.pending.is_some()
                 || st
                     .first_buffered_at
                     .is_some_and(|t| t.elapsed() >= INGEST_LINGER);
             if overdue {
-                self.flush_dest(id, &mut st)?;
+                self.send_all(id, &link, &mut st, false)?;
             }
         }
         Ok(())
@@ -674,6 +801,22 @@ mod tests {
         assert_eq!(d.dispatched(), 0);
         assert_eq!(d.pending(), 4, "failed batch is retained, not dropped");
         assert_eq!(d.take_window().observed, 0, "unacked batch was sampled");
+
+        // In flight: delivered, but not acknowledged until its answer is
+        // collected — and only then sampled.
+        let rig = held::rig(4);
+        for i in 0..5u64 {
+            rig.d.dispatch(Tuple::bare(i, i)).unwrap();
+        }
+        assert_eq!(rig.mq.latest_offset("ingest", 0).unwrap(), 4, "delivered");
+        assert_eq!(
+            rig.d.take_window().observed,
+            0,
+            "in-flight batch was sampled"
+        );
+        rig.gate.release(u64::MAX);
+        rig.d.flush_batches().unwrap();
+        assert_eq!(rig.d.take_window().observed, 5, "sampled on the acks");
     }
 
     #[test]
@@ -683,5 +826,315 @@ mod tests {
             d.dispatch(Tuple::bare(key, 0)).unwrap();
         }
         let _ = KeyInterval::full();
+    }
+
+    /// A plane whose answers the test holds: every handler runs at
+    /// `start`, but the `Pending` it returns stays unready — and its `wait`
+    /// blocks — until [`Gate::release`] covers its ticket (started calls
+    /// are numbered from 0). A ticket marked [`Gate::lose`] answers with a
+    /// timeout after its handler ran: a lost ack.
+    mod held {
+        use super::*;
+        use std::sync::{Condvar, Mutex as StdMutex, MutexGuard as StdGuard};
+        use waterwheel_net::{Pending, PendingAnswer, RpcStatsRegistry};
+
+        #[derive(Default)]
+        pub struct Gate {
+            st: StdMutex<GateState>,
+            cv: Condvar,
+        }
+
+        #[derive(Default)]
+        struct GateState {
+            started: u64,
+            released: u64,
+            waiting: u64,
+            lost: Vec<u64>,
+        }
+
+        impl Gate {
+            fn lock(&self) -> StdGuard<'_, GateState> {
+                self.st.lock().unwrap()
+            }
+
+            /// Lets the answers of tickets `< upto` through.
+            pub fn release(&self, upto: u64) {
+                self.lock().released = upto;
+                self.cv.notify_all();
+            }
+
+            pub fn lose(&self, ticket: u64) {
+                self.lock().lost.push(ticket);
+            }
+
+            /// Blocks until some sender is waiting on a held answer.
+            pub fn await_waiter(&self) {
+                let mut st = self.lock();
+                while st.waiting == 0 {
+                    st = self.cv.wait(st).unwrap();
+                }
+            }
+        }
+
+        struct Held {
+            inner: Arc<InProcTransport>,
+            gate: Arc<Gate>,
+        }
+
+        impl Transport for Held {
+            fn start(&self, env: &waterwheel_net::Envelope) -> Pending {
+                let answer = self.inner.send(env);
+                let mut st = self.gate.lock();
+                st.started += 1;
+                Pending::awaiting(HeldAnswer {
+                    ticket: st.started - 1,
+                    gate: Arc::clone(&self.gate),
+                    answer,
+                })
+            }
+
+            fn stats(&self) -> &Arc<RpcStatsRegistry> {
+                self.inner.stats()
+            }
+        }
+
+        struct HeldAnswer {
+            ticket: u64,
+            gate: Arc<Gate>,
+            answer: Result<Response>,
+        }
+
+        impl PendingAnswer for HeldAnswer {
+            fn is_ready(&self) -> bool {
+                self.gate.lock().released > self.ticket
+            }
+
+            fn wait(self: Box<Self>) -> Result<Response> {
+                let mut st = self.gate.lock();
+                st.waiting += 1;
+                self.gate.cv.notify_all();
+                while st.released <= self.ticket {
+                    st = self.gate.cv.wait(st).unwrap();
+                }
+                st.waiting -= 1;
+                if st.lost.contains(&self.ticket) {
+                    return Err(WwError::Timeout("ack held, then lost"));
+                }
+                self.answer
+            }
+        }
+
+        pub struct Rig {
+            pub mq: MessageQueue,
+            pub gate: Arc<Gate>,
+            /// `(destination, seq, tuples)` of every delivery, in order.
+            pub seen: Arc<Mutex<Vec<(ServerId, u64, usize)>>>,
+            pub dedup: Arc<crate::roles::IngestDedup>,
+            pub sent: Arc<InProcTransport>,
+            pub d: Dispatcher,
+        }
+
+        /// Two destinations (keys below `u64::MAX / 2` go to server 0)
+        /// behind exactly-once ingest handlers, no RPC retries.
+        pub fn rig(batch_size: usize) -> Rig {
+            let mq = MessageQueue::new();
+            mq.create_topic("ingest", 2).unwrap();
+            let inner = Arc::new(InProcTransport::new(None));
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let dedup = Arc::new(crate::roles::IngestDedup::new());
+            for partition in 0..2usize {
+                let ix = ServerId(partition as u32);
+                let (mq, seen, dedup) = (mq.clone(), Arc::clone(&seen), Arc::clone(&dedup));
+                inner.bind(ix, move |env| match &env.payload {
+                    Request::IngestBatch { seq, tuples } => {
+                        seen.lock().push((ix, *seq, tuples.len()));
+                        let deduped = dedup.apply_once(env.src, ix, *seq, || {
+                            mq.append_batch("ingest", partition, tuples.clone())
+                                .map(|_| ())
+                        })?;
+                        Ok(Response::AckBatch {
+                            tuples: tuples.len() as u32,
+                            deduped,
+                        })
+                    }
+                    _ => Ok(Response::Pong),
+                });
+            }
+            let gate = Arc::new(Gate::default());
+            let cfg = SystemConfig {
+                ingest_batch_size: batch_size,
+                rpc_retries: 0,
+                ..SystemConfig::default()
+            };
+            let plane = Held {
+                inner: Arc::clone(&inner),
+                gate: Arc::clone(&gate),
+            };
+            let rpc = RpcClient::new(Arc::new(plane), ServerId(100), &cfg);
+            let schema = PartitionSchema::uniform(&[ServerId(0), ServerId(1)]);
+            Rig {
+                mq,
+                gate,
+                seen,
+                dedup,
+                sent: inner,
+                d: Dispatcher::new(ServerId(100), rpc, schema, &cfg),
+            }
+        }
+
+        impl Rig {
+            pub fn envelopes(&self) -> u64 {
+                self.sent.stats().totals().sent
+            }
+
+            pub fn scrape(&self) -> HashMap<String, u64> {
+                let mut rows = HashMap::new();
+                self.d.visit(&mut |name, v| {
+                    rows.insert(name.to_owned(), v);
+                });
+                rows
+            }
+        }
+    }
+
+    #[test]
+    fn a_busy_link_sends_nothing_until_the_cap_whenever_its_answer_arrives() {
+        let rig = held::rig(4);
+        let d = &rig.d;
+        let cap = 4 * COALESCE_FACTOR as u64;
+        for i in 0..4u64 {
+            d.dispatch(Tuple::bare(i, i)).unwrap();
+        }
+        assert_eq!((rig.envelopes(), d.in_flight()), (1, 1));
+        // A second fill while the first batch is on the wire sends nothing.
+        for i in 4..8u64 {
+            d.dispatch(Tuple::bare(i, i)).unwrap();
+        }
+        assert_eq!(rig.envelopes(), 1, "a busy link must not send");
+        assert_eq!(d.pending(), 8, "in flight plus buffered");
+        // The other link is independent: its own first batch goes out.
+        for i in 0..4u64 {
+            d.dispatch(Tuple::bare(u64::MAX - i, i)).unwrap();
+        }
+        assert_eq!((rig.envelopes(), d.in_flight(), d.pending()), (2, 2, 12));
+        // The answer coming in does not cut the next batch early: it
+        // leaves at the cap, so batch boundaries are a function of the
+        // tuple sequence, not of when acks arrive.
+        rig.gate.release(1);
+        for i in 8..4 + cap - 1 {
+            d.dispatch(Tuple::bare(i, i)).unwrap();
+        }
+        assert_eq!(rig.envelopes(), 2);
+        d.dispatch(Tuple::bare(99, 99)).unwrap();
+        assert_eq!(
+            (rig.envelopes(), d.dispatched(), d.batches_sent()),
+            (3, 4, 1)
+        );
+        rig.gate.release(u64::MAX);
+        d.flush_batches().unwrap();
+        assert_eq!((d.pending(), d.in_flight()), (0, 0));
+        assert_eq!((d.dispatched(), d.coalesced()), (4 + cap + 4, 1));
+        // Consecutive per link from the dispatcher's base; sent in order.
+        let b = d.seq_base;
+        let seen = rig.seen.lock().clone();
+        let (zero, one) = (ServerId(0), ServerId(1));
+        assert_eq!(
+            seen,
+            vec![(zero, b, 4), (one, b, 4), (zero, b + 1, cap as usize)]
+        );
+        assert_eq!(rig.mq.latest_offset("ingest", 0).unwrap(), 4 + cap);
+    }
+
+    #[test]
+    fn the_buffer_grows_to_the_cap_then_blocks_and_a_scrape_never_waits() {
+        let rig = held::rig(4);
+        let d = &rig.d;
+        let cap = (4 * COALESCE_FACTOR) as u64;
+        for i in 0..4 + cap - 1 {
+            d.dispatch(Tuple::bare(i, i)).unwrap();
+        }
+        assert_eq!(rig.envelopes(), 1, "below the cap nothing waits or sends");
+        let (blocked, scraped) = std::thread::scope(|s| {
+            let producer = s.spawn(|| d.dispatch(Tuple::bare(99, 99)));
+            // The producer holds the link's mutex while it waits.
+            rig.gate.await_waiter();
+            let blocked = !producer.is_finished();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let rig = &rig;
+            s.spawn(move || tx.send((rig.scrape(), rig.d.pending())).unwrap());
+            let scraped = rx.recv_timeout(Duration::from_secs(10));
+            // Released before anything is asserted: a failure must not
+            // leave the scope joining a producer that waits forever.
+            rig.gate.release(1);
+            producer.join().unwrap().unwrap();
+            (blocked, scraped)
+        });
+        assert!(blocked, "the dispatch at the cap must wait for the answer");
+        let (rows, pending) = scraped.expect("a stats scrape waited on the wire");
+        assert_eq!(pending, 4 + cap);
+        assert_eq!((rows["pending"], rows["in_flight"]), (4 + cap, 1));
+        assert_eq!(rows["coalesced"], 0);
+        // The cap's worth left as the next batch once the answer was in.
+        assert_eq!((rig.envelopes(), d.in_flight(), d.pending()), (2, 1, cap));
+        rig.gate.release(u64::MAX);
+        d.flush_batches().unwrap();
+        let seen = rig.seen.lock().clone();
+        let b = d.seq_base;
+        assert_eq!(
+            seen,
+            vec![(ServerId(0), b, 4), (ServerId(0), b + 1, cap as usize)]
+        );
+        assert_eq!((d.coalesced(), d.pending()), (1, 0));
+    }
+
+    #[test]
+    fn a_failed_in_flight_batch_keeps_its_seq_and_is_reported_by_dispatch_and_flush() {
+        let rig = held::rig(4);
+        let d = &rig.d;
+        let cap = 4 * COALESCE_FACTOR as u64;
+        rig.gate.lose(0);
+        for i in 0..4 + cap - 1 {
+            d.dispatch(Tuple::bare(i, i)).unwrap(); // answer not in: no error
+        }
+        // The dispatch that reaches the cap collects the lost ack.
+        rig.gate.release(1);
+        let err = d.dispatch(Tuple::bare(99, 99)).unwrap_err();
+        assert!(matches!(err, WwError::Timeout(_)), "{err:?}");
+        assert_eq!(
+            (d.dispatched(), d.pending(), d.in_flight()),
+            (0, 4 + cap, 0)
+        );
+
+        // The failed batch goes first, under its seq, and is in flight when
+        // its ack is lost again: the flush reports it.
+        rig.gate.lose(1);
+        d.dispatch(Tuple::bare(100, 100)).unwrap();
+        assert_eq!(d.in_flight(), 1);
+        rig.gate.release(u64::MAX);
+        let err = d.flush_batches().unwrap_err();
+        assert!(matches!(err, WwError::Timeout(_)), "{err:?}");
+        assert_eq!((d.dispatched(), d.pending()), (0, 5 + cap));
+        d.flush_batches().unwrap();
+        assert_eq!((d.dispatched(), d.pending()), (5 + cap, 0));
+
+        let b = d.seq_base;
+        let zero = ServerId(0);
+        let seen = rig.seen.lock().clone();
+        let rest = cap as usize + 1;
+        assert_eq!(
+            seen,
+            vec![
+                (zero, b, 4),
+                (zero, b, 4),
+                (zero, b, 4),
+                (zero, b + 1, rest)
+            ]
+        );
+        assert_eq!(
+            rig.mq.latest_offset("ingest", 0).unwrap(),
+            5 + cap,
+            "once each"
+        );
+        assert_eq!(rig.dedup.drops(), 2);
     }
 }

@@ -96,6 +96,10 @@ mod tests {
         let m = SystemMetrics::collect(&ww);
         assert_eq!(m.get("dispatcher.dispatched"), 1_000);
         assert_eq!(m.get("dispatcher.pending"), 0);
+        // In-process answers are collected on the spot: nothing stays on
+        // the wire and no batch outgrows `ingest_batch_size`.
+        assert_eq!(m.get("dispatcher.in_flight"), 0);
+        assert_eq!(m.get("dispatcher.coalesced"), 0);
         assert_eq!(m.get("indexing.ingested"), 1_000);
         assert!(m.get("indexing.chunks_flushed") >= 1);
         assert_eq!(

@@ -11,11 +11,11 @@ use std::sync::Arc;
 use std::time::Duration;
 use waterwheel::core::{ServerId, WwError};
 use waterwheel::net::{
-    Envelope, LinkProfile, Request, Response, RpcClient, RpcStatsRegistry, Transport, COORDINATOR,
-    META_SERVER,
+    Envelope, LinkProfile, Pending, PendingAnswer, Request, Response, RpcClient, RpcStatsRegistry,
+    Transport, COORDINATOR, META_SERVER,
 };
 use waterwheel::prelude::*;
-use waterwheel::server::{send_batch, SystemMetrics};
+use waterwheel::server::{send_batch, Dispatcher, SystemMetrics};
 
 fn fresh_root(name: &str) -> std::path::PathBuf {
     let root = std::env::temp_dir().join(format!("ww-rpc-{name}-{}", std::process::id()));
@@ -186,27 +186,43 @@ fn batch_sizes_agree_under_request_and_response_loss() {
     assert!(batches(&systems[2]) * 8 <= 1_500);
 }
 
-/// Loses the ack of the first message sent through it: the destination's
-/// handler ran — its side effects are real — but the sender sees a timeout
-/// (`LinkProfile::response_loss = 1.0` for one attempt, then healed). A
-/// wrapper rather than a link profile so the same fault can be scripted on
-/// the TCP-loopback plane, which has no injectors of its own.
+/// Loses the ack of the first call started through it while armed: the
+/// destination's handler ran — its side effects are real — but the sender
+/// sees a timeout (`LinkProfile::response_loss = 1.0` for one attempt, then
+/// healed). A wrapper rather than a link profile so the same fault can be
+/// scripted on the TCP-loopback plane, which has no injectors of its own.
 struct LoseFirstAck {
     inner: Arc<dyn Transport>,
     armed: AtomicBool,
 }
 
 impl Transport for LoseFirstAck {
-    fn send(&self, env: &Envelope) -> waterwheel::core::Result<Response> {
-        let answer = self.inner.send(env)?;
+    fn start(&self, env: &Envelope) -> Pending {
+        let answer = self.inner.start(env);
         if self.armed.swap(false, Ordering::SeqCst) {
-            return Err(WwError::Timeout("response lost in transit"));
+            Pending::awaiting(LostAck(answer))
+        } else {
+            answer
         }
-        Ok(answer)
     }
 
     fn stats(&self) -> &Arc<RpcStatsRegistry> {
         self.inner.stats()
+    }
+}
+
+/// An answer that never arrives: never ready, so a sender running ahead
+/// only collects it when it must wait — and then sees the timeout.
+struct LostAck(Pending);
+
+impl PendingAnswer for LostAck {
+    fn is_ready(&self) -> bool {
+        false
+    }
+
+    fn wait(self: Box<Self>) -> waterwheel::core::Result<Response> {
+        self.0.wait()?;
+        Err(WwError::Timeout("response lost in transit"))
     }
 }
 
@@ -247,6 +263,63 @@ fn a_single_insert_whose_ack_was_lost_lands_exactly_once() {
             "tcp={tcp}: the redelivered insert must land exactly once"
         );
     }
+}
+
+/// Exactly-once with the dispatcher running ahead of its acks, over TCP: a
+/// dispatcher on the loopback plane loses the ack of a batch in the middle
+/// of the stream. That batch stays in flight — its answer never comes in —
+/// while younger tuples coalesce behind it up to the cap; collecting it
+/// there times out, the RPC layer resends it under its sequence number, the
+/// indexing server drops the redelivery, and every tuple lands once.
+#[test]
+fn a_lost_ack_on_a_batch_in_flight_over_tcp_lands_every_tuple_exactly_once() {
+    let ww = Waterwheel::builder(fresh_root("in-flight-tcp"))
+        .config(cfg())
+        .tcp_loopback()
+        .build()
+        .unwrap();
+    let plane = Arc::new(LoseFirstAck {
+        inner: Arc::clone(ww.plane()),
+        armed: AtomicBool::new(false),
+    });
+    let id = ServerId(9_100);
+    let rpc = RpcClient::new(Arc::clone(&plane) as Arc<dyn Transport>, id, ww.config());
+    let schema = ww.metadata().partition().unwrap();
+    let d = Arc::new(Dispatcher::new(id, rpc, schema, ww.config()));
+    ww.registry()
+        .counters()
+        .register("dispatcher", Some(id), d.clone());
+    const N: u64 = 4_000;
+    for i in 0..N {
+        if i == N / 2 {
+            plane.armed.store(true, Ordering::SeqCst);
+        }
+        d.dispatch(Tuple::bare(spread_key(i), 1_000 + i)).unwrap();
+    }
+    d.flush_batches().unwrap();
+    ww.drain().unwrap();
+
+    let mut got: Vec<(u64, u64)> = ww
+        .query(&all())
+        .unwrap()
+        .tuples
+        .iter()
+        .map(|t| (t.key, t.ts))
+        .collect();
+    got.sort_unstable();
+    let mut want: Vec<(u64, u64)> = (0..N).map(|i| (spread_key(i), 1_000 + i)).collect();
+    want.sort_unstable();
+    assert_eq!(got, want, "every tuple exactly once");
+    let m = SystemMetrics::collect(&ww);
+    assert!(
+        m.get("ingest.dedup_drops") >= 1,
+        "the resend was a redelivery"
+    );
+    assert_eq!(m.get("dispatcher.dispatched"), N);
+    assert!(
+        m.get("dispatcher.coalesced") >= 1,
+        "younger tuples coalesce behind the lost ack"
+    );
 }
 
 /// The at-least-once hazard: with response loss on the dispatcher →
