@@ -196,14 +196,15 @@ settings! {
     /// this bound.
     wal_segment_bytes: usize = 8 << 20,
 
-    /// On-disk chunk format written at flush: `1` for the row-tuple v1
-    /// layout, `2` for columnar leaves with per-leaf and per-chunk MIN/MAX
-    /// measure bounds. Readers dispatch on the header version, so a store
-    /// may mix both formats.
+    /// On-disk chunk format: `2` (columnar leaves with per-leaf and
+    /// per-chunk MIN/MAX measure bounds) is the only value that validates.
+    /// The row-tuple v1 layout is retired and a v1 chunk is refused by
+    /// name. Flush writes v2 without reading this; the field stays because
+    /// perfbench builds its chunk writer options from it.
     chunk_format_version: u32 = 2,
 
-    /// Compress v2 payload blocks (byte-shuffle + LZ, whichever encoding is
-    /// smallest per leaf). Ignored when writing v1 chunks.
+    /// Compress chunk payload blocks (byte-shuffle + LZ, whichever encoding
+    /// is smallest per leaf).
     chunk_compression: bool = true,
 
     /// Interval between the membership heartbeats a server sends to the
@@ -260,8 +261,8 @@ impl SystemConfig {
             "client_rate_burst must be positive when rate limiting".into()
         } else if self.wal_segment_bytes < 4096 {
             "wal_segment_bytes must be at least 4096".into()
-        } else if !(1..=2).contains(&self.chunk_format_version) {
-            "chunk_format_version must be 1 or 2".into()
+        } else if self.chunk_format_version != 2 {
+            "chunk_format_version must be 2 (the v1 row format is retired)".into()
         } else if self.heartbeat_interval.is_zero() {
             "heartbeat_interval must be positive".into()
         } else if self.lease_ttl <= self.heartbeat_interval {
@@ -321,6 +322,7 @@ mod tests {
                 c.client_rate_burst = 0;
             },
             |c: &mut SystemConfig| c.chunk_format_version = 0,
+            |c: &mut SystemConfig| c.chunk_format_version = 1,
             |c: &mut SystemConfig| c.chunk_format_version = 3,
             |c: &mut SystemConfig| c.heartbeat_interval = Duration::ZERO,
             |c: &mut SystemConfig| c.lease_ttl = Duration::from_millis(1),
@@ -331,7 +333,8 @@ mod tests {
         }
     }
 
-    /// Every field, each with a value that differs from its default.
+    /// Every field, each with a value that differs from its default —
+    /// except `chunk_format_version`, whose one valid value is its default.
     const OFF_DEFAULT: [&str; 23] = [
         "chunk_size_bytes=65536",
         "late_visibility=750us",
@@ -352,7 +355,7 @@ mod tests {
         "client_rate_burst=5",
         "durability_fsync=false",
         "wal_segment_bytes=4096",
-        "chunk_format_version=1",
+        "chunk_format_version=2",
         "chunk_compression=false",
         "heartbeat_interval=100ms",
         "lease_ttl=1500ms",
@@ -368,10 +371,16 @@ mod tests {
         cfg.validate().unwrap();
         let text = cfg.to_string();
         // The table covers the struct: one line per field, in field order,
-        // and none of them still at its default.
+        // and none of them still at its default but the one-value field —
+        // `chunk_format_version` accepts only `2` and stays a field because
+        // perfbench reads it.
         assert_eq!(text.lines().collect::<Vec<_>>(), OFF_DEFAULT);
         for (changed, default) in text.lines().zip(defaults.lines()) {
-            assert_ne!(changed, default);
+            if changed.starts_with("chunk_format_version=") {
+                assert_eq!(changed, default);
+            } else {
+                assert_ne!(changed, default);
+            }
         }
         assert_eq!(text.parse::<SystemConfig>().unwrap(), cfg);
         assert_eq!(
@@ -401,6 +410,7 @@ mod tests {
             "late_visibility=2min",   // unknown unit
             "late_visibility=ms",     // unit without a number
             "dispatchers=0",          // parses, validate() rejects
+            "chunk_format_version=1", // the retired row format
             "chunk_format_version=3",
             "heartbeat_interval=5s", // not below the default lease_ttl
         ] {
@@ -412,6 +422,10 @@ mod tests {
         }
         let retired = "query_workers=1".parse::<SystemConfig>().unwrap_err();
         assert!(retired.to_string().contains("unknown setting"), "{retired}");
+        let v1 = "chunk_format_version=1"
+            .parse::<SystemConfig>()
+            .unwrap_err();
+        assert!(v1.to_string().contains("v1 row format is retired"), "{v1}");
         // A failed assignment leaves the field as it was.
         let mut cfg = SystemConfig::default();
         assert!(cfg.set("dispatchers=two").is_err());

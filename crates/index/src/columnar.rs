@@ -1,9 +1,9 @@
 //! Columnar leaf images for chunk format v2, and the vectorized scan
 //! kernels over them.
 //!
-//! A sealed leaf holds tuples sorted by `(key, ts)`. The v1 chunk format
-//! stores them as full-width rows (8-byte key, 8-byte timestamp, 4-byte
-//! length prefix per tuple). This module stores the same leaf as columns:
+//! A sealed leaf holds tuples sorted by `(key, ts)`. Rather than as
+//! full-width rows (8-byte key, 8-byte timestamp, 4-byte length prefix per
+//! tuple, the retired v1 layout), this module stores the leaf as columns:
 //!
 //! ```text
 //! [count u32]

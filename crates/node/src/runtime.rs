@@ -441,7 +441,7 @@ mod tests {
             "ingest_batch_size=7",
             "late_visibility=750us",
             "durability_fsync=false",
-            "chunk_format_version=1",
+            "chunk_compression=false",
             "heartbeat_interval=250ms",
             "lease_ttl=900ms",
         ] {

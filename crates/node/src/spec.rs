@@ -208,9 +208,9 @@ struct NodeProc {
 /// A running multi-process cluster; owns the child processes.
 pub struct ClusterHandle {
     /// What later [`Self::restart`] / [`Self::add_node`] launches are
-    /// configured from. Already-sealed chunks keep their format — readers
-    /// dispatch per chunk — so flipping `system.chunk_format_version`
-    /// across a restart produces a mixed-version store on purpose.
+    /// configured from. Every process reads and writes the one chunk
+    /// format (v2), so a restart never mixes formats; a root holding v1
+    /// chunks is refused by name.
     pub spec: ClusterSpec,
     binary: PathBuf,
     procs: Vec<NodeProc>,

@@ -20,20 +20,6 @@ fn fresh_root(name: &str) -> std::path::PathBuf {
     root
 }
 
-/// On-disk format versions of every sealed chunk under `root` (the header
-/// stores the version as a little-endian u32 right after the 8-byte magic).
-fn chunk_versions_on_disk(root: &std::path::Path) -> std::collections::BTreeSet<u32> {
-    let mut versions = std::collections::BTreeSet::new();
-    for entry in std::fs::read_dir(root.join("chunks")).unwrap() {
-        let path = entry.unwrap().path();
-        if path.extension().is_some_and(|e| e == "ww") {
-            let bytes = std::fs::read(&path).unwrap();
-            versions.insert(u32::from_le_bytes(bytes[8..12].try_into().unwrap()));
-        }
-    }
-    versions
-}
-
 fn total_n() -> u64 {
     std::env::var("WW_RECOVERY_N")
         .ok()
@@ -139,12 +125,8 @@ fn kill_nine_recovery_answers_byte_exactly() {
     assert_eq!(oracle_answers.count, n);
 
     // Interrupted run: same inserts, with the indexing process SIGKILLed
-    // while phase B sits only in its WAL and memory. Phase A seals under
-    // chunk format v1; the restarted indexing process writes v2, so the
-    // recovered store mixes both on-disk formats and the oracle must hold
-    // across the version-dispatched read path.
-    let mut spec = ClusterSpec::new(fresh_root("crash"));
-    spec.system.chunk_format_version = 1;
+    // while phase B sits only in its WAL and memory.
+    let spec = ClusterSpec::new(fresh_root("crash"));
     let mut cluster = spec.launch(env!("CARGO_BIN_EXE_waterwheel-node")).unwrap();
     let client = cluster.client();
     for i in 0..a_end {
@@ -157,7 +139,6 @@ fn kill_nine_recovery_answers_byte_exactly() {
     // No flush: phase B is durable only as acked WAL frames (full
     // batches) plus the gateway's buffered partial batches.
     cluster.kill_nine(Role::Indexing).unwrap();
-    cluster.spec.system.chunk_format_version = 2;
     cluster.restart(Role::Indexing).unwrap();
     for i in b_end..n {
         client.insert(tuple(i)).unwrap();
@@ -169,14 +150,6 @@ fn kill_nine_recovery_answers_byte_exactly() {
         after_indexing_crash, oracle_answers,
         "indexing kill -9 + replay diverged from the uninterrupted run"
     );
-    // The recovered store must genuinely mix formats: v1 chunks sealed
-    // before the crash, v2 chunks sealed by the restarted process.
-    let versions = chunk_versions_on_disk(&spec.root);
-    assert!(
-        versions.contains(&1) && versions.contains(&2),
-        "expected a mixed-version store, found formats {versions:?}"
-    );
-
     // Now the stateless role: kill the query process and re-ask
     // everything; chunk reads must come back identical.
     cluster.kill_nine(Role::Query).unwrap();

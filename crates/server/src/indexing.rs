@@ -36,7 +36,7 @@ use waterwheel_index::{BloomConfig, IndexConfig, SealedTree, TemplateBTree, Tupl
 use waterwheel_meta::{ChunkInfo, SummaryExtent};
 use waterwheel_mq::Consumer;
 use waterwheel_net::MetaClient;
-use waterwheel_storage::{write_chunk_opts, ChunkWriteOptions, SimDfs};
+use waterwheel_storage::{write_chunk_opts, ChunkWriteOptions, SimDfs, VERSION_V2};
 
 waterwheel_core::counters! {
     /// Ingest-side counters (`indexing.*`, one set per server).
@@ -355,13 +355,13 @@ impl IndexingServer {
             None
         };
         let id = self.meta.allocate_chunk_id()?;
-        // The same measure feeds the summary cells and the v2 MIN/MAX
-        // bounds, so footer pruning and summary folds agree.
+        // The same measure feeds the summary cells and the MIN/MAX bounds,
+        // so footer pruning and summary folds agree.
         let bytes = write_chunk_opts(
             sealed,
             summary.as_ref(),
             &ChunkWriteOptions {
-                format_version: self.cfg.chunk_format_version,
+                format_version: VERSION_V2,
                 compression: self.cfg.chunk_compression,
                 measure: Some(&*measure),
             },

@@ -39,9 +39,7 @@ use waterwheel_core::{
 };
 use waterwheel_index::columnar::{DecodedLeaf, ScanScratch};
 use waterwheel_index::Bitmap;
-use waterwheel_storage::{
-    Block, BlockCache, BlockKey, ChunkReader, SimDfs, Singleflight, VERSION_V1,
-};
+use waterwheel_storage::{Block, BlockCache, BlockKey, ChunkReader, SimDfs, Singleflight};
 
 /// Upper bound on pooled scan scratches; beyond this, finished scratches
 /// are dropped rather than retained. Concurrent subqueries rarely exceed
@@ -63,7 +61,7 @@ waterwheel_core::counters! {
         leaf_cache_hits,
         /// Leaves skipped by temporal pruning (bounds or bloom).
         leaves_pruned,
-        /// Leaves skipped because their v2 MIN/MAX measure bounds are disjoint
+        /// Leaves skipped because their MIN/MAX measure bounds are disjoint
         /// from the subquery's measure range.
         measure_pruned_leaves,
         /// Templates (index blocks) read from the DFS.
@@ -395,17 +393,10 @@ impl QueryServer {
         });
         // 3. One classification pass: prune temporally and by measure
         // bounds, probe the cache, and coalesce the remaining misses into
-        // contiguous runs.
-        enum Slot {
-            /// v1 page, decoded to row tuples.
-            Rows(Arc<Vec<Tuple>>),
-            /// v2 page, cached with its key/timestamp columns decoded
-            /// (payload blocks stay compressed): scans skip the varint
-            /// kernels.
-            Decoded(Arc<DecodedLeaf>),
-            Miss,
-        }
-        let mut slots: Vec<(usize, Slot)> = Vec::new();
+        // contiguous runs. A slot holds the leaf's cached decoded form
+        // (payload blocks stay compressed, scans skip the varint kernels),
+        // or `None` for a miss.
+        let mut slots: Vec<(usize, Option<Arc<DecodedLeaf>>)> = Vec::new();
         let mut miss_runs: Vec<(usize, usize)> = Vec::new(); // inclusive
         for li in lo..=hi {
             if leaf_filter.is_some_and(|bm| !bm.contains(li as u32)) {
@@ -416,7 +407,7 @@ impl QueryServer {
                 self.stats.leaves_pruned.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            // v2 MIN/MAX measure pruning (composes with the temporal
+            // MIN/MAX measure pruning (composes with the temporal
             // pruning above): bounds are conservative, so a disjoint leaf
             // provably holds no qualifying tuple.
             if let (Some((qlo, qhi)), Some((min, max))) =
@@ -430,16 +421,12 @@ impl QueryServer {
                 }
             }
             match self.cache.get(&BlockKey::Leaf(chunk, li as u32)) {
-                Some(Block::Leaf(page)) => {
-                    self.stats.leaf_cache_hits.fetch_add(1, Ordering::Relaxed);
-                    slots.push((li, Slot::Rows(page)));
-                }
                 Some(Block::ColumnDecoded(leaf)) => {
                     self.stats.leaf_cache_hits.fetch_add(1, Ordering::Relaxed);
                     self.stats
                         .column_decode_hits
                         .fetch_add(1, Ordering::Relaxed);
-                    slots.push((li, Slot::Decoded(leaf)));
+                    slots.push((li, Some(leaf)));
                 }
                 _ => {
                     match miss_runs.last_mut() {
@@ -449,26 +436,15 @@ impl QueryServer {
                         Some((_, mhi)) if *mhi + 1 == li => *mhi = li,
                         _ => miss_runs.push((li, li)),
                     }
-                    slots.push((li, Slot::Miss));
+                    slots.push((li, None));
                 }
             }
         }
-        // 4. Fetch + filter, in leaf order.
-        let filter_into = |page: &[Tuple], out: &mut Vec<Tuple>| {
-            let start = page.partition_point(|t| t.key < sq.keys.lo());
-            for t in &page[start..] {
-                if t.key > sq.keys.hi() {
-                    break;
-                }
-                if sq.matches(t) {
-                    out.push(t.clone());
-                }
-            }
-        };
-        // v2 column scans materialize late: the key/time selection vector
-        // alone picks survivors and the payload block is only decompressed
-        // when some survive; the predicate then filters the materialized
-        // rows. Survivor counts feed `scan_selected_rows`.
+        // 4. Fetch + filter, in leaf order. Column scans materialize late:
+        // the key/time selection vector alone picks survivors and the
+        // payload block is only decompressed when some survive; the
+        // predicate then filters the materialized rows. Survivor counts
+        // feed `scan_selected_rows`.
         let collect_hits = |hits: Vec<Tuple>, out: &mut Vec<Tuple>| {
             self.stats
                 .scan_selected_rows
@@ -478,12 +454,6 @@ impl QueryServer {
                 None => out.extend(hits),
             }
         };
-        // A decoded cached leaf skips the column decode entirely.
-        let scan_decoded =
-            |leaf: &DecodedLeaf, out: &mut Vec<Tuple>, scratch: &mut ScanScratch| -> Result<()> {
-                collect_hits(leaf.scan(&sq.keys, &sq.times, scratch)?, out);
-                Ok(())
-            };
         // An encoded image pays the decode once: the decoded form is what
         // gets cached, so the next scan of this leaf is a decode hit.
         let scan_cols = |li: usize,
@@ -503,52 +473,28 @@ impl QueryServer {
             );
             Ok(())
         };
-        enum Page {
-            Rows(Arc<Vec<Tuple>>),
-            Cols(Vec<u8>),
-        }
-        let columnar_chunk = index.version != VERSION_V1;
-        // One coalesced DFS access for the miss run `mlo..=mhi`: read under
-        // an I/O permit, count, and cache the row pages (a column page is
-        // cached by the filter step, in its decoded form).
-        let fetch_run = |mlo: usize, mhi: usize| -> Result<Vec<Page>> {
-            let pages: Vec<Page> = {
+        // One coalesced DFS access for the miss run `mlo..=mhi`: read the
+        // encoded images under an I/O permit and count them; decoding and
+        // caching wait for the filter step.
+        let fetch_run = |mlo: usize, mhi: usize| -> Result<Vec<Vec<u8>>> {
+            let pages = {
                 let _io = self.io_permits.acquire(&self.stats.io_wait_ns);
-                let reader = ChunkReader::new(self.dfs.open(chunk, Some(self.node))?);
-                if columnar_chunk {
-                    // Ship the encoded column images; decoding waits for
-                    // the filter step.
-                    let pages = reader.read_leaf_pages(&index, mlo, mhi)?;
-                    pages.into_iter().map(Page::Cols).collect()
-                } else {
-                    let pages = reader.read_leaves(&index, mlo, mhi)?;
-                    pages.into_iter().map(|p| Page::Rows(Arc::new(p))).collect()
-                }
+                ChunkReader::new(self.dfs.open(chunk, Some(self.node))?)
+                    .read_leaf_pages(&index, mlo, mhi)?
             };
             self.stats
                 .leaf_reads
                 .fetch_add((mhi - mlo + 1) as u64, Ordering::Relaxed);
-            for (offset, page) in pages.iter().enumerate() {
-                if let Page::Rows(p) = page {
-                    self.cache.put(
-                        BlockKey::Leaf(chunk, (mlo + offset) as u32),
-                        Block::Leaf(Arc::clone(p)),
-                    );
-                }
-            }
             Ok(pages)
         };
         // Filters every slot in leaf order; `next_miss` hands over the
-        // fetched page of each `Slot::Miss`, in the same order.
-        let mut filter_slots = |next_miss: &mut dyn FnMut() -> Result<Page>| -> Result<()> {
+        // fetched image of each miss, in the same order. A decoded cached
+        // leaf skips the column decode entirely.
+        let mut filter_slots = |next_miss: &mut dyn FnMut() -> Result<Vec<u8>>| -> Result<()> {
             for (li, slot) in &slots {
                 match slot {
-                    Slot::Rows(page) => filter_into(page, &mut out),
-                    Slot::Decoded(leaf) => scan_decoded(leaf, &mut out, scratch)?,
-                    Slot::Miss => match next_miss()? {
-                        Page::Rows(p) => filter_into(&p, &mut out),
-                        Page::Cols(image) => scan_cols(*li, &image, &mut out, scratch)?,
-                    },
+                    Some(leaf) => collect_hits(leaf.scan(&sq.keys, &sq.times, scratch)?, &mut out),
+                    None => scan_cols(*li, &next_miss()?, &mut out, scratch)?,
                 }
             }
             Ok(())
@@ -558,7 +504,7 @@ impl QueryServer {
         // run is read right here.
         let nothing_to_overlap = match miss_runs[..] {
             [] => true,
-            [_] => matches!(slots.first(), Some((_, Slot::Miss))),
+            [_] => matches!(slots.first(), Some((_, None))),
             _ => false,
         };
         if nothing_to_overlap {
@@ -577,7 +523,7 @@ impl QueryServer {
         // Several runs, or cached pages ahead of the only one: a reader
         // thread streams the runs in leaf order while this thread filters,
         // so filtering overlaps the next coalesced read.
-        let (tx, rx) = std::sync::mpsc::channel::<Result<Page>>();
+        let (tx, rx) = std::sync::mpsc::channel::<Result<Vec<u8>>>();
         std::thread::scope(|scope| -> Result<()> {
             let runs = &miss_runs;
             let fetch_run = &fetch_run;
@@ -803,92 +749,54 @@ mod tests {
         // of the range leaves one miss run with nothing cached ahead of it
         // (read inline); warming one in the *middle* leaves two runs (read
         // by the reader thread). Tuples, the read/hit accounting and what
-        // ends up cached must not depend on which way it went — in the v1
-        // row format and in v2.
-        use waterwheel_storage::{write_chunk_opts, ChunkWriteOptions, VERSION_V2};
-        for version in [VERSION_V1, VERSION_V2] {
-            let (dfs, _, mut tuples) = setup(&format!("paths-{version}"));
-            tuples.sort_by_key(|t| (t.key, t.ts));
-            // `setup` wrote chunk 0 in v1; write the format under test as
-            // chunk 1 from the same tuples.
-            let tree = TemplateBTree::new(
-                KeyInterval::full(),
-                IndexConfig {
-                    leaf_capacity: 16,
-                    fanout: 4,
-                    skew_check_interval: 64,
-                    ..IndexConfig::default()
-                },
-            );
-            for t in &tuples {
-                tree.insert(t.clone());
-            }
-            let opts = ChunkWriteOptions {
-                format_version: version,
-                ..ChunkWriteOptions::default()
-            };
-            let chunk = ChunkId(1);
-            dfs.write_chunk(chunk, &write_chunk_opts(&tree.seal().unwrap(), None, &opts))
+        // ends up cached must not depend on which way it went.
+        let (dfs, chunk, mut tuples) = setup("paths");
+        tuples.sort_by_key(|t| (t.key, t.ts));
+        let wide = subquery(KeyInterval::full(), TimeInterval::full(), chunk);
+        let run = |warm: KeyInterval| {
+            let qs = QueryServer::new(ServerId(0), NodeId(0), dfs.clone(), 8 << 20);
+            qs.execute(&subquery(warm, TimeInterval::full(), chunk), chunk)
                 .unwrap();
-            let wide = subquery(KeyInterval::full(), TimeInterval::full(), chunk);
-            let run = |warm: KeyInterval| {
-                let qs = QueryServer::new(ServerId(0), NodeId(0), dfs.clone(), 8 << 20);
-                qs.execute(&subquery(warm, TimeInterval::full(), chunk), chunk)
-                    .unwrap();
-                let warmed = qs.stats().leaf_reads.load(Ordering::Relaxed);
-                assert!(warmed > 0);
-                let mut got = qs.execute(&wide, chunk).unwrap();
-                got.sort_by_key(|t| (t.key, t.ts));
-                let leaves = qs.load_template(chunk).unwrap().leaves.len();
-                // Kind and size of every cached leaf block.
-                let cached: Vec<String> = (0..leaves as u32)
-                    .map(|li| match qs.cache().get(&BlockKey::Leaf(chunk, li)) {
-                        Some(Block::Leaf(p)) => format!("rows:{}", p.len()),
-                        Some(Block::ColumnDecoded(_)) => "decoded".into(),
-                        _ => "absent".into(),
-                    })
-                    .collect();
-                let reads = qs.stats().leaf_reads.load(Ordering::Relaxed);
-                let hits = qs.stats().leaf_cache_hits.load(Ordering::Relaxed);
-                (
-                    got,
-                    leaves as u64,
-                    warmed,
-                    reads,
-                    hits,
-                    cached,
-                    qs.cache().used_bytes(),
-                )
-            };
-            let last_key = tuples.last().unwrap().key;
-            let inline = run(KeyInterval::new(last_key, last_key));
-            let threaded = run(KeyInterval::new(1_400, 1_500));
-            let label = format!("v{version}");
-            assert_eq!(inline.0, tuples, "{label}: inline read");
-            assert_eq!(threaded.0, tuples, "{label}: reader-thread read");
-            for (path, (_, leaves, warmed, reads, hits, cached, _)) in
-                [("inline", &inline), ("threaded", &threaded)]
-            {
-                assert!(
-                    warmed < leaves,
-                    "{label} {path}: the warm-up must leave misses"
-                );
-                assert_eq!(
-                    reads, leaves,
-                    "{label} {path}: every leaf read exactly once"
-                );
-                assert_eq!(
-                    hits, warmed,
-                    "{label} {path}: warm leaves served from cache"
-                );
-                assert!(cached.iter().all(|c| c != "absent"), "{label} {path}");
-            }
-            assert_eq!(
-                inline.5, threaded.5,
-                "{label}: cached block kinds and sizes"
-            );
-            assert_eq!(inline.6, threaded.6, "{label}: cached bytes");
+            let warmed = qs.stats().leaf_reads.load(Ordering::Relaxed);
+            assert!(warmed > 0);
+            let mut got = qs.execute(&wide, chunk).unwrap();
+            got.sort_by_key(|t| (t.key, t.ts));
+            let leaves = qs.load_template(chunk).unwrap().leaves.len();
+            // Which leaves ended up cached in decoded form.
+            let cached: Vec<bool> = (0..leaves as u32)
+                .map(|li| {
+                    matches!(
+                        qs.cache().get(&BlockKey::Leaf(chunk, li)),
+                        Some(Block::ColumnDecoded(_))
+                    )
+                })
+                .collect();
+            let reads = qs.stats().leaf_reads.load(Ordering::Relaxed);
+            let hits = qs.stats().leaf_cache_hits.load(Ordering::Relaxed);
+            (
+                got,
+                leaves as u64,
+                warmed,
+                reads,
+                hits,
+                cached,
+                qs.cache().used_bytes(),
+            )
+        };
+        let last_key = tuples.last().unwrap().key;
+        let inline = run(KeyInterval::new(last_key, last_key));
+        let threaded = run(KeyInterval::new(1_400, 1_500));
+        assert_eq!(inline.0, tuples, "inline read");
+        assert_eq!(threaded.0, tuples, "reader-thread read");
+        for (path, (_, leaves, warmed, reads, hits, cached, _)) in
+            [("inline", &inline), ("threaded", &threaded)]
+        {
+            assert!(warmed < leaves, "{path}: the warm-up must leave misses");
+            assert_eq!(reads, leaves, "{path}: every leaf read exactly once");
+            assert_eq!(hits, warmed, "{path}: warm leaves served from cache");
+            assert!(cached.iter().all(|&c| c), "{path}");
         }
+        assert_eq!(inline.6, threaded.6, "cached bytes");
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! "We regard a template or a leaf node as the basic caching unit and employ
 //! LRU policy to evict the old caching units." The two unit kinds map to
 //! [`Block::Index`] (a chunk's parsed index block — the persisted template)
-//! and [`Block::Leaf`] (one decoded leaf page). Eviction is by byte budget,
-//! matching the paper's per-server cache capacity (1 GB in §VI).
+//! and one leaf page, held as its encoded columnar image ([`Block::Column`])
+//! or with its key/timestamp columns decoded ([`Block::ColumnDecoded`]).
+//! Eviction is by byte budget, matching the paper's per-server cache
+//! capacity (1 GB in §VI).
 //!
 //! The cache is sharded N ways by key hash: each shard owns an independent
 //! LRU list under its own mutex and `capacity / N` of the byte budget, so
@@ -21,7 +23,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use waterwheel_agg::WheelSummary;
-use waterwheel_core::{ChunkId, Tuple};
+use waterwheel_core::ChunkId;
 use waterwheel_index::columnar::DecodedLeaf;
 
 /// Cache key: which unit of which chunk.
@@ -29,7 +31,7 @@ use waterwheel_index::columnar::DecodedLeaf;
 pub enum BlockKey {
     /// The chunk's index block (template + directory + blooms).
     Index(ChunkId),
-    /// One decoded leaf page.
+    /// One leaf page.
     Leaf(ChunkId, u32),
     /// The chunk's sealed aggregate summary (footer).
     Summary(ChunkId),
@@ -40,12 +42,10 @@ pub enum BlockKey {
 pub enum Block {
     /// A parsed chunk index.
     Index(Arc<ChunkIndex>),
-    /// A decoded leaf page.
-    Leaf(Arc<Vec<Tuple>>),
-    /// A still-encoded v2 columnar leaf image: cached compact, rows are
+    /// A still-encoded columnar leaf image: cached compact, rows are
     /// late-materialized per subquery.
     Column(Arc<Vec<u8>>),
-    /// A v2 leaf with its key/timestamp columns held decoded (the payload
+    /// A leaf with its key/timestamp columns held decoded (the payload
     /// tail stays compressed): the hot tier — repeated scans skip the
     /// varint decode entirely. Charged at actual resident bytes, which can
     /// be several times the encoded image.
@@ -58,10 +58,6 @@ impl Block {
     fn byte_size(&self) -> usize {
         match self {
             Block::Index(idx) => idx.approx_size(),
-            Block::Leaf(tuples) => tuples
-                .iter()
-                .map(|t| t.encoded_len() + std::mem::size_of::<Tuple>())
-                .sum(),
             // Columnar images are cached compressed — that is the point —
             // but are charged at their allocation, not just their logical
             // length, so the budget reflects what is actually resident.
@@ -248,8 +244,9 @@ impl BlockCache {
 mod tests {
     use super::*;
 
+    /// An encoded leaf image of `n` 16-byte rows.
     fn leaf_block(n: usize) -> Block {
-        Block::Leaf(Arc::new((0..n as u64).map(|i| Tuple::bare(i, i)).collect()))
+        Block::Column(Arc::new(vec![0; n * 16]))
     }
 
     #[test]
@@ -266,8 +263,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest_first() {
-        // Each 10-tuple leaf block ≈ 10 * (20 + sizeof(Tuple)) bytes; pick a
-        // budget that fits exactly two.
+        // Pick a budget that fits exactly two 10-row leaf blocks.
         let one = leaf_block(10).byte_size();
         let cache = BlockCache::new(one * 2 + 1);
         for i in 0..3u64 {
@@ -294,6 +290,7 @@ mod tests {
 
     #[test]
     fn decoded_columns_charge_resident_bytes_and_respect_budget() {
+        use waterwheel_core::Tuple;
         use waterwheel_index::columnar::{encode_leaf, DecodedLeaf, ScanScratch};
         // Highly compressible leaves: the encoded image is much smaller
         // than the decoded columns, so charging encoded length would let

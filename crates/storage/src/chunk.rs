@@ -7,40 +7,36 @@
 //! individually — a subquery selective on the key domain reads only the leaf
 //! pages overlapping its key range (§VI-B).
 //!
-//! Two on-disk versions share the header layout and are dispatched on the
-//! header's version field, so a store may mix them freely:
-//!
-//! * **v1** — leaf pages are row tuples (`key | ts | len | payload`); an
-//!   optional aggregate summary is discovered by a magic-at-EOF trailer.
-//! * **v2** — leaf pages are columnar images ([`waterwheel_index::columnar`]:
-//!   delta-of-delta varint timestamps, delta/dictionary keys, optionally
-//!   compressed payload blocks), the leaf directory carries per-leaf MIN/MAX
-//!   measure bounds, and the file always ends in a CRC-bearing footer with
-//!   chunk-level measure bounds and the summary length.
+//! There is one on-disk layout, header version [`VERSION_V2`]: leaf pages
+//! are columnar images ([`waterwheel_index::columnar`]: delta-of-delta
+//! varint timestamps, delta/dictionary keys, optionally compressed payload
+//! blocks), the leaf directory carries per-leaf MIN/MAX measure bounds, and
+//! the file always ends in a CRC-bearing footer with chunk-level measure
+//! bounds and the length of the aggregate summary in front of it. Any other
+//! header version — the retired row-page v1 included — is refused by name.
 
 use std::sync::Arc;
-use waterwheel_agg::{WheelSummary, SUMMARY_MAGIC};
+use waterwheel_agg::WheelSummary;
 use waterwheel_core::codec::{self, Decoder, Encoder};
 use waterwheel_core::{Key, KeyInterval, Region, Result, TimeInterval, Tuple, WwError};
 use waterwheel_index::{columnar, SealedTree, TimeBloom};
 
-/// `"WWCHUNK1"` interpreted as a little-endian u64 (both format versions).
+/// `"WWCHUNK1"` interpreted as a little-endian u64.
 const MAGIC: u64 = u64::from_le_bytes(*b"WWCHUNK1");
-/// Row-tuple leaf pages, magic-at-EOF summary trailer.
-pub const VERSION_V1: u32 = 1;
-/// Columnar leaf pages, measure bounds, mandatory CRC footer.
+/// Columnar leaf pages, measure bounds, mandatory CRC footer: the only
+/// format version written or read.
 pub const VERSION_V2: u32 = 2;
-/// Header flag bit: v2 payload blocks may be compressed.
+/// Header flag bit: payload blocks may be compressed.
 const FLAG_COMPRESSED: u32 = 1;
 /// Fixed byte length of the header that precedes the index block.
 pub const HEADER_LEN: usize = 8 + 4 + 4 + 8 + 4 + 8 + 8 + 32;
-/// Fixed byte length of the aggregate-summary trailer at the end of a v1
-/// chunk that carries one: `[summary_len u64][SUMMARY_MAGIC u64]`.
-pub const SUMMARY_TRAILER_LEN: usize = 16;
-/// `"WWCHKFT2"` interpreted as a little-endian u64: the v2 footer magic,
+/// Offset of the header's index-block length. The index checksum does not
+/// cover it, so it is checked against the file length before use.
+const INDEX_LEN_AT: usize = 8 + 4 + 4 + 8 + 4;
+/// `"WWCHKFT2"` interpreted as a little-endian u64: the footer magic,
 /// distinct from both the chunk and summary magics.
 pub const FOOTER_MAGIC: u64 = u64::from_le_bytes(*b"WWCHKFT2");
-/// Fixed byte length of the mandatory v2 footer:
+/// Fixed byte length of the mandatory footer:
 /// `[measure_flag u8][min u64][max u64][summary_len u64][crc u64][magic u64]`
 /// where `crc` is the FNV-1a hash of the preceding 25 footer bytes.
 pub const V2_FOOTER_LEN: usize = 1 + 8 + 8 + 8 + 8 + 8;
@@ -59,8 +55,8 @@ pub struct LeafMeta {
     pub time_range: Option<TimeInterval>,
     /// Temporal bloom filter (paper §IV-B), when enabled at seal time.
     pub bloom: Option<TimeBloom>,
-    /// MIN/MAX of the registered measure over the leaf's tuples (v2 chunks
-    /// written with a measure; `None` on v1 chunks and empty leaves). Lets
+    /// MIN/MAX of the registered measure over the leaf's tuples (`None`
+    /// for chunks written without a measure and for empty leaves). Lets
     /// executors skip leaves that cannot satisfy a `measure_range` filter.
     pub measure_range: Option<(u64, u64)>,
 }
@@ -81,9 +77,6 @@ pub struct ChunkIndex {
     pub leaves: Vec<LeafMeta>,
     /// Total chunk file size in bytes.
     pub file_len: u64,
-    /// On-disk format version ([`VERSION_V1`] or [`VERSION_V2`]); decides
-    /// how leaf pages decode.
-    pub version: u32,
 }
 
 impl ChunkIndex {
@@ -124,76 +117,59 @@ impl ChunkIndex {
     }
 }
 
-/// Writer knobs for [`write_chunk_opts`]; the default writes v1.
+/// Writer knobs for [`write_chunk_opts`]; the default writes uncompressed
+/// payloads and no measure bounds.
 pub struct ChunkWriteOptions<'a> {
-    /// On-disk format: [`VERSION_V1`] or [`VERSION_V2`].
+    /// On-disk format: must be [`VERSION_V2`], the only one written.
     pub format_version: u32,
-    /// Compress v2 payload blocks (ignored for v1).
+    /// Compress payload blocks.
     pub compression: bool,
     /// Measure used to compute per-leaf and per-chunk MIN/MAX bounds
-    /// (v2 only; `None` writes no bounds).
+    /// (`None` writes no bounds).
     pub measure: Option<&'a (dyn Fn(&Tuple) -> u64 + Sync)>,
 }
 
 impl Default for ChunkWriteOptions<'_> {
     fn default() -> Self {
         Self {
-            format_version: VERSION_V1,
+            format_version: VERSION_V2,
             compression: false,
             measure: None,
         }
     }
 }
 
-/// Serializes a sealed tree into the v1 chunk byte format (no aggregate
-/// summary — see [`write_chunk_with_summary`]).
+/// Serializes a sealed tree with the default options and no aggregate
+/// summary.
 pub fn write_chunk(sealed: &SealedTree) -> Vec<u8> {
-    write_chunk_with_summary(sealed, None)
+    write_chunk_opts(sealed, None, &ChunkWriteOptions::default())
 }
 
-/// Serializes a sealed tree into the v1 chunk byte format, optionally
-/// appending a sealed aggregate [`WheelSummary`] after the leaf pages.
+/// Serializes a sealed tree, optionally appending a sealed aggregate
+/// [`WheelSummary`] after the leaf pages.
 ///
-/// The summary rides behind the data section, discovered through a
-/// fixed-size trailer at EOF, so the header, index block, and every leaf
-/// offset are byte-identical to a summary-less chunk — readers that never
-/// ask for the summary are unaffected, and old chunks simply report `None`.
-pub fn write_chunk_with_summary(sealed: &SealedTree, summary: Option<&WheelSummary>) -> Vec<u8> {
-    write_chunk_opts(sealed, summary, &ChunkWriteOptions::default())
-}
-
-/// Serializes a sealed tree in the format selected by `opts`.
-///
-/// v2 chunks store leaves as columnar images, record MIN/MAX measure
-/// bounds per leaf in the directory, and always end in a CRC-bearing
-/// footer carrying the chunk-level bounds and the summary length (zero
-/// when no summary was written).
+/// Leaves are stored as columnar images, the directory records MIN/MAX
+/// measure bounds per leaf, and the file ends in a CRC-bearing footer
+/// carrying the chunk-level bounds and the summary length (zero when no
+/// summary was written).
 pub fn write_chunk_opts(
     sealed: &SealedTree,
     summary: Option<&WheelSummary>,
     opts: &ChunkWriteOptions<'_>,
 ) -> Vec<u8> {
     debug_assert_eq!(sealed.check_invariants(), Ok(()));
-    assert!(
-        matches!(opts.format_version, VERSION_V1 | VERSION_V2),
-        "unknown chunk format version {}",
+    assert_eq!(
+        opts.format_version, VERSION_V2,
+        "chunk format version {} is not written (v1 is retired)",
         opts.format_version
     );
-    let v2 = opts.format_version == VERSION_V2;
     // Leaf pages first (into a scratch buffer) so the directory can record
     // final offsets once the index-block length is known.
-    let mut pages: Vec<Vec<u8>> = Vec::with_capacity(sealed.leaves.len());
-    for leaf in &sealed.leaves {
-        if v2 {
-            pages.push(columnar::encode_leaf(&leaf.entries, opts.compression));
-        } else {
-            let mut page = Vec::with_capacity(leaf.byte_size());
-            for t in &leaf.entries {
-                codec::encode_tuple(&mut page, t);
-            }
-            pages.push(page);
-        }
-    }
+    let pages: Vec<Vec<u8>> = sealed
+        .leaves
+        .iter()
+        .map(|leaf| columnar::encode_leaf(&leaf.entries, opts.compression))
+        .collect();
 
     let leaf_bounds = |leaf: &waterwheel_index::SealedLeaf| -> Option<(u64, u64)> {
         let measure = opts.measure?;
@@ -230,19 +206,17 @@ pub fn write_chunk_opts(
             }
             None => index.put_u32(0),
         }
-        if v2 {
-            match leaf_bounds(leaf) {
-                Some((lo, hi)) => {
-                    index.put_u32(1);
-                    index.put_u64(lo);
-                    index.put_u64(hi);
-                    chunk_bounds = Some(match chunk_bounds {
-                        Some((clo, chi)) => (clo.min(lo), chi.max(hi)),
-                        None => (lo, hi),
-                    });
-                }
-                None => index.put_u32(0),
+        match leaf_bounds(leaf) {
+            Some((lo, hi)) => {
+                index.put_u32(1);
+                index.put_u64(lo);
+                index.put_u64(hi);
+                chunk_bounds = Some(match chunk_bounds {
+                    Some((clo, chi)) => (clo.min(lo), chi.max(hi)),
+                    None => (lo, hi),
+                });
             }
+            None => index.put_u32(0),
         }
         rel_offset += page.len() as u64;
     }
@@ -250,12 +224,8 @@ pub fn write_chunk_opts(
     let data_start = HEADER_LEN as u64 + index.len() as u64;
     let mut out = Vec::with_capacity(data_start as usize + rel_offset as usize);
     out.put_u64(MAGIC);
-    out.put_u32(opts.format_version);
-    out.put_u32(if v2 && opts.compression {
-        FLAG_COMPRESSED
-    } else {
-        0
-    });
+    out.put_u32(VERSION_V2);
+    out.put_u32(if opts.compression { FLAG_COMPRESSED } else { 0 });
     out.put_u64(sealed.count as u64);
     out.put_u32(sealed.leaves.len() as u32);
     out.put_u64(index.len() as u64);
@@ -274,31 +244,46 @@ pub fn write_chunk_opts(
         }
         None => 0,
     };
-    if v2 {
-        let mut footer = Vec::with_capacity(V2_FOOTER_LEN);
-        match chunk_bounds {
-            Some((lo, hi)) => {
-                footer.put_u8(1);
-                footer.put_u64(lo);
-                footer.put_u64(hi);
-            }
-            None => {
-                footer.put_u8(0);
-                footer.put_u64(0);
-                footer.put_u64(0);
-            }
-        }
-        footer.put_u64(summary_len);
-        let crc = codec::fnv1a(&footer);
-        footer.put_u64(crc);
-        footer.put_u64(FOOTER_MAGIC);
-        debug_assert_eq!(footer.len(), V2_FOOTER_LEN);
-        out.extend_from_slice(&footer);
-    } else if summary_len > 0 {
-        out.put_u64(summary_len);
-        out.put_u64(SUMMARY_MAGIC);
-    }
+    let mut footer = Vec::with_capacity(V2_FOOTER_LEN);
+    let (flag, lo, hi) = match chunk_bounds {
+        Some((lo, hi)) => (1, lo, hi),
+        None => (0, 0, 0),
+    };
+    footer.put_u8(flag);
+    footer.put_u64(lo);
+    footer.put_u64(hi);
+    footer.put_u64(summary_len);
+    let crc = codec::fnv1a(&footer);
+    footer.put_u64(crc);
+    footer.put_u64(FOOTER_MAGIC);
+    debug_assert_eq!(footer.len(), V2_FOOTER_LEN);
+    out.extend_from_slice(&footer);
     out
+}
+
+/// Reads the magic and the format version off the front of a chunk,
+/// refusing anything but [`VERSION_V2`] by its number.
+fn check_header(dec: &mut Decoder<'_>) -> Result<()> {
+    if dec.get_u64()? != MAGIC {
+        return Err(WwError::corrupt("chunk", "bad magic"));
+    }
+    match dec.get_u32()? {
+        VERSION_V2 => Ok(()),
+        version => Err(WwError::corrupt(
+            "chunk",
+            format!("unsupported chunk format version {version}"),
+        )),
+    }
+}
+
+/// End offset of the index block for the header's index length. That
+/// length is outside the index checksum, so the sum is checked and must
+/// stay within the file.
+fn index_end(index_len: u64, file_len: u64) -> Result<u64> {
+    index_len
+        .checked_add(HEADER_LEN as u64)
+        .filter(|&end| end <= file_len)
+        .ok_or_else(|| WwError::corrupt("chunk", "index block beyond file end"))
 }
 
 /// Parses the header + index block. `prefix` must contain at least the
@@ -306,26 +291,16 @@ pub fn write_chunk_opts(
 /// total chunk size (for sanity checks).
 pub fn parse_index(prefix: &[u8], file_len: u64) -> Result<ChunkIndex> {
     let mut dec = Decoder::new(prefix, "chunk");
-    if dec.get_u64()? != MAGIC {
-        return Err(WwError::corrupt("chunk", "bad magic"));
-    }
-    let version = dec.get_u32()?;
-    if !matches!(version, VERSION_V1 | VERSION_V2) {
-        return Err(WwError::corrupt(
-            "chunk",
-            format!("unknown version {version}"),
-        ));
-    }
+    check_header(&mut dec)?;
     let _flags = dec.get_u32()?;
     let count = dec.get_u64()?;
     let leaf_count = dec.get_u32()? as usize;
-    let index_len = dec.get_u64()? as usize;
+    let data_start = index_end(dec.get_u64()?, file_len)?;
     let checksum = dec.get_u64()?;
     let region = codec::decode_region(&mut dec)?;
-    if prefix.len() < HEADER_LEN + index_len {
-        return Err(WwError::corrupt("chunk", "index block truncated"));
-    }
-    let index_bytes = &prefix[HEADER_LEN..HEADER_LEN + index_len];
+    let index_bytes = prefix
+        .get(HEADER_LEN..data_start as usize)
+        .ok_or_else(|| WwError::corrupt("chunk", "index block truncated"))?;
     if codec::fnv1a(index_bytes) != checksum {
         return Err(WwError::corrupt("chunk", "index checksum mismatch"));
     }
@@ -344,7 +319,6 @@ pub fn parse_index(prefix: &[u8], file_len: u64) -> Result<ChunkIndex> {
     if dir_leaves != leaf_count || sep_count + 1 != leaf_count {
         return Err(WwError::corrupt("chunk", "leaf/separator count mismatch"));
     }
-    let data_start = HEADER_LEN as u64 + index_len as u64;
     // Leaf extents come from potentially corrupt bytes: all arithmetic is
     // checked (a forged `offset`/`len` near u64::MAX must not wrap past the
     // `file_len` bound), and pages must be non-overlapping and in file
@@ -382,21 +356,17 @@ pub fn parse_index(prefix: &[u8], file_len: u64) -> Result<ChunkIndex> {
         } else {
             None
         };
-        let measure_range = if version >= VERSION_V2 {
-            match dec.get_u32()? {
-                0 => None,
-                1 => {
-                    let lo = dec.get_u64()?;
-                    let hi = dec.get_u64()?;
-                    if lo > hi {
-                        return Err(WwError::corrupt("chunk", "inverted leaf measure range"));
-                    }
-                    Some((lo, hi))
+        let measure_range = match dec.get_u32()? {
+            0 => None,
+            1 => {
+                let lo = dec.get_u64()?;
+                let hi = dec.get_u64()?;
+                if lo > hi {
+                    return Err(WwError::corrupt("chunk", "inverted leaf measure range"));
                 }
-                _ => return Err(WwError::corrupt("chunk", "bad leaf measure flag")),
+                Some((lo, hi))
             }
-        } else {
-            None
+            _ => return Err(WwError::corrupt("chunk", "bad leaf measure flag")),
         };
         leaves.push(LeafMeta {
             count: entry_count,
@@ -413,7 +383,6 @@ pub fn parse_index(prefix: &[u8], file_len: u64) -> Result<ChunkIndex> {
         separators,
         leaves,
         file_len,
-        version,
     })
 }
 
@@ -421,37 +390,13 @@ pub fn parse_index(prefix: &[u8], file_len: u64) -> Result<ChunkIndex> {
 /// offset, 8-byte length, and the 4-byte time-range and bloom flags.
 const MIN_LEAF_ENTRY_LEN: usize = 28;
 
-/// Smallest possible row-encoded tuple: 8-byte key, 8-byte timestamp,
-/// 4-byte payload length prefix.
-const MIN_TUPLE_LEN: usize = 20;
-
-/// Decodes the tuples of one v1 (row-format) leaf page.
-pub fn decode_leaf_page(bytes: &[u8], expected: u32) -> Result<Vec<Tuple>> {
-    let mut dec = Decoder::new(bytes, "leaf page");
-    // `expected` comes from a (checksummed but possibly forged) directory:
-    // cap the pre-allocation by what the page bytes could plausibly hold
-    // rather than trusting it with up to 4-billion-entry reserves.
-    let plausible = (expected as usize).min(bytes.len() / MIN_TUPLE_LEN);
-    let mut out = Vec::with_capacity(plausible);
-    while dec.remaining() > 0 {
-        out.push(codec::decode_tuple(&mut dec)?);
-    }
-    if out.len() != expected as usize {
-        return Err(WwError::corrupt(
-            "leaf page",
-            format!("expected {expected} tuples, decoded {}", out.len()),
-        ));
-    }
-    Ok(out)
-}
-
 /// How many leading bytes to fetch when first touching a chunk. Large
 /// enough to cover the header and typical index blocks in one access;
 /// the reader falls back to a second ranged read for oversized indexes.
 pub const INDEX_PREFETCH: usize = 64 * 1024;
 
 /// How many trailing bytes to fetch when reading a chunk's aggregate
-/// summary: covers the trailer plus typical summary bodies in one access.
+/// summary: covers the footer plus typical summary bodies in one access.
 pub const SUMMARY_PREFETCH: usize = 64 * 1024;
 
 /// Abstraction over ranged chunk reads, implemented by the simulated DFS.
@@ -493,17 +438,16 @@ impl<R: RangedRead> ChunkReader<R> {
             return Err(WwError::corrupt("chunk", "file shorter than header"));
         }
         // Peek at the index length to decide whether a second read is
-        // needed: it sits at offset 8+4+4+8+4 = 28.
-        let mut peek = Decoder::new(&first[28..36], "chunk");
-        let index_len = peek.get_u64()? as usize;
-        let need = HEADER_LEN + index_len;
-        let prefix = if first.len() >= need {
+        // needed; `parse_index` checks the rest of the header.
+        let mut peek = Decoder::new(&first[INDEX_LEN_AT..], "chunk");
+        let need = index_end(peek.get_u64()?, file_len)?;
+        let prefix = if first.len() as u64 >= need {
             first
         } else {
             let mut full = first;
             let more = self
                 .source
-                .read_range(full.len() as u64, (need - full.len()) as u64)?;
+                .read_range(full.len() as u64, need - full.len() as u64)?;
             full.extend_from_slice(&more);
             full
         };
@@ -512,178 +456,84 @@ impl<R: RangedRead> ChunkReader<R> {
 
     /// Reads the chunk's sealed aggregate summary, if one was written.
     ///
-    /// Costs one ranged access for typical chunks (one tail fetch covers
-    /// the trailer/footer, the summary body, and — for small files — the
-    /// version header); leaf pages are never touched. Chunks written
-    /// without a summary return `Ok(None)`.
-    ///
-    /// Version dispatch: v1 summaries are *discovered* by the heuristic
-    /// magic-at-EOF trailer, so implausible trailers (a data byte pattern
-    /// that happens to match the magic) fail soft to `Ok(None)`; only a
-    /// plausible trailer with a summary body that fails to decode is
-    /// `Corrupt`. v2 chunks always carry a CRC-bearing footer, so any
-    /// footer that fails validation is `Corrupt`.
+    /// Costs one ranged access for typical chunks: one tail fetch covers
+    /// the footer and the summary body; leaf pages are never touched.
+    /// Chunks written without a summary return `Ok(None)`; a footer that
+    /// fails validation is `Corrupt`. The footer's magic and CRC prove the
+    /// file, so the header is checked only when the tail fetch already
+    /// holds it (small files) or to name the version of a file whose
+    /// footer failed.
     pub fn read_summary(&self) -> Result<Option<WheelSummary>> {
         let file_len = self.source.len()?;
-        if file_len < (HEADER_LEN + SUMMARY_TRAILER_LEN) as u64 {
-            return Ok(None);
-        }
         let tail_len = (SUMMARY_PREFETCH as u64).min(file_len);
         let tail = self.source.read_range(file_len - tail_len, tail_len)?;
-        match self.peek_version(file_len, &tail)? {
-            VERSION_V1 => self.read_summary_v1(file_len, &tail),
-            _ => {
-                let footer = self.parse_v2_footer(file_len, &tail)?;
-                if footer.summary_len == 0 {
-                    return Ok(None);
-                }
-                let body = self.summary_body(file_len, &tail, footer.summary_len, V2_FOOTER_LEN)?;
-                WheelSummary::decode(&body).map(Some)
-            }
+        if tail_len == file_len {
+            check_header(&mut Decoder::new(&tail, "chunk"))?;
         }
+        let footer = self.footer_in(file_len, &tail)?;
+        if footer.summary_len == 0 {
+            return Ok(None);
+        }
+        let body = self.summary_body(file_len, &tail, footer.summary_len)?;
+        WheelSummary::decode(&body).map(Some)
     }
 
-    /// Reads the v2 footer: chunk-level MIN/MAX measure bounds and summary
-    /// length. Returns `None` for v1 chunks (which have no footer).
-    pub fn read_footer(&self) -> Result<Option<ChunkFooter>> {
+    /// Reads the footer: chunk-level MIN/MAX measure bounds and summary
+    /// length, after checking the header's format version.
+    pub fn read_footer(&self) -> Result<ChunkFooter> {
         let file_len = self.source.len()?;
         if file_len < HEADER_LEN as u64 {
             return Err(WwError::corrupt("chunk", "file shorter than header"));
         }
-        let tail_len = ((V2_FOOTER_LEN + 12) as u64).min(file_len);
+        check_header(&mut Decoder::new(&self.source.read_range(0, 12)?, "chunk"))?;
+        let tail_len = (V2_FOOTER_LEN as u64).min(file_len);
         let tail = self.source.read_range(file_len - tail_len, tail_len)?;
-        match self.peek_version(file_len, &tail)? {
-            VERSION_V1 => Ok(None),
-            _ => self.parse_v2_footer(file_len, &tail).map(Some),
-        }
+        parse_footer(file_len, &tail)
     }
 
-    /// Determines the chunk's format version from its header, reusing an
-    /// already-fetched tail when it happens to cover offset 0 (small
-    /// files), so summary reads on typical chunks stay one access.
-    fn peek_version(&self, file_len: u64, tail: &[u8]) -> Result<u32> {
-        let head: Vec<u8> = if tail.len() as u64 == file_len {
-            tail[..12.min(tail.len())].to_vec()
-        } else {
-            self.source.read_range(0, 12)?
-        };
-        let mut dec = Decoder::new(&head, "chunk");
-        if dec.get_u64()? != MAGIC {
-            return Err(WwError::corrupt("chunk", "bad magic"));
-        }
-        let version = dec.get_u32()?;
-        if !matches!(version, VERSION_V1 | VERSION_V2) {
-            return Err(WwError::corrupt(
-                "chunk",
-                format!("unknown version {version}"),
-            ));
-        }
-        Ok(version)
-    }
-
-    fn read_summary_v1(&self, file_len: u64, tail: &[u8]) -> Result<Option<WheelSummary>> {
-        let trailer = &tail[tail.len() - SUMMARY_TRAILER_LEN..];
-        let mut dec = Decoder::new(trailer, "chunk summary trailer");
-        let summary_len = dec.get_u64()?;
-        if dec.get_u64()? != SUMMARY_MAGIC {
-            return Ok(None);
-        }
-        // The magic alone is heuristic — a summary-less chunk whose final
-        // data bytes coincide with it must not surface a spurious error, so
-        // an implausible length fails soft to "no summary".
-        let Some(total) = summary_len.checked_add(SUMMARY_TRAILER_LEN as u64) else {
-            return Ok(None);
-        };
-        if summary_len < 8 || total > file_len - HEADER_LEN as u64 {
-            return Ok(None);
-        }
-        let body = self.summary_body(file_len, tail, summary_len, SUMMARY_TRAILER_LEN)?;
-        // A real v1 summary body always begins with the summary magic; any
-        // other prefix means the trailer match was a coincidence.
-        let mut head = Decoder::new(&body, "chunk summary");
-        if head.get_u64()? != SUMMARY_MAGIC {
-            return Ok(None);
-        }
-        // From here the chunk plausibly carries a summary: decode failures
-        // are genuine corruption, not "no summary".
-        WheelSummary::decode(&body).map(Some)
-    }
-
-    /// Fetches the `summary_len` bytes that precede the `trailer_len`-byte
-    /// trailer at EOF, reusing the tail fetch when it covers them.
-    fn summary_body(
-        &self,
-        file_len: u64,
-        tail: &[u8],
-        summary_len: u64,
-        trailer_len: usize,
-    ) -> Result<Vec<u8>> {
+    /// Fetches the `summary_len` bytes that precede the footer, reusing the
+    /// tail fetch when it covers them.
+    fn summary_body(&self, file_len: u64, tail: &[u8], summary_len: u64) -> Result<Vec<u8>> {
         let total = summary_len
-            .checked_add(trailer_len as u64)
+            .checked_add(V2_FOOTER_LEN as u64)
             .ok_or_else(|| WwError::corrupt("chunk", "summary length overflows"))?;
         if total <= tail.len() as u64 {
-            Ok(tail[tail.len() - total as usize..tail.len() - trailer_len].to_vec())
+            Ok(tail[tail.len() - total as usize..tail.len() - V2_FOOTER_LEN].to_vec())
         } else {
             self.source.read_range(file_len - total, summary_len)
         }
     }
 
-    fn parse_v2_footer(&self, file_len: u64, tail: &[u8]) -> Result<ChunkFooter> {
-        if file_len < (HEADER_LEN + V2_FOOTER_LEN) as u64 || tail.len() < V2_FOOTER_LEN {
-            return Err(WwError::corrupt("chunk", "v2 chunk shorter than footer"));
-        }
-        let footer = &tail[tail.len() - V2_FOOTER_LEN..];
-        let mut dec = Decoder::new(footer, "chunk footer");
-        let measure_flag = dec.get_u8()?;
-        let lo = dec.get_u64()?;
-        let hi = dec.get_u64()?;
-        let summary_len = dec.get_u64()?;
-        let crc = dec.get_u64()?;
-        let magic = dec.get_u64()?;
-        if magic != FOOTER_MAGIC {
-            return Err(WwError::corrupt("chunk", "bad footer magic"));
-        }
-        if crc != codec::fnv1a(&footer[..V2_FOOTER_LEN - 16]) {
-            return Err(WwError::corrupt("chunk", "footer checksum mismatch"));
-        }
-        let measure_range = match measure_flag {
-            0 => None,
-            1 if lo <= hi => Some((lo, hi)),
-            _ => return Err(WwError::corrupt("chunk", "bad footer measure bounds")),
-        };
-        if summary_len
-            .checked_add((HEADER_LEN + V2_FOOTER_LEN) as u64)
-            .is_none_or(|total| total > file_len)
-        {
-            return Err(WwError::corrupt("chunk", "footer summary length invalid"));
-        }
-        Ok(ChunkFooter {
-            measure_range,
-            summary_len,
+    /// Parses the footer at the end of a summary read's `tail`. When it
+    /// fails, a header of another format version (a retired v1 chunk has no
+    /// footer at all) is named as the reason instead.
+    fn footer_in(&self, file_len: u64, tail: &[u8]) -> Result<ChunkFooter> {
+        parse_footer(file_len, tail).map_err(|err| {
+            self.source
+                .read_range(0, 12)
+                .ok()
+                .and_then(|head| check_header(&mut Decoder::new(&head, "chunk")).err())
+                .unwrap_or(err)
         })
     }
 
     /// Reads and decodes the leaf pages `lo..=hi` (inclusive), coalescing
-    /// them into a single ranged access and dispatching the page decoder on
-    /// the chunk's format version. Returns one tuple vector per leaf.
+    /// them into a single ranged access. Returns one tuple vector per leaf.
     pub fn read_leaves(&self, index: &ChunkIndex, lo: usize, hi: usize) -> Result<Vec<Vec<Tuple>>> {
         let (bytes, start) = self.fetch_page_run(index, lo, hi)?;
         let mut out = Vec::with_capacity(hi - lo + 1);
-        // One scratch across the whole run: columnar pages decoded back to
-        // back reuse the same column buffers.
+        // One scratch across the whole run: pages decoded back to back
+        // reuse the same column buffers.
         let mut scratch = columnar::ScanScratch::new();
         for meta in &index.leaves[lo..=hi] {
             let page = page_slice(&bytes, start, meta)?;
-            out.push(match index.version {
-                VERSION_V1 => decode_leaf_page(page, meta.count)?,
-                _ => columnar::decode_leaf_with(page, meta.count, &mut scratch)?,
-            });
+            out.push(columnar::decode_leaf_with(page, meta.count, &mut scratch)?);
         }
         Ok(out)
     }
 
     /// Reads the raw (still-encoded) leaf pages `lo..=hi` in one coalesced
-    /// access. Used by the v2 query path, which caches the compact encoded
+    /// access. Used by the query path, which caches the compact encoded
     /// images and late-materializes rows per subquery.
     pub fn read_leaf_pages(
         &self,
@@ -717,6 +567,42 @@ impl<R: RangedRead> ChunkReader<R> {
     }
 }
 
+/// Validates the footer at the end of `tail`.
+fn parse_footer(file_len: u64, tail: &[u8]) -> Result<ChunkFooter> {
+    if file_len < (HEADER_LEN + V2_FOOTER_LEN) as u64 || tail.len() < V2_FOOTER_LEN {
+        return Err(WwError::corrupt("chunk", "chunk shorter than footer"));
+    }
+    let footer = &tail[tail.len() - V2_FOOTER_LEN..];
+    let mut dec = Decoder::new(footer, "chunk footer");
+    let measure_flag = dec.get_u8()?;
+    let lo = dec.get_u64()?;
+    let hi = dec.get_u64()?;
+    let summary_len = dec.get_u64()?;
+    let crc = dec.get_u64()?;
+    let magic = dec.get_u64()?;
+    if magic != FOOTER_MAGIC {
+        return Err(WwError::corrupt("chunk", "bad footer magic"));
+    }
+    if crc != codec::fnv1a(&footer[..V2_FOOTER_LEN - 16]) {
+        return Err(WwError::corrupt("chunk", "footer checksum mismatch"));
+    }
+    let measure_range = match measure_flag {
+        0 => None,
+        1 if lo <= hi => Some((lo, hi)),
+        _ => return Err(WwError::corrupt("chunk", "bad footer measure bounds")),
+    };
+    if summary_len
+        .checked_add((HEADER_LEN + V2_FOOTER_LEN) as u64)
+        .is_none_or(|total| total > file_len)
+    {
+        return Err(WwError::corrupt("chunk", "footer summary length invalid"));
+    }
+    Ok(ChunkFooter {
+        measure_range,
+        summary_len,
+    })
+}
+
 /// Slices one leaf page out of a coalesced fetch starting at `start`.
 fn page_slice<'a>(bytes: &'a [u8], start: u64, meta: &LeafMeta) -> Result<&'a [u8]> {
     let corrupt = || WwError::corrupt("chunk", "leaf page outside fetched range");
@@ -728,16 +614,8 @@ fn page_slice<'a>(bytes: &'a [u8], start: u64, meta: &LeafMeta) -> Result<&'a [u
     bytes.get(page_start..page_end).ok_or_else(corrupt)
 }
 
-/// Decodes one leaf page according to the chunk's format version.
-pub fn decode_page(version: u32, page: &[u8], count: u32) -> Result<Vec<Tuple>> {
-    match version {
-        VERSION_V1 => decode_leaf_page(page, count),
-        _ => columnar::decode_leaf(page, count),
-    }
-}
-
-/// The v2 chunk footer: chunk-level MIN/MAX measure bounds plus the length
-/// of the trailing aggregate summary (zero when none was written).
+/// The chunk footer: chunk-level MIN/MAX measure bounds plus the length of
+/// the trailing aggregate summary (zero when none was written).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChunkFooter {
     /// MIN/MAX of the registered measure over every tuple in the chunk;
@@ -769,18 +647,60 @@ mod tests {
     use waterwheel_core::Tuple;
     use waterwheel_index::{IndexConfig, TemplateBTree, TupleIndex};
 
-    fn sealed_tree(n: u64) -> SealedTree {
-        let cfg = IndexConfig {
+    fn small_leaves() -> IndexConfig {
+        IndexConfig {
             leaf_capacity: 16,
             fanout: 4,
             skew_check_interval: 64,
             ..IndexConfig::default()
-        };
-        let tree = TemplateBTree::new(KeyInterval::full(), cfg);
+        }
+    }
+
+    fn sealed_tree(n: u64) -> SealedTree {
+        let tree = TemplateBTree::new(KeyInterval::full(), small_leaves());
         for i in 0..n {
             tree.insert(Tuple::new(i * 3, 1_000 + i, vec![(i % 251) as u8; 8]));
         }
         tree.seal().expect("non-empty tree")
+    }
+
+    /// A sealed tree from a seeded stream: colliding keys, out-of-order
+    /// timestamps, payloads of varying length.
+    fn seeded_tree(seed: u64, n: u64) -> SealedTree {
+        let tree = TemplateBTree::new(KeyInterval::full(), small_leaves());
+        let mut x = seed;
+        let mut next = || {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            x >> 33
+        };
+        for _ in 0..n {
+            let (key, ts, len) = (next() % 2_000, 1_000 + next() % 50_000, next() % 24);
+            tree.insert(Tuple::new(key, ts, vec![(key % 7) as u8; len as usize]));
+        }
+        tree.seal().expect("non-empty tree")
+    }
+
+    /// The aggregate summary of a sealed tree, measured by payload length.
+    fn summary_of(sealed: &SealedTree) -> WheelSummary {
+        WheelSummary::build(
+            sealed
+                .leaves
+                .iter()
+                .flat_map(|l| l.entries.iter())
+                .map(|t| (t.key, t.ts, t.payload.len() as u64)),
+            4,
+            usize::MAX,
+        )
+    }
+
+    fn v2_opts() -> ChunkWriteOptions<'static> {
+        ChunkWriteOptions {
+            format_version: VERSION_V2,
+            compression: true,
+            measure: Some(&|t: &Tuple| t.payload.len() as u64),
+        }
     }
 
     #[test]
@@ -899,27 +819,21 @@ mod tests {
     #[test]
     fn summary_footer_roundtrips_and_leaves_index_untouched() {
         let sealed = sealed_tree(500);
-        let summary = WheelSummary::build(
-            sealed
-                .leaves
-                .iter()
-                .flat_map(|l| l.entries.iter())
-                .map(|t| (t.key, t.ts, t.payload.len() as u64)),
-            4,
-            usize::MAX,
-        );
+        let summary = summary_of(&sealed);
         assert!(!summary.is_empty());
         let plain = write_chunk(&sealed);
-        let with = write_chunk_with_summary(&sealed, Some(&summary));
-        // The summary is purely appended: the prefix is byte-identical.
-        assert_eq!(&with[..plain.len()], &plain[..]);
+        let with = write_chunk_opts(&sealed, Some(&summary), &ChunkWriteOptions::default());
+        // The summary sits between the leaf pages and the footer: everything
+        // in front of it is byte-identical.
+        let data_len = plain.len() - V2_FOOTER_LEN;
+        assert_eq!(&with[..data_len], &plain[..data_len]);
 
         let reader = ChunkReader::new(with.as_slice());
         let index = reader.load_index().unwrap();
         assert_eq!(index.count, 500);
         let got = reader.read_summary().unwrap().expect("summary present");
         assert_eq!(got, summary);
-        // Leaf pages still decode correctly past the footer.
+        // Leaf pages still decode correctly in front of the summary.
         let pages = reader
             .read_leaves(&index, 0, index.leaves.len() - 1)
             .unwrap();
@@ -937,82 +851,64 @@ mod tests {
     #[test]
     fn corrupt_summary_is_an_error_not_a_wrong_answer() {
         let sealed = sealed_tree(50);
-        let summary = WheelSummary::build(
-            sealed
-                .leaves
-                .iter()
-                .flat_map(|l| l.entries.iter())
-                .map(|t| (t.key, t.ts, 1)),
-            4,
-            usize::MAX,
-        );
-        let mut bytes = write_chunk_with_summary(&sealed, Some(&summary));
-        // Flip a byte inside the summary body (just before the trailer).
-        let i = bytes.len() - SUMMARY_TRAILER_LEN - 9;
+        let summary = summary_of(&sealed);
+        let mut bytes = write_chunk_opts(&sealed, Some(&summary), &ChunkWriteOptions::default());
+        // Flip a byte inside the summary body (just before the footer).
+        let i = bytes.len() - V2_FOOTER_LEN - 9;
         bytes[i] ^= 0xFF;
         assert!(ChunkReader::new(bytes.as_slice()).read_summary().is_err());
     }
 
-    fn v2_opts() -> ChunkWriteOptions<'static> {
-        ChunkWriteOptions {
-            format_version: VERSION_V2,
-            compression: true,
-            measure: Some(&|t: &Tuple| t.payload.len() as u64),
-        }
-    }
-
     #[test]
-    fn v2_roundtrip_matches_v1_exactly() {
+    fn v2_roundtrips_the_sealed_tree_exactly() {
         let sealed = sealed_tree(500);
-        let v1 = write_chunk(&sealed);
+        let expected: Vec<Tuple> = sealed.clone().into_tuples();
         for compression in [false, true] {
             let opts = ChunkWriteOptions {
                 compression,
                 ..v2_opts()
             };
-            let v2 = write_chunk_opts(&sealed, None, &opts);
-            let r1 = ChunkReader::new(v1.as_slice());
-            let r2 = ChunkReader::new(v2.as_slice());
-            let i1 = r1.load_index().unwrap();
-            let i2 = r2.load_index().unwrap();
-            assert_eq!(i1.version, VERSION_V1);
-            assert_eq!(i2.version, VERSION_V2);
-            assert_eq!(i1.count, i2.count);
-            assert_eq!(i1.separators, i2.separators);
-            let p1 = r1.read_leaves(&i1, 0, i1.leaves.len() - 1).unwrap();
-            let p2 = r2.read_leaves(&i2, 0, i2.leaves.len() - 1).unwrap();
-            assert_eq!(p1, p2);
+            let bytes = write_chunk_opts(&sealed, None, &opts);
+            let reader = ChunkReader::new(bytes.as_slice());
+            let index = reader.load_index().unwrap();
+            assert_eq!(index.count, 500);
+            assert_eq!(index.separators, sealed.separators);
+            let pages = reader
+                .read_leaves(&index, 0, index.leaves.len() - 1)
+                .unwrap();
+            assert_eq!(pages.into_iter().flatten().collect::<Vec<_>>(), expected);
         }
     }
 
+    /// The v2 bytes of a fixed seeded tree, with a summary and a measure,
+    /// compressed and raw. The hashes were taken from the writer while it
+    /// still had its v1 branch: retiring v1 moved no byte of v2.
     #[test]
-    fn v2_chunks_are_smaller() {
-        let sealed = sealed_tree(2_000);
-        let v1 = write_chunk(&sealed);
-        let v2 = write_chunk_opts(&sealed, None, &v2_opts());
-        assert!(
-            v2.len() * 10 < v1.len() * 8,
-            "v2 {} vs v1 {}: expected at least a 20% cut",
-            v2.len(),
-            v1.len()
-        );
+    fn v2_bytes_are_pinned() {
+        let sealed = seeded_tree(23, 700);
+        let summary = summary_of(&sealed);
+        assert!(!summary.is_empty());
+        for (compression, len, fnv) in [
+            (false, 19_764, 0x19ae_dec8_ce52_f66b),
+            (true, 14_336, 0x8a44_ce8f_dfef_e2ce),
+        ] {
+            let opts = ChunkWriteOptions {
+                compression,
+                ..v2_opts()
+            };
+            let bytes = write_chunk_opts(&sealed, Some(&summary), &opts);
+            assert_eq!(bytes.len(), len, "compression={compression}");
+            assert_eq!(codec::fnv1a(&bytes), fnv, "compression={compression}");
+        }
     }
 
     #[test]
     fn v2_footer_carries_bounds_and_summary_length() {
         let sealed = sealed_tree(300);
-        let summary = WheelSummary::build(
-            sealed
-                .leaves
-                .iter()
-                .flat_map(|l| l.entries.iter())
-                .map(|t| (t.key, t.ts, t.payload.len() as u64)),
-            4,
-            usize::MAX,
-        );
+        let summary = summary_of(&sealed);
         let bytes = write_chunk_opts(&sealed, Some(&summary), &v2_opts());
         let reader = ChunkReader::new(bytes.as_slice());
-        let footer = reader.read_footer().unwrap().expect("v2 footer");
+        let footer = reader.read_footer().unwrap();
         // Measure is payload length: sealed_tree writes 8-byte payloads.
         assert_eq!(footer.measure_range, Some((8, 8)));
         assert!(footer.summary_len > 0);
@@ -1024,12 +920,6 @@ mod tests {
             .iter()
             .filter(|l| l.count > 0)
             .all(|l| l.measure_range == Some((8, 8))));
-        // v1 chunks have no footer.
-        let v1 = write_chunk(&sealed);
-        assert!(ChunkReader::new(v1.as_slice())
-            .read_footer()
-            .unwrap()
-            .is_none());
     }
 
     #[test]
@@ -1058,28 +948,35 @@ mod tests {
     }
 
     #[test]
-    fn v1_magic_coincidence_in_data_fails_soft() {
-        // A summary-less v1 chunk whose final 8 payload bytes equal the
-        // summary magic must read as "no summary", not corrupt.
-        let cfg = IndexConfig {
-            leaf_capacity: 16,
-            fanout: 4,
-            ..IndexConfig::default()
+    fn v1_chunks_are_refused_by_name_on_every_read_surface() {
+        // The header is outside every checksum: a v2 image with its version
+        // word set to 1 is what a retired row-format chunk looks like to
+        // each reader until the leaf pages.
+        let sealed = sealed_tree(300);
+        let mut bytes = write_chunk_opts(&sealed, Some(&summary_of(&sealed)), &v2_opts());
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let reader = ChunkReader::new(bytes.as_slice());
+        let named = |what: &str, err: WwError| {
+            assert!(matches!(err, WwError::Corrupt { .. }), "{what}: {err}");
+            assert!(
+                err.to_string()
+                    .contains("unsupported chunk format version 1"),
+                "{what}: {err}"
+            );
         };
-        let tree = TemplateBTree::new(KeyInterval::full(), cfg);
-        let mut payload = vec![0u8; 16];
-        // Tuple payload is the file suffix; make its last 16 bytes spell a
-        // plausible-looking trailer: a length then the magic.
-        payload[..8].copy_from_slice(&4u64.to_le_bytes());
-        payload[8..].copy_from_slice(&SUMMARY_MAGIC.to_le_bytes());
-        tree.insert(Tuple::new(1, 10, payload));
-        let sealed = tree.seal().unwrap();
-        let bytes = write_chunk(&sealed);
-        assert_eq!(&bytes[bytes.len() - 8..], &SUMMARY_MAGIC.to_le_bytes());
-        assert!(ChunkReader::new(bytes.as_slice())
-            .read_summary()
-            .unwrap()
-            .is_none());
+        named("load_index", reader.load_index().unwrap_err());
+        named("read_summary", reader.read_summary().unwrap_err());
+        named("read_footer", reader.read_footer().unwrap_err());
+        // A real v1 file ends in leaf data or a summary trailer, not in a
+        // footer: the failed footer check still names the version.
+        let mut no_footer = bytes[..bytes.len() - V2_FOOTER_LEN].to_vec();
+        no_footer.resize(SUMMARY_PREFETCH + 4_096, 0);
+        named(
+            "read_summary past the prefetch",
+            ChunkReader::new(no_footer.as_slice())
+                .read_summary()
+                .unwrap_err(),
+        );
     }
 
     #[test]
@@ -1107,14 +1004,14 @@ mod tests {
     fn forged_leaf_count_does_not_overallocate() {
         // A directory entry claiming u32::MAX tuples for a small page must
         // fail with a decode error after bounded allocation, not reserve
-        // gigabytes. Drive decode_leaf_page directly.
+        // gigabytes. Drive the page decoder directly.
         let sealed = sealed_tree(50);
         let bytes = write_chunk(&sealed);
         let reader = ChunkReader::new(bytes.as_slice());
         let index = reader.load_index().unwrap();
         let meta = &index.leaves[0];
         let page = &bytes[meta.offset as usize..(meta.offset + meta.len) as usize];
-        assert!(decode_leaf_page(page, u32::MAX).is_err());
+        assert!(columnar::decode_leaf(page, u32::MAX).is_err());
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! [`chunk::write_chunk`] serializes into a self-describing immutable blob:
 //!
 //! ```text
-//! ┌────────┬──────────────────────────────┬──────────────────────────┐
-//! │ header │ index block:                 │ leaf pages:              │
-//! │ magic  │  separators, per-leaf        │  tuples of leaf 0,       │
-//! │ region │  directory (offsets, time    │  tuples of leaf 1, …     │
-//! │ counts │  bounds, bloom filters)      │                          │
-//! └────────┴──────────────────────────────┴──────────────────────────┘
+//! ┌─────────┬─────────────────────────┬─────────────────────┬─────────┬────────┐
+//! │ header  │ index block:            │ leaf pages:         │ summary │ footer │
+//! │ magic   │  separators, per-leaf   │  columnar image of  │ (opt.)  │ bounds │
+//! │ version │  directory (offsets,    │  leaf 0, of leaf 1, │         │ length │
+//! │ region  │  time and measure       │  …                  │         │ crc    │
+//! │ counts  │  bounds, blooms)        │                     │         │        │
+//! └─────────┴─────────────────────────┴─────────────────────┴─────────┴────────┘
 //! ```
 //!
 //! The index block is the persisted *template*: loading it alone lets a
@@ -32,8 +33,8 @@ pub mod singleflight;
 
 pub use cache::{Block, BlockCache, BlockKey, CacheStats};
 pub use chunk::{
-    write_chunk, write_chunk_opts, write_chunk_with_summary, ChunkFooter, ChunkIndex, ChunkReader,
-    ChunkWriteOptions, LeafMeta, RangedRead, VERSION_V1, VERSION_V2,
+    write_chunk, write_chunk_opts, ChunkFooter, ChunkIndex, ChunkReader, ChunkWriteOptions,
+    LeafMeta, RangedRead, VERSION_V2,
 };
 pub use dfs::{DfsFile, SimDfs};
 pub use singleflight::Singleflight;

@@ -1,5 +1,5 @@
 //! Corruption fuzzing for the chunk read path: arbitrary byte flips,
-//! splices, and truncations of valid v1 and v2 chunk images must never
+//! splices, and truncations of valid chunk images must never
 //! panic or over-allocate — every read either succeeds or fails with a
 //! typed [`WwError::Corrupt`]-class error.
 //!
@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use waterwheel_agg::WheelSummary;
 use waterwheel_core::{KeyInterval, Tuple, WwError};
 use waterwheel_index::{IndexConfig, SealedTree, TemplateBTree, TupleIndex};
-use waterwheel_storage::{ChunkReader, ChunkWriteOptions, VERSION_V1, VERSION_V2};
+use waterwheel_storage::{ChunkReader, ChunkWriteOptions, VERSION_V2};
 
 /// Deterministic per-case generator (SplitMix64).
 struct Gen(u64);
@@ -48,15 +48,10 @@ fn sealed_tree(g: &mut Gen) -> SealedTree {
     tree.seal().expect("non-empty tree")
 }
 
-/// A valid chunk image whose format, compression, measure bounds, and
-/// summary presence all vary with the seed.
+/// A valid chunk image whose compression, measure bounds, and summary
+/// presence all vary with the seed.
 fn valid_chunk(g: &mut Gen) -> Vec<u8> {
     let sealed = sealed_tree(g);
-    let version = if g.below(2) == 0 {
-        VERSION_V1
-    } else {
-        VERSION_V2
-    };
     let summary = if g.below(2) == 0 {
         let s = WheelSummary::build(
             sealed
@@ -76,7 +71,7 @@ fn valid_chunk(g: &mut Gen) -> Vec<u8> {
         &sealed,
         summary.as_ref(),
         &ChunkWriteOptions {
-            format_version: version,
+            format_version: VERSION_V2,
             compression: g.below(2) == 0,
             measure: (g.below(2) == 0).then_some(&measure as &(dyn Fn(&Tuple) -> u64 + Sync)),
         },
@@ -198,7 +193,10 @@ proptest! {
 /// agree with its bit count. Each must come back `Corrupt` — not abort on a
 /// 32 GiB reserve. (The leaf count is clamped the same way, but it has to
 /// agree with a separator count whose separators are really there, so it
-/// can amplify an allocation, never by itself exhaust memory.)
+/// can amplify an allocation, never by itself exhaust memory.) The header's
+/// index length is outside the checksum altogether: forged to overflow the
+/// header offset, or to run past the file, it must be `Corrupt` too — not
+/// an add overflow or a slice past the end.
 #[test]
 fn forged_counts_with_a_valid_checksum_fail_closed() {
     use waterwheel_core::codec::fnv1a;
@@ -230,9 +228,24 @@ fn forged_counts_with_a_valid_checksum_fail_closed() {
         .copy_from_slice(&(u64::from(u32::MAX) * 64).to_le_bytes());
     put_u32(&mut forged_bloom, bloom_at + 20, u32::MAX);
 
+    let forged_index_len = |len: u64| {
+        let mut bytes = valid.clone();
+        bytes[INDEX_LEN_AT..INDEX_LEN_AT + 8].copy_from_slice(&len.to_le_bytes());
+        bytes
+    };
+
     for (what, mut bytes) in [
         ("separator count", forged_separators),
         ("bloom word count", forged_bloom),
+        ("index length u64::MAX", forged_index_len(u64::MAX)),
+        (
+            "index length wrapping the header",
+            forged_index_len(u64::MAX - HEADER_LEN as u64 + 1),
+        ),
+        (
+            "index length = file length",
+            forged_index_len(valid.len() as u64),
+        ),
     ] {
         let sum = fnv1a(&bytes[HEADER_LEN..HEADER_LEN + index_len]);
         bytes[CHECKSUM_AT..CHECKSUM_AT + 8].copy_from_slice(&sum.to_le_bytes());

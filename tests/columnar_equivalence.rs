@@ -1,9 +1,10 @@
-//! v1 ↔ v2 chunk-format equivalence oracle and MIN/MAX pruning proof.
+//! Compressed ↔ raw columnar chunk equivalence oracle and MIN/MAX pruning
+//! proof.
 //!
-//! Three systems differing only in `chunk_format_version` /
-//! `chunk_compression` ingest the identical stream and must answer every
-//! range query, predicate query, and aggregate byte-identically: the
-//! columnar format changes bytes on disk, never answers. A separate test
+//! Two systems differing only in `chunk_compression` ingest the identical
+//! stream and must answer every range query exactly like the full-scan
+//! oracle, and every predicate query and aggregate byte-identically: payload
+//! compression changes bytes on disk, never answers. A separate test
 //! shows the persisted measure bounds actually skip whole chunks (and
 //! leaves) for a disjoint `measure_range` — without changing the answer
 //! relative to the full-scan oracle filtered by the measure.
@@ -21,7 +22,7 @@ fn fresh_root(name: &str) -> std::path::PathBuf {
     root
 }
 
-fn system(name: &str, version: u32, compression: bool) -> Waterwheel {
+fn system(name: &str, compression: bool) -> Waterwheel {
     let mut cfg = SystemConfig::default();
     cfg.chunk_size_bytes = 32 * 1024;
     cfg.indexing_servers = 2;
@@ -29,7 +30,6 @@ fn system(name: &str, version: u32, compression: bool) -> Waterwheel {
     // Frequent skew checks so the template actually splits into many
     // leaves at these small test scales — per-leaf bounds need >1 leaf.
     cfg.skew_check_interval = 64;
-    cfg.chunk_format_version = version;
     cfg.chunk_compression = compression;
     let ww = Waterwheel::builder(fresh_root(name))
         .config(cfg)
@@ -50,16 +50,12 @@ fn normalized(mut tuples: Vec<Tuple>) -> Vec<Tuple> {
     tuples
 }
 
-/// Every v1/v2/v2-uncompressed system answers the default T-Drive stream
-/// identically — range queries against the full-scan oracle, predicate
-/// queries, measure-range queries, and all aggregate kinds.
+/// The compressed and the uncompressed system answer the default T-Drive
+/// stream identically — range queries against the full-scan oracle,
+/// predicate queries, measure-range queries, and all aggregate kinds.
 #[test]
-fn v1_and_v2_answer_byte_identically() {
-    let systems = [
-        system("v1", 1, false),
-        system("v2", 2, true),
-        system("v2-raw", 2, false),
-    ];
+fn compressed_and_raw_v2_answer_byte_identically() {
+    let systems = [system("v2", true), system("v2-raw", false)];
     let mut fleet = TDriveGen::new(TDriveConfig {
         taxis: 200,
         seed: 9,
@@ -67,7 +63,7 @@ fn v1_and_v2_answer_byte_identically() {
     });
     let mut all: Vec<Tuple> = Vec::new();
     // First half flushed to chunks, second half left in memory, so queries
-    // cross the format boundary and the memory path in one answer.
+    // cross the chunk/memory boundary in one answer.
     for i in 0..8_000 {
         let t = fleet.next().unwrap();
         all.push(t.clone());
@@ -100,7 +96,7 @@ fn v1_and_v2_answer_byte_identically() {
     }
 
     // Predicate + measure-range queries and aggregates: compare the
-    // systems against each other (v1 answer is the reference).
+    // systems against each other (the compressed answer is the reference).
     let probes = [
         Query::range(KeyInterval::full(), TimeInterval::new(0, now)),
         Query::with_predicate(KeyInterval::full(), TimeInterval::new(0, now), |t| {
@@ -124,9 +120,9 @@ fn v1_and_v2_answer_byte_identically() {
         }
     }
 
-    // The query battery above revisits the same chunks many times, so the
-    // v2 system must have served repeat scans from decoded cached leaves.
-    let decode_counters = |ww: &Waterwheel| {
+    // The query battery above revisits the same chunks many times, so each
+    // system must have served repeat scans from decoded cached leaves.
+    for ww in &systems {
         let mut hits = 0u64;
         let mut misses = 0u64;
         let mut selected = 0u64;
@@ -135,22 +131,18 @@ fn v1_and_v2_answer_byte_identically() {
             misses += qs.stats().column_decode_misses.load(Ordering::Relaxed);
             selected += qs.stats().scan_selected_rows.load(Ordering::Relaxed);
         }
-        (hits, misses, selected)
-    };
-    let (hits, misses, selected) = decode_counters(&systems[1]);
-    assert!(hits > 0, "repeat v2 scans never hit the decoded cache");
-    assert!(misses > 0, "first touch of each leaf must count a decode");
-    assert!(selected > 0, "columnar scans materialized no rows");
-    let (v1_hits, v1_misses, _) = decode_counters(&systems[0]);
-    assert_eq!((v1_hits, v1_misses), (0, 0), "v1 has no column decodes");
+        assert!(hits > 0, "repeat scans never hit the decoded cache");
+        assert!(misses > 0, "first touch of each leaf must count a decode");
+        assert!(selected > 0, "columnar scans materialized no rows");
+    }
 }
 
-/// Persisted MIN/MAX measure bounds skip whole chunks (and v2 leaves) for a
+/// Persisted MIN/MAX measure bounds skip whole chunks (and leaves) for a
 /// disjoint measure range, and pruning never changes the answer: it is the
 /// full-scan oracle's, filtered by the measure.
 #[test]
 fn measure_bounds_prune_whole_chunks_without_changing_answers() {
-    let pruned = system("prune-on", 2, true);
+    let pruned = system("prune-on", true);
     // Three disjoint key batches, each flushed into its own chunk(s), so
     // the chunks carry disjoint measure bounds (measure == key).
     let mut all = Vec::new();
@@ -203,11 +195,11 @@ fn measure_bounds_prune_whole_chunks_without_changing_answers() {
     }
 }
 
-/// Within a single v2 chunk, per-leaf bounds prune leaves the chunk-level
+/// Within a single chunk, per-leaf bounds prune leaves the chunk-level
 /// bounds cannot (the chunk straddles the range, some leaves do not).
 #[test]
 fn leaf_bounds_prune_within_a_chunk() {
-    let ww = system("leaf-prune", 2, true);
+    let ww = system("leaf-prune", true);
     // Keys spread over the full u64 domain so the template tree's leaves
     // each receive a distinct key slice — and, with measure == key,
     // distinct measure bounds. (Clustered keys would all land in one
