@@ -20,6 +20,14 @@ timeout 600 cargo test --workspace -q
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> one SplitMix64 mixer (waterwheel_core::mix64 is the only copy under crates/*/src)"
+mixers=$(grep -rniE "0xBF58_?476D_?1CE4_?E5B9" crates/*/src || true)
+if [ "$(printf '%s\n' "$mixers" | grep -c '^crates/core/src/lib.rs:')" != 1 ] ||
+    [ "$(printf '%s\n' "$mixers" | grep -c .)" != 1 ]; then
+    echo "the SplitMix64 multiplier must appear once, in waterwheel_core::mix64; call it instead:"
+    echo "$mixers"; exit 1
+fi
+
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -104,13 +104,12 @@ pub struct Cluster {
 /// Rendezvous (highest-random-weight) score of `(chunk, node)`.
 fn hrw_score(chunk: ChunkId, node: NodeId) -> u64 {
     // SplitMix64 finalizer over the packed pair.
-    let mut z = chunk
-        .raw()
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(node.raw() as u64);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    waterwheel_core::mix64(
+        chunk
+            .raw()
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(node.raw() as u64),
+    )
 }
 
 impl Cluster {

@@ -46,3 +46,14 @@ pub use interval::{KeyInterval, TimeInterval};
 pub use query::{Predicate, Query, QueryResult, SubQuery, SubQueryTarget};
 pub use region::Region;
 pub use tuple::{Key, Timestamp, Tuple};
+
+/// The SplitMix64 finalizer: a bijective, avalanching mix of one word — the
+/// hash behind HRW placement, bloom bit positions, seeded shuffles, fault
+/// draws and every deterministic generator in the workspace. A SplitMix64
+/// stream is `mix64(state += 0x9E37_79B9_7F4A_7C15)`.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

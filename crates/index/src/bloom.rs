@@ -32,10 +32,7 @@ pub struct TimeBloom {
 #[inline]
 fn bucket_hash(bucket: u64, i: u32) -> u64 {
     // SplitMix64 finalizer over (bucket, i): cheap, well-distributed.
-    let mut z = bucket.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    waterwheel_core::mix64(bucket.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
 impl TimeBloom {

@@ -163,34 +163,34 @@ impl PendingCall {
 /// A uniform backoff multiplier in `[0.5, 1.5)` from a SplitMix64 draw,
 /// so simultaneous failures don't retry in lockstep.
 fn jitter_factor(seed: u64) -> f64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+    let z = waterwheel_core::mix64(seed.wrapping_add(0x9E37_79B9_7F4A_7C15));
     0.5 + (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{InProcTransport, LinkProfile};
+    use crate::transport::{FaultPlane, InProcTransport, LinkProfile};
     use waterwheel_core::WwError;
 
-    fn rig(retries: u32) -> (Arc<InProcTransport>, RpcClient) {
-        let t = Arc::new(InProcTransport::new(None));
+    /// A client on a fault layer over an in-process plane; handlers bind
+    /// on the plane.
+    fn rig(retries: u32) -> (Arc<InProcTransport>, Arc<FaultPlane>, RpcClient) {
+        let t = Arc::new(InProcTransport::with_registry(None, Arc::default()));
+        let faults = Arc::new(FaultPlane::new(Arc::clone(&t) as Arc<dyn Transport>));
         let cfg = SystemConfig {
             rpc_retries: retries,
             ..SystemConfig::default()
         };
-        let client = RpcClient::new(Arc::clone(&t) as Arc<dyn Transport>, ServerId(0), &cfg);
-        (t, client)
+        let client = RpcClient::new(Arc::clone(&faults) as Arc<dyn Transport>, ServerId(0), &cfg);
+        (t, faults, client)
     }
 
     #[test]
     fn retries_mask_transient_loss() {
-        let (t, client) = rig(30);
-        t.bind(ServerId(1), |_| Ok(Response::Pong));
-        t.set_default_profile(LinkProfile {
+        let (t, faults, client) = rig(30);
+        t.registry().bind(ServerId(1), |_| Ok(Response::Pong));
+        faults.set_default_profile(LinkProfile {
             loss: 0.5,
             ..LinkProfile::default()
         });
@@ -206,9 +206,9 @@ mod tests {
 
     #[test]
     fn retry_budget_is_bounded() {
-        let (t, client) = rig(2);
-        t.bind(ServerId(1), |_| Ok(Response::Pong));
-        t.set_default_profile(LinkProfile {
+        let (t, faults, client) = rig(2);
+        t.registry().bind(ServerId(1), |_| Ok(Response::Pong));
+        faults.set_default_profile(LinkProfile {
             loss: 1.0,
             ..LinkProfile::default()
         });
@@ -221,8 +221,9 @@ mod tests {
 
     #[test]
     fn destination_errors_are_not_retried() {
-        let (t, client) = rig(5);
-        t.bind(ServerId(1), |_| Err(WwError::Injected("server down")));
+        let (t, _, client) = rig(5);
+        t.registry()
+            .bind(ServerId(1), |_| Err(WwError::Injected("server down")));
         let e = client.call(ServerId(1), Request::Ping).unwrap_err();
         assert!(matches!(e, WwError::Injected(_)));
         assert_eq!(t.stats().totals().sent, 1, "answers are never retried");
@@ -231,9 +232,10 @@ mod tests {
 
     #[test]
     fn ping_reports_liveness() {
-        let (t, client) = rig(0);
-        t.bind(ServerId(1), |_| Ok(Response::Pong));
-        t.bind(ServerId(2), |_| Err(WwError::Injected("crashed")));
+        let (t, _, client) = rig(0);
+        t.registry().bind(ServerId(1), |_| Ok(Response::Pong));
+        t.registry()
+            .bind(ServerId(2), |_| Err(WwError::Injected("crashed")));
         assert!(client.ping(ServerId(1)));
         assert!(!client.ping(ServerId(2)), "crashed server fails the probe");
         assert!(!client.ping(ServerId(9)), "unbound address fails the probe");
@@ -251,10 +253,10 @@ mod tests {
 
     #[test]
     fn overloaded_retries_wait_at_least_half_the_hint() {
-        let (t, client) = rig(3);
+        let (t, _, client) = rig(3);
         let calls = Arc::new(AtomicU64::new(0));
         let n = Arc::clone(&calls);
-        t.bind(ServerId(1), move |_| {
+        t.registry().bind(ServerId(1), move |_| {
             if n.fetch_add(1, Ordering::Relaxed) == 0 {
                 Err(WwError::Overloaded {
                     retry_after: Duration::from_millis(80),
@@ -276,8 +278,8 @@ mod tests {
 
     #[test]
     fn calls_record_latency_per_request_kind() {
-        let (t, client) = rig(0);
-        t.bind(ServerId(1), |_| Ok(Response::Pong));
+        let (t, _, client) = rig(0);
+        t.registry().bind(ServerId(1), |_| Ok(Response::Pong));
         client.call(ServerId(1), Request::Ping).unwrap();
         client.call(ServerId(1), Request::Ping).unwrap();
         client.call(ServerId(1), Request::Flush).unwrap();
@@ -292,10 +294,10 @@ mod tests {
 
     #[test]
     fn rpc_ids_are_unique_but_stable_across_retries() {
-        let (t, client) = rig(3);
+        let (t, _, client) = rig(3);
         let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let s = Arc::clone(&seen);
-        t.bind(ServerId(1), move |env| {
+        t.registry().bind(ServerId(1), move |env| {
             s.lock().push(env.rpc_id);
             Ok(Response::Pong)
         });

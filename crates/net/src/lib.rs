@@ -11,10 +11,10 @@
 //!   is a [`Request`] inside an [`Envelope`] (src, dst, rpc id, deadline);
 //!   answers are typed [`Response`]s.
 //! * [`transport`] — the [`Transport`] seam (`start` an envelope, get a
-//!   [`Pending`] answer) and [`InProcTransport`], the
-//!   in-process implementation with per-link latency/jitter profiles,
-//!   injectable loss/partition/cut-off faults, cluster-liveness awareness,
-//!   and per-link [`RpcStats`].
+//!   [`Pending`] answer); [`InProcTransport`], local delivery with
+//!   cluster-liveness awareness and per-link [`RpcStats`]; and
+//!   [`FaultPlane`], the layer over either plane that scripts per-link
+//!   latency/jitter, loss, partitions, cut-offs and lost acks.
 //! * [`client`] — [`RpcClient`], the retrying stub: per-attempt deadlines
 //!   from [`SystemConfig::rpc_timeout`](waterwheel_core::SystemConfig),
 //!   bounded retry with backoff for delivery failures only; a call may be
@@ -33,7 +33,7 @@
 //!   id; socket failures map to the same
 //!   [`Timeout`](waterwheel_core::WwError::Timeout) /
 //!   [`Unreachable`](waterwheel_core::WwError::Unreachable) taxonomy the
-//!   in-proc fault injector uses, so the retry layer above is untouched;
+//!   fault layer uses, so the retry layer above is untouched;
 //!   server-side overflow sheds with
 //!   [`Overloaded`](waterwheel_core::WwError::Overloaded) answers.
 //!
@@ -62,6 +62,7 @@ pub use tcp::{
     TcpClientOptions, TcpRpcServer, TcpServerOptions, TcpTransport, WireStats, WireTotals,
 };
 pub use transport::{
-    AdmissionControl, AdmissionPermit, Handler, HandlerRegistry, InProcTransport, LatencyHistogram,
-    LinkProfile, Pending, PendingAnswer, RpcStats, RpcStatsRegistry, RpcTotals, Transport,
+    AdmissionControl, AdmissionPermit, FaultPlane, Handler, HandlerRegistry, InProcTransport,
+    LatencyHistogram, LinkProfile, Pending, PendingAnswer, RpcStats, RpcStatsRegistry, RpcTotals,
+    Transport,
 };

@@ -310,14 +310,15 @@ impl MetaClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{InProcTransport, LinkProfile, Transport};
+    use crate::transport::{FaultPlane, InProcTransport, LinkProfile, Transport};
     use std::sync::Arc;
     use waterwheel_core::SystemConfig;
 
-    fn rig() -> (Arc<InProcTransport>, MetaClient, MetadataService) {
-        let t = Arc::new(InProcTransport::new(None));
+    fn rig() -> (Arc<FaultPlane>, MetaClient, MetadataService) {
+        let inproc = InProcTransport::with_registry(None, Arc::default());
         let meta = MetadataService::in_memory();
-        serve_meta(t.registry(), meta.clone());
+        serve_meta(inproc.registry(), meta.clone());
+        let t = Arc::new(FaultPlane::new(Arc::new(inproc)));
         let cfg = SystemConfig {
             rpc_retries: 30,
             ..SystemConfig::default()

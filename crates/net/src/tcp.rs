@@ -424,15 +424,12 @@ impl Transport for TcpTransport {
         link.sent.fetch_add(1, Ordering::Relaxed);
 
         let Some(addr) = self.route(env.dst) else {
-            link.unreachable.fetch_add(1, Ordering::Relaxed);
-            return Pending::answered(Err(WwError::Unreachable("no route to destination")));
+            let e = WwError::Unreachable("no route to destination");
+            return Pending::answered(Err(link.fault(e)));
         };
         let conn = match self.connection(addr, env.deadline) {
             Ok(c) => c,
-            Err(e) => {
-                link.unreachable.fetch_add(1, Ordering::Relaxed);
-                return Pending::answered(Err(e));
-            }
+            Err(e) => return Pending::answered(Err(link.fault(e))),
         };
 
         // The sender's predicate cannot cross the wire; keep it to
@@ -460,14 +457,12 @@ impl Transport for TcpTransport {
             conn.sink.pending.lock().unwrap().remove(&corr);
             conn.sink.fail_all("connection lost while sending");
             conn.handle.close();
-            link.unreachable.fetch_add(1, Ordering::Relaxed);
-            return Pending::answered(Err(WwError::Unreachable(
-                if e.kind() == std::io::ErrorKind::BrokenPipe {
-                    "connection closed by peer"
-                } else {
-                    "connection lost while sending"
-                },
-            )));
+            let e = WwError::Unreachable(if e.kind() == std::io::ErrorKind::BrokenPipe {
+                "connection closed by peer"
+            } else {
+                "connection lost while sending"
+            });
+            return Pending::answered(Err(link.fault(e)));
         }
         Pending::awaiting(TcpCall {
             slot,
@@ -521,8 +516,7 @@ impl PendingAnswer for TcpCall {
                         Err(e)
                     }
                     SlotValue::ConnectionLost(reason) => {
-                        link.unreachable.fetch_add(1, Ordering::Relaxed);
-                        Err(WwError::Unreachable(reason))
+                        Err(link.fault(WwError::Unreachable(reason)))
                     }
                 };
             }
@@ -530,8 +524,8 @@ impl PendingAnswer for TcpCall {
             if remaining.is_zero() {
                 drop(value);
                 self.conn.sink.pending.lock().unwrap().remove(&self.corr);
-                link.timed_out.fetch_add(1, Ordering::Relaxed);
-                return Err(WwError::Timeout("rpc response exceeded the deadline"));
+                let e = WwError::Timeout("rpc response exceeded the deadline");
+                return Err(link.fault(e));
             }
             let (guard, _) = cvar.wait_timeout(value, remaining).unwrap();
             value = guard;

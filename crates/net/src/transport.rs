@@ -1,21 +1,27 @@
-//! The pluggable transport and its in-process production implementation.
+//! The pluggable transport, its in-process implementation, and the fault
+//! layer over both planes.
 //!
 //! [`Transport`] is the single seam every cross-server hop goes through:
 //! it accepts an [`Envelope`] and returns a [`Pending`] answer — the
 //! destination's [`Response`] or a delivery error, already in or still on
 //! its way — so a sender may keep working while its request is on the wire
-//! (the dispatcher's one in-flight batch per link). [`InProcTransport`] is
-//! the embedded deployment's
-//! implementation — direct handler invocation dressed with the properties
-//! of a real network:
+//! (the dispatcher's one in-flight batch per link).
 //!
-//! * **per-link latency/jitter** from a [`LinkProfile`] (the message-plane
-//!   analogue of the SimDfs [`LatencyModel`](waterwheel_cluster::LatencyModel));
-//! * **injectable faults**: probabilistic request loss, deterministic
-//!   link cut-off after N messages (`drop_after`), and directed partitions;
-//! * **cluster liveness**: a destination placed on a dead node (the
-//!   cluster's failure-injection hook) is unreachable;
-//! * **per-link [`RpcStats`]** (sent/retried/timed-out/unreachable/bytes).
+//! * [`InProcTransport`] is local delivery: the destination handler runs
+//!   inline, a destination placed on a dead simulated node (the cluster's
+//!   failure-injection hook) is unreachable, and nothing else happens.
+//!   [`TcpTransport`](crate::TcpTransport) is the same seam over real
+//!   sockets. Both dispatch one shared [`HandlerRegistry`], so the servers
+//!   bound behind them are identical, and both charge **real encoded frame
+//!   lengths** from [`wire`](crate::wire) to per-link [`RpcStats`] — the
+//!   stats of an embedded run and a networked run describe the same
+//!   traffic.
+//! * [`FaultPlane`] wraps either one and scripts a real network's faults
+//!   per directed link from a [`LinkProfile`]: latency/jitter, request
+//!   loss, a deterministic cut-off after N messages (`drop_after`),
+//!   directed partitions, and response loss. Every draw is a pure function
+//!   of one fixed seed, the link and the link's message number, so a
+//!   failure replays exactly whatever other links are doing.
 //!
 //! Most faults are *request* faults: a lost or late message fails
 //! **before** the destination handler runs, so retrying such a failure can
@@ -25,21 +31,19 @@
 //! hazard real networks have, and it is why the batched ingest path tags
 //! every `IngestBatch` with a sequence number the receiver dedups on (the
 //! "retries make faults invisible, never duplicated tuples" oracle tests
-//! exercise both fault classes). [`TcpTransport`](crate::TcpTransport)
-//! implements the same trait over real sockets; both share a
-//! [`HandlerRegistry`] so the servers bound behind them are identical, and
-//! both charge the per-link byte counters with **real encoded frame
-//! lengths** from [`wire`](crate::wire) — the stats of an embedded run and
-//! a networked run describe the same traffic.
+//! exercise both fault classes, on both planes).
 
-use crate::envelope::{Envelope, Request, Response};
-use parking_lot::RwLock;
+use crate::{
+    envelope::{Envelope, Request, Response},
+    wire,
+};
+use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use waterwheel_cluster::Cluster;
-use waterwheel_core::{CounterRegistry, Counters, Result, ServerId, WwError};
+use waterwheel_core::{mix64, CounterRegistry, Counters, Result, ServerId, WwError};
 
 /// A message handler bound at a destination address.
 pub type Handler = Arc<dyn Fn(&Envelope) -> Result<Response> + Send + Sync>;
@@ -297,6 +301,19 @@ waterwheel_core::counters! {
     }
 }
 
+impl RpcStats {
+    /// Charges the delivery fault `e` to this link — a [`WwError::Timeout`]
+    /// to `timed_out`, anything else to `unreachable` — and passes it on.
+    pub(crate) fn fault(&self, e: WwError) -> WwError {
+        let counter = match e {
+            WwError::Timeout(_) => &self.timed_out,
+            _ => &self.unreachable,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        e
+    }
+}
+
 /// Number of power-of-two latency buckets: bucket `i` counts calls whose
 /// duration rounds up to `2^i` nanoseconds (bucket 39 ≈ 9 minutes).
 const LATENCY_BUCKETS: usize = 40;
@@ -330,7 +347,8 @@ impl LatencyHistogram {
     /// Records one observed duration.
     pub fn record(&self, d: Duration) {
         let nanos = d.as_nanos().min(u64::MAX as u128) as u64;
-        let idx = (64 - nanos.leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
+        // Ceiling log2: bucket `i` holds durations in `(2^(i-1), 2^i]`.
+        let idx = (64 - nanos.saturating_sub(1).leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
     }
 
@@ -342,24 +360,17 @@ impl LatencyHistogram {
     /// The `q`-quantile (`0.0..=1.0`) as the matched bucket's upper
     /// bound; zero when nothing was recorded.
     pub fn percentile(&self, q: f64) -> Duration {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
+        let total = self.count();
         if total == 0 {
             return Duration::ZERO;
         }
         let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
         let mut cum = 0u64;
-        for (idx, c) in counts.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return Duration::from_nanos(1u64 << idx);
-            }
-        }
-        Duration::from_nanos(1u64 << (LATENCY_BUCKETS - 1))
+        let idx = self.buckets.iter().position(|b| {
+            cum += b.load(Ordering::Relaxed);
+            cum >= target
+        });
+        Duration::from_nanos(1u64 << idx.unwrap_or(LATENCY_BUCKETS - 1))
     }
 }
 
@@ -420,49 +431,28 @@ impl Counters for RpcStatsRegistry {
     }
 }
 
-/// The in-process transport: channels-with-faults over direct handlers.
+/// The in-process transport: local delivery to the handler registry, with
+/// exact frame-length byte accounting and the cluster's node-liveness hook.
+/// Link faults are a layer over it — [`FaultPlane`].
 pub struct InProcTransport {
     handlers: Arc<HandlerRegistry>,
-    default_profile: RwLock<LinkProfile>,
-    link_profiles: RwLock<HashMap<(ServerId, ServerId), LinkProfile>>,
-    /// Directed partitions: `(src, dst)` pairs that cannot communicate.
-    partitions: RwLock<HashSet<(ServerId, ServerId)>>,
     /// Node-liveness hook: a destination placed on a dead cluster node is
     /// unreachable.
     cluster: Option<Cluster>,
     stats: Arc<RpcStatsRegistry>,
-    rng: AtomicU64,
 }
 
 impl InProcTransport {
-    /// A fault-free, zero-latency transport; `cluster` enables the
-    /// node-liveness hook for servers placed on simulated nodes.
-    pub fn new(cluster: Option<Cluster>) -> Self {
-        Self::with_registry(cluster, Arc::new(HandlerRegistry::new()))
-    }
-
-    /// A transport delivering to an externally owned registry — the same
-    /// registry a TCP listener can serve, so one set of bound servers
-    /// answers over both planes.
+    /// A transport delivering to `handlers` — the same registry a TCP
+    /// listener can serve, so one set of bound servers answers over both
+    /// planes; `cluster` enables the node-liveness hook for servers placed
+    /// on simulated nodes.
     pub fn with_registry(cluster: Option<Cluster>, handlers: Arc<HandlerRegistry>) -> Self {
         Self {
             handlers,
-            default_profile: RwLock::new(LinkProfile::default()),
-            link_profiles: RwLock::new(HashMap::new()),
-            partitions: RwLock::new(HashSet::new()),
             cluster,
             stats: Arc::default(),
-            rng: AtomicU64::new(0x9E37_79B9_7F4A_7C15),
         }
-    }
-
-    /// Binds (or replaces) the handler serving `dst`.
-    pub fn bind(
-        &self,
-        dst: ServerId,
-        handler: impl Fn(&Envelope) -> Result<Response> + Send + Sync + 'static,
-    ) {
-        self.handlers.bind(dst, handler);
     }
 
     /// The handler registry this transport delivers to.
@@ -470,118 +460,27 @@ impl InProcTransport {
         &self.handlers
     }
 
-    /// Installs the profile applied to links without a specific one.
-    pub fn set_default_profile(&self, profile: LinkProfile) {
-        *self.default_profile.write() = profile;
-    }
-
-    /// Installs a profile for one directed link, overriding the default.
-    pub fn set_link_profile(&self, src: ServerId, dst: ServerId, profile: LinkProfile) {
-        self.link_profiles.write().insert((src, dst), profile);
-    }
-
-    /// Cuts the directed link `src → dst` (network partition injection).
-    pub fn partition(&self, src: ServerId, dst: ServerId) {
-        self.partitions.write().insert((src, dst));
-    }
-
-    /// Heals a previously cut link.
-    pub fn heal(&self, src: ServerId, dst: ServerId) {
-        self.partitions.write().remove(&(src, dst));
-    }
-
-    /// Heals every partition and removes every fault profile.
-    pub fn clear_faults(&self) {
-        self.partitions.write().clear();
-        self.link_profiles.write().clear();
-        *self.default_profile.write() = LinkProfile::default();
-    }
-
-    fn profile_for(&self, src: ServerId, dst: ServerId) -> LinkProfile {
-        match self.link_profiles.read().get(&(src, dst)) {
-            Some(p) => *p,
-            None => *self.default_profile.read(),
-        }
-    }
-
-    /// Deterministic uniform draw in `[0, 1)` (SplitMix64).
-    fn draw(&self) -> f64 {
-        let mut z = self
-            .rng
-            .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed)
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
-    }
-
     fn deliver(&self, env: &Envelope) -> Result<Response> {
         let link = self.stats.link(env.src, env.dst);
-        let n_sent = link.sent.fetch_add(1, Ordering::Relaxed) + 1;
+        link.sent.fetch_add(1, Ordering::Relaxed);
         // Charge the byte counter with the real encoded frame length — the
         // exact bytes TcpTransport would put on a socket for this envelope
         // — sized without building the frame.
-        link.bytes.fetch_add(
-            crate::wire::request_frame_len(env) as u64,
-            Ordering::Relaxed,
-        );
-
-        if self.partitions.read().contains(&(env.src, env.dst)) {
-            link.unreachable.fetch_add(1, Ordering::Relaxed);
-            return Err(WwError::Unreachable("link partitioned"));
-        }
-        if let Some(cluster) = &self.cluster {
-            if let Some(node) = cluster.node_of(env.dst) {
-                if !cluster.is_alive(node) {
-                    link.unreachable.fetch_add(1, Ordering::Relaxed);
-                    return Err(WwError::Unreachable("destination node is down"));
-                }
-            }
-        }
-        let profile = self.profile_for(env.src, env.dst);
-        if profile.drop_after.is_some_and(|n| n_sent > n) {
-            link.timed_out.fetch_add(1, Ordering::Relaxed);
-            return Err(WwError::Timeout("link stopped delivering (drop_after)"));
-        }
-        if profile.loss > 0.0 && self.draw() < profile.loss {
-            link.timed_out.fetch_add(1, Ordering::Relaxed);
-            return Err(WwError::Timeout("request lost in transit"));
-        }
-        let mut delay = profile.latency;
-        if !profile.jitter.is_zero() {
-            delay += profile.jitter.mul_f64(self.draw());
-        }
-        // A message that would arrive past the deadline fails without
-        // reaching the destination — the sender has already given up, so
-        // delivering it would only risk duplicated side effects. The wait
-        // itself is simulated (no sleep), keeping fault tests fast.
-        if delay > env.deadline.saturating_duration_since(Instant::now()) {
-            link.timed_out.fetch_add(1, Ordering::Relaxed);
-            return Err(WwError::Timeout("transit exceeded the deadline"));
-        }
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
+        link.bytes
+            .fetch_add(wire::request_frame_len(env) as u64, Ordering::Relaxed);
+        let dead = |c: &Cluster| c.node_of(env.dst).is_some_and(|n| !c.is_alive(n));
+        if self.cluster.as_ref().is_some_and(dead) {
+            return Err(link.fault(WwError::Unreachable("destination node is down")));
         }
         // A shed, or any error a handler answers with, is an answer from
         // the destination — no fault counters; only an unbound address is
         // a delivery fault.
         let Some(answer) = self.handlers.dispatch_bound(env) else {
-            link.unreachable.fetch_add(1, Ordering::Relaxed);
-            return Err(unbound());
+            return Err(link.fault(unbound()));
         };
         let resp = answer?;
-        link.bytes.fetch_add(
-            crate::wire::response_ok_frame_len(&resp) as u64,
-            Ordering::Relaxed,
-        );
-        // The handler ran — its side effects are real — but the ack
-        // never makes it back. The sender sees a timeout and will
-        // redeliver, so only idempotent handlers survive this fault.
-        if profile.response_loss > 0.0 && self.draw() < profile.response_loss {
-            link.timed_out.fetch_add(1, Ordering::Relaxed);
-            return Err(WwError::Timeout("response lost in transit"));
-        }
+        link.bytes
+            .fetch_add(wire::response_ok_frame_len(&resp) as u64, Ordering::Relaxed);
         Ok(resp)
     }
 }
@@ -594,6 +493,159 @@ impl Transport for InProcTransport {
 
     fn stats(&self) -> &Arc<RpcStatsRegistry> {
         &self.stats
+    }
+}
+
+type Link = (ServerId, ServerId);
+
+/// The faults scripted on a [`FaultPlane`], and its message numbering.
+#[derive(Default)]
+struct Faults {
+    default: LinkProfile,
+    links: HashMap<Link, LinkProfile>,
+    /// Directed partitions: `(src, dst)` pairs that cannot communicate.
+    partitions: HashSet<Link>,
+    /// Envelopes handed to the plane per link, over its whole life.
+    numbers: HashMap<Link, u64>,
+}
+
+/// Uniform draw `k` in `[0, 1)` for message `n` on `env`'s link — `k` is 0
+/// for loss, 1 for jitter, 2 for response loss: position `3n + k` of the
+/// link's own SplitMix64 stream. A pure function of one fixed seed, the
+/// link and its message number, so which messages a profile hits never
+/// depends on traffic on other links.
+fn draw(env: &Envelope, n: u64, k: u64) -> f64 {
+    let stream = mix64(0x5EED ^ u64::from(env.src.raw()) << 32 ^ u64::from(env.dst.raw()));
+    let z = mix64(stream.wrapping_add((3 * n + k).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+    (z >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// The request fault for message `n` on `env`'s link, if any. Every one fails
+/// before the destination handler runs, so a retry can never duplicate a
+/// side effect.
+fn request_fault(env: &Envelope, n: u64, partitioned: bool, p: &LinkProfile) -> Option<WwError> {
+    if partitioned {
+        return Some(WwError::Unreachable("link partitioned"));
+    }
+    if p.drop_after.is_some_and(|k| n > k) {
+        return Some(WwError::Timeout("link stopped delivering (drop_after)"));
+    }
+    if p.loss > 0.0 && draw(env, n, 0) < p.loss {
+        return Some(WwError::Timeout("request lost in transit"));
+    }
+    let delay = p.latency + p.jitter.mul_f64(draw(env, n, 1));
+    if delay.is_zero() {
+        return None;
+    }
+    // A message that would arrive past the deadline fails without reaching
+    // the destination — the sender has already given up, so delivering it
+    // would only risk duplicated side effects. The wait itself is simulated
+    // (no sleep), keeping fault tests fast.
+    if delay > env.deadline.saturating_duration_since(Instant::now()) {
+        return Some(WwError::Timeout("transit exceeded the deadline"));
+    }
+    std::thread::sleep(delay);
+    None
+}
+
+/// Link-fault injection as a layer over any message plane: a [`Transport`]
+/// that scripts latency/jitter, request loss, the `drop_after` cut-off,
+/// directed partitions and response loss per directed link, then hands the
+/// envelope to the plane it wraps — in-process or TCP alike. What it drops
+/// is charged to the inner plane's [`RpcStatsRegistry`] (`sent` plus the
+/// fault's counter), so per-link statistics read the same on both planes.
+pub struct FaultPlane {
+    inner: Arc<dyn Transport>,
+    faults: Mutex<Faults>,
+}
+
+impl FaultPlane {
+    /// A fault-free layer over `inner`.
+    pub fn new(inner: Arc<dyn Transport>) -> Self {
+        Self {
+            inner,
+            faults: Mutex::default(),
+        }
+    }
+
+    /// Installs the profile applied to links without a specific one.
+    pub fn set_default_profile(&self, profile: LinkProfile) {
+        self.faults.lock().default = profile;
+    }
+
+    /// Installs a profile for one directed link, overriding the default.
+    pub fn set_link_profile(&self, src: ServerId, dst: ServerId, profile: LinkProfile) {
+        self.faults.lock().links.insert((src, dst), profile);
+    }
+
+    /// Cuts the directed link `src → dst` (network partition injection).
+    pub fn partition(&self, src: ServerId, dst: ServerId) {
+        self.faults.lock().partitions.insert((src, dst));
+    }
+
+    /// Heals a previously cut link.
+    pub fn heal(&self, src: ServerId, dst: ServerId) {
+        self.faults.lock().partitions.remove(&(src, dst));
+    }
+
+    /// Heals every partition and removes every fault profile; message
+    /// numbers keep counting.
+    pub fn clear_faults(&self) {
+        let mut faults = self.faults.lock();
+        faults.default = LinkProfile::default();
+        faults.links.clear();
+        faults.partitions.clear();
+    }
+}
+
+impl Transport for FaultPlane {
+    fn start(&self, env: &Envelope) -> Pending {
+        let link = (env.src, env.dst);
+        let (n, profile, partitioned) = {
+            let faults = &mut *self.faults.lock();
+            let n = faults.numbers.entry(link).or_default();
+            *n += 1;
+            let profile = *faults.links.get(&link).unwrap_or(&faults.default);
+            (*n, profile, faults.partitions.contains(&link))
+        };
+        if let Some(e) = request_fault(env, n, partitioned, &profile) {
+            let stats = self.inner.stats().link(env.src, env.dst);
+            stats.sent.fetch_add(1, Ordering::Relaxed);
+            return Pending::answered(Err(stats.fault(e)));
+        }
+        let answer = self.inner.start(env);
+        if profile.response_loss == 0.0 || draw(env, n, 2) >= profile.response_loss {
+            return answer;
+        }
+        let lost = LostAck(answer, self.inner.stats().link(env.src, env.dst));
+        // An answer already in is lost at once; one still on its way is
+        // never ready and times out once it arrives.
+        if lost.0.answered_at_start() {
+            Pending::answered(Box::new(lost).wait())
+        } else {
+            Pending::awaiting(lost)
+        }
+    }
+
+    fn stats(&self) -> &Arc<RpcStatsRegistry> {
+        self.inner.stats()
+    }
+}
+
+/// An answer whose ack is lost, and the link its loss is charged to: the
+/// destination's handler ran — its side effects are real — but the sender
+/// sees a timeout and will redeliver, so only idempotent handlers survive
+/// this fault. An error the destination answered with passes through.
+struct LostAck(Pending, Arc<RpcStats>);
+
+impl PendingAnswer for LostAck {
+    fn is_ready(&self) -> bool {
+        false
+    }
+
+    fn wait(self: Box<Self>) -> Result<Response> {
+        self.0.wait()?;
+        Err(self.1.fault(WwError::Timeout("response lost in transit")))
     }
 }
 
@@ -613,8 +665,8 @@ mod tests {
     }
 
     fn pong_transport() -> InProcTransport {
-        let t = InProcTransport::new(None);
-        t.bind(ServerId(1), |_| Ok(Response::Pong));
+        let t = InProcTransport::with_registry(None, Arc::default());
+        t.registry().bind(ServerId(1), |_| Ok(Response::Pong));
         t
     }
 
@@ -643,120 +695,203 @@ mod tests {
         );
     }
 
+    const SEC: Duration = Duration::from_secs(1);
+
+    /// A [`FaultPlane`] over one inner plane — in-process, or TCP loopback
+    /// to a listener serving the same handlers — with a call-counting pong
+    /// handler bound at servers 1 and 2.
+    struct Rig {
+        name: &'static str,
+        plane: FaultPlane,
+        calls: Arc<AtomicU64>,
+        _server: Option<crate::TcpRpcServer>,
+    }
+
+    impl Rig {
+        fn calls(&self) -> u64 {
+            self.calls.load(Ordering::Relaxed)
+        }
+
+        fn link(&self, src: u32, dst: u32) -> RpcTotals {
+            self.plane
+                .stats()
+                .link(ServerId(src), ServerId(dst))
+                .totals()
+        }
+    }
+
+    fn rig(tcp: bool) -> Rig {
+        let registry = Arc::new(HandlerRegistry::new());
+        let calls = Arc::new(AtomicU64::new(0));
+        for dst in [1, 2] {
+            let c = Arc::clone(&calls);
+            registry.bind(ServerId(dst), move |_| {
+                c.fetch_add(1, Ordering::Relaxed);
+                Ok(Response::Pong)
+            });
+        }
+        let (name, inner, server): (_, Arc<dyn Transport>, _) = if tcp {
+            let server =
+                crate::TcpRpcServer::bind("127.0.0.1:0", registry, Arc::default(), None).unwrap();
+            let t = crate::TcpTransport::new();
+            t.set_default_route(Some(server.local_addr()));
+            ("tcp", Arc::new(t), Some(server))
+        } else {
+            let t = InProcTransport::with_registry(None, registry);
+            ("in-proc", Arc::new(t), None)
+        };
+        Rig {
+            name,
+            plane: FaultPlane::new(inner),
+            calls,
+            _server: server,
+        }
+    }
+
+    fn rigs() -> [Rig; 2] {
+        [rig(false), rig(true)]
+    }
+
     #[test]
     fn partition_cuts_one_direction_only() {
-        let t = pong_transport();
-        t.bind(ServerId(2), |_| Ok(Response::Pong));
-        t.partition(ServerId(0), ServerId(1));
-        assert!(matches!(
-            t.send(&env(0, 1, Duration::from_secs(1))),
-            Err(WwError::Unreachable(_))
-        ));
-        // Other links unaffected.
-        assert!(t.send(&env(0, 2, Duration::from_secs(1))).is_ok());
-        assert!(t.send(&env(3, 1, Duration::from_secs(1))).is_ok());
-        t.heal(ServerId(0), ServerId(1));
-        assert!(t.send(&env(0, 1, Duration::from_secs(1))).is_ok());
+        for r in rigs() {
+            let t = &r.plane;
+            t.partition(ServerId(0), ServerId(1));
+            let e = t.send(&env(0, 1, SEC)).unwrap_err();
+            assert!(matches!(e, WwError::Unreachable(_)), "{}: {e}", r.name);
+            // Other links unaffected.
+            assert!(t.send(&env(0, 2, SEC)).is_ok());
+            assert!(t.send(&env(3, 1, SEC)).is_ok());
+            t.heal(ServerId(0), ServerId(1));
+            assert!(t.send(&env(0, 1, SEC)).is_ok());
+            assert_eq!(r.calls(), 3, "{}", r.name);
+            let link = r.link(0, 1);
+            assert_eq!((link.sent, link.unreachable), (2, 1), "{}", r.name);
+        }
     }
 
     #[test]
     fn loss_drops_requests_before_the_handler_runs() {
-        let t = InProcTransport::new(None);
-        let calls = Arc::new(AtomicU64::new(0));
-        let c = Arc::clone(&calls);
-        t.bind(ServerId(1), move |_| {
-            c.fetch_add(1, Ordering::Relaxed);
-            Ok(Response::Pong)
-        });
-        t.set_default_profile(LinkProfile {
-            loss: 0.5,
-            ..LinkProfile::default()
-        });
-        let mut lost = 0;
-        for _ in 0..400 {
-            match t.send(&env(0, 1, Duration::from_secs(1))) {
-                Err(WwError::Timeout(_)) => lost += 1,
-                Ok(_) => {}
-                Err(e) => panic!("unexpected error: {e}"),
+        for r in rigs() {
+            r.plane.set_default_profile(LinkProfile {
+                loss: 0.5,
+                ..LinkProfile::default()
+            });
+            let mut lost = 0;
+            for _ in 0..400 {
+                match r.plane.send(&env(0, 1, SEC)) {
+                    Err(WwError::Timeout(_)) => lost += 1,
+                    Ok(_) => {}
+                    Err(e) => panic!("{}: unexpected error: {e}", r.name),
+                }
             }
+            assert!((100..300).contains(&lost), "loss way off 50%: {lost}/400");
+            // Every loss happened before the handler: delivered + lost = sent.
+            assert_eq!(r.calls() + lost, 400, "{}", r.name);
+            let totals = r.plane.stats().totals();
+            assert_eq!((totals.sent, totals.timed_out), (400, lost), "{}", r.name);
         }
-        assert!((100..300).contains(&lost), "loss way off 50%: {lost}/400");
-        // Every loss happened before the handler: delivered + lost = sent.
-        assert_eq!(calls.load(Ordering::Relaxed) + lost, 400);
-        assert_eq!(t.stats().totals().timed_out, lost);
     }
 
     #[test]
     fn response_loss_drops_the_ack_after_the_handler_ran() {
-        let t = InProcTransport::new(None);
-        let calls = Arc::new(AtomicU64::new(0));
-        let c = Arc::clone(&calls);
-        t.bind(ServerId(1), move |_| {
-            c.fetch_add(1, Ordering::Relaxed);
-            Ok(Response::Pong)
-        });
-        t.set_default_profile(LinkProfile {
-            response_loss: 1.0,
-            ..LinkProfile::default()
-        });
-        let e = t.send(&env(0, 1, Duration::from_secs(1))).unwrap_err();
-        assert!(matches!(e, WwError::Timeout(_)));
-        // Unlike request loss, the side effect already happened: the
-        // handler ran even though the sender saw a timeout.
-        assert_eq!(calls.load(Ordering::Relaxed), 1);
-        assert_eq!(t.stats().totals().timed_out, 1);
+        for r in rigs() {
+            r.plane.set_default_profile(LinkProfile {
+                response_loss: 1.0,
+                ..LinkProfile::default()
+            });
+            let pending = r.plane.start(&env(0, 1, SEC));
+            assert!(!pending.is_ready() || pending.answered_at_start());
+            let e = pending.wait().unwrap_err();
+            assert!(matches!(e, WwError::Timeout(_)), "{}: {e}", r.name);
+            // Unlike request loss, the side effect already happened: the
+            // handler ran even though the sender saw a timeout.
+            assert_eq!(r.calls(), 1, "{}", r.name);
+            let totals = r.plane.stats().totals();
+            assert_eq!((totals.sent, totals.timed_out), (1, 1), "{}", r.name);
+        }
     }
 
     #[test]
     fn transit_longer_than_deadline_times_out_without_delivery() {
-        let t = InProcTransport::new(None);
-        let calls = Arc::new(AtomicU64::new(0));
-        let c = Arc::clone(&calls);
-        t.bind(ServerId(1), move |_| {
-            c.fetch_add(1, Ordering::Relaxed);
-            Ok(Response::Pong)
-        });
-        t.set_link_profile(
-            ServerId(0),
-            ServerId(1),
-            LinkProfile {
-                latency: Duration::from_millis(50),
-                ..LinkProfile::default()
-            },
-        );
-        let started = Instant::now();
-        let e = t.send(&env(0, 1, Duration::from_millis(1))).unwrap_err();
-        assert!(matches!(e, WwError::Timeout(_)));
-        assert_eq!(calls.load(Ordering::Relaxed), 0, "handler must not run");
-        // The wait is simulated, not slept.
-        assert!(started.elapsed() < Duration::from_millis(40));
-        // A generous deadline delivers (and genuinely waits).
-        assert!(t.send(&env(0, 1, Duration::from_secs(5))).is_ok());
-        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        for r in rigs() {
+            r.plane.set_link_profile(
+                ServerId(0),
+                ServerId(1),
+                LinkProfile {
+                    latency: Duration::from_millis(50),
+                    ..LinkProfile::default()
+                },
+            );
+            let started = Instant::now();
+            let e = r
+                .plane
+                .send(&env(0, 1, Duration::from_millis(1)))
+                .unwrap_err();
+            assert!(matches!(e, WwError::Timeout(_)), "{}: {e}", r.name);
+            assert_eq!(r.calls(), 0, "{}: handler must not run", r.name);
+            // The wait is simulated, not slept.
+            assert!(started.elapsed() < Duration::from_millis(40));
+            // A generous deadline delivers (and genuinely waits).
+            assert!(r.plane.send(&env(0, 1, Duration::from_secs(5))).is_ok());
+            assert!(started.elapsed() >= Duration::from_millis(50));
+            assert_eq!(r.calls(), 1, "{}", r.name);
+            assert_eq!(r.link(0, 1).timed_out, 1, "{}", r.name);
+        }
     }
 
     #[test]
     fn drop_after_cuts_the_link_deterministically() {
-        let t = pong_transport();
-        t.set_link_profile(
-            ServerId(0),
-            ServerId(1),
-            LinkProfile {
-                drop_after: Some(3),
+        for r in rigs() {
+            r.plane.set_link_profile(
+                ServerId(0),
+                ServerId(1),
+                LinkProfile {
+                    drop_after: Some(3),
+                    ..LinkProfile::default()
+                },
+            );
+            for _ in 0..3 {
+                assert!(r.plane.send(&env(0, 1, SEC)).is_ok(), "{}", r.name);
+            }
+            for _ in 0..5 {
+                let e = r.plane.send(&env(0, 1, SEC)).unwrap_err();
+                assert!(matches!(e, WwError::Timeout(_)), "{}: {e}", r.name);
+            }
+            // Other source links keep working.
+            assert!(r.plane.send(&env(7, 1, SEC)).is_ok());
+            let link = r.link(0, 1);
+            assert_eq!((link.sent, link.timed_out), (8, 5), "{}", r.name);
+            assert_eq!(r.calls(), 4, "{}", r.name);
+        }
+    }
+
+    /// The same profile on the same link loses the same message numbers in
+    /// every run — and on either plane — while another link carries
+    /// concurrent lossy traffic: draws follow the link, not the interleaving.
+    #[test]
+    fn fault_draws_depend_only_on_the_link_and_its_message_number() {
+        let lost = |tcp: bool| -> Vec<u64> {
+            let r = rig(tcp);
+            r.plane.set_default_profile(LinkProfile {
+                loss: 0.3,
                 ..LinkProfile::default()
-            },
-        );
-        for _ in 0..3 {
-            assert!(t.send(&env(0, 1, Duration::from_secs(1))).is_ok());
-        }
-        for _ in 0..5 {
-            assert!(matches!(
-                t.send(&env(0, 1, Duration::from_secs(1))),
-                Err(WwError::Timeout(_))
-            ));
-        }
-        // Other source links keep working.
-        assert!(t.send(&env(7, 1, Duration::from_secs(1))).is_ok());
+            });
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    for _ in 0..200 {
+                        let _ = r.plane.send(&env(5, 2, SEC));
+                    }
+                });
+                (1..=200u64)
+                    .filter(|_| r.plane.send(&env(0, 1, SEC)).is_err())
+                    .collect()
+            })
+        };
+        let first = lost(false);
+        assert!((20..100).contains(&first.len()), "{first:?}");
+        assert_eq!(lost(false), first, "in-proc replays");
+        assert_eq!(lost(true), first, "tcp replays the same losses");
     }
 
     #[test]
@@ -765,9 +900,9 @@ mod tests {
         cluster
             .place_server(ServerId(1), waterwheel_core::NodeId(0))
             .unwrap();
-        let t = InProcTransport::new(Some(cluster.clone()));
-        t.bind(ServerId(1), |_| Ok(Response::Pong));
-        t.bind(ServerId(99), |_| Ok(Response::Pong)); // not placed on a node
+        let t = InProcTransport::with_registry(Some(cluster.clone()), Arc::default());
+        t.registry().bind(ServerId(1), |_| Ok(Response::Pong));
+        t.registry().bind(ServerId(99), |_| Ok(Response::Pong)); // not placed on a node
         assert!(t.send(&env(0, 1, Duration::from_secs(1))).is_ok());
         cluster.fail_node(waterwheel_core::NodeId(0)).unwrap();
         assert!(matches!(
@@ -782,15 +917,16 @@ mod tests {
 
     #[test]
     fn clear_faults_restores_a_clean_plane() {
-        let t = pong_transport();
-        t.partition(ServerId(0), ServerId(1));
-        t.set_default_profile(LinkProfile {
-            loss: 1.0,
-            ..LinkProfile::default()
-        });
-        t.clear_faults();
-        for _ in 0..20 {
-            assert!(t.send(&env(0, 1, Duration::from_secs(1))).is_ok());
+        for r in rigs() {
+            r.plane.partition(ServerId(0), ServerId(1));
+            r.plane.set_default_profile(LinkProfile {
+                loss: 1.0,
+                ..LinkProfile::default()
+            });
+            r.plane.clear_faults();
+            for _ in 0..20 {
+                assert!(r.plane.send(&env(0, 1, SEC)).is_ok(), "{}", r.name);
+            }
         }
     }
 
@@ -815,7 +951,7 @@ mod tests {
         let t = InProcTransport::with_registry(None, Arc::clone(&registry));
         assert!(t.send(&env(0, 1, Duration::from_secs(1))).is_ok());
         // A handler bound later through either side is visible to both.
-        t.bind(ServerId(2), |_| Ok(Response::Ack));
+        t.registry().bind(ServerId(2), |_| Ok(Response::Ack));
         assert!(registry.get(ServerId(2)).is_some());
         assert!(registry.bound().contains(&ServerId(1)));
     }
@@ -841,9 +977,9 @@ mod tests {
 
         let calls = Arc::new(AtomicU64::new(0));
         let released = Arc::new(AtomicU64::new(0));
-        let t = InProcTransport::new(None);
+        let t = InProcTransport::with_registry(None, Arc::default());
         let c = Arc::clone(&calls);
-        t.bind(ServerId(1), move |_| {
+        t.registry().bind(ServerId(1), move |_| {
             c.fetch_add(1, Ordering::Relaxed);
             Ok(Response::Pong)
         });
@@ -956,6 +1092,20 @@ mod tests {
     }
 
     #[test]
+    fn a_duration_lands_in_the_bucket_it_rounds_up_to() {
+        let reported = |nanos: u64| {
+            let h = super::LatencyHistogram::default();
+            h.record(Duration::from_nanos(nanos));
+            h.percentile(1.0)
+        };
+        assert_eq!(reported(1_024), Duration::from_nanos(1_024));
+        assert_eq!(reported(1_025), Duration::from_nanos(2_048));
+        // Bucket 0 (upper bound 1 ns) holds 0 ns and 1 ns.
+        assert_eq!(reported(0), Duration::from_nanos(1));
+        assert_eq!(reported(1), Duration::from_nanos(1));
+    }
+
+    #[test]
     fn the_registry_visits_link_totals_then_latencies_by_kind() {
         let t = pong_transport();
         t.send(&env(0, 1, Duration::from_secs(1))).unwrap();
@@ -988,7 +1138,7 @@ mod tests {
     #[test]
     fn per_link_stats_are_directed() {
         let t = pong_transport();
-        t.bind(ServerId(2), |_| Ok(Response::Pong));
+        t.registry().bind(ServerId(2), |_| Ok(Response::Pong));
         t.send(&env(0, 1, Duration::from_secs(1))).unwrap();
         t.send(&env(0, 1, Duration::from_secs(1))).unwrap();
         t.send(&env(1, 2, Duration::from_secs(1))).unwrap();

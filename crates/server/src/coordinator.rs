@@ -770,7 +770,7 @@ mod tests {
         mq.create_topic("ingest", 1).unwrap();
         let cfg = SystemConfig::default();
 
-        let transport = Arc::new(InProcTransport::new(None));
+        let transport = Arc::new(InProcTransport::with_registry(None, Arc::default()));
         serve_meta(transport.registry(), meta.clone());
         let qs = Arc::new(QueryServer::new(
             ServerId(10),
@@ -780,20 +780,24 @@ mod tests {
         ));
         {
             let qs = Arc::clone(&qs);
-            transport.bind(ServerId(10), move |env| match &env.payload {
-                Request::ChunkSubquery {
-                    sq,
-                    chunk,
-                    leaf_filter,
-                } => Ok(Response::Tuples(qs.execute_filtered(
-                    sq,
-                    *chunk,
-                    leaf_filter.as_ref(),
-                )?)),
-                Request::ReadSummary { chunk } => Ok(Response::Summary(qs.read_summary(*chunk)?)),
-                Request::Ping => Ok(Response::Pong),
-                _ => Err(WwError::InvalidState("unexpected request".into())),
-            });
+            transport
+                .registry()
+                .bind(ServerId(10), move |env| match &env.payload {
+                    Request::ChunkSubquery {
+                        sq,
+                        chunk,
+                        leaf_filter,
+                    } => Ok(Response::Tuples(qs.execute_filtered(
+                        sq,
+                        *chunk,
+                        leaf_filter.as_ref(),
+                    )?)),
+                    Request::ReadSummary { chunk } => {
+                        Ok(Response::Summary(qs.read_summary(*chunk)?))
+                    }
+                    Request::Ping => Ok(Response::Pong),
+                    _ => Err(WwError::InvalidState("unexpected request".into())),
+                });
         }
         let ix_rpc = RpcClient::new(
             Arc::clone(&transport) as Arc<dyn Transport>,
@@ -810,14 +814,18 @@ mod tests {
         ));
         {
             let ix = Arc::clone(&ix);
-            transport.bind(ServerId(0), move |env| match &env.payload {
-                Request::InMemorySubquery { sq } => Ok(Response::Tuples(ix.query_in_memory(sq)?)),
-                Request::AggregateInMemory { slices, covered } => {
-                    Ok(Response::Fold(ix.aggregate_in_memory(*slices, covered)?))
-                }
-                Request::Ping => Ok(Response::Pong),
-                _ => Err(WwError::InvalidState("unexpected request".into())),
-            });
+            transport
+                .registry()
+                .bind(ServerId(0), move |env| match &env.payload {
+                    Request::InMemorySubquery { sq } => {
+                        Ok(Response::Tuples(ix.query_in_memory(sq)?))
+                    }
+                    Request::AggregateInMemory { slices, covered } => {
+                        Ok(Response::Fold(ix.aggregate_in_memory(*slices, covered)?))
+                    }
+                    Request::Ping => Ok(Response::Pong),
+                    _ => Err(WwError::InvalidState("unexpected request".into())),
+                });
         }
         let rpc = RpcClient::new(
             Arc::clone(&transport) as Arc<dyn Transport>,
@@ -918,30 +926,34 @@ mod tests {
         answer11: impl Fn() -> Result<Response> + Send + Sync + 'static,
     ) -> (Coordinator, Arc<AtomicU64>, Arc<AtomicU64>) {
         let cfg = SystemConfig::default();
-        let transport = Arc::new(InProcTransport::new(None));
+        let transport = Arc::new(InProcTransport::with_registry(None, Arc::default()));
         let probes10 = Arc::new(AtomicU64::new(0));
         let probes11 = Arc::new(AtomicU64::new(0));
         {
             let probes = Arc::clone(&probes10);
-            transport.bind(ServerId(10), move |env| match &env.payload {
-                Request::ReadSummary { .. } => {
-                    probes.fetch_add(1, Ordering::SeqCst);
-                    answer10()
-                }
-                Request::Ping => Ok(Response::Pong),
-                _ => Err(WwError::InvalidState("unexpected request".into())),
-            });
+            transport
+                .registry()
+                .bind(ServerId(10), move |env| match &env.payload {
+                    Request::ReadSummary { .. } => {
+                        probes.fetch_add(1, Ordering::SeqCst);
+                        answer10()
+                    }
+                    Request::Ping => Ok(Response::Pong),
+                    _ => Err(WwError::InvalidState("unexpected request".into())),
+                });
         }
         {
             let probes = Arc::clone(&probes11);
-            transport.bind(ServerId(11), move |env| match &env.payload {
-                Request::ReadSummary { .. } => {
-                    probes.fetch_add(1, Ordering::SeqCst);
-                    answer11()
-                }
-                Request::Ping => Ok(Response::Pong),
-                _ => Err(WwError::InvalidState("unexpected request".into())),
-            });
+            transport
+                .registry()
+                .bind(ServerId(11), move |env| match &env.payload {
+                    Request::ReadSummary { .. } => {
+                        probes.fetch_add(1, Ordering::SeqCst);
+                        answer11()
+                    }
+                    Request::Ping => Ok(Response::Pong),
+                    _ => Err(WwError::InvalidState("unexpected request".into())),
+                });
         }
         let rpc = RpcClient::new(transport as Arc<dyn Transport>, COORDINATOR, &cfg);
         let coord = Coordinator::new(

@@ -81,16 +81,9 @@ impl DispatchPlan {
 fn seeded_permutation(n: usize, seed: u64) -> Vec<usize> {
     let mut out: Vec<usize> = (0..n).collect();
     let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
     for i in (1..out.len()).rev() {
-        let j = (next() % (i as u64 + 1)) as usize;
-        out.swap(i, j);
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        out.swap(i, (waterwheel_core::mix64(state) % (i as u64 + 1)) as usize);
     }
     out
 }

@@ -199,10 +199,7 @@ impl Sampler {
                 .rng_state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let mut x = self.rng_state;
-            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            x ^= x >> 31;
+            let x = waterwheel_core::mix64(self.rng_state);
             let j = ((x as u128 * w.observed as u128) >> 64) as u64;
             if (j as usize) < RESERVOIR_CAP {
                 w.keys[j as usize] = key;
@@ -501,7 +498,7 @@ mod tests {
     use super::*;
     use waterwheel_core::KeyInterval;
     use waterwheel_mq::MessageQueue;
-    use waterwheel_net::{InProcTransport, Transport};
+    use waterwheel_net::{FaultPlane, InProcTransport, Transport};
 
     /// Binds an ingest handler per indexing server that appends to its
     /// queue partition — the same wiring the system facade installs
@@ -512,19 +509,21 @@ mod tests {
     ) -> (MessageQueue, Arc<InProcTransport>, Dispatcher) {
         let mq = MessageQueue::new();
         mq.create_topic("ingest", servers as usize).unwrap();
-        let transport = Arc::new(InProcTransport::new(None));
+        let transport = Arc::new(InProcTransport::with_registry(None, Arc::default()));
         for partition in 0..servers as usize {
             let mq = mq.clone();
-            transport.bind(ServerId(partition as u32), move |env| match &env.payload {
-                Request::IngestBatch { tuples, .. } => {
-                    mq.append_batch("ingest", partition, tuples.clone())?;
-                    Ok(Response::AckBatch {
-                        tuples: tuples.len() as u32,
-                        deduped: false,
-                    })
-                }
-                _ => Ok(Response::Pong),
-            });
+            transport
+                .registry()
+                .bind(ServerId(partition as u32), move |env| match &env.payload {
+                    Request::IngestBatch { tuples, .. } => {
+                        mq.append_batch("ingest", partition, tuples.clone())?;
+                        Ok(Response::AckBatch {
+                            tuples: tuples.len() as u32,
+                            deduped: false,
+                        })
+                    }
+                    _ => Ok(Response::Pong),
+                });
         }
         let ids: Vec<ServerId> = (0..servers).map(ServerId).collect();
         let schema = PartitionSchema::uniform(&ids);
@@ -640,7 +639,7 @@ mod tests {
         let (src, ix) = (ServerId(100), ServerId(0));
         let dedup = Arc::new(crate::roles::IngestDedup::new());
         let (queue, table) = (mq.clone(), Arc::clone(&dedup));
-        t.bind(ix, move |env| match &env.payload {
+        t.registry().bind(ix, move |env| match &env.payload {
             Request::IngestBatch { seq, tuples } => {
                 let deduped = table.apply_once(env.src, ix, *seq, || {
                     queue.append_batch("ingest", 0, tuples.clone()).map(|_| ())
@@ -666,7 +665,10 @@ mod tests {
         // the RPC layer's retry is answered `deduped` and that is fine.
         d.seq_base = 6_000;
         d.dests.lock().clear();
-        t.set_link_profile(
+        let faults = Arc::new(FaultPlane::new(Arc::clone(&t) as Arc<dyn Transport>));
+        let plane = Arc::clone(&faults) as Arc<dyn Transport>;
+        d.rpc = RpcClient::new(plane, src, &SystemConfig::default());
+        faults.set_link_profile(
             src,
             ix,
             waterwheel_net::LinkProfile {
@@ -677,7 +679,7 @@ mod tests {
         for i in 0..4u64 {
             let _ = d.dispatch(Tuple::bare(i, i));
         }
-        t.clear_faults();
+        faults.clear_faults();
         d.flush_batches().unwrap();
         assert_eq!((d.dispatched(), d.pending()), (4, 0));
         assert_eq!(mq.latest_offset("ingest", 0).unwrap(), 4, "applied once");
@@ -761,7 +763,7 @@ mod tests {
     }
 
     fn unbound_rig(batch_size: usize) -> Dispatcher {
-        let transport = Arc::new(InProcTransport::new(None));
+        let transport = Arc::new(InProcTransport::with_registry(None, Arc::default()));
         let schema = PartitionSchema::uniform(&[ServerId(0)]);
         let cfg = SystemConfig {
             ingest_batch_size: batch_size,
@@ -939,13 +941,13 @@ mod tests {
         pub fn rig(batch_size: usize) -> Rig {
             let mq = MessageQueue::new();
             mq.create_topic("ingest", 2).unwrap();
-            let inner = Arc::new(InProcTransport::new(None));
+            let inner = Arc::new(InProcTransport::with_registry(None, Arc::default()));
             let seen = Arc::new(Mutex::new(Vec::new()));
             let dedup = Arc::new(crate::roles::IngestDedup::new());
             for partition in 0..2usize {
                 let ix = ServerId(partition as u32);
                 let (mq, seen, dedup) = (mq.clone(), Arc::clone(&seen), Arc::clone(&dedup));
-                inner.bind(ix, move |env| match &env.payload {
+                inner.registry().bind(ix, move |env| match &env.payload {
                     Request::IngestBatch { seq, tuples } => {
                         seen.lock().push((ix, *seq, tuples.len()));
                         let deduped = dedup.apply_once(env.src, ix, *seq, || {

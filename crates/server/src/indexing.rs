@@ -496,7 +496,7 @@ mod tests {
             mq.create_topic("ingest", 2).unwrap();
             let dfs = SimDfs::new(root, Cluster::new(3), 3, LatencyModel::default()).unwrap();
             let meta = MetadataService::in_memory();
-            let transport = Arc::new(InProcTransport::new(None));
+            let transport = Arc::new(InProcTransport::with_registry(None, Arc::default()));
             serve_meta(transport.registry(), meta.clone());
             let mut cfg = SystemConfig::default();
             cfg.chunk_size_bytes = 4 * 1024;

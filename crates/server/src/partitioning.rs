@@ -216,7 +216,7 @@ mod tests {
         let dfs = SimDfs::new(root, Cluster::new(3), 3, LatencyModel::default()).unwrap();
         let meta = MetadataService::in_memory();
         let cfg = SystemConfig::default();
-        let transport = Arc::new(InProcTransport::new(None));
+        let transport = Arc::new(InProcTransport::with_registry(None, Arc::default()));
         serve_meta(transport.registry(), meta.clone());
         let ids: Vec<ServerId> = (0..servers).map(ServerId).collect();
         let schema = PartitionSchema::uniform(&ids);
@@ -251,21 +251,23 @@ mod tests {
         for server in &indexing {
             let (mq, server) = (mq.clone(), Arc::clone(server));
             let partition = server.id().raw() as usize;
-            transport.bind(server.id(), move |env| match &env.payload {
-                Request::IngestBatch { tuples, .. } => {
-                    mq.append_batch("ingest", partition, tuples.iter().cloned())?;
-                    Ok(Response::AckBatch {
-                        tuples: tuples.len() as u32,
-                        deduped: false,
-                    })
-                }
-                Request::Flush => Ok(Response::Flushed(server.flush()?)),
-                Request::Reassign { interval } => {
-                    server.reassign(*interval);
-                    Ok(Response::Ack)
-                }
-                _ => Ok(Response::Pong),
-            });
+            transport
+                .registry()
+                .bind(server.id(), move |env| match &env.payload {
+                    Request::IngestBatch { tuples, .. } => {
+                        mq.append_batch("ingest", partition, tuples.iter().cloned())?;
+                        Ok(Response::AckBatch {
+                            tuples: tuples.len() as u32,
+                            deduped: false,
+                        })
+                    }
+                    Request::Flush => Ok(Response::Flushed(server.flush()?)),
+                    Request::Reassign { interval } => {
+                        server.reassign(*interval);
+                        Ok(Response::Ack)
+                    }
+                    _ => Ok(Response::Pong),
+                });
         }
         let dispatchers = vec![Arc::new(Dispatcher::new(
             ServerId(100),

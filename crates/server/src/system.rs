@@ -11,15 +11,16 @@
 //!                                    QueryServers via LADA (chunks) } → merge
 //! ```
 //!
-//! Every cross-server hop rides the message plane: the builder creates one
-//! [`InProcTransport`] and registers every role of the shared role layer
-//! ([`crate::roles`], [`crate::gateway`]) on its registry, plus the metadata
-//! server at its well-known address. Fault injection — loss, latency,
-//! partitions, dead nodes — therefore applies uniformly to ingestion,
-//! queries, metadata traffic and migration steps; see
-//! [`Waterwheel::transport`]. `insert`, `query` and the rest call the
-//! gateway's methods directly (no RPC hop); the same methods answer the
-//! client verbs for callers on the plane.
+//! Every cross-server hop rides the message plane: the builder registers
+//! every role of the shared role layer ([`crate::roles`], [`crate::gateway`])
+//! on one handler registry, plus the metadata server at its well-known
+//! address, fronts it with an [`InProcTransport`] or a TCP loopback
+//! listener, and wraps that plane in one [`FaultPlane`]. Fault injection —
+//! loss, latency, partitions, lost acks — therefore applies uniformly to
+//! ingestion, queries, metadata traffic and migration steps, on either
+//! plane; see [`Waterwheel::transport`]. `insert`, `query` and the rest
+//! call the gateway's methods directly (no RPC hop); the same methods
+//! answer the client verbs for callers on the plane.
 
 use crate::attributes::AttrRegistry;
 use crate::coordinator::Coordinator;
@@ -42,8 +43,8 @@ use waterwheel_core::{Query, QueryResult, Result, ServerId, SystemConfig, Tuple,
 use waterwheel_meta::{MemberRole, MetadataService};
 use waterwheel_mq::MessageQueue;
 use waterwheel_net::{
-    serve_meta, HandlerRegistry, InProcTransport, RpcTotals, TcpRpcServer, TcpTransport, Transport,
-    WireStats, WireTotals,
+    serve_meta, FaultPlane, HandlerRegistry, InProcTransport, RpcTotals, TcpRpcServer,
+    TcpTransport, Transport, WireStats, WireTotals,
 };
 use waterwheel_storage::SimDfs;
 use waterwheel_wal::FsyncPolicy;
@@ -121,8 +122,7 @@ impl WaterwheelBuilder {
     /// and routes all senders through a [`TcpTransport`] connection pool.
     /// Answers are byte-identical to the default deployment; what changes
     /// is that envelopes genuinely cross the wire codec and kernel sockets.
-    /// Fault injection ([`Waterwheel::transport`]) is unavailable in this
-    /// mode — use the in-process plane to script loss and partitions.
+    /// Fault injection ([`Waterwheel::transport`]) works the same on both.
     pub fn tcp_loopback(mut self) -> Self {
         self.tcp_loopback = true;
         self
@@ -145,9 +145,9 @@ impl WaterwheelBuilder {
         // The message plane: every role binds its handler — and registers
         // its counters — into one shared registry; the registry is then
         // fronted either by the in-process transport (default — carries the
-        // cluster hook and fault injection) or by a real TCP loopback
-        // listener plus a pooled client transport. Handlers never know
-        // which plane called them.
+        // cluster hook) or by a real TCP loopback listener plus a pooled
+        // client transport, and either one sits under the fault layer.
+        // Handlers never know which plane called them.
         let registry = Arc::new(HandlerRegistry::new());
         let dfs = roles::open_dfs(&self.root, &topology, &self.cfg, self.latency, &registry)?;
         let meta = if self.durable_meta {
@@ -162,10 +162,7 @@ impl WaterwheelBuilder {
 
         serve_meta(&registry, meta.clone());
         crate::admission::AdmissionController::install(&registry, &self.cfg);
-        let mut inproc = None;
-        let mut rpc_server = None;
-        let mut tcp = None;
-        let plane: Arc<dyn Transport> = if self.tcp_loopback {
+        let (inner, tcp, rpc_server): (Arc<dyn Transport>, _, _) = if self.tcp_loopback {
             let stats = Arc::new(WireStats::default());
             let server = TcpRpcServer::bind_with(
                 "127.0.0.1:0",
@@ -176,21 +173,17 @@ impl WaterwheelBuilder {
             )?;
             let t = Arc::new(TcpTransport::with_wire_stats(stats));
             t.set_default_route(Some(server.local_addr()));
-            rpc_server = Some(server);
-            tcp = Some(Arc::clone(&t));
-            t
+            (t.clone(), Some(t), Some(server))
         } else {
-            let t = Arc::new(InProcTransport::with_registry(
-                Some(topology.cluster.clone()),
-                Arc::clone(&registry),
-            ));
-            inproc = Some(Arc::clone(&t));
-            t
+            let cluster = Some(topology.cluster.clone());
+            let t = InProcTransport::with_registry(cluster, Arc::clone(&registry));
+            (Arc::new(t), None, None)
         };
+        let faults = Arc::new(FaultPlane::new(inner));
         let host = Host {
             cfg: self.cfg,
             topology,
-            plane,
+            plane: Arc::clone(&faults) as Arc<dyn Transport>,
             tcp,
         };
         host.register_plane(&registry);
@@ -232,7 +225,7 @@ impl WaterwheelBuilder {
             mq,
             dfs,
             meta,
-            inproc,
+            faults,
             rpc_server,
             gateway,
             ix_role,
@@ -254,7 +247,8 @@ pub struct Waterwheel {
     mq: MessageQueue,
     dfs: SimDfs,
     meta: MetadataService,
-    inproc: Option<Arc<InProcTransport>>,
+    /// The fault layer over the plane: `host.plane` is this same object.
+    faults: Arc<FaultPlane>,
     rpc_server: Option<TcpRpcServer>,
     gateway: Arc<Gateway>,
     ix_role: IndexingRole,
@@ -298,18 +292,12 @@ impl Waterwheel {
         &self.mq
     }
 
-    /// The in-process message plane: inject latency/loss/partitions and
-    /// read per-link RPC statistics.
-    ///
-    /// # Panics
-    ///
-    /// In [`WaterwheelBuilder::tcp_loopback`] mode there is no in-process
-    /// plane to script — this panics. Use [`Self::rpc_totals`] /
-    /// [`Self::wire_totals`] for mode-agnostic statistics.
-    pub fn transport(&self) -> &Arc<InProcTransport> {
-        self.inproc
-            .as_ref()
-            .expect("fault injection needs the in-process transport; this system runs over TCP")
+    /// The fault layer every role sends through, in-process or TCP
+    /// loopback alike: script latency, loss, partitions and lost acks per
+    /// link, and read per-link RPC statistics. It is the same object as
+    /// [`Self::plane`].
+    pub fn transport(&self) -> &Arc<FaultPlane> {
+        &self.faults
     }
 
     /// The message plane every role of this system sends on, in-process or
@@ -637,9 +625,9 @@ impl Drop for Waterwheel {
             let _ = d.flush_batches();
         }
         let _ = self.mq.sync();
-        // The in-process plane owns the registry whose handlers (and
-        // counter sets: the dispatchers) own the roles, which own clients
-        // of that plane: empty it, or nothing in that ring — the
+        // The in-process plane (or the TCP listener) owns the registry
+        // whose handlers (and counter sets: the dispatchers) own the roles,
+        // which own clients of that plane: empty it, or nothing in that ring — the
         // coordinator's fan-out threads included — is ever released.
         self.registry.clear();
     }
@@ -841,15 +829,6 @@ mod tests {
         assert!(wire.bytes_in > 0 && wire.bytes_out > 0, "{wire:?}");
         assert_eq!(wire.decode_errors, 0);
         assert!(ww.rpc_totals().sent > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "fault injection")]
-    fn tcp_mode_refuses_fault_injection_plane() {
-        let root = std::env::temp_dir().join(format!("ww-sys-tcp-panic-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let ww = Waterwheel::builder(root).tcp_loopback().build().unwrap();
-        let _ = ww.transport();
     }
 
     #[test]

@@ -9,10 +9,7 @@
 /// SplitMix64 — used to expand a single seed into xoshiro state.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    waterwheel_core::mix64(*state)
 }
 
 /// xoshiro256++ — fast, high-quality, 2²⁵⁶−1 period.

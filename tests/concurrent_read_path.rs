@@ -19,11 +19,8 @@ use waterwheel::server::query_server::IO_PERMITS;
 use waterwheel::workloads::oracle;
 
 /// SplitMix64 — deterministic per-thread query/key streams.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+fn mix(z: u64) -> u64 {
+    waterwheel::core::mix64(z.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 fn normalized(mut v: Vec<Tuple>) -> Vec<Tuple> {

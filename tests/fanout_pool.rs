@@ -32,11 +32,8 @@ fn settled_thread_count(want: Option<usize>) -> Option<usize> {
 }
 
 /// SplitMix64: deterministic query rectangles.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+fn mix(z: u64) -> u64 {
+    waterwheel::core::mix64(z.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 /// `n` queries, every fifth an aggregate; returns how many subqueries ran.

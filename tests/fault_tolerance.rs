@@ -225,7 +225,7 @@ fn rebuilt_durable_system_dedups_old_batches_and_accepts_new_ones() {
     // rebuilt dispatchers (same ids) must number their fresh batches above
     // it, or those would be acknowledged as duplicates and lost.
     use waterwheel::core::ServerId;
-    use waterwheel::net::{Request, RpcClient, Transport};
+    use waterwheel::net::{Request, RpcClient};
     let root = fresh_root("rebuild-dedup");
     let (n, m) = (1_000u64, 700u64);
     {
@@ -252,7 +252,7 @@ fn rebuilt_durable_system_dedups_old_batches_and_accepts_new_ones() {
         .first()
         .expect("acked batches must journal their (src, seq) marker");
     let before = mq.latest_offset("ingest", 0).unwrap();
-    let plane = std::sync::Arc::clone(ww.transport()) as std::sync::Arc<dyn Transport>;
+    let plane = std::sync::Arc::clone(ww.plane());
     let old_dispatcher = RpcClient::new(plane, ServerId(src), ww.config());
     let (_, deduped) = old_dispatcher
         .call(

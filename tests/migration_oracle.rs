@@ -256,9 +256,9 @@ fn live_migration_answers_byte_exact_over_tcp() {
 
 /// A fed, unflushed system (so the snapshot flush has work to do) and the
 /// plan its skew calls for. The stream is a pure function of `seed`.
-fn fed_with_plan(name: &str, seed: u64) -> (Waterwheel, MigrationPlan) {
+fn fed_with_plan(name: &str, seed: u64, tcp: bool) -> (Waterwheel, MigrationPlan) {
     // Three servers: the plan has several moves and more than one source.
-    let ww = build_with(name, false, 3);
+    let ww = build_with(name, tcp, 3);
     let mut x = seed;
     for i in 0..1_500u64 {
         x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -302,6 +302,14 @@ fn expected(link: (ServerId, ServerId), k: u64, m: u64) -> (u64, u64, bool) {
 
 #[test]
 fn a_driver_cut_off_at_any_rpc_leaves_truthful_records_and_exact_answers() {
+    for tcp in [false, true] {
+        cut_off_at_every_rpc(tcp);
+    }
+}
+
+/// The cut-off oracle with the subjects on the in-process or the TCP
+/// loopback plane (the never-migrating twin stays in-process).
+fn cut_off_at_every_rpc(tcp: bool) {
     const SEED: u64 = 0x5EED_FA11;
     let exact = |subject: &Waterwheel, control: &Waterwheel, what: &str| {
         for (keys, times) in windows() {
@@ -313,8 +321,8 @@ fn a_driver_cut_off_at_any_rpc_leaves_truthful_records_and_exact_answers() {
     };
     // The twin never migrates; the fault-free run tells which links the
     // driver uses and how many RPCs it sends on each.
-    let (control, _) = fed_with_plan("cut-ctrl", SEED);
-    let (clean, plan) = fed_with_plan("cut-clean", SEED);
+    let (control, _) = fed_with_plan(&format!("cut-ctrl-{tcp}"), SEED, false);
+    let (clean, plan) = fed_with_plan(&format!("cut-clean-{tcp}"), SEED, tcp);
     let m = plan.moves.len() as u64;
     let before = clean.transport().stats().per_link();
     clean.migrate(plan).unwrap();
@@ -338,8 +346,9 @@ fn a_driver_cut_off_at_any_rpc_leaves_truthful_records_and_exact_answers() {
 
     for &(link, sent) in &links {
         for k in 0..sent {
-            let what = format!("seed {SEED:#x}, {link:?} cut after {k} of {sent}");
-            let (ww, plan) = fed_with_plan(&format!("cut-{}-{}-{k}", link.0, link.1), SEED);
+            let what = format!("tcp={tcp}, seed {SEED:#x}, {link:?} cut after {k} of {sent}");
+            let name = format!("cut-{tcp}-{}-{}-{k}", link.0, link.1);
+            let (ww, plan) = fed_with_plan(&name, SEED, tcp);
             let cut = LinkProfile {
                 drop_after: Some(sent_on(&ww, link) + k),
                 ..LinkProfile::default()
