@@ -28,6 +28,16 @@ if [ "$(printf '%s\n' "$mixers" | grep -c '^crates/core/src/lib.rs:')" != 1 ] ||
     echo "$mixers"; exit 1
 fi
 
+echo "==> one reader per queue partition (the role layer builds the only non-test Consumer)"
+# Non-test code is every line before a file's first #[cfg(test)]. The trim
+# after a flush rests on each partition having exactly one reader.
+readers=$(find crates/*/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { exit } /Consumer::new\(/ { print FILENAME ":" FNR ": " $0 }' {} \; | sort)
+strays=$(printf '%s\n' "$readers" | grep -v '^crates/server/src/roles.rs:' || true)
+if [ -n "$strays" ]; then
+    echo "a queue Consumer may only be made by IndexingRole::build (crates/server/src/roles.rs):"
+    echo "$strays"; exit 1
+fi
+
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

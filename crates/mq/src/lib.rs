@@ -14,9 +14,14 @@
 //!
 //! This crate provides those properties in-process: a [`MessageQueue`]
 //! broker hosting named topics, each with a fixed set of offset-addressed
-//! partitions. Records are retained until explicitly trimmed
-//! ([`MessageQueue::trim`]) past the durability point, mirroring Kafka's
-//! log-retention contract.
+//! partitions. Records are retained until trimmed past the durability
+//! point, mirroring Kafka's log-retention contract: each partition has one
+//! reader, and once the chunk that reader registered carries an offset,
+//! the reader's [`Backlog::trim`] drops the records below it. In memory a
+//! partition holds its records in fixed-size runs, so a trim frees whole
+//! runs and never moves the records it keeps; on a durable broker the
+//! trim can also release whole journal segments ([`persist`]), so memory,
+//! disk and restart time follow the unflushed tail, not the history.
 
 #![warn(missing_docs)]
 
@@ -24,8 +29,9 @@ pub mod persist;
 
 use parking_lot::RwLock;
 use persist::PartitionPersist;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use waterwheel_core::{Result, Tuple, WwError};
 use waterwheel_wal::{FsyncPolicy, WalStats};
@@ -39,13 +45,21 @@ pub struct Record {
     pub tuple: Tuple,
 }
 
+/// Records per in-memory run: a trim frees whole runs.
+const RUN_LEN: usize = 4_096;
+
 /// One partition's log.
 #[derive(Default)]
 struct PartitionLog {
-    /// Offset of `records[0]`; everything below has been trimmed.
+    /// Offset of the first retained record; everything below has been
+    /// trimmed.
     base_offset: u64,
-    /// Retained records, dense offsets `base_offset ..`.
-    records: Vec<Record>,
+    /// Offset of `runs[0][0]`: the run holding `base_offset` may still hold
+    /// up to `RUN_LEN - 1` trimmed records, freed with that run.
+    run_base: u64,
+    /// Records with dense offsets from `run_base`, in runs of `RUN_LEN`
+    /// (every run but the last is full).
+    runs: VecDeque<Vec<Record>>,
     /// Disk persistence, when the broker is durable.
     persist: Option<PartitionPersist>,
     /// Highest marked-batch sequence number per producer, recovered from
@@ -55,7 +69,64 @@ struct PartitionLog {
 
 impl PartitionLog {
     fn next_offset(&self) -> u64 {
-        self.base_offset + self.records.len() as u64
+        let full = self.runs.len().saturating_sub(1) * RUN_LEN;
+        self.run_base + (full + self.runs.back().map_or(0, Vec::len)) as u64
+    }
+
+    /// Records at or above the trim point.
+    fn retained(&self) -> u64 {
+        self.next_offset() - self.base_offset
+    }
+
+    /// Appends `tuples` at offsets `next_offset()..`, a run at a time.
+    fn extend(&mut self, tuples: Vec<Tuple>) {
+        let first = self.next_offset();
+        let mut records = (first..)
+            .zip(tuples)
+            .map(|(offset, tuple)| Record { offset, tuple })
+            .peekable();
+        while records.peek().is_some() {
+            if self.runs.back().is_none_or(|run| run.len() == RUN_LEN) {
+                self.runs.push_back(Vec::with_capacity(RUN_LEN));
+            }
+            let run = self.runs.back_mut().expect("a run with room");
+            let room = RUN_LEN - run.len();
+            run.extend(records.by_ref().take(room));
+        }
+    }
+
+    /// Up to `max` records from `offset` (at or above the trim point).
+    fn read(&self, offset: u64, max: usize) -> Vec<Record> {
+        let rel = (offset - self.run_base) as usize;
+        let (mut run, mut at) = (rel / RUN_LEN, rel % RUN_LEN);
+        let mut out = Vec::with_capacity(max.min(self.retained() as usize));
+        while out.len() < max {
+            let Some(records) = self.runs.get(run) else {
+                break;
+            };
+            let take = (records.len().saturating_sub(at)).min(max - out.len());
+            if take == 0 {
+                break;
+            }
+            out.extend_from_slice(&records[at..at + take]);
+            (run, at) = (run + 1, 0);
+        }
+        out
+    }
+
+    /// Moves the trim point up to `upto` (between it and the next offset)
+    /// and hands back the runs now wholly below it, for the caller to drop
+    /// outside the partition lock.
+    fn trim_memory(&mut self, upto: u64) -> Vec<Vec<Record>> {
+        self.base_offset = upto;
+        let mut freed = Vec::new();
+        while self.runs.front().is_some_and(|run| {
+            run.len() == RUN_LEN && self.run_base + RUN_LEN as u64 <= self.base_offset
+        }) {
+            freed.extend(self.runs.pop_front());
+            self.run_base += RUN_LEN as u64;
+        }
+        freed
     }
 }
 
@@ -177,15 +248,8 @@ impl MessageQueue {
                     Arc::clone(&self.stats),
                 )?;
                 log.base_offset = loaded.base_offset;
-                log.records = loaded
-                    .tuples
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, tuple)| Record {
-                        offset: loaded.base_offset + i as u64,
-                        tuple,
-                    })
-                    .collect();
+                log.run_base = loaded.base_offset;
+                log.extend(loaded.tuples);
                 log.last_seqs = loaded.last_seqs;
                 log.persist = Some(persist);
             }
@@ -228,7 +292,7 @@ impl MessageQueue {
         if let Some(p) = &mut log.persist {
             p.append_batch(None, std::slice::from_ref(&tuple))?;
         }
-        log.records.push(Record { offset, tuple });
+        log.extend(vec![tuple]);
         Ok(offset)
     }
 
@@ -275,9 +339,7 @@ impl MessageQueue {
         if let Some(p) = &mut log.persist {
             p.append_batch(marker, &tuples)?;
         }
-        for (offset, tuple) in (first..).zip(tuples) {
-            log.records.push(Record { offset, tuple });
-        }
+        log.extend(tuples);
         if let Some((src, seq)) = marker {
             let e = log.last_seqs.entry(src).or_insert(seq);
             *e = (*e).max(seq);
@@ -327,12 +389,7 @@ impl MessageQueue {
                 log.base_offset
             )));
         }
-        let start = (offset - log.base_offset) as usize;
-        if start >= log.records.len() {
-            return Ok(Vec::new());
-        }
-        let end = (start + max).min(log.records.len());
-        Ok(log.records[start..end].to_vec())
+        Ok(log.read(offset, max))
     }
 
     /// The next offset that will be assigned in this partition (i.e. one
@@ -352,23 +409,40 @@ impl MessageQueue {
         Ok(base)
     }
 
-    /// Discards all records with offsets strictly below `upto`.
+    /// Discards all records with offsets strictly below `upto` (clamped to
+    /// the next offset), and on a durable broker releases the journal
+    /// segments wholly below it ([`persist`]).
     ///
     /// Called once the consumer's durability point (the offset persisted
     /// with the last flushed chunk) has advanced past them.
     pub fn trim(&self, name: &str, partition: usize, upto: u64) -> Result<()> {
+        self.trim_to(name, partition, upto, true)
+    }
+
+    fn trim_to(&self, name: &str, partition: usize, upto: u64, journal: bool) -> Result<()> {
         let topic = self.topic(name)?;
         let log = Self::partition(&topic, name, partition)?;
-        let mut log = log.write();
-        if upto <= log.base_offset {
-            return Ok(());
-        }
-        let cut = ((upto - log.base_offset) as usize).min(log.records.len());
-        log.records.drain(..cut);
-        log.base_offset += cut as u64;
-        if let Some(p) = &log.persist {
-            p.record_trim(log.base_offset)?;
-        }
+        let freed = {
+            let mut log = log.write();
+            let upto = upto.min(log.next_offset());
+            if upto <= log.base_offset {
+                return Ok(());
+            }
+            let freed = log.trim_memory(upto);
+            let PartitionLog {
+                base_offset,
+                persist,
+                last_seqs,
+                ..
+            } = &mut *log;
+            if let Some(p) = persist.as_mut().filter(|_| journal) {
+                p.record_trim(*base_offset, last_seqs)?;
+            }
+            freed
+        };
+        // Freeing a run's records touches every payload: outside the lock
+        // the producers append under.
+        drop(freed);
         Ok(())
     }
 
@@ -378,7 +452,7 @@ impl MessageQueue {
         Ok(topic
             .partitions
             .iter()
-            .map(|p| p.read().records.len())
+            .map(|p| p.read().retained() as usize)
             .sum())
     }
 }
@@ -392,7 +466,8 @@ pub struct Consumer {
     mq: MessageQueue,
     topic: String,
     partition: usize,
-    position: u64,
+    /// Shared with this consumer's [`Backlog`]s.
+    position: Arc<AtomicU64>,
 }
 
 impl Consumer {
@@ -407,29 +482,81 @@ impl Consumer {
             mq,
             topic: topic.into(),
             partition,
-            position,
+            position: Arc::new(AtomicU64::new(position)),
         }
     }
 
     /// The next offset this consumer will read.
     pub fn position(&self) -> u64 {
-        self.position
+        self.position.load(Ordering::Acquire)
     }
 
     /// Polls up to `max` records, advancing the cursor.
     pub fn poll(&mut self, max: usize) -> Result<Vec<Record>> {
         let records = self
             .mq
-            .read_from(&self.topic, self.partition, self.position, max)?;
+            .read_from(&self.topic, self.partition, self.position(), max)?;
         if let Some(last) = records.last() {
-            self.position = last.offset + 1;
+            self.position.store(last.offset + 1, Ordering::Release);
         }
         Ok(records)
     }
 
     /// Rewinds (or fast-forwards) the cursor — used by recovery replay.
     pub fn seek(&mut self, offset: u64) {
-        self.position = offset;
+        self.position.store(offset, Ordering::Release);
+    }
+
+    /// A handle on this consumer's partition that reads and trims it
+    /// without the consumer itself (which its poller keeps locked).
+    pub fn backlog(&self) -> Backlog {
+        Backlog {
+            mq: self.mq.clone(),
+            topic: self.topic.clone(),
+            partition: self.partition,
+            position: Arc::clone(&self.position),
+        }
+    }
+}
+
+/// What the queue holds for one [`Consumer`]: how far the consumer trails
+/// the partition's head, how many records are still retained for it, and
+/// the trim that lets them go.
+///
+/// A partition has exactly one reader (DESIGN.md §5), so that reader's
+/// durable offset alone decides what may be trimmed.
+#[derive(Clone)]
+pub struct Backlog {
+    mq: MessageQueue,
+    topic: String,
+    partition: usize,
+    position: Arc<AtomicU64>,
+}
+
+impl Backlog {
+    /// Records appended to the partition that the consumer has not polled.
+    pub fn lag(&self) -> Result<u64> {
+        let latest = self.mq.latest_offset(&self.topic, self.partition)?;
+        Ok(latest.saturating_sub(self.position.load(Ordering::Acquire)))
+    }
+
+    /// Records of the partition at or above its trim point, still held in
+    /// memory.
+    pub fn retained(&self) -> Result<u64> {
+        let topic = self.mq.topic(&self.topic)?;
+        let log = MessageQueue::partition(&topic, &self.topic, self.partition)?;
+        let retained = log.read().retained();
+        Ok(retained)
+    }
+
+    /// Discards the partition's records below `upto` — never past the
+    /// consumer's position. With `journal`, a durable broker also releases
+    /// the journal segments wholly below it; pass that only when `upto`
+    /// itself survives a restart (it was registered with a durable
+    /// metadata service), since a restart replays from there.
+    pub fn trim(&self, upto: u64, journal: bool) -> Result<()> {
+        let upto = upto.min(self.position.load(Ordering::Acquire));
+        self.mq.trim_to(&self.topic, self.partition, upto, journal)
     }
 }
 

@@ -20,18 +20,33 @@
 //! its per-destination sequence number, so a restarted indexing server can
 //! rebuild its duplicate-suppression state from the log itself.
 //!
-//! Trimming only moves the logical trim point (a tiny atomic sidecar);
-//! log segments are never compacted — a real deployment would delete
-//! whole segments below the trim point, which is out of scope here (the
-//! recovery semantics don't depend on it).
+//! **Retention.** [`PartitionPersist::record_trim`] releases the journal
+//! below a trim offset `T` in two steps. First an atomic sidecar
+//! (`topic.partition.trim`, written by [`write_atomic`]) records `T`, the
+//! *kept segment* (the newest one whose first record is at or below `T`)
+//! with the offset of that first record, and every producer's last batch
+//! sequence number — so the exactly-once markers outlive the segments that
+//! held them. Then every segment below the kept one is unlinked. `open`
+//! reads the sidecar first and replays only from the kept segment on, so a
+//! restart decodes the unflushed tail plus at most one segment, not the
+//! partition's history. A crash before the sidecar's rename leaves the old
+//! sidecar, and more is replayed; a crash after it leaves stray segments
+//! below the kept one, which `open` removes.
+//!
+//! Sidecar layout (little-endian):
+//!
+//! ```text
+//! [trim u64][kept segment u64][kept first offset u64][n u32]
+//! [src u32][seq u64]*n  [FNV-1a u64 of everything before it]
+//! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use waterwheel_core::codec::{self, Decoder, Encoder};
+use waterwheel_core::codec::{self, fnv1a, Decoder, Encoder};
 use waterwheel_core::{Result, Tuple, WwError};
-use waterwheel_wal::{write_atomic, FsyncPolicy, Log, WalStats};
+use waterwheel_wal::{sweep_tmp_of, write_atomic, FsyncPolicy, Log, WalStats};
 
 /// Plain batches buffered between group commits (only meaningful under
 /// [`FsyncPolicy::Never`]; `Always` commits every append).
@@ -61,6 +76,11 @@ pub struct PartitionPersist {
     pending: usize,
     trim_path: PathBuf,
     stats: Arc<WalStats>,
+    /// `(segment, offset of its first record)` of every live segment that
+    /// holds a frame, oldest first.
+    segments: VecDeque<(u64, u64)>,
+    /// Offset of the next appended tuple.
+    next_offset: u64,
 }
 
 impl PartitionPersist {
@@ -72,10 +92,12 @@ impl PartitionPersist {
         dir.join(format!("{topic}.{partition}.trim"))
     }
 
-    /// Opens a partition's log, replaying what survives on disk. A torn
-    /// tail frame (crash mid-append) is dropped — it was never acked —
-    /// while checksum mismatches and damaged headers are typed
-    /// [`WwError::Corrupt`] errors.
+    /// Opens a partition's log, replaying what survives on disk from the
+    /// kept segment its trim sidecar names. A torn tail frame (crash
+    /// mid-append) is dropped — it was never acked — while checksum
+    /// mismatches, damaged headers and a sidecar the log contradicts are
+    /// typed [`WwError::Corrupt`] errors. `stats.replayed` counts the tuples
+    /// handed back, not the ones decoded on the way to the trim point.
     pub fn open(
         dir: &Path,
         topic: &str,
@@ -85,38 +107,60 @@ impl PartitionPersist {
         stats: Arc<WalStats>,
     ) -> Result<(Self, LoadedPartition)> {
         fs::create_dir_all(dir)?;
-        let (log, replay) = Log::open(
+        let trim_path = Self::trim_path(dir, topic, partition);
+        // A temp left by a crash mid-`write_atomic` never became the sidecar.
+        sweep_tmp_of(&trim_path)?;
+        let sidecar = match fs::read(&trim_path) {
+            Ok(bytes) => Some(TrimSidecar::decode(&bytes)?),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e.into()),
+        };
+        let kept_seq = sidecar.as_ref().map_or(0, |s| s.kept_seq);
+        let (log, replay) = Log::open_from(
             dir,
             &Self::wal_name(topic, partition),
             policy,
             segment_bytes,
             Arc::clone(&stats),
+            kept_seq,
         )?;
+        if sidecar.is_some() && replay.segments.first().map(|s| s.0) != Some(kept_seq) {
+            return Err(WwError::corrupt(
+                "mq log",
+                format!("kept segment {kept_seq} of {topic}.{partition} is missing"),
+            ));
+        }
+        let sidecar = sidecar.unwrap_or_default();
         let mut loaded = LoadedPartition {
+            base_offset: sidecar.trim,
+            last_seqs: sidecar.last_seqs,
             torn_tail: replay.torn_tail,
             ..Default::default()
         };
-        for frame in &replay.records {
-            decode_frame(frame, &mut loaded)?;
+        let mut segments = VecDeque::with_capacity(replay.segments.len());
+        let mut next = sidecar.kept_first;
+        for (i, &(seq, start)) in replay.segments.iter().enumerate() {
+            let end = replay
+                .segments
+                .get(i + 1)
+                .map_or(replay.records.len(), |s| s.1);
+            if start < end {
+                segments.push_back((seq, next));
+            }
+            for frame in &replay.records[start..end] {
+                next = decode_frame(frame, next, &mut loaded)?;
+            }
+        }
+        if sidecar.trim > next {
+            return Err(WwError::corrupt(
+                "mq log",
+                format!("trim {} beyond {next} records", sidecar.trim),
+            ));
         }
         stats.replayed.fetch_add(
             loaded.tuples.len() as u64,
             std::sync::atomic::Ordering::Relaxed,
         );
-        let trim_path = Self::trim_path(dir, topic, partition);
-        let trim = match fs::read(&trim_path) {
-            Ok(bytes) if bytes.len() == 8 => u64::from_le_bytes(bytes.try_into().unwrap()),
-            Ok(_) => return Err(WwError::corrupt("mq trim file", "bad length")),
-            Err(_) => 0,
-        };
-        if (trim as usize) > loaded.tuples.len() {
-            return Err(WwError::corrupt(
-                "mq log",
-                format!("trim {trim} beyond {} records", loaded.tuples.len()),
-            ));
-        }
-        loaded.tuples = loaded.tuples.split_off(trim as usize);
-        loaded.base_offset = trim;
         Ok((
             Self {
                 log,
@@ -124,6 +168,8 @@ impl PartitionPersist {
                 pending: 0,
                 trim_path,
                 stats,
+                segments,
+                next_offset: next,
             },
             loaded,
         ))
@@ -148,7 +194,11 @@ impl PartitionPersist {
         for t in tuples {
             codec::encode_tuple(&mut body, t);
         }
-        self.log.append(&body)?;
+        let segment = self.log.append(&body)?;
+        if self.segments.back().is_none_or(|&(s, _)| s != segment) {
+            self.segments.push_back((segment, self.next_offset));
+        }
+        self.next_offset += tuples.len() as u64;
         self.pending += 1;
         if marker.is_some() || self.policy.is_always() || self.pending >= FLUSH_EVERY {
             self.flush()?;
@@ -164,22 +214,97 @@ impl PartitionPersist {
         Ok(())
     }
 
-    /// Durably records the trim point (records below it are logically
-    /// deleted; the log segments themselves are untouched).
-    pub fn record_trim(&self, trim: u64) -> Result<()> {
-        write_atomic(
-            &self.trim_path,
-            &trim.to_le_bytes(),
-            self.policy,
-            &self.stats,
-        )
+    /// Releases the journal below `trim`: commits what is buffered, writes
+    /// the trim sidecar (with `last_seqs`, the partition's exactly-once
+    /// markers), then unlinks every segment wholly below the one holding
+    /// `trim`. The caller vouches that records below `trim` are durable
+    /// elsewhere.
+    pub fn record_trim(&mut self, trim: u64, last_seqs: &HashMap<u32, u64>) -> Result<()> {
+        // The sidecar must never name records that are not on disk yet.
+        self.flush()?;
+        let Some(&(kept_seq, kept_first)) = self.segments.iter().rev().find(|s| s.1 <= trim) else {
+            // Nothing journalled at or below `trim` since the last release.
+            return Ok(());
+        };
+        let sidecar = TrimSidecar {
+            trim,
+            kept_seq,
+            kept_first,
+            last_seqs: last_seqs.clone(),
+        };
+        write_atomic(&self.trim_path, &sidecar.encode(), self.policy, &self.stats)?;
+        while self.segments.front().is_some_and(|s| s.0 < kept_seq) {
+            self.segments.pop_front();
+        }
+        self.log.delete_below(kept_seq)?;
+        Ok(())
     }
 }
 
-/// Decodes one replayed frame body into `loaded`. The frame already
-/// passed its WAL checksum, so internal inconsistencies are corruption,
-/// not torn writes.
-fn decode_frame(frame: &[u8], loaded: &mut LoadedPartition) -> Result<()> {
+/// The trim sidecar: where replay starts and what it cannot re-derive.
+#[derive(Debug, Default)]
+struct TrimSidecar {
+    /// Offset of the first record a restart hands back.
+    trim: u64,
+    /// The oldest segment kept: the newest one starting at or below `trim`.
+    kept_seq: u64,
+    /// Offset of the first record in `kept_seq`.
+    kept_first: u64,
+    /// Every producer's last batch sequence number at the trim.
+    last_seqs: HashMap<u32, u64>,
+}
+
+impl TrimSidecar {
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(36 + 12 * self.last_seqs.len());
+        out.put_u64(self.trim);
+        out.put_u64(self.kept_seq);
+        out.put_u64(self.kept_first);
+        let mut seqs: Vec<_> = self.last_seqs.iter().collect();
+        seqs.sort_unstable();
+        out.put_u32(seqs.len() as u32);
+        for (&src, &seq) in seqs {
+            out.put_u32(src);
+            out.put_u64(seq);
+        }
+        out.put_u64(fnv1a(&out));
+        out
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Self> {
+        let what = "mq trim sidecar";
+        let Some(body_len) = bytes.len().checked_sub(8) else {
+            return Err(WwError::corrupt(what, "shorter than its checksum"));
+        };
+        let (body, sum) = bytes.split_at(body_len);
+        if fnv1a(body) != u64::from_le_bytes(sum.try_into().expect("8 bytes")) {
+            return Err(WwError::corrupt(what, "checksum mismatch"));
+        }
+        let mut dec = Decoder::new(body, what);
+        let (trim, kept_seq, kept_first) = (dec.get_u64()?, dec.get_u64()?, dec.get_u64()?);
+        let n = dec.get_u32()? as usize;
+        let mut last_seqs = HashMap::with_capacity(n.min(dec.remaining() / 12));
+        for _ in 0..n {
+            last_seqs.insert(dec.get_u32()?, dec.get_u64()?);
+        }
+        if dec.remaining() != 0 || kept_first > trim {
+            return Err(WwError::corrupt(what, "inconsistent fields"));
+        }
+        Ok(Self {
+            trim,
+            kept_seq,
+            kept_first,
+            last_seqs,
+        })
+    }
+}
+
+/// Decodes one replayed frame whose first tuple has offset `offset` into
+/// `loaded`, keeping the tuples at or above `loaded.base_offset`, and
+/// returns the offset after it. A frame wholly below that point has only
+/// its header read. The frame already passed its WAL checksum, so internal
+/// inconsistencies are corruption, not torn writes.
+fn decode_frame(frame: &[u8], offset: u64, loaded: &mut LoadedPartition) -> Result<u64> {
     let mut dec = Decoder::new(frame, "mq batch frame");
     let tag = dec.get_u8()?;
     let marker = match tag {
@@ -196,11 +321,22 @@ fn decode_frame(frame: &[u8], loaded: &mut LoadedPartition) -> Result<()> {
             ))
         }
     };
-    let count = dec.get_u32()? as usize;
+    let count = dec.get_u32()? as u64;
+    if let Some((src, seq)) = marker {
+        let e = loaded.last_seqs.entry(src).or_insert(seq);
+        *e = (*e).max(seq);
+    }
+    let end = offset + count;
+    if end <= loaded.base_offset {
+        return Ok(end);
+    }
     // The count is bounded by the checksummed frame itself; decode_tuple
     // bounds-checks every field, so a lying count is a typed error.
-    for _ in 0..count {
-        loaded.tuples.push(codec::decode_tuple(&mut dec)?);
+    for at in offset..end {
+        let tuple = codec::decode_tuple(&mut dec)?;
+        if at >= loaded.base_offset {
+            loaded.tuples.push(tuple);
+        }
     }
     if dec.remaining() != 0 {
         return Err(WwError::corrupt(
@@ -208,11 +344,7 @@ fn decode_frame(frame: &[u8], loaded: &mut LoadedPartition) -> Result<()> {
             format!("{} trailing bytes after batch", dec.remaining()),
         ));
     }
-    if let Some((src, seq)) = marker {
-        let e = loaded.last_seqs.entry(src).or_insert(seq);
-        *e = (*e).max(seq);
-    }
-    Ok(())
+    Ok(end)
 }
 
 #[cfg(test)]
@@ -280,12 +412,84 @@ mod tests {
             p.append_batch(None, &[Tuple::bare(i, i)]).unwrap();
         }
         p.flush().unwrap();
-        p.record_trim(20).unwrap();
+        p.record_trim(20, &HashMap::new()).unwrap();
         drop(p);
         let (_, loaded) = open(&dir, "t", 1);
         assert_eq!(loaded.base_offset, 20);
         assert_eq!(loaded.tuples.len(), 30);
         assert_eq!(loaded.tuples[0].key, 20);
+    }
+
+    /// `replayed` counts what a restart hands back, not what it decoded
+    /// on the way to the trim point (which still sits in the kept segment).
+    #[test]
+    fn replayed_counts_only_tuples_at_or_above_the_trim_point() {
+        let dir = tmp_dir("replayed");
+        let (mut p, _) = open(&dir, "t", 0);
+        for i in 0..50u64 {
+            p.append_batch(None, &[Tuple::bare(i, i)]).unwrap();
+        }
+        p.record_trim(37, &HashMap::new()).unwrap();
+        drop(p);
+        let stats = WalStats::shared();
+        let (_, loaded) = PartitionPersist::open(
+            &dir,
+            "t",
+            0,
+            FsyncPolicy::Never,
+            1 << 20,
+            Arc::clone(&stats),
+        )
+        .unwrap();
+        assert_eq!(loaded.tuples.len(), 13);
+        assert_eq!(loaded.tuples[0].key, 37);
+        assert_eq!(stats.replayed.load(Ordering::Relaxed), 13);
+    }
+
+    /// A trim unlinks every segment wholly below the one holding the trim
+    /// point; the exactly-once markers those segments held survive in the
+    /// sidecar, and a reopen reads from the kept segment on.
+    #[test]
+    fn a_trim_releases_whole_segments_and_keeps_their_markers() {
+        let dir = tmp_dir("release");
+        // Tiny segments: every few batches rotate.
+        let open_small = |dir: &Path| {
+            PartitionPersist::open(dir, "t", 0, FsyncPolicy::Never, 256, WalStats::shared())
+                .unwrap()
+        };
+        let (mut p, _) = open_small(&dir);
+        for seq in 1..=60u64 {
+            let src = 2_000 + (seq % 3) as u32;
+            p.append_batch(
+                Some((src, seq)),
+                &[Tuple::new(seq, seq, vec![seq as u8; 8])],
+            )
+            .unwrap();
+        }
+        let segments = |dir: &Path| {
+            fs::read_dir(dir)
+                .unwrap()
+                .filter(|e| e.as_ref().unwrap().path().extension() == Some("wal".as_ref()))
+                .count()
+        };
+        let before = segments(&dir);
+        assert!(before > 10, "{before} segments");
+        let last_seqs: HashMap<u32, u64> = [(2_000, 60), (2_001, 58), (2_002, 59)].into();
+        p.record_trim(55, &last_seqs).unwrap();
+        let after = segments(&dir);
+        assert!(after <= 3, "{before} -> {after} segments");
+        // Later appends still land and number on.
+        p.append_batch(Some((2_000, 61)), &[Tuple::bare(61, 61)])
+            .unwrap();
+        drop(p);
+        let (_, loaded) = open_small(&dir);
+        assert_eq!(loaded.base_offset, 55);
+        let keys: Vec<u64> = loaded.tuples.iter().map(|t| t.key).collect();
+        assert_eq!(keys, vec![56, 57, 58, 59, 60, 61]);
+        assert_eq!(
+            loaded.last_seqs,
+            [(2_000, 61), (2_001, 58), (2_002, 59)].into()
+        );
     }
 
     #[test]

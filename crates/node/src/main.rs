@@ -206,6 +206,18 @@ fn smoke(args: &[String]) -> Result<(), String> {
             scraped.get("dispatcher.pending") + scraped.get("dispatcher.in_flight"),
             0,
         )?;
+        // The flush pumped every partition and trimmed it at the offset it
+        // registered: nothing trails, and the queue holds no flushed tuple.
+        check_eq(
+            "scraped indexing.queue_lag",
+            scraped.get("indexing.queue_lag"),
+            0,
+        )?;
+        check_eq(
+            "scraped indexing.queue_retained",
+            scraped.get("indexing.queue_retained"),
+            0,
+        )?;
         let answered = |r: &&StatRow| r.name == "wire.shed";
         let processes = scraped.rows().iter().filter(answered).count();
         check_eq("processes that answered the scrape", processes as u64, 4)

@@ -306,7 +306,9 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
             let dfs = open_dfs()?;
             let attrs = Arc::new(AttrRegistry::new());
             register_well_known_attrs(&attrs);
-            let role = IndexingRole::new(host.clone(), &registry, mq, dfs, attrs)?;
+            // The meta process always runs a durable service, so the
+            // offsets trims rest on survive any restart.
+            let role = IndexingRole::new(host.clone(), &registry, mq, dfs, attrs, true)?;
             for &id in &hosted {
                 let slot = role.serve(&registry, id)?;
                 pump_handles.push(roles::spawn_pump(&slot, &pumps_stop));

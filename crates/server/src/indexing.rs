@@ -18,6 +18,10 @@
 //! partition from the durable offset; the rebuilt tree is identical because
 //! inserts are deterministic.
 //!
+//! Retention: once every chunk of a flush is registered, the server — its
+//! partition's one reader — trims the queue below the offset the flush
+//! made durable, so the queue holds the unflushed tail, not the history.
+//!
 //! All metadata interactions (region reports, chunk/summary/attr-index
 //! registration, id allocation) go through a [`MetaClient`] — typed RPCs on
 //! the message plane, subject to its deadlines, retries, and faults.
@@ -29,12 +33,13 @@ use std::sync::Arc;
 use waterwheel_agg::{AggWheel, FoldOutcome, WheelSummary, MAX_CELLS_PER_RING, SLICE_BITS};
 use waterwheel_core::aggregate::{default_measure, MeasureFn};
 use waterwheel_core::{
-    ChunkId, KeyInterval, Region, Result, ServerId, SubQuery, SystemConfig, TimeInterval, Tuple,
+    ChunkId, Counters, KeyInterval, Region, Result, ServerId, SubQuery, SystemConfig, TimeInterval,
+    Tuple,
 };
 use waterwheel_index::secondary::ChunkAttrIndex;
 use waterwheel_index::{BloomConfig, IndexConfig, SealedTree, TemplateBTree, TupleIndex};
 use waterwheel_meta::{ChunkInfo, SummaryExtent};
-use waterwheel_mq::Consumer;
+use waterwheel_mq::{Backlog, Consumer};
 use waterwheel_net::MetaClient;
 use waterwheel_storage::{write_chunk_opts, ChunkWriteOptions, SimDfs, VERSION_V2};
 
@@ -49,6 +54,23 @@ waterwheel_core::counters! {
         chunks_flushed,
         /// Encoded aggregate-summary bytes sealed into chunk footers.
         summary_bytes_flushed,
+    }
+}
+
+/// `indexing.*` of one server: its [`IndexingStats`] plus two rows read
+/// from the queue at visit time — `queue_lag`, the records of its
+/// partition the pump has not reached, and `queue_retained`, the records
+/// the queue still holds for it (the unflushed tail, once trims run).
+pub struct IndexingCounters {
+    stats: Arc<IndexingStats>,
+    backlog: Backlog,
+}
+
+impl Counters for IndexingCounters {
+    fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
+        self.stats.visit(f);
+        f("queue_lag", self.backlog.lag().unwrap_or(0));
+        f("queue_retained", self.backlog.retained().unwrap_or(0));
     }
 }
 
@@ -67,6 +89,14 @@ pub struct IndexingServer {
     /// Highest event timestamp seen.
     high_water: AtomicU64,
     consumer: Mutex<Consumer>,
+    /// The consumer's partition, trimmed after each registered flush.
+    backlog: Backlog,
+    /// The offset the last registered flush made durable (the consumer's
+    /// start position before any).
+    registered_offset: AtomicU64,
+    /// Whether a trim may delete journal segments too (see
+    /// [`Self::set_journal_trim`]).
+    journal_trim: AtomicBool,
     dfs: SimDfs,
     meta: MetaClient,
     stats: Arc<IndexingStats>,
@@ -104,6 +134,9 @@ impl IndexingServer {
             side_store: Mutex::new(Vec::new()),
             side_bytes: AtomicU64::new(0),
             high_water: AtomicU64::new(0),
+            backlog: consumer.backlog(),
+            registered_offset: AtomicU64::new(consumer.position()),
+            journal_trim: AtomicBool::new(false),
             consumer: Mutex::new(consumer),
             dfs,
             meta,
@@ -121,6 +154,15 @@ impl IndexingServer {
     /// afterwards carry attribute indexes for every registered attribute.
     pub fn set_attr_registry(&self, attrs: Arc<AttrRegistry>) {
         *self.attrs.write() = attrs;
+    }
+
+    /// Lets the trim after each flush delete journal segments, not just
+    /// in-memory records. Only safe when the metadata service holding the
+    /// registered offsets is durable: a restart replays the queue from the
+    /// offset it reports, and an offset that died with the process cannot
+    /// vouch for journal bytes already deleted.
+    pub fn set_journal_trim(&self, on: bool) {
+        self.journal_trim.store(on, Ordering::Relaxed);
     }
 
     /// Installs the measure extractor feeding the aggregate wheel. Must be
@@ -158,6 +200,15 @@ impl IndexingServer {
     /// Ingest counters.
     pub fn stats(&self) -> &Arc<IndexingStats> {
         &self.stats
+    }
+
+    /// The `indexing.*` set to register: the ingest counters plus the
+    /// queue rows. Holds no plane client, so a registry may keep it.
+    pub fn counters(&self) -> Arc<IndexingCounters> {
+        Arc::new(IndexingCounters {
+            stats: Arc::clone(&self.stats),
+            backlog: self.backlog.clone(),
+        })
     }
 
     /// Tuples currently in memory (main tree + side store).
@@ -397,9 +448,10 @@ impl IndexingServer {
         Ok(id)
     }
 
-    /// Seals the in-memory state into chunk(s), writes them to the DFS, and
-    /// registers them (plus the durable offset) with the metadata server.
-    /// Returns the flushed chunk ids. No-op on an empty server.
+    /// Seals the in-memory state into chunk(s), writes them to the DFS,
+    /// registers them (plus the durable offset) with the metadata server,
+    /// and trims the queue below that offset. Returns the flushed chunk
+    /// ids. No-op on an empty server.
     pub fn flush(&self) -> Result<Vec<ChunkId>> {
         // Whole flushes are serialized. The seal empties memory long before
         // the chunk is written and registered; a second caller (the `Flush`
@@ -408,7 +460,6 @@ impl IndexingServer {
         // in no registered chunk, and a client querying right after its
         // `flush()` would miss them.
         let _whole_flush = self.flushing.lock();
-        let mut flushed = Vec::new();
         // Read the durable offset, seal the tree, take the side store, and
         // drain the wheel in ONE critical section, ordered consumer lock →
         // wheel lock like `pump`. Two races lived in the old
@@ -444,24 +495,47 @@ impl IndexingServer {
             drop(consumer);
             (durable_offset, sealed, side)
         };
-        if let Some(sealed) = sealed {
-            flushed.push(self.write_and_register(&sealed, durable_offset)?);
-        }
         // Side store flushes as its own chunk so main chunks keep tight
         // temporal bounds (§IV-D).
-        if !side.is_empty() {
+        let side = (!side.is_empty()).then(|| {
             let tmp = TemplateBTree::new(
                 self.assigned_interval(),
                 IndexConfig::from_system(&self.cfg),
             );
             tmp.insert_batch(side);
-            let sealed = tmp.seal().expect("side store non-empty");
-            flushed.push(self.write_and_register(&sealed, durable_offset)?);
+            tmp.seal().expect("side store non-empty")
+        });
+        let chunks: Vec<SealedTree> = sealed.into_iter().chain(side).collect();
+        // Only the last registration advances the durable offset. The
+        // metadata service keeps the highest offset it was given, so an
+        // earlier chunk carrying the new one would vouch for tuples still
+        // waiting for a later chunk: a crash or failed write in between
+        // would leave them in no chunk and below the replay point. The
+        // earlier chunks repeat the previous offset instead, and such a
+        // failure replays them again rather than losing the rest.
+        let previous = self.registered_offset.load(Ordering::Acquire);
+        let mut flushed = Vec::with_capacity(chunks.len());
+        for (i, sealed) in chunks.iter().enumerate() {
+            let offset = if i + 1 == chunks.len() {
+                durable_offset
+            } else {
+                previous
+            };
+            flushed.push(self.write_and_register(sealed, offset)?);
         }
         if !flushed.is_empty() {
             self.stats
                 .chunks_flushed
                 .fetch_add(flushed.len() as u64, Ordering::Relaxed);
+            self.registered_offset
+                .store(durable_offset, Ordering::Release);
+            // Everything below the offset is in registered chunks now: the
+            // queue lets it go (Kafka's retention, paper §V). A crashed
+            // server leaves its partition to the replacement replaying it.
+            if !self.is_failed() {
+                let journal = self.journal_trim.load(Ordering::Relaxed);
+                self.backlog.trim(durable_offset, journal)?;
+            }
             self.report_memory_region()?;
         }
         Ok(flushed)

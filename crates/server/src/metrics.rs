@@ -102,6 +102,15 @@ mod tests {
         assert_eq!(m.get("dispatcher.coalesced"), 0);
         assert_eq!(m.get("indexing.ingested"), 1_000);
         assert!(m.get("indexing.chunks_flushed") >= 1);
+        // Read from the queue at visit time: `flush_all` pumped every
+        // partition empty and trimmed it at the offset it registered.
+        assert_eq!(m.get("indexing.queue_lag"), 0);
+        assert_eq!(m.get("indexing.queue_retained"), 0);
+        ww.insert(Tuple::bare(7, 7)).unwrap();
+        ww.flush_ingest_batches().unwrap();
+        let queued = SystemMetrics::collect(&ww);
+        assert_eq!(queued.get("indexing.queue_lag"), 1);
+        assert_eq!(queued.get("indexing.queue_retained"), 1);
         assert_eq!(
             m.get("meta.chunks_registered"),
             m.get("indexing.chunks_flushed")
@@ -154,6 +163,7 @@ mod tests {
         }
         let text = m.to_string();
         assert!(text.contains("query.leaf_reads@srv-1000"), "{text}");
+        assert!(text.contains("indexing.queue_lag@srv-0"), "{text}");
         assert!(text
             .lines()
             .any(|l| l.starts_with("coordinator.queries ") && l.ends_with(" 1")));

@@ -325,6 +325,7 @@ pub struct IndexingRole {
     dfs: SimDfs,
     attrs: Arc<AttrRegistry>,
     dedup: Arc<IngestDedup>,
+    durable_offsets: bool,
 }
 
 impl IndexingRole {
@@ -332,12 +333,18 @@ impl IndexingRole {
     /// partition per indexing server of the deployment (a durable queue
     /// replays its retained records and batch markers here), and registers
     /// the role's shared counters (`ingest.*`, `wal.queue.*`).
+    ///
+    /// `durable_offsets` says whether the metadata service the servers
+    /// register their offsets with survives a restart. Only then do the
+    /// trims after a flush delete journal segments; otherwise they drop
+    /// in-memory records only, and a restart replays the whole journal.
     pub fn new(
         host: Host,
         registry: &HandlerRegistry,
         mq: MessageQueue,
         dfs: SimDfs,
         attrs: Arc<AttrRegistry>,
+        durable_offsets: bool,
     ) -> Result<Self> {
         mq.create_topic(INGEST_TOPIC, host.cfg.indexing_servers)?;
         let dedup = Arc::new(IngestDedup::new());
@@ -350,6 +357,7 @@ impl IndexingRole {
             dfs,
             attrs,
             dedup,
+            durable_offsets,
         })
     }
 
@@ -358,6 +366,10 @@ impl IndexingRole {
     /// interval comes from the published schema, and the dedup table
     /// learns which batch sequence numbers already landed in its partition.
     /// Its counters (`indexing.*`) take the place of any predecessor's.
+    ///
+    /// This is the only place a queue [`Consumer`] is made outside tests,
+    /// always for partition = server id: each partition has one reader,
+    /// which is what lets that reader trim it alone (DESIGN.md §5).
     pub fn build(&self, registry: &HandlerRegistry, id: ServerId) -> Result<Arc<IndexingServer>> {
         // Indexing ids are `0..n`, so the raw id is the partition number
         // even when this process hosts only a slice of them.
@@ -384,9 +396,10 @@ impl IndexingRole {
             meta,
         ));
         server.set_attr_registry(Arc::clone(&self.attrs));
+        server.set_journal_trim(self.durable_offsets);
         registry
             .counters()
-            .register("indexing", Some(id), server.stats().clone());
+            .register("indexing", Some(id), server.counters());
         Ok(server)
     }
 

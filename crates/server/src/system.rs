@@ -195,12 +195,16 @@ impl WaterwheelBuilder {
         roles::bootstrap_schema(&meta, &host.topology.indexing)?;
 
         let attrs = Arc::new(AttrRegistry::new());
+        // Volatile metadata forgets the registered offsets with the
+        // process, so the journal must keep every byte for the restart to
+        // replay: trims then free in-memory records only.
         let ix_role = IndexingRole::new(
             host.clone(),
             &registry,
             mq.clone(),
             dfs.clone(),
             Arc::clone(&attrs),
+            self.durable_meta,
         )?;
         let indexing = host
             .topology

@@ -13,7 +13,9 @@
 //!   file truncated back to its last good frame) from **corruption** (a
 //!   bad checksum on a complete frame, a damaged header, or a torn frame
 //!   in a non-final segment — surfaced as [`WwError::Corrupt`], never a
-//!   panic, never a silently short read).
+//!   panic, never a silently short read). A log whose head is no longer
+//!   needed releases it whole segments at a time ([`Log::delete_below`])
+//!   and reopens from the first segment it kept ([`Log::open_from`]).
 //! * [`write_atomic`] — unique-temp-file + `rename` commit for
 //!   whole-file artifacts (meta snapshots, DFS chunk files), so a crash
 //!   mid-write can never leave a partially visible file.
@@ -103,6 +105,10 @@ impl WalStats {
 pub struct Replay {
     /// Frame bodies in append order, checksum-verified.
     pub records: Vec<Vec<u8>>,
+    /// Every replayed segment, oldest first: its sequence number and the
+    /// index in `records` of its first frame (equal to the next segment's
+    /// for an empty one).
+    pub segments: Vec<(u64, usize)>,
     /// Whether a torn tail was dropped (and the segment truncated back to
     /// its last complete frame).
     pub torn_tail: bool,
@@ -148,21 +154,42 @@ impl Log {
         segment_bytes: usize,
         stats: Arc<WalStats>,
     ) -> Result<(Self, Replay)> {
+        Self::open_from(dir, name, policy, segment_bytes, stats, 0)
+    }
+
+    /// [`Log::open`] for a log whose segments below `first_seq` were
+    /// released ([`Log::delete_below`]): only segments from `first_seq` on
+    /// are read, and strays below it — left by a crash between the release
+    /// being recorded and its unlinks — are removed.
+    pub fn open_from(
+        dir: impl Into<PathBuf>,
+        name: &str,
+        policy: FsyncPolicy,
+        segment_bytes: usize,
+        stats: Arc<WalStats>,
+        first_seq: u64,
+    ) -> Result<(Self, Replay)> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let mut segments = list_segments(&dir, name)?;
         segments.sort_by_key(|(seq, _)| *seq);
+        let kept = segments.partition_point(|(seq, _)| *seq < first_seq);
+        for (_, stray) in segments.drain(..kept) {
+            remove_if_present(&stray)?;
+        }
         let mut records = Vec::new();
+        let mut replayed = Vec::with_capacity(segments.len());
         let mut torn_tail = false;
         let last = segments.len().wrapping_sub(1);
-        for (i, (_, path)) in segments.iter().enumerate() {
+        for (i, (seq, path)) in segments.iter().enumerate() {
+            replayed.push((*seq, records.len()));
             let torn = replay_segment(path, i == last, &mut records)?;
             if torn {
                 torn_tail = true;
                 stats.torn.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let next_seq = segments.last().map(|(s, _)| s + 1).unwrap_or(0);
+        let next_seq = segments.last().map_or(first_seq, |(s, _)| s + 1);
         let inner = LogInner::create_segment(
             dir,
             name.to_string(),
@@ -175,14 +202,19 @@ impl Log {
             Self {
                 inner: Mutex::new(inner),
             },
-            Replay { records, torn_tail },
+            Replay {
+                records,
+                segments: replayed,
+                torn_tail,
+            },
         ))
     }
 
     /// Appends one checksummed frame (buffered; call [`Log::commit`] to
-    /// make it durable). Rotates to a new segment when the current one
-    /// has reached the configured size.
-    pub fn append(&self, body: &[u8]) -> Result<()> {
+    /// make it durable) and returns the sequence number of the segment it
+    /// landed in. Rotates to a new segment when the current one has
+    /// reached the configured size.
+    pub fn append(&self, body: &[u8]) -> Result<u64> {
         let mut g = self.inner.lock();
         if g.cur_bytes >= g.segment_bytes {
             g.rotate()?;
@@ -197,7 +229,7 @@ impl Log {
         g.stats
             .bytes
             .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        Ok(())
+        Ok(g.seq)
     }
 
     /// Flushes buffered frames to the OS and, under
@@ -228,6 +260,31 @@ impl Log {
             0,
         )?;
         *g = fresh;
+        Ok(())
+    }
+
+    /// Deletes every segment wholly below sequence `seq`, oldest first. The
+    /// segment appends go to is never below `seq` (that would be a caller
+    /// bug, refused as [`WwError::InvalidState`]). The unlinks run outside
+    /// the append lock; a segment already gone counts as deleted, so a
+    /// release that overlaps an earlier one is harmless.
+    pub fn delete_below(&self, seq: u64) -> Result<()> {
+        let (dir, name) = {
+            let g = self.inner.lock();
+            if seq > g.seq {
+                return Err(WwError::InvalidState(format!(
+                    "cannot release {}'s segments below {seq}: {} is being written",
+                    g.name, g.seq
+                )));
+            }
+            (g.dir.clone(), g.name.clone())
+        };
+        let mut segments = list_segments(&dir, &name)?;
+        segments.retain(|(s, _)| *s < seq);
+        segments.sort_by_key(|(s, _)| *s);
+        for (_, path) in &segments {
+            remove_if_present(path)?;
+        }
         Ok(())
     }
 
@@ -410,6 +467,14 @@ fn replay_segment(path: &Path, is_last: bool, records: &mut Vec<Vec<u8>>) -> Res
         }
         records.push(body.to_vec());
         pos += FRAME_HEADER_LEN + len as usize;
+    }
+}
+
+/// Unlinks `path`; one already gone is not an error.
+fn remove_if_present(path: &Path) -> Result<()> {
+    match fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
+        _ => Ok(()),
     }
 }
 
@@ -652,6 +717,52 @@ mod tests {
         drop(log);
         let (_, replay) = open(&dir, 1 << 20);
         assert_eq!(replay.records, vec![b"new".to_vec()]);
+    }
+
+    #[test]
+    fn released_segments_stay_gone_and_strays_below_the_kept_one_are_removed() {
+        let dir = tmp_dir("release");
+        let (log, _) = open(&dir, 32);
+        for i in 0..12u32 {
+            log.append(&[i as u8; 24]).unwrap();
+        }
+        log.commit().unwrap();
+        let mut segs = list_segments(&dir, "log").unwrap();
+        segs.sort_by_key(|(s, _)| *s);
+        let kept = segs[segs.len() / 2].0;
+        // A stray copy of a released segment, as a crash mid-release leaves.
+        let stray = fs::read(&segs[0].1).unwrap();
+        log.delete_below(kept).unwrap();
+        log.delete_below(kept).unwrap(); // already gone: still fine
+        assert!(
+            log.delete_below(u64::MAX).is_err(),
+            "the writer's segment stays"
+        );
+        drop(log);
+        assert!(list_segments(&dir, "log")
+            .unwrap()
+            .iter()
+            .all(|(s, _)| *s >= kept));
+        fs::write(&segs[0].1, stray).unwrap();
+        let (log, replay) = Log::open_from(
+            &dir,
+            "log",
+            FsyncPolicy::Never,
+            32,
+            WalStats::shared(),
+            kept,
+        )
+        .unwrap();
+        assert!(
+            !segs[0].1.exists(),
+            "open removes strays below the kept segment"
+        );
+        assert_eq!(replay.segments[0], (kept, 0));
+        let first = u8::try_from(kept).unwrap();
+        assert_eq!(replay.records[0], vec![first; 24]);
+        assert_eq!(replay.records.len(), 12 - first as usize);
+        // Appends land after the last replayed segment.
+        assert_eq!(log.append(b"next").unwrap(), segs.last().unwrap().0 + 1);
     }
 
     #[test]
