@@ -17,6 +17,10 @@ echo "==> cargo test -q"
 cargo test --workspace -q --no-run
 timeout 600 cargo test --workspace -q
 
+echo "==> vendor shim tests (outside the workspace, so the gate above never runs them)"
+cargo test -q --manifest-path vendor/parking_lot/Cargo.toml
+cargo test -q --manifest-path vendor/bytes/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

@@ -27,24 +27,20 @@ pub struct WheelSummary {
 
 impl WheelSummary {
     /// Seals a live wheel, dropping any ring with more than
-    /// `max_cells_per_ring` cells.
-    pub fn seal(wheel: &AggWheel, max_cells_per_ring: usize) -> Self {
-        let mut rings: [Option<Ring>; 4] = Default::default();
-        for gran in Granularity::ALL {
-            let ring = wheel.ring(gran);
-            if ring.len() <= max_cells_per_ring {
-                rings[gran.index()] = Some(ring.clone());
-            }
-        }
+    /// `max_cells_per_ring` cells. The flush seals the wheel it took at the
+    /// swap, which holds exactly the chunk's tuples.
+    pub fn seal(wheel: AggWheel, max_cells_per_ring: usize) -> Self {
         Self {
-            slice_bits: wheel.slice_bits(),
-            rings,
-            hull: wheel.hull(),
+            slice_bits: wheel.slice_bits,
+            rings: wheel
+                .rings
+                .map(|ring| (ring.len() <= max_cells_per_ring).then_some(ring)),
+            hull: wheel.hull,
         }
     }
 
-    /// Builds a summary directly from measured tuples (used at flush time,
-    /// where the sealed chunk's tuples are in hand).
+    /// Builds a summary directly from measured tuples: the same bytes the
+    /// flush seals from its live wheel, however the tuples were batched.
     pub fn build(
         tuples: impl IntoIterator<Item = (u64, u64, u64)>,
         slice_bits: u8,
@@ -52,7 +48,7 @@ impl WheelSummary {
     ) -> Self {
         let mut wheel = AggWheel::new(slice_bits);
         wheel.insert_batch(tuples);
-        Self::seal(&wheel, max_cells_per_ring)
+        Self::seal(wheel, max_cells_per_ring)
     }
 
     /// Key-slice width exponent.

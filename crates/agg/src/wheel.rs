@@ -90,9 +90,9 @@ impl FoldOutcome {
 /// stay cheap.
 #[derive(Debug)]
 pub struct AggWheel {
-    slice_bits: u8,
-    rings: [Ring; 4],
-    hull: Option<TimeInterval>,
+    pub(crate) slice_bits: u8,
+    pub(crate) rings: [Ring; 4],
+    pub(crate) hull: Option<TimeInterval>,
 }
 
 impl AggWheel {
@@ -119,11 +119,6 @@ impl AggWheel {
     /// Cells currently held by the ring at `gran`.
     pub fn ring_len(&self, gran: Granularity) -> usize {
         self.rings[gran.index()].len()
-    }
-
-    /// Read access to one ring (used when sealing a summary).
-    pub(crate) fn ring(&self, gran: Granularity) -> &Ring {
-        &self.rings[gran.index()]
     }
 
     /// Whether any tuple has been folded in.
@@ -161,15 +156,6 @@ impl AggWheel {
                     .merge(&agg);
             }
         }
-    }
-
-    /// Drops every cell (called after the owning region flushes; the data
-    /// now lives in a chunk with its own sealed summary).
-    pub fn clear(&mut self) {
-        for ring in &mut self.rings {
-            ring.clear();
-        }
-        self.hull = None;
     }
 
     /// Merges every cell inside `slices × covered`. `covered` must be
@@ -303,16 +289,5 @@ mod tests {
         // Covering the whole u64 time domain must not enumerate it.
         let out = w.fold((0, 15), &TimeInterval::full());
         assert_eq!(out.agg.count, 1);
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut w = AggWheel::new(4);
-        w.insert(1, 1_000, 1);
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.ring_len(Granularity::Second), 0);
-        let out = w.fold((0, 15), &TimeInterval::new(0, 999_999));
-        assert!(out.agg.is_empty());
     }
 }

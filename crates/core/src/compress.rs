@@ -37,56 +37,130 @@ const HASH_BITS: u32 = 14;
 /// vector grows organically past this if the stream really is that large.
 const DECODE_PREALLOC_CAP: usize = 64 * 1024;
 
-fn hash4(bytes: &[u8]) -> usize {
-    let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-    (v.wrapping_mul(0x9e37_79b1) >> (32 - HASH_BITS)) as usize
+fn hash4(word: u32) -> usize {
+    (word.wrapping_mul(0x9e37_79b1) >> (32 - HASH_BITS)) as usize
+}
+
+fn read4(input: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(input[at..at + 4].try_into().unwrap())
+}
+
+fn read8(input: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(input[at..at + 8].try_into().unwrap())
+}
+
+/// The matcher's hash table, kept per thread: a leaf payload block is a
+/// few KiB, so allocating and clearing 64 KiB per call would cost more
+/// than the matching. Entries hold `base + 1 + position`; one at or below
+/// the current call's `base` is from an earlier call, or cleared, and
+/// reads as empty.
+struct MatchTable {
+    slots: Vec<u32>,
+    base: u32,
+}
+
+impl MatchTable {
+    /// Starts a call over `len` input bytes, clearing the table on first
+    /// use and when this call's entries would no longer fit in a `u32`.
+    fn begin(&mut self, len: usize) {
+        if self.slots.is_empty() || u64::from(self.base) + len as u64 >= u64::from(u32::MAX) {
+            self.slots.clear();
+            self.slots.resize(1 << HASH_BITS, 0);
+            self.base = 0;
+        }
+    }
+
+    /// The previous position stored under `h`, and stores `i` there.
+    fn swap(&mut self, h: usize, i: usize) -> Option<usize> {
+        let old = std::mem::replace(&mut self.slots[h], self.base + 1 + i as u32);
+        old.checked_sub(self.base + 1).map(|p| p as usize)
+    }
+
+    fn set(&mut self, h: usize, i: usize) {
+        self.slots[h] = self.base + 1 + i as u32;
+    }
+
+    /// Ends a call over `len` bytes: later calls see none of its entries.
+    fn end(&mut self, len: usize) {
+        self.base += len as u32 + 1;
+    }
+}
+
+thread_local! {
+    static MATCH_TABLE: std::cell::RefCell<MatchTable> =
+        const { std::cell::RefCell::new(MatchTable { slots: Vec::new(), base: 0 }) };
 }
 
 /// Compresses `input` into the block layout above. Always succeeds; in the
 /// worst case the output is `input` plus a few bytes of framing.
+///
+/// # Panics
+///
+/// If `input` is 4 GiB or longer (match positions are 32-bit); chunk
+/// blocks are one leaf's column, a few KiB.
 pub fn compress(input: &[u8]) -> Vec<u8> {
+    assert!(
+        input.len() < u32::MAX as usize,
+        "lz block of {} bytes",
+        input.len()
+    );
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
     out.put_uvarint(input.len() as u64);
     if input.is_empty() {
         out.put_uvarint(0); // one empty literal segment
         return out;
     }
+    MATCH_TABLE.with_borrow_mut(|table| {
+        table.begin(input.len());
+        compress_into(input, table, &mut out);
+        table.end(input.len());
+    });
+    out
+}
 
-    let mut table = vec![u32::MAX; 1 << HASH_BITS];
+fn compress_into(input: &[u8], table: &mut MatchTable, out: &mut Vec<u8>) {
     let mut lit_start = 0usize;
     let mut i = 0usize;
     while i + MIN_MATCH <= input.len() {
-        let h = hash4(&input[i..]);
-        let cand = table[h] as usize;
-        table[h] = i as u32;
-        if cand != u32::MAX as usize && input[cand..cand + MIN_MATCH] == input[i..i + MIN_MATCH] {
-            // Extend the match as far as it goes.
-            let mut len = MIN_MATCH;
-            while i + len < input.len() && input[cand + len] == input[i + len] {
-                len += 1;
+        let word = read4(input, i);
+        let cand = table.swap(hash4(word), i);
+        match cand {
+            Some(cand) if read4(input, cand) == word => {
+                // Extend the match as far as it goes, eight bytes a step.
+                let mut len = MIN_MATCH;
+                while i + len + 8 <= input.len() {
+                    let diff = read8(input, cand + len) ^ read8(input, i + len);
+                    if diff != 0 {
+                        len += diff.trailing_zeros() as usize / 8;
+                        break;
+                    }
+                    len += 8;
+                }
+                // The tail, or nothing if a word above found the mismatch.
+                while i + len < input.len() && input[cand + len] == input[i + len] {
+                    len += 1;
+                }
+                let lits = &input[lit_start..i];
+                out.put_uvarint(lits.len() as u64);
+                out.extend_from_slice(lits);
+                out.put_uvarint((len - MIN_MATCH) as u64);
+                out.put_uvarint((i - cand) as u64);
+                // Seed the table sparsely inside the match so later data can
+                // still find back-references into it.
+                let end = i + len;
+                while i < end.min(input.len().saturating_sub(MIN_MATCH)) {
+                    table.set(hash4(read4(input, i)), i);
+                    i += 2;
+                }
+                i = end;
+                lit_start = end;
             }
-            let lits = &input[lit_start..i];
-            out.put_uvarint(lits.len() as u64);
-            out.extend_from_slice(lits);
-            out.put_uvarint((len - MIN_MATCH) as u64);
-            out.put_uvarint((i - cand) as u64);
-            // Seed the table sparsely inside the match so later data can
-            // still find back-references into it.
-            let end = i + len;
-            while i < end.min(input.len().saturating_sub(MIN_MATCH)) {
-                table[hash4(&input[i..])] = i as u32;
-                i += 2;
-            }
-            i = end;
-            lit_start = end;
-        } else {
-            i += 1;
+            _ => i += 1,
         }
     }
     let lits = &input[lit_start..];
     out.put_uvarint(lits.len() as u64);
     out.extend_from_slice(lits);
-    out
 }
 
 /// Decompresses a block written by [`compress`].
@@ -196,6 +270,23 @@ mod tests {
             })
             .collect();
         roundtrip(&noise);
+    }
+
+    #[test]
+    fn the_reused_match_table_leaves_no_trace() {
+        let block: Vec<u8> = (0..3_000u32).map(|i| (i * i / 7) as u8).collect();
+        let first = compress(&block);
+        // Entries from other blocks must read as empty...
+        for seed in 0..50u8 {
+            let other: Vec<u8> = block.iter().map(|b| b.wrapping_add(seed)).collect();
+            compress(&other);
+        }
+        assert_eq!(compress(&block), first);
+        // ...and so must the stale ones once the offsets wrap around.
+        MATCH_TABLE.with_borrow_mut(|t| t.base = u32::MAX - 2_000);
+        assert_eq!(compress(&block), first);
+        assert!(MATCH_TABLE.with_borrow(|t| t.base) < 4_000);
+        assert_eq!(compress(&block), first);
     }
 
     #[test]

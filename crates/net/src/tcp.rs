@@ -1211,7 +1211,16 @@ mod tests {
 
     #[test]
     fn shutdown_hook_intercepts_shutdown_requests() {
+        // A handler bound at the destination would also answer Ack: it
+        // records the request, so a Shutdown that slipped past the hook
+        // into the registry shows up here.
         let registry = Arc::new(HandlerRegistry::new());
+        let reached = Arc::new(AtomicBool::new(false));
+        let seen = Arc::clone(&reached);
+        registry.bind(ServerId(1), move |_| {
+            seen.store(true, Ordering::Release);
+            Ok(Response::Ack)
+        });
         let fired = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&fired);
         let wire = Arc::new(WireStats::default());
@@ -1228,7 +1237,17 @@ mod tests {
             .send(&env(0, 1, Duration::from_secs(5), Request::Shutdown))
             .unwrap();
         assert!(matches!(r, Response::Ack));
-        assert!(fired.load(Ordering::Acquire));
+        // The ack leaves before the hook runs (the launcher must see a
+        // clean answer before the process goes), so wait for the flag.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !fired.load(Ordering::Acquire) {
+            assert!(Instant::now() < deadline, "the shutdown hook never ran");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(
+            !reached.load(Ordering::Acquire),
+            "the registry saw a Shutdown the hook should have taken"
+        );
     }
 
     #[test]

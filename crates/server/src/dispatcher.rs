@@ -184,9 +184,19 @@ struct Sampler {
 }
 
 impl Sampler {
-    fn record(&mut self, key: Key, server: ServerId) {
+    /// Records one acknowledged batch routed to `server`: its size once in
+    /// `per_server`, each key into the reservoir.
+    fn record(&mut self, server: ServerId, tuples: &[Tuple]) {
+        if !tuples.is_empty() {
+            *self.window.per_server.entry(server).or_insert(0) += tuples.len() as u64;
+        }
+        for t in tuples {
+            self.sample(t.key);
+        }
+    }
+
+    fn sample(&mut self, key: Key) {
         let w = &mut self.window;
-        *w.per_server.entry(server).or_insert(0) += 1;
         w.observed += 1;
         if w.keys.len() < RESERVOIR_CAP {
             w.keys.push(key);
@@ -386,10 +396,7 @@ impl Dispatcher {
         }
         self.dispatched.fetch_add(n, Ordering::Relaxed);
         link.unacked.fetch_sub(n, Ordering::Relaxed);
-        let mut sampler = self.sampler.lock();
-        for t in &tuples {
-            sampler.record(t.key, dest);
-        }
+        self.sampler.lock().record(dest, &tuples);
         Ok(())
     }
 
@@ -726,7 +733,7 @@ mod tests {
         };
         let n = RESERVOIR_CAP as u64 * 16;
         for i in 0..n {
-            s.record(i, ServerId(0));
+            s.sample(i);
         }
         let w = &s.window;
         assert_eq!(w.keys.len(), RESERVOIR_CAP);

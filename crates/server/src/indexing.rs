@@ -74,6 +74,24 @@ impl Counters for IndexingCounters {
     }
 }
 
+/// The live wheels: one per chunk a flush writes, so each chunk's summary
+/// is its wheel sealed, never rebuilt from the chunk's tuples.
+struct Wheels {
+    /// The main tree's tuples.
+    main: AggWheel,
+    /// The side store's tuples.
+    side: AggWheel,
+}
+
+impl Wheels {
+    fn new() -> Self {
+        Self {
+            main: AggWheel::new(SLICE_BITS),
+            side: AggWheel::new(SLICE_BITS),
+        }
+    }
+}
+
 /// One indexing server.
 pub struct IndexingServer {
     id: ServerId,
@@ -104,10 +122,9 @@ pub struct IndexingServer {
     failed: AtomicBool,
     /// Secondary attributes to index at flush time (paper §VIII).
     attrs: parking_lot::RwLock<Arc<AttrRegistry>>,
-    /// Live aggregate wheel mirroring every in-memory tuple (main tree +
-    /// side store); cleared on flush, when the data moves into chunk
-    /// summaries (DESIGN.md §4b).
-    wheel: Mutex<AggWheel>,
+    /// Live aggregate wheels mirroring every in-memory tuple; taken at the
+    /// flush swap and sealed as the chunks' summaries (DESIGN.md §4b).
+    wheels: Mutex<Wheels>,
     /// Measure extractor feeding the wheel; shared with the coordinator so
     /// summary cells and scan folds agree. Install before ingesting.
     measure: parking_lot::RwLock<MeasureFn>,
@@ -143,7 +160,7 @@ impl IndexingServer {
             stats: Arc::default(),
             failed: AtomicBool::new(false),
             attrs: parking_lot::RwLock::new(Arc::new(AttrRegistry::new())),
-            wheel: Mutex::new(AggWheel::new(SLICE_BITS)),
+            wheels: Mutex::new(Wheels::new()),
             measure: parking_lot::RwLock::new(default_measure()),
             flushing: Mutex::new(()),
             cfg,
@@ -278,20 +295,16 @@ impl IndexingServer {
     }
 
     /// Ingests one polled batch, doing per batch what the per-record path
-    /// did per tuple: the wheel is locked and folded once, the high-water
+    /// did per tuple: each wheel is locked and folded once, the high-water
     /// mark published once, and the on-time tuples reach the tree in one
     /// `insert_batch` call.
     fn ingest_batch(&self, tuples: Vec<Tuple>) {
-        // Held to the end: `flush` drains tree, side store, and wheel in
+        // Held to the end: `flush` drains tree, side store, and wheels in
         // one wheel-locked critical section, so a batch must become visible
-        // to all three atomically or a flush sliding in between would wipe
-        // its wheel contributions while the tuples stay behind as fresh
-        // data.
-        let mut wheel = self.wheel.lock();
-        if self.cfg.agg_summaries_enabled {
-            let measure = self.measure.read().clone();
-            wheel.insert_batch(tuples.iter().map(|t| (t.key, t.ts, measure(t))));
-        }
+        // to all of them atomically or a flush sliding in between would
+        // take its wheel contributions while the tuples stay behind as
+        // fresh data.
+        let mut wheels = self.wheels.lock();
         // `pump` holds the consumer lock, so one batch runs at a time and
         // a local high-water mark sees every earlier tuple.
         let late_limit = self.late_limit_ms();
@@ -309,6 +322,12 @@ impl IndexingServer {
             })
             .collect();
         self.high_water.fetch_max(high_water, Ordering::AcqRel);
+        if self.cfg.agg_summaries_enabled {
+            let measure = self.measure.read().clone();
+            let measured = |t: &Tuple| (t.key, t.ts, measure(t));
+            wheels.main.insert_batch(on_time.iter().map(measured));
+            wheels.side.insert_batch(side.iter().map(measured));
+        }
         if !side.is_empty() {
             self.side_bytes.fetch_add(side_bytes, Ordering::Relaxed);
             self.stats
@@ -323,9 +342,9 @@ impl IndexingServer {
         }
     }
 
-    /// Folds the live aggregate wheel over `slices × covered` — the
-    /// fresh-data half of an aggregate query's summary path. The live wheel
-    /// keeps every ring, so the outcome never carries residues.
+    /// Folds the live aggregate wheels over `slices × covered` — the
+    /// fresh-data half of an aggregate query's summary path. Live wheels
+    /// keep every ring, so the outcome never carries residues.
     pub fn aggregate_in_memory(
         &self,
         slices: (u16, u16),
@@ -334,7 +353,11 @@ impl IndexingServer {
         if self.is_failed() {
             return Err(waterwheel_core::WwError::Injected("indexing server down"));
         }
-        let out = self.wheel.lock().fold(slices, covered);
+        let wheels = self.wheels.lock();
+        let mut out = wheels.main.fold(slices, covered);
+        let side = wheels.side.fold(slices, covered);
+        out.agg.merge(&side.agg);
+        out.cells_merged += side.cells_merged;
         debug_assert!(out.residues.is_empty(), "live wheel folds have no residues");
         Ok(out)
     }
@@ -387,30 +410,21 @@ impl IndexingServer {
     }
 
     /// Writes one sealed tree to the DFS as a chunk — with its aggregate
-    /// summary sealed into the footer when enabled — and registers the
-    /// chunk, summary extent, and attribute indexes with metadata.
-    fn write_and_register(&self, sealed: &SealedTree, durable_offset: u64) -> Result<ChunkId> {
+    /// summary, if any, sealed into the footer — and registers the chunk,
+    /// summary extent, and attribute indexes with metadata.
+    fn write_and_register(
+        &self,
+        sealed: &SealedTree,
+        summary: Option<&WheelSummary>,
+        durable_offset: u64,
+    ) -> Result<ChunkId> {
         let measure = self.measure.read().clone();
-        let summary = if self.cfg.agg_summaries_enabled {
-            let summary = WheelSummary::build(
-                sealed
-                    .leaves
-                    .iter()
-                    .flat_map(|l| l.entries.iter())
-                    .map(|t| (t.key, t.ts, measure(t))),
-                SLICE_BITS,
-                MAX_CELLS_PER_RING,
-            );
-            (!summary.is_empty()).then_some(summary)
-        } else {
-            None
-        };
         let id = self.meta.allocate_chunk_id()?;
         // The same measure feeds the summary cells and the MIN/MAX bounds,
         // so footer pruning and summary folds agree.
         let bytes = write_chunk_opts(
             sealed,
-            summary.as_ref(),
+            summary,
             &ChunkWriteOptions {
                 format_version: VERSION_V2,
                 compression: self.cfg.chunk_compression,
@@ -428,8 +442,8 @@ impl IndexingServer {
             },
             durable_offset,
         )?;
-        if let Some(summary) = &summary {
-            let encoded_len = summary.encode().len() as u64;
+        if let Some(summary) = summary {
+            let encoded_len = summary.encoded_len() as u64;
             self.meta.register_summary(
                 id,
                 SummaryExtent {
@@ -461,8 +475,8 @@ impl IndexingServer {
         // `flush()` would miss them.
         let _whole_flush = self.flushing.lock();
         // Read the durable offset, seal the tree, take the side store, and
-        // drain the wheel in ONE critical section, ordered consumer lock →
-        // wheel lock like `pump`. Two races lived in the old
+        // take the wheels in ONE critical section, ordered consumer lock →
+        // wheel lock → tree like `pump`. Two races lived in the old
         // read-offset / seal / write-chunks / clear-wheel sequence:
         //
         // * a pump batch sliding in between the seal and the wheel clear
@@ -475,25 +489,26 @@ impl IndexingServer {
         //   resumed beyond tuples that were never made durable: data loss.
         //
         // Holding both locks makes a concurrent batch land wholly before
-        // the seal (sealed into this flush's chunks, wiped from the wheel,
-        // below the offset) or wholly after (fresh in the new tree AND the
-        // wheel, at or above the offset).
-        let (durable_offset, sealed, side) = {
+        // the seal (sealed into this flush's chunks and their wheels, below
+        // the offset) or wholly after (fresh in the new tree AND the new
+        // wheels, at or above the offset).
+        let (durable_offset, sealed, side, wheels) = {
             let consumer = self.consumer.lock();
             let durable_offset = consumer.position();
-            let mut wheel = self.wheel.lock();
+            let mut wheels = self.wheels.lock();
             let sealed = self.tree.seal();
             let side: Vec<Tuple> = std::mem::take(&mut *self.side_store.lock());
             self.side_bytes.store(0, Ordering::Relaxed);
-            if sealed.is_some() || !side.is_empty() {
-                // Everything drained here flushes below, so the wheel's
-                // contents are now covered by chunk summaries. (A failed
-                // chunk write loses the sealed tuples from memory either
-                // way; WAL replay from `durable_offset` restores both.)
-                wheel.clear();
-            }
+            // The wheels hold exactly what was just sealed and taken, so
+            // they leave with it. (A failed chunk write loses the sealed
+            // tuples from memory either way; WAL replay from
+            // `durable_offset` restores both.)
+            let wheels = std::mem::replace(&mut *wheels, Wheels::new());
             drop(consumer);
-            (durable_offset, sealed, side)
+            (durable_offset, sealed, side, wheels)
+        };
+        let summary = |wheel: AggWheel| {
+            (!wheel.is_empty()).then(|| WheelSummary::seal(wheel, MAX_CELLS_PER_RING))
         };
         // Side store flushes as its own chunk so main chunks keep tight
         // temporal bounds (§IV-D).
@@ -503,9 +518,14 @@ impl IndexingServer {
                 IndexConfig::from_system(&self.cfg),
             );
             tmp.insert_batch(side);
-            tmp.seal().expect("side store non-empty")
+            let sealed = tmp.seal().expect("side store non-empty");
+            (sealed, summary(wheels.side))
         });
-        let chunks: Vec<SealedTree> = sealed.into_iter().chain(side).collect();
+        let chunks: Vec<(SealedTree, Option<WheelSummary>)> = sealed
+            .map(|sealed| (sealed, summary(wheels.main)))
+            .into_iter()
+            .chain(side)
+            .collect();
         // Only the last registration advances the durable offset. The
         // metadata service keeps the highest offset it was given, so an
         // earlier chunk carrying the new one would vouch for tuples still
@@ -515,13 +535,13 @@ impl IndexingServer {
         // failure replays them again rather than losing the rest.
         let previous = self.registered_offset.load(Ordering::Acquire);
         let mut flushed = Vec::with_capacity(chunks.len());
-        for (i, sealed) in chunks.iter().enumerate() {
+        for (i, (sealed, summary)) in chunks.iter().enumerate() {
             let offset = if i + 1 == chunks.len() {
                 durable_offset
             } else {
                 previous
             };
-            flushed.push(self.write_and_register(sealed, offset)?);
+            flushed.push(self.write_and_register(sealed, summary.as_ref(), offset)?);
         }
         if !flushed.is_empty() {
             self.stats
@@ -783,6 +803,63 @@ mod tests {
         for (a, b) in big.iter().zip(&small) {
             assert!(a == b, "{:?} differs between pump(1024) and pump(7)", a.0);
         }
+    }
+
+    /// The flush seals the live wheels instead of rebuilding a summary
+    /// from the sealed tuples. The bytes must not notice: every chunk's
+    /// summary — the side store's too — encodes exactly as
+    /// `WheelSummary::build` over that chunk's tuples does, through
+    /// threshold flushes, explicit ones, and late tuples in every batch.
+    #[test]
+    fn chunk_summaries_equal_a_rebuild_over_the_chunk_tuples() {
+        use waterwheel_storage::{ChunkReader, RangedRead};
+        let mut rig = Rig::new("summary-from-wheel");
+        rig.cfg.chunk_size_bytes = 16 * 1024;
+        let server = rig.server(0, 0);
+        let measure: MeasureFn = Arc::new(|t: &Tuple| t.ts % 977 + t.payload[0] as u64);
+        server.set_measure(Arc::clone(&measure));
+        let mut next = 0u64;
+        for (round, batch) in [(0u64, 13usize), (1, 256), (2, 1)] {
+            for _ in 0..2_000 {
+                let i = next;
+                next += 1;
+                let key = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                // One in 9 arrives minutes late, below Δt = 5 s.
+                let ts = if i % 9 == 4 { i * 3 } else { 600_000 + i * 7 };
+                let t = Tuple::new(key, ts, vec![(i % 251) as u8, 0, 0]);
+                rig.mq.append("ingest", 0, t).unwrap();
+            }
+            while server.pump(batch).unwrap() > 0 {}
+            if round < 2 {
+                server.flush().unwrap();
+            }
+        }
+        server.flush().unwrap();
+        let chunks = rig.meta.chunks_overlapping(&Region::full());
+        assert!(chunks.len() >= 6, "only {} chunks", chunks.len());
+        let mut side_chunks = 0;
+        for (id, _) in chunks {
+            let file = rig.dfs.open(id, None).unwrap();
+            let bytes = file.read_range(0, file.len().unwrap()).unwrap();
+            let reader = ChunkReader::new(&bytes[..]);
+            let index = reader.load_index().unwrap();
+            let leaves = reader
+                .read_leaves(&index, 0, index.leaves.len() - 1)
+                .unwrap();
+            let rebuilt = WheelSummary::build(
+                leaves.iter().flatten().map(|t| (t.key, t.ts, measure(t))),
+                SLICE_BITS,
+                MAX_CELLS_PER_RING,
+            );
+            let sealed = reader.read_summary().unwrap().expect("chunk has a summary");
+            assert_eq!(sealed.encode(), rebuilt.encode(), "{id:?}");
+            let extent = rig.meta.summary_extent(id).unwrap();
+            assert_eq!(extent.bytes, rebuilt.encode().len() as u64, "{id:?}");
+            if index.region.times.lo() < 600_000 {
+                side_chunks += 1;
+            }
+        }
+        assert!(side_chunks >= 3, "only {side_chunks} side-store chunks");
     }
 
     #[test]
