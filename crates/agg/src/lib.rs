@@ -65,6 +65,14 @@ pub struct AggregateAnswer {
     pub scanned_tuples: u64,
 }
 
+waterwheel_core::wire_struct!(AggregateAnswer {
+    query_id: QueryId,
+    kind: AggregateKind,
+    agg: PartialAgg,
+    cells_merged: u64,
+    scanned_tuples: u64,
+});
+
 impl AggregateAnswer {
     /// The requested aggregate as a float (COUNT/SUM/MIN/MAX are exact
     /// integers widened; MIN/MAX/AVG of an empty set are `None`).

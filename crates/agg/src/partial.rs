@@ -1,6 +1,6 @@
 //! The mergeable partial aggregate stored in every wheel cell.
 
-use waterwheel_core::codec::{Decoder, Encoder};
+use waterwheel_core::codec::{Decoder, Encoder, Wire};
 use waterwheel_core::Result;
 
 /// A mergeable partial aggregate over a set of measured tuples.
@@ -79,9 +79,13 @@ impl PartialAgg {
 
     /// Serialized size in bytes (five u64 words: count, sum lo/hi, min, max).
     pub const ENCODED_LEN: usize = 40;
+}
 
-    /// Appends the fixed-layout encoding.
-    pub fn encode(&self, out: &mut impl Encoder) {
+/// Fixed layout: count, sum (low word, high word), min, max.
+impl Wire for PartialAgg {
+    const MIN_LEN: usize = Self::ENCODED_LEN;
+
+    fn encode(&self, out: &mut impl Encoder) {
         out.put_u64(self.count);
         out.put_u64(self.sum as u64);
         out.put_u64((self.sum >> 64) as u64);
@@ -89,8 +93,7 @@ impl PartialAgg {
         out.put_u64(self.max);
     }
 
-    /// Decodes an aggregate written by [`PartialAgg::encode`].
-    pub fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         let count = dec.get_u64()?;
         let sum_lo = dec.get_u64()?;
         let sum_hi = dec.get_u64()?;

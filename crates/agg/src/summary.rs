@@ -4,7 +4,7 @@
 use crate::partial::PartialAgg;
 use crate::plan::plan_slots;
 use crate::wheel::{clip_to_hull, AggWheel, FoldOutcome, Granularity, Ring};
-use waterwheel_core::codec::{fnv1a, Decoder, Encoder};
+use waterwheel_core::codec::{fnv1a, Decoder, Encoder, Wire};
 use waterwheel_core::{Result, TimeInterval, WwError};
 
 /// Magic prefix of an encoded summary (`WWAGGSU1`).
@@ -246,6 +246,20 @@ impl WheelSummary {
             rings,
             hull,
         })
+    }
+}
+
+/// On the wire a summary is one length-prefixed blob of its own
+/// checksummed encoding; sizing a frame never serializes it.
+impl Wire for WheelSummary {
+    const MIN_LEN: usize = 4;
+
+    fn encode(&self, out: &mut impl Encoder) {
+        out.put_sized(self.encoded_len(), || WheelSummary::encode(self));
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        WheelSummary::decode(dec.get_bytes()?)
     }
 }
 

@@ -11,23 +11,25 @@ use crate::tuple::Tuple;
 use std::fmt;
 use std::sync::Arc;
 
-/// Which aggregate an [`AggregateQuery`] asks for.
-///
-/// All five are answered from the same mergeable partial aggregate
-/// (count + sum + min + max), so the kind only selects which component the
-/// caller reads out; AVG is derived exactly as sum / count.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum AggregateKind {
-    /// Number of matching tuples.
-    Count,
-    /// Sum of measures over matching tuples.
-    Sum,
-    /// Minimum measure over matching tuples.
-    Min,
-    /// Maximum measure over matching tuples.
-    Max,
-    /// Mean measure over matching tuples (exact sum / exact count).
-    Avg,
+crate::wire_enum! {
+    /// Which aggregate an [`AggregateQuery`] asks for.
+    ///
+    /// All five are answered from the same mergeable partial aggregate
+    /// (count + sum + min + max), so the kind only selects which component
+    /// the caller reads out; AVG is derived exactly as sum / count.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    pub enum AggregateKind as "aggregate kind" {
+        /// Number of matching tuples.
+        0 => Count,
+        /// Sum of measures over matching tuples.
+        1 => Sum,
+        /// Minimum measure over matching tuples.
+        2 => Min,
+        /// Maximum measure over matching tuples.
+        3 => Max,
+        /// Mean measure over matching tuples (exact sum / exact count).
+        4 => Avg,
+    }
 }
 
 impl AggregateKind {

@@ -1,16 +1,27 @@
 //! Minimal binary encode/decode helpers shared by the chunk format, the
-//! message queue segments, and metadata snapshots.
+//! message queue segments, the wire frames and the metadata log.
 //!
 //! We deliberately hand-roll the codec instead of pulling in serde: the
 //! on-disk formats are simple, fixed-layout, and versioned by a magic/version
 //! header, and a hand-rolled little-endian codec keeps the persisted layout
 //! obvious and auditable.
+//!
+//! A type that crosses the wire or lands in the metadata log implements
+//! [`Wire`]: one layout, used by both. Message enums are declared with
+//! [`wire_enum!`](crate::wire_enum), one tagged row per variant, and plain
+//! records with [`wire_struct!`](crate::wire_struct), one field per row in
+//! encoding order; both generate the [`Wire`] impl from that declaration.
 
+use crate::counters::StatRow;
 use crate::error::{Result, WwError};
+use crate::ids::{ChunkId, NodeId, QueryId, ServerId, SubQueryId};
 use crate::interval::{KeyInterval, TimeInterval};
+use crate::query::{QueryResult, SubQuery};
 use crate::region::Region;
 use crate::tuple::Tuple;
 use bytes::Bytes;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Append-side helpers over a byte vector.
 pub trait Encoder {
@@ -143,6 +154,28 @@ impl<'a> Decoder<'a> {
         self.buf.len() - self.pos
     }
 
+    /// A [`WwError::Corrupt`] naming this decoder's artifact.
+    pub fn corrupt(&self, detail: impl Into<String>) -> WwError {
+        WwError::corrupt(self.what, detail)
+    }
+
+    /// How many of `count` announced `T`s a collection may reserve room
+    /// for: no more than the remaining bytes can hold, since each costs at
+    /// least [`Wire::MIN_LEN`]. A count above that fails later anyway; this
+    /// is the one clamp behind every decoded [`Wire`] collection.
+    pub fn capacity_for<T: Wire>(&self, count: usize) -> usize {
+        count.min(self.remaining() / T::MIN_LEN.max(1))
+    }
+
+    /// Fails unless every byte was consumed: a record or frame with bytes
+    /// after its end is damaged, not padded.
+    pub fn finish(&self) -> Result<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(self.corrupt(format!("{n} trailing bytes"))),
+        }
+    }
+
     /// Moves the cursor to an absolute offset.
     pub fn seek(&mut self, pos: usize) -> Result<()> {
         if pos > self.buf.len() {
@@ -272,40 +305,461 @@ impl<'a> Decoder<'a> {
     }
 }
 
+/// A value with one binary layout, shared by the wire frames and the
+/// metadata log and snapshots.
+pub trait Wire: Sized {
+    /// The fewest bytes any value encodes to; bounds what a decoded
+    /// collection reserves ([`Decoder::capacity_for`]).
+    const MIN_LEN: usize;
+
+    /// Appends the encoding.
+    fn encode(&self, out: &mut impl Encoder);
+
+    /// Reads a value written by [`encode`](Self::encode).
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self>;
+}
+
+macro_rules! wire_ints {
+    ($($ty:ty: $put:ident / $get:ident),*) => {$(
+        impl Wire for $ty {
+            const MIN_LEN: usize = std::mem::size_of::<$ty>();
+
+            fn encode(&self, out: &mut impl Encoder) {
+                out.$put(*self);
+            }
+
+            fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+                dec.$get()
+            }
+        }
+    )*};
+}
+
+wire_ints!(u8: put_u8 / get_u8, u16: put_u16 / get_u16, u32: put_u32 / get_u32, u64: put_u64 / get_u64);
+
+macro_rules! wire_ids {
+    ($($id:ident),*) => {$(
+        impl Wire for $id {
+            const MIN_LEN: usize = std::mem::size_of::<$id>();
+
+            fn encode(&self, out: &mut impl Encoder) {
+                self.0.encode(out);
+            }
+
+            fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+                Wire::decode(dec).map($id)
+            }
+        }
+    )*};
+}
+
+wire_ids!(ChunkId, NodeId, QueryId, ServerId);
+
+macro_rules! wire_intervals {
+    ($($ty:ident: $what:literal),*) => {$(
+        impl Wire for $ty {
+            const MIN_LEN: usize = 16;
+
+            fn encode(&self, out: &mut impl Encoder) {
+                out.put_u64(self.lo());
+                out.put_u64(self.hi());
+            }
+
+            fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+                let (lo, hi) = (dec.get_u64()?, dec.get_u64()?);
+                $ty::checked(lo, hi).ok_or_else(|| dec.corrupt(concat!("inverted ", $what)))
+            }
+        }
+    )*};
+}
+
+wire_intervals!(KeyInterval: "key interval", TimeInterval: "time interval");
+
+/// Any non-zero byte reads as `true`.
+impl Wire for bool {
+    const MIN_LEN: usize = 1;
+
+    fn encode(&self, out: &mut impl Encoder) {
+        out.put_u8(*self as u8);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        Ok(dec.get_u8()? != 0)
+    }
+}
+
+/// Length-prefixed UTF-8.
+impl Wire for String {
+    const MIN_LEN: usize = 4;
+
+    fn encode(&self, out: &mut impl Encoder) {
+        out.put_bytes(self.as_bytes());
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        let raw = dec.get_bytes()?;
+        std::str::from_utf8(raw)
+            .map(str::to_owned)
+            .map_err(|_| dec.corrupt("string is not valid utf-8"))
+    }
+}
+
+/// A `u8` presence flag (0 or 1), then the value when present.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_LEN: usize = 1;
+
+    fn encode(&self, out: &mut impl Encoder) {
+        match self {
+            Some(v) => {
+                out.put_u8(1);
+                v.encode(out);
+            }
+            None => out.put_u8(0),
+        }
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        match dec.get_u8()? {
+            0 => Ok(None),
+            1 => T::decode(dec).map(Some),
+            other => Err(dec.corrupt(format!("unknown option flag {other}"))),
+        }
+    }
+}
+
+/// A `u32` count, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = 4;
+
+    fn encode(&self, out: &mut impl Encoder) {
+        out.put_u32(self.len() as u32);
+        for v in self {
+            v.encode(out);
+        }
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        let count = dec.get_u32()? as usize;
+        let mut out = Vec::with_capacity(dec.capacity_for::<T>(count));
+        for _ in 0..count {
+            out.push(T::decode(dec)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
+
+    fn encode(&self, out: &mut impl Encoder) {
+        self.0.encode(out);
+        self.1.encode(out);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        Ok((A::decode(dec)?, B::decode(dec)?))
+    }
+}
+
+impl<T: Wire> Wire for Arc<T> {
+    const MIN_LEN: usize = T::MIN_LEN;
+
+    fn encode(&self, out: &mut impl Encoder) {
+        T::encode(self, out);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        T::decode(dec).map(Arc::new)
+    }
+}
+
+/// `key | ts | payload-len | payload`.
+impl Wire for Tuple {
+    const MIN_LEN: usize = 20;
+
+    fn encode(&self, out: &mut impl Encoder) {
+        out.put_u64(self.key);
+        out.put_u64(self.ts);
+        out.put_bytes(&self.payload);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        let key = dec.get_u64()?;
+        let ts = dec.get_u64()?;
+        let payload = Bytes::copy_from_slice(dec.get_bytes()?);
+        Ok(Tuple { key, ts, payload })
+    }
+}
+
 /// Encodes a tuple as `key | ts | payload-len | payload`.
 pub fn encode_tuple(out: &mut impl Encoder, t: &Tuple) {
-    out.put_u64(t.key);
-    out.put_u64(t.ts);
-    out.put_bytes(&t.payload);
+    t.encode(out);
 }
 
 /// Decodes one tuple written by [`encode_tuple`].
 pub fn decode_tuple(dec: &mut Decoder<'_>) -> Result<Tuple> {
-    let key = dec.get_u64()?;
-    let ts = dec.get_u64()?;
-    let payload = Bytes::copy_from_slice(dec.get_bytes()?);
-    Ok(Tuple { key, ts, payload })
+    Tuple::decode(dec)
 }
 
 /// Encodes a region as four `u64` bounds.
 pub fn encode_region(out: &mut impl Encoder, r: &Region) {
-    out.put_u64(r.keys.lo());
-    out.put_u64(r.keys.hi());
-    out.put_u64(r.times.lo());
-    out.put_u64(r.times.hi());
+    r.encode(out);
 }
 
 /// Decodes a region written by [`encode_region`], validating bounds order.
 pub fn decode_region(dec: &mut Decoder<'_>) -> Result<Region> {
-    let k_lo = dec.get_u64()?;
-    let k_hi = dec.get_u64()?;
-    let t_lo = dec.get_u64()?;
-    let t_hi = dec.get_u64()?;
-    let keys = KeyInterval::checked(k_lo, k_hi)
-        .ok_or_else(|| WwError::corrupt("region", "inverted key interval"))?;
-    let times = TimeInterval::checked(t_lo, t_hi)
-        .ok_or_else(|| WwError::corrupt("region", "inverted time interval"))?;
-    Ok(Region::new(keys, times))
+    Region::decode(dec)
+}
+
+/// Reads an optional measure range, refusing an inverted one.
+pub fn decode_measure_range(dec: &mut Decoder<'_>) -> Result<Option<(u64, u64)>> {
+    match Option::<(u64, u64)>::decode(dec)? {
+        Some((lo, hi)) if lo > hi => Err(dec.corrupt("inverted measure range")),
+        range => Ok(range),
+    }
+}
+
+crate::wire_struct!(Region {
+    keys: KeyInterval,
+    times: TimeInterval
+});
+crate::wire_struct!(SubQueryId {
+    query: QueryId,
+    index: u32
+});
+crate::wire_struct!(StatRow { name: String, server: Option<ServerId>, value: u64 });
+crate::wire_struct!(QueryResult { query_id: QueryId, subqueries: u32, tuples: Vec<Tuple> });
+
+/// Predicates are opaque closures and cross as a presence flag only: a
+/// decoded subquery has none, and the sender re-applies its predicate to
+/// what comes back. The measure range is plain data and crosses for real.
+impl Wire for SubQuery {
+    const MIN_LEN: usize = SubQueryId::MIN_LEN + 16 + 16 + 1 + 1 + 1;
+
+    fn encode(&self, out: &mut impl Encoder) {
+        self.id.encode(out);
+        self.keys.encode(out);
+        self.times.encode(out);
+        self.predicate.is_some().encode(out);
+        self.measure_range.encode(out);
+        self.target.encode(out);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        Ok(SubQuery {
+            id: Wire::decode(dec)?,
+            keys: Wire::decode(dec)?,
+            times: Wire::decode(dec)?,
+            predicate: bool::decode(dec).map(|_| None)?,
+            measure_range: decode_measure_range(dec)?,
+            target: Wire::decode(dec)?,
+        })
+    }
+}
+
+/// Errors cross as a tag and their message. Variants whose message is a
+/// `&'static str` cannot carry the sender's text back, so they decode with
+/// a fixed "remote" message (and `Corrupt`/`NotFound` fold the sender's
+/// `what` into their owned text); the classification, and with it
+/// [`WwError::is_retryable`], always survives exactly.
+impl Wire for WwError {
+    const MIN_LEN: usize = 1;
+
+    fn encode(&self, out: &mut impl Encoder) {
+        let io;
+        let (tag, text, detail): (u8, &str, Option<&str>) = match self {
+            WwError::Io(e) => {
+                io = e.to_string();
+                (0, &io, None)
+            }
+            WwError::Corrupt { what, detail } => (1, what, Some(detail)),
+            WwError::NotFound { what, id } => (2, what, Some(id)),
+            WwError::InvalidState(msg) => (3, msg, None),
+            WwError::Config(msg) => (4, msg, None),
+            WwError::Shutdown(who) => (5, who, None),
+            WwError::Injected(what) => (6, what, None),
+            WwError::Timeout(what) => (7, what, None),
+            WwError::Unreachable(what) => (8, what, None),
+            WwError::Overloaded { retry_after } => {
+                out.put_u8(9);
+                out.put_u64(retry_after.as_millis().min(u64::MAX as u128) as u64);
+                return;
+            }
+        };
+        out.put_u8(tag);
+        out.put_bytes(text.as_bytes());
+        if let Some(detail) = detail {
+            out.put_bytes(detail.as_bytes());
+        }
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        let tag = dec.get_u8()?;
+        if tag == 9 {
+            let retry_after = Duration::from_millis(dec.get_u64()?);
+            return Ok(WwError::Overloaded { retry_after });
+        }
+        let text = String::decode(dec)?;
+        Ok(match tag {
+            0 => WwError::Io(std::io::Error::other(text)),
+            1 => WwError::Corrupt {
+                what: "remote",
+                detail: format!("{text}: {}", String::decode(dec)?),
+            },
+            2 => WwError::NotFound {
+                what: "remote",
+                id: format!("{text}: {}", String::decode(dec)?),
+            },
+            3 => WwError::InvalidState(text),
+            4 => WwError::Config(text),
+            5 => WwError::Shutdown("remote peer"),
+            6 => WwError::Injected("remote injected fault"),
+            7 => WwError::Timeout("remote rpc timed out"),
+            8 => WwError::Unreachable("remote destination unreachable"),
+            other => return Err(dec.corrupt(format!("unknown error tag {other}"))),
+        })
+    }
+}
+
+/// Implements [`Wire`] for a struct from its fields in encoding order: each
+/// field is encoded with its own [`Wire`] impl, back to back, and every
+/// field of the struct must be listed.
+#[macro_export]
+macro_rules! wire_struct {
+    ($name:ident { $($field:ident: $ty:ty),* $(,)? }) => {
+        impl $crate::codec::Wire for $name {
+            const MIN_LEN: usize = 0 $(+ <$ty as $crate::codec::Wire>::MIN_LEN)*;
+
+            fn encode(&self, out: &mut impl $crate::codec::Encoder) {
+                $($crate::codec::Wire::encode(&self.$field, out);)*
+            }
+
+            fn decode(dec: &mut $crate::codec::Decoder<'_>) -> $crate::Result<Self> {
+                Ok($name {
+                    $($field: <$ty as $crate::codec::Wire>::decode(dec)?,)*
+                })
+            }
+        }
+    };
+}
+
+/// Declares a tagged enum: one row per variant, `tag => Variant`, with a
+/// unit, one-field tuple or named-field body; attributes and docs are kept.
+/// The table is the layout: a `u8` tag, then each field's [`Wire`] encoding
+/// in declaration order. It generates [`Wire`] (an unknown tag decodes to
+/// [`WwError::Corrupt`] "unknown {label} tag N"), `TAGS` (every declared
+/// tag, in row order) and `tag()`. A retired tag is left out, never reused.
+///
+/// `enum Name as "label", fn name(&self) -> Type { tag, expr => Variant … }`
+/// also attaches a per-row value, returned by the generated private `name`.
+#[macro_export]
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident as $label:literal, fn $info:ident(&self) -> $info_ty:ty {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal, $row:expr => $variant:ident
+                $({ $($(#[$fmeta:meta])* $field:ident: $fty:ty),* $(,)? })?
+                $(($(#[$tmeta:meta])* $tty:ty))?
+            ),* $(,)?
+        }
+    ) => {
+        $crate::wire_enum! {
+            $(#[$meta])*
+            $vis enum $name as $label {
+                $(
+                    $(#[$vmeta])*
+                    $tag => $variant
+                    $({ $($(#[$fmeta])* $field: $fty),* })?
+                    $(($(#[$tmeta])* $tty))?
+                ),*
+            }
+        }
+
+        impl $name {
+            fn $info(&self) -> $info_ty {
+                match self {
+                    $($name::$variant { .. } => $row,)*
+                }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident as $label:literal {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal => $variant:ident
+                $({ $($(#[$fmeta:meta])* $field:ident: $fty:ty),* $(,)? })?
+                $(($(#[$tmeta:meta])* $tty:ty))?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant
+                $({ $($(#[$fmeta])* $field: $fty),* })?
+                $(($(#[$tmeta])* $tty))?,
+            )*
+        }
+
+        #[allow(dead_code)]
+        impl $name {
+            /// Every tag the table declares, in row order.
+            pub const TAGS: &'static [u8] = &[$($tag),*];
+
+            /// This value's tag.
+            pub fn tag(&self) -> u8 {
+                match self {
+                    $($name::$variant { .. } => $tag,)*
+                }
+            }
+        }
+
+        impl $crate::codec::Wire for $name {
+            const MIN_LEN: usize = 1;
+
+            fn encode(&self, out: &mut impl $crate::codec::Encoder) {
+                match self {
+                    $(
+                        $name::$variant
+                        $({ $($field),* })?
+                        $(($crate::__wire_pick!($tty, v)))? => {
+                            out.put_u8($tag);
+                            $($($crate::codec::Wire::encode($field, out);)*)?
+                            $($crate::codec::Wire::encode($crate::__wire_pick!($tty, v), out);)?
+                        }
+                    )*
+                }
+            }
+
+            fn decode(dec: &mut $crate::codec::Decoder<'_>) -> $crate::Result<Self> {
+                Ok(match dec.get_u8()? {
+                    $(
+                        $tag => $name::$variant
+                        $({ $($field: $crate::codec::Wire::decode(dec)?),* })?
+                        $((<$tty as $crate::codec::Wire>::decode(dec)?))?,
+                    )*
+                    other => {
+                        return Err(dec.corrupt(format!(concat!("unknown ", $label, " tag {}"), other)))
+                    }
+                })
+            }
+        }
+    };
+}
+
+/// `wire_enum!`'s binding for a tuple variant's one field: expands to its
+/// second argument, so the field's type can drive the repetition.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_pick {
+    ($ty:ty, $($out:tt)*) => {
+        $($out)*
+    };
 }
 
 /// Computes the 64-bit FNV-1a hash of `data`; used as a cheap integrity

@@ -121,17 +121,19 @@ impl fmt::Debug for Query {
     }
 }
 
-/// Where a subquery must execute (paper §IV-A): fresh data still in an
-/// indexing server's in-memory tree, or a flushed chunk served by a query
-/// server.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum SubQueryTarget {
-    /// The data region has not been flushed yet — execute on the indexing
-    /// server that owns the in-memory B+ tree.
-    InMemory(ServerId),
-    /// The data region is an immutable chunk in the file system — execute on
-    /// a query server chosen by the dispatch policy.
-    Chunk(ChunkId),
+crate::wire_enum! {
+    /// Where a subquery must execute (paper §IV-A): fresh data still in an
+    /// indexing server's in-memory tree, or a flushed chunk served by a query
+    /// server.
+    #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+    pub enum SubQueryTarget as "subquery target" {
+        /// The data region has not been flushed yet — execute on the
+        /// indexing server that owns the in-memory B+ tree.
+        0 => InMemory(ServerId),
+        /// The data region is an immutable chunk in the file system —
+        /// execute on a query server chosen by the dispatch policy.
+        1 => Chunk(ChunkId),
+    }
 }
 
 /// A subquery `q_i = ⟨K_i ∩ K_q, T_i ∩ T_q, f_q⟩` (paper §IV-A): the

@@ -9,7 +9,7 @@
 //! Used by the secondary attribute index to record, per attribute value,
 //! which leaves of a chunk contain tuples with that value.
 
-use waterwheel_core::codec::{Decoder, Encoder};
+use waterwheel_core::codec::{Decoder, Encoder, Wire};
 use waterwheel_core::{Result, WwError};
 
 /// Container density threshold: ≤ this many entries stays an array.
@@ -216,81 +216,86 @@ impl Bitmap {
             })
             .sum()
     }
+}
 
-    /// Appends the bitmap to `out`.
-    pub fn encode(&self, out: &mut impl Encoder) {
-        out.put_u32(self.containers.len() as u32);
-        for (high, c) in &self.containers {
-            out.put_u32(*high as u32);
-            match c {
-                Container::Array(v) => {
-                    out.put_u32(0);
-                    out.put_u32(v.len() as u32);
-                    for &low in v {
-                        out.put_u16(low);
-                    }
+/// `kind: u32`, then for an array (kind 0) its `u32` length and sorted
+/// `u16` values, for a bitset (kind 1) its 1 024 words.
+impl Wire for Container {
+    const MIN_LEN: usize = 8;
+
+    fn encode(&self, out: &mut impl Encoder) {
+        match self {
+            Container::Array(v) => {
+                out.put_u32(0);
+                out.put_u32(v.len() as u32);
+                for &low in v {
+                    out.put_u16(low);
                 }
-                Container::Bits(b) => {
-                    out.put_u32(1);
-                    for &w in b.iter() {
-                        out.put_u64(w);
-                    }
+            }
+            Container::Bits(b) => {
+                out.put_u32(1);
+                for &w in b.iter() {
+                    out.put_u64(w);
                 }
             }
         }
     }
 
-    /// Reads a bitmap written by [`encode`](Self::encode).
-    pub fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        let n = dec.get_u32()? as usize;
-        // Every container is at least its `high` + `kind` words: never
-        // allocate for more of them than the bytes present can hold.
-        let mut containers = Vec::with_capacity(n.min(dec.remaining() / 8));
-        let mut last_high: Option<u16> = None;
-        for _ in 0..n {
-            let high = dec.get_u32()?;
-            if high > u16::MAX as u32 {
-                return Err(WwError::corrupt("bitmap", "container high bits overflow"));
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        match dec.get_u32()? {
+            0 => {
+                let len = dec.get_u32()? as usize;
+                if len > ARRAY_MAX + 1 {
+                    return Err(WwError::corrupt("bitmap", "oversized array container"));
+                }
+                let mut v: Vec<u16> = Vec::with_capacity(len);
+                for _ in 0..len {
+                    let low = dec.get_u16()?;
+                    if v.last().is_some_and(|&p| low <= p) {
+                        return Err(WwError::corrupt("bitmap", "array values out of order"));
+                    }
+                    v.push(low);
+                }
+                Ok(Container::Array(v))
             }
-            let high = high as u16;
-            if last_high.is_some_and(|l| high <= l) {
+            1 => {
+                let mut bits = Box::new([0u64; 1024]);
+                for w in bits.iter_mut() {
+                    *w = dec.get_u64()?;
+                }
+                Ok(Container::Bits(bits))
+            }
+            other => Err(WwError::corrupt(
+                "bitmap",
+                format!("unknown container kind {other}"),
+            )),
+        }
+    }
+}
+
+/// The containers as `(high: u32, container)` pairs, highs strictly
+/// increasing.
+impl Wire for Bitmap {
+    const MIN_LEN: usize = 4;
+
+    fn encode(&self, out: &mut impl Encoder) {
+        out.put_u32(self.containers.len() as u32);
+        for (high, c) in &self.containers {
+            out.put_u32(*high as u32);
+            c.encode(out);
+        }
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        let raw = Vec::<(u32, Container)>::decode(dec)?;
+        let mut containers: Vec<(u16, Container)> = Vec::with_capacity(raw.len());
+        for (high, c) in raw {
+            let high = u16::try_from(high)
+                .map_err(|_| WwError::corrupt("bitmap", "container high bits overflow"))?;
+            if containers.last().is_some_and(|&(l, _)| high <= l) {
                 return Err(WwError::corrupt("bitmap", "containers out of order"));
             }
-            last_high = Some(high);
-            let kind = dec.get_u32()?;
-            let container = match kind {
-                0 => {
-                    let len = dec.get_u32()? as usize;
-                    if len > ARRAY_MAX + 1 {
-                        return Err(WwError::corrupt("bitmap", "oversized array container"));
-                    }
-                    let mut v = Vec::with_capacity(len);
-                    let mut prev: Option<u16> = None;
-                    for _ in 0..len {
-                        let low = dec.get_u16()?;
-                        if prev.is_some_and(|p| low <= p) {
-                            return Err(WwError::corrupt("bitmap", "array values out of order"));
-                        }
-                        prev = Some(low);
-                        v.push(low);
-                    }
-                    Container::Array(v)
-                }
-                1 => {
-                    let mut bits = Box::new([0u64; 1024]);
-                    for w in bits.iter_mut() {
-                        *w = dec.get_u64()?;
-                    }
-                    Container::Bits(bits)
-                }
-                other => {
-                    return Err(WwError::corrupt(
-                        "bitmap",
-                        format!("unknown container kind {other}"),
-                    ))
-                }
-            };
-            containers.push((high, container));
+            containers.push((high, c));
         }
         Ok(Self { containers })
     }

@@ -22,7 +22,7 @@
 use crate::bitmap::Bitmap;
 use std::collections::HashMap;
 use std::sync::Arc;
-use waterwheel_core::codec::{Decoder, Encoder};
+use waterwheel_core::codec::{Decoder, Encoder, Wire};
 use waterwheel_core::{Result, Tuple, WwError};
 
 /// Identifier of a registered attribute.
@@ -93,39 +93,32 @@ impl ValueBloom {
     pub fn approx_size(&self) -> usize {
         self.bits.len() * 8 + 24
     }
+}
 
-    /// Appends the filter to `out`.
-    pub fn encode(&self, out: &mut impl Encoder) {
+/// `num_bits | hashes | entries | words` (a `u32` count, then the words),
+/// whose geometry must agree.
+impl Wire for ValueBloom {
+    const MIN_LEN: usize = 24;
+
+    fn encode(&self, out: &mut impl Encoder) {
         out.put_u64(self.num_bits);
         out.put_u32(self.hashes);
         out.put_u64(self.entries);
-        out.put_u32(self.bits.len() as u32);
-        for &w in &self.bits {
-            out.put_u64(w);
-        }
+        self.bits.encode(out);
     }
 
-    /// Reads a filter written by [`encode`](Self::encode).
-    pub fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        let num_bits = dec.get_u64()?;
-        let hashes = dec.get_u32()?;
-        let entries = dec.get_u64()?;
-        let words = dec.get_u32()? as usize;
-        if words as u64 != num_bits.div_ceil(64) || hashes == 0 || hashes > 16 {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        let bloom = Self {
+            num_bits: dec.get_u64()?,
+            hashes: dec.get_u32()?,
+            entries: dec.get_u64()?,
+            bits: Wire::decode(dec)?,
+        };
+        let words = bloom.num_bits.div_ceil(64);
+        if bloom.bits.len() as u64 != words || !(1..=16).contains(&bloom.hashes) {
             return Err(WwError::corrupt("value bloom", "bad geometry"));
         }
-        // `words` only agrees with another on-disk field so far; size the
-        // allocation by the bytes that are actually there.
-        let mut bits = Vec::with_capacity(words.min(dec.remaining() / 8));
-        for _ in 0..words {
-            bits.push(dec.get_u64()?);
-        }
-        Ok(Self {
-            bits,
-            num_bits,
-            hashes,
-            entries,
-        })
+        Ok(bloom)
     }
 }
 
@@ -192,43 +185,42 @@ impl ChunkAttrIndex {
                 .map(|b| b.approx_size() + 16)
                 .sum::<usize>()
     }
+}
 
-    /// Appends the index to `out`.
-    pub fn encode(&self, out: &mut impl Encoder) {
+/// The bloom, then the hot values as a `(value, leaves)` sequence in value
+/// order.
+impl Wire for ChunkAttrIndex {
+    const MIN_LEN: usize = ValueBloom::MIN_LEN + 4;
+
+    fn encode(&self, out: &mut impl Encoder) {
         self.bloom.encode(out);
         out.put_u32(self.hot_values.len() as u32);
         let mut entries: Vec<(&u64, &Bitmap)> = self.hot_values.iter().collect();
         entries.sort_by_key(|(v, _)| **v);
         for (v, bm) in entries {
-            out.put_u64(*v);
+            v.encode(out);
             bm.encode(out);
         }
     }
 
-    /// Reads an index written by [`encode`](Self::encode).
-    pub fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         let bloom = ValueBloom::decode(dec)?;
-        let n = dec.get_u32()? as usize;
-        // Bounded by what the buffer can hold (an entry is over 8 bytes):
-        // the count comes off the wire.
-        let mut hot_values = HashMap::with_capacity(n.min(dec.remaining() / 8));
-        for _ in 0..n {
-            let v = dec.get_u64()?;
-            hot_values.insert(v, Bitmap::decode(dec)?);
-        }
+        let hot_values = Vec::<(u64, Bitmap)>::decode(dec)?.into_iter().collect();
         Ok(Self { bloom, hot_values })
     }
 }
 
-/// Result of probing a chunk's attribute index.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum AttrProbe {
-    /// The chunk provably contains no tuple with this value: skip it.
-    Absent,
-    /// The value may be present, restricted to these leaf indices.
-    Leaves(Bitmap),
-    /// The value may be present anywhere (cold value): scan normally.
-    Unknown,
+waterwheel_core::wire_enum! {
+    /// Result of probing a chunk's attribute index.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum AttrProbe as "attr-probe" {
+        /// The chunk provably contains no tuple with this value: skip it.
+        0 => Absent,
+        /// The value may be present, restricted to these leaf indices.
+        1 => Leaves(Bitmap),
+        /// The value may be present anywhere (cold value): scan normally.
+        2 => Unknown,
+    }
 }
 
 #[cfg(test)]

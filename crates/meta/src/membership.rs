@@ -14,37 +14,29 @@
 //! written when a migration begins and again at cut-over, so a crash at
 //! any point leaves an unambiguous durable statement of who owns what.
 
-use waterwheel_core::codec::{Decoder, Encoder};
-use waterwheel_core::{KeyInterval, NodeId, Result, ServerId, WwError};
+use waterwheel_core::codec::{Decoder, Wire};
+use waterwheel_core::{KeyInterval, NodeId, Result, ServerId};
 
-/// Which tier a cluster member serves in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum MemberRole {
-    /// Fresh-data tier: consumes the ingest queue, owns a key range.
-    Indexing,
-    /// Chunk-read tier: executes chunk subqueries against the DFS.
-    Query,
+waterwheel_core::wire_enum! {
+    /// Which tier a cluster member serves in.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub enum MemberRole as "role" {
+        /// Fresh-data tier: consumes the ingest queue, owns a key range.
+        0 => Indexing,
+        /// Chunk-read tier: executes chunk subqueries against the DFS.
+        1 => Query,
+    }
 }
 
 impl MemberRole {
     /// Wire/log encoding.
     pub fn as_u8(self) -> u8 {
-        match self {
-            MemberRole::Indexing => 0,
-            MemberRole::Query => 1,
-        }
+        self.tag()
     }
 
     /// Decodes the wire/log encoding.
     pub fn from_u8(v: u8) -> Result<Self> {
-        match v {
-            0 => Ok(MemberRole::Indexing),
-            1 => Ok(MemberRole::Query),
-            other => Err(WwError::corrupt(
-                "member role",
-                format!("unknown role tag {other}"),
-            )),
-        }
+        Self::decode(&mut Decoder::new(&[v], "member role"))
     }
 }
 
@@ -57,21 +49,10 @@ pub struct MemberInfo {
     pub node: NodeId,
 }
 
-impl MemberInfo {
-    /// Serializes the member facts (metadata log and snapshots).
-    pub fn encode(&self, out: &mut impl Encoder) {
-        out.put_u8(self.role.as_u8());
-        out.put_u32(self.node.raw());
-    }
-
-    /// Reads member facts written by [`encode`](Self::encode).
-    pub fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(Self {
-            role: MemberRole::from_u8(dec.get_u8()?)?,
-            node: NodeId(dec.get_u32()?),
-        })
-    }
-}
+waterwheel_core::wire_struct!(MemberInfo {
+    role: MemberRole,
+    node: NodeId,
+});
 
 /// An epoch-numbered snapshot of the live member set. Equal epochs imply
 /// equal member sets, so routers compare epochs instead of diffing lists.
@@ -96,40 +77,13 @@ impl MembershipView {
     pub fn query_ids(&self) -> Vec<ServerId> {
         self.query.iter().map(|(s, _)| *s).collect()
     }
-
-    /// Serializes the view (wire codec, metadata snapshots).
-    pub fn encode(&self, out: &mut impl Encoder) {
-        out.put_u64(self.epoch);
-        for list in [&self.indexing, &self.query] {
-            out.put_u32(list.len() as u32);
-            for (server, node) in list {
-                out.put_u32(server.raw());
-                out.put_u32(node.raw());
-            }
-        }
-    }
-
-    /// Reads a view written by [`encode`](Self::encode).
-    pub fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        let epoch = dec.get_u64()?;
-        let mut lists: [Vec<(ServerId, NodeId)>; 2] = [Vec::new(), Vec::new()];
-        for list in &mut lists {
-            let n = dec.get_u32()? as usize;
-            list.reserve(n.min(1 << 16));
-            for _ in 0..n {
-                let server = ServerId(dec.get_u32()?);
-                let node = NodeId(dec.get_u32()?);
-                list.push((server, node));
-            }
-        }
-        let [indexing, query] = lists;
-        Ok(Self {
-            epoch,
-            indexing,
-            query,
-        })
-    }
 }
+
+waterwheel_core::wire_struct!(MembershipView {
+    epoch: u64,
+    indexing: Vec<(ServerId, NodeId)>,
+    query: Vec<(ServerId, NodeId)>,
+});
 
 /// A durable record of one key-range migration. Written at `begin` (with
 /// `cutover_epoch = None`) and overwritten at cut-over; a crash in between
@@ -155,49 +109,15 @@ impl MigrationRecord {
     pub fn completed(&self) -> bool {
         self.cutover_epoch.is_some()
     }
-
-    /// Serializes the record (metadata log and snapshots).
-    pub fn encode(&self, out: &mut impl Encoder) {
-        out.put_u64(self.id);
-        out.put_u64(self.keys.lo());
-        out.put_u64(self.keys.hi());
-        out.put_u32(self.from.raw());
-        out.put_u32(self.to.raw());
-        match self.cutover_epoch {
-            Some(epoch) => {
-                out.put_u8(1);
-                out.put_u64(epoch);
-            }
-            None => out.put_u8(0),
-        }
-    }
-
-    /// Reads a record written by [`encode`](Self::encode).
-    pub fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        let id = dec.get_u64()?;
-        let keys = KeyInterval::checked(dec.get_u64()?, dec.get_u64()?)
-            .ok_or_else(|| WwError::corrupt("migration record", "inverted key range"))?;
-        let from = ServerId(dec.get_u32()?);
-        let to = ServerId(dec.get_u32()?);
-        let cutover_epoch = match dec.get_u8()? {
-            0 => None,
-            1 => Some(dec.get_u64()?),
-            other => {
-                return Err(WwError::corrupt(
-                    "migration record",
-                    format!("unknown cut-over flag {other}"),
-                ))
-            }
-        };
-        Ok(Self {
-            id,
-            keys,
-            from,
-            to,
-            cutover_epoch,
-        })
-    }
 }
+
+waterwheel_core::wire_struct!(MigrationRecord {
+    id: u64,
+    keys: KeyInterval,
+    from: ServerId,
+    to: ServerId,
+    cutover_epoch: Option<u64>,
+});
 
 #[cfg(test)]
 mod tests {

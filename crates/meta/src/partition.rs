@@ -6,7 +6,7 @@
 //! between the old and new assignments is handled by the metadata server
 //! tracking *actual* key intervals per server.
 
-use waterwheel_core::codec::{Decoder, Encoder};
+use waterwheel_core::codec::{Decoder, Encoder, Wire};
 use waterwheel_core::{Key, KeyInterval, Result, ServerId, WwError};
 
 /// One partition entry: a key interval owned by an indexing server.
@@ -17,6 +17,11 @@ pub struct PartitionEntry {
     /// The owning indexing server.
     pub server: ServerId,
 }
+
+waterwheel_core::wire_struct!(PartitionEntry {
+    interval: KeyInterval,
+    server: ServerId,
+});
 
 /// A versioned range partition of the full key domain.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -127,36 +132,23 @@ impl PartitionSchema {
         }
         Ok(())
     }
+}
 
-    /// Serializes the schema (metadata snapshots).
-    pub fn encode(&self, out: &mut impl Encoder) {
-        out.put_u64(self.version);
-        out.put_u32(self.entries.len() as u32);
-        for e in &self.entries {
-            out.put_u64(e.interval.lo());
-            out.put_u64(e.interval.hi());
-            out.put_u32(e.server.raw());
-        }
+/// The version, then the entries; bytes that do not form a valid schema
+/// are damage, not a caller's configuration mistake.
+impl Wire for PartitionSchema {
+    const MIN_LEN: usize = 12;
+
+    fn encode(&self, out: &mut impl Encoder) {
+        self.version.encode(out);
+        self.entries.encode(out);
     }
 
-    /// Reads a schema written by [`encode`](Self::encode).
-    pub fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        let version = dec.get_u64()?;
-        let n = dec.get_u32()? as usize;
-        // Bounded by what the buffer can hold (20 bytes an entry): the
-        // count comes off the wire.
-        let mut entries = Vec::with_capacity(n.min(dec.remaining() / 20));
-        for _ in 0..n {
-            let lo = dec.get_u64()?;
-            let hi = dec.get_u64()?;
-            let server = ServerId(dec.get_u32()?);
-            let interval = KeyInterval::checked(lo, hi)
-                .ok_or_else(|| WwError::corrupt("partition schema", "inverted interval"))?;
-            entries.push(PartitionEntry { interval, server });
-        }
-        let schema = Self { version, entries };
-        // Bytes that do not form a valid schema are damage, not a caller's
-        // configuration mistake.
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        let schema = Self {
+            version: Wire::decode(dec)?,
+            entries: Wire::decode(dec)?,
+        };
         schema
             .validate()
             .map_err(|e| WwError::corrupt("partition schema", e.to_string()))?;

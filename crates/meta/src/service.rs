@@ -40,7 +40,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use waterwheel_core::codec::{self, Decoder, Encoder};
+use waterwheel_core::codec::{self, Decoder, Encoder, Wire};
 use waterwheel_core::{
     ChunkId, CounterRegistry, Counters, KeyInterval, NodeId, Region, Result, ServerId, WwError,
 };
@@ -62,25 +62,12 @@ pub struct ChunkInfo {
     pub producer: ServerId,
 }
 
-impl ChunkInfo {
-    /// Serializes the chunk facts (wire codec, metadata log and snapshots).
-    pub fn encode(&self, out: &mut impl Encoder) {
-        codec::encode_region(out, &self.region);
-        out.put_u64(self.count);
-        out.put_u64(self.bytes);
-        out.put_u32(self.producer.raw());
-    }
-
-    /// Reads chunk facts written by [`encode`](Self::encode).
-    pub fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(Self {
-            region: codec::decode_region(dec)?,
-            count: dec.get_u64()?,
-            bytes: dec.get_u64()?,
-            producer: ServerId(dec.get_u32()?),
-        })
-    }
-}
+waterwheel_core::wire_struct!(ChunkInfo {
+    region: Region,
+    count: u64,
+    bytes: u64,
+    producer: ServerId,
+});
 
 /// Durable facts about the aggregate summary sealed into a chunk's footer
 /// — enough for the coordinator to decide, without opening the chunk,
@@ -102,219 +89,85 @@ pub struct SummaryExtent {
     pub measure_range: Option<(u64, u64)>,
 }
 
-impl SummaryExtent {
-    /// Serializes the extent (wire codec, metadata log and snapshots).
-    pub fn encode(&self, out: &mut impl Encoder) {
-        out.put_u64(self.cells);
-        out.put_u64(self.bytes);
-        out.put_u8(self.levels);
-        out.put_u8(self.slice_bits);
-        match self.measure_range {
-            Some((lo, hi)) => {
-                out.put_u8(1);
-                out.put_u64(lo);
-                out.put_u64(hi);
-            }
-            None => out.put_u8(0),
-        }
+/// Field by field; a measure range is never inverted.
+impl Wire for SummaryExtent {
+    const MIN_LEN: usize = 19;
+
+    fn encode(&self, out: &mut impl Encoder) {
+        self.cells.encode(out);
+        self.bytes.encode(out);
+        self.levels.encode(out);
+        self.slice_bits.encode(out);
+        self.measure_range.encode(out);
     }
 
-    /// Reads an extent written by [`encode`](Self::encode).
-    pub fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        let cells = dec.get_u64()?;
-        let bytes = dec.get_u64()?;
-        let levels = dec.get_u8()?;
-        let slice_bits = dec.get_u8()?;
-        let measure_range = match dec.get_u8()? {
-            0 => None,
-            1 => {
-                let (lo, hi) = (dec.get_u64()?, dec.get_u64()?);
-                if lo > hi {
-                    return Err(WwError::corrupt("summary extent", "inverted measure range"));
-                }
-                Some((lo, hi))
-            }
-            other => {
-                return Err(WwError::corrupt(
-                    "summary extent",
-                    format!("unknown measure-range flag {other}"),
-                ))
-            }
-        };
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         Ok(Self {
-            cells,
-            bytes,
-            levels,
-            slice_bits,
-            measure_range,
+            cells: Wire::decode(dec)?,
+            bytes: Wire::decode(dec)?,
+            levels: Wire::decode(dec)?,
+            slice_bits: Wire::decode(dec)?,
+            measure_range: codec::decode_measure_range(dec)?,
         })
     }
 }
 
-/// One durable state transition: a frame of the mutation log, and — many
-/// of them back to back — the body of a snapshot. Applying a record is
-/// idempotent (inserts keep-or-overwrite, counters, offsets and versions
-/// only move forward), so any suffix of the log may replay over a snapshot
-/// that already holds its effects; that is what makes a crash anywhere in
-/// compaction harmless.
-#[derive(Debug)]
-enum MetaRecord {
-    /// The three monotone counters, max-merged.
-    Counters {
-        next_chunk: u64,
-        next_migration: u64,
-        membership_epoch: u64,
-    },
-    /// A flushed chunk plus its producer's durable read offset.
-    RegisterChunk {
-        id: ChunkId,
-        info: ChunkInfo,
-        durable_offset: u64,
-    },
-    SetPartition(PartitionSchema),
-    AttrIndex {
-        chunk: ChunkId,
-        attr: AttrId,
-        index: ChunkAttrIndex,
-    },
-    Summary {
-        chunk: ChunkId,
-        extent: SummaryExtent,
-    },
-    /// A member (re)registration at membership epoch `epoch`.
-    MemberJoin {
-        server: ServerId,
-        info: MemberInfo,
-        epoch: u64,
-    },
-    /// A member removal (leave or lease lapse) at membership epoch `epoch`.
-    MemberLeave {
-        server: ServerId,
-        epoch: u64,
-    },
-    /// A migration's begin or cut-over at membership epoch `epoch`.
-    Migration {
-        rec: MigrationRecord,
-        epoch: u64,
-    },
+waterwheel_core::wire_enum! {
+    /// One durable state transition: a frame of the mutation log, and —
+    /// many of them back to back — the body of a snapshot. Applying a
+    /// record is idempotent (inserts keep-or-overwrite, counters, offsets
+    /// and versions only move forward), so any suffix of the log may replay
+    /// over a snapshot that already holds its effects; that is what makes a
+    /// crash anywhere in compaction harmless.
+    #[derive(Debug)]
+    enum MetaRecord as "record" {
+        /// The three monotone counters, max-merged.
+        0 => Counters {
+            next_chunk: u64,
+            next_migration: u64,
+            membership_epoch: u64,
+        },
+        /// A flushed chunk plus its producer's durable read offset.
+        1 => RegisterChunk {
+            id: ChunkId,
+            info: ChunkInfo,
+            durable_offset: u64,
+        },
+        2 => SetPartition(PartitionSchema),
+        3 => AttrIndex {
+            chunk: ChunkId,
+            attr: AttrId,
+            index: ChunkAttrIndex,
+        },
+        4 => Summary {
+            chunk: ChunkId,
+            extent: SummaryExtent,
+        },
+        /// A member (re)registration at membership epoch `epoch`.
+        5 => MemberJoin {
+            server: ServerId,
+            info: MemberInfo,
+            epoch: u64,
+        },
+        /// A member removal (leave or lease lapse) at membership epoch `epoch`.
+        6 => MemberLeave {
+            server: ServerId,
+            epoch: u64,
+        },
+        /// A migration's begin or cut-over at membership epoch `epoch`.
+        7 => Migration {
+            rec: MigrationRecord,
+            epoch: u64,
+        },
+    }
 }
 
 impl MetaRecord {
-    fn encode(&self, out: &mut impl Encoder) {
-        match self {
-            MetaRecord::Counters {
-                next_chunk,
-                next_migration,
-                membership_epoch,
-            } => {
-                out.put_u8(0);
-                out.put_u64(*next_chunk);
-                out.put_u64(*next_migration);
-                out.put_u64(*membership_epoch);
-            }
-            MetaRecord::RegisterChunk {
-                id,
-                info,
-                durable_offset,
-            } => {
-                out.put_u8(1);
-                out.put_u64(id.raw());
-                info.encode(out);
-                out.put_u64(*durable_offset);
-            }
-            MetaRecord::SetPartition(schema) => {
-                out.put_u8(2);
-                schema.encode(out);
-            }
-            MetaRecord::AttrIndex { chunk, attr, index } => {
-                out.put_u8(3);
-                out.put_u64(chunk.raw());
-                out.put_u16(*attr);
-                index.encode(out);
-            }
-            MetaRecord::Summary { chunk, extent } => {
-                out.put_u8(4);
-                out.put_u64(chunk.raw());
-                extent.encode(out);
-            }
-            MetaRecord::MemberJoin {
-                server,
-                info,
-                epoch,
-            } => {
-                out.put_u8(5);
-                out.put_u32(server.raw());
-                info.encode(out);
-                out.put_u64(*epoch);
-            }
-            MetaRecord::MemberLeave { server, epoch } => {
-                out.put_u8(6);
-                out.put_u32(server.raw());
-                out.put_u64(*epoch);
-            }
-            MetaRecord::Migration { rec, epoch } => {
-                out.put_u8(7);
-                rec.encode(out);
-                out.put_u64(*epoch);
-            }
-        }
-    }
-
-    /// Reads the next record of a stream (a snapshot body).
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(match dec.get_u8()? {
-            0 => MetaRecord::Counters {
-                next_chunk: dec.get_u64()?,
-                next_migration: dec.get_u64()?,
-                membership_epoch: dec.get_u64()?,
-            },
-            1 => MetaRecord::RegisterChunk {
-                id: ChunkId(dec.get_u64()?),
-                info: ChunkInfo::decode(dec)?,
-                durable_offset: dec.get_u64()?,
-            },
-            2 => MetaRecord::SetPartition(PartitionSchema::decode(dec)?),
-            3 => MetaRecord::AttrIndex {
-                chunk: ChunkId(dec.get_u64()?),
-                attr: dec.get_u16()?,
-                index: ChunkAttrIndex::decode(dec)?,
-            },
-            4 => MetaRecord::Summary {
-                chunk: ChunkId(dec.get_u64()?),
-                extent: SummaryExtent::decode(dec)?,
-            },
-            5 => MetaRecord::MemberJoin {
-                server: ServerId(dec.get_u32()?),
-                info: MemberInfo::decode(dec)?,
-                epoch: dec.get_u64()?,
-            },
-            6 => MetaRecord::MemberLeave {
-                server: ServerId(dec.get_u32()?),
-                epoch: dec.get_u64()?,
-            },
-            7 => MetaRecord::Migration {
-                rec: MigrationRecord::decode(dec)?,
-                epoch: dec.get_u64()?,
-            },
-            other => {
-                return Err(WwError::corrupt(
-                    "meta record",
-                    format!("unknown record tag {other}"),
-                ))
-            }
-        })
-    }
-
     /// Reads a log frame: exactly one record, nothing after it.
     fn decode_frame(frame: &[u8]) -> Result<Self> {
         let mut dec = Decoder::new(frame, "meta log record");
         let rec = Self::decode(&mut dec)?;
-        if dec.remaining() != 0 {
-            return Err(WwError::corrupt(
-                "meta log record",
-                format!("{} trailing bytes after record", dec.remaining()),
-            ));
-        }
+        dec.finish()?;
         Ok(rec)
     }
 }
@@ -1543,6 +1396,37 @@ mod tests {
         meta.complete_migration(adopted.id).unwrap();
         assert_eq!(meta.begin_migration(keys, from, to).unwrap().id, 2);
         assert_eq!(meta.migrations().len(), 3);
+    }
+
+    /// The log and snapshot bytes of a scripted run that writes every
+    /// record tag (`mutate` covers all eight by step 3), pinned: a codec
+    /// change that moves any byte of either file fails here.
+    #[test]
+    fn meta_log_bytes_are_pinned() {
+        let path = tmp_path("pinned");
+        let meta = open(&path).unwrap();
+        (0..4).for_each(|step| mutate(&meta, step));
+        let dir = path.parent().unwrap();
+        let log: Vec<u8> = log_segments(dir)
+            .iter()
+            .flat_map(|seg| fs::read(seg).unwrap())
+            .collect();
+        let durable = meta.durable.as_ref().unwrap();
+        durable.compact(&meta.state.read()).unwrap();
+        let snapshot = fs::read(&path).unwrap();
+        let got = [
+            (log.len(), codec::fnv1a(&log)),
+            (snapshot.len(), codec::fnv1a(&snapshot)),
+        ];
+        assert_eq!(
+            got,
+            [
+                (1_840, 0x0e0b_9903_c2d5_631a),
+                (1_166, 0xe3b1_4496_e9e7_b1f6)
+            ]
+        );
+        drop(meta);
+        let _ = fs::remove_dir_all(dir);
     }
 
     /// A record of the variant with log tag `tag`, filled from the seeds.

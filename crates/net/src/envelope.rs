@@ -55,115 +55,120 @@ pub struct Envelope {
     pub payload: Request,
 }
 
-/// A request payload — every cross-server call in the system.
-#[derive(Clone, Debug)]
-pub enum Request {
-    /// Route a batch of tuples into the destination indexing server's
-    /// partition of the ingestion queue in one envelope (dispatcher →
-    /// indexing, §III-A and §VI Fig. 15) — the only ingest verb; a single
-    /// insert is a batch of one. `seq` is the sender's per-destination
-    /// monotonic batch number: because a retried batch keeps its original
-    /// `seq`, the handler can recognise a redelivery whose first attempt
-    /// already landed (the ack, not the request, was lost) and acknowledge
-    /// it without appending twice.
-    IngestBatch {
-        /// Per-(dispatcher, destination) monotonic batch sequence number.
-        seq: u64,
-        /// The tuples, in dispatch order.
-        tuples: Vec<Tuple>,
-    },
-    /// Force the destination indexing server to seal its in-memory state
-    /// into chunks (control plane, §V durability boundary).
-    Flush,
-    /// Execute a subquery against the destination indexing server's
-    /// in-memory tree + side store (coordinator → indexing, §IV-A).
-    InMemorySubquery {
-        /// The fresh-data subquery.
-        sq: SubQuery,
-    },
-    /// Fold the destination indexing server's live aggregate wheel over a
-    /// slice × time rectangle (coordinator → indexing, DESIGN.md §4b).
-    AggregateInMemory {
-        /// Inclusive key-slice range.
-        slices: (u16, u16),
-        /// Second-aligned covered time interval.
-        covered: TimeInterval,
-    },
-    /// Execute a subquery against one flushed chunk (coordinator → query
-    /// server, §IV-B), optionally restricted to the leaves a secondary
-    /// attribute index qualified (§VIII).
-    ChunkSubquery {
-        /// The chunk subquery.
-        sq: SubQuery,
-        /// The chunk to read.
-        chunk: ChunkId,
-        /// Qualifying leaves from a secondary index probe, if any.
-        leaf_filter: Option<Bitmap>,
-    },
-    /// Read a chunk's sealed aggregate summary footer (coordinator → query
-    /// server).
-    ReadSummary {
-        /// The chunk whose footer to read.
-        chunk: ChunkId,
-    },
-    /// Liveness probe; answered with [`Response::Pong`] by healthy servers
-    /// and an error by crashed ones.
-    Ping,
-    /// A metadata-service call (any server → metadata server).
-    Meta(MetaRequest),
-    /// A full temporal range query from an external client, addressed to
-    /// the gateway's [`COORDINATOR`] address (in a node process or an
-    /// embedded system alike). It runs exactly as an embedded `query()` call;
-    /// the optional attribute-equality constraint is folded into the
-    /// predicate before decomposition.
-    ClientQuery {
-        /// Key range.
-        keys: KeyInterval,
-        /// Time range.
-        times: TimeInterval,
-        /// Optional `attr == value` constraint.
-        attr_eq: Option<(AttrId, u64)>,
-    },
-    /// A full temporal aggregate query from an external client, addressed
-    /// to the gateway's [`COORDINATOR`] address.
-    ClientAggregate {
-        /// Key range.
-        keys: KeyInterval,
-        /// Time range.
-        times: TimeInterval,
-        /// The aggregate to compute.
-        kind: AggregateKind,
-    },
-    /// Ask a node process to exit cleanly (launcher → node). Embedded
-    /// transports never send this; the node runtime acknowledges it and
-    /// then tears the process down.
-    Shutdown,
-    /// Teach the destination node process the socket addresses of servers
-    /// that joined after it started (launcher/gateway → node). Existing
-    /// entries are overwritten; routing to the listed ids works from the
-    /// next RPC on.
-    RegisterPeers {
-        /// `(server id, socket address)` pairs, e.g. `(ServerId(2), "127.0.0.1:4107")`.
-        peers: Vec<(ServerId, String)>,
-    },
-    /// Narrow or widen the destination indexing server's *assigned* key
-    /// interval (migration control plane). Out-of-interval tuples already
-    /// in memory stay queryable until flush — the §III-D overlap that
-    /// keeps answers exact while ownership moves.
-    Reassign {
-        /// The new assigned interval.
-        interval: KeyInterval,
-    },
-    /// Ask the destination gateway to rebalance key ownership uniformly
-    /// across the *current* indexing membership, running the migration
-    /// state machine for every range that changes hands (client → gateway
-    /// dispatcher node). Answered with [`Response::Migrated`].
-    MigrateUniform,
-    /// Read the counters of the process hosting the destination: every
-    /// set its roles registered, as `(name, server, value)` rows. Answered
-    /// by the [`HandlerRegistry`](crate::HandlerRegistry) itself at any
-    /// bound address, not by a role handler.
-    Stats,
+waterwheel_core::wire_enum! {
+    /// A request payload — every cross-server call in the system. Each
+    /// row is `wire tag, (class, kind label) => variant`.
+    #[derive(Clone, Debug)]
+    pub enum Request as "request", fn verb(&self) -> (RequestClass, &'static str) {
+        // Tag 0 was the per-tuple `Ingest` verb; it is retired, never reused.
+        /// Route a batch of tuples into the destination indexing server's
+        /// partition of the ingestion queue in one envelope (dispatcher →
+        /// indexing, §III-A and §VI Fig. 15) — the only ingest verb; a single
+        /// insert is a batch of one. `seq` is the sender's per-destination
+        /// monotonic batch number: because a retried batch keeps its original
+        /// `seq`, the handler can recognise a redelivery whose first attempt
+        /// already landed (the ack, not the request, was lost) and acknowledge
+        /// it without appending twice.
+        1, (RequestClass::Ingest, "ingest_batch") => IngestBatch {
+            /// Per-(dispatcher, destination) monotonic batch sequence number.
+            seq: u64,
+            /// The tuples, in dispatch order.
+            tuples: Vec<Tuple>,
+        },
+        /// Force the destination indexing server to seal its in-memory state
+        /// into chunks (control plane, §V durability boundary).
+        2, (RequestClass::Ingest, "flush") => Flush,
+        /// Execute a subquery against the destination indexing server's
+        /// in-memory tree + side store (coordinator → indexing, §IV-A).
+        3, (RequestClass::Query, "mem_subquery") => InMemorySubquery {
+            /// The fresh-data subquery.
+            sq: SubQuery,
+        },
+        /// Fold the destination indexing server's live aggregate wheel over a
+        /// slice × time rectangle (coordinator → indexing, DESIGN.md §4b).
+        4, (RequestClass::Query, "agg_mem") => AggregateInMemory {
+            /// Inclusive key-slice range.
+            slices: (u16, u16),
+            /// Second-aligned covered time interval.
+            covered: TimeInterval,
+        },
+        /// Execute a subquery against one flushed chunk (coordinator → query
+        /// server, §IV-B), optionally restricted to the leaves a secondary
+        /// attribute index qualified (§VIII).
+        5, (RequestClass::Query, "chunk_subquery") => ChunkSubquery {
+            /// The chunk subquery.
+            sq: SubQuery,
+            /// The chunk to read.
+            chunk: ChunkId,
+            /// Qualifying leaves from a secondary index probe, if any.
+            leaf_filter: Option<Bitmap>,
+        },
+        /// Read a chunk's sealed aggregate summary footer (coordinator → query
+        /// server).
+        6, (RequestClass::Query, "read_summary") => ReadSummary {
+            /// The chunk whose footer to read.
+            chunk: ChunkId,
+        },
+        /// Liveness probe; answered with [`Response::Pong`] by healthy servers
+        /// and an error by crashed ones.
+        7, (RequestClass::Control, "ping") => Ping,
+        /// A metadata-service call (any server → metadata server).
+        8, (RequestClass::Metadata, "meta") => Meta(MetaRequest),
+        /// A full temporal range query from an external client, addressed to
+        /// the gateway's [`COORDINATOR`] address (in a node process or an
+        /// embedded system alike). It runs exactly as an embedded `query()`
+        /// call; the optional attribute-equality constraint is folded into
+        /// the predicate before decomposition.
+        9, (RequestClass::Query, "client_query") => ClientQuery {
+            /// Key range.
+            keys: KeyInterval,
+            /// Time range.
+            times: TimeInterval,
+            /// Optional `attr == value` constraint.
+            attr_eq: Option<(AttrId, u64)>,
+        },
+        /// A full temporal aggregate query from an external client, addressed
+        /// to the gateway's [`COORDINATOR`] address.
+        10, (RequestClass::Query, "client_aggregate") => ClientAggregate {
+            /// Key range.
+            keys: KeyInterval,
+            /// Time range.
+            times: TimeInterval,
+            /// The aggregate to compute.
+            kind: AggregateKind,
+        },
+        /// Ask a node process to exit cleanly (launcher → node). Embedded
+        /// transports never send this; the node runtime acknowledges it and
+        /// then tears the process down.
+        11, (RequestClass::Control, "shutdown") => Shutdown,
+        /// Teach the destination node process the socket addresses of servers
+        /// that joined after it started (launcher/gateway → node). Existing
+        /// entries are overwritten; routing to the listed ids works from the
+        /// next RPC on.
+        12, (RequestClass::Control, "register_peers") => RegisterPeers {
+            /// `(server id, socket address)` pairs, e.g.
+            /// `(ServerId(2), "127.0.0.1:4107")`.
+            peers: Vec<(ServerId, String)>,
+        },
+        /// Narrow or widen the destination indexing server's *assigned* key
+        /// interval (migration control plane). Out-of-interval tuples already
+        /// in memory stay queryable until flush — the §III-D overlap that
+        /// keeps answers exact while ownership moves.
+        13, (RequestClass::Control, "reassign") => Reassign {
+            /// The new assigned interval.
+            interval: KeyInterval,
+        },
+        /// Ask the destination gateway to rebalance key ownership uniformly
+        /// across the *current* indexing membership, running the migration
+        /// state machine for every range that changes hands (client → gateway
+        /// dispatcher node). Answered with [`Response::Migrated`].
+        14, (RequestClass::Control, "migrate_uniform") => MigrateUniform,
+        /// Read the counters of the process hosting the destination: every
+        /// set its roles registered, as `(name, server, value)` rows. Answered
+        /// by the [`HandlerRegistry`](crate::HandlerRegistry) itself at any
+        /// bound address, not by a role handler.
+        15, (RequestClass::Control, "stats") => Stats,
+    }
 }
 
 /// What a request is for — the one classification the TCP listener's worker
@@ -185,342 +190,272 @@ pub enum RequestClass {
 impl Request {
     /// This request's class.
     pub fn class(&self) -> RequestClass {
-        match self {
-            Request::Ping
-            | Request::Shutdown
-            | Request::RegisterPeers { .. }
-            | Request::Reassign { .. }
-            | Request::MigrateUniform
-            | Request::Stats => RequestClass::Control,
-            Request::IngestBatch { .. } | Request::Flush => RequestClass::Ingest,
-            Request::InMemorySubquery { .. }
-            | Request::AggregateInMemory { .. }
-            | Request::ChunkSubquery { .. }
-            | Request::ReadSummary { .. }
-            | Request::ClientQuery { .. }
-            | Request::ClientAggregate { .. } => RequestClass::Query,
-            Request::Meta(_) => RequestClass::Metadata,
-        }
+        self.verb().0
     }
 
     /// Stable label for this request's kind, used to key per-RPC latency
     /// histograms.
     pub fn kind(&self) -> &'static str {
-        match self {
-            Request::IngestBatch { .. } => "ingest_batch",
-            Request::Flush => "flush",
-            Request::InMemorySubquery { .. } => "mem_subquery",
-            Request::AggregateInMemory { .. } => "agg_mem",
-            Request::ChunkSubquery { .. } => "chunk_subquery",
-            Request::ReadSummary { .. } => "read_summary",
-            Request::Ping => "ping",
-            Request::Meta(_) => "meta",
-            Request::ClientQuery { .. } => "client_query",
-            Request::ClientAggregate { .. } => "client_aggregate",
-            Request::Shutdown => "shutdown",
-            Request::RegisterPeers { .. } => "register_peers",
-            Request::Reassign { .. } => "reassign",
-            Request::MigrateUniform => "migrate_uniform",
-            Request::Stats => "stats",
-        }
+        self.verb().1
     }
 }
 
-/// Calls against the metadata server (§II-B) made by other servers.
-#[derive(Clone, Debug)]
-pub enum MetaRequest {
-    /// Report an indexing server's current in-memory region (already
-    /// widened by Δt), or clear it with `None`.
-    UpdateMemoryRegion {
-        /// The reporting indexing server.
-        server: ServerId,
-        /// Its in-memory data region, or `None` when empty/crashed.
-        region: Option<Region>,
-    },
-    /// Durably allocate the next chunk id.
-    AllocateChunkId,
-    /// Register a freshly written chunk together with the producer's
-    /// durable queue offset (one atomic step, §V).
-    RegisterChunk {
-        /// The chunk id.
-        chunk: ChunkId,
-        /// Region, count, size, producer.
-        info: ChunkInfo,
-        /// The producer's queue position before sealing.
-        durable_offset: u64,
-    },
-    /// Register the aggregate-summary extent sealed into a chunk's footer.
-    RegisterSummary {
-        /// The chunk.
-        chunk: ChunkId,
-        /// Cells/bytes/levels of its footer summary.
-        extent: SummaryExtent,
-    },
-    /// Register a secondary attribute index for a chunk (§VIII).
-    RegisterAttrIndex {
-        /// The chunk.
-        chunk: ChunkId,
-        /// The attribute.
-        attr: AttrId,
-        /// The bloom + bitmap index.
-        index: ChunkAttrIndex,
-    },
-    /// R-tree lookup: chunks whose regions overlap the query rectangle.
-    ChunksOverlapping {
-        /// The query rectangle.
-        region: Region,
-    },
-    /// In-memory regions (per indexing server) overlapping the rectangle.
-    MemoryRegionsOverlapping {
-        /// The query rectangle.
-        region: Region,
-    },
-    /// Probe a chunk's secondary index for an attribute value.
-    AttrProbe {
-        /// The chunk.
-        chunk: ChunkId,
-        /// The attribute.
-        attr: AttrId,
-        /// The probed value.
-        value: u64,
-    },
-    /// The summary extent registered for a chunk, if any.
-    SummaryExtent {
-        /// The chunk.
-        chunk: ChunkId,
-    },
-    /// The current partition schema, if one has been published. Node
-    /// processes fetch it at startup so every role agrees on routing.
-    Partition,
-    /// The durable queue read offset of an indexing server — the replay
-    /// point a restarted server resumes consuming from (§V).
-    DurableOffset {
-        /// The recovering indexing server.
-        server: ServerId,
-    },
-    /// Register (or refresh) the sender as a cluster member under a
-    /// heartbeat lease (§II-B dynamic membership). Answered with
-    /// [`MetaResponse::Epoch`].
-    Join {
-        /// The joining server.
-        server: ServerId,
-        /// Its tier.
-        role: MemberRole,
-        /// The simulated cluster node hosting it.
-        node: NodeId,
-        /// Lease duration in milliseconds; the member must heartbeat
-        /// before it elapses or it is evicted.
-        ttl_ms: u64,
-    },
-    /// Renew the sender's membership lease. Fails with a non-retryable
-    /// [`WwError::NotFound`] when the lease already lapsed — the sender
-    /// must re-join.
-    Heartbeat {
-        /// The renewing server.
-        server: ServerId,
-        /// The fresh lease duration in milliseconds.
-        ttl_ms: u64,
-    },
-    /// Graceful departure: remove the sender from the member set.
-    Leave {
-        /// The departing server.
-        server: ServerId,
-    },
-    /// The current epoch-numbered membership view. Answered with
-    /// [`MetaResponse::Membership`].
-    Membership,
-    /// Publish a new partition schema (the migration control plane's
-    /// durable cut-over record). The metadata server rejects version
-    /// regressions, so a stale publisher cannot roll routing back.
-    SetPartition {
-        /// The schema to publish.
-        schema: PartitionSchema,
-    },
-    /// Durably record that `keys` is about to move from `from` to `to`
-    /// (the migration driver, before anything routes differently). A
-    /// repeat of an identical in-flight move is answered with the existing
-    /// record's id. Answered with [`MetaResponse::Migration`].
-    BeginMigration {
-        /// The key range changing owners.
-        keys: KeyInterval,
-        /// The current owner.
-        from: ServerId,
-        /// The new owner.
-        to: ServerId,
-    },
-    /// Stamp the cut-over membership epoch on a migration record; repeats
-    /// return the recorded epoch. Answered with [`MetaResponse::Epoch`].
-    CompleteMigration {
-        /// The record's id, from [`MetaResponse::Migration`].
-        id: u64,
-    },
+waterwheel_core::wire_enum! {
+    /// Calls against the metadata server (§II-B) made by other servers.
+    #[derive(Clone, Debug)]
+    pub enum MetaRequest as "meta request" {
+        /// Report an indexing server's current in-memory region (already
+        /// widened by Δt), or clear it with `None`.
+        0 => UpdateMemoryRegion {
+            /// The reporting indexing server.
+            server: ServerId,
+            /// Its in-memory data region, or `None` when empty/crashed.
+            region: Option<Region>,
+        },
+        /// Durably allocate the next chunk id.
+        1 => AllocateChunkId,
+        /// Register a freshly written chunk together with the producer's
+        /// durable queue offset (one atomic step, §V).
+        2 => RegisterChunk {
+            /// The chunk id.
+            chunk: ChunkId,
+            /// Region, count, size, producer.
+            info: ChunkInfo,
+            /// The producer's queue position before sealing.
+            durable_offset: u64,
+        },
+        /// Register the aggregate-summary extent sealed into a chunk's footer.
+        3 => RegisterSummary {
+            /// The chunk.
+            chunk: ChunkId,
+            /// Cells/bytes/levels of its footer summary.
+            extent: SummaryExtent,
+        },
+        /// Register a secondary attribute index for a chunk (§VIII).
+        4 => RegisterAttrIndex {
+            /// The chunk.
+            chunk: ChunkId,
+            /// The attribute.
+            attr: AttrId,
+            /// The bloom + bitmap index.
+            index: ChunkAttrIndex,
+        },
+        /// R-tree lookup: chunks whose regions overlap the query rectangle.
+        5 => ChunksOverlapping {
+            /// The query rectangle.
+            region: Region,
+        },
+        /// In-memory regions (per indexing server) overlapping the rectangle.
+        6 => MemoryRegionsOverlapping {
+            /// The query rectangle.
+            region: Region,
+        },
+        /// Probe a chunk's secondary index for an attribute value.
+        7 => AttrProbe {
+            /// The chunk.
+            chunk: ChunkId,
+            /// The attribute.
+            attr: AttrId,
+            /// The probed value.
+            value: u64,
+        },
+        /// The summary extent registered for a chunk, if any.
+        8 => SummaryExtent {
+            /// The chunk.
+            chunk: ChunkId,
+        },
+        /// The current partition schema, if one has been published. Node
+        /// processes fetch it at startup so every role agrees on routing.
+        9 => Partition,
+        /// The durable queue read offset of an indexing server — the replay
+        /// point a restarted server resumes consuming from (§V).
+        10 => DurableOffset {
+            /// The recovering indexing server.
+            server: ServerId,
+        },
+        /// Register (or refresh) the sender as a cluster member under a
+        /// heartbeat lease (§II-B dynamic membership). Answered with
+        /// [`MetaResponse::Epoch`].
+        11 => Join {
+            /// The joining server.
+            server: ServerId,
+            /// Its tier.
+            role: MemberRole,
+            /// The simulated cluster node hosting it.
+            node: NodeId,
+            /// Lease duration in milliseconds; the member must heartbeat
+            /// before it elapses or it is evicted.
+            ttl_ms: u64,
+        },
+        /// Renew the sender's membership lease. Fails with a non-retryable
+        /// [`WwError::NotFound`] when the lease already lapsed — the sender
+        /// must re-join.
+        12 => Heartbeat {
+            /// The renewing server.
+            server: ServerId,
+            /// The fresh lease duration in milliseconds.
+            ttl_ms: u64,
+        },
+        /// Graceful departure: remove the sender from the member set.
+        13 => Leave {
+            /// The departing server.
+            server: ServerId,
+        },
+        /// The current epoch-numbered membership view. Answered with
+        /// [`MetaResponse::Membership`].
+        14 => Membership,
+        /// Publish a new partition schema (the migration control plane's
+        /// durable cut-over record). The metadata server rejects version
+        /// regressions, so a stale publisher cannot roll routing back.
+        15 => SetPartition {
+            /// The schema to publish.
+            schema: PartitionSchema,
+        },
+        /// Durably record that `keys` is about to move from `from` to `to`
+        /// (the migration driver, before anything routes differently). A
+        /// repeat of an identical in-flight move is answered with the existing
+        /// record's id. Answered with [`MetaResponse::Migration`].
+        16 => BeginMigration {
+            /// The key range changing owners.
+            keys: KeyInterval,
+            /// The current owner.
+            from: ServerId,
+            /// The new owner.
+            to: ServerId,
+        },
+        /// Stamp the cut-over membership epoch on a migration record; repeats
+        /// return the recorded epoch. Answered with [`MetaResponse::Epoch`].
+        17 => CompleteMigration {
+            /// The record's id, from [`MetaResponse::Migration`].
+            id: u64,
+        },
+    }
 }
 
-/// A response payload.
-#[derive(Clone, Debug)]
-pub enum Response {
-    /// The request was applied; nothing to return.
-    Ack,
-    /// A [`Request::IngestBatch`] landed (or was recognised as an exact
-    /// redelivery and skipped).
-    AckBatch {
-        /// Tuples covered by this ack.
-        tuples: u32,
-        /// `true` when the handler recognised the batch sequence number as
-        /// already applied and dropped the redelivery instead of appending.
-        deduped: bool,
-    },
-    /// Liveness probe answer.
-    Pong,
-    /// Matching tuples from a subquery.
-    Tuples(Vec<Tuple>),
-    /// Chunk ids sealed by a [`Request::Flush`].
-    Flushed(Vec<ChunkId>),
-    /// A live-wheel fold outcome.
-    Fold(FoldOutcome),
-    /// A chunk's footer summary (`None` when written without one).
-    Summary(Option<Arc<WheelSummary>>),
-    /// A metadata-service answer.
-    Meta(MetaResponse),
-    /// A complete range-query result (answer to [`Request::ClientQuery`]).
-    Query(QueryResult),
-    /// A complete aggregate answer (answer to [`Request::ClientAggregate`]).
-    Aggregate(AggregateAnswer),
-    /// A [`Request::MigrateUniform`] finished: the membership epoch after
-    /// the final cut-over and how many key ranges changed owners.
-    Migrated {
-        /// Membership epoch after the last cut-over.
-        epoch: u64,
-        /// Number of key ranges that moved.
-        ranges: u32,
-    },
-    /// The answering process's counters (answer to [`Request::Stats`]).
-    Stats(Vec<StatRow>),
+waterwheel_core::wire_enum! {
+    /// A response payload.
+    #[derive(Clone, Debug)]
+    pub enum Response as "response" {
+        /// The request was applied; nothing to return.
+        0 => Ack,
+        /// A [`Request::IngestBatch`] landed (or was recognised as an exact
+        /// redelivery and skipped).
+        1 => AckBatch {
+            /// Tuples covered by this ack.
+            tuples: u32,
+            /// `true` when the handler recognised the batch sequence number as
+            /// already applied and dropped the redelivery instead of appending.
+            deduped: bool,
+        },
+        /// Liveness probe answer.
+        2 => Pong,
+        /// Matching tuples from a subquery.
+        3 => Tuples(Vec<Tuple>),
+        /// Chunk ids sealed by a [`Request::Flush`].
+        4 => Flushed(Vec<ChunkId>),
+        /// A live-wheel fold outcome.
+        5 => Fold(FoldOutcome),
+        /// A chunk's footer summary (`None` when written without one).
+        6 => Summary(Option<Arc<WheelSummary>>),
+        /// A metadata-service answer.
+        7 => Meta(MetaResponse),
+        /// A complete range-query result (answer to [`Request::ClientQuery`]).
+        8 => Query(QueryResult),
+        /// A complete aggregate answer (answer to [`Request::ClientAggregate`]).
+        9 => Aggregate(AggregateAnswer),
+        /// A [`Request::MigrateUniform`] finished: the membership epoch after
+        /// the final cut-over and how many key ranges changed owners.
+        10 => Migrated {
+            /// Membership epoch after the last cut-over.
+            epoch: u64,
+            /// Number of key ranges that moved.
+            ranges: u32,
+        },
+        /// The answering process's counters (answer to [`Request::Stats`]).
+        11 => Stats(Vec<StatRow>),
+    }
 }
 
-/// Answers from the metadata server.
-#[derive(Clone, Debug)]
-pub enum MetaResponse {
-    /// The mutation was applied.
-    Ack,
-    /// A freshly allocated chunk id.
-    Allocated(ChunkId),
-    /// Overlapping chunks with their regions.
-    Chunks(Vec<(ChunkId, Region)>),
-    /// Overlapping in-memory regions with their owning servers.
-    Regions(Vec<(ServerId, Region)>),
-    /// A secondary-index probe verdict.
-    Probe(AttrProbe),
-    /// A chunk's summary extent, if registered.
-    Extent(Option<SummaryExtent>),
-    /// The published partition schema, if any.
-    Partition(Option<PartitionSchema>),
-    /// A durable queue offset (answer to [`MetaRequest::DurableOffset`]).
-    Offset(u64),
-    /// The membership epoch after a join/heartbeat/leave mutation or a
-    /// migration cut-over.
-    Epoch(u64),
-    /// The id of the in-flight migration record (answer to
-    /// [`MetaRequest::BeginMigration`]).
-    Migration(u64),
-    /// The epoch-numbered membership view (answer to
-    /// [`MetaRequest::Membership`]).
-    Membership(MembershipView),
+waterwheel_core::wire_enum! {
+    /// Answers from the metadata server.
+    #[derive(Clone, Debug)]
+    pub enum MetaResponse as "meta response" {
+        /// The mutation was applied.
+        0 => Ack,
+        /// A freshly allocated chunk id.
+        1 => Allocated(ChunkId),
+        /// Overlapping chunks with their regions.
+        2 => Chunks(Vec<(ChunkId, Region)>),
+        /// Overlapping in-memory regions with their owning servers.
+        3 => Regions(Vec<(ServerId, Region)>),
+        /// A secondary-index probe verdict.
+        4 => Probe(AttrProbe),
+        /// A chunk's summary extent, if registered.
+        5 => Extent(Option<SummaryExtent>),
+        /// The published partition schema, if any.
+        6 => Partition(Option<PartitionSchema>),
+        /// A durable queue offset (answer to [`MetaRequest::DurableOffset`]).
+        7 => Offset(u64),
+        /// The membership epoch after a join/heartbeat/leave mutation or a
+        /// migration cut-over.
+        8 => Epoch(u64),
+        /// The id of the in-flight migration record (answer to
+        /// [`MetaRequest::BeginMigration`]).
+        10 => Migration(u64),
+        /// The epoch-numbered membership view (answer to
+        /// [`MetaRequest::Membership`]).
+        9 => Membership(MembershipView),
+    }
 }
 
-fn unexpected<T>() -> Result<T> {
-    Err(WwError::InvalidState(
-        "rpc response variant does not match the request".into(),
-    ))
+/// Declares `Response`'s unwrappers: each takes the one variant its
+/// caller expects and refuses any other as a protocol error.
+macro_rules! unwrappers {
+    ($($(#[$doc:meta])* fn $name:ident -> $ty:ty { $pat:pat => $val:expr })*) => {
+        impl Response {
+            $(
+                $(#[$doc])*
+                pub fn $name(self) -> Result<$ty> {
+                    match self {
+                        $pat => Ok($val),
+                        _ => Err(WwError::InvalidState(
+                            "rpc response variant does not match the request".into(),
+                        )),
+                    }
+                }
+            )*
+        }
+    };
 }
 
-impl Response {
+unwrappers! {
     /// Unwraps [`Response::Tuples`].
-    pub fn into_tuples(self) -> Result<Vec<Tuple>> {
-        match self {
-            Response::Tuples(t) => Ok(t),
-            _ => unexpected(),
-        }
-    }
-
+    fn into_tuples -> Vec<Tuple> { Response::Tuples(t) => t }
     /// Unwraps [`Response::Flushed`].
-    pub fn into_flushed(self) -> Result<Vec<ChunkId>> {
-        match self {
-            Response::Flushed(c) => Ok(c),
-            _ => unexpected(),
-        }
-    }
-
+    fn into_flushed -> Vec<ChunkId> { Response::Flushed(c) => c }
     /// Unwraps [`Response::Fold`].
-    pub fn into_fold(self) -> Result<FoldOutcome> {
-        match self {
-            Response::Fold(f) => Ok(f),
-            _ => unexpected(),
-        }
-    }
-
+    fn into_fold -> FoldOutcome { Response::Fold(f) => f }
     /// Unwraps [`Response::Summary`].
-    pub fn into_summary(self) -> Result<Option<Arc<WheelSummary>>> {
-        match self {
-            Response::Summary(s) => Ok(s),
-            _ => unexpected(),
-        }
-    }
-
+    fn into_summary -> Option<Arc<WheelSummary>> { Response::Summary(s) => s }
     /// Unwraps [`Response::Meta`].
-    pub fn into_meta(self) -> Result<MetaResponse> {
-        match self {
-            Response::Meta(m) => Ok(m),
-            _ => unexpected(),
-        }
-    }
-
+    fn into_meta -> MetaResponse { Response::Meta(m) => m }
     /// Unwraps [`Response::Ack`].
-    pub fn into_ack(self) -> Result<()> {
-        match self {
-            Response::Ack => Ok(()),
-            _ => unexpected(),
-        }
-    }
-
+    fn into_ack -> () { Response::Ack => () }
+    /// Unwraps [`Response::Pong`].
+    fn into_pong -> () { Response::Pong => () }
     /// Unwraps [`Response::AckBatch`] into `(tuples, deduped)`.
-    pub fn into_ack_batch(self) -> Result<(u32, bool)> {
-        match self {
-            Response::AckBatch { tuples, deduped } => Ok((tuples, deduped)),
-            _ => unexpected(),
-        }
+    fn into_ack_batch -> (u32, bool) {
+        Response::AckBatch { tuples, deduped } => (tuples, deduped)
     }
-
     /// Unwraps [`Response::Query`].
-    pub fn into_query(self) -> Result<QueryResult> {
-        match self {
-            Response::Query(r) => Ok(r),
-            _ => unexpected(),
-        }
-    }
-
+    fn into_query -> QueryResult { Response::Query(r) => r }
     /// Unwraps [`Response::Aggregate`].
-    pub fn into_aggregate(self) -> Result<AggregateAnswer> {
-        match self {
-            Response::Aggregate(a) => Ok(a),
-            _ => unexpected(),
-        }
-    }
-
+    fn into_aggregate -> AggregateAnswer { Response::Aggregate(a) => a }
     /// Unwraps [`Response::Stats`].
-    pub fn into_stats(self) -> Result<Vec<StatRow>> {
-        match self {
-            Response::Stats(rows) => Ok(rows),
-            _ => unexpected(),
-        }
-    }
-
+    fn into_stats -> Vec<StatRow> { Response::Stats(rows) => rows }
     /// Unwraps [`Response::Migrated`] into `(epoch, ranges)`.
-    pub fn into_migrated(self) -> Result<(u64, u32)> {
-        match self {
-            Response::Migrated { epoch, ranges } => Ok((epoch, ranges)),
-            _ => unexpected(),
-        }
+    fn into_migrated -> (u64, u32) {
+        Response::Migrated { epoch, ranges } => (epoch, ranges)
     }
 }
 

@@ -24,7 +24,7 @@
 //! * [`wire`] — the binary frame codec: every request and response can be
 //!   encoded into a length-prefixed, versioned frame and decoded back.
 //! * [`reactor`] — the event loop under the TCP layer: a hand-rolled
-//!   epoll poller (Linux) driving nonblocking sockets, with incremental
+//!   epoll poller driving nonblocking sockets, with incremental
 //!   frame assembly on read and buffered flush on write. A fixed number
 //!   of shard threads multiplexes every registered socket.
 //! * [`tcp`] — [`TcpTransport`] and [`TcpRpcServer`], the same [`Transport`]
@@ -44,6 +44,11 @@
 //! serves the identical registry to remote peers.
 
 #![warn(missing_docs)]
+
+// The reactor's epoll bindings and the listener's `SO_REUSEADDR` shim are
+// raw Linux syscalls; there is no other poller.
+#[cfg(not(target_os = "linux"))]
+compile_error!("waterwheel-net builds on Linux only (epoll, Linux socket constants)");
 
 pub mod client;
 pub mod envelope;

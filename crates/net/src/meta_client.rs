@@ -39,72 +39,7 @@ pub fn serve_meta(registry: &HandlerRegistry, meta: MetadataService) {
                 "metadata server received a non-meta request".into(),
             ));
         };
-        let resp = match req.clone() {
-            MetaRequest::UpdateMemoryRegion { server, region } => {
-                meta.update_memory_region(server, region);
-                MetaResponse::Ack
-            }
-            MetaRequest::AllocateChunkId => MetaResponse::Allocated(meta.allocate_chunk_id()?),
-            MetaRequest::RegisterChunk {
-                chunk,
-                info,
-                durable_offset,
-            } => {
-                meta.register_chunk(chunk, info, durable_offset)?;
-                MetaResponse::Ack
-            }
-            MetaRequest::RegisterSummary { chunk, extent } => {
-                meta.register_summary(chunk, extent)?;
-                MetaResponse::Ack
-            }
-            MetaRequest::RegisterAttrIndex { chunk, attr, index } => {
-                meta.register_attr_index(chunk, attr, index)?;
-                MetaResponse::Ack
-            }
-            MetaRequest::ChunksOverlapping { region } => {
-                MetaResponse::Chunks(meta.chunks_overlapping(&region))
-            }
-            MetaRequest::MemoryRegionsOverlapping { region } => {
-                MetaResponse::Regions(meta.memory_regions_overlapping(&region))
-            }
-            MetaRequest::AttrProbe { chunk, attr, value } => {
-                MetaResponse::Probe(meta.attr_probe(chunk, attr, value))
-            }
-            MetaRequest::SummaryExtent { chunk } => {
-                MetaResponse::Extent(meta.summary_extent(chunk))
-            }
-            MetaRequest::Partition => MetaResponse::Partition(meta.partition()),
-            MetaRequest::DurableOffset { server } => {
-                MetaResponse::Offset(meta.durable_offset(server))
-            }
-            MetaRequest::Join {
-                server,
-                role,
-                node,
-                ttl_ms,
-            } => MetaResponse::Epoch(meta.join(
-                server,
-                role,
-                node,
-                std::time::Duration::from_millis(ttl_ms),
-            )?),
-            MetaRequest::Heartbeat { server, ttl_ms } => MetaResponse::Epoch(
-                meta.heartbeat(server, std::time::Duration::from_millis(ttl_ms))?,
-            ),
-            MetaRequest::Leave { server } => MetaResponse::Epoch(meta.leave(server)?),
-            MetaRequest::Membership => MetaResponse::Membership(meta.membership()),
-            MetaRequest::SetPartition { schema } => {
-                meta.set_partition(schema)?;
-                MetaResponse::Ack
-            }
-            MetaRequest::BeginMigration { keys, from, to } => {
-                MetaResponse::Migration(meta.begin_migration(keys, from, to)?.id)
-            }
-            MetaRequest::CompleteMigration { id } => {
-                MetaResponse::Epoch(meta.complete_migration(id)?)
-            }
-        };
-        Ok(Response::Meta(resp))
+        serve(&meta, req.clone()).map(Response::Meta)
     });
 }
 
@@ -123,188 +58,150 @@ impl MetaClient {
     fn call(&self, req: MetaRequest) -> Result<MetaResponse> {
         self.rpc.call(META_SERVER, Request::Meta(req))?.into_meta()
     }
+}
 
-    fn expect_ack(&self, req: MetaRequest) -> Result<()> {
-        match self.call(req)? {
+fn wrong_variant<T>() -> Result<T> {
+    Err(WwError::InvalidState(
+        "metadata server answered the wrong variant".into(),
+    ))
+}
+
+/// Declares the metadata verbs, one row each:
+///
+/// ```text
+/// fn stub(args) -> T = Request { fields } => Answer(service call);
+/// ```
+///
+/// From the rows come the [`MetaClient`] stub methods (build the request
+/// from the arguments, send it, take the answer variant's value) and
+/// `serve`, the server's dispatch (bind the request's fields, run the
+/// service call, wrap its value in the answer variant). `Ack` answers
+/// carry `()`.
+macro_rules! meta_verbs {
+    (
+        |$meta:ident| $(
+            $(#[$doc:meta])*
+            fn $stub:ident($($arg:ident: $ty:ty),*) -> $ret:ty
+                = $req:ident $({ $($field:ident $(: $init:expr)?),* })?
+                => $answer:ident($call:expr);
+        )*
+    ) => {
+        impl MetaClient {
+            $(
+                $(#[$doc])*
+                pub fn $stub(&self, $($arg: $ty),*) -> Result<$ret> {
+                    let req = MetaRequest::$req $({ $($field $(: $init)?),* })?;
+                    meta_verbs!(@take $answer, self.call(req)?)
+                }
+            )*
+        }
+
+        /// Runs one metadata request against the service.
+        fn serve($meta: &MetadataService, req: MetaRequest) -> Result<MetaResponse> {
+            Ok(match req {
+                $(MetaRequest::$req $({ $($field),* })? => meta_verbs!(@give $answer, $call),)*
+            })
+        }
+    };
+    (@take Ack, $resp:expr) => {
+        match $resp {
             MetaResponse::Ack => Ok(()),
-            _ => Err(WwError::InvalidState(
-                "metadata server answered the wrong variant".into(),
-            )),
+            _ => wrong_variant(),
         }
-    }
+    };
+    (@take $answer:ident, $resp:expr) => {
+        match $resp {
+            MetaResponse::$answer(v) => Ok(v),
+            _ => wrong_variant(),
+        }
+    };
+    (@give Ack, $call:expr) => {{
+        let () = $call;
+        MetaResponse::Ack
+    }};
+    (@give $answer:ident, $call:expr) => {
+        MetaResponse::$answer($call)
+    };
+}
 
+fn millis(d: Duration) -> u64 {
+    d.as_millis().min(u64::MAX as u128) as u64
+}
+
+meta_verbs! { |meta|
     /// See [`MetadataService::update_memory_region`].
-    pub fn update_memory_region(&self, server: ServerId, region: Option<Region>) -> Result<()> {
-        self.expect_ack(MetaRequest::UpdateMemoryRegion { server, region })
-    }
-
+    fn update_memory_region(server: ServerId, region: Option<Region>) -> ()
+        = UpdateMemoryRegion { server, region }
+        => Ack(meta.update_memory_region(server, region));
     /// See [`MetadataService::allocate_chunk_id`].
-    pub fn allocate_chunk_id(&self) -> Result<ChunkId> {
-        match self.call(MetaRequest::AllocateChunkId)? {
-            MetaResponse::Allocated(id) => Ok(id),
-            _ => Err(WwError::InvalidState(
-                "metadata server answered the wrong variant".into(),
-            )),
-        }
-    }
-
+    fn allocate_chunk_id() -> ChunkId
+        = AllocateChunkId
+        => Allocated(meta.allocate_chunk_id()?);
     /// See [`MetadataService::register_chunk`].
-    pub fn register_chunk(
-        &self,
-        chunk: ChunkId,
-        info: ChunkInfo,
-        durable_offset: u64,
-    ) -> Result<()> {
-        self.expect_ack(MetaRequest::RegisterChunk {
-            chunk,
-            info,
-            durable_offset,
-        })
-    }
-
+    fn register_chunk(chunk: ChunkId, info: ChunkInfo, durable_offset: u64) -> ()
+        = RegisterChunk { chunk, info, durable_offset }
+        => Ack(meta.register_chunk(chunk, info, durable_offset)?);
     /// See [`MetadataService::register_summary`].
-    pub fn register_summary(&self, chunk: ChunkId, extent: SummaryExtent) -> Result<()> {
-        self.expect_ack(MetaRequest::RegisterSummary { chunk, extent })
-    }
-
+    fn register_summary(chunk: ChunkId, extent: SummaryExtent) -> ()
+        = RegisterSummary { chunk, extent }
+        => Ack(meta.register_summary(chunk, extent)?);
     /// See [`MetadataService::register_attr_index`].
-    pub fn register_attr_index(
-        &self,
-        chunk: ChunkId,
-        attr: AttrId,
-        index: ChunkAttrIndex,
-    ) -> Result<()> {
-        self.expect_ack(MetaRequest::RegisterAttrIndex { chunk, attr, index })
-    }
-
+    fn register_attr_index(chunk: ChunkId, attr: AttrId, index: ChunkAttrIndex) -> ()
+        = RegisterAttrIndex { chunk, attr, index }
+        => Ack(meta.register_attr_index(chunk, attr, index)?);
     /// See [`MetadataService::chunks_overlapping`].
-    pub fn chunks_overlapping(&self, region: &Region) -> Result<Vec<(ChunkId, Region)>> {
-        match self.call(MetaRequest::ChunksOverlapping { region: *region })? {
-            MetaResponse::Chunks(v) => Ok(v),
-            _ => Err(WwError::InvalidState(
-                "metadata server answered the wrong variant".into(),
-            )),
-        }
-    }
-
+    fn chunks_overlapping(region: &Region) -> Vec<(ChunkId, Region)>
+        = ChunksOverlapping { region: *region }
+        => Chunks(meta.chunks_overlapping(&region));
     /// See [`MetadataService::memory_regions_overlapping`].
-    pub fn memory_regions_overlapping(&self, region: &Region) -> Result<Vec<(ServerId, Region)>> {
-        match self.call(MetaRequest::MemoryRegionsOverlapping { region: *region })? {
-            MetaResponse::Regions(v) => Ok(v),
-            _ => Err(WwError::InvalidState(
-                "metadata server answered the wrong variant".into(),
-            )),
-        }
-    }
-
+    fn memory_regions_overlapping(region: &Region) -> Vec<(ServerId, Region)>
+        = MemoryRegionsOverlapping { region: *region }
+        => Regions(meta.memory_regions_overlapping(&region));
     /// See [`MetadataService::attr_probe`].
-    pub fn attr_probe(&self, chunk: ChunkId, attr: AttrId, value: u64) -> Result<AttrProbe> {
-        match self.call(MetaRequest::AttrProbe { chunk, attr, value })? {
-            MetaResponse::Probe(p) => Ok(p),
-            _ => Err(WwError::InvalidState(
-                "metadata server answered the wrong variant".into(),
-            )),
-        }
-    }
-
+    fn attr_probe(chunk: ChunkId, attr: AttrId, value: u64) -> AttrProbe
+        = AttrProbe { chunk, attr, value }
+        => Probe(meta.attr_probe(chunk, attr, value));
     /// See [`MetadataService::summary_extent`].
-    pub fn summary_extent(&self, chunk: ChunkId) -> Result<Option<SummaryExtent>> {
-        match self.call(MetaRequest::SummaryExtent { chunk })? {
-            MetaResponse::Extent(e) => Ok(e),
-            _ => Err(WwError::InvalidState(
-                "metadata server answered the wrong variant".into(),
-            )),
-        }
-    }
-
+    fn summary_extent(chunk: ChunkId) -> Option<SummaryExtent>
+        = SummaryExtent { chunk }
+        => Extent(meta.summary_extent(chunk));
+    /// See [`MetadataService::partition`].
+    fn partition() -> Option<PartitionSchema>
+        = Partition
+        => Partition(meta.partition());
     /// See [`MetadataService::durable_offset`] — the replay point a
     /// restarted indexing server resumes consuming from (§V).
-    pub fn durable_offset(&self, server: ServerId) -> Result<u64> {
-        match self.call(MetaRequest::DurableOffset { server })? {
-            MetaResponse::Offset(o) => Ok(o),
-            _ => Err(WwError::InvalidState(
-                "metadata server answered the wrong variant".into(),
-            )),
-        }
-    }
-
-    /// See [`MetadataService::partition`].
-    pub fn partition(&self) -> Result<Option<PartitionSchema>> {
-        match self.call(MetaRequest::Partition)? {
-            MetaResponse::Partition(p) => Ok(p),
-            _ => Err(WwError::InvalidState(
-                "metadata server answered the wrong variant".into(),
-            )),
-        }
-    }
-
-    fn expect_epoch(&self, req: MetaRequest) -> Result<u64> {
-        match self.call(req)? {
-            MetaResponse::Epoch(e) => Ok(e),
-            _ => Err(WwError::InvalidState(
-                "metadata server answered the wrong variant".into(),
-            )),
-        }
-    }
-
+    fn durable_offset(server: ServerId) -> u64
+        = DurableOffset { server }
+        => Offset(meta.durable_offset(server));
     /// See [`MetadataService::join`].
-    pub fn join(
-        &self,
-        server: ServerId,
-        role: MemberRole,
-        node: NodeId,
-        ttl: Duration,
-    ) -> Result<u64> {
-        self.expect_epoch(MetaRequest::Join {
-            server,
-            role,
-            node,
-            ttl_ms: ttl.as_millis().min(u64::MAX as u128) as u64,
-        })
-    }
-
+    fn join(server: ServerId, role: MemberRole, node: NodeId, ttl: Duration) -> u64
+        = Join { server, role, node, ttl_ms: millis(ttl) }
+        => Epoch(meta.join(server, role, node, Duration::from_millis(ttl_ms))?);
     /// See [`MetadataService::heartbeat`].
-    pub fn heartbeat(&self, server: ServerId, ttl: Duration) -> Result<u64> {
-        self.expect_epoch(MetaRequest::Heartbeat {
-            server,
-            ttl_ms: ttl.as_millis().min(u64::MAX as u128) as u64,
-        })
-    }
-
+    fn heartbeat(server: ServerId, ttl: Duration) -> u64
+        = Heartbeat { server, ttl_ms: millis(ttl) }
+        => Epoch(meta.heartbeat(server, Duration::from_millis(ttl_ms))?);
     /// See [`MetadataService::leave`].
-    pub fn leave(&self, server: ServerId) -> Result<u64> {
-        self.expect_epoch(MetaRequest::Leave { server })
-    }
-
-    /// See [`MetadataService::set_partition`].
-    pub fn set_partition(&self, schema: PartitionSchema) -> Result<()> {
-        self.expect_ack(MetaRequest::SetPartition { schema })
-    }
-
-    /// See [`MetadataService::begin_migration`]; returns the record's id.
-    pub fn begin_migration(&self, keys: KeyInterval, from: ServerId, to: ServerId) -> Result<u64> {
-        match self.call(MetaRequest::BeginMigration { keys, from, to })? {
-            MetaResponse::Migration(id) => Ok(id),
-            _ => Err(WwError::InvalidState(
-                "metadata server answered the wrong variant".into(),
-            )),
-        }
-    }
-
-    /// See [`MetadataService::complete_migration`].
-    pub fn complete_migration(&self, id: u64) -> Result<u64> {
-        self.expect_epoch(MetaRequest::CompleteMigration { id })
-    }
-
+    fn leave(server: ServerId) -> u64
+        = Leave { server }
+        => Epoch(meta.leave(server)?);
     /// See [`MetadataService::membership`].
-    pub fn membership(&self) -> Result<MembershipView> {
-        match self.call(MetaRequest::Membership)? {
-            MetaResponse::Membership(v) => Ok(v),
-            _ => Err(WwError::InvalidState(
-                "metadata server answered the wrong variant".into(),
-            )),
-        }
-    }
+    fn membership() -> MembershipView
+        = Membership
+        => Membership(meta.membership());
+    /// See [`MetadataService::set_partition`].
+    fn set_partition(schema: PartitionSchema) -> ()
+        = SetPartition { schema }
+        => Ack(meta.set_partition(schema)?);
+    /// See [`MetadataService::begin_migration`]; returns the record's id.
+    fn begin_migration(keys: KeyInterval, from: ServerId, to: ServerId) -> u64
+        = BeginMigration { keys, from, to }
+        => Migration(meta.begin_migration(keys, from, to)?.id);
+    /// See [`MetadataService::complete_migration`].
+    fn complete_migration(id: u64) -> u64
+        = CompleteMigration { id }
+        => Epoch(meta.complete_migration(id)?);
 }
 
 #[cfg(test)]

@@ -4,9 +4,9 @@
 //! The blocking transport spent one OS thread per pooled client
 //! connection (a parked reader) and one per accepted server socket. This
 //! module replaces all of them with a small fixed pool of reactor
-//! threads (usually one) multiplexing readiness over epoll on Linux —
-//! hand-rolled `extern "C"` bindings, same style as the `SO_REUSEADDR`
-//! shim in `tcp.rs` — and a portable busy-poll fallback elsewhere.
+//! threads (usually one) multiplexing readiness over epoll — hand-rolled
+//! `extern "C"` bindings, same style as the `SO_REUSEADDR` shim in
+//! `tcp.rs`. The crate builds on Linux only.
 //!
 //! ## Readiness state machine
 //!
@@ -792,7 +792,7 @@ fn close_entry_inner(
 }
 
 // ---------------------------------------------------------------------------
-// Poller: epoll on Linux, portable busy-poll elsewhere
+// Poller: epoll
 // ---------------------------------------------------------------------------
 
 /// One readiness report for a registered token.
@@ -803,7 +803,6 @@ struct Readiness {
     error: bool,
 }
 
-#[cfg(target_os = "linux")]
 mod sys {
     //! Minimal epoll + pipe bindings, hand-rolled in the same style as
     //! the `SO_REUSEADDR` shim in `tcp.rs` (no libc crate).
@@ -910,17 +909,14 @@ mod sys {
     }
 }
 
-#[cfg(target_os = "linux")]
 const WAKE_TOKEN: u64 = u64::MAX;
 
-#[cfg(target_os = "linux")]
 struct Poller {
     epfd: i32,
     wake_r: i32,
     wake_w: i32,
 }
 
-#[cfg(target_os = "linux")]
 impl Poller {
     fn new() -> io::Result<Self> {
         let epfd = sys::create()?;
@@ -1014,98 +1010,11 @@ impl Poller {
     }
 }
 
-#[cfg(target_os = "linux")]
 impl Drop for Poller {
     fn drop(&mut self) {
         sys::close_fd(self.wake_r);
         sys::close_fd(self.wake_w);
         sys::close_fd(self.epfd);
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-struct Poller {
-    /// Tokens currently registered; the fallback reports every one of
-    /// them as read- and write-ready each pass (level-triggered busy
-    /// poll — nonblocking sockets make that correct, if inefficient).
-    tokens: Mutex<std::collections::HashSet<u64>>,
-    poked: Mutex<bool>,
-    cv: Condvar,
-}
-
-#[cfg(not(target_os = "linux"))]
-impl Poller {
-    fn new() -> io::Result<Self> {
-        Ok(Poller {
-            tokens: Mutex::new(std::collections::HashSet::new()),
-            poked: Mutex::new(false),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn register_stream(&self, _stream: &TcpStream, token: u64) -> io::Result<()> {
-        self.tokens
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(token);
-        Ok(())
-    }
-
-    fn register_listener(&self, _listener: &TcpListener, token: u64) -> io::Result<()> {
-        self.tokens
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(token);
-        Ok(())
-    }
-
-    fn modify_stream(&self, _stream: &TcpStream, _token: u64, _want_write: bool) -> io::Result<()> {
-        Ok(())
-    }
-
-    fn deregister_stream(&self, _stream: &TcpStream, token: u64) {
-        self.tokens
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&token);
-    }
-
-    fn deregister_listener(&self, _listener: &TcpListener, token: u64) {
-        self.tokens
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&token);
-    }
-
-    fn wake(&self) {
-        let mut poked = self.poked.lock().unwrap_or_else(|e| e.into_inner());
-        *poked = true;
-        self.cv.notify_all();
-    }
-
-    fn wait(&self, out: &mut Vec<(u64, Readiness)>, timeout: Duration) -> io::Result<()> {
-        let nap = timeout.min(Duration::from_millis(5));
-        {
-            let poked = self.poked.lock().unwrap_or_else(|e| e.into_inner());
-            if !*poked {
-                let _ = self
-                    .cv
-                    .wait_timeout(poked, nap)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        }
-        *self.poked.lock().unwrap_or_else(|e| e.into_inner()) = false;
-        for token in self.tokens.lock().unwrap_or_else(|e| e.into_inner()).iter() {
-            out.push((
-                *token,
-                Readiness {
-                    readable: true,
-                    writable: true,
-                    error: false,
-                },
-            ));
-        }
-        Ok(())
     }
 }
 

@@ -560,9 +560,8 @@ fn bind_reuseaddr(addr: &str) -> std::io::Result<TcpListener> {
 
 /// IPv4 listener via raw libc calls: std's `TcpListener::bind` offers no
 /// way to set `SO_REUSEADDR` before binding, so the restart path builds
-/// the socket by hand. Constants are Linux values; other platforms (and
-/// IPv6 addresses) take the plain-bind fallback.
-#[cfg(target_os = "linux")]
+/// the socket by hand (Linux constants). IPv6 addresses take the plain
+/// bind.
 fn bind_reuseaddr_one(sa: SocketAddr) -> std::io::Result<TcpListener> {
     use std::os::fd::FromRawFd;
     let SocketAddr::V4(v4) = sa else {
@@ -615,11 +614,6 @@ fn bind_reuseaddr_one(sa: SocketAddr) -> std::io::Result<TcpListener> {
         }
         Ok(TcpListener::from_raw_fd(fd))
     }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn bind_reuseaddr_one(sa: SocketAddr) -> std::io::Result<TcpListener> {
-    TcpListener::bind(sa)
 }
 
 // ---------------------------------------------------------------------------

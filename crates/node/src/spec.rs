@@ -29,8 +29,7 @@ use waterwheel_core::{
 };
 use waterwheel_meta::MembershipView;
 use waterwheel_net::{
-    MetaRequest, MetaResponse, Request, Response, RpcClient, TcpTransport, Transport, COORDINATOR,
-    META_SERVER,
+    MetaClient, Request, RpcClient, TcpTransport, Transport, COORDINATOR, META_SERVER,
 };
 use waterwheel_server::SystemMetrics;
 
@@ -468,6 +467,7 @@ fn wait_or_kill(child: &mut Child, grace: Duration) -> bool {
 /// down — all over one pooled TCP transport.
 pub struct ClusterClient {
     rpc: RpcClient,
+    meta: MetaClient,
     disp_ids: Vec<ServerId>,
     qs_ids: Vec<ServerId>,
     ix_ids: Vec<ServerId>,
@@ -522,6 +522,7 @@ impl ClusterClient {
         cfg.rpc_retries = retries;
         let rpc = RpcClient::new(t as Arc<dyn Transport>, src, &cfg);
         Self {
+            meta: MetaClient::new(rpc.clone()),
             rpc,
             disp_ids,
             qs_ids,
@@ -562,12 +563,7 @@ impl ClusterClient {
     /// Flushes the whole pipeline: buffered batches, queued tuples, and
     /// in-memory trees all land in chunks before this returns.
     pub fn flush(&self) -> Result<()> {
-        match self.rpc.call(self.disp_ids[0], Request::Flush)? {
-            Response::Flushed(_) => Ok(()),
-            _ => Err(WwError::InvalidState(
-                "gateway answered Flush with the wrong variant".into(),
-            )),
-        }
+        self.flush_server(self.disp_ids[0])
     }
 
     /// Runs a temporal range query through the coordinator.
@@ -632,12 +628,7 @@ impl ClusterClient {
 
     /// Pings one server id (any role).
     pub fn ping(&self, id: ServerId) -> Result<()> {
-        match self.rpc.call(id, Request::Ping)? {
-            Response::Pong => Ok(()),
-            _ => Err(WwError::InvalidState(
-                "ping answered the wrong variant".into(),
-            )),
-        }
+        self.rpc.call(id, Request::Ping)?.into_pong()
     }
 
     /// Asks a role's first process to exit cleanly. The listener
@@ -689,29 +680,11 @@ impl ClusterClient {
     /// keep running — [`ClusterHandle::drain_node`] retires it after the
     /// rebalance). Returns the membership epoch after the departure.
     pub fn leave(&self, server: ServerId) -> Result<u64> {
-        match self
-            .rpc
-            .call(META_SERVER, Request::Meta(MetaRequest::Leave { server }))?
-            .into_meta()?
-        {
-            MetaResponse::Epoch(e) => Ok(e),
-            _ => Err(WwError::InvalidState(
-                "leave answered the wrong meta variant".into(),
-            )),
-        }
+        self.meta.leave(server)
     }
 
     /// The metadata server's current epoch-numbered membership view.
     pub fn membership(&self) -> Result<MembershipView> {
-        match self
-            .rpc
-            .call(META_SERVER, Request::Meta(MetaRequest::Membership))?
-            .into_meta()?
-        {
-            MetaResponse::Membership(v) => Ok(v),
-            _ => Err(WwError::InvalidState(
-                "membership answered the wrong meta variant".into(),
-            )),
-        }
+        self.meta.membership()
     }
 }
