@@ -39,7 +39,7 @@ const HOT_VALUE_MIN_COUNT: usize = 8;
 const MAX_HOT_VALUES: usize = 256;
 
 /// Bloom filter over raw `u64` attribute values.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ValueBloom {
     bits: Vec<u64>,
     num_bits: u64,
@@ -123,7 +123,7 @@ impl Wire for ValueBloom {
 }
 
 /// The per-chunk secondary index for one attribute.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChunkAttrIndex {
     /// Bloom over every attribute value in the chunk.
     pub bloom: ValueBloom,

@@ -2,17 +2,26 @@
 //!
 //! It durably holds everything the system must not lose across failures:
 //!
-//! * the chunk registry (region, tuple count, size per chunk) plus an R-tree
-//!   over chunk regions for query decomposition (§IV-A);
+//! * the chunk registry — region, tuple count and size per chunk, with its
+//!   aggregate summary extent and secondary attribute indexes — plus an
+//!   R-tree over chunk regions for query decomposition (§IV-A);
 //! * the versioned key-partitioning schema (§III-D), together with the
 //!   *actual* key interval per indexing server used to answer queries
 //!   correctly during repartition overlap windows;
 //! * the per-indexing-server durable read offsets into the message queue —
-//!   persisted atomically with each chunk registration so recovery replays
-//!   from exactly the right point (§V);
+//!   persisted atomically with each flush so recovery replays from exactly
+//!   the right point (§V);
 //! * the *volatile* in-memory data regions of the indexing servers (widened
 //!   by the late-visibility Δt, §IV-D). These are rebuilt on restart, so
 //!   they are not persisted.
+//!
+//! A flush registers in one call, [`MetadataService::register_flush`]: its
+//! chunks, their extents and attribute indexes and its offset are one
+//! [`MetaRecord`], and its memory region is set under the same lock, so no
+//! reader sees part of a flush. Chunk ids come from
+//! [`MetadataService::allocate_chunk_ids`], a block per flush; an id whose
+//! flush never registers is a gap, and its file, if one was written, is
+//! never read.
 //!
 //! The durable state is a fold over one record type. A mutator validates
 //! under the write lock, appends and commits one typed, idempotent record
@@ -47,7 +56,7 @@ use waterwheel_core::{
 use waterwheel_index::secondary::{AttrId, AttrProbe, ChunkAttrIndex};
 use waterwheel_wal::{sweep_tmp_of, write_atomic, FsyncPolicy, Log, WalStats};
 
-const SNAPSHOT_MAGIC: &[u8; 8] = b"WWMETA02";
+const SNAPSHOT_MAGIC: &[u8; 8] = b"WWMETA03";
 
 /// Durable facts about one chunk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,13 +121,35 @@ impl Wire for SummaryExtent {
     }
 }
 
+/// Everything a flush registers about one of its chunks.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FlushedChunk {
+    /// The chunk id, from [`MetadataService::allocate_chunk_ids`].
+    pub id: ChunkId,
+    /// Region, count, size, producer.
+    pub info: ChunkInfo,
+    /// The aggregate summary sealed into its footer, if any.
+    pub summary: Option<SummaryExtent>,
+    /// One secondary index per registered attribute (§VIII).
+    pub attrs: Vec<(AttrId, ChunkAttrIndex)>,
+}
+
+waterwheel_core::wire_struct!(FlushedChunk {
+    id: ChunkId,
+    info: ChunkInfo,
+    summary: Option<SummaryExtent>,
+    attrs: Vec<(AttrId, ChunkAttrIndex)>,
+});
+
 waterwheel_core::wire_enum! {
     /// One durable state transition: a frame of the mutation log, and —
     /// many of them back to back — the body of a snapshot. Applying a
     /// record is idempotent (inserts keep-or-overwrite, counters, offsets
     /// and versions only move forward), so any suffix of the log may replay
     /// over a snapshot that already holds its effects; that is what makes a
-    /// crash anywhere in compaction harmless.
+    /// crash anywhere in compaction harmless. Tags 1, 3 and 4 (one chunk,
+    /// one attribute index, one summary extent) are retired, never reused:
+    /// a flush is one `Flush` record.
     #[derive(Debug)]
     enum MetaRecord as "record" {
         /// The three monotone counters, max-merged.
@@ -127,22 +158,7 @@ waterwheel_core::wire_enum! {
             next_migration: u64,
             membership_epoch: u64,
         },
-        /// A flushed chunk plus its producer's durable read offset.
-        1 => RegisterChunk {
-            id: ChunkId,
-            info: ChunkInfo,
-            durable_offset: u64,
-        },
         2 => SetPartition(PartitionSchema),
-        3 => AttrIndex {
-            chunk: ChunkId,
-            attr: AttrId,
-            index: ChunkAttrIndex,
-        },
-        4 => Summary {
-            chunk: ChunkId,
-            extent: SummaryExtent,
-        },
         /// A member (re)registration at membership epoch `epoch`.
         5 => MemberJoin {
             server: ServerId,
@@ -158,6 +174,13 @@ waterwheel_core::wire_enum! {
         7 => Migration {
             rec: MigrationRecord,
             epoch: u64,
+        },
+        /// A flush: its chunks, each with its summary extent and attribute
+        /// indexes, and its producer's durable read offset (§V).
+        8 => Flush {
+            producer: ServerId,
+            chunks: Vec<FlushedChunk>,
+            durable_offset: u64,
         },
     }
 }
@@ -175,15 +198,12 @@ impl MetaRecord {
 #[derive(Default)]
 struct MetaState {
     next_chunk: u64,
-    chunks: BTreeMap<ChunkId, ChunkInfo>,
+    /// Every registered chunk with its summary extent (DESIGN.md §4b) and
+    /// attribute indexes (the bitmap + bloom structures of §VIII).
+    chunks: BTreeMap<ChunkId, FlushedChunk>,
     chunk_rtree: RTree<ChunkId>,
     partition: Option<PartitionSchema>,
     offsets: BTreeMap<ServerId, u64>,
-    /// Secondary attribute indexes per (chunk, attribute) — the bitmap +
-    /// bloom structures of the paper's §VIII future-work design.
-    attr_indexes: BTreeMap<(ChunkId, AttrId), ChunkAttrIndex>,
-    /// Aggregate summary extents per chunk (DESIGN.md §4b).
-    summaries: BTreeMap<ChunkId, SummaryExtent>,
     /// Volatile: current in-memory region per indexing server (already
     /// widened by Δt by the reporting server).
     memory_regions: BTreeMap<ServerId, Region>,
@@ -217,18 +237,20 @@ impl MetaState {
                 self.next_migration = self.next_migration.max(next_migration);
                 self.membership_epoch = self.membership_epoch.max(membership_epoch);
             }
-            MetaRecord::RegisterChunk {
-                id,
-                info,
+            MetaRecord::Flush {
+                producer,
+                chunks,
                 durable_offset,
             } => {
-                if let Entry::Vacant(slot) = self.chunks.entry(id) {
-                    slot.insert(info);
-                    self.chunk_rtree.insert(info.region, id);
+                for chunk in chunks {
+                    self.next_chunk = self.next_chunk.max(chunk.id.raw().saturating_add(1));
+                    if let Entry::Vacant(slot) = self.chunks.entry(chunk.id) {
+                        self.chunk_rtree.insert(chunk.info.region, chunk.id);
+                        slot.insert(chunk);
+                    }
                 }
-                let offset = self.offsets.entry(info.producer).or_default();
+                let offset = self.offsets.entry(producer).or_default();
                 *offset = (*offset).max(durable_offset);
-                self.next_chunk = self.next_chunk.max(id.raw().saturating_add(1));
             }
             MetaRecord::SetPartition(schema) => {
                 let newer = self
@@ -238,12 +260,6 @@ impl MetaState {
                 if newer {
                     self.partition = Some(schema);
                 }
-            }
-            MetaRecord::AttrIndex { chunk, attr, index } => {
-                self.attr_indexes.insert((chunk, attr), index);
-            }
-            MetaRecord::Summary { chunk, extent } => {
-                self.summaries.insert(chunk, extent);
             }
             MetaRecord::MemberJoin {
                 server,
@@ -274,9 +290,9 @@ impl MetaState {
     }
 
     /// The compacted record stream: feeds `f` the records that rebuild the
-    /// durable state from empty, in a deterministic order. Every chunk
-    /// carries its producer's current offset (offsets max-merge), members
-    /// and migrations the current epoch.
+    /// durable state from empty, in a deterministic order. Every chunk is a
+    /// flush of its own carrying its producer's current offset (offsets
+    /// max-merge), members and migrations the current epoch.
     fn for_each_record(&self, mut f: impl FnMut(MetaRecord)) {
         let epoch = self.membership_epoch;
         f(MetaRecord::Counters {
@@ -287,20 +303,13 @@ impl MetaState {
         if let Some(schema) = &self.partition {
             f(MetaRecord::SetPartition(schema.clone()));
         }
-        for (&id, &info) in &self.chunks {
-            let durable_offset = self.offsets[&info.producer];
-            f(MetaRecord::RegisterChunk {
-                id,
-                info,
-                durable_offset,
+        for chunk in self.chunks.values() {
+            let producer = chunk.info.producer;
+            f(MetaRecord::Flush {
+                producer,
+                chunks: vec![chunk.clone()],
+                durable_offset: self.offsets.get(&producer).copied().unwrap_or(0),
             });
-        }
-        for (&(chunk, attr), index) in &self.attr_indexes {
-            let index = index.clone();
-            f(MetaRecord::AttrIndex { chunk, attr, index });
-        }
-        for (&chunk, &extent) in &self.summaries {
-            f(MetaRecord::Summary { chunk, extent });
         }
         for (&server, &info) in &self.members {
             f(MetaRecord::MemberJoin {
@@ -339,6 +348,14 @@ impl MetaState {
             }
         }
         view
+    }
+
+    /// Sets (or clears, with `None`) a server's volatile memory region.
+    fn set_memory_region(&mut self, server: ServerId, region: Option<Region>) {
+        match region {
+            Some(r) => self.memory_regions.insert(server, r),
+            None => self.memory_regions.remove(&server),
+        };
     }
 }
 
@@ -518,40 +535,68 @@ impl MetadataService {
         Ok(())
     }
 
-    /// Allocates a fresh durable chunk id.
-    pub fn allocate_chunk_id(&self) -> Result<ChunkId> {
+    /// Allocates `n` consecutive fresh chunk ids in one durable step and
+    /// returns the first. Ids whose flush never registers are gaps.
+    pub fn allocate_chunk_ids(&self, n: u64) -> Result<ChunkId> {
         let mut state = self.state.write();
-        let id = ChunkId(state.next_chunk);
+        let first = ChunkId(state.next_chunk);
         let rec = MetaRecord::Counters {
-            next_chunk: id.raw() + 1,
+            next_chunk: first.raw().saturating_add(n),
             next_migration: state.next_migration,
             membership_epoch: state.membership_epoch,
         };
         self.commit(&mut state, rec)?;
-        Ok(id)
+        Ok(first)
     }
 
-    /// Registers a flushed chunk and, atomically with it, advances the
-    /// producer's durable read offset (paper §V: the offset is stored "when
-    /// an indexing server flushes the in-memory B+ tree").
-    pub fn register_chunk(&self, id: ChunkId, info: ChunkInfo, durable_offset: u64) -> Result<()> {
+    /// Registers a flush in one step: its chunks, each with its summary
+    /// extent and attribute indexes, and the producer's durable read offset
+    /// (paper §V: the offset is stored "when an indexing server flushes the
+    /// in-memory B+ tree") are one record, and the producer's volatile
+    /// memory region is set under the same lock. A reader sees all of a
+    /// flush or none of it.
+    ///
+    /// A flush none of whose chunks is registered is new. An identical
+    /// repeat of a registered flush (a retry whose first attempt landed:
+    /// every chunk registered with exactly these facts, the offset covered)
+    /// is answered `Ok` and writes nothing. Anything else — a registered
+    /// chunk with other facts, a flush registered in part, no chunks,
+    /// another producer's chunk or one id twice — is refused with
+    /// [`WwError::InvalidState`].
+    pub fn register_flush(
+        &self,
+        producer: ServerId,
+        chunks: Vec<FlushedChunk>,
+        durable_offset: u64,
+        region: Option<Region>,
+    ) -> Result<()> {
         let mut state = self.state.write();
-        if state.chunks.contains_key(&id) {
+        let own = |(i, c): (usize, &FlushedChunk)| {
+            c.info.producer == producer && chunks[..i].iter().all(|d| d.id != c.id)
+        };
+        let own = !chunks.is_empty() && chunks.iter().enumerate().all(own);
+        let fresh = chunks.iter().all(|c| !state.chunks.contains_key(&c.id));
+        let repeat = chunks.iter().all(|c| state.chunks.get(&c.id) == Some(c))
+            && state.offsets.get(&producer) >= Some(&durable_offset);
+        if own && fresh {
+            let rec = MetaRecord::Flush {
+                producer,
+                chunks,
+                durable_offset,
+            };
+            self.commit(&mut state, rec)?;
+        } else if !(own && repeat) {
             return Err(WwError::InvalidState(format!(
-                "chunk {id} already registered"
+                "flush of {producer} conflicts with the chunks registered"
             )));
         }
-        let rec = MetaRecord::RegisterChunk {
-            id,
-            info,
-            durable_offset,
-        };
-        self.commit(&mut state, rec)
+        state.set_memory_region(producer, region);
+        Ok(())
     }
 
     /// Durable facts about a chunk.
     pub fn chunk_info(&self, id: ChunkId) -> Option<ChunkInfo> {
-        self.state.read().chunks.get(&id).copied()
+        self.state.read().chunks.get(&id).map(|c| c.info)
     }
 
     /// Number of registered chunks.
@@ -576,15 +621,7 @@ impl MetadataService {
     /// Reports (or clears, with `None`) an indexing server's current
     /// in-memory region. Volatile — cleared state is rebuilt on recovery.
     pub fn update_memory_region(&self, server: ServerId, region: Option<Region>) {
-        let mut state = self.state.write();
-        match region {
-            Some(r) => {
-                state.memory_regions.insert(server, r);
-            }
-            None => {
-                state.memory_regions.remove(&server);
-            }
-        }
+        self.state.write().set_memory_region(server, region);
     }
 
     /// Indexing servers whose in-memory regions overlap `query`.
@@ -631,56 +668,35 @@ impl MetadataService {
         self.state.read().offsets.get(&server).copied().unwrap_or(0)
     }
 
-    /// Registers a secondary attribute index for a chunk (built by the
-    /// producing indexing server at flush time).
-    pub fn register_attr_index(
-        &self,
-        chunk: ChunkId,
-        attr: AttrId,
-        index: ChunkAttrIndex,
-    ) -> Result<()> {
-        let mut state = self.state.write();
-        if !state.chunks.contains_key(&chunk) {
-            return Err(WwError::not_found("chunk", chunk));
-        }
-        self.commit(&mut state, MetaRecord::AttrIndex { chunk, attr, index })
-    }
-
     /// Probes a chunk's attribute index for an equality constraint.
     /// Chunks with no registered index answer [`AttrProbe::Unknown`] —
     /// pruning never risks correctness.
     pub fn attr_probe(&self, chunk: ChunkId, attr: AttrId, value: u64) -> AttrProbe {
-        self.state
-            .read()
-            .attr_indexes
-            .get(&(chunk, attr))
-            .map(|idx| idx.probe(value))
-            .unwrap_or(AttrProbe::Unknown)
+        let state = self.state.read();
+        let chunk = state.chunks.get(&chunk);
+        let index = chunk.and_then(|c| c.attrs.iter().find(|(a, _)| *a == attr));
+        index.map_or(AttrProbe::Unknown, |(_, idx)| idx.probe(value))
     }
 
     /// Number of registered attribute indexes (diagnostics).
     pub fn attr_index_count(&self) -> usize {
-        self.state.read().attr_indexes.len()
-    }
-
-    /// Registers the aggregate summary extent of a chunk (recorded by the
-    /// producing indexing server at flush time, DESIGN.md §4b).
-    pub fn register_summary(&self, chunk: ChunkId, extent: SummaryExtent) -> Result<()> {
-        let mut state = self.state.write();
-        if !state.chunks.contains_key(&chunk) {
-            return Err(WwError::not_found("chunk", chunk));
-        }
-        self.commit(&mut state, MetaRecord::Summary { chunk, extent })
+        let state = self.state.read();
+        state.chunks.values().map(|c| c.attrs.len()).sum()
     }
 
     /// The summary extent of a chunk, when one was sealed into it.
     pub fn summary_extent(&self, chunk: ChunkId) -> Option<SummaryExtent> {
-        self.state.read().summaries.get(&chunk).copied()
+        self.state.read().chunks.get(&chunk)?.summary
     }
 
     /// Number of chunks carrying an aggregate summary (diagnostics).
     pub fn summary_count(&self) -> usize {
-        self.state.read().summaries.len()
+        let state = self.state.read();
+        state
+            .chunks
+            .values()
+            .filter(|c| c.summary.is_some())
+            .count()
     }
 
     /// Registers (or refreshes) a cluster member under a heartbeat lease of
@@ -835,10 +851,9 @@ impl MetadataService {
 
 impl Counters for MetadataService {
     fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
-        let state = self.state.read();
-        f("chunks_registered", state.chunks.len() as u64);
-        f("attr_indexes", state.attr_indexes.len() as u64);
-        f("membership_epoch", state.membership_epoch);
+        f("chunks_registered", self.chunk_count() as u64);
+        f("attr_indexes", self.attr_index_count() as u64);
+        f("membership_epoch", self.membership_epoch());
     }
 }
 
@@ -864,6 +879,17 @@ mod tests {
         }
     }
 
+    /// A flush of one bare chunk.
+    fn register(meta: &MetadataService, id: ChunkId, info: ChunkInfo, offset: u64) -> Result<()> {
+        let chunk = FlushedChunk {
+            id,
+            info,
+            summary: None,
+            attrs: Vec::new(),
+        };
+        meta.register_flush(info.producer, vec![chunk], offset, None)
+    }
+
     fn tmp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ww-meta-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -875,12 +901,13 @@ mod tests {
         MetadataService::open_with(path, FsyncPolicy::Never, 1 << 20)
     }
 
-    /// One mutation of every durable kind, varied by `step`.
+    /// One mutation of every durable kind, varied by `step`: odd steps
+    /// flush a second, bare chunk beside the first.
     fn mutate(meta: &MetadataService, step: u64) {
-        let id = meta.allocate_chunk_id().unwrap();
+        let n = 1 + step % 2;
+        let first = meta.allocate_chunk_ids(n).unwrap();
         let k = step * 10;
-        meta.register_chunk(id, info(k, k + 9, 0, 50, (step % 3) as u32), step)
-            .unwrap();
+        let producer = (step % 3) as u32;
         let extent = SummaryExtent {
             cells: step,
             bytes: k,
@@ -888,9 +915,22 @@ mod tests {
             slice_bits: 4,
             measure_range: step.is_multiple_of(2).then_some((step, k)),
         };
-        meta.register_summary(id, extent).unwrap();
         let index = ChunkAttrIndex::build(&[vec![step; 10], vec![step + 1; 10], vec![7]], 10);
-        meta.register_attr_index(id, (step % 2) as AttrId, index)
+        let mut chunks = vec![FlushedChunk {
+            id: first,
+            info: info(k, k + 9, 0, 50, producer),
+            summary: Some(extent),
+            attrs: vec![((step % 2) as AttrId, index)],
+        }];
+        if n == 2 {
+            chunks.push(FlushedChunk {
+                id: ChunkId(first.raw() + 1),
+                info: info(k, k + 9, 60, 90, producer),
+                summary: None,
+                attrs: Vec::new(),
+            });
+        }
+        meta.register_flush(ServerId(producer), chunks, step, None)
             .unwrap();
         let servers = [ServerId(0), ServerId(1)];
         meta.set_partition(PartitionSchema::from_boundaries(&[k + 1], &servers, step + 1).unwrap())
@@ -979,35 +1019,103 @@ mod tests {
     #[test]
     fn chunk_ids_are_unique_and_monotone() {
         let meta = MetadataService::in_memory();
-        let a = meta.allocate_chunk_id().unwrap();
-        let b = meta.allocate_chunk_id().unwrap();
-        assert!(a < b);
+        assert_eq!(meta.allocate_chunk_ids(1).unwrap(), ChunkId(0));
+        assert_eq!(meta.allocate_chunk_ids(3).unwrap(), ChunkId(1));
+        assert_eq!(meta.allocate_chunk_ids(1).unwrap(), ChunkId(4));
     }
 
     #[test]
     fn register_and_search_chunks() {
         let meta = MetadataService::in_memory();
-        let a = meta.allocate_chunk_id().unwrap();
-        let b = meta.allocate_chunk_id().unwrap();
-        meta.register_chunk(a, info(0, 100, 0, 50, 1), 10).unwrap();
-        meta.register_chunk(b, info(101, 200, 0, 50, 2), 20)
-            .unwrap();
+        let a = meta.allocate_chunk_ids(2).unwrap();
+        let b = ChunkId(a.raw() + 1);
+        register(&meta, a, info(0, 100, 0, 50, 1), 10).unwrap();
+        register(&meta, b, info(101, 200, 0, 50, 2), 20).unwrap();
         assert_eq!(meta.chunk_count(), 2);
         let hits = meta.chunks_overlapping(&region(50, 150, 0, 10));
         assert_eq!(hits.len(), 2);
         let hits = meta.chunks_overlapping(&region(0, 50, 60, 90));
         assert!(hits.is_empty());
-        // Duplicate registration rejected.
-        assert!(meta.register_chunk(a, info(0, 1, 0, 1, 1), 0).is_err());
     }
 
     #[test]
     fn offsets_advance_with_registration() {
         let meta = MetadataService::in_memory();
         assert_eq!(meta.durable_offset(ServerId(1)), 0);
-        let a = meta.allocate_chunk_id().unwrap();
-        meta.register_chunk(a, info(0, 10, 0, 10, 1), 555).unwrap();
+        let a = meta.allocate_chunk_ids(1).unwrap();
+        register(&meta, a, info(0, 10, 0, 10, 1), 555).unwrap();
         assert_eq!(meta.durable_offset(ServerId(1)), 555);
+    }
+
+    /// A flush lands whole: chunks, extents, probes, offset and region in
+    /// one call. An identical repeat is answered `Ok` and changes nothing;
+    /// a conflicting one is refused and changes nothing either.
+    #[test]
+    fn a_flush_registers_whole_and_only_once() {
+        let meta = MetadataService::in_memory();
+        let extent = SummaryExtent {
+            cells: 3,
+            bytes: 48,
+            levels: 1,
+            slice_bits: 4,
+            measure_range: None,
+        };
+        let index = ChunkAttrIndex::build(&[vec![5; 10], vec![6; 10]], 10);
+        let chunks = vec![
+            FlushedChunk {
+                id: ChunkId(0),
+                info: info(0, 9, 100, 200, 1),
+                summary: Some(extent),
+                attrs: vec![(2, index)],
+            },
+            FlushedChunk {
+                id: ChunkId(1),
+                info: info(0, 9, 10, 20, 1),
+                summary: None,
+                attrs: Vec::new(),
+            },
+        ];
+        let flush = |chunks: Vec<FlushedChunk>, offset, r| {
+            meta.register_flush(ServerId(1), chunks, offset, Some(r))
+        };
+        let all = || {
+            let regions = meta.memory_regions_overlapping(&Region::full());
+            (
+                meta.chunk_count(),
+                meta.durable_offset(ServerId(1)),
+                regions,
+            )
+        };
+        flush(chunks.clone(), 40, region(0, 9, 200, 210)).unwrap();
+        let landed = all();
+        assert_eq!(landed.0, 2);
+        assert_eq!(landed.1, 40);
+        assert_eq!(meta.summary_extent(ChunkId(0)), Some(extent));
+        assert!(matches!(
+            meta.attr_probe(ChunkId(0), 2, 6),
+            AttrProbe::Leaves(_)
+        ));
+        assert_eq!(meta.allocate_chunk_ids(1).unwrap(), ChunkId(2));
+        flush(chunks.clone(), 40, region(0, 9, 200, 210)).unwrap();
+        assert_eq!(all(), landed, "an identical repeat changes nothing");
+
+        let mut other = chunks.clone();
+        other[1].info.count += 1;
+        let mut part = chunks.clone();
+        part[1].id = ChunkId(7);
+        let mut foreign = chunks.clone();
+        foreign[0].info.producer = ServerId(2);
+        for (label, chunks, offset) in [
+            ("other facts", other, 40),
+            ("a later offset", chunks.clone(), 41),
+            ("registered in part", part, 40),
+            ("another producer's chunk", foreign, 40),
+            ("no chunks", Vec::new(), 40),
+        ] {
+            let err = flush(chunks, offset, Region::full()).unwrap_err();
+            assert!(matches!(err, WwError::InvalidState(_)), "{label}: {err:?}");
+            assert_eq!(all(), landed, "{label}");
+        }
     }
 
     #[test]
@@ -1047,8 +1155,8 @@ mod tests {
         let path = tmp_path("restart");
         {
             let meta = open(&path).unwrap();
-            let a = meta.allocate_chunk_id().unwrap();
-            meta.register_chunk(a, info(0, 100, 0, 50, 1), 42).unwrap();
+            let a = meta.allocate_chunk_ids(1).unwrap();
+            register(&meta, a, info(0, 100, 0, 50, 1), 42).unwrap();
             let servers: Vec<ServerId> = (0..2).map(ServerId).collect();
             let mut schema = PartitionSchema::uniform(&servers);
             schema.version = 5;
@@ -1060,7 +1168,7 @@ mod tests {
         assert_eq!(meta.durable_offset(ServerId(1)), 42);
         assert_eq!(meta.partition().unwrap().version, 5);
         // Chunk ids continue past the recovered counter.
-        assert_eq!(meta.allocate_chunk_id().unwrap(), ChunkId(1));
+        assert_eq!(meta.allocate_chunk_ids(1).unwrap(), ChunkId(1));
         // Volatile memory regions do NOT survive.
         assert!(meta.memory_regions_overlapping(&Region::full()).is_empty());
         // R-tree rebuilt from the snapshot.
@@ -1079,11 +1187,15 @@ mod tests {
         };
         {
             let meta = open(&path).unwrap();
-            let a = meta.allocate_chunk_id().unwrap();
-            meta.register_chunk(a, info(0, 100, 0, 50, 1), 42).unwrap();
-            // Unregistered chunks are rejected.
-            assert!(meta.register_summary(ChunkId(99), extent).is_err());
-            meta.register_summary(a, extent).unwrap();
+            let a = meta.allocate_chunk_ids(2).unwrap();
+            let chunk = |id, summary| FlushedChunk {
+                id,
+                info: info(0, 100, 0, 50, 1),
+                summary,
+                attrs: Vec::new(),
+            };
+            let chunks = vec![chunk(a, Some(extent)), chunk(ChunkId(1), None)];
+            meta.register_flush(ServerId(1), chunks, 42, None).unwrap();
             assert_eq!(meta.summary_count(), 1);
         }
         let meta = open(&path).unwrap();
@@ -1100,9 +1212,8 @@ mod tests {
             // several snapshot+reset cycles.
             let meta = MetadataService::open_with(&path, FsyncPolicy::Always, 4096).unwrap();
             for i in 0..50u64 {
-                let id = meta.allocate_chunk_id().unwrap();
-                meta.register_chunk(id, info(i * 10, i * 10 + 9, 0, 50, 1), i)
-                    .unwrap();
+                let id = meta.allocate_chunk_ids(1).unwrap();
+                register(&meta, id, info(i * 10, i * 10 + 9, 0, 50, 1), i).unwrap();
             }
             let stats = meta.wal_stats().unwrap();
             assert!(stats.fsyncs.load(std::sync::atomic::Ordering::Relaxed) > 0);
@@ -1110,7 +1221,7 @@ mod tests {
         let meta = MetadataService::open_with(&path, FsyncPolicy::Always, 4096).unwrap();
         assert_eq!(meta.chunk_count(), 50);
         assert_eq!(meta.durable_offset(ServerId(1)), 49);
-        assert_eq!(meta.allocate_chunk_id().unwrap(), ChunkId(50));
+        assert_eq!(meta.allocate_chunk_ids(1).unwrap(), ChunkId(50));
 
         // Every point a kill can land on inside `write_atomic` →
         // `Log::reset`, built by hand. The state just before a compaction:
@@ -1193,8 +1304,7 @@ mod tests {
         {
             let meta = MetadataService::open_with(&path, FsyncPolicy::Never, 256).unwrap();
             for i in 0..3 {
-                meta.register_chunk(ChunkId(i), info(i, i, 0, 1, 1), i)
-                    .unwrap();
+                register(&meta, ChunkId(i), info(i, i, 0, 1, 1), i).unwrap();
             }
         }
         let meta = MetadataService::open_with(&path, FsyncPolicy::Never, 256).unwrap();
@@ -1204,7 +1314,7 @@ mod tests {
         let (mut acked, mut refused) = (0, 0);
         for i in 3..20u64 {
             let (id, server) = (ChunkId(i), ServerId(i as u32));
-            match meta.register_chunk(id, info(i, i, 0, 1, 1), i) {
+            match register(&meta, id, info(i, i, 0, 1, 1), i) {
                 Ok(()) => {
                     acked += 1;
                     assert_eq!(meta.chunk_info(id), Some(info(i, i, 0, 1, 1)));
@@ -1217,9 +1327,9 @@ mod tests {
                     refused += 1;
                     assert_eq!(meta.chunk_info(id), None);
                     assert!(meta.durable_offset(ServerId(1)) < i);
-                    // The flush's retry meets the same refusal, not
-                    // "already registered".
-                    let again = meta.register_chunk(id, info(i, i, 0, 1, 1), i);
+                    // The flush's retry meets the same refusal, not a
+                    // conflict with a half-applied first attempt.
+                    let again = register(&meta, id, info(i, i, 0, 1, 1), i);
                     assert!(!matches!(again, Ok(()) | Err(WwError::InvalidState(_))));
                 }
             }
@@ -1251,13 +1361,11 @@ mod tests {
         fs::create_dir(&path).unwrap();
         fs::write(path.join("in-the-way"), b"").unwrap();
         for i in 0..8 {
-            meta.register_chunk(ChunkId(i), info(i, i, 0, 1, 1), i)
-                .unwrap();
+            register(&meta, ChunkId(i), info(i, i, 0, 1, 1), i).unwrap();
         }
         assert!(log_bytes(&meta) > 256);
         fs::remove_dir_all(&path).unwrap();
-        meta.register_chunk(ChunkId(8), info(8, 8, 0, 1, 1), 8)
-            .unwrap();
+        register(&meta, ChunkId(8), info(8, 8, 0, 1, 1), 8).unwrap();
         assert_eq!(log_bytes(&meta), 0);
         drop(meta);
         assert_eq!(log_segments(path.parent().unwrap()).len(), 1);
@@ -1399,7 +1507,7 @@ mod tests {
     }
 
     /// The log and snapshot bytes of a scripted run that writes every
-    /// record tag (`mutate` covers all eight by step 3), pinned: a codec
+    /// record tag (`mutate` covers all six by step 3), pinned: a codec
     /// change that moves any byte of either file fails here.
     #[test]
     fn meta_log_bytes_are_pinned() {
@@ -1421,8 +1529,8 @@ mod tests {
         assert_eq!(
             got,
             [
-                (1_840, 0x0e0b_9903_c2d5_631a),
-                (1_166, 0xe3b1_4496_e9e7_b1f6)
+                (1_854, 0x5abb_a30d_ea5d_8be0),
+                (1_310, 0x9bee_fc52_8852_c930)
             ]
         );
         drop(meta);
@@ -1439,16 +1547,6 @@ mod tests {
                 next_migration: b,
                 membership_epoch: c,
             },
-            1 => MetaRecord::RegisterChunk {
-                id: ChunkId(d),
-                info: ChunkInfo {
-                    region: region(lo, hi, c.min(d), c.max(d)),
-                    count: b,
-                    bytes: c,
-                    producer: server,
-                },
-                durable_offset: a,
-            },
             2 => MetaRecord::SetPartition(
                 PartitionSchema::from_boundaries(
                     &[lo / 2 + 1, hi / 2 + 2],
@@ -1457,21 +1555,6 @@ mod tests {
                 )
                 .unwrap(),
             ),
-            3 => MetaRecord::AttrIndex {
-                chunk: ChunkId(a),
-                attr: b as AttrId,
-                index: ChunkAttrIndex::build(&[vec![c; 9], vec![d; 12], vec![a, b, c]], 10),
-            },
-            4 => MetaRecord::Summary {
-                chunk: ChunkId(a),
-                extent: SummaryExtent {
-                    cells: b,
-                    bytes: c,
-                    levels: d as u8,
-                    slice_bits: (d >> 8) as u8,
-                    measure_range: a.is_multiple_of(2).then_some((lo, hi)),
-                },
-            },
             5 => MetaRecord::MemberJoin {
                 server,
                 info: MemberInfo {
@@ -1481,7 +1564,7 @@ mod tests {
                 epoch: d,
             },
             6 => MetaRecord::MemberLeave { server, epoch: d },
-            _ => MetaRecord::Migration {
+            7 => MetaRecord::Migration {
                 rec: MigrationRecord {
                     id: a,
                     keys: KeyInterval::new(lo, hi),
@@ -1490,6 +1573,43 @@ mod tests {
                     cutover_epoch: d.is_multiple_of(2).then_some(d),
                 },
                 epoch: d,
+            },
+            _ => MetaRecord::Flush {
+                producer: server,
+                chunks: vec![
+                    FlushedChunk {
+                        id: ChunkId(d),
+                        info: ChunkInfo {
+                            region: region(lo, hi, c.min(d), c.max(d)),
+                            count: b,
+                            bytes: c,
+                            producer: server,
+                        },
+                        summary: Some(SummaryExtent {
+                            cells: b,
+                            bytes: c,
+                            levels: d as u8,
+                            slice_bits: (d >> 8) as u8,
+                            measure_range: a.is_multiple_of(2).then_some((lo, hi)),
+                        }),
+                        attrs: vec![(
+                            b as AttrId,
+                            ChunkAttrIndex::build(&[vec![c; 9], vec![d; 12], vec![a, b, c]], 10),
+                        )],
+                    },
+                    FlushedChunk {
+                        id: ChunkId(d ^ 1),
+                        info: ChunkInfo {
+                            region: region(lo, hi, 0, c),
+                            count: a,
+                            bytes: d,
+                            producer: other,
+                        },
+                        summary: None,
+                        attrs: Vec::new(),
+                    },
+                ],
+                durable_offset: a,
             },
         }
     }
@@ -1526,7 +1646,7 @@ mod tests {
             seeds in (0..u64::MAX, 0..u64::MAX, 0..u64::MAX, 0..u64::MAX),
             mask in 1u16..256,
         ) {
-            for tag in 0..8 {
+            for &tag in MetaRecord::TAGS {
                 let bytes = frame(&record(tag, seeds.into()));
                 prop_assert_eq!(bytes[0], tag);
                 let decoded = MetaRecord::decode_frame(&bytes);
@@ -1551,7 +1671,9 @@ mod tests {
                     }
                 }
             }
-            prop_assert!(is_corrupt(&MetaRecord::decode_frame(&[8 + (mask % 248) as u8])), "unknown tag");
+            let unknown: Vec<u8> = (0..=u8::MAX).filter(|t| !MetaRecord::TAGS.contains(t)).collect();
+            let tag = unknown[mask as usize % unknown.len()];
+            prop_assert!(is_corrupt(&MetaRecord::decode_frame(&[tag])), "unknown tag {tag}");
         }
 
         /// The snapshot is checksummed: any cut or flipped byte is refused,
@@ -1581,32 +1703,58 @@ mod tests {
         let path = tmp_path("damaged");
         {
             let meta = open(&path).unwrap();
-            let a = meta.allocate_chunk_id().unwrap();
-            meta.register_chunk(a, info(0, 100, 0, 50, 1), 7).unwrap();
+            let a = meta.allocate_chunk_ids(1).unwrap();
+            register(&meta, a, info(0, 100, 0, 50, 1), 7).unwrap();
         }
         let snapshot = fs::read(&path).unwrap();
         let mut flipped = snapshot.clone();
         *flipped.last_mut().unwrap() ^= 0xFF;
         fs::write(&path, &flipped).unwrap();
         assert!(is_corrupt(&open(&path)));
-        // The format before this one is refused by name, whatever follows
-        // the magic — never half-read.
-        let mut old = snapshot.clone();
-        old[..8].copy_from_slice(b"WWMETA01");
-        fs::write(&path, &old).unwrap();
-        let err = open(&path).err().expect("WWMETA01 must not open");
-        assert!(matches!(err, WwError::Corrupt { .. }), "{err:?}");
-        assert!(err.to_string().contains("WWMETA01"), "{err}");
+        // The formats before this one are refused by name, whatever
+        // follows the magic — never half-read.
+        for magic in [b"WWMETA01", b"WWMETA02"] {
+            let mut old = snapshot.clone();
+            old[..8].copy_from_slice(magic);
+            fs::write(&path, &old).unwrap();
+            let name = String::from_utf8_lossy(magic);
+            let err = open(&path).err().expect("an old snapshot must not open");
+            assert!(matches!(err, WwError::Corrupt { .. }), "{err:?}");
+            assert!(err.to_string().contains(&*name), "{err}");
+        }
         fs::write(&path, &snapshot).unwrap();
-
-        // Tear the log's tail: the last record (register_chunk) is
-        // dropped, the one before it (allocate) survives.
         let seg = log_segments(path.parent().unwrap()).remove(0);
+        let log = fs::read(&seg).unwrap();
+
+        // A log frame of a retired record kind — here one chunk's
+        // registration as the old layout wrote it — is refused by its tag.
+        for tag in [1u8, 3, 4] {
+            {
+                let meta = open(&path).unwrap();
+                let mut frame = vec![tag];
+                ChunkId(1).encode(&mut frame);
+                info(0, 100, 0, 50, 1).encode(&mut frame);
+                7u64.encode(&mut frame);
+                let log = &meta.durable.as_ref().unwrap().log;
+                log.append(&frame).unwrap();
+                log.commit().unwrap();
+            }
+            let err = open(&path).err().expect("a retired record must not open");
+            assert!(matches!(err, WwError::Corrupt { .. }), "{err:?}");
+            assert!(err.to_string().contains(&format!("tag {tag}")), "{err}");
+            for stray in log_segments(path.parent().unwrap()) {
+                fs::remove_file(stray).unwrap();
+            }
+            fs::write(&seg, &log).unwrap();
+        }
+
+        // Tear the log's tail: the last record (the flush) is dropped, the
+        // one before it (the id allocation) survives.
         let bytes = fs::read(&seg).unwrap();
         fs::write(&seg, &bytes[..bytes.len() - 3]).unwrap();
         let meta = open(&path).unwrap();
         assert_eq!(meta.chunk_count(), 0);
-        assert_eq!(meta.allocate_chunk_id().unwrap(), ChunkId(1));
+        assert_eq!(meta.allocate_chunk_ids(1).unwrap(), ChunkId(1));
         drop(meta);
         // A flipped bit inside a complete record is corruption.
         let mut bytes = fs::read(&seg).unwrap();

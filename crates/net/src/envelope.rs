@@ -27,9 +27,9 @@ use waterwheel_core::{
     ChunkId, KeyInterval, NodeId, QueryResult, Region, Result, ServerId, StatRow, SubQuery,
     TimeInterval, Tuple, WwError,
 };
-use waterwheel_index::secondary::{AttrId, AttrProbe, ChunkAttrIndex};
+use waterwheel_index::secondary::{AttrId, AttrProbe};
 use waterwheel_index::Bitmap;
-use waterwheel_meta::{ChunkInfo, MemberRole, MembershipView, PartitionSchema, SummaryExtent};
+use waterwheel_meta::{FlushedChunk, MemberRole, MembershipView, PartitionSchema, SummaryExtent};
 
 /// The well-known address of the metadata server (the ZooKeeper-backed
 /// component of §II-B) on the message plane.
@@ -202,6 +202,9 @@ impl Request {
 
 waterwheel_core::wire_enum! {
     /// Calls against the metadata server (§II-B) made by other servers.
+    /// Tags 1–4 (one id, one chunk, one summary extent, one attribute index
+    /// per call) are retired, never reused: a flush is one
+    /// [`MetaRequest::RegisterFlush`].
     #[derive(Clone, Debug)]
     pub enum MetaRequest as "meta request" {
         /// Report an indexing server's current in-memory region (already
@@ -211,34 +214,6 @@ waterwheel_core::wire_enum! {
             server: ServerId,
             /// Its in-memory data region, or `None` when empty/crashed.
             region: Option<Region>,
-        },
-        /// Durably allocate the next chunk id.
-        1 => AllocateChunkId,
-        /// Register a freshly written chunk together with the producer's
-        /// durable queue offset (one atomic step, §V).
-        2 => RegisterChunk {
-            /// The chunk id.
-            chunk: ChunkId,
-            /// Region, count, size, producer.
-            info: ChunkInfo,
-            /// The producer's queue position before sealing.
-            durable_offset: u64,
-        },
-        /// Register the aggregate-summary extent sealed into a chunk's footer.
-        3 => RegisterSummary {
-            /// The chunk.
-            chunk: ChunkId,
-            /// Cells/bytes/levels of its footer summary.
-            extent: SummaryExtent,
-        },
-        /// Register a secondary attribute index for a chunk (§VIII).
-        4 => RegisterAttrIndex {
-            /// The chunk.
-            chunk: ChunkId,
-            /// The attribute.
-            attr: AttrId,
-            /// The bloom + bitmap index.
-            index: ChunkAttrIndex,
         },
         /// R-tree lookup: chunks whose regions overlap the query rectangle.
         5 => ChunksOverlapping {
@@ -329,6 +304,25 @@ waterwheel_core::wire_enum! {
             /// The record's id, from [`MetaResponse::Migration`].
             id: u64,
         },
+        /// Durably allocate `n` consecutive chunk ids; answered with the
+        /// first as [`MetaResponse::Allocated`].
+        18 => AllocateChunkIds {
+            /// How many ids.
+            n: u64,
+        },
+        /// Register a flush in one atomic step (§V): its chunks with their
+        /// summary extents and attribute indexes, the producer's durable
+        /// queue offset, and its memory region after the flush.
+        19 => RegisterFlush {
+            /// The flushing indexing server.
+            producer: ServerId,
+            /// Every chunk the flush wrote.
+            chunks: Vec<FlushedChunk>,
+            /// The producer's queue position at the seal.
+            durable_offset: u64,
+            /// Its in-memory data region after the flush, or `None`.
+            region: Option<Region>,
+        },
     }
 }
 
@@ -382,7 +376,7 @@ waterwheel_core::wire_enum! {
     pub enum MetaResponse as "meta response" {
         /// The mutation was applied.
         0 => Ack,
-        /// A freshly allocated chunk id.
+        /// The first of a block of freshly allocated chunk ids.
         1 => Allocated(ChunkId),
         /// Overlapping chunks with their regions.
         2 => Chunks(Vec<(ChunkId, Region)>),

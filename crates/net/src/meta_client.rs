@@ -9,23 +9,31 @@
 //! thereby shares the plane's deadlines, retries, fault injection, and
 //! per-link stats with every other hop.
 //!
+//! A flush costs two metadata calls, whatever its number of chunks and
+//! attributes: `allocate_chunk_ids` for its block of ids, then one
+//! `register_flush` carrying the chunks, their summary extents and
+//! attribute indexes, the durable offset and the memory region.
+//!
 //! Safe to retry: every metadata mutation is idempotent or
-//! conflict-checked by the service (`register_chunk` rejects duplicate
-//! ids; `update_memory_region` is last-writer-wins from a single owner;
-//! `allocate_chunk_id` may burn an id on a lost *response*, which only
-//! leaves a gap in the sequence; `set_partition` accepts a repeat of the
-//! installed schema; `begin_migration` answers a repeat of an identical
-//! in-flight move with the record it already wrote; `complete_migration`
-//! returns the epoch it already stamped).
+//! conflict-checked by the service:
+//! * `register_flush` answers an identical repeat of a registered flush
+//!   `Ok`, so a lost ack costs nothing, and refuses a conflicting one;
+//! * `update_memory_region` is last-writer-wins from a single owner;
+//! * `allocate_chunk_ids` may burn ids on a lost *response*, which only
+//!   leaves a gap in the sequence;
+//! * `set_partition` accepts a repeat of the installed schema;
+//! * `begin_migration` answers a repeat of an identical in-flight move
+//!   with the record it already wrote;
+//! * `complete_migration` returns the epoch it already stamped.
 
 use crate::client::RpcClient;
 use crate::envelope::{MetaRequest, MetaResponse, Request, Response, META_SERVER};
 use crate::transport::HandlerRegistry;
 use std::time::Duration;
 use waterwheel_core::{ChunkId, KeyInterval, NodeId, Region, Result, ServerId, WwError};
-use waterwheel_index::secondary::{AttrId, AttrProbe, ChunkAttrIndex};
+use waterwheel_index::secondary::{AttrId, AttrProbe};
 use waterwheel_meta::{
-    ChunkInfo, MemberRole, MembershipView, MetadataService, PartitionSchema, SummaryExtent,
+    FlushedChunk, MemberRole, MembershipView, MetadataService, PartitionSchema, SummaryExtent,
 };
 
 /// Binds `meta` at [`META_SERVER`] on `registry` (whichever transport
@@ -133,22 +141,19 @@ meta_verbs! { |meta|
     fn update_memory_region(server: ServerId, region: Option<Region>) -> ()
         = UpdateMemoryRegion { server, region }
         => Ack(meta.update_memory_region(server, region));
-    /// See [`MetadataService::allocate_chunk_id`].
-    fn allocate_chunk_id() -> ChunkId
-        = AllocateChunkId
-        => Allocated(meta.allocate_chunk_id()?);
-    /// See [`MetadataService::register_chunk`].
-    fn register_chunk(chunk: ChunkId, info: ChunkInfo, durable_offset: u64) -> ()
-        = RegisterChunk { chunk, info, durable_offset }
-        => Ack(meta.register_chunk(chunk, info, durable_offset)?);
-    /// See [`MetadataService::register_summary`].
-    fn register_summary(chunk: ChunkId, extent: SummaryExtent) -> ()
-        = RegisterSummary { chunk, extent }
-        => Ack(meta.register_summary(chunk, extent)?);
-    /// See [`MetadataService::register_attr_index`].
-    fn register_attr_index(chunk: ChunkId, attr: AttrId, index: ChunkAttrIndex) -> ()
-        = RegisterAttrIndex { chunk, attr, index }
-        => Ack(meta.register_attr_index(chunk, attr, index)?);
+    /// See [`MetadataService::allocate_chunk_ids`].
+    fn allocate_chunk_ids(n: u64) -> ChunkId
+        = AllocateChunkIds { n }
+        => Allocated(meta.allocate_chunk_ids(n)?);
+    /// See [`MetadataService::register_flush`].
+    fn register_flush(
+        producer: ServerId,
+        chunks: Vec<FlushedChunk>,
+        durable_offset: u64,
+        region: Option<Region>
+    ) -> ()
+        = RegisterFlush { producer, chunks, durable_offset, region }
+        => Ack(meta.register_flush(producer, chunks, durable_offset, region)?);
     /// See [`MetadataService::chunks_overlapping`].
     fn chunks_overlapping(region: &Region) -> Vec<(ChunkId, Region)>
         = ChunksOverlapping { region: *region }
@@ -210,6 +215,8 @@ mod tests {
     use crate::transport::{FaultPlane, InProcTransport, LinkProfile, Transport};
     use std::sync::Arc;
     use waterwheel_core::SystemConfig;
+    use waterwheel_index::secondary::ChunkAttrIndex;
+    use waterwheel_meta::ChunkInfo;
 
     fn rig() -> (Arc<FaultPlane>, MetaClient, MetadataService) {
         let inproc = InProcTransport::with_registry(None, Arc::default());
@@ -231,22 +238,39 @@ mod tests {
         )
     }
 
+    fn chunk(id: ChunkId, lo: u64, summary: Option<SummaryExtent>) -> FlushedChunk {
+        FlushedChunk {
+            id,
+            info: ChunkInfo {
+                region: region(lo, lo + 100),
+                count: 10,
+                bytes: 160,
+                producer: ServerId(0),
+            },
+            summary,
+            attrs: Vec::new(),
+        }
+    }
+
+    const EXTENT: SummaryExtent = SummaryExtent {
+        cells: 4,
+        bytes: 64,
+        levels: 1,
+        slice_bits: 4,
+        measure_range: Some((7, 99)),
+    };
+
     #[test]
     fn stub_round_trips_every_call() {
         let (_t, client, meta) = rig();
-        let id = client.allocate_chunk_id().unwrap();
-        let info = ChunkInfo {
-            region: region(0, 100),
-            count: 10,
-            bytes: 160,
-            producer: ServerId(0),
-        };
-        client.register_chunk(id, info, 10).unwrap();
-        assert_eq!(meta.chunk_count(), 1);
-
+        let a = client.allocate_chunk_ids(2).unwrap();
+        let b = ChunkId(a.raw() + 1);
+        let chunks = vec![chunk(a, 0, None), chunk(b, 300, Some(EXTENT))];
         client
-            .update_memory_region(ServerId(0), Some(region(100, 200)))
+            .register_flush(ServerId(0), chunks, 10, Some(region(100, 200)))
             .unwrap();
+        assert_eq!(meta.chunk_count(), 2);
+        assert_eq!(client.durable_offset(ServerId(0)).unwrap(), 10);
         assert_eq!(
             client
                 .memory_regions_overlapping(&region(150, 160))
@@ -260,22 +284,14 @@ mod tests {
             .is_empty());
 
         let overlapping = client.chunks_overlapping(&region(50, 60)).unwrap();
-        assert_eq!(overlapping, vec![(id, region(0, 100))]);
+        assert_eq!(overlapping, vec![(a, region(0, 100))]);
 
-        assert!(client.summary_extent(id).unwrap().is_none());
-        let extent = SummaryExtent {
-            cells: 4,
-            bytes: 64,
-            levels: 1,
-            slice_bits: 4,
-            measure_range: Some((7, 99)),
-        };
-        client.register_summary(id, extent).unwrap();
-        assert_eq!(client.summary_extent(id).unwrap(), Some(extent));
+        assert!(client.summary_extent(a).unwrap().is_none());
+        assert_eq!(client.summary_extent(b).unwrap(), Some(EXTENT));
 
         // Probing a chunk with no attr index is Unknown, never Absent.
         assert!(matches!(
-            client.attr_probe(id, 1, 42).unwrap(),
+            client.attr_probe(a, 1, 42).unwrap(),
             AttrProbe::Unknown
         ));
     }
@@ -283,18 +299,42 @@ mod tests {
     #[test]
     fn service_errors_pass_through_untouched() {
         let (t, client, _meta) = rig();
-        let info = ChunkInfo {
-            region: region(0, 1),
-            count: 1,
-            bytes: 16,
-            producer: ServerId(0),
-        };
-        // Registering the same id twice fails in the service, and the
-        // error arrives as-is (not wrapped as a delivery failure).
-        client.register_chunk(ChunkId(99), info, 0).unwrap();
-        let e = client.register_chunk(ChunkId(99), info, 0).unwrap_err();
+        let flush = |chunk| client.register_flush(ServerId(0), vec![chunk], 0, None);
+        flush(chunk(ChunkId(99), 0, None)).unwrap();
+        // A conflicting repeat — the same id with other facts — fails in
+        // the service, and the error arrives as-is (not wrapped as a
+        // delivery failure).
+        let e = flush(chunk(ChunkId(99), 5, None)).unwrap_err();
         assert!(!e.is_retryable(), "service answer must not look retryable");
         assert_eq!(t.stats().totals().retried, 0);
+    }
+
+    #[test]
+    fn a_flush_whose_acks_are_lost_registers_exactly_once() {
+        let (t, client, meta) = rig();
+        let index = |v| ChunkAttrIndex::build(&[vec![v; 10], vec![v + 1; 10]], 10);
+        let mut main = chunk(ChunkId(0), 0, Some(EXTENT));
+        main.attrs = vec![(1, index(5)), (2, index(9))];
+        let mut side = chunk(ChunkId(1), 300, Some(EXTENT));
+        side.attrs = vec![(1, index(6)), (2, index(10))];
+        let flush =
+            || client.register_flush(ServerId(0), vec![main.clone(), side.clone()], 77, None);
+        // Every response is lost: the handler runs on each of the 31
+        // attempts, and all of them must land on the same flush.
+        t.set_default_profile(LinkProfile {
+            response_loss: 1.0,
+            ..LinkProfile::default()
+        });
+        let err = flush();
+        assert!(matches!(err, Err(WwError::Timeout(_))), "{err:?}");
+        assert!(t.stats().totals().retried > 0);
+        t.clear_faults();
+        flush().unwrap();
+        assert_eq!(meta.chunk_count(), 2);
+        assert_eq!(meta.summary_count(), 2);
+        assert_eq!(meta.attr_index_count(), 4);
+        assert_eq!(meta.durable_offset(ServerId(0)), 77);
+        assert_eq!(meta.chunk_info(ChunkId(1)), Some(side.info));
     }
 
     #[test]
@@ -355,14 +395,11 @@ mod tests {
             ..LinkProfile::default()
         });
         for _ in 0..20 {
-            let id = client.allocate_chunk_id().unwrap();
-            let info = ChunkInfo {
-                region: region(id.raw() * 10, id.raw() * 10 + 9),
-                count: 1,
-                bytes: 16,
-                producer: ServerId(0),
-            };
-            client.register_chunk(id, info, 0).unwrap();
+            let id = client.allocate_chunk_ids(1).unwrap();
+            let flushed = chunk(id, id.raw() * 200, None);
+            client
+                .register_flush(ServerId(0), vec![flushed], id.raw(), None)
+                .unwrap();
         }
         assert_eq!(meta.chunk_count(), 20);
         assert!(t.stats().totals().retried > 0);

@@ -1544,7 +1544,7 @@ mod tests {
         let queries: Vec<_> = (0..3).map(|_| rig.queue(client_query())).collect();
         rig.shed(client_query());
         // …and metadata only two, so it is shed too…
-        rig.shed(Request::Meta(MetaRequest::AllocateChunkId));
+        rig.shed(Request::Meta(MetaRequest::Partition));
         // …while ingest still finds the last slot and is answered.
         let ingest = rig.queue(batch());
         rig.release();
@@ -1562,7 +1562,7 @@ mod tests {
     fn queued_requests_run_ingest_then_query_then_metadata() {
         let mut rig = HeldWorker::new();
         let queued = [
-            rig.queue(Request::Meta(MetaRequest::AllocateChunkId)),
+            rig.queue(Request::Meta(MetaRequest::Partition)),
             rig.queue(client_query()),
             rig.queue(batch()),
         ];

@@ -258,7 +258,9 @@ mod tests {
         SubQueryTarget, TimeInterval, Tuple,
     };
     use waterwheel_index::secondary::AttrProbe;
-    use waterwheel_meta::{ChunkInfo, MemberRole, MembershipView, PartitionSchema, SummaryExtent};
+    use waterwheel_meta::{
+        ChunkInfo, FlushedChunk, MemberRole, MembershipView, PartitionSchema, SummaryExtent,
+    };
 
     fn env(payload: Request) -> Envelope {
         Envelope {
@@ -376,26 +378,28 @@ mod tests {
                 server: ServerId(1),
                 region: None,
             },
-            MetaRequest::AllocateChunkId,
-            MetaRequest::RegisterChunk {
-                chunk: ChunkId(4),
-                info: ChunkInfo {
-                    region,
-                    count: 10,
-                    bytes: 200,
-                    producer: ServerId(2),
-                },
+            MetaRequest::AllocateChunkIds { n: 2 },
+            MetaRequest::RegisterFlush {
+                producer: ServerId(2),
+                chunks: vec![FlushedChunk {
+                    id: ChunkId(4),
+                    info: ChunkInfo {
+                        region,
+                        count: 10,
+                        bytes: 200,
+                        producer: ServerId(2),
+                    },
+                    summary: Some(SummaryExtent {
+                        cells: 8,
+                        bytes: 320,
+                        levels: 0b101,
+                        slice_bits: 4,
+                        measure_range: Some((12, 8_000)),
+                    }),
+                    attrs: Vec::new(),
+                }],
                 durable_offset: 77,
-            },
-            MetaRequest::RegisterSummary {
-                chunk: ChunkId(4),
-                extent: SummaryExtent {
-                    cells: 8,
-                    bytes: 320,
-                    levels: 0b101,
-                    slice_bits: 4,
-                    measure_range: Some((12, 8_000)),
-                },
+                region: None,
             },
             MetaRequest::ChunksOverlapping { region },
             MetaRequest::MemoryRegionsOverlapping { region },
@@ -672,7 +676,7 @@ mod tests {
 
     #[test]
     fn meta_server_request_round_trips_to_the_meta_address() {
-        let mut e = env(Request::Meta(MetaRequest::AllocateChunkId));
+        let mut e = env(Request::Meta(MetaRequest::Partition));
         e.dst = META_SERVER;
         let frame = encode_request(3, &e);
         let body = read_frame(&mut &frame[..]).unwrap().unwrap();

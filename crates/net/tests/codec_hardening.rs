@@ -14,7 +14,9 @@ use waterwheel_core::{
 };
 use waterwheel_index::secondary::{AttrProbe, ChunkAttrIndex};
 use waterwheel_index::Bitmap;
-use waterwheel_meta::{ChunkInfo, MemberRole, MembershipView, PartitionSchema, SummaryExtent};
+use waterwheel_meta::{
+    ChunkInfo, FlushedChunk, MemberRole, MembershipView, PartitionSchema, SummaryExtent,
+};
 use waterwheel_net::envelope::{Envelope, MetaRequest, MetaResponse, Request, Response};
 use waterwheel_net::wire::{self, Frame};
 
@@ -117,8 +119,39 @@ impl Gen {
         }
     }
 
+    fn attr_index(&mut self) -> ChunkAttrIndex {
+        let leaves = self.below(8) as usize;
+        let mut leaf_values = Vec::with_capacity(leaves);
+        for _ in 0..leaves {
+            let n = self.below(6) as usize;
+            let vals: Vec<u64> = (0..n).map(|_| self.below(100)).collect();
+            leaf_values.push(vals);
+        }
+        ChunkAttrIndex::build(&leaf_values, 8)
+    }
+
+    fn flushed_chunk(&mut self) -> FlushedChunk {
+        FlushedChunk {
+            id: ChunkId(self.next()),
+            info: ChunkInfo {
+                region: self.region(),
+                count: self.next(),
+                bytes: self.next(),
+                producer: ServerId(self.next() as u32),
+            },
+            summary: if self.below(2) == 0 {
+                None
+            } else {
+                Some(self.summary_extent())
+            },
+            attrs: (0..self.below(3))
+                .map(|_| (self.next() as u16, self.attr_index()))
+                .collect(),
+        }
+    }
+
     fn meta_request(&mut self) -> MetaRequest {
-        match self.below(18) {
+        match self.below(16) {
             0 => MetaRequest::UpdateMemoryRegion {
                 server: ServerId(self.next() as u32),
                 region: if self.below(2) == 0 {
@@ -127,76 +160,58 @@ impl Gen {
                     Some(self.region())
                 },
             },
-            1 => MetaRequest::AllocateChunkId,
-            2 => MetaRequest::RegisterChunk {
-                chunk: ChunkId(self.next()),
-                info: ChunkInfo {
-                    region: self.region(),
-                    count: self.next(),
-                    bytes: self.next(),
-                    producer: ServerId(self.next() as u32),
-                },
+            1 => MetaRequest::AllocateChunkIds { n: self.next() },
+            2 => MetaRequest::RegisterFlush {
+                producer: ServerId(self.next() as u32),
+                chunks: (0..self.below(3)).map(|_| self.flushed_chunk()).collect(),
                 durable_offset: self.next(),
+                region: if self.below(2) == 0 {
+                    None
+                } else {
+                    Some(self.region())
+                },
             },
-            3 => MetaRequest::RegisterSummary {
-                chunk: ChunkId(self.next()),
-                extent: self.summary_extent(),
-            },
-            4 => {
-                let leaves = self.below(8) as usize;
-                let mut leaf_values = Vec::with_capacity(leaves);
-                for _ in 0..leaves {
-                    let n = self.below(6) as usize;
-                    let vals: Vec<u64> = (0..n).map(|_| self.below(100)).collect();
-                    leaf_values.push(vals);
-                }
-                MetaRequest::RegisterAttrIndex {
-                    chunk: ChunkId(self.next()),
-                    attr: self.next() as u16,
-                    index: ChunkAttrIndex::build(&leaf_values, 8),
-                }
-            }
-            5 => MetaRequest::ChunksOverlapping {
+            3 => MetaRequest::ChunksOverlapping {
                 region: self.region(),
             },
-            6 => MetaRequest::MemoryRegionsOverlapping {
+            4 => MetaRequest::MemoryRegionsOverlapping {
                 region: self.region(),
             },
-            7 => MetaRequest::AttrProbe {
+            5 => MetaRequest::AttrProbe {
                 chunk: ChunkId(self.next()),
                 attr: self.next() as u16,
                 value: self.next(),
             },
-            8 => MetaRequest::SummaryExtent {
+            6 => MetaRequest::SummaryExtent {
                 chunk: ChunkId(self.next()),
             },
-            9 => MetaRequest::BeginMigration {
+            7 => MetaRequest::BeginMigration {
                 keys: self.interval_keys(),
                 from: ServerId(self.next() as u32),
                 to: ServerId(self.next() as u32),
             },
-            10 => MetaRequest::CompleteMigration { id: self.next() },
-            11 => {
+            8 => MetaRequest::CompleteMigration { id: self.next() },
+            9 => {
                 let servers: Vec<ServerId> = (0..=self.below(6) as u32).map(ServerId).collect();
                 MetaRequest::SetPartition {
                     schema: PartitionSchema::uniform(&servers),
                 }
             }
-            12 => MetaRequest::Partition,
-            13 => MetaRequest::DurableOffset {
+            10 => MetaRequest::Partition,
+            11 => MetaRequest::DurableOffset {
                 server: ServerId(self.next() as u32),
             },
-            14 => MetaRequest::Join {
+            12 => MetaRequest::Join {
                 server: ServerId(self.next() as u32),
                 role: self.member_role(),
                 node: NodeId(self.next() as u32),
                 ttl_ms: self.next(),
             },
-            15 => MetaRequest::Heartbeat {
+            13 => MetaRequest::Heartbeat {
                 server: ServerId(self.next() as u32),
                 ttl_ms: self.next(),
             },
-            16 => MetaRequest::Leave {
+            14 => MetaRequest::Leave {
                 server: ServerId(self.next() as u32),
             },
             _ => MetaRequest::Membership,
@@ -682,7 +697,6 @@ fn pinned_frames() -> [(&'static str, Vec<Vec<u8>>); 5] {
         measure_range: Some((12, 8_000)),
     };
     let schema = PartitionSchema::uniform(&[ServerId(0), ServerId(1), ServerId(2)]);
-    let index = ChunkAttrIndex::build(&[vec![7; 9], vec![7, 9, 9, 9, 9, 9], vec![100]], 10);
     let summary = WheelSummary::build((0..50u64).map(|i| (i * 13, i * 1_000, i)), 4, 64);
     let view = MembershipView {
         epoch: 4,
@@ -693,26 +707,6 @@ fn pinned_frames() -> [(&'static str, Vec<Vec<u8>>); 5] {
         MetaRequest::UpdateMemoryRegion {
             server: ServerId(1),
             region: Some(region),
-        },
-        MetaRequest::AllocateChunkId,
-        MetaRequest::RegisterChunk {
-            chunk: ChunkId(4),
-            info: ChunkInfo {
-                region,
-                count: 10,
-                bytes: 200,
-                producer: ServerId(2),
-            },
-            durable_offset: 77,
-        },
-        MetaRequest::RegisterSummary {
-            chunk: ChunkId(4),
-            extent,
-        },
-        MetaRequest::RegisterAttrIndex {
-            chunk: ChunkId(4),
-            attr: 3,
-            index,
         },
         MetaRequest::ChunksOverlapping { region },
         MetaRequest::MemoryRegionsOverlapping { region },
@@ -773,7 +767,7 @@ fn pinned_frames() -> [(&'static str, Vec<Vec<u8>>); 5] {
         },
         Request::ReadSummary { chunk: ChunkId(6) },
         Request::Ping,
-        Request::Meta(MetaRequest::AllocateChunkId),
+        Request::Meta(MetaRequest::Partition),
         Request::ClientQuery {
             keys: KeyInterval::new(0, 99),
             times: TimeInterval::new(5, 6),
@@ -933,11 +927,79 @@ fn wire_frames_are_pinned() {
     assert_eq!(
         got,
         [
-            ("requests", 15, 1_032, 0x4894_eeec_449b_5d13),
-            ("meta requests", 18, 1_173, 0x082a_c614_eb10_d783),
+            ("requests", 15, 1_032, 0xc405_a323_544c_d93b),
+            ("meta requests", 14, 828, 0xbca9_7676_ca7a_43e2),
             ("responses", 12, 3_364, 0xc46b_1872_3a72_fa00),
             ("meta responses", 11, 518, 0x3b38_c70d_4136_35f5),
             ("errors", 10, 293, 0x3baa_e0aa_e892_b1a9),
         ]
     );
+}
+
+/// The two verbs a flush sends, pinned on a line of their own: the id
+/// block, then one registration carrying a main chunk (summary, two
+/// attribute indexes) and a bare side chunk.
+#[test]
+fn flush_registration_frames_are_pinned() {
+    let region = Region::new(KeyInterval::new(3, 900), TimeInterval::new(40, 7_000));
+    let index = |v| ChunkAttrIndex::build(&[vec![v; 9], vec![v, 9, 9, 9, 9, 9], vec![100]], 10);
+    let info = ChunkInfo {
+        region,
+        count: 10,
+        bytes: 200,
+        producer: ServerId(2),
+    };
+    let requests = [
+        MetaRequest::AllocateChunkIds { n: 2 },
+        MetaRequest::RegisterFlush {
+            producer: ServerId(2),
+            chunks: vec![
+                FlushedChunk {
+                    id: ChunkId(4),
+                    info,
+                    summary: Some(SummaryExtent {
+                        cells: 8,
+                        bytes: 320,
+                        levels: 0b101,
+                        slice_bits: 4,
+                        measure_range: Some((12, 8_000)),
+                    }),
+                    attrs: vec![(3, index(7)), (5, index(8))],
+                },
+                FlushedChunk {
+                    id: ChunkId(5),
+                    info: ChunkInfo {
+                        region: Region::full(),
+                        count: 3,
+                        ..info
+                    },
+                    summary: None,
+                    attrs: Vec::new(),
+                },
+            ],
+            durable_offset: 77,
+            region: Some(region),
+        },
+    ];
+    let frames: Vec<Vec<u8>> = requests
+        .into_iter()
+        .enumerate()
+        .map(|(i, req)| {
+            let env = Envelope {
+                src: ServerId(2),
+                dst: waterwheel_net::META_SERVER,
+                rpc_id: 42 + i as u64,
+                deadline: Instant::now(),
+                payload: Request::Meta(req),
+            };
+            wire::encode_request(7 + i as u64, &env)
+        })
+        .collect();
+    let bytes = frames.concat();
+    let got = (
+        frames.len(),
+        bytes.len(),
+        waterwheel_core::codec::fnv1a(&bytes),
+    );
+    assert_eq!(got, (2, 434, 0x0da4_f03c_2744_4881));
 }

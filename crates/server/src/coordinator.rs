@@ -751,7 +751,7 @@ mod tests {
     use crate::query_server::QueryServer;
     use waterwheel_cluster::LatencyModel;
     use waterwheel_core::{KeyInterval, NodeId, Region, SystemConfig, TimeInterval};
-    use waterwheel_meta::{ChunkInfo, MetadataService};
+    use waterwheel_meta::{ChunkInfo, FlushedChunk, MetadataService};
     use waterwheel_mq::{Consumer, MessageQueue};
     use waterwheel_net::{serve_meta, InProcTransport, Response, Transport, COORDINATOR};
     use waterwheel_storage::SimDfs;
@@ -846,31 +846,29 @@ mod tests {
         )
     }
 
+    /// Registers a flush of one chunk of `region` from indexing server 0.
+    fn register(meta: &MetadataService, id: u64, region: Region) {
+        let info = ChunkInfo {
+            region,
+            count: 1,
+            bytes: 10,
+            producer: ServerId(0),
+        };
+        let chunk = FlushedChunk {
+            id: ChunkId(id),
+            info,
+            summary: None,
+            attrs: Vec::new(),
+        };
+        meta.register_flush(ServerId(0), vec![chunk], 0, None)
+            .unwrap();
+    }
+
     #[test]
     fn decompose_emits_one_subquery_per_overlapping_region() {
         let (coord, meta) = coordinator("decompose");
-        meta.register_chunk(
-            ChunkId(0),
-            ChunkInfo {
-                region: region(0, 100, 0, 100),
-                count: 1,
-                bytes: 10,
-                producer: ServerId(0),
-            },
-            0,
-        )
-        .unwrap();
-        meta.register_chunk(
-            ChunkId(1),
-            ChunkInfo {
-                region: region(200, 300, 0, 100),
-                count: 1,
-                bytes: 10,
-                producer: ServerId(0),
-            },
-            0,
-        )
-        .unwrap();
+        register(&meta, 0, region(0, 100, 0, 100));
+        register(&meta, 1, region(200, 300, 0, 100));
         meta.update_memory_region(ServerId(0), Some(region(0, 1_000, 100, 200)));
 
         let q = Query::range(KeyInterval::new(50, 250), TimeInterval::new(50, 150));
@@ -894,17 +892,7 @@ mod tests {
     #[test]
     fn decompose_skips_disjoint_regions() {
         let (coord, meta) = coordinator("disjoint");
-        meta.register_chunk(
-            ChunkId(0),
-            ChunkInfo {
-                region: region(0, 10, 0, 10),
-                count: 1,
-                bytes: 10,
-                producer: ServerId(0),
-            },
-            0,
-        )
-        .unwrap();
+        register(&meta, 0, region(0, 10, 0, 10));
         let q = Query::range(KeyInterval::new(500, 600), TimeInterval::new(0, 10));
         assert!(coord.decompose(&q, QueryId(0)).unwrap().is_empty());
     }

@@ -5,8 +5,9 @@
 //! consumes its partition of the input queue, inserts tuples into an
 //! in-memory [`TemplateBTree`], and — once the accumulated bytes reach the
 //! chunk-size threshold — seals the tree into an immutable chunk on the
-//! simulated DFS, registering the chunk region *and* the durable read
-//! offset with the metadata server in one step (§V).
+//! simulated DFS and registers the flush with the metadata server in one
+//! step (§V): every chunk it wrote, with its summary extent and attribute
+//! indexes, the durable read offset and the memory region left behind.
 //!
 //! Late arrivals (§IV-D): the server keeps a high-water timestamp. Tuples
 //! no more than Δt behind it enter the main tree, whose reported region is
@@ -18,13 +19,18 @@
 //! partition from the durable offset; the rebuilt tree is identical because
 //! inserts are deterministic.
 //!
-//! Retention: once every chunk of a flush is registered, the server — its
-//! partition's one reader — trims the queue below the offset the flush
-//! made durable, so the queue holds the unflushed tail, not the history.
+//! Retention: once a flush is registered, the server — its partition's one
+//! reader — trims the queue below the offset the flush made durable, so the
+//! queue holds the unflushed tail, not the history.
 //!
-//! All metadata interactions (region reports, chunk/summary/attr-index
-//! registration, id allocation) go through a [`MetaClient`] — typed RPCs on
-//! the message plane, subject to its deadlines, retries, and faults.
+//! All metadata interactions go through a [`MetaClient`] — typed RPCs on
+//! the message plane, subject to its deadlines, retries, and faults. A
+//! flush makes two, whatever its number of chunks and attributes: one for
+//! its block of chunk ids, one to register it. A flush cut anywhere before
+//! its registration lands registers nothing, and its chunk files, named by
+//! ids no registration holds, are never read; a restart replays its tuples
+//! from the previous offset. Pumps report the memory region between
+//! flushes.
 
 use crate::attributes::AttrRegistry;
 use parking_lot::Mutex;
@@ -38,7 +44,7 @@ use waterwheel_core::{
 };
 use waterwheel_index::secondary::ChunkAttrIndex;
 use waterwheel_index::{BloomConfig, IndexConfig, SealedTree, TemplateBTree, TupleIndex};
-use waterwheel_meta::{ChunkInfo, SummaryExtent};
+use waterwheel_meta::{ChunkInfo, FlushedChunk, SummaryExtent};
 use waterwheel_mq::{Backlog, Consumer};
 use waterwheel_net::MetaClient;
 use waterwheel_storage::{write_chunk_opts, ChunkWriteOptions, SimDfs, VERSION_V2};
@@ -109,9 +115,6 @@ pub struct IndexingServer {
     consumer: Mutex<Consumer>,
     /// The consumer's partition, trimmed after each registered flush.
     backlog: Backlog,
-    /// The offset the last registered flush made durable (the consumer's
-    /// start position before any).
-    registered_offset: AtomicU64,
     /// Whether a trim may delete journal segments too (see
     /// [`Self::set_journal_trim`]).
     journal_trim: AtomicBool,
@@ -128,7 +131,7 @@ pub struct IndexingServer {
     /// Measure extractor feeding the wheel; shared with the coordinator so
     /// summary cells and scan folds agree. Install before ingesting.
     measure: parking_lot::RwLock<MeasureFn>,
-    /// Held for a whole `flush`, seal through chunk registration.
+    /// Held for a whole `flush`, seal through its registration.
     flushing: Mutex<()>,
 }
 
@@ -152,7 +155,6 @@ impl IndexingServer {
             side_bytes: AtomicU64::new(0),
             high_water: AtomicU64::new(0),
             backlog: consumer.backlog(),
-            registered_offset: AtomicU64::new(consumer.position()),
             journal_trim: AtomicBool::new(false),
             consumer: Mutex::new(consumer),
             dfs,
@@ -188,25 +190,6 @@ impl IndexingServer {
     /// disagree with tuple scans.
     pub fn set_measure(&self, measure: MeasureFn) {
         *self.measure.write() = measure;
-    }
-
-    /// Builds and registers the secondary attribute indexes for a freshly
-    /// written chunk (paper §VIII: bloom + bitmap secondary indexes).
-    fn register_attr_indexes(&self, chunk: ChunkId, sealed: &SealedTree) -> Result<()> {
-        let attrs = self.attrs.read().clone();
-        for attr in attrs.ids() {
-            let Some(extract) = attrs.get(attr) else {
-                continue;
-            };
-            let leaf_values: Vec<Vec<u64>> = sealed
-                .leaves
-                .iter()
-                .map(|leaf| leaf.entries.iter().filter_map(|t| extract(t)).collect())
-                .collect();
-            let index = ChunkAttrIndex::build(&leaf_values, BloomConfig::default().bits_per_entry);
-            self.meta.register_attr_index(chunk, attr, index)?;
-        }
-        Ok(())
     }
 
     /// This server's id.
@@ -283,7 +266,8 @@ impl IndexingServer {
             n
         };
         if n > 0 {
-            self.report_memory_region()?;
+            self.meta
+                .update_memory_region(self.id, self.memory_region())?;
         }
         // The side store counts toward the threshold: a stream of very-late
         // tuples never grows the tree, and every query walks the store.
@@ -384,11 +368,6 @@ impl IndexingServer {
         region
     }
 
-    fn report_memory_region(&self) -> Result<()> {
-        self.meta
-            .update_memory_region(self.id, self.memory_region())
-    }
-
     /// Executes a subquery against the in-memory state (main tree + side
     /// store) — the fresh-data path of §IV-A.
     pub fn query_in_memory(&self, sq: &SubQuery) -> Result<Vec<Tuple>> {
@@ -409,17 +388,17 @@ impl IndexingServer {
         Ok(out)
     }
 
-    /// Writes one sealed tree to the DFS as a chunk — with its aggregate
-    /// summary, if any, sealed into the footer — and registers the chunk,
-    /// summary extent, and attribute indexes with metadata.
-    fn write_and_register(
+    /// Writes one sealed tree to the DFS as chunk `id` — with its
+    /// aggregate summary, if any, sealed into the footer — and returns what
+    /// the flush registers about it, secondary attribute indexes included
+    /// (paper §VIII: bloom + bitmap secondary indexes).
+    fn write_chunk(
         &self,
+        id: ChunkId,
         sealed: &SealedTree,
         summary: Option<&WheelSummary>,
-        durable_offset: u64,
-    ) -> Result<ChunkId> {
+    ) -> Result<FlushedChunk> {
         let measure = self.measure.read().clone();
-        let id = self.meta.allocate_chunk_id()?;
         // The same measure feeds the summary cells and the MIN/MAX bounds,
         // so footer pruning and summary folds agree.
         let bytes = write_chunk_opts(
@@ -432,40 +411,44 @@ impl IndexingServer {
             },
         );
         self.dfs.write_chunk(id, &bytes)?;
-        self.meta.register_chunk(
+        let extent = summary.map(|summary| SummaryExtent {
+            cells: summary.cell_count() as u64,
+            bytes: summary.encoded_len() as u64,
+            levels: summary.levels(),
+            slice_bits: summary.slice_bits(),
+            measure_range: summary.measure_bounds(),
+        });
+        self.stats
+            .summary_bytes_flushed
+            .fetch_add(extent.map_or(0, |e| e.bytes), Ordering::Relaxed);
+        let attrs = self.attrs.read().clone();
+        let attrs = attrs.ids().into_iter().filter_map(|attr| {
+            let extract = attrs.get(attr)?;
+            let leaf_values: Vec<Vec<u64>> = sealed
+                .leaves
+                .iter()
+                .map(|leaf| leaf.entries.iter().filter_map(|t| extract(t)).collect())
+                .collect();
+            let index = ChunkAttrIndex::build(&leaf_values, BloomConfig::default().bits_per_entry);
+            Some((attr, index))
+        });
+        Ok(FlushedChunk {
             id,
-            ChunkInfo {
+            info: ChunkInfo {
                 region: sealed.region,
                 count: sealed.count as u64,
                 bytes: bytes.len() as u64,
                 producer: self.id,
             },
-            durable_offset,
-        )?;
-        if let Some(summary) = summary {
-            let encoded_len = summary.encoded_len() as u64;
-            self.meta.register_summary(
-                id,
-                SummaryExtent {
-                    cells: summary.cell_count() as u64,
-                    bytes: encoded_len,
-                    levels: summary.levels(),
-                    slice_bits: summary.slice_bits(),
-                    measure_range: summary.measure_bounds(),
-                },
-            )?;
-            self.stats
-                .summary_bytes_flushed
-                .fetch_add(encoded_len, Ordering::Relaxed);
-        }
-        self.register_attr_indexes(id, sealed)?;
-        Ok(id)
+            summary: extent,
+            attrs: attrs.collect(),
+        })
     }
 
     /// Seals the in-memory state into chunk(s), writes them to the DFS,
-    /// registers them (plus the durable offset) with the metadata server,
-    /// and trims the queue below that offset. Returns the flushed chunk
-    /// ids. No-op on an empty server.
+    /// registers them, the durable offset and the memory region with the
+    /// metadata server in one call, and trims the queue below that offset.
+    /// Returns the flushed chunk ids. No-op on an empty server.
     pub fn flush(&self) -> Result<Vec<ChunkId>> {
         // Whole flushes are serialized. The seal empties memory long before
         // the chunk is written and registered; a second caller (the `Flush`
@@ -526,39 +509,32 @@ impl IndexingServer {
             .into_iter()
             .chain(side)
             .collect();
-        // Only the last registration advances the durable offset. The
-        // metadata service keeps the highest offset it was given, so an
-        // earlier chunk carrying the new one would vouch for tuples still
-        // waiting for a later chunk: a crash or failed write in between
-        // would leave them in no chunk and below the replay point. The
-        // earlier chunks repeat the previous offset instead, and such a
-        // failure replays them again rather than losing the rest.
-        let previous = self.registered_offset.load(Ordering::Acquire);
-        let mut flushed = Vec::with_capacity(chunks.len());
-        for (i, (sealed, summary)) in chunks.iter().enumerate() {
-            let offset = if i + 1 == chunks.len() {
-                durable_offset
-            } else {
-                previous
-            };
-            flushed.push(self.write_and_register(sealed, summary.as_ref(), offset)?);
+        if chunks.is_empty() {
+            return Ok(Vec::new());
         }
-        if !flushed.is_empty() {
-            self.stats
-                .chunks_flushed
-                .fetch_add(flushed.len() as u64, Ordering::Relaxed);
-            self.registered_offset
-                .store(durable_offset, Ordering::Release);
-            // Everything below the offset is in registered chunks now: the
-            // queue lets it go (Kafka's retention, paper §V). A crashed
-            // server leaves its partition to the replacement replaying it.
-            if !self.is_failed() {
-                let journal = self.journal_trim.load(Ordering::Relaxed);
-                self.backlog.trim(durable_offset, journal)?;
-            }
-            self.report_memory_region()?;
+        // The chunks, their extents and probes and the offset become
+        // visible together, so the offset never vouches for a chunk that
+        // did not land, and a cut anywhere before the registration replays
+        // the whole flush and nothing twice.
+        let first = self.meta.allocate_chunk_ids(chunks.len() as u64)?;
+        let flushed = (first.raw()..)
+            .zip(&chunks)
+            .map(|(id, (sealed, summary))| self.write_chunk(ChunkId(id), sealed, summary.as_ref()))
+            .collect::<Result<Vec<_>>>()?;
+        let ids = flushed.iter().map(|c| c.id).collect();
+        self.meta
+            .register_flush(self.id, flushed, durable_offset, self.memory_region())?;
+        self.stats
+            .chunks_flushed
+            .fetch_add(chunks.len() as u64, Ordering::Relaxed);
+        // Everything below the offset is in registered chunks now: the
+        // queue lets it go (Kafka's retention, paper §V). A crashed server
+        // leaves its partition to the replacement replaying it.
+        if !self.is_failed() {
+            let journal = self.journal_trim.load(Ordering::Relaxed);
+            self.backlog.trim(durable_offset, journal)?;
         }
-        Ok(flushed)
+        Ok(ids)
     }
 }
 

@@ -362,7 +362,7 @@ impl IndexingRole {
     }
 
     /// Builds server `id` from durable state (paper §V): its consumer
-    /// resumes at the offset the last chunk registration persisted, its
+    /// resumes at the offset the last registered flush persisted, its
     /// interval comes from the published schema, and the dedup table
     /// learns which batch sequence numbers already landed in its partition.
     /// Its counters (`indexing.*`) take the place of any predecessor's.

@@ -10,7 +10,9 @@
 //!   segment unlinks), rebuilt on disk by hand, answers like the untrimmed
 //!   twin, dedup markers included;
 //! * volatile metadata never lets a trim touch the journal;
-//! * a flush cut off between its two chunk registrations loses no tuple.
+//! * a flush cut anywhere in its metadata exchange, or crashed between its
+//!   registration and its trim, recovers to exactly its tuples, and costs
+//!   at most two metadata calls.
 //!
 //! Every assertion is on counts and answers, none on timing.
 
@@ -308,75 +310,113 @@ fn volatile_metadata_never_trims_the_journal() {
     assert_eq!(ww.query(&all()).unwrap().tuples.len() as u64, n);
 }
 
-/// A flush with a side-store chunk registers two chunks. The indexing →
-/// metadata link is cut at the second `register_chunk`: the main chunk is
-/// registered, the side-store chunk never is. Only the last registration
-/// of a flush may advance the durable offset, so recovery replays from the
-/// previous offset and no tuple is lost; the main chunk's tuples, already
-/// registered, replay a second time (the flush is at-least-once across
-/// such a cut, never at-most-once).
-#[test]
-fn a_flush_cut_at_its_second_registration_loses_no_tuple() {
-    let mut c = cfg();
-    c.chunk_size_bytes = 1 << 30;
-    c.agg_summaries_enabled = false;
-    c.rpc_retries = 0;
-    c.rpc_timeout = std::time::Duration::from_millis(100);
-    let ww = Waterwheel::builder(fresh_root("cut-flush"))
+/// What the indexing server `ix` has sent the metadata server so far.
+fn meta_calls(ww: &Waterwheel, ix: ServerId) -> u64 {
+    let stats = ww.transport().stats().per_link();
+    let link = stats.iter().find(|(l, _)| *l == (ix, META_SERVER));
+    link.map_or(0, |(_, t)| t.sent)
+}
+
+/// One indexing server holding 100 on-time and 20 side-stored tuples, so
+/// its next flush writes a main and a side-store chunk.
+fn with_side_chunk(name: &str, c: SystemConfig) -> Waterwheel {
+    let ww = Waterwheel::builder(fresh_root(name))
         .config(c)
         .build()
         .unwrap();
-    let (on_time, late) = (100u64, 20u64);
-    for i in 0..on_time {
+    for i in 0..100u64 {
         ww.insert(Tuple::new(i, 100_000 + i, i.to_le_bytes().to_vec()))
             .unwrap();
     }
     // A minute behind the high-water mark: far past Δt, so side-stored.
-    for i in on_time..on_time + late {
+    for i in 100..120u64 {
         ww.insert(Tuple::new(i, 40_000 + i, i.to_le_bytes().to_vec()))
             .unwrap();
     }
     ww.drain().unwrap();
-    let ix = ww.indexing_servers()[0].id();
-    assert_eq!(
-        SystemMetrics::collect(&ww).get("indexing.side_stored"),
-        late
-    );
-    // The flush sends allocate, register (main), allocate, register (side).
-    let link = (ix, META_SERVER);
-    let sent = ww
-        .transport()
-        .stats()
-        .per_link()
-        .iter()
-        .find(|(l, _)| *l == link)
-        .map_or(0, |(_, t)| t.sent);
-    ww.transport().set_link_profile(
-        ix,
-        META_SERVER,
-        LinkProfile {
-            drop_after: Some(sent + 3),
-            ..LinkProfile::default()
-        },
-    );
-    assert!(ww.indexing_servers()[0].flush().is_err());
-    assert_eq!(ww.metadata().chunk_count(), 1, "only the main chunk landed");
-    ww.transport().clear_faults();
+    assert_eq!(SystemMetrics::collect(&ww).get("indexing.side_stored"), 20);
+    ww
+}
 
-    ww.crash_indexing_server(ix).unwrap();
-    ww.recover_indexing_server(ix).unwrap();
-    ww.drain().unwrap();
-    let got = answer(&ww);
-    let mut distinct = got.clone();
-    distinct.dedup();
-    assert_eq!(
-        distinct.len() as u64,
-        on_time + late,
-        "tuples lost across the cut flush"
-    );
-    assert_eq!(
-        got.len() as u64,
-        on_time + late + on_time,
-        "exactly the registered main chunk replays again"
-    );
+/// The flush sequence, cut at every point. A flush of a main and a
+/// side-store chunk talks to the metadata server twice — its block of ids,
+/// then its registration — and the link is cut at each message in turn;
+/// the last point is a crash right after the registration landed, before
+/// the trim. Every point crashes, recovers and drains to exactly the 120
+/// tuples ingested, none twice: the flush registers in one step, so a cut
+/// lands all of it or none of it.
+#[test]
+fn every_cut_of_a_flush_recovers_exactly_its_tuples() {
+    // (label, messages the link still delivers; `None` = crash after the
+    // registration)
+    let cuts = [
+        ("the id call cut", Some(0)),
+        ("the registration cut", Some(1)),
+        ("a crash between registration and trim", None),
+    ];
+    for (i, (label, delivered)) in cuts.into_iter().enumerate() {
+        let mut c = cfg();
+        c.chunk_size_bytes = 1 << 30;
+        c.agg_summaries_enabled = false;
+        c.rpc_retries = 0;
+        c.rpc_timeout = std::time::Duration::from_millis(100);
+        let ww = with_side_chunk(&format!("cut-flush-{i}"), c);
+        let server = &ww.indexing_servers()[0];
+        let ix = server.id();
+        let sent = meta_calls(&ww, ix);
+        match delivered {
+            Some(k) => {
+                let cut = LinkProfile {
+                    drop_after: Some(sent + k),
+                    ..LinkProfile::default()
+                };
+                ww.transport().set_link_profile(ix, META_SERVER, cut);
+                assert!(server.flush().is_err(), "{label}");
+                assert_eq!(meta_calls(&ww, ix), sent + k + 1, "{label}");
+                assert_eq!(ww.metadata().chunk_count(), 0, "{label}");
+                ww.transport().clear_faults();
+            }
+            None => {
+                // A crashed server registers its flush but leaves the trim
+                // to the replacement.
+                server.set_failed(true);
+                assert_eq!(server.flush().unwrap().len(), 2, "{label}");
+                assert_eq!(meta_calls(&ww, ix), sent + 2, "{label}");
+                assert_eq!(ww.metadata().chunk_count(), 2, "{label}");
+                assert_eq!(ww.metadata().durable_offset(ix), 120, "{label}");
+                assert_eq!(ww.message_queue().retained("ingest").unwrap(), 120);
+            }
+        }
+        ww.crash_indexing_server(ix).unwrap();
+        ww.recover_indexing_server(ix).unwrap();
+        ww.drain().unwrap();
+        let got = answer(&ww);
+        let mut distinct = got.clone();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 120, "{label}: tuples lost");
+        assert_eq!(got.len(), 120, "{label}: tuples answered twice");
+    }
+}
+
+/// A flush costs at most two metadata calls — its block of ids and its
+/// registration — however many chunks, summaries and attribute indexes it
+/// carries. Here: a main and a side-store chunk, both with summaries, and
+/// two registered attributes (one call per fact made that 11).
+#[test]
+fn a_flush_makes_at_most_two_metadata_calls() {
+    let mut c = cfg();
+    c.chunk_size_bytes = 1 << 30;
+    c.agg_summaries_enabled = true;
+    let ww = with_side_chunk("flush-calls", c);
+    // Attribute indexes are built at the flush, from the sealed leaves.
+    ww.register_attribute(1, |t| Some(t.key % 7));
+    ww.register_attribute(2, |t| Some(t.ts % 5));
+    let server = &ww.indexing_servers()[0];
+    let sent = meta_calls(&ww, server.id());
+    assert_eq!(server.flush().unwrap().len(), 2);
+    let calls = meta_calls(&ww, server.id()) - sent;
+    assert!(calls <= 2, "one flush made {calls} metadata calls");
+    let meta = ww.metadata();
+    assert_eq!((meta.chunk_count(), meta.summary_count()), (2, 2));
+    assert_eq!(meta.attr_index_count(), 4);
 }

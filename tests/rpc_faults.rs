@@ -511,6 +511,10 @@ fn link_dying_mid_plan_is_redispatched_deterministically() {
         }
         ww.drain().unwrap();
         ww.flush_all().unwrap();
+        // A fixed assignment: under LADA's work stealing qs0 may never be
+        // asked for a second subquery, and then no cut is ever crossed.
+        // Round-robin hands it every third one, many more than one.
+        ww.coordinator().set_policy(DispatchPolicy::RoundRobin);
         // The coordinator→qs0 link dies after 1 more message: at most one
         // chunk subquery lands, then the server "crashes mid-plan".
         // Re-dispatch must finish the plan on the survivors, reproducibly.
@@ -533,6 +537,10 @@ fn link_dying_mid_plan_is_redispatched_deterministically() {
         assert!(
             m.get("rpc.timed_out") > 0,
             "dropped mid-plan messages time out"
+        );
+        assert!(
+            m.get("coordinator.redispatches") > 0,
+            "qs0's subqueries past the cut are re-dispatched"
         );
     }
 }
