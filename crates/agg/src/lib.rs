@@ -16,13 +16,16 @@
 //!   footer; over-cap rings are dropped finest-first and show up as
 //!   *residue* time ranges at query time, never as wrong answers.
 //! * [`plan`] — splits an arbitrary `⟨K_q, T_q⟩` into a wheel-covered
-//!   interior plus tuple-scan fringes, and decomposes the interior into the
-//!   minimal run of wheel slots (coarsest granularity first).
+//!   interior plus tuple-scan fringes ([`plan::split`]), and decomposes the
+//!   interior into the minimal run of wheel slots (coarsest granularity
+//!   first).
+//! * [`AggShare`] — one source's exact share of an aggregate, as an
+//!   indexing or query server answers it.
 //!
-//! Exactness contract: for a rectangle decomposed by [`plan::plan_keys`] /
-//! [`plan::plan_time`], summary cells over the interior plus tuple scans
-//! over fringes and residues partition the query's tuple set — so the
-//! merged [`PartialAgg`] equals a naive fold over a full scan, bit for bit.
+//! Exactness contract: for a rectangle decomposed by [`plan::split`],
+//! summary cells over the interior plus folds over fringes and residues
+//! partition the query's tuple set — so the merged [`PartialAgg`] equals a
+//! naive fold over a full scan, bit for bit.
 
 #![warn(missing_docs)]
 
@@ -47,7 +50,7 @@ pub const SLICE_BITS: u8 = 4;
 pub const MAX_CELLS_PER_RING: usize = 8192;
 
 use waterwheel_core::aggregate::AggregateKind;
-use waterwheel_core::QueryId;
+use waterwheel_core::{QueryId, Tuple};
 
 /// The answer to an aggregate query, assembled by the coordinator.
 #[derive(Clone, Debug, PartialEq)]
@@ -72,6 +75,38 @@ waterwheel_core::wire_struct!(AggregateAnswer {
     cells_merged: u64,
     scanned_tuples: u64,
 });
+
+/// One source's share of an aggregate: the partial aggregate over its own
+/// tuples inside the query rectangle, and how it was computed.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct AggShare {
+    /// The partial aggregate.
+    pub agg: PartialAgg,
+    /// Wheel/summary cells merged.
+    pub cells_merged: u64,
+    /// Chunk leaves merged from the leaf directory without reading them.
+    pub leaves_merged: u64,
+    /// Tuples folded one by one.
+    pub scanned: u64,
+}
+
+impl AggShare {
+    /// Merges another share in.
+    pub fn merge(&mut self, other: &AggShare) {
+        self.agg.merge(&other.agg);
+        self.cells_merged += other.cells_merged;
+        self.leaves_merged += other.leaves_merged;
+        self.scanned += other.scanned;
+    }
+
+    /// Folds tuples one by one under `measure`.
+    pub fn fold(&mut self, tuples: &[Tuple], measure: &dyn Fn(&Tuple) -> u64) {
+        for t in tuples {
+            self.agg.insert(measure(t));
+        }
+        self.scanned += tuples.len() as u64;
+    }
+}
 
 impl AggregateAnswer {
     /// The requested aggregate as a float (COUNT/SUM/MIN/MAX are exact

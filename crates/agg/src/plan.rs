@@ -3,7 +3,53 @@
 //! covered time interval into the minimal run of wheel slots.
 
 use crate::wheel::Granularity;
-use waterwheel_core::{KeyInterval, TimeInterval};
+use waterwheel_core::{KeyInterval, Region, TimeInterval};
+
+/// The wheel-coverable part of a rectangle: whole key slices × whole
+/// seconds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Interior {
+    /// Inclusive range of fully-covered slice ids.
+    pub slices: (u16, u16),
+    /// The exact key interval of those slices.
+    pub keys: KeyInterval,
+    /// The second-aligned covered time interval.
+    pub covered: TimeInterval,
+}
+
+/// A rectangle split against the wheel by [`split`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Split {
+    /// Whole slices × whole seconds, `None` when the rectangle holds none.
+    pub interior: Option<Interior>,
+    /// At most four rectangles the wheel cannot answer: key fringes over
+    /// the full time range, then time fringes over the covered keys.
+    pub fringes: Vec<Region>,
+}
+
+/// Splits `keys × times` into the wheel interior and its fringes. The
+/// pieces are pairwise disjoint and their union is exactly the rectangle,
+/// so wheel cells over the interior plus tuple folds over the fringes
+/// aggregate every tuple of the rectangle exactly once.
+pub fn split(keys: &KeyInterval, times: &TimeInterval, slice_bits: u8) -> Split {
+    let kp = plan_keys(keys, slice_bits);
+    let tp = plan_time(times);
+    let mut fringes: Vec<Region> = kp
+        .fringes
+        .iter()
+        .map(|kf| Region::new(*kf, *times))
+        .collect();
+    let interior = kp.slices.and_then(|slices| {
+        let covered_keys = slices_to_keys(slices.0, slices.1, slice_bits);
+        fringes.extend(tp.fringes.iter().map(|tf| Region::new(covered_keys, *tf)));
+        tp.covered.map(|covered| Interior {
+            slices,
+            keys: covered_keys,
+            covered,
+        })
+    });
+    Split { interior, fringes }
+}
 
 /// How a query time interval splits against second-aligned wheel buckets.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -232,6 +278,70 @@ mod tests {
                 assert_eq!(w[0].1, w[1].0);
             }
         }
+    }
+
+    /// Every piece of a split stays inside the rectangle, no two pieces
+    /// overlap, and their areas add up to the rectangle's.
+    #[test]
+    fn split_partitions_the_rectangle() {
+        let area = |r: &Region| {
+            (r.keys.hi() as u128 - r.keys.lo() as u128 + 1)
+                * (r.times.hi() as u128 - r.times.lo() as u128 + 1)
+        };
+        let slice = 1u64 << 60;
+        for (keys, times) in [
+            (KeyInterval::full(), TimeInterval::new(0, 59_999)),
+            (
+                KeyInterval::new(100, 1 << 20),
+                TimeInterval::new(337, 12_741),
+            ),
+            (
+                KeyInterval::new(slice - 5, 3 * slice + 7),
+                TimeInterval::new(999, 5_000),
+            ),
+            (
+                KeyInterval::new(slice, 2 * slice - 1),
+                TimeInterval::new(1_200, 1_700),
+            ),
+            (
+                KeyInterval::new(7, u64::MAX),
+                TimeInterval::new(0, u64::MAX),
+            ),
+        ] {
+            let rect = Region::new(keys, times);
+            let split = split(&keys, &times, 4);
+            let mut pieces = split.fringes.clone();
+            if let Some(i) = split.interior {
+                assert_eq!(i.keys, slices_to_keys(i.slices.0, i.slices.1, 4));
+                pieces.push(Region::new(i.keys, i.covered));
+            }
+            assert!(split.fringes.len() <= 4);
+            for (a, p) in pieces.iter().enumerate() {
+                assert_eq!(p.intersect(&rect), Some(*p), "{p:?} leaves {rect:?}");
+                for q in &pieces[a + 1..] {
+                    assert_eq!(p.intersect(q), None, "{p:?} overlaps {q:?}");
+                }
+            }
+            assert_eq!(
+                pieces.iter().map(area).sum::<u128>(),
+                area(&rect),
+                "{rect:?}"
+            );
+        }
+        // Narrow keys never fill a slice: the whole rectangle is one fringe.
+        let narrow = split(
+            &KeyInterval::new(0, 1 << 20),
+            &TimeInterval::new(0, 9_999),
+            4,
+        );
+        assert_eq!(narrow.interior, None);
+        assert_eq!(
+            narrow.fringes,
+            vec![Region::new(
+                KeyInterval::new(0, 1 << 20),
+                TimeInterval::new(0, 9_999)
+            )]
+        );
     }
 
     #[test]

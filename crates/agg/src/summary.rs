@@ -249,20 +249,6 @@ impl WheelSummary {
     }
 }
 
-/// On the wire a summary is one length-prefixed blob of its own
-/// checksummed encoding; sizing a frame never serializes it.
-impl Wire for WheelSummary {
-    const MIN_LEN: usize = 4;
-
-    fn encode(&self, out: &mut impl Encoder) {
-        out.put_sized(self.encoded_len(), || WheelSummary::encode(self));
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        WheelSummary::decode(dec.get_bytes()?)
-    }
-}
-
 /// Sorts and merges overlapping or adjacent intervals.
 fn coalesce(mut ivs: Vec<TimeInterval>) -> Vec<TimeInterval> {
     if ivs.len() <= 1 {

@@ -75,12 +75,6 @@ pub struct FoldOutcome {
     pub residues: Vec<TimeInterval>,
 }
 
-waterwheel_core::wire_struct!(FoldOutcome {
-    agg: PartialAgg,
-    cells_merged: u64,
-    residues: Vec<TimeInterval>,
-});
-
 impl FoldOutcome {
     fn merge_cell(&mut self, cell: &PartialAgg) {
         self.agg.merge(cell);

@@ -82,7 +82,7 @@ struct ClusterState {
 
 /// Memoized replica placements, valid for one membership epoch. The
 /// coordinator asks for the same (chunk, k) placement on every chunk
-/// subquery and summary read, so recomputing the full rendezvous scan per
+/// subquery and aggregate subquery, so recomputing the full rendezvous scan per
 /// call sat in the hot path.
 #[derive(Debug, Default)]
 struct ReplicaMemo {

@@ -20,7 +20,6 @@ use crate::query::{QueryResult, SubQuery};
 use crate::region::Region;
 use crate::tuple::Tuple;
 use bytes::Bytes;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Append-side helpers over a byte vector.
@@ -458,18 +457,6 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         Ok((A::decode(dec)?, B::decode(dec)?))
-    }
-}
-
-impl<T: Wire> Wire for Arc<T> {
-    const MIN_LEN: usize = T::MIN_LEN;
-
-    fn encode(&self, out: &mut impl Encoder) {
-        T::encode(self, out);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        T::decode(dec).map(Arc::new)
     }
 }
 

@@ -8,8 +8,8 @@
 //! | Hop | Payloads |
 //! |---|---|
 //! | dispatcher → indexing server | [`Request::IngestBatch`], [`Request::Flush`] |
-//! | coordinator → indexing server | [`Request::InMemorySubquery`], [`Request::AggregateInMemory`] |
-//! | coordinator → query server | [`Request::ChunkSubquery`], [`Request::ReadSummary`] |
+//! | coordinator → indexing server | [`Request::InMemorySubquery`], [`Request::InMemoryAggregate`] |
+//! | coordinator → query server | [`Request::ChunkSubquery`], [`Request::ChunkAggregate`] |
 //! | any server → metadata server | [`Request::Meta`] |
 //! | client → gateway, a dispatcher id | [`Request::IngestBatch`], [`Request::Flush`] |
 //! | client → gateway, [`COORDINATOR`] | [`Request::ClientQuery`], [`Request::ClientAggregate`], [`Request::MigrateUniform`] |
@@ -19,9 +19,8 @@
 //!
 //! Requests are `Clone` so a retrying client can resend them verbatim.
 
-use std::sync::Arc;
 use std::time::Instant;
-use waterwheel_agg::{AggregateAnswer, FoldOutcome, WheelSummary};
+use waterwheel_agg::{AggShare, AggregateAnswer, PartialAgg};
 use waterwheel_core::aggregate::AggregateKind;
 use waterwheel_core::{
     ChunkId, KeyInterval, NodeId, QueryResult, Region, Result, ServerId, StatRow, SubQuery,
@@ -84,14 +83,8 @@ waterwheel_core::wire_enum! {
             /// The fresh-data subquery.
             sq: SubQuery,
         },
-        /// Fold the destination indexing server's live aggregate wheel over a
-        /// slice × time rectangle (coordinator → indexing, DESIGN.md §4b).
-        4, (RequestClass::Query, "agg_mem") => AggregateInMemory {
-            /// Inclusive key-slice range.
-            slices: (u16, u16),
-            /// Second-aligned covered time interval.
-            covered: TimeInterval,
-        },
+        // Tag 4 was `AggregateInMemory` (a live-wheel fold over a slice ×
+        // second rectangle); retired by `InMemoryAggregate`, never reused.
         /// Execute a subquery against one flushed chunk (coordinator → query
         /// server, §IV-B), optionally restricted to the leaves a secondary
         /// attribute index qualified (§VIII).
@@ -103,12 +96,8 @@ waterwheel_core::wire_enum! {
             /// Qualifying leaves from a secondary index probe, if any.
             leaf_filter: Option<Bitmap>,
         },
-        /// Read a chunk's sealed aggregate summary footer (coordinator → query
-        /// server).
-        6, (RequestClass::Query, "read_summary") => ReadSummary {
-            /// The chunk whose footer to read.
-            chunk: ChunkId,
-        },
+        // Tag 6 was `ReadSummary` (a chunk's summary, shipped to the
+        // coordinator); retired by `ChunkAggregate`, never reused.
         /// Liveness probe; answered with [`Response::Pong`] by healthy servers
         /// and an error by crashed ones.
         7, (RequestClass::Control, "ping") => Ping,
@@ -168,6 +157,28 @@ waterwheel_core::wire_enum! {
         /// by the [`HandlerRegistry`](crate::HandlerRegistry) itself at any
         /// bound address, not by a role handler.
         15, (RequestClass::Control, "stats") => Stats,
+        /// Answer the destination indexing server's share of an aggregate:
+        /// its live wheels over the wheel interior of the subquery's
+        /// rectangle, its tree and side store folded over the fringes
+        /// (coordinator → indexing, DESIGN.md §4b). Answered with
+        /// [`Response::Aggregated`].
+        16, (RequestClass::Query, "mem_aggregate") => InMemoryAggregate {
+            /// The aggregate subquery, carrying the query's unclipped
+            /// rectangle.
+            sq: SubQuery,
+        },
+        /// Answer one chunk's share of an aggregate: its summary over the
+        /// wheel interior, its leaf directory for every leaf wholly inside
+        /// a fringe, a scan of the leaves a fringe cuts (coordinator →
+        /// query server, DESIGN.md §4b). Answered with
+        /// [`Response::Aggregated`].
+        17, (RequestClass::Query, "chunk_aggregate") => ChunkAggregate {
+            /// The aggregate subquery, carrying the query's unclipped
+            /// rectangle.
+            sq: SubQuery,
+            /// The chunk to answer for.
+            chunk: ChunkId,
+        },
     }
 }
 
@@ -181,7 +192,7 @@ pub enum RequestClass {
     Control,
     /// Tuple ingestion and flushes.
     Ingest,
-    /// Subqueries, aggregates, summary reads, client queries.
+    /// Subqueries, aggregate subqueries, client queries.
     Query,
     /// Metadata-server calls — the most retryable traffic.
     Metadata,
@@ -347,10 +358,8 @@ waterwheel_core::wire_enum! {
         3 => Tuples(Vec<Tuple>),
         /// Chunk ids sealed by a [`Request::Flush`].
         4 => Flushed(Vec<ChunkId>),
-        /// A live-wheel fold outcome.
-        5 => Fold(FoldOutcome),
-        /// A chunk's footer summary (`None` when written without one).
-        6 => Summary(Option<Arc<WheelSummary>>),
+        // Tags 5 (`Fold`, a live-wheel fold) and 6 (`Summary`, a chunk's
+        // summary) answered the retired request tags 4 and 6; never reused.
         /// A metadata-service answer.
         7 => Meta(MetaResponse),
         /// A complete range-query result (answer to [`Request::ClientQuery`]).
@@ -367,6 +376,30 @@ waterwheel_core::wire_enum! {
         },
         /// The answering process's counters (answer to [`Request::Stats`]).
         11 => Stats(Vec<StatRow>),
+        /// One source's share of an aggregate (answer to
+        /// [`Request::InMemoryAggregate`] and [`Request::ChunkAggregate`]).
+        12 => Aggregated {
+            /// The partial aggregate over the source's tuples in the
+            /// rectangle.
+            agg: PartialAgg,
+            /// Wheel/summary cells merged.
+            cells_merged: u64,
+            /// Chunk leaves merged from the leaf directory.
+            leaves_merged: u64,
+            /// Tuples folded one by one.
+            scanned: u64,
+        },
+    }
+}
+
+impl From<AggShare> for Response {
+    fn from(share: AggShare) -> Self {
+        Response::Aggregated {
+            agg: share.agg,
+            cells_merged: share.cells_merged,
+            leaves_merged: share.leaves_merged,
+            scanned: share.scanned,
+        }
     }
 }
 
@@ -427,10 +460,15 @@ unwrappers! {
     fn into_tuples -> Vec<Tuple> { Response::Tuples(t) => t }
     /// Unwraps [`Response::Flushed`].
     fn into_flushed -> Vec<ChunkId> { Response::Flushed(c) => c }
-    /// Unwraps [`Response::Fold`].
-    fn into_fold -> FoldOutcome { Response::Fold(f) => f }
-    /// Unwraps [`Response::Summary`].
-    fn into_summary -> Option<Arc<WheelSummary>> { Response::Summary(s) => s }
+    /// Unwraps [`Response::Aggregated`].
+    fn into_share -> AggShare {
+        Response::Aggregated { agg, cells_merged, leaves_merged, scanned } => AggShare {
+            agg,
+            cells_merged,
+            leaves_merged,
+            scanned,
+        }
+    }
     /// Unwraps [`Response::Meta`].
     fn into_meta -> MetaResponse { Response::Meta(m) => m }
     /// Unwraps [`Response::Ack`].
@@ -512,8 +550,12 @@ mod tests {
             (7, true)
         );
         assert!(Response::Ack.into_ack_batch().is_err());
-        assert!(Response::Pong.into_fold().is_err());
-        assert!(Response::Pong.into_summary().is_err());
+        assert!(Response::Pong.into_share().is_err());
+        let share = AggShare {
+            scanned: 3,
+            ..AggShare::default()
+        };
+        assert_eq!(Response::from(share).into_share().unwrap(), share);
         assert!(Response::Pong.into_meta().is_err());
         assert!(Response::Pong.into_flushed().is_err());
     }

@@ -251,7 +251,7 @@ mod tests {
     use super::*;
     use crate::envelope::{MetaRequest, MetaResponse, META_SERVER};
     use std::sync::Arc;
-    use waterwheel_agg::{AggregateAnswer, FoldOutcome, PartialAgg};
+    use waterwheel_agg::{AggregateAnswer, PartialAgg};
     use waterwheel_core::aggregate::AggregateKind;
     use waterwheel_core::{
         ChunkId, KeyInterval, QueryId, QueryResult, Region, StatRow, SubQuery, SubQueryId,
@@ -489,12 +489,12 @@ mod tests {
             Response::Pong,
             Response::Tuples(vec![Tuple::new(5, 6, &b"x"[..])]),
             Response::Flushed(vec![ChunkId(1), ChunkId(9)]),
-            Response::Fold(FoldOutcome {
+            Response::Aggregated {
                 agg,
                 cells_merged: 3,
-                residues: vec![TimeInterval::new(0, 10), TimeInterval::new(20, 30)],
-            }),
-            Response::Summary(None),
+                leaves_merged: 4,
+                scanned: 5,
+            },
             Response::Meta(MetaResponse::Ack),
             Response::Meta(MetaResponse::Allocated(ChunkId(6))),
             Response::Meta(MetaResponse::Chunks(vec![(ChunkId(2), region)])),

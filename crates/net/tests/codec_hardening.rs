@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use waterwheel_agg::{AggregateAnswer, FoldOutcome, PartialAgg, WheelSummary};
+use waterwheel_agg::{AggregateAnswer, PartialAgg};
 use waterwheel_core::aggregate::AggregateKind;
 use waterwheel_core::{
     ChunkId, KeyInterval, NodeId, QueryId, QueryResult, Region, ServerId, StatRow, SubQuery,
@@ -236,9 +236,9 @@ impl Gen {
     }
 
     fn request(&mut self) -> Request {
-        // Arm numbers are the wire tags; 0 is retired (see
-        // `retired_request_tag_zero_is_a_typed_error`).
-        match 1 + self.below(15) {
+        // Arm numbers are the wire tags, drawn from the declared ones; 0, 4
+        // and 6 are retired (see `retired_request_tag_zero_is_a_typed_error`).
+        match Request::TAGS[self.below(Request::TAGS.len() as u64) as usize] {
             1 => Request::IngestBatch {
                 seq: self.next(),
                 tuples: self.tuples(),
@@ -246,14 +246,6 @@ impl Gen {
             2 => Request::Flush,
             3 => Request::InMemorySubquery {
                 sq: self.subquery(),
-            },
-            4 => Request::AggregateInMemory {
-                slices: {
-                    let a = self.next() as u16;
-                    let b = self.next() as u16;
-                    (a.min(b), a.max(b))
-                },
-                covered: self.interval_times(),
             },
             5 => Request::ChunkSubquery {
                 sq: self.subquery(),
@@ -263,9 +255,6 @@ impl Gen {
                 } else {
                     Some(self.bitmap())
                 },
-            },
-            6 => Request::ReadSummary {
-                chunk: ChunkId(self.next()),
             },
             7 => Request::Ping,
             8 => Request::Meta(self.meta_request()),
@@ -298,7 +287,14 @@ impl Gen {
                 interval: self.interval_keys(),
             },
             14 => Request::MigrateUniform,
-            _ => Request::Stats,
+            15 => Request::Stats,
+            16 => Request::InMemoryAggregate {
+                sq: self.subquery(),
+            },
+            _ => Request::ChunkAggregate {
+                sq: self.subquery(),
+                chunk: ChunkId(self.next()),
+            },
         }
     }
 
@@ -352,7 +348,7 @@ impl Gen {
     }
 
     fn response(&mut self) -> Response {
-        match self.below(12) {
+        match self.below(11) {
             0 => Response::Ack,
             1 => Response::AckBatch {
                 tuples: self.next() as u32,
@@ -361,11 +357,12 @@ impl Gen {
             2 => Response::Pong,
             3 => Response::Tuples(self.tuples()),
             4 => Response::Flushed((0..self.below(6)).map(|_| ChunkId(self.next())).collect()),
-            5 => Response::Fold(FoldOutcome {
+            5 => Response::Aggregated {
                 agg: self.partial_agg(),
                 cells_merged: self.next(),
-                residues: (0..self.below(4)).map(|_| self.interval_times()).collect(),
-            }),
+                leaves_merged: self.next(),
+                scanned: self.next(),
+            },
             6 => Response::Meta(self.meta_response()),
             7 => Response::Query(QueryResult {
                 query_id: QueryId(self.next()),
@@ -379,16 +376,7 @@ impl Gen {
                 cells_merged: self.next(),
                 scanned_tuples: self.next(),
             }),
-            9 => Response::Summary(if self.below(2) == 0 {
-                None
-            } else {
-                let cells: Vec<(u64, u64, u64)> = (0..self.below(40))
-                    .map(|_| (self.next(), self.below(1 << 40), self.below(1_000)))
-                    .collect();
-                let slice_bits = 1 + self.below(16) as u8;
-                Some(Arc::new(WheelSummary::build(cells, slice_bits, 64)))
-            }),
-            10 => Response::Migrated {
+            9 => Response::Migrated {
                 epoch: self.next(),
                 ranges: self.next() as u32,
             },
@@ -697,7 +685,6 @@ fn pinned_frames() -> [(&'static str, Vec<Vec<u8>>); 5] {
         measure_range: Some((12, 8_000)),
     };
     let schema = PartitionSchema::uniform(&[ServerId(0), ServerId(1), ServerId(2)]);
-    let summary = WheelSummary::build((0..50u64).map(|i| (i * 13, i * 1_000, i)), 4, 64);
     let view = MembershipView {
         epoch: 4,
         indexing: vec![(ServerId(0), NodeId(0)), (ServerId(1), NodeId(1))],
@@ -751,10 +738,6 @@ fn pinned_frames() -> [(&'static str, Vec<Vec<u8>>); 5] {
         },
         Request::Flush,
         Request::InMemorySubquery { sq: sq.clone() },
-        Request::AggregateInMemory {
-            slices: (2, 9),
-            covered: TimeInterval::new(1_000, 59_999),
-        },
         Request::ChunkSubquery {
             sq: SubQuery {
                 predicate: None,
@@ -765,7 +748,6 @@ fn pinned_frames() -> [(&'static str, Vec<Vec<u8>>); 5] {
             chunk: ChunkId(6),
             leaf_filter: Some(bitmap.clone()),
         },
-        Request::ReadSummary { chunk: ChunkId(6) },
         Request::Ping,
         Request::Meta(MetaRequest::Partition),
         Request::ClientQuery {
@@ -813,12 +795,6 @@ fn pinned_frames() -> [(&'static str, Vec<Vec<u8>>); 5] {
         Response::Pong,
         Response::Tuples(tuples.clone()),
         Response::Flushed(vec![ChunkId(1), ChunkId(9)]),
-        Response::Fold(FoldOutcome {
-            agg,
-            cells_merged: 3,
-            residues: vec![TimeInterval::new(0, 10), TimeInterval::new(20, 30)],
-        }),
-        Response::Summary(Some(Arc::new(summary))),
         Response::Meta(MetaResponse::Partition(None)),
         Response::Query(QueryResult {
             query_id: QueryId(5),
@@ -927,9 +903,9 @@ fn wire_frames_are_pinned() {
     assert_eq!(
         got,
         [
-            ("requests", 15, 1_032, 0xc405_a323_544c_d93b),
+            ("requests", 13, 926, 0x366c_fc0b_fecd_0ca3),
             ("meta requests", 14, 828, 0xbca9_7676_ca7a_43e2),
-            ("responses", 12, 3_364, 0xc46b_1872_3a72_fa00),
+            ("responses", 10, 543, 0x66df_193b_5064_bd2c),
             ("meta responses", 11, 518, 0x3b38_c70d_4136_35f5),
             ("errors", 10, 293, 0x3baa_e0aa_e892_b1a9),
         ]
@@ -1002,4 +978,101 @@ fn flush_registration_frames_are_pinned() {
         waterwheel_core::codec::fnv1a(&bytes),
     );
     assert_eq!(got, (2, 434, 0x0da4_f03c_2744_4881));
+}
+
+/// The aggregate subquery verbs and their one answer, pinned on a line of
+/// their own: an in-memory and a chunk aggregate subquery, then a share.
+#[test]
+fn aggregate_subquery_frames_are_pinned() {
+    let sq = SubQuery {
+        id: SubQueryId {
+            query: QueryId(11),
+            index: 2,
+        },
+        keys: KeyInterval::new(10, 1 << 20),
+        times: TimeInterval::new(1_500, 61_999),
+        predicate: None,
+        measure_range: None,
+        target: SubQueryTarget::InMemory(ServerId(1)),
+    };
+    let mut agg = PartialAgg::default();
+    for v in [4, 9, 1_000] {
+        agg.insert(v);
+    }
+    let requests = [
+        Request::InMemoryAggregate { sq: sq.clone() },
+        Request::ChunkAggregate {
+            sq: SubQuery {
+                target: SubQueryTarget::Chunk(ChunkId(6)),
+                ..sq
+            },
+            chunk: ChunkId(6),
+        },
+    ];
+    let mut frames: Vec<Vec<u8>> = requests
+        .into_iter()
+        .enumerate()
+        .map(|(i, payload)| {
+            let env = Envelope {
+                src: waterwheel_net::COORDINATOR,
+                dst: ServerId(i as u32),
+                rpc_id: 42 + i as u64,
+                deadline: Instant::now(),
+                payload,
+            };
+            wire::encode_request(7 + i as u64, &env)
+        })
+        .collect();
+    frames.push(wire::encode_response_ok(
+        9,
+        &Response::Aggregated {
+            agg,
+            cells_merged: 3,
+            leaves_merged: 40,
+            scanned: 512,
+        },
+    ));
+    let bytes = frames.concat();
+    let got = (
+        frames.len(),
+        bytes.len(),
+        waterwheel_core::codec::fnv1a(&bytes),
+    );
+    assert_eq!(got, (3, 271, 0x98eb_fcee_77fd_7a5c));
+}
+
+/// The retired aggregate verbs — request tags 4 (`AggregateInMemory`) and 6
+/// (`ReadSummary`), response tags 5 (`Fold`) and 6 (`Summary`) — are typed
+/// decode errors, never some other verb.
+#[test]
+fn retired_aggregate_tags_are_typed_errors() {
+    use waterwheel_core::WwError;
+    let env = Envelope {
+        src: waterwheel_net::COORDINATOR,
+        dst: ServerId(0),
+        rpc_id: 1,
+        deadline: Instant::now() + Duration::from_secs(1),
+        payload: Request::Ping,
+    };
+    let frame = wire::encode_request(1, &env);
+    let request = wire::read_frame(&mut &frame[..]).unwrap().unwrap();
+    let frame = wire::encode_response_ok(1, &Response::Pong);
+    let response = wire::read_frame(&mut &frame[..]).unwrap().unwrap();
+    // Ping and Pong are bare tags: each body ends in its tag.
+    for (body, tag, what) in [
+        (&request, 4, "request"),
+        (&request, 6, "request"),
+        (&response, 5, "response"),
+        (&response, 6, "response"),
+    ] {
+        let mut forged = body.clone();
+        *forged.last_mut().unwrap() = tag;
+        let err = wire::decode_frame(&forged).unwrap_err();
+        assert!(matches!(err, WwError::Corrupt { .. }), "{err:?}");
+        assert!(
+            err.to_string()
+                .contains(&format!("unknown {what} tag {tag}")),
+            "{err}"
+        );
+    }
 }

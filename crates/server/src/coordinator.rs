@@ -39,16 +39,15 @@ use crate::fanout::FanoutPool;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use waterwheel_agg::{plan, AggregateAnswer, PartialAgg, WheelSummary, SLICE_BITS};
+use waterwheel_agg::{AggShare, AggregateAnswer};
 use waterwheel_cluster::Cluster;
 use waterwheel_core::aggregate::{default_measure, AggregateQuery, MeasureFn};
 use waterwheel_core::{
-    ChunkId, Query, QueryId, QueryResult, Region, Result, ServerId, SubQuery, SubQueryId,
-    SubQueryTarget, SystemConfig, Tuple, WwError,
+    ChunkId, Query, QueryId, QueryResult, Result, ServerId, SubQuery, SubQueryId, SubQueryTarget,
+    SystemConfig, Tuple, WwError,
 };
 use waterwheel_index::secondary::AttrProbe;
-use waterwheel_index::Bitmap;
-use waterwheel_net::{MetaClient, Request, RpcClient};
+use waterwheel_net::{MetaClient, Request, Response, RpcClient};
 
 /// Rounds of subquery re-dispatch after the first dispatch plan (paper §V):
 /// subqueries that failed (server crashed mid-plan, link down past the RPC
@@ -76,8 +75,11 @@ waterwheel_core::counters! {
         agg_queries,
         /// Wheel/summary cells merged into aggregate answers.
         agg_cells_merged,
-        /// Aggregate subqueries that fell back to the tuple-scan path
-        /// (fringes, residues, summary-less chunks, forced fallbacks).
+        /// Chunk leaves merged into aggregate answers from the leaf
+        /// directory, without reading their pages.
+        agg_leaves_merged,
+        /// Aggregate subqueries that folded at least one tuple one by one,
+        /// plus every subquery of an aggregate on the full-scan path.
         agg_fallback_subqueries,
         /// Largest chunk-subquery backlog handed to the query-server worker
         /// pools by a single dispatch plan (worker-pool queue depth).
@@ -290,8 +292,7 @@ impl Coordinator {
     }
 
     /// Query execution under a pre-allocated id — shared by [`execute`]
-    /// and the aggregate path's fringe/residue scans (which run several
-    /// rectangles under one user-visible query).
+    /// and the aggregate path's full scan.
     ///
     /// [`execute`]: Self::execute
     fn execute_with_qid(&self, query: &Query, qid: QueryId) -> Result<QueryResult> {
@@ -328,11 +329,13 @@ impl Coordinator {
             .subqueries
             .fetch_add(subqueries.len() as u64, Ordering::Relaxed);
 
-        let mut mem_sqs: Vec<(ServerId, SubQuery)> = Vec::new();
-        let mut chunk_sqs: Vec<(SubQuery, ChunkId, Option<Bitmap>)> = Vec::new();
+        let mut mem_calls: Vec<(ServerId, Request)> = Vec::new();
+        let mut chunk_calls: Vec<(ChunkId, Request)> = Vec::new();
         for sq in subqueries {
             match sq.target {
-                SubQueryTarget::InMemory(server) => mem_sqs.push((server, sq)),
+                SubQueryTarget::InMemory(server) => {
+                    mem_calls.push((server, Request::InMemorySubquery { sq }))
+                }
                 SubQueryTarget::Chunk(chunk) => {
                     // MIN/MAX measure pruning: a chunk whose registered
                     // measure bounds are disjoint from the query's range
@@ -367,39 +370,24 @@ impl Coordinator {
                         },
                         None => None,
                     };
-                    chunk_sqs.push((sq, chunk, leaf_filter));
+                    chunk_calls.push((
+                        chunk,
+                        Request::ChunkSubquery {
+                            sq,
+                            chunk,
+                            leaf_filter,
+                        },
+                    ));
                 }
             }
         }
-        // In-memory subqueries fan out concurrently, one RPC per owning
-        // indexing server — the fresh-data path of §IV-A. A single one runs
-        // right here; more share the pool with the chunk subqueries.
         let mut tuples: Vec<Tuple> = Vec::new();
-        if !mem_sqs.is_empty() {
-            let n = mem_sqs.len();
-            let partials: Slots<Result<Vec<Tuple>>> =
-                Arc::new(Mutex::new((0..n).map(|_| None).collect()));
-            let exec = {
-                let rpc = self.rpc.clone();
-                let partials = Arc::clone(&partials);
-                move |_slot: usize, i: usize| {
-                    let (server, sq) = &mem_sqs[i];
-                    let partial = rpc
-                        .call(*server, Request::InMemorySubquery { sq: sq.clone() })
-                        .and_then(|r| r.into_tuples());
-                    partials.lock()[i] = Some(partial);
-                    true
-                }
-            };
-            dispatch::execute_plan(&self.pool, DispatchPlan::one_each(n), 1, exec);
-            for partial in std::mem::take(&mut *partials.lock()) {
-                tuples.extend(partial.ok_or_else(|| {
-                    WwError::InvalidState("an in-memory subquery did not complete".into())
-                })??);
-            }
+        for partial in self.execute_in_memory(mem_calls, Response::into_tuples) {
+            tuples.extend(partial?);
         }
-        // Chunk subqueries run across the query servers.
-        tuples.extend(self.execute_chunk_subqueries(chunk_sqs)?);
+        for partial in self.execute_on_chunks(chunk_calls, Response::into_tuples)? {
+            tuples.extend(partial);
+        }
         Ok(QueryResult {
             query_id: qid,
             subqueries: n_subqueries,
@@ -409,28 +397,23 @@ impl Coordinator {
 
     /// Executes an aggregate query (DESIGN.md §4b).
     ///
-    /// The query rectangle is split into a summary-covered interior (whole
-    /// key slices × whole seconds) and tuple-scan fringes. The interior is
-    /// answered by folding the indexing servers' live wheels plus each
-    /// overlapping chunk's sealed summary — without opening leaf pages;
-    /// summary residues (capped rings), summary-less chunks, and fringes
-    /// fall back to exact tuple scans. The pieces partition the query's
-    /// tuple set, so the merged result equals a naive fold over a full
-    /// scan. Queries with a predicate, `attr_eq`, or measure-range
-    /// constraint cannot be answered from pre-folded cells and take the
-    /// scan path end to end (the measure-range scan still prunes chunks
-    /// through the registered MIN/MAX bounds).
+    /// The query decomposes exactly as a range query does, but each target
+    /// gets one *aggregate subquery* carrying the query's unclipped
+    /// rectangle and answers its own share exactly, as a partial aggregate
+    /// and never a tuple: an indexing server from its live wheels plus a
+    /// fold of its tree and side store over the fringes, a query server
+    /// from the chunk's summary, its leaf directory and a scan of only the
+    /// leaves the fringes cut. The shares partition the query's tuple set,
+    /// so their merge equals a naive fold over a full scan. Queries with a
+    /// predicate, `attr_eq`, or measure-range constraint cannot be answered
+    /// from pre-folded cells and take the scan path end to end (the
+    /// measure-range scan still prunes chunks through the registered
+    /// MIN/MAX bounds), as do all aggregates with summaries switched off.
     pub fn execute_aggregate(&self, aq: &AggregateQuery) -> Result<AggregateAnswer> {
         let qid = QueryId(self.next_query.fetch_add(1, Ordering::Relaxed));
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
         self.stats.agg_queries.fetch_add(1, Ordering::Relaxed);
-        let measure = self.measure.read().clone();
         let q = &aq.query;
-
-        let mut agg = PartialAgg::empty();
-        let mut cells_merged = 0u64;
-        let mut scanned = 0u64;
-        let mut fallback_sqs = 0u64;
 
         // Full fallback: predicates filter individual tuples, which
         // pre-folded cells cannot honor; the ablation knob forces this too.
@@ -439,200 +422,128 @@ impl Coordinator {
             || q.measure_range.is_some()
             || !self.summaries_enabled()
         {
+            let measure = self.measure.read().clone();
             let r = self.execute_with_qid(q, qid)?;
-            for t in &r.tuples {
-                agg.insert(measure(t));
-            }
-            scanned = r.tuples.len() as u64;
+            let mut share = AggShare::default();
+            share.fold(&r.tuples, &*measure);
             self.stats
                 .agg_fallback_subqueries
                 .fetch_add(r.subqueries as u64, Ordering::Relaxed);
             return Ok(AggregateAnswer {
                 query_id: qid,
                 kind: aq.kind,
-                agg,
+                agg: share.agg,
                 cells_merged: 0,
-                scanned_tuples: scanned,
+                scanned_tuples: share.scanned,
             });
         }
 
-        let slice_bits = SLICE_BITS;
-        let kp = plan::plan_keys(&q.keys, slice_bits);
-        let tp = plan::plan_time(&q.times);
-
-        // Fringe rectangles: key fringes span the full query time range;
-        // time fringes span only the covered keys — together with the
-        // interior they partition the query rectangle.
-        let mut fringe_rects: Vec<Region> = kp
-            .fringes
-            .iter()
-            .map(|kf| Region::new(*kf, q.times))
-            .collect();
-        if let Some(slices) = kp.slices {
-            let covered_keys = plan::slices_to_keys(slices.0, slices.1, slice_bits);
-            for tf in &tp.fringes {
-                fringe_rects.push(Region::new(covered_keys, *tf));
-            }
-            if let Some(covered) = tp.covered {
-                // Interior, fresh half: every reachable indexing server's
-                // live wheel (in-memory data is disjoint from chunks). A
-                // crashed or unreachable server's memory is gone — §V
-                // recovery replays it into chunks — so those are skipped
-                // like the pre-plane code skipped failed servers.
-                let indexing = self.routing.read().indexing.clone();
-                for &server in &indexing {
-                    match self
-                        .rpc
-                        .call(server, Request::AggregateInMemory { slices, covered })
-                    {
-                        Ok(resp) => {
-                            let out = resp.into_fold()?;
-                            agg.merge(&out.agg);
-                            cells_merged += out.cells_merged;
-                        }
-                        Err(WwError::Injected(_)) | Err(WwError::Unreachable(_)) => continue,
-                        Err(e) => return Err(e),
-                    }
+        let subqueries = self.decompose(q, qid)?;
+        self.stats
+            .subqueries
+            .fetch_add(subqueries.len() as u64, Ordering::Relaxed);
+        let mut mem_calls: Vec<(ServerId, Request)> = Vec::new();
+        let mut chunk_calls: Vec<(ChunkId, Request)> = Vec::new();
+        for sq in subqueries {
+            // Unclipped: planned against a chunk's key hull, a slice the
+            // query covers would turn into a fringe.
+            let sq = SubQuery {
+                keys: q.keys,
+                times: q.times,
+                ..sq
+            };
+            match sq.target {
+                SubQueryTarget::InMemory(server) => {
+                    mem_calls.push((server, Request::InMemoryAggregate { sq }))
                 }
-                // Interior, flushed half: fold each overlapping chunk's
-                // summary; whatever a summary cannot answer becomes a
-                // targeted scan of that chunk alone.
-                let interior = Region::new(covered_keys, covered);
-                let mut chunk_scans: Vec<(ChunkId, waterwheel_core::TimeInterval)> = Vec::new();
-                for (chunk, _) in self.meta.chunks_overlapping(&interior)? {
-                    let summary = match self.meta.summary_extent(chunk)? {
-                        // A summary built under a different slicing cannot
-                        // serve this plan's slice range.
-                        Some(ext) if ext.slice_bits == slice_bits => self.load_summary(chunk)?,
-                        _ => None,
-                    };
-                    match summary {
-                        Some(summary) => {
-                            let out = summary.fold(slices, &covered);
-                            agg.merge(&out.agg);
-                            cells_merged += out.cells_merged;
-                            for residue in out.residues {
-                                chunk_scans.push((chunk, residue));
-                            }
-                        }
-                        None => chunk_scans.push((chunk, covered)),
-                    }
-                }
-                if !chunk_scans.is_empty() {
-                    let chunk_sqs: Vec<(SubQuery, ChunkId, Option<Bitmap>)> = chunk_scans
-                        .iter()
-                        .enumerate()
-                        .map(|(i, (chunk, times))| {
-                            (
-                                SubQuery {
-                                    id: SubQueryId {
-                                        query: qid,
-                                        index: i as u32,
-                                    },
-                                    keys: covered_keys,
-                                    times: *times,
-                                    predicate: None,
-                                    measure_range: None,
-                                    target: SubQueryTarget::Chunk(*chunk),
-                                },
-                                *chunk,
-                                None,
-                            )
-                        })
-                        .collect();
-                    fallback_sqs += chunk_sqs.len() as u64;
-                    self.stats
-                        .subqueries
-                        .fetch_add(chunk_sqs.len() as u64, Ordering::Relaxed);
-                    let tuples = self.execute_chunk_subqueries(chunk_sqs)?;
-                    scanned += tuples.len() as u64;
-                    for t in &tuples {
-                        agg.insert(measure(t));
-                    }
+                SubQueryTarget::Chunk(chunk) => {
+                    chunk_calls.push((chunk, Request::ChunkAggregate { sq, chunk }))
                 }
             }
         }
-        // Fringe rectangles run as ordinary range sub-executions (fresh +
-        // flushed data alike) and are folded tuple by tuple.
-        for rect in fringe_rects {
-            let r = self.execute_with_qid(&Query::range(rect.keys, rect.times), qid)?;
-            scanned += r.tuples.len() as u64;
-            fallback_sqs += r.subqueries as u64;
-            for t in &r.tuples {
-                agg.insert(measure(t));
-            }
-        }
-        self.stats
-            .agg_cells_merged
-            .fetch_add(cells_merged, Ordering::Relaxed);
-        self.stats
-            .agg_fallback_subqueries
-            .fetch_add(fallback_sqs, Ordering::Relaxed);
-        Ok(AggregateAnswer {
-            query_id: qid,
-            kind: aq.kind,
-            agg,
-            cells_merged,
-            scanned_tuples: scanned,
-        })
-    }
-
-    /// Reads a chunk summary through a reachable query server (cached there
-    /// as a first-class block kind). Servers co-located with one of the
-    /// chunk's replicas are probed first (their DFS read takes the
-    /// short-circuit path and warms the best-placed cache); within each
-    /// locality class the start offset rotates by chunk id so repeated
-    /// loads spread across the servers.
-    ///
-    /// Only *delivery* failures rotate to the next server: timeouts,
-    /// unreachable links, and down servers. An application error — a
-    /// corrupt summary footer, a missing chunk — is the same answer on
-    /// every replica and is surfaced immediately instead of being
-    /// retried `n` times and misreported as "all query servers failed".
-    fn load_summary(&self, chunk: ChunkId) -> Result<Option<Arc<WheelSummary>>> {
-        let rt = self.routing.read().clone();
-        let n = rt.query_servers.len();
-        let start = chunk.raw() as usize % n;
-        let rotated = (0..n).map(|i| rt.query_servers[(start + i) % n]);
-        let (colocated, remote): (Vec<ServerId>, Vec<ServerId>) =
-            rotated.partition(|&qs| self.cluster.is_colocated(qs, chunk, self.replication));
-        for qs in colocated.into_iter().chain(remote) {
-            match self.rpc.call(qs, Request::ReadSummary { chunk }) {
-                Ok(resp) => return resp.into_summary(),
-                // The server never (usably) received the request, or is
-                // injected-down: another server may still answer.
-                Err(WwError::Timeout(_))
-                | Err(WwError::Unreachable(_))
-                | Err(WwError::Injected(_)) => continue,
-                // An actual answer from the read path (corrupt footer,
-                // I/O error, missing chunk): retrying elsewhere re-reads
-                // the same bytes — surface it.
+        let mut shares = Vec::new();
+        for share in self.execute_in_memory(mem_calls, Response::into_share) {
+            match share {
+                Ok(share) => shares.push(share),
+                // A crashed or unreachable server's memory is gone — §V
+                // recovery replays it into chunks — so it is skipped.
+                Err(WwError::Injected(_)) | Err(WwError::Unreachable(_)) => {}
                 Err(e) => return Err(e),
             }
         }
-        // Every server of the planned epoch failed. If the membership
-        // epoch moved while we probed, the plan was made against a
-        // superseded view: answer with a typed *retryable* error so the
-        // caller re-plans against the refreshed table, never with a wrong
-        // or falsely-final answer.
-        if self.epoch_raced(rt.epoch) {
-            return Err(WwError::Unreachable(
-                "membership epoch advanced mid-query; retry against the new view",
-            ));
+        shares.extend(self.execute_on_chunks(chunk_calls, Response::into_share)?);
+        let mut total = AggShare::default();
+        for share in &shares {
+            total.merge(share);
         }
-        Err(WwError::InvalidState(
-            "summary unreadable: all query servers failed".into(),
-        ))
+        let scanning = shares.iter().filter(|share| share.scanned > 0).count();
+        self.stats
+            .agg_cells_merged
+            .fetch_add(total.cells_merged, Ordering::Relaxed);
+        self.stats
+            .agg_leaves_merged
+            .fetch_add(total.leaves_merged, Ordering::Relaxed);
+        self.stats
+            .agg_fallback_subqueries
+            .fetch_add(scanning as u64, Ordering::Relaxed);
+        Ok(AggregateAnswer {
+            query_id: qid,
+            kind: aq.kind,
+            agg: total.agg,
+            cells_merged: total.cells_merged,
+            scanned_tuples: total.scanned,
+        })
     }
 
-    fn execute_chunk_subqueries(
+    /// Sends each call to its indexing server, concurrently — the
+    /// fresh-data path of §IV-A — and unwraps each answer with `answer`.
+    /// A single call runs right here; more share the pool with the chunk
+    /// subqueries.
+    fn execute_in_memory<A: Send + 'static>(
         &self,
-        chunk_sqs: Vec<(SubQuery, ChunkId, Option<Bitmap>)>,
-    ) -> Result<Vec<Tuple>> {
-        if chunk_sqs.is_empty() {
+        calls: Vec<(ServerId, Request)>,
+        answer: fn(Response) -> Result<A>,
+    ) -> Vec<Result<A>> {
+        let n = calls.len();
+        let partials: Slots<Result<A>> = Arc::new(Mutex::new((0..n).map(|_| None).collect()));
+        let exec = {
+            let rpc = self.rpc.clone();
+            let partials = Arc::clone(&partials);
+            move |_slot: usize, i: usize| {
+                let (server, request) = &calls[i];
+                let partial = rpc.call(*server, request.clone()).and_then(answer);
+                partials.lock()[i] = Some(partial);
+                true
+            }
+        };
+        if n > 0 {
+            dispatch::execute_plan(&self.pool, DispatchPlan::one_each(n), 1, exec);
+        }
+        let partials = std::mem::take(&mut *partials.lock());
+        partials
+            .into_iter()
+            .map(|partial| {
+                partial.unwrap_or_else(|| {
+                    Err(WwError::InvalidState(
+                        "an in-memory subquery did not complete".into(),
+                    ))
+                })
+            })
+            .collect()
+    }
+
+    /// Runs one call per chunk across the query servers under the dispatch
+    /// policy, with §V redispatch of whatever failed, and unwraps each
+    /// answer with `answer`.
+    fn execute_on_chunks<A: Send + 'static>(
+        &self,
+        calls: Vec<(ChunkId, Request)>,
+        answer: fn(Response) -> Result<A>,
+    ) -> Result<Vec<A>> {
+        if calls.is_empty() {
             return Ok(Vec::new());
         }
-        let chunks: Vec<ChunkId> = chunk_sqs.iter().map(|(_, c, _)| *c).collect();
+        let chunks: Vec<ChunkId> = calls.iter().map(|(c, _)| *c).collect();
         // Plan against one routing-table snapshot: every dispatch and
         // redispatch below runs against this epoch's replica set, so a
         // membership change mid-query either never matters (the old
@@ -647,25 +558,14 @@ impl Coordinator {
         // What a worker does for subquery `i` as `server`: one RPC, the
         // answer filed under `i`. Owned (not borrowed) state throughout —
         // pool threads outlive this call.
-        let results: Slots<Vec<Tuple>> = Arc::new(Mutex::new(vec![None; chunk_sqs.len()]));
+        let results: Slots<A> = Arc::new(Mutex::new((0..calls.len()).map(|_| None).collect()));
         let run = {
             let rpc = self.rpc.clone();
             let results = Arc::clone(&results);
             Arc::new(move |server: ServerId, i: usize| -> bool {
-                let (sq, chunk, filter) = &chunk_sqs[i];
-                let answer = rpc
-                    .call(
-                        server,
-                        Request::ChunkSubquery {
-                            sq: sq.clone(),
-                            chunk: *chunk,
-                            leaf_filter: filter.clone(),
-                        },
-                    )
-                    .and_then(|r| r.into_tuples());
-                match answer {
-                    Ok(tuples) => {
-                        results.lock()[i] = Some(tuples);
+                match rpc.call(server, calls[i].1.clone()).and_then(answer) {
+                    Ok(a) => {
+                        results.lock()[i] = Some(a);
                         true
                     }
                     Err(_) => false,
@@ -724,10 +624,10 @@ impl Coordinator {
         // Every plan above has returned, so no worker holds a subquery.
         let results = std::mem::take(&mut *results.lock());
         if results.iter().any(Option::is_none) {
-            // Same epoch-race rule as `load_summary`: if membership moved
-            // past the planned epoch, the failure is "planned against a
-            // stale view" — typed retryable, so the caller re-executes
-            // against the refreshed routing table.
+            // If membership moved past the planned epoch, the failure is
+            // "planned against a stale view" — typed retryable, so the
+            // caller re-executes against the refreshed routing table, never
+            // with a wrong or falsely-final answer.
             if self.epoch_raced(rt.epoch) {
                 return Err(WwError::Unreachable(
                     "membership epoch advanced mid-query; retry against the new view",
@@ -737,7 +637,7 @@ impl Coordinator {
                 "subqueries unexecutable: all query servers failed".into(),
             ));
         }
-        Ok(results.into_iter().flatten().flatten().collect())
+        Ok(results.into_iter().flatten().collect())
     }
 }
 
@@ -749,11 +649,13 @@ mod tests {
     use super::*;
     use crate::indexing::IndexingServer;
     use crate::query_server::QueryServer;
+    use waterwheel_agg::PartialAgg;
     use waterwheel_cluster::LatencyModel;
+    use waterwheel_core::aggregate::AggregateKind;
     use waterwheel_core::{KeyInterval, NodeId, Region, SystemConfig, TimeInterval};
     use waterwheel_meta::{ChunkInfo, FlushedChunk, MetadataService};
     use waterwheel_mq::{Consumer, MessageQueue};
-    use waterwheel_net::{serve_meta, InProcTransport, Response, Transport, COORDINATOR};
+    use waterwheel_net::{serve_meta, InProcTransport, Transport, COORDINATOR};
     use waterwheel_storage::SimDfs;
 
     fn region(k0: u64, k1: u64, t0: u64, t1: u64) -> Region {
@@ -792,9 +694,7 @@ mod tests {
                         *chunk,
                         leaf_filter.as_ref(),
                     )?)),
-                    Request::ReadSummary { chunk } => {
-                        Ok(Response::Summary(qs.read_summary(*chunk)?))
-                    }
+                    Request::ChunkAggregate { sq, chunk } => Ok(qs.aggregate(sq, *chunk)?.into()),
                     Request::Ping => Ok(Response::Pong),
                     _ => Err(WwError::InvalidState("unexpected request".into())),
                 });
@@ -820,9 +720,7 @@ mod tests {
                     Request::InMemorySubquery { sq } => {
                         Ok(Response::Tuples(ix.query_in_memory(sq)?))
                     }
-                    Request::AggregateInMemory { slices, covered } => {
-                        Ok(Response::Fold(ix.aggregate_in_memory(*slices, covered)?))
-                    }
+                    Request::InMemoryAggregate { sq } => Ok(ix.aggregate_in_memory(sq)?.into()),
                     Request::Ping => Ok(Response::Pong),
                     _ => Err(WwError::InvalidState("unexpected request".into())),
                 });
@@ -905,108 +803,65 @@ mod tests {
         assert!(r.tuples.is_empty());
     }
 
-    /// Two hand-wired "query servers" whose `ReadSummary` answers are the
-    /// given closures; returns the coordinator plus per-server probe
-    /// counters. Servers are optionally placed on nodes 0 and 1.
-    fn summary_probe_rig(
-        cluster: Cluster,
-        answer10: impl Fn() -> Result<Response> + Send + Sync + 'static,
-        answer11: impl Fn() -> Result<Response> + Send + Sync + 'static,
-    ) -> (Coordinator, Arc<AtomicU64>, Arc<AtomicU64>) {
+    /// An aggregate sends each decomposed target one aggregate subquery
+    /// carrying the query's own rectangle — not the overlap `decompose`
+    /// clips to the target's region — and merges the shares they answer.
+    #[test]
+    fn aggregate_subqueries_carry_the_unclipped_rectangle() {
         let cfg = SystemConfig::default();
         let transport = Arc::new(InProcTransport::with_registry(None, Arc::default()));
-        let probes10 = Arc::new(AtomicU64::new(0));
-        let probes11 = Arc::new(AtomicU64::new(0));
-        {
-            let probes = Arc::clone(&probes10);
-            transport
-                .registry()
-                .bind(ServerId(10), move |env| match &env.payload {
-                    Request::ReadSummary { .. } => {
-                        probes.fetch_add(1, Ordering::SeqCst);
-                        answer10()
-                    }
-                    Request::Ping => Ok(Response::Pong),
-                    _ => Err(WwError::InvalidState("unexpected request".into())),
-                });
-        }
-        {
-            let probes = Arc::clone(&probes11);
-            transport
-                .registry()
-                .bind(ServerId(11), move |env| match &env.payload {
-                    Request::ReadSummary { .. } => {
-                        probes.fetch_add(1, Ordering::SeqCst);
-                        answer11()
-                    }
-                    Request::Ping => Ok(Response::Pong),
-                    _ => Err(WwError::InvalidState("unexpected request".into())),
-                });
+        let meta = MetadataService::in_memory();
+        serve_meta(transport.registry(), meta.clone());
+        register(&meta, 0, region(0, 100, 0, 100));
+        register(&meta, 1, region(200, 300, 0, 100));
+        meta.update_memory_region(ServerId(0), Some(region(0, 1_000, 100, 200)));
+        let seen: Arc<Mutex<Vec<(ServerId, SubQuery)>>> = Arc::default();
+        for (server, scanned) in [(ServerId(0), 0), (ServerId(10), 2)] {
+            let seen = Arc::clone(&seen);
+            transport.registry().bind(server, move |env| {
+                let sq = match &env.payload {
+                    Request::InMemoryAggregate { sq } | Request::ChunkAggregate { sq, .. } => sq,
+                    _ => return Err(WwError::InvalidState("unexpected request".into())),
+                };
+                seen.lock().push((env.dst, sq.clone()));
+                let mut agg = PartialAgg::empty();
+                agg.insert(7);
+                Ok(AggShare {
+                    agg,
+                    cells_merged: 1,
+                    leaves_merged: 3,
+                    scanned,
+                }
+                .into())
+            });
         }
         let rpc = RpcClient::new(transport as Arc<dyn Transport>, COORDINATOR, &cfg);
         let coord = Coordinator::new(
             rpc,
-            cluster,
-            vec![ServerId(10), ServerId(11)],
-            vec![],
+            Cluster::new(1),
+            vec![ServerId(10)],
+            vec![ServerId(0)],
             1,
             DispatchPolicy::Lada,
             &cfg,
         );
-        (coord, probes10, probes11)
-    }
-
-    #[test]
-    fn load_summary_surfaces_application_errors_immediately() {
-        // A corrupt footer is the same answer on every replica: one probe,
-        // error out — the healthy-looking second server is never asked.
-        let (coord, probes10, probes11) = summary_probe_rig(
-            Cluster::new(2),
-            || Err(WwError::corrupt("summary footer", "bad magic")),
-            || Ok(Response::Summary(None)),
+        let (keys, times) = (KeyInterval::new(50, 250), TimeInterval::new(50, 150));
+        let answer = coord
+            .execute_aggregate(&Query::range(keys, times).aggregate(AggregateKind::Sum))
+            .unwrap();
+        let seen = seen.lock();
+        assert_eq!(seen.len(), 3, "two chunks and one memory region");
+        assert_eq!(
+            seen.iter().filter(|(dst, _)| *dst == ServerId(10)).count(),
+            2
         );
-        // ChunkId(0) rotates the probe start to slot 0 (ServerId 10).
-        let err = coord.load_summary(ChunkId(0)).unwrap_err();
-        assert!(matches!(err, WwError::Corrupt { .. }), "got {err}");
-        assert_eq!(probes10.load(Ordering::SeqCst), 1);
-        assert_eq!(probes11.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn load_summary_rotates_past_delivery_failures() {
-        // An injected-down server never usably received the request;
-        // the next server in rotation answers and the load succeeds.
-        let (coord, probes10, probes11) = summary_probe_rig(
-            Cluster::new(2),
-            || Err(WwError::Injected("server down")),
-            || Ok(Response::Summary(None)),
-        );
-        let summary = coord.load_summary(ChunkId(0)).unwrap();
-        assert!(summary.is_none());
-        assert_eq!(probes10.load(Ordering::SeqCst), 1);
-        assert_eq!(probes11.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn load_summary_probes_colocated_servers_first() {
-        // Place server 10 on node 0 and server 11 on node 1, then pick a
-        // chunk whose rotation favors server 10 but whose single replica
-        // lives on node 1: locality must win over rotation, so only the
-        // co-located server 11 is probed.
-        let cluster = Cluster::new(2);
-        cluster.place_servers_round_robin([ServerId(10), ServerId(11)]);
-        let chunk = (0..200u64)
-            .step_by(2) // even ⇒ rotation starts at slot 0 (ServerId 10)
-            .map(ChunkId)
-            .find(|&c| cluster.replicas(c, 1) == vec![NodeId(1)])
-            .expect("some even chunk hashes to node 1");
-        let (coord, probes10, probes11) = summary_probe_rig(
-            cluster,
-            || Ok(Response::Summary(None)),
-            || Ok(Response::Summary(None)),
-        );
-        coord.load_summary(chunk).unwrap();
-        assert_eq!(probes10.load(Ordering::SeqCst), 0);
-        assert_eq!(probes11.load(Ordering::SeqCst), 1);
+        for (_, sq) in seen.iter() {
+            assert_eq!((sq.keys, sq.times), (keys, times));
+        }
+        assert_eq!((answer.agg.count, answer.agg.sum), (3, 21));
+        assert_eq!((answer.cells_merged, answer.scanned_tuples), (3, 4));
+        let stats = coord.stats();
+        assert_eq!(stats.agg_leaves_merged.load(Ordering::Relaxed), 9);
+        assert_eq!(stats.agg_fallback_subqueries.load(Ordering::Relaxed), 2);
     }
 }

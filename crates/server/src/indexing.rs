@@ -36,7 +36,7 @@ use crate::attributes::AttrRegistry;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use waterwheel_agg::{AggWheel, FoldOutcome, WheelSummary, MAX_CELLS_PER_RING, SLICE_BITS};
+use waterwheel_agg::{plan, AggShare, AggWheel, WheelSummary, MAX_CELLS_PER_RING, SLICE_BITS};
 use waterwheel_core::aggregate::{default_measure, MeasureFn};
 use waterwheel_core::{
     ChunkId, Counters, KeyInterval, Region, Result, ServerId, SubQuery, SystemConfig, TimeInterval,
@@ -326,24 +326,41 @@ impl IndexingServer {
         }
     }
 
-    /// Folds the live aggregate wheels over `slices × covered` — the
-    /// fresh-data half of an aggregate query's summary path. Live wheels
-    /// keep every ring, so the outcome never carries residues.
-    pub fn aggregate_in_memory(
-        &self,
-        slices: (u16, u16),
-        covered: &TimeInterval,
-    ) -> Result<FoldOutcome> {
+    /// Answers this server's share of an aggregate over `sq`'s rectangle —
+    /// the query's own, not clipped to the memory region. The live wheels
+    /// answer the wheel interior ([`plan::split`]); the tree and the side
+    /// store are folded over the fringes. Each part takes its own lock, the
+    /// wheels' as the pump does and the tree's leaf latches, never one
+    /// across the other.
+    pub fn aggregate_in_memory(&self, sq: &SubQuery) -> Result<AggShare> {
         if self.is_failed() {
             return Err(waterwheel_core::WwError::Injected("indexing server down"));
         }
-        let wheels = self.wheels.lock();
-        let mut out = wheels.main.fold(slices, covered);
-        let side = wheels.side.fold(slices, covered);
-        out.agg.merge(&side.agg);
-        out.cells_merged += side.cells_merged;
-        debug_assert!(out.residues.is_empty(), "live wheel folds have no residues");
-        Ok(out)
+        let split = plan::split(&sq.keys, &sq.times, SLICE_BITS);
+        let mut share = AggShare::default();
+        let mut fringes = split.fringes;
+        if let Some(interior) = split.interior {
+            if self.cfg.agg_summaries_enabled {
+                let wheels = self.wheels.lock();
+                for wheel in [&wheels.main, &wheels.side] {
+                    let out = wheel.fold(interior.slices, &interior.covered);
+                    debug_assert!(out.residues.is_empty(), "live wheel folds have no residues");
+                    share.agg.merge(&out.agg);
+                    share.cells_merged += out.cells_merged;
+                }
+            } else {
+                // The pump feeds no wheel: the interior is one more fringe.
+                fringes.push(Region::new(interior.keys, interior.covered));
+            }
+        }
+        let measure = self.measure.read().clone();
+        for fringe in fringes {
+            share.fold(
+                &self.scan_in_memory(&fringe.keys, &fringe.times, None),
+                &*measure,
+            );
+        }
+        Ok(share)
     }
 
     /// The region the coordinator should consider for fresh data: the
@@ -374,18 +391,30 @@ impl IndexingServer {
         if self.is_failed() {
             return Err(waterwheel_core::WwError::Injected("indexing server down"));
         }
-        let pred = sq.predicate.clone();
-        let mut out = match &pred {
-            Some(p) => {
-                let p = Arc::clone(p);
-                let f = move |t: &Tuple| p(t);
-                self.tree.query(&sq.keys, &sq.times, Some(&f))
-            }
-            None => self.tree.query(&sq.keys, &sq.times, None),
-        };
+        Ok(self.scan_in_memory(&sq.keys, &sq.times, sq.predicate.as_deref()))
+    }
+
+    /// The tree and side-store tuples inside `keys × times` that pass
+    /// `predicate`.
+    fn scan_in_memory(
+        &self,
+        keys: &KeyInterval,
+        times: &TimeInterval,
+        predicate: Option<&(dyn Fn(&Tuple) -> bool + Send + Sync)>,
+    ) -> Vec<Tuple> {
+        let mut out = self.tree.query(
+            keys,
+            times,
+            predicate.map(|p| p as &(dyn Fn(&Tuple) -> bool + Sync)),
+        );
         let side = self.side_store.lock();
-        out.extend(side.iter().filter(|t| sq.matches(t)).cloned());
-        Ok(out)
+        out.extend(
+            side.iter()
+                .filter(|t| keys.contains(t.key) && times.contains(t.ts))
+                .filter(|t| predicate.is_none_or(|p| p(t)))
+                .cloned(),
+        );
+        out
     }
 
     /// Writes one sealed tree to the DFS as chunk `id` — with its
@@ -981,7 +1010,7 @@ mod tests {
             // can never know FEWER tuples than the fresh tree does.
             let in_mem = server.in_memory() as u64;
             let wheel = server
-                .aggregate_in_memory((0, 15), &TimeInterval::full())
+                .aggregate_in_memory(&sq(KeyInterval::full(), TimeInterval::full()))
                 .unwrap()
                 .agg
                 .count;
@@ -1018,7 +1047,7 @@ mod tests {
             .map(|(id, _)| rig.meta.chunk_info(*id).unwrap().count)
             .sum();
         let fresh = server
-            .aggregate_in_memory((0, 15), &TimeInterval::full())
+            .aggregate_in_memory(&sq(KeyInterval::full(), TimeInterval::full()))
             .unwrap()
             .agg
             .count;

@@ -33,8 +33,8 @@
 //! | Fig. 17 live key-range migration: the one driver | [`migration`] |
 //! | Figure 3 topology, embedded             | [`system`] |
 //!
-//! Every cross-server hop (ingest, flush, subqueries, summary reads,
-//! metadata calls, migration steps) is a typed RPC on the `waterwheel-net`
+//! Every cross-server hop (ingest, flush, subqueries, aggregate
+//! subqueries, metadata calls, migration steps) is a typed RPC on the `waterwheel-net`
 //! message plane; [`Waterwheel::transport`] exposes it for fault injection
 //! and per-link statistics. What a role *is* — how its server is built
 //! from durable state, which verbs it answers and how — lives once in
@@ -48,8 +48,8 @@
 //! |---|---|---|---|---|
 //! | `IngestBatch` (the one ingest verb; a single insert is a batch of one) | append once per `(src, seq)`; the marker is journalled in the batch's frame and committed before `AckBatch` | — | route every tuple through this dispatcher, once per `(src, seq)` | — |
 //! | `Flush` | `Injected` if failed, else pump the partition empty and seal; flushes of one server are serialized, so it returns only once everything sealed so far is in registered chunks | — | [`Gateway::flush_all`]: push buffered batches, then `Flush` every indexing server of the live membership (a metadata error fails the flush; only an `Injected` server is skipped); answers the sealed chunks | — |
-//! | `InMemorySubquery`, `AggregateInMemory`, `Reassign` | served | — | — | — |
-//! | `ChunkSubquery`, `ReadSummary` | — | served | — | — |
+//! | `InMemorySubquery`, `InMemoryAggregate` (this server's share of an aggregate: live wheels over the interior, tree and side store folded over the fringes), `Reassign` | served | — | — | — |
+//! | `ChunkSubquery`, `ChunkAggregate` (one chunk's share: summary, leaf directory, scan of the cut leaves) | — | served | — | — |
 //! | `ClientQuery`, `ClientAggregate` | — | — | — | [`Gateway::query`] / [`Gateway::aggregate`] on the current coordinator |
 //! | `MigrateUniform` | — | — | — | [`Gateway::migrate_uniform`]: uniform plan over the live membership, run by [`migration::run`] |
 //! | `Ping` | `Injected` if failed, else `Pong` | same | `Pong` | `Pong` |

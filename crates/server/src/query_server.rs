@@ -14,6 +14,12 @@
 //! Templates and leaf pages are the two LRU caching-unit kinds; the server's
 //! cluster node determines whether DFS reads take the co-located fast path.
 //!
+//! An aggregate subquery ([`QueryServer::aggregate`]) answers one chunk's
+//! share of an aggregate without shipping a tuple: the chunk's summary
+//! over the wheel interior, the leaf directory's landmark aggregate for
+//! every leaf wholly inside a fringe, and a scan of only the leaves a
+//! fringe cuts (DESIGN.md §4b).
+//!
 //! The read path is parallel inside one server (the paper's millisecond
 //! latencies at high client concurrency, §VI-C):
 //!
@@ -23,23 +29,25 @@
 //! * template and summary loads are **singleflighted** — concurrent
 //!   subqueries missing on the same chunk's index block issue one DFS read
 //!   and share the parsed result;
-//! * within a subquery, leaf fetching is **pipelined** where that can
-//!   overlap anything: a reader thread streams coalesced miss-runs in leaf
-//!   order while the caller filters pages already in hand, so a mid-run
-//!   cache hit no longer stalls the scan behind the next read. A subquery
-//!   whose misses are one run with no cached page ahead of it has nothing
-//!   to overlap, and reads that run on its own thread.
+//! * within a subquery, each coalesced miss-run is read when its first
+//!   leaf comes up, on the subquery's own thread: no thread is started to
+//!   read ahead (starting one cost more than the overlap it bought, and a
+//!   cold scan paid it on every subquery with more than one run).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use waterwheel_agg::WheelSummary;
+use waterwheel_agg::{plan, AggShare, WheelSummary, SLICE_BITS};
 use waterwheel_cluster::Cluster;
+use waterwheel_core::aggregate::{default_measure, MeasureFn};
 use waterwheel_core::{
-    ChunkId, CounterRegistry, NodeId, Result, ServerId, SubQuery, SystemConfig, Tuple, WwError,
+    ChunkId, CounterRegistry, KeyInterval, NodeId, Region, Result, ServerId, SubQuery,
+    SystemConfig, TimeInterval, Tuple, WwError,
 };
 use waterwheel_index::columnar::{DecodedLeaf, ScanScratch};
 use waterwheel_index::Bitmap;
-use waterwheel_storage::{Block, BlockCache, BlockKey, ChunkReader, SimDfs, Singleflight};
+use waterwheel_storage::{
+    Block, BlockCache, BlockKey, ChunkIndex, ChunkReader, SimDfs, Singleflight,
+};
 
 /// Upper bound on pooled scan scratches; beyond this, finished scratches
 /// are dropped rather than retained. Concurrent subqueries rarely exceed
@@ -140,6 +148,17 @@ impl Drop for IoPermitGuard<'_> {
     }
 }
 
+/// One leaf scan's target: a rectangle of one chunk, and the residual
+/// predicate its tuples must pass.
+#[derive(Clone, Copy)]
+struct Scan<'a> {
+    index: &'a ChunkIndex,
+    chunk: ChunkId,
+    keys: &'a KeyInterval,
+    times: &'a TimeInterval,
+    predicate: Option<&'a (dyn Fn(&Tuple) -> bool + Send + Sync)>,
+}
+
 /// A query server bound to a cluster node.
 pub struct QueryServer {
     id: ServerId,
@@ -158,6 +177,10 @@ pub struct QueryServer {
     /// Per-worker scratch arenas: each subquery checks one out and reuses
     /// its decode/select buffers across every leaf it touches.
     scratch_pool: Mutex<Vec<ScanScratch>>,
+    /// Measure folded by aggregate subqueries over the leaves they scan;
+    /// must be the one the chunks' summaries and directories were written
+    /// with.
+    measure: parking_lot::RwLock<MeasureFn>,
 }
 
 impl QueryServer {
@@ -204,7 +227,14 @@ impl QueryServer {
             template_flights: Singleflight::new(),
             summary_flights: Singleflight::new(),
             scratch_pool: Mutex::new(Vec::new()),
+            measure: parking_lot::RwLock::new(default_measure()),
         }
+    }
+
+    /// Installs the measure aggregate subqueries fold (must match the
+    /// indexing servers').
+    pub fn set_measure(&self, measure: MeasureFn) {
+        *self.measure.write() = measure;
     }
 
     /// This server's id.
@@ -275,10 +305,7 @@ impl QueryServer {
     /// possible, otherwise via a footer-only DFS read (leaf pages are never
     /// touched; concurrent misses on one chunk share a single read). Chunks
     /// written without a summary return `Ok(None)`.
-    pub fn read_summary(&self, chunk: ChunkId) -> Result<Option<Arc<WheelSummary>>> {
-        if self.is_failed() {
-            return Err(WwError::Injected("query server down"));
-        }
+    fn read_summary(&self, chunk: ChunkId) -> Result<Option<Arc<WheelSummary>>> {
         if let Some(Block::Summary(summary)) = self.cache.get(&BlockKey::Summary(chunk)) {
             self.stats
                 .summary_cache_hits
@@ -331,11 +358,86 @@ impl QueryServer {
         chunk: ChunkId,
         leaf_filter: Option<&Bitmap>,
     ) -> Result<Vec<Tuple>> {
+        self.timed(|| {
+            let index = self.load_template(chunk)?;
+            let leaves = self.select_leaves(&index, sq, leaf_filter);
+            self.with_scratch(|scratch| {
+                let scan = Scan {
+                    index: &index,
+                    chunk,
+                    keys: &sq.keys,
+                    times: &sq.times,
+                    predicate: sq.predicate.as_deref(),
+                };
+                self.scan_leaves(&scan, &leaves, scratch)
+            })
+        })
+    }
+
+    /// Answers one chunk's share of an aggregate over `sq`'s rectangle —
+    /// the query's own, not clipped to the chunk. The rectangle splits
+    /// against the wheel ([`plan::split`]); the chunk's summary answers the
+    /// interior when it was sliced like the plan, and its residues join
+    /// the fringes (without a usable summary the whole rectangle is one
+    /// fringe). In each fringe, a leaf whose keys and times lie wholly
+    /// inside merges its directory entry unread; the leaves the fringe cuts
+    /// are scanned and their matching tuples folded under the measure.
+    pub fn aggregate(&self, sq: &SubQuery, chunk: ChunkId) -> Result<AggShare> {
+        self.timed(|| {
+            let index = self.load_template(chunk)?;
+            let split = plan::split(&sq.keys, &sq.times, SLICE_BITS);
+            let mut share = AggShare::default();
+            let mut fringes = split.fringes;
+            if let Some(interior) = split.interior {
+                match self
+                    .read_summary(chunk)?
+                    .filter(|summary| summary.slice_bits() == SLICE_BITS)
+                {
+                    Some(summary) => {
+                        let out = summary.fold(interior.slices, &interior.covered);
+                        share.agg.merge(&out.agg);
+                        share.cells_merged += out.cells_merged;
+                        fringes.extend(out.residues.iter().map(|r| Region::new(interior.keys, *r)));
+                    }
+                    None => fringes = vec![Region::new(sq.keys, sq.times)],
+                }
+            }
+            let measure = self.measure.read().clone();
+            self.with_scratch(|scratch| -> Result<()> {
+                for fringe in &fringes {
+                    let mut cut = Vec::new();
+                    for li in self.leaves_in(&index, &fringe.keys, &fringe.times) {
+                        match index.leaf_landmark_inside(li, fringe) {
+                            Some(landmark) => {
+                                share.agg.merge(&landmark);
+                                share.leaves_merged += 1;
+                            }
+                            None => cut.push(li),
+                        }
+                    }
+                    let scan = Scan {
+                        index: &index,
+                        chunk,
+                        keys: &fringe.keys,
+                        times: &fringe.times,
+                        predicate: None,
+                    };
+                    share.fold(&self.scan_leaves(&scan, &cut, scratch)?, &*measure);
+                }
+                Ok(())
+            })?;
+            Ok(share)
+        })
+    }
+
+    /// Runs one subquery's work unless the server is failed, counting it
+    /// and its busy time.
+    fn timed<T>(&self, work: impl FnOnce() -> Result<T>) -> Result<T> {
         let t0 = std::time::Instant::now();
         if self.is_failed() {
             return Err(WwError::Injected("query server down"));
         }
-        let result = self.execute_inner(sq, chunk, leaf_filter);
+        let result = work();
         self.stats.subqueries.fetch_add(1, Ordering::Relaxed);
         self.stats
             .busy_ns
@@ -344,21 +446,16 @@ impl QueryServer {
     }
 
     /// Checks a scan scratch out of the pool (or a fresh one under
-    /// contention), runs the subquery with it, and returns it for the next
-    /// subquery — the per-worker arena of the pipelined scan path.
-    fn execute_inner(
-        &self,
-        sq: &SubQuery,
-        chunk: ChunkId,
-        leaf_filter: Option<&Bitmap>,
-    ) -> Result<Vec<Tuple>> {
+    /// contention), runs `work` with it, and returns it for the next
+    /// subquery — the per-worker arena of the scan path.
+    fn with_scratch<T>(&self, work: impl FnOnce(&mut ScanScratch) -> T) -> T {
         let mut scratch = self
             .scratch_pool
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .pop()
             .unwrap_or_default();
-        let result = self.execute_scan(sq, chunk, leaf_filter, &mut scratch);
+        let result = work(&mut scratch);
         let mut pool = self.scratch_pool.lock().unwrap_or_else(|e| e.into_inner());
         if pool.len() < SCRATCH_POOL_CAP {
             pool.push(scratch);
@@ -366,60 +463,87 @@ impl QueryServer {
         result
     }
 
-    fn execute_scan(
+    /// The leaves whose keys may meet `keys` and whose times are not
+    /// pruned for `times` (bounds or bloom); pruned leaves are counted.
+    fn leaves_in<'a>(
+        &'a self,
+        index: &'a ChunkIndex,
+        keys: &KeyInterval,
+        times: &'a TimeInterval,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let (lo, hi) = index.leaf_range(keys);
+        (lo..=hi).filter(move |&li| {
+            let pruned = index.leaf_prunable(li, times);
+            if pruned {
+                self.stats.leaves_pruned.fetch_add(1, Ordering::Relaxed);
+            }
+            !pruned
+        })
+    }
+
+    /// The leaves a range subquery reads: those of [`Self::leaves_in`] not
+    /// pruned by the secondary-index `leaf_filter` or by measure bounds.
+    fn select_leaves(
         &self,
+        index: &ChunkIndex,
         sq: &SubQuery,
-        chunk: ChunkId,
         leaf_filter: Option<&Bitmap>,
-        scratch: &mut ScanScratch,
-    ) -> Result<Vec<Tuple>> {
-        // 1. Template (index block): cache, then singleflighted DFS read.
-        let index = self.load_template(chunk)?;
-        // 2. Key-qualifying leaf range.
-        let (lo, hi) = index.leaf_range(&sq.keys);
-        let mut out = Vec::new();
-        if lo >= index.leaves.len() {
-            return Ok(out);
-        }
-        let hi = hi.min(index.leaves.len() - 1);
+    ) -> Vec<usize> {
         // Use the secondary-index leaf filter only when it skips a
         // meaningful fraction of the key-qualifying leaves: a dense filter
         // fragments the coalesced page reads (every gap costs one DFS
         // open) while pruning little. Ignoring it is always correct — the
         // predicate still filters tuples.
+        let (lo, hi) = index.leaf_range(&sq.keys);
         let leaf_filter = leaf_filter.filter(|bm| {
             let qualifying = (lo..=hi).filter(|&li| bm.contains(li as u32)).count();
             qualifying * 2 <= hi - lo + 1
         });
-        // 3. One classification pass: prune temporally and by measure
-        // bounds, probe the cache, and coalesce the remaining misses into
-        // contiguous runs. A slot holds the leaf's cached decoded form
-        // (payload blocks stay compressed, scans skip the varint kernels),
-        // or `None` for a miss.
-        let mut slots: Vec<(usize, Option<Arc<DecodedLeaf>>)> = Vec::new();
-        let mut miss_runs: Vec<(usize, usize)> = Vec::new(); // inclusive
-        for li in lo..=hi {
-            if leaf_filter.is_some_and(|bm| !bm.contains(li as u32)) {
-                self.stats.leaves_pruned.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            if index.leaf_prunable(li, &sq.times) {
-                self.stats.leaves_pruned.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            // MIN/MAX measure pruning (composes with the temporal
-            // pruning above): bounds are conservative, so a disjoint leaf
-            // provably holds no qualifying tuple.
-            if let (Some((qlo, qhi)), Some((min, max))) =
-                (sq.measure_range, index.leaves[li].measure_range)
-            {
-                if max < qlo || min > qhi {
+        self.leaves_in(index, &sq.keys, &sq.times)
+            .filter(|&li| {
+                if leaf_filter.is_some_and(|bm| !bm.contains(li as u32)) {
+                    self.stats.leaves_pruned.fetch_add(1, Ordering::Relaxed);
+                    return false;
+                }
+                // MIN/MAX measure pruning (composes with the temporal
+                // pruning): bounds are conservative, so a disjoint leaf
+                // provably holds no qualifying tuple.
+                let disjoint = matches!(
+                    (sq.measure_range, index.leaves[li].measure_range),
+                    (Some((qlo, qhi)), Some((min, max))) if max < qlo || min > qhi
+                );
+                if disjoint {
                     self.stats
                         .measure_pruned_leaves
                         .fetch_add(1, Ordering::Relaxed);
-                    continue;
                 }
-            }
+                !disjoint
+            })
+            .collect()
+    }
+
+    /// Scans `leaves` (ascending) of one chunk for the tuples of `scan`'s
+    /// rectangle that pass its predicate. One classification pass probes
+    /// the cache for each leaf's decoded form and coalesces the misses into
+    /// contiguous runs, each one DFS access.
+    fn scan_leaves(
+        &self,
+        scan: &Scan<'_>,
+        leaves: &[usize],
+        scratch: &mut ScanScratch,
+    ) -> Result<Vec<Tuple>> {
+        let Scan {
+            index,
+            chunk,
+            keys,
+            times,
+            predicate,
+        } = *scan;
+        // A slot holds the leaf's cached decoded form (payload blocks stay
+        // compressed, scans skip the varint kernels), or `None` for a miss.
+        let mut slots: Vec<(usize, Option<Arc<DecodedLeaf>>)> = Vec::with_capacity(leaves.len());
+        let mut miss_runs: Vec<(usize, usize)> = Vec::new(); // inclusive
+        for &li in leaves {
             match self.cache.get(&BlockKey::Leaf(chunk, li as u32)) {
                 Some(Block::ColumnDecoded(leaf)) => {
                     self.stats.leaf_cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -431,8 +555,8 @@ impl QueryServer {
                 _ => {
                     match miss_runs.last_mut() {
                         // Extend the current run only across *consecutive*
-                        // leaves — a pruned or cached leaf in between ends
-                        // the coalesced read, exactly like before.
+                        // leaves — a skipped or cached leaf in between ends
+                        // the coalesced read.
                         Some((_, mhi)) if *mhi + 1 == li => *mhi = li,
                         _ => miss_runs.push((li, li)),
                     }
@@ -440,7 +564,8 @@ impl QueryServer {
                 }
             }
         }
-        // 4. Fetch + filter, in leaf order. Column scans materialize late:
+        let mut out = Vec::new();
+        // Fetch + filter, in leaf order. Column scans materialize late:
         // the key/time selection vector alone picks survivors and the
         // payload block is only decompressed when some survive; the
         // predicate then filters the materialized rows. Survivor counts
@@ -449,7 +574,7 @@ impl QueryServer {
             self.stats
                 .scan_selected_rows
                 .fetch_add(hits.len() as u64, Ordering::Relaxed);
-            match &sq.predicate {
+            match predicate {
                 Some(p) => out.extend(hits.into_iter().filter(|t| p(t))),
                 None => out.extend(hits),
             }
@@ -466,7 +591,7 @@ impl QueryServer {
                 .fetch_add(1, Ordering::Relaxed);
             let count = index.leaves[li].count;
             let decoded = Arc::new(DecodedLeaf::decode(image, count, true, scratch)?);
-            collect_hits(decoded.scan(&sq.keys, &sq.times, scratch)?, out);
+            collect_hits(decoded.scan(keys, times, scratch)?, out);
             self.cache.put(
                 BlockKey::Leaf(chunk, li as u32),
                 Block::ColumnDecoded(decoded),
@@ -480,75 +605,37 @@ impl QueryServer {
             let pages = {
                 let _io = self.io_permits.acquire(&self.stats.io_wait_ns);
                 ChunkReader::new(self.dfs.open(chunk, Some(self.node))?)
-                    .read_leaf_pages(&index, mlo, mhi)?
+                    .read_leaf_pages(index, mlo, mhi)?
             };
             self.stats
                 .leaf_reads
                 .fetch_add((mhi - mlo + 1) as u64, Ordering::Relaxed);
             Ok(pages)
         };
-        // Filters every slot in leaf order; `next_miss` hands over the
-        // fetched image of each miss, in the same order. A decoded cached
-        // leaf skips the column decode entirely.
-        let mut filter_slots = |next_miss: &mut dyn FnMut() -> Result<Vec<u8>>| -> Result<()> {
-            for (li, slot) in &slots {
-                match slot {
-                    Some(leaf) => collect_hits(leaf.scan(&sq.keys, &sq.times, scratch)?, &mut out),
-                    None => scan_cols(*li, &next_miss()?, &mut out, scratch)?,
+        // Filters every slot in leaf order. A decoded cached leaf skips the
+        // column decode entirely; a miss takes the next image of the
+        // current run, and the next run is read when its first leaf comes
+        // up — in leaf order, on this thread.
+        let mut runs = miss_runs.iter();
+        let mut pages = Vec::new().into_iter();
+        for (li, slot) in &slots {
+            match slot {
+                Some(leaf) => collect_hits(leaf.scan(keys, times, scratch)?, &mut out),
+                None => {
+                    let image = match pages.next() {
+                        Some(image) => image,
+                        None => {
+                            let too_few =
+                                || WwError::InvalidState("leaf read returned too few pages".into());
+                            let &(mlo, mhi) = runs.next().ok_or_else(too_few)?;
+                            pages = fetch_run(mlo, mhi)?.into_iter();
+                            pages.next().ok_or_else(too_few)?
+                        }
+                    };
+                    scan_cols(*li, &image, &mut out, scratch)?;
                 }
             }
-            Ok(())
-        };
-        // No miss, or one run with nothing cached ahead of it: there is no
-        // filtering a reader thread could overlap with the read, so the
-        // run is read right here.
-        let nothing_to_overlap = match miss_runs[..] {
-            [] => true,
-            [_] => matches!(slots.first(), Some((_, None))),
-            _ => false,
-        };
-        if nothing_to_overlap {
-            let mut pages = match miss_runs.first() {
-                Some(&(mlo, mhi)) => fetch_run(mlo, mhi)?,
-                None => Vec::new(),
-            }
-            .into_iter();
-            filter_slots(&mut || {
-                pages
-                    .next()
-                    .ok_or_else(|| WwError::InvalidState("leaf read returned too few pages".into()))
-            })?;
-            return Ok(out);
         }
-        // Several runs, or cached pages ahead of the only one: a reader
-        // thread streams the runs in leaf order while this thread filters,
-        // so filtering overlaps the next coalesced read.
-        let (tx, rx) = std::sync::mpsc::channel::<Result<Vec<u8>>>();
-        std::thread::scope(|scope| -> Result<()> {
-            let runs = &miss_runs;
-            let fetch_run = &fetch_run;
-            scope.spawn(move || {
-                for &(mlo, mhi) in runs {
-                    match fetch_run(mlo, mhi) {
-                        Ok(pages) => {
-                            for page in pages {
-                                if tx.send(Ok(page)).is_err() {
-                                    return; // consumer bailed on an error
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            let _ = tx.send(Err(e));
-                            return;
-                        }
-                    }
-                }
-            });
-            filter_slots(&mut || {
-                rx.recv()
-                    .map_err(|_| WwError::Shutdown("leaf reader thread"))?
-            })
-        })?;
         Ok(out)
     }
 }
@@ -746,10 +833,10 @@ mod tests {
     #[test]
     fn inline_and_reader_thread_reads_agree() {
         // The same wide scan, reached two ways. Warming a leaf at the *end*
-        // of the range leaves one miss run with nothing cached ahead of it
-        // (read inline); warming one in the *middle* leaves two runs (read
-        // by the reader thread). Tuples, the read/hit accounting and what
-        // ends up cached must not depend on which way it went.
+        // of the range leaves one miss run with nothing cached ahead of it;
+        // warming one in the *middle* leaves two runs with a cached leaf
+        // between them. Tuples, the read/hit accounting and what ends up
+        // cached must not depend on which way it went.
         let (dfs, chunk, mut tuples) = setup("paths");
         tuples.sort_by_key(|t| (t.key, t.ts));
         let wide = subquery(KeyInterval::full(), TimeInterval::full(), chunk);
@@ -817,6 +904,92 @@ mod tests {
         assert_eq!(qs.cache().stats().misses.load(Ordering::Relaxed), 0);
         qs.set_failed(false);
         assert!(qs.execute(&sq, chunk).is_ok());
+    }
+
+    /// A chunk written before the leaf directory recorded the measure SUM
+    /// (flag-1 entries, the storage crate's `v2_measure_flag1.chunk`
+    /// fixture): its aggregates are answered by scanning every leaf, and
+    /// equal a naive fold of its tuples.
+    #[test]
+    fn a_flag1_chunk_aggregates_by_scanning() {
+        let (dfs, _, _) = setup("flag1");
+        let flag1 = include_bytes!("../../storage/tests/fixtures/v2_measure_flag1.chunk");
+        let chunk = ChunkId(7);
+        dfs.write_chunk(chunk, flag1).unwrap();
+        let tuples: Vec<Tuple> = {
+            let reader = ChunkReader::new(&flag1[..]);
+            let index = reader.load_index().unwrap();
+            let pages = reader.read_leaves(&index, 0, index.leaves.len() - 1);
+            pages.unwrap().into_iter().flatten().collect()
+        };
+        assert_eq!(tuples.len(), 700);
+        let qs = QueryServer::new(ServerId(0), NodeId(0), dfs, 1 << 20);
+        for (keys, times) in [
+            (KeyInterval::new(0, 1_999), TimeInterval::full()),
+            (
+                KeyInterval::new(300, 1_500),
+                TimeInterval::new(5_000, 30_000),
+            ),
+        ] {
+            let share = qs.aggregate(&subquery(keys, times, chunk), chunk).unwrap();
+            let mut want = waterwheel_agg::PartialAgg::empty();
+            for t in tuples
+                .iter()
+                .filter(|t| keys.contains(t.key) && times.contains(t.ts))
+            {
+                want.insert(t.payload.len() as u64);
+            }
+            assert!(want.count > 0);
+            assert_eq!(share.agg, want, "{keys:?} x {times:?}");
+            assert_eq!(share.leaves_merged, 0, "flag-1 leaves carry no sum");
+            assert_eq!(share.scanned, want.count);
+        }
+    }
+
+    /// On a chunk written now, an aggregate merges every leaf wholly
+    /// inside its rectangle from the directory and reads only the leaves
+    /// the rectangle's edges cut.
+    #[test]
+    fn an_aggregate_reads_only_the_leaves_its_rectangle_cuts() {
+        let (dfs, chunk, tuples) = setup("cut");
+        // `setup` writes no measure; rewrite the chunk with one.
+        let cfg = IndexConfig {
+            leaf_capacity: 16,
+            fanout: 4,
+            skew_check_interval: 64,
+            ..IndexConfig::default()
+        };
+        let tree = TemplateBTree::new(KeyInterval::full(), cfg);
+        tree.insert_batch(tuples.clone());
+        let measure = |t: &Tuple| t.key % 97;
+        let bytes = waterwheel_storage::write_chunk_opts(
+            &tree.seal().unwrap(),
+            None,
+            &waterwheel_storage::ChunkWriteOptions {
+                measure: Some(&measure),
+                ..Default::default()
+            },
+        );
+        let chunk = ChunkId(chunk.raw() + 1);
+        dfs.write_chunk(chunk, &bytes).unwrap();
+        let qs = QueryServer::new(ServerId(0), NodeId(0), dfs, 1 << 20);
+        qs.set_measure(Arc::new(measure));
+        let (keys, times) = (
+            KeyInterval::new(503, 2_498),
+            TimeInterval::new(1_000, 1_599),
+        );
+        let share = qs.aggregate(&subquery(keys, times, chunk), chunk).unwrap();
+        let mut want = waterwheel_agg::PartialAgg::empty();
+        for t in tuples
+            .iter()
+            .filter(|t| keys.contains(t.key) && times.contains(t.ts))
+        {
+            want.insert(measure(t));
+        }
+        assert_eq!(share.agg, want);
+        assert!(share.leaves_merged > 0);
+        assert!(qs.stats().leaf_reads.load(Ordering::Relaxed) <= 2);
+        assert!(share.scanned < want.count / 4, "{share:?}");
     }
 
     #[test]

@@ -445,9 +445,7 @@ impl IndexingRole {
                 Request::InMemorySubquery { sq } => {
                     Ok(Response::Tuples(server.query_in_memory(sq)?))
                 }
-                Request::AggregateInMemory { slices, covered } => Ok(Response::Fold(
-                    server.aggregate_in_memory(*slices, covered)?,
-                )),
+                Request::InMemoryAggregate { sq } => Ok(server.aggregate_in_memory(sq)?.into()),
                 Request::Reassign { interval } => {
                     // Only the *assigned* interval changes; tuples already
                     // in memory outside it stay queryable until flush
@@ -539,7 +537,7 @@ pub fn serve_query(
             *chunk,
             leaf_filter.as_ref(),
         )?)),
-        Request::ReadSummary { chunk } => Ok(Response::Summary(server.read_summary(*chunk)?)),
+        Request::ChunkAggregate { sq, chunk } => Ok(server.aggregate(sq, *chunk)?.into()),
         Request::RegisterPeers { peers } => register_peers(tcp.as_deref(), peers),
         Request::Ping if server.is_failed() => Err(WwError::Injected("query server down")),
         Request::Ping => Ok(Response::Pong),
@@ -639,9 +637,9 @@ mod tests {
         match req {
             Request::IngestBatch { .. } | Request::Flush => &[Bound::Indexing, Bound::Dispatcher],
             Request::InMemorySubquery { .. }
-            | Request::AggregateInMemory { .. }
+            | Request::InMemoryAggregate { .. }
             | Request::Reassign { .. } => &[Bound::Indexing],
-            Request::ChunkSubquery { .. } | Request::ReadSummary { .. } => &[Bound::Query],
+            Request::ChunkSubquery { .. } | Request::ChunkAggregate { .. } => &[Bound::Query],
             Request::Ping => &[
                 Bound::Indexing,
                 Bound::Query,
@@ -697,16 +695,18 @@ mod tests {
             Request::InMemorySubquery {
                 sq: subquery(SubQueryTarget::InMemory(ix)),
             },
-            Request::AggregateInMemory {
-                slices: (0, 15),
-                covered: TimeInterval::new(0, 999),
+            Request::InMemoryAggregate {
+                sq: subquery(SubQueryTarget::InMemory(ix)),
             },
             Request::ChunkSubquery {
                 sq: subquery(SubQueryTarget::Chunk(chunk)),
                 chunk,
                 leaf_filter: None,
             },
-            Request::ReadSummary { chunk },
+            Request::ChunkAggregate {
+                sq: subquery(SubQueryTarget::Chunk(chunk)),
+                chunk,
+            },
             Request::Ping,
             Request::Meta(MetaRequest::Membership),
             Request::ClientQuery {

@@ -380,15 +380,21 @@ impl Waterwheel {
     }
 
     /// Installs the measure function folded by aggregate queries (the value
-    /// extracted from each tuple — e.g. a fare, a speed, a byte count). The
+    /// extracted from each tuple — e.g. a fare, a speed, a byte count) on
+    /// every role that folds it: the indexing servers (wheels, chunk
+    /// summaries and leaf directories), the query servers (the leaves an
+    /// aggregate scans) and the coordinator (the full-scan path). The
     /// default measures payload length. Install it **before ingesting**:
-    /// wheel cells and chunk summaries hold pre-measured values, so tuples
-    /// indexed under a different measure keep answering with it until they
-    /// age out.
+    /// wheel cells, chunk summaries and leaf directories hold pre-measured
+    /// values, so tuples indexed under a different measure keep answering
+    /// with it until they age out.
     pub fn register_measure(&self, measure: impl Fn(&Tuple) -> u64 + Send + Sync + 'static) {
         let measure: MeasureFn = Arc::new(measure);
         *self.measure.lock() = Arc::clone(&measure);
         for server in self.indexing_servers() {
+            server.set_measure(Arc::clone(&measure));
+        }
+        for server in &self.query_servers {
             server.set_measure(Arc::clone(&measure));
         }
         self.coordinator().set_measure(measure);

@@ -10,13 +10,14 @@
 //! There is one on-disk layout, header version [`VERSION_V2`]: leaf pages
 //! are columnar images ([`waterwheel_index::columnar`]: delta-of-delta
 //! varint timestamps, delta/dictionary keys, optionally compressed payload
-//! blocks), the leaf directory carries per-leaf MIN/MAX measure bounds, and
-//! the file always ends in a CRC-bearing footer with chunk-level measure
-//! bounds and the length of the aggregate summary in front of it. Any other
-//! header version — the retired row-page v1 included — is refused by name.
+//! blocks), the leaf directory carries each leaf's *landmark* aggregate —
+//! the count, MIN, MAX and SUM of the measure over all its tuples — and the
+//! file always ends in a CRC-bearing footer with chunk-level measure bounds
+//! and the length of the aggregate summary in front of it. Any other header
+//! version — the retired row-page v1 included — is refused by name.
 
 use std::sync::Arc;
-use waterwheel_agg::WheelSummary;
+use waterwheel_agg::{PartialAgg, WheelSummary};
 use waterwheel_core::codec::{self, Decoder, Encoder};
 use waterwheel_core::{Key, KeyInterval, Region, Result, TimeInterval, Tuple, WwError};
 use waterwheel_index::{columnar, SealedTree, TimeBloom};
@@ -59,6 +60,11 @@ pub struct LeafMeta {
     /// for chunks written without a measure and for empty leaves). Lets
     /// executors skip leaves that cannot satisfy a `measure_range` filter.
     pub measure_range: Option<(u64, u64)>,
+    /// SUM of the measure over the leaf's tuples: with `count` and
+    /// `measure_range`, the leaf's landmark aggregate. `None` wherever
+    /// `measure_range` is, and in directories written before the sum was
+    /// recorded (measure flag 1).
+    pub measure_sum: Option<u128>,
 }
 
 /// The parsed header + index block of a chunk — the persisted template.
@@ -106,6 +112,36 @@ impl ChunkIndex {
         false
     }
 
+    /// The keys leaf `i` can hold: bounded by its separators and by the
+    /// chunk's key hull. `None` when those bounds cross.
+    pub fn leaf_keys(&self, i: usize) -> Option<KeyInterval> {
+        let hull = self.region.keys;
+        let lo = match i.checked_sub(1) {
+            Some(prev) => self.separators[prev].max(hull.lo()),
+            None => hull.lo(),
+        };
+        let hi = match self.separators.get(i) {
+            Some(&next) => next.checked_sub(1)?.min(hull.hi()),
+            None => hull.hi(),
+        };
+        KeyInterval::checked(lo, hi)
+    }
+
+    /// Leaf `i`'s landmark aggregate, when every tuple the leaf can hold
+    /// lies inside `rect` and its directory entry carries the sum: the
+    /// leaf's share of an aggregate over `rect`, without reading its page.
+    pub fn leaf_landmark_inside(&self, i: usize, rect: &Region) -> Option<PartialAgg> {
+        let meta = &self.leaves[i];
+        let inside = rect.keys.covers(&self.leaf_keys(i)?) && rect.times.covers(&meta.time_range?);
+        let (min, max) = meta.measure_range?;
+        inside.then_some(PartialAgg {
+            count: meta.count as u64,
+            sum: meta.measure_sum?,
+            min,
+            max,
+        })
+    }
+
     /// Approximate heap size for cache accounting.
     pub fn approx_size(&self) -> usize {
         let blooms: usize = self
@@ -124,8 +160,8 @@ pub struct ChunkWriteOptions<'a> {
     pub format_version: u32,
     /// Compress payload blocks.
     pub compression: bool,
-    /// Measure used to compute per-leaf and per-chunk MIN/MAX bounds
-    /// (`None` writes no bounds).
+    /// Measure used to compute the per-leaf landmark aggregates and the
+    /// per-chunk MIN/MAX bounds (`None` writes neither).
     pub measure: Option<&'a (dyn Fn(&Tuple) -> u64 + Sync)>,
 }
 
@@ -148,10 +184,10 @@ pub fn write_chunk(sealed: &SealedTree) -> Vec<u8> {
 /// Serializes a sealed tree, optionally appending a sealed aggregate
 /// [`WheelSummary`] after the leaf pages.
 ///
-/// Leaves are stored as columnar images, the directory records MIN/MAX
-/// measure bounds per leaf, and the file ends in a CRC-bearing footer
-/// carrying the chunk-level bounds and the summary length (zero when no
-/// summary was written).
+/// Leaves are stored as columnar images, the directory records each leaf's
+/// count, MIN, MAX and SUM of the measure, and the file ends in a
+/// CRC-bearing footer carrying the chunk-level bounds and the summary
+/// length (zero when no summary was written).
 pub fn write_chunk_opts(
     sealed: &SealedTree,
     summary: Option<&WheelSummary>,
@@ -171,11 +207,13 @@ pub fn write_chunk_opts(
         .map(|leaf| columnar::encode_leaf(&leaf.entries, opts.compression))
         .collect();
 
-    let leaf_bounds = |leaf: &waterwheel_index::SealedLeaf| -> Option<(u64, u64)> {
+    let landmark = |leaf: &waterwheel_index::SealedLeaf| -> Option<(u64, u64, u128)> {
         let measure = opts.measure?;
         let mut it = leaf.entries.iter().map(measure);
         let first = it.next()?;
-        Some(it.fold((first, first), |(lo, hi), m| (lo.min(m), hi.max(m))))
+        Some(it.fold((first, first, first as u128), |(lo, hi, sum), m| {
+            (lo.min(m), hi.max(m), sum + m as u128)
+        }))
     };
 
     // Index block, with offsets provisionally relative to the data section.
@@ -206,17 +244,19 @@ pub fn write_chunk_opts(
             }
             None => index.put_u32(0),
         }
-        match leaf_bounds(leaf) {
-            Some((lo, hi)) => {
-                index.put_u32(1);
-                index.put_u64(lo);
-                index.put_u64(hi);
+        match landmark(leaf) {
+            Some((lo, hi, sum)) => {
+                index.put_u32(MEASURE_LANDMARK);
+                index.put_uvarint(lo);
+                index.put_uvarint(hi);
+                index.put_uvarint(sum as u64);
+                index.put_uvarint((sum >> 64) as u64);
                 chunk_bounds = Some(match chunk_bounds {
                     Some((clo, chi)) => (clo.min(lo), chi.max(hi)),
                     None => (lo, hi),
                 });
             }
-            None => index.put_u32(0),
+            None => index.put_u32(MEASURE_NONE),
         }
         rel_offset += page.len() as u64;
     }
@@ -356,18 +396,28 @@ pub fn parse_index(prefix: &[u8], file_len: u64) -> Result<ChunkIndex> {
         } else {
             None
         };
-        let measure_range = match dec.get_u32()? {
-            0 => None,
-            1 => {
-                let lo = dec.get_u64()?;
-                let hi = dec.get_u64()?;
-                if lo > hi {
-                    return Err(WwError::corrupt("chunk", "inverted leaf measure range"));
-                }
-                Some((lo, hi))
+        let (measure_range, measure_sum) = match dec.get_u32()? {
+            MEASURE_NONE => (None, None),
+            MEASURE_BOUNDS => (Some((dec.get_u64()?, dec.get_u64()?)), None),
+            MEASURE_LANDMARK => {
+                let bounds = (dec.get_uvarint()?, dec.get_uvarint()?);
+                let sum = dec.get_uvarint()? as u128 | (dec.get_uvarint()? as u128) << 64;
+                (Some(bounds), Some(sum))
             }
             _ => return Err(WwError::corrupt("chunk", "bad leaf measure flag")),
         };
+        if let Some((lo, hi)) = measure_range {
+            if lo > hi {
+                return Err(WwError::corrupt("chunk", "inverted leaf measure range"));
+            }
+            let n = entry_count as u128;
+            if measure_sum.is_some_and(|sum| !(n * lo as u128..=n * hi as u128).contains(&sum)) {
+                return Err(WwError::corrupt(
+                    "chunk",
+                    "leaf measure sum outside count × [min, max]",
+                ));
+            }
+        }
         leaves.push(LeafMeta {
             count: entry_count,
             offset,
@@ -375,6 +425,7 @@ pub fn parse_index(prefix: &[u8], file_len: u64) -> Result<ChunkIndex> {
             time_range,
             bloom,
             measure_range,
+            measure_sum,
         });
     }
     Ok(ChunkIndex {
@@ -389,6 +440,15 @@ pub fn parse_index(prefix: &[u8], file_len: u64) -> Result<ChunkIndex> {
 /// Smallest possible leaf directory entry: 4-byte entry count, 8-byte
 /// offset, 8-byte length, and the 4-byte time-range and bloom flags.
 const MIN_LEAF_ENTRY_LEN: usize = 28;
+
+/// Leaf measure flag: no measure recorded.
+const MEASURE_NONE: u32 = 0;
+/// Leaf measure flag: MIN and MAX as two fixed u64s. Still read (chunks
+/// written before the SUM was recorded); no longer written.
+const MEASURE_BOUNDS: u32 = 1;
+/// Leaf measure flag: the landmark aggregate — MIN, MAX, then the SUM's
+/// low and high 64 bits, all four as uvarints.
+const MEASURE_LANDMARK: u32 = 2;
 
 /// How many leading bytes to fetch when first touching a chunk. Large
 /// enough to cover the header and typical index blocks in one access;
@@ -881,16 +941,17 @@ mod tests {
     }
 
     /// The v2 bytes of a fixed seeded tree, with a summary and a measure,
-    /// compressed and raw. The hashes were taken from the writer while it
-    /// still had its v1 branch: retiring v1 moved no byte of v2.
+    /// compressed and raw. Re-pinned once when the leaf directory's measure
+    /// entry became the landmark (flag 2); the compressed image as it was
+    /// before is `tests/fixtures/v2_measure_flag1.chunk`.
     #[test]
     fn v2_bytes_are_pinned() {
         let sealed = seeded_tree(23, 700);
         let summary = summary_of(&sealed);
         assert!(!summary.is_empty());
         for (compression, len, fnv) in [
-            (false, 19_764, 0x19ae_dec8_ce52_f66b),
-            (true, 14_336, 0x8a44_ce8f_dfef_e2ce),
+            (false, 19_324, 0xc0d3_cc8d_9500_0a41),
+            (true, 13_896, 0x3011_cef9_904d_15eb),
         ] {
             let opts = ChunkWriteOptions {
                 compression,
@@ -920,6 +981,44 @@ mod tests {
             .iter()
             .filter(|l| l.count > 0)
             .all(|l| l.measure_range == Some((8, 8))));
+    }
+
+    #[test]
+    fn the_directory_holds_each_leafs_landmark_aggregate() {
+        let sealed = seeded_tree(5, 400);
+        let bytes = write_chunk_opts(&sealed, None, &v2_opts());
+        let index = ChunkReader::new(bytes.as_slice()).load_index().unwrap();
+        let everything = Region::new(KeyInterval::full(), TimeInterval::full());
+        for (i, leaf) in sealed.leaves.iter().enumerate() {
+            let mut want = PartialAgg::empty();
+            for t in &leaf.entries {
+                want.insert(t.payload.len() as u64);
+                assert!(index.leaf_keys(i).unwrap().contains(t.key));
+            }
+            let got = index.leaf_landmark_inside(i, &everything);
+            assert_eq!(got, (!leaf.entries.is_empty()).then_some(want), "leaf {i}");
+        }
+        // A rectangle that cuts a leaf's keys or times merges nothing.
+        let i = (0..sealed.leaves.len())
+            .find(|&i| sealed.leaves[i].entries.len() > 1)
+            .unwrap();
+        let (keys, times) = (
+            index.leaf_keys(i).unwrap(),
+            index.leaves[i].time_range.unwrap(),
+        );
+        let cut_keys = Region::new(KeyInterval::new(keys.lo() + 1, keys.hi()), times);
+        let cut_times = Region::new(keys, TimeInterval::new(times.lo() + 1, times.hi()));
+        assert_eq!(index.leaf_landmark_inside(i, &cut_keys), None);
+        assert_eq!(index.leaf_landmark_inside(i, &cut_times), None);
+        assert!(index
+            .leaf_landmark_inside(i, &Region::new(keys, times))
+            .is_some());
+        // Without a measure there is nothing to merge.
+        let bare = write_chunk(&sealed);
+        let index = ChunkReader::new(bare.as_slice()).load_index().unwrap();
+        assert!(
+            (0..index.leaves.len()).all(|i| index.leaf_landmark_inside(i, &everything).is_none())
+        );
     }
 
     #[test]

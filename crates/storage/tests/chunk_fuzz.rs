@@ -251,3 +251,60 @@ fn forged_counts_with_a_valid_checksum_fail_closed() {
         assert!(!err.to_string().contains("checksum"), "{what}: {err}");
     }
 }
+
+/// A landmark directory entry (measure flag 2) rewritten under a valid
+/// index checksum so that its bounds cross or its sum leaves
+/// `[count·min, count·max]`: the reader must refuse it as a corrupt leaf
+/// measure, because the query path merges that entry in place of the leaf.
+#[test]
+fn a_forged_leaf_landmark_fails_closed() {
+    use waterwheel_core::codec::fnv1a;
+    use waterwheel_storage::chunk::HEADER_LEN;
+    const INDEX_LEN_AT: usize = 28;
+    const CHECKSUM_AT: usize = 36;
+    let get_u32 =
+        |bytes: &[u8], at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let tree = TemplateBTree::new(KeyInterval::full(), IndexConfig::default().without_bloom());
+    for i in 0..100u64 {
+        tree.insert(Tuple::bare(i * 7, 1_000 + i));
+    }
+    let one = |_: &Tuple| 1u64;
+    let valid = waterwheel_storage::write_chunk_opts(
+        &tree.seal().unwrap(),
+        None,
+        &ChunkWriteOptions {
+            format_version: VERSION_V2,
+            compression: false,
+            measure: Some(&one),
+        },
+    );
+    let index_len =
+        u64::from_le_bytes(valid[INDEX_LEN_AT..INDEX_LEN_AT + 8].try_into().unwrap()) as usize;
+    // The first leaf's entry: count, offset, len, the time-range flag and
+    // bounds, the bloom flag, then the measure flag and its four varints —
+    // min 1, max 1, the sum's low word (the count, under 128: one byte),
+    // the high word 0.
+    let separators = get_u32(&valid, HEADER_LEN) as usize;
+    let first_leaf_at = HEADER_LEN + 4 + separators * 8 + 4;
+    let count = get_u32(&valid, first_leaf_at);
+    assert!((2..127).contains(&count), "{count}");
+    let count = count as u8;
+    let flag_at = first_leaf_at + 20 + 4 + 16 + 4;
+    assert_eq!(get_u32(&valid, flag_at - 4), 0, "no bloom");
+    assert_eq!(get_u32(&valid, flag_at), 2, "a landmark entry");
+    let (min_at, sum_at) = (flag_at + 4, flag_at + 6);
+    assert_eq!(valid[min_at..sum_at + 2], [1, 1, count, 0]);
+    for (what, at, value) in [
+        ("sum above count × max", sum_at, count + 1),
+        ("sum below count × min", sum_at, count - 1),
+        ("min above max", min_at, 2),
+    ] {
+        let mut bytes = valid.clone();
+        bytes[at] = value;
+        let sum = fnv1a(&bytes[HEADER_LEN..HEADER_LEN + index_len]);
+        bytes[CHECKSUM_AT..CHECKSUM_AT + 8].copy_from_slice(&sum.to_le_bytes());
+        let err = ChunkReader::new(bytes.as_slice()).load_index().unwrap_err();
+        assert!(is_typed_decode_error(&err), "{what}: {err}");
+        assert!(err.to_string().contains("leaf measure"), "{what}: {err}");
+    }
+}

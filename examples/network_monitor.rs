@@ -1,6 +1,8 @@
 //! The paper's motivating scenario (Figure 1): a telecom backbone collects
 //! packet samples at high rate; analysts ask for "all packets from within
 //! 10.68.73.* in the last 5 minutes" to pinpoint attacks and failures.
+//! The example checks that a COUNT aggregate over the hottest /16 agrees
+//! with the range query over it, and exits non-zero otherwise.
 //!
 //! ```sh
 //! cargo run --release --example network_monitor
@@ -58,23 +60,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("hottest subnet in window   → {a}.{b}.0.0/16 with {count} packets");
 
     // Drill into that subnet over the whole retained history.
-    let result = ww.query(&Query::range(
-        NetworkGen::cidr_to_key_range((hot as u32) << 16, 16),
-        TimeInterval::new(start, now),
-    ))?;
+    let subnet = NetworkGen::cidr_to_key_range((hot as u32) << 16, 16);
+    let history = TimeInterval::new(start, now);
+    let result = ww.query(&Query::range(subnet, history))?;
     println!(
         "{a}.{b}.0.0/16, full history → {:>6} packets across memory + {} chunks",
         result.tuples.len(),
         ww.metadata().chunk_count()
     );
 
+    // The same count as an aggregate: each chunk answers from its leaf
+    // directory plus the few leaves the /16's edges cut, and no tuple
+    // leaves the servers. It must agree with the range query exactly.
+    let counted = ww.aggregate(&Query::range(subnet, history).aggregate(AggregateKind::Count))?;
+    println!(
+        "COUNT over the same /16     → {:>6} packets, {} tuples folded one by one",
+        counted.agg.count, counted.scanned_tuples
+    );
+    if counted.agg.count != result.tuples.len() as u64 {
+        return Err(format!(
+            "COUNT aggregate {} disagrees with the range query's {} tuples",
+            counted.agg.count,
+            result.tuples.len()
+        )
+        .into());
+    }
+
     // A predicate query: packets from that subnet whose destination IP is
     // in a suspicious block (payload bytes 4..8 hold the destination).
-    let result = ww.query(&Query::with_predicate(
-        NetworkGen::cidr_to_key_range((hot as u32) << 16, 16),
-        TimeInterval::new(start, now),
-        |t| t.payload.len() >= 8 && t.payload[7] & 0xF0 == 0xF0,
-    ))?;
+    let result = ww.query(&Query::with_predicate(subnet, history, |t| {
+        t.payload.len() >= 8 && t.payload[7] & 0xF0 == 0xF0
+    }))?;
     println!(
         "…destined to 0xF?.* block  → {:>6} packets",
         result.tuples.len()

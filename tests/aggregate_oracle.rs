@@ -6,7 +6,10 @@
 
 use proptest::prelude::*;
 use waterwheel::agg::PartialAgg;
-use waterwheel::core::{AggregateKind, KeyInterval, Query, TimeInterval, Tuple};
+use waterwheel::core::{
+    AggregateKind, KeyInterval, Query, QueryId, ServerId, SubQueryTarget, TimeInterval, Tuple,
+};
+use waterwheel::net::{Transport, COORDINATOR, META_SERVER};
 use waterwheel::prelude::{SystemConfig, Waterwheel};
 use waterwheel::server::SystemMetrics;
 
@@ -259,6 +262,224 @@ fn one_batch_across_a_second_and_a_slice_boundary_stays_exact() {
     check(&ww); // from the live wheel
     ww.flush_all().unwrap();
     check(&ww); // from the chunk summary
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Keys below 2²⁰, as Network's are: no 4-bit key slice is ever whole, so
+/// no wheel cell applies and every aggregate rides on the leaf directory
+/// and leaf scans. Timestamps arrive out of order, so some tuples go to the
+/// side store.
+fn narrow_tuples_strategy(max: usize) -> impl Strategy<Value = Vec<Tuple>> {
+    prop::collection::vec((0u64..1 << 20, 0u64..60_000), 0..max).prop_map(|pairs| {
+        pairs
+            .into_iter()
+            .map(|(key, ts)| Tuple::bare(key, ts))
+            .collect()
+    })
+}
+
+/// Narrow-key rectangles, from a point to the whole key range, over
+/// windows from sub-second to all time.
+fn narrow_rect_strategy() -> impl Strategy<Value = (KeyInterval, TimeInterval)> {
+    ((0u64..1 << 20, 0u64..1 << 20), (0u64..70_000, 0u64..70_000)).prop_map(
+        |((k0, k1), (t0, t1))| {
+            (
+                KeyInterval::new(k0.min(k1), k0.max(k1)),
+                TimeInterval::new(t0.min(t1), t0.max(t1)),
+            )
+        },
+    )
+}
+
+/// A system whose chunks hold a few hundred tuples in leaves of about 64,
+/// so rectangles wholly contain some leaves and cut others.
+fn narrow_system(root: &std::path::Path, chunk_size_bytes: usize) -> Waterwheel {
+    let _ = std::fs::remove_dir_all(root);
+    let mut cfg = SystemConfig::default();
+    cfg.chunk_size_bytes = chunk_size_bytes;
+    cfg.indexing_servers = 2;
+    cfg.query_servers = 2;
+    cfg.skew_check_interval = 64;
+    let ww = Waterwheel::builder(root).config(cfg).build().unwrap();
+    ww.register_measure(measure);
+    ww
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn aggregate_matches_oracle_on_narrow_keys(
+        tuples in narrow_tuples_strategy(1_500),
+        rects in prop::collection::vec(narrow_rect_strategy(), 1..4),
+        flush_at in 0usize..1_500,
+    ) {
+        let root = std::env::temp_dir().join(format!(
+            "ww-agg-narrow-{}-{}",
+            std::process::id(),
+            suffix(&tuples, flush_at),
+        ));
+        let ww = narrow_system(&root, 4 * 1024);
+        for (i, t) in tuples.iter().enumerate() {
+            ww.insert(t.clone()).unwrap();
+            if i == flush_at {
+                ww.drain().unwrap();
+                ww.flush_all().unwrap();
+            }
+        }
+        ww.drain().unwrap();
+        let mut rects = rects;
+        rects.push((KeyInterval::new(0, (1 << 20) - 1), TimeInterval::full()));
+        for (keys, times) in &rects {
+            let want = naive(&tuples, keys, times);
+            for kind in AggregateKind::ALL {
+                let got = ww.aggregate(&Query::range(*keys, *times).aggregate(kind)).unwrap();
+                prop_assert_eq!(got.agg, want);
+                prop_assert_eq!(got.value(), expected_value(kind, &want));
+                prop_assert_eq!(got.cells_merged, 0);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+/// Narrow-key data flushed into chunks of some fifty leaves each, then
+/// aggregated over a rectangle whose window holds every chunk whole: the
+/// rectangle's two key edges cut at most two leaves per chunk, every other
+/// leaf inside it merges its directory entry, and only the cut leaves are
+/// read and folded.
+#[test]
+fn an_aggregate_reads_only_the_leaves_it_cuts() {
+    let root = std::env::temp_dir().join(format!("ww-agg-cuts-{}", std::process::id()));
+    let ww = narrow_system(&root, 64 * 1024);
+    let mut all = Vec::new();
+    for i in 0..20_000u64 {
+        let t = Tuple::bare(waterwheel::core::mix64(i) % (1 << 20), 1_000 + i * 2);
+        all.push(t.clone());
+        ww.insert(t).unwrap();
+    }
+    ww.drain().unwrap();
+    ww.flush_all().unwrap();
+    let chunks = ww.metadata().chunk_count() as u64;
+    assert!(chunks >= 4, "{chunks} chunks");
+
+    let keys = KeyInterval::new(1 << 18, 3 << 18);
+    let times = TimeInterval::new(0, 59_999);
+    let got = ww
+        .aggregate(&Query::range(keys, times).aggregate(AggregateKind::Sum))
+        .unwrap();
+    let want = naive(&all, &keys, &times);
+    assert_eq!(got.agg, want);
+    assert_eq!(got.cells_merged, 0, "no slice is whole");
+    let m = SystemMetrics::collect(&ww);
+    assert!(
+        m.get("query.leaf_reads") <= 2 * chunks,
+        "{} leaf reads over {chunks} chunks:\n{m}",
+        m.get("query.leaf_reads")
+    );
+    assert!(m.get("coordinator.agg_leaves_merged") > 0, "{m}");
+    assert!(
+        got.scanned_tuples * 10 < want.count,
+        "scanned {} of {}",
+        got.scanned_tuples,
+        want.count
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// One aggregate over chunks and fresh data costs two metadata calls (the
+/// memory regions, then the chunks), one aggregate subquery per decomposed
+/// target, and nothing else: no summary read, no range subquery, no
+/// summary-extent call.
+#[test]
+fn an_aggregate_costs_one_rpc_per_target() {
+    let root = std::env::temp_dir().join(format!("ww-agg-budget-{}", std::process::id()));
+    let ww = system(&root);
+    for i in 0..1_200u64 {
+        ww.insert(Tuple::bare(i << 52, i * 37 % 50_000)).unwrap();
+        if i == 800 {
+            ww.drain().unwrap();
+            ww.flush_all().unwrap();
+        }
+    }
+    ww.drain().unwrap();
+    let q = Query::range(
+        KeyInterval::new(5, u64::MAX - 5),
+        TimeInterval::new(999, 48_001),
+    );
+    let targets = ww.coordinator().decompose(&q, QueryId(u64::MAX)).unwrap();
+    let in_memory = targets
+        .iter()
+        .filter(|sq| matches!(sq.target, SubQueryTarget::InMemory(_)))
+        .count() as u64;
+    let on_chunks = targets.len() as u64 - in_memory;
+    assert!(in_memory > 0 && on_chunks > 0, "{in_memory} + {on_chunks}");
+
+    let sent = |ww: &Waterwheel| {
+        let mut by_dst = std::collections::BTreeMap::new();
+        for ((src, dst), totals) in ww.transport().stats().per_link() {
+            if src == COORDINATOR {
+                by_dst.insert(dst, totals.sent);
+            }
+        }
+        by_dst
+    };
+    let kinds = |ww: &Waterwheel| {
+        let m = SystemMetrics::collect(ww);
+        [
+            "mem_subquery",
+            "chunk_subquery",
+            "mem_aggregate",
+            "chunk_aggregate",
+            "meta",
+        ]
+        .map(|kind| {
+            let name = format!("rpc.latency.{kind}.count");
+            m.rows()
+                .iter()
+                .filter(|r| r.name == name)
+                .map(|r| r.value)
+                .sum::<u64>()
+        })
+    };
+    let (sent_before, kinds_before) = (sent(&ww), kinds(&ww));
+    let got = ww
+        .aggregate(&q.clone().aggregate(AggregateKind::Count))
+        .unwrap();
+    let (sent_after, kinds_after) = (sent(&ww), kinds(&ww));
+
+    let mut all = Vec::new();
+    for i in 0..1_200u64 {
+        all.push(Tuple::bare(i << 52, i * 37 % 50_000));
+    }
+    assert_eq!(got.agg, naive(&all, &q.keys, &q.times));
+    let delta: Vec<(ServerId, u64)> = sent_after
+        .iter()
+        .map(|(dst, n)| (*dst, n - sent_before.get(dst).copied().unwrap_or(0)))
+        .filter(|(_, n)| *n > 0)
+        .collect();
+    let to = |pick: &dyn Fn(ServerId) -> bool| -> u64 {
+        delta
+            .iter()
+            .filter(|(dst, _)| pick(*dst))
+            .map(|(_, n)| n)
+            .sum()
+    };
+    let indexing: Vec<ServerId> = ww.indexing_servers().iter().map(|s| s.id()).collect();
+    let query: Vec<ServerId> = ww.query_servers().iter().map(|s| s.id()).collect();
+    assert_eq!(to(&|dst| dst == META_SERVER), 2, "{delta:?}");
+    assert_eq!(to(&|dst| indexing.contains(&dst)), in_memory, "{delta:?}");
+    assert_eq!(to(&|dst| query.contains(&dst)), on_chunks, "{delta:?}");
+    assert_eq!(
+        delta.iter().map(|(_, n)| n).sum::<u64>(),
+        2 + in_memory + on_chunks
+    );
+    let by_kind: Vec<u64> = (0..5).map(|k| kinds_after[k] - kinds_before[k]).collect();
+    assert_eq!(
+        by_kind,
+        [0, 0, in_memory, on_chunks, 2],
+        "range subqueries, aggregates, meta"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -393,7 +393,10 @@ fn delay_past_the_deadline_times_out_and_is_retried() {
         ww.flush_all().unwrap();
         // Fixed latency beyond the deadline on one coordinator→query-server
         // link: every attempt on it times out (simulated — no real sleep past
-        // the deadline), and re-dispatch routes around it.
+        // the deadline), and re-dispatch routes around it. A fixed
+        // assignment, so qs0 is always asked: under LADA's work stealing
+        // the other servers may finish the plan before anyone bids as qs0.
+        ww.coordinator().set_policy(DispatchPolicy::RoundRobin);
         let qs0 = ww.query_servers()[0].id();
         ww.transport().set_link_profile(
             COORDINATOR,

@@ -2,8 +2,8 @@
 //! loopback sockets answers every query byte-identically to the default
 //! in-process deployment. The wire codec, connection pool, and listener
 //! dispatch are exercised by a genuine workload — ingest batches, flushes,
-//! metadata traffic, in-memory and chunk subqueries, summary reads — and
-//! the only observable difference is the socket counters.
+//! metadata traffic, in-memory and chunk subqueries and their aggregate
+//! forms — and the only observable difference is the socket counters.
 
 use waterwheel::prelude::*;
 use waterwheel::server::Waterwheel as Ww;
@@ -124,4 +124,42 @@ fn tcp_and_inproc_systems_return_byte_identical_answers() {
     assert_eq!(silent.bytes_in, 0);
     assert_eq!(silent.bytes_out, 0);
     assert_eq!(silent.connects, 0);
+}
+
+/// Aggregates on Network keys — all below 2³², so no 4-bit key slice is
+/// ever whole and every chunk share comes from its leaf directory and the
+/// leaves the rectangle cuts — answer alike over both transports, and
+/// equal a fold of the range query over the same rectangle.
+#[test]
+fn narrow_key_aggregates_agree_across_transports() {
+    let (inproc, now) = loaded_system("narrow-inproc", false);
+    let (tcp, _) = loaded_system("narrow-tcp", true);
+    let mut qg = QueryGen::new(KeyInterval::new(0, u32::MAX as u64), 7);
+    let mut rects = vec![(KeyInterval::new(0, u32::MAX as u64), TimeInterval::full())];
+    for selectivity in [0.01, 0.1, 0.5] {
+        for shape in TemporalShape::paper_set() {
+            let q = qg.query(selectivity, shape, 1_000_000, now);
+            rects.push((q.keys, q.times));
+        }
+    }
+    for (keys, times) in rects {
+        let range = inproc.query(&Query::range(keys, times)).unwrap().tuples;
+        let mut want = waterwheel::agg::PartialAgg::empty();
+        for t in &range {
+            want.insert(t.payload.len() as u64);
+        }
+        for kind in AggregateKind::ALL {
+            let aq = Query::range(keys, times).aggregate(kind);
+            let a = inproc.aggregate(&aq).unwrap();
+            let b = tcp.aggregate(&aq).unwrap();
+            assert_eq!(a.agg, want, "{kind} over {keys:?} x {times:?}");
+            assert_eq!(a.agg, b.agg, "{kind} diverged across transports");
+            assert_eq!(a.value(), b.value());
+            assert_eq!(a.cells_merged, 0, "no slice is whole");
+        }
+    }
+    for ww in [&inproc, &tcp] {
+        let m = waterwheel::server::SystemMetrics::collect(ww);
+        assert!(m.get("coordinator.agg_leaves_merged") > 0, "{m}");
+    }
 }
