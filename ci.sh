@@ -48,6 +48,13 @@ if [ -n "$strays" ]; then
     echo "$strays"; exit 1
 fi
 
+echo "==> non-test lines under crates/*/src (printed, not gated)"
+# Non-blank, non-comment lines above each file's first #[cfg(test)] — the
+# size ROADMAP.md reports, counted the same way every time.
+find crates/*/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { exit }
+    !/^[[:space:]]*($|\/\/)/ { n++ } END { print n + 0 }' {} \; |
+    awk '{ total += $1 } END { print total " non-test lines" }'
+
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -146,9 +146,8 @@ const LEAF_TAIL_MAX: usize = 32;
 /// merges it under the write latch it already holds, and `seal` /
 /// `update_template` merge before they drain — readers never sort.
 ///
-/// Min/max bounds are plain fields updated under the leaf latch — keeping
-/// them here (rather than in tree-global atomics) keeps the hot insert path
-/// free of CAS loops. The per-leaf temporal bloom filters the paper uses for
+/// The time bounds, which prune scans, are plain fields updated under the
+/// leaf latch. The per-leaf temporal bloom filters the paper uses for
 /// *chunk* subqueries (§IV-B) are built once at seal time, not maintained
 /// per insert.
 #[derive(Debug)]
@@ -157,8 +156,6 @@ struct LeafData {
     sorted: usize,
     min_ts: Timestamp,
     max_ts: Timestamp,
-    min_key: Key,
-    max_key: Key,
 }
 
 impl LeafData {
@@ -168,8 +165,6 @@ impl LeafData {
             sorted: 0,
             min_ts: Timestamp::MAX,
             max_ts: 0,
-            min_key: Key::MAX,
-            max_key: 0,
         }
     }
 
@@ -181,8 +176,6 @@ impl LeafData {
         }
         self.min_ts = self.min_ts.min(tuple.ts);
         self.max_ts = self.max_ts.max(tuple.ts);
-        self.min_key = self.min_key.min(tuple.key);
-        self.max_key = self.max_key.max(tuple.key);
         self.entries.push(tuple);
     }
 
@@ -211,15 +204,57 @@ impl LeafData {
     }
 }
 
-/// The protected interior: template plus leaves.
+/// The protected interior: template, leaves and their hull.
 struct TreeCore {
     template: Template,
     leaves: Vec<RwLock<LeafData>>,
+    hull: Hull,
 }
 
 impl TreeCore {
     fn new_leaves(n: usize) -> Vec<RwLock<LeafData>> {
         (0..n).map(|_| RwLock::new(LeafData::new())).collect()
+    }
+}
+
+/// The key–time hull of a tree's contents, kept beside the leaves rather
+/// than in them: appends widen it under the tree read lock and `seal`
+/// replaces it under the write lock, so reading it latches no leaf. The
+/// bounds are `Relaxed`: they publish no other data, and the tree lock
+/// orders seals against appends and reads.
+struct Hull {
+    min_key: AtomicU64,
+    max_key: AtomicU64,
+    min_ts: AtomicU64,
+    max_ts: AtomicU64,
+}
+
+impl Hull {
+    fn empty() -> Self {
+        Self {
+            min_key: AtomicU64::new(Key::MAX),
+            max_key: AtomicU64::new(0),
+            min_ts: AtomicU64::new(Timestamp::MAX),
+            max_ts: AtomicU64::new(0),
+        }
+    }
+
+    /// Widens the hull to `[keys.0, keys.1] × [times.0, times.1]`; an
+    /// inverted pair widens nothing.
+    fn widen(&self, keys: (Key, Key), times: (Timestamp, Timestamp)) {
+        self.min_key.fetch_min(keys.0, Ordering::Relaxed);
+        self.max_key.fetch_max(keys.1, Ordering::Relaxed);
+        self.min_ts.fetch_min(times.0, Ordering::Relaxed);
+        self.max_ts.fetch_max(times.1, Ordering::Relaxed);
+    }
+
+    /// The hull, or `None` when nothing widened it since the last reset.
+    fn get(&self) -> Option<Region> {
+        let load = |bound: &AtomicU64| bound.load(Ordering::Relaxed);
+        Some(Region::new(
+            KeyInterval::checked(load(&self.min_key), load(&self.max_key))?,
+            TimeInterval::checked(load(&self.min_ts), load(&self.max_ts))?,
+        ))
     }
 }
 
@@ -262,7 +297,11 @@ impl TemplateBTree {
         Self {
             cfg,
             assigned,
-            core: RwLock::new(TreeCore { template, leaves }),
+            core: RwLock::new(TreeCore {
+                template,
+                leaves,
+                hull: Hull::empty(),
+            }),
             count: AtomicUsize::new(0),
             bytes: AtomicUsize::new(0),
             since_skew_check: AtomicUsize::new(0),
@@ -293,29 +332,7 @@ impl TemplateBTree {
     /// `None` when empty. This is the "actual key interval" the metadata
     /// server tracks after a repartition (§III-D).
     pub fn region(&self) -> Option<Region> {
-        if self.count.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let core = self.core.read();
-        let (mut min_key, mut max_key) = (Key::MAX, 0);
-        let (mut min_ts, mut max_ts) = (Timestamp::MAX, 0);
-        for slot in &core.leaves {
-            let leaf = slot.read();
-            if leaf.entries.is_empty() {
-                continue;
-            }
-            min_key = min_key.min(leaf.min_key);
-            max_key = max_key.max(leaf.max_key);
-            min_ts = min_ts.min(leaf.min_ts);
-            max_ts = max_ts.max(leaf.max_ts);
-        }
-        if min_key > max_key {
-            return None;
-        }
-        Some(Region::new(
-            KeyInterval::new(min_key, max_key),
-            TimeInterval::new(min_ts, max_ts),
-        ))
+        self.core.read().hull.get()
     }
 
     /// Shared stats handle (benchmarks read it while threads insert).
@@ -405,7 +422,9 @@ impl TemplateBTree {
         core.template = Template::build(separators, self.cfg.fanout.max(2));
         core.leaves = TreeCore::new_leaves(core.template.leaf_count());
         // The sorted entries fall into the new leaves as consecutive runs.
-        let TreeCore { template, leaves } = &mut *core;
+        let TreeCore {
+            template, leaves, ..
+        } = &mut *core;
         let mut rebuilt_counts = Vec::with_capacity(leaves.len());
         let mut entries = entries.into_iter();
         let mut start = 0;
@@ -459,18 +478,18 @@ impl TemplateBTree {
 
     /// The one leaf write path: appends `tuples` — key-ordered, so each
     /// destination leaf is one consecutive group — latching each touched
-    /// leaf once, then publishes the counters. Returns the skew-check
-    /// counter after the bump.
+    /// leaf once, then publishes the hull and counters. Returns the
+    /// skew-check counter after the bump.
     ///
-    /// The counter updates must happen under the tree-level read lock the
-    /// caller holds: `seal` swaps `count` under the write lock while
-    /// draining the leaves, so a counter bumped after the leaf append but
-    /// outside the lock could be missed by one seal and then land on the
-    /// next — making `SealedTree::count` disagree with its leaves in both
-    /// directions.
+    /// The hull and counter updates must happen under the tree-level read
+    /// lock the caller holds: `seal` resets them under the write lock while
+    /// draining the leaves, so an update after the leaf append but outside
+    /// the lock could be missed by one seal and then land on the next —
+    /// making `SealedTree::count` and `region` disagree with its leaves.
     fn append_routed(&self, core: &TreeCore, tuples: impl Iterator<Item = Tuple>) -> usize {
         let mut tuples = tuples.peekable();
         let (mut count, mut bytes) = (0, 0);
+        let (mut keys, mut times) = ((Key::MAX, 0), (Timestamp::MAX, 0));
         while let Some(first) = tuples.peek() {
             let li = core.template.route(first.key);
             let below = core.template.separators.get(li).copied();
@@ -478,12 +497,15 @@ impl TemplateBTree {
             while let Some(t) = tuples.next_if(|t| below.is_none_or(|sep| t.key < sep)) {
                 count += 1;
                 bytes += t.encoded_len();
+                keys = (keys.0.min(t.key), keys.1.max(t.key));
+                times = (times.0.min(t.ts), times.1.max(t.ts));
                 leaf.push(t, self.cfg.leaf_capacity);
             }
             if leaf.entries.len() - leaf.sorted > LEAF_TAIL_MAX {
                 leaf.merge_tail();
             }
         }
+        core.hull.widen(keys, times);
         self.count.fetch_add(count, Ordering::AcqRel);
         self.bytes.fetch_add(bytes, Ordering::Relaxed);
         self.since_skew_check.fetch_add(count, Ordering::Relaxed) + count
@@ -510,17 +532,13 @@ impl TemplateBTree {
     pub fn seal(&self) -> Option<SealedTree> {
         let mut core = self.core.write();
         let count = self.count.swap(0, Ordering::AcqRel);
-        if count == 0 {
-            return None;
-        }
+        let region = std::mem::replace(&mut core.hull, Hull::empty()).get()?;
         self.bytes.store(0, Ordering::Relaxed);
         self.since_skew_check.store(0, Ordering::Relaxed);
         self.last_rebuild_skew
             .store(0f64.to_bits(), Ordering::Relaxed);
         self.last_rebuild_count.store(0, Ordering::Relaxed);
 
-        let (mut min_ts, mut max_ts) = (Timestamp::MAX, 0);
-        let (mut min_key, mut max_key) = (Key::MAX, 0);
         let mut leaves = Vec::with_capacity(core.leaves.len());
         let mut all_keys: Vec<Key> = Vec::with_capacity(count);
         for slot in std::mem::take(&mut core.leaves) {
@@ -529,10 +547,6 @@ impl TemplateBTree {
             let (time_range, bloom) = if leaf.entries.is_empty() {
                 (None, None)
             } else {
-                min_ts = min_ts.min(leaf.min_ts);
-                max_ts = max_ts.max(leaf.max_ts);
-                min_key = min_key.min(leaf.min_key);
-                max_key = max_key.max(leaf.max_key);
                 // The paper's temporal bloom filters are a *chunk-side*
                 // pruning structure (§IV-B); building them once at seal time
                 // keeps the realtime insert path free of filter maintenance.
@@ -568,10 +582,7 @@ impl TemplateBTree {
         Some(SealedTree {
             leaves,
             separators,
-            region: Region::new(
-                KeyInterval::new(min_key, max_key),
-                TimeInterval::new(min_ts, max_ts),
-            ),
+            region,
             count,
         })
     }
@@ -890,6 +901,44 @@ mod tests {
                 .len(),
             4_096
         );
+    }
+
+    /// The hull of everything a full scan returns, as `region()` should be.
+    fn scanned_hull(t: &TemplateBTree) -> Option<Region> {
+        t.query(&KeyInterval::full(), &TimeInterval::full(), None)
+            .iter()
+            .map(|e| Region::new(KeyInterval::point(e.key), TimeInterval::point(e.ts)))
+            .reduce(|a, b| a.hull(&b))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// The hull the tree keeps without a leaf latch equals the hull of
+        /// its contents through any interleaving of batches (some large
+        /// enough to trigger skew checks), explicit template updates and
+        /// seals; a seal's region is the hull it emptied.
+        #[test]
+        fn region_is_the_hull_of_the_contents(
+            steps in proptest::collection::vec(
+                (0u8..6, proptest::collection::vec((0u64..3_000, 0u64..3_000), 0..150)),
+                1..16,
+            ),
+        ) {
+            let t = tree();
+            for (op, batch) in steps {
+                match op {
+                    0 => t.update_template(),
+                    1 => {
+                        let hull = scanned_hull(&t);
+                        proptest::prop_assert_eq!(t.seal().map(|s| s.region), hull);
+                    }
+                    _ => t.insert_batch(batch.into_iter().map(|(k, ts)| Tuple::bare(k, ts)).collect()),
+                }
+                proptest::prop_assert_eq!(t.region(), scanned_hull(&t));
+                proptest::prop_assert_eq!(t.region().is_none(), t.len() == 0);
+            }
+        }
     }
 
     #[test]

@@ -461,16 +461,10 @@ impl Coordinator {
                 }
             }
         }
-        let mut shares = Vec::new();
-        for share in self.execute_in_memory(mem_calls, Response::into_share) {
-            match share {
-                Ok(share) => shares.push(share),
-                // A crashed or unreachable server's memory is gone — §V
-                // recovery replays it into chunks — so it is skipped.
-                Err(WwError::Injected(_)) | Err(WwError::Unreachable(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
+        let mut shares = self
+            .execute_in_memory(mem_calls, Response::into_share)
+            .into_iter()
+            .collect::<Result<Vec<_>>>()?;
         shares.extend(self.execute_on_chunks(chunk_calls, Response::into_share)?);
         let mut total = AggShare::default();
         for share in &shares {

@@ -9,11 +9,14 @@
 //! step (§V): every chunk it wrote, with its summary extent and attribute
 //! indexes, the durable read offset and the memory region left behind.
 //!
-//! Late arrivals (§IV-D): the server keeps a high-water timestamp. Tuples
-//! no more than Δt behind it enter the main tree, whose reported region is
-//! widened by Δt so the coordinator never misses them. Tuples later than Δt
-//! go to a *side store* flushed as its own chunk, keeping the main chunks'
-//! temporal bounds tight.
+//! Late arrivals (§IV-D): the server keeps a high-water timestamp and two
+//! fresh stores of one kind, each a template tree with the live aggregate
+//! wheel mirroring it. Tuples no more than Δt behind the mark enter *main*,
+//! whose reported region is widened by Δt so the coordinator never misses
+//! them. Tuples later than Δt enter *side*, which flushes as its own chunk,
+//! keeping the main chunks' temporal bounds tight. Nothing else tells the
+//! two apart: scans, aggregates, the flush threshold and the seal treat
+//! both alike.
 //!
 //! Recovery: an indexing server is reconstructed by replaying its queue
 //! partition from the durable offset; the rebuilt tree is identical because
@@ -80,21 +83,38 @@ impl Counters for IndexingCounters {
     }
 }
 
-/// The live wheels: one per chunk a flush writes, so each chunk's summary
-/// is its wheel sealed, never rebuilt from the chunk's tuples.
-struct Wheels {
-    /// The main tree's tuples.
-    main: AggWheel,
-    /// The side store's tuples.
-    side: AggWheel,
+/// One fresh store: a template tree, whose template outlives each seal
+/// (§III-B), and the live wheel mirroring its tuples, so the chunk it seals
+/// into carries the wheel sealed as its summary, never one rebuilt from the
+/// chunk's tuples (DESIGN.md §4b).
+struct Store {
+    tree: TemplateBTree,
+    wheel: Mutex<AggWheel>,
 }
 
-impl Wheels {
-    fn new() -> Self {
+impl Store {
+    fn new(assigned: KeyInterval, cfg: IndexConfig) -> Self {
         Self {
-            main: AggWheel::new(SLICE_BITS),
-            side: AggWheel::new(SLICE_BITS),
+            tree: TemplateBTree::new(assigned, cfg),
+            wheel: Mutex::new(AggWheel::new(SLICE_BITS)),
         }
+    }
+
+    /// Adds a batch, to the wheel first (when `measure` feeds one), so the
+    /// wheel never knows fewer tuples than the tree.
+    fn insert(&self, tuples: Vec<Tuple>, measure: Option<&MeasureFn>) {
+        if let Some(measure) = measure {
+            let measured = tuples.iter().map(|t| (t.key, t.ts, measure(t)));
+            self.wheel.lock().insert_batch(measured);
+        }
+        self.tree.insert_batch(tuples);
+    }
+
+    /// Seals the tree and takes the wheel with it, leaving both empty; `None`
+    /// when the store holds no tuple.
+    fn take(&self) -> Option<(SealedTree, AggWheel)> {
+        let wheel = std::mem::replace(&mut *self.wheel.lock(), AggWheel::new(SLICE_BITS));
+        Some((self.tree.seal()?, wheel))
     }
 }
 
@@ -102,14 +122,13 @@ impl Wheels {
 pub struct IndexingServer {
     id: ServerId,
     cfg: SystemConfig,
-    tree: TemplateBTree,
+    /// Tuples at most Δt behind the high-water mark.
+    main: Store,
+    /// Tuples later than Δt, flushed as separate chunks (§IV-D).
+    side: Store,
     /// Assigned key interval under the current partition schema; updated by
     /// adaptive key partitioning (§III-D).
     assigned: Mutex<KeyInterval>,
-    /// Very-late tuples, flushed as separate chunks (§IV-D).
-    side_store: Mutex<Vec<Tuple>>,
-    /// Bytes pending in the side store.
-    side_bytes: AtomicU64,
     /// Highest event timestamp seen.
     high_water: AtomicU64,
     consumer: Mutex<Consumer>,
@@ -125,9 +144,6 @@ pub struct IndexingServer {
     failed: AtomicBool,
     /// Secondary attributes to index at flush time (paper §VIII).
     attrs: parking_lot::RwLock<Arc<AttrRegistry>>,
-    /// Live aggregate wheels mirroring every in-memory tuple; taken at the
-    /// flush swap and sealed as the chunks' summaries (DESIGN.md §4b).
-    wheels: Mutex<Wheels>,
     /// Measure extractor feeding the wheel; shared with the coordinator so
     /// summary cells and scan folds agree. Install before ingesting.
     measure: parking_lot::RwLock<MeasureFn>,
@@ -149,10 +165,9 @@ impl IndexingServer {
         let index_cfg = IndexConfig::from_system(&cfg);
         Self {
             id,
-            tree: TemplateBTree::new(assigned, index_cfg),
+            main: Store::new(assigned, index_cfg),
+            side: Store::new(assigned, index_cfg),
             assigned: Mutex::new(assigned),
-            side_store: Mutex::new(Vec::new()),
-            side_bytes: AtomicU64::new(0),
             high_water: AtomicU64::new(0),
             backlog: consumer.backlog(),
             journal_trim: AtomicBool::new(false),
@@ -162,7 +177,6 @@ impl IndexingServer {
             stats: Arc::default(),
             failed: AtomicBool::new(false),
             attrs: parking_lot::RwLock::new(Arc::new(AttrRegistry::new())),
-            wheels: Mutex::new(Wheels::new()),
             measure: parking_lot::RwLock::new(default_measure()),
             flushing: Mutex::new(()),
             cfg,
@@ -211,9 +225,14 @@ impl IndexingServer {
         })
     }
 
-    /// Tuples currently in memory (main tree + side store).
+    /// The two fresh stores, main first.
+    fn stores(&self) -> [&Store; 2] {
+        [&self.main, &self.side]
+    }
+
+    /// Tuples currently in memory (main + side).
     pub fn in_memory(&self) -> usize {
-        self.tree.len() + self.side_store.lock().len()
+        self.stores().iter().map(|s| s.tree.len()).sum()
     }
 
     /// The currently assigned key interval.
@@ -269,69 +288,46 @@ impl IndexingServer {
             self.meta
                 .update_memory_region(self.id, self.memory_region())?;
         }
-        // The side store counts toward the threshold: a stream of very-late
-        // tuples never grows the tree, and every query walks the store.
-        let in_memory = self.tree.byte_size() as u64 + self.side_bytes.load(Ordering::Relaxed);
-        if in_memory >= self.cfg.chunk_size_bytes as u64 {
+        let in_memory: usize = self.stores().iter().map(|s| s.tree.byte_size()).sum();
+        if in_memory >= self.cfg.chunk_size_bytes {
             self.flush()?;
         }
         Ok(n)
     }
 
-    /// Ingests one polled batch, doing per batch what the per-record path
-    /// did per tuple: each wheel is locked and folded once, the high-water
-    /// mark published once, and the on-time tuples reach the tree in one
-    /// `insert_batch` call.
+    /// Ingests one polled batch: routes it by the high-water mark (§IV-D)
+    /// into main and side, each taking its share in one `insert_batch`.
+    /// `pump` holds the consumer lock throughout, so one batch runs at a
+    /// time, a local high-water mark sees every earlier tuple, and no flush
+    /// seals between the two stores' shares.
     fn ingest_batch(&self, tuples: Vec<Tuple>) {
-        // Held to the end: `flush` drains tree, side store, and wheels in
-        // one wheel-locked critical section, so a batch must become visible
-        // to all of them atomically or a flush sliding in between would
-        // take its wheel contributions while the tuples stay behind as
-        // fresh data.
-        let mut wheels = self.wheels.lock();
-        // `pump` holds the consumer lock, so one batch runs at a time and
-        // a local high-water mark sees every earlier tuple.
         let late_limit = self.late_limit_ms();
         let mut high_water = self.high_water.load(Ordering::Acquire);
-        let mut side_bytes = 0u64;
-        let mut on_time = tuples;
-        let side: Vec<Tuple> = on_time
+        let mut main = tuples;
+        let side: Vec<Tuple> = main
             .extract_if(.., |t| {
                 high_water = high_water.max(t.ts);
-                let late = high_water - t.ts > late_limit;
-                if late {
-                    side_bytes += t.encoded_len() as u64;
-                }
-                late
+                high_water - t.ts > late_limit
             })
             .collect();
         self.high_water.fetch_max(high_water, Ordering::AcqRel);
-        if self.cfg.agg_summaries_enabled {
-            let measure = self.measure.read().clone();
-            let measured = |t: &Tuple| (t.key, t.ts, measure(t));
-            wheels.main.insert_batch(on_time.iter().map(measured));
-            wheels.side.insert_batch(side.iter().map(measured));
+        let (ingested, late) = (main.len() as u64, side.len() as u64);
+        let measure = self
+            .cfg
+            .agg_summaries_enabled
+            .then(|| self.measure.read().clone());
+        for (store, tuples) in self.stores().into_iter().zip([main, side]) {
+            store.insert(tuples, measure.as_ref());
         }
-        if !side.is_empty() {
-            self.side_bytes.fetch_add(side_bytes, Ordering::Relaxed);
-            self.stats
-                .side_stored
-                .fetch_add(side.len() as u64, Ordering::Relaxed);
-            self.side_store.lock().extend(side);
-        }
-        let ingested = on_time.len() as u64;
-        if ingested > 0 {
-            self.tree.insert_batch(on_time);
-            self.stats.ingested.fetch_add(ingested, Ordering::Relaxed);
-        }
+        self.stats.ingested.fetch_add(ingested, Ordering::Relaxed);
+        self.stats.side_stored.fetch_add(late, Ordering::Relaxed);
     }
 
     /// Answers this server's share of an aggregate over `sq`'s rectangle —
     /// the query's own, not clipped to the memory region. The live wheels
-    /// answer the wheel interior ([`plan::split`]); the tree and the side
-    /// store are folded over the fringes. Each part takes its own lock, the
-    /// wheels' as the pump does and the tree's leaf latches, never one
-    /// across the other.
+    /// answer the wheel interior ([`plan::split`]); the trees are folded
+    /// over the fringes. Each part takes its own lock, a wheel's as the
+    /// pump does and a tree's leaf latches, never one across the other.
     pub fn aggregate_in_memory(&self, sq: &SubQuery) -> Result<AggShare> {
         if self.is_failed() {
             return Err(waterwheel_core::WwError::Injected("indexing server down"));
@@ -341,9 +337,8 @@ impl IndexingServer {
         let mut fringes = split.fringes;
         if let Some(interior) = split.interior {
             if self.cfg.agg_summaries_enabled {
-                let wheels = self.wheels.lock();
-                for wheel in [&wheels.main, &wheels.side] {
-                    let out = wheel.fold(interior.slices, &interior.covered);
+                for store in self.stores() {
+                    let out = store.wheel.lock().fold(interior.slices, &interior.covered);
                     debug_assert!(out.residues.is_empty(), "live wheel folds have no residues");
                     share.agg.merge(&out.agg);
                     share.cells_merged += out.cells_merged;
@@ -363,30 +358,20 @@ impl IndexingServer {
         Ok(share)
     }
 
-    /// The region the coordinator should consider for fresh data: the
-    /// tree's actual hull with its lower time bound widened by Δt (§IV-D),
-    /// extended by the side store's hull when present.
+    /// The region the coordinator should consider for fresh data: the hull
+    /// of main's and side's hulls, main's with its lower time bound widened
+    /// by Δt (§IV-D) since a tuple up to Δt late may still join it.
     pub fn memory_region(&self) -> Option<Region> {
-        let mut region = self
-            .tree
-            .region()
-            .map(|r| Region::new(r.keys, r.times.widen_lo(self.late_limit_ms())));
-        let side = self.side_store.lock();
-        for t in side.iter() {
-            region = Some(match region {
-                None => Region::new(KeyInterval::point(t.key), TimeInterval::point(t.ts)),
-                Some(mut r) => {
-                    r.keys.extend_to(t.key);
-                    r.times.extend_to(t.ts);
-                    r
-                }
-            });
-        }
-        region
+        let main = self.main.tree.region();
+        let main = main.map(|r| Region::new(r.keys, r.times.widen_lo(self.late_limit_ms())));
+        [main, self.side.tree.region()]
+            .into_iter()
+            .flatten()
+            .reduce(|a, b| a.hull(&b))
     }
 
-    /// Executes a subquery against the in-memory state (main tree + side
-    /// store) — the fresh-data path of §IV-A.
+    /// Executes a subquery against the in-memory state (main + side) — the
+    /// fresh-data path of §IV-A.
     pub fn query_in_memory(&self, sq: &SubQuery) -> Result<Vec<Tuple>> {
         if self.is_failed() {
             return Err(waterwheel_core::WwError::Injected("indexing server down"));
@@ -394,7 +379,7 @@ impl IndexingServer {
         Ok(self.scan_in_memory(&sq.keys, &sq.times, sq.predicate.as_deref()))
     }
 
-    /// The tree and side-store tuples inside `keys × times` that pass
+    /// The main and side tuples inside `keys × times` that pass
     /// `predicate`.
     fn scan_in_memory(
         &self,
@@ -402,19 +387,11 @@ impl IndexingServer {
         times: &TimeInterval,
         predicate: Option<&(dyn Fn(&Tuple) -> bool + Send + Sync)>,
     ) -> Vec<Tuple> {
-        let mut out = self.tree.query(
-            keys,
-            times,
-            predicate.map(|p| p as &(dyn Fn(&Tuple) -> bool + Sync)),
-        );
-        let side = self.side_store.lock();
-        out.extend(
-            side.iter()
-                .filter(|t| keys.contains(t.key) && times.contains(t.ts))
-                .filter(|t| predicate.is_none_or(|p| p(t)))
-                .cloned(),
-        );
-        out
+        let predicate = predicate.map(|p| p as &(dyn Fn(&Tuple) -> bool + Sync));
+        self.stores()
+            .into_iter()
+            .flat_map(|s| s.tree.query(keys, times, predicate))
+            .collect()
     }
 
     /// Writes one sealed tree to the DFS as chunk `id` — with its
@@ -486,57 +463,27 @@ impl IndexingServer {
         // in no registered chunk, and a client querying right after its
         // `flush()` would miss them.
         let _whole_flush = self.flushing.lock();
-        // Read the durable offset, seal the tree, take the side store, and
-        // take the wheels in ONE critical section, ordered consumer lock →
-        // wheel lock → tree like `pump`. Two races lived in the old
-        // read-offset / seal / write-chunks / clear-wheel sequence:
-        //
-        // * a pump batch sliding in between the seal and the wheel clear
-        //   stayed queryable as fresh data while `clear()` erased its
-        //   aggregate contributions (range queries and aggregates
-        //   disagreed until the next flush);
-        // * a pump that had *polled* (advancing the consumer position) but
-        //   not yet *inserted* let the seal miss those records while the
-        //   chunk registered an offset past them — a kill -9 replay then
-        //   resumed beyond tuples that were never made durable: data loss.
-        //
-        // Holding both locks makes a concurrent batch land wholly before
-        // the seal (sealed into this flush's chunks and their wheels, below
-        // the offset) or wholly after (fresh in the new tree AND the new
-        // wheels, at or above the offset).
-        let (durable_offset, sealed, side, wheels) = {
+        // Invariant: every polled record is either below the durable offset
+        // and in this flush's chunks, tree and wheel alike, or at or above
+        // it and fresh in the emptied stores. `pump` holds the consumer lock
+        // from poll through insert, so reading the offset and taking both
+        // stores under that lock sees each batch wholly or not at all. (A
+        // failed chunk write loses the taken tuples from memory; replay from
+        // the registered offset restores them.)
+        let (durable_offset, taken) = {
             let consumer = self.consumer.lock();
-            let durable_offset = consumer.position();
-            let mut wheels = self.wheels.lock();
-            let sealed = self.tree.seal();
-            let side: Vec<Tuple> = std::mem::take(&mut *self.side_store.lock());
-            self.side_bytes.store(0, Ordering::Relaxed);
-            // The wheels hold exactly what was just sealed and taken, so
-            // they leave with it. (A failed chunk write loses the sealed
-            // tuples from memory either way; WAL replay from
-            // `durable_offset` restores both.)
-            let wheels = std::mem::replace(&mut *wheels, Wheels::new());
-            drop(consumer);
-            (durable_offset, sealed, side, wheels)
+            (consumer.position(), self.stores().map(Store::take))
         };
-        let summary = |wheel: AggWheel| {
-            (!wheel.is_empty()).then(|| WheelSummary::seal(wheel, MAX_CELLS_PER_RING))
-        };
-        // Side store flushes as its own chunk so main chunks keep tight
-        // temporal bounds (§IV-D).
-        let side = (!side.is_empty()).then(|| {
-            let tmp = TemplateBTree::new(
-                self.assigned_interval(),
-                IndexConfig::from_system(&self.cfg),
-            );
-            tmp.insert_batch(side);
-            let sealed = tmp.seal().expect("side store non-empty");
-            (sealed, summary(wheels.side))
-        });
-        let chunks: Vec<(SealedTree, Option<WheelSummary>)> = sealed
-            .map(|sealed| (sealed, summary(wheels.main)))
+        // One chunk per non-empty store, main first: side flushes apart so
+        // main chunks keep tight temporal bounds (§IV-D).
+        let chunks: Vec<(SealedTree, Option<WheelSummary>)> = taken
             .into_iter()
-            .chain(side)
+            .flatten()
+            .map(|(sealed, wheel)| {
+                let summary =
+                    (!wheel.is_empty()).then(|| WheelSummary::seal(wheel, MAX_CELLS_PER_RING));
+                (sealed, summary)
+            })
             .collect();
         if chunks.is_empty() {
             return Ok(Vec::new());
@@ -764,7 +711,7 @@ mod tests {
     /// store that flushes beside the tree.
     #[test]
     fn chunk_files_do_not_depend_on_pump_batch_size() {
-        use waterwheel_storage::RangedRead;
+        use waterwheel_storage::{ChunkReader, RangedRead};
         const PER_CHUNK: u64 = 7 * 1_024;
         let run = |name: &str, batch: usize| {
             let mut rig = Rig::new(name);
@@ -808,6 +755,46 @@ mod tests {
         for (a, b) in big.iter().zip(&small) {
             assert!(a == b, "{:?} differs between pump(1024) and pump(7)", a.0);
         }
+        // Main chunks hold no late tuple (ts ≥ 100 000) and their bytes are
+        // pinned. The side chunks hold exactly the late tuples; their leaf
+        // cuts follow the side tree's template, retained across flushes.
+        let (mut main, mut side) = (Vec::new(), Vec::new());
+        for (id, bytes) in &big {
+            let reader = ChunkReader::new(&bytes[..]);
+            let index = reader.load_index().unwrap();
+            if index.region.times.lo() >= 100_000 {
+                main.extend_from_slice(bytes);
+            } else {
+                let leaves = reader.read_leaves(&index, 0, index.leaves.len() - 1);
+                side.extend(leaves.unwrap().into_iter().flatten());
+                assert!(
+                    index.region.times.hi() < 100_000,
+                    "{id:?} mixes main and side"
+                );
+            }
+        }
+        let fnv = waterwheel_core::codec::fnv1a(&main);
+        assert_eq!(
+            (main.len(), fnv),
+            (201_796, 0x9c10_3c0f_e9e2_017b),
+            "main chunks: {fnv:#x}"
+        );
+        let mut late: Vec<Tuple> = (49..3 * PER_CHUNK + 500)
+            .step_by(50)
+            .map(|i| {
+                let key = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 54;
+                Tuple::new(key, i / 2, (i as u32).to_le_bytes().to_vec())
+            })
+            .collect();
+        let order = |t: &Tuple| (t.key, t.ts, t.payload.to_vec());
+        late.sort_by_key(order);
+        side.sort_by_key(order);
+        assert!(
+            side == late,
+            "side chunks hold {} tuples, not the {} late ones",
+            side.len(),
+            late.len()
+        );
     }
 
     /// The flush seals the live wheels instead of rebuilding a summary

@@ -191,10 +191,54 @@ fn very_late_tuples_are_separated_but_never_lost() {
         seed: 8,
         ..NetworkConfig::default()
     });
-    for _ in 0..20_000 {
-        ww.insert(stream.next().unwrap()).unwrap();
+    let mut sent = Vec::new();
+    for i in 0..20_000 {
+        if i == 19_000 {
+            // Flushes at every pump; the last 1 000 stay below the threshold.
+            ww.drain().unwrap();
+        }
+        let t = stream.next().unwrap();
+        sent.push(t.clone());
+        ww.insert(t).unwrap();
     }
     ww.drain().unwrap();
+    // The server's memory holds the stream's suffix since its last flush.
+    // The oldest very-late tuples there lie below the main tree's hull,
+    // widened by Δt, so only the side tree's region reports them.
+    let fresh = &sent[sent.len() - ww.indexing_servers()[0].in_memory()..];
+    let mut high_water = sent[..sent.len() - fresh.len()]
+        .iter()
+        .map(|t| t.ts)
+        .max()
+        .unwrap_or(0);
+    let mut very_late = Vec::new();
+    let mut main_lo = u64::MAX;
+    for t in fresh {
+        high_water = high_water.max(t.ts);
+        if high_water - t.ts > 2_000 {
+            very_late.push(t.ts);
+        } else {
+            main_lo = main_lo.min(t.ts);
+        }
+    }
+    very_late.sort_unstable();
+    assert!(
+        very_late.len() >= 3,
+        "only {} fresh very-late tuples",
+        very_late.len()
+    );
+    let window = TimeInterval::new(very_late[0], very_late[2]);
+    assert!(
+        window.hi() + 2_000 < main_lo,
+        "{window:?} meets the main tree's hull"
+    );
+    let want = sent.iter().filter(|t| window.contains(t.ts)).count();
+    let oldest = Query::range(KeyInterval::full(), window);
+    assert_eq!(ww.query(&oldest).unwrap().tuples.len(), want);
+    let count = ww
+        .aggregate(&oldest.aggregate(AggregateKind::Count))
+        .unwrap();
+    assert_eq!(count.agg.count, want as u64);
     ww.flush_all().unwrap();
     let side_stored: u64 = ww
         .indexing_servers()

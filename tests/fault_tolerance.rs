@@ -104,6 +104,34 @@ fn query_server_failures_degrade_gracefully() {
     );
 }
 
+/// A failed indexing server holding unflushed tuples fails an aggregate the
+/// way it fails a range query, instead of leaving its share out of an `Ok`.
+#[test]
+fn a_failed_indexing_server_fails_aggregates_like_range_queries() {
+    let ww = Waterwheel::builder(fresh_root("agg-down"))
+        .config(cfg())
+        .build()
+        .unwrap();
+    for i in 0..500u64 {
+        ww.insert(Tuple::bare(spread_key(i), 1_000 + i)).unwrap();
+    }
+    ww.drain().unwrap();
+    let count = all().aggregate(AggregateKind::Count);
+    assert_eq!(ww.aggregate(&count).unwrap().agg.count, 500);
+    let victim = &ww.indexing_servers()[0];
+    assert!(victim.in_memory() > 0, "the victim holds no fresh tuples");
+    victim.set_failed(true);
+    assert!(
+        ww.query(&all()).is_err(),
+        "range query over a failed server"
+    );
+    let short = ww.aggregate(&count).map(|a| a.agg.count);
+    assert!(short.is_err(), "aggregate over a failed server: {short:?}");
+    victim.set_failed(false);
+    assert_eq!(ww.aggregate(&count).unwrap().agg.count, 500);
+    assert_eq!(ww.query(&all()).unwrap().tuples.len(), 500);
+}
+
 #[test]
 fn process_restart_preserves_all_flushed_data() {
     let root = fresh_root("restart");
