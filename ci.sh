@@ -48,6 +48,17 @@ if [ -n "$strays" ]; then
     echo "$strays"; exit 1
 fi
 
+echo "==> the transport names no predicate (crates/net/src moves bytes; what a query keeps is decided where the tuples are)"
+# Non-test, non-comment lines: every line before a file's first
+# #[cfg(test)] that is not a // comment. A transport that filters answers
+# would ship the whole rectangle and re-filter it on arrival.
+filters=$(find crates/net/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { exit }
+    !/^[[:space:]]*\/\// && /[Pp]redicate/ { print FILENAME ":" FNR ": " $0 }' {} \; | sort)
+if [ -n "$filters" ]; then
+    echo "non-test code under crates/net/src names a predicate; filter in the executors instead:"
+    echo "$filters"; exit 1
+fi
+
 echo "==> non-test lines under crates/*/src (printed, not gated)"
 # Non-blank, non-comment lines above each file's first #[cfg(test)] — the
 # size ROADMAP.md reports, counted the same way every time.

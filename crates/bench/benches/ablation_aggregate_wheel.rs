@@ -9,7 +9,7 @@
 use std::time::{Duration, Instant};
 use waterwheel_bench::*;
 use waterwheel_cluster::LatencyModel;
-use waterwheel_core::{AggregateKind, KeyInterval, Query, SystemConfig, TimeInterval, Tuple};
+use waterwheel_core::{AggregateKind, Expr, KeyInterval, Query, SystemConfig, TimeInterval, Tuple};
 use waterwheel_server::Waterwheel;
 
 /// Total event-time span of the stream in milliseconds (10 min).
@@ -61,15 +61,22 @@ fn main() {
         let mut with_summaries = Vec::new();
         let mut scan_forced = Vec::new();
         for forced in [false, true] {
-            ww.coordinator().set_summaries_enabled(!forced);
             for rep in 0..reps {
                 for qs in ww.query_servers() {
                     qs.cache().clear();
                 }
                 let lo = (rep * 7_919_000) % (SPAN_MS - width);
                 let lo = lo / 1_000 * 1_000;
-                let q = Query::range(KeyInterval::full(), TimeInterval::new(lo, lo + width - 1))
-                    .aggregate(AggregateKind::Sum);
+                let window = TimeInterval::new(lo, lo + width - 1);
+                // Forced: the same SUM under a predicate every tuple passes,
+                // so every source folds a scan of its share.
+                let q = match forced {
+                    false => Query::range(KeyInterval::full(), window),
+                    true => {
+                        Query::with_predicate(KeyInterval::full(), window, Expr::ts().le(SPAN_MS))
+                    }
+                }
+                .aggregate(AggregateKind::Sum);
                 let t0 = Instant::now();
                 let a = ww.aggregate(&q).unwrap();
                 let elapsed = t0.elapsed();
@@ -81,7 +88,6 @@ fn main() {
                 }
             }
         }
-        ww.coordinator().set_summaries_enabled(true);
         let (s, f) = (mean(&with_summaries), mean(&scan_forced));
         rows.push(vec![
             format!("{:.0}%", selectivity * 100.0),

@@ -10,7 +10,7 @@
 use std::time::{Duration, Instant};
 use waterwheel_bench::*;
 use waterwheel_cluster::LatencyModel;
-use waterwheel_core::{KeyInterval, Query, SystemConfig, TimeInterval, Tuple};
+use waterwheel_core::{Expr, KeyInterval, Query, SystemConfig, TimeInterval, Tuple};
 use waterwheel_server::Waterwheel;
 
 const ATTR_TAG: u16 = 1;
@@ -32,7 +32,7 @@ fn build(name: &str) -> Waterwheel {
         .volatile_metadata()
         .build()
         .unwrap();
-    ww.register_attribute(ATTR_TAG, |t| t.payload.first().map(|&b| b as u64));
+    ww.register_attribute(ATTR_TAG, Expr::payload(0, 1));
     ww
 }
 
@@ -77,15 +77,17 @@ fn main() {
             with_idx.push(t0.elapsed());
             std::hint::black_box(r);
         }
-        // Without: equivalent opaque predicate (no pruning possible).
+        // Without: the equivalent predicate (no index to prune with).
         let mut without_idx = Vec::new();
         for _ in 0..scaled(20) {
             for qs in ww.query_servers() {
                 qs.cache().clear();
             }
-            let q = Query::with_predicate(KeyInterval::full(), TimeInterval::full(), move |t| {
-                t.payload.first().map(|&b| b as u64) == Some(tag)
-            });
+            let q = Query::with_predicate(
+                KeyInterval::full(),
+                TimeInterval::full(),
+                Expr::payload(0, 1).equals(tag),
+            );
             let t0 = Instant::now();
             let r = ww.query(&q).unwrap();
             without_idx.push(t0.elapsed());

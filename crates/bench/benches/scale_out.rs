@@ -22,7 +22,7 @@
 //! Emits `BENCH_scale.json` at the workspace root for tooling.
 
 use waterwheel_bench::*;
-use waterwheel_core::{AggregateKind, KeyInterval, TimeInterval, Tuple};
+use waterwheel_core::{AggregateKind, KeyInterval, Query, TimeInterval, Tuple};
 use waterwheel_node::ClusterSpec;
 
 const BATCH: usize = 200;
@@ -71,7 +71,7 @@ fn bench_size(processes: usize, tuples: &[Tuple]) -> SizeResult {
     // Exactness before anything is timed further: the cluster must hold
     // every tuple exactly once.
     let full = client
-        .query(KeyInterval::full(), TimeInterval::full())
+        .query(&Query::range(KeyInterval::full(), TimeInterval::full()))
         .expect("full query");
     assert_eq!(
         full.tuples.len(),
@@ -80,9 +80,8 @@ fn bench_size(processes: usize, tuples: &[Tuple]) -> SizeResult {
     );
     let count = client
         .aggregate(
-            KeyInterval::full(),
-            TimeInterval::full(),
-            AggregateKind::Count,
+            &Query::range(KeyInterval::full(), TimeInterval::full())
+                .aggregate(AggregateKind::Count),
         )
         .expect("count");
     assert_eq!(count.agg.count as usize, n, "COUNT diverged");
@@ -98,7 +97,9 @@ fn bench_size(processes: usize, tuples: &[Tuple]) -> SizeResult {
     let (_, query_dur) = time(|| {
         for i in 0..QUERY_ROUNDS {
             let keys = windows[i % windows.len()];
-            client.query(keys, TimeInterval::full()).expect("query");
+            client
+                .query(&Query::range(keys, TimeInterval::full()))
+                .expect("query");
         }
     });
     let query_qps = throughput(QUERY_ROUNDS, query_dur);

@@ -58,10 +58,10 @@ impl fmt::Display for AggregateKind {
 
 /// Maps a tuple to the `u64` measure being aggregated.
 ///
-/// Shared (like [`crate::query::Predicate`]) so indexing servers folding
-/// tuples into wheels and the coordinator folding fringe scans use the
-/// *same* function — a requirement for exact answers. Must be registered
-/// before any data is ingested, mirroring secondary-attribute extractors.
+/// Shared so indexing servers folding tuples into wheels and query servers
+/// folding leaf scans use the *same* function — a requirement for exact
+/// answers. Must be registered before any data is ingested, like secondary
+/// attributes.
 pub type MeasureFn = Arc<dyn Fn(&Tuple) -> u64 + Send + Sync>;
 
 /// The default measure: the tuple's payload length in bytes. Cheap, always
@@ -75,8 +75,9 @@ pub fn default_measure() -> MeasureFn {
 /// compute over the matching tuples.
 #[derive(Clone, Debug)]
 pub struct AggregateQuery {
-    /// Range constraints (and optional predicate / attribute filter; those
-    /// force the tuple-scan fallback since wheel cells cannot see them).
+    /// Range constraints and optional predicate, attribute and measure
+    /// filters; a filtered aggregate folds scans at its sources, since
+    /// wheel cells cannot see the filters.
     pub query: Query,
     /// Which aggregate to compute.
     pub kind: AggregateKind,

@@ -12,11 +12,13 @@
 //! records with [`wire_struct!`](crate::wire_struct), one field per row in
 //! encoding order; both generate the [`Wire`] impl from that declaration.
 
+use crate::aggregate::{AggregateKind, AggregateQuery};
 use crate::counters::StatRow;
 use crate::error::{Result, WwError};
+use crate::expr::Expr;
 use crate::ids::{ChunkId, NodeId, QueryId, ServerId, SubQueryId};
 use crate::interval::{KeyInterval, TimeInterval};
-use crate::query::{QueryResult, SubQuery};
+use crate::query::{Query, QueryResult, SubQuery, SubQueryTarget};
 use crate::region::Region;
 use crate::tuple::Tuple;
 use bytes::Bytes;
@@ -517,32 +519,28 @@ crate::wire_struct!(SubQueryId {
 crate::wire_struct!(StatRow { name: String, server: Option<ServerId>, value: u64 });
 crate::wire_struct!(QueryResult { query_id: QueryId, subqueries: u32, tuples: Vec<Tuple> });
 
-/// Predicates are opaque closures and cross as a presence flag only: a
-/// decoded subquery has none, and the sender re-applies its predicate to
-/// what comes back. The measure range is plain data and crosses for real.
-impl Wire for SubQuery {
-    const MIN_LEN: usize = SubQueryId::MIN_LEN + 16 + 16 + 1 + 1 + 1;
-
-    fn encode(&self, out: &mut impl Encoder) {
-        self.id.encode(out);
-        self.keys.encode(out);
-        self.times.encode(out);
-        self.predicate.is_some().encode(out);
-        self.measure_range.encode(out);
-        self.target.encode(out);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(SubQuery {
-            id: Wire::decode(dec)?,
-            keys: Wire::decode(dec)?,
-            times: Wire::decode(dec)?,
-            predicate: bool::decode(dec).map(|_| None)?,
-            measure_range: decode_measure_range(dec)?,
-            target: Wire::decode(dec)?,
-        })
-    }
-}
+// A subquery's predicate crosses as an optional `Expr` program, so the
+// executor filters and the answer comes back as it left; `None` is the one
+// zero byte a predicate-free subquery always took.
+crate::wire_struct!(SubQuery {
+    id: SubQueryId,
+    keys: KeyInterval,
+    times: TimeInterval,
+    predicate: Option<Expr>,
+    measure_range: Option<(u64, u64)> => decode_measure_range,
+    target: SubQueryTarget,
+});
+crate::wire_struct!(AggregateQuery {
+    query: Query,
+    kind: AggregateKind
+});
+crate::wire_struct!(Query {
+    keys: KeyInterval,
+    times: TimeInterval,
+    predicate: Option<Expr>,
+    attr_eq: Option<(u16, u64)>,
+    measure_range: Option<(u64, u64)> => decode_measure_range,
+});
 
 /// Errors cross as a tag and their message. Variants whose message is a
 /// `&'static str` cannot carry the sender's text back, so they decode with
@@ -610,10 +608,14 @@ impl Wire for WwError {
 
 /// Implements [`Wire`] for a struct from its fields in encoding order: each
 /// field is encoded with its own [`Wire`] impl, back to back, and every
-/// field of the struct must be listed.
+/// field of the struct must be listed. `field: Type => check` decodes that
+/// field with `check` instead, a decoder that also refuses bad values (e.g.
+/// [`decode_measure_range`]).
 #[macro_export]
 macro_rules! wire_struct {
-    ($name:ident { $($field:ident: $ty:ty),* $(,)? }) => {
+    (@field $dec:ident, $ty:ty) => { <$ty as $crate::codec::Wire>::decode($dec)? };
+    (@field $dec:ident, $ty:ty, $check:path) => { $check($dec)? };
+    ($name:ident { $($field:ident: $ty:ty $(=> $check:path)?),* $(,)? }) => {
         impl $crate::codec::Wire for $name {
             const MIN_LEN: usize = 0 $(+ <$ty as $crate::codec::Wire>::MIN_LEN)*;
 
@@ -623,7 +625,7 @@ macro_rules! wire_struct {
 
             fn decode(dec: &mut $crate::codec::Decoder<'_>) -> $crate::Result<Self> {
                 Ok($name {
-                    $($field: <$ty as $crate::codec::Wire>::decode(dec)?,)*
+                    $($field: $crate::wire_struct!(@field dec, $ty $(, $check)?),)*
                 })
             }
         }
@@ -833,6 +835,29 @@ mod tests {
         bad.put_u64(0);
         let mut dec = Decoder::new(&bad, "test");
         assert!(decode_region(&mut dec).is_err());
+    }
+
+    #[test]
+    fn a_query_round_trips_and_an_inverted_measure_range_is_refused() {
+        let q = Query::with_predicate(
+            KeyInterval::new(3, 9),
+            TimeInterval::new(10, 20),
+            (crate::Expr::payload(7, 1) & 0xF0).equals(0xF0),
+        )
+        .and_attr_eq(1, 42);
+        let decode = |q: &Query| {
+            let mut buf = Vec::new();
+            q.encode(&mut buf);
+            Query::decode(&mut Decoder::new(&buf, "test"))
+        };
+        let back = decode(&q.clone().and_measure_between(3, 9)).unwrap();
+        assert_eq!(back.predicate, q.predicate);
+        assert_eq!(
+            (back.attr_eq, back.measure_range),
+            (Some((1, 42)), Some((3, 9)))
+        );
+        let err = decode(&q.and_measure_between(9, 3)).unwrap_err();
+        assert!(err.to_string().contains("inverted measure range"), "{err}");
     }
 
     #[test]

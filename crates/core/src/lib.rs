@@ -10,7 +10,7 @@
 //!   Waterwheel partitions `R` into data regions (paper §III-A).
 //! * [`Query`] / [`SubQuery`] — a temporal/key range query
 //!   `q = ⟨K_q, T_q, f_q⟩` and the per-region fragments it decomposes into
-//!   (paper §IV-A).
+//!   (paper §IV-A); [`Expr`] — the predicate `f_q` as plain data.
 //! * [`zorder`] — the Morton encoding used to linearise two-dimensional keys
 //!   such as GPS coordinates (paper §VI evaluates with z-ordered T-Drive
 //!   trajectories).
@@ -30,6 +30,7 @@ pub mod compress;
 pub mod config;
 pub mod counters;
 pub mod error;
+pub mod expr;
 pub mod ids;
 pub mod interval;
 pub mod query;
@@ -41,9 +42,10 @@ pub use aggregate::{AggregateKind, AggregateQuery, MeasureFn};
 pub use config::SystemConfig;
 pub use counters::{CounterRegistry, Counters, StatRow};
 pub use error::{Result, WwError};
+pub use expr::Expr;
 pub use ids::{ChunkId, NodeId, QueryId, ServerId, SubQueryId};
 pub use interval::{KeyInterval, TimeInterval};
-pub use query::{Predicate, Query, QueryResult, SubQuery, SubQueryTarget};
+pub use query::{Query, QueryResult, SubQuery, SubQueryTarget};
 pub use region::Region;
 pub use tuple::{Key, Timestamp, Tuple};
 

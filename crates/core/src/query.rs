@@ -1,42 +1,35 @@
 //! User queries and their decomposition into subqueries (paper §II-A, §IV-A).
 
+use crate::expr::Expr;
 use crate::ids::{ChunkId, QueryId, ServerId, SubQueryId};
 use crate::interval::{KeyInterval, TimeInterval};
 use crate::region::Region;
 use crate::tuple::Tuple;
-use std::fmt;
-use std::sync::Arc;
-
-/// The user-defined predicate `f_q : tuple → {true, false}` (paper §II-A).
-///
-/// Wrapped in an `Arc` so a query can be decomposed into many subqueries that
-/// share the predicate without cloning it.
-pub type Predicate = Arc<dyn Fn(&Tuple) -> bool + Send + Sync>;
 
 /// A user query `q = ⟨K_q, T_q, f_q⟩` (paper §II-A).
 ///
 /// The result is every tuple whose `⟨key, ts⟩` point falls inside the query
 /// region `⟨K_q, T_q⟩` **and** which satisfies the predicate `f_q`.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct Query {
     /// Selection interval on the key domain, `K_q`.
     pub keys: KeyInterval,
     /// Selection interval on the time domain, `T_q`.
     pub times: TimeInterval,
     /// Optional user-defined predicate `f_q`; `None` accepts every tuple.
-    pub predicate: Option<Predicate>,
+    pub predicate: Option<Expr>,
     /// Optional *structured* equality constraint on a registered secondary
-    /// attribute: `(attribute id, value)`. Unlike the opaque predicate,
-    /// this lets the system prune chunks/leaves through the secondary
-    /// bitmap/bloom indexes (paper §VIII future work). The filtering itself
-    /// happens through the registered extractor, so results are identical
-    /// to an equivalent predicate — just faster.
+    /// attribute: `(attribute id, value)`. Unlike a plain predicate, this
+    /// lets the system prune chunks/leaves through the secondary
+    /// bitmap/bloom indexes (paper §VIII future work). The coordinator
+    /// folds it into the predicate as `attribute == value`, so results are
+    /// identical to that predicate — just faster.
     pub attr_eq: Option<(u16, u64)>,
     /// Optional *structured* inclusive range constraint `[lo, hi]` on the
-    /// registered measure `m(tuple)`. Like `attr_eq`, the coordinator folds
-    /// this into the predicate for exact filtering, while the structured
-    /// form lets planners prune chunks and leaves whose persisted MIN/MAX
-    /// measure bounds cannot intersect the range.
+    /// registered measure `m(tuple)`. It travels on every subquery: each
+    /// executor filters by it under its own measure, and chunks and leaves
+    /// whose persisted MIN/MAX measure bounds cannot intersect it are
+    /// pruned unread.
     pub measure_range: Option<(u64, u64)>,
 }
 
@@ -53,17 +46,10 @@ impl Query {
     }
 
     /// A range query with a user-defined predicate.
-    pub fn with_predicate(
-        keys: KeyInterval,
-        times: TimeInterval,
-        predicate: impl Fn(&Tuple) -> bool + Send + Sync + 'static,
-    ) -> Self {
+    pub fn with_predicate(keys: KeyInterval, times: TimeInterval, predicate: Expr) -> Self {
         Self {
-            keys,
-            times,
-            predicate: Some(Arc::new(predicate)),
-            attr_eq: None,
-            measure_range: None,
+            predicate: Some(predicate),
+            ..Self::range(keys, times)
         }
     }
 
@@ -102,22 +88,12 @@ impl Query {
     /// Whether the tuple matches the range constraints and predicate.
     ///
     /// The structured `attr_eq` constraint is *not* evaluated here — the
-    /// core crate has no access to registered extractors; the coordinator
+    /// core crate has no access to registered attributes; the coordinator
     /// folds it into the predicate before decomposition.
     pub fn matches(&self, tuple: &Tuple) -> bool {
         self.keys.contains(tuple.key)
             && self.times.contains(tuple.ts)
-            && self.predicate.as_ref().is_none_or(|p| p(tuple))
-    }
-}
-
-impl fmt::Debug for Query {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Query")
-            .field("keys", &self.keys)
-            .field("times", &self.times)
-            .field("predicate", &self.predicate.is_some())
-            .finish()
+            && self.predicate.as_ref().is_none_or(|p| p.accepts(tuple))
     }
 }
 
@@ -139,7 +115,7 @@ crate::wire_enum! {
 /// A subquery `q_i = ⟨K_i ∩ K_q, T_i ∩ T_q, f_q⟩` (paper §IV-A): the
 /// intersection of the user query with one candidate data region, routed to
 /// that region's owner.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct SubQuery {
     /// Identity: parent query plus decomposition index.
     pub id: SubQueryId,
@@ -147,12 +123,11 @@ pub struct SubQuery {
     pub keys: KeyInterval,
     /// Time constraint after intersecting with the data region.
     pub times: TimeInterval,
-    /// Shared user predicate.
-    pub predicate: Option<Predicate>,
-    /// Structured measure-range constraint inherited from the parent query;
-    /// carried as data (it crosses the wire, unlike the predicate) so
-    /// executors can prune leaves by their persisted MIN/MAX bounds. The
-    /// exact filtering happens via the coordinator-folded predicate.
+    /// The parent query's predicate, `attr_eq` folded in.
+    pub predicate: Option<Expr>,
+    /// Structured measure-range constraint inherited from the parent query:
+    /// the executor filters by it under its measure, and prunes leaves and
+    /// chunks by their persisted MIN/MAX bounds.
     pub measure_range: Option<(u64, u64)>,
     /// Which data region (and thus executor) this fragment belongs to.
     pub target: SubQueryTarget,
@@ -163,18 +138,22 @@ impl SubQuery {
     pub fn matches(&self, tuple: &Tuple) -> bool {
         self.keys.contains(tuple.key)
             && self.times.contains(tuple.ts)
-            && self.predicate.as_ref().is_none_or(|p| p(tuple))
+            && self.predicate.as_ref().is_none_or(|p| p.accepts(tuple))
     }
-}
 
-impl fmt::Debug for SubQuery {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SubQuery")
-            .field("id", &self.id)
-            .field("keys", &self.keys)
-            .field("times", &self.times)
-            .field("target", &self.target)
-            .finish()
+    /// Whether the fragment filters tuples beyond its rectangle: by a
+    /// predicate or a measure range.
+    pub fn filters(&self) -> bool {
+        self.predicate.is_some() || self.measure_range.is_some()
+    }
+
+    /// Whether a tuple of the rectangle passes the predicate and, under
+    /// `measure`, the measure range.
+    pub fn keeps(&self, tuple: &Tuple, measure: &dyn Fn(&Tuple) -> u64) -> bool {
+        self.predicate.as_ref().is_none_or(|p| p.accepts(tuple))
+            && self
+                .measure_range
+                .is_none_or(|(lo, hi)| (lo..=hi).contains(&measure(tuple)))
     }
 }
 
@@ -212,18 +191,22 @@ mod tests {
 
     #[test]
     fn predicate_filters_within_range() {
-        let q = Query::with_predicate(KeyInterval::full(), TimeInterval::full(), |t| {
-            t.key % 2 == 0
-        });
+        let q = Query::with_predicate(
+            KeyInterval::full(),
+            TimeInterval::full(),
+            (Expr::key() % 2).equals(0),
+        );
         assert!(q.matches(&Tuple::bare(4, 0)));
         assert!(!q.matches(&Tuple::bare(5, 0)));
     }
 
     #[test]
     fn subquery_shares_parent_predicate() {
-        let q = Query::with_predicate(KeyInterval::new(0, 100), TimeInterval::new(0, 100), |t| {
-            t.ts > 10
-        });
+        let q = Query::with_predicate(
+            KeyInterval::new(0, 100),
+            TimeInterval::new(0, 100),
+            Expr::from(10).lt(Expr::ts()),
+        );
         let sq = SubQuery {
             id: SubQueryId {
                 query: QueryId(1),

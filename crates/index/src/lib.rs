@@ -38,7 +38,7 @@ pub use bitmap::Bitmap;
 pub use bloom::TimeBloom;
 pub use config::{BloomConfig, IndexConfig};
 pub use sealed::{SealedLeaf, SealedTree};
-pub use secondary::{AttrId, AttrProbe, AttributeExtractor, ChunkAttrIndex, ValueBloom};
+pub use secondary::{AttrId, AttrProbe, ChunkAttrIndex, ValueBloom};
 pub use stats::{IndexStats, StatsSnapshot};
 pub use template::TemplateBTree;
 pub use traits::TupleIndex;

@@ -13,24 +13,19 @@
 //!   tail) over the chunk's *leaf indices* — lets the query server fetch
 //!   only the leaves that contain the value.
 //!
-//! Attributes are extracted from tuple payloads by a user-registered
-//! [`AttributeExtractor`]; values are `u64` (hash or project wider
+//! Attributes are extracted from tuples by a user-registered expression
+//! (`waterwheel_core::Expr`); values are `u64` (hash or project wider
 //! attributes down). The structures are built at seal time from the sealed
 //! leaves and serialized into the metadata the coordinator already holds,
 //! so the read path needs no extra file access.
 
 use crate::bitmap::Bitmap;
 use std::collections::HashMap;
-use std::sync::Arc;
 use waterwheel_core::codec::{Decoder, Encoder, Wire};
-use waterwheel_core::{Result, Tuple, WwError};
+use waterwheel_core::{Result, WwError};
 
 /// Identifier of a registered attribute.
 pub type AttrId = u16;
-
-/// Extracts an attribute value from a tuple, or `None` when the tuple has
-/// no such attribute.
-pub type AttributeExtractor = Arc<dyn Fn(&Tuple) -> Option<u64> + Send + Sync>;
 
 /// Per-value bitmaps are materialized only for values occurring at least
 /// this many times in a chunk; rarer values rely on the bloom + leaf scan.

@@ -264,7 +264,6 @@ impl Hull {
 /// template updates and seals pause everything via the tree-level lock.
 pub struct TemplateBTree {
     cfg: IndexConfig,
-    assigned: KeyInterval,
     core: RwLock<TreeCore>,
     count: AtomicUsize,
     bytes: AtomicUsize,
@@ -282,21 +281,21 @@ pub struct TemplateBTree {
 }
 
 impl TemplateBTree {
-    /// Creates an empty tree over the assigned key interval with a trivial
-    /// single-leaf template; the first skew check or seal grows it.
+    /// Creates an empty tree with a trivial single-leaf template; the first
+    /// skew check or seal grows it. The tree keeps no assigned interval:
+    /// what it covers is its contents' hull, [`Self::region`].
     pub fn new(assigned: KeyInterval, cfg: IndexConfig) -> Self {
         Self::with_separators(assigned, cfg, Vec::new())
     }
 
     /// Creates a tree whose template is built from the given separators —
     /// used to recycle the structure of a previous chunk (paper §III-B) or
-    /// to seed from a sampled distribution.
-    pub fn with_separators(assigned: KeyInterval, cfg: IndexConfig, separators: Vec<Key>) -> Self {
+    /// to seed from a sampled distribution. `_assigned` is not kept.
+    pub fn with_separators(_assigned: KeyInterval, cfg: IndexConfig, separators: Vec<Key>) -> Self {
         let template = Template::build(separators, cfg.fanout.max(2));
         let leaves = TreeCore::new_leaves(template.leaf_count());
         Self {
             cfg,
-            assigned,
             core: RwLock::new(TreeCore {
                 template,
                 leaves,
@@ -309,18 +308,6 @@ impl TemplateBTree {
             last_rebuild_count: AtomicUsize::new(0),
             stats: Arc::new(IndexStats::default()),
         }
-    }
-
-    /// The key interval this tree is responsible for.
-    pub fn assigned_interval(&self) -> KeyInterval {
-        self.assigned
-    }
-
-    /// Re-assigns the key interval (adaptive key partitioning, §III-D).
-    /// Existing tuples are unaffected; the *actual* covered interval is
-    /// tracked separately and reported by [`Self::region`].
-    pub fn reassign_interval(&mut self, assigned: KeyInterval) {
-        self.assigned = assigned;
     }
 
     /// Total accumulated tuple bytes (drives the chunk-size flush trigger).
@@ -939,15 +926,5 @@ mod tests {
                 proptest::prop_assert_eq!(t.region().is_none(), t.len() == 0);
             }
         }
-    }
-
-    #[test]
-    fn reassign_interval_tracks_actual_region() {
-        let mut t = tree();
-        t.insert(Tuple::bare(500, 1));
-        t.reassign_interval(KeyInterval::new(0, 100));
-        // Actual region still reflects stored tuples, not the assignment.
-        assert_eq!(t.region().unwrap().keys, KeyInterval::point(500));
-        assert_eq!(t.assigned_interval(), KeyInterval::new(0, 100));
     }
 }

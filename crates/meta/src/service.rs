@@ -98,28 +98,14 @@ pub struct SummaryExtent {
     pub measure_range: Option<(u64, u64)>,
 }
 
-/// Field by field; a measure range is never inverted.
-impl Wire for SummaryExtent {
-    const MIN_LEN: usize = 19;
-
-    fn encode(&self, out: &mut impl Encoder) {
-        self.cells.encode(out);
-        self.bytes.encode(out);
-        self.levels.encode(out);
-        self.slice_bits.encode(out);
-        self.measure_range.encode(out);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(Self {
-            cells: Wire::decode(dec)?,
-            bytes: Wire::decode(dec)?,
-            levels: Wire::decode(dec)?,
-            slice_bits: Wire::decode(dec)?,
-            measure_range: codec::decode_measure_range(dec)?,
-        })
-    }
-}
+// Field by field; a measure range is never inverted.
+waterwheel_core::wire_struct!(SummaryExtent {
+    cells: u64,
+    bytes: u64,
+    levels: u8,
+    slice_bits: u8,
+    measure_range: Option<(u64, u64)> => codec::decode_measure_range,
+});
 
 /// Everything a flush registers about one of its chunks.
 #[derive(Clone, Debug, PartialEq, Eq)]

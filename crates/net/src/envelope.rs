@@ -12,7 +12,7 @@
 //! | coordinator → query server | [`Request::ChunkSubquery`], [`Request::ChunkAggregate`] |
 //! | any server → metadata server | [`Request::Meta`] |
 //! | client → gateway, a dispatcher id | [`Request::IngestBatch`], [`Request::Flush`] |
-//! | client → gateway, [`COORDINATOR`] | [`Request::ClientQuery`], [`Request::ClientAggregate`], [`Request::MigrateUniform`] |
+//! | client → gateway, [`COORDINATOR`] | [`Request::ClientQuery`], [`Request::ClientAggregate`] (each a whole query, predicate included), [`Request::MigrateUniform`] |
 //! | migration driver → indexing server | [`Request::Flush`], [`Request::Reassign`] |
 //! | health probe (any → any) | [`Request::Ping`] |
 //! | scrape (any → any bound address) | [`Request::Stats`] |
@@ -21,10 +21,10 @@
 
 use std::time::Instant;
 use waterwheel_agg::{AggShare, AggregateAnswer, PartialAgg};
-use waterwheel_core::aggregate::AggregateKind;
+use waterwheel_core::aggregate::AggregateQuery;
 use waterwheel_core::{
-    ChunkId, KeyInterval, NodeId, QueryResult, Region, Result, ServerId, StatRow, SubQuery,
-    TimeInterval, Tuple, WwError,
+    ChunkId, KeyInterval, NodeId, Query, QueryResult, Region, Result, ServerId, StatRow, SubQuery,
+    Tuple, WwError,
 };
 use waterwheel_index::secondary::{AttrId, AttrProbe};
 use waterwheel_index::Bitmap;
@@ -103,29 +103,8 @@ waterwheel_core::wire_enum! {
         7, (RequestClass::Control, "ping") => Ping,
         /// A metadata-service call (any server → metadata server).
         8, (RequestClass::Metadata, "meta") => Meta(MetaRequest),
-        /// A full temporal range query from an external client, addressed to
-        /// the gateway's [`COORDINATOR`] address (in a node process or an
-        /// embedded system alike). It runs exactly as an embedded `query()`
-        /// call; the optional attribute-equality constraint is folded into
-        /// the predicate before decomposition.
-        9, (RequestClass::Query, "client_query") => ClientQuery {
-            /// Key range.
-            keys: KeyInterval,
-            /// Time range.
-            times: TimeInterval,
-            /// Optional `attr == value` constraint.
-            attr_eq: Option<(AttrId, u64)>,
-        },
-        /// A full temporal aggregate query from an external client, addressed
-        /// to the gateway's [`COORDINATOR`] address.
-        10, (RequestClass::Query, "client_aggregate") => ClientAggregate {
-            /// Key range.
-            keys: KeyInterval,
-            /// Time range.
-            times: TimeInterval,
-            /// The aggregate to compute.
-            kind: AggregateKind,
-        },
+        // Tags 9 and 10 were `ClientQuery` / `ClientAggregate` carrying a
+        // rectangle and no predicate; retired by tags 18 and 19, never reused.
         /// Ask a node process to exit cleanly (launcher → node). Embedded
         /// transports never send this; the node runtime acknowledges it and
         /// then tears the process down.
@@ -178,6 +157,22 @@ waterwheel_core::wire_enum! {
             sq: SubQuery,
             /// The chunk to answer for.
             chunk: ChunkId,
+        },
+        /// A whole range query — rectangle, predicate, `attr_eq`, measure
+        /// range — from an external client, addressed to the gateway's
+        /// [`COORDINATOR`] address (in a node process or an embedded system
+        /// alike). It runs exactly as an embedded `query()` call. Answered
+        /// with [`Response::Query`].
+        18, (RequestClass::Query, "client_query") => ClientQuery {
+            /// The query.
+            query: Query,
+        },
+        /// A whole aggregate query from an external client, addressed to the
+        /// gateway's [`COORDINATOR`] address. Answered with
+        /// [`Response::Aggregate`].
+        19, (RequestClass::Query, "client_aggregate") => ClientAggregate {
+            /// The aggregate query.
+            query: AggregateQuery,
         },
     }
 }

@@ -40,9 +40,9 @@
 //! reaped, and the pool is capped at
 //! [`TcpClientOptions::pool_max_connections`] entries.
 //!
-//! Predicates cannot cross the wire (they are opaque closures); the
-//! transport re-applies the sender's predicate to returned tuples, so
-//! subquery answers are exactly what an in-proc run yields.
+//! An answer is returned exactly as it was decoded. What a query keeps is
+//! decided where the tuples are: filters cross the wire as data, so an
+//! answer is already what an in-proc run yields.
 
 use crate::envelope::{Envelope, Request, RequestClass, Response};
 use crate::reactor::{ConnHandle, ListenerHandle, Reactor, Sink};
@@ -55,7 +55,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
-use waterwheel_core::{Predicate, Result, ServerId, Tuple, WwError};
+use waterwheel_core::{Result, ServerId, WwError};
 
 waterwheel_core::counters! {
     /// Wire-level counters shared by a process's TCP endpoints (client pool
@@ -437,14 +437,6 @@ impl Transport for TcpTransport {
             Err(e) => return Pending::answered(Err(link.fault(e))),
         };
 
-        // The sender's predicate cannot cross the wire; keep it to
-        // re-filter the remote answer on arrival.
-        let predicate = match &env.payload {
-            Request::InMemorySubquery { sq } => sq.predicate.clone(),
-            Request::ChunkSubquery { sq, .. } => sq.predicate.clone(),
-            _ => None,
-        };
-
         let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
         let slot: Slot = Arc::new((Mutex::new(None), Condvar::new()));
         conn.sink
@@ -474,7 +466,6 @@ impl Transport for TcpTransport {
             corr,
             conn,
             link,
-            predicate,
             deadline: env.deadline,
         })
     }
@@ -490,7 +481,6 @@ struct TcpCall {
     corr: u64,
     conn: Arc<PooledConn>,
     link: Arc<RpcStats>,
-    predicate: Option<Predicate>,
     deadline: Instant,
 }
 
@@ -507,11 +497,8 @@ impl PendingAnswer for TcpCall {
         loop {
             if let Some(v) = value.take() {
                 return match v {
-                    SlotValue::Remote(Ok(mut resp), resp_len) => {
+                    SlotValue::Remote(Ok(resp), resp_len) => {
                         link.bytes.fetch_add(resp_len, Ordering::Relaxed);
-                        if let (Some(p), Response::Tuples(tuples)) = (&self.predicate, &mut resp) {
-                            tuples.retain(|t: &Tuple| p(t));
-                        }
                         Ok(resp)
                     }
                     // A remote handler error is an answer, not a delivery
@@ -971,7 +958,8 @@ mod tests {
     use super::*;
     use crate::envelope::MetaRequest;
     use waterwheel_core::{
-        ChunkId, KeyInterval, QueryId, SubQuery, SubQueryId, SubQueryTarget, TimeInterval,
+        ChunkId, Expr, KeyInterval, Query, QueryId, SubQuery, SubQueryId, SubQueryTarget,
+        TimeInterval, Tuple,
     };
 
     fn env(src: u32, dst: u32, timeout: Duration, payload: Request) -> Envelope {
@@ -1108,7 +1096,7 @@ mod tests {
     }
 
     #[test]
-    fn sender_predicate_refilters_remote_tuples() {
+    fn remote_answers_arrive_as_decoded() {
         let registry = Arc::new(HandlerRegistry::new());
         registry.bind(ServerId(1), |_| {
             Ok(Response::Tuples(vec![
@@ -1126,7 +1114,7 @@ mod tests {
             },
             keys: KeyInterval::full(),
             times: TimeInterval::full(),
-            predicate: Some(Arc::new(|t: &Tuple| t.key.is_multiple_of(2))),
+            predicate: Some((Expr::key() % 2).equals(0)),
             measure_range: None,
             target: SubQueryTarget::Chunk(ChunkId(0)),
         };
@@ -1145,8 +1133,8 @@ mod tests {
         let tuples = r.into_tuples().unwrap();
         assert_eq!(
             tuples.iter().map(|t| t.key).collect::<Vec<_>>(),
-            vec![2, 4],
-            "the sender-side predicate must re-apply to remote answers"
+            vec![1, 2, 3, 4],
+            "the transport returns the remote answer unmodified"
         );
     }
 
@@ -1514,9 +1502,7 @@ mod tests {
 
     fn client_query() -> Request {
         Request::ClientQuery {
-            keys: KeyInterval::full(),
-            times: TimeInterval::full(),
-            attr_eq: None,
+            query: Query::range(KeyInterval::full(), TimeInterval::full()),
         }
     }
 

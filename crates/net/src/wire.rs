@@ -20,17 +20,12 @@
 //!   kind 2: WwError
 //! ```
 //!
-//! Two deliberate lossy spots, both documented on the decoders:
-//!
-//! * **Deadlines** travel as *remaining-budget milliseconds* (`budget_ms`)
-//!   — an [`Instant`] is process-local and cannot cross the wire. The
-//!   receiver re-anchors the budget on its own clock, so transit time is
-//!   charged against the deadline implicitly.
-//! * **Predicates** are opaque closures and travel as a presence flag
-//!   only. A transport shipping a predicate-bearing subquery must
-//!   re-apply the predicate to the returned tuples on the sender side
-//!   (see `TcpTransport`); results stay exact, pushdown degrades to
-//!   client-side filtering.
+//! One deliberate lossy spot, documented on the decoder: **deadlines**
+//! travel as *remaining-budget milliseconds* (`budget_ms`) — an [`Instant`]
+//! is process-local and cannot cross the wire. The receiver re-anchors the
+//! budget on its own clock, so transit time is charged against the deadline
+//! implicitly. Everything else — a query's filters included, as
+//! `waterwheel_core::Expr` programs — crosses as the value it is.
 //!
 //! ## Hardening
 //!
@@ -71,8 +66,7 @@ pub enum Frame {
     Request {
         /// Transport-level correlation id (echoed in the response frame).
         corr: u64,
-        /// The reconstructed envelope. `payload` predicates decode as
-        /// `None` — see the module docs.
+        /// The reconstructed envelope.
         env: Envelope,
     },
     /// A response frame: the destination's answer or error.
@@ -250,11 +244,10 @@ pub fn decode_frame(body: &[u8]) -> Result<Frame> {
 mod tests {
     use super::*;
     use crate::envelope::{MetaRequest, MetaResponse, META_SERVER};
-    use std::sync::Arc;
     use waterwheel_agg::{AggregateAnswer, PartialAgg};
     use waterwheel_core::aggregate::AggregateKind;
     use waterwheel_core::{
-        ChunkId, KeyInterval, QueryId, QueryResult, Region, StatRow, SubQuery, SubQueryId,
+        ChunkId, Expr, KeyInterval, QueryId, QueryResult, Region, StatRow, SubQuery, SubQueryId,
         SubQueryTarget, TimeInterval, Tuple,
     };
     use waterwheel_index::secondary::AttrProbe;
@@ -334,7 +327,7 @@ mod tests {
     }
 
     #[test]
-    fn subquery_predicate_degrades_to_presence_flag() {
+    fn subquery_predicate_crosses_the_wire() {
         let sq = SubQuery {
             id: SubQueryId {
                 query: QueryId(3),
@@ -342,7 +335,7 @@ mod tests {
             },
             keys: KeyInterval::new(10, 20),
             times: TimeInterval::new(30, 40),
-            predicate: Some(Arc::new(|t: &Tuple| t.key.is_multiple_of(2))),
+            predicate: Some((Expr::key() % 2).equals(0)),
             measure_range: Some((1, 1000)),
             target: SubQueryTarget::Chunk(ChunkId(5)),
         };
@@ -357,10 +350,8 @@ mod tests {
                 assert_eq!(sq.keys, KeyInterval::new(10, 20));
                 assert_eq!(sq.times, TimeInterval::new(30, 40));
                 assert_eq!(sq.target, SubQueryTarget::Chunk(ChunkId(5)));
-                assert!(
-                    sq.predicate.is_none(),
-                    "closures cannot cross the wire; the sender re-filters"
-                );
+                assert_eq!(sq.predicate, Some((Expr::key() % 2).equals(0)));
+                assert_eq!(sq.measure_range, Some((1, 1000)));
             }
             other => panic!("wrong payload: {other:?}"),
         }

@@ -4,13 +4,13 @@
 //! without panicking or over-allocating.
 
 use proptest::prelude::*;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use waterwheel_agg::{AggregateAnswer, PartialAgg};
-use waterwheel_core::aggregate::AggregateKind;
+use waterwheel_core::aggregate::{AggregateKind, AggregateQuery};
+use waterwheel_core::codec::{Decoder, Wire};
 use waterwheel_core::{
-    ChunkId, KeyInterval, NodeId, QueryId, QueryResult, Region, ServerId, StatRow, SubQuery,
-    SubQueryId, SubQueryTarget, TimeInterval, Tuple,
+    ChunkId, Expr, KeyInterval, NodeId, Query, QueryId, QueryResult, Region, ServerId, StatRow,
+    SubQuery, SubQueryId, SubQueryTarget, TimeInterval, Tuple,
 };
 use waterwheel_index::secondary::{AttrProbe, ChunkAttrIndex};
 use waterwheel_index::Bitmap;
@@ -89,13 +89,58 @@ impl Gen {
             },
             keys: self.interval_keys(),
             times: self.interval_times(),
-            predicate: None,
+            predicate: self.predicate(),
             measure_range: self.measure_range(),
             target: if self.below(2) == 0 {
                 SubQueryTarget::InMemory(ServerId(self.next() as u32))
             } else {
                 SubQueryTarget::Chunk(ChunkId(self.next()))
             },
+        }
+    }
+
+    fn predicate(&mut self) -> Option<Expr> {
+        (self.below(2) == 0).then(|| self.expr(4))
+    }
+
+    /// An expression using every op the grammar has, `depth` deep at most.
+    fn expr(&mut self, depth: u32) -> Expr {
+        if depth == 0 || self.below(4) == 0 {
+            return match self.below(4) {
+                0 => Expr::key(),
+                1 => Expr::ts(),
+                2 => Expr::payload(self.below(24) as u32, 1 << self.below(4)),
+                _ => Expr::from(if self.below(2) == 0 {
+                    self.below(72)
+                } else {
+                    self.next()
+                }),
+            };
+        }
+        let a = self.expr(depth - 1);
+        if self.below(9) == 0 {
+            return !a;
+        }
+        let b = self.expr(depth - 1);
+        match self.below(8) {
+            0 => a & b,
+            1 => a >> b,
+            2 => a % b,
+            3 => a.equals(b),
+            4 => a.lt(b),
+            5 => a.le(b),
+            6 => a.and(b),
+            _ => a.or(b),
+        }
+    }
+
+    fn query(&mut self) -> Query {
+        Query {
+            keys: self.interval_keys(),
+            times: self.interval_times(),
+            predicate: self.predicate(),
+            attr_eq: (self.below(2) == 0).then(|| (self.next() as u16, self.next())),
+            measure_range: self.measure_range(),
         }
     }
 
@@ -236,8 +281,8 @@ impl Gen {
     }
 
     fn request(&mut self) -> Request {
-        // Arm numbers are the wire tags, drawn from the declared ones; 0, 4
-        // and 6 are retired (see `retired_request_tag_zero_is_a_typed_error`).
+        // Arm numbers are the wire tags, drawn from the declared ones; 0, 4,
+        // 6, 9 and 10 are retired (see `retired_request_tag_zero_is_a_typed_error`).
         match Request::TAGS[self.below(Request::TAGS.len() as u64) as usize] {
             1 => Request::IngestBatch {
                 seq: self.next(),
@@ -258,20 +303,6 @@ impl Gen {
             },
             7 => Request::Ping,
             8 => Request::Meta(self.meta_request()),
-            9 => Request::ClientQuery {
-                keys: self.interval_keys(),
-                times: self.interval_times(),
-                attr_eq: if self.below(2) == 0 {
-                    None
-                } else {
-                    Some((self.next() as u16, self.next()))
-                },
-            },
-            10 => Request::ClientAggregate {
-                keys: self.interval_keys(),
-                times: self.interval_times(),
-                kind: self.agg_kind(),
-            },
             11 => Request::Shutdown,
             12 => Request::RegisterPeers {
                 peers: (0..self.below(4))
@@ -291,9 +322,18 @@ impl Gen {
             16 => Request::InMemoryAggregate {
                 sq: self.subquery(),
             },
-            _ => Request::ChunkAggregate {
+            17 => Request::ChunkAggregate {
                 sq: self.subquery(),
                 chunk: ChunkId(self.next()),
+            },
+            18 => Request::ClientQuery {
+                query: self.query(),
+            },
+            _ => Request::ClientAggregate {
+                query: AggregateQuery {
+                    query: self.query(),
+                    kind: self.agg_kind(),
+                },
             },
         }
     }
@@ -413,8 +453,8 @@ proptest! {
         prop_assert_eq!(got.src, env.src);
         prop_assert_eq!(got.dst, env.dst);
         prop_assert_eq!(got.rpc_id, env.rpc_id);
-        // Payloads carry no closures (the generator never sets predicates),
-        // so the Debug rendering is a faithful structural comparison.
+        // Payloads are plain data, predicates included, so the Debug
+        // rendering is a faithful structural comparison.
         prop_assert_eq!(format!("{:?}", got.payload), format!("{:?}", env.payload));
     }
 
@@ -528,6 +568,38 @@ proptest! {
         prop_assert_eq!(std::mem::discriminant(&got), std::mem::discriminant(&err));
         prop_assert_eq!(got.is_retryable(), err.is_retryable());
     }
+
+    /// Arbitrary bytes decode to an expression or a typed `Corrupt`, never
+    /// a panic; half the inputs start as a valid program with bytes flipped,
+    /// so decode gets past the count. Whatever decodes evaluates without a
+    /// panic, overflow checks on: on an empty, a short and a long payload,
+    /// at the edges of the key and time domains.
+    #[test]
+    fn expression_bytes_decode_or_fail_typed_and_evaluate_without_panics(seed in 0u64..u64::MAX) {
+        use waterwheel_core::WwError;
+        let mut gen = Gen(seed);
+        let mut bytes = Vec::new();
+        if gen.below(2) == 0 {
+            gen.expr(5).encode(&mut bytes);
+            for _ in 0..=gen.below(3) {
+                let at = gen.below(bytes.len() as u64) as usize;
+                bytes[at] ^= gen.next() as u8;
+            }
+        } else {
+            bytes.extend_from_slice(&(gen.below(12) as u32).to_le_bytes());
+            bytes.extend((0..gen.below(64)).map(|_| gen.below(16) as u8));
+        }
+        match Expr::decode(&mut Decoder::new(&bytes, "expression")) {
+            Ok(expr) => {
+                for payload in [vec![], vec![0xAB; 3], vec![0xFF; 40]] {
+                    for (key, ts) in [(0, 0), (u64::MAX, u64::MAX), (gen.next(), gen.next())] {
+                        let _ = expr.eval(&Tuple::new(key, ts, payload.clone()));
+                    }
+                }
+            }
+            Err(e) => prop_assert!(matches!(e, WwError::Corrupt { .. }), "{e}"),
+        }
+    }
 }
 
 /// The generator covers every declared tag: a verb added to a table
@@ -558,7 +630,7 @@ fn the_generator_produces_every_declared_tag() {
 
 /// Not a property, but belongs with the hardening suite: a frame whose
 /// announced length is absurd must be rejected before any allocation, and
-/// predicates survive as presence flags without poisoning the round trip.
+/// a predicate behind its presence flag crosses whole.
 #[test]
 fn oversized_announcement_and_predicate_flag() {
     let mut frame = Vec::new();
@@ -579,7 +651,7 @@ fn oversized_announcement_and_predicate_flag() {
                 },
                 keys: KeyInterval::full(),
                 times: TimeInterval::full(),
-                predicate: Some(Arc::new(|t: &Tuple| t.key > 0)),
+                predicate: Some(Expr::from(0).lt(Expr::key())),
                 measure_range: Some((3, 907)),
                 target: SubQueryTarget::InMemory(ServerId(1)),
             },
@@ -591,7 +663,9 @@ fn oversized_announcement_and_predicate_flag() {
         panic!("expected a request frame");
     };
     match got.payload {
-        Request::InMemorySubquery { sq } => assert!(sq.predicate.is_none()),
+        Request::InMemorySubquery { sq } => {
+            assert_eq!(sq.predicate, Some(Expr::from(0).lt(Expr::key())))
+        }
         other => panic!("wrong payload: {other:?}"),
     }
 }
@@ -665,7 +739,7 @@ fn pinned_frames() -> [(&'static str, Vec<Vec<u8>>); 5] {
         },
         keys: KeyInterval::new(10, 20),
         times: TimeInterval::new(30, 40),
-        predicate: Some(Arc::new(|t: &Tuple| t.key > 0)),
+        predicate: None,
         measure_range: Some((5, 500)),
         target: SubQueryTarget::InMemory(ServerId(3)),
     };
@@ -750,16 +824,6 @@ fn pinned_frames() -> [(&'static str, Vec<Vec<u8>>); 5] {
         },
         Request::Ping,
         Request::Meta(MetaRequest::Partition),
-        Request::ClientQuery {
-            keys: KeyInterval::new(0, 99),
-            times: TimeInterval::new(5, 6),
-            attr_eq: Some((1, 42)),
-        },
-        Request::ClientAggregate {
-            keys: KeyInterval::full(),
-            times: TimeInterval::new(5, 6),
-            kind: AggregateKind::Avg,
-        },
         Request::Shutdown,
         Request::RegisterPeers {
             peers: vec![
@@ -903,7 +967,7 @@ fn wire_frames_are_pinned() {
     assert_eq!(
         got,
         [
-            ("requests", 13, 926, 0x366c_fc0b_fecd_0ca3),
+            ("requests", 11, 772, 0x8f85_bf13_667d_8d1d),
             ("meta requests", 14, 828, 0xbca9_7676_ca7a_43e2),
             ("responses", 10, 543, 0x66df_193b_5064_bd2c),
             ("meta responses", 11, 518, 0x3b38_c70d_4136_35f5),
@@ -1039,6 +1103,92 @@ fn aggregate_subquery_frames_are_pinned() {
         waterwheel_core::codec::fnv1a(&bytes),
     );
     assert_eq!(got, (3, 271, 0x98eb_fcee_77fd_7a5c));
+}
+
+/// The client verbs that carry a whole query, and a subquery with a
+/// predicate, pinned on a line of their own: a range query with a
+/// predicate, `attr_eq` and measure range; an aggregate over a predicate;
+/// a chunk subquery whose predicate reads the payload.
+#[test]
+fn client_query_and_predicate_frames_are_pinned() {
+    let (keys, times) = (KeyInterval::new(0, 99), TimeInterval::new(5, 6));
+    let taxi = Expr::payload(0, 4).equals(0x0403_0201);
+    let sq = SubQuery {
+        id: SubQueryId {
+            query: QueryId(11),
+            index: 2,
+        },
+        keys: KeyInterval::new(10, 20),
+        times: TimeInterval::new(30, 40),
+        predicate: Some((Expr::payload(7, 1) & 0xF0).equals(0xF0).or(!Expr::ts())),
+        measure_range: Some((5, 500)),
+        target: SubQueryTarget::Chunk(ChunkId(6)),
+    };
+    let requests = [
+        Request::ClientQuery {
+            query: Query::with_predicate(keys, times, (Expr::key() % 2).equals(0))
+                .and_attr_eq(1, 42)
+                .and_measure_between(3, 9),
+        },
+        Request::ClientAggregate {
+            query: Query::with_predicate(KeyInterval::full(), times, taxi)
+                .aggregate(AggregateKind::Avg),
+        },
+        Request::ChunkSubquery {
+            sq,
+            chunk: ChunkId(6),
+            leaf_filter: None,
+        },
+    ];
+    let frames: Vec<Vec<u8>> = requests
+        .into_iter()
+        .enumerate()
+        .map(|(i, payload)| {
+            let env = Envelope {
+                src: ServerId(2_000),
+                dst: ServerId(i as u32),
+                rpc_id: 42 + i as u64,
+                deadline: Instant::now(),
+                payload,
+            };
+            wire::encode_request(7 + i as u64, &env)
+        })
+        .collect();
+    let bytes = frames.concat();
+    let got = (
+        frames.len(),
+        bytes.len(),
+        waterwheel_core::codec::fnv1a(&bytes),
+    );
+    assert_eq!(got, (3, 372, 0x94ad_52c6_703d_94f5));
+}
+
+/// The retired client verbs — request tags 9 (`ClientQuery` over a bare
+/// rectangle) and 10 (`ClientAggregate` likewise) — are typed decode
+/// errors, never some other verb.
+#[test]
+fn retired_client_tags_are_typed_errors() {
+    use waterwheel_core::WwError;
+    let env = Envelope {
+        src: ServerId(2_000),
+        dst: waterwheel_net::COORDINATOR,
+        rpc_id: 1,
+        deadline: Instant::now() + Duration::from_secs(1),
+        payload: Request::Ping,
+    };
+    let frame = wire::encode_request(1, &env);
+    let body = wire::read_frame(&mut &frame[..]).unwrap().unwrap();
+    for tag in [9, 10] {
+        let mut forged = body.clone();
+        *forged.last_mut().unwrap() = tag;
+        let err = wire::decode_frame(&forged).unwrap_err();
+        assert!(matches!(err, WwError::Corrupt { .. }), "{err:?}");
+        assert!(
+            err.to_string()
+                .contains(&format!("unknown request tag {tag}")),
+            "{err}"
+        );
+    }
 }
 
 /// The retired aggregate verbs — request tags 4 (`AggregateInMemory`) and 6

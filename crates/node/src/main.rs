@@ -25,7 +25,7 @@
 
 use std::io::Write;
 use std::path::PathBuf;
-use waterwheel_core::{AggregateKind, KeyInterval, StatRow, TimeInterval, Tuple};
+use waterwheel_core::{AggregateKind, KeyInterval, Query, StatRow, TimeInterval, Tuple};
 use waterwheel_node::runtime::parse_peer;
 use waterwheel_node::{ClusterClient, ClusterSpec, NodeConfig, Role};
 
@@ -162,21 +162,20 @@ fn smoke(args: &[String]) -> Result<(), String> {
     client.flush().map_err(|e| format!("flush: {e}"))?;
 
     let full = client
-        .query(KeyInterval::full(), TimeInterval::full())
+        .query(&Query::range(KeyInterval::full(), TimeInterval::full()))
         .map_err(|e| format!("full query: {e}"))?;
     check_eq("full-range tuple count", full.tuples.len() as u64, tuples)?;
     let narrow = client
-        .query(
+        .query(&Query::range(
             KeyInterval::new(0, 100_000_000),
             TimeInterval::new(1_000, 1_050),
-        )
+        ))
         .map_err(|e| format!("narrow query: {e}"))?;
     check_eq("narrow tuple count", narrow.tuples.len() as u64, 51)?;
     let count = client
         .aggregate(
-            KeyInterval::full(),
-            TimeInterval::full(),
-            AggregateKind::Count,
+            &Query::range(KeyInterval::full(), TimeInterval::full())
+                .aggregate(AggregateKind::Count),
         )
         .map_err(|e| format!("aggregate: {e}"))?;
     check_eq("COUNT aggregate", count.agg.count, tuples)?;

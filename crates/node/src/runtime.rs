@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use waterwheel_cluster::LatencyModel;
-use waterwheel_core::{Result, ServerId, SystemConfig, WwError};
+use waterwheel_core::{Expr, Result, ServerId, SystemConfig, WwError};
 use waterwheel_meta::{MemberRole, MetadataService};
 use waterwheel_mq::MessageQueue;
 use waterwheel_net::{
@@ -23,17 +23,15 @@ use waterwheel_server::{AttrRegistry, DispatchPolicy, Gateway};
 use waterwheel_wal::FsyncPolicy;
 
 /// The well-known secondary attribute (paper §VIII) every node process
-/// registers deterministically: the first payload byte. Indexing
-/// processes build bloom/bitmap indexes for it at flush time and the
-/// coordinator prunes `attr == value` queries through them — no dynamic
-/// registration RPC is needed because both sides rebuild the same
-/// extractor from this constant.
+/// registers deterministically: the first payload byte,
+/// `Expr::payload(0, 1)`. Indexing processes build bloom/bitmap indexes for
+/// it at flush time and the coordinator prunes `attr == value` queries
+/// through them — no dynamic registration RPC is needed because both sides
+/// rebuild the same expression from this constant.
 pub const PAYLOAD_BYTE_ATTR: u16 = 1;
 
 fn register_well_known_attrs(attrs: &AttrRegistry) {
-    attrs.register(PAYLOAD_BYTE_ATTR, |t| {
-        t.payload.first().map(|b| u64::from(*b))
-    });
+    attrs.register(PAYLOAD_BYTE_ATTR, Expr::payload(0, 1));
 }
 
 /// Which server group a node process hosts.

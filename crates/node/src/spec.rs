@@ -24,8 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use waterwheel_agg::AggregateAnswer;
 use waterwheel_core::{
-    AggregateKind, KeyInterval, QueryResult, Result, ServerId, SystemConfig, TimeInterval, Tuple,
-    WwError,
+    AggregateQuery, Query, QueryResult, Result, ServerId, SystemConfig, Tuple, WwError,
 };
 use waterwheel_meta::MembershipView;
 use waterwheel_net::{
@@ -566,52 +565,22 @@ impl ClusterClient {
         self.flush_server(self.disp_ids[0])
     }
 
-    /// Runs a temporal range query through the coordinator.
-    pub fn query(&self, keys: KeyInterval, times: TimeInterval) -> Result<QueryResult> {
-        self.rpc
-            .call(
-                COORDINATOR,
-                Request::ClientQuery {
-                    keys,
-                    times,
-                    attr_eq: None,
-                },
-            )?
-            .into_query()
-    }
-
-    /// Runs a range query constrained to `attr == value` through the
-    /// coordinator (paper §VIII; see
+    /// Runs a query — rectangle, predicate, `attr_eq` (see
     /// [`PAYLOAD_BYTE_ATTR`](crate::runtime::PAYLOAD_BYTE_ATTR) for the
-    /// attribute every node process registers).
-    pub fn query_attr(
-        &self,
-        keys: KeyInterval,
-        times: TimeInterval,
-        attr: u16,
-        value: u64,
-    ) -> Result<QueryResult> {
+    /// attribute every node process registers), measure range — through the
+    /// coordinator.
+    pub fn query(&self, query: &Query) -> Result<QueryResult> {
+        let query = query.clone();
         self.rpc
-            .call(
-                COORDINATOR,
-                Request::ClientQuery {
-                    keys,
-                    times,
-                    attr_eq: Some((attr, value)),
-                },
-            )?
+            .call(COORDINATOR, Request::ClientQuery { query })?
             .into_query()
     }
 
-    /// Runs a temporal aggregate query through the coordinator.
-    pub fn aggregate(
-        &self,
-        keys: KeyInterval,
-        times: TimeInterval,
-        kind: AggregateKind,
-    ) -> Result<AggregateAnswer> {
+    /// Runs an aggregate query through the coordinator.
+    pub fn aggregate(&self, query: &AggregateQuery) -> Result<AggregateAnswer> {
+        let query = query.clone();
         self.rpc
-            .call(COORDINATOR, Request::ClientAggregate { keys, times, kind })?
+            .call(COORDINATOR, Request::ClientAggregate { query })?
             .into_aggregate()
     }
 

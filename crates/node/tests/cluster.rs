@@ -2,9 +2,9 @@
 //! exactly, survive per-role pings, and shut down without leaking
 //! children.
 
-use waterwheel_core::{AggregateKind, KeyInterval, ServerId, TimeInterval, Tuple};
+use waterwheel_core::{AggregateKind, Expr, KeyInterval, Query, ServerId, TimeInterval, Tuple};
 use waterwheel_net::{COORDINATOR, META_SERVER};
-use waterwheel_node::{ClusterSpec, Role};
+use waterwheel_node::{ClusterSpec, Role, PAYLOAD_BYTE_ATTR};
 
 fn fresh_root(name: &str) -> std::path::PathBuf {
     let root = std::env::temp_dir().join(format!("ww-node-it-{name}-{}", std::process::id()));
@@ -36,23 +36,23 @@ fn four_process_cluster_answers_exactly_and_shuts_down_clean() {
     client.flush().unwrap();
 
     let full = client
-        .query(KeyInterval::full(), TimeInterval::full())
+        .query(&Query::range(KeyInterval::full(), TimeInterval::full()))
         .unwrap();
     assert_eq!(full.tuples.len() as u64, N, "full range lost tuples");
     assert!(full.subqueries >= 1);
 
     let narrow = client
-        .query(
+        .query(&Query::range(
             KeyInterval::new(0, 100_000_000),
             TimeInterval::new(1_000, 1_050),
-        )
+        ))
         .unwrap();
     assert_eq!(narrow.tuples.len(), 51);
 
     // Exact aggregates across the process boundary, every kind.
     let over = |kind| {
         client
-            .aggregate(KeyInterval::full(), TimeInterval::full(), kind)
+            .aggregate(&Query::range(KeyInterval::full(), TimeInterval::full()).aggregate(kind))
             .unwrap()
     };
     assert_eq!(over(AggregateKind::Count).agg.count, N);
@@ -71,7 +71,7 @@ fn four_process_cluster_answers_exactly_and_shuts_down_clean() {
     }
     client.flush().unwrap();
     let full = client
-        .query(KeyInterval::full(), TimeInterval::full())
+        .query(&Query::range(KeyInterval::full(), TimeInterval::full()))
         .unwrap();
     assert_eq!(full.tuples.len() as u64, N + 500);
 
@@ -100,6 +100,70 @@ fn four_process_cluster_answers_exactly_and_shuts_down_clean() {
     assert_eq!(text.matches("wire.shed ").count(), 2, "{text}");
     assert_eq!(text.matches("indexing.ingested@srv-").count(), 2, "{text}");
     assert!(!text.contains("coordinator.queries"), "{text}");
+
+    cluster.shutdown().expect("a node had to be killed");
+}
+
+/// A multi-process cluster answers `f_q`: a predicated range query, an
+/// `attr_eq` query on the well-known payload-byte attribute, and a
+/// predicated COUNT and SUM, each equal to an oracle over what went in.
+#[test]
+fn four_process_cluster_answers_predicates() {
+    let spec = ClusterSpec::new(fresh_root("predicates"));
+    let cluster = spec.launch(env!("CARGO_BIN_EXE_waterwheel-node")).unwrap();
+    let client = cluster.client();
+    let tuples: Vec<Tuple> = (0..1_500u64)
+        .map(|i| {
+            Tuple::new(
+                i * 1_000_003,
+                1_000 + i,
+                vec![(i % 7) as u8; 1 + i as usize % 5],
+            )
+        })
+        .collect();
+    for t in &tuples {
+        client.insert(t.clone()).unwrap();
+    }
+    client.flush().unwrap();
+    let sorted = |mut v: Vec<Tuple>| {
+        v.sort_by_key(|t| (t.key, t.ts));
+        v
+    };
+    let oracle = |keep: &dyn Fn(&Tuple) -> bool| -> Vec<Tuple> {
+        tuples.iter().filter(|t| keep(t)).cloned().collect()
+    };
+
+    let times = TimeInterval::new(1_200, 2_000);
+    let q = Query::with_predicate(KeyInterval::full(), times, (Expr::key() % 3).equals(1));
+    let got = sorted(client.query(&q).unwrap().tuples);
+    let want = oracle(&|t| times.contains(t.ts) && t.key % 3 == 1);
+    assert!(!want.is_empty());
+    assert_eq!(got, want, "predicated range query");
+
+    let q =
+        Query::range(KeyInterval::full(), TimeInterval::full()).and_attr_eq(PAYLOAD_BYTE_ATTR, 4);
+    let got = sorted(client.query(&q).unwrap().tuples);
+    assert_eq!(got, oracle(&|t| t.payload[0] == 4), "attr_eq query");
+
+    let small = Query::with_predicate(
+        KeyInterval::full(),
+        TimeInterval::full(),
+        Expr::payload(0, 1).lt(3),
+    );
+    let want = oracle(&|t| t.payload[0] < 3);
+    let count = client
+        .aggregate(&small.clone().aggregate(AggregateKind::Count))
+        .unwrap();
+    assert_eq!(count.agg.count, want.len() as u64, "predicated COUNT");
+    let sum = client
+        .aggregate(&small.aggregate(AggregateKind::Sum))
+        .unwrap();
+    let payload_bytes: u128 = want.iter().map(|t| t.payload.len() as u128).sum();
+    assert_eq!(
+        sum.agg.sum, payload_bytes,
+        "predicated SUM of the default measure"
+    );
+    assert_eq!((count.cells_merged, sum.cells_merged), (0, 0));
 
     cluster.shutdown().expect("a node had to be killed");
 }
@@ -152,7 +216,7 @@ fn a_partial_batch_becomes_visible_without_a_flush() {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
     let seen = loop {
         let seen = client
-            .query(KeyInterval::full(), TimeInterval::full())
+            .query(&Query::range(KeyInterval::full(), TimeInterval::full()))
             .unwrap()
             .tuples
             .len();
@@ -182,7 +246,7 @@ fn shutdown_actually_tears_the_listeners_down() {
     assert!(refused.is_err(), "gateway still listening after shutdown");
     // And the old client observes the cluster as unreachable.
     let err = probe
-        .query(KeyInterval::full(), TimeInterval::full())
+        .query(&Query::range(KeyInterval::full(), TimeInterval::full()))
         .unwrap_err();
     assert!(err.is_retryable(), "expected a delivery failure, got {err}");
 }

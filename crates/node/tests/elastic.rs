@@ -11,7 +11,9 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use waterwheel_core::{AggregateKind, KeyInterval, QueryResult, ServerId, TimeInterval, Tuple};
+use waterwheel_core::{
+    AggregateKind, KeyInterval, Query, QueryResult, ServerId, TimeInterval, Tuple,
+};
 use waterwheel_meta::MetadataService;
 use waterwheel_node::{ClusterClient, ClusterSpec, Role, PAYLOAD_BYTE_ATTR};
 use waterwheel_wal::FsyncPolicy;
@@ -50,7 +52,7 @@ fn query_retry(
 ) -> QueryResult {
     let until = Instant::now() + deadline;
     loop {
-        match client.query(keys, times) {
+        match client.query(&Query::range(keys, times)) {
             Ok(r) => return r,
             Err(e) if e.is_retryable() && Instant::now() < until => {
                 std::thread::sleep(Duration::from_millis(20));
@@ -89,36 +91,30 @@ fn assert_twin_exact(grown: &ClusterClient, twin: &ClusterClient, what: &str) {
     // registers the payload-byte attribute).
     let a = canon(
         grown
-            .query_attr(
-                KeyInterval::full(),
-                TimeInterval::full(),
-                PAYLOAD_BYTE_ATTR,
-                7,
+            .query(
+                &Query::range(KeyInterval::full(), TimeInterval::full())
+                    .and_attr_eq(PAYLOAD_BYTE_ATTR, 7),
             )
             .unwrap(),
     );
     let b = canon(
-        twin.query_attr(
-            KeyInterval::full(),
-            TimeInterval::full(),
-            PAYLOAD_BYTE_ATTR,
-            7,
+        twin.query(
+            &Query::range(KeyInterval::full(), TimeInterval::full())
+                .and_attr_eq(PAYLOAD_BYTE_ATTR, 7),
         )
         .unwrap(),
     );
     assert_eq!(a, b, "{what}: attr-eq window diverged");
     let a = grown
         .aggregate(
-            KeyInterval::full(),
-            TimeInterval::full(),
-            AggregateKind::Count,
+            &Query::range(KeyInterval::full(), TimeInterval::full())
+                .aggregate(AggregateKind::Count),
         )
         .unwrap();
     let b = twin
         .aggregate(
-            KeyInterval::full(),
-            TimeInterval::full(),
-            AggregateKind::Count,
+            &Query::range(KeyInterval::full(), TimeInterval::full())
+                .aggregate(AggregateKind::Count),
         )
         .unwrap();
     assert_eq!(a.agg.count, b.agg.count, "{what}: COUNT diverged");
@@ -240,7 +236,7 @@ fn add_node_migrates_live_with_byte_exact_answers() {
     client.flush().unwrap();
     twin_client.flush().unwrap();
     let full = client
-        .query(KeyInterval::full(), TimeInterval::full())
+        .query(&Query::range(KeyInterval::full(), TimeInterval::full()))
         .unwrap();
     assert_eq!(full.tuples.len() as u64, total, "grown cluster lost tuples");
     assert_twin_exact(&client, &twin_client, "post-migration");
@@ -321,9 +317,8 @@ fn drain_node_moves_ownership_before_retiring_the_process() {
     assert_eq!(full.tuples.len() as u64, N + 200, "drain lost tuples");
     let count = client
         .aggregate(
-            KeyInterval::full(),
-            TimeInterval::full(),
-            AggregateKind::Count,
+            &Query::range(KeyInterval::full(), TimeInterval::full())
+                .aggregate(AggregateKind::Count),
         )
         .unwrap();
     assert_eq!(count.agg.count, N + 200);

@@ -11,7 +11,7 @@
 //!
 //! Scale with `WW_RECOVERY_N` (total tuples; CI smoke uses a small value).
 
-use waterwheel_core::{AggregateKind, KeyInterval, TimeInterval, Tuple};
+use waterwheel_core::{AggregateKind, KeyInterval, Query, TimeInterval, Tuple};
 use waterwheel_node::{ClusterClient, ClusterSpec, Role, PAYLOAD_BYTE_ATTR};
 
 fn fresh_root(name: &str) -> std::path::PathBuf {
@@ -57,25 +57,23 @@ fn canonical(mut tuples: Vec<Tuple>) -> Vec<Tuple> {
 
 fn collect_answers(client: &ClusterClient, n: u64) -> Answers {
     let full = client
-        .query(KeyInterval::full(), TimeInterval::full())
+        .query(&Query::range(KeyInterval::full(), TimeInterval::full()))
         .unwrap();
     let narrow = client
-        .query(
+        .query(&Query::range(
             KeyInterval::new(0, 100_000_000),
             TimeInterval::new(1_000, 1_000 + n / 2),
-        )
+        ))
         .unwrap();
     let attr = client
-        .query_attr(
-            KeyInterval::full(),
-            TimeInterval::full(),
-            PAYLOAD_BYTE_ATTR,
-            2,
+        .query(
+            &Query::range(KeyInterval::full(), TimeInterval::full())
+                .and_attr_eq(PAYLOAD_BYTE_ATTR, 2),
         )
         .unwrap();
     let over = |kind| {
         client
-            .aggregate(KeyInterval::full(), TimeInterval::full(), kind)
+            .aggregate(&Query::range(KeyInterval::full(), TimeInterval::full()).aggregate(kind))
             .unwrap()
     };
     Answers {

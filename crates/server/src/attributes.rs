@@ -1,7 +1,8 @@
 //! Registry of secondary attributes (paper §VIII future work).
 //!
-//! A secondary attribute is a user-defined projection of the tuple payload
-//! onto a `u64` value (e.g. "destination IP", "taxi id"). Registered
+//! A secondary attribute is a user-defined projection of the tuple onto a
+//! `u64` value (e.g. "destination IP", "taxi id"), written as an [`Expr`]
+//! whose value is the attribute (`None` when the tuple has none). Registered
 //! attributes are indexed at chunk-flush time — a bloom filter over the
 //! chunk's values plus per-hot-value leaf bitmaps (see
 //! [`waterwheel_index::secondary`]) — and queries carrying an
@@ -14,14 +15,13 @@
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::Arc;
-use waterwheel_core::Tuple;
-use waterwheel_index::secondary::{AttrId, AttributeExtractor};
+use waterwheel_core::Expr;
+use waterwheel_index::secondary::AttrId;
 
-/// Shared registry of attribute extractors.
+/// Shared registry of attribute expressions.
 #[derive(Default)]
 pub struct AttrRegistry {
-    map: RwLock<HashMap<AttrId, AttributeExtractor>>,
+    map: RwLock<HashMap<AttrId, Expr>>,
 }
 
 impl AttrRegistry {
@@ -30,17 +30,13 @@ impl AttrRegistry {
         Self::default()
     }
 
-    /// Registers (or replaces) an attribute extractor.
-    pub fn register(
-        &self,
-        attr: AttrId,
-        extractor: impl Fn(&Tuple) -> Option<u64> + Send + Sync + 'static,
-    ) {
-        self.map.write().insert(attr, Arc::new(extractor));
+    /// Registers (or replaces) an attribute.
+    pub fn register(&self, attr: AttrId, value: Expr) {
+        self.map.write().insert(attr, value);
     }
 
-    /// The extractor for an attribute, if registered.
-    pub fn get(&self, attr: AttrId) -> Option<AttributeExtractor> {
+    /// The expression of an attribute, if registered.
+    pub fn get(&self, attr: AttrId) -> Option<Expr> {
         self.map.read().get(&attr).cloned()
     }
 
@@ -50,50 +46,42 @@ impl AttrRegistry {
         ids.sort_unstable();
         ids
     }
-
-    /// Number of registered attributes.
-    pub fn len(&self) -> usize {
-        self.map.read().len()
-    }
-
-    /// Whether no attributes are registered.
-    pub fn is_empty(&self) -> bool {
-        self.map.read().is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use waterwheel_core::Tuple;
 
     #[test]
     fn register_get_roundtrip() {
         let reg = AttrRegistry::new();
-        assert!(reg.is_empty());
-        reg.register(1, |t| Some(t.key % 10));
-        reg.register(2, |t| t.payload.first().map(|&b| b as u64));
-        assert_eq!(reg.len(), 2);
+        assert!(reg.ids().is_empty());
+        reg.register(1, Expr::key() % 10);
+        reg.register(2, Expr::payload(0, 1));
+        assert_eq!(reg.ids().len(), 2);
         assert_eq!(reg.ids(), vec![1, 2]);
         let f = reg.get(1).unwrap();
-        assert_eq!(f(&Tuple::bare(42, 0)), Some(2));
+        assert_eq!(f.eval(&Tuple::bare(42, 0)), Some(2));
         assert!(reg.get(9).is_none());
     }
 
     #[test]
     fn extractors_can_decline() {
         let reg = AttrRegistry::new();
-        reg.register(1, |t| (t.payload.len() >= 4).then_some(7));
+        // 7 when the payload holds four bytes, else no value.
+        reg.register(1, Expr::from(7) >> Expr::payload(0, 4).lt(0));
         let f = reg.get(1).unwrap();
-        assert_eq!(f(&Tuple::bare(1, 1)), None);
-        assert_eq!(f(&Tuple::new(1, 1, vec![0u8; 4])), Some(7));
+        assert_eq!(f.eval(&Tuple::bare(1, 1)), None);
+        assert_eq!(f.eval(&Tuple::new(1, 1, vec![0u8; 4])), Some(7));
     }
 
     #[test]
     fn re_registration_replaces() {
         let reg = AttrRegistry::new();
-        reg.register(1, |_| Some(1));
-        reg.register(1, |_| Some(2));
-        assert_eq!(reg.len(), 1);
-        assert_eq!(reg.get(1).unwrap()(&Tuple::bare(0, 0)), Some(2));
+        reg.register(1, Expr::from(1));
+        reg.register(1, Expr::from(2));
+        assert_eq!(reg.ids().len(), 1);
+        assert_eq!(reg.get(1).unwrap().eval(&Tuple::bare(0, 0)), Some(2));
     }
 }

@@ -37,16 +37,17 @@ use crate::attributes::AttrRegistry;
 use crate::dispatch::{self, DispatchPlan, DispatchPolicy, WORKERS_PER_SERVER};
 use crate::fanout::FanoutPool;
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use waterwheel_agg::{AggShare, AggregateAnswer};
 use waterwheel_cluster::Cluster;
-use waterwheel_core::aggregate::{default_measure, AggregateQuery, MeasureFn};
+use waterwheel_core::aggregate::AggregateQuery;
 use waterwheel_core::{
     ChunkId, Query, QueryId, QueryResult, Result, ServerId, SubQuery, SubQueryId, SubQueryTarget,
-    SystemConfig, Tuple, WwError,
+    WwError,
 };
 use waterwheel_index::secondary::AttrProbe;
+use waterwheel_index::Bitmap;
 use waterwheel_net::{MetaClient, Request, Response, RpcClient};
 
 /// Rounds of subquery re-dispatch after the first dispatch plan (paper §V):
@@ -56,6 +57,9 @@ pub const REDISPATCH_ROUNDS: usize = 2;
 
 /// Per-subquery answer slots, filled in by whichever worker runs each one.
 type Slots<T> = Arc<Mutex<Vec<Option<T>>>>;
+
+/// One call per target: an indexing server's address or a chunk id.
+type Calls<T> = Vec<(T, Request)>;
 
 waterwheel_core::counters! {
     /// Coordinator-side counters (`coordinator.*`).
@@ -78,8 +82,7 @@ waterwheel_core::counters! {
         /// Chunk leaves merged into aggregate answers from the leaf
         /// directory, without reading their pages.
         agg_leaves_merged,
-        /// Aggregate subqueries that folded at least one tuple one by one,
-        /// plus every subquery of an aggregate on the full-scan path.
+        /// Aggregate subqueries that folded at least one tuple one by one.
         agg_fallback_subqueries,
         /// Largest chunk-subquery backlog handed to the query-server worker
         /// pools by a single dispatch plan (worker-pool queue depth).
@@ -112,13 +115,7 @@ pub struct Coordinator {
     replication: usize,
     policy: RwLock<DispatchPolicy>,
     /// Secondary-attribute registry shared with the indexing servers.
-    attrs: RwLock<Arc<AttrRegistry>>,
-    /// Ablation knob: when cleared, aggregate queries take the tuple-scan
-    /// path end to end even if summaries exist.
-    summaries_enabled: AtomicBool,
-    /// Measure extractor, shared with the indexing servers so summary cells
-    /// and scan folds agree.
-    measure: RwLock<MeasureFn>,
+    attrs: Arc<AttrRegistry>,
     next_query: AtomicU64,
     stats: Arc<CoordinatorStats>,
     /// The threads subqueries fan out on (module docs). Declared last:
@@ -129,7 +126,8 @@ pub struct Coordinator {
 impl Coordinator {
     /// Creates a coordinator reaching the given server addresses over
     /// `rpc`'s message plane; `replication` is the DFS replication factor
-    /// (for locality-aware dispatch).
+    /// (for locality-aware dispatch), `attrs` the secondary attributes the
+    /// indexing servers index.
     pub fn new(
         rpc: RpcClient,
         cluster: Cluster,
@@ -137,7 +135,7 @@ impl Coordinator {
         indexing: Vec<ServerId>,
         replication: usize,
         policy: DispatchPolicy,
-        cfg: &SystemConfig,
+        attrs: Arc<AttrRegistry>,
     ) -> Self {
         assert!(!query_servers.is_empty());
         let pool = FanoutPool::new(query_servers.len() * WORKERS_PER_SERVER);
@@ -152,9 +150,7 @@ impl Coordinator {
             }),
             replication,
             policy: RwLock::new(policy),
-            attrs: RwLock::new(Arc::new(AttrRegistry::new())),
-            summaries_enabled: AtomicBool::new(cfg.agg_summaries_enabled),
-            measure: RwLock::new(default_measure()),
+            attrs,
             next_query: AtomicU64::new(0),
             stats: Arc::default(),
             pool,
@@ -164,11 +160,6 @@ impl Coordinator {
     /// The fan-out pool (thread and ticket counters, for diagnostics).
     pub fn fanout_pool(&self) -> &FanoutPool {
         &self.pool
-    }
-
-    /// Installs the shared secondary-attribute registry (query side).
-    pub fn set_attr_registry(&self, attrs: Arc<AttrRegistry>) {
-        *self.attrs.write() = attrs;
     }
 
     /// The membership epoch the routing table was last derived from.
@@ -208,22 +199,6 @@ impl Coordinator {
         matches!(self.refresh_membership(), Ok(epoch) if epoch > planned)
     }
 
-    /// Installs the measure extractor (must match the indexing servers').
-    pub fn set_measure(&self, measure: MeasureFn) {
-        *self.measure.write() = measure;
-    }
-
-    /// Toggles summary-served aggregation (ablation knob); when off,
-    /// aggregate queries fold tuples from full scans instead.
-    pub fn set_summaries_enabled(&self, enabled: bool) {
-        self.summaries_enabled.store(enabled, Ordering::SeqCst);
-    }
-
-    /// Whether aggregate queries may be answered from summaries.
-    pub fn summaries_enabled(&self) -> bool {
-        self.summaries_enabled.load(Ordering::SeqCst)
-    }
-
     /// Execution counters.
     pub fn stats(&self) -> &Arc<CoordinatorStats> {
         &self.stats
@@ -246,17 +221,13 @@ impl Coordinator {
         let region = query.region();
         let mut out = Vec::new();
         let mut index = 0u32;
-        // The measure range travels on subqueries only as a pruning hint
-        // (bounds checks against stored MIN/MAX); exactness comes from the
-        // folded predicate.
-        let measure_range = query.measure_range;
         let mut push = |keys, times, target| {
             out.push(SubQuery {
                 id: SubQueryId { query: qid, index },
                 keys,
                 times,
                 predicate: query.predicate.clone(),
-                measure_range,
+                measure_range: query.measure_range,
                 target,
             });
             index += 1;
@@ -281,107 +252,19 @@ impl Coordinator {
     }
 
     /// Executes a query end-to-end and merges the results (§IV-A).
-    ///
-    /// A structured [`Query::attr_eq`] constraint is folded into the
-    /// predicate for exactness and additionally used to prune chunks and
-    /// leaves through the secondary indexes (paper §VIII).
     pub fn execute(&self, query: &Query) -> Result<QueryResult> {
         let qid = QueryId(self.next_query.fetch_add(1, Ordering::Relaxed));
-        self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        self.execute_with_qid(query, qid)
-    }
-
-    /// Query execution under a pre-allocated id — shared by [`execute`]
-    /// and the aggregate path's full scan.
-    ///
-    /// [`execute`]: Self::execute
-    fn execute_with_qid(&self, query: &Query, qid: QueryId) -> Result<QueryResult> {
-        // Fold attr_eq into the predicate so every executor filters exactly.
-        let mut effective = query.clone();
-        let attr_hint = match query.attr_eq {
-            Some((attr, value)) => {
-                let extract = self.attrs.read().get(attr).ok_or_else(|| {
-                    WwError::Config(format!("attribute {attr} is not registered"))
-                })?;
-                let inner = effective.predicate.take();
-                effective.predicate = Some(Arc::new(move |t: &waterwheel_core::Tuple| {
-                    extract(t) == Some(value) && inner.as_ref().is_none_or(|p| p(t))
-                }));
-                Some((attr, value))
-            }
-            None => None,
-        };
-        // Fold the measure range the same way: chunk/leaf MIN-MAX bounds
-        // only *prune*, so every surviving tuple is still checked exactly
-        // against the registered measure here.
-        if let Some((lo, hi)) = query.measure_range {
-            let measure = self.measure.read().clone();
-            let inner = effective.predicate.take();
-            effective.predicate = Some(Arc::new(move |t: &waterwheel_core::Tuple| {
-                let m = measure(t);
-                (lo..=hi).contains(&m) && inner.as_ref().is_none_or(|p| p(t))
-            }));
-        }
-        let query = &effective;
-        let subqueries = self.decompose(query, qid)?;
-        let n_subqueries = subqueries.len() as u32;
-        self.stats
-            .subqueries
-            .fetch_add(subqueries.len() as u64, Ordering::Relaxed);
-
-        let mut mem_calls: Vec<(ServerId, Request)> = Vec::new();
-        let mut chunk_calls: Vec<(ChunkId, Request)> = Vec::new();
-        for sq in subqueries {
-            match sq.target {
-                SubQueryTarget::InMemory(server) => {
-                    mem_calls.push((server, Request::InMemorySubquery { sq }))
-                }
-                SubQueryTarget::Chunk(chunk) => {
-                    // MIN/MAX measure pruning: a chunk whose registered
-                    // measure bounds are disjoint from the query's range
-                    // cannot contribute a tuple — skip it without a read.
-                    if let Some((lo, hi)) = sq.measure_range {
-                        if let Some((min, max)) = self
-                            .meta
-                            .summary_extent(chunk)?
-                            .and_then(|ext| ext.measure_range)
-                        {
-                            if max < lo || min > hi {
-                                self.stats
-                                    .measure_pruned_chunks
-                                    .fetch_add(1, Ordering::Relaxed);
-                                continue;
-                            }
-                        }
-                    }
-                    // Secondary-index pruning (paper §VIII): skip chunks
-                    // that provably lack the attribute value; restrict
-                    // to qualifying leaves when a bitmap exists.
-                    let leaf_filter = match attr_hint {
-                        Some((attr, value)) => match self.meta.attr_probe(chunk, attr, value)? {
-                            AttrProbe::Absent => {
-                                self.stats
-                                    .attr_pruned_chunks
-                                    .fetch_add(1, Ordering::Relaxed);
-                                continue;
-                            }
-                            AttrProbe::Leaves(bm) => Some(bm),
-                            AttrProbe::Unknown => None,
-                        },
-                        None => None,
-                    };
-                    chunk_calls.push((
-                        chunk,
-                        Request::ChunkSubquery {
-                            sq,
-                            chunk,
-                            leaf_filter,
-                        },
-                    ));
-                }
-            }
-        }
-        let mut tuples: Vec<Tuple> = Vec::new();
+        let (subqueries, mem_calls, chunk_calls) = self.plan(
+            query,
+            qid,
+            |sq| Request::InMemorySubquery { sq },
+            |sq, chunk, leaf_filter| Request::ChunkSubquery {
+                sq,
+                chunk,
+                leaf_filter,
+            },
+        )?;
+        let mut tuples = Vec::new();
         for partial in self.execute_in_memory(mem_calls, Response::into_tuples) {
             tuples.extend(partial?);
         }
@@ -390,77 +273,38 @@ impl Coordinator {
         }
         Ok(QueryResult {
             query_id: qid,
-            subqueries: n_subqueries,
+            subqueries,
             tuples,
         })
     }
 
     /// Executes an aggregate query (DESIGN.md §4b).
     ///
-    /// The query decomposes exactly as a range query does, but each target
-    /// gets one *aggregate subquery* carrying the query's unclipped
-    /// rectangle and answers its own share exactly, as a partial aggregate
-    /// and never a tuple: an indexing server from its live wheels plus a
-    /// fold of its tree and side store over the fringes, a query server
-    /// from the chunk's summary, its leaf directory and a scan of only the
-    /// leaves the fringes cut. The shares partition the query's tuple set,
-    /// so their merge equals a naive fold over a full scan. Queries with a
-    /// predicate, `attr_eq`, or measure-range constraint cannot be answered
-    /// from pre-folded cells and take the scan path end to end (the
-    /// measure-range scan still prunes chunks through the registered
-    /// MIN/MAX bounds), as do all aggregates with summaries switched off.
+    /// The query plans exactly as a range query does, but each target gets
+    /// one *aggregate subquery* carrying the query's unclipped rectangle and
+    /// answers its own share exactly, as a partial aggregate and never a
+    /// tuple: an indexing server from its live wheels plus a fold of its
+    /// trees over the fringes, a query server from the chunk's summary, its
+    /// leaf directory and a scan of only the leaves the fringes cut. A
+    /// subquery with a predicate or measure range folds its filtered scan
+    /// instead. The shares partition the query's tuple set, so their merge
+    /// equals a naive fold over a full scan.
     pub fn execute_aggregate(&self, aq: &AggregateQuery) -> Result<AggregateAnswer> {
         let qid = QueryId(self.next_query.fetch_add(1, Ordering::Relaxed));
-        self.stats.queries.fetch_add(1, Ordering::Relaxed);
         self.stats.agg_queries.fetch_add(1, Ordering::Relaxed);
-        let q = &aq.query;
-
-        // Full fallback: predicates filter individual tuples, which
-        // pre-folded cells cannot honor; the ablation knob forces this too.
-        if q.predicate.is_some()
-            || q.attr_eq.is_some()
-            || q.measure_range.is_some()
-            || !self.summaries_enabled()
-        {
-            let measure = self.measure.read().clone();
-            let r = self.execute_with_qid(q, qid)?;
-            let mut share = AggShare::default();
-            share.fold(&r.tuples, &*measure);
-            self.stats
-                .agg_fallback_subqueries
-                .fetch_add(r.subqueries as u64, Ordering::Relaxed);
-            return Ok(AggregateAnswer {
-                query_id: qid,
-                kind: aq.kind,
-                agg: share.agg,
-                cells_merged: 0,
-                scanned_tuples: share.scanned,
-            });
-        }
-
-        let subqueries = self.decompose(q, qid)?;
-        self.stats
-            .subqueries
-            .fetch_add(subqueries.len() as u64, Ordering::Relaxed);
-        let mut mem_calls: Vec<(ServerId, Request)> = Vec::new();
-        let mut chunk_calls: Vec<(ChunkId, Request)> = Vec::new();
-        for sq in subqueries {
-            // Unclipped: planned against a chunk's key hull, a slice the
-            // query covers would turn into a fringe.
-            let sq = SubQuery {
-                keys: q.keys,
-                times: q.times,
-                ..sq
-            };
-            match sq.target {
-                SubQueryTarget::InMemory(server) => {
-                    mem_calls.push((server, Request::InMemoryAggregate { sq }))
-                }
-                SubQueryTarget::Chunk(chunk) => {
-                    chunk_calls.push((chunk, Request::ChunkAggregate { sq, chunk }))
-                }
-            }
-        }
+        // Unclipped: planned against a chunk's key hull, a slice the query
+        // covers would turn into a fringe.
+        let (keys, times) = (aq.query.keys, aq.query.times);
+        let whole = move |sq| SubQuery { keys, times, ..sq };
+        let (_, mem_calls, chunk_calls) = self.plan(
+            &aq.query,
+            qid,
+            |sq| Request::InMemoryAggregate { sq: whole(sq) },
+            |sq, chunk, _| Request::ChunkAggregate {
+                sq: whole(sq),
+                chunk,
+            },
+        )?;
         let mut shares = self
             .execute_in_memory(mem_calls, Response::into_share)
             .into_iter()
@@ -489,13 +333,80 @@ impl Coordinator {
         })
     }
 
+    /// Plans a query for either path: folds its `attr_eq` into the
+    /// predicate as `attribute == value`, so every executor filters
+    /// exactly, decomposes it, and makes each subquery a call — `mem` an
+    /// indexing server's, `chunk` a query server's with the leaves a
+    /// secondary-index probe qualified. A chunk whose measure bounds miss
+    /// the measure range, or whose attribute index lacks the value, gets no
+    /// call (paper §VIII). Returns the decomposed subquery count, then the
+    /// calls to indexing servers and to query servers.
+    fn plan(
+        &self,
+        query: &Query,
+        qid: QueryId,
+        mem: impl Fn(SubQuery) -> Request,
+        chunk: impl Fn(SubQuery, ChunkId, Option<Bitmap>) -> Request,
+    ) -> Result<(u32, Calls<ServerId>, Calls<ChunkId>)> {
+        self.stats.queries.fetch_add(1, Ordering::Relaxed);
+        let mut query = query.clone();
+        if let Some((attr, value)) = query.attr_eq {
+            let attribute = self
+                .attrs
+                .get(attr)
+                .ok_or_else(|| WwError::Config(format!("attribute {attr} is not registered")))?;
+            let eq = attribute.equals(value);
+            query.predicate = Some(match query.predicate.take() {
+                Some(p) => eq.and(p),
+                None => eq,
+            });
+        }
+        let subqueries = self.decompose(&query, qid)?;
+        let n = subqueries.len() as u32;
+        self.stats.subqueries.fetch_add(n as u64, Ordering::Relaxed);
+        let (mut mem_calls, mut chunk_calls) = (Vec::new(), Vec::new());
+        for sq in subqueries {
+            let id = match sq.target {
+                SubQueryTarget::InMemory(server) => {
+                    mem_calls.push((server, mem(sq)));
+                    continue;
+                }
+                SubQueryTarget::Chunk(id) => id,
+            };
+            if let Some((lo, hi)) = sq.measure_range {
+                let bounds = self.meta.summary_extent(id)?.and_then(|e| e.measure_range);
+                if bounds.is_some_and(|(min, max)| max < lo || min > hi) {
+                    self.stats
+                        .measure_pruned_chunks
+                        .fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+            }
+            let leaf_filter = match query.attr_eq {
+                Some((attr, value)) => match self.meta.attr_probe(id, attr, value)? {
+                    AttrProbe::Absent => {
+                        self.stats
+                            .attr_pruned_chunks
+                            .fetch_add(1, Ordering::Relaxed);
+                        continue;
+                    }
+                    AttrProbe::Leaves(bm) => Some(bm),
+                    AttrProbe::Unknown => None,
+                },
+                None => None,
+            };
+            chunk_calls.push((id, chunk(sq, id, leaf_filter)));
+        }
+        Ok((n, mem_calls, chunk_calls))
+    }
+
     /// Sends each call to its indexing server, concurrently — the
     /// fresh-data path of §IV-A — and unwraps each answer with `answer`.
     /// A single call runs right here; more share the pool with the chunk
     /// subqueries.
     fn execute_in_memory<A: Send + 'static>(
         &self,
-        calls: Vec<(ServerId, Request)>,
+        calls: Calls<ServerId>,
         answer: fn(Response) -> Result<A>,
     ) -> Vec<Result<A>> {
         let n = calls.len();
@@ -531,7 +442,7 @@ impl Coordinator {
     /// answer with `answer`.
     fn execute_on_chunks<A: Send + 'static>(
         &self,
-        calls: Vec<(ChunkId, Request)>,
+        calls: Calls<ChunkId>,
         answer: fn(Response) -> Result<A>,
     ) -> Result<Vec<A>> {
         if calls.is_empty() {
@@ -705,6 +616,7 @@ mod tests {
             Consumer::new(mq, "ingest", 0, 0),
             dfs,
             MetaClient::new(ix_rpc),
+            Arc::default(),
         ));
         {
             let ix = Arc::clone(&ix);
@@ -732,7 +644,7 @@ mod tests {
                 vec![ServerId(0)],
                 2,
                 DispatchPolicy::Lada,
-                &cfg,
+                Arc::default(),
             ),
             meta,
         )
@@ -837,7 +749,7 @@ mod tests {
             vec![ServerId(0)],
             1,
             DispatchPolicy::Lada,
-            &cfg,
+            Arc::default(),
         );
         let (keys, times) = (KeyInterval::new(50, 250), TimeInterval::new(50, 150));
         let answer = coord

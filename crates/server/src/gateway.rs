@@ -21,9 +21,7 @@ use crate::roles::{register_peers, unsupported, Host, IngestDedup};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use waterwheel_agg::AggregateAnswer;
-use waterwheel_core::aggregate::{AggregateQuery, MeasureFn};
-use waterwheel_core::{ChunkId, Query, QueryResult, Result, Tuple, WwError};
+use waterwheel_core::{ChunkId, Result, Tuple, WwError};
 use waterwheel_meta::PartitionSchema;
 use waterwheel_net::{HandlerRegistry, MetaClient, Request, Response, RpcClient, COORDINATOR};
 
@@ -77,16 +75,13 @@ impl Gateway {
         Arc::clone(&self.coordinator.read())
     }
 
-    /// Replaces the coordinator with a fresh instance folding `measure`
-    /// (paper §V: all coordinator state is rebuilt from the metadata
-    /// server); policy and the summaries switch carry over, and its
-    /// counters take the old instance's place on `registry`.
-    pub fn restart_coordinator(&self, registry: &HandlerRegistry, measure: MeasureFn) {
-        let old = self.coordinator();
-        let fresh = self.host.coordinator(old.policy(), &self.attrs);
-        fresh.set_measure(measure);
-        fresh.set_summaries_enabled(old.summaries_enabled());
-        *self.coordinator.write() = fresh;
+    /// Replaces the coordinator with a fresh instance (paper §V: all
+    /// coordinator state is rebuilt from the metadata server); the policy
+    /// carries over, and its counters take the old instance's place on
+    /// `registry`.
+    pub fn restart_coordinator(&self, registry: &HandlerRegistry) {
+        let policy = self.coordinator().policy();
+        *self.coordinator.write() = self.host.coordinator(policy, &self.attrs);
         self.register_coordinator(registry);
     }
 
@@ -136,16 +131,6 @@ impl Gateway {
             chunks.extend(migration::flush_live(&self.dispatchers[0], id)?);
         }
         Ok(chunks)
-    }
-
-    /// Executes a range query.
-    pub fn query(&self, query: &Query) -> Result<QueryResult> {
-        self.coordinator().execute(query)
-    }
-
-    /// Executes an aggregate query.
-    pub fn aggregate(&self, aq: &AggregateQuery) -> Result<AggregateAnswer> {
-        self.coordinator().execute_aggregate(aq)
     }
 
     /// Runs one adaptive-key-partitioning round (paper §III-D) over the
@@ -244,19 +229,9 @@ impl Gateway {
         }
         let gw = Arc::clone(self);
         registry.bind(COORDINATOR, move |env| match &env.payload {
-            Request::ClientQuery {
-                keys,
-                times,
-                attr_eq,
-            } => {
-                let mut q = Query::range(*keys, *times);
-                if let Some((attr, value)) = attr_eq {
-                    q = q.and_attr_eq(*attr, *value);
-                }
-                Ok(Response::Query(gw.query(&q)?))
-            }
-            Request::ClientAggregate { keys, times, kind } => Ok(Response::Aggregate(
-                gw.aggregate(&Query::range(*keys, *times).aggregate(*kind))?,
+            Request::ClientQuery { query } => Ok(Response::Query(gw.coordinator().execute(query)?)),
+            Request::ClientAggregate { query } => Ok(Response::Aggregate(
+                gw.coordinator().execute_aggregate(query)?,
             )),
             Request::MigrateUniform => {
                 let (epoch, ranges) = gw.migrate_uniform()?;

@@ -143,9 +143,10 @@ pub struct IndexingServer {
     /// Failure injection.
     failed: AtomicBool,
     /// Secondary attributes to index at flush time (paper §VIII).
-    attrs: parking_lot::RwLock<Arc<AttrRegistry>>,
-    /// Measure extractor feeding the wheel; shared with the coordinator so
-    /// summary cells and scan folds agree. Install before ingesting.
+    attrs: Arc<AttrRegistry>,
+    /// Measure extractor feeding the wheel and filtering measure ranges;
+    /// shared with the query servers so summary cells and scan folds agree.
+    /// Install before ingesting.
     measure: parking_lot::RwLock<MeasureFn>,
     /// Held for a whole `flush`, seal through its registration.
     flushing: Mutex<()>,
@@ -153,7 +154,9 @@ pub struct IndexingServer {
 
 impl IndexingServer {
     /// Creates a server over `assigned`, reading its queue partition from
-    /// `consumer`'s position (pass the durable offset when recovering).
+    /// `consumer`'s position (pass the durable offset when recovering);
+    /// chunks it flushes carry attribute indexes for every attribute in
+    /// `attrs` at the flush.
     pub fn new(
         id: ServerId,
         assigned: KeyInterval,
@@ -161,6 +164,7 @@ impl IndexingServer {
         consumer: Consumer,
         dfs: SimDfs,
         meta: MetaClient,
+        attrs: Arc<AttrRegistry>,
     ) -> Self {
         let index_cfg = IndexConfig::from_system(&cfg);
         Self {
@@ -176,17 +180,11 @@ impl IndexingServer {
             meta,
             stats: Arc::default(),
             failed: AtomicBool::new(false),
-            attrs: parking_lot::RwLock::new(Arc::new(AttrRegistry::new())),
+            attrs,
             measure: parking_lot::RwLock::new(default_measure()),
             flushing: Mutex::new(()),
             cfg,
         }
-    }
-
-    /// Installs the shared secondary-attribute registry; chunks flushed
-    /// afterwards carry attribute indexes for every registered attribute.
-    pub fn set_attr_registry(&self, attrs: Arc<AttrRegistry>) {
-        *self.attrs.write() = attrs;
     }
 
     /// Lets the trim after each flush delete journal segments, not just
@@ -327,13 +325,20 @@ impl IndexingServer {
     /// the query's own, not clipped to the memory region. The live wheels
     /// answer the wheel interior ([`plan::split`]); the trees are folded
     /// over the fringes. Each part takes its own lock, a wheel's as the
-    /// pump does and a tree's leaf latches, never one across the other.
+    /// pump does and a tree's leaf latches, never one across the other. A
+    /// filtered subquery ([`SubQuery::filters`]) folds its filtered scan
+    /// instead: wheel cells cannot see a filter.
     pub fn aggregate_in_memory(&self, sq: &SubQuery) -> Result<AggShare> {
         if self.is_failed() {
             return Err(waterwheel_core::WwError::Injected("indexing server down"));
         }
-        let split = plan::split(&sq.keys, &sq.times, SLICE_BITS);
+        let measure = self.measure.read().clone();
         let mut share = AggShare::default();
+        if sq.filters() {
+            share.fold(&self.query_in_memory(sq)?, &*measure);
+            return Ok(share);
+        }
+        let split = plan::split(&sq.keys, &sq.times, SLICE_BITS);
         let mut fringes = split.fringes;
         if let Some(interior) = split.interior {
             if self.cfg.agg_summaries_enabled {
@@ -348,7 +353,6 @@ impl IndexingServer {
                 fringes.push(Region::new(interior.keys, interior.covered));
             }
         }
-        let measure = self.measure.read().clone();
         for fringe in fringes {
             share.fold(
                 &self.scan_in_memory(&fringe.keys, &fringe.times, None),
@@ -371,12 +375,16 @@ impl IndexingServer {
     }
 
     /// Executes a subquery against the in-memory state (main + side) — the
-    /// fresh-data path of §IV-A.
+    /// fresh-data path of §IV-A — keeping what passes its predicate and,
+    /// under this server's measure, its measure range.
     pub fn query_in_memory(&self, sq: &SubQuery) -> Result<Vec<Tuple>> {
         if self.is_failed() {
             return Err(waterwheel_core::WwError::Injected("indexing server down"));
         }
-        Ok(self.scan_in_memory(&sq.keys, &sq.times, sq.predicate.as_deref()))
+        let measure = self.measure.read().clone();
+        let keep = |t: &Tuple| sq.keeps(t, &*measure);
+        let keep: Option<&(dyn Fn(&Tuple) -> bool + Sync)> = sq.filters().then_some(&keep);
+        Ok(self.scan_in_memory(&sq.keys, &sq.times, keep))
     }
 
     /// The main and side tuples inside `keys × times` that pass
@@ -385,9 +393,8 @@ impl IndexingServer {
         &self,
         keys: &KeyInterval,
         times: &TimeInterval,
-        predicate: Option<&(dyn Fn(&Tuple) -> bool + Send + Sync)>,
+        predicate: Option<&(dyn Fn(&Tuple) -> bool + Sync)>,
     ) -> Vec<Tuple> {
-        let predicate = predicate.map(|p| p as &(dyn Fn(&Tuple) -> bool + Sync));
         self.stores()
             .into_iter()
             .flat_map(|s| s.tree.query(keys, times, predicate))
@@ -427,13 +434,12 @@ impl IndexingServer {
         self.stats
             .summary_bytes_flushed
             .fetch_add(extent.map_or(0, |e| e.bytes), Ordering::Relaxed);
-        let attrs = self.attrs.read().clone();
-        let attrs = attrs.ids().into_iter().filter_map(|attr| {
-            let extract = attrs.get(attr)?;
+        let attrs = self.attrs.ids().into_iter().filter_map(|attr| {
+            let expr = self.attrs.get(attr)?;
             let leaf_values: Vec<Vec<u64>> = sealed
                 .leaves
                 .iter()
-                .map(|leaf| leaf.entries.iter().filter_map(|t| extract(t)).collect())
+                .map(|leaf| leaf.entries.iter().filter_map(|t| expr.eval(t)).collect())
                 .collect();
             let index = ChunkAttrIndex::build(&leaf_values, BloomConfig::default().bits_per_entry);
             Some((attr, index))
@@ -570,6 +576,7 @@ mod tests {
                 Consumer::new(self.mq.clone(), "ingest", partition, offset),
                 self.dfs.clone(),
                 MetaClient::new(rpc),
+                Arc::default(),
             )
         }
     }
@@ -964,6 +971,7 @@ mod tests {
             Consumer::new(rig.mq.clone(), "ingest", 0, 0),
             dfs,
             MetaClient::new(rpc),
+            Arc::default(),
         ));
         const N: u64 = 5_000;
         let consumed = Arc::new(std::sync::atomic::AtomicU64::new(0));

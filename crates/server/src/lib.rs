@@ -48,9 +48,9 @@
 //! |---|---|---|---|---|
 //! | `IngestBatch` (the one ingest verb; a single insert is a batch of one) | append once per `(src, seq)`; the marker is journalled in the batch's frame and committed before `AckBatch` | — | route every tuple through this dispatcher, once per `(src, seq)` | — |
 //! | `Flush` | `Injected` if failed, else pump the partition empty and seal; flushes of one server are serialized, so it returns only once everything sealed so far is in registered chunks | — | [`Gateway::flush_all`]: push buffered batches, then `Flush` every indexing server of the live membership (a metadata error fails the flush; only an `Injected` server is skipped); answers the sealed chunks | — |
-//! | `InMemorySubquery`, `InMemoryAggregate` (this server's share of an aggregate: live wheels over the interior, tree and side store folded over the fringes), `Reassign` | served | — | — | — |
-//! | `ChunkSubquery`, `ChunkAggregate` (one chunk's share: summary, leaf directory, scan of the cut leaves) | — | served | — | — |
-//! | `ClientQuery`, `ClientAggregate` | — | — | — | [`Gateway::query`] / [`Gateway::aggregate`] on the current coordinator |
+//! | `InMemorySubquery` (the trees' tuples that pass the predicate and, under this server's measure, the measure range), `InMemoryAggregate` (this server's share of an aggregate: live wheels over the interior, main and side trees folded over the fringes; a filtered subquery folds its filtered scan), `Reassign` | served | — | — | — |
+//! | `ChunkSubquery` (filtered like `InMemorySubquery`), `ChunkAggregate` (one chunk's share: summary, leaf directory, scan of the cut leaves; a filtered subquery folds its filtered scan) | — | served | — | — |
+//! | `ClientQuery`, `ClientAggregate` (a whole `Query` / `AggregateQuery`: rectangle, predicate, `attr_eq`, measure range) | — | — | — | [`Coordinator::execute`] / [`Coordinator::execute_aggregate`] on the current coordinator, as an embedded query runs |
 //! | `MigrateUniform` | — | — | — | [`Gateway::migrate_uniform`]: uniform plan over the live membership, run by [`migration::run`] |
 //! | `Ping` | `Injected` if failed, else `Pong` | same | `Pong` | `Pong` |
 //! | `RegisterPeers` | routes installed on the process's TCP transport; `InvalidState` on the in-process plane | same | — | same |

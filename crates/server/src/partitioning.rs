@@ -243,6 +243,7 @@ mod tests {
                     Consumer::new(mq.clone(), "ingest", id.raw() as usize, 0),
                     dfs.clone(),
                     MetaClient::new(rpc(id)),
+                    Arc::default(),
                 ))
             })
             .collect();

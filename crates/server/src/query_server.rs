@@ -156,7 +156,7 @@ struct Scan<'a> {
     chunk: ChunkId,
     keys: &'a KeyInterval,
     times: &'a TimeInterval,
-    predicate: Option<&'a (dyn Fn(&Tuple) -> bool + Send + Sync)>,
+    predicate: Option<&'a (dyn Fn(&Tuple) -> bool + Sync)>,
 }
 
 /// A query server bound to a cluster node.
@@ -351,7 +351,8 @@ impl QueryServer {
 
     /// Executes a chunk subquery restricted to the leaves in `leaf_filter`
     /// (from a secondary attribute index, paper §VIII); `None` means all
-    /// key-qualifying leaves.
+    /// key-qualifying leaves. Keeps the tuples that pass the subquery's
+    /// predicate and, under this server's measure, its measure range.
     pub fn execute_filtered(
         &self,
         sq: &SubQuery,
@@ -361,13 +362,16 @@ impl QueryServer {
         self.timed(|| {
             let index = self.load_template(chunk)?;
             let leaves = self.select_leaves(&index, sq, leaf_filter);
+            let measure = self.measure.read().clone();
+            let keep = |t: &Tuple| sq.keeps(t, &*measure);
+            let keep: Option<&(dyn Fn(&Tuple) -> bool + Sync)> = sq.filters().then_some(&keep);
             self.with_scratch(|scratch| {
                 let scan = Scan {
                     index: &index,
                     chunk,
                     keys: &sq.keys,
                     times: &sq.times,
-                    predicate: sq.predicate.as_deref(),
+                    predicate: keep,
                 };
                 self.scan_leaves(&scan, &leaves, scratch)
             })
@@ -381,12 +385,19 @@ impl QueryServer {
     /// the fringes (without a usable summary the whole rectangle is one
     /// fringe). In each fringe, a leaf whose keys and times lie wholly
     /// inside merges its directory entry unread; the leaves the fringe cuts
-    /// are scanned and their matching tuples folded under the measure.
+    /// are scanned and their matching tuples folded under the measure. A
+    /// filtered subquery ([`SubQuery::filters`]) folds its filtered scan
+    /// instead: summary cells and leaf entries cannot see a filter.
     pub fn aggregate(&self, sq: &SubQuery, chunk: ChunkId) -> Result<AggShare> {
+        let measure = self.measure.read().clone();
+        let mut share = AggShare::default();
+        if sq.filters() {
+            share.fold(&self.execute_filtered(sq, chunk, None)?, &*measure);
+            return Ok(share);
+        }
         self.timed(|| {
             let index = self.load_template(chunk)?;
             let split = plan::split(&sq.keys, &sq.times, SLICE_BITS);
-            let mut share = AggShare::default();
             let mut fringes = split.fringes;
             if let Some(interior) = split.interior {
                 match self
@@ -402,7 +413,6 @@ impl QueryServer {
                     None => fringes = vec![Region::new(sq.keys, sq.times)],
                 }
             }
-            let measure = self.measure.read().clone();
             self.with_scratch(|scratch| -> Result<()> {
                 for fringe in &fringes {
                     let mut cut = Vec::new();

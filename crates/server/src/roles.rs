@@ -196,17 +196,15 @@ impl Host {
         policy: DispatchPolicy,
         attrs: &Arc<AttrRegistry>,
     ) -> Arc<Coordinator> {
-        let coordinator = Arc::new(Coordinator::new(
+        Arc::new(Coordinator::new(
             self.rpc(COORDINATOR),
             self.topology.cluster.clone(),
             self.topology.query.clone(),
             self.topology.indexing.clone(),
             self.topology.replication(&self.cfg),
             policy,
-            &self.cfg,
-        ));
-        coordinator.set_attr_registry(Arc::clone(attrs));
-        coordinator
+            Arc::clone(attrs),
+        ))
     }
 
     /// Registers `ids` as leased members of `role` (paper §II-B dynamic
@@ -394,8 +392,8 @@ impl IndexingRole {
             Consumer::new(self.mq.clone(), INGEST_TOPIC, partition, offset),
             self.dfs.clone(),
             meta,
+            Arc::clone(&self.attrs),
         ));
-        server.set_attr_registry(Arc::clone(&self.attrs));
         server.set_journal_trim(self.durable_offsets);
         registry
             .counters()
@@ -710,14 +708,11 @@ mod tests {
             Request::Ping,
             Request::Meta(MetaRequest::Membership),
             Request::ClientQuery {
-                keys: KeyInterval::full(),
-                times: TimeInterval::full(),
-                attr_eq: None,
+                query: Query::range(KeyInterval::full(), TimeInterval::full()),
             },
             Request::ClientAggregate {
-                keys: KeyInterval::full(),
-                times: TimeInterval::full(),
-                kind: AggregateKind::Count,
+                query: Query::range(KeyInterval::full(), TimeInterval::full())
+                    .aggregate(AggregateKind::Count),
             },
             Request::Shutdown,
             Request::RegisterPeers {
@@ -801,16 +796,9 @@ mod tests {
             "Flush seals like flush_all"
         );
         ww.flush_all().unwrap();
-        let attr_eq = None;
+        let query = Query::range(keys, times);
         let over_the_plane = client
-            .call(
-                COORDINATOR,
-                Request::ClientQuery {
-                    keys,
-                    times,
-                    attr_eq,
-                },
-            )
+            .call(COORDINATOR, Request::ClientQuery { query })
             .unwrap()
             .into_query()
             .unwrap();
@@ -818,8 +806,9 @@ mod tests {
         assert_eq!(over_the_plane.tuples, direct.tuples);
         assert_eq!(direct.tuples.len(), 64 + 3);
         let kind = AggregateKind::Count;
+        let query = Query::range(keys, times).aggregate(kind);
         let over_the_plane = client
-            .call(COORDINATOR, Request::ClientAggregate { keys, times, kind })
+            .call(COORDINATOR, Request::ClientAggregate { query })
             .unwrap()
             .into_aggregate()
             .unwrap();

@@ -39,7 +39,7 @@ use std::sync::Arc;
 use waterwheel_agg::AggregateAnswer;
 use waterwheel_cluster::{Cluster, LatencyModel};
 use waterwheel_core::aggregate::{default_measure, AggregateQuery, MeasureFn};
-use waterwheel_core::{Query, QueryResult, Result, ServerId, SystemConfig, Tuple, WwError};
+use waterwheel_core::{Expr, Query, QueryResult, Result, ServerId, SystemConfig, Tuple, WwError};
 use waterwheel_meta::{MemberRole, MetadataService};
 use waterwheel_mq::MessageQueue;
 use waterwheel_net::{
@@ -345,8 +345,7 @@ impl Waterwheel {
     /// metadata service; in-flight queries on the old instance complete or
     /// fail independently.
     pub fn restart_coordinator(&self) {
-        self.gateway
-            .restart_coordinator(&self.registry, self.measure.lock().clone());
+        self.gateway.restart_coordinator(&self.registry);
     }
 
     /// The query servers (stats, failure injection).
@@ -367,27 +366,26 @@ impl Waterwheel {
         self.gateway.dispatchers()
     }
 
-    /// Registers a secondary attribute (paper §VIII): chunks flushed after
-    /// this call carry bloom + bitmap indexes for it, and queries built with
-    /// [`Query::and_attr_eq`](waterwheel_core::Query::and_attr_eq) prune
-    /// through them. Register attributes before ingesting for full coverage.
-    pub fn register_attribute(
-        &self,
-        attr: u16,
-        extractor: impl Fn(&Tuple) -> Option<u64> + Send + Sync + 'static,
-    ) {
-        self.attrs.register(attr, extractor);
+    /// Registers a secondary attribute (paper §VIII): `value` is an
+    /// [`Expr`] giving the attribute of a tuple (`None` when it has none),
+    /// e.g. `Expr::payload(0, 1)` for the first payload byte. Chunks flushed
+    /// after this call carry bloom + bitmap indexes for it, and queries
+    /// built with [`Query::and_attr_eq`](waterwheel_core::Query::and_attr_eq)
+    /// filter by `value == v` and prune through them. Register attributes
+    /// before ingesting for full coverage.
+    pub fn register_attribute(&self, attr: u16, value: Expr) {
+        self.attrs.register(attr, value);
     }
 
     /// Installs the measure function folded by aggregate queries (the value
     /// extracted from each tuple — e.g. a fare, a speed, a byte count) on
-    /// every role that folds it: the indexing servers (wheels, chunk
-    /// summaries and leaf directories), the query servers (the leaves an
-    /// aggregate scans) and the coordinator (the full-scan path). The
-    /// default measures payload length. Install it **before ingesting**:
-    /// wheel cells, chunk summaries and leaf directories hold pre-measured
-    /// values, so tuples indexed under a different measure keep answering
-    /// with it until they age out.
+    /// every role that reads it: the indexing servers (wheels, chunk
+    /// summaries and leaf directories, their scans) and the query servers
+    /// (the leaves an aggregate scans). Both also filter a query's measure
+    /// range under it. The default measures payload length. Install it
+    /// **before ingesting**: wheel cells, chunk summaries and leaf
+    /// directories hold pre-measured values, so tuples indexed under a
+    /// different measure keep answering with it until they age out.
     pub fn register_measure(&self, measure: impl Fn(&Tuple) -> u64 + Send + Sync + 'static) {
         let measure: MeasureFn = Arc::new(measure);
         *self.measure.lock() = Arc::clone(&measure);
@@ -397,14 +395,13 @@ impl Waterwheel {
         for server in &self.query_servers {
             server.set_measure(Arc::clone(&measure));
         }
-        self.coordinator().set_measure(measure);
     }
 
     /// Executes an aggregate query: COUNT / SUM / MIN / MAX / AVG of the
     /// registered measure over a key × time rectangle, answered from
     /// hierarchical wheel summaries where possible (DESIGN.md §4b).
     pub fn aggregate(&self, aq: &AggregateQuery) -> Result<AggregateAnswer> {
-        self.gateway.aggregate(aq)
+        self.coordinator().execute_aggregate(aq)
     }
 
     /// Ingests one tuple through a dispatcher (round-robin across them).
@@ -485,7 +482,7 @@ impl Waterwheel {
 
     /// Executes a query.
     pub fn query(&self, query: &Query) -> Result<QueryResult> {
-        self.gateway.query(query)
+        self.coordinator().execute(query)
     }
 
     /// Forces queued-but-unflushed records to the OS (durable-queue mode);
@@ -827,11 +824,12 @@ mod tests {
             .query(&Query::range(KeyInterval::full(), TimeInterval::full()))
             .unwrap();
         assert_eq!(r.tuples.len(), 300);
-        // Predicate queries work even though closures cannot cross the
-        // wire: the sender re-filters after decoding.
-        let q = Query::with_predicate(KeyInterval::full(), TimeInterval::full(), |t| {
-            t.key % 2_000_000 == 0
-        });
+        // Predicates cross the wire as data and filter where the tuples are.
+        let q = Query::with_predicate(
+            KeyInterval::full(),
+            TimeInterval::full(),
+            (Expr::key() % 2_000_000).equals(0),
+        );
         assert_eq!(ww.query(&q).unwrap().tuples.len(), 150);
         let wire = ww.wire_totals();
         assert!(wire.bytes_in > 0 && wire.bytes_out > 0, "{wire:?}");
@@ -912,9 +910,11 @@ mod tests {
         }
         ww.drain().unwrap();
         ww.flush_all().unwrap();
-        let q = Query::with_predicate(KeyInterval::full(), TimeInterval::full(), |t| {
-            t.key % 2_000_000 == 0
-        });
+        let q = Query::with_predicate(
+            KeyInterval::full(),
+            TimeInterval::full(),
+            (Expr::key() % 2_000_000).equals(0),
+        );
         let r = ww.query(&q).unwrap();
         assert_eq!(r.tuples.len(), 100);
     }

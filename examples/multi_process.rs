@@ -45,10 +45,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     client.flush()?;
 
     // "Readings from sensors 10..=19 during the 10th to 20th second."
-    let result = client.query(
+    let result = client.query(&Query::range(
         KeyInterval::new(10, 19),
         TimeInterval::new(start_ms + 10_000, start_ms + 20_000),
-    )?;
+    ))?;
     println!(
         "sensors 10..=19, seconds 10..=20  →  {} readings ({} subqueries)",
         result.tuples.len(),
@@ -59,9 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Aggregates cross the process boundary too: total payload bytes and
     // reading count over the whole minute.
     let count = client.aggregate(
-        KeyInterval::full(),
-        TimeInterval::full(),
-        AggregateKind::Count,
+        &Query::range(KeyInterval::full(), TimeInterval::full()).aggregate(AggregateKind::Count),
     )?;
     println!(
         "COUNT over everything               →  {} readings",

@@ -88,9 +88,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A predicate query: packets from that subnet whose destination IP is
     // in a suspicious block (payload bytes 4..8 hold the destination).
-    let result = ww.query(&Query::with_predicate(subnet, history, |t| {
-        t.payload.len() >= 8 && t.payload[7] & 0xF0 == 0xF0
-    }))?;
+    let result = ww.query(&Query::with_predicate(
+        subnet,
+        history,
+        (Expr::payload(7, 1) & 0xF0).equals(0xF0),
+    ))?;
     println!(
         "…destined to 0xF?.* block  → {:>6} packets",
         result.tuples.len()

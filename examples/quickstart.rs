@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let query = Query::with_predicate(
         KeyInterval::new(10, 19),
         TimeInterval::new(start_ms + 10_000, start_ms + 20_000),
-        |t| t.key % 2 == 0,
+        (Expr::key() % 2).equals(0),
     );
     let result = ww.query(&query)?;
     println!(

@@ -74,10 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let result = ww.query(&Query::with_predicate(
         KeyInterval::full(),
         TimeInterval::new(now.saturating_sub(100_000), now),
-        move |t| {
-            t.payload.len() >= 4
-                && u32::from_le_bytes(t.payload[0..4].try_into().unwrap()) == target
-        },
+        Expr::payload(0, 4).equals(u64::from(target)),
     ))?;
     println!(
         "taxi #{target} trajectory over the last 100 s → {} fixes",

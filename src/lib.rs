@@ -61,8 +61,8 @@ pub use waterwheel_workloads as workloads;
 pub mod prelude {
     pub use waterwheel_agg::AggregateAnswer;
     pub use waterwheel_core::{
-        AggregateKind, AggregateQuery, Key, KeyInterval, Query, QueryResult, Region, SystemConfig,
-        TimeInterval, Timestamp, Tuple,
+        AggregateKind, AggregateQuery, Expr, Key, KeyInterval, Query, QueryResult, Region,
+        SystemConfig, TimeInterval, Timestamp, Tuple,
     };
     pub use waterwheel_server::{DispatchPolicy, Waterwheel, WaterwheelBuilder};
 }

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use waterwheel::agg::PartialAgg;
 use waterwheel::core::{
-    AggregateKind, KeyInterval, Query, QueryId, ServerId, SubQueryTarget, TimeInterval, Tuple,
+    AggregateKind, Expr, KeyInterval, Query, QueryId, ServerId, SubQueryTarget, TimeInterval, Tuple,
 };
 use waterwheel::net::{Transport, COORDINATOR, META_SERVER};
 use waterwheel::prelude::{SystemConfig, Waterwheel};
@@ -29,6 +29,17 @@ fn naive(tuples: &[Tuple], keys: &KeyInterval, times: &TimeInterval) -> PartialA
         }
     }
     agg
+}
+
+/// The oracle under a filter: fold the matching tuples `keep` passes.
+fn naive_where(
+    tuples: &[Tuple],
+    keys: &KeyInterval,
+    times: &TimeInterval,
+    keep: impl Fn(&Tuple) -> bool,
+) -> PartialAgg {
+    let kept: Vec<Tuple> = tuples.iter().filter(|t| keep(t)).cloned().collect();
+    naive(&kept, keys, times)
 }
 
 /// Keys spread across the whole u64 domain (so queries can cover whole key
@@ -125,8 +136,8 @@ proptest! {
         tuples in tuples_strategy(300),
         (keys, times) in rect_strategy(),
     ) {
-        // The ablation knob must not change answers, only how they are
-        // computed (pure tuple scan instead of wheel cells).
+        // A predicate forces every source to fold a filtered scan of its
+        // share: the answer equals the filtered oracle, with no cell merged.
         let root = std::env::temp_dir().join(format!(
             "ww-agg-fb-{}-{}",
             std::process::id(),
@@ -138,11 +149,11 @@ proptest! {
         }
         ww.drain().unwrap();
         ww.flush_all().unwrap();
-        ww.coordinator().set_summaries_enabled(false);
+        let pred = (Expr::ts() % 3).lt(2);
         let got = ww
-            .aggregate(&Query::range(keys, times).aggregate(AggregateKind::Sum))
+            .aggregate(&Query::with_predicate(keys, times, pred.clone()).aggregate(AggregateKind::Sum))
             .unwrap();
-        prop_assert_eq!(got.agg, naive(&tuples, &keys, &times));
+        prop_assert_eq!(got.agg, naive_where(&tuples, &keys, &times, |t| pred.accepts(t)));
         prop_assert_eq!(got.cells_merged, 0);
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -480,6 +491,86 @@ fn an_aggregate_costs_one_rpc_per_target() {
         [0, 0, in_memory, on_chunks, 2],
         "range subqueries, aggregates, meta"
     );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A predicated aggregate and an `attr_eq` aggregate each send one
+/// aggregate subquery per target the plan keeps, and every source answers
+/// with a share: no range subquery runs and no tuple crosses to the
+/// coordinator. Neither merges a wheel or summary cell.
+#[test]
+fn a_filtered_aggregate_costs_one_rpc_per_target_and_moves_no_tuples() {
+    const ATTR: u16 = 3;
+    let root = std::env::temp_dir().join(format!("ww-agg-filtered-{}", std::process::id()));
+    let ww = system(&root);
+    // The top four key bits: i / 256 for the keys below.
+    ww.register_attribute(ATTR, Expr::key() >> 60);
+    let all: Vec<Tuple> = (0..1_200u64)
+        .map(|i| Tuple::bare(i << 52, i * 37 % 50_000))
+        .collect();
+    for (i, t) in all.iter().enumerate() {
+        ww.insert(t.clone()).unwrap();
+        if i == 800 {
+            ww.drain().unwrap();
+            ww.flush_all().unwrap();
+        }
+    }
+    ww.drain().unwrap();
+    let (keys, times) = (
+        KeyInterval::new(5, u64::MAX - 5),
+        TimeInterval::new(999, 48_001),
+    );
+    let targets = ww
+        .coordinator()
+        .decompose(&Query::range(keys, times), QueryId(u64::MAX))
+        .unwrap();
+    let in_memory = targets
+        .iter()
+        .filter(|sq| matches!(sq.target, SubQueryTarget::InMemory(_)))
+        .count() as u64;
+    assert!(in_memory > 0 && targets.len() as u64 > in_memory);
+
+    let rpcs = |ww: &Waterwheel| {
+        let m = SystemMetrics::collect(ww);
+        [
+            "mem_subquery",
+            "chunk_subquery",
+            "mem_aggregate",
+            "chunk_aggregate",
+        ]
+        .map(|kind| {
+            let name = format!("rpc.latency.{kind}.count");
+            let rows = m.rows().iter().filter(|r| r.name == name);
+            rows.map(|r| r.value).sum::<u64>()
+        })
+    };
+    let pruned = |ww: &Waterwheel| SystemMetrics::collect(ww).get("coordinator.attr_pruned_chunks");
+    // Each query with the filter its answer must equal.
+    let even = ((Expr::key() >> 52) % 2).equals(0);
+    let cases = [
+        (Query::with_predicate(keys, times, even.clone()), even),
+        (
+            Query::range(keys, times).and_attr_eq(ATTR, 2),
+            (Expr::key() >> 60).equals(2),
+        ),
+    ];
+    for (q, keep) in cases {
+        let (before, pruned_before) = (rpcs(&ww), pruned(&ww));
+        let got = ww
+            .aggregate(&q.clone().aggregate(AggregateKind::Sum))
+            .unwrap();
+        let (after, pruned_after) = (rpcs(&ww), pruned(&ww));
+        let want = naive_where(&all, &keys, &times, |t| keep.accepts(t));
+        assert_eq!(got.agg, want, "{q:?}");
+        assert_eq!(got.cells_merged, 0, "{q:?}");
+        let on_chunks = targets.len() as u64 - in_memory - (pruned_after - pruned_before);
+        let sent: Vec<u64> = (0..4).map(|k| after[k] - before[k]).collect();
+        assert_eq!(
+            sent,
+            [0, 0, in_memory, on_chunks],
+            "{q:?}: range subqueries, then aggregates"
+        );
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 

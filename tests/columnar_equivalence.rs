@@ -99,9 +99,11 @@ fn compressed_and_raw_v2_answer_byte_identically() {
     // systems against each other (the compressed answer is the reference).
     let probes = [
         Query::range(KeyInterval::full(), TimeInterval::new(0, now)),
-        Query::with_predicate(KeyInterval::full(), TimeInterval::new(0, now), |t| {
-            t.ts % 3 == 0
-        }),
+        Query::with_predicate(
+            KeyInterval::full(),
+            TimeInterval::new(0, now),
+            (Expr::ts() % 3).equals(0),
+        ),
         Query::range(KeyInterval::full(), TimeInterval::new(0, now))
             .and_measure_between(u64::MAX / 4, u64::MAX / 2),
     ];

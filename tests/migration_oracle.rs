@@ -56,7 +56,7 @@ fn build_with(name: &str, tcp: bool, indexing_servers: usize) -> Waterwheel {
     // Secondary attribute on the payload byte, registered before ingest so
     // flushed chunks carry its indexes: the oracle also runs attr-eq
     // queries through the migration window.
-    ww.register_attribute(ATTR, |t| t.payload.first().map(|&b| u64::from(b)));
+    ww.register_attribute(ATTR, Expr::payload(0, 1));
     ww
 }
 

@@ -409,8 +409,8 @@ fn a_flush_makes_at_most_two_metadata_calls() {
     c.agg_summaries_enabled = true;
     let ww = with_side_chunk("flush-calls", c);
     // Attribute indexes are built at the flush, from the sealed leaves.
-    ww.register_attribute(1, |t| Some(t.key % 7));
-    ww.register_attribute(2, |t| Some(t.ts % 5));
+    ww.register_attribute(1, Expr::key() % 7);
+    ww.register_attribute(2, Expr::ts() % 5);
     let server = &ww.indexing_servers()[0];
     let sent = meta_calls(&ww, server.id());
     assert_eq!(server.flush().unwrap().len(), 2);

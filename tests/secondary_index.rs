@@ -22,7 +22,7 @@ fn system(name: &str) -> Waterwheel {
         .config(cfg)
         .build()
         .unwrap();
-    ww.register_attribute(ATTR_TAG, |t| t.payload.first().map(|&b| b as u64));
+    ww.register_attribute(ATTR_TAG, Expr::payload(0, 1));
     ww
 }
 
@@ -98,9 +98,11 @@ fn attr_eq_composes_with_ranges_and_predicates() {
     // Half the data flushed, half in memory.
     ww.flush_all().unwrap();
     ingest(&ww, 20_000); // same keys again, later timestamps? (keys repeat)
-    let q = Query::with_predicate(KeyInterval::new(0, 9_999), TimeInterval::full(), |t| {
-        t.key % 2 == 0
-    })
+    let q = Query::with_predicate(
+        KeyInterval::new(0, 9_999),
+        TimeInterval::full(),
+        (Expr::key() % 2).equals(0),
+    )
     .and_attr_eq(ATTR_TAG, 4);
     let got = ww.query(&q).unwrap();
     // Tag 4 ⇒ key % 16 == 4 ⇒ already even; within keys 0..9_999 → 625 per
@@ -126,7 +128,7 @@ fn attribute_indexes_survive_restart() {
             .config(cfg.clone())
             .build()
             .unwrap();
-        ww.register_attribute(ATTR_TAG, |t| t.payload.first().map(|&b| b as u64));
+        ww.register_attribute(ATTR_TAG, Expr::payload(0, 1));
         ingest(&ww, 20_000);
         ww.flush_all().unwrap();
         assert!(ww.metadata().attr_index_count() > 0);
@@ -134,7 +136,7 @@ fn attribute_indexes_survive_restart() {
     let ww = Waterwheel::builder(&root).config(cfg).build().unwrap();
     // Extractor must be re-registered after restart (closures are not
     // persisted), but the on-disk chunk indexes are recovered.
-    ww.register_attribute(ATTR_TAG, |t| t.payload.first().map(|&b| b as u64));
+    ww.register_attribute(ATTR_TAG, Expr::payload(0, 1));
     assert!(ww.metadata().attr_index_count() > 0);
     let q = Query::range(KeyInterval::full(), TimeInterval::full()).and_attr_eq(ATTR_TAG, 200);
     assert_eq!(ww.query(&q).unwrap().tuples.len(), 50);

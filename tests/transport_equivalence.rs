@@ -5,9 +5,13 @@
 //! metadata traffic, in-memory and chunk subqueries and their aggregate
 //! forms — and the only observable difference is the socket counters.
 
+use std::time::Instant;
+use waterwheel::agg::PartialAgg;
+use waterwheel::core::{QueryId, SubQueryTarget};
+use waterwheel::net::{wire, Envelope, Request, Transport, COORDINATOR, META_SERVER};
 use waterwheel::prelude::*;
 use waterwheel::server::Waterwheel as Ww;
-use waterwheel::workloads::{NetworkConfig, NetworkGen, QueryGen, TemporalShape};
+use waterwheel::workloads::{NetworkConfig, NetworkGen, QueryGen, Rng, TemporalShape};
 
 fn fresh_root(name: &str) -> std::path::PathBuf {
     let root = std::env::temp_dir().join(format!("ww-teq-{name}-{}", std::process::id()));
@@ -30,7 +34,7 @@ fn loaded_system(name: &str, tcp: bool) -> (Ww, u64) {
     let ww = builder.build().unwrap();
     // Secondary attribute: the low nibble of the key. Registered before
     // ingest so every chunk carries its bloom + bitmap index.
-    ww.register_attribute(7, |t| Some(t.key & 0xF));
+    ww.register_attribute(7, Expr::key() & 0xF);
     let mut stream = NetworkGen::new(NetworkConfig {
         seed: 41,
         ..NetworkConfig::default()
@@ -81,7 +85,7 @@ fn tcp_and_inproc_systems_return_byte_identical_answers() {
     assert!(compared > 0, "every query came back empty");
 
     // Full scans, an attribute-filtered query, and a predicate query (the
-    // closure cannot cross the wire; the TCP sender re-filters).
+    // predicate crosses the wire and filters where the tuples are).
     let full = Query::range(KeyInterval::full(), TimeInterval::full());
     let a = normalized(inproc.query(&full).unwrap().tuples);
     let b = normalized(tcp.query(&full).unwrap().tuples);
@@ -94,11 +98,10 @@ fn tcp_and_inproc_systems_return_byte_identical_answers() {
         normalized(tcp.query(&attr).unwrap().tuples)
     );
 
-    let pred = |t: &Tuple| t.key.is_multiple_of(3);
-    let qa = Query::with_predicate(KeyInterval::full(), TimeInterval::full(), pred);
-    let qb = Query::with_predicate(KeyInterval::full(), TimeInterval::full(), pred);
-    let a = normalized(inproc.query(&qa).unwrap().tuples);
-    let b = normalized(tcp.query(&qb).unwrap().tuples);
+    let pred = (Expr::key() % 3).equals(0);
+    let q = Query::with_predicate(KeyInterval::full(), TimeInterval::full(), pred);
+    let a = normalized(inproc.query(&q).unwrap().tuples);
+    let b = normalized(tcp.query(&q).unwrap().tuples);
     assert!(!a.is_empty());
     assert_eq!(a, b);
 
@@ -162,4 +165,140 @@ fn narrow_key_aggregates_agree_across_transports() {
         let m = waterwheel::server::SystemMetrics::collect(ww);
         assert!(m.get("coordinator.agg_leaves_merged") > 0, "{m}");
     }
+}
+
+/// A random predicate from the whole [`Expr`] grammar, at most `depth`
+/// operators deep. Constants are mostly small, so remainders by zero and
+/// shifts of 64 or more come up; payload reads reach past short payloads.
+fn random_expr(rng: &mut Rng, depth: u32) -> Expr {
+    if depth == 0 || rng.below(4) == 0 {
+        return match rng.below(4) {
+            0 => Expr::key(),
+            1 => Expr::ts(),
+            2 => Expr::payload(rng.below(24) as u32, *rng.choose(&[1, 2, 4, 8])),
+            _ if rng.chance(0.2) => Expr::from(rng.next_u64()),
+            _ => Expr::from(rng.below(72)),
+        };
+    }
+    let a = random_expr(rng, depth - 1);
+    if rng.below(9) == 0 {
+        return !a;
+    }
+    let b = random_expr(rng, depth - 1);
+    match rng.below(8) {
+        0 => a & b,
+        1 => a >> b,
+        2 => a % b,
+        3 => a.equals(b),
+        4 => a.lt(b),
+        5 => a.le(b),
+        6 => a.and(b),
+        _ => a.or(b),
+    }
+}
+
+/// Random predicates drawn from the whole expression grammar answer alike
+/// in-process, over TCP, and as a naive filter over every stored tuple —
+/// range queries and aggregates both.
+#[test]
+fn random_predicates_answer_alike_in_process_over_tcp_and_naively() {
+    let (inproc, now) = loaded_system("expr-inproc", false);
+    let (tcp, _) = loaded_system("expr-tcp", true);
+    let full = Query::range(KeyInterval::full(), TimeInterval::full());
+    let all = inproc.query(&full).unwrap().tuples;
+    let mut rng = Rng::new(2_024);
+    let mut answered = 0;
+    for _ in 0..48 {
+        let predicate = random_expr(&mut rng, 4);
+        let times = TimeInterval::new(rng.below(now), now);
+        let q = Query::with_predicate(KeyInterval::full(), times, predicate.clone());
+        let keep = |t: &&Tuple| times.contains(t.ts) && predicate.accepts(t);
+        let want = normalized(all.iter().filter(keep).cloned().collect());
+        assert_eq!(
+            normalized(inproc.query(&q).unwrap().tuples),
+            want,
+            "{predicate:?}"
+        );
+        assert_eq!(
+            normalized(tcp.query(&q).unwrap().tuples),
+            want,
+            "{predicate:?}"
+        );
+        let mut fold = PartialAgg::empty();
+        for t in &want {
+            fold.insert(t.payload.len() as u64);
+        }
+        let aq = q.aggregate(AggregateKind::Sum);
+        assert_eq!(inproc.aggregate(&aq).unwrap().agg, fold, "{predicate:?}");
+        assert_eq!(tcp.aggregate(&aq).unwrap().agg, fold, "{predicate:?}");
+        answered += usize::from(!want.is_empty() && want.len() < all.len());
+    }
+    assert!(
+        answered >= 8,
+        "only {answered} predicates kept some but not all tuples"
+    );
+}
+
+/// Over TCP a predicate filters where the tuples are: a query keeping under
+/// 1 % of its rectangle moves at most twice its answer's bytes in response
+/// frames — the bytes of the coordinator's links to its executors, less the
+/// request frames it sent them — never the rectangle.
+#[test]
+fn a_selective_predicate_moves_its_answer_not_its_rectangle() {
+    let (tcp, _) = loaded_system("bytes", true);
+    let full = Query::range(KeyInterval::full(), TimeInterval::full());
+    let rectangle = tcp.query(&full).unwrap().tuples.len();
+    let q = Query::with_predicate(
+        KeyInterval::full(),
+        TimeInterval::full(),
+        (Expr::ts() % 128).equals(5),
+    );
+    let moved = || -> u64 {
+        let links = tcp.transport().stats().per_link();
+        links
+            .iter()
+            .filter(|((src, dst), _)| *src == COORDINATOR && *dst != META_SERVER)
+            .map(|(_, t)| t.bytes)
+            .sum()
+    };
+    let before = moved();
+    let answer = tcp.query(&q).unwrap().tuples;
+    let moved = moved() - before;
+    assert!(
+        !answer.is_empty() && answer.len() * 100 <= rectangle,
+        "{} of {rectangle}",
+        answer.len()
+    );
+
+    let frame = |payload| {
+        let env = Envelope {
+            src: COORDINATOR,
+            dst: COORDINATOR,
+            rpc_id: 0,
+            deadline: Instant::now(),
+            payload,
+        };
+        wire::encode_request(0, &env).len() as u64
+    };
+    let requests: u64 = tcp
+        .coordinator()
+        .decompose(&q, QueryId(0))
+        .unwrap()
+        .into_iter()
+        .map(|sq| match sq.target {
+            SubQueryTarget::InMemory(_) => frame(Request::InMemorySubquery { sq }),
+            SubQueryTarget::Chunk(chunk) => frame(Request::ChunkSubquery {
+                sq,
+                chunk,
+                leaf_filter: None,
+            }),
+        })
+        .sum();
+    let responses = moved - requests;
+    let answer_bytes: u64 = answer.iter().map(|t| t.encoded_len() as u64).sum();
+    assert!(
+        responses <= 2 * answer_bytes,
+        "{responses} response bytes for a {answer_bytes}-byte answer of {} tuples",
+        answer.len()
+    );
 }
