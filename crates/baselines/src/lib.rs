@@ -26,7 +26,7 @@
 //! well, behind `waterwheel-index`'s `TupleIndex`:
 //!
 //! * [`ConcurrentBTree`] — a traditional B+ tree with node splits and the
-//!   Bayer–Schkolnick latch-crabbing concurrency protocol (paper ref [4]).
+//!   Bayer–Schkolnick latch-crabbing concurrency protocol (paper ref \[4\]).
 //! * [`BulkLoadingBTree`] — accumulates tuples, sorts them, and builds the
 //!   index bottom-up; tuples are invisible to queries until the build
 //!   completes, which is exactly why the paper rejects bulk loading for

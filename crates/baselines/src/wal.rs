@@ -6,7 +6,7 @@
 //! against. Waterwheel pays its own counterpart in the durable ingest queue,
 //! which journals through `waterwheel_wal::Log` — so the baselines write
 //! through the same log rather than a second implementation. What is theirs
-//! alone stays here: a group commit every [`GROUP_COMMIT`] records, and the
+//! alone stays here: a group commit every `GROUP_COMMIT` records, and the
 //! modelled cost of making that commit durable *remotely*.
 
 use std::path::PathBuf;
@@ -57,7 +57,7 @@ impl WriteAheadLog {
         })
     }
 
-    /// Appends one tuple; every [`GROUP_COMMIT`]th append is a durability
+    /// Appends one tuple; every `GROUP_COMMIT`th append is a durability
     /// point. HBase acknowledges a batch only after the WAL is hflush'd
     /// through the HDFS replica pipeline, and Druid's realtime tasks fsync
     /// their journal — a real per-batch cost the paper's Figure 15

@@ -60,8 +60,7 @@ impl fmt::Display for AggregateKind {
 ///
 /// Shared so indexing servers folding tuples into wheels and query servers
 /// folding leaf scans use the *same* function — a requirement for exact
-/// answers. Must be registered before any data is ingested, like secondary
-/// attributes.
+/// answers. Must be registered before any data is ingested.
 pub type MeasureFn = Arc<dyn Fn(&Tuple) -> u64 + Send + Sync>;
 
 /// The default measure: the tuple's payload length in bytes. Cheap, always
@@ -75,8 +74,8 @@ pub fn default_measure() -> MeasureFn {
 /// compute over the matching tuples.
 #[derive(Clone, Debug)]
 pub struct AggregateQuery {
-    /// Range constraints and optional predicate, attribute and measure
-    /// filters; a filtered aggregate folds scans at its sources, since
+    /// Range constraints and optional predicate and measure filters; a
+    /// filtered aggregate folds scans at its sources, since
     /// wheel cells cannot see the filters.
     pub query: Query,
     /// Which aggregate to compute.

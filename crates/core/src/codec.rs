@@ -538,7 +538,6 @@ crate::wire_struct!(Query {
     keys: KeyInterval,
     times: TimeInterval,
     predicate: Option<Expr>,
-    attr_eq: Option<(u16, u64)>,
     measure_range: Option<(u64, u64)> => decode_measure_range,
 });
 
@@ -843,8 +842,7 @@ mod tests {
             KeyInterval::new(3, 9),
             TimeInterval::new(10, 20),
             (crate::Expr::payload(7, 1) & 0xF0).equals(0xF0),
-        )
-        .and_attr_eq(1, 42);
+        );
         let decode = |q: &Query| {
             let mut buf = Vec::new();
             q.encode(&mut buf);
@@ -852,10 +850,7 @@ mod tests {
         };
         let back = decode(&q.clone().and_measure_between(3, 9)).unwrap();
         assert_eq!(back.predicate, q.predicate);
-        assert_eq!(
-            (back.attr_eq, back.measure_range),
-            (Some((1, 42)), Some((3, 9)))
-        );
+        assert_eq!(back.measure_range, Some((3, 9)));
         let err = decode(&q.and_measure_between(9, 3)).unwrap_err();
         assert!(err.to_string().contains("inverted measure range"), "{err}");
     }

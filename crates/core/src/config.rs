@@ -156,7 +156,7 @@ settings! {
 
     /// Per-attempt deadline for every cross-server RPC. An attempt whose
     /// transit exceeds the remaining budget fails with
-    /// [`WwError::Timeout`](crate::WwError::Timeout).
+    /// [`WwError::Timeout`].
     rpc_timeout: Duration = Duration::from_secs(1),
 
     /// Extra attempts after a retryable RPC failure (timeout/unreachable);

@@ -1,7 +1,7 @@
 //! Counters, declared once.
 //!
 //! A component's statistics are a struct of `pub` [`AtomicU64`] fields that
-//! its hot path bumps with a bare `fetch_add`. [`counters!`] generates that
+//! its hot path bumps with a bare `fetch_add`. [`counters!`](crate::counters!) generates that
 //! struct from one list of documented field names, together with the
 //! [`Counters`] walk that reports every field by name — so adding a counter
 //! is adding one line, and nothing that is bumped can be left unreported.

@@ -14,6 +14,7 @@
 use crate::codec::{Decoder, Encoder, Wire};
 use crate::error::Result;
 use crate::tuple::Tuple;
+use std::cell::RefCell;
 
 crate::wire_enum! {
     /// One instruction: a leaf pushes a value; an operator pops its
@@ -37,7 +38,13 @@ crate::wire_enum! {
     }
 }
 
-/// A predicate or attribute over one tuple, as plain data (module docs).
+thread_local! {
+    /// The operand stack [`Expr::eval`] reuses on this thread. `eval` calls
+    /// no code that could evaluate again, so it is never borrowed twice.
+    static STACK: RefCell<Vec<Option<u64>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A predicate over one tuple, as plain data (module docs).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Expr {
     /// Postfix: never empty, never underflows, leaves exactly one value.
@@ -90,30 +97,34 @@ impl Expr {
         self.binary(rhs, Op::Or)
     }
 
-    /// The program's value on `t`.
+    /// The program's value on `t`. Evaluation runs on this thread's
+    /// operand stack, which keeps its capacity between calls: once it has
+    /// grown to a program's depth, evaluating allocates nothing.
     pub fn eval(&self, t: &Tuple) -> Option<u64> {
-        let mut stack: Vec<Option<u64>> = Vec::with_capacity(self.ops.len());
-        for &op in &self.ops {
-            // A checked program never underflows; were it to, `flatten`
-            // makes the missing operand `None` rather than a panic.
-            let v = match op {
-                Op::Key => Some(t.key),
-                Op::Ts => Some(t.ts),
-                Op::Payload { offset, width } => {
-                    let at = offset as usize;
-                    let bytes = t.payload.get(at..at + usize::from(width));
-                    bytes.map(|b| b.iter().rev().fold(0, |v, &x| v << 8 | u64::from(x)))
-                }
-                Op::Const(v) => Some(v),
-                Op::Not => stack.pop().flatten().map(|a| u64::from(a == 0)),
-                _ => {
-                    let (b, a) = (stack.pop().flatten(), stack.pop().flatten());
-                    a.zip(b).and_then(|(a, b)| apply(op, a, b))
-                }
-            };
-            stack.push(v);
-        }
-        stack.pop().flatten()
+        STACK.with_borrow_mut(|stack| {
+            stack.clear();
+            for &op in &self.ops {
+                // A checked program never underflows; were it to, `flatten`
+                // makes the missing operand `None` rather than a panic.
+                let v = match op {
+                    Op::Key => Some(t.key),
+                    Op::Ts => Some(t.ts),
+                    Op::Payload { offset, width } => {
+                        let at = offset as usize;
+                        let bytes = t.payload.get(at..at + usize::from(width));
+                        bytes.map(|b| b.iter().rev().fold(0, |v, &x| v << 8 | u64::from(x)))
+                    }
+                    Op::Const(v) => Some(v),
+                    Op::Not => stack.pop().flatten().map(|a| u64::from(a == 0)),
+                    _ => {
+                        let (b, a) = (stack.pop().flatten(), stack.pop().flatten());
+                        a.zip(b).and_then(|(a, b)| apply(op, a, b))
+                    }
+                };
+                stack.push(v);
+            }
+            stack.pop().flatten()
+        })
     }
 
     /// Whether `t` passes: the program yields a non-zero value.

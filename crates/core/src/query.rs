@@ -18,13 +18,6 @@ pub struct Query {
     pub times: TimeInterval,
     /// Optional user-defined predicate `f_q`; `None` accepts every tuple.
     pub predicate: Option<Expr>,
-    /// Optional *structured* equality constraint on a registered secondary
-    /// attribute: `(attribute id, value)`. Unlike a plain predicate, this
-    /// lets the system prune chunks/leaves through the secondary
-    /// bitmap/bloom indexes (paper §VIII future work). The coordinator
-    /// folds it into the predicate as `attribute == value`, so results are
-    /// identical to that predicate — just faster.
-    pub attr_eq: Option<(u16, u64)>,
     /// Optional *structured* inclusive range constraint `[lo, hi]` on the
     /// registered measure `m(tuple)`. It travels on every subquery: each
     /// executor filters by it under its own measure, and chunks and leaves
@@ -40,7 +33,6 @@ impl Query {
             keys,
             times,
             predicate: None,
-            attr_eq: None,
             measure_range: None,
         }
     }
@@ -51,14 +43,6 @@ impl Query {
             predicate: Some(predicate),
             ..Self::range(keys, times)
         }
-    }
-
-    /// Adds a secondary-attribute equality constraint (builder style). The
-    /// attribute must be registered with the system before any data is
-    /// ingested for pruning to apply; filtering is always exact.
-    pub fn and_attr_eq(mut self, attr: u16, value: u64) -> Self {
-        self.attr_eq = Some((attr, value));
-        self
     }
 
     /// Adds an inclusive range constraint on the registered measure
@@ -86,10 +70,6 @@ impl Query {
     }
 
     /// Whether the tuple matches the range constraints and predicate.
-    ///
-    /// The structured `attr_eq` constraint is *not* evaluated here — the
-    /// core crate has no access to registered attributes; the coordinator
-    /// folds it into the predicate before decomposition.
     pub fn matches(&self, tuple: &Tuple) -> bool {
         self.keys.contains(tuple.key)
             && self.times.contains(tuple.ts)
@@ -123,7 +103,7 @@ pub struct SubQuery {
     pub keys: KeyInterval,
     /// Time constraint after intersecting with the data region.
     pub times: TimeInterval,
-    /// The parent query's predicate, `attr_eq` folded in.
+    /// The parent query's predicate.
     pub predicate: Option<Expr>,
     /// Structured measure-range constraint inherited from the parent query:
     /// the executor filters by it under its measure, and prunes leaves and

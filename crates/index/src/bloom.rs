@@ -88,7 +88,7 @@ impl TimeBloom {
     ///
     /// `false` is definite (the leaf can be skipped); `true` may be a false
     /// positive. Empty filters always answer `false`; queries spanning more
-    /// than [`MAX_PROBES`] buckets conservatively answer `true`.
+    /// than `MAX_PROBES` buckets conservatively answer `true`.
     pub fn may_overlap(&self, times: &TimeInterval) -> bool {
         if self.entries == 0 {
             return false;

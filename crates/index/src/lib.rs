@@ -23,22 +23,18 @@
 
 #![warn(missing_docs)]
 
-pub mod bitmap;
 pub mod bloom;
 pub mod columnar;
 pub mod config;
 pub mod sealed;
-pub mod secondary;
 pub mod skew;
 pub mod stats;
 pub mod template;
 pub mod traits;
 
-pub use bitmap::Bitmap;
 pub use bloom::TimeBloom;
 pub use config::{BloomConfig, IndexConfig};
 pub use sealed::{SealedLeaf, SealedTree};
-pub use secondary::{AttrId, AttrProbe, ChunkAttrIndex, ValueBloom};
 pub use stats::{IndexStats, StatsSnapshot};
 pub use template::TemplateBTree;
 pub use traits::TupleIndex;

@@ -3,7 +3,7 @@
 //! It durably holds everything the system must not lose across failures:
 //!
 //! * the chunk registry — region, tuple count and size per chunk, with its
-//!   aggregate summary extent and secondary attribute indexes — plus an
+//!   aggregate summary extent — plus an
 //!   R-tree over chunk regions for query decomposition (§IV-A);
 //! * the versioned key-partitioning schema (§III-D), together with the
 //!   *actual* key interval per indexing server used to answer queries
@@ -16,8 +16,8 @@
 //!   they are not persisted.
 //!
 //! A flush registers in one call, [`MetadataService::register_flush`]: its
-//! chunks, their extents and attribute indexes and its offset are one
-//! [`MetaRecord`], and its memory region is set under the same lock, so no
+//! chunks, their extents and its offset are one
+//! `MetaRecord`, and its memory region is set under the same lock, so no
 //! reader sees part of a flush. Chunk ids come from
 //! [`MetadataService::allocate_chunk_ids`], a block per flush; an id whose
 //! flush never registers is a gap, and its file, if one was written, is
@@ -53,7 +53,6 @@ use waterwheel_core::codec::{self, Decoder, Encoder, Wire};
 use waterwheel_core::{
     ChunkId, CounterRegistry, Counters, KeyInterval, NodeId, Region, Result, ServerId, WwError,
 };
-use waterwheel_index::secondary::{AttrId, AttrProbe, ChunkAttrIndex};
 use waterwheel_wal::{sweep_tmp_of, write_atomic, FsyncPolicy, Log, WalStats};
 
 const SNAPSHOT_MAGIC: &[u8; 8] = b"WWMETA03";
@@ -116,15 +115,12 @@ pub struct FlushedChunk {
     pub info: ChunkInfo,
     /// The aggregate summary sealed into its footer, if any.
     pub summary: Option<SummaryExtent>,
-    /// One secondary index per registered attribute (§VIII).
-    pub attrs: Vec<(AttrId, ChunkAttrIndex)>,
 }
 
 waterwheel_core::wire_struct!(FlushedChunk {
     id: ChunkId,
     info: ChunkInfo,
     summary: Option<SummaryExtent>,
-    attrs: Vec<(AttrId, ChunkAttrIndex)>,
 });
 
 waterwheel_core::wire_enum! {
@@ -135,7 +131,8 @@ waterwheel_core::wire_enum! {
     /// over a snapshot that already holds its effects; that is what makes a
     /// crash anywhere in compaction harmless. Tags 1, 3 and 4 (one chunk,
     /// one attribute index, one summary extent) are retired, never reused:
-    /// a flush is one `Flush` record.
+    /// a flush is one `Flush` record. Tag 8 was that record while each
+    /// chunk carried attribute indexes; retired by tag 9, never reused.
     #[derive(Debug)]
     enum MetaRecord as "record" {
         /// The three monotone counters, max-merged.
@@ -161,9 +158,9 @@ waterwheel_core::wire_enum! {
             rec: MigrationRecord,
             epoch: u64,
         },
-        /// A flush: its chunks, each with its summary extent and attribute
-        /// indexes, and its producer's durable read offset (§V).
-        8 => Flush {
+        /// A flush: its chunks, each with its summary extent, and its
+        /// producer's durable read offset (§V).
+        9 => Flush {
             producer: ServerId,
             chunks: Vec<FlushedChunk>,
             durable_offset: u64,
@@ -184,8 +181,7 @@ impl MetaRecord {
 #[derive(Default)]
 struct MetaState {
     next_chunk: u64,
-    /// Every registered chunk with its summary extent (DESIGN.md §4b) and
-    /// attribute indexes (the bitmap + bloom structures of §VIII).
+    /// Every registered chunk with its summary extent (DESIGN.md §4b).
     chunks: BTreeMap<ChunkId, FlushedChunk>,
     chunk_rtree: RTree<ChunkId>,
     partition: Option<PartitionSchema>,
@@ -536,7 +532,7 @@ impl MetadataService {
     }
 
     /// Registers a flush in one step: its chunks, each with its summary
-    /// extent and attribute indexes, and the producer's durable read offset
+    /// extent, and the producer's durable read offset
     /// (paper §V: the offset is stored "when an indexing server flushes the
     /// in-memory B+ tree") are one record, and the producer's volatile
     /// memory region is set under the same lock. A reader sees all of a
@@ -652,22 +648,6 @@ impl MetadataService {
     /// the replay point for recovery.
     pub fn durable_offset(&self, server: ServerId) -> u64 {
         self.state.read().offsets.get(&server).copied().unwrap_or(0)
-    }
-
-    /// Probes a chunk's attribute index for an equality constraint.
-    /// Chunks with no registered index answer [`AttrProbe::Unknown`] —
-    /// pruning never risks correctness.
-    pub fn attr_probe(&self, chunk: ChunkId, attr: AttrId, value: u64) -> AttrProbe {
-        let state = self.state.read();
-        let chunk = state.chunks.get(&chunk);
-        let index = chunk.and_then(|c| c.attrs.iter().find(|(a, _)| *a == attr));
-        index.map_or(AttrProbe::Unknown, |(_, idx)| idx.probe(value))
-    }
-
-    /// Number of registered attribute indexes (diagnostics).
-    pub fn attr_index_count(&self) -> usize {
-        let state = self.state.read();
-        state.chunks.values().map(|c| c.attrs.len()).sum()
     }
 
     /// The summary extent of a chunk, when one was sealed into it.
@@ -838,7 +818,6 @@ impl MetadataService {
 impl Counters for MetadataService {
     fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
         f("chunks_registered", self.chunk_count() as u64);
-        f("attr_indexes", self.attr_index_count() as u64);
         f("membership_epoch", self.membership_epoch());
     }
 }
@@ -871,7 +850,6 @@ mod tests {
             id,
             info,
             summary: None,
-            attrs: Vec::new(),
         };
         meta.register_flush(info.producer, vec![chunk], offset, None)
     }
@@ -901,19 +879,16 @@ mod tests {
             slice_bits: 4,
             measure_range: step.is_multiple_of(2).then_some((step, k)),
         };
-        let index = ChunkAttrIndex::build(&[vec![step; 10], vec![step + 1; 10], vec![7]], 10);
         let mut chunks = vec![FlushedChunk {
             id: first,
             info: info(k, k + 9, 0, 50, producer),
             summary: Some(extent),
-            attrs: vec![((step % 2) as AttrId, index)],
         }];
         if n == 2 {
             chunks.push(FlushedChunk {
                 id: ChunkId(first.raw() + 1),
                 info: info(k, k + 9, 60, 90, producer),
                 summary: None,
-                attrs: Vec::new(),
             });
         }
         meta.register_flush(ServerId(producer), chunks, step, None)
@@ -955,13 +930,7 @@ mod tests {
         let chunks = meta.chunks_overlapping(&Region::full());
         let per_chunk: Vec<_> = chunks
             .iter()
-            .map(|&(id, _)| {
-                let probes: Vec<AttrProbe> = (0..2)
-                    .flat_map(|attr| [id.raw(), id.raw() + 1, 7, 999].map(move |v| (attr, v)))
-                    .map(|(attr, v)| meta.attr_probe(id, attr, v))
-                    .collect();
-                (meta.chunk_info(id), meta.summary_extent(id), probes)
-            })
+            .map(|&(id, _)| (meta.chunk_info(id), meta.summary_extent(id)))
             .collect();
         let offsets: Vec<u64> = (0..4).map(|s| meta.durable_offset(ServerId(s))).collect();
         (
@@ -1033,7 +1002,7 @@ mod tests {
         assert_eq!(meta.durable_offset(ServerId(1)), 555);
     }
 
-    /// A flush lands whole: chunks, extents, probes, offset and region in
+    /// A flush lands whole: chunks, extents, offset and region in
     /// one call. An identical repeat is answered `Ok` and changes nothing;
     /// a conflicting one is refused and changes nothing either.
     #[test]
@@ -1046,19 +1015,16 @@ mod tests {
             slice_bits: 4,
             measure_range: None,
         };
-        let index = ChunkAttrIndex::build(&[vec![5; 10], vec![6; 10]], 10);
         let chunks = vec![
             FlushedChunk {
                 id: ChunkId(0),
                 info: info(0, 9, 100, 200, 1),
                 summary: Some(extent),
-                attrs: vec![(2, index)],
             },
             FlushedChunk {
                 id: ChunkId(1),
                 info: info(0, 9, 10, 20, 1),
                 summary: None,
-                attrs: Vec::new(),
             },
         ];
         let flush = |chunks: Vec<FlushedChunk>, offset, r| {
@@ -1077,10 +1043,6 @@ mod tests {
         assert_eq!(landed.0, 2);
         assert_eq!(landed.1, 40);
         assert_eq!(meta.summary_extent(ChunkId(0)), Some(extent));
-        assert!(matches!(
-            meta.attr_probe(ChunkId(0), 2, 6),
-            AttrProbe::Leaves(_)
-        ));
         assert_eq!(meta.allocate_chunk_ids(1).unwrap(), ChunkId(2));
         flush(chunks.clone(), 40, region(0, 9, 200, 210)).unwrap();
         assert_eq!(all(), landed, "an identical repeat changes nothing");
@@ -1178,7 +1140,6 @@ mod tests {
                 id,
                 info: info(0, 100, 0, 50, 1),
                 summary,
-                attrs: Vec::new(),
             };
             let chunks = vec![chunk(a, Some(extent)), chunk(ChunkId(1), None)];
             meta.register_flush(ServerId(1), chunks, 42, None).unwrap();
@@ -1514,10 +1475,7 @@ mod tests {
         ];
         assert_eq!(
             got,
-            [
-                (1_854, 0x5abb_a30d_ea5d_8be0),
-                (1_310, 0x9bee_fc52_8852_c930)
-            ]
+            [(1_470, 0xf811_344a_82b0_3107), (926, 0x59ea_e183_09e3_8198)]
         );
         drop(meta);
         let _ = fs::remove_dir_all(dir);
@@ -1578,10 +1536,6 @@ mod tests {
                             slice_bits: (d >> 8) as u8,
                             measure_range: a.is_multiple_of(2).then_some((lo, hi)),
                         }),
-                        attrs: vec![(
-                            b as AttrId,
-                            ChunkAttrIndex::build(&[vec![c; 9], vec![d; 12], vec![a, b, c]], 10),
-                        )],
                     },
                     FlushedChunk {
                         id: ChunkId(d ^ 1),
@@ -1592,7 +1546,6 @@ mod tests {
                             producer: other,
                         },
                         summary: None,
-                        attrs: Vec::new(),
                     },
                 ],
                 durable_offset: a,
@@ -1712,15 +1665,31 @@ mod tests {
         let seg = log_segments(path.parent().unwrap()).remove(0);
         let log = fs::read(&seg).unwrap();
 
-        // A log frame of a retired record kind — here one chunk's
-        // registration as the old layout wrote it — is refused by its tag.
-        for tag in [1u8, 3, 4] {
-            {
-                let meta = open(&path).unwrap();
+        // A log frame of a retired record kind is refused by its tag: one
+        // chunk's registration as the layout before flush records wrote it
+        // (tags 1, 3, 4), and a flush as it was written while each chunk
+        // carried a list of attribute indexes (tag 8, here an empty list).
+        let mut frames: Vec<(u8, Vec<u8>)> = [1u8, 3, 4]
+            .map(|tag| {
                 let mut frame = vec![tag];
                 ChunkId(1).encode(&mut frame);
                 info(0, 100, 0, 50, 1).encode(&mut frame);
                 7u64.encode(&mut frame);
+                (tag, frame)
+            })
+            .into();
+        let mut old_flush = vec![8u8];
+        ServerId(1).encode(&mut old_flush);
+        1u32.encode(&mut old_flush);
+        ChunkId(1).encode(&mut old_flush);
+        info(0, 100, 0, 50, 1).encode(&mut old_flush);
+        None::<SummaryExtent>.encode(&mut old_flush);
+        0u32.encode(&mut old_flush);
+        7u64.encode(&mut old_flush);
+        frames.push((8, old_flush));
+        for (tag, frame) in frames {
+            {
+                let meta = open(&path).unwrap();
                 let log = &meta.durable.as_ref().unwrap().log;
                 log.append(&frame).unwrap();
                 log.commit().unwrap();

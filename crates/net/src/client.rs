@@ -4,10 +4,10 @@
 //! `call` — or `start`, whose [`PendingCall`] is waited for later — stamps
 //! a fresh per-attempt deadline from [`SystemConfig::rpc_timeout`], and
 //! retries **only** delivery failures
-//! ([`WwError::is_retryable`]: timeout/unreachable/overloaded) up to
+//! ([`WwError::is_retryable`](waterwheel_core::WwError::is_retryable): timeout/unreachable/overloaded) up to
 //! [`SystemConfig::rpc_retries`] extra attempts. A lost or late attempt is
 //! retried at once; when the destination shed the request with
-//! [`WwError::Overloaded`], the client first sleeps the server's retry-after
+//! [`WwError::Overloaded`](waterwheel_core::WwError::Overloaded), the client first sleeps the server's retry-after
 //! hint — its own estimate of when capacity returns — times a *jitter* (a
 //! uniform factor in `[0.5, 1.5)`) that decorrelates the retry storms of
 //! many clients shed at the same instant. Errors produced by the
@@ -26,7 +26,7 @@
 //! side effects already happened — at-least-once delivery. Handlers with
 //! side effects must therefore be idempotent; the ingest-batch handler
 //! dedups on the batch sequence number carried in
-//! [`Request::IngestBatch`](crate::Request::IngestBatch) for exactly this
+//! [`Request::IngestBatch`] for exactly this
 //! reason.
 
 use crate::envelope::{Envelope, Request, Response};

@@ -26,8 +26,6 @@ use waterwheel_core::{
     ChunkId, KeyInterval, NodeId, Query, QueryResult, Region, Result, ServerId, StatRow, SubQuery,
     Tuple, WwError,
 };
-use waterwheel_index::secondary::{AttrId, AttrProbe};
-use waterwheel_index::Bitmap;
 use waterwheel_meta::{FlushedChunk, MemberRole, MembershipView, PartitionSchema, SummaryExtent};
 
 /// The well-known address of the metadata server (the ZooKeeper-backed
@@ -85,17 +83,8 @@ waterwheel_core::wire_enum! {
         },
         // Tag 4 was `AggregateInMemory` (a live-wheel fold over a slice ×
         // second rectangle); retired by `InMemoryAggregate`, never reused.
-        /// Execute a subquery against one flushed chunk (coordinator → query
-        /// server, §IV-B), optionally restricted to the leaves a secondary
-        /// attribute index qualified (§VIII).
-        5, (RequestClass::Query, "chunk_subquery") => ChunkSubquery {
-            /// The chunk subquery.
-            sq: SubQuery,
-            /// The chunk to read.
-            chunk: ChunkId,
-            /// Qualifying leaves from a secondary index probe, if any.
-            leaf_filter: Option<Bitmap>,
-        },
+        // Tag 5 was `ChunkSubquery` with a secondary-index leaf filter;
+        // retired by tag 20, never reused.
         // Tag 6 was `ReadSummary` (a chunk's summary, shipped to the
         // coordinator); retired by `ChunkAggregate`, never reused.
         /// Liveness probe; answered with [`Response::Pong`] by healthy servers
@@ -158,19 +147,30 @@ waterwheel_core::wire_enum! {
             /// The chunk to answer for.
             chunk: ChunkId,
         },
-        /// A whole range query — rectangle, predicate, `attr_eq`, measure
-        /// range — from an external client, addressed to the gateway's
-        /// [`COORDINATOR`] address (in a node process or an embedded system
-        /// alike). It runs exactly as an embedded `query()` call. Answered
-        /// with [`Response::Query`].
-        18, (RequestClass::Query, "client_query") => ClientQuery {
+        // Tags 18 and 19 were `ClientQuery` / `ClientAggregate` over a
+        // `Query` that carried a secondary-attribute equality; retired by
+        // tags 21 and 22, never reused.
+        /// Execute a subquery against one flushed chunk (coordinator → query
+        /// server, §IV-B).
+        20, (RequestClass::Query, "chunk_subquery") => ChunkSubquery {
+            /// The chunk subquery.
+            sq: SubQuery,
+            /// The chunk to read.
+            chunk: ChunkId,
+        },
+        /// A whole range query — rectangle, predicate, measure range — from
+        /// an external client, addressed to the gateway's [`COORDINATOR`]
+        /// address (in a node process or an embedded system alike). It runs
+        /// exactly as an embedded `query()` call. Answered with
+        /// [`Response::Query`].
+        21, (RequestClass::Query, "client_query") => ClientQuery {
             /// The query.
             query: Query,
         },
         /// A whole aggregate query from an external client, addressed to the
         /// gateway's [`COORDINATOR`] address. Answered with
         /// [`Response::Aggregate`].
-        19, (RequestClass::Query, "client_aggregate") => ClientAggregate {
+        22, (RequestClass::Query, "client_aggregate") => ClientAggregate {
             /// The aggregate query.
             query: AggregateQuery,
         },
@@ -210,7 +210,9 @@ waterwheel_core::wire_enum! {
     /// Calls against the metadata server (§II-B) made by other servers.
     /// Tags 1–4 (one id, one chunk, one summary extent, one attribute index
     /// per call) are retired, never reused: a flush is one
-    /// [`MetaRequest::RegisterFlush`].
+    /// [`MetaRequest::RegisterFlush`]. Tag 7 (a chunk's secondary
+    /// attribute index asked for a value) and tag 19 (`RegisterFlush` while
+    /// each chunk carried attribute indexes) are retired too.
     #[derive(Clone, Debug)]
     pub enum MetaRequest as "meta request" {
         /// Report an indexing server's current in-memory region (already
@@ -230,15 +232,6 @@ waterwheel_core::wire_enum! {
         6 => MemoryRegionsOverlapping {
             /// The query rectangle.
             region: Region,
-        },
-        /// Probe a chunk's secondary index for an attribute value.
-        7 => AttrProbe {
-            /// The chunk.
-            chunk: ChunkId,
-            /// The attribute.
-            attr: AttrId,
-            /// The probed value.
-            value: u64,
         },
         /// The summary extent registered for a chunk, if any.
         8 => SummaryExtent {
@@ -317,9 +310,9 @@ waterwheel_core::wire_enum! {
             n: u64,
         },
         /// Register a flush in one atomic step (§V): its chunks with their
-        /// summary extents and attribute indexes, the producer's durable
-        /// queue offset, and its memory region after the flush.
-        19 => RegisterFlush {
+        /// summary extents, the producer's durable queue offset, and its
+        /// memory region after the flush.
+        20 => RegisterFlush {
             /// The flushing indexing server.
             producer: ServerId,
             /// Every chunk the flush wrote.
@@ -399,7 +392,8 @@ impl From<AggShare> for Response {
 }
 
 waterwheel_core::wire_enum! {
-    /// Answers from the metadata server.
+    /// Answers from the metadata server. Tag 4 (`Probe`, the verdict of
+    /// the retired tag-7 request) is retired, never reused.
     #[derive(Clone, Debug)]
     pub enum MetaResponse as "meta response" {
         /// The mutation was applied.
@@ -410,8 +404,6 @@ waterwheel_core::wire_enum! {
         2 => Chunks(Vec<(ChunkId, Region)>),
         /// Overlapping in-memory regions with their owning servers.
         3 => Regions(Vec<(ServerId, Region)>),
-        /// A secondary-index probe verdict.
-        4 => Probe(AttrProbe),
         /// A chunk's summary extent, if registered.
         5 => Extent(Option<SummaryExtent>),
         /// The published partition schema, if any.

@@ -9,10 +9,10 @@
 //! thereby shares the plane's deadlines, retries, fault injection, and
 //! per-link stats with every other hop.
 //!
-//! A flush costs two metadata calls, whatever its number of chunks and
-//! attributes: `allocate_chunk_ids` for its block of ids, then one
-//! `register_flush` carrying the chunks, their summary extents and
-//! attribute indexes, the durable offset and the memory region.
+//! A flush costs two metadata calls, whatever its number of chunks:
+//! `allocate_chunk_ids` for its block of ids, then one `register_flush`
+//! carrying the chunks, their summary extents, the durable offset and the
+//! memory region.
 //!
 //! Safe to retry: every metadata mutation is idempotent or
 //! conflict-checked by the service:
@@ -31,7 +31,6 @@ use crate::envelope::{MetaRequest, MetaResponse, Request, Response, META_SERVER}
 use crate::transport::HandlerRegistry;
 use std::time::Duration;
 use waterwheel_core::{ChunkId, KeyInterval, NodeId, Region, Result, ServerId, WwError};
-use waterwheel_index::secondary::{AttrId, AttrProbe};
 use waterwheel_meta::{
     FlushedChunk, MemberRole, MembershipView, MetadataService, PartitionSchema, SummaryExtent,
 };
@@ -162,10 +161,6 @@ meta_verbs! { |meta|
     fn memory_regions_overlapping(region: &Region) -> Vec<(ServerId, Region)>
         = MemoryRegionsOverlapping { region: *region }
         => Regions(meta.memory_regions_overlapping(&region));
-    /// See [`MetadataService::attr_probe`].
-    fn attr_probe(chunk: ChunkId, attr: AttrId, value: u64) -> AttrProbe
-        = AttrProbe { chunk, attr, value }
-        => Probe(meta.attr_probe(chunk, attr, value));
     /// See [`MetadataService::summary_extent`].
     fn summary_extent(chunk: ChunkId) -> Option<SummaryExtent>
         = SummaryExtent { chunk }
@@ -215,7 +210,6 @@ mod tests {
     use crate::transport::{FaultPlane, InProcTransport, LinkProfile, Transport};
     use std::sync::Arc;
     use waterwheel_core::SystemConfig;
-    use waterwheel_index::secondary::ChunkAttrIndex;
     use waterwheel_meta::ChunkInfo;
 
     fn rig() -> (Arc<FaultPlane>, MetaClient, MetadataService) {
@@ -248,7 +242,6 @@ mod tests {
                 producer: ServerId(0),
             },
             summary,
-            attrs: Vec::new(),
         }
     }
 
@@ -288,12 +281,6 @@ mod tests {
 
         assert!(client.summary_extent(a).unwrap().is_none());
         assert_eq!(client.summary_extent(b).unwrap(), Some(EXTENT));
-
-        // Probing a chunk with no attr index is Unknown, never Absent.
-        assert!(matches!(
-            client.attr_probe(a, 1, 42).unwrap(),
-            AttrProbe::Unknown
-        ));
     }
 
     #[test]
@@ -312,11 +299,8 @@ mod tests {
     #[test]
     fn a_flush_whose_acks_are_lost_registers_exactly_once() {
         let (t, client, meta) = rig();
-        let index = |v| ChunkAttrIndex::build(&[vec![v; 10], vec![v + 1; 10]], 10);
-        let mut main = chunk(ChunkId(0), 0, Some(EXTENT));
-        main.attrs = vec![(1, index(5)), (2, index(9))];
-        let mut side = chunk(ChunkId(1), 300, Some(EXTENT));
-        side.attrs = vec![(1, index(6)), (2, index(10))];
+        let main = chunk(ChunkId(0), 0, Some(EXTENT));
+        let side = chunk(ChunkId(1), 300, Some(EXTENT));
         let flush =
             || client.register_flush(ServerId(0), vec![main.clone(), side.clone()], 77, None);
         // Every response is lost: the handler runs on each of the 31
@@ -332,7 +316,6 @@ mod tests {
         flush().unwrap();
         assert_eq!(meta.chunk_count(), 2);
         assert_eq!(meta.summary_count(), 2);
-        assert_eq!(meta.attr_index_count(), 4);
         assert_eq!(meta.durable_offset(ServerId(0)), 77);
         assert_eq!(meta.chunk_info(ChunkId(1)), Some(side.info));
     }

@@ -1,5 +1,5 @@
 //! The TCP transport: the same [`Transport`] seam over real sockets,
-//! driven by the event-loop [`Reactor`](crate::reactor::Reactor).
+//! driven by the event-loop [`Reactor`].
 //!
 //! [`TcpTransport`] is the client side — a per-destination-address
 //! connection pool where **one connection carries many concurrent
@@ -1126,7 +1126,6 @@ mod tests {
                 Request::ChunkSubquery {
                     sq,
                     chunk: ChunkId(0),
-                    leaf_filter: None,
                 },
             ))
             .unwrap();

@@ -13,7 +13,7 @@
 //!   [`TcpTransport`](crate::TcpTransport) is the same seam over real
 //!   sockets. Both dispatch one shared [`HandlerRegistry`], so the servers
 //!   bound behind them are identical, and both charge **real encoded frame
-//!   lengths** from [`wire`](crate::wire) to per-link [`RpcStats`] — the
+//!   lengths** from [`wire`] to per-link [`RpcStats`] — the
 //!   stats of an embedded run and a networked run describe the same
 //!   traffic.
 //! * [`FaultPlane`] wraps either one and scripts a real network's faults

@@ -250,7 +250,6 @@ mod tests {
         ChunkId, Expr, KeyInterval, QueryId, QueryResult, Region, StatRow, SubQuery, SubQueryId,
         SubQueryTarget, TimeInterval, Tuple,
     };
-    use waterwheel_index::secondary::AttrProbe;
     use waterwheel_meta::{
         ChunkInfo, FlushedChunk, MemberRole, MembershipView, PartitionSchema, SummaryExtent,
     };
@@ -342,10 +341,9 @@ mod tests {
         let decoded = roundtrip_request(Request::ChunkSubquery {
             sq,
             chunk: ChunkId(5),
-            leaf_filter: None,
         });
         match decoded.payload {
-            Request::ChunkSubquery { sq, chunk, .. } => {
+            Request::ChunkSubquery { sq, chunk } => {
                 assert_eq!(chunk, ChunkId(5));
                 assert_eq!(sq.keys, KeyInterval::new(10, 20));
                 assert_eq!(sq.times, TimeInterval::new(30, 40));
@@ -387,18 +385,12 @@ mod tests {
                         slice_bits: 4,
                         measure_range: Some((12, 8_000)),
                     }),
-                    attrs: Vec::new(),
                 }],
                 durable_offset: 77,
                 region: None,
             },
             MetaRequest::ChunksOverlapping { region },
             MetaRequest::MemoryRegionsOverlapping { region },
-            MetaRequest::AttrProbe {
-                chunk: ChunkId(4),
-                attr: 3,
-                value: 42,
-            },
             MetaRequest::SummaryExtent { chunk: ChunkId(4) },
             MetaRequest::Partition,
             MetaRequest::DurableOffset {
@@ -490,8 +482,6 @@ mod tests {
             Response::Meta(MetaResponse::Allocated(ChunkId(6))),
             Response::Meta(MetaResponse::Chunks(vec![(ChunkId(2), region)])),
             Response::Meta(MetaResponse::Regions(vec![(ServerId(1), region)])),
-            Response::Meta(MetaResponse::Probe(AttrProbe::Unknown)),
-            Response::Meta(MetaResponse::Probe(AttrProbe::Absent)),
             Response::Meta(MetaResponse::Extent(Some(SummaryExtent {
                 cells: 1,
                 bytes: 40,

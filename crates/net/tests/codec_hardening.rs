@@ -12,8 +12,6 @@ use waterwheel_core::{
     ChunkId, Expr, KeyInterval, NodeId, Query, QueryId, QueryResult, Region, ServerId, StatRow,
     SubQuery, SubQueryId, SubQueryTarget, TimeInterval, Tuple,
 };
-use waterwheel_index::secondary::{AttrProbe, ChunkAttrIndex};
-use waterwheel_index::Bitmap;
 use waterwheel_meta::{
     ChunkInfo, FlushedChunk, MemberRole, MembershipView, PartitionSchema, SummaryExtent,
 };
@@ -59,14 +57,6 @@ impl Gen {
     fn tuples(&mut self) -> Vec<Tuple> {
         let n = self.below(8) as usize;
         (0..n).map(|_| self.tuple()).collect()
-    }
-
-    fn bitmap(&mut self) -> Bitmap {
-        let mut b = Bitmap::new();
-        for _ in 0..self.below(20) {
-            b.insert(self.below(512) as u32);
-        }
-        b
     }
 
     fn partial_agg(&mut self) -> PartialAgg {
@@ -139,7 +129,6 @@ impl Gen {
             keys: self.interval_keys(),
             times: self.interval_times(),
             predicate: self.predicate(),
-            attr_eq: (self.below(2) == 0).then(|| (self.next() as u16, self.next())),
             measure_range: self.measure_range(),
         }
     }
@@ -164,17 +153,6 @@ impl Gen {
         }
     }
 
-    fn attr_index(&mut self) -> ChunkAttrIndex {
-        let leaves = self.below(8) as usize;
-        let mut leaf_values = Vec::with_capacity(leaves);
-        for _ in 0..leaves {
-            let n = self.below(6) as usize;
-            let vals: Vec<u64> = (0..n).map(|_| self.below(100)).collect();
-            leaf_values.push(vals);
-        }
-        ChunkAttrIndex::build(&leaf_values, 8)
-    }
-
     fn flushed_chunk(&mut self) -> FlushedChunk {
         FlushedChunk {
             id: ChunkId(self.next()),
@@ -189,14 +167,11 @@ impl Gen {
             } else {
                 Some(self.summary_extent())
             },
-            attrs: (0..self.below(3))
-                .map(|_| (self.next() as u16, self.attr_index()))
-                .collect(),
         }
     }
 
     fn meta_request(&mut self) -> MetaRequest {
-        match self.below(16) {
+        match self.below(15) {
             0 => MetaRequest::UpdateMemoryRegion {
                 server: ServerId(self.next() as u32),
                 region: if self.below(2) == 0 {
@@ -222,41 +197,36 @@ impl Gen {
             4 => MetaRequest::MemoryRegionsOverlapping {
                 region: self.region(),
             },
-            5 => MetaRequest::AttrProbe {
-                chunk: ChunkId(self.next()),
-                attr: self.next() as u16,
-                value: self.next(),
-            },
-            6 => MetaRequest::SummaryExtent {
+            5 => MetaRequest::SummaryExtent {
                 chunk: ChunkId(self.next()),
             },
-            7 => MetaRequest::BeginMigration {
+            6 => MetaRequest::BeginMigration {
                 keys: self.interval_keys(),
                 from: ServerId(self.next() as u32),
                 to: ServerId(self.next() as u32),
             },
-            8 => MetaRequest::CompleteMigration { id: self.next() },
-            9 => {
+            7 => MetaRequest::CompleteMigration { id: self.next() },
+            8 => {
                 let servers: Vec<ServerId> = (0..=self.below(6) as u32).map(ServerId).collect();
                 MetaRequest::SetPartition {
                     schema: PartitionSchema::uniform(&servers),
                 }
             }
-            10 => MetaRequest::Partition,
-            11 => MetaRequest::DurableOffset {
+            9 => MetaRequest::Partition,
+            10 => MetaRequest::DurableOffset {
                 server: ServerId(self.next() as u32),
             },
-            12 => MetaRequest::Join {
+            11 => MetaRequest::Join {
                 server: ServerId(self.next() as u32),
                 role: self.member_role(),
                 node: NodeId(self.next() as u32),
                 ttl_ms: self.next(),
             },
-            13 => MetaRequest::Heartbeat {
+            12 => MetaRequest::Heartbeat {
                 server: ServerId(self.next() as u32),
                 ttl_ms: self.next(),
             },
-            14 => MetaRequest::Leave {
+            13 => MetaRequest::Leave {
                 server: ServerId(self.next() as u32),
             },
             _ => MetaRequest::Membership,
@@ -282,7 +252,7 @@ impl Gen {
 
     fn request(&mut self) -> Request {
         // Arm numbers are the wire tags, drawn from the declared ones; 0, 4,
-        // 6, 9 and 10 are retired (see `retired_request_tag_zero_is_a_typed_error`).
+        // 5, 6, 9, 10, 18 and 19 are retired (see the `retired_*` tests).
         match Request::TAGS[self.below(Request::TAGS.len() as u64) as usize] {
             1 => Request::IngestBatch {
                 seq: self.next(),
@@ -291,15 +261,6 @@ impl Gen {
             2 => Request::Flush,
             3 => Request::InMemorySubquery {
                 sq: self.subquery(),
-            },
-            5 => Request::ChunkSubquery {
-                sq: self.subquery(),
-                chunk: ChunkId(self.next()),
-                leaf_filter: if self.below(2) == 0 {
-                    None
-                } else {
-                    Some(self.bitmap())
-                },
             },
             7 => Request::Ping,
             8 => Request::Meta(self.meta_request()),
@@ -326,7 +287,11 @@ impl Gen {
                 sq: self.subquery(),
                 chunk: ChunkId(self.next()),
             },
-            18 => Request::ClientQuery {
+            20 => Request::ChunkSubquery {
+                sq: self.subquery(),
+                chunk: ChunkId(self.next()),
+            },
+            21 => Request::ClientQuery {
                 query: self.query(),
             },
             _ => Request::ClientAggregate {
@@ -349,7 +314,7 @@ impl Gen {
     }
 
     fn meta_response(&mut self) -> MetaResponse {
-        match self.below(11) {
+        match self.below(10) {
             0 => MetaResponse::Ack,
             1 => MetaResponse::Allocated(ChunkId(self.next())),
             2 => MetaResponse::Chunks(
@@ -362,17 +327,12 @@ impl Gen {
                     .map(|_| (ServerId(self.next() as u32), self.region()))
                     .collect(),
             ),
-            4 => MetaResponse::Probe(match self.below(3) {
-                0 => AttrProbe::Absent,
-                1 => AttrProbe::Leaves(self.bitmap()),
-                _ => AttrProbe::Unknown,
-            }),
-            5 => MetaResponse::Extent(if self.below(2) == 0 {
+            4 => MetaResponse::Extent(if self.below(2) == 0 {
                 None
             } else {
                 Some(self.summary_extent())
             }),
-            6 => MetaResponse::Partition(if self.below(2) == 0 {
+            5 => MetaResponse::Partition(if self.below(2) == 0 {
                 None
             } else {
                 let n = 1 + self.below(8);
@@ -380,9 +340,9 @@ impl Gen {
                     &(0..n).map(|i| ServerId(i as u32)).collect::<Vec<_>>(),
                 ))
             }),
-            7 => MetaResponse::Offset(self.next()),
-            8 => MetaResponse::Epoch(self.next()),
-            9 => MetaResponse::Migration(self.next()),
+            6 => MetaResponse::Offset(self.next()),
+            7 => MetaResponse::Epoch(self.next()),
+            8 => MetaResponse::Migration(self.next()),
             _ => MetaResponse::Membership(self.membership_view()),
         }
     }
@@ -743,10 +703,6 @@ fn pinned_frames() -> [(&'static str, Vec<Vec<u8>>); 5] {
         measure_range: Some((5, 500)),
         target: SubQueryTarget::InMemory(ServerId(3)),
     };
-    let mut bitmap = Bitmap::new();
-    for leaf in [0, 3, 9, 70_000] {
-        bitmap.insert(leaf);
-    }
     let mut agg = PartialAgg::default();
     for v in [4, 9, 1_000] {
         agg.insert(v);
@@ -771,11 +727,6 @@ fn pinned_frames() -> [(&'static str, Vec<Vec<u8>>); 5] {
         },
         MetaRequest::ChunksOverlapping { region },
         MetaRequest::MemoryRegionsOverlapping { region },
-        MetaRequest::AttrProbe {
-            chunk: ChunkId(4),
-            attr: 3,
-            value: 42,
-        },
         MetaRequest::SummaryExtent { chunk: ChunkId(4) },
         MetaRequest::Partition,
         MetaRequest::DurableOffset {
@@ -812,16 +763,6 @@ fn pinned_frames() -> [(&'static str, Vec<Vec<u8>>); 5] {
         },
         Request::Flush,
         Request::InMemorySubquery { sq: sq.clone() },
-        Request::ChunkSubquery {
-            sq: SubQuery {
-                predicate: None,
-                measure_range: None,
-                target: SubQueryTarget::Chunk(ChunkId(6)),
-                ..sq
-            },
-            chunk: ChunkId(6),
-            leaf_filter: Some(bitmap.clone()),
-        },
         Request::Ping,
         Request::Meta(MetaRequest::Partition),
         Request::Shutdown,
@@ -842,7 +783,6 @@ fn pinned_frames() -> [(&'static str, Vec<Vec<u8>>); 5] {
         MetaResponse::Allocated(ChunkId(6)),
         MetaResponse::Chunks(vec![(ChunkId(2), region), (ChunkId(3), Region::full())]),
         MetaResponse::Regions(vec![(ServerId(1), region)]),
-        MetaResponse::Probe(AttrProbe::Leaves(bitmap.clone())),
         MetaResponse::Extent(Some(extent)),
         MetaResponse::Partition(Some(schema)),
         MetaResponse::Offset(123_456),
@@ -967,22 +907,21 @@ fn wire_frames_are_pinned() {
     assert_eq!(
         got,
         [
-            ("requests", 11, 772, 0x8f85_bf13_667d_8d1d),
-            ("meta requests", 14, 828, 0xbca9_7676_ca7a_43e2),
+            ("requests", 10, 633, 0xa28f_e962_9477_b4ef),
+            ("meta requests", 13, 770, 0x3452_3e63_6140_7926),
             ("responses", 10, 543, 0x66df_193b_5064_bd2c),
-            ("meta responses", 11, 518, 0x3b38_c70d_4136_35f5),
+            ("meta responses", 10, 465, 0xcad5_5149_2b55_f79b),
             ("errors", 10, 293, 0x3baa_e0aa_e892_b1a9),
         ]
     );
 }
 
 /// The two verbs a flush sends, pinned on a line of their own: the id
-/// block, then one registration carrying a main chunk (summary, two
-/// attribute indexes) and a bare side chunk.
+/// block, then one registration carrying a main chunk with a summary and a
+/// bare side chunk.
 #[test]
 fn flush_registration_frames_are_pinned() {
     let region = Region::new(KeyInterval::new(3, 900), TimeInterval::new(40, 7_000));
-    let index = |v| ChunkAttrIndex::build(&[vec![v; 9], vec![v, 9, 9, 9, 9, 9], vec![100]], 10);
     let info = ChunkInfo {
         region,
         count: 10,
@@ -1004,7 +943,6 @@ fn flush_registration_frames_are_pinned() {
                         slice_bits: 4,
                         measure_range: Some((12, 8_000)),
                     }),
-                    attrs: vec![(3, index(7)), (5, index(8))],
                 },
                 FlushedChunk {
                     id: ChunkId(5),
@@ -1014,7 +952,6 @@ fn flush_registration_frames_are_pinned() {
                         ..info
                     },
                     summary: None,
-                    attrs: Vec::new(),
                 },
             ],
             durable_offset: 77,
@@ -1041,7 +978,7 @@ fn flush_registration_frames_are_pinned() {
         bytes.len(),
         waterwheel_core::codec::fnv1a(&bytes),
     );
-    assert_eq!(got, (2, 434, 0x0da4_f03c_2744_4881));
+    assert_eq!(got, (2, 294, 0x47dc_6146_7cde_c6b0));
 }
 
 /// The aggregate subquery verbs and their one answer, pinned on a line of
@@ -1107,8 +1044,8 @@ fn aggregate_subquery_frames_are_pinned() {
 
 /// The client verbs that carry a whole query, and a subquery with a
 /// predicate, pinned on a line of their own: a range query with a
-/// predicate, `attr_eq` and measure range; an aggregate over a predicate;
-/// a chunk subquery whose predicate reads the payload.
+/// predicate and measure range; an aggregate over a predicate; a chunk
+/// subquery whose predicate reads the payload.
 #[test]
 fn client_query_and_predicate_frames_are_pinned() {
     let (keys, times) = (KeyInterval::new(0, 99), TimeInterval::new(5, 6));
@@ -1127,7 +1064,6 @@ fn client_query_and_predicate_frames_are_pinned() {
     let requests = [
         Request::ClientQuery {
             query: Query::with_predicate(keys, times, (Expr::key() % 2).equals(0))
-                .and_attr_eq(1, 42)
                 .and_measure_between(3, 9),
         },
         Request::ClientAggregate {
@@ -1137,7 +1073,6 @@ fn client_query_and_predicate_frames_are_pinned() {
         Request::ChunkSubquery {
             sq,
             chunk: ChunkId(6),
-            leaf_filter: None,
         },
     ];
     let frames: Vec<Vec<u8>> = requests
@@ -1160,7 +1095,7 @@ fn client_query_and_predicate_frames_are_pinned() {
         bytes.len(),
         waterwheel_core::codec::fnv1a(&bytes),
     );
-    assert_eq!(got, (3, 372, 0x94ad_52c6_703d_94f5));
+    assert_eq!(got, (3, 359, 0x3c83_ceac_c566_1411));
 }
 
 /// The retired client verbs — request tags 9 (`ClientQuery` over a bare
@@ -1224,5 +1159,61 @@ fn retired_aggregate_tags_are_typed_errors() {
                 .contains(&format!("unknown {what} tag {tag}")),
             "{err}"
         );
+    }
+}
+
+/// The verbs whose layouts carried the secondary attribute index are
+/// retired, and each tag is a typed decode error, never some other verb,
+/// whatever bytes follow it: request tags 5 (`ChunkSubquery` with a leaf
+/// filter), 18 and 19 (`ClientQuery` / `ClientAggregate` over a query with
+/// an attribute equality), meta request tags 7 (`AttrProbe`) and 19
+/// (`RegisterFlush` with attribute indexes), meta response tag 4 (`Probe`).
+#[test]
+fn retired_attribute_tags_are_typed_errors() {
+    use waterwheel_core::WwError;
+    let body = |frame: Vec<u8>| wire::read_frame(&mut &frame[..]).unwrap().unwrap();
+    let request = |payload| {
+        let env = Envelope {
+            src: ServerId(2_000),
+            dst: waterwheel_net::COORDINATOR,
+            rpc_id: 1,
+            deadline: Instant::now() + Duration::from_secs(1),
+            payload,
+        };
+        body(wire::encode_request(1, &env))
+    };
+    // Ping, Partition and Ack are bare tags: each body ends in its tag.
+    let ping = request(Request::Ping);
+    let partition = request(Request::Meta(MetaRequest::Partition));
+    let ack = body(wire::encode_response_ok(
+        1,
+        &Response::Meta(MetaResponse::Ack),
+    ));
+    // What an old sender put behind the tag of a chunk subquery: the
+    // subquery, the chunk, and an absent leaf filter.
+    let mut old = Vec::new();
+    Gen(5).subquery().encode(&mut old);
+    ChunkId(6).encode(&mut old);
+    old.push(0);
+    for (body, tag, what) in [
+        (&ping, 5, "request"),
+        (&ping, 18, "request"),
+        (&ping, 19, "request"),
+        (&partition, 7, "meta request"),
+        (&partition, 19, "meta request"),
+        (&ack, 4, "meta response"),
+    ] {
+        for tail in [&[][..], &old[..]] {
+            let mut forged = body.clone();
+            *forged.last_mut().unwrap() = tag;
+            forged.extend_from_slice(tail);
+            let err = wire::decode_frame(&forged).unwrap_err();
+            assert!(matches!(err, WwError::Corrupt { .. }), "{err:?}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("unknown {what} tag {tag}")),
+                "{err}"
+            );
+        }
     }
 }

@@ -21,7 +21,7 @@
 //!
 //! [`ClusterSpec::launch`](spec::ClusterSpec::launch) spawns the four
 //! roles as children of the calling process and returns a
-//! [`ClusterClient`](spec::ClusterClient) speaking the client RPC verbs
+//! [`ClusterClient`] speaking the client RPC verbs
 //! (`IngestBatch`, `Flush`, `ClientQuery`, `ClientAggregate`, `Shutdown`).
 //! The `waterwheel-node` binary wraps the same runtime behind a CLI, and
 //! its `smoke` subcommand runs a self-contained loopback cluster check.
@@ -31,7 +31,7 @@
 pub mod runtime;
 pub mod spec;
 
-pub use runtime::{run_node, NodeConfig, Role, PAYLOAD_BYTE_ATTR};
+pub use runtime::{run_node, NodeConfig, Role};
 pub use spec::{ClusterClient, ClusterHandle, ClusterSpec};
 
 /// If this process was spawned as a cluster node (the `WW_NODE_ROLE`

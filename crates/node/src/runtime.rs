@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use waterwheel_cluster::LatencyModel;
-use waterwheel_core::{Expr, Result, ServerId, SystemConfig, WwError};
+use waterwheel_core::{Result, ServerId, SystemConfig, WwError};
 use waterwheel_meta::{MemberRole, MetadataService};
 use waterwheel_mq::MessageQueue;
 use waterwheel_net::{
@@ -19,20 +19,8 @@ use waterwheel_net::{
 };
 use waterwheel_server::roles::{self, Host, IndexingRole, Topology};
 pub use waterwheel_server::roles::{dispatcher_ids, indexing_ids, query_ids};
-use waterwheel_server::{AttrRegistry, DispatchPolicy, Gateway};
+use waterwheel_server::{DispatchPolicy, Gateway};
 use waterwheel_wal::FsyncPolicy;
-
-/// The well-known secondary attribute (paper §VIII) every node process
-/// registers deterministically: the first payload byte,
-/// `Expr::payload(0, 1)`. Indexing processes build bloom/bitmap indexes for
-/// it at flush time and the coordinator prunes `attr == value` queries
-/// through them — no dynamic registration RPC is needed because both sides
-/// rebuild the same expression from this constant.
-pub const PAYLOAD_BYTE_ATTR: u16 = 1;
-
-fn register_well_known_attrs(attrs: &AttrRegistry) {
-    attrs.register(PAYLOAD_BYTE_ATTR, Expr::payload(0, 1));
-}
 
 /// Which server group a node process hosts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -222,7 +210,7 @@ pub(crate) fn route_peers(
 
 /// Runs one node role until shut down. Prints `WW_NODE_READY <addr>` once
 /// the listener is accepting, answers RPCs, and returns after a
-/// [`Request::Shutdown`] lands or the launcher's stdin pipe closes.
+/// [`Request::Shutdown`](waterwheel_net::Request::Shutdown) lands or the launcher's stdin pipe closes.
 pub fn run_node(nc: NodeConfig) -> Result<()> {
     let cfg = nc.system;
     let (ix_procs, qs_procs) = (nc.indexing_processes.max(1), nc.query_processes.max(1));
@@ -302,11 +290,9 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
                 host.cfg.wal_segment_bytes,
             )?;
             let dfs = open_dfs()?;
-            let attrs = Arc::new(AttrRegistry::new());
-            register_well_known_attrs(&attrs);
             // The meta process always runs a durable service, so the
             // offsets trims rest on survive any restart.
-            let role = IndexingRole::new(host.clone(), &registry, mq, dfs, attrs, true)?;
+            let role = IndexingRole::new(host.clone(), &registry, mq, dfs, true)?;
             for &id in &hosted {
                 let slot = role.serve(&registry, id)?;
                 pump_handles.push(roles::spawn_pump(&slot, &pumps_stop));
@@ -328,11 +314,7 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
             pump_handles.push(roles::spawn_lease_keeper(&host, &pumps_stop, hosted));
         }
         Role::Dispatcher => {
-            // The same well-known attrs the indexing process indexes
-            // under: `attr == value` client queries prune through them.
-            let attrs = Arc::new(AttrRegistry::new());
-            register_well_known_attrs(&attrs);
-            let gateway = Gateway::new(host.clone(), DispatchPolicy::Lada, attrs)?;
+            let gateway = Gateway::new(host.clone(), DispatchPolicy::Lada)?;
             gateway.serve(&registry);
             pump_handles.push(roles::spawn_linger_flusher(
                 gateway.dispatchers().to_vec(),

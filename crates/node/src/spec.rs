@@ -565,9 +565,7 @@ impl ClusterClient {
         self.flush_server(self.disp_ids[0])
     }
 
-    /// Runs a query — rectangle, predicate, `attr_eq` (see
-    /// [`PAYLOAD_BYTE_ATTR`](crate::runtime::PAYLOAD_BYTE_ATTR) for the
-    /// attribute every node process registers), measure range — through the
+    /// Runs a query — rectangle, predicate, measure range — through the
     /// coordinator.
     pub fn query(&self, query: &Query) -> Result<QueryResult> {
         let query = query.clone();

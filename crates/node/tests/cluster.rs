@@ -4,7 +4,7 @@
 
 use waterwheel_core::{AggregateKind, Expr, KeyInterval, Query, ServerId, TimeInterval, Tuple};
 use waterwheel_net::{COORDINATOR, META_SERVER};
-use waterwheel_node::{ClusterSpec, Role, PAYLOAD_BYTE_ATTR};
+use waterwheel_node::{ClusterSpec, Role};
 
 fn fresh_root(name: &str) -> std::path::PathBuf {
     let root = std::env::temp_dir().join(format!("ww-node-it-{name}-{}", std::process::id()));
@@ -105,8 +105,8 @@ fn four_process_cluster_answers_exactly_and_shuts_down_clean() {
 }
 
 /// A multi-process cluster answers `f_q`: a predicated range query, an
-/// `attr_eq` query on the well-known payload-byte attribute, and a
-/// predicated COUNT and SUM, each equal to an oracle over what went in.
+/// attribute equality on the first payload byte, and a predicated COUNT
+/// and SUM, each equal to an oracle over what went in.
 #[test]
 fn four_process_cluster_answers_predicates() {
     let spec = ClusterSpec::new(fresh_root("predicates"));
@@ -140,10 +140,13 @@ fn four_process_cluster_answers_predicates() {
     assert!(!want.is_empty());
     assert_eq!(got, want, "predicated range query");
 
-    let q =
-        Query::range(KeyInterval::full(), TimeInterval::full()).and_attr_eq(PAYLOAD_BYTE_ATTR, 4);
+    let q = Query::with_predicate(
+        KeyInterval::full(),
+        TimeInterval::full(),
+        Expr::payload(0, 1).equals(4),
+    );
     let got = sorted(client.query(&q).unwrap().tuples);
-    assert_eq!(got, oracle(&|t| t.payload[0] == 4), "attr_eq query");
+    assert_eq!(got, oracle(&|t| t.payload[0] == 4), "attribute equality");
 
     let small = Query::with_predicate(
         KeyInterval::full(),

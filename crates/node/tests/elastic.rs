@@ -12,10 +12,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use waterwheel_core::{
-    AggregateKind, KeyInterval, Query, QueryResult, ServerId, TimeInterval, Tuple,
+    AggregateKind, Expr, KeyInterval, Query, QueryResult, ServerId, TimeInterval, Tuple,
 };
 use waterwheel_meta::MetadataService;
-use waterwheel_node::{ClusterClient, ClusterSpec, Role, PAYLOAD_BYTE_ATTR};
+use waterwheel_node::{ClusterClient, ClusterSpec, Role};
 use waterwheel_wal::FsyncPolicy;
 
 fn fresh_root(name: &str) -> std::path::PathBuf {
@@ -87,24 +87,15 @@ fn assert_twin_exact(grown: &ClusterClient, twin: &ClusterClient, what: &str) {
         );
         assert_eq!(a, b, "{what}: window {keys:?}/{times:?} bytes diverged");
     }
-    // Attr-eq through the secondary-index path (every node process
-    // registers the payload-byte attribute).
-    let a = canon(
-        grown
-            .query(
-                &Query::range(KeyInterval::full(), TimeInterval::full())
-                    .and_attr_eq(PAYLOAD_BYTE_ATTR, 7),
-            )
-            .unwrap(),
+    // An attribute equality on the first payload byte.
+    let attr = Query::with_predicate(
+        KeyInterval::full(),
+        TimeInterval::full(),
+        Expr::payload(0, 1).equals(7),
     );
-    let b = canon(
-        twin.query(
-            &Query::range(KeyInterval::full(), TimeInterval::full())
-                .and_attr_eq(PAYLOAD_BYTE_ATTR, 7),
-        )
-        .unwrap(),
-    );
-    assert_eq!(a, b, "{what}: attr-eq window diverged");
+    let a = canon(grown.query(&attr).unwrap());
+    let b = canon(twin.query(&attr).unwrap());
+    assert_eq!(a, b, "{what}: attribute-equality window diverged");
     let a = grown
         .aggregate(
             &Query::range(KeyInterval::full(), TimeInterval::full())

@@ -11,8 +11,8 @@
 //!
 //! Scale with `WW_RECOVERY_N` (total tuples; CI smoke uses a small value).
 
-use waterwheel_core::{AggregateKind, KeyInterval, Query, TimeInterval, Tuple};
-use waterwheel_node::{ClusterClient, ClusterSpec, Role, PAYLOAD_BYTE_ATTR};
+use waterwheel_core::{AggregateKind, Expr, KeyInterval, Query, TimeInterval, Tuple};
+use waterwheel_node::{ClusterClient, ClusterSpec, Role};
 
 fn fresh_root(name: &str) -> std::path::PathBuf {
     let root = std::env::temp_dir().join(format!("ww-node-rec-{name}-{}", std::process::id()));
@@ -27,15 +27,15 @@ fn total_n() -> u64 {
         .unwrap_or(2_600)
 }
 
-/// Deterministic workload tuple: one payload byte (`i % 4`) doubles as
-/// the well-known secondary attribute and gives aggregates a non-trivial
-/// measure (payload length 1).
+/// Deterministic workload tuple: one payload byte (`i % 4`) is the
+/// attribute an equality query selects on and gives aggregates a
+/// non-trivial measure (payload length 1).
 fn tuple(i: u64) -> Tuple {
     Tuple::new(i * 1_000_000, 1_000 + i, vec![(i % 4) as u8])
 }
 
 /// Every answer shape the oracle compares: range, narrow range, attribute
-/// predicate, and all five aggregate kinds.
+/// equality, and all five aggregate kinds.
 #[derive(Debug, PartialEq)]
 struct Answers {
     full: Vec<Tuple>,
@@ -66,10 +66,11 @@ fn collect_answers(client: &ClusterClient, n: u64) -> Answers {
         ))
         .unwrap();
     let attr = client
-        .query(
-            &Query::range(KeyInterval::full(), TimeInterval::full())
-                .and_attr_eq(PAYLOAD_BYTE_ATTR, 2),
-        )
+        .query(&Query::with_predicate(
+            KeyInterval::full(),
+            TimeInterval::full(),
+            Expr::payload(0, 1).equals(2),
+        ))
         .unwrap();
     let over = |kind| {
         client

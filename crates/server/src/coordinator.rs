@@ -33,7 +33,6 @@
 //! re-dispatched to the remaining healthy servers for up to
 //! [`REDISPATCH_ROUNDS`] rounds; no intermediate results are persisted.
 
-use crate::attributes::AttrRegistry;
 use crate::dispatch::{self, DispatchPlan, DispatchPolicy, WORKERS_PER_SERVER};
 use crate::fanout::FanoutPool;
 use parking_lot::{Mutex, RwLock};
@@ -46,8 +45,6 @@ use waterwheel_core::{
     ChunkId, Query, QueryId, QueryResult, Result, ServerId, SubQuery, SubQueryId, SubQueryTarget,
     WwError,
 };
-use waterwheel_index::secondary::AttrProbe;
-use waterwheel_index::Bitmap;
 use waterwheel_net::{MetaClient, Request, Response, RpcClient};
 
 /// Rounds of subquery re-dispatch after the first dispatch plan (paper §V):
@@ -70,8 +67,6 @@ waterwheel_core::counters! {
         subqueries,
         /// Subqueries re-dispatched after a server failure.
         redispatches,
-        /// Chunk subqueries pruned by secondary attribute indexes (§VIII).
-        attr_pruned_chunks,
         /// Chunk subqueries pruned because the chunk's registered MIN/MAX
         /// measure bounds cannot intersect the query's measure range.
         measure_pruned_chunks,
@@ -114,8 +109,6 @@ pub struct Coordinator {
     /// DFS replication factor, for locality-aware dispatch.
     replication: usize,
     policy: RwLock<DispatchPolicy>,
-    /// Secondary-attribute registry shared with the indexing servers.
-    attrs: Arc<AttrRegistry>,
     next_query: AtomicU64,
     stats: Arc<CoordinatorStats>,
     /// The threads subqueries fan out on (module docs). Declared last:
@@ -126,8 +119,7 @@ pub struct Coordinator {
 impl Coordinator {
     /// Creates a coordinator reaching the given server addresses over
     /// `rpc`'s message plane; `replication` is the DFS replication factor
-    /// (for locality-aware dispatch), `attrs` the secondary attributes the
-    /// indexing servers index.
+    /// (for locality-aware dispatch).
     pub fn new(
         rpc: RpcClient,
         cluster: Cluster,
@@ -135,7 +127,6 @@ impl Coordinator {
         indexing: Vec<ServerId>,
         replication: usize,
         policy: DispatchPolicy,
-        attrs: Arc<AttrRegistry>,
     ) -> Self {
         assert!(!query_servers.is_empty());
         let pool = FanoutPool::new(query_servers.len() * WORKERS_PER_SERVER);
@@ -150,7 +141,6 @@ impl Coordinator {
             }),
             replication,
             policy: RwLock::new(policy),
-            attrs,
             next_query: AtomicU64::new(0),
             stats: Arc::default(),
             pool,
@@ -258,11 +248,7 @@ impl Coordinator {
             query,
             qid,
             |sq| Request::InMemorySubquery { sq },
-            |sq, chunk, leaf_filter| Request::ChunkSubquery {
-                sq,
-                chunk,
-                leaf_filter,
-            },
+            |sq, chunk| Request::ChunkSubquery { sq, chunk },
         )?;
         let mut tuples = Vec::new();
         for partial in self.execute_in_memory(mem_calls, Response::into_tuples) {
@@ -300,7 +286,7 @@ impl Coordinator {
             &aq.query,
             qid,
             |sq| Request::InMemoryAggregate { sq: whole(sq) },
-            |sq, chunk, _| Request::ChunkAggregate {
+            |sq, chunk| Request::ChunkAggregate {
                 sq: whole(sq),
                 chunk,
             },
@@ -333,35 +319,20 @@ impl Coordinator {
         })
     }
 
-    /// Plans a query for either path: folds its `attr_eq` into the
-    /// predicate as `attribute == value`, so every executor filters
-    /// exactly, decomposes it, and makes each subquery a call — `mem` an
-    /// indexing server's, `chunk` a query server's with the leaves a
-    /// secondary-index probe qualified. A chunk whose measure bounds miss
-    /// the measure range, or whose attribute index lacks the value, gets no
-    /// call (paper §VIII). Returns the decomposed subquery count, then the
-    /// calls to indexing servers and to query servers.
+    /// Plans a query for either path: decomposes it and makes each
+    /// subquery a call — `mem` an indexing server's, `chunk` a query
+    /// server's. A chunk whose measure bounds miss the measure range gets
+    /// no call. Returns the decomposed subquery count, then the calls to
+    /// indexing servers and to query servers.
     fn plan(
         &self,
         query: &Query,
         qid: QueryId,
         mem: impl Fn(SubQuery) -> Request,
-        chunk: impl Fn(SubQuery, ChunkId, Option<Bitmap>) -> Request,
+        chunk: impl Fn(SubQuery, ChunkId) -> Request,
     ) -> Result<(u32, Calls<ServerId>, Calls<ChunkId>)> {
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        let mut query = query.clone();
-        if let Some((attr, value)) = query.attr_eq {
-            let attribute = self
-                .attrs
-                .get(attr)
-                .ok_or_else(|| WwError::Config(format!("attribute {attr} is not registered")))?;
-            let eq = attribute.equals(value);
-            query.predicate = Some(match query.predicate.take() {
-                Some(p) => eq.and(p),
-                None => eq,
-            });
-        }
-        let subqueries = self.decompose(&query, qid)?;
+        let subqueries = self.decompose(query, qid)?;
         let n = subqueries.len() as u32;
         self.stats.subqueries.fetch_add(n as u64, Ordering::Relaxed);
         let (mut mem_calls, mut chunk_calls) = (Vec::new(), Vec::new());
@@ -382,20 +353,7 @@ impl Coordinator {
                     continue;
                 }
             }
-            let leaf_filter = match query.attr_eq {
-                Some((attr, value)) => match self.meta.attr_probe(id, attr, value)? {
-                    AttrProbe::Absent => {
-                        self.stats
-                            .attr_pruned_chunks
-                            .fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    AttrProbe::Leaves(bm) => Some(bm),
-                    AttrProbe::Unknown => None,
-                },
-                None => None,
-            };
-            chunk_calls.push((id, chunk(sq, id, leaf_filter)));
+            chunk_calls.push((id, chunk(sq, id)));
         }
         Ok((n, mem_calls, chunk_calls))
     }
@@ -590,15 +548,9 @@ mod tests {
             transport
                 .registry()
                 .bind(ServerId(10), move |env| match &env.payload {
-                    Request::ChunkSubquery {
-                        sq,
-                        chunk,
-                        leaf_filter,
-                    } => Ok(Response::Tuples(qs.execute_filtered(
-                        sq,
-                        *chunk,
-                        leaf_filter.as_ref(),
-                    )?)),
+                    Request::ChunkSubquery { sq, chunk } => {
+                        Ok(Response::Tuples(qs.execute(sq, *chunk)?))
+                    }
                     Request::ChunkAggregate { sq, chunk } => Ok(qs.aggregate(sq, *chunk)?.into()),
                     Request::Ping => Ok(Response::Pong),
                     _ => Err(WwError::InvalidState("unexpected request".into())),
@@ -616,7 +568,6 @@ mod tests {
             Consumer::new(mq, "ingest", 0, 0),
             dfs,
             MetaClient::new(ix_rpc),
-            Arc::default(),
         ));
         {
             let ix = Arc::clone(&ix);
@@ -644,7 +595,6 @@ mod tests {
                 vec![ServerId(0)],
                 2,
                 DispatchPolicy::Lada,
-                Arc::default(),
             ),
             meta,
         )
@@ -662,7 +612,6 @@ mod tests {
             id: ChunkId(id),
             info,
             summary: None,
-            attrs: Vec::new(),
         };
         meta.register_flush(ServerId(0), vec![chunk], 0, None)
             .unwrap();
@@ -749,7 +698,6 @@ mod tests {
             vec![ServerId(0)],
             1,
             DispatchPolicy::Lada,
-            Arc::default(),
         );
         let (keys, times) = (KeyInterval::new(50, 250), TimeInterval::new(50, 150));
         let answer = coord

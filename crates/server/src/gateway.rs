@@ -11,7 +11,6 @@
 //! embedded [`Waterwheel`](crate::Waterwheel) calls directly, so a verb
 //! answers alike whichever way it arrives.
 
-use crate::attributes::AttrRegistry;
 use crate::coordinator::Coordinator;
 use crate::dispatch::DispatchPolicy;
 use crate::dispatcher::Dispatcher;
@@ -30,7 +29,6 @@ pub struct Gateway {
     host: Host,
     dispatchers: Vec<Arc<Dispatcher>>,
     coordinator: RwLock<Arc<Coordinator>>,
-    attrs: Arc<AttrRegistry>,
     /// Exactly-once for batches clients address to a dispatcher id.
     dedup: Arc<IngestDedup>,
     balancer: PartitionBalancer,
@@ -46,15 +44,14 @@ impl Gateway {
     /// Builds the role over `host`'s plane: dispatchers routing under the
     /// schema the metadata server has published (bootstrapped before any
     /// gateway starts) and a fresh coordinator dispatching by `policy`.
-    pub fn new(host: Host, policy: DispatchPolicy, attrs: Arc<AttrRegistry>) -> Result<Arc<Self>> {
+    pub fn new(host: Host, policy: DispatchPolicy) -> Result<Arc<Self>> {
         let meta = host.meta(host.topology.dispatchers[0]);
         let schema = meta.partition()?.ok_or_else(|| {
             WwError::InvalidState("the metadata server has no partition schema yet".into())
         })?;
         Ok(Arc::new(Self {
             dispatchers: host.dispatchers(&schema),
-            coordinator: RwLock::new(host.coordinator(policy, &attrs)),
-            attrs,
+            coordinator: RwLock::new(host.coordinator(policy)),
             dedup: Arc::default(),
             balancer: PartitionBalancer::new(meta.clone()),
             migration_stats: Arc::default(),
@@ -81,7 +78,7 @@ impl Gateway {
     /// `registry`.
     pub fn restart_coordinator(&self, registry: &HandlerRegistry) {
         let policy = self.coordinator().policy();
-        *self.coordinator.write() = self.host.coordinator(policy, &self.attrs);
+        *self.coordinator.write() = self.host.coordinator(policy);
         self.register_coordinator(registry);
     }
 

@@ -6,8 +6,8 @@
 //! in-memory [`TemplateBTree`], and — once the accumulated bytes reach the
 //! chunk-size threshold — seals the tree into an immutable chunk on the
 //! simulated DFS and registers the flush with the metadata server in one
-//! step (§V): every chunk it wrote, with its summary extent and attribute
-//! indexes, the durable read offset and the memory region left behind.
+//! step (§V): every chunk it wrote, with its summary extent, the durable
+//! read offset and the memory region left behind.
 //!
 //! Late arrivals (§IV-D): the server keeps a high-water timestamp and two
 //! fresh stores of one kind, each a template tree with the live aggregate
@@ -28,14 +28,13 @@
 //!
 //! All metadata interactions go through a [`MetaClient`] — typed RPCs on
 //! the message plane, subject to its deadlines, retries, and faults. A
-//! flush makes two, whatever its number of chunks and attributes: one for
+//! flush makes two, whatever its number of chunks: one for
 //! its block of chunk ids, one to register it. A flush cut anywhere before
 //! its registration lands registers nothing, and its chunk files, named by
 //! ids no registration holds, are never read; a restart replays its tuples
 //! from the previous offset. Pumps report the memory region between
 //! flushes.
 
-use crate::attributes::AttrRegistry;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -45,8 +44,7 @@ use waterwheel_core::{
     ChunkId, Counters, KeyInterval, Region, Result, ServerId, SubQuery, SystemConfig, TimeInterval,
     Tuple,
 };
-use waterwheel_index::secondary::ChunkAttrIndex;
-use waterwheel_index::{BloomConfig, IndexConfig, SealedTree, TemplateBTree, TupleIndex};
+use waterwheel_index::{IndexConfig, SealedTree, TemplateBTree, TupleIndex};
 use waterwheel_meta::{ChunkInfo, FlushedChunk, SummaryExtent};
 use waterwheel_mq::{Backlog, Consumer};
 use waterwheel_net::MetaClient;
@@ -142,8 +140,6 @@ pub struct IndexingServer {
     stats: Arc<IndexingStats>,
     /// Failure injection.
     failed: AtomicBool,
-    /// Secondary attributes to index at flush time (paper §VIII).
-    attrs: Arc<AttrRegistry>,
     /// Measure extractor feeding the wheel and filtering measure ranges;
     /// shared with the query servers so summary cells and scan folds agree.
     /// Install before ingesting.
@@ -154,9 +150,7 @@ pub struct IndexingServer {
 
 impl IndexingServer {
     /// Creates a server over `assigned`, reading its queue partition from
-    /// `consumer`'s position (pass the durable offset when recovering);
-    /// chunks it flushes carry attribute indexes for every attribute in
-    /// `attrs` at the flush.
+    /// `consumer`'s position (pass the durable offset when recovering).
     pub fn new(
         id: ServerId,
         assigned: KeyInterval,
@@ -164,7 +158,6 @@ impl IndexingServer {
         consumer: Consumer,
         dfs: SimDfs,
         meta: MetaClient,
-        attrs: Arc<AttrRegistry>,
     ) -> Self {
         let index_cfg = IndexConfig::from_system(&cfg);
         Self {
@@ -180,7 +173,6 @@ impl IndexingServer {
             meta,
             stats: Arc::default(),
             failed: AtomicBool::new(false),
-            attrs,
             measure: parking_lot::RwLock::new(default_measure()),
             flushing: Mutex::new(()),
             cfg,
@@ -197,7 +189,7 @@ impl IndexingServer {
     }
 
     /// Installs the measure extractor feeding the aggregate wheel. Must be
-    /// installed before ingestion (like secondary attributes) — wheel cells
+    /// installed before ingestion — wheel cells
     /// hold measured values, so a mid-stream swap would make summaries
     /// disagree with tuple scans.
     pub fn set_measure(&self, measure: MeasureFn) {
@@ -403,8 +395,7 @@ impl IndexingServer {
 
     /// Writes one sealed tree to the DFS as chunk `id` — with its
     /// aggregate summary, if any, sealed into the footer — and returns what
-    /// the flush registers about it, secondary attribute indexes included
-    /// (paper §VIII: bloom + bitmap secondary indexes).
+    /// the flush registers about it.
     fn write_chunk(
         &self,
         id: ChunkId,
@@ -434,16 +425,6 @@ impl IndexingServer {
         self.stats
             .summary_bytes_flushed
             .fetch_add(extent.map_or(0, |e| e.bytes), Ordering::Relaxed);
-        let attrs = self.attrs.ids().into_iter().filter_map(|attr| {
-            let expr = self.attrs.get(attr)?;
-            let leaf_values: Vec<Vec<u64>> = sealed
-                .leaves
-                .iter()
-                .map(|leaf| leaf.entries.iter().filter_map(|t| expr.eval(t)).collect())
-                .collect();
-            let index = ChunkAttrIndex::build(&leaf_values, BloomConfig::default().bits_per_entry);
-            Some((attr, index))
-        });
         Ok(FlushedChunk {
             id,
             info: ChunkInfo {
@@ -453,7 +434,6 @@ impl IndexingServer {
                 producer: self.id,
             },
             summary: extent,
-            attrs: attrs.collect(),
         })
     }
 
@@ -576,7 +556,6 @@ mod tests {
                 Consumer::new(self.mq.clone(), "ingest", partition, offset),
                 self.dfs.clone(),
                 MetaClient::new(rpc),
-                Arc::default(),
             )
         }
     }
@@ -971,7 +950,6 @@ mod tests {
             Consumer::new(rig.mq.clone(), "ingest", 0, 0),
             dfs,
             MetaClient::new(rpc),
-            Arc::default(),
         ));
         const N: u64 = 5_000;
         let consumed = Arc::new(std::sync::atomic::AtomicU64::new(0));

@@ -50,7 +50,7 @@
 //! | `Flush` | `Injected` if failed, else pump the partition empty and seal; flushes of one server are serialized, so it returns only once everything sealed so far is in registered chunks | — | [`Gateway::flush_all`]: push buffered batches, then `Flush` every indexing server of the live membership (a metadata error fails the flush; only an `Injected` server is skipped); answers the sealed chunks | — |
 //! | `InMemorySubquery` (the trees' tuples that pass the predicate and, under this server's measure, the measure range), `InMemoryAggregate` (this server's share of an aggregate: live wheels over the interior, main and side trees folded over the fringes; a filtered subquery folds its filtered scan), `Reassign` | served | — | — | — |
 //! | `ChunkSubquery` (filtered like `InMemorySubquery`), `ChunkAggregate` (one chunk's share: summary, leaf directory, scan of the cut leaves; a filtered subquery folds its filtered scan) | — | served | — | — |
-//! | `ClientQuery`, `ClientAggregate` (a whole `Query` / `AggregateQuery`: rectangle, predicate, `attr_eq`, measure range) | — | — | — | [`Coordinator::execute`] / [`Coordinator::execute_aggregate`] on the current coordinator, as an embedded query runs |
+//! | `ClientQuery`, `ClientAggregate` (a whole `Query` / `AggregateQuery`: rectangle, predicate — an attribute equality is one, `Expr::payload(0, 1).equals(v)` — and measure range) | — | — | — | [`Coordinator::execute`] / [`Coordinator::execute_aggregate`] on the current coordinator, as an embedded query runs |
 //! | `MigrateUniform` | — | — | — | [`Gateway::migrate_uniform`]: uniform plan over the live membership, run by [`migration::run`] |
 //! | `Ping` | `Injected` if failed, else `Pong` | same | `Pong` | `Pong` |
 //! | `RegisterPeers` | routes installed on the process's TCP transport; `InvalidState` on the in-process plane | same | — | same |
@@ -62,7 +62,6 @@
 
 #![warn(missing_docs)]
 
-pub mod attributes;
 pub mod coordinator;
 pub mod dispatch;
 pub mod dispatcher;
@@ -76,7 +75,6 @@ pub mod query_server;
 pub mod roles;
 pub mod system;
 
-pub use attributes::AttrRegistry;
 pub use coordinator::{Coordinator, CoordinatorStats};
 pub use dispatch::{build_plan, execute_plan, DispatchPlan, DispatchPolicy, PlanRun};
 pub use dispatcher::{incarnation_seq_base, send_batch, Dispatcher, SampleWindow};

@@ -44,7 +44,6 @@ use waterwheel_core::{
     SystemConfig, TimeInterval, Tuple, WwError,
 };
 use waterwheel_index::columnar::{DecodedLeaf, ScanScratch};
-use waterwheel_index::Bitmap;
 use waterwheel_storage::{
     Block, BlockCache, BlockKey, ChunkIndex, ChunkReader, SimDfs, Singleflight,
 };
@@ -296,9 +295,26 @@ impl QueryServer {
         cluster.is_colocated(self.id, chunk, self.dfs.replication())
     }
 
-    /// Executes a chunk subquery, returning matching tuples.
+    /// Executes a chunk subquery: the tuples of its rectangle that pass
+    /// its predicate and, under this server's measure, its measure range.
     pub fn execute(&self, sq: &SubQuery, chunk: ChunkId) -> Result<Vec<Tuple>> {
-        self.execute_filtered(sq, chunk, None)
+        self.timed(|| {
+            let index = self.load_template(chunk)?;
+            let leaves = self.select_leaves(&index, sq);
+            let measure = self.measure.read().clone();
+            let keep = |t: &Tuple| sq.keeps(t, &*measure);
+            let keep: Option<&(dyn Fn(&Tuple) -> bool + Sync)> = sq.filters().then_some(&keep);
+            self.with_scratch(|scratch| {
+                let scan = Scan {
+                    index: &index,
+                    chunk,
+                    keys: &sq.keys,
+                    times: &sq.times,
+                    predicate: keep,
+                };
+                self.scan_leaves(&scan, &leaves, scratch)
+            })
+        })
     }
 
     /// Reads a chunk's sealed aggregate summary — from the LRU cache when
@@ -349,35 +365,6 @@ impl QueryServer {
         })
     }
 
-    /// Executes a chunk subquery restricted to the leaves in `leaf_filter`
-    /// (from a secondary attribute index, paper §VIII); `None` means all
-    /// key-qualifying leaves. Keeps the tuples that pass the subquery's
-    /// predicate and, under this server's measure, its measure range.
-    pub fn execute_filtered(
-        &self,
-        sq: &SubQuery,
-        chunk: ChunkId,
-        leaf_filter: Option<&Bitmap>,
-    ) -> Result<Vec<Tuple>> {
-        self.timed(|| {
-            let index = self.load_template(chunk)?;
-            let leaves = self.select_leaves(&index, sq, leaf_filter);
-            let measure = self.measure.read().clone();
-            let keep = |t: &Tuple| sq.keeps(t, &*measure);
-            let keep: Option<&(dyn Fn(&Tuple) -> bool + Sync)> = sq.filters().then_some(&keep);
-            self.with_scratch(|scratch| {
-                let scan = Scan {
-                    index: &index,
-                    chunk,
-                    keys: &sq.keys,
-                    times: &sq.times,
-                    predicate: keep,
-                };
-                self.scan_leaves(&scan, &leaves, scratch)
-            })
-        })
-    }
-
     /// Answers one chunk's share of an aggregate over `sq`'s rectangle —
     /// the query's own, not clipped to the chunk. The rectangle splits
     /// against the wheel ([`plan::split`]); the chunk's summary answers the
@@ -392,7 +379,7 @@ impl QueryServer {
         let measure = self.measure.read().clone();
         let mut share = AggShare::default();
         if sq.filters() {
-            share.fold(&self.execute_filtered(sq, chunk, None)?, &*measure);
+            share.fold(&self.execute(sq, chunk)?, &*measure);
             return Ok(share);
         }
         self.timed(|| {
@@ -492,29 +479,10 @@ impl QueryServer {
     }
 
     /// The leaves a range subquery reads: those of [`Self::leaves_in`] not
-    /// pruned by the secondary-index `leaf_filter` or by measure bounds.
-    fn select_leaves(
-        &self,
-        index: &ChunkIndex,
-        sq: &SubQuery,
-        leaf_filter: Option<&Bitmap>,
-    ) -> Vec<usize> {
-        // Use the secondary-index leaf filter only when it skips a
-        // meaningful fraction of the key-qualifying leaves: a dense filter
-        // fragments the coalesced page reads (every gap costs one DFS
-        // open) while pruning little. Ignoring it is always correct — the
-        // predicate still filters tuples.
-        let (lo, hi) = index.leaf_range(&sq.keys);
-        let leaf_filter = leaf_filter.filter(|bm| {
-            let qualifying = (lo..=hi).filter(|&li| bm.contains(li as u32)).count();
-            qualifying * 2 <= hi - lo + 1
-        });
+    /// pruned by measure bounds.
+    fn select_leaves(&self, index: &ChunkIndex, sq: &SubQuery) -> Vec<usize> {
         self.leaves_in(index, &sq.keys, &sq.times)
             .filter(|&li| {
-                if leaf_filter.is_some_and(|bm| !bm.contains(li as u32)) {
-                    self.stats.leaves_pruned.fetch_add(1, Ordering::Relaxed);
-                    return false;
-                }
                 // MIN/MAX measure pruning (composes with the temporal
                 // pruning): bounds are conservative, so a disjoint leaf
                 // provably holds no qualifying tuple.

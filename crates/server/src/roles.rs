@@ -17,7 +17,6 @@
 //! reports exactly the roles it hosts; the registry holds the statistics
 //! structs, not the indexing and query servers that bump them.
 
-use crate::attributes::AttrRegistry;
 use crate::coordinator::Coordinator;
 use crate::dispatch::DispatchPolicy;
 use crate::dispatcher::{Dispatcher, INGEST_LINGER};
@@ -191,11 +190,7 @@ impl Host {
 
     /// A fresh query coordinator over this host's topology; all its state
     /// is rebuilt from the metadata server (paper §V).
-    pub fn coordinator(
-        &self,
-        policy: DispatchPolicy,
-        attrs: &Arc<AttrRegistry>,
-    ) -> Arc<Coordinator> {
+    pub fn coordinator(&self, policy: DispatchPolicy) -> Arc<Coordinator> {
         Arc::new(Coordinator::new(
             self.rpc(COORDINATOR),
             self.topology.cluster.clone(),
@@ -203,7 +198,6 @@ impl Host {
             self.topology.indexing.clone(),
             self.topology.replication(&self.cfg),
             policy,
-            Arc::clone(attrs),
         ))
     }
 
@@ -316,12 +310,11 @@ pub(crate) fn unsupported(role: &str) -> Result<Response> {
 }
 
 /// The indexing role of one process: the ingestion queue, the chunk store,
-/// and the state its servers share (attribute registry, dedup table).
+/// and the dedup table its servers share.
 pub struct IndexingRole {
     host: Host,
     mq: MessageQueue,
     dfs: SimDfs,
-    attrs: Arc<AttrRegistry>,
     dedup: Arc<IngestDedup>,
     durable_offsets: bool,
 }
@@ -341,7 +334,6 @@ impl IndexingRole {
         registry: &HandlerRegistry,
         mq: MessageQueue,
         dfs: SimDfs,
-        attrs: Arc<AttrRegistry>,
         durable_offsets: bool,
     ) -> Result<Self> {
         mq.create_topic(INGEST_TOPIC, host.cfg.indexing_servers)?;
@@ -353,7 +345,6 @@ impl IndexingRole {
             host,
             mq,
             dfs,
-            attrs,
             dedup,
             durable_offsets,
         })
@@ -392,7 +383,6 @@ impl IndexingRole {
             Consumer::new(self.mq.clone(), INGEST_TOPIC, partition, offset),
             self.dfs.clone(),
             meta,
-            Arc::clone(&self.attrs),
         ));
         server.set_journal_trim(self.durable_offsets);
         registry
@@ -526,15 +516,7 @@ pub fn serve_query(
     qs.register_counters(registry.counters());
     let (tcp, server) = (host.tcp.clone(), Arc::clone(&qs));
     registry.bind(id, move |env| match &env.payload {
-        Request::ChunkSubquery {
-            sq,
-            chunk,
-            leaf_filter,
-        } => Ok(Response::Tuples(server.execute_filtered(
-            sq,
-            *chunk,
-            leaf_filter.as_ref(),
-        )?)),
+        Request::ChunkSubquery { sq, chunk } => Ok(Response::Tuples(server.execute(sq, *chunk)?)),
         Request::ChunkAggregate { sq, chunk } => Ok(server.aggregate(sq, *chunk)?.into()),
         Request::RegisterPeers { peers } => register_peers(tcp.as_deref(), peers),
         Request::Ping if server.is_failed() => Err(WwError::Injected("query server down")),
@@ -699,7 +681,6 @@ mod tests {
             Request::ChunkSubquery {
                 sq: subquery(SubQueryTarget::Chunk(chunk)),
                 chunk,
-                leaf_filter: None,
             },
             Request::ChunkAggregate {
                 sq: subquery(SubQueryTarget::Chunk(chunk)),

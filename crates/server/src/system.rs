@@ -22,7 +22,6 @@
 //! call the gateway's methods directly (no RPC hop); the same methods
 //! answer the client verbs for callers on the plane.
 
-use crate::attributes::AttrRegistry;
 use crate::coordinator::Coordinator;
 use crate::dispatch::DispatchPolicy;
 use crate::dispatcher::Dispatcher;
@@ -39,7 +38,7 @@ use std::sync::Arc;
 use waterwheel_agg::AggregateAnswer;
 use waterwheel_cluster::{Cluster, LatencyModel};
 use waterwheel_core::aggregate::{default_measure, AggregateQuery, MeasureFn};
-use waterwheel_core::{Expr, Query, QueryResult, Result, ServerId, SystemConfig, Tuple, WwError};
+use waterwheel_core::{Query, QueryResult, Result, ServerId, SystemConfig, Tuple, WwError};
 use waterwheel_meta::{MemberRole, MetadataService};
 use waterwheel_mq::MessageQueue;
 use waterwheel_net::{
@@ -194,7 +193,6 @@ impl WaterwheelBuilder {
 
         roles::bootstrap_schema(&meta, &host.topology.indexing)?;
 
-        let attrs = Arc::new(AttrRegistry::new());
         // Volatile metadata forgets the registered offsets with the
         // process, so the journal must keep every byte for the restart to
         // replay: trims then free in-memory records only.
@@ -203,7 +201,6 @@ impl WaterwheelBuilder {
             &registry,
             mq.clone(),
             dfs.clone(),
-            Arc::clone(&attrs),
             self.durable_meta,
         )?;
         let indexing = host
@@ -218,7 +215,7 @@ impl WaterwheelBuilder {
             .iter()
             .map(|&id| roles::serve_query(&host, &registry, &dfs, id))
             .collect();
-        let gateway = Gateway::new(host.clone(), self.policy, Arc::clone(&attrs))?;
+        let gateway = Gateway::new(host.clone(), self.policy)?;
         gateway.serve(&registry);
 
         Ok(Waterwheel {
@@ -233,7 +230,6 @@ impl WaterwheelBuilder {
             ix_role,
             indexing,
             query_servers,
-            attrs,
             measure: Mutex::new(default_measure()),
             pumps_stop: Arc::new(AtomicBool::new(false)),
             pump_handles: Mutex::new(Vec::new()),
@@ -257,7 +253,6 @@ pub struct Waterwheel {
     /// One slot per indexing server, in id order (ids are `0..n`).
     indexing: Vec<IndexingSlot>,
     query_servers: Vec<Arc<QueryServer>>,
-    attrs: Arc<AttrRegistry>,
     measure: Mutex<MeasureFn>,
     pumps_stop: Arc<AtomicBool>,
     pump_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -364,17 +359,6 @@ impl Waterwheel {
     /// The dispatchers.
     pub fn dispatchers(&self) -> &[Arc<Dispatcher>] {
         self.gateway.dispatchers()
-    }
-
-    /// Registers a secondary attribute (paper §VIII): `value` is an
-    /// [`Expr`] giving the attribute of a tuple (`None` when it has none),
-    /// e.g. `Expr::payload(0, 1)` for the first payload byte. Chunks flushed
-    /// after this call carry bloom + bitmap indexes for it, and queries
-    /// built with [`Query::and_attr_eq`](waterwheel_core::Query::and_attr_eq)
-    /// filter by `value == v` and prune through them. Register attributes
-    /// before ingesting for full coverage.
-    pub fn register_attribute(&self, attr: u16, value: Expr) {
-        self.attrs.register(attr, value);
     }
 
     /// Installs the measure function folded by aggregate queries (the value
@@ -641,7 +625,7 @@ impl Drop for Waterwheel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use waterwheel_core::{KeyInterval, TimeInterval};
+    use waterwheel_core::{Expr, KeyInterval, TimeInterval};
 
     fn system(name: &str) -> Waterwheel {
         let root = std::env::temp_dir().join(format!("ww-sys-{name}-{}", std::process::id()));

@@ -8,7 +8,7 @@
 //!
 //! * keys are **z-codes** of positions inside a fixed bounding box (Beijing:
 //!   39.4–41.1 °N, 115.7–117.4 °E), computed with the same
-//!   [`zorder`](waterwheel_core::zorder) pipeline the paper describes;
+//!   [`zorder`] pipeline the paper describes;
 //! * the key distribution **evolves slowly**: each taxi performs a bounded
 //!   random walk, so consecutive records of a taxi are spatially close and
 //!   the fleet-level distribution drifts gently;

@@ -494,17 +494,14 @@ fn an_aggregate_costs_one_rpc_per_target() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A predicated aggregate and an `attr_eq` aggregate each send one
-/// aggregate subquery per target the plan keeps, and every source answers
+/// A predicated aggregate and an attribute-equality aggregate each send
+/// one aggregate subquery per target, and every source answers
 /// with a share: no range subquery runs and no tuple crosses to the
 /// coordinator. Neither merges a wheel or summary cell.
 #[test]
 fn a_filtered_aggregate_costs_one_rpc_per_target_and_moves_no_tuples() {
-    const ATTR: u16 = 3;
     let root = std::env::temp_dir().join(format!("ww-agg-filtered-{}", std::process::id()));
     let ww = system(&root);
-    // The top four key bits: i / 256 for the keys below.
-    ww.register_attribute(ATTR, Expr::key() >> 60);
     let all: Vec<Tuple> = (0..1_200u64)
         .map(|i| Tuple::bare(i << 52, i * 37 % 50_000))
         .collect();
@@ -544,26 +541,24 @@ fn a_filtered_aggregate_costs_one_rpc_per_target_and_moves_no_tuples() {
             rows.map(|r| r.value).sum::<u64>()
         })
     };
-    let pruned = |ww: &Waterwheel| SystemMetrics::collect(ww).get("coordinator.attr_pruned_chunks");
-    // Each query with the filter its answer must equal.
-    let even = ((Expr::key() >> 52) % 2).equals(0);
-    let cases = [
-        (Query::with_predicate(keys, times, even.clone()), even),
-        (
-            Query::range(keys, times).and_attr_eq(ATTR, 2),
-            (Expr::key() >> 60).equals(2),
-        ),
+    // Each filter, as a predicate and as the answer it must equal: every
+    // other key, and an attribute equality on the top four key bits
+    // (i / 256 for the keys above).
+    let filters = [
+        ((Expr::key() >> 52) % 2).equals(0),
+        (Expr::key() >> 60).equals(2),
     ];
-    for (q, keep) in cases {
-        let (before, pruned_before) = (rpcs(&ww), pruned(&ww));
+    for keep in filters {
+        let q = Query::with_predicate(keys, times, keep.clone());
+        let before = rpcs(&ww);
         let got = ww
             .aggregate(&q.clone().aggregate(AggregateKind::Sum))
             .unwrap();
-        let (after, pruned_after) = (rpcs(&ww), pruned(&ww));
+        let after = rpcs(&ww);
         let want = naive_where(&all, &keys, &times, |t| keep.accepts(t));
         assert_eq!(got.agg, want, "{q:?}");
         assert_eq!(got.cells_merged, 0, "{q:?}");
-        let on_chunks = targets.len() as u64 - in_memory - (pruned_after - pruned_before);
+        let on_chunks = targets.len() as u64 - in_memory;
         let sent: Vec<u64> = (0..4).map(|k| after[k] - before[k]).collect();
         assert_eq!(
             sent,

@@ -33,10 +33,18 @@ fn tuple_of(i: u64) -> Tuple {
     Tuple::new(i * 1_000, 1_000 + i, vec![(i % 251) as u8])
 }
 
-/// The secondary attribute (payload byte) and the value the oracle's
-/// attr-eq queries select: tuples with `i % 251 == 7`.
-const ATTR: u16 = 1;
+/// The value of the payload byte the oracle's attribute-equality queries
+/// select: tuples with `i % 251 == 7`.
 const ATTR_VALUE: u64 = 7;
+
+/// An attribute-equality query: payload byte 0 equals [`ATTR_VALUE`].
+fn attr_query(times: TimeInterval) -> Query {
+    Query::with_predicate(
+        KeyInterval::full(),
+        times,
+        Expr::payload(0, 1).equals(ATTR_VALUE),
+    )
+}
 
 fn build(name: &str, tcp: bool) -> Waterwheel {
     build_with(name, tcp, 2)
@@ -52,12 +60,7 @@ fn build_with(name: &str, tcp: bool, indexing_servers: usize) -> Waterwheel {
     cfg.lease_ttl = Duration::from_millis(60);
     let b = Waterwheel::builder(fresh_root(name)).config(cfg);
     let b = if tcp { b.tcp_loopback() } else { b };
-    let ww = b.build().unwrap();
-    // Secondary attribute on the payload byte, registered before ingest so
-    // flushed chunks carry its indexes: the oracle also runs attr-eq
-    // queries through the migration window.
-    ww.register_attribute(ATTR, Expr::payload(0, 1));
-    ww
+    b.build().unwrap()
 }
 
 fn normalized(mut tuples: Vec<Tuple>) -> Vec<Tuple> {
@@ -118,8 +121,7 @@ fn assert_twin_exact(subject: &Waterwheel, control: &Waterwheel, what: &str) {
             "{what}: window {keys:?}/{times:?} diverged from the unmigrated twin"
         );
     }
-    let attr_q =
-        Query::range(KeyInterval::full(), TimeInterval::full()).and_attr_eq(ATTR, ATTR_VALUE);
+    let attr_q = attr_query(TimeInterval::full());
     let a = normalized(query_retry(subject, &attr_q).tuples);
     let b = normalized(query_retry(control, &attr_q).tuples);
     assert_eq!(a, b, "{what}: attr-eq window diverged");
@@ -169,10 +171,7 @@ fn run_migration_oracle(subject: Waterwheel, control: Waterwheel) {
                     601, // keys 0, 1000, ..., 600_000
                     "frozen key-slice diverged mid-migration"
                 );
-                let hits = query_retry(
-                    &subject,
-                    &Query::range(KeyInterval::full(), frozen).and_attr_eq(ATTR, ATTR_VALUE),
-                );
+                let hits = query_retry(&subject, &attr_query(frozen));
                 assert_eq!(
                     hits.tuples.len(),
                     attr_expect,

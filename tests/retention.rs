@@ -399,18 +399,14 @@ fn every_cut_of_a_flush_recovers_exactly_its_tuples() {
 }
 
 /// A flush costs at most two metadata calls — its block of ids and its
-/// registration — however many chunks, summaries and attribute indexes it
-/// carries. Here: a main and a side-store chunk, both with summaries, and
-/// two registered attributes (one call per fact made that 11).
+/// registration — however many chunks and summaries it carries. Here: a
+/// main and a side-store chunk, both with summaries.
 #[test]
 fn a_flush_makes_at_most_two_metadata_calls() {
     let mut c = cfg();
     c.chunk_size_bytes = 1 << 30;
     c.agg_summaries_enabled = true;
     let ww = with_side_chunk("flush-calls", c);
-    // Attribute indexes are built at the flush, from the sealed leaves.
-    ww.register_attribute(1, Expr::key() % 7);
-    ww.register_attribute(2, Expr::ts() % 5);
     let server = &ww.indexing_servers()[0];
     let sent = meta_calls(&ww, server.id());
     assert_eq!(server.flush().unwrap().len(), 2);
@@ -418,5 +414,4 @@ fn a_flush_makes_at_most_two_metadata_calls() {
     assert!(calls <= 2, "one flush made {calls} metadata calls");
     let meta = ww.metadata();
     assert_eq!((meta.chunk_count(), meta.summary_count()), (2, 2));
-    assert_eq!(meta.attr_index_count(), 4);
 }

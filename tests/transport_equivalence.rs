@@ -32,9 +32,6 @@ fn loaded_system(name: &str, tcp: bool) -> (Ww, u64) {
         builder = builder.tcp_loopback();
     }
     let ww = builder.build().unwrap();
-    // Secondary attribute: the low nibble of the key. Registered before
-    // ingest so every chunk carries its bloom + bitmap index.
-    ww.register_attribute(7, Expr::key() & 0xF);
     let mut stream = NetworkGen::new(NetworkConfig {
         seed: 41,
         ..NetworkConfig::default()
@@ -84,15 +81,20 @@ fn tcp_and_inproc_systems_return_byte_identical_answers() {
     }
     assert!(compared > 0, "every query came back empty");
 
-    // Full scans, an attribute-filtered query, and a predicate query (the
-    // predicate crosses the wire and filters where the tuples are).
+    // Full scans, an attribute equality (the low nibble of the key) and a
+    // predicate query: each predicate crosses the wire and filters where
+    // the tuples are.
     let full = Query::range(KeyInterval::full(), TimeInterval::full());
     let a = normalized(inproc.query(&full).unwrap().tuples);
     let b = normalized(tcp.query(&full).unwrap().tuples);
     assert_eq!(a.len(), 6_000);
     assert_eq!(a, b);
 
-    let attr = Query::range(KeyInterval::full(), TimeInterval::full()).and_attr_eq(7, 3);
+    let attr = Query::with_predicate(
+        KeyInterval::full(),
+        TimeInterval::full(),
+        (Expr::key() & 0xF).equals(3),
+    );
     assert_eq!(
         normalized(inproc.query(&attr).unwrap().tuples),
         normalized(tcp.query(&attr).unwrap().tuples)
@@ -197,22 +199,65 @@ fn random_expr(rng: &mut Rng, depth: u32) -> Expr {
     }
 }
 
-/// Random predicates drawn from the whole expression grammar answer alike
-/// in-process, over TCP, and as a naive filter over every stored tuple —
-/// range queries and aggregates both.
+/// Attribute equalities — a common value, a rare one, an absent one, and
+/// one combined with a key range and a second predicate — and random
+/// predicates drawn from the whole expression grammar answer alike
+/// in-process, over TCP, and as a naive filter over every stored tuple,
+/// in memory and in chunks — range queries and aggregates both.
 #[test]
 fn random_predicates_answer_alike_in_process_over_tcp_and_naively() {
     let (inproc, now) = loaded_system("expr-inproc", false);
     let (tcp, _) = loaded_system("expr-tcp", true);
+    // A tail below the chunk threshold stays in the in-memory trees, so
+    // every case reads memory and chunks both.
+    let mut tail = NetworkGen::new(NetworkConfig {
+        seed: 43,
+        ..NetworkConfig::default()
+    });
+    for t in (0..300).map(|_| tail.next().unwrap()) {
+        inproc.insert(t.clone()).unwrap();
+        tcp.insert(t).unwrap();
+    }
+    inproc.drain().unwrap();
+    tcp.drain().unwrap();
     let full = Query::range(KeyInterval::full(), TimeInterval::full());
     let all = inproc.query(&full).unwrap().tuples;
+    let in_memory: usize = inproc
+        .indexing_servers()
+        .iter()
+        .map(|s| s.in_memory())
+        .sum();
+    assert_eq!(in_memory, 300);
+    // The attribute: the low nibble of the user id, the payload's first
+    // byte. The rare value is the first tuple's whole user id.
+    let nibble = || Expr::payload(0, 1) & 0xF;
+    let user = Expr::payload(0, 4).eval(&all[0]).unwrap();
+    let mut stored_keys: Vec<u64> = all.iter().map(|t| t.key).collect();
+    stored_keys.sort_unstable();
+    let lower_half = KeyInterval::new(0, stored_keys[stored_keys.len() / 2]);
+    let (keys, times) = (KeyInterval::full(), TimeInterval::full());
+    let mut cases = vec![
+        (keys, times, nibble().equals(5)),
+        (keys, times, Expr::payload(0, 4).equals(user)),
+        (keys, times, Expr::payload(0, 1).equals(256)),
+        (
+            lower_half,
+            times,
+            nibble().equals(5).and((Expr::key() % 2).equals(0)),
+        ),
+    ];
     let mut rng = Rng::new(2_024);
-    let mut answered = 0;
     for _ in 0..48 {
         let predicate = random_expr(&mut rng, 4);
         let times = TimeInterval::new(rng.below(now), now);
-        let q = Query::with_predicate(KeyInterval::full(), times, predicate.clone());
-        let keep = |t: &&Tuple| times.contains(t.ts) && predicate.accepts(t);
+        cases.push((KeyInterval::full(), times, predicate));
+    }
+    let mut answered = 0;
+    let mut sizes = Vec::new();
+    for (keys, times, predicate) in cases {
+        let q = Query::with_predicate(keys, times, predicate.clone());
+        let keep =
+            |t: &&Tuple| keys.contains(t.key) && times.contains(t.ts) && predicate.accepts(t);
         let want = normalized(all.iter().filter(keep).cloned().collect());
         assert_eq!(
             normalized(inproc.query(&q).unwrap().tuples),
@@ -232,7 +277,16 @@ fn random_predicates_answer_alike_in_process_over_tcp_and_naively() {
         assert_eq!(inproc.aggregate(&aq).unwrap().agg, fold, "{predicate:?}");
         assert_eq!(tcp.aggregate(&aq).unwrap().agg, fold, "{predicate:?}");
         answered += usize::from(!want.is_empty() && want.len() < all.len());
+        sizes.push(want.len());
     }
+    let (common, rare, absent, combined) = (sizes[0], sizes[1], sizes[2], sizes[3]);
+    assert!(
+        common * 32 > all.len() && common * 8 < all.len(),
+        "{common}"
+    );
+    assert!(rare > 0 && rare < 8, "{rare}");
+    assert_eq!(absent, 0);
+    assert!(combined > 0 && combined < common, "{combined} of {common}");
     assert!(
         answered >= 8,
         "only {answered} predicates kept some but not all tuples"
@@ -287,11 +341,7 @@ fn a_selective_predicate_moves_its_answer_not_its_rectangle() {
         .into_iter()
         .map(|sq| match sq.target {
             SubQueryTarget::InMemory(_) => frame(Request::InMemorySubquery { sq }),
-            SubQueryTarget::Chunk(chunk) => frame(Request::ChunkSubquery {
-                sq,
-                chunk,
-                leaf_filter: None,
-            }),
+            SubQueryTarget::Chunk(chunk) => frame(Request::ChunkSubquery { sq, chunk }),
         })
         .sum();
     let responses = moved - requests;
