@@ -23,6 +23,12 @@ for run in 1 2 3 4 5; do
     timeout 120 cargo test -q --test rpc_faults
 done
 
+echo "==> wake tests x5 (a lost wakeup is a rare interleaving: a parked pump or linger flusher sleeps out its backstop, or forever)"
+for run in 1 2 3 4 5; do
+    echo "--> wake run ${run}"
+    timeout 120 cargo test -q -p waterwheel-mq -p waterwheel-server wake
+done
+
 echo "==> vendor shim tests (outside the workspace, so the gate above never runs them)"
 cargo test -q --manifest-path vendor/parking_lot/Cargo.toml
 cargo test -q --manifest-path vendor/bytes/Cargo.toml

@@ -27,12 +27,14 @@
 
 pub mod persist;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use persist::PartitionPersist;
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 use waterwheel_core::{Result, Tuple, WwError};
 use waterwheel_wal::{FsyncPolicy, WalStats};
 
@@ -95,18 +97,28 @@ impl PartitionLog {
         }
     }
 
-    /// Up to `max` records from `offset` (at or above the trim point).
-    fn read(&self, offset: u64, max: usize) -> Vec<Record> {
+    /// Up to `max` records from `offset` (at or above the trim point),
+    /// ending with the one that brings their [`Tuple::encoded_len`] sum to
+    /// `max_bytes`.
+    fn read(&self, offset: u64, max: usize, max_bytes: usize) -> Vec<Record> {
         let rel = (offset - self.run_base) as usize;
         let (mut run, mut at) = (rel / RUN_LEN, rel % RUN_LEN);
         let mut out = Vec::with_capacity(max.min(self.retained() as usize));
-        while out.len() < max {
+        let mut bytes = 0;
+        while out.len() < max && bytes < max_bytes {
             let Some(records) = self.runs.get(run) else {
                 break;
             };
-            let take = (records.len().saturating_sub(at)).min(max - out.len());
+            let mut take = (records.len().saturating_sub(at)).min(max - out.len());
             if take == 0 {
                 break;
+            }
+            if max_bytes != usize::MAX {
+                let within = records[at..at + take].iter().position(|r| {
+                    bytes += r.tuple.encoded_len();
+                    bytes >= max_bytes
+                });
+                take = within.map_or(take, |i| i + 1);
             }
             out.extend_from_slice(&records[at..at + take]);
             (run, at) = (run + 1, 0);
@@ -130,9 +142,65 @@ impl PartitionLog {
     }
 }
 
+/// One partition: its log, and the doorbell its reader parks on.
+struct Partition {
+    log: RwLock<PartitionLog>,
+    arrivals: Doorbell,
+}
+
+/// Where a partition's reader parks until a record arrives. An append
+/// rings it after releasing the log lock, and a ring with nobody parked is
+/// one atomic load: no lock, no syscall.
+///
+/// A parker registers before it looks at the log, and an append writes the
+/// log before it looks for parkers, both under the log lock: whichever
+/// comes second sees the other, so no arrival goes unnoticed.
+#[derive(Default)]
+struct Doorbell {
+    parked: AtomicUsize,
+    waiters: Mutex<Vec<Thread>>,
+}
+
+impl Doorbell {
+    /// Unparks every thread parked here, if any.
+    fn ring(&self) {
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            self.waiters.lock().iter().for_each(Thread::unpark);
+        }
+    }
+
+    /// Parks the calling thread until `ready()` holds, re-checking it at
+    /// every unpark; `false` when `timeout` passed first.
+    fn park(&self, timeout: Duration, ready: impl Fn() -> bool) -> bool {
+        let me = std::thread::current();
+        {
+            let mut waiters = self.waiters.lock();
+            waiters.push(me.clone());
+            self.parked.fetch_add(1, Ordering::SeqCst);
+        }
+        let deadline = Instant::now() + timeout;
+        let ready = loop {
+            if ready() {
+                break true;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                break false;
+            }
+            std::thread::park_timeout(deadline - now);
+        };
+        let mut waiters = self.waiters.lock();
+        if let Some(i) = waiters.iter().position(|t| t.id() == me.id()) {
+            waiters.swap_remove(i);
+        }
+        self.parked.fetch_sub(1, Ordering::SeqCst);
+        ready
+    }
+}
+
 /// A topic: a fixed number of partitions.
 struct Topic {
-    partitions: Vec<RwLock<PartitionLog>>,
+    partitions: Vec<Partition>,
 }
 
 /// The in-process broker.
@@ -210,8 +278,8 @@ impl MessageQueue {
         }
         let topics: Vec<Arc<Topic>> = self.topics.read().values().cloned().collect();
         for topic in topics {
-            for log in &topic.partitions {
-                if let Some(p) = &mut log.write().persist {
+            for part in &topic.partitions {
+                if let Some(p) = &mut part.log.write().persist {
                     p.flush()?;
                 }
             }
@@ -253,7 +321,10 @@ impl MessageQueue {
                 log.last_seqs = loaded.last_seqs;
                 log.persist = Some(persist);
             }
-            logs.push(RwLock::new(log));
+            logs.push(Partition {
+                log: RwLock::new(log),
+                arrivals: Doorbell::default(),
+            });
         }
         topics.insert(name.to_string(), Arc::new(Topic { partitions: logs }));
         Ok(())
@@ -267,11 +338,7 @@ impl MessageQueue {
             .ok_or_else(|| WwError::not_found("topic", name))
     }
 
-    fn partition<'t>(
-        topic: &'t Topic,
-        name: &str,
-        partition: usize,
-    ) -> Result<&'t RwLock<PartitionLog>> {
+    fn partition<'t>(topic: &'t Topic, name: &str, partition: usize) -> Result<&'t Partition> {
         topic
             .partitions
             .get(partition)
@@ -285,15 +352,7 @@ impl MessageQueue {
 
     /// Appends a tuple, returning its offset.
     pub fn append(&self, name: &str, partition: usize, tuple: Tuple) -> Result<u64> {
-        let topic = self.topic(name)?;
-        let log = Self::partition(&topic, name, partition)?;
-        let mut log = log.write();
-        let offset = log.next_offset();
-        if let Some(p) = &mut log.persist {
-            p.append_batch(None, std::slice::from_ref(&tuple))?;
-        }
-        log.extend(vec![tuple]);
-        Ok(offset)
+        self.append_batch_inner(name, partition, None, vec![tuple])
     }
 
     /// Appends a batch, returning the offset of the first record. On a
@@ -333,17 +392,21 @@ impl MessageQueue {
         tuples: Vec<Tuple>,
     ) -> Result<u64> {
         let topic = self.topic(name)?;
-        let log = Self::partition(&topic, name, partition)?;
-        let mut log = log.write();
-        let first = log.next_offset();
-        if let Some(p) = &mut log.persist {
-            p.append_batch(marker, &tuples)?;
-        }
-        log.extend(tuples);
-        if let Some((src, seq)) = marker {
-            let e = log.last_seqs.entry(src).or_insert(seq);
-            *e = (*e).max(seq);
-        }
+        let part = Self::partition(&topic, name, partition)?;
+        let first = {
+            let mut log = part.log.write();
+            let first = log.next_offset();
+            if let Some(p) = &mut log.persist {
+                p.append_batch(marker, &tuples)?;
+            }
+            log.extend(tuples);
+            if let Some((src, seq)) = marker {
+                let e = log.last_seqs.entry(src).or_insert(seq);
+                *e = (*e).max(seq);
+            }
+            first
+        };
+        part.arrivals.ring();
         Ok(first)
     }
 
@@ -352,8 +415,8 @@ impl MessageQueue {
     /// broker). `None` means no marked batch from that producer.
     pub fn last_seq(&self, name: &str, partition: usize, src: u32) -> Result<Option<u64>> {
         let topic = self.topic(name)?;
-        let log = Self::partition(&topic, name, partition)?;
-        let seq = log.read().last_seqs.get(&src).copied();
+        let part = Self::partition(&topic, name, partition)?;
+        let seq = part.log.read().last_seqs.get(&src).copied();
         Ok(seq)
     }
 
@@ -361,9 +424,14 @@ impl MessageQueue {
     /// partition — seeds a restarted consumer's dedup map.
     pub fn recovered_seqs(&self, name: &str, partition: usize) -> Result<Vec<(u32, u64)>> {
         let topic = self.topic(name)?;
-        let log = Self::partition(&topic, name, partition)?;
-        let mut seqs: Vec<(u32, u64)> =
-            log.read().last_seqs.iter().map(|(s, q)| (*s, *q)).collect();
+        let part = Self::partition(&topic, name, partition)?;
+        let mut seqs: Vec<(u32, u64)> = part
+            .log
+            .read()
+            .last_seqs
+            .iter()
+            .map(|(s, q)| (*s, *q))
+            .collect();
         seqs.sort_unstable();
         Ok(seqs)
     }
@@ -380,32 +448,49 @@ impl MessageQueue {
         offset: u64,
         max: usize,
     ) -> Result<Vec<Record>> {
+        self.read_bytes(name, partition, offset, max, usize::MAX)
+    }
+
+    /// [`Self::read_from`] that also stops at the record bringing the
+    /// records' [`Tuple::encoded_len`] sum to `max_bytes` (which it
+    /// includes, so any budget reads at least one record).
+    pub fn read_bytes(
+        &self,
+        name: &str,
+        partition: usize,
+        offset: u64,
+        max: usize,
+        max_bytes: usize,
+    ) -> Result<Vec<Record>> {
         let topic = self.topic(name)?;
-        let log = Self::partition(&topic, name, partition)?;
-        let log = log.read();
+        let log = Self::partition(&topic, name, partition)?.log.read();
         if offset < log.base_offset {
             return Err(WwError::InvalidState(format!(
                 "offset {offset} below trim point {} of {name}/{partition}",
                 log.base_offset
             )));
         }
-        Ok(log.read(offset, max))
+        Ok(log.read(offset, max, max_bytes))
     }
 
     /// The next offset that will be assigned in this partition (i.e. one
     /// past the last record).
     pub fn latest_offset(&self, name: &str, partition: usize) -> Result<u64> {
         let topic = self.topic(name)?;
-        let log = Self::partition(&topic, name, partition)?;
-        let next = log.read().next_offset();
+        let next = Self::partition(&topic, name, partition)?
+            .log
+            .read()
+            .next_offset();
         Ok(next)
     }
 
     /// The lowest retained offset of this partition.
     pub fn trim_point(&self, name: &str, partition: usize) -> Result<u64> {
         let topic = self.topic(name)?;
-        let log = Self::partition(&topic, name, partition)?;
-        let base = log.read().base_offset;
+        let base = Self::partition(&topic, name, partition)?
+            .log
+            .read()
+            .base_offset;
         Ok(base)
     }
 
@@ -421,9 +506,9 @@ impl MessageQueue {
 
     fn trim_to(&self, name: &str, partition: usize, upto: u64, journal: bool) -> Result<()> {
         let topic = self.topic(name)?;
-        let log = Self::partition(&topic, name, partition)?;
+        let part = Self::partition(&topic, name, partition)?;
         let freed = {
-            let mut log = log.write();
+            let mut log = part.log.write();
             let upto = upto.min(log.next_offset());
             if upto <= log.base_offset {
                 return Ok(());
@@ -452,7 +537,7 @@ impl MessageQueue {
         Ok(topic
             .partitions
             .iter()
-            .map(|p| p.read().retained() as usize)
+            .map(|p| p.log.read().retained() as usize)
             .sum())
     }
 }
@@ -493,9 +578,15 @@ impl Consumer {
 
     /// Polls up to `max` records, advancing the cursor.
     pub fn poll(&mut self, max: usize) -> Result<Vec<Record>> {
-        let records = self
-            .mq
-            .read_from(&self.topic, self.partition, self.position(), max)?;
+        self.poll_bytes(max, usize::MAX)
+    }
+
+    /// Polls up to `max` records, stopping after the one that brings their
+    /// [`Tuple::encoded_len`] sum to `max_bytes`, and advances the cursor.
+    pub fn poll_bytes(&mut self, max: usize, max_bytes: usize) -> Result<Vec<Record>> {
+        let records =
+            self.mq
+                .read_bytes(&self.topic, self.partition, self.position(), max, max_bytes)?;
         if let Some(last) = records.last() {
             self.position.store(last.offset + 1, Ordering::Release);
         }
@@ -544,9 +635,32 @@ impl Backlog {
     /// memory.
     pub fn retained(&self) -> Result<u64> {
         let topic = self.mq.topic(&self.topic)?;
-        let log = MessageQueue::partition(&topic, &self.topic, self.partition)?;
-        let retained = log.read().retained();
+        let part = MessageQueue::partition(&topic, &self.topic, self.partition)?;
+        let retained = part.log.read().retained();
         Ok(retained)
+    }
+
+    /// Parks the calling thread until the consumer has records to poll or
+    /// `until()` holds, for at most `timeout`; `false` when the timeout
+    /// passed first. An append to the partition, or [`Self::wake`], makes
+    /// it look again; whoever changes what `until` reads calls one of
+    /// those (or unparks the thread) after the change.
+    pub fn wait(&self, timeout: Duration, until: impl Fn() -> bool) -> Result<bool> {
+        let topic = self.mq.topic(&self.topic)?;
+        let part = MessageQueue::partition(&topic, &self.topic, self.partition)?;
+        Ok(part.arrivals.park(timeout, || {
+            until() || part.log.read().next_offset() > self.position.load(Ordering::Acquire)
+        }))
+    }
+
+    /// Unparks every thread waiting on this partition in [`Self::wait`],
+    /// so each re-checks its condition.
+    pub fn wake(&self) -> Result<()> {
+        let topic = self.mq.topic(&self.topic)?;
+        MessageQueue::partition(&topic, &self.topic, self.partition)?
+            .arrivals
+            .ring();
+        Ok(())
     }
 
     /// Discards the partition's records below `upto` — never past the
@@ -698,6 +812,94 @@ mod tests {
                 .load(std::sync::atomic::Ordering::Relaxed),
             4
         );
+    }
+
+    #[test]
+    fn a_byte_budget_ends_the_poll_at_the_record_that_reaches_it() {
+        let mq = mq_with_topic();
+        // 20-byte headers plus 0..10-byte payloads, across a run boundary.
+        let tuples: Vec<Tuple> = (0..RUN_LEN as u64 + 1_000)
+            .map(|i| Tuple::new(i, i, vec![0; (i % 11) as usize]))
+            .collect();
+        mq.append_batch("ingest", 0, tuples.clone()).unwrap();
+        let mut c = Consumer::new(mq.clone(), "ingest", 0, RUN_LEN as u64 - 30);
+        for budget in [1, 20, 21, 333, 5_000] {
+            let from = c.position() as usize;
+            let got = c.poll_bytes(1_000, budget).unwrap();
+            let sizes: Vec<usize> = got.iter().map(|r| r.tuple.encoded_len()).collect();
+            let total: usize = sizes.iter().sum();
+            assert!(total >= budget, "budget {budget}");
+            assert!(total - sizes.last().unwrap() < budget, "budget {budget}");
+            let want: Vec<&Tuple> = tuples[from..from + got.len()].iter().collect();
+            assert_eq!(got.iter().map(|r| &r.tuple).collect::<Vec<_>>(), want);
+        }
+        // `max` still caps the count, and a drained partition reads nothing.
+        assert_eq!(c.poll_bytes(3, usize::MAX).unwrap().len(), 3);
+        c.poll(usize::MAX).unwrap();
+        assert!(c.poll_bytes(10, 1).unwrap().is_empty());
+    }
+
+    /// Two threads pass a token back and forth through two partitions, each
+    /// parking until the other's append lands. A lost wakeup would leave a
+    /// side parked until its 30 s backstop; every park must instead end
+    /// because the record arrived.
+    #[test]
+    fn a_parked_reader_wakes_on_every_append() {
+        const ROUNDS: u64 = 10_000;
+        const BACKSTOP: Duration = Duration::from_secs(30);
+        let mq = mq_with_topic();
+        let side = |inbox: usize, outbox: usize, serve_first: bool| {
+            let mq = mq.clone();
+            std::thread::spawn(move || {
+                let mut c = Consumer::new(mq.clone(), "ingest", inbox, 0);
+                let backlog = c.backlog();
+                let mut backstops = 0;
+                for i in 0..ROUNDS {
+                    if serve_first {
+                        mq.append("ingest", outbox, Tuple::bare(i, i)).unwrap();
+                    }
+                    if !backlog.wait(BACKSTOP, || false).unwrap() {
+                        backstops += 1;
+                    }
+                    assert_eq!(c.poll(10).unwrap().len(), 1);
+                    if !serve_first {
+                        mq.append("ingest", outbox, Tuple::bare(i, i)).unwrap();
+                    }
+                }
+                backstops
+            })
+        };
+        let a = side(1, 0, true);
+        let b = side(0, 1, false);
+        assert_eq!(a.join().unwrap(), 0, "a park outlived its wakeup");
+        assert_eq!(b.join().unwrap(), 0, "a park outlived its wakeup");
+        assert_eq!(mq.latest_offset("ingest", 0).unwrap(), ROUNDS);
+    }
+
+    #[test]
+    fn wake_makes_a_parked_reader_recheck_its_condition() {
+        let mq = mq_with_topic();
+        let c = Consumer::new(mq.clone(), "ingest", 0, 0);
+        let (backlog, waker) = (c.backlog(), c.backlog());
+        let flag = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let parked = {
+            let flag = Arc::clone(&flag);
+            std::thread::spawn(move || {
+                let t0 = Instant::now();
+                let woke = backlog
+                    .wait(Duration::from_secs(30), || flag.load(Ordering::SeqCst))
+                    .unwrap();
+                (woke, t0.elapsed())
+            })
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        flag.store(true, Ordering::SeqCst);
+        waker.wake().unwrap();
+        let (woke, took) = parked.join().unwrap();
+        assert!(woke && took < Duration::from_secs(10), "{took:?}");
+        // Nothing arrived and nobody wakes it: the timeout ends the wait.
+        let idle = Consumer::new(mq, "ingest", 1, 0).backlog();
+        assert!(!idle.wait(Duration::from_millis(5), || false).unwrap());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::spec::ClusterSpec;
 use std::io::{BufRead, Write};
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use waterwheel_cluster::LatencyModel;
 use waterwheel_core::{Result, ServerId, SystemConfig, WwError};
@@ -390,10 +390,7 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
         stopped = cv.wait(stopped).unwrap();
     }
     drop(stopped);
-    pumps_stop.store(true, Ordering::SeqCst);
-    for h in pump_handles {
-        let _ = h.join();
-    }
+    roles::stop_threads(&pumps_stop, pump_handles);
     drop(server);
     Ok(())
 }

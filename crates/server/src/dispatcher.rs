@@ -19,7 +19,9 @@
 //! when the buffer reaches [`COALESCE_FACTOR`] × `ingest_batch_size` — the
 //! producer waits for the answer there, if it is not in yet — or when the
 //! background linger flusher, which collects answers that are in without
-//! waiting, finds a buffer older than [`INGEST_LINGER`]. A plane that
+//! waiting, finds a buffer older than [`INGEST_LINGER`]. The flusher sleeps
+//! until the earliest such deadline of the links it sweeps, and with none
+//! until a dispatch opens a buffer ([`LingerPark`]). A plane that
 //! answers before `start` returns (the in-process one) leaves its link idle
 //! at once, so there every batch is exactly `ingest_batch_size` tuples and
 //! at `1` every tuple is a batch of one. Over TCP a saturating producer no
@@ -46,8 +48,9 @@
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 use waterwheel_core::{ChunkId, Counters, Key, Result, ServerId, SystemConfig, Tuple, WwError};
 use waterwheel_meta::PartitionSchema;
@@ -58,8 +61,81 @@ const RESERVOIR_CAP: usize = 4_096;
 
 /// Longest a partially filled ingest batch may sit buffered in a dispatcher
 /// before the background linger flusher sends it anyway. Bounds the
-/// visibility latency batching can add to a trickling stream.
-pub const INGEST_LINGER: Duration = Duration::from_millis(2);
+/// visibility latency batching can add to a trickling stream. Only a link
+/// slower than a batch per linger — 640 k tuples/s at the default batch of
+/// 128 — has batches cut by it.
+pub const INGEST_LINGER: Duration = Duration::from_micros(200);
+
+/// Where the linger flusher sleeps, shared by every dispatcher it sweeps:
+/// its thread and the instant it sleeps until.
+///
+/// A sweep starts by marking the flusher as sleeping with no deadline, then
+/// visits each link, then publishes the earliest deadline it found. A
+/// dispatch that gives an idle link a deadline reads the mark after
+/// releasing the link lock and unparks the flusher only if the flusher
+/// would otherwise sleep past it. Either the sweep visited the link after
+/// the dispatch (and saw its deadline), or the dispatch reads a mark set
+/// at or after this sweep's start — so no deadline is slept through.
+pub struct LingerPark {
+    thread: Thread,
+    epoch: Instant,
+    /// Nanoseconds after `epoch` the flusher sleeps until; `u64::MAX`
+    /// while it sweeps or sleeps with no deadline.
+    until: AtomicU64,
+    /// Set by a poke and cleared by the park it cuts short, so the wakeup
+    /// survives even if a wait inside the sweep took the unpark token.
+    poked: AtomicBool,
+}
+
+impl LingerPark {
+    /// A parking spot for the calling thread.
+    pub fn for_current_thread() -> Self {
+        Self {
+            thread: std::thread::current(),
+            epoch: Instant::now(),
+            until: AtomicU64::new(u64::MAX),
+            poked: AtomicBool::new(false),
+        }
+    }
+
+    fn nanos(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.epoch).as_nanos() as u64
+    }
+
+    /// Marks the flusher as sweeping: any deadline a dispatch sets from now
+    /// on unparks it.
+    pub fn sweeping(&self) {
+        self.until.store(u64::MAX, Ordering::SeqCst);
+    }
+
+    /// Publishes `deadline` and parks the calling (flusher) thread until
+    /// then, or without one until unparked; returns at once if a dispatch
+    /// poked it since the last park.
+    pub fn park_until(&self, deadline: Option<Instant>) {
+        let until = deadline.map_or(u64::MAX, |at| self.nanos(at));
+        self.until.store(until, Ordering::SeqCst);
+        if self.poked.swap(false, Ordering::SeqCst) {
+            return;
+        }
+        match deadline {
+            Some(at) => {
+                let wait = at.saturating_duration_since(Instant::now());
+                if !wait.is_zero() {
+                    std::thread::park_timeout(wait);
+                }
+            }
+            None => std::thread::park(),
+        }
+    }
+
+    /// Called by a dispatch that set a link's deadline to `at`.
+    fn poke(&self, at: Instant) {
+        if self.nanos(at) < self.until.load(Ordering::SeqCst) {
+            self.poked.store(true, Ordering::SeqCst);
+            self.thread.unpark();
+        }
+    }
+}
 
 /// How far a link's buffer grows while its batch is in flight, in
 /// multiples of `ingest_batch_size`: at this size the next batch leaves,
@@ -156,7 +232,8 @@ impl BatchCall {
 
 /// `dispatcher.*`, one set per dispatcher: tuples and batch envelopes
 /// acknowledged, tuples accepted but not yet acknowledged, batches on the
-/// wire now, and batches that coalesced past `ingest_batch_size`.
+/// wire now, batches that coalesced past `ingest_batch_size`, and linger
+/// sweeps over its links.
 impl Counters for Dispatcher {
     fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
         f("dispatched", self.dispatched());
@@ -164,6 +241,7 @@ impl Counters for Dispatcher {
         f("pending", self.pending());
         f("in_flight", self.in_flight());
         f("coalesced", self.coalesced());
+        f("linger_sweeps", self.linger_sweeps());
     }
 }
 
@@ -256,6 +334,19 @@ struct DestState {
     next_seq: u64,
 }
 
+impl DestState {
+    /// When the linger flusher must look at this link next: a pending
+    /// batch — an answer to collect, or a failed send to retry — one linger
+    /// from `now`, a buffer one linger after its oldest tuple arrived.
+    fn deadline(&self, now: Instant) -> Option<Instant> {
+        if self.pending.is_some() {
+            Some(now + INGEST_LINGER)
+        } else {
+            self.first_buffered_at.map(|t| t + INGEST_LINGER)
+        }
+    }
+}
+
 /// A dispatcher instance.
 pub struct Dispatcher {
     id: ServerId,
@@ -269,6 +360,9 @@ pub struct Dispatcher {
     batches_sent: AtomicU64,
     in_flight: AtomicU64,
     coalesced: AtomicU64,
+    linger_sweeps: AtomicU64,
+    /// The linger flusher sweeping this dispatcher, if one runs.
+    linger: RwLock<Option<Arc<LingerPark>>>,
 }
 
 impl Dispatcher {
@@ -290,6 +384,8 @@ impl Dispatcher {
             batches_sent: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
+            linger_sweeps: AtomicU64::new(0),
+            linger: RwLock::new(None),
         }
     }
 
@@ -322,6 +418,17 @@ impl Dispatcher {
     /// coalesced behind an in-flight batch.
     pub fn coalesced(&self) -> u64 {
         self.coalesced.load(Ordering::Relaxed)
+    }
+
+    /// Times a linger flusher swept this dispatcher's links.
+    pub fn linger_sweeps(&self) -> u64 {
+        self.linger_sweeps.load(Ordering::Relaxed)
+    }
+
+    /// Tells this dispatcher which linger flusher sweeps it, so a dispatch
+    /// that gives an idle link a deadline can wake that flusher.
+    pub fn attach_linger(&self, park: &Arc<LingerPark>) {
+        *self.linger.write() = Some(Arc::clone(park));
     }
 
     /// Tuples accepted by [`dispatch`](Self::dispatch) but not yet
@@ -423,22 +530,37 @@ impl Dispatcher {
     /// [`flush_batches`](Self::flush_batches) succeeds). Routing to a
     /// server with no address on the plane fails loudly (unreachable),
     /// never silently drops.
+    ///
+    /// A dispatch that leaves an idle link with something for the linger
+    /// flusher to do wakes the flusher if it sleeps past that; the wake
+    /// happens after the link lock is released.
     pub fn dispatch(&self, tuple: Tuple) -> Result<()> {
         let server = self.schema.read().route(tuple.key);
         let link = self.link(server);
         let mut st = link.lock();
+        let idle = st.first_buffered_at.is_none() && st.pending.is_none();
         st.buffer.push(tuple);
         link.unacked.fetch_add(1, Ordering::Relaxed);
         if st.first_buffered_at.is_none() {
             st.first_buffered_at = Some(Instant::now());
         }
-        if st.in_flight.is_some() && st.buffer.len() >= self.batch_size * COALESCE_FACTOR {
-            self.collect(server, &link, &mut st, true)?;
+        let sent = (|| {
+            if st.in_flight.is_some() && st.buffer.len() >= self.batch_size * COALESCE_FACTOR {
+                self.collect(server, &link, &mut st, true)?;
+            }
+            while st.in_flight.is_none() && st.buffer.len() >= self.batch_size {
+                self.send_next(server, &link, &mut st)?;
+            }
+            Ok(())
+        })();
+        let deadline = st.deadline(Instant::now()).filter(|_| idle);
+        drop(st);
+        if let Some(at) = deadline {
+            if let Some(park) = &*self.linger.read() {
+                park.poke(at);
+            }
         }
-        while st.in_flight.is_none() && st.buffer.len() >= self.batch_size {
-            self.send_next(server, &link, &mut st)?;
-        }
-        Ok(())
+        sent
     }
 
     /// Sends every buffered, failed or in-flight batch now, regardless of
@@ -453,23 +575,43 @@ impl Dispatcher {
 
     /// Collects in-flight answers that are in, then — on an idle link —
     /// sends partial batches older than [`INGEST_LINGER`] (and retries any
-    /// failed batch). The system facade's background flusher calls this so
-    /// a trickling stream becomes visible without filling a batch. It never
+    /// failed batch). The background linger flusher calls this so a
+    /// trickling stream becomes visible without filling a batch. It never
     /// waits for an answer still on the wire: that would hold the link
     /// against its producer for a round trip.
-    pub fn flush_lingering(&self) -> Result<()> {
+    ///
+    /// Sweeps every link even when one fails, and returns the earliest
+    /// deadline left — a buffer's oldest tuple plus the linger, or one
+    /// linger from now for a batch still pending — or the first error.
+    pub fn flush_lingering(&self) -> Result<Option<Instant>> {
+        self.flush_lingering_at(Instant::now())
+    }
+
+    /// [`Self::flush_lingering`] as of `now`.
+    fn flush_lingering_at(&self, now: Instant) -> Result<Option<Instant>> {
+        self.linger_sweeps.fetch_add(1, Ordering::Relaxed);
+        let (mut next, mut first_err) = (None::<Instant>, None);
         for (id, link) in self.links() {
             let mut st = link.lock();
-            self.collect(id, &link, &mut st, false)?;
-            let overdue = st.pending.is_some()
-                || st
-                    .first_buffered_at
-                    .is_some_and(|t| t.elapsed() >= INGEST_LINGER);
-            if overdue {
-                self.send_all(id, &link, &mut st, false)?;
+            let mut sweep = || {
+                self.collect(id, &link, &mut st, false)?;
+                let overdue = st.pending.is_some()
+                    || st
+                        .first_buffered_at
+                        .is_some_and(|t| now >= t + INGEST_LINGER);
+                if overdue {
+                    self.send_all(id, &link, &mut st, false)?;
+                }
+                Ok(())
+            };
+            if let Err(e) = sweep() {
+                first_err.get_or_insert(e);
+            }
+            if let Some(at) = st.deadline(now) {
+                next = Some(next.map_or(at, |n| n.min(at)));
             }
         }
-        Ok(())
+        first_err.map_or(Ok(next), Err)
     }
 
     /// Tells one indexing server to seal its in-memory state into chunks
@@ -609,14 +751,76 @@ mod tests {
     #[test]
     fn lingering_flush_sends_only_overdue_buffers() {
         let (mq, _t, d) = setup_with(2, 64);
+        let before = Instant::now();
         d.dispatch(Tuple::bare(1, 1)).unwrap();
-        // A fresh buffer is younger than the linger.
-        d.flush_lingering().unwrap();
+        // A fresh buffer is younger than the linger: swept as of before it
+        // arrived, it stays, and its deadline is one linger after it.
+        let due = d.flush_lingering_at(before).unwrap();
+        assert!(due.is_some_and(|at| at >= before + INGEST_LINGER));
         assert_eq!(mq.latest_offset("ingest", 0).unwrap(), 0);
         std::thread::sleep(INGEST_LINGER * 2);
-        d.flush_lingering().unwrap();
+        assert_eq!(
+            d.flush_lingering().unwrap(),
+            None,
+            "nothing left to wait for"
+        );
         assert_eq!(mq.latest_offset("ingest", 0).unwrap(), 1);
         assert_eq!(d.dispatched(), 1);
+    }
+
+    /// The linger flusher sends a lone buffered tuple one linger after it
+    /// arrived — not before, and not much later — and never sweeps while
+    /// nothing is buffered: it sleeps until a dispatch opens a buffer.
+    #[test]
+    fn the_linger_flusher_wakes_only_for_a_due_tuple() {
+        let (mq, _t, d) = setup_with(2, 64);
+        let d = Arc::new(d);
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let flusher = crate::roles::spawn_linger_flusher(vec![Arc::clone(&d)], &stop);
+        let idle = |what: &str| {
+            let swept = d.linger_sweeps();
+            std::thread::sleep(INGEST_LINGER * 100);
+            assert_eq!(d.linger_sweeps(), swept, "the flusher woke {what}");
+        };
+        while d.linger_sweeps() == 0 {
+            std::thread::yield_now();
+        }
+        idle("before anything was buffered");
+        let mut lags = Vec::new();
+        for i in 0..20u64 {
+            let swept = d.linger_sweeps();
+            let sent = Instant::now();
+            d.dispatch(Tuple::bare(i, i)).unwrap();
+            while mq.latest_offset("ingest", 0).unwrap() == i {
+                assert!(
+                    sent.elapsed() < Duration::from_secs(10),
+                    "tuple {i} never left"
+                );
+                std::thread::yield_now();
+            }
+            lags.push(sent.elapsed());
+            // One sweep on the wake, one at the deadline; a third if the
+            // park until the deadline returns early.
+            assert!(
+                d.linger_sweeps() - swept <= 3,
+                "{}",
+                d.linger_sweeps() - swept
+            );
+        }
+        idle("with nothing buffered");
+        lags.sort();
+        assert!(
+            lags[0] >= INGEST_LINGER,
+            "sent before its linger: {:?}",
+            lags[0]
+        );
+        assert!(
+            lags[lags.len() / 2] < INGEST_LINGER * 10,
+            "median lag {:?}",
+            lags[lags.len() / 2]
+        );
+        crate::roles::stop_threads(&stop, [flusher]);
+        assert_eq!(d.dispatched(), 20);
     }
 
     #[test]

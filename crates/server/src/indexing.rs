@@ -31,13 +31,23 @@
 //! flush makes two, whatever its number of chunks: one for
 //! its block of chunk ids, one to register it. A flush cut anywhere before
 //! its registration lands registers nothing, and its chunk files, named by
-//! ids no registration holds, are never read; a restart replays its tuples
-//! from the previous offset. Pumps report the memory region between
-//! flushes.
+//! ids no registration holds, are never read; its tuples go back into
+//! memory, and a restart replays them from the previous offset. A
+//! registration sent but not answered may have landed: the next flush asks
+//! for the registered offset first and, if it had, rebuilds memory from the
+//! queue above it, so no tuple is sealed twice.
+//!
+//! The memory region the coordinator routes fresh-data subqueries by is
+//! reported, not polled: with an open upper time bound, since timestamps
+//! only grow, and again only when a tree's hull leaves what was last
+//! reported — after a flush empties memory, on a side-store tuple below the
+//! reported lower bound, or on a key outside it. That is about one metadata
+//! call per flush cycle, however many batches the pump takes.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 use waterwheel_agg::{plan, AggShare, AggWheel, WheelSummary, MAX_CELLS_PER_RING, SLICE_BITS};
 use waterwheel_core::aggregate::{default_measure, MeasureFn};
 use waterwheel_core::{
@@ -146,6 +156,13 @@ pub struct IndexingServer {
     measure: parking_lot::RwLock<MeasureFn>,
     /// Held for a whole `flush`, seal through its registration.
     flushing: Mutex<()>,
+    /// The region last sent to the metadata service (`None`: none, or
+    /// unknown after a failed call). Held across each report, the pump's
+    /// and the flush's alike, so an older region never lands after a newer.
+    reported: Mutex<Option<Region>>,
+    /// The durable offset of a flush whose registration was sent but not
+    /// answered (see [`Self::flush`]).
+    in_doubt: Mutex<Option<u64>>,
 }
 
 impl IndexingServer {
@@ -175,6 +192,8 @@ impl IndexingServer {
             failed: AtomicBool::new(false),
             measure: parking_lot::RwLock::new(default_measure()),
             flushing: Mutex::new(()),
+            reported: Mutex::new(None),
+            in_doubt: Mutex::new(None),
             cfg,
         }
     }
@@ -239,9 +258,11 @@ impl IndexingServer {
     }
 
     /// Injects (or clears) a failure: a failed server ignores pumps and
-    /// errors on subqueries.
+    /// errors on subqueries. Whoever fails it may clear its region in the
+    /// metadata service, so the next batch reports it again.
     pub fn set_failed(&self, failed: bool) {
         self.failed.store(failed, Ordering::SeqCst);
+        *self.reported.lock() = None;
     }
 
     /// Whether failure injection is active.
@@ -253,44 +274,84 @@ impl IndexingServer {
         self.cfg.late_visibility.as_millis() as u64
     }
 
+    /// Bytes in both trees, the measure the chunk threshold applies to.
+    fn bytes_in_memory(&self) -> usize {
+        self.stores().iter().map(|s| s.tree.byte_size()).sum()
+    }
+
     /// Consumes up to `max` queued tuples; returns how many were processed.
-    /// Flushes automatically when the chunk-size threshold is crossed.
+    /// Flushes automatically when the chunk-size threshold is crossed: each
+    /// poll takes no more than the threshold has room for, so a chunk seals
+    /// at the first record that crosses it, however the stream was cut
+    /// into pumps.
     pub fn pump(&self, max: usize) -> Result<usize> {
         if self.is_failed() {
             return Err(waterwheel_core::WwError::Injected("indexing server down"));
         }
+        let mut total = 0;
+        while total < max {
+            let n = self.poll_and_ingest(max - total)?;
+            total += n;
+            if n > 0 {
+                self.report_region()?;
+            }
+            if self.bytes_in_memory() < self.cfg.chunk_size_bytes {
+                // The poll ended at `max` or at the queue's end, not at
+                // the threshold.
+                break;
+            }
+            self.flush()?;
+        }
+        Ok(total)
+    }
+
+    /// Polls up to `max` records, at most as many bytes as the chunk
+    /// threshold has room for (and at least one record), and ingests them.
+    fn poll_and_ingest(&self, max: usize) -> Result<usize> {
         // The consumer lock spans poll AND insert: `flush` reads the
         // consumer position under this lock as the chunk's durable offset,
         // so a record must never exist in the polled-but-not-yet-inserted
         // state while a flush seals. Otherwise the seal misses the record,
         // the chunk registers an offset *past* it, and a later kill -9
         // replay resumes beyond a tuple that was never made durable.
-        let n = {
-            let mut consumer = self.consumer.lock();
-            let records = consumer.poll(max)?;
-            let n = records.len();
-            if n > 0 {
-                self.ingest_batch(records.into_iter().map(|r| r.tuple).collect());
-            }
-            n
-        };
+        let mut consumer = self.consumer.lock();
+        let room = self
+            .cfg
+            .chunk_size_bytes
+            .saturating_sub(self.bytes_in_memory());
+        let records = consumer.poll_bytes(max, room.max(1))?;
+        let n = records.len();
         if n > 0 {
-            self.meta
-                .update_memory_region(self.id, self.memory_region())?;
-        }
-        let in_memory: usize = self.stores().iter().map(|s| s.tree.byte_size()).sum();
-        if in_memory >= self.cfg.chunk_size_bytes {
-            self.flush()?;
+            let (ingested, late) =
+                self.ingest_batch(records.into_iter().map(|r| r.tuple).collect());
+            self.stats.ingested.fetch_add(ingested, Ordering::Relaxed);
+            self.stats.side_stored.fetch_add(late, Ordering::Relaxed);
         }
         Ok(n)
+    }
+
+    /// Parks the calling thread until this server's queue partition holds
+    /// records its pump has not taken, or `until()` holds, for at most
+    /// `timeout`: the wait of an idle pump. `false` when the timeout passed
+    /// first (or the partition is gone).
+    pub fn wait_for_records(&self, timeout: Duration, until: impl Fn() -> bool) -> bool {
+        self.backlog.wait(timeout, until).unwrap_or(false)
+    }
+
+    /// Makes every thread parked in [`Self::wait_for_records`] on this
+    /// server's partition re-check its condition — a replacement server's
+    /// pump, say, which has a replay to do before anything new arrives.
+    pub fn wake_pump(&self) {
+        let _ = self.backlog.wake();
     }
 
     /// Ingests one polled batch: routes it by the high-water mark (§IV-D)
     /// into main and side, each taking its share in one `insert_batch`.
     /// `pump` holds the consumer lock throughout, so one batch runs at a
     /// time, a local high-water mark sees every earlier tuple, and no flush
-    /// seals between the two stores' shares.
-    fn ingest_batch(&self, tuples: Vec<Tuple>) {
+    /// seals between the two stores' shares. Returns how many entered main
+    /// and side.
+    fn ingest_batch(&self, tuples: Vec<Tuple>) -> (u64, u64) {
         let late_limit = self.late_limit_ms();
         let mut high_water = self.high_water.load(Ordering::Acquire);
         let mut main = tuples;
@@ -301,7 +362,7 @@ impl IndexingServer {
             })
             .collect();
         self.high_water.fetch_max(high_water, Ordering::AcqRel);
-        let (ingested, late) = (main.len() as u64, side.len() as u64);
+        let counts = (main.len() as u64, side.len() as u64);
         let measure = self
             .cfg
             .agg_summaries_enabled
@@ -309,8 +370,7 @@ impl IndexingServer {
         for (store, tuples) in self.stores().into_iter().zip([main, side]) {
             store.insert(tuples, measure.as_ref());
         }
-        self.stats.ingested.fetch_add(ingested, Ordering::Relaxed);
-        self.stats.side_stored.fetch_add(late, Ordering::Relaxed);
+        counts
     }
 
     /// Answers this server's share of an aggregate over `sq`'s rectangle —
@@ -364,6 +424,46 @@ impl IndexingServer {
             .into_iter()
             .flatten()
             .reduce(|a, b| a.hull(&b))
+    }
+
+    /// What this server reports as its memory region: [`Self::memory_region`]
+    /// over the assigned interval's keys too, and open above, since the
+    /// fresh trees only ever take timestamps above a lower bound that a flush
+    /// resets.
+    fn region_to_report(&self) -> Option<Region> {
+        let region = self.memory_region()?;
+        let keys = region.keys.hull(&self.assigned_interval());
+        Some(Region::new(
+            keys,
+            TimeInterval::new(region.times.lo(), u64::MAX),
+        ))
+    }
+
+    /// Sends the memory region to the metadata service if a tree's hull has
+    /// left the one last reported. A flush in doubt is settled first: its
+    /// restored tuples may be in registered chunks already, and a region
+    /// covering them would make them answer twice.
+    fn report_region(&self) -> Result<()> {
+        if self.in_doubt.lock().is_some() {
+            let _whole_flush = self.flushing.lock();
+            self.settle_doubt()?;
+        }
+        let mut reported = self.reported.lock();
+        let covered = self.stores().iter().all(|s| {
+            s.tree
+                .region()
+                .is_none_or(|hull| reported.is_some_and(|r| r.covers(&hull)))
+        });
+        if covered {
+            return Ok(());
+        }
+        let region = self.region_to_report();
+        // Unknown until the call is answered: a lost answer must not leave a
+        // stale region counted as sent.
+        *reported = None;
+        self.meta.update_memory_region(self.id, region)?;
+        *reported = region;
+        Ok(())
     }
 
     /// Executes a subquery against the in-memory state (main + side) — the
@@ -449,26 +549,27 @@ impl IndexingServer {
         // in no registered chunk, and a client querying right after its
         // `flush()` would miss them.
         let _whole_flush = self.flushing.lock();
+        self.settle_doubt()?;
         // Invariant: every polled record is either below the durable offset
         // and in this flush's chunks, tree and wheel alike, or at or above
         // it and fresh in the emptied stores. `pump` holds the consumer lock
         // from poll through insert, so reading the offset and taking both
-        // stores under that lock sees each batch wholly or not at all. (A
-        // failed chunk write loses the taken tuples from memory; replay from
-        // the registered offset restores them.)
+        // stores under that lock sees each batch wholly or not at all.
         let (durable_offset, taken) = {
             let consumer = self.consumer.lock();
             (consumer.position(), self.stores().map(Store::take))
         };
         // One chunk per non-empty store, main first: side flushes apart so
         // main chunks keep tight temporal bounds (§IV-D).
-        let chunks: Vec<(SealedTree, Option<WheelSummary>)> = taken
+        let chunks: Vec<(&Store, SealedTree, Option<WheelSummary>)> = self
+            .stores()
             .into_iter()
-            .flatten()
-            .map(|(sealed, wheel)| {
+            .zip(taken)
+            .filter_map(|(store, taken)| {
+                let (sealed, wheel) = taken?;
                 let summary =
                     (!wheel.is_empty()).then(|| WheelSummary::seal(wheel, MAX_CELLS_PER_RING));
-                (sealed, summary)
+                Some((store, sealed, summary))
             })
             .collect();
         if chunks.is_empty() {
@@ -478,25 +579,102 @@ impl IndexingServer {
         // visible together, so the offset never vouches for a chunk that
         // did not land, and a cut anywhere before the registration replays
         // the whole flush and nothing twice.
-        let first = self.meta.allocate_chunk_ids(chunks.len() as u64)?;
-        let flushed = (first.raw()..)
-            .zip(&chunks)
-            .map(|(id, (sealed, summary))| self.write_chunk(ChunkId(id), sealed, summary.as_ref()))
-            .collect::<Result<Vec<_>>>()?;
-        let ids = flushed.iter().map(|c| c.id).collect();
-        self.meta
-            .register_flush(self.id, flushed, durable_offset, self.memory_region())?;
+        let mut sent = false;
+        let registered = (|| {
+            let first = self.meta.allocate_chunk_ids(chunks.len() as u64)?;
+            let flushed = (first.raw()..)
+                .zip(&chunks)
+                .map(|(id, (_, sealed, summary))| {
+                    self.write_chunk(ChunkId(id), sealed, summary.as_ref())
+                })
+                .collect::<Result<Vec<_>>>()?;
+            let ids: Vec<ChunkId> = flushed.iter().map(|c| c.id).collect();
+            let mut reported = self.reported.lock();
+            let region = self.region_to_report();
+            *reported = None;
+            sent = true;
+            self.meta
+                .register_flush(self.id, flushed, durable_offset, region)?;
+            *reported = region;
+            Ok(ids)
+        })();
+        let ids = match registered {
+            Ok(ids) => ids,
+            Err(e) => {
+                // Cut before its registration landed, a flush has made
+                // nothing durable: its tuples go back into memory, so they
+                // stay queryable and the next flush seals them again. A
+                // registration that was sent may have landed with only its
+                // answer lost; the next flush settles that first.
+                self.restore(chunks);
+                if sent {
+                    *self.in_doubt.lock() = Some(durable_offset);
+                }
+                return Err(e);
+            }
+        };
         self.stats
             .chunks_flushed
             .fetch_add(chunks.len() as u64, Ordering::Relaxed);
-        // Everything below the offset is in registered chunks now: the
-        // queue lets it go (Kafka's retention, paper §V). A crashed server
-        // leaves its partition to the replacement replaying it.
-        if !self.is_failed() {
-            let journal = self.journal_trim.load(Ordering::Relaxed);
-            self.backlog.trim(durable_offset, journal)?;
-        }
+        self.trim_below(durable_offset)?;
         Ok(ids)
+    }
+
+    /// Puts a failed flush's sealed tuples back into the stores they came
+    /// from, tree and wheel, under the consumer lock as a pump batch.
+    fn restore(&self, chunks: Vec<(&Store, SealedTree, Option<WheelSummary>)>) {
+        let measure = self
+            .cfg
+            .agg_summaries_enabled
+            .then(|| self.measure.read().clone());
+        let _consumer = self.consumer.lock();
+        for (store, sealed, _) in chunks {
+            let tuples = sealed.leaves.into_iter().flat_map(|l| l.entries);
+            store.insert(tuples.collect(), measure.as_ref());
+        }
+    }
+
+    /// Settles a flush whose registration was sent but not answered. Its
+    /// tuples went back into memory; if the metadata service holds its
+    /// offset after all, they are in registered chunks too, so memory is
+    /// rebuilt from the queue records at and above that offset — exactly
+    /// the tuples no registered chunk holds — and the queue trimmed below.
+    fn settle_doubt(&self) -> Result<()> {
+        let mut in_doubt = self.in_doubt.lock();
+        let Some(offset) = *in_doubt else {
+            return Ok(());
+        };
+        if self.meta.durable_offset(self.id)? >= offset {
+            let mut consumer = self.consumer.lock();
+            let end = consumer.position();
+            for store in self.stores() {
+                store.take();
+            }
+            consumer.seek(offset);
+            while consumer.position() < end {
+                let left = (end - consumer.position()) as usize;
+                let records = consumer.poll(left)?;
+                if records.is_empty() {
+                    break;
+                }
+                self.ingest_batch(records.into_iter().map(|r| r.tuple).collect());
+            }
+            drop(consumer);
+            self.trim_below(offset)?;
+        }
+        *in_doubt = None;
+        Ok(())
+    }
+
+    /// Lets the queue drop the records below `offset`, which a registered
+    /// flush holds in chunks now (Kafka's retention, paper §V). A crashed
+    /// server leaves its partition to the replacement replaying it.
+    fn trim_below(&self, offset: u64) -> Result<()> {
+        if self.is_failed() {
+            return Ok(());
+        }
+        let journal = self.journal_trim.load(Ordering::Relaxed);
+        self.backlog.trim(offset, journal)
     }
 }
 
@@ -507,7 +685,7 @@ mod tests {
     use waterwheel_core::{QueryId, SubQueryId, SubQueryTarget};
     use waterwheel_meta::MetadataService;
     use waterwheel_mq::MessageQueue;
-    use waterwheel_net::{serve_meta, InProcTransport, RpcClient, Transport};
+    use waterwheel_net::{serve_meta, InProcTransport, RpcClient, Transport, META_SERVER};
 
     struct Rig {
         mq: MessageQueue,
@@ -783,6 +961,61 @@ mod tests {
         );
     }
 
+    /// The sibling of the test above with a threshold that is a multiple
+    /// of neither batch size (5 003 records of 24 B). Each poll takes only
+    /// what the threshold has room for, so both pumps seal at exactly every
+    /// 5 003rd record, main and side chunk together, and leave the same
+    /// 500-record tail in memory; the chunk files are byte-identical.
+    #[test]
+    fn chunks_seal_at_the_threshold_record_whatever_the_pump_batch() {
+        const PER_CHUNK: u64 = 5_003;
+        let run = |name: &str, batch: usize| {
+            let mut rig = Rig::new(name);
+            rig.cfg.chunk_size_bytes = (PER_CHUNK * 24) as usize;
+            let server = rig.server(0, 0);
+            for i in 0..3 * PER_CHUNK + 500 {
+                let key = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 54;
+                let ts = if i % 50 == 49 { i / 2 } else { 100_000 + i / 2 };
+                let t = Tuple::new(key, ts, (i as u32).to_le_bytes().to_vec());
+                rig.mq.append("ingest", 0, t).unwrap();
+            }
+            while server.pump(batch).unwrap() > 0 {}
+            let tail = server.in_memory();
+            let sealed = server.stats().chunks_flushed.load(Ordering::Relaxed);
+            server.flush().unwrap();
+            let mut files: Vec<(ChunkId, u64, Vec<u8>)> = rig
+                .meta
+                .chunks_overlapping(&Region::full())
+                .into_iter()
+                .map(|(id, _)| {
+                    let file = rig.dfs.open(id, None).unwrap();
+                    let count = rig.meta.chunk_info(id).unwrap().count;
+                    (id, count, file.read_range(0, file.len().unwrap()).unwrap())
+                })
+                .collect();
+            files.sort();
+            (files, sealed, tail)
+        };
+        use waterwheel_storage::RangedRead;
+        let (big, big_sealed, big_tail) = run("odd-1024", 1_024);
+        let (small, small_sealed, small_tail) = run("odd-7", 7);
+        assert_eq!((big_tail, small_tail), (500, 500), "a threshold overshot");
+        assert_eq!(
+            (big_sealed, small_sealed),
+            (6, 6),
+            "three flushes, main + side"
+        );
+        // Chunk ids come in one block per flush, main first: each of the
+        // three threshold flushes holds exactly the threshold's records.
+        for flush in big[..6].chunks(2) {
+            assert_eq!(flush[0].1 + flush[1].1, PER_CHUNK);
+        }
+        assert_eq!(big.len(), small.len());
+        for (a, b) in big.iter().zip(&small) {
+            assert!(a == b, "{:?} differs between pump(1024) and pump(7)", a.0);
+        }
+    }
+
     /// The flush seals the live wheels instead of rebuilding a summary
     /// from the sealed tuples. The bytes must not notice: every chunk's
     /// summary — the side store's too — encodes exactly as
@@ -1029,6 +1262,95 @@ mod tests {
             N,
             "aggregate state lost tuples to a flush/ingest race"
         );
+    }
+
+    /// A flush whose registration fails keeps its tuples in memory: cut
+    /// before the registration, and with the registration applied but its
+    /// answer lost. The next pump settles which it was, and the next flush
+    /// seals each tuple exactly once.
+    #[test]
+    fn a_failed_flush_keeps_its_tuples_and_the_next_seals_them_once() {
+        use waterwheel_net::{MetaRequest, Request};
+        for lost_answer in [false, true] {
+            let rig = Rig::new(&format!("failed-flush-{lost_answer}"));
+            let serve = rig.transport.registry().get(META_SERVER).unwrap();
+            let failing = Arc::new(AtomicBool::new(false));
+            let fail = Arc::clone(&failing);
+            rig.transport.registry().bind(META_SERVER, move |env| {
+                let register = matches!(
+                    &env.payload,
+                    Request::Meta(MetaRequest::RegisterFlush { .. })
+                );
+                if !fail.load(Ordering::SeqCst) || !register {
+                    return serve(env);
+                }
+                if lost_answer {
+                    serve(env)?;
+                }
+                Err(waterwheel_core::WwError::Timeout("answer lost"))
+            });
+            let mut cfg = rig.cfg.clone();
+            cfg.rpc_retries = 0;
+            let server = IndexingServer::new(
+                ServerId(0),
+                KeyInterval::full(),
+                cfg,
+                Consumer::new(rig.mq.clone(), "ingest", 0, 0),
+                rig.dfs.clone(),
+                MetaClient::new(RpcClient::new(
+                    Arc::clone(&rig.transport) as Arc<dyn Transport>,
+                    ServerId(0),
+                    &rig.cfg,
+                )),
+            );
+            let all = || {
+                let mut t = server
+                    .query_in_memory(&sq(KeyInterval::full(), TimeInterval::full()))
+                    .unwrap();
+                let in_chunks: u64 = rig
+                    .meta
+                    .chunks_overlapping(&Region::full())
+                    .iter()
+                    .map(|(id, _)| rig.meta.chunk_info(*id).unwrap().count)
+                    .sum();
+                t.sort_by_key(|t| (t.key, t.ts));
+                (t, in_chunks)
+            };
+            for i in 0..100u64 {
+                rig.mq
+                    .append("ingest", 0, Tuple::bare(i, 1_000 + i))
+                    .unwrap();
+            }
+            server.pump(1_000).unwrap();
+            failing.store(true, Ordering::SeqCst);
+            assert!(server.flush().is_err());
+            // The tuples are in memory again. Registered or not, the region
+            // the coordinator plans by covers them exactly once: the old
+            // one if the registration never landed, none if it did.
+            let (fresh, in_chunks) = all();
+            let landed = if lost_answer { 100 } else { 0 };
+            assert_eq!((fresh.len(), in_chunks), (100, landed), "{lost_answer}");
+            let regions = rig.meta.memory_regions_overlapping(&Region::full());
+            assert_eq!(regions.is_empty(), lost_answer, "{regions:?}");
+            if let [(_, region)] = regions[..] {
+                assert!(fresh.iter().all(|t| region.contains_tuple(t)));
+            }
+            failing.store(false, Ordering::SeqCst);
+            for i in 100..150u64 {
+                rig.mq
+                    .append("ingest", 0, Tuple::bare(i, 1_000 + i))
+                    .unwrap();
+            }
+            // The next pump settles the doubt before it reports: memory
+            // holds each tuple no chunk holds, once.
+            server.pump(1_000).unwrap();
+            let (fresh, in_chunks) = all();
+            assert_eq!(fresh.len() as u64 + in_chunks, 150, "{lost_answer}");
+            server.flush().unwrap();
+            let (fresh, in_chunks) = all();
+            assert_eq!((fresh.len(), in_chunks), (0, 150), "{lost_answer}");
+            assert_eq!(rig.meta.durable_offset(ServerId(0)), 150);
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use crate::coordinator::Coordinator;
 use crate::dispatch::DispatchPolicy;
-use crate::dispatcher::{Dispatcher, INGEST_LINGER};
+use crate::dispatcher::{Dispatcher, LingerPark, INGEST_LINGER};
 use crate::indexing::IndexingServer;
 use crate::query_server::QueryServer;
 use parking_lot::{Mutex, RwLock};
@@ -29,7 +29,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use waterwheel_cluster::{Cluster, LatencyModel};
 use waterwheel_core::{Counters, KeyInterval, NodeId, Result, ServerId, SystemConfig, WwError};
 use waterwheel_meta::{MemberRole, MetadataService, PartitionSchema};
@@ -466,9 +466,16 @@ pub fn spawn_every(
     })
 }
 
+/// Longest an idle pump stays parked without a wake. Appends, the stop
+/// latch and a recovery swap all wake it, so this is a liveness guard only.
+pub const PUMP_BACKSTOP: Duration = Duration::from_secs(1);
+
 /// Spawns the background pump of one indexing server — the Storm executor
 /// keeping freshly queued tuples queryable without waiting for a flush.
-/// Runs until `stop` is set; an idle or failing pump backs off for 1 ms.
+/// It drains whatever is queued, then parks on its queue partition until
+/// an append lands there, so a tuple is pumped as it arrives. Runs until
+/// `stop` is set and the thread unparked ([`stop_threads`]); a failing
+/// server is retried after 1 ms.
 pub fn spawn_pump(slot: &IndexingSlot, stop: &Arc<AtomicBool>) -> JoinHandle<()> {
     let (slot, stop) = (Arc::clone(slot), Arc::clone(stop));
     std::thread::spawn(move || {
@@ -476,8 +483,14 @@ pub fn spawn_pump(slot: &IndexingSlot, stop: &Arc<AtomicBool>) -> JoinHandle<()>
             // Re-read each round so a recovery swap takes effect.
             let server = Arc::clone(&slot.read());
             match server.pump(1_024) {
-                Ok(0) | Err(_) => std::thread::sleep(Duration::from_millis(1)),
+                Ok(0) => {
+                    let swapped = || !Arc::ptr_eq(&slot.read(), &server);
+                    server.wait_for_records(PUMP_BACKSTOP, || {
+                        stop.load(Ordering::SeqCst) || swapped()
+                    });
+                }
                 Ok(_) => {}
+                Err(_) => std::thread::sleep(Duration::from_millis(1)),
             }
         }
     })
@@ -486,17 +499,48 @@ pub fn spawn_pump(slot: &IndexingSlot, stop: &Arc<AtomicBool>) -> JoinHandle<()>
 /// Spawns the linger flusher of a process's dispatchers: partial batches
 /// older than [`INGEST_LINGER`] are pushed out, so a trickling stream becomes
 /// visible without waiting for a batch to fill — and a batch whose send
-/// failed is retried without waiting for the next insert. Errors are left
-/// for the next round: the failed batch stays pending in its dispatcher.
+/// failed is retried without waiting for the next insert. Each sweep visits
+/// every link, then the thread sleeps until the earliest deadline left, or
+/// with none until a dispatch gives a link one ([`LingerPark`]). A failed
+/// sweep is retried after one linger: the failed batch stays pending in its
+/// dispatcher.
 pub fn spawn_linger_flusher(
     dispatchers: Vec<Arc<Dispatcher>>,
     stop: &Arc<AtomicBool>,
 ) -> JoinHandle<()> {
-    spawn_every(stop, INGEST_LINGER, move || {
+    let stop = Arc::clone(stop);
+    std::thread::spawn(move || {
+        let park = Arc::new(LingerPark::for_current_thread());
         for d in &dispatchers {
-            let _ = d.flush_lingering();
+            d.attach_linger(&park);
+        }
+        while !stop.load(Ordering::SeqCst) {
+            park.sweeping();
+            let next = dispatchers
+                .iter()
+                .filter_map(|d| {
+                    d.flush_lingering()
+                        .unwrap_or_else(|_| Some(Instant::now() + INGEST_LINGER))
+                })
+                .min();
+            park.park_until(next);
         }
     })
+}
+
+/// Sets `stop` and joins `handles`, unparking each thread first so that
+/// none sleeps out its park: the pumps and the linger flusher check `stop`
+/// whenever they are unparked. (Threads from [`spawn_every`] finish their
+/// current interval.)
+pub fn stop_threads(stop: &AtomicBool, handles: impl IntoIterator<Item = JoinHandle<()>>) {
+    stop.store(true, Ordering::SeqCst);
+    let handles: Vec<_> = handles.into_iter().collect();
+    for handle in &handles {
+        handle.thread().unpark();
+    }
+    for handle in handles {
+        let _ = handle.join();
+    }
 }
 
 /// Builds query server `id` over `dfs`, binds its RPC handler and registers

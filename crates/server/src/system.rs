@@ -456,12 +456,11 @@ impl Waterwheel {
         ));
     }
 
-    /// Stops the background pump threads and waits for them.
+    /// Stops the background pump threads and waits for them; parked ones
+    /// are woken, not waited out.
     pub fn stop_pumps(&self) {
-        self.pumps_stop.store(true, Ordering::SeqCst);
-        for handle in self.pump_handles.lock().drain(..) {
-            let _ = handle.join();
-        }
+        let handles: Vec<_> = self.pump_handles.lock().drain(..).collect();
+        roles::stop_threads(&self.pumps_stop, handles);
     }
 
     /// Executes a query.
@@ -576,7 +575,10 @@ impl Waterwheel {
         let slot = self.slot(id)?;
         let replacement = self.ix_role.build(&self.registry, id)?;
         replacement.set_measure(self.measure.lock().clone());
-        *slot.write() = replacement;
+        *slot.write() = Arc::clone(&replacement);
+        // A pump parked on the old instance moves to this one, which may
+        // have a replay to do before anything new arrives.
+        replacement.wake_pump();
         // Re-join the membership: if the crash outlived the lease, the
         // member was evicted and needs a fresh registration (which bumps
         // the epoch); otherwise this just renews the lease.
@@ -699,6 +701,56 @@ mod tests {
                 r.tuples.len()
             );
             std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        ww.stop_pumps();
+    }
+
+    /// Idle pumps park on their partitions and the linger flusher sleeps
+    /// with no deadline; `stop_pumps` wakes them all rather than waiting
+    /// out a backstop.
+    #[test]
+    fn stop_pumps_wakes_parked_pumps() {
+        let ww = system("stop-parked");
+        ww.start_pumps();
+        ww.insert(Tuple::bare(1, 1_000)).unwrap();
+        while ww.total_visible() == 0 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let t0 = std::time::Instant::now();
+        ww.stop_pumps();
+        let took = t0.elapsed();
+        assert!(took < roles::PUMP_BACKSTOP / 4, "stop took {took:?}");
+    }
+
+    /// A recovery swap wakes the pump parked on the old instance, which then
+    /// replays the replacement's partition tail without waiting for an
+    /// append or a backstop.
+    #[test]
+    fn a_recovery_swap_wakes_the_parked_pump() {
+        let ww = system("swap-wakes");
+        ww.start_pumps();
+        for i in 0..100u64 {
+            ww.insert(Tuple::bare(i * 1_000_000, 1_000 + i)).unwrap();
+        }
+        ww.flush_ingest_batches().unwrap();
+        while ww.total_visible() < 100 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let victim = ww.indexing_servers()[0].clone();
+        let held = victim.in_memory();
+        assert!(held > 0);
+        let t0 = std::time::Instant::now();
+        ww.recover_indexing_server(victim.id()).unwrap();
+        let replacement = ww.indexing_servers()[0].clone();
+        while replacement.in_memory() < held {
+            assert!(
+                t0.elapsed() < roles::PUMP_BACKSTOP / 4,
+                "the replacement replayed {} of {held} tuples",
+                replacement.in_memory()
+            );
+            std::thread::yield_now();
         }
         ww.stop_pumps();
     }

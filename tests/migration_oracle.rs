@@ -289,11 +289,15 @@ fn sent_on(ww: &Waterwheel, link: (ServerId, ServerId)) -> u64 {
 /// m, `SetPartition`, `CompleteMigration` × m to the metadata server; the
 /// coordinator address sends one `Reassign` to each server of the new
 /// schema and, once the records are complete, one best-effort membership
-/// refresh.
+/// refresh. A source holding tuples in memory flushes them in step 1, its
+/// own two calls to the metadata server; cut there, that flush fails and
+/// keeps its tuples, and the migration stops before any record.
 fn expected(link: (ServerId, ServerId), k: u64, m: u64) -> (u64, u64, bool) {
     match link {
         (COORDINATOR, META_SERVER) => (m, m, false),
         (COORDINATOR, _) => (m, 0, true),
+        // Indexing ids are `0..1000`.
+        (source, META_SERVER) if source.raw() < 1_000 => (0, 0, true),
         (_, META_SERVER) => (k.min(m), k.saturating_sub(m + 1), true),
         (_, _source) => (if k == 0 { 0 } else { m }, 0, true),
     }

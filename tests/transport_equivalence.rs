@@ -46,6 +46,8 @@ fn loaded_system(name: &str, tcp: bool) -> (Ww, u64) {
     }
     ww.drain().unwrap();
     assert!(ww.metadata().chunk_count() > 0, "nothing reached chunks");
+    let in_memory: usize = ww.indexing_servers().iter().map(|s| s.in_memory()).sum();
+    assert!(in_memory > 0, "nothing left in memory");
     (ww, stream.now_ms())
 }
 
@@ -208,6 +210,9 @@ fn random_expr(rng: &mut Rng, depth: u32) -> Expr {
 fn random_predicates_answer_alike_in_process_over_tcp_and_naively() {
     let (inproc, now) = loaded_system("expr-inproc", false);
     let (tcp, _) = loaded_system("expr-tcp", true);
+    let in_memory =
+        |ww: &Ww| -> usize { ww.indexing_servers().iter().map(|s| s.in_memory()).sum() };
+    let before = in_memory(&inproc);
     // A tail below the chunk threshold stays in the in-memory trees, so
     // every case reads memory and chunks both.
     let mut tail = NetworkGen::new(NetworkConfig {
@@ -222,12 +227,7 @@ fn random_predicates_answer_alike_in_process_over_tcp_and_naively() {
     tcp.drain().unwrap();
     let full = Query::range(KeyInterval::full(), TimeInterval::full());
     let all = inproc.query(&full).unwrap().tuples;
-    let in_memory: usize = inproc
-        .indexing_servers()
-        .iter()
-        .map(|s| s.in_memory())
-        .sum();
-    assert_eq!(in_memory, 300);
+    assert_eq!(in_memory(&inproc), before + 300);
     // The attribute: the low nibble of the user id, the payload's first
     // byte. The rare value is the first tuple's whole user id.
     let nibble = || Expr::payload(0, 1) & 0xF;
