@@ -44,6 +44,18 @@ if [ "$(printf '%s\n' "$mixers" | grep -c '^crates/core/src/lib.rs:')" != 1 ] ||
     echo "$mixers"; exit 1
 fi
 
+echo "==> listeners come from std's bind (no raw socket, bind, listen or setsockopt declaration under crates/*/src)"
+# Non-test lines inside an extern "C" block. std's TcpListener::bind sets
+# SO_REUSEADDR before binding on Unix, so a restarted process re-claims its
+# address through it; a hand-rolled socket path would only repeat that.
+rawsock=$(find crates/*/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { exit }
+    /extern "C"/ { ffi = 1 } ffi && /^[[:space:]]*}/ { ffi = 0 }
+    ffi && /fn (socket|bind|listen|setsockopt)[[:space:]]*\(/ { print FILENAME ":" FNR ": " $0 }' {} \; | sort)
+if [ -n "$rawsock" ]; then
+    echo "bind listeners with std::net::TcpListener::bind instead of raw socket calls:"
+    echo "$rawsock"; exit 1
+fi
+
 echo "==> one reader per queue partition (the role layer builds the only non-test Consumer)"
 # Non-test code is every line before a file's first #[cfg(test)]. The trim
 # after a flush rests on each partition having exactly one reader.

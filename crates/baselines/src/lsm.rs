@@ -120,11 +120,6 @@ impl LsmStore {
         })
     }
 
-    /// Creates a store with default settings.
-    pub fn with_defaults() -> waterwheel_core::Result<Self> {
-        Self::new(LsmConfig::default())
-    }
-
     /// Tuples rewritten by compaction so far (write amplification).
     pub fn merged_tuples(&self) -> u64 {
         self.merged_tuples.load(Ordering::Relaxed)

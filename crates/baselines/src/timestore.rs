@@ -96,11 +96,6 @@ impl TimeStore {
         })
     }
 
-    /// Creates a store with default settings.
-    pub fn with_defaults() -> waterwheel_core::Result<Self> {
-        Self::new(TimeStoreConfig::default())
-    }
-
     fn segment_of(&self, ts: Timestamp) -> u64 {
         ts / self.cfg.segment_ms
     }

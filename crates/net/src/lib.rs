@@ -25,8 +25,8 @@
 //!   encoded into a length-prefixed, versioned frame and decoded back.
 //! * [`reactor`] — the event loop under the TCP layer: a hand-rolled
 //!   epoll poller driving nonblocking sockets, with incremental
-//!   frame assembly on read and buffered flush on write. A fixed number
-//!   of shard threads multiplexes every registered socket.
+//!   frame assembly on read and buffered flush on write. One loop thread
+//!   per reactor multiplexes every registered socket.
 //! * [`tcp`] — [`TcpTransport`] and [`TcpRpcServer`], the same [`Transport`]
 //!   seam over real sockets, built on the reactor. One connection per
 //!   destination address carries concurrent in-flight RPCs correlated by
@@ -45,10 +45,10 @@
 
 #![warn(missing_docs)]
 
-// The reactor's epoll bindings and the listener's `SO_REUSEADDR` shim are
-// raw Linux syscalls; there is no other poller.
+// The reactor's epoll bindings are raw Linux syscalls; there is no other
+// poller.
 #[cfg(not(target_os = "linux"))]
-compile_error!("waterwheel-net builds on Linux only (epoll, Linux socket constants)");
+compile_error!("waterwheel-net builds on Linux only (epoll)");
 
 pub mod client;
 pub mod envelope;
@@ -65,8 +65,7 @@ pub use envelope::{
 pub use meta_client::{serve_meta, MetaClient};
 pub use reactor::{ConnHandle, FrameAssembler, ListenerHandle, Reactor, Sink};
 pub use tcp::{
-    TcpClientOptions, TcpRpcServer, TcpServerOptions, TcpTransport, WireStats, WireTotals,
-    OVERLOAD_RETRY_AFTER,
+    TcpRpcServer, TcpServerOptions, TcpTransport, WireStats, WireTotals, OVERLOAD_RETRY_AFTER,
 };
 pub use transport::{
     FaultPlane, Handler, HandlerRegistry, InProcTransport, LatencyHistogram, LinkProfile, Pending,

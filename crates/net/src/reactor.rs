@@ -3,10 +3,9 @@
 //!
 //! The blocking transport spent one OS thread per pooled client
 //! connection (a parked reader) and one per accepted server socket. This
-//! module replaces all of them with a small fixed pool of reactor
-//! threads (usually one) multiplexing readiness over epoll — hand-rolled
-//! `extern "C"` bindings, same style as the `SO_REUSEADDR` shim in
-//! `tcp.rs`. The crate builds on Linux only.
+//! module replaces all of them with one event-loop thread per reactor,
+//! multiplexing readiness over epoll through hand-rolled `extern "C"`
+//! bindings. The crate builds on Linux only.
 //!
 //! ## Readiness state machine
 //!
@@ -17,7 +16,7 @@
 //!              is written inline by the sender's own thread.
 //! IN|OUT       a sender hit a partial write / `WouldBlock`; leftover
 //!              bytes sit in the outbound buffer and the reactor owns
-//!              the flush. Armed via an `Arm` op on the owning shard,
+//!              the flush. Armed via an `Arm` op on the loop thread,
 //!              never by senders calling `epoll_ctl` directly.
 //! closed       EOF, I/O error, or a sink verdict: the reactor removes
 //!              the socket from the poll set, shuts it down, and fires
@@ -26,23 +25,25 @@
 //!
 //! Inbound bytes feed a [`FrameAssembler`] (incremental version of
 //! `wire::read_frame`) and complete frame bodies are handed to the
-//! connection's [`Sink`]. All `epoll_ctl` mutation happens on the owning
-//! shard thread via an op queue, so fd lifecycle races (close vs. arm)
-//! cannot happen by construction.
+//! connection's [`Sink`]. All `epoll_ctl` mutation happens on the loop
+//! thread via an op queue, so fd lifecycle races (close vs. arm) cannot
+//! happen by construction.
 
 use crate::tcp::WireStats;
 use crate::wire::MAX_FRAME_LEN;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::os::fd::{AsRawFd, RawFd};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// How often a shard wakes with no events to run housekeeping ticks
-/// (idle-connection reaping and friends).
-const TICK: Duration = Duration::from_millis(250);
+/// The longest a poll waits with no events: a liveness backstop only (a
+/// stop or an op always pokes the wake pipe), with nothing run on it.
+const POLL_BACKSTOP: Duration = Duration::from_millis(250);
 
 /// Scratch read size per readiness event; frames larger than this simply
 /// take several reads through the assembler.
@@ -124,7 +125,7 @@ impl FrameAssembler {
 /// Receiver side of a registered connection.
 ///
 /// The reactor calls [`Sink::on_frame`] for every complete frame body
-/// (on a reactor thread — implementations must not block) and
+/// (on the loop thread — implementations must not block) and
 /// [`Sink::on_closed`] exactly once when the connection leaves the poll
 /// set for any reason.
 pub trait Sink: Send + Sync {
@@ -152,12 +153,11 @@ struct OutBuf {
 #[derive(Debug)]
 struct ConnInner {
     token: u64,
-    shard: usize,
     stream: TcpStream,
     out: Mutex<OutBuf>,
     closed: AtomicBool,
-    /// Set by the shard once the socket joined the poll set; senders
-    /// queueing bytes before that must not request an arm (the shard
+    /// Set by the loop once the socket joined the poll set; senders
+    /// queueing bytes before that must not request an arm (the loop
     /// arms at registration time based on the buffer).
     registered: AtomicBool,
 }
@@ -229,20 +229,20 @@ impl ConnHandle {
             out.queued.extend_from_slice(frame);
         }
         // Leftover bytes: hand the flush to the reactor. Arming goes
-        // through the shard's op queue so all epoll_ctl calls stay on the
-        // shard thread; `armed` (under the out lock) dedupes requests.
+        // through the op queue so all epoll_ctl calls stay on the loop
+        // thread; `armed` (under the out lock) dedupes requests.
         if !out.armed && self.inner.registered.load(Ordering::Acquire) {
             out.armed = true;
             drop(out);
             if let Some(r) = self.reactor.upgrade() {
-                r.enqueue(self.inner.shard, Op::Arm(self.inner.token));
+                r.state.enqueue(Op::Arm(self.inner.token));
             }
         }
         Ok(())
     }
 
-    /// Initiates teardown: shuts the socket down both ways so the owning
-    /// shard observes EOF and runs the close path (firing
+    /// Initiates teardown: shuts the socket down both ways so the loop
+    /// observes EOF and runs the close path (firing
     /// [`Sink::on_closed`]). Safe to call from any thread, idempotent.
     pub fn close(&self) {
         self.fail_socket();
@@ -263,10 +263,8 @@ impl ConnHandle {
         self.inner.closed.store(true, Ordering::Release);
         let _ = self.inner.stream.shutdown(Shutdown::Both);
         if let Some(r) = self.reactor.upgrade() {
-            r.shards[self.inner.shard]
-                .sweep
-                .store(true, Ordering::Release);
-            r.shards[self.inner.shard].poller.wake();
+            r.state.sweep.store(true, Ordering::Release);
+            r.state.poller.wake();
         }
     }
 }
@@ -277,7 +275,6 @@ impl ConnHandle {
 #[derive(Debug)]
 pub struct ListenerHandle {
     token: u64,
-    shard: usize,
     reactor: Weak<Reactor>,
 }
 
@@ -286,39 +283,15 @@ impl ListenerHandle {
     /// this returns, connection attempts to the address are refused.
     pub fn close(&self) {
         if let Some(r) = self.reactor.upgrade() {
-            let ack = Arc::new(OpAck::default());
-            r.enqueue(self.shard, Op::Del(self.token, Some(ack.clone())));
-            ack.wait();
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct OpAck {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl OpAck {
-    fn fire(&self) {
-        *self.done.lock().unwrap_or_else(|e| e.into_inner()) = true;
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) {
-        let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
-        while !*done {
-            done = self
-                .cv
-                .wait_timeout(done, Duration::from_millis(500))
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
+            let (done, closed) = mpsc::channel();
+            r.state.enqueue(Op::Del(self.token, done));
+            let _ = closed.recv();
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Shard plumbing
+// Loop plumbing
 // ---------------------------------------------------------------------------
 
 type AcceptFn = Box<dyn Fn(TcpStream) + Send + Sync>;
@@ -332,7 +305,7 @@ enum Op {
     Arm(u64),
     /// Deregister and drop an entry, acking when done (listener
     /// shutdown path).
-    Del(u64, Option<Arc<OpAck>>),
+    Del(u64, Sender<()>),
 }
 
 enum Entry {
@@ -347,84 +320,64 @@ enum Entry {
     },
 }
 
-struct ShardState {
+/// What the loop thread shares with the handles: the op queue, the
+/// poller, and the two flags that make it look beyond its events.
+struct LoopState {
     ops: Mutex<Vec<Op>>,
     poller: Poller,
     /// Set when a connection was closed externally (handle close,
-    /// transport drop); tells the shard to sweep for dead entries.
+    /// transport drop); tells the loop to sweep for dead entries.
     sweep: AtomicBool,
+    /// Set by the reactor's drop; the loop fails what it holds and leaves.
+    stopping: AtomicBool,
 }
 
-/// The reactor: `N` shard threads, each owning an epoll instance (or the
-/// portable fallback poller) and a token-keyed table of connections and
-/// listeners. Sockets are assigned to shards round-robin at
-/// registration.
+impl LoopState {
+    fn enqueue(&self, op: Op) {
+        self.ops.lock().unwrap_or_else(|e| e.into_inner()).push(op);
+        self.poller.wake();
+    }
+}
+
+/// The reactor: one event-loop thread owning an epoll instance and a
+/// token-keyed table of connections and listeners.
 pub struct Reactor {
-    shards: Vec<Arc<ShardState>>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    state: Arc<LoopState>,
+    thread: Option<JoinHandle<()>>,
     next_token: AtomicU64,
-    next_shard: AtomicUsize,
-    stopping: AtomicBool,
-    ticks: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
-    wire: Arc<WireStats>,
-    /// Set once `Self` is wrapped in its `Arc`, so handles can hold a
-    /// `Weak` back-reference without a retain cycle.
-    self_ref: Mutex<Weak<Reactor>>,
+    /// Handles hold a `Weak` back-reference, so they keep no reactor alive.
+    me: Weak<Reactor>,
 }
 
 impl std::fmt::Debug for Reactor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Reactor")
-            .field("shards", &self.shards.len())
+            .field("stopping", &self.state.stopping.load(Ordering::Relaxed))
             .finish()
     }
 }
 
 impl Reactor {
-    /// Spawns a reactor with `threads` shard threads (clamped to at
-    /// least one). Readiness wakeups are charged to
-    /// `wire.reactor_wakeups`.
-    pub fn new(threads: usize, wire: Arc<WireStats>) -> io::Result<Arc<Self>> {
-        let threads = threads.max(1);
-        let mut shards = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            shards.push(Arc::new(ShardState {
-                ops: Mutex::new(Vec::new()),
-                poller: Poller::new()?,
-                sweep: AtomicBool::new(false),
-            }));
-        }
-        let reactor = Arc::new(Reactor {
-            shards,
-            threads: Mutex::new(Vec::new()),
-            next_token: AtomicU64::new(1),
-            next_shard: AtomicUsize::new(0),
+    /// Spawns a reactor and its event-loop thread. Readiness wakeups are
+    /// charged to `wire.reactor_wakeups`.
+    pub fn new(wire: Arc<WireStats>) -> io::Result<Arc<Self>> {
+        let state = Arc::new(LoopState {
+            ops: Mutex::new(Vec::new()),
+            poller: Poller::new()?,
+            sweep: AtomicBool::new(false),
             stopping: AtomicBool::new(false),
-            ticks: Mutex::new(Vec::new()),
-            wire,
-            self_ref: Mutex::new(Weak::new()),
         });
-        *reactor.self_ref.lock().unwrap_or_else(|e| e.into_inner()) = Arc::downgrade(&reactor);
-        let mut handles = Vec::with_capacity(threads);
-        for (idx, shard) in reactor.shards.iter().enumerate() {
-            let shard = shard.clone();
-            let r = Arc::downgrade(&reactor);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("ww-reactor-{idx}"))
-                    .spawn(move || shard_loop(idx, shard, r))
-                    .expect("spawn reactor thread"),
-            );
-        }
-        *reactor.threads.lock().unwrap_or_else(|e| e.into_inner()) = handles;
-        Ok(reactor)
-    }
-
-    fn weak(&self) -> Weak<Reactor> {
-        self.self_ref
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        let looped = Arc::clone(&state);
+        let thread = std::thread::Builder::new()
+            .name("ww-reactor".into())
+            .spawn(move || event_loop(&looped, &wire))
+            .expect("spawn reactor thread");
+        Ok(Arc::new_cyclic(|me| Reactor {
+            state,
+            thread: Some(thread),
+            next_token: AtomicU64::new(1),
+            me: me.clone(),
+        }))
     }
 
     /// Prepares a socket for registration: switches it to nonblocking
@@ -433,11 +386,8 @@ impl Reactor {
     /// two-phase so the sink can capture the handle.
     pub fn attach(&self, stream: TcpStream) -> io::Result<ConnHandle> {
         stream.set_nonblocking(true)?;
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         let inner = Arc::new(ConnInner {
-            token,
-            shard,
+            token: self.next_token.fetch_add(1, Ordering::Relaxed),
             stream,
             out: Mutex::new(OutBuf::default()),
             closed: AtomicBool::new(false),
@@ -445,18 +395,18 @@ impl Reactor {
         });
         Ok(ConnHandle {
             inner,
-            reactor: self.weak(),
+            reactor: self.me.clone(),
         })
     }
 
     /// Completes registration of an attached connection: the socket
-    /// joins its shard's poll set and `sink` starts receiving frames.
+    /// joins the poll set and `sink` starts receiving frames.
     pub fn activate(&self, handle: &ConnHandle, sink: Arc<dyn Sink>) {
-        self.enqueue(handle.inner.shard, Op::AddConn(handle.inner.clone(), sink));
+        self.state.enqueue(Op::AddConn(handle.inner.clone(), sink));
     }
 
-    /// Registers a listening socket; `on_accept` runs on the shard
-    /// thread for every accepted connection (it should do no more than
+    /// Registers a listening socket; `on_accept` runs on the loop thread
+    /// for every accepted connection (it should do no more than
     /// configure and re-register the socket).
     pub fn listen(
         &self,
@@ -465,86 +415,56 @@ impl Reactor {
     ) -> io::Result<ListenerHandle> {
         listener.set_nonblocking(true)?;
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        let shard = 0;
-        self.enqueue(shard, Op::AddListener(token, listener, Box::new(on_accept)));
+        self.state
+            .enqueue(Op::AddListener(token, listener, Box::new(on_accept)));
         Ok(ListenerHandle {
             token,
-            shard,
-            reactor: self.weak(),
+            reactor: self.me.clone(),
         })
-    }
-
-    /// Registers a housekeeping closure run roughly every 250ms on one
-    /// shard thread (used by the connection pool's idle reaper). Hold
-    /// only `Weak` references inside the closure.
-    pub fn add_tick(&self, tick: impl Fn() + Send + Sync + 'static) {
-        self.ticks
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Box::new(tick));
-    }
-
-    fn enqueue(&self, shard: usize, op: Op) {
-        self.shards[shard]
-            .ops
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(op);
-        self.shards[shard].poller.wake();
     }
 }
 
 impl Drop for Reactor {
     fn drop(&mut self) {
-        self.stopping.store(true, Ordering::Release);
-        for shard in &self.shards {
-            shard.poller.wake();
-        }
-        let handles = std::mem::take(&mut *self.threads.lock().unwrap_or_else(|e| e.into_inner()));
-        // A shard thread holds the reactor for the moment it reads the stop
-        // flag; when the owner lets go in that moment, this drop runs on the
-        // shard thread, which must not join itself — it sees `stopping` on
-        // its next turn and leaves.
-        let me = std::thread::current().id();
-        for h in handles.into_iter().filter(|h| h.thread().id() != me) {
-            let _ = h.join();
+        self.state.stopping.store(true, Ordering::Release);
+        self.state.poller.wake();
+        // A callback on the loop thread may hold the last handle (an
+        // accept upgrading its `Weak`, a sink owning the reactor); then
+        // this drop runs on the loop thread, which must not join itself —
+        // it sees `stopping` on its next turn and leaves.
+        if let Some(thread) = self.thread.take() {
+            if thread.thread().id() != std::thread::current().id() {
+                let _ = thread.join();
+            }
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Shard event loop
+// Event loop
 // ---------------------------------------------------------------------------
 
-fn shard_loop(idx: usize, shard: Arc<ShardState>, reactor: Weak<Reactor>) {
+fn event_loop(state: &LoopState, wire: &WireStats) {
     let mut entries: HashMap<u64, Entry> = HashMap::new();
     let mut scratch = vec![0u8; READ_CHUNK];
     let mut events: Vec<(u64, Readiness)> = Vec::new();
-    let mut last_tick = Instant::now();
     loop {
         // Apply queued registration / arm / deregistration ops first, so
         // a wakeup is never consumed without its op.
-        let ops = std::mem::take(&mut *shard.ops.lock().unwrap_or_else(|e| e.into_inner()));
+        let ops = std::mem::take(&mut *state.ops.lock().unwrap_or_else(|e| e.into_inner()));
         for op in ops {
-            apply_op(&shard, &mut entries, op);
+            apply_op(&state.poller, &mut entries, op);
         }
-
-        let stopping = match reactor.upgrade() {
-            Some(r) => r.stopping.load(Ordering::Acquire),
-            None => true,
-        };
-        if stopping {
+        if state.stopping.load(Ordering::Acquire) {
             break;
         }
 
         events.clear();
-        if shard.poller.wait(&mut events, TICK).is_err() {
+        if state.poller.wait(&mut events, POLL_BACKSTOP).is_err() {
             break;
         }
         if !events.is_empty() {
-            if let Some(r) = reactor.upgrade() {
-                r.wire.reactor_wakeups.fetch_add(1, Ordering::Relaxed);
-            }
+            wire.reactor_wakeups.fetch_add(1, Ordering::Relaxed);
         }
 
         for (token, ready) in events.drain(..) {
@@ -562,18 +482,18 @@ fn shard_loop(idx: usize, shard: Arc<ShardState>, reactor: Weak<Reactor>) {
                     conn,
                     sink,
                     assembler,
-                }) => handle_conn_ready(&shard.poller, conn, sink, assembler, ready, &mut scratch),
+                }) => handle_conn_ready(&state.poller, conn, sink, assembler, ready, &mut scratch),
                 None => None,
             };
             if let Some(reason) = closed {
-                close_entry(&shard, &mut entries, token, reason);
+                close_entry(&state.poller, &mut entries, token, reason);
             }
         }
 
         // Connections shut down externally (ConnHandle::close, transport
         // drop) also surface as readiness events, but the sweep flag makes
-        // teardown deterministic on both poller backends.
-        if shard.sweep.swap(false, Ordering::AcqRel) {
+        // teardown deterministic.
+        if state.sweep.swap(false, Ordering::AcqRel) {
             let dead: Vec<u64> = entries
                 .iter()
                 .filter_map(|(t, e)| match e {
@@ -582,17 +502,7 @@ fn shard_loop(idx: usize, shard: Arc<ShardState>, reactor: Weak<Reactor>) {
                 })
                 .collect();
             for token in dead {
-                close_entry(&shard, &mut entries, token, "connection lost");
-            }
-        }
-
-        if idx == 0 && last_tick.elapsed() >= TICK {
-            last_tick = Instant::now();
-            if let Some(r) = reactor.upgrade() {
-                let ticks = r.ticks.lock().unwrap_or_else(|e| e.into_inner());
-                for t in ticks.iter() {
-                    t();
-                }
+                close_entry(&state.poller, &mut entries, token, "connection lost");
             }
         }
     }
@@ -600,20 +510,19 @@ fn shard_loop(idx: usize, shard: Arc<ShardState>, reactor: Weak<Reactor>) {
     // wake with a connection-lost verdict instead of hanging.
     let tokens: Vec<u64> = entries.keys().copied().collect();
     for token in tokens {
-        close_entry(&shard, &mut entries, token, "connection lost");
+        close_entry(&state.poller, &mut entries, token, "connection lost");
     }
 }
 
-fn apply_op(shard: &ShardState, entries: &mut HashMap<u64, Entry>, op: Op) {
+fn apply_op(poller: &Poller, entries: &mut HashMap<u64, Entry>, op: Op) {
     match op {
         Op::AddConn(conn, sink) => {
             if conn.closed.load(Ordering::Acquire) {
                 sink.on_closed("connection lost");
                 return;
             }
-            if shard
-                .poller
-                .register_stream(&conn.stream, conn.token)
+            if poller
+                .register(conn.stream.as_raw_fd(), conn.token)
                 .is_err()
             {
                 conn.closed.store(true, Ordering::Release);
@@ -628,7 +537,7 @@ fn apply_op(shard: &ShardState, entries: &mut HashMap<u64, Entry>, op: Op) {
                 let mut out = conn.out.lock().unwrap_or_else(|e| e.into_inner());
                 if !out.queued.is_empty() {
                     out.armed = true;
-                    let _ = shard.poller.modify_stream(&conn.stream, conn.token, true);
+                    let _ = poller.modify(conn.stream.as_raw_fd(), conn.token, true);
                 }
             }
             entries.insert(
@@ -641,7 +550,7 @@ fn apply_op(shard: &ShardState, entries: &mut HashMap<u64, Entry>, op: Op) {
             );
         }
         Op::AddListener(token, listener, on_accept) => {
-            if shard.poller.register_listener(&listener, token).is_err() {
+            if poller.register(listener.as_raw_fd(), token).is_err() {
                 return;
             }
             entries.insert(
@@ -654,14 +563,12 @@ fn apply_op(shard: &ShardState, entries: &mut HashMap<u64, Entry>, op: Op) {
         }
         Op::Arm(token) => {
             if let Some(Entry::Conn { conn, .. }) = entries.get(&token) {
-                let _ = shard.poller.modify_stream(&conn.stream, token, true);
+                let _ = poller.modify(conn.stream.as_raw_fd(), token, true);
             }
         }
-        Op::Del(token, ack) => {
-            close_entry_inner(shard, entries, token, "connection lost");
-            if let Some(ack) = ack {
-                ack.fire();
-            }
+        Op::Del(token, done) => {
+            close_entry(poller, entries, token, "connection lost");
+            let _ = done.send(());
         }
     }
 }
@@ -725,8 +632,8 @@ fn handle_conn_ready(
 }
 
 /// Writes queued outbound bytes until the socket blocks or the buffer
-/// drains; disarms EPOLLOUT when fully flushed. Runs on the owning shard
-/// thread only.
+/// drains; disarms EPOLLOUT when fully flushed. Runs on the loop thread
+/// only.
 fn flush_outbound(poller: &Poller, conn: &Arc<ConnInner>) -> Option<&'static str> {
     let mut out = conn.out.lock().unwrap_or_else(|e| e.into_inner());
     let mut off = 0;
@@ -748,7 +655,7 @@ fn flush_outbound(poller: &Poller, conn: &Arc<ConnInner>) -> Option<&'static str
         // queue-then-arm cannot interleave with the transition.
         out.armed = false;
         if poller
-            .modify_stream(&conn.stream, conn.token, false)
+            .modify(conn.stream.as_raw_fd(), conn.token, false)
             .is_err()
         {
             return Some("connection lost");
@@ -757,37 +664,25 @@ fn flush_outbound(poller: &Poller, conn: &Arc<ConnInner>) -> Option<&'static str
     verdict
 }
 
-/// Removes one entry from the shard: poll-set removal, socket shutdown,
+/// Removes one entry from the loop: poll-set removal, socket shutdown,
 /// then the sink's single `on_closed`.
 fn close_entry(
-    shard: &ShardState,
+    poller: &Poller,
     entries: &mut HashMap<u64, Entry>,
     token: u64,
     reason: &'static str,
 ) {
-    close_entry_inner(shard, entries, token, reason);
-}
-
-fn close_entry_inner(
-    shard: &ShardState,
-    entries: &mut HashMap<u64, Entry>,
-    token: u64,
-    reason: &'static str,
-) {
-    if let Some(entry) = entries.remove(&token) {
-        match entry {
-            Entry::Conn { conn, sink, .. } => {
-                shard.poller.deregister_stream(&conn.stream, token);
-                conn.closed.store(true, Ordering::Release);
-                let _ = conn.stream.shutdown(Shutdown::Both);
-                sink.on_closed(reason);
-            }
-            Entry::Listener { listener, .. } => {
-                shard.poller.deregister_listener(&listener, token);
-                // Dropping the listener closes the fd: new connection
-                // attempts are refused from here on.
-            }
+    match entries.remove(&token) {
+        Some(Entry::Conn { conn, sink, .. }) => {
+            poller.deregister(conn.stream.as_raw_fd());
+            conn.closed.store(true, Ordering::Release);
+            let _ = conn.stream.shutdown(Shutdown::Both);
+            sink.on_closed(reason);
         }
+        // Dropping the listener closes the fd: new connection attempts
+        // are refused from here on.
+        Some(Entry::Listener { listener, .. }) => poller.deregister(listener.as_raw_fd()),
+        None => {}
     }
 }
 
@@ -804,8 +699,7 @@ struct Readiness {
 }
 
 mod sys {
-    //! Minimal epoll + pipe bindings, hand-rolled in the same style as
-    //! the `SO_REUSEADDR` shim in `tcp.rs` (no libc crate).
+    //! Minimal epoll + pipe bindings, hand-rolled (no libc crate).
     use std::io;
 
     pub const EPOLLIN: u32 = 0x001;
@@ -935,52 +829,17 @@ impl Poller {
         })
     }
 
-    fn register_stream(&self, stream: &TcpStream, token: u64) -> io::Result<()> {
-        use std::os::fd::AsRawFd;
-        sys::ctl(
-            self.epfd,
-            sys::EPOLL_CTL_ADD,
-            stream.as_raw_fd(),
-            sys::EPOLLIN,
-            token,
-        )
+    fn register(&self, fd: RawFd, token: u64) -> io::Result<()> {
+        sys::ctl(self.epfd, sys::EPOLL_CTL_ADD, fd, sys::EPOLLIN, token)
     }
 
-    fn register_listener(&self, listener: &TcpListener, token: u64) -> io::Result<()> {
-        use std::os::fd::AsRawFd;
-        sys::ctl(
-            self.epfd,
-            sys::EPOLL_CTL_ADD,
-            listener.as_raw_fd(),
-            sys::EPOLLIN,
-            token,
-        )
+    fn modify(&self, fd: RawFd, token: u64, want_write: bool) -> io::Result<()> {
+        let out = if want_write { sys::EPOLLOUT } else { 0 };
+        sys::ctl(self.epfd, sys::EPOLL_CTL_MOD, fd, sys::EPOLLIN | out, token)
     }
 
-    fn modify_stream(&self, stream: &TcpStream, token: u64, want_write: bool) -> io::Result<()> {
-        use std::os::fd::AsRawFd;
-        let events = if want_write {
-            sys::EPOLLIN | sys::EPOLLOUT
-        } else {
-            sys::EPOLLIN
-        };
-        sys::ctl(
-            self.epfd,
-            sys::EPOLL_CTL_MOD,
-            stream.as_raw_fd(),
-            events,
-            token,
-        )
-    }
-
-    fn deregister_stream(&self, stream: &TcpStream, _token: u64) {
-        use std::os::fd::AsRawFd;
-        let _ = sys::ctl(self.epfd, sys::EPOLL_CTL_DEL, stream.as_raw_fd(), 0, 0);
-    }
-
-    fn deregister_listener(&self, listener: &TcpListener, _token: u64) {
-        use std::os::fd::AsRawFd;
-        let _ = sys::ctl(self.epfd, sys::EPOLL_CTL_DEL, listener.as_raw_fd(), 0, 0);
+    fn deregister(&self, fd: RawFd) {
+        let _ = sys::ctl(self.epfd, sys::EPOLL_CTL_DEL, fd, 0, 0);
     }
 
     fn wake(&self) {
@@ -1022,6 +881,8 @@ impl Drop for Poller {
 mod tests {
     use super::*;
     use crate::wire;
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Instant;
 
     #[test]
     fn assembler_handles_split_and_coalesced_frames() {
@@ -1079,7 +940,7 @@ mod tests {
     #[test]
     fn reactor_moves_frames_between_two_registered_sockets() {
         let wire_stats = Arc::new(WireStats::default());
-        let reactor = Reactor::new(1, wire_stats.clone()).unwrap();
+        let reactor = Reactor::new(wire_stats.clone()).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let accepted: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
@@ -1137,7 +998,7 @@ mod tests {
 
     #[test]
     fn closing_the_listener_refuses_new_connections() {
-        let reactor = Reactor::new(1, Arc::new(WireStats::default())).unwrap();
+        let reactor = Reactor::new(Arc::new(WireStats::default())).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let lh = reactor.listen(listener, |_s| {}).unwrap();
@@ -1150,8 +1011,8 @@ mod tests {
         );
     }
 
-    /// Reports, when the reactor's fields are dropped, whether that
-    /// happened while unwinding from a panic.
+    /// Reports, when dropped, whether that happened while unwinding from
+    /// a panic.
     struct DropWitness(std::sync::mpsc::Sender<bool>);
 
     impl Drop for DropWitness {
@@ -1160,26 +1021,52 @@ mod tests {
         }
     }
 
+    /// Owns the last reactor handle and lets go of it inside its first
+    /// `on_frame`, on the loop thread.
+    struct OwningSink {
+        reactor: Mutex<Option<Arc<Reactor>>>,
+        witness: Mutex<Option<DropWitness>>,
+        closed: std::sync::mpsc::Sender<&'static str>,
+    }
+
+    impl Sink for OwningSink {
+        fn on_frame(&self, _body: Vec<u8>) -> std::result::Result<(), &'static str> {
+            let _witness = self.witness.lock().unwrap().take();
+            drop(self.reactor.lock().unwrap().take());
+            Ok(())
+        }
+        fn on_closed(&self, reason: &'static str) {
+            let _ = self.closed.send(reason);
+        }
+    }
+
     #[test]
-    fn a_shard_thread_may_hold_the_last_handle() {
+    fn the_loop_thread_may_hold_the_last_handle() {
         use std::sync::mpsc::channel;
-        let reactor = Reactor::new(2, Arc::new(WireStats::default())).unwrap();
-        let (entered_tx, entered_rx) = channel();
-        let (release_tx, release_rx) = channel::<()>();
+        let reactor = Reactor::new(Arc::new(WireStats::default())).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
         let (dropped_tx, dropped_rx) = channel();
-        let (release_rx, witness) = (Mutex::new(release_rx), DropWitness(dropped_tx));
-        // The tick runs on shard 0 while that thread holds the reactor.
-        reactor.add_tick(move || {
-            let _witness = &witness;
-            let _ = entered_tx.send(());
-            let _ = release_rx.lock().unwrap().recv();
+        let (closed_tx, closed_rx) = channel();
+        let handle = reactor.attach(accepted).unwrap();
+        let sink = Arc::new(OwningSink {
+            reactor: Mutex::new(Some(Arc::clone(&reactor))),
+            witness: Mutex::new(Some(DropWitness(dropped_tx))),
+            closed: closed_tx,
         });
-        entered_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        // The owner lets go first, so the drop runs on the shard thread
-        // once the tick returns — it joins the other shard, not itself.
+        reactor.activate(&handle, sink);
+        // The owner lets go first; the sink now holds the last handle, and
+        // the frame below makes it drop that handle on the loop thread —
+        // which must not join itself.
         drop(reactor);
-        release_tx.send(()).unwrap();
+        let frame = wire::encode_response_ok(1, &crate::envelope::Response::Pong);
+        (&peer).write_all(&frame).unwrap();
         let unwinding = dropped_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(!unwinding, "the reactor was dropped by a panicking thread");
+        // The loop then sees the stop and fails what it still holds.
+        let reason = closed_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(reason, "connection lost");
+        assert!(handle.is_closed());
     }
 }

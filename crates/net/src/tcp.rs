@@ -5,8 +5,8 @@
 //! connection pool where **one connection carries many concurrent
 //! in-flight RPCs**, correlated by a transport-level id stamped into each
 //! frame. There is no reader thread per connection: every pooled socket
-//! is registered with a shared reactor, whose shard threads assemble
-//! response frames incrementally and wake the exact sender waiting on the
+//! is registered with the transport's reactor, whose loop thread assembles
+//! response frames incrementally and wakes the exact sender waiting on the
 //! matching correlation id. [`Transport::start`] returns once the frame is
 //! written; the sender collects the answer from its slot when it chooses
 //! (its [`Pending`]). [`TcpRpcServer`] is the listener side — the
@@ -14,8 +14,8 @@
 //! connection; decoded requests are executed by a small fixed worker pool
 //! (ingest > query > metadata priority bands) dispatching the very same
 //! [`HandlerRegistry`] the in-proc transport delivers to, so a server
-//! process behaves identically however it is reached. Total thread count
-//! is O(reactor_threads + workers), independent of connection count.
+//! process behaves identically however it is reached. A listener runs one
+//! reactor thread plus its workers, however many connections it holds.
 //!
 //! Failure mapping keeps the retry layer above untouched:
 //!
@@ -34,11 +34,10 @@
 //! Reconnection is lazy with bounded backoff: a send that finds its pooled
 //! connection dead dials a fresh one, retrying until the envelope deadline
 //! would pass; [`WireStats`] counts first connects and reconnects apart so
-//! flapping links are visible in metrics. Pool hygiene is handled by the
-//! reactor's housekeeping tick: connections idle past
-//! [`TcpClientOptions::pool_idle_timeout`] with no in-flight RPCs are
-//! reaped, and the pool is capped at
-//! [`TcpClientOptions::pool_max_connections`] entries.
+//! flapping links are visible in metrics. The pool holds one connection
+//! per peer address: a dead entry stays until the next fresh connection
+//! is pooled, which drops every dead entry, so the pool is bounded by the
+//! live peers with no timer.
 //!
 //! An answer is returned exactly as it was decoded. What a query keeps is
 //! decided where the tuples are: filters cross the wire as data, so an
@@ -53,7 +52,7 @@ use crate::wire;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use waterwheel_core::{Result, ServerId, WwError};
 
@@ -150,93 +149,15 @@ impl Sink for ClientSink {
     }
 }
 
-/// One pooled connection: the reactor write handle, its sink (slots), and
-/// the last checkout time for idle reaping.
+/// One pooled connection: the reactor write handle and its sink (slots).
 struct PooledConn {
     handle: ConnHandle,
     sink: Arc<ClientSink>,
-    last_used: Mutex<Instant>,
 }
 
 impl PooledConn {
     fn live(&self) -> bool {
         !self.handle.is_closed() && !self.sink.dead.load(Ordering::Acquire)
-    }
-}
-
-/// The connection pool proper, shared with the reactor's housekeeping
-/// tick (which reaps it) via a `Weak`.
-struct PoolState {
-    conns: Mutex<HashMap<SocketAddr, Arc<PooledConn>>>,
-    idle_timeout: Duration,
-    max_connections: usize,
-}
-
-impl PoolState {
-    /// Drops dead entries and closes connections idle past the timeout
-    /// with no in-flight RPCs. Runs on the reactor tick (~4 Hz).
-    fn reap(&self) {
-        let mut conns = self.conns.lock().unwrap();
-        conns.retain(|_, c| {
-            if !c.live() {
-                return false;
-            }
-            if self.idle_timeout.is_zero() {
-                return true; // reaping disabled
-            }
-            let idle = c.last_used.lock().unwrap().elapsed() >= self.idle_timeout;
-            if idle && c.sink.pending.lock().unwrap().is_empty() {
-                c.handle.close();
-                false
-            } else {
-                true
-            }
-        });
-    }
-
-    /// Makes room for one more entry when at the cap: evicts the
-    /// least-recently-used dead or in-flight-free connection. With every
-    /// entry busy the cap is soft — evicting a busy connection would fail
-    /// its in-flight RPCs for nothing.
-    fn make_room(&self, conns: &mut HashMap<SocketAddr, Arc<PooledConn>>) {
-        while conns.len() >= self.max_connections {
-            let victim = conns
-                .iter()
-                .filter(|(_, c)| !c.live() || c.sink.pending.lock().unwrap().is_empty())
-                .min_by_key(|(_, c)| *c.last_used.lock().unwrap())
-                .map(|(addr, _)| *addr);
-            match victim {
-                Some(addr) => {
-                    if let Some(c) = conns.remove(&addr) {
-                        c.handle.close();
-                    }
-                }
-                None => break,
-            }
-        }
-    }
-}
-
-/// Construction knobs for [`TcpTransport`]. The system runs on the
-/// defaults; the pool tests vary them.
-#[derive(Clone, Copy, Debug)]
-pub struct TcpClientOptions {
-    /// Reactor shard threads multiplexing the pooled sockets.
-    pub reactor_threads: usize,
-    /// Close pooled connections idle (no in-flight RPCs) this long; zero
-    /// disables reaping.
-    pub pool_idle_timeout: Duration,
-    /// Soft cap on pooled connections (LRU idle entries are evicted).
-    pub pool_max_connections: usize,
-}
-
-impl Default for TcpClientOptions {
-    fn default() -> Self {
-        Self {
-            reactor_threads: 1,
-            pool_idle_timeout: Duration::from_secs(60),
-            pool_max_connections: 64,
-        }
     }
 }
 
@@ -246,7 +167,8 @@ pub struct TcpTransport {
     /// Fallback route for addresses without a specific peer entry (the
     /// embedded loopback deployment routes every server to one listener).
     default_route: Mutex<Option<SocketAddr>>,
-    pool: Arc<PoolState>,
+    /// One connection per peer address.
+    pool: Mutex<HashMap<SocketAddr, Arc<PooledConn>>>,
     /// Addresses ever connected, to tell reconnects from first connects.
     ever_connected: Mutex<std::collections::HashSet<SocketAddr>>,
     stats: Arc<RpcStatsRegistry>,
@@ -263,30 +185,13 @@ impl TcpTransport {
     }
 
     /// An empty transport charging `wire` (shared with a listener so one
-    /// snapshot covers a whole process), with default options.
+    /// snapshot covers a whole process).
     pub fn with_wire_stats(wire: Arc<WireStats>) -> Self {
-        Self::with_options(wire, TcpClientOptions::default())
-    }
-
-    /// An empty transport with explicit reactor/pool options.
-    pub fn with_options(wire: Arc<WireStats>, opts: TcpClientOptions) -> Self {
-        let reactor = Reactor::new(opts.reactor_threads, Arc::clone(&wire))
-            .expect("create reactor event loop");
-        let pool = Arc::new(PoolState {
-            conns: Mutex::new(HashMap::new()),
-            idle_timeout: opts.pool_idle_timeout,
-            max_connections: opts.pool_max_connections.max(1),
-        });
-        let for_tick: Weak<PoolState> = Arc::downgrade(&pool);
-        reactor.add_tick(move || {
-            if let Some(p) = for_tick.upgrade() {
-                p.reap();
-            }
-        });
+        let reactor = Reactor::new(Arc::clone(&wire)).expect("create reactor event loop");
         Self {
             peers: Mutex::new(HashMap::new()),
             default_route: Mutex::new(None),
-            pool,
+            pool: Mutex::new(HashMap::new()),
             ever_connected: Mutex::new(std::collections::HashSet::new()),
             stats: Arc::default(),
             wire,
@@ -320,10 +225,10 @@ impl TcpTransport {
         &self.wire
     }
 
-    /// Number of currently pooled connections (dead entries included
-    /// until the next reap).
+    /// Number of pooled connections, dead entries included until the
+    /// next fresh connection is pooled.
     pub fn pooled_connections(&self) -> usize {
-        self.pool.conns.lock().unwrap().len()
+        self.pool.lock().unwrap().len()
     }
 
     fn route(&self, dst: ServerId) -> Option<SocketAddr> {
@@ -346,11 +251,7 @@ impl TcpTransport {
         });
         self.reactor
             .activate(&handle, Arc::clone(&sink) as Arc<dyn Sink>);
-        Ok(Arc::new(PooledConn {
-            handle,
-            sink,
-            last_used: Mutex::new(Instant::now()),
-        }))
+        Ok(Arc::new(PooledConn { handle, sink }))
     }
 
     /// A live pooled connection to `addr`, dialing (with backoff bounded
@@ -358,9 +259,8 @@ impl TcpTransport {
     fn connection(&self, addr: SocketAddr, deadline: Instant) -> Result<Arc<PooledConn>> {
         let mut attempt = 0u32;
         loop {
-            if let Some(conn) = self.pool.conns.lock().unwrap().get(&addr) {
+            if let Some(conn) = self.pool.lock().unwrap().get(&addr) {
                 if conn.live() {
-                    *conn.last_used.lock().unwrap() = Instant::now();
                     return Ok(Arc::clone(conn));
                 }
             }
@@ -371,7 +271,7 @@ impl TcpTransport {
             match TcpStream::connect_timeout(&addr, remaining.min(Duration::from_secs(1))) {
                 Ok(stream) => {
                     let fresh = self.open_conn(stream)?;
-                    let mut conns = self.pool.conns.lock().unwrap();
+                    let mut conns = self.pool.lock().unwrap();
                     // Another sender may have raced us to a live connection;
                     // prefer the pooled one and retire ours.
                     if let Some(existing) = conns.get(&addr) {
@@ -387,7 +287,8 @@ impl TcpTransport {
                     } else {
                         self.wire.reconnects.fetch_add(1, Ordering::Relaxed);
                     }
-                    self.pool.make_room(&mut conns);
+                    // Pooling a fresh connection drops every dead entry.
+                    conns.retain(|_, c| c.live());
                     conns.insert(addr, Arc::clone(&fresh));
                     return Ok(fresh);
                 }
@@ -415,7 +316,7 @@ impl Drop for TcpTransport {
     fn drop(&mut self) {
         // Tear down pooled sockets so the reactor releases their entries
         // (and any stragglers blocked on slots are woken).
-        for conn in self.pool.conns.lock().unwrap().values() {
+        for conn in self.pool.lock().unwrap().values() {
             conn.handle.close();
         }
     }
@@ -526,82 +427,6 @@ impl PendingAnswer for TcpCall {
 }
 
 type ShutdownHook = Arc<Mutex<Option<Box<dyn FnOnce() + Send>>>>;
-
-/// Binds a listener with `SO_REUSEADDR` set, so a restarted node process
-/// can re-claim the exact address its peers already route to while
-/// connections from its previous life linger in `TIME_WAIT`. Falls back
-/// to a plain bind where the raw-socket path is unavailable.
-fn bind_reuseaddr(addr: &str) -> std::io::Result<TcpListener> {
-    use std::net::ToSocketAddrs;
-    let mut last_err = None;
-    for sa in addr.to_socket_addrs()? {
-        match bind_reuseaddr_one(sa) {
-            Ok(l) => return Ok(l),
-            Err(e) => last_err = Some(e),
-        }
-    }
-    Err(last_err.unwrap_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, "no addresses to bind")
-    }))
-}
-
-/// IPv4 listener via raw libc calls: std's `TcpListener::bind` offers no
-/// way to set `SO_REUSEADDR` before binding, so the restart path builds
-/// the socket by hand (Linux constants). IPv6 addresses take the plain
-/// bind.
-fn bind_reuseaddr_one(sa: SocketAddr) -> std::io::Result<TcpListener> {
-    use std::os::fd::FromRawFd;
-    let SocketAddr::V4(v4) = sa else {
-        return TcpListener::bind(sa);
-    };
-    const AF_INET: i32 = 2;
-    const SOCK_STREAM: i32 = 1;
-    const SOL_SOCKET: i32 = 1;
-    const SO_REUSEADDR: i32 = 2;
-    #[repr(C)]
-    struct SockaddrIn {
-        family: u16,
-        port_be: u16,
-        addr_be: u32,
-        zero: [u8; 8],
-    }
-    extern "C" {
-        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
-        fn bind(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
-        fn listen(fd: i32, backlog: i32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-    // SAFETY: the fd is freshly created, used only by these calls, and
-    // either closed on failure or handed to `TcpListener` on success; the
-    // sockaddr is a correctly sized, fully initialized C struct.
-    unsafe {
-        let fd = socket(AF_INET, SOCK_STREAM, 0);
-        if fd < 0 {
-            return Err(std::io::Error::last_os_error());
-        }
-        let one: i32 = 1;
-        let sin = SockaddrIn {
-            family: AF_INET as u16,
-            port_be: v4.port().to_be(),
-            addr_be: u32::from(*v4.ip()).to_be(),
-            zero: [0; 8],
-        };
-        let mut rc = setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, 4);
-        if rc == 0 {
-            rc = bind(fd, &sin, std::mem::size_of::<SockaddrIn>() as u32);
-        }
-        if rc == 0 {
-            rc = listen(fd, 128);
-        }
-        if rc != 0 {
-            let e = std::io::Error::last_os_error();
-            close(fd);
-            return Err(e);
-        }
-        Ok(TcpListener::from_raw_fd(fd))
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Server side
@@ -734,12 +559,10 @@ impl WorkerPool {
     }
 }
 
-/// Construction knobs for [`TcpRpcServer`].
+/// The worker pool of a [`TcpRpcServer`]. Deployments run the defaults;
+/// the shedding and priority tests shrink them to overrun a server.
 #[derive(Clone, Copy, Debug)]
 pub struct TcpServerOptions {
-    /// Reactor shard threads multiplexing the listener and every
-    /// accepted connection.
-    pub reactor_threads: usize,
     /// Worker threads executing decoded requests.
     pub workers: usize,
     /// Bound on queued-but-not-running requests across all bands; each
@@ -752,7 +575,6 @@ pub struct TcpServerOptions {
 impl Default for TcpServerOptions {
     fn default() -> Self {
         Self {
-            reactor_threads: 1,
             workers: 8,
             queue_capacity: 8192,
         }
@@ -830,15 +652,15 @@ impl Sink for ServerConn {
 /// A shared reactor multiplexes the listening socket and every accepted
 /// connection; decoded requests run on a fixed worker pool with
 /// ingest > query > metadata priority, and a request whose class has
-/// filled its share of the queue is shed. Thread count is
-/// O(reactor_threads + workers) regardless of how many clients connect.
+/// filled its share of the queue is shed. A server runs one reactor
+/// thread plus its workers, however many clients connect.
 pub struct TcpRpcServer {
     local_addr: SocketAddr,
     stopped: AtomicBool,
     listener: Mutex<Option<ListenerHandle>>,
     conns: Arc<Mutex<Vec<ConnHandle>>>,
     workers: WorkerPool,
-    /// Keeps the shard threads alive; dropped last.
+    /// Keeps the loop thread alive; dropped last.
     _reactor: Arc<Reactor>,
 }
 
@@ -865,7 +687,7 @@ impl TcpRpcServer {
         )
     }
 
-    /// [`bind`](Self::bind) with explicit reactor/worker options.
+    /// [`bind`](Self::bind) with an explicit worker pool.
     pub fn bind_with(
         addr: &str,
         registry: Arc<HandlerRegistry>,
@@ -873,9 +695,12 @@ impl TcpRpcServer {
         shutdown_hook: Option<Box<dyn FnOnce() + Send>>,
         opts: TcpServerOptions,
     ) -> Result<Self> {
-        let listener = bind_reuseaddr(addr).map_err(WwError::Io)?;
+        // std sets `SO_REUSEADDR` before binding, so a restarted node
+        // process re-claims the address its peers route to while
+        // connections from its previous life linger in `TIME_WAIT`.
+        let listener = TcpListener::bind(addr).map_err(WwError::Io)?;
         let local_addr = listener.local_addr().map_err(WwError::Io)?;
-        let reactor = Reactor::new(opts.reactor_threads, Arc::clone(&wire)).map_err(WwError::Io)?;
+        let reactor = Reactor::new(Arc::clone(&wire)).map_err(WwError::Io)?;
         let workers = WorkerPool::new(opts.workers, opts.queue_capacity);
         let conns: Arc<Mutex<Vec<ConnHandle>>> = Arc::new(Mutex::new(Vec::new()));
         let hook: ShutdownHook = Arc::new(Mutex::new(shutdown_hook));
@@ -1249,76 +1074,48 @@ mod tests {
     }
 
     #[test]
-    fn idle_pooled_connections_are_reaped() {
+    fn pooling_a_fresh_connection_drops_dead_entries() {
         let registry = Arc::new(HandlerRegistry::new());
-        registry.bind(ServerId(1), |_| Ok(Response::Pong));
-        let wire = Arc::new(WireStats::default());
-        let _server = TcpRpcServer::bind("127.0.0.1:0", registry, Arc::clone(&wire), None).unwrap();
-        let t = TcpTransport::with_options(
-            Arc::clone(&wire),
-            TcpClientOptions {
-                pool_idle_timeout: Duration::from_millis(100),
-                ..TcpClientOptions::default()
-            },
-        );
-        t.set_default_route(Some(_server.local_addr()));
-        assert!(t
-            .send(&env(0, 1, Duration::from_secs(5), Request::Ping))
-            .is_ok());
-        assert_eq!(t.pooled_connections(), 1);
-        // The reaper runs on the ~250ms reactor tick; give it two ticks.
-        let deadline = Instant::now() + Duration::from_secs(3);
-        while t.pooled_connections() != 0 {
-            assert!(Instant::now() < deadline, "idle connection never reaped");
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        // The next send redials and counts as a reconnect.
-        assert!(t
-            .send(&env(0, 1, Duration::from_secs(5), Request::Ping))
-            .is_ok());
-        let w = wire.totals();
-        assert_eq!(w.connects, 1);
-        assert!(w.reconnects >= 1, "post-reap redial is a reconnect");
-    }
-
-    #[test]
-    fn pool_cap_evicts_least_recently_used_idle_connections() {
-        let registry = Arc::new(HandlerRegistry::new());
-        for id in 1..=3 {
+        for id in 1..=2 {
             registry.bind(ServerId(id), |_| Ok(Response::Pong));
         }
         let wire = Arc::new(WireStats::default());
-        let servers: Vec<TcpRpcServer> = (0..3)
-            .map(|_| {
-                TcpRpcServer::bind(
-                    "127.0.0.1:0",
-                    Arc::clone(&registry),
-                    Arc::clone(&wire),
-                    None,
-                )
-                .unwrap()
-            })
-            .collect();
-        let t = TcpTransport::with_options(
-            Arc::clone(&wire),
-            TcpClientOptions {
-                pool_max_connections: 2,
-                ..TcpClientOptions::default()
-            },
-        );
-        for (i, s) in servers.iter().enumerate() {
-            t.add_peer(ServerId(i as u32 + 1), s.local_addr());
-        }
-        for dst in 1..=3u32 {
-            assert!(t
-                .send(&env(0, dst, Duration::from_secs(5), Request::Ping))
-                .is_ok());
-        }
-        assert!(
-            t.pooled_connections() <= 2,
-            "cap must hold: {} pooled",
-            t.pooled_connections()
-        );
+        let bind = || {
+            TcpRpcServer::bind(
+                "127.0.0.1:0",
+                Arc::clone(&registry),
+                Arc::clone(&wire),
+                None,
+            )
+            .unwrap()
+        };
+        let (mut closing, other) = (bind(), bind());
+        let t = TcpTransport::with_wire_stats(Arc::clone(&wire));
+        t.add_peer(ServerId(1), closing.local_addr());
+        t.add_peer(ServerId(2), other.local_addr());
+        assert!(t
+            .send(&env(0, 1, Duration::from_secs(5), Request::Ping))
+            .is_ok());
+
+        // The first peer closes: a send to it fails, and its dead entry
+        // stays pooled — nothing reaps it on a timer.
+        closing.shutdown();
+        let e = t
+            .send(&env(0, 1, Duration::from_millis(200), Request::Ping))
+            .unwrap_err();
+        assert!(matches!(e, WwError::Unreachable(_)), "got {e}");
+        assert_eq!(t.pooled_connections(), 1);
+
+        // Dialling the other peer pools a fresh connection and drops the
+        // dead one with it.
+        assert!(t
+            .send(&env(0, 2, Duration::from_secs(5), Request::Ping))
+            .is_ok());
+        assert_eq!(t.pooled_connections(), 1, "no dead entry remains");
+        assert!(t
+            .send(&env(0, 2, Duration::from_secs(5), Request::Ping))
+            .is_ok());
+        assert_eq!(t.wire().totals().connects, 2, "the live entry is reused");
     }
 
     #[test]
@@ -1340,7 +1137,6 @@ mod tests {
             TcpServerOptions {
                 workers: 1,
                 queue_capacity: 1,
-                ..TcpServerOptions::default()
             },
         )
         .unwrap();
@@ -1410,7 +1206,6 @@ mod tests {
             let opts = TcpServerOptions {
                 workers: 1,
                 queue_capacity: 4,
-                ..TcpServerOptions::default()
             };
             let server =
                 TcpRpcServer::bind_with("127.0.0.1:0", registry, Arc::clone(&wire), None, opts)

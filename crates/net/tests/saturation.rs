@@ -1,13 +1,13 @@
 //! Saturation: connection scale and overload shedding on the reactor
 //! transport.
 //!
-//! The reactor multiplexes every socket onto a fixed shard count, so this
-//! test checks the two claims that matter at scale:
+//! The reactor multiplexes every socket onto one loop thread, so this test
+//! checks the two claims that matter at scale:
 //!
 //! * **Connection scale** — 256 simultaneous client connections each
-//!   round-trip a ping; the server's thread count must stay
-//!   O(reactor_threads + workers), i.e. NOT grow with the connection
-//!   count, and every ping must answer (zero stuck connections).
+//!   round-trip a ping; the server runs one reactor thread plus its
+//!   workers and must NOT grow with the connection count, and every ping
+//!   must answer (zero stuck connections).
 //! * **Overload shedding** — a deliberately tiny server (2 workers, an
 //!   8-slot queue) is driven by 32 concurrent senders, well past its
 //!   capacity; the excess must come back as typed `Overloaded` answers
@@ -77,15 +77,22 @@ fn connection_scale() -> (usize, Option<usize>) {
         Request::Ping => Ok(Response::Pong),
         other => Err(WwError::InvalidState(format!("saturation got {other:?}"))),
     });
-    // Explicit reactor/worker counts, so the thread bound is known exactly.
+    // An explicit worker count, so the thread bound is known exactly.
     let opts = TcpServerOptions {
-        reactor_threads: 2,
         workers: 8,
         ..TcpServerOptions::default()
     };
     let wire_stats = Arc::new(WireStats::default());
+    let before = thread_count();
     let server = TcpRpcServer::bind_with("127.0.0.1:0", registry, wire_stats, None, opts).unwrap();
     let serving = thread_count();
+    if let Some((before, serving)) = before.zip(serving) {
+        assert_eq!(
+            serving - before,
+            1 + opts.workers,
+            "a listener starts one reactor thread plus its workers"
+        );
+    }
 
     // Open every socket first so the server holds every connection at
     // once before any request flows.
@@ -167,7 +174,6 @@ fn overload() -> OverloadOutcome {
         TcpServerOptions {
             workers: 2,
             queue_capacity: 8,
-            ..TcpServerOptions::default()
         },
     )
     .unwrap();
@@ -227,7 +233,7 @@ fn flat_threads_at_scale_typed_sheds_under_overload_and_a_clean_teardown() {
     let (answered, growth) = connection_scale();
     assert_eq!(answered, CONNS, "every connection must answer its ping");
     // Accepting the connections added client bookkeeping only — server
-    // threads stayed O(reactor + workers); with thread-per-connection this
+    // threads stayed one reactor plus the workers; with thread-per-connection this
     // tracked the connection count.
     if let Some(growth) = growth {
         assert!(
@@ -250,7 +256,7 @@ fn flat_threads_at_scale_typed_sheds_under_overload_and_a_clean_teardown() {
     assert_eq!(over.counted, over.shed, "wire.shed counts every shed");
 
     // Teardown: with every server and transport gone, the thread count
-    // falls back to the baseline (no leaked reactor shards, workers, or
+    // falls back to the baseline (no leaked reactor loops, workers, or
     // per-connection threads).
     let after = settled_thread_count(baseline);
     assert!(

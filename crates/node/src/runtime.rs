@@ -19,7 +19,7 @@ use waterwheel_net::{
 };
 use waterwheel_server::roles::{self, Host, IndexingRole, Topology};
 pub use waterwheel_server::roles::{dispatcher_ids, indexing_ids, query_ids};
-use waterwheel_server::{DispatchPolicy, Gateway};
+use waterwheel_server::Gateway;
 use waterwheel_wal::FsyncPolicy;
 
 /// Which server group a node process hosts.
@@ -314,7 +314,7 @@ pub fn run_node(nc: NodeConfig) -> Result<()> {
             pump_handles.push(roles::spawn_lease_keeper(&host, &pumps_stop, hosted));
         }
         Role::Dispatcher => {
-            let gateway = Gateway::new(host.clone(), DispatchPolicy::Lada)?;
+            let gateway = Gateway::new(host.clone())?;
             gateway.serve(&registry);
             pump_handles.push(roles::spawn_linger_flusher(
                 gateway.dispatchers().to_vec(),

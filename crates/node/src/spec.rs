@@ -468,8 +468,6 @@ pub struct ClusterClient {
     rpc: RpcClient,
     meta: MetaClient,
     disp_ids: Vec<ServerId>,
-    qs_ids: Vec<ServerId>,
-    ix_ids: Vec<ServerId>,
     /// One address per process of the cluster.
     procs: Vec<ServerId>,
     batch_seq: AtomicU64,
@@ -524,8 +522,6 @@ impl ClusterClient {
             meta: MetaClient::new(rpc.clone()),
             rpc,
             disp_ids,
-            qs_ids,
-            ix_ids,
             procs: peers
                 .iter()
                 .map(|&(role, idx, _)| spec.rep_id(role, idx))
@@ -598,20 +594,9 @@ impl ClusterClient {
         self.rpc.call(id, Request::Ping)?.into_pong()
     }
 
-    /// Asks a role's first process to exit cleanly. The listener
+    /// Asks the process hosting `id` to exit cleanly. The listener
     /// acknowledges before tearing down, so an `Ok` means the request
     /// landed.
-    pub fn shutdown_role(&self, role: Role) -> Result<()> {
-        let dst = match role {
-            Role::Meta => META_SERVER,
-            Role::Indexing => self.ix_ids[0],
-            Role::Query => self.qs_ids[0],
-            Role::Dispatcher => self.disp_ids[0],
-        };
-        self.shutdown_server(dst)
-    }
-
-    /// Asks the process hosting `id` to exit cleanly.
     pub fn shutdown_server(&self, id: ServerId) -> Result<()> {
         self.rpc.call(id, Request::Shutdown)?.into_ack()
     }

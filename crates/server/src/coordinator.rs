@@ -119,14 +119,14 @@ pub struct Coordinator {
 impl Coordinator {
     /// Creates a coordinator reaching the given server addresses over
     /// `rpc`'s message plane; `replication` is the DFS replication factor
-    /// (for locality-aware dispatch).
+    /// (for locality-aware dispatch). It dispatches by LADA until
+    /// [`set_policy`](Self::set_policy) switches it.
     pub fn new(
         rpc: RpcClient,
         cluster: Cluster,
         query_servers: Vec<ServerId>,
         indexing: Vec<ServerId>,
         replication: usize,
-        policy: DispatchPolicy,
     ) -> Self {
         assert!(!query_servers.is_empty());
         let pool = FanoutPool::new(query_servers.len() * WORKERS_PER_SERVER);
@@ -140,7 +140,7 @@ impl Coordinator {
                 indexing,
             }),
             replication,
-            policy: RwLock::new(policy),
+            policy: RwLock::new(DispatchPolicy::Lada),
             next_query: AtomicU64::new(0),
             stats: Arc::default(),
             pool,
@@ -588,14 +588,7 @@ mod tests {
             &cfg,
         );
         (
-            Coordinator::new(
-                rpc,
-                cluster,
-                vec![ServerId(10)],
-                vec![ServerId(0)],
-                2,
-                DispatchPolicy::Lada,
-            ),
+            Coordinator::new(rpc, cluster, vec![ServerId(10)], vec![ServerId(0)], 2),
             meta,
         )
     }
@@ -697,7 +690,6 @@ mod tests {
             vec![ServerId(10)],
             vec![ServerId(0)],
             1,
-            DispatchPolicy::Lada,
         );
         let (keys, times) = (KeyInterval::new(50, 250), TimeInterval::new(50, 150));
         let answer = coord

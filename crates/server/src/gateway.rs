@@ -12,7 +12,6 @@
 //! answers alike whichever way it arrives.
 
 use crate::coordinator::Coordinator;
-use crate::dispatch::DispatchPolicy;
 use crate::dispatcher::Dispatcher;
 use crate::migration::{self, MigrationPlan, MigrationStats};
 use crate::partitioning::{BalanceOutcome, PartitionBalancer, PlanOutcome};
@@ -43,15 +42,15 @@ pub struct Gateway {
 impl Gateway {
     /// Builds the role over `host`'s plane: dispatchers routing under the
     /// schema the metadata server has published (bootstrapped before any
-    /// gateway starts) and a fresh coordinator dispatching by `policy`.
-    pub fn new(host: Host, policy: DispatchPolicy) -> Result<Arc<Self>> {
+    /// gateway starts) and a fresh coordinator dispatching by LADA.
+    pub fn new(host: Host) -> Result<Arc<Self>> {
         let meta = host.meta(host.topology.dispatchers[0]);
         let schema = meta.partition()?.ok_or_else(|| {
             WwError::InvalidState("the metadata server has no partition schema yet".into())
         })?;
         Ok(Arc::new(Self {
             dispatchers: host.dispatchers(&schema),
-            coordinator: RwLock::new(host.coordinator(policy)),
+            coordinator: RwLock::new(host.coordinator()),
             dedup: Arc::default(),
             balancer: PartitionBalancer::new(meta.clone()),
             migration_stats: Arc::default(),
@@ -77,8 +76,9 @@ impl Gateway {
     /// carries over, and its counters take the old instance's place on
     /// `registry`.
     pub fn restart_coordinator(&self, registry: &HandlerRegistry) {
-        let policy = self.coordinator().policy();
-        *self.coordinator.write() = self.host.coordinator(policy);
+        let fresh = self.host.coordinator();
+        fresh.set_policy(self.coordinator().policy());
+        *self.coordinator.write() = fresh;
         self.register_coordinator(registry);
     }
 

@@ -18,7 +18,6 @@
 //! structs, not the indexing and query servers that bump them.
 
 use crate::coordinator::Coordinator;
-use crate::dispatch::DispatchPolicy;
 use crate::dispatcher::{Dispatcher, LingerPark, INGEST_LINGER};
 use crate::indexing::IndexingServer;
 use crate::query_server::QueryServer;
@@ -190,14 +189,13 @@ impl Host {
 
     /// A fresh query coordinator over this host's topology; all its state
     /// is rebuilt from the metadata server (paper §V).
-    pub fn coordinator(&self, policy: DispatchPolicy) -> Arc<Coordinator> {
+    pub fn coordinator(&self) -> Arc<Coordinator> {
         Arc::new(Coordinator::new(
             self.rpc(COORDINATOR),
             self.topology.cluster.clone(),
             self.topology.query.clone(),
             self.topology.indexing.clone(),
             self.topology.replication(&self.cfg),
-            policy,
         ))
     }
 

@@ -23,7 +23,6 @@
 //! answer the client verbs for callers on the plane.
 
 use crate::coordinator::Coordinator;
-use crate::dispatch::DispatchPolicy;
 use crate::dispatcher::Dispatcher;
 use crate::gateway::Gateway;
 use crate::indexing::IndexingServer;
@@ -53,7 +52,6 @@ pub struct WaterwheelBuilder {
     cfg: SystemConfig,
     root: PathBuf,
     nodes: usize,
-    policy: DispatchPolicy,
     latency: LatencyModel,
     durable_meta: bool,
     durable_queue: bool,
@@ -68,7 +66,6 @@ impl WaterwheelBuilder {
             cfg: SystemConfig::default(),
             root: root.into(),
             nodes: 4,
-            policy: DispatchPolicy::Lada,
             latency: LatencyModel::default(),
             durable_meta: true,
             durable_queue: false,
@@ -85,12 +82,6 @@ impl WaterwheelBuilder {
     /// Number of simulated cluster nodes.
     pub fn nodes(mut self, nodes: usize) -> Self {
         self.nodes = nodes.max(1);
-        self
-    }
-
-    /// Subquery dispatch policy (default LADA).
-    pub fn dispatch_policy(mut self, policy: DispatchPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -215,7 +206,7 @@ impl WaterwheelBuilder {
             .iter()
             .map(|&id| roles::serve_query(&host, &registry, &dfs, id))
             .collect();
-        let gateway = Gateway::new(host.clone(), self.policy)?;
+        let gateway = Gateway::new(host.clone())?;
         gateway.serve(&registry);
 
         Ok(Waterwheel {

@@ -380,11 +380,6 @@ impl DfsFile {
     pub fn is_local(&self) -> bool {
         self.local
     }
-
-    /// The chunk this handle reads.
-    pub fn chunk_id(&self) -> ChunkId {
-        self.id
-    }
 }
 
 impl RangedRead for DfsFile {
