@@ -29,6 +29,12 @@ for run in 1 2 3 4 5; do
     timeout 120 cargo test -q -p waterwheel-mq -p waterwheel-server wake
 done
 
+echo "==> hand-off test x5 (a flush held at each step; a plan from either side of it answers every tuple once)"
+for run in 1 2 3 4 5; do
+    echo "--> hand-off run ${run}"
+    timeout 120 cargo test -q -p waterwheel-server hand_off
+done
+
 echo "==> vendor shim tests (outside the workspace, so the gate above never runs them)"
 cargo test -q --manifest-path vendor/parking_lot/Cargo.toml
 cargo test -q --manifest-path vendor/bytes/Cargo.toml

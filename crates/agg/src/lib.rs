@@ -49,8 +49,9 @@ pub const SLICE_BITS: u8 = 4;
 /// tuple-scan residues, never to approximate answers.
 pub const MAX_CELLS_PER_RING: usize = 8192;
 
+use plan::Split;
 use waterwheel_core::aggregate::AggregateKind;
-use waterwheel_core::{QueryId, Tuple};
+use waterwheel_core::{QueryId, Region, Tuple};
 
 /// The answer to an aggregate query, assembled by the coordinator.
 #[derive(Clone, Debug, PartialEq)]
@@ -105,6 +106,24 @@ impl AggShare {
             self.agg.insert(measure(t));
         }
         self.scanned += tuples.len() as u64;
+    }
+
+    /// Merges in `interior`, a source's wheel or summary folded over
+    /// `split`'s interior, and returns the rectangles left for the source
+    /// to scan: the split's fringes, the fold's residues and — when the
+    /// source has nothing to fold — the whole interior.
+    pub fn fold_interior(&mut self, split: &Split, interior: Option<FoldOutcome>) -> Vec<Region> {
+        let mut fringes = split.fringes.clone();
+        if let Some(i) = &split.interior {
+            let out = interior.unwrap_or_else(|| FoldOutcome {
+                residues: vec![i.covered],
+                ..FoldOutcome::default()
+            });
+            self.agg.merge(&out.agg);
+            self.cells_merged += out.cells_merged;
+            fringes.extend(out.residues.iter().map(|r| Region::new(i.keys, *r)));
+        }
+        fringes
     }
 }
 

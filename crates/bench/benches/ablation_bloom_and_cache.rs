@@ -121,6 +121,7 @@ fn main() {
                     predicate: None,
                     measure_range: None,
                     target: SubQueryTarget::Chunk(chunk),
+                    offset: None,
                 };
                 let _ = qs.execute(&sq, chunk).unwrap();
             }

@@ -529,6 +529,7 @@ crate::wire_struct!(SubQuery {
     predicate: Option<Expr>,
     measure_range: Option<(u64, u64)> => decode_measure_range,
     target: SubQueryTarget,
+    offset: Option<u64>,
 });
 crate::wire_struct!(AggregateQuery {
     query: Query,
@@ -545,7 +546,8 @@ crate::wire_struct!(Query {
 /// `&'static str` cannot carry the sender's text back, so they decode with
 /// a fixed "remote" message (and `Corrupt`/`NotFound` fold the sender's
 /// `what` into their owned text); the classification, and with it
-/// [`WwError::is_retryable`], always survives exactly.
+/// [`WwError::is_retryable`], always survives exactly. `Overloaded`
+/// crosses as its number instead.
 impl Wire for WwError {
     const MIN_LEN: usize = 1;
 
@@ -569,6 +571,7 @@ impl Wire for WwError {
                 out.put_u64(retry_after.as_millis().min(u64::MAX as u128) as u64);
                 return;
             }
+            WwError::StalePlan => (10, "", None),
         };
         out.put_u8(tag);
         out.put_bytes(text.as_bytes());
@@ -600,6 +603,7 @@ impl Wire for WwError {
             6 => WwError::Injected("remote injected fault"),
             7 => WwError::Timeout("remote rpc timed out"),
             8 => WwError::Unreachable("remote destination unreachable"),
+            10 => WwError::StalePlan,
             other => return Err(dec.corrupt(format!("unknown error tag {other}"))),
         })
     }

@@ -50,6 +50,11 @@ pub enum WwError {
         /// How long the sender should wait before retrying.
         retry_after: std::time::Duration,
     },
+    /// An indexing server refused an in-memory subquery planned against
+    /// metadata its flush hand-off has moved past: the plan saw neither the
+    /// offset the server last registered nor the one its sealed stores wait
+    /// on. Not retryable as is; the coordinator plans the query again.
+    StalePlan,
 }
 
 impl fmt::Display for WwError {
@@ -69,6 +74,7 @@ impl fmt::Display for WwError {
                 "destination overloaded: retry after {}ms",
                 retry_after.as_millis()
             ),
+            WwError::StalePlan => write!(f, "stale plan: a flush registered since"),
         }
     }
 }

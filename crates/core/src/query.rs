@@ -111,6 +111,11 @@ pub struct SubQuery {
     pub measure_range: Option<(u64, u64)>,
     /// Which data region (and thus executor) this fragment belongs to.
     pub target: SubQueryTarget,
+    /// For an in-memory target, the durable offset the plan saw registered
+    /// for its owner: it picks which side of a flush hand-off answers.
+    /// `None` on chunk targets; on an in-memory one (a subquery not planned
+    /// against the metadata) it reads every tuple the server holds.
+    pub offset: Option<u64>,
 }
 
 impl SubQuery {
@@ -197,6 +202,7 @@ mod tests {
             predicate: q.predicate.clone(),
             measure_range: None,
             target: SubQueryTarget::Chunk(ChunkId(7)),
+            offset: None,
         };
         assert!(sq.matches(&Tuple::bare(3, 50)));
         assert!(!sq.matches(&Tuple::bare(3, 5)));

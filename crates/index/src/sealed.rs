@@ -8,7 +8,7 @@
 //! leaves.
 
 use crate::bloom::TimeBloom;
-use waterwheel_core::{Key, Region, TimeInterval, Tuple};
+use waterwheel_core::{Key, KeyInterval, Region, TimeInterval, Tuple};
 
 /// One leaf of a sealed tree: its tuples sorted by `(key, ts)` plus the
 /// pruning metadata a chunk query needs before touching the tuples.
@@ -53,6 +53,26 @@ impl SealedTree {
             out.extend(leaf.entries);
         }
         out
+    }
+
+    /// The tuples inside `keys × times` that pass `predicate`, in key
+    /// order: a scan of the leaves the keys route to, less those whose time
+    /// bounds miss `times`.
+    pub fn query(
+        &self,
+        keys: &KeyInterval,
+        times: &TimeInterval,
+        predicate: Option<&(dyn Fn(&Tuple) -> bool + Sync)>,
+    ) -> Vec<Tuple> {
+        let leaf_of = |key: Key| self.separators.partition_point(|&s| s <= key);
+        self.leaves[leaf_of(keys.lo())..=leaf_of(keys.hi())]
+            .iter()
+            .filter(|leaf| leaf.time_range.is_some_and(|r| r.overlaps(times)))
+            .flat_map(|leaf| &leaf.entries)
+            .filter(|t| keys.contains(t.key) && times.contains(t.ts))
+            .filter(|t| predicate.is_none_or(|p| p(t)))
+            .cloned()
+            .collect()
     }
 
     /// Total serialized tuple bytes.
@@ -105,7 +125,6 @@ impl SealedTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use waterwheel_core::KeyInterval;
 
     fn leaf(entries: Vec<Tuple>) -> SealedLeaf {
         let time_range = entries
@@ -137,6 +156,27 @@ mod tests {
             region: Region::new(KeyInterval::new(0, 10), TimeInterval::new(10, 15)),
             count: 4,
         }
+    }
+
+    #[test]
+    fn query_answers_the_rectangle_across_leaves() {
+        let s = valid_seal();
+        let keys = |hits: Vec<Tuple>| hits.iter().map(|t| (t.key, t.ts)).collect::<Vec<_>>();
+        let all = TimeInterval::full();
+        assert_eq!(
+            keys(s.query(&KeyInterval::new(4, 5), &all, None)),
+            [(4, 12), (5, 11)]
+        );
+        assert_eq!(
+            keys(s.query(&KeyInterval::full(), &TimeInterval::new(11, 12), None)),
+            [(4, 12), (5, 11)]
+        );
+        let even = |t: &Tuple| t.key.is_multiple_of(2);
+        assert_eq!(
+            keys(s.query(&KeyInterval::full(), &all, Some(&even))),
+            [(4, 12)]
+        );
+        assert!(s.query(&KeyInterval::new(6, 8), &all, None).is_empty());
     }
 
     #[test]

@@ -23,4 +23,4 @@ pub mod service;
 pub use membership::{MemberInfo, MemberRole, MembershipView, MigrationRecord};
 pub use partition::{PartitionEntry, PartitionSchema};
 pub use rtree::RTree;
-pub use service::{ChunkInfo, FlushedChunk, MetadataService, SummaryExtent};
+pub use service::{ChunkInfo, FlushedChunk, MetadataService, Overlaps, SummaryExtent};

@@ -207,13 +207,6 @@ impl<T> RTree<T> {
         out
     }
 
-    /// Collects `(region, value)` pairs overlapping `query`.
-    pub fn search_entries(&self, query: &Region) -> Vec<(Region, &T)> {
-        let mut out = Vec::new();
-        self.search_with(query, &mut |r, v| out.push((r, v)));
-        out
-    }
-
     fn search_with<'t>(&'t self, query: &Region, visit: &mut impl FnMut(Region, &'t T)) {
         fn rec<'t, T>(node: &'t Node<T>, query: &Region, visit: &mut impl FnMut(Region, &'t T)) {
             match node {

@@ -123,6 +123,14 @@ waterwheel_core::wire_struct!(FlushedChunk {
     summary: Option<SummaryExtent>,
 });
 
+/// Everything a query plans from, read under one lock: the chunks it
+/// overlaps by id, each as its flush registered it (the summary extent
+/// carries the measure bounds), then the memory regions it overlaps by
+/// server, each with that server's registered durable offset. Read together
+/// with the chunk list, the offset tells the server whether the plan counts
+/// its latest flush among the chunks.
+pub type Overlaps = (Vec<FlushedChunk>, Vec<(ServerId, (Region, u64))>);
+
 waterwheel_core::wire_enum! {
     /// One durable state transition: a frame of the mutation log, and —
     /// many of them back to back — the body of a snapshot. Applying a
@@ -589,15 +597,23 @@ impl MetadataService {
     /// All chunks whose regions overlap `query` — the R-tree lookup behind
     /// query decomposition (§IV-A).
     pub fn chunks_overlapping(&self, query: &Region) -> Vec<(ChunkId, Region)> {
+        let chunks = self.overlaps(query).0.into_iter();
+        chunks.map(|c| (c.id, c.info.region)).collect()
+    }
+
+    /// The chunks and memory regions overlapping `query`, each region with
+    /// its server's registered offset, all under one read lock: a query
+    /// plans from this one snapshot, so no flush registers between its
+    /// chunk list and its regions.
+    pub fn overlaps(&self, query: &Region) -> Overlaps {
         let state = self.state.read();
-        let mut out: Vec<(ChunkId, Region)> = state
-            .chunk_rtree
-            .search_entries(query)
-            .into_iter()
-            .map(|(r, id)| (*id, r))
-            .collect();
-        out.sort_unstable_by_key(|(id, _)| *id);
-        out
+        let mut ids = state.chunk_rtree.search(query);
+        ids.sort_unstable();
+        let chunks = ids.into_iter().map(|id| state.chunks[id].clone()).collect();
+        let memory = state.memory_regions.iter();
+        let memory = memory.filter(|(_, r)| r.overlaps(query));
+        let offset = |server| state.offsets.get(server).copied().unwrap_or(0);
+        (chunks, memory.map(|(s, &r)| (*s, (r, offset(s)))).collect())
     }
 
     /// Reports (or clears, with `None`) an indexing server's current
@@ -608,12 +624,9 @@ impl MetadataService {
 
     /// Indexing servers whose in-memory regions overlap `query`.
     pub fn memory_regions_overlapping(&self, query: &Region) -> Vec<(ServerId, Region)> {
-        self.state
-            .read()
-            .memory_regions
-            .iter()
-            .filter(|(_, r)| r.overlaps(query))
-            .map(|(s, r)| (*s, *r))
+        let memory = self.overlaps(query).1.into_iter();
+        memory
+            .map(|(server, (region, _))| (server, region))
             .collect()
     }
 

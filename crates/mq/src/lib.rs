@@ -593,11 +593,6 @@ impl Consumer {
         Ok(records)
     }
 
-    /// Rewinds (or fast-forwards) the cursor — used by recovery replay.
-    pub fn seek(&mut self, offset: u64) {
-        self.position.store(offset, Ordering::Release);
-    }
-
     /// A handle on this consumer's partition that reads and trims it
     /// without the consumer itself (which its poller keeps locked).
     pub fn backlog(&self) -> Backlog {
@@ -761,8 +756,9 @@ mod tests {
         let batch = c.poll(5).unwrap();
         assert_eq!(batch.len(), 5);
         assert_eq!(c.position(), 5);
-        // Simulate a crash that had durably flushed only offset 3: replay.
-        c.seek(3);
+        // Simulate a crash that had durably flushed only offset 3: a new
+        // consumer replays from there.
+        let mut c = Consumer::new(mq.clone(), "ingest", 0, 3);
         let replay = c.poll(100).unwrap();
         let offsets: Vec<_> = replay.iter().map(|r| r.offset).collect();
         assert_eq!(offsets, vec![3, 4, 5, 6, 7]);

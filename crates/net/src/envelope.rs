@@ -26,7 +26,7 @@ use waterwheel_core::{
     ChunkId, KeyInterval, NodeId, Query, QueryResult, Region, Result, ServerId, StatRow, SubQuery,
     Tuple, WwError,
 };
-use waterwheel_meta::{FlushedChunk, MemberRole, MembershipView, PartitionSchema, SummaryExtent};
+use waterwheel_meta::{FlushedChunk, MemberRole, MembershipView, Overlaps, PartitionSchema};
 
 /// The well-known address of the metadata server (the ZooKeeper-backed
 /// component of §II-B) on the message plane.
@@ -75,12 +75,8 @@ waterwheel_core::wire_enum! {
         /// Force the destination indexing server to seal its in-memory state
         /// into chunks (control plane, §V durability boundary).
         2, (RequestClass::Ingest, "flush") => Flush,
-        /// Execute a subquery against the destination indexing server's
-        /// in-memory tree + side store (coordinator → indexing, §IV-A).
-        3, (RequestClass::Query, "mem_subquery") => InMemorySubquery {
-            /// The fresh-data subquery.
-            sq: SubQuery,
-        },
+        // Tags 3, 16, 17 and 20 carried a subquery without its planned
+        // offset; retired by tags 23 to 26, never reused.
         // Tag 4 was `AggregateInMemory` (a live-wheel fold over a slice ×
         // second rectangle); retired by `InMemoryAggregate`, never reused.
         // Tag 5 was `ChunkSubquery` with a secondary-index leaf filter;
@@ -125,39 +121,9 @@ waterwheel_core::wire_enum! {
         /// by the [`HandlerRegistry`](crate::HandlerRegistry) itself at any
         /// bound address, not by a role handler.
         15, (RequestClass::Control, "stats") => Stats,
-        /// Answer the destination indexing server's share of an aggregate:
-        /// its live wheels over the wheel interior of the subquery's
-        /// rectangle, its tree and side store folded over the fringes
-        /// (coordinator → indexing, DESIGN.md §4b). Answered with
-        /// [`Response::Aggregated`].
-        16, (RequestClass::Query, "mem_aggregate") => InMemoryAggregate {
-            /// The aggregate subquery, carrying the query's unclipped
-            /// rectangle.
-            sq: SubQuery,
-        },
-        /// Answer one chunk's share of an aggregate: its summary over the
-        /// wheel interior, its leaf directory for every leaf wholly inside
-        /// a fringe, a scan of the leaves a fringe cuts (coordinator →
-        /// query server, DESIGN.md §4b). Answered with
-        /// [`Response::Aggregated`].
-        17, (RequestClass::Query, "chunk_aggregate") => ChunkAggregate {
-            /// The aggregate subquery, carrying the query's unclipped
-            /// rectangle.
-            sq: SubQuery,
-            /// The chunk to answer for.
-            chunk: ChunkId,
-        },
         // Tags 18 and 19 were `ClientQuery` / `ClientAggregate` over a
         // `Query` that carried a secondary-attribute equality; retired by
         // tags 21 and 22, never reused.
-        /// Execute a subquery against one flushed chunk (coordinator → query
-        /// server, §IV-B).
-        20, (RequestClass::Query, "chunk_subquery") => ChunkSubquery {
-            /// The chunk subquery.
-            sq: SubQuery,
-            /// The chunk to read.
-            chunk: ChunkId,
-        },
         /// A whole range query — rectangle, predicate, measure range — from
         /// an external client, addressed to the gateway's [`COORDINATOR`]
         /// address (in a node process or an embedded system alike). It runs
@@ -173,6 +139,43 @@ waterwheel_core::wire_enum! {
         22, (RequestClass::Query, "client_aggregate") => ClientAggregate {
             /// The aggregate query.
             query: AggregateQuery,
+        },
+        /// Execute a subquery against the destination indexing server's
+        /// fresh stores, and the sealed ones of a flush whose registration
+        /// the subquery's plan did not see (coordinator → indexing, §IV-A).
+        23, (RequestClass::Query, "mem_subquery") => InMemorySubquery {
+            /// The fresh-data subquery.
+            sq: SubQuery,
+        },
+        /// Answer the destination indexing server's share of an aggregate:
+        /// its live wheels over the wheel interior of the subquery's
+        /// rectangle, its tree and side store folded over the fringes, and
+        /// likewise its sealed stores when they answer (coordinator →
+        /// indexing, DESIGN.md §4b). Answered with [`Response::Aggregated`].
+        24, (RequestClass::Query, "mem_aggregate") => InMemoryAggregate {
+            /// The aggregate subquery, carrying the query's unclipped
+            /// rectangle.
+            sq: SubQuery,
+        },
+        /// Answer one chunk's share of an aggregate: its summary over the
+        /// wheel interior, its leaf directory for every leaf wholly inside
+        /// a fringe, a scan of the leaves a fringe cuts (coordinator →
+        /// query server, DESIGN.md §4b). Answered with
+        /// [`Response::Aggregated`].
+        25, (RequestClass::Query, "chunk_aggregate") => ChunkAggregate {
+            /// The aggregate subquery, carrying the query's unclipped
+            /// rectangle.
+            sq: SubQuery,
+            /// The chunk to answer for.
+            chunk: ChunkId,
+        },
+        /// Execute a subquery against one flushed chunk (coordinator → query
+        /// server, §IV-B).
+        26, (RequestClass::Query, "chunk_subquery") => ChunkSubquery {
+            /// The chunk subquery.
+            sq: SubQuery,
+            /// The chunk to read.
+            chunk: ChunkId,
         },
     }
 }
@@ -212,7 +215,10 @@ waterwheel_core::wire_enum! {
     /// per call) are retired, never reused: a flush is one
     /// [`MetaRequest::RegisterFlush`]. Tag 7 (a chunk's secondary
     /// attribute index asked for a value) and tag 19 (`RegisterFlush` while
-    /// each chunk carried attribute indexes) are retired too.
+    /// each chunk carried attribute indexes) are retired too, and so are
+    /// tags 5, 6 and 8 (a query's chunks, its memory regions and one chunk's
+    /// summary extent, each asked for apart): a query plans from one
+    /// [`MetaRequest::Overlaps`].
     #[derive(Clone, Debug)]
     pub enum MetaRequest as "meta request" {
         /// Report an indexing server's current in-memory region (already
@@ -222,21 +228,6 @@ waterwheel_core::wire_enum! {
             server: ServerId,
             /// Its in-memory data region, or `None` when empty/crashed.
             region: Option<Region>,
-        },
-        /// R-tree lookup: chunks whose regions overlap the query rectangle.
-        5 => ChunksOverlapping {
-            /// The query rectangle.
-            region: Region,
-        },
-        /// In-memory regions (per indexing server) overlapping the rectangle.
-        6 => MemoryRegionsOverlapping {
-            /// The query rectangle.
-            region: Region,
-        },
-        /// The summary extent registered for a chunk, if any.
-        8 => SummaryExtent {
-            /// The chunk.
-            chunk: ChunkId,
         },
         /// The current partition schema, if one has been published. Node
         /// processes fetch it at startup so every role agrees on routing.
@@ -322,6 +313,14 @@ waterwheel_core::wire_enum! {
             /// Its in-memory data region after the flush, or `None`.
             region: Option<Region>,
         },
+        /// Everything a query plans from, read under one lock: the chunks
+        /// overlapping the rectangle with their measure bounds, and the
+        /// memory regions overlapping it with their servers' registered
+        /// offsets. Answered with [`MetaResponse::Overlaps`].
+        21 => Overlaps {
+            /// The query rectangle.
+            region: Region,
+        },
     }
 }
 
@@ -393,19 +392,14 @@ impl From<AggShare> for Response {
 
 waterwheel_core::wire_enum! {
     /// Answers from the metadata server. Tag 4 (`Probe`, the verdict of
-    /// the retired tag-7 request) is retired, never reused.
+    /// the retired tag-7 request) is retired, never reused, and so are tags
+    /// 2, 3 and 5, which answered the retired requests 5, 6 and 8.
     #[derive(Clone, Debug)]
     pub enum MetaResponse as "meta response" {
         /// The mutation was applied.
         0 => Ack,
         /// The first of a block of freshly allocated chunk ids.
         1 => Allocated(ChunkId),
-        /// Overlapping chunks with their regions.
-        2 => Chunks(Vec<(ChunkId, Region)>),
-        /// Overlapping in-memory regions with their owning servers.
-        3 => Regions(Vec<(ServerId, Region)>),
-        /// A chunk's summary extent, if registered.
-        5 => Extent(Option<SummaryExtent>),
         /// The published partition schema, if any.
         6 => Partition(Option<PartitionSchema>),
         /// A durable queue offset (answer to [`MetaRequest::DurableOffset`]).
@@ -419,6 +413,8 @@ waterwheel_core::wire_enum! {
         /// The epoch-numbered membership view (answer to
         /// [`MetaRequest::Membership`]).
         9 => Membership(MembershipView),
+        /// What a query plans from (answer to [`MetaRequest::Overlaps`]).
+        11 => Overlaps(Overlaps),
     }
 }
 

@@ -12,7 +12,8 @@
 //! A flush costs two metadata calls, whatever its number of chunks:
 //! `allocate_chunk_ids` for its block of ids, then one `register_flush`
 //! carrying the chunks, their summary extents, the durable offset and the
-//! memory region.
+//! memory region. A query costs one: `overlaps`, its chunks and memory
+//! regions read under one lock.
 //!
 //! Safe to retry: every metadata mutation is idempotent or
 //! conflict-checked by the service:
@@ -32,7 +33,7 @@ use crate::transport::HandlerRegistry;
 use std::time::Duration;
 use waterwheel_core::{ChunkId, KeyInterval, NodeId, Region, Result, ServerId, WwError};
 use waterwheel_meta::{
-    FlushedChunk, MemberRole, MembershipView, MetadataService, PartitionSchema, SummaryExtent,
+    FlushedChunk, MemberRole, MembershipView, MetadataService, Overlaps, PartitionSchema,
 };
 
 /// Binds `meta` at [`META_SERVER`] on `registry` (whichever transport
@@ -153,18 +154,11 @@ meta_verbs! { |meta|
     ) -> ()
         = RegisterFlush { producer, chunks, durable_offset, region }
         => Ack(meta.register_flush(producer, chunks, durable_offset, region)?);
-    /// See [`MetadataService::chunks_overlapping`].
-    fn chunks_overlapping(region: &Region) -> Vec<(ChunkId, Region)>
-        = ChunksOverlapping { region: *region }
-        => Chunks(meta.chunks_overlapping(&region));
-    /// See [`MetadataService::memory_regions_overlapping`].
-    fn memory_regions_overlapping(region: &Region) -> Vec<(ServerId, Region)>
-        = MemoryRegionsOverlapping { region: *region }
-        => Regions(meta.memory_regions_overlapping(&region));
-    /// See [`MetadataService::summary_extent`].
-    fn summary_extent(chunk: ChunkId) -> Option<SummaryExtent>
-        = SummaryExtent { chunk }
-        => Extent(meta.summary_extent(chunk));
+    /// See [`MetadataService::overlaps`] — everything a query plans from,
+    /// in one call.
+    fn overlaps(region: &Region) -> Overlaps
+        = Overlaps { region: *region }
+        => Overlaps(meta.overlaps(&region));
     /// See [`MetadataService::partition`].
     fn partition() -> Option<PartitionSchema>
         = Partition
@@ -210,7 +204,7 @@ mod tests {
     use crate::transport::{FaultPlane, InProcTransport, LinkProfile, Transport};
     use std::sync::Arc;
     use waterwheel_core::SystemConfig;
-    use waterwheel_meta::ChunkInfo;
+    use waterwheel_meta::{ChunkInfo, SummaryExtent};
 
     fn rig() -> (Arc<FaultPlane>, MetaClient, MetadataService) {
         let inproc = InProcTransport::with_registry(None, Arc::default());
@@ -264,23 +258,14 @@ mod tests {
             .unwrap();
         assert_eq!(meta.chunk_count(), 2);
         assert_eq!(client.durable_offset(ServerId(0)).unwrap(), 10);
-        assert_eq!(
-            client
-                .memory_regions_overlapping(&region(150, 160))
-                .unwrap(),
-            vec![(ServerId(0), region(100, 200))]
-        );
+        let (chunks, memory) = client.overlaps(&region(150, 160)).unwrap();
+        assert_eq!(chunks, vec![]);
+        assert_eq!(memory, vec![(ServerId(0), (region(100, 200), 10))]);
         client.update_memory_region(ServerId(0), None).unwrap();
-        assert!(client
-            .memory_regions_overlapping(&region(0, u64::MAX))
-            .unwrap()
-            .is_empty());
+        assert!(client.overlaps(&region(0, u64::MAX)).unwrap().1.is_empty());
 
-        let overlapping = client.chunks_overlapping(&region(50, 60)).unwrap();
-        assert_eq!(overlapping, vec![(a, region(0, 100))]);
-
-        assert!(client.summary_extent(a).unwrap().is_none());
-        assert_eq!(client.summary_extent(b).unwrap(), Some(EXTENT));
+        let (chunks, _) = client.overlaps(&region(50, 350)).unwrap();
+        assert_eq!(chunks, vec![chunk(a, 0, None), chunk(b, 300, Some(EXTENT))]);
     }
 
     #[test]

@@ -942,6 +942,7 @@ mod tests {
             predicate: Some((Expr::key() % 2).equals(0)),
             measure_range: None,
             target: SubQueryTarget::Chunk(ChunkId(0)),
+            offset: None,
         };
         let r = t
             .send(&env(

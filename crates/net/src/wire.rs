@@ -337,6 +337,7 @@ mod tests {
             predicate: Some((Expr::key() % 2).equals(0)),
             measure_range: Some((1, 1000)),
             target: SubQueryTarget::Chunk(ChunkId(5)),
+            offset: None,
         };
         let decoded = roundtrip_request(Request::ChunkSubquery {
             sq,
@@ -389,9 +390,7 @@ mod tests {
                 durable_offset: 77,
                 region: None,
             },
-            MetaRequest::ChunksOverlapping { region },
-            MetaRequest::MemoryRegionsOverlapping { region },
-            MetaRequest::SummaryExtent { chunk: ChunkId(4) },
+            MetaRequest::Overlaps { region },
             MetaRequest::Partition,
             MetaRequest::DurableOffset {
                 server: ServerId(3),
@@ -480,16 +479,20 @@ mod tests {
             },
             Response::Meta(MetaResponse::Ack),
             Response::Meta(MetaResponse::Allocated(ChunkId(6))),
-            Response::Meta(MetaResponse::Chunks(vec![(ChunkId(2), region)])),
-            Response::Meta(MetaResponse::Regions(vec![(ServerId(1), region)])),
-            Response::Meta(MetaResponse::Extent(Some(SummaryExtent {
-                cells: 1,
-                bytes: 40,
-                levels: 1,
-                slice_bits: 2,
-                measure_range: None,
-            }))),
-            Response::Meta(MetaResponse::Extent(None)),
+            Response::Meta(MetaResponse::Overlaps((
+                vec![FlushedChunk {
+                    id: ChunkId(2),
+                    info: ChunkInfo {
+                        region,
+                        count: 3,
+                        bytes: 90,
+                        producer: ServerId(1),
+                    },
+                    summary: None,
+                }],
+                vec![(ServerId(1), (region, 9))],
+            ))),
+            Response::Meta(MetaResponse::Overlaps(Default::default())),
             Response::Meta(MetaResponse::Partition(None)),
             Response::Meta(MetaResponse::Offset(123_456)),
             Response::Query(QueryResult {
@@ -562,6 +565,7 @@ mod tests {
             WwError::Overloaded {
                 retry_after: Duration::from_millis(40),
             },
+            WwError::StalePlan,
         ];
         for err in cases {
             let frame = encode_response_err(1, &err);

@@ -86,6 +86,7 @@ impl Gen {
             } else {
                 SubQueryTarget::Chunk(ChunkId(self.next()))
             },
+            offset: (self.below(2) == 0).then(|| self.next()),
         }
     }
 
@@ -191,14 +192,8 @@ impl Gen {
                     Some(self.region())
                 },
             },
-            3 => MetaRequest::ChunksOverlapping {
+            3..=5 => MetaRequest::Overlaps {
                 region: self.region(),
-            },
-            4 => MetaRequest::MemoryRegionsOverlapping {
-                region: self.region(),
-            },
-            5 => MetaRequest::SummaryExtent {
-                chunk: ChunkId(self.next()),
             },
             6 => MetaRequest::BeginMigration {
                 keys: self.interval_keys(),
@@ -251,17 +246,14 @@ impl Gen {
     }
 
     fn request(&mut self) -> Request {
-        // Arm numbers are the wire tags, drawn from the declared ones; 0, 4,
-        // 5, 6, 9, 10, 18 and 19 are retired (see the `retired_*` tests).
+        // Arm numbers are the wire tags, drawn from the declared ones; 0, 3,
+        // 4, 5, 6, 9, 10, 16 to 20 are retired (see the `retired_*` tests).
         match Request::TAGS[self.below(Request::TAGS.len() as u64) as usize] {
             1 => Request::IngestBatch {
                 seq: self.next(),
                 tuples: self.tuples(),
             },
             2 => Request::Flush,
-            3 => Request::InMemorySubquery {
-                sq: self.subquery(),
-            },
             7 => Request::Ping,
             8 => Request::Meta(self.meta_request()),
             11 => Request::Shutdown,
@@ -280,25 +272,28 @@ impl Gen {
             },
             14 => Request::MigrateUniform,
             15 => Request::Stats,
-            16 => Request::InMemoryAggregate {
-                sq: self.subquery(),
-            },
-            17 => Request::ChunkAggregate {
-                sq: self.subquery(),
-                chunk: ChunkId(self.next()),
-            },
-            20 => Request::ChunkSubquery {
-                sq: self.subquery(),
-                chunk: ChunkId(self.next()),
-            },
             21 => Request::ClientQuery {
                 query: self.query(),
             },
-            _ => Request::ClientAggregate {
+            22 => Request::ClientAggregate {
                 query: AggregateQuery {
                     query: self.query(),
                     kind: self.agg_kind(),
                 },
+            },
+            23 => Request::InMemorySubquery {
+                sq: self.subquery(),
+            },
+            24 => Request::InMemoryAggregate {
+                sq: self.subquery(),
+            },
+            25 => Request::ChunkAggregate {
+                sq: self.subquery(),
+                chunk: ChunkId(self.next()),
+            },
+            _ => Request::ChunkSubquery {
+                sq: self.subquery(),
+                chunk: ChunkId(self.next()),
             },
         }
     }
@@ -317,21 +312,12 @@ impl Gen {
         match self.below(10) {
             0 => MetaResponse::Ack,
             1 => MetaResponse::Allocated(ChunkId(self.next())),
-            2 => MetaResponse::Chunks(
+            2..=4 => MetaResponse::Overlaps((
+                (0..self.below(6)).map(|_| self.flushed_chunk()).collect(),
                 (0..self.below(6))
-                    .map(|_| (ChunkId(self.next()), self.region()))
+                    .map(|_| (ServerId(self.next() as u32), (self.region(), self.next())))
                     .collect(),
-            ),
-            3 => MetaResponse::Regions(
-                (0..self.below(6))
-                    .map(|_| (ServerId(self.next() as u32), self.region()))
-                    .collect(),
-            ),
-            4 => MetaResponse::Extent(if self.below(2) == 0 {
-                None
-            } else {
-                Some(self.summary_extent())
-            }),
+            )),
             5 => MetaResponse::Partition(if self.below(2) == 0 {
                 None
             } else {
@@ -614,6 +600,7 @@ fn oversized_announcement_and_predicate_flag() {
                 predicate: Some(Expr::from(0).lt(Expr::key())),
                 measure_range: Some((3, 907)),
                 target: SubQueryTarget::InMemory(ServerId(1)),
+                offset: None,
             },
         },
     };
@@ -702,6 +689,7 @@ fn pinned_frames() -> [(&'static str, Vec<Vec<u8>>); 5] {
         predicate: None,
         measure_range: Some((5, 500)),
         target: SubQueryTarget::InMemory(ServerId(3)),
+        offset: Some(77),
     };
     let mut agg = PartialAgg::default();
     for v in [4, 9, 1_000] {
@@ -725,9 +713,7 @@ fn pinned_frames() -> [(&'static str, Vec<Vec<u8>>); 5] {
             server: ServerId(1),
             region: Some(region),
         },
-        MetaRequest::ChunksOverlapping { region },
-        MetaRequest::MemoryRegionsOverlapping { region },
-        MetaRequest::SummaryExtent { chunk: ChunkId(4) },
+        MetaRequest::Overlaps { region },
         MetaRequest::Partition,
         MetaRequest::DurableOffset {
             server: ServerId(3),
@@ -781,9 +767,31 @@ fn pinned_frames() -> [(&'static str, Vec<Vec<u8>>); 5] {
     let meta_responses = vec![
         MetaResponse::Ack,
         MetaResponse::Allocated(ChunkId(6)),
-        MetaResponse::Chunks(vec![(ChunkId(2), region), (ChunkId(3), Region::full())]),
-        MetaResponse::Regions(vec![(ServerId(1), region)]),
-        MetaResponse::Extent(Some(extent)),
+        MetaResponse::Overlaps((
+            vec![
+                FlushedChunk {
+                    id: ChunkId(2),
+                    info: ChunkInfo {
+                        region,
+                        count: 10,
+                        bytes: 200,
+                        producer: ServerId(2),
+                    },
+                    summary: Some(extent),
+                },
+                FlushedChunk {
+                    id: ChunkId(3),
+                    info: ChunkInfo {
+                        region: Region::full(),
+                        count: 3,
+                        bytes: 40,
+                        producer: ServerId(2),
+                    },
+                    summary: None,
+                },
+            ],
+            vec![(ServerId(1), (region, 123_456))],
+        )),
         MetaResponse::Partition(Some(schema)),
         MetaResponse::Offset(123_456),
         MetaResponse::Epoch(7),
@@ -842,6 +850,7 @@ fn pinned_frames() -> [(&'static str, Vec<Vec<u8>>); 5] {
         WwError::Overloaded {
             retry_after: Duration::from_millis(40),
         },
+        WwError::StalePlan,
     ];
     let request = |(i, payload): (usize, Request)| {
         let env = Envelope {
@@ -907,11 +916,11 @@ fn wire_frames_are_pinned() {
     assert_eq!(
         got,
         [
-            ("requests", 10, 633, 0xa28f_e962_9477_b4ef),
-            ("meta requests", 13, 770, 0x3452_3e63_6140_7926),
+            ("requests", 10, 642, 0xa620_84e3_f7eb_4f92),
+            ("meta requests", 11, 650, 0x7a34_dfb1_a2dc_1c3a),
             ("responses", 10, 543, 0x66df_193b_5064_bd2c),
-            ("meta responses", 10, 465, 0xcad5_5149_2b55_f79b),
-            ("errors", 10, 293, 0x3baa_e0aa_e892_b1a9),
+            ("meta responses", 8, 482, 0x1f4f_8ba1_94fc_ceca),
+            ("errors", 11, 312, 0x004c_ae42_dfd7_b90f),
         ]
     );
 }
@@ -995,6 +1004,7 @@ fn aggregate_subquery_frames_are_pinned() {
         predicate: None,
         measure_range: None,
         target: SubQueryTarget::InMemory(ServerId(1)),
+        offset: None,
     };
     let mut agg = PartialAgg::default();
     for v in [4, 9, 1_000] {
@@ -1039,7 +1049,7 @@ fn aggregate_subquery_frames_are_pinned() {
         bytes.len(),
         waterwheel_core::codec::fnv1a(&bytes),
     );
-    assert_eq!(got, (3, 271, 0x98eb_fcee_77fd_7a5c));
+    assert_eq!(got, (3, 273, 0x4cd9_b235_a1f6_0adc));
 }
 
 /// The client verbs that carry a whole query, and a subquery with a
@@ -1060,6 +1070,7 @@ fn client_query_and_predicate_frames_are_pinned() {
         predicate: Some((Expr::payload(7, 1) & 0xF0).equals(0xF0).or(!Expr::ts())),
         measure_range: Some((5, 500)),
         target: SubQueryTarget::Chunk(ChunkId(6)),
+        offset: None,
     };
     let requests = [
         Request::ClientQuery {
@@ -1095,7 +1106,7 @@ fn client_query_and_predicate_frames_are_pinned() {
         bytes.len(),
         waterwheel_core::codec::fnv1a(&bytes),
     );
-    assert_eq!(got, (3, 359, 0x3c83_ceac_c566_1411));
+    assert_eq!(got, (3, 360, 0xada1_ddc2_330b_d01e));
 }
 
 /// The retired client verbs — request tags 9 (`ClientQuery` over a bare
@@ -1202,6 +1213,73 @@ fn retired_attribute_tags_are_typed_errors() {
         (&partition, 7, "meta request"),
         (&partition, 19, "meta request"),
         (&ack, 4, "meta response"),
+    ] {
+        for tail in [&[][..], &old[..]] {
+            let mut forged = body.clone();
+            *forged.last_mut().unwrap() = tag;
+            forged.extend_from_slice(tail);
+            let err = wire::decode_frame(&forged).unwrap_err();
+            assert!(matches!(err, WwError::Corrupt { .. }), "{err:?}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("unknown {what} tag {tag}")),
+                "{err}"
+            );
+        }
+    }
+}
+
+/// The verbs whose subquery carried no planned offset, and the metadata
+/// verbs a query planned from one by one, are retired, and each tag is a
+/// typed decode error, never some other verb, whatever bytes follow it:
+/// request tags 3 (`InMemorySubquery`), 16 (`InMemoryAggregate`), 17
+/// (`ChunkAggregate`) and 20 (`ChunkSubquery`); meta request tags 5
+/// (`ChunksOverlapping`), 6 (`MemoryRegionsOverlapping`) and 8
+/// (`SummaryExtent`); meta response tags 2 (`Chunks`), 3 (`Regions`) and 5
+/// (`Extent`).
+#[test]
+fn retired_subquery_and_plan_tags_are_typed_errors() {
+    use waterwheel_core::WwError;
+    let body = |frame: Vec<u8>| wire::read_frame(&mut &frame[..]).unwrap().unwrap();
+    let request = |payload| {
+        let env = Envelope {
+            src: waterwheel_net::COORDINATOR,
+            dst: ServerId(0),
+            rpc_id: 1,
+            deadline: Instant::now() + Duration::from_secs(1),
+            payload,
+        };
+        body(wire::encode_request(1, &env))
+    };
+    // Ping, Partition and Ack are bare tags: each body ends in its tag.
+    let ping = request(Request::Ping);
+    let partition = request(Request::Meta(MetaRequest::Partition));
+    let ack = body(wire::encode_response_ok(
+        1,
+        &Response::Meta(MetaResponse::Ack),
+    ));
+    // What an old sender put behind a chunk subquery's tag: the subquery
+    // without an offset, then the chunk.
+    let sq = Gen(5).subquery();
+    let mut old = Vec::new();
+    sq.id.encode(&mut old);
+    sq.keys.encode(&mut old);
+    sq.times.encode(&mut old);
+    sq.predicate.encode(&mut old);
+    sq.measure_range.encode(&mut old);
+    sq.target.encode(&mut old);
+    ChunkId(6).encode(&mut old);
+    for (body, tag, what) in [
+        (&ping, 3, "request"),
+        (&ping, 16, "request"),
+        (&ping, 17, "request"),
+        (&ping, 20, "request"),
+        (&partition, 5, "meta request"),
+        (&partition, 6, "meta request"),
+        (&partition, 8, "meta request"),
+        (&ack, 2, "meta response"),
+        (&ack, 3, "meta response"),
+        (&ack, 5, "meta response"),
     ] {
         for tail in [&[][..], &old[..]] {
             let mut forged = body.clone();

@@ -5,7 +5,8 @@
 //!
 //! 1. finds all *query region candidates* — chunk regions via the metadata
 //!    server's R-tree plus the indexing servers' in-memory regions (already
-//!    widened by Δt, §IV-D);
+//!    widened by Δt, §IV-D) — in one metadata call that reads both under
+//!    one lock, each region with its server's registered offset;
 //! 2. emits one subquery per candidate, each the intersection of the query
 //!    with that candidate's region;
 //! 3. executes in-memory subqueries on their owning indexing servers and
@@ -32,6 +33,13 @@
 //! Fault tolerance (§V): a subquery that fails (server down, link cut) is
 //! re-dispatched to the remaining healthy servers for up to
 //! [`REDISPATCH_ROUNDS`] rounds; no intermediate results are persisted.
+//!
+//! A flush hands its tuples from an indexing server's memory to chunks
+//! while queries run: each in-memory subquery carries the offset its plan
+//! saw, and the server answers from the side of the hand-off that plan
+//! counts — or, when a registration was answered in between, refuses the
+//! plan as stale, and the query is planned again (up to [`REPLANS`] times,
+//! counted as `coordinator.replans`).
 
 use crate::dispatch::{self, DispatchPlan, DispatchPolicy, WORKERS_PER_SERVER};
 use crate::fanout::FanoutPool;
@@ -58,6 +66,16 @@ type Slots<T> = Arc<Mutex<Vec<Option<T>>>>;
 /// One call per target: an indexing server's address or a chunk id.
 type Calls<T> = Vec<(T, Request)>;
 
+/// A query's subqueries, each chunk subquery beside its chunk's measure
+/// bounds.
+type Planned = Vec<(SubQuery, Option<(u64, u64)>)>;
+
+/// Times a query is planned again when an indexing server finds its plan
+/// stale: a flush registration answered between a plan and its subquery
+/// (DESIGN.md §5). A replan sees that registration, so one is usually
+/// enough; a query that stays stale past this fails with the stale error.
+pub const REPLANS: usize = 3;
+
 waterwheel_core::counters! {
     /// Coordinator-side counters (`coordinator.*`).
     pub struct CoordinatorStats {
@@ -67,6 +85,9 @@ waterwheel_core::counters! {
         subqueries,
         /// Subqueries re-dispatched after a server failure.
         redispatches,
+        /// Queries planned again because an indexing server found their
+        /// plan stale.
+        replans,
         /// Chunk subqueries pruned because the chunk's registered MIN/MAX
         /// measure bounds cannot intersect the query's measure range.
         measure_pruned_chunks,
@@ -85,18 +106,17 @@ waterwheel_core::counters! {
     }
 }
 
-/// An epoch-numbered routing table: which servers the coordinator plans
-/// against. Starts from the construction-time lists at epoch 0 and follows
-/// the metadata service's membership view as servers join and leave
-/// ([`Coordinator::refresh_membership`]).
+/// An epoch-numbered routing table: which query servers the coordinator
+/// dispatches chunk subqueries to. Starts from the construction-time list
+/// at epoch 0 and follows the metadata service's membership view as
+/// servers join and leave ([`Coordinator::refresh_membership`]). Indexing
+/// servers need no list: a plan's memory regions name them.
 #[derive(Clone, Debug)]
 struct RoutingTable {
-    /// The membership epoch these lists were derived from.
+    /// The membership epoch the list was derived from.
     epoch: u64,
     /// Addresses of the query servers, in dispatch-slot order.
     query_servers: Vec<ServerId>,
-    /// Addresses of the indexing servers (the fresh-data tier).
-    indexing: Vec<ServerId>,
 }
 
 /// The query coordinator.
@@ -117,15 +137,14 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Creates a coordinator reaching the given server addresses over
-    /// `rpc`'s message plane; `replication` is the DFS replication factor
-    /// (for locality-aware dispatch). It dispatches by LADA until
+    /// Creates a coordinator reaching the given query servers over `rpc`'s
+    /// message plane; `replication` is the DFS replication factor (for
+    /// locality-aware dispatch). It dispatches by LADA until
     /// [`set_policy`](Self::set_policy) switches it.
     pub fn new(
         rpc: RpcClient,
         cluster: Cluster,
         query_servers: Vec<ServerId>,
-        indexing: Vec<ServerId>,
         replication: usize,
     ) -> Self {
         assert!(!query_servers.is_empty());
@@ -137,7 +156,6 @@ impl Coordinator {
             routing: RwLock::new(RoutingTable {
                 epoch: 0,
                 query_servers,
-                indexing,
             }),
             replication,
             policy: RwLock::new(DispatchPolicy::Lada),
@@ -158,23 +176,19 @@ impl Coordinator {
     }
 
     /// Pulls the metadata service's membership view and, if its epoch is
-    /// newer than the routing table's, re-derives the server lists from it.
-    /// Returns the routing epoch after the refresh. A view that lists no
-    /// servers of a tier keeps the previous list for that tier — an empty
-    /// fleet is a deployment that never registered members (the embedded
+    /// newer than the routing table's, re-derives the query-server list
+    /// from it. Returns the routing epoch after the refresh. A view that
+    /// lists no query server keeps the previous list — an empty fleet is a
+    /// deployment that never registered members (the embedded
     /// construction-time wiring), not an instruction to route nowhere.
     pub fn refresh_membership(&self) -> Result<u64> {
         let view = self.meta.membership()?;
         let mut rt = self.routing.write();
         if view.epoch > rt.epoch {
             let query = view.query_ids();
-            let indexing = view.indexing_ids();
             if !query.is_empty() {
                 self.pool.set_cap(query.len() * WORKERS_PER_SERVER);
                 rt.query_servers = query;
-            }
-            if !indexing.is_empty() {
-                rt.indexing = indexing;
             }
             rt.epoch = view.epoch;
         }
@@ -208,35 +222,40 @@ impl Coordinator {
     /// exposed separately for tests and diagnostics. Fails only if the
     /// metadata server is unreachable past the retry budget.
     pub fn decompose(&self, query: &Query, qid: QueryId) -> Result<Vec<SubQuery>> {
+        let planned = self.plan(query, qid)?;
+        Ok(planned.into_iter().map(|(sq, _)| sq).collect())
+    }
+
+    /// Decomposes a query from one metadata snapshot
+    /// ([`MetaClient::overlaps`]): one subquery per overlapping memory
+    /// region, carrying its server's registered offset, then one per
+    /// overlapping chunk, beside its summary's measure bounds.
+    fn plan(&self, query: &Query, qid: QueryId) -> Result<Planned> {
         let region = query.region();
+        let (chunks, memory) = self.meta.overlaps(&region)?;
+        let memory = memory
+            .into_iter()
+            .map(|(server, (r, offset))| (r, SubQueryTarget::InMemory(server), Some(offset), None));
+        let chunks = chunks.into_iter().map(|c| {
+            let bounds = c.summary.and_then(|e| e.measure_range);
+            (c.info.region, SubQueryTarget::Chunk(c.id), None, bounds)
+        });
         let mut out = Vec::new();
-        let mut index = 0u32;
-        let mut push = |keys, times, target| {
-            out.push(SubQuery {
+        for (r, target, offset, bounds) in memory.chain(chunks) {
+            let Some(overlap) = r.intersect(&region) else {
+                continue;
+            };
+            let index = out.len() as u32;
+            let sq = SubQuery {
                 id: SubQueryId { query: qid, index },
-                keys,
-                times,
+                keys: overlap.keys,
+                times: overlap.times,
                 predicate: query.predicate.clone(),
                 measure_range: query.measure_range,
                 target,
-            });
-            index += 1;
-        };
-        for (server, r) in self.meta.memory_regions_overlapping(&region)? {
-            let Some(overlap) = r.intersect(&region) else {
-                continue;
+                offset,
             };
-            push(
-                overlap.keys,
-                overlap.times,
-                SubQueryTarget::InMemory(server),
-            );
-        }
-        for (chunk, r) in self.meta.chunks_overlapping(&region)? {
-            let Some(overlap) = r.intersect(&region) else {
-                continue;
-            };
-            push(overlap.keys, overlap.times, SubQueryTarget::Chunk(chunk));
+            out.push((sq, bounds));
         }
         Ok(out)
     }
@@ -244,23 +263,17 @@ impl Coordinator {
     /// Executes a query end-to-end and merges the results (§IV-A).
     pub fn execute(&self, query: &Query) -> Result<QueryResult> {
         let qid = QueryId(self.next_query.fetch_add(1, Ordering::Relaxed));
-        let (subqueries, mem_calls, chunk_calls) = self.plan(
+        let (subqueries, parts) = self.run(
             query,
             qid,
             |sq| Request::InMemorySubquery { sq },
             |sq, chunk| Request::ChunkSubquery { sq, chunk },
+            Response::into_tuples,
         )?;
-        let mut tuples = Vec::new();
-        for partial in self.execute_in_memory(mem_calls, Response::into_tuples) {
-            tuples.extend(partial?);
-        }
-        for partial in self.execute_on_chunks(chunk_calls, Response::into_tuples)? {
-            tuples.extend(partial);
-        }
         Ok(QueryResult {
             query_id: qid,
             subqueries,
-            tuples,
+            tuples: parts.into_iter().flatten().collect(),
         })
     }
 
@@ -282,7 +295,7 @@ impl Coordinator {
         // covers would turn into a fringe.
         let (keys, times) = (aq.query.keys, aq.query.times);
         let whole = move |sq| SubQuery { keys, times, ..sq };
-        let (_, mem_calls, chunk_calls) = self.plan(
+        let (_, shares) = self.run(
             &aq.query,
             qid,
             |sq| Request::InMemoryAggregate { sq: whole(sq) },
@@ -290,12 +303,8 @@ impl Coordinator {
                 sq: whole(sq),
                 chunk,
             },
+            Response::into_share,
         )?;
-        let mut shares = self
-            .execute_in_memory(mem_calls, Response::into_share)
-            .into_iter()
-            .collect::<Result<Vec<_>>>()?;
-        shares.extend(self.execute_on_chunks(chunk_calls, Response::into_share)?);
         let mut total = AggShare::default();
         for share in &shares {
             total.merge(share);
@@ -319,43 +328,52 @@ impl Coordinator {
         })
     }
 
-    /// Plans a query for either path: decomposes it and makes each
-    /// subquery a call — `mem` an indexing server's, `chunk` a query
-    /// server's. A chunk whose measure bounds miss the measure range gets
-    /// no call. Returns the decomposed subquery count, then the calls to
-    /// indexing servers and to query servers.
-    fn plan(
+    /// Plans a query and runs it, for either path: each subquery becomes a
+    /// call — `mem` an indexing server's, `chunk` a query server's, none for
+    /// a chunk whose measure bounds miss the measure range — and each answer
+    /// is unwrapped with `answer`, in-memory ones first. When an indexing
+    /// server finds the plan stale ([`WwError::StalePlan`]: a flush
+    /// registration was answered between the plan and its subquery), the
+    /// query is planned again, at most [`REPLANS`] times. Returns the
+    /// planned subquery count and the answers.
+    fn run<A: Send + 'static>(
         &self,
         query: &Query,
         qid: QueryId,
         mem: impl Fn(SubQuery) -> Request,
         chunk: impl Fn(SubQuery, ChunkId) -> Request,
-    ) -> Result<(u32, Calls<ServerId>, Calls<ChunkId>)> {
+        answer: fn(Response) -> Result<A>,
+    ) -> Result<(u32, Vec<A>)> {
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        let subqueries = self.decompose(query, qid)?;
-        let n = subqueries.len() as u32;
-        self.stats.subqueries.fetch_add(n as u64, Ordering::Relaxed);
-        let (mut mem_calls, mut chunk_calls) = (Vec::new(), Vec::new());
-        for sq in subqueries {
-            let id = match sq.target {
-                SubQueryTarget::InMemory(server) => {
-                    mem_calls.push((server, mem(sq)));
-                    continue;
-                }
-                SubQueryTarget::Chunk(id) => id,
-            };
-            if let Some((lo, hi)) = sq.measure_range {
-                let bounds = self.meta.summary_extent(id)?.and_then(|e| e.measure_range);
-                if bounds.is_some_and(|(min, max)| max < lo || min > hi) {
-                    self.stats
-                        .measure_pruned_chunks
-                        .fetch_add(1, Ordering::Relaxed);
-                    continue;
+        let (mut planned, mut replans) = (self.plan(query, qid)?, 0);
+        loop {
+            let n = planned.len() as u32;
+            self.stats.subqueries.fetch_add(n as u64, Ordering::Relaxed);
+            let (mut mem_calls, mut chunk_calls, mut pruned) = (Vec::new(), Vec::new(), 0);
+            for (sq, bounds) in planned {
+                let (lo, hi) = sq.measure_range.unwrap_or((0, u64::MAX));
+                let missed = bounds.is_some_and(|(min, max)| max < lo || min > hi);
+                match sq.target {
+                    SubQueryTarget::InMemory(server) => mem_calls.push((server, mem(sq))),
+                    SubQueryTarget::Chunk(_) if missed => pruned += 1,
+                    SubQueryTarget::Chunk(id) => chunk_calls.push((id, chunk(sq, id))),
                 }
             }
-            chunk_calls.push((id, chunk(sq, id)));
+            let pruned_chunks = &self.stats.measure_pruned_chunks;
+            pruned_chunks.fetch_add(pruned, Ordering::Relaxed);
+            match self.execute_in_memory(mem_calls, answer) {
+                Err(WwError::StalePlan) if replans < REPLANS => {
+                    replans += 1;
+                    self.stats.replans.fetch_add(1, Ordering::Relaxed);
+                    planned = self.plan(query, qid)?;
+                }
+                parts => {
+                    let mut parts = parts?;
+                    parts.extend(self.execute_on_chunks(chunk_calls, answer)?);
+                    return Ok((n, parts));
+                }
+            }
         }
-        Ok((n, mem_calls, chunk_calls))
     }
 
     /// Sends each call to its indexing server, concurrently — the
@@ -366,7 +384,7 @@ impl Coordinator {
         &self,
         calls: Calls<ServerId>,
         answer: fn(Response) -> Result<A>,
-    ) -> Vec<Result<A>> {
+    ) -> Result<Vec<A>> {
         let n = calls.len();
         let partials: Slots<Result<A>> = Arc::new(Mutex::new((0..n).map(|_| None).collect()));
         let exec = {
@@ -525,7 +543,17 @@ mod tests {
         Region::new(KeyInterval::new(k0, k1), TimeInterval::new(t0, t1))
     }
 
-    fn coordinator(name: &str) -> (Coordinator, MetadataService) {
+    /// A coordinator over one indexing server (id 0, reading partition 0 of
+    /// `mq`) and one query server (id 10), all behind one in-process plane.
+    struct Rig {
+        coord: Coordinator,
+        meta: MetadataService,
+        transport: Arc<InProcTransport>,
+        ix: Arc<IndexingServer>,
+        mq: MessageQueue,
+    }
+
+    fn rig(name: &str, cfg: SystemConfig) -> Rig {
         let root = std::env::temp_dir().join(format!("ww-coord-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let cluster = Cluster::new(2);
@@ -533,7 +561,6 @@ mod tests {
         let meta = MetadataService::in_memory();
         let mq = MessageQueue::new();
         mq.create_topic("ingest", 1).unwrap();
-        let cfg = SystemConfig::default();
 
         let transport = Arc::new(InProcTransport::with_registry(None, Arc::default()));
         serve_meta(transport.registry(), meta.clone());
@@ -565,7 +592,7 @@ mod tests {
             ServerId(0),
             KeyInterval::full(),
             cfg.clone(),
-            Consumer::new(mq, "ingest", 0, 0),
+            Consumer::new(mq.clone(), "ingest", 0, 0),
             dfs,
             MetaClient::new(ix_rpc),
         ));
@@ -587,10 +614,18 @@ mod tests {
             COORDINATOR,
             &cfg,
         );
-        (
-            Coordinator::new(rpc, cluster, vec![ServerId(10)], vec![ServerId(0)], 2),
+        Rig {
+            coord: Coordinator::new(rpc, cluster, vec![ServerId(10)], 2),
             meta,
-        )
+            transport,
+            ix,
+            mq,
+        }
+    }
+
+    fn coordinator(name: &str) -> (Coordinator, MetadataService) {
+        let rig = rig(name, SystemConfig::default());
+        (rig.coord, rig.meta)
     }
 
     /// Registers a flush of one chunk of `region` from indexing server 0.
@@ -684,13 +719,7 @@ mod tests {
             });
         }
         let rpc = RpcClient::new(transport as Arc<dyn Transport>, COORDINATOR, &cfg);
-        let coord = Coordinator::new(
-            rpc,
-            Cluster::new(1),
-            vec![ServerId(10)],
-            vec![ServerId(0)],
-            1,
-        );
+        let coord = Coordinator::new(rpc, Cluster::new(1), vec![ServerId(10)], 1);
         let (keys, times) = (KeyInterval::new(50, 250), TimeInterval::new(50, 150));
         let answer = coord
             .execute_aggregate(&Query::range(keys, times).aggregate(AggregateKind::Sum))
@@ -709,5 +738,171 @@ mod tests {
         let stats = coord.stats();
         assert_eq!(stats.agg_leaves_merged.load(Ordering::Relaxed), 9);
         assert_eq!(stats.agg_fallback_subqueries.load(Ordering::Relaxed), 2);
+    }
+
+    /// The flush hand-off, step by step and with no sleeps. A metadata
+    /// handler holds one flush (1) sealed, its id block not yet answered;
+    /// (2) with its registration landed and the answer held; (3) with the
+    /// answer released. At each step a range query and an aggregate are
+    /// planned for that step and every later one: each plan is made there,
+    /// and its in-memory subquery parked on the way to the indexing server
+    /// until the step it is answered at. Every answer equals the naive one,
+    /// no tuple twice. Only the plans from before the registration that are
+    /// answered after its answer go stale, and each is planned again once.
+    #[test]
+    fn a_plan_from_either_side_of_the_flush_hand_off_answers_once() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::mpsc;
+        use std::time::Duration;
+        use waterwheel_core::aggregate::default_measure;
+        use waterwheel_core::Tuple;
+        use waterwheel_net::{MetaRequest, META_SERVER};
+        let mut cfg = SystemConfig::default();
+        cfg.chunk_size_bytes = 1 << 30;
+        cfg.rpc_timeout = Duration::from_secs(120);
+        let rig = Arc::new(rig("hand-off", cfg));
+        let tuple = |i: u64| {
+            // One in 10 a minute late: the flush seals a side store too.
+            let ts = if i % 10 == 9 { i } else { 60_000 + i * 37 };
+            Tuple::new(
+                i.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                ts,
+                vec![7; i as usize % 5],
+            )
+        };
+        let append = |range: std::ops::Range<u64>| {
+            for i in range {
+                rig.mq.append("ingest", 0, tuple(i)).unwrap();
+            }
+            rig.ix.pump(1_000).unwrap();
+        };
+        append(0..200);
+
+        // The metadata handler says where the flush is and waits for a go.
+        let serve = rig.transport.registry().get(META_SERVER).unwrap();
+        let (at, step) = mpsc::channel::<&str>();
+        let (go, gate) = mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        rig.transport.registry().bind(META_SERVER, move |env| {
+            let hold = |what| {
+                at.send(what).unwrap();
+                gate.lock().recv().unwrap();
+            };
+            match &env.payload {
+                Request::Meta(MetaRequest::AllocateChunkIds { .. }) => {
+                    hold("sealed");
+                    serve(env)
+                }
+                Request::Meta(MetaRequest::RegisterFlush { .. }) => {
+                    let answer = serve(env);
+                    hold("landed");
+                    answer
+                }
+                _ => serve(env),
+            }
+        });
+        // The indexing server's handler parks the first in-memory subquery
+        // after each `park` until its query's go.
+        let serve = rig.transport.registry().get(ServerId(0)).unwrap();
+        let park = Arc::new(AtomicBool::new(false));
+        let (parked, subquery) = mpsc::channel::<mpsc::Sender<()>>();
+        let parked = Mutex::new(parked);
+        let parking = Arc::clone(&park);
+        rig.transport.registry().bind(ServerId(0), move |env| {
+            let fresh = matches!(
+                env.payload,
+                Request::InMemorySubquery { .. } | Request::InMemoryAggregate { .. }
+            );
+            if fresh && parking.swap(false, Ordering::SeqCst) {
+                let (go, wait) = mpsc::channel();
+                parked.lock().send(go).unwrap();
+                wait.recv().unwrap();
+            }
+            serve(env)
+        });
+        let flusher = {
+            let ix = Arc::clone(&rig.ix);
+            std::thread::spawn(move || ix.flush())
+        };
+
+        let q = Query::range(KeyInterval::full(), TimeInterval::new(0, 70_000));
+        let mut want: Vec<Tuple> = (0..250).map(tuple).filter(|t| q.matches(t)).collect();
+        want.sort_by(|a, b| (a.key, a.ts, &a.payload).cmp(&(b.key, b.ts, &b.payload)));
+        let measure = default_measure();
+        let mut naive = PartialAgg::empty();
+        want.iter().for_each(|t| naive.insert(measure(t)));
+        // A parked query: planned at, answered at, label, thread, go.
+        type Pending = (
+            usize,
+            usize,
+            String,
+            std::thread::JoinHandle<()>,
+            mpsc::Sender<()>,
+        );
+        // Plans one query of each kind now for each later step, parked.
+        let plan_at = |now: usize, pending: &mut Vec<Pending>| {
+            for (answer_at, aggregate) in (now..=3).flat_map(|j| [(j, false), (j, true)]) {
+                park.store(true, Ordering::SeqCst);
+                let (rig, q, want) = (Arc::clone(&rig), q.clone(), want.clone());
+                let label = format!(
+                    "aggregate {aggregate}, planned at step {now}, answered at step {answer_at}"
+                );
+                let query = {
+                    let label = label.clone();
+                    std::thread::spawn(move || {
+                        if aggregate {
+                            let got = rig
+                                .coord
+                                .execute_aggregate(&q.aggregate(AggregateKind::Sum));
+                            assert_eq!(got.unwrap().agg, naive, "{label}");
+                        } else {
+                            let mut got = rig.coord.execute(&q).unwrap();
+                            got.normalize();
+                            assert!(
+                                got.tuples == want,
+                                "{label}: {} tuples, not {}",
+                                got.tuples.len(),
+                                want.len()
+                            );
+                        }
+                    })
+                };
+                let go = subquery.recv_timeout(Duration::from_secs(60));
+                let go = go.unwrap_or_else(|_| panic!("{label}: no in-memory subquery"));
+                pending.push((now, answer_at, label, query, go));
+            }
+        };
+        let answer_at = |now: usize, pending: &mut Vec<Pending>| {
+            let replans = || rig.coord.stats().replans.load(Ordering::Relaxed);
+            for (planned_at, _, label, query, go) in pending.extract_if(.., |p| p.1 == now) {
+                let before = replans();
+                go.send(()).unwrap();
+                query.join().unwrap();
+                let stale = u64::from(planned_at == 1 && now == 3);
+                assert_eq!(replans() - before, stale, "{label}");
+            }
+        };
+
+        let mut pending = Vec::new();
+        assert_eq!(step.recv().unwrap(), "sealed");
+        // Fresh tuples beside the slot, reported while the flush waits.
+        append(200..250);
+        assert_eq!(rig.ix.in_memory(), 250);
+        plan_at(1, &mut pending);
+        answer_at(1, &mut pending);
+        go.send(()).unwrap();
+        assert_eq!(step.recv().unwrap(), "landed");
+        plan_at(2, &mut pending);
+        answer_at(2, &mut pending);
+        go.send(()).unwrap();
+        assert_eq!(
+            flusher.join().unwrap().unwrap().len(),
+            2,
+            "a main and a side chunk"
+        );
+        plan_at(3, &mut pending);
+        answer_at(3, &mut pending);
+        assert!(pending.is_empty());
+        assert_eq!(rig.meta.durable_offset(ServerId(0)), 200);
     }
 }

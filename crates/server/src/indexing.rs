@@ -28,14 +28,24 @@
 //!
 //! All metadata interactions go through a [`MetaClient`] — typed RPCs on
 //! the message plane, subject to its deadlines, retries, and faults. A
-//! flush makes two, whatever its number of chunks: one for
-//! its block of chunk ids, one to register it. A flush cut anywhere before
-//! its registration lands registers nothing, and its chunk files, named by
-//! ids no registration holds, are never read; its tuples go back into
-//! memory, and a restart replays them from the previous offset. A
-//! registration sent but not answered may have landed: the next flush asks
-//! for the registered offset first and, if it had, rebuilds memory from the
-//! queue above it, so no tuple is sealed twice.
+//! flush makes two, whatever its number of chunks: one for its block of
+//! chunk ids, one to register it. It moves only forward. It first seals
+//! both stores, tree and wheel, into the *sealing slot* in the step that
+//! empties them, so every tuple is in exactly one place: a fresh store, the
+//! slot, or a registered chunk. The slot is served beside the fresh stores
+//! until its registration is answered. A flush cut anywhere leaves it in
+//! place, and the next flush — or the next pump — retries the same
+//! registration, with the same chunks once all of them were written, which
+//! the metadata service answers as a repeat if it had landed. A restart
+//! replays the queue from the registered offset.
+//!
+//! Which side of the hand-off answers a subquery is its plan's call: the
+//! subquery carries the durable offset its plan read beside the chunk list.
+//! The offset this server last saw registered means the plan counts none
+//! of the slot's chunks, so the slot answers beside the fresh stores; the
+//! slot's own offset means the registration landed first, so the fresh
+//! stores answer alone; any other is a stale plan
+//! ([`WwError::StalePlan`]), which the coordinator plans again.
 //!
 //! The memory region the coordinator routes fresh-data subqueries by is
 //! reported, not polled: with an open upper time bound, since timestamps
@@ -46,13 +56,13 @@
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use waterwheel_agg::{plan, AggShare, AggWheel, WheelSummary, MAX_CELLS_PER_RING, SLICE_BITS};
 use waterwheel_core::aggregate::{default_measure, MeasureFn};
 use waterwheel_core::{
     ChunkId, Counters, KeyInterval, Region, Result, ServerId, SubQuery, SystemConfig, TimeInterval,
-    Tuple,
+    Tuple, WwError,
 };
 use waterwheel_index::{IndexConfig, SealedTree, TemplateBTree, TupleIndex};
 use waterwheel_meta::{ChunkInfo, FlushedChunk, SummaryExtent};
@@ -71,6 +81,10 @@ waterwheel_core::counters! {
         chunks_flushed,
         /// Encoded aggregate-summary bytes sealed into chunk footers.
         summary_bytes_flushed,
+        /// A gauge, not a count: the tuples in the sealing slot, waiting on
+        /// a registration (0 when the slot is empty, so a registration that
+        /// never lands shows).
+        sealing_tuples,
     }
 }
 
@@ -118,11 +132,59 @@ impl Store {
         self.tree.insert_batch(tuples);
     }
 
-    /// Seals the tree and takes the wheel with it, leaving both empty; `None`
-    /// when the store holds no tuple.
-    fn take(&self) -> Option<(SealedTree, AggWheel)> {
+    /// Seals the tree and the wheel with it — into a summary, unless the
+    /// pump fed it nothing — leaving both empty; `None` when the store
+    /// holds no tuple.
+    fn seal(&self) -> Option<SealedStore> {
         let wheel = std::mem::replace(&mut *self.wheel.lock(), AggWheel::new(SLICE_BITS));
-        Some((self.tree.seal()?, wheel))
+        let summary = (!wheel.is_empty()).then(|| WheelSummary::seal(wheel, MAX_CELLS_PER_RING));
+        Some((self.tree.seal()?, summary))
+    }
+}
+
+/// A sealed store: its tree, with the summary sealed from its wheel.
+type SealedStore = (SealedTree, Option<WheelSummary>);
+
+/// What one flush sealed, shared with the readers it serves until its
+/// registration is answered: each non-empty store's tree with its summary,
+/// main first, and their hull; the queue position at the seal, which is
+/// the offset the registration makes durable; and the chunks, once all of
+/// them are written.
+struct Sealed {
+    stores: Vec<SealedStore>,
+    region: Region,
+    offset: u64,
+    written: OnceLock<Vec<FlushedChunk>>,
+}
+
+/// The hand-off from the fresh stores to the registered chunks.
+#[derive(Default)]
+struct Handoff {
+    /// The offset of the last registration this server saw answered.
+    registered: u64,
+    /// Seals so far: a reader that sees it move during a scan reads again.
+    seals: u64,
+    /// The sealing slot: sealed stores whose registration is not answered.
+    slot: Option<Arc<Sealed>>,
+    /// Whether the slot's registration is on its way to the metadata
+    /// service, and so may have moved its tuples to chunks already.
+    registering: bool,
+}
+
+impl Handoff {
+    /// The sealed stores a subquery planned at `planned` reads beside the
+    /// fresh ones (module docs): the slot when the plan saw the offset last
+    /// registered; nothing when it saw the slot's own. A subquery no plan
+    /// read an offset for sees the slot as memory holds it: until its
+    /// registration is sent, and again once one failed.
+    fn serves(&self, planned: Option<u64>) -> Result<Option<Arc<Sealed>>> {
+        match planned {
+            None if !self.registering => Ok(self.slot.clone()),
+            Some(offset) if offset == self.registered => Ok(self.slot.clone()),
+            None => Ok(None),
+            Some(offset) if self.slot.as_ref().is_some_and(|s| s.offset == offset) => Ok(None),
+            Some(_) => Err(WwError::StalePlan),
+        }
     }
 }
 
@@ -154,20 +216,22 @@ pub struct IndexingServer {
     /// shared with the query servers so summary cells and scan folds agree.
     /// Install before ingesting.
     measure: parking_lot::RwLock<MeasureFn>,
-    /// Held for a whole `flush`, seal through its registration.
+    /// Held for a whole `flush`, seal through registration, and while a
+    /// pump retries a registration: `handoff` is held only for moments, so
+    /// no reader waits on a chunk write.
     flushing: Mutex<()>,
+    /// The sealing slot and the offsets a subquery's plan is checked by.
+    handoff: Mutex<Handoff>,
     /// The region last sent to the metadata service (`None`: none, or
     /// unknown after a failed call). Held across each report, the pump's
     /// and the flush's alike, so an older region never lands after a newer.
     reported: Mutex<Option<Region>>,
-    /// The durable offset of a flush whose registration was sent but not
-    /// answered (see [`Self::flush`]).
-    in_doubt: Mutex<Option<u64>>,
 }
 
 impl IndexingServer {
     /// Creates a server over `assigned`, reading its queue partition from
-    /// `consumer`'s position (pass the durable offset when recovering).
+    /// `consumer`'s position: the offset registered for it, which is also
+    /// the offset it checks the first plans against (0 for a new server).
     pub fn new(
         id: ServerId,
         assigned: KeyInterval,
@@ -185,6 +249,10 @@ impl IndexingServer {
             high_water: AtomicU64::new(0),
             backlog: consumer.backlog(),
             journal_trim: AtomicBool::new(false),
+            handoff: Mutex::new(Handoff {
+                registered: consumer.position(),
+                ..Handoff::default()
+            }),
             consumer: Mutex::new(consumer),
             dfs,
             meta,
@@ -193,7 +261,6 @@ impl IndexingServer {
             measure: parking_lot::RwLock::new(default_measure()),
             flushing: Mutex::new(()),
             reported: Mutex::new(None),
-            in_doubt: Mutex::new(None),
             cfg,
         }
     }
@@ -239,9 +306,13 @@ impl IndexingServer {
         [&self.main, &self.side]
     }
 
-    /// Tuples currently in memory (main + side).
+    /// Tuples currently in memory: main, side and the sealing slot, unless
+    /// the slot's registration is on its way — the tuples a subquery with no
+    /// planned offset reads.
     pub fn in_memory(&self) -> usize {
-        self.stores().iter().map(|s| s.tree.len()).sum()
+        let sealed = self.handoff.lock().serves(None).ok().flatten();
+        let fresh: usize = self.stores().iter().map(|s| s.tree.len()).sum();
+        fresh + sealed.map_or(0, |s| s.stores.iter().map(|(t, _)| t.count).sum())
     }
 
     /// The currently assigned key interval.
@@ -283,10 +354,14 @@ impl IndexingServer {
     /// Flushes automatically when the chunk-size threshold is crossed: each
     /// poll takes no more than the threshold has room for, so a chunk seals
     /// at the first record that crosses it, however the stream was cut
-    /// into pumps.
+    /// into pumps. A slot a failed flush left behind is registered first,
+    /// unless a flush is under way to do it.
     pub fn pump(&self, max: usize) -> Result<usize> {
         if self.is_failed() {
-            return Err(waterwheel_core::WwError::Injected("indexing server down"));
+            return Err(WwError::Injected("indexing server down"));
+        }
+        if let Some(_whole_flush) = self.flushing.try_lock() {
+            self.register_slot()?;
         }
         let mut total = 0;
         while total < max {
@@ -308,7 +383,7 @@ impl IndexingServer {
     /// Polls up to `max` records, at most as many bytes as the chunk
     /// threshold has room for (and at least one record), and ingests them.
     fn poll_and_ingest(&self, max: usize) -> Result<usize> {
-        // The consumer lock spans poll AND insert: `flush` reads the
+        // The consumer lock spans poll AND insert: the seal reads the
         // consumer position under this lock as the chunk's durable offset,
         // so a record must never exist in the polled-but-not-yet-inserted
         // state while a flush seals. Otherwise the seal misses the record,
@@ -374,90 +449,86 @@ impl IndexingServer {
     }
 
     /// Answers this server's share of an aggregate over `sq`'s rectangle —
-    /// the query's own, not clipped to the memory region. The live wheels
-    /// answer the wheel interior ([`plan::split`]); the trees are folded
-    /// over the fringes. Each part takes its own lock, a wheel's as the
-    /// pump does and a tree's leaf latches, never one across the other. A
-    /// filtered subquery ([`SubQuery::filters`]) folds its filtered scan
-    /// instead: wheel cells cannot see a filter.
+    /// the query's own, not clipped to the memory region. Each store splits
+    /// it against the wheel ([`plan::split`]): a fresh store's live wheel
+    /// answers the interior, a sealed store's summary the interior less its
+    /// residues, and each tree is folded over what is left. Each part takes
+    /// its own lock, a wheel's as the pump does and a tree's leaf latches,
+    /// never one across the other. A filtered subquery
+    /// ([`SubQuery::filters`]) folds its filtered scan instead: wheel cells
+    /// cannot see a filter.
     pub fn aggregate_in_memory(&self, sq: &SubQuery) -> Result<AggShare> {
         if self.is_failed() {
-            return Err(waterwheel_core::WwError::Injected("indexing server down"));
+            return Err(WwError::Injected("indexing server down"));
         }
         let measure = self.measure.read().clone();
-        let mut share = AggShare::default();
         if sq.filters() {
+            let mut share = AggShare::default();
             share.fold(&self.query_in_memory(sq)?, &*measure);
             return Ok(share);
         }
         let split = plan::split(&sq.keys, &sq.times, SLICE_BITS);
-        let mut fringes = split.fringes;
-        if let Some(interior) = split.interior {
-            if self.cfg.agg_summaries_enabled {
-                for store in self.stores() {
-                    let out = store.wheel.lock().fold(interior.slices, &interior.covered);
-                    debug_assert!(out.residues.is_empty(), "live wheel folds have no residues");
-                    share.agg.merge(&out.agg);
-                    share.cells_merged += out.cells_merged;
+        let wheels = split.interior.filter(|_| self.cfg.agg_summaries_enabled);
+        self.read(sq.offset, |sealed| {
+            let mut share = AggShare::default();
+            for store in self.stores() {
+                let out = wheels.map(|i| store.wheel.lock().fold(i.slices, &i.covered));
+                for f in share.fold_interior(&split, out) {
+                    share.fold(&store.tree.query(&f.keys, &f.times, None), &*measure);
                 }
-            } else {
-                // The pump feeds no wheel: the interior is one more fringe.
-                fringes.push(Region::new(interior.keys, interior.covered));
             }
-        }
-        for fringe in fringes {
-            share.fold(
-                &self.scan_in_memory(&fringe.keys, &fringe.times, None),
-                &*measure,
-            );
-        }
-        Ok(share)
+            for (tree, summary) in sealed.into_iter().flat_map(|s| &s.stores) {
+                let out = split.interior.zip(summary.as_ref());
+                let out = out.map(|(i, summary)| summary.fold(i.slices, &i.covered));
+                for f in share.fold_interior(&split, out) {
+                    share.fold(&tree.query(&f.keys, &f.times, None), &*measure);
+                }
+            }
+            share
+        })
     }
 
-    /// The region the coordinator should consider for fresh data: the hull
-    /// of main's and side's hulls, main's with its lower time bound widened
-    /// by Δt (§IV-D) since a tuple up to Δt late may still join it.
-    pub fn memory_region(&self) -> Option<Region> {
+    /// The hull of the fresh stores, and of the slot's trees too when
+    /// `slot`: main's with its lower time bound widened by Δt (§IV-D),
+    /// since a tuple up to Δt late may still join it.
+    fn hull(&self, slot: bool) -> Option<Region> {
         let main = self.main.tree.region();
         let main = main.map(|r| Region::new(r.keys, r.times.widen_lo(self.late_limit_ms())));
-        [main, self.side.tree.region()]
+        let sealed = slot.then(|| self.handoff.lock().slot.as_ref().map(|s| s.region));
+        [main, self.side.tree.region(), sealed.flatten()]
             .into_iter()
             .flatten()
             .reduce(|a, b| a.hull(&b))
     }
 
-    /// What this server reports as its memory region: [`Self::memory_region`]
-    /// over the assigned interval's keys too, and open above, since the
-    /// fresh trees only ever take timestamps above a lower bound that a flush
-    /// resets.
-    fn region_to_report(&self) -> Option<Region> {
-        let region = self.memory_region()?;
-        let keys = region.keys.hull(&self.assigned_interval());
-        Some(Region::new(
-            keys,
-            TimeInterval::new(region.times.lo(), u64::MAX),
-        ))
+    /// The region the coordinator should consider for fresh data: the hull
+    /// of main's, side's and the sealing slot's trees, main's widened by Δt.
+    pub fn memory_region(&self) -> Option<Region> {
+        self.hull(true)
     }
 
-    /// Sends the memory region to the metadata service if a tree's hull has
-    /// left the one last reported. A flush in doubt is settled first: its
-    /// restored tuples may be in registered chunks already, and a region
-    /// covering them would make them answer twice.
+    /// What this server reports as its memory region: [`Self::hull`] over
+    /// the assigned interval's keys too, and open above, since the fresh
+    /// trees only ever take timestamps above a lower bound that a flush
+    /// resets.
+    fn to_report(&self, slot: bool) -> Option<Region> {
+        let region = self.hull(slot)?;
+        let keys = region.keys.hull(&self.assigned_interval());
+        let times = TimeInterval::new(region.times.lo(), u64::MAX);
+        Some(Region::new(keys, times))
+    }
+
+    /// Sends the memory region to the metadata service if a tree's hull —
+    /// a fresh store's or the slot's — has left the one last reported.
     fn report_region(&self) -> Result<()> {
-        if self.in_doubt.lock().is_some() {
-            let _whole_flush = self.flushing.lock();
-            self.settle_doubt()?;
-        }
         let mut reported = self.reported.lock();
-        let covered = self.stores().iter().all(|s| {
-            s.tree
-                .region()
-                .is_none_or(|hull| reported.is_some_and(|r| r.covers(&hull)))
-        });
-        if covered {
+        let [main, side] = self.stores().map(|s| s.tree.region());
+        let sealed = self.handoff.lock().slot.as_ref().map(|s| s.region);
+        let covers = |hull: Region| reported.is_some_and(|r| r.covers(&hull));
+        if [main, side, sealed].into_iter().flatten().all(covers) {
             return Ok(());
         }
-        let region = self.region_to_report();
+        let region = self.to_report(true);
         // Unknown until the call is answered: a lost answer must not leave a
         // stale region counted as sent.
         *reported = None;
@@ -466,48 +537,53 @@ impl IndexingServer {
         Ok(())
     }
 
-    /// Executes a subquery against the in-memory state (main + side) — the
-    /// fresh-data path of §IV-A — keeping what passes its predicate and,
+    /// Executes a subquery against the in-memory state — the fresh-data
+    /// path of §IV-A: main, side and, when the subquery's plan leaves it to
+    /// memory, the sealing slot — keeping what passes its predicate and,
     /// under this server's measure, its measure range.
     pub fn query_in_memory(&self, sq: &SubQuery) -> Result<Vec<Tuple>> {
         if self.is_failed() {
-            return Err(waterwheel_core::WwError::Injected("indexing server down"));
+            return Err(WwError::Injected("indexing server down"));
         }
         let measure = self.measure.read().clone();
         let keep = |t: &Tuple| sq.keeps(t, &*measure);
         let keep: Option<&(dyn Fn(&Tuple) -> bool + Sync)> = sq.filters().then_some(&keep);
-        Ok(self.scan_in_memory(&sq.keys, &sq.times, keep))
+        let (keys, times) = (&sq.keys, &sq.times);
+        self.read(sq.offset, |sealed| {
+            let fresh = self.stores().map(|s| s.tree.query(keys, times, keep));
+            let sealed = sealed.into_iter().flat_map(|s| &s.stores);
+            let sealed = sealed.map(|(tree, _)| tree.query(keys, times, keep));
+            fresh.into_iter().chain(sealed).flatten().collect()
+        })
     }
 
-    /// The main and side tuples inside `keys × times` that pass
-    /// `predicate`.
-    fn scan_in_memory(
-        &self,
-        keys: &KeyInterval,
-        times: &TimeInterval,
-        predicate: Option<&(dyn Fn(&Tuple) -> bool + Sync)>,
-    ) -> Vec<Tuple> {
-        self.stores()
-            .into_iter()
-            .flat_map(|s| s.tree.query(keys, times, predicate))
-            .collect()
+    /// Runs `read` over what a subquery planned at `planned` reads beside
+    /// the fresh stores ([`Handoff::serves`]), and again whenever a seal
+    /// lands meanwhile: a read that straddles one may have met a tuple in
+    /// neither place, or in both.
+    fn read<T>(&self, planned: Option<u64>, read: impl Fn(Option<&Sealed>) -> T) -> Result<T> {
+        loop {
+            let handoff = self.handoff.lock();
+            let (seals, sealed) = (handoff.seals, handoff.serves(planned)?);
+            drop(handoff);
+            let out = read(sealed.as_deref());
+            if self.handoff.lock().seals == seals {
+                return Ok(out);
+            }
+        }
     }
 
     /// Writes one sealed tree to the DFS as chunk `id` — with its
     /// aggregate summary, if any, sealed into the footer — and returns what
     /// the flush registers about it.
-    fn write_chunk(
-        &self,
-        id: ChunkId,
-        sealed: &SealedTree,
-        summary: Option<&WheelSummary>,
-    ) -> Result<FlushedChunk> {
+    fn write_chunk(&self, id: u64, (sealed, summary): &SealedStore) -> Result<FlushedChunk> {
+        let id = ChunkId(id);
         let measure = self.measure.read().clone();
         // The same measure feeds the summary cells and the MIN/MAX bounds,
         // so footer pruning and summary folds agree.
         let bytes = write_chunk_opts(
             sealed,
-            summary,
+            summary.as_ref(),
             &ChunkWriteOptions {
                 format_version: VERSION_V2,
                 compression: self.cfg.chunk_compression,
@@ -515,7 +591,7 @@ impl IndexingServer {
             },
         );
         self.dfs.write_chunk(id, &bytes)?;
-        let extent = summary.map(|summary| SummaryExtent {
+        let extent = summary.as_ref().map(|summary| SummaryExtent {
             cells: summary.cell_count() as u64,
             bytes: summary.encoded_len() as u64,
             levels: summary.levels(),
@@ -537,133 +613,93 @@ impl IndexingServer {
         })
     }
 
-    /// Seals the in-memory state into chunk(s), writes them to the DFS,
-    /// registers them, the durable offset and the memory region with the
-    /// metadata server in one call, and trims the queue below that offset.
-    /// Returns the flushed chunk ids. No-op on an empty server.
+    /// Seals the in-memory state into the sealing slot, writes it to the
+    /// DFS as chunk(s), registers them, the durable offset and the memory
+    /// region with the metadata server in one call, and trims the queue
+    /// below that offset. A slot an earlier flush left is registered first.
+    /// Returns the registered chunk ids. No-op on an empty server.
     pub fn flush(&self) -> Result<Vec<ChunkId>> {
-        // Whole flushes are serialized. The seal empties memory long before
-        // the chunk is written and registered; a second caller (the `Flush`
-        // RPC racing the pump's own threshold flush) that found nothing to
-        // seal would otherwise return while the first caller's tuples are
-        // in no registered chunk, and a client querying right after its
-        // `flush()` would miss them.
+        // Whole flushes are serialized: a second caller (the `Flush` RPC
+        // racing the pump's own threshold flush) returns only once the
+        // first caller's tuples are registered, so a client querying right
+        // after its `flush()` plans with them in chunks.
         let _whole_flush = self.flushing.lock();
-        self.settle_doubt()?;
-        // Invariant: every polled record is either below the durable offset
-        // and in this flush's chunks, tree and wheel alike, or at or above
-        // it and fresh in the emptied stores. `pump` holds the consumer lock
-        // from poll through insert, so reading the offset and taking both
-        // stores under that lock sees each batch wholly or not at all.
-        let (durable_offset, taken) = {
-            let consumer = self.consumer.lock();
-            (consumer.position(), self.stores().map(Store::take))
-        };
-        // One chunk per non-empty store, main first: side flushes apart so
-        // main chunks keep tight temporal bounds (§IV-D).
-        let chunks: Vec<(&Store, SealedTree, Option<WheelSummary>)> = self
-            .stores()
-            .into_iter()
-            .zip(taken)
-            .filter_map(|(store, taken)| {
-                let (sealed, wheel) = taken?;
-                let summary =
-                    (!wheel.is_empty()).then(|| WheelSummary::seal(wheel, MAX_CELLS_PER_RING));
-                Some((store, sealed, summary))
-            })
-            .collect();
-        if chunks.is_empty() {
-            return Ok(Vec::new());
+        let mut ids = self.register_slot()?;
+        if self.seal() {
+            ids.extend(self.register_slot()?);
         }
-        // The chunks, their extents and probes and the offset become
-        // visible together, so the offset never vouches for a chunk that
-        // did not land, and a cut anywhere before the registration replays
-        // the whole flush and nothing twice.
-        let mut sent = false;
-        let registered = (|| {
-            let first = self.meta.allocate_chunk_ids(chunks.len() as u64)?;
-            let flushed = (first.raw()..)
-                .zip(&chunks)
-                .map(|(id, (_, sealed, summary))| {
-                    self.write_chunk(ChunkId(id), sealed, summary.as_ref())
-                })
-                .collect::<Result<Vec<_>>>()?;
-            let ids: Vec<ChunkId> = flushed.iter().map(|c| c.id).collect();
-            let mut reported = self.reported.lock();
-            let region = self.region_to_report();
-            *reported = None;
-            sent = true;
-            self.meta
-                .register_flush(self.id, flushed, durable_offset, region)?;
-            *reported = region;
-            Ok(ids)
-        })();
-        let ids = match registered {
-            Ok(ids) => ids,
-            Err(e) => {
-                // Cut before its registration landed, a flush has made
-                // nothing durable: its tuples go back into memory, so they
-                // stay queryable and the next flush seals them again. A
-                // registration that was sent may have landed with only its
-                // answer lost; the next flush settles that first.
-                self.restore(chunks);
-                if sent {
-                    *self.in_doubt.lock() = Some(durable_offset);
-                }
-                return Err(e);
-            }
-        };
-        self.stats
-            .chunks_flushed
-            .fetch_add(chunks.len() as u64, Ordering::Relaxed);
-        self.trim_below(durable_offset)?;
         Ok(ids)
     }
 
-    /// Puts a failed flush's sealed tuples back into the stores they came
-    /// from, tree and wheel, under the consumer lock as a pump batch.
-    fn restore(&self, chunks: Vec<(&Store, SealedTree, Option<WheelSummary>)>) {
-        let measure = self
-            .cfg
-            .agg_summaries_enabled
-            .then(|| self.measure.read().clone());
-        let _consumer = self.consumer.lock();
-        for (store, sealed, _) in chunks {
-            let tuples = sealed.leaves.into_iter().flat_map(|l| l.entries);
-            store.insert(tuples.collect(), measure.as_ref());
-        }
+    /// Moves both stores, tree and wheel, into the sealing slot at the
+    /// queue position, in one step for readers; `false` when they hold no
+    /// tuple. `pump` holds the consumer lock from poll through insert, so
+    /// taking the position and the stores under that lock sees each batch
+    /// wholly or not at all: every polled record is below the offset and in
+    /// the slot, or at or above it and fresh in the emptied stores.
+    fn seal(&self) -> bool {
+        let consumer = self.consumer.lock();
+        let mut handoff = self.handoff.lock();
+        // One chunk per non-empty store, main first: side flushes apart so
+        // main chunks keep tight temporal bounds (§IV-D).
+        let stores: Vec<_> = self.stores().iter().filter_map(|s| s.seal()).collect();
+        let hulls = stores.iter().map(|(tree, _)| tree.region);
+        let Some(region) = hulls.reduce(|a, b| a.hull(&b)) else {
+            return false;
+        };
+        let count = stores.iter().map(|(tree, _)| tree.count as u64).sum();
+        self.stats.sealing_tuples.store(count, Ordering::Relaxed);
+        let (offset, written) = (consumer.position(), OnceLock::new());
+        handoff.slot = Some(Arc::new(Sealed {
+            stores,
+            region,
+            offset,
+            written,
+        }));
+        handoff.seals += 1;
+        true
     }
 
-    /// Settles a flush whose registration was sent but not answered. Its
-    /// tuples went back into memory; if the metadata service holds its
-    /// offset after all, they are in registered chunks too, so memory is
-    /// rebuilt from the queue records at and above that offset — exactly
-    /// the tuples no registered chunk holds — and the queue trimmed below.
-    fn settle_doubt(&self) -> Result<()> {
-        let mut in_doubt = self.in_doubt.lock();
-        let Some(offset) = *in_doubt else {
-            return Ok(());
+    /// Registers the sealing slot's flush — writing its chunks first, unless
+    /// an earlier attempt wrote them all — releases the slot once the
+    /// registration is answered, and trims the queue below its offset.
+    /// Returns the registered ids; none without a slot. The caller holds
+    /// `flushing`.
+    fn register_slot(&self) -> Result<Vec<ChunkId>> {
+        let Some(sealed) = self.handoff.lock().slot.clone() else {
+            return Ok(Vec::new());
         };
-        if self.meta.durable_offset(self.id)? >= offset {
-            let mut consumer = self.consumer.lock();
-            let end = consumer.position();
-            for store in self.stores() {
-                store.take();
+        let chunks = match sealed.written.get() {
+            Some(chunks) => chunks.clone(),
+            None => {
+                // Ids a failed write leaves unregistered are gaps; their
+                // files, if any, are never read.
+                let first = self.meta.allocate_chunk_ids(sealed.stores.len() as u64)?;
+                let chunks = (first.raw()..).zip(&sealed.stores);
+                let chunks = chunks.map(|(id, s)| self.write_chunk(id, s));
+                let chunks = chunks.collect::<Result<Vec<_>>>()?;
+                sealed.written.get_or_init(|| chunks).clone()
             }
-            consumer.seek(offset);
-            while consumer.position() < end {
-                let left = (end - consumer.position()) as usize;
-                let records = consumer.poll(left)?;
-                if records.is_empty() {
-                    break;
-                }
-                self.ingest_batch(records.into_iter().map(|r| r.tuple).collect());
-            }
-            drop(consumer);
-            self.trim_below(offset)?;
-        }
-        *in_doubt = None;
-        Ok(())
+        };
+        let ids: Vec<ChunkId> = chunks.iter().map(|c| c.id).collect();
+        // The chunks, their extents and the offset become visible together,
+        // with the region of the fresh stores left beside them.
+        let (mut reported, offset) = (self.reported.lock(), sealed.offset);
+        let region = self.to_report(false);
+        *reported = None;
+        self.handoff.lock().registering = true;
+        let answer = self.meta.register_flush(self.id, chunks, offset, region);
+        let mut handoff = self.handoff.lock();
+        handoff.registering = false;
+        answer?;
+        (*reported, handoff.registered, handoff.slot) = (region, offset, None);
+        drop((handoff, reported));
+        self.stats.sealing_tuples.store(0, Ordering::Relaxed);
+        self.stats
+            .chunks_flushed
+            .fetch_add(ids.len() as u64, Ordering::Relaxed);
+        self.trim_below(offset)?;
+        Ok(ids)
     }
 
     /// Lets the queue drop the records below `offset`, which a registered
@@ -749,6 +785,7 @@ mod tests {
             predicate: None,
             measure_range: None,
             target: SubQueryTarget::InMemory(ServerId(0)),
+            offset: None,
         }
     }
 

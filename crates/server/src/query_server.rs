@@ -385,21 +385,18 @@ impl QueryServer {
         self.timed(|| {
             let index = self.load_template(chunk)?;
             let split = plan::split(&sq.keys, &sq.times, SLICE_BITS);
-            let mut fringes = split.fringes;
-            if let Some(interior) = split.interior {
-                match self
-                    .read_summary(chunk)?
-                    .filter(|summary| summary.slice_bits() == SLICE_BITS)
-                {
-                    Some(summary) => {
-                        let out = summary.fold(interior.slices, &interior.covered);
-                        share.agg.merge(&out.agg);
-                        share.cells_merged += out.cells_merged;
-                        fringes.extend(out.residues.iter().map(|r| Region::new(interior.keys, *r)));
-                    }
-                    None => fringes = vec![Region::new(sq.keys, sq.times)],
+            let summary = match split.interior {
+                Some(_) => self.read_summary(chunk)?,
+                None => None,
+            };
+            let fringes = match summary.filter(|s| s.slice_bits() == SLICE_BITS) {
+                Some(s) => {
+                    let out = split.interior.map(|i| s.fold(i.slices, &i.covered));
+                    share.fold_interior(&split, out)
                 }
-            }
+                None if split.interior.is_some() => vec![Region::new(sq.keys, sq.times)],
+                None => split.fringes,
+            };
             self.with_scratch(|scratch| -> Result<()> {
                 for fringe in &fringes {
                     let mut cut = Vec::new();
@@ -658,6 +655,7 @@ mod tests {
             predicate: None,
             measure_range: None,
             target: SubQueryTarget::Chunk(chunk),
+            offset: None,
         }
     }
 

@@ -194,7 +194,6 @@ impl Host {
             self.rpc(COORDINATOR),
             self.topology.cluster.clone(),
             self.topology.query.clone(),
-            self.topology.indexing.clone(),
             self.topology.replication(&self.cfg),
         ))
     }
@@ -703,6 +702,7 @@ mod tests {
             predicate: None,
             measure_range: None,
             target,
+            offset: None,
         }
     }
 

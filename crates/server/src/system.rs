@@ -584,12 +584,8 @@ impl Waterwheel {
             .filter(|s| !s.is_failed())
             .map(|s| s.in_memory())
             .sum();
-        let flushed: usize = self
-            .meta
-            .chunks_overlapping(&waterwheel_core::Region::full())
-            .iter()
-            .map(|(id, _)| self.meta.chunk_info(*id).map_or(0, |i| i.count as usize))
-            .sum();
+        let (chunks, _) = self.meta.overlaps(&waterwheel_core::Region::full());
+        let flushed: usize = chunks.iter().map(|c| c.info.count as usize).sum();
         in_mem + flushed
     }
 }

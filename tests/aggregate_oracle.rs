@@ -398,10 +398,10 @@ fn an_aggregate_reads_only_the_leaves_it_cuts() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// One aggregate over chunks and fresh data costs two metadata calls (the
-/// memory regions, then the chunks), one aggregate subquery per decomposed
-/// target, and nothing else: no summary read, no range subquery, no
-/// summary-extent call.
+/// One aggregate over chunks and fresh data costs one metadata call (its
+/// chunks and memory regions in one snapshot), one aggregate subquery per
+/// decomposed target, and nothing else: no summary read, no range
+/// subquery, no summary-extent call.
 #[test]
 fn an_aggregate_costs_one_rpc_per_target() {
     let root = std::env::temp_dir().join(format!("ww-agg-budget-{}", std::process::id()));
@@ -478,18 +478,76 @@ fn an_aggregate_costs_one_rpc_per_target() {
     };
     let indexing: Vec<ServerId> = ww.indexing_servers().iter().map(|s| s.id()).collect();
     let query: Vec<ServerId> = ww.query_servers().iter().map(|s| s.id()).collect();
-    assert_eq!(to(&|dst| dst == META_SERVER), 2, "{delta:?}");
+    assert_eq!(to(&|dst| dst == META_SERVER), 1, "{delta:?}");
     assert_eq!(to(&|dst| indexing.contains(&dst)), in_memory, "{delta:?}");
     assert_eq!(to(&|dst| query.contains(&dst)), on_chunks, "{delta:?}");
     assert_eq!(
         delta.iter().map(|(_, n)| n).sum::<u64>(),
-        2 + in_memory + on_chunks
+        1 + in_memory + on_chunks
     );
     let by_kind: Vec<u64> = (0..5).map(|k| kinds_after[k] - kinds_before[k]).collect();
     assert_eq!(
         by_kind,
-        [0, 0, in_memory, on_chunks, 2],
+        [0, 0, in_memory, on_chunks, 1],
         "range subqueries, aggregates, meta"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Every query plans from one metadata call — its chunks, their measure
+/// bounds and the memory regions, read in one snapshot: a range query, an
+/// aggregate, and a measure-range query over several chunks, whose chunk
+/// pruning asks for no summary extent of its own.
+#[test]
+fn every_query_makes_one_metadata_call() {
+    let root = std::env::temp_dir().join(format!("ww-meta-budget-{}", std::process::id()));
+    let ww = system(&root);
+    let all: Vec<Tuple> = (0..2_400u64)
+        .map(|i| Tuple::bare(i << 52, i * 37 % 50_000))
+        .collect();
+    for t in &all {
+        ww.insert(t.clone()).unwrap();
+    }
+    ww.drain().unwrap();
+    let q = Query::range(KeyInterval::full(), TimeInterval::new(1_000, 45_000));
+    let chunks = ww.metadata().chunks_overlapping(&q.region()).len();
+    assert!(chunks >= 3, "only {chunks} chunks");
+    let meta_calls = || -> u64 {
+        let links = ww.transport().stats().per_link();
+        let link = links.iter().find(|(l, _)| *l == (COORDINATOR, META_SERVER));
+        link.map_or(0, |(_, t)| t.sent)
+    };
+    let measured = q.clone().and_measure_between(2_000, 7_000);
+    let matching = |q: &Query| {
+        all.iter()
+            .filter(|t| q.matches(t))
+            .filter(|t| {
+                q.measure_range
+                    .is_none_or(|(lo, hi)| (lo..=hi).contains(&measure(t)))
+            })
+            .count()
+    };
+
+    let before = meta_calls();
+    assert_eq!(ww.query(&q).unwrap().tuples.len(), matching(&q));
+    assert_eq!(meta_calls() - before, 1, "a range query");
+
+    let before = meta_calls();
+    let got = ww
+        .aggregate(&q.clone().aggregate(AggregateKind::Count))
+        .unwrap();
+    assert_eq!(got.agg, naive(&all, &q.keys, &q.times));
+    assert_eq!(meta_calls() - before, 1, "an aggregate");
+
+    let before = meta_calls();
+    assert_eq!(
+        ww.query(&measured).unwrap().tuples.len(),
+        matching(&measured)
+    );
+    assert_eq!(
+        meta_calls() - before,
+        1,
+        "a measure-range query over {chunks} chunks"
     );
     let _ = std::fs::remove_dir_all(&root);
 }

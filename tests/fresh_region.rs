@@ -40,6 +40,7 @@ fn everything(server: ServerId) -> SubQuery {
         predicate: None,
         measure_range: None,
         target: SubQueryTarget::InMemory(server),
+        offset: None,
     }
 }
 

@@ -11,8 +11,9 @@
 //!   twin, dedup markers included;
 //! * volatile metadata never lets a trim touch the journal;
 //! * a flush cut anywhere in its metadata exchange, or crashed between its
-//!   registration and its trim, recovers to exactly its tuples, and costs
-//!   at most two metadata calls.
+//!   registration and its trim, answers exactly its tuples before the
+//!   crash and recovers to exactly them, and costs at most two metadata
+//!   calls; a registration retried after a cut reuses the chunks written.
 //!
 //! Every assertion is on counts and answers, none on timing.
 
@@ -395,6 +396,114 @@ fn every_cut_of_a_flush_recovers_exactly_its_tuples() {
         distinct.dedup();
         assert_eq!(distinct.len(), 120, "{label}: tuples lost");
         assert_eq!(got.len(), 120, "{label}: tuples answered twice");
+    }
+}
+
+/// Where [`every_cut_of_a_flush_answers_its_tuples_once`] cuts a flush.
+enum Cut {
+    /// The link delivers this many more messages, then drops every one.
+    Send(u64),
+    /// The registration lands and its answer is lost.
+    AnswerLost,
+    /// The server crashes right after its registration landed.
+    Crash,
+}
+
+/// The sibling of [`every_cut_of_a_flush_recovers_exactly_its_tuples`],
+/// with the cut dropped messages cannot make — the registration landed,
+/// its answer lost — and two more checks. At every cut, before the crash,
+/// a query answers all 120 tuples, none twice: the sealing slot serves them
+/// until a registration is answered, and a plan that saw the registration
+/// reads them from its chunks. After a registration cut, healing the link
+/// and flushing again registers the chunks already written: one metadata
+/// call, no second id block.
+#[test]
+fn every_cut_of_a_flush_answers_its_tuples_once() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use waterwheel::core::WwError;
+    use waterwheel::net::{MetaRequest, Request};
+    let cuts = [
+        ("the id call cut", Cut::Send(0)),
+        ("the registration cut", Cut::Send(1)),
+        ("the registration landed, its answer lost", Cut::AnswerLost),
+        ("a crash between registration and trim", Cut::Crash),
+    ];
+    for (i, (label, cut)) in cuts.into_iter().enumerate() {
+        let mut c = cfg();
+        c.chunk_size_bytes = 1 << 30;
+        c.agg_summaries_enabled = false;
+        c.rpc_retries = 0;
+        c.rpc_timeout = std::time::Duration::from_millis(100);
+        let ww = with_side_chunk(&format!("cut-answer-{i}"), c);
+        let server = &ww.indexing_servers()[0];
+        let ix = server.id();
+        let once = |when: &str| {
+            let got = answer(&ww);
+            let mut distinct = got.clone();
+            distinct.dedup();
+            assert_eq!(distinct.len(), 120, "{label}, {when}: tuples lost");
+            assert_eq!(got.len(), 120, "{label}, {when}: tuples answered twice");
+        };
+        let losing = Arc::new(AtomicBool::new(true));
+        let sent = meta_calls(&ww, ix);
+        match cut {
+            Cut::Send(k) => {
+                let cut = LinkProfile {
+                    drop_after: Some(sent + k),
+                    ..LinkProfile::default()
+                };
+                ww.transport().set_link_profile(ix, META_SERVER, cut);
+                assert!(server.flush().is_err(), "{label}");
+                assert_eq!(meta_calls(&ww, ix), sent + k + 1, "{label}");
+                assert_eq!(ww.metadata().chunk_count(), 0, "{label}");
+            }
+            Cut::AnswerLost => {
+                let serve = ww.registry().get(META_SERVER).unwrap();
+                let lose = Arc::clone(&losing);
+                ww.registry().bind(META_SERVER, move |env| {
+                    let answer = serve(env);
+                    let register = matches!(
+                        &env.payload,
+                        Request::Meta(MetaRequest::RegisterFlush { .. })
+                    );
+                    if register && lose.load(Ordering::SeqCst) {
+                        return Err(WwError::Timeout("answer lost"));
+                    }
+                    answer
+                });
+                assert!(server.flush().is_err(), "{label}");
+                assert_eq!(meta_calls(&ww, ix), sent + 2, "{label}");
+                assert_eq!(ww.metadata().chunk_count(), 2, "{label}");
+                assert_eq!(ww.metadata().durable_offset(ix), 120, "{label}");
+            }
+            Cut::Crash => {
+                server.set_failed(true);
+                assert_eq!(server.flush().unwrap().len(), 2, "{label}");
+                assert_eq!(ww.metadata().chunk_count(), 2, "{label}");
+            }
+        }
+        once("before the crash");
+        // The slot's gauge shows a registration that has not been answered.
+        let sealing = || SystemMetrics::collect(&ww).get("indexing.sealing_tuples");
+        let stuck = if matches!(cut, Cut::Crash) { 0 } else { 120 };
+        assert_eq!(sealing(), stuck, "{label}");
+        if matches!(cut, Cut::Send(1) | Cut::AnswerLost) {
+            ww.transport().clear_faults();
+            losing.store(false, Ordering::SeqCst);
+            let sent = meta_calls(&ww, ix);
+            assert_eq!(server.flush().unwrap().len(), 2, "{label}");
+            assert_eq!(meta_calls(&ww, ix), sent + 1, "{label}: a second id block");
+            assert_eq!(ww.metadata().chunk_count(), 2, "{label}");
+            assert_eq!(ww.metadata().durable_offset(ix), 120, "{label}");
+            assert_eq!(sealing(), 0, "{label}");
+            once("healed and flushed again");
+        }
+        ww.transport().clear_faults();
+        ww.crash_indexing_server(ix).unwrap();
+        ww.recover_indexing_server(ix).unwrap();
+        ww.drain().unwrap();
+        once("after recovery");
     }
 }
 
