@@ -23,8 +23,8 @@ for run in 1 2 3 4 5; do
     timeout 120 cargo test -q --test rpc_faults
 done
 
-echo "==> wake tests x5 (a lost wakeup is a rare interleaving: a parked pump or linger flusher sleeps out its backstop, or forever)"
-for run in 1 2 3 4 5; do
+echo "==> wake tests x10 (a lost wakeup is a rare interleaving: a parked pump or linger flusher sleeps out its backstop, or forever)"
+for run in $(seq 1 10); do
     echo "--> wake run ${run}"
     timeout 120 cargo test -q -p waterwheel-mq -p waterwheel-server wake
 done

@@ -7,6 +7,12 @@
 //! leaf is scanned, the subquery probes the filter for each mini-range
 //! overlapping its time constraint; if all probes miss, the leaf provably
 //! contains no qualifying tuple and is skipped.
+//!
+//! A filter is a [`BloomShape`] — its geometry — over a slice of words. A
+//! sealing tree builds [`TimeBloom`]s, which own their words; a chunk
+//! reader decodes every leaf's words into one arena and keeps only the
+//! shapes ([`BloomShape::decode_into`]). Both probe through
+//! [`BloomShape::may_overlap`].
 
 use waterwheel_core::codec::{Decoder, Encoder};
 use waterwheel_core::{Result, TimeInterval, Timestamp, WwError};
@@ -18,21 +24,110 @@ use waterwheel_core::{Result, TimeInterval, Timestamp, WwError};
 /// leaf anyway.
 const MAX_PROBES: usize = 256;
 
-/// A bloom filter recording which time mini-ranges a leaf's tuples cover.
-#[derive(Clone, Debug)]
-pub struct TimeBloom {
-    bits: Vec<u64>,
-    num_bits: u64,
-    hashes: u32,
-    mini_range_ms: u64,
-    entries: u64,
-}
-
 /// Mixes a bucket id with a hash-function index into a bit position.
 #[inline]
 fn bucket_hash(bucket: u64, i: u32) -> u64 {
     // SplitMix64 finalizer over (bucket, i): cheap, well-distributed.
     waterwheel_core::mix64(bucket.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+}
+
+/// A filter's geometry: everything a probe needs besides the words.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BloomShape {
+    /// Width of one time mini-range in milliseconds (never zero).
+    pub mini_range_ms: u64,
+    /// Bits in the filter (never zero); positions are taken modulo this.
+    pub num_bits: u64,
+    /// Hash functions per mini-range.
+    pub hashes: u32,
+    /// Insertions recorded; a filter with none answers every probe "no".
+    pub entries: u64,
+}
+
+impl BloomShape {
+    /// How many `u64` words hold the filter's bits.
+    pub fn words(&self) -> usize {
+        self.num_bits.div_ceil(64) as usize
+    }
+
+    /// The mini-range bucket a timestamp belongs to.
+    #[inline]
+    pub fn bucket_of(&self, ts: Timestamp) -> u64 {
+        ts / self.mini_range_ms
+    }
+
+    /// The bit position `bucket`'s `i`-th hash selects.
+    #[inline]
+    fn bit(&self, bucket: u64, i: u32) -> usize {
+        (bucket_hash(bucket, i) % self.num_bits) as usize
+    }
+
+    /// Whether a filter of this shape over `words` (exactly
+    /// [`words`](Self::words) of them) *may* hold a tuple inside `times`.
+    ///
+    /// `false` is definite (the leaf can be skipped); `true` may be a false
+    /// positive. Empty filters always answer `false`; queries spanning more
+    /// than `MAX_PROBES` buckets conservatively answer `true`.
+    pub fn may_overlap(&self, words: &[u64], times: &TimeInterval) -> bool {
+        debug_assert_eq!(words.len(), self.words());
+        if self.entries == 0 {
+            return false;
+        }
+        let first = self.bucket_of(times.lo());
+        let last = self.bucket_of(times.hi());
+        if last - first >= MAX_PROBES as u64 {
+            return true;
+        }
+        (first..=last).any(|b| {
+            (0..self.hashes).all(|i| {
+                let bit = self.bit(b, i);
+                words[bit / 64] & (1u64 << (bit % 64)) != 0
+            })
+        })
+    }
+
+    /// Reads a filter written by [`TimeBloom::encode`], appending its words
+    /// to `arena` and returning its shape; the words are the `words()`
+    /// last ones in `arena`.
+    ///
+    /// The word count is an on-disk value: it must agree with the bit
+    /// count, and the words must be there before one is read, so a forged
+    /// count is a typed error and never sizes an allocation.
+    pub fn decode_into(dec: &mut Decoder<'_>, arena: &mut Vec<u64>) -> Result<Self> {
+        let mini_range_ms = dec.get_u64()?;
+        if mini_range_ms == 0 {
+            return Err(WwError::corrupt("bloom", "zero mini-range width"));
+        }
+        let num_bits = dec.get_u64()?;
+        if num_bits == 0 {
+            return Err(WwError::corrupt("bloom", "zero bit count"));
+        }
+        let hashes = dec.get_u32()?;
+        let words = dec.get_u32()? as usize;
+        if words as u64 != num_bits.div_ceil(64) {
+            return Err(WwError::corrupt("bloom", "bit/word count mismatch"));
+        }
+        let entries = dec.get_u64()?;
+        let bytes = dec.get_raw(words * 8)?;
+        arena.extend(
+            bytes
+                .chunks_exact(8)
+                .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes"))),
+        );
+        Ok(Self {
+            mini_range_ms,
+            num_bits,
+            hashes,
+            entries,
+        })
+    }
+}
+
+/// A bloom filter recording which time mini-ranges a leaf's tuples cover.
+#[derive(Clone, Debug)]
+pub struct TimeBloom {
+    shape: BloomShape,
+    bits: Vec<u64>,
 }
 
 impl TimeBloom {
@@ -44,118 +139,89 @@ impl TimeBloom {
         // Optimal hash count k = ln(2) * bits_per_entry, clamped to [1, 16].
         let hashes = ((bits_per_entry as f64 * std::f64::consts::LN_2).round() as u32).clamp(1, 16);
         Self {
+            shape: BloomShape {
+                mini_range_ms,
+                num_bits,
+                hashes,
+                entries: 0,
+            },
             bits: vec![0; num_bits.div_ceil(64) as usize],
-            num_bits,
-            hashes,
-            mini_range_ms,
-            entries: 0,
         }
+    }
+
+    /// Creates a filter for a leaf of `tuples` tuples whose timestamps lie
+    /// in `span`: sized for the distinct mini-ranges such a leaf can cover,
+    /// which is the smaller of the buckets `span` touches and its tuple
+    /// count.
+    pub fn for_leaf(
+        mini_range_ms: u64,
+        span: &TimeInterval,
+        tuples: usize,
+        bits_per_entry: usize,
+    ) -> Self {
+        assert!(mini_range_ms > 0, "mini-range width must be positive");
+        let buckets = (span.hi() / mini_range_ms - span.lo() / mini_range_ms).saturating_add(1);
+        Self::new(
+            mini_range_ms,
+            buckets.min(tuples as u64) as usize,
+            bits_per_entry,
+        )
+    }
+
+    /// The filter's geometry.
+    pub fn shape(&self) -> BloomShape {
+        self.shape
+    }
+
+    /// The filter's bit words.
+    pub fn words(&self) -> &[u64] {
+        &self.bits
     }
 
     /// The mini-range bucket a timestamp belongs to.
     #[inline]
     pub fn bucket_of(&self, ts: Timestamp) -> u64 {
-        ts / self.mini_range_ms
-    }
-
-    #[inline]
-    fn set_bit(&mut self, pos: u64) {
-        let idx = (pos % self.num_bits) as usize;
-        self.bits[idx / 64] |= 1u64 << (idx % 64);
-    }
-
-    #[inline]
-    fn get_bit(&self, pos: u64) -> bool {
-        let idx = (pos % self.num_bits) as usize;
-        self.bits[idx / 64] & (1u64 << (idx % 64)) != 0
+        self.shape.bucket_of(ts)
     }
 
     /// Records that the leaf contains a tuple with timestamp `ts`.
     pub fn insert(&mut self, ts: Timestamp) {
         let bucket = self.bucket_of(ts);
-        for i in 0..self.hashes {
-            self.set_bit(bucket_hash(bucket, i));
+        for i in 0..self.shape.hashes {
+            let bit = self.shape.bit(bucket, i);
+            self.bits[bit / 64] |= 1u64 << (bit % 64);
         }
-        self.entries += 1;
+        self.shape.entries += 1;
     }
 
-    /// Whether a single mini-range bucket may be present.
-    fn maybe_bucket(&self, bucket: u64) -> bool {
-        (0..self.hashes).all(|i| self.get_bit(bucket_hash(bucket, i)))
-    }
-
-    /// Whether the leaf *may* contain a tuple inside `times`.
-    ///
-    /// `false` is definite (the leaf can be skipped); `true` may be a false
-    /// positive. Empty filters always answer `false`; queries spanning more
-    /// than `MAX_PROBES` buckets conservatively answer `true`.
+    /// Whether the leaf *may* contain a tuple inside `times`
+    /// ([`BloomShape::may_overlap`] over this filter's words).
     pub fn may_overlap(&self, times: &TimeInterval) -> bool {
-        if self.entries == 0 {
-            return false;
-        }
-        let first = self.bucket_of(times.lo());
-        let last = self.bucket_of(times.hi());
-        if last - first >= MAX_PROBES as u64 {
-            return true;
-        }
-        (first..=last).any(|b| self.maybe_bucket(b))
+        self.shape.may_overlap(&self.bits, times)
     }
 
     /// Number of insertions so far.
     pub fn entries(&self) -> u64 {
-        self.entries
+        self.shape.entries
     }
 
     /// Clears all recorded mini-ranges (used when a template's leaves are
     /// recycled after a flush).
     pub fn clear(&mut self) {
         self.bits.fill(0);
-        self.entries = 0;
-    }
-
-    /// Serialized size in bytes (for cache accounting).
-    pub fn encoded_len(&self) -> usize {
-        8 + 8 + 4 + 4 + 8 + self.bits.len() * 8
+        self.shape.entries = 0;
     }
 
     /// Appends the filter to `out` (chunk serialization).
     pub fn encode(&self, out: &mut impl Encoder) {
-        out.put_u64(self.mini_range_ms);
-        out.put_u64(self.num_bits);
-        out.put_u32(self.hashes);
+        out.put_u64(self.shape.mini_range_ms);
+        out.put_u64(self.shape.num_bits);
+        out.put_u32(self.shape.hashes);
         out.put_u32(self.bits.len() as u32);
-        out.put_u64(self.entries);
+        out.put_u64(self.shape.entries);
         for w in &self.bits {
             out.put_u64(*w);
         }
-    }
-
-    /// Reads a filter written by [`encode`](Self::encode).
-    pub fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        let mini_range_ms = dec.get_u64()?;
-        if mini_range_ms == 0 {
-            return Err(WwError::corrupt("bloom", "zero mini-range width"));
-        }
-        let num_bits = dec.get_u64()?;
-        let hashes = dec.get_u32()?;
-        let words = dec.get_u32()? as usize;
-        if words as u64 != num_bits.div_ceil(64) {
-            return Err(WwError::corrupt("bloom", "bit/word count mismatch"));
-        }
-        let entries = dec.get_u64()?;
-        // `words` only agrees with another on-disk field so far; size the
-        // allocation by the bytes that are actually there.
-        let mut bits = Vec::with_capacity(words.min(dec.remaining() / 8));
-        for _ in 0..words {
-            bits.push(dec.get_u64()?);
-        }
-        Ok(Self {
-            bits,
-            num_bits,
-            hashes,
-            mini_range_ms,
-            entries,
-        })
     }
 }
 
@@ -229,23 +295,38 @@ mod tests {
         }
         let mut buf = Vec::new();
         f.encode(&mut buf);
-        assert_eq!(buf.len(), f.encoded_len());
-        let g = TimeBloom::decode(&mut Decoder::new(&buf, "test")).unwrap();
+        assert_eq!(buf.len(), 32 + 8 * f.words().len());
+        // Decoded behind another filter's words, as a chunk's arena holds
+        // every leaf's.
+        let mut arena = vec![u64::MAX; 3];
+        let shape = BloomShape::decode_into(&mut Decoder::new(&buf, "test"), &mut arena).unwrap();
+        assert_eq!(shape, f.shape());
+        assert_eq!(&arena[3..], f.words());
         for ts in [0u64, 999, 1_000, 65_432, 1_000_000] {
-            assert!(g.may_overlap(&TimeInterval::point(ts)));
+            assert!(shape.may_overlap(&arena[3..], &TimeInterval::point(ts)));
         }
-        assert_eq!(g.entries(), f.entries());
+        assert_eq!(shape.entries, f.entries());
     }
 
     #[test]
     fn decode_rejects_corrupt_header() {
+        let decode =
+            |buf: &[u8]| BloomShape::decode_into(&mut Decoder::new(buf, "test"), &mut Vec::new());
         let mut buf = Vec::new();
         filter().encode(&mut buf);
         buf[0] = 0; // zero the mini-range width
         for b in &mut buf[1..8] {
             *b = 0;
         }
-        assert!(TimeBloom::decode(&mut Decoder::new(&buf, "test")).is_err());
+        assert!(decode(&buf).is_err());
+
+        // A zero bit count with a zero word count agrees with itself, but
+        // no bit position can be taken modulo it.
+        let mut buf = Vec::new();
+        filter().encode(&mut buf);
+        buf[8..16].copy_from_slice(&0u64.to_le_bytes());
+        buf[20..24].copy_from_slice(&0u32.to_le_bytes());
+        assert!(decode(&buf).is_err());
 
         // A forged word count that agrees with a forged bit count passes
         // the geometry check; it must run out of bytes as a typed error,
@@ -254,7 +335,7 @@ mod tests {
         filter().encode(&mut buf);
         buf[8..16].copy_from_slice(&(u64::from(u32::MAX) * 64).to_le_bytes());
         buf[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = TimeBloom::decode(&mut Decoder::new(&buf, "test")).unwrap_err();
+        let err = decode(&buf).unwrap_err();
         assert!(matches!(err, WwError::Corrupt { .. }), "{err:?}");
     }
 
@@ -264,5 +345,21 @@ mod tests {
         assert_eq!(f.bucket_of(0), 0);
         assert_eq!(f.bucket_of(999), 0);
         assert_eq!(f.bucket_of(1_000), 1);
+    }
+
+    #[test]
+    fn a_leaf_filter_is_sized_for_the_mini_ranges_it_can_hold() {
+        let bits = |f: &TimeBloom| f.shape().num_bits;
+        // 70 tuples inside 14 one-second buckets: 14 entries, not 70.
+        let narrow = TimeBloom::for_leaf(1_000, &TimeInterval::new(5_000, 18_999), 70, 10);
+        assert_eq!(bits(&narrow), 140);
+        // 70 tuples over 100 seconds: the tuple count bounds the entries.
+        let wide = TimeBloom::for_leaf(1_000, &TimeInterval::new(0, 99_999), 70, 10);
+        assert_eq!(bits(&wide), 700);
+        // Never more than the per-tuple sizing, never under one word.
+        let point = TimeBloom::for_leaf(1_000, &TimeInterval::point(u64::MAX), 9, 10);
+        assert_eq!(bits(&point), 64);
+        let full = TimeBloom::for_leaf(1, &TimeInterval::full(), 70, 10);
+        assert_eq!(bits(&full), bits(&TimeBloom::new(1, 70, 10)));
     }
 }

@@ -11,7 +11,8 @@ pub struct BloomConfig {
     /// Width of one time mini-range in milliseconds. Tuples are mapped to
     /// `ts / mini_range_ms` buckets before insertion into the filter.
     pub mini_range_ms: u64,
-    /// Bits allocated per expected entry.
+    /// Bits allocated per mini-range a leaf can cover: the smaller of the
+    /// buckets its time span touches and its tuple count.
     pub bits_per_entry: usize,
 }
 

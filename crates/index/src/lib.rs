@@ -32,7 +32,7 @@ pub mod stats;
 pub mod template;
 pub mod traits;
 
-pub use bloom::TimeBloom;
+pub use bloom::{BloomShape, TimeBloom};
 pub use config::{BloomConfig, IndexConfig};
 pub use sealed::{SealedLeaf, SealedTree};
 pub use stats::{IndexStats, StatsSnapshot};

@@ -537,15 +537,20 @@ impl TemplateBTree {
                 // The paper's temporal bloom filters are a *chunk-side*
                 // pruning structure (§IV-B); building them once at seal time
                 // keeps the realtime insert path free of filter maintenance.
+                let span = TimeInterval::new(leaf.min_ts, leaf.max_ts);
                 let bloom = self.cfg.bloom.map(|b| {
-                    let mut filter =
-                        TimeBloom::new(b.mini_range_ms, leaf.entries.len(), b.bits_per_entry);
+                    let mut filter = TimeBloom::for_leaf(
+                        b.mini_range_ms,
+                        &span,
+                        leaf.entries.len(),
+                        b.bits_per_entry,
+                    );
                     for e in &leaf.entries {
                         filter.insert(e.ts);
                     }
                     filter
                 });
-                (Some(TimeInterval::new(leaf.min_ts, leaf.max_ts)), bloom)
+                (Some(span), bloom)
             };
             all_keys.extend(leaf.entries.iter().map(|e| e.key));
             leaves.push(SealedLeaf {

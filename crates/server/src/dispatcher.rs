@@ -76,15 +76,21 @@ pub const INGEST_LINGER: Duration = Duration::from_micros(200);
 /// would otherwise sleep past it. Either the sweep visited the link after
 /// the dispatch (and saw its deadline), or the dispatch reads a mark set
 /// at or after this sweep's start — so no deadline is slept through.
+///
+/// A park ends only at its deadline, at `stop`, or for a poke counted
+/// after its sweep started (an earlier one's deadline the sweep saw). A
+/// spurious wakeup, or an unpark whose poke was already answered, parks
+/// again.
 pub struct LingerPark {
     thread: Thread,
     epoch: Instant,
     /// Nanoseconds after `epoch` the flusher sleeps until; `u64::MAX`
     /// while it sweeps or sleeps with no deadline.
     until: AtomicU64,
-    /// Set by a poke and cleared by the park it cuts short, so the wakeup
-    /// survives even if a wait inside the sweep took the unpark token.
-    poked: AtomicBool,
+    /// Pokes so far.
+    pokes: AtomicU64,
+    /// `pokes` as the current sweep started: the pokes it covers.
+    covered: AtomicU64,
 }
 
 impl LingerPark {
@@ -94,7 +100,8 @@ impl LingerPark {
             thread: std::thread::current(),
             epoch: Instant::now(),
             until: AtomicU64::new(u64::MAX),
-            poked: AtomicBool::new(false),
+            pokes: AtomicU64::new(0),
+            covered: AtomicU64::new(0),
         }
     }
 
@@ -103,35 +110,39 @@ impl LingerPark {
     }
 
     /// Marks the flusher as sweeping: any deadline a dispatch sets from now
-    /// on unparks it.
+    /// on unparks it, and the sweep covers every poke so far (each one's
+    /// deadline was set before this, so the sweep's visit sees it).
     pub fn sweeping(&self) {
         self.until.store(u64::MAX, Ordering::SeqCst);
+        let pokes = self.pokes.load(Ordering::SeqCst);
+        self.covered.store(pokes, Ordering::Relaxed);
     }
 
     /// Publishes `deadline` and parks the calling (flusher) thread until
-    /// then, or without one until unparked; returns at once if a dispatch
-    /// poked it since the last park.
-    pub fn park_until(&self, deadline: Option<Instant>) {
+    /// then, or without one until a poke the last sweep did not cover, or
+    /// until `stop` is set (and the thread unparked).
+    pub fn park_until(&self, deadline: Option<Instant>, stop: &AtomicBool) {
         let until = deadline.map_or(u64::MAX, |at| self.nanos(at));
         self.until.store(until, Ordering::SeqCst);
-        if self.poked.swap(false, Ordering::SeqCst) {
-            return;
-        }
-        match deadline {
-            Some(at) => {
-                let wait = at.saturating_duration_since(Instant::now());
-                if !wait.is_zero() {
+        let covered = self.covered.load(Ordering::Relaxed);
+        while self.pokes.load(Ordering::SeqCst) == covered && !stop.load(Ordering::SeqCst) {
+            match deadline {
+                Some(at) => {
+                    let wait = at.saturating_duration_since(Instant::now());
+                    if wait.is_zero() {
+                        return;
+                    }
                     std::thread::park_timeout(wait);
                 }
+                None => std::thread::park(),
             }
-            None => std::thread::park(),
         }
     }
 
     /// Called by a dispatch that set a link's deadline to `at`.
     fn poke(&self, at: Instant) {
         if self.nanos(at) < self.until.load(Ordering::SeqCst) {
-            self.poked.store(true, Ordering::SeqCst);
+            self.pokes.fetch_add(1, Ordering::SeqCst);
             self.thread.unpark();
         }
     }

@@ -73,6 +73,11 @@ waterwheel_core::counters! {
         measure_pruned_leaves,
         /// Templates (index blocks) read from the DFS.
         template_reads,
+        /// Nanoseconds spent reading and parsing the templates read from
+        /// the DFS (after the I/O permit was granted).
+        template_load_ns,
+        /// Header and index-block bytes of the templates read from the DFS.
+        template_bytes,
         /// Templates served from the cache.
         template_cache_hits,
         /// Chunk summaries read from the DFS (footer-only accesses).
@@ -355,10 +360,18 @@ impl QueryServer {
         self.template_flights.load(chunk, || {
             let idx = {
                 let _io = self.io_permits.acquire(&self.stats.io_wait_ns);
+                let t0 = std::time::Instant::now();
                 let file = self.dfs.open(chunk, Some(self.node))?;
-                ChunkReader::new(file).load_index()?
+                let idx = ChunkReader::new(file).load_index()?;
+                self.stats
+                    .template_load_ns
+                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                idx
             };
             self.stats.template_reads.fetch_add(1, Ordering::Relaxed);
+            self.stats
+                .template_bytes
+                .fetch_add(idx.template_len, Ordering::Relaxed);
             self.cache
                 .put(BlockKey::Index(chunk), Block::Index(Arc::clone(&idx)));
             Ok(idx)
@@ -709,6 +722,35 @@ mod tests {
         assert_eq!(dfs.stats().opens.load(Ordering::Relaxed), opens_after_first);
         assert!(qs.stats().leaf_cache_hits.load(Ordering::Relaxed) >= leaf_reads_first);
         assert_eq!(qs.stats().template_cache_hits.load(Ordering::Relaxed), 1);
+    }
+
+    /// `template_load_ns` and `template_bytes` cost only the templates read
+    /// from the DFS: the cold load counts its header and index block, a
+    /// cache hit adds nothing.
+    #[test]
+    fn only_a_cold_template_load_is_charged() {
+        let (dfs, chunk, _) = setup("template-cost");
+        let qs = QueryServer::new(ServerId(0), NodeId(0), dfs.clone(), 8 << 20);
+        let sq = subquery(KeyInterval::new(0, 2_000), TimeInterval::full(), chunk);
+        let cost = |qs: &QueryServer| {
+            let s = qs.stats();
+            let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+            (
+                get(&s.template_reads),
+                get(&s.template_load_ns),
+                get(&s.template_bytes),
+            )
+        };
+        assert_eq!(cost(&qs), (0, 0, 0));
+        qs.execute(&sq, chunk).unwrap();
+        let file = dfs.open(chunk, None).unwrap();
+        let template_len = ChunkReader::new(file).load_index().unwrap().template_len;
+        let (reads, ns, bytes) = cost(&qs);
+        assert_eq!((reads, bytes), (1, template_len));
+        assert!(ns > 0);
+        qs.execute(&sq, chunk).unwrap();
+        assert_eq!(qs.stats().template_cache_hits.load(Ordering::Relaxed), 1);
+        assert_eq!(cost(&qs), (reads, ns, bytes));
     }
 
     #[test]

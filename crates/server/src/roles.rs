@@ -520,7 +520,7 @@ pub fn spawn_linger_flusher(
                         .unwrap_or_else(|_| Some(Instant::now() + INGEST_LINGER))
                 })
                 .min();
-            park.park_until(next);
+            park.park_until(next, &stop);
         }
     })
 }

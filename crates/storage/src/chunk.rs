@@ -20,7 +20,7 @@ use std::sync::Arc;
 use waterwheel_agg::{PartialAgg, WheelSummary};
 use waterwheel_core::codec::{self, Decoder, Encoder};
 use waterwheel_core::{Key, KeyInterval, Region, Result, TimeInterval, Tuple, WwError};
-use waterwheel_index::{columnar, SealedTree, TimeBloom};
+use waterwheel_index::{columnar, BloomShape, SealedTree};
 
 /// `"WWCHUNK1"` interpreted as a little-endian u64.
 const MAGIC: u64 = u64::from_le_bytes(*b"WWCHUNK1");
@@ -54,8 +54,9 @@ pub struct LeafMeta {
     pub len: u64,
     /// Min/max timestamp of the leaf's tuples (`None` for an empty leaf).
     pub time_range: Option<TimeInterval>,
-    /// Temporal bloom filter (paper §IV-B), when enabled at seal time.
-    pub bloom: Option<TimeBloom>,
+    /// Temporal bloom filter (paper §IV-B), when enabled at seal time
+    /// ([`ChunkIndex::leaf_bloom`]).
+    pub bloom: Option<LeafBloom>,
     /// MIN/MAX of the registered measure over the leaf's tuples (`None`
     /// for chunks written without a measure and for empty leaves). Lets
     /// executors skip leaves that cannot satisfy a `measure_range` filter.
@@ -67,10 +68,22 @@ pub struct LeafMeta {
     pub measure_sum: Option<u128>,
 }
 
+/// Where a leaf's bloom filter lives in its [`ChunkIndex`]: the filter's
+/// shape, and the first of its words in the index's word arena.
+#[derive(Clone, Copy, Debug)]
+pub struct LeafBloom {
+    /// The filter's geometry.
+    pub shape: BloomShape,
+    /// Index of the filter's first word in the arena.
+    pub first_word: usize,
+}
+
 /// The parsed header + index block of a chunk — the persisted template.
 ///
 /// This is the "template" caching unit of the paper's LRU cache: once
-/// loaded, all leaf routing decisions are local.
+/// loaded, all leaf routing decisions are local. Every leaf's bloom words
+/// sit in one arena, so a parse allocates the same handful of buffers
+/// whatever the leaf count.
 #[derive(Clone, Debug)]
 pub struct ChunkIndex {
     /// The key–time rectangle covered by the chunk.
@@ -83,6 +96,11 @@ pub struct ChunkIndex {
     pub leaves: Vec<LeafMeta>,
     /// Total chunk file size in bytes.
     pub file_len: u64,
+    /// Byte length of the header and index block: what a template load
+    /// reads and checks.
+    pub template_len: u64,
+    /// Every leaf's bloom words, back to back in key order.
+    bloom_words: Box<[u64]>,
 }
 
 impl ChunkIndex {
@@ -104,12 +122,17 @@ impl ChunkIndex {
             Some(tr) if !tr.overlaps(times) => return true,
             _ => {}
         }
-        if let Some(bloom) = &meta.bloom {
-            if !bloom.may_overlap(times) {
-                return true;
-            }
-        }
-        false
+        self.leaf_bloom(i)
+            .is_some_and(|(shape, words)| !shape.may_overlap(words, times))
+    }
+
+    /// Leaf `i`'s bloom filter: its shape over its words.
+    pub fn leaf_bloom(&self, i: usize) -> Option<(BloomShape, &[u64])> {
+        let LeafBloom { shape, first_word } = self.leaves[i].bloom?;
+        Some((
+            shape,
+            &self.bloom_words[first_word..first_word + shape.words()],
+        ))
     }
 
     /// The keys leaf `i` can hold: bounded by its separators and by the
@@ -142,14 +165,12 @@ impl ChunkIndex {
         })
     }
 
-    /// Approximate heap size for cache accounting.
+    /// Approximate heap size for cache accounting: the separators, the
+    /// leaf directory and the bloom word arena.
     pub fn approx_size(&self) -> usize {
-        let blooms: usize = self
-            .leaves
-            .iter()
-            .filter_map(|l| l.bloom.as_ref().map(TimeBloom::encoded_len))
-            .sum();
-        self.separators.len() * 8 + self.leaves.len() * std::mem::size_of::<LeafMeta>() + blooms
+        self.separators.len() * 8
+            + self.leaves.len() * std::mem::size_of::<LeafMeta>()
+            + self.bloom_words.len() * 8
     }
 }
 
@@ -364,6 +385,9 @@ pub fn parse_index(prefix: &[u8], file_len: u64) -> Result<ChunkIndex> {
     // `file_len` bound), and pages must be non-overlapping and in file
     // order so `read_leaves`' coalesced-slice arithmetic cannot underflow.
     let mut leaves = Vec::with_capacity(leaf_count.min(dec.remaining() / MIN_LEAF_ENTRY_LEN));
+    // The index block bounds the bloom words, so an arena reserved for all
+    // of its bytes never grows; it is trimmed to the words at the end.
+    let mut bloom_words = Vec::with_capacity(dec.remaining() / 8);
     let mut prev_end = data_start;
     for _ in 0..leaf_count {
         let entry_count = dec.get_u32()?;
@@ -392,7 +416,9 @@ pub fn parse_index(prefix: &[u8], file_len: u64) -> Result<ChunkIndex> {
             None
         };
         let bloom = if dec.get_u32()? == 1 {
-            Some(TimeBloom::decode(&mut dec)?)
+            let first_word = bloom_words.len();
+            let shape = BloomShape::decode_into(&mut dec, &mut bloom_words)?;
+            Some(LeafBloom { shape, first_word })
         } else {
             None
         };
@@ -434,6 +460,8 @@ pub fn parse_index(prefix: &[u8], file_len: u64) -> Result<ChunkIndex> {
         separators,
         leaves,
         file_len,
+        template_len: data_start,
+        bloom_words: bloom_words.into_boxed_slice(),
     })
 }
 

@@ -34,7 +34,7 @@ pub mod singleflight;
 pub use cache::{Block, BlockCache, BlockKey, CacheStats};
 pub use chunk::{
     write_chunk, write_chunk_opts, ChunkFooter, ChunkIndex, ChunkReader, ChunkWriteOptions,
-    LeafMeta, RangedRead, VERSION_V2,
+    LeafBloom, LeafMeta, RangedRead, VERSION_V2,
 };
 pub use dfs::{DfsFile, SimDfs};
 pub use singleflight::Singleflight;
