@@ -72,6 +72,16 @@ if [ -n "$strays" ]; then
     echo "$strays"; exit 1
 fi
 
+echo "==> one exactly-once table per hop (the queue partition for indexing; IngestDedup only in the gateway)"
+# Non-test lines, as above. The queue's markers are journalled with the
+# batch they admit; a second table beside them would be a copy to seed.
+tables=$(find crates/*/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { exit } /IngestDedup|apply_once\(/ { print FILENAME ":" FNR ": " $0 }' {} \; | sort)
+strays=$(printf '%s\n' "$tables" | grep -v '^crates/server/src/gateway.rs:' || true)
+if [ -n "$strays" ]; then
+    echo "the indexing hop's exactly-once table is its queue partition (MessageQueue::append_batch_from):"
+    echo "$strays"; exit 1
+fi
+
 echo "==> the transport names no predicate (crates/net/src moves bytes; what a query keeps is decided where the tuples are)"
 # Non-test, non-comment lines: every line before a file's first
 # #[cfg(test)] that is not a // comment. A transport that filters answers

@@ -3,8 +3,8 @@
 //! Waterwheel's fault-tolerance story (paper §V) needs exactly three
 //! properties from its input queue:
 //!
-//! 1. records in a partition carry **monotonically increasing offsets**,
-//! 2. records **from a given offset can be replayed** on request, and
+//! 1. offsets are positional: the n-th retained tuple is at `base + n`,
+//! 2. tuples **from a given offset can be replayed** on request, and
 //! 3. appends are durable independently of the consumer's lifetime.
 //!
 //! When an indexing server flushes its in-memory B+ tree, it persists the
@@ -14,14 +14,19 @@
 //!
 //! This crate provides those properties in-process: a [`MessageQueue`]
 //! broker hosting named topics, each with a fixed set of offset-addressed
-//! partitions. Records are retained until trimmed past the durability
+//! partitions. Tuples are retained until trimmed past the durability
 //! point, mirroring Kafka's log-retention contract: each partition has one
 //! reader, and once the chunk that reader registered carries an offset,
-//! the reader's [`Backlog::trim`] drops the records below it. In memory a
-//! partition holds its records in fixed-size runs, so a trim frees whole
-//! runs and never moves the records it keeps; on a durable broker the
+//! the reader's [`Backlog::trim`] drops the tuples below it. In memory a
+//! partition holds its tuples in fixed-size runs, so a trim frees whole
+//! runs and never moves the tuples it keeps; on a durable broker the
 //! trim can also release whole journal segments ([`persist`]), so memory,
 //! disk and restart time follow the unflushed tail, not the history.
+//!
+//! A partition is also the one exactly-once table of what was appended to
+//! it: [`MessageQueue::append_batch_from`] keeps the highest batch sequence
+//! number per producer beside the tuples, journals it in the batch's frame,
+//! and drops a batch at or below it as a redelivery.
 
 #![warn(missing_docs)]
 
@@ -38,30 +43,31 @@ use std::time::{Duration, Instant};
 use waterwheel_core::{Result, Tuple, WwError};
 use waterwheel_wal::{FsyncPolicy, WalStats};
 
-/// A record stored in a partition: a tuple plus its log offset.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Record {
-    /// The record's offset within its partition; dense and increasing.
-    pub offset: u64,
-    /// The payload tuple.
-    pub tuple: Tuple,
-}
-
-/// Records per in-memory run: a trim frees whole runs.
+/// Tuples per in-memory run: a trim frees whole runs.
 const RUN_LEN: usize = 4_096;
+
+waterwheel_core::counters! {
+    /// The exactly-once counters of a broker's marked appends (`ingest.*`
+    /// in a metrics snapshot).
+    pub struct DedupStats {
+        /// Marked batches dropped as redeliveries: their sequence number
+        /// was at or below the partition's marker for their producer.
+        dedup_drops,
+    }
+}
 
 /// One partition's log.
 #[derive(Default)]
 struct PartitionLog {
-    /// Offset of the first retained record; everything below has been
+    /// Offset of the first retained tuple; everything below has been
     /// trimmed.
     base_offset: u64,
     /// Offset of `runs[0][0]`: the run holding `base_offset` may still hold
-    /// up to `RUN_LEN - 1` trimmed records, freed with that run.
+    /// up to `RUN_LEN - 1` trimmed tuples, freed with that run.
     run_base: u64,
-    /// Records with dense offsets from `run_base`, in runs of `RUN_LEN`
-    /// (every run but the last is full).
-    runs: VecDeque<Vec<Record>>,
+    /// Tuples at offsets from `run_base`, in runs of `RUN_LEN` (every run
+    /// but the last is full).
+    runs: VecDeque<Vec<Tuple>>,
     /// Disk persistence, when the broker is durable.
     persist: Option<PartitionPersist>,
     /// Highest marked-batch sequence number per producer, recovered from
@@ -75,52 +81,48 @@ impl PartitionLog {
         self.run_base + (full + self.runs.back().map_or(0, Vec::len)) as u64
     }
 
-    /// Records at or above the trim point.
+    /// Tuples at or above the trim point.
     fn retained(&self) -> u64 {
         self.next_offset() - self.base_offset
     }
 
     /// Appends `tuples` at offsets `next_offset()..`, a run at a time.
     fn extend(&mut self, tuples: Vec<Tuple>) {
-        let first = self.next_offset();
-        let mut records = (first..)
-            .zip(tuples)
-            .map(|(offset, tuple)| Record { offset, tuple })
-            .peekable();
-        while records.peek().is_some() {
+        let mut tuples = tuples.into_iter().peekable();
+        while tuples.peek().is_some() {
             if self.runs.back().is_none_or(|run| run.len() == RUN_LEN) {
                 self.runs.push_back(Vec::with_capacity(RUN_LEN));
             }
             let run = self.runs.back_mut().expect("a run with room");
             let room = RUN_LEN - run.len();
-            run.extend(records.by_ref().take(room));
+            run.extend(tuples.by_ref().take(room));
         }
     }
 
-    /// Up to `max` records from `offset` (at or above the trim point),
+    /// Up to `max` tuples from `offset` (at or above the trim point),
     /// ending with the one that brings their [`Tuple::encoded_len`] sum to
     /// `max_bytes`.
-    fn read(&self, offset: u64, max: usize, max_bytes: usize) -> Vec<Record> {
+    fn read(&self, offset: u64, max: usize, max_bytes: usize) -> Vec<Tuple> {
         let rel = (offset - self.run_base) as usize;
         let (mut run, mut at) = (rel / RUN_LEN, rel % RUN_LEN);
         let mut out = Vec::with_capacity(max.min(self.retained() as usize));
         let mut bytes = 0;
         while out.len() < max && bytes < max_bytes {
-            let Some(records) = self.runs.get(run) else {
+            let Some(tuples) = self.runs.get(run) else {
                 break;
             };
-            let mut take = (records.len().saturating_sub(at)).min(max - out.len());
+            let mut take = (tuples.len().saturating_sub(at)).min(max - out.len());
             if take == 0 {
                 break;
             }
             if max_bytes != usize::MAX {
-                let within = records[at..at + take].iter().position(|r| {
-                    bytes += r.tuple.encoded_len();
+                let within = tuples[at..at + take].iter().position(|t| {
+                    bytes += t.encoded_len();
                     bytes >= max_bytes
                 });
                 take = within.map_or(take, |i| i + 1);
             }
-            out.extend_from_slice(&records[at..at + take]);
+            out.extend_from_slice(&tuples[at..at + take]);
             (run, at) = (run + 1, 0);
         }
         out
@@ -129,7 +131,7 @@ impl PartitionLog {
     /// Moves the trim point up to `upto` (between it and the next offset)
     /// and hands back the runs now wholly below it, for the caller to drop
     /// outside the partition lock.
-    fn trim_memory(&mut self, upto: u64) -> Vec<Vec<Record>> {
+    fn trim_memory(&mut self, upto: u64) -> Vec<Vec<Tuple>> {
         self.base_offset = upto;
         let mut freed = Vec::new();
         while self.runs.front().is_some_and(|run| {
@@ -220,6 +222,8 @@ pub struct MessageQueue {
     segment_bytes: usize,
     /// Shared durability counters across all partitions.
     stats: Arc<WalStats>,
+    /// Shared exactly-once counters across all partitions.
+    dedup: Arc<DedupStats>,
 }
 
 impl Default for MessageQueue {
@@ -231,18 +235,19 @@ impl Default for MessageQueue {
             // Read only by durable partitions, which `root: None` has none of.
             segment_bytes: 0,
             stats: WalStats::shared(),
+            dedup: Arc::default(),
         }
     }
 }
 
 impl MessageQueue {
-    /// Creates an empty in-memory broker (records die with the process).
+    /// Creates an empty in-memory broker (tuples die with the process).
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Creates (or reopens) a **durable** broker rooted at `root`: every
-    /// append is journalled, and `create_topic` reloads retained records
+    /// append is journalled, and `create_topic` reloads retained tuples
     /// with identical offsets — Kafka's durability contract (paper §V).
     /// `policy` and `segment_bytes` are the `durability_fsync` /
     /// `wal_segment_bytes` knobs: under [`FsyncPolicy::Never`] commits
@@ -260,6 +265,7 @@ impl MessageQueue {
             policy,
             segment_bytes,
             stats: WalStats::shared(),
+            dedup: Arc::default(),
         })
     }
 
@@ -267,6 +273,11 @@ impl MessageQueue {
     /// dropped, tuples replayed at open).
     pub fn wal_stats(&self) -> Arc<WalStats> {
         Arc::clone(&self.stats)
+    }
+
+    /// Shared exactly-once counters (redeliveries dropped).
+    pub fn dedup_stats(&self) -> Arc<DedupStats> {
+        Arc::clone(&self.dedup)
     }
 
     /// Forces buffered appends of every partition to the durability point
@@ -338,24 +349,27 @@ impl MessageQueue {
             .ok_or_else(|| WwError::not_found("topic", name))
     }
 
-    fn partition<'t>(topic: &'t Topic, name: &str, partition: usize) -> Result<&'t Partition> {
-        topic
+    /// Runs `f` on partition `partition` of topic `name`.
+    fn with_partition<R>(
+        &self,
+        name: &str,
+        partition: usize,
+        f: impl FnOnce(&Partition) -> R,
+    ) -> Result<R> {
+        let topic = self.topic(name)?;
+        let part = topic
             .partitions
             .get(partition)
-            .ok_or_else(|| WwError::not_found("partition", format!("{name}/{partition}")))
-    }
-
-    /// Number of partitions in `name`.
-    pub fn partition_count(&self, name: &str) -> Result<usize> {
-        Ok(self.topic(name)?.partitions.len())
+            .ok_or_else(|| WwError::not_found("partition", format!("{name}/{partition}")))?;
+        Ok(f(part))
     }
 
     /// Appends a tuple, returning its offset.
     pub fn append(&self, name: &str, partition: usize, tuple: Tuple) -> Result<u64> {
-        self.append_batch_inner(name, partition, None, vec![tuple])
+        self.append_batch(name, partition, [tuple])
     }
 
-    /// Appends a batch, returning the offset of the first record. On a
+    /// Appends a batch, returning the offset of its first tuple. On a
     /// durable broker the whole batch lands as one atomic journal frame.
     pub fn append_batch(
         &self,
@@ -363,16 +377,22 @@ impl MessageQueue {
         partition: usize,
         tuples: impl IntoIterator<Item = Tuple>,
     ) -> Result<u64> {
-        self.append_batch_inner(name, partition, None, tuples.into_iter().collect())
+        let first = self.append_marked(name, partition, None, tuples.into_iter().collect())?;
+        Ok(first.expect("only a marked batch is ever a redelivery"))
     }
 
-    /// Appends a batch carrying its exactly-once identity: the producer's
-    /// server id and per-destination sequence number are journalled in the
-    /// same atomic frame as the tuples, so after a `kill -9` the replayed
-    /// log also rebuilds the duplicate-suppression state
-    /// ([`MessageQueue::last_seq`]). This is the ack durability point —
-    /// the frame is committed (fsynced under
-    /// [`FsyncPolicy::Always`]) before this returns.
+    /// Appends a batch carrying its exactly-once identity — the producer's
+    /// server id and per-destination sequence number — unless the
+    /// partition already holds `seq` or a younger batch from `src`: that is
+    /// a redelivery whose first attempt landed with only the ack lost, so
+    /// nothing is appended, it is counted (`dedup_drops`) and `None` is
+    /// returned. Otherwise returns the offset of the first tuple.
+    ///
+    /// The marker is journalled in the same atomic frame as the tuples and
+    /// recorded only once that frame committed (fsynced under
+    /// [`FsyncPolicy::Always`]) — the ack durability point. A failed append
+    /// records nothing and stays retryable; after a `kill -9` the replayed
+    /// journal (and a trim's sidecar) rebuild the markers.
     pub fn append_batch_from(
         &self,
         name: &str,
@@ -380,158 +400,67 @@ impl MessageQueue {
         src: u32,
         seq: u64,
         tuples: Vec<Tuple>,
-    ) -> Result<u64> {
-        self.append_batch_inner(name, partition, Some((src, seq)), tuples)
+    ) -> Result<Option<u64>> {
+        self.append_marked(name, partition, Some((src, seq)), tuples)
     }
 
-    fn append_batch_inner(
+    fn append_marked(
         &self,
         name: &str,
         partition: usize,
         marker: Option<(u32, u64)>,
         tuples: Vec<Tuple>,
-    ) -> Result<u64> {
-        let topic = self.topic(name)?;
-        let part = Self::partition(&topic, name, partition)?;
-        let first = {
-            let mut log = part.log.write();
-            let first = log.next_offset();
-            if let Some(p) = &mut log.persist {
-                p.append_batch(marker, &tuples)?;
-            }
-            log.extend(tuples);
-            if let Some((src, seq)) = marker {
-                let e = log.last_seqs.entry(src).or_insert(seq);
-                *e = (*e).max(seq);
-            }
-            first
-        };
-        part.arrivals.ring();
-        Ok(first)
+    ) -> Result<Option<u64>> {
+        self.with_partition(name, partition, |part| {
+            let first = {
+                let mut log = part.log.write();
+                let known = |(src, seq)| log.last_seqs.get(&src).is_some_and(|&last| seq <= last);
+                if marker.is_some_and(known) {
+                    self.dedup.dedup_drops.fetch_add(1, Ordering::Relaxed);
+                    return Ok(None);
+                }
+                let first = log.next_offset();
+                if let Some(p) = &mut log.persist {
+                    p.append_batch(marker, &tuples)?;
+                }
+                log.extend(tuples);
+                if let Some((src, seq)) = marker {
+                    log.last_seqs.insert(src, seq);
+                }
+                first
+            };
+            part.arrivals.ring();
+            Ok(Some(first))
+        })?
     }
 
-    /// The highest marked-batch sequence number this partition has seen
-    /// from producer `src` (recovered from the journal on a durable
-    /// broker). `None` means no marked batch from that producer.
-    pub fn last_seq(&self, name: &str, partition: usize, src: u32) -> Result<Option<u64>> {
-        let topic = self.topic(name)?;
-        let part = Self::partition(&topic, name, partition)?;
-        let seq = part.log.read().last_seqs.get(&src).copied();
-        Ok(seq)
-    }
-
-    /// All recovered/maintained `(producer, last sequence)` pairs of a
-    /// partition — seeds a restarted consumer's dedup map.
+    /// Every `(producer, highest marked-batch sequence number)` pair of a
+    /// partition (recovered from the journal on a durable broker).
     pub fn recovered_seqs(&self, name: &str, partition: usize) -> Result<Vec<(u32, u64)>> {
-        let topic = self.topic(name)?;
-        let part = Self::partition(&topic, name, partition)?;
-        let mut seqs: Vec<(u32, u64)> = part
-            .log
-            .read()
-            .last_seqs
-            .iter()
-            .map(|(s, q)| (*s, *q))
-            .collect();
+        let mut seqs: Vec<(u32, u64)> = self.with_partition(name, partition, |part| {
+            part.log
+                .read()
+                .last_seqs
+                .iter()
+                .map(|(s, q)| (*s, *q))
+                .collect()
+        })?;
         seqs.sort_unstable();
         Ok(seqs)
     }
 
-    /// Reads up to `max` records starting at `offset` (inclusive).
-    ///
-    /// Reading below the trim point is an error — the data is gone, which a
-    /// recovering consumer must treat as unrecoverable rather than silently
-    /// skipping tuples. Reading at or past the end returns an empty vec.
-    pub fn read_from(
-        &self,
-        name: &str,
-        partition: usize,
-        offset: u64,
-        max: usize,
-    ) -> Result<Vec<Record>> {
-        self.read_bytes(name, partition, offset, max, usize::MAX)
-    }
-
-    /// [`Self::read_from`] that also stops at the record bringing the
-    /// records' [`Tuple::encoded_len`] sum to `max_bytes` (which it
-    /// includes, so any budget reads at least one record).
-    pub fn read_bytes(
-        &self,
-        name: &str,
-        partition: usize,
-        offset: u64,
-        max: usize,
-        max_bytes: usize,
-    ) -> Result<Vec<Record>> {
-        let topic = self.topic(name)?;
-        let log = Self::partition(&topic, name, partition)?.log.read();
-        if offset < log.base_offset {
-            return Err(WwError::InvalidState(format!(
-                "offset {offset} below trim point {} of {name}/{partition}",
-                log.base_offset
-            )));
-        }
-        Ok(log.read(offset, max, max_bytes))
-    }
-
     /// The next offset that will be assigned in this partition (i.e. one
-    /// past the last record).
+    /// past the last tuple).
     pub fn latest_offset(&self, name: &str, partition: usize) -> Result<u64> {
-        let topic = self.topic(name)?;
-        let next = Self::partition(&topic, name, partition)?
-            .log
-            .read()
-            .next_offset();
-        Ok(next)
+        self.with_partition(name, partition, |part| part.log.read().next_offset())
     }
 
     /// The lowest retained offset of this partition.
     pub fn trim_point(&self, name: &str, partition: usize) -> Result<u64> {
-        let topic = self.topic(name)?;
-        let base = Self::partition(&topic, name, partition)?
-            .log
-            .read()
-            .base_offset;
-        Ok(base)
+        self.with_partition(name, partition, |part| part.log.read().base_offset)
     }
 
-    /// Discards all records with offsets strictly below `upto` (clamped to
-    /// the next offset), and on a durable broker releases the journal
-    /// segments wholly below it ([`persist`]).
-    ///
-    /// Called once the consumer's durability point (the offset persisted
-    /// with the last flushed chunk) has advanced past them.
-    pub fn trim(&self, name: &str, partition: usize, upto: u64) -> Result<()> {
-        self.trim_to(name, partition, upto, true)
-    }
-
-    fn trim_to(&self, name: &str, partition: usize, upto: u64, journal: bool) -> Result<()> {
-        let topic = self.topic(name)?;
-        let part = Self::partition(&topic, name, partition)?;
-        let freed = {
-            let mut log = part.log.write();
-            let upto = upto.min(log.next_offset());
-            if upto <= log.base_offset {
-                return Ok(());
-            }
-            let freed = log.trim_memory(upto);
-            let PartitionLog {
-                base_offset,
-                persist,
-                last_seqs,
-                ..
-            } = &mut *log;
-            if let Some(p) = persist.as_mut().filter(|_| journal) {
-                p.record_trim(*base_offset, last_seqs)?;
-            }
-            freed
-        };
-        // Freeing a run's records touches every payload: outside the lock
-        // the producers append under.
-        drop(freed);
-        Ok(())
-    }
-
-    /// Total retained records across all partitions of a topic.
+    /// Total retained tuples across all partitions of a topic.
     pub fn retained(&self, name: &str) -> Result<usize> {
         let topic = self.topic(name)?;
         Ok(topic
@@ -548,11 +477,9 @@ impl MessageQueue {
 /// coordination — the indexing server persists the position itself at each
 /// flush (paper §V).
 pub struct Consumer {
-    mq: MessageQueue,
-    topic: String,
-    partition: usize,
-    /// Shared with this consumer's [`Backlog`]s.
-    position: Arc<AtomicU64>,
+    /// The partition and the position, shared with this consumer's
+    /// [`Backlog`]s.
+    cursor: Backlog,
 }
 
 impl Consumer {
@@ -564,49 +491,59 @@ impl Consumer {
         position: u64,
     ) -> Self {
         Self {
-            mq,
-            topic: topic.into(),
-            partition,
-            position: Arc::new(AtomicU64::new(position)),
+            cursor: Backlog {
+                mq,
+                topic: topic.into(),
+                partition,
+                position: Arc::new(AtomicU64::new(position)),
+            },
         }
     }
 
     /// The next offset this consumer will read.
     pub fn position(&self) -> u64 {
-        self.position.load(Ordering::Acquire)
+        self.cursor.position()
     }
 
-    /// Polls up to `max` records, advancing the cursor.
-    pub fn poll(&mut self, max: usize) -> Result<Vec<Record>> {
+    /// Polls up to `max` tuples, advancing the cursor past them.
+    pub fn poll(&mut self, max: usize) -> Result<Vec<Tuple>> {
         self.poll_bytes(max, usize::MAX)
     }
 
-    /// Polls up to `max` records, stopping after the one that brings their
-    /// [`Tuple::encoded_len`] sum to `max_bytes`, and advances the cursor.
-    pub fn poll_bytes(&mut self, max: usize, max_bytes: usize) -> Result<Vec<Record>> {
-        let records =
-            self.mq
-                .read_bytes(&self.topic, self.partition, self.position(), max, max_bytes)?;
-        if let Some(last) = records.last() {
-            self.position.store(last.offset + 1, Ordering::Release);
-        }
-        Ok(records)
+    /// Polls up to `max` tuples, stopping after the one that brings their
+    /// [`Tuple::encoded_len`] sum to `max_bytes` (so any budget reads at
+    /// least one), and advances the cursor past them.
+    ///
+    /// Polling below the trim point is an error — those tuples are gone,
+    /// which a recovering consumer must treat as unrecoverable rather than
+    /// silently skipping them. At the end of the partition it reads nothing.
+    pub fn poll_bytes(&mut self, max: usize, max_bytes: usize) -> Result<Vec<Tuple>> {
+        let c = &self.cursor;
+        c.with_partition(|part| {
+            let log = part.log.read();
+            let position = c.position();
+            if position < log.base_offset {
+                return Err(WwError::InvalidState(format!(
+                    "offset {position} below trim point {} of {}/{}",
+                    log.base_offset, c.topic, c.partition
+                )));
+            }
+            let tuples = log.read(position, max, max_bytes);
+            c.position
+                .store(position + tuples.len() as u64, Ordering::Release);
+            Ok(tuples)
+        })?
     }
 
     /// A handle on this consumer's partition that reads and trims it
     /// without the consumer itself (which its poller keeps locked).
     pub fn backlog(&self) -> Backlog {
-        Backlog {
-            mq: self.mq.clone(),
-            topic: self.topic.clone(),
-            partition: self.partition,
-            position: Arc::clone(&self.position),
-        }
+        self.cursor.clone()
     }
 }
 
 /// What the queue holds for one [`Consumer`]: how far the consumer trails
-/// the partition's head, how many records are still retained for it, and
+/// the partition's head, how many tuples are still retained for it, and
 /// the trim that lets them go.
 ///
 /// A partition has exactly one reader (DESIGN.md §5), so that reader's
@@ -620,52 +557,73 @@ pub struct Backlog {
 }
 
 impl Backlog {
-    /// Records appended to the partition that the consumer has not polled.
-    pub fn lag(&self) -> Result<u64> {
-        let latest = self.mq.latest_offset(&self.topic, self.partition)?;
-        Ok(latest.saturating_sub(self.position.load(Ordering::Acquire)))
+    fn position(&self) -> u64 {
+        self.position.load(Ordering::Acquire)
     }
 
-    /// Records of the partition at or above its trim point, still held in
+    fn with_partition<R>(&self, f: impl FnOnce(&Partition) -> R) -> Result<R> {
+        self.mq.with_partition(&self.topic, self.partition, f)
+    }
+
+    /// Tuples appended to the partition that the consumer has not polled.
+    pub fn lag(&self) -> Result<u64> {
+        let latest = self.with_partition(|part| part.log.read().next_offset())?;
+        Ok(latest.saturating_sub(self.position()))
+    }
+
+    /// Tuples of the partition at or above its trim point, still held in
     /// memory.
     pub fn retained(&self) -> Result<u64> {
-        let topic = self.mq.topic(&self.topic)?;
-        let part = MessageQueue::partition(&topic, &self.topic, self.partition)?;
-        let retained = part.log.read().retained();
-        Ok(retained)
+        self.with_partition(|part| part.log.read().retained())
     }
 
-    /// Parks the calling thread until the consumer has records to poll or
+    /// Parks the calling thread until the consumer has tuples to poll or
     /// `until()` holds, for at most `timeout`; `false` when the timeout
     /// passed first. An append to the partition, or [`Self::wake`], makes
     /// it look again; whoever changes what `until` reads calls one of
     /// those (or unparks the thread) after the change.
     pub fn wait(&self, timeout: Duration, until: impl Fn() -> bool) -> Result<bool> {
-        let topic = self.mq.topic(&self.topic)?;
-        let part = MessageQueue::partition(&topic, &self.topic, self.partition)?;
-        Ok(part.arrivals.park(timeout, || {
-            until() || part.log.read().next_offset() > self.position.load(Ordering::Acquire)
-        }))
+        self.with_partition(|part| {
+            part.arrivals.park(timeout, || {
+                until() || part.log.read().next_offset() > self.position()
+            })
+        })
     }
 
     /// Unparks every thread waiting on this partition in [`Self::wait`],
     /// so each re-checks its condition.
     pub fn wake(&self) -> Result<()> {
-        let topic = self.mq.topic(&self.topic)?;
-        MessageQueue::partition(&topic, &self.topic, self.partition)?
-            .arrivals
-            .ring();
-        Ok(())
+        self.with_partition(|part| part.arrivals.ring())
     }
 
-    /// Discards the partition's records below `upto` — never past the
+    /// Discards the partition's tuples below `upto` — never past the
     /// consumer's position. With `journal`, a durable broker also releases
-    /// the journal segments wholly below it; pass that only when `upto`
-    /// itself survives a restart (it was registered with a durable
-    /// metadata service), since a restart replays from there.
+    /// the journal segments wholly below it ([`persist`]); pass that only
+    /// when `upto` itself survives a restart (it was registered with a
+    /// durable metadata service), since a restart replays from there.
     pub fn trim(&self, upto: u64, journal: bool) -> Result<()> {
-        let upto = upto.min(self.position.load(Ordering::Acquire));
-        self.mq.trim_to(&self.topic, self.partition, upto, journal)
+        let freed = self.with_partition(|part| -> Result<_> {
+            let mut log = part.log.write();
+            let upto = upto.min(self.position()).min(log.next_offset());
+            if upto <= log.base_offset {
+                return Ok(Vec::new());
+            }
+            let freed = log.trim_memory(upto);
+            let PartitionLog {
+                base_offset,
+                persist,
+                last_seqs,
+                ..
+            } = &mut *log;
+            if let Some(p) = persist.as_mut().filter(|_| journal) {
+                p.record_trim(*base_offset, last_seqs)?;
+            }
+            Ok(freed)
+        })??;
+        // Freeing a run's tuples touches every payload: outside the lock
+        // the producers append under.
+        drop(freed);
+        Ok(())
     }
 }
 
@@ -679,6 +637,20 @@ mod tests {
         mq
     }
 
+    fn keys(tuples: &[Tuple]) -> Vec<u64> {
+        tuples.iter().map(|t| t.key).collect()
+    }
+
+    fn fresh_root(name: &str) -> PathBuf {
+        let root = std::env::temp_dir().join(format!("ww-mq-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        root
+    }
+
+    fn drops(mq: &MessageQueue) -> u64 {
+        mq.dedup_stats().dedup_drops.load(Ordering::Relaxed)
+    }
+
     #[test]
     fn offsets_are_dense_and_per_partition() {
         let mq = mq_with_topic();
@@ -687,7 +659,6 @@ mod tests {
         assert_eq!(mq.append("ingest", 1, Tuple::bare(3, 3)).unwrap(), 0);
         assert_eq!(mq.latest_offset("ingest", 0).unwrap(), 2);
         assert_eq!(mq.latest_offset("ingest", 1).unwrap(), 1);
-        assert_eq!(mq.partition_count("ingest").unwrap(), 2);
     }
 
     #[test]
@@ -696,10 +667,12 @@ mod tests {
         for i in 0..10u64 {
             mq.append("ingest", 0, Tuple::bare(i, i)).unwrap();
         }
-        let records = mq.read_from("ingest", 0, 4, 3).unwrap();
-        let offsets: Vec<_> = records.iter().map(|r| r.offset).collect();
-        assert_eq!(offsets, vec![4, 5, 6]);
-        assert!(mq.read_from("ingest", 0, 10, 5).unwrap().is_empty());
+        let mut c = Consumer::new(mq.clone(), "ingest", 0, 4);
+        assert_eq!(keys(&c.poll(3).unwrap()), vec![4, 5, 6]);
+        assert_eq!(c.position(), 7);
+        let mut at_end = Consumer::new(mq, "ingest", 0, 10);
+        assert!(at_end.poll(5).unwrap().is_empty());
+        assert_eq!(at_end.position(), 10);
     }
 
     #[test]
@@ -723,16 +696,20 @@ mod tests {
         for i in 0..10u64 {
             mq.append("ingest", 0, Tuple::bare(i, i)).unwrap();
         }
-        mq.trim("ingest", 0, 6).unwrap();
+        let mut c = Consumer::new(mq.clone(), "ingest", 0, 0);
+        let backlog = c.backlog();
+        c.poll(6).unwrap();
+        // Never past the consumer's position.
+        backlog.trim(8, true).unwrap();
         assert_eq!(mq.trim_point("ingest", 0).unwrap(), 6);
         assert_eq!(mq.retained("ingest").unwrap(), 4);
-        assert!(mq.read_from("ingest", 0, 3, 10).is_err());
-        let records = mq.read_from("ingest", 0, 6, 10).unwrap();
-        assert_eq!(records.len(), 4);
+        assert_eq!(backlog.retained().unwrap(), 4);
+        assert!(Consumer::new(mq.clone(), "ingest", 0, 3).poll(10).is_err());
+        assert_eq!(keys(&c.poll(10).unwrap()), vec![6, 7, 8, 9]);
         // Offsets keep increasing after a trim.
         assert_eq!(mq.append("ingest", 0, Tuple::bare(99, 99)).unwrap(), 10);
         // Trimming an already-trimmed range is a no-op.
-        mq.trim("ingest", 0, 2).unwrap();
+        backlog.trim(2, true).unwrap();
         assert_eq!(mq.trim_point("ingest", 0).unwrap(), 6);
     }
 
@@ -759,16 +736,13 @@ mod tests {
         // Simulate a crash that had durably flushed only offset 3: a new
         // consumer replays from there.
         let mut c = Consumer::new(mq.clone(), "ingest", 0, 3);
-        let replay = c.poll(100).unwrap();
-        let offsets: Vec<_> = replay.iter().map(|r| r.offset).collect();
-        assert_eq!(offsets, vec![3, 4, 5, 6, 7]);
+        assert_eq!(keys(&c.poll(100).unwrap()), vec![3, 4, 5, 6, 7]);
         assert!(c.poll(10).unwrap().is_empty());
     }
 
     #[test]
     fn durable_broker_recovers_records_and_dedup_state() {
-        let root = std::env::temp_dir().join(format!("ww-mq-durable-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+        let root = fresh_root("durable");
         {
             let mq = MessageQueue::durable_with(&root, FsyncPolicy::Always, 1 << 20).unwrap();
             mq.create_topic("ingest", 2).unwrap();
@@ -784,30 +758,111 @@ mod tests {
                 .unwrap();
             mq.append_batch_from("ingest", 1, 2001, 7, vec![Tuple::bare(4, 4)])
                 .unwrap();
-            assert!(
-                mq.wal_stats()
-                    .fsyncs
-                    .load(std::sync::atomic::Ordering::Relaxed)
-                    >= 3
-            );
+            assert!(mq.wal_stats().fsyncs.load(Ordering::Relaxed) >= 3);
         }
         // A fresh broker over the same root replays everything, offsets
         // and exactly-once markers intact.
         let mq = MessageQueue::durable_with(&root, FsyncPolicy::Never, 1 << 20).unwrap();
         mq.create_topic("ingest", 2).unwrap();
         assert_eq!(mq.latest_offset("ingest", 0).unwrap(), 3);
-        assert_eq!(mq.last_seq("ingest", 0, 2000).unwrap(), Some(2));
-        assert_eq!(mq.last_seq("ingest", 0, 2001).unwrap(), None);
+        assert_eq!(mq.recovered_seqs("ingest", 0).unwrap(), vec![(2000, 2)]);
         assert_eq!(mq.recovered_seqs("ingest", 1).unwrap(), vec![(2001, 7)]);
-        let records = mq.read_from("ingest", 0, 0, 10).unwrap();
-        let keys: Vec<u64> = records.iter().map(|r| r.tuple.key).collect();
-        assert_eq!(keys, vec![1, 2, 3]);
-        assert_eq!(
-            mq.wal_stats()
-                .replayed
-                .load(std::sync::atomic::Ordering::Relaxed),
-            4
-        );
+        let mut c = Consumer::new(mq.clone(), "ingest", 0, 0);
+        assert_eq!(keys(&c.poll(10).unwrap()), vec![1, 2, 3]);
+        assert_eq!(mq.wal_stats().replayed.load(Ordering::Relaxed), 4);
+    }
+
+    /// Appends marked batches `(7, 1..=3)` to partition 0 of `mq`, one tuple
+    /// each, then redelivers 2 and 3 and sends 4: the redeliveries append
+    /// nothing and are counted, 4 lands.
+    fn redeliveries_drop_and_the_next_seq_lands(mq: &MessageQueue, first_delivery: bool) {
+        let (src, start) = (7, mq.latest_offset("ingest", 0).unwrap());
+        if first_delivery {
+            for seq in 1..=3u64 {
+                let at = mq
+                    .append_batch_from("ingest", 0, src, seq, vec![Tuple::bare(seq, seq)])
+                    .unwrap();
+                assert_eq!(at, Some(start + seq - 1));
+            }
+        }
+        let (end, dropped) = (mq.latest_offset("ingest", 0).unwrap(), drops(mq));
+        for seq in [2, 3] {
+            let tuples = vec![Tuple::bare(seq, seq)];
+            assert_eq!(
+                mq.append_batch_from("ingest", 0, src, seq, tuples).unwrap(),
+                None
+            );
+        }
+        assert_eq!(drops(mq), dropped + 2);
+        assert_eq!(mq.latest_offset("ingest", 0).unwrap(), end);
+        // Other producers and other partitions keep their own markers.
+        assert!(mq
+            .append_batch_from("ingest", 1, src, 2, Vec::new())
+            .unwrap()
+            .is_some());
+        let tuples = vec![Tuple::bare(4, 4)];
+        let at = mq.append_batch_from("ingest", 0, src, 4, tuples).unwrap();
+        assert_eq!(at, Some(end));
+        assert_eq!(mq.recovered_seqs("ingest", 0).unwrap(), vec![(src, 4)]);
+    }
+
+    #[test]
+    fn a_volatile_queue_drops_a_redelivery() {
+        redeliveries_drop_and_the_next_seq_lands(&mq_with_topic(), true);
+    }
+
+    #[test]
+    fn a_reopened_durable_queue_drops_redeliveries_of_its_journaled_markers() {
+        let root = fresh_root("reopen-markers");
+        {
+            let mq = MessageQueue::durable_with(&root, FsyncPolicy::Never, 1 << 20).unwrap();
+            mq.create_topic("ingest", 2).unwrap();
+            for seq in 1..=3u64 {
+                mq.append_batch_from("ingest", 0, 7, seq, vec![Tuple::bare(seq, seq)])
+                    .unwrap();
+            }
+        }
+        let mq = MessageQueue::durable_with(&root, FsyncPolicy::Never, 1 << 20).unwrap();
+        mq.create_topic("ingest", 2).unwrap();
+        assert_eq!(mq.latest_offset("ingest", 0).unwrap(), 3);
+        redeliveries_drop_and_the_next_seq_lands(&mq, false);
+    }
+
+    #[test]
+    fn markers_in_released_segments_still_drop_redeliveries_after_a_reopen() {
+        let root = fresh_root("released-markers");
+        let segments = || {
+            std::fs::read_dir(&root)
+                .unwrap()
+                .filter(|e| {
+                    let name = e.as_ref().unwrap().file_name();
+                    let name = name.to_string_lossy().into_owned();
+                    name.starts_with("ingest.0.") && name.ends_with(".wal")
+                })
+                .count()
+        };
+        {
+            // A one-byte rotation threshold: every frame is its own segment.
+            let mq = MessageQueue::durable_with(&root, FsyncPolicy::Never, 1).unwrap();
+            mq.create_topic("ingest", 2).unwrap();
+            for seq in 1..=3u64 {
+                mq.append_batch_from("ingest", 0, 7, seq, vec![Tuple::bare(seq, seq)])
+                    .unwrap();
+            }
+            mq.append("ingest", 0, Tuple::bare(0, 0)).unwrap();
+            assert!(segments() >= 4, "{} segments", segments());
+            let mut c = Consumer::new(mq.clone(), "ingest", 0, 0);
+            c.poll(usize::MAX).unwrap();
+            c.backlog().trim(4, true).unwrap();
+            // Only the plain batch's segment is kept: the markers live on
+            // in the trim sidecar alone.
+            assert_eq!(segments(), 1);
+        }
+        let mq = MessageQueue::durable_with(&root, FsyncPolicy::Never, 1).unwrap();
+        mq.create_topic("ingest", 2).unwrap();
+        assert_eq!(mq.trim_point("ingest", 0).unwrap(), 4);
+        assert_eq!(mq.retained("ingest").unwrap(), 0);
+        redeliveries_drop_and_the_next_seq_lands(&mq, false);
     }
 
     #[test]
@@ -822,12 +877,11 @@ mod tests {
         for budget in [1, 20, 21, 333, 5_000] {
             let from = c.position() as usize;
             let got = c.poll_bytes(1_000, budget).unwrap();
-            let sizes: Vec<usize> = got.iter().map(|r| r.tuple.encoded_len()).collect();
+            let sizes: Vec<usize> = got.iter().map(Tuple::encoded_len).collect();
             let total: usize = sizes.iter().sum();
             assert!(total >= budget, "budget {budget}");
             assert!(total - sizes.last().unwrap() < budget, "budget {budget}");
-            let want: Vec<&Tuple> = tuples[from..from + got.len()].iter().collect();
-            assert_eq!(got.iter().map(|r| &r.tuple).collect::<Vec<_>>(), want);
+            assert_eq!(got, tuples[from..from + got.len()]);
         }
         // `max` still caps the count, and a drained partition reads nothing.
         assert_eq!(c.poll_bytes(3, usize::MAX).unwrap().len(), 3);

@@ -414,10 +414,9 @@ impl InProcTransport {
         let Some(answer) = self.handlers.dispatch_bound(env) else {
             return Err(link.fault(unbound()));
         };
-        let resp = answer?;
         link.bytes
-            .fetch_add(wire::response_ok_frame_len(&resp) as u64, Ordering::Relaxed);
-        Ok(resp)
+            .fetch_add(wire::response_frame_len(&answer) as u64, Ordering::Relaxed);
+        answer
     }
 }
 
@@ -878,6 +877,15 @@ mod tests {
             req_len + resp_len,
             "byte accounting must match what the wire codec would frame"
         );
+        // An error answer is a frame on the wire too, charged alike.
+        let refusal = || WwError::InvalidState("refused by the handler".into());
+        t.registry().bind(ServerId(2), move |_| Err(refusal()));
+        let e = env(0, 2, Duration::from_secs(1));
+        let req_len = crate::wire::encode_request(0, &e).len() as u64;
+        let err_len = crate::wire::encode_response_err(0, &refusal()).len() as u64;
+        assert!(t.send(&e).is_err());
+        let link = t.stats().link(ServerId(0), ServerId(2));
+        assert_eq!(link.bytes.load(Ordering::Relaxed), req_len + err_len);
     }
 
     #[test]

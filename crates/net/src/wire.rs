@@ -101,10 +101,7 @@ pub fn encode_response_ok(corr: u64, resp: &Response) -> Vec<u8> {
 /// Encodes a full error-response frame (length prefix included).
 pub fn encode_response_err(corr: u64, err: &WwError) -> Vec<u8> {
     let mut frame = start_frame(4 + 32);
-    frame.put_u8(WIRE_VERSION);
-    frame.put_u8(KIND_RESPONSE_ERR);
-    frame.put_u64(corr);
-    err.encode(&mut frame);
+    write_response_err(&mut frame, corr, err);
     finish_frame(frame)
 }
 
@@ -133,6 +130,19 @@ pub fn response_ok_frame_len(resp: &Response) -> usize {
     len.0
 }
 
+/// Exact length of [`encode_response`]'s frame for a handler outcome,
+/// without building it.
+pub fn response_frame_len(result: &Result<Response>) -> usize {
+    match result {
+        Ok(resp) => response_ok_frame_len(resp),
+        Err(err) => {
+            let mut len = ByteCount(4);
+            write_response_err(&mut len, 0, err);
+            len.0
+        }
+    }
+}
+
 fn write_request(out: &mut impl Encoder, corr: u64, env: &Envelope, budget_ms: u64) {
     out.put_u8(WIRE_VERSION);
     out.put_u8(KIND_REQUEST);
@@ -149,6 +159,13 @@ fn write_response_ok(out: &mut impl Encoder, corr: u64, resp: &Response) {
     out.put_u8(KIND_RESPONSE_OK);
     out.put_u64(corr);
     resp.encode(out);
+}
+
+fn write_response_err(out: &mut impl Encoder, corr: u64, err: &WwError) {
+    out.put_u8(WIRE_VERSION);
+    out.put_u8(KIND_RESPONSE_ERR);
+    out.put_u64(corr);
+    err.encode(out);
 }
 
 /// A frame buffer of `frame_len` bytes' capacity (requests and success

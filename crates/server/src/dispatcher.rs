@@ -849,9 +849,9 @@ mod tests {
         }
     }
 
-    /// A receiver whose dedup table was seeded (from its journal) above
-    /// this dispatcher's base — the previous incarnation's clock ran ahead
-    /// — drops the fresh batch as a redelivery. The dispatcher must report
+    /// A receiver whose queue partition holds a marker (from its journal)
+    /// above this dispatcher's base — the previous incarnation's clock ran
+    /// ahead — drops the fresh batch as a redelivery. The dispatcher must report
     /// that on every flush and keep the tuples, not count them delivered;
     /// a batch the plane really redelivered is still acknowledged quietly.
     #[test]
@@ -859,21 +859,20 @@ mod tests {
         let (mq, t, mut d) = setup_with(1, 4);
         d.seq_base = 1_000;
         let (src, ix) = (ServerId(100), ServerId(0));
-        let dedup = Arc::new(crate::roles::IngestDedup::new());
-        let (queue, table) = (mq.clone(), Arc::clone(&dedup));
+        let queue = mq.clone();
         t.registry().bind(ix, move |env| match &env.payload {
             Request::IngestBatch { seq, tuples } => {
-                let deduped = table.apply_once(env.src, ix, *seq, || {
-                    queue.append_batch("ingest", 0, tuples.clone()).map(|_| ())
-                })?;
+                let first =
+                    queue.append_batch_from("ingest", 0, env.src.raw(), *seq, tuples.clone())?;
                 Ok(Response::AckBatch {
                     tuples: tuples.len() as u32,
-                    deduped,
+                    deduped: first.is_none(),
                 })
             }
             _ => Ok(Response::Pong),
         });
-        dedup.seed(src, ix, 5_000);
+        mq.append_batch_from("ingest", 0, src.raw(), 5_000, Vec::new())
+            .unwrap();
         for i in 0..3u64 {
             d.dispatch(Tuple::bare(i, i)).unwrap();
         }
@@ -905,7 +904,8 @@ mod tests {
         d.flush_batches().unwrap();
         assert_eq!((d.dispatched(), d.pending()), (4, 0));
         assert_eq!(mq.latest_offset("ingest", 0).unwrap(), 4, "applied once");
-        assert!(dedup.drops() > 2, "collision drops plus the redelivery");
+        let drops = mq.dedup_stats().dedup_drops.load(Ordering::Relaxed);
+        assert!(drops > 2, "collision drops plus the redelivery");
     }
 
     #[test]
@@ -1153,7 +1153,6 @@ mod tests {
             pub gate: Arc<Gate>,
             /// `(destination, seq, tuples)` of every delivery, in order.
             pub seen: Arc<Mutex<Vec<(ServerId, u64, usize)>>>,
-            pub dedup: Arc<crate::roles::IngestDedup>,
             pub sent: Arc<InProcTransport>,
             pub d: Dispatcher,
         }
@@ -1165,20 +1164,17 @@ mod tests {
             mq.create_topic("ingest", 2).unwrap();
             let inner = Arc::new(InProcTransport::with_registry(None, Arc::default()));
             let seen = Arc::new(Mutex::new(Vec::new()));
-            let dedup = Arc::new(crate::roles::IngestDedup::new());
             for partition in 0..2usize {
                 let ix = ServerId(partition as u32);
-                let (mq, seen, dedup) = (mq.clone(), Arc::clone(&seen), Arc::clone(&dedup));
+                let (mq, seen) = (mq.clone(), Arc::clone(&seen));
                 inner.registry().bind(ix, move |env| match &env.payload {
                     Request::IngestBatch { seq, tuples } => {
                         seen.lock().push((ix, *seq, tuples.len()));
-                        let deduped = dedup.apply_once(env.src, ix, *seq, || {
-                            mq.append_batch("ingest", partition, tuples.clone())
-                                .map(|_| ())
-                        })?;
+                        let (src, batch) = (env.src.raw(), tuples.clone());
+                        let first = mq.append_batch_from("ingest", partition, src, *seq, batch)?;
                         Ok(Response::AckBatch {
                             tuples: tuples.len() as u32,
-                            deduped,
+                            deduped: first.is_none(),
                         })
                     }
                     _ => Ok(Response::Pong),
@@ -1200,7 +1196,6 @@ mod tests {
                 mq,
                 gate,
                 seen,
-                dedup,
                 sent: inner,
                 d: Dispatcher::new(ServerId(100), rpc, schema, &cfg),
             }
@@ -1359,6 +1354,6 @@ mod tests {
             5 + cap,
             "once each"
         );
-        assert_eq!(rig.dedup.drops(), 2);
+        assert_eq!(rig.mq.dedup_stats().dedup_drops.load(Ordering::Relaxed), 2);
     }
 }

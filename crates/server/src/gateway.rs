@@ -15,13 +15,61 @@ use crate::coordinator::Coordinator;
 use crate::dispatcher::Dispatcher;
 use crate::migration::{self, MigrationPlan, MigrationStats};
 use crate::partitioning::{BalanceOutcome, PartitionBalancer, PlanOutcome};
-use crate::roles::{register_peers, unsupported, Host, IngestDedup};
-use parking_lot::RwLock;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::roles::{register_peers, unsupported, Host};
+use parking_lot::{Mutex, RwLock};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use waterwheel_core::{ChunkId, Result, Tuple, WwError};
+use waterwheel_core::{ChunkId, Counters, Result, ServerId, Tuple, WwError};
 use waterwheel_meta::PartitionSchema;
 use waterwheel_net::{HandlerRegistry, MetaClient, Request, Response, RpcClient, COORDINATOR};
+
+/// The highest sequence number applied on one link, behind its own lock.
+type LinkSeq = Arc<Mutex<Option<u64>>>;
+
+/// Exactly-once for batches clients address to a dispatcher id. Remembers,
+/// per directed (client → dispatcher) link, the highest batch sequence
+/// number whose apply succeeded. A sender retries a failed batch under its
+/// original number and never sends a younger batch past an undelivered
+/// older one, so `seq <= last` identifies a redelivery whose first attempt
+/// landed with only the ack lost — it is acknowledged without applying
+/// again. Each link has its own lock, held across its apply only: a batch
+/// whose dispatch waits on the wire stalls its own link, not the others.
+#[derive(Default)]
+struct IngestDedup {
+    links: Mutex<HashMap<(ServerId, ServerId), LinkSeq>>,
+    drops: AtomicU64,
+}
+
+impl IngestDedup {
+    /// Runs `apply` unless `seq` on the `src → dst` link already landed;
+    /// returns whether the batch was recognised as a duplicate. The
+    /// sequence number is recorded only after `apply` succeeds, so a
+    /// failed apply stays retryable rather than becoming a silent drop.
+    fn apply_once(
+        &self,
+        src: ServerId,
+        dst: ServerId,
+        seq: u64,
+        apply: impl FnOnce() -> Result<()>,
+    ) -> Result<bool> {
+        let link = Arc::clone(self.links.lock().entry((src, dst)).or_default());
+        let mut last = link.lock();
+        if last.is_some_and(|l| seq <= l) {
+            self.drops.fetch_add(1, Ordering::Relaxed);
+            return Ok(true);
+        }
+        apply()?;
+        *last = Some(seq);
+        Ok(false)
+    }
+}
+
+impl Counters for IngestDedup {
+    fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
+        f("dedup_drops", self.drops.load(Ordering::Relaxed));
+    }
+}
 
 /// The client-facing role of one process.
 pub struct Gateway {
@@ -238,5 +286,71 @@ impl Gateway {
             Request::Ping => Ok(Response::Pong),
             _ => unsupported("the coordinator"),
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    #[test]
+    fn ingest_dedup_drops_redeliveries_and_keeps_failures_retryable() {
+        let dedup = IngestDedup::default();
+        let drops = || dedup.drops.load(Ordering::Relaxed);
+        let (client, disp) = (ServerId(9_000), ServerId(2_000));
+        assert!(!dedup.apply_once(client, disp, 0, || Ok(())).unwrap());
+        // Redelivery of an applied seq: apply must not run.
+        assert!(dedup
+            .apply_once(client, disp, 0, || panic!(
+                "duplicate batch must not be applied again"
+            ))
+            .unwrap());
+        assert_eq!(drops(), 1);
+        // A failed apply records nothing: the same seq retries and lands.
+        assert!(dedup
+            .apply_once(client, disp, 1, || Err(WwError::Injected("disk full")))
+            .is_err());
+        assert!(!dedup.apply_once(client, disp, 1, || Ok(())).unwrap());
+        // Links are independent: another sender's seq 0 is fresh.
+        assert!(!dedup
+            .apply_once(ServerId(9_001), disp, 0, || Ok(()))
+            .unwrap());
+        assert_eq!(drops(), 1);
+    }
+
+    /// One link's apply waits (as a dispatch waiting on the wire does); a
+    /// batch on another link must not wait behind it.
+    #[test]
+    fn a_held_apply_stalls_only_its_own_link() {
+        let dedup = Arc::new(IngestDedup::default());
+        let disp = ServerId(2_000);
+        let (entered, in_apply) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        let held = {
+            let dedup = Arc::clone(&dedup);
+            std::thread::spawn(move || {
+                dedup.apply_once(ServerId(9_000), disp, 1, || {
+                    entered.send(()).unwrap();
+                    released.recv().unwrap();
+                    Ok(())
+                })
+            })
+        };
+        in_apply.recv().unwrap();
+        let (done, answered) = mpsc::channel();
+        let other = {
+            let dedup = Arc::clone(&dedup);
+            std::thread::spawn(move || {
+                let _ = done.send(dedup.apply_once(ServerId(9_001), disp, 1, || Ok(())));
+            })
+        };
+        let answer = answered.recv_timeout(Duration::from_secs(10));
+        release.send(()).unwrap();
+        assert!(!held.join().unwrap().unwrap());
+        other.join().unwrap();
+        let answer = answer.expect("a batch on another link waited behind the held apply");
+        assert!(!answer.unwrap(), "a fresh batch is applied, not deduped");
     }
 }

@@ -89,8 +89,8 @@ waterwheel_core::counters! {
 }
 
 /// `indexing.*` of one server: its [`IndexingStats`] plus two rows read
-/// from the queue at visit time — `queue_lag`, the records of its
-/// partition the pump has not reached, and `queue_retained`, the records
+/// from the queue at visit time — `queue_lag`, the tuples of its
+/// partition the pump has not reached, and `queue_retained`, the tuples
 /// the queue still holds for it (the unflushed tail, once trims run).
 pub struct IndexingCounters {
     stats: Arc<IndexingStats>,
@@ -380,8 +380,8 @@ impl IndexingServer {
         Ok(total)
     }
 
-    /// Polls up to `max` records, at most as many bytes as the chunk
-    /// threshold has room for (and at least one record), and ingests them.
+    /// Polls up to `max` tuples, at most as many bytes as the chunk
+    /// threshold has room for (and at least one tuple), and ingests them.
     fn poll_and_ingest(&self, max: usize) -> Result<usize> {
         // The consumer lock spans poll AND insert: the seal reads the
         // consumer position under this lock as the chunk's durable offset,
@@ -394,11 +394,10 @@ impl IndexingServer {
             .cfg
             .chunk_size_bytes
             .saturating_sub(self.bytes_in_memory());
-        let records = consumer.poll_bytes(max, room.max(1))?;
-        let n = records.len();
+        let tuples = consumer.poll_bytes(max, room.max(1))?;
+        let n = tuples.len();
         if n > 0 {
-            let (ingested, late) =
-                self.ingest_batch(records.into_iter().map(|r| r.tuple).collect());
+            let (ingested, late) = self.ingest_batch(tuples);
             self.stats.ingested.fetch_add(ingested, Ordering::Relaxed);
             self.stats.side_stored.fetch_add(late, Ordering::Relaxed);
         }

@@ -46,7 +46,7 @@
 //!
 //! | Verb | Indexing id | Query id | Dispatcher id | `COORDINATOR` |
 //! |---|---|---|---|---|
-//! | `IngestBatch` (the one ingest verb; a single insert is a batch of one) | append once per `(src, seq)`; the marker is journalled in the batch's frame and committed before `AckBatch` | — | route every tuple through this dispatcher, once per `(src, seq)` | — |
+//! | `IngestBatch` (the one ingest verb; a single insert is a batch of one) | [`MessageQueue::append_batch_from`](waterwheel_mq::MessageQueue::append_batch_from): the queue partition appends once per `(src, seq)` — its markers are the only exactly-once table of this hop, journalled in the batch's frame and committed before `AckBatch` | — | route every tuple through this dispatcher, once per `(src, seq)` (the gateway's table, one lock per link) | — |
 //! | `Flush` | `Injected` if failed, else pump the partition empty and seal; flushes of one server are serialized, so it returns only once everything sealed so far is in registered chunks | — | [`Gateway::flush_all`]: push buffered batches, then `Flush` every indexing server of the live membership (a metadata error fails the flush; only an `Injected` server is skipped); answers the sealed chunks | — |
 //! | `InMemorySubquery` (the trees' tuples that pass the predicate and, under this server's measure, the measure range), `InMemoryAggregate` (this server's share of an aggregate: live wheels over the interior, main and side trees folded over the fringes; a filtered subquery folds its filtered scan), `Reassign` | served | — | — | — |
 //! | `ChunkSubquery` (filtered like `InMemorySubquery`), `ChunkAggregate` (one chunk's share: summary, leaf directory, scan of the cut leaves; a filtered subquery folds its filtered scan) | — | served | — | — |
@@ -85,5 +85,5 @@ pub use metrics::SystemMetrics;
 pub use migration::{diff_moves, MigrationPlan, MigrationStats, RangeMove};
 pub use partitioning::{BalanceOutcome, BalancerStats, PartitionBalancer, PlanOutcome};
 pub use query_server::{QueryServer, QueryServerStats};
-pub use roles::{Host, IndexingRole, IndexingSlot, IngestDedup, Topology};
+pub use roles::{Host, IndexingRole, IndexingSlot, Topology};
 pub use system::{Waterwheel, WaterwheelBuilder};

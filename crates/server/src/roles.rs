@@ -21,16 +21,15 @@ use crate::coordinator::Coordinator;
 use crate::dispatcher::{Dispatcher, LingerPark, INGEST_LINGER};
 use crate::indexing::IndexingServer;
 use crate::query_server::QueryServer;
-use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use parking_lot::RwLock;
 use std::net::SocketAddr;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use waterwheel_cluster::{Cluster, LatencyModel};
-use waterwheel_core::{Counters, KeyInterval, NodeId, Result, ServerId, SystemConfig, WwError};
+use waterwheel_core::{KeyInterval, NodeId, Result, ServerId, SystemConfig, WwError};
 use waterwheel_meta::{MemberRole, MetadataService, PartitionSchema};
 use waterwheel_mq::{Consumer, MessageQueue};
 use waterwheel_net::{
@@ -231,69 +230,6 @@ pub fn register_peers(
     Ok(Response::Ack)
 }
 
-/// Receiver-side dedup for batched ingest. Remembers, per directed
-/// (sender → receiver) link, the highest batch sequence number whose apply
-/// succeeded. A sender retries a failed batch under its original number and
-/// never sends a younger batch past an undelivered older one, so
-/// `seq <= last` identifies a redelivery whose first attempt landed with
-/// only the ack lost — it is acknowledged without applying again. The table
-/// lives beside the queue (not inside an `IndexingServer`) so it survives
-/// server recovery swaps, like the queue itself.
-#[derive(Default)]
-pub struct IngestDedup {
-    last_seq: Mutex<HashMap<(ServerId, ServerId), u64>>,
-    drops: AtomicU64,
-}
-
-impl IngestDedup {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records that `seq` on the `src → dst` link landed in an earlier
-    /// incarnation of the receiver (a marker recovered from the queue's
-    /// journal): redeliveries of batches whose append was durable before a
-    /// crash but whose ack was lost are then recognised after the restart.
-    pub fn seed(&self, src: ServerId, dst: ServerId, seq: u64) {
-        let mut last = self.last_seq.lock();
-        let e = last.entry((src, dst)).or_insert(seq);
-        *e = (*e).max(seq);
-    }
-
-    /// Runs `apply` unless `seq` on the `src → dst` link already landed;
-    /// returns whether the batch was recognised as a duplicate. The
-    /// sequence number is recorded only after `apply` succeeds, so a
-    /// failed apply stays retryable rather than becoming a silent drop.
-    pub fn apply_once(
-        &self,
-        src: ServerId,
-        dst: ServerId,
-        seq: u64,
-        apply: impl FnOnce() -> Result<()>,
-    ) -> Result<bool> {
-        let mut last = self.last_seq.lock();
-        if last.get(&(src, dst)).is_some_and(|&l| seq <= l) {
-            self.drops.fetch_add(1, Ordering::Relaxed);
-            return Ok(true);
-        }
-        apply()?;
-        last.insert((src, dst), seq);
-        Ok(false)
-    }
-
-    /// Redeliveries recognised and dropped so far.
-    pub fn drops(&self) -> u64 {
-        self.drops.load(Ordering::Relaxed)
-    }
-}
-
-impl Counters for IngestDedup {
-    fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
-        f("dedup_drops", self.drops());
-    }
-}
-
 /// Where a process keeps one hosted indexing server. The handler and the
 /// pump resolve the current instance through the slot at call time, so the
 /// embedded system's recovery swap takes effect without rebinding; node
@@ -306,21 +242,20 @@ pub(crate) fn unsupported(role: &str) -> Result<Response> {
     )))
 }
 
-/// The indexing role of one process: the ingestion queue, the chunk store,
-/// and the dedup table its servers share.
+/// The indexing role of one process: the ingestion queue its servers read
+/// and the chunk store they seal to.
 pub struct IndexingRole {
     host: Host,
     mq: MessageQueue,
     dfs: SimDfs,
-    dedup: Arc<IngestDedup>,
     durable_offsets: bool,
 }
 
 impl IndexingRole {
     /// Sets the role up over `mq`, creating the ingestion topic with one
     /// partition per indexing server of the deployment (a durable queue
-    /// replays its retained records and batch markers here), and registers
-    /// the role's shared counters (`ingest.*`, `wal.queue.*`).
+    /// replays its retained tuples and batch markers here), and registers
+    /// the queue's counters (`ingest.*`, `wal.queue.*`).
     ///
     /// `durable_offsets` says whether the metadata service the servers
     /// register their offsets with survives a restart. Only then do the
@@ -334,24 +269,20 @@ impl IndexingRole {
         durable_offsets: bool,
     ) -> Result<Self> {
         mq.create_topic(INGEST_TOPIC, host.cfg.indexing_servers)?;
-        let dedup = Arc::new(IngestDedup::new());
         let counters = registry.counters();
-        counters.register("ingest", None, dedup.clone());
+        counters.register("ingest", None, mq.dedup_stats());
         counters.register("wal.queue", None, mq.wal_stats());
         Ok(Self {
             host,
             mq,
             dfs,
-            dedup,
             durable_offsets,
         })
     }
 
     /// Builds server `id` from durable state (paper §V): its consumer
-    /// resumes at the offset the last registered flush persisted, its
-    /// interval comes from the published schema, and the dedup table
-    /// learns which batch sequence numbers already landed in its partition.
-    /// Its counters (`indexing.*`) take the place of any predecessor's.
+    /// resumes at the offset the last registered flush persisted and its
+    /// interval comes from the published schema. Its counters (`indexing.*`) take the place of any predecessor's.
     ///
     /// This is the only place a queue [`Consumer`] is made outside tests,
     /// always for partition = server id: each partition has one reader,
@@ -370,9 +301,6 @@ impl IndexingRole {
             .and_then(|schema| schema.interval_of(id))
             .unwrap_or_else(KeyInterval::full);
         let offset = meta.durable_offset(id)?;
-        for (src, seq) in self.mq.recovered_seqs(INGEST_TOPIC, partition)? {
-            self.dedup.seed(ServerId(src), id, seq);
-        }
         let server = Arc::new(IndexingServer::new(
             id,
             interval,
@@ -392,11 +320,7 @@ impl IndexingRole {
     pub fn serve(&self, registry: &HandlerRegistry, id: ServerId) -> Result<IndexingSlot> {
         let slot: IndexingSlot = Arc::new(RwLock::new(self.build(registry, id)?));
         let partition = id.raw() as usize;
-        let (tcp, mq, dedup) = (
-            self.host.tcp.clone(),
-            self.mq.clone(),
-            Arc::clone(&self.dedup),
-        );
+        let (tcp, mq) = (self.host.tcp.clone(), self.mq.clone());
         let handler_slot = Arc::clone(&slot);
         registry.bind(id, move |env| {
             // Resolved per call so a recovery swap takes effect. The ingest
@@ -405,17 +329,14 @@ impl IndexingRole {
             let server = Arc::clone(&handler_slot.read());
             match &env.payload {
                 Request::IngestBatch { seq, tuples } => {
-                    // Marker + tuples land as one atomic journal frame,
-                    // committed before the ack: the durability point of
-                    // the exactly-once contract.
-                    let deduped = dedup.apply_once(env.src, id, *seq, || {
-                        let batch = tuples.to_vec();
-                        mq.append_batch_from(INGEST_TOPIC, partition, env.src.raw(), *seq, batch)
-                            .map(|_| ())
-                    })?;
+                    // The partition is the exactly-once table: a redelivery
+                    // appends nothing, and a fresh batch's marker and tuples
+                    // land as one journal frame, committed before the ack.
+                    let (src, batch) = (env.src.raw(), tuples.to_vec());
+                    let first = mq.append_batch_from(INGEST_TOPIC, partition, src, *seq, batch)?;
                     Ok(Response::AckBatch {
                         tuples: tuples.len() as u32,
-                        deduped,
+                        deduped: first.is_none(),
                     })
                 }
                 Request::Flush | Request::Ping if server.is_failed() => {
@@ -609,38 +530,6 @@ mod tests {
         ChunkId, Query, QueryId, SubQuery, SubQueryId, SubQueryTarget, TimeInterval, Tuple,
     };
     use waterwheel_net::{MetaRequest, META_SERVER};
-
-    #[test]
-    fn ingest_dedup_drops_redeliveries_keeps_failures_retryable_and_honours_seeds() {
-        let dedup = IngestDedup::new();
-        let (disp, ix) = (ServerId(2_000), ServerId(0));
-        assert!(!dedup.apply_once(disp, ix, 0, || Ok(())).unwrap());
-        // Redelivery of an applied seq: apply must not run.
-        assert!(dedup
-            .apply_once(disp, ix, 0, || panic!(
-                "duplicate batch must not be applied again"
-            ))
-            .unwrap());
-        assert_eq!(dedup.drops(), 1);
-        // A failed apply records nothing: the same seq retries and lands.
-        assert!(dedup
-            .apply_once(disp, ix, 1, || Err(WwError::Injected("disk full")))
-            .is_err());
-        assert!(!dedup.apply_once(disp, ix, 1, || Ok(())).unwrap());
-        // Links are independent: another sender's seq 0 is fresh.
-        assert!(!dedup.apply_once(ServerId(2_001), ix, 0, || Ok(())).unwrap());
-        assert_eq!(dedup.drops(), 1);
-        // A marker recovered from the journal makes everything at or below
-        // it a redelivery; seeding never lowers what the table knows.
-        let restarted = ServerId(2_002);
-        dedup.seed(restarted, ix, 7);
-        dedup.seed(restarted, ix, 3);
-        assert!(dedup
-            .apply_once(restarted, ix, 7, || panic!("seeded seq must not re-apply"))
-            .unwrap());
-        assert!(!dedup.apply_once(restarted, ix, 8, || Ok(())).unwrap());
-        assert_eq!(dedup.drops(), 2);
-    }
 
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum Bound {
