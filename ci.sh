@@ -50,6 +50,16 @@ if [ "$(printf '%s\n' "$mixers" | grep -c '^crates/core/src/lib.rs:')" != 1 ] ||
     echo "$mixers"; exit 1
 fi
 
+echo "==> one checksum kernel (XXH64's primes appear once, in waterwheel_core::codec::checksum)"
+for prime in "0x9E37_?79B1_?85EB_?CA87" "0xC2B2_?AE3D_?27D4_?EB4F"; do
+    hits=$(grep -rniE "$prime" crates/*/src || true)
+    if [ "$(printf '%s\n' "$hits" | grep -c '^crates/core/src/codec.rs:')" != 1 ] ||
+        [ "$(printf '%s\n' "$hits" | grep -c .)" != 1 ]; then
+        echo "XXH64's prime $prime must appear once, in waterwheel_core::codec; call codec::checksum instead:"
+        echo "$hits"; exit 1
+    fi
+done
+
 echo "==> listeners come from std's bind (no raw socket, bind, listen or setsockopt declaration under crates/*/src)"
 # Non-test lines inside an extern "C" block. std's TcpListener::bind sets
 # SO_REUSEADDR before binding on Unix, so a restarted process re-claims its

@@ -4,11 +4,15 @@
 use crate::partial::PartialAgg;
 use crate::plan::plan_slots;
 use crate::wheel::{clip_to_hull, AggWheel, FoldOutcome, Granularity, Ring};
-use waterwheel_core::codec::{fnv1a, Decoder, Encoder, Wire};
+use waterwheel_core::codec::{checksum, fnv1a, Decoder, Encoder, Wire};
 use waterwheel_core::{Result, TimeInterval, WwError};
 
-/// Magic prefix of an encoded summary (`WWAGGSU1`).
-pub const SUMMARY_MAGIC: u64 = u64::from_le_bytes(*b"WWAGGSU1");
+/// Magic prefix of an encoded summary (`WWAGGSU2`): the trailing sum is
+/// [`checksum`].
+pub const SUMMARY_MAGIC: u64 = u64::from_le_bytes(*b"WWAGGSU2");
+/// Magic prefix of a summary written before [`checksum`] (`WWAGGSU1`): the
+/// same layout, summed with FNV-1a. Still read, no longer written.
+pub const FNV_SUMMARY_MAGIC: u64 = u64::from_le_bytes(*b"WWAGGSU1");
 
 /// A sealed aggregate wheel.
 ///
@@ -162,7 +166,7 @@ impl WheelSummary {
         8 + 2 + 2 + 16 + rings + 8
     }
 
-    /// Encodes the summary with a trailing FNV-1a checksum.
+    /// Encodes the summary with a trailing [`checksum`].
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
         out.put_u64(SUMMARY_MAGIC);
@@ -192,25 +196,27 @@ impl WheelSummary {
                 }
             }
         }
-        let checksum = fnv1a(&out);
-        out.put_u64(checksum);
+        let sum = checksum(&out);
+        out.put_u64(sum);
         out
     }
 
     /// Decodes a summary written by [`WheelSummary::encode`], verifying the
-    /// magic and checksum.
+    /// magic and the checksum the magic names.
     pub fn decode(buf: &[u8]) -> Result<Self> {
         if buf.len() < 8 + 8 {
             return Err(WwError::corrupt("summary", "too short"));
         }
         let (body, tail) = buf.split_at(buf.len() - 8);
         let stored = u64::from_le_bytes(tail.try_into().unwrap());
-        if fnv1a(body) != stored {
-            return Err(WwError::corrupt("summary", "checksum mismatch"));
-        }
         let mut dec = Decoder::new(body, "summary");
-        if dec.get_u64()? != SUMMARY_MAGIC {
-            return Err(WwError::corrupt("summary", "bad magic"));
+        let sum = match dec.get_u64()? {
+            SUMMARY_MAGIC => checksum,
+            FNV_SUMMARY_MAGIC => fnv1a,
+            _ => return Err(WwError::corrupt("summary", "bad magic")),
+        };
+        if sum(body) != stored {
+            return Err(WwError::corrupt("summary", "checksum mismatch"));
         }
         let slice_bits = dec.get_u16()? as u8;
         if !(1..=16).contains(&slice_bits) {
@@ -374,6 +380,29 @@ mod tests {
         bad[mid] ^= 0xff;
         assert!(WheelSummary::decode(&bad).is_err());
         assert!(WheelSummary::decode(&bytes[..10]).is_err());
+    }
+
+    #[test]
+    fn a_summary_summed_with_fnv1a_reads_back_and_its_damage_is_refused() {
+        let summary = WheelSummary::build(workload(500).iter().copied(), 4, 128);
+        let current = summary.encode();
+        let body_len = current.len() - 8;
+        let mut legacy = current.clone();
+        legacy[..8].copy_from_slice(&FNV_SUMMARY_MAGIC.to_le_bytes());
+        let sum = fnv1a(&legacy[..body_len]);
+        legacy[body_len..].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(WheelSummary::decode(&legacy).unwrap(), summary);
+        let mut bad = legacy.clone();
+        bad[body_len / 2] ^= 0x04;
+        let err = WheelSummary::decode(&bad).unwrap_err();
+        assert!(err.to_string().contains("checksum"), "{err}");
+        // The magic picks the kernel: swapped, the sum fails closed.
+        for (image, magic) in [(&legacy, SUMMARY_MAGIC), (&current, FNV_SUMMARY_MAGIC)] {
+            let mut swapped = image.clone();
+            swapped[..8].copy_from_slice(&magic.to_le_bytes());
+            let err = WheelSummary::decode(&swapped).unwrap_err();
+            assert!(err.to_string().contains("checksum"), "{err}");
+        }
     }
 
     #[test]

@@ -754,8 +754,89 @@ macro_rules! __wire_pick {
     };
 }
 
-/// Computes the 64-bit FNV-1a hash of `data`; used as a cheap integrity
-/// checksum on persisted artifacts and as the seed mixer for LADA shuffles.
+const XXH_P1: u64 = 0x9E37_79B1_85EB_CA87;
+const XXH_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const XXH_P3: u64 = 0x1656_67B1_9E37_79F9;
+const XXH_P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const XXH_P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(XXH_P2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_P1)
+}
+
+fn xxh_merge(acc: u64, lane: u64) -> u64 {
+    (acc ^ xxh_round(0, lane))
+        .wrapping_mul(XXH_P1)
+        .wrapping_add(XXH_P4)
+}
+
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
+}
+
+/// The integrity checksum of every bulk artifact the system writes (chunk
+/// index blocks, aggregate summaries, DFS seals, WAL frames): XXH64 with
+/// seed 0, as its public specification defines it. Each round folds 32
+/// bytes into four independent u64 lanes, so it runs at memory speed where
+/// [`fnv1a`] waits on one multiply per byte.
+pub fn checksum(data: &[u8]) -> u64 {
+    let mut stripes = data.chunks_exact(32);
+    let mut h = if data.len() >= 32 {
+        let mut v = [
+            XXH_P1.wrapping_add(XXH_P2),
+            XXH_P2,
+            0,
+            XXH_P1.wrapping_neg(),
+        ];
+        for stripe in &mut stripes {
+            for (i, acc) in v.iter_mut().enumerate() {
+                *acc = xxh_round(*acc, le_u64(&stripe[i * 8..]));
+            }
+        }
+        let h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.into_iter().fold(h, xxh_merge)
+    } else {
+        XXH_P5
+    };
+    h = h.wrapping_add(data.len() as u64);
+    let mut tail = stripes.remainder();
+    while tail.len() >= 8 {
+        h = (h ^ xxh_round(0, le_u64(tail)))
+            .rotate_left(27)
+            .wrapping_mul(XXH_P1)
+            .wrapping_add(XXH_P4);
+        tail = &tail[8..];
+    }
+    if tail.len() >= 4 {
+        let word = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes")) as u64;
+        h = (h ^ word.wrapping_mul(XXH_P1))
+            .rotate_left(23)
+            .wrapping_mul(XXH_P2)
+            .wrapping_add(XXH_P3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h = (h ^ (b as u64).wrapping_mul(XXH_P5))
+            .rotate_left(11)
+            .wrapping_mul(XXH_P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(XXH_P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(XXH_P3);
+    h ^ (h >> 32)
+}
+
+/// Computes the 64-bit FNV-1a hash of `data`: the checksum of the small
+/// fixed-size records (chunk footer, trim sidecar, meta snapshot), the
+/// kernel that verifies artifacts written before [`checksum`], and the
+/// seed mixer for LADA shuffles.
 pub fn fnv1a(data: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in data {
@@ -966,5 +1047,47 @@ mod tests {
         // FNV-1a of empty input is the offset basis.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
+    }
+
+    #[test]
+    fn checksum_matches_the_published_xxh64_vectors() {
+        assert_eq!(checksum(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(checksum(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(checksum(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(
+            checksum(b"Nobody inspects the spammish repetition"),
+            0xFBCE_A83C_8A37_8BF1
+        );
+    }
+
+    #[test]
+    fn checksum_ignores_alignment_and_sees_every_bit() {
+        let bytes: Vec<u8> = (0..1_024u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        #[repr(align(8))]
+        struct Aligned([u8; 272]);
+        // Every length across the stripe, word and byte tails, at every
+        // start offset within a word: the sum is that of an aligned copy.
+        for len in 0..=257 {
+            let mut aligned = Aligned([0; 272]);
+            aligned.0[..len].copy_from_slice(&bytes[..len]);
+            let want = checksum(&aligned.0[..len]);
+            for start in 0..8 {
+                let mut shifted = Aligned([0; 272]);
+                shifted.0[start..start + len].copy_from_slice(&bytes[..len]);
+                assert_eq!(
+                    checksum(&shifted.0[start..start + len]),
+                    want,
+                    "len={len} start={start}"
+                );
+            }
+        }
+        let sum = checksum(&bytes);
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(checksum(&flipped), sum, "bit {bit}");
+        }
     }
 }

@@ -392,7 +392,7 @@ impl Durable {
     fn compact(&self, state: &MetaState) -> Result<()> {
         write_atomic(
             &self.snapshot_path,
-            &state.encode_snapshot(),
+            &[&state.encode_snapshot()],
             self.policy,
             &self.stats,
         )?;
@@ -473,7 +473,7 @@ impl MetadataService {
             // onto (and so snapshot corruption is detectable from day 1).
             write_atomic(
                 &durable.snapshot_path,
-                &state.encode_snapshot(),
+                &[&state.encode_snapshot()],
                 policy,
                 &durable.stats,
             )?;
@@ -1488,7 +1488,7 @@ mod tests {
         ];
         assert_eq!(
             got,
-            [(1_470, 0xf811_344a_82b0_3107), (926, 0x59ea_e183_09e3_8198)]
+            [(1_470, 0xbb36_f0d8_4e49_434d), (926, 0x59ea_e183_09e3_8198)]
         );
         drop(meta);
         let _ = fs::remove_dir_all(dir);

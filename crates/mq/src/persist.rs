@@ -232,7 +232,12 @@ impl PartitionPersist {
             kept_first,
             last_seqs: last_seqs.clone(),
         };
-        write_atomic(&self.trim_path, &sidecar.encode(), self.policy, &self.stats)?;
+        write_atomic(
+            &self.trim_path,
+            &[&sidecar.encode()],
+            self.policy,
+            &self.stats,
+        )?;
         while self.segments.front().is_some_and(|s| s.0 < kept_seq) {
             self.segments.pop_front();
         }

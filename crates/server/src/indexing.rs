@@ -976,7 +976,7 @@ mod tests {
         let fnv = waterwheel_core::codec::fnv1a(&main);
         assert_eq!(
             (main.len(), fnv),
-            (176_700, 0xa11c_b1ca_4ec0_aa3f),
+            (176_700, 0x7b67_92fc_ccd0_fdb6),
             "main chunks: {fnv:#x}"
         );
         let mut late: Vec<Tuple> = (49..3 * PER_CHUNK + 500)

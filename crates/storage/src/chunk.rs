@@ -14,7 +14,10 @@
 //! the count, MIN, MAX and SUM of the measure over all its tuples — and the
 //! file always ends in a CRC-bearing footer with chunk-level measure bounds
 //! and the length of the aggregate summary in front of it. Any other header
-//! version — the retired row-page v1 included — is refused by name.
+//! version — the retired row-page v1 included — is refused by name. The
+//! index block is checked on every parse against the header's checksum,
+//! whose kernel a header flag bit names: [`codec::checksum`] for chunks
+//! written now, FNV-1a for chunks written before it.
 
 use std::sync::Arc;
 use waterwheel_agg::{PartialAgg, WheelSummary};
@@ -29,6 +32,9 @@ const MAGIC: u64 = u64::from_le_bytes(*b"WWCHUNK1");
 pub const VERSION_V2: u32 = 2;
 /// Header flag bit: payload blocks may be compressed.
 const FLAG_COMPRESSED: u32 = 1;
+/// Header flag bit: the index checksum is [`codec::checksum`]; without it,
+/// the FNV-1a of chunks written before that kernel.
+const FLAG_XXH64_INDEX: u32 = 2;
 /// Fixed byte length of the header that precedes the index block.
 pub const HEADER_LEN: usize = 8 + 4 + 4 + 8 + 4 + 8 + 8 + 32;
 /// Offset of the header's index-block length. The index checksum does not
@@ -286,11 +292,11 @@ pub fn write_chunk_opts(
     let mut out = Vec::with_capacity(data_start as usize + rel_offset as usize);
     out.put_u64(MAGIC);
     out.put_u32(VERSION_V2);
-    out.put_u32(if opts.compression { FLAG_COMPRESSED } else { 0 });
+    out.put_u32(FLAG_XXH64_INDEX | if opts.compression { FLAG_COMPRESSED } else { 0 });
     out.put_u64(sealed.count as u64);
     out.put_u32(sealed.leaves.len() as u32);
     out.put_u64(index.len() as u64);
-    out.put_u64(codec::fnv1a(&index));
+    out.put_u64(codec::checksum(&index));
     codec::encode_region(&mut out, &sealed.region);
     debug_assert_eq!(out.len(), HEADER_LEN);
     out.extend_from_slice(&index);
@@ -353,7 +359,7 @@ fn index_end(index_len: u64, file_len: u64) -> Result<u64> {
 pub fn parse_index(prefix: &[u8], file_len: u64) -> Result<ChunkIndex> {
     let mut dec = Decoder::new(prefix, "chunk");
     check_header(&mut dec)?;
-    let _flags = dec.get_u32()?;
+    let flags = dec.get_u32()?;
     let count = dec.get_u64()?;
     let leaf_count = dec.get_u32()? as usize;
     let data_start = index_end(dec.get_u64()?, file_len)?;
@@ -362,7 +368,12 @@ pub fn parse_index(prefix: &[u8], file_len: u64) -> Result<ChunkIndex> {
     let index_bytes = prefix
         .get(HEADER_LEN..data_start as usize)
         .ok_or_else(|| WwError::corrupt("chunk", "index block truncated"))?;
-    if codec::fnv1a(index_bytes) != checksum {
+    let sum = if flags & FLAG_XXH64_INDEX != 0 {
+        codec::checksum
+    } else {
+        codec::fnv1a
+    };
+    if sum(index_bytes) != checksum {
         return Err(WwError::corrupt("chunk", "index checksum mismatch"));
     }
     let mut dec = Decoder::new(index_bytes, "chunk");
@@ -716,12 +727,12 @@ pub struct ChunkFooter {
 /// In-memory [`RangedRead`] over a byte buffer (tests and cached chunks).
 impl RangedRead for &[u8] {
     fn read_range(&self, offset: u64, len: u64) -> Result<Vec<u8>> {
-        let start = offset as usize;
-        let end = start + len as usize;
-        if end > <[u8]>::len(self) {
-            return Err(WwError::corrupt("chunk", "read past end"));
-        }
-        Ok(self[start..end].to_vec())
+        usize::try_from(offset)
+            .ok()
+            .zip(usize::try_from(len).ok())
+            .and_then(|(start, len)| self.get(start..start.checked_add(len)?))
+            .map(<[u8]>::to_vec)
+            .ok_or_else(|| WwError::corrupt("chunk", "read past end"))
     }
 
     fn len(&self) -> Result<u64> {
@@ -969,17 +980,18 @@ mod tests {
     }
 
     /// The v2 bytes of a fixed seeded tree, with a summary and a measure,
-    /// compressed and raw. Re-pinned once when the leaf directory's measure
-    /// entry became the landmark (flag 2); the compressed image as it was
-    /// before is `tests/fixtures/v2_measure_flag1.chunk`.
+    /// compressed and raw. Re-pinned when the leaf directory's measure
+    /// entry became the landmark (flag 2) — the compressed image as it was
+    /// before is `tests/fixtures/v2_measure_flag1.chunk` — and when the
+    /// index block and the summary came to be summed with XXH64.
     #[test]
     fn v2_bytes_are_pinned() {
         let sealed = seeded_tree(23, 700);
         let summary = summary_of(&sealed);
         assert!(!summary.is_empty());
         for (compression, len, fnv) in [
-            (false, 19_324, 0xc0d3_cc8d_9500_0a41),
-            (true, 13_896, 0x3011_cef9_904d_15eb),
+            (false, 19_324, 0x36b3_ae8f_c68f_1153),
+            (true, 13_896, 0x5a06_104d_e9f4_aceb),
         ] {
             let opts = ChunkWriteOptions {
                 compression,
@@ -1121,10 +1133,68 @@ mod tests {
         let mut bad = bytes.clone();
         bad[entry_off + 4..entry_off + 12].copy_from_slice(&(u64::MAX - 8).to_le_bytes());
         // Re-stamp the index checksum so only the extent is "corrupt".
-        let csum = codec::fnv1a(&bad[HEADER_LEN..HEADER_LEN + index_len]);
+        let csum = codec::checksum(&bad[HEADER_LEN..HEADER_LEN + index_len]);
         bad[36..44].copy_from_slice(&csum.to_le_bytes());
         let err = ChunkReader::new(bad.as_slice()).load_index().unwrap_err();
         assert!(matches!(err, WwError::Corrupt { .. }), "got {err}");
+    }
+
+    /// Flags word, index length and index checksum of a chunk image.
+    const FLAGS_AT: std::ops::Range<usize> = 12..16;
+    const CHECKSUM_AT: std::ops::Range<usize> = INDEX_LEN_AT + 8..INDEX_LEN_AT + 16;
+
+    #[test]
+    fn a_chunk_summed_with_fnv1a_reads_back_and_its_damage_is_refused() {
+        // A chunk written before the XXH64 index checksum: flag bit clear,
+        // index block summed with FNV-1a.
+        let sealed = sealed_tree(300);
+        let current = write_chunk_opts(&sealed, None, &v2_opts());
+        let index_len = ChunkReader::new(current.as_slice())
+            .load_index()
+            .unwrap()
+            .template_len as usize
+            - HEADER_LEN;
+        let mut legacy = current.clone();
+        let flags = u32::from_le_bytes(legacy[FLAGS_AT].try_into().unwrap());
+        assert_eq!(flags & FLAG_XXH64_INDEX, FLAG_XXH64_INDEX);
+        legacy[FLAGS_AT].copy_from_slice(&(flags & !FLAG_XXH64_INDEX).to_le_bytes());
+        let fnv = codec::fnv1a(&legacy[HEADER_LEN..HEADER_LEN + index_len]);
+        legacy[CHECKSUM_AT].copy_from_slice(&fnv.to_le_bytes());
+        let reader = ChunkReader::new(legacy.as_slice());
+        let index = reader.load_index().unwrap();
+        assert_eq!(index.count, 300);
+        let pages = reader
+            .read_leaves(&index, 0, index.leaves.len() - 1)
+            .unwrap();
+        let want: Vec<Tuple> = sealed.clone().into_tuples();
+        assert_eq!(pages.into_iter().flatten().collect::<Vec<_>>(), want);
+        // One flipped index byte is refused under either kernel.
+        for image in [&legacy, &current] {
+            let mut bad = image.clone();
+            bad[HEADER_LEN + index_len / 2] ^= 0x10;
+            let err = ChunkReader::new(bad.as_slice()).load_index().unwrap_err();
+            assert!(err.to_string().contains("checksum"), "{err}");
+        }
+        // The marker bit picks the kernel: flipped, the sum is checked by
+        // the other one and fails closed.
+        for image in [&legacy, &current] {
+            let mut flipped = image.clone();
+            flipped[FLAGS_AT.start] ^= FLAG_XXH64_INDEX as u8;
+            let err = ChunkReader::new(flipped.as_slice())
+                .load_index()
+                .unwrap_err();
+            assert!(matches!(err, WwError::Corrupt { .. }), "{err}");
+        }
+    }
+
+    #[test]
+    fn slice_reads_past_the_end_are_errors_not_panics() {
+        let bytes = b"0123456789".as_slice();
+        assert_eq!(bytes.read_range(2, 3).unwrap(), b"234");
+        assert_eq!(bytes.read_range(10, 0).unwrap(), b"");
+        assert!(bytes.read_range(8, 10).is_err());
+        assert!(bytes.read_range(u64::MAX, 2).is_err());
+        assert!(bytes.read_range(2, u64::MAX).is_err());
     }
 
     #[test]

@@ -18,8 +18,12 @@
 //! and every file carries a 24-byte torn-write-detecting footer:
 //!
 //! ```text
-//! [body_len u64][fnv1a(body) u64][footer magic u64]
+//! [body_len u64][checksum(body) u64][footer magic u64]
 //! ```
+//!
+//! The magic names the checksum kernel: [`FOOTER_MAGIC`] seals are summed
+//! with [`checksum`], [`FNV_FOOTER_MAGIC`] seals (written before it) with
+//! FNV-1a.
 //!
 //! A file without a valid footer — truncated, half-written by a crashed
 //! sealer, or bit-rotted — is reported as a typed
@@ -39,12 +43,16 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use waterwheel_cluster::{Cluster, LatencyModel};
-use waterwheel_core::codec::fnv1a;
+use waterwheel_core::codec::{checksum, fnv1a};
 use waterwheel_core::{ChunkId, NodeId, Result, WwError};
 use waterwheel_wal::{sweep_tmp, write_atomic, FsyncPolicy, WalStats};
 
-/// Chunk-file footer magic (`WWCHKFT1`, little-endian).
-pub const FOOTER_MAGIC: u64 = u64::from_le_bytes(*b"WWCHKFT1");
+/// Chunk-file footer magic (`WWCHKXX1`, little-endian): the body is summed
+/// with [`checksum`].
+pub const FOOTER_MAGIC: u64 = u64::from_le_bytes(*b"WWCHKXX1");
+/// Footer magic of a seal written before [`checksum`] (`WWCHKFT1`): the
+/// body is summed with FNV-1a. Still read, no longer written.
+pub const FNV_FOOTER_MAGIC: u64 = u64::from_le_bytes(*b"WWCHKFT1");
 /// Footer length: body length (8) + body checksum (8) + magic (8).
 pub const FOOTER_LEN: u64 = 24;
 
@@ -215,12 +223,11 @@ impl SimDfs {
                 "chunk {id} already exists — chunks are immutable"
             )));
         }
-        let mut framed = Vec::with_capacity(bytes.len() + FOOTER_LEN as usize);
-        framed.extend_from_slice(bytes);
-        framed.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-        framed.extend_from_slice(&fnv1a(bytes).to_le_bytes());
-        framed.extend_from_slice(&FOOTER_MAGIC.to_le_bytes());
-        write_atomic(&path, &framed, self.inner.policy, &self.inner.wal)?;
+        let mut footer = [0u8; FOOTER_LEN as usize];
+        footer[0..8].copy_from_slice(&(bytes.len() as u64).to_le_bytes());
+        footer[8..16].copy_from_slice(&checksum(bytes).to_le_bytes());
+        footer[16..24].copy_from_slice(&FOOTER_MAGIC.to_le_bytes());
+        write_atomic(&path, &[bytes, &footer], self.inner.policy, &self.inner.wal)?;
         // Pin the replica placement chosen at write time (HDFS block
         // report semantics): later membership changes do not silently
         // move the chunk — only `re_replicate` does.
@@ -247,11 +254,12 @@ impl SimDfs {
         fs::remove_file(self.path(id)).map_err(Into::into)
     }
 
-    /// Reads and validates a chunk's footer, returning
-    /// `(body_len, body_crc)`. Any structural damage — file shorter than
-    /// a footer, wrong magic, a body length that disagrees with the file
-    /// size — is a torn or corrupt seal, surfaced as a typed error.
-    fn read_footer(&self, id: ChunkId) -> Result<(u64, u64)> {
+    /// Reads and validates a chunk's footer, returning its body length, its
+    /// body checksum and the kernel its magic names. Any structural damage —
+    /// file shorter than a footer, wrong magic, a body length that
+    /// disagrees with the file size — is a torn or corrupt seal, surfaced
+    /// as a typed error.
+    fn read_footer(&self, id: ChunkId) -> Result<Seal> {
         let path = self.path(id);
         let file_len = fs::metadata(&path)
             .map_err(|_| WwError::not_found("chunk", id))?
@@ -272,18 +280,26 @@ impl SimDfs {
         let body_len = u64::from_le_bytes(footer[0..8].try_into().unwrap());
         let crc = u64::from_le_bytes(footer[8..16].try_into().unwrap());
         let magic = u64::from_le_bytes(footer[16..24].try_into().unwrap());
-        if magic != FOOTER_MAGIC {
-            return Err(damaged(format!(
-                "chunk {id}: bad footer magic {magic:#018x}"
-            )));
-        }
+        let kernel = match magic {
+            FOOTER_MAGIC => checksum,
+            FNV_FOOTER_MAGIC => fnv1a,
+            _ => {
+                return Err(damaged(format!(
+                    "chunk {id}: bad footer magic {magic:#018x}"
+                )))
+            }
+        };
         if body_len != file_len - FOOTER_LEN {
             return Err(damaged(format!(
                 "chunk {id}: footer claims {body_len} body bytes, file holds {}",
                 file_len - FOOTER_LEN
             )));
         }
-        Ok((body_len, crc))
+        Ok(Seal {
+            body_len,
+            crc,
+            kernel,
+        })
     }
 
     /// Chunk *body* length in bytes (the sealed footer is excluded).
@@ -291,7 +307,7 @@ impl SimDfs {
         if let Some(len) = self.inner.lengths.lock().get(&id) {
             return Ok(*len);
         }
-        let (body_len, _) = self.read_footer(id)?;
+        let body_len = self.read_footer(id)?.body_len;
         self.inner.lengths.lock().insert(id, body_len);
         Ok(body_len)
     }
@@ -302,7 +318,11 @@ impl SimDfs {
         if self.inner.verified.lock().contains(&id) {
             return Ok(());
         }
-        let (body_len, crc) = self.read_footer(id)?;
+        let Seal {
+            body_len,
+            crc,
+            kernel,
+        } = self.read_footer(id)?;
         let bytes = fs::read(self.path(id))?;
         // read_footer proved bytes.len() == body_len + FOOTER_LEN.
         let body = &bytes[..body_len as usize];
@@ -310,7 +330,7 @@ impl SimDfs {
             .stats
             .integrity_verifies
             .fetch_add(1, Ordering::Relaxed);
-        if fnv1a(body) != crc {
+        if kernel(body) != crc {
             self.inner.wal.torn.fetch_add(1, Ordering::Relaxed);
             return Err(WwError::corrupt(
                 "chunk file",
@@ -366,6 +386,14 @@ impl SimDfs {
             .fetch_add(len, Ordering::Relaxed);
         Ok(buf)
     }
+}
+
+/// A chunk file's validated footer.
+struct Seal {
+    body_len: u64,
+    crc: u64,
+    /// The checksum kernel the footer's magic names.
+    kernel: fn(&[u8]) -> u64,
 }
 
 /// A positioned-read handle over one chunk file.
@@ -497,6 +525,44 @@ mod tests {
         // …but the first open verifies the body and must reject it.
         let err = dfs.open(ChunkId(13), None).err().expect("bit rot detected");
         assert!(matches!(err, WwError::Corrupt { .. }), "{err}");
+    }
+
+    #[test]
+    fn a_seal_summed_with_fnv1a_reads_back_and_its_damage_is_refused() {
+        let root = tmp_root("fnv-seal");
+        fs::create_dir_all(&root).unwrap();
+        let body: Vec<u8> = (0..5_000u32).map(|i| (i % 239) as u8).collect();
+        // A seal written before the XXH64 kernel, framed by hand.
+        let legacy = |body: &[u8]| {
+            let mut file = body.to_vec();
+            file.extend_from_slice(&(body.len() as u64).to_le_bytes());
+            file.extend_from_slice(&fnv1a(body).to_le_bytes());
+            file.extend_from_slice(&FNV_FOOTER_MAGIC.to_le_bytes());
+            file
+        };
+        fs::write(root.join("chunk-21.ww"), legacy(&body)).unwrap();
+        let mut damaged = legacy(&body);
+        damaged[1_234] ^= 0x80;
+        fs::write(root.join("chunk-22.ww"), damaged).unwrap();
+        {
+            let dfs = SimDfs::ephemeral(&root).unwrap();
+            dfs.write_chunk(ChunkId(23), &body).unwrap();
+        }
+        // The current seal, its magic swapped for the legacy one.
+        let mut swapped = fs::read(root.join("chunk-23.ww")).unwrap();
+        let magic_at = swapped.len() - 8;
+        swapped[magic_at..].copy_from_slice(&FNV_FOOTER_MAGIC.to_le_bytes());
+        fs::write(root.join("chunk-24.ww"), swapped).unwrap();
+
+        let dfs = SimDfs::ephemeral(&root).unwrap();
+        for id in [21, 23] {
+            let file = dfs.open(ChunkId(id), None).unwrap();
+            assert_eq!(file.read_range(0, body.len() as u64).unwrap(), body);
+        }
+        for id in [22, 24] {
+            let err = dfs.open(ChunkId(id), None).err().expect("refused");
+            assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        }
     }
 
     #[test]

@@ -196,7 +196,7 @@ proptest! {
 /// an add overflow or a slice past the end.
 #[test]
 fn forged_counts_with_a_valid_checksum_fail_closed() {
-    use waterwheel_core::codec::fnv1a;
+    use waterwheel_core::codec::checksum;
     use waterwheel_storage::chunk::HEADER_LEN;
     const INDEX_LEN_AT: usize = 28;
     const CHECKSUM_AT: usize = 36;
@@ -244,7 +244,7 @@ fn forged_counts_with_a_valid_checksum_fail_closed() {
             forged_index_len(valid.len() as u64),
         ),
     ] {
-        let sum = fnv1a(&bytes[HEADER_LEN..HEADER_LEN + index_len]);
+        let sum = checksum(&bytes[HEADER_LEN..HEADER_LEN + index_len]);
         bytes[CHECKSUM_AT..CHECKSUM_AT + 8].copy_from_slice(&sum.to_le_bytes());
         let err = ChunkReader::new(bytes.as_slice()).load_index().unwrap_err();
         assert!(is_typed_decode_error(&err), "{what}: {err}");
@@ -258,7 +258,7 @@ fn forged_counts_with_a_valid_checksum_fail_closed() {
 /// measure, because the query path merges that entry in place of the leaf.
 #[test]
 fn a_forged_leaf_landmark_fails_closed() {
-    use waterwheel_core::codec::fnv1a;
+    use waterwheel_core::codec::checksum;
     use waterwheel_storage::chunk::HEADER_LEN;
     const INDEX_LEN_AT: usize = 28;
     const CHECKSUM_AT: usize = 36;
@@ -301,7 +301,7 @@ fn a_forged_leaf_landmark_fails_closed() {
     ] {
         let mut bytes = valid.clone();
         bytes[at] = value;
-        let sum = fnv1a(&bytes[HEADER_LEN..HEADER_LEN + index_len]);
+        let sum = checksum(&bytes[HEADER_LEN..HEADER_LEN + index_len]);
         bytes[CHECKSUM_AT..CHECKSUM_AT + 8].copy_from_slice(&sum.to_le_bytes());
         let err = ChunkReader::new(bytes.as_slice()).load_index().unwrap_err();
         assert!(is_typed_decode_error(&err), "{what}: {err}");

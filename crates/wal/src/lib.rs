@@ -7,7 +7,10 @@
 //!
 //! * [`Log`] — a segmented, checksummed append log. Each segment starts
 //!   with a magic/version header and holds `[len u32][crc u64][body]`
-//!   frames (FNV-1a over the body). Replay distinguishes a **torn tail**
+//!   frames: the segment version names the checksum kernel over the body
+//!   ([`checksum`] in version 2, FNV-1a in the version-1 segments written
+//!   before it; a log appends to a fresh segment at every open, so one
+//!   segment never mixes the two). Replay distinguishes a **torn tail**
 //!   (the physical truncation a `kill -9` or power cut leaves at the end
 //!   of the *last* segment — tolerated: the torn frame is dropped and the
 //!   file truncated back to its last good frame) from **corruption** (a
@@ -36,16 +39,19 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use waterwheel_core::codec::{fnv1a, Encoder};
+use waterwheel_core::codec::{checksum, fnv1a, Encoder};
 use waterwheel_core::{Result, WwError};
 
 /// Magic prefix of every log segment file (`WWWAL001`, little-endian).
 pub const SEGMENT_MAGIC: u64 = u64::from_le_bytes(*b"WWWAL001");
-/// On-disk format version stamped after the magic.
-pub const SEGMENT_VERSION: u32 = 1;
+/// On-disk format version stamped after the magic: 2, frames summed with
+/// [`checksum`]. Version 1 segments (FNV-1a sums) are still replayed.
+pub const SEGMENT_VERSION: u32 = 2;
+/// The segment version whose frames are summed with FNV-1a.
+pub const FNV_SEGMENT_VERSION: u32 = 1;
 /// Segment header: magic (8) + version (4).
 pub const SEGMENT_HEADER_LEN: usize = 12;
-/// Frame header: body length (4) + FNV-1a checksum of the body (8).
+/// Frame header: body length (4) + checksum of the body (8).
 pub const FRAME_HEADER_LEN: usize = 12;
 /// Upper bound on a single frame body; larger lengths are rejected as
 /// corrupt before any allocation is attempted.
@@ -219,16 +225,15 @@ impl Log {
         if g.cur_bytes >= g.segment_bytes {
             g.rotate()?;
         }
-        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + body.len());
-        frame.put_u32(body.len() as u32);
-        frame.put_u64(fnv1a(body));
-        frame.extend_from_slice(body);
-        g.writer.write_all(&frame)?;
-        g.cur_bytes += frame.len();
+        let mut header = [0u8; FRAME_HEADER_LEN];
+        header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&checksum(body).to_le_bytes());
+        g.writer.write_all(&header)?;
+        g.writer.write_all(body)?;
+        let frame_len = FRAME_HEADER_LEN + body.len();
+        g.cur_bytes += frame_len;
         g.dirty = true;
-        g.stats
-            .bytes
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
+        g.stats.bytes.fetch_add(frame_len as u64, Ordering::Relaxed);
         Ok(g.seq)
     }
 
@@ -414,13 +419,16 @@ fn replay_segment(path: &Path, is_last: bool, records: &mut Vec<Vec<u8>>) -> Res
             format!("{}: bad magic {magic:#018x}", path.display()),
         ));
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != SEGMENT_VERSION {
-        return Err(WwError::corrupt(
-            "wal segment",
-            format!("{}: unsupported version {version}", path.display()),
-        ));
-    }
+    let kernel = match u32::from_le_bytes(bytes[8..12].try_into().unwrap()) {
+        SEGMENT_VERSION => checksum,
+        FNV_SEGMENT_VERSION => fnv1a,
+        version => {
+            return Err(WwError::corrupt(
+                "wal segment",
+                format!("{}: unsupported version {version}", path.display()),
+            ))
+        }
+    };
     let mut pos = SEGMENT_HEADER_LEN;
     loop {
         let remaining = bytes.len() - pos;
@@ -459,7 +467,7 @@ fn replay_segment(path: &Path, is_last: bool, records: &mut Vec<Vec<u8>>) -> Res
             return torn_at("torn frame body");
         }
         let body = &bytes[pos + FRAME_HEADER_LEN..pos + FRAME_HEADER_LEN + len as usize];
-        if fnv1a(body) != crc {
+        if kernel(body) != crc {
             return Err(WwError::corrupt(
                 "wal segment",
                 format!("{}: checksum mismatch at offset {pos}", path.display()),
@@ -487,8 +495,9 @@ fn truncate_to(path: &Path, len: u64) -> Result<()> {
 
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// Writes `bytes` to `path` atomically: a uniquely named dot-prefixed
-/// `.…tmp` sibling is written (and fsynced under
+/// Writes the concatenation of `parts` to `path` atomically, so a body and
+/// its trailer need not be copied into one buffer: a uniquely named
+/// dot-prefixed `.…tmp` sibling is written (and fsynced under
 /// [`FsyncPolicy::Always`]), then renamed over `path`, then the parent
 /// directory is fsynced so the rename itself is durable. A crash at any
 /// point leaves either the old file or the new file — never a partial
@@ -496,7 +505,7 @@ static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// per artifact, [`sweep_tmp_of`].
 pub fn write_atomic(
     path: &Path,
-    bytes: &[u8],
+    parts: &[&[u8]],
     policy: FsyncPolicy,
     stats: &WalStats,
 ) -> Result<()> {
@@ -514,7 +523,9 @@ pub fn write_atomic(
     ));
     {
         let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
+        for part in parts {
+            f.write_all(part)?;
+        }
         if policy.is_always() {
             f.sync_all()?;
             stats.fsyncs.fetch_add(1, Ordering::Relaxed);
@@ -685,6 +696,61 @@ mod tests {
     }
 
     #[test]
+    fn a_version_1_segment_replays_and_the_log_appends_after_it() {
+        let dir = tmp_dir("v1");
+        fs::create_dir_all(&dir).unwrap();
+        // A segment written before the XXH64 kernel: version 1, FNV-1a sums.
+        let segment = |version: u32, sum: fn(&[u8]) -> u64| {
+            let mut seg = Vec::new();
+            seg.put_u64(SEGMENT_MAGIC);
+            seg.put_u32(version);
+            for body in [b"old one".as_slice(), b"old two"] {
+                seg.put_u32(body.len() as u32);
+                seg.put_u64(sum(body));
+                seg.extend_from_slice(body);
+            }
+            seg
+        };
+        let v1 = segment(FNV_SEGMENT_VERSION, fnv1a);
+        fs::write(segment_path(&dir, "log", 0), &v1).unwrap();
+        let (log, replay) = open(&dir, 1 << 20);
+        assert_eq!(
+            replay.records,
+            vec![b"old one".to_vec(), b"old two".to_vec()]
+        );
+        assert_eq!(log.append(b"new").unwrap(), 1);
+        log.commit().unwrap();
+        drop(log);
+        let fresh = fs::read(segment_path(&dir, "log", 1)).unwrap();
+        assert_eq!(fresh[8..12], SEGMENT_VERSION.to_le_bytes());
+        let (_, replay) = open(&dir, 1 << 20);
+        let want: Vec<&[u8]> = vec![b"old one", b"old two", b"new"];
+        assert_eq!(replay.records, want);
+
+        // A flipped body byte in the version-1 segment is refused, and so is
+        // either segment under the other version's kernel.
+        let mut damaged = v1.clone();
+        *damaged.last_mut().unwrap() ^= 0x01;
+        let relabelled = |mut seg: Vec<u8>, version: u32| {
+            seg[8..12].copy_from_slice(&version.to_le_bytes());
+            seg
+        };
+        for bad in [
+            damaged,
+            relabelled(v1, SEGMENT_VERSION),
+            relabelled(segment(SEGMENT_VERSION, checksum), FNV_SEGMENT_VERSION),
+        ] {
+            let dir = tmp_dir("v1-bad");
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(segment_path(&dir, "log", 0), bad).unwrap();
+            let err = Log::open(&dir, "log", FsyncPolicy::Never, 1 << 20, WalStats::shared())
+                .err()
+                .expect("refused");
+            assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        }
+    }
+
+    #[test]
     fn torn_frame_in_non_final_segment_is_corruption() {
         let dir = tmp_dir("mid-torn");
         let (log, _) = open(&dir, 32);
@@ -791,8 +857,8 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let stats = WalStats::default();
         let target = dir.join("artifact.bin");
-        write_atomic(&target, b"v1", FsyncPolicy::Always, &stats).unwrap();
-        write_atomic(&target, b"v2", FsyncPolicy::Never, &stats).unwrap();
+        write_atomic(&target, &[b"v1"], FsyncPolicy::Always, &stats).unwrap();
+        write_atomic(&target, &[b"v", b"", b"2"], FsyncPolicy::Never, &stats).unwrap();
         assert_eq!(fs::read(&target).unwrap(), b"v2");
         // Simulate a writer that died between temp creation and rename.
         fs::write(dir.join(".artifact.bin.999.0.tmp"), b"partial").unwrap();
