@@ -50,7 +50,7 @@ if [ "$(printf '%s\n' "$mixers" | grep -c '^crates/core/src/lib.rs:')" != 1 ] ||
     echo "$mixers"; exit 1
 fi
 
-echo "==> one checksum kernel (XXH64's primes appear once, in waterwheel_core::codec::checksum)"
+echo "==> one checksum kernel (XXH64's primes appear once, in waterwheel_core::codec::checksum; FNV-1a's nowhere)"
 for prime in "0x9E37_?79B1_?85EB_?CA87" "0xC2B2_?AE3D_?27D4_?EB4F"; do
     hits=$(grep -rniE "$prime" crates/*/src || true)
     if [ "$(printf '%s\n' "$hits" | grep -c '^crates/core/src/codec.rs:')" != 1 ] ||
@@ -59,6 +59,15 @@ for prime in "0x9E37_?79B1_?85EB_?CA87" "0xC2B2_?AE3D_?27D4_?EB4F"; do
         echo "$hits"; exit 1
     fi
 done
+# No second kernel returns: FNV-1a's offset basis and prime, in any digit
+# grouping, appear nowhere in the workspace's code or tests (mix64 is the
+# mixer for anything that is not a checksum).
+fnv=$(grep -rnoiE "0x[0-9a-f_]+" crates tests | awk -F: '{ v = tolower($NF); gsub("_", "", v)
+    if (v ~ /^0x0*(cbf29ce484222325|100000001b3)$/) print }')
+if [ -n "$fnv" ]; then
+    echo "FNV-1a's constants are back; checksum with codec::checksum, mix with waterwheel_core::mix64:"
+    echo "$fnv"; exit 1
+fi
 
 echo "==> listeners come from std's bind (no raw socket, bind, listen or setsockopt declaration under crates/*/src)"
 # Non-test lines inside an extern "C" block. std's TcpListener::bind sets

@@ -776,11 +776,11 @@ fn le_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
 }
 
-/// The integrity checksum of every bulk artifact the system writes (chunk
-/// index blocks, aggregate summaries, DFS seals, WAL frames): XXH64 with
-/// seed 0, as its public specification defines it. Each round folds 32
-/// bytes into four independent u64 lanes, so it runs at memory speed where
-/// [`fnv1a`] waits on one multiply per byte.
+/// The one integrity checksum of everything the system writes to disk
+/// (chunk index blocks and footers, aggregate summaries, DFS seals, WAL
+/// frames, trim sidecars, meta snapshots): XXH64 with seed 0, as its public
+/// specification defines it. Each round folds 32 bytes into four
+/// independent u64 lanes, so it runs at memory speed.
 pub fn checksum(data: &[u8]) -> u64 {
     let mut stripes = data.chunks_exact(32);
     let mut h = if data.len() >= 32 {
@@ -831,19 +831,6 @@ pub fn checksum(data: &[u8]) -> u64 {
     h ^= h >> 29;
     h = h.wrapping_mul(XXH_P3);
     h ^ (h >> 32)
-}
-
-/// Computes the 64-bit FNV-1a hash of `data`: the checksum of the small
-/// fixed-size records (chunk footer, trim sidecar, meta snapshot), the
-/// kernel that verifies artifacts written before [`checksum`], and the
-/// seed mixer for LADA shuffles.
-pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -1040,13 +1027,6 @@ mod tests {
         assert_eq!(zigzag(-1), 1);
         assert_eq!(zigzag(1), 2);
         assert_eq!(unzigzag(zigzag(i64::MIN)), i64::MIN);
-    }
-
-    #[test]
-    fn fnv1a_known_vector() {
-        // FNV-1a of empty input is the offset basis.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
     }
 
     #[test]

@@ -55,7 +55,7 @@ use waterwheel_core::{
 };
 use waterwheel_wal::{sweep_tmp_of, write_atomic, FsyncPolicy, Log, WalStats};
 
-const SNAPSHOT_MAGIC: &[u8; 8] = b"WWMETA03";
+const SNAPSHOT_MAGIC: &[u8; 8] = b"WWMETA04";
 
 /// Durable facts about one chunk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -313,14 +313,14 @@ impl MetaState {
         }
     }
 
-    /// The snapshot file: magic, FNV-1a of the body, then
+    /// The snapshot file: magic, [`codec::checksum`] of the body, then
     /// [`for_each_record`](Self::for_each_record)'s records back to back.
     fn encode_snapshot(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(SNAPSHOT_MAGIC);
         out.put_u64(0);
         self.for_each_record(|rec| rec.encode(&mut out));
-        let checksum = codec::fnv1a(&out[16..]);
+        let checksum = codec::checksum(&out[16..]);
         out[8..16].copy_from_slice(&checksum.to_le_bytes());
         out
     }
@@ -361,7 +361,7 @@ fn decode_snapshot(bytes: &[u8]) -> Result<Vec<MetaRecord>> {
     }
     let checksum = dec.get_u64()?;
     let body = &bytes[16..];
-    if codec::fnv1a(body) != checksum {
+    if codec::checksum(body) != checksum {
         return Err(WwError::corrupt("meta snapshot", "checksum mismatch"));
     }
     let mut dec = Decoder::new(body, "meta snapshot");
@@ -1483,12 +1483,12 @@ mod tests {
         durable.compact(&meta.state.read()).unwrap();
         let snapshot = fs::read(&path).unwrap();
         let got = [
-            (log.len(), codec::fnv1a(&log)),
-            (snapshot.len(), codec::fnv1a(&snapshot)),
+            (log.len(), codec::checksum(&log)),
+            (snapshot.len(), codec::checksum(&snapshot)),
         ];
         assert_eq!(
             got,
-            [(1_470, 0xbb36_f0d8_4e49_434d), (926, 0x59ea_e183_09e3_8198)]
+            [(1_470, 0xd894_5187_f0b3_9d56), (926, 0x7566_6a58_41a4_547a)]
         );
         drop(meta);
         let _ = fs::remove_dir_all(dir);
@@ -1665,7 +1665,7 @@ mod tests {
         assert!(is_corrupt(&open(&path)));
         // The formats before this one are refused by name, whatever
         // follows the magic — never half-read.
-        for magic in [b"WWMETA01", b"WWMETA02"] {
+        for magic in [b"WWMETA01", b"WWMETA02", b"WWMETA03"] {
             let mut old = snapshot.clone();
             old[..8].copy_from_slice(magic);
             fs::write(&path, &old).unwrap();

@@ -37,14 +37,14 @@
 //!
 //! ```text
 //! [trim u64][kept segment u64][kept first offset u64][n u32]
-//! [src u32][seq u64]*n  [FNV-1a u64 of everything before it]
+//! [src u32][seq u64]*n  [codec::checksum u64 of everything before it]
 //! ```
 
 use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use waterwheel_core::codec::{self, fnv1a, Decoder, Encoder};
+use waterwheel_core::codec::{self, checksum, Decoder, Encoder};
 use waterwheel_core::{Result, Tuple, WwError};
 use waterwheel_wal::{sweep_tmp_of, write_atomic, FsyncPolicy, Log, WalStats};
 
@@ -272,7 +272,7 @@ impl TrimSidecar {
             out.put_u32(src);
             out.put_u64(seq);
         }
-        out.put_u64(fnv1a(&out));
+        out.put_u64(checksum(&out));
         out
     }
 
@@ -282,7 +282,7 @@ impl TrimSidecar {
             return Err(WwError::corrupt(what, "shorter than its checksum"));
         };
         let (body, sum) = bytes.split_at(body_len);
-        if fnv1a(body) != u64::from_le_bytes(sum.try_into().expect("8 bytes")) {
+        if checksum(body) != u64::from_le_bytes(sum.try_into().expect("8 bytes")) {
             return Err(WwError::corrupt(what, "checksum mismatch"));
         }
         let mut dec = Decoder::new(body, what);
@@ -565,6 +565,47 @@ mod tests {
         .is_err());
     }
 
+    /// The sidecar has no marker: one summed with FNV-1a, the kernel it
+    /// used to carry, fails its checksum, and the same body summed with
+    /// `codec::checksum` opens.
+    #[test]
+    fn an_fnv_summed_sidecar_fails_its_checksum() {
+        let dir = tmp_dir("fnv-trim");
+        let (mut p, _) = open(&dir, "t", 0);
+        p.append_batch(Some((7, 3)), &[Tuple::bare(1, 1), Tuple::bare(2, 2)])
+            .unwrap();
+        p.flush().unwrap();
+        drop(p);
+        // trim 1, kept segment 0 from offset 0, one marker (src 7, seq 3).
+        let mut body = Vec::new();
+        for field in [1u64, 0, 0] {
+            body.put_u64(field);
+        }
+        body.put_u32(1);
+        body.put_u32(7);
+        body.put_u64(3);
+        let reopen = |sum: u64| {
+            let mut sidecar = body.clone();
+            sidecar.put_u64(sum);
+            fs::write(dir.join("t.0.trim"), sidecar).unwrap();
+            PartitionPersist::open(
+                &dir,
+                "t",
+                0,
+                FsyncPolicy::Never,
+                1 << 20,
+                WalStats::shared(),
+            )
+        };
+        // FNV-1a of `body`, as the build before the one kernel summed it.
+        let err = reopen(0xf273_5920_75de_e5b1).err().expect("refused");
+        assert!(matches!(err, WwError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        let (_, loaded) = reopen(checksum(&body)).unwrap();
+        assert_eq!((loaded.base_offset, loaded.tuples.len()), (1, 1));
+        assert_eq!(loaded.last_seqs.get(&7), Some(&3));
+    }
+
     #[test]
     fn corrupt_frame_interior_is_a_typed_error() {
         let dir = tmp_dir("badframe");
@@ -626,7 +667,7 @@ mod tests {
                 let dir = std::env::temp_dir().join(format!(
                     "ww-mq-prop-{}-{}",
                     std::process::id(),
-                    fnv_mix(&sizes, cut_frac),
+                    scratch_tag(&sizes, cut_frac),
                 ));
                 let _ = fs::remove_dir_all(&dir);
                 let (mut p, _) = PartitionPersist::open(
@@ -672,13 +713,10 @@ mod tests {
         }
 
         /// Unique-ish scratch-dir discriminator (Date/Math free).
-        fn fnv_mix(sizes: &[usize], cut: u64) -> u64 {
-            let mut bytes = Vec::new();
-            for &s in sizes {
-                bytes.put_u64(s as u64);
-            }
-            bytes.put_u64(cut);
-            waterwheel_core::codec::fnv1a(&bytes)
+        fn scratch_tag(sizes: &[usize], cut: u64) -> u64 {
+            sizes.iter().fold(waterwheel_core::mix64(cut), |h, &s| {
+                waterwheel_core::mix64(h ^ s as u64)
+            })
         }
     }
 }

@@ -126,11 +126,7 @@ pub fn build_plan(
         DispatchPolicy::Hash => {
             let mut preferences = vec![Vec::new(); servers];
             for (i, chunk) in subquery_chunks.iter().enumerate() {
-                // FNV-style mix of the chunk id.
-                let h = chunk
-                    .raw()
-                    .wrapping_mul(0x0000_0100_0000_01B3)
-                    .rotate_left(17);
+                let h = waterwheel_core::mix64(chunk.raw());
                 preferences[(h % servers as u64) as usize].push(i);
             }
             DispatchPlan {

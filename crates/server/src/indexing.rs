@@ -973,11 +973,11 @@ mod tests {
                 );
             }
         }
-        let fnv = waterwheel_core::codec::fnv1a(&main);
+        let sum = waterwheel_core::codec::checksum(&main);
         assert_eq!(
-            (main.len(), fnv),
-            (176_700, 0x7b67_92fc_ccd0_fdb6),
-            "main chunks: {fnv:#x}"
+            (main.len(), sum),
+            (176_632, 0xbc20_dcb5_52be_e687),
+            "main chunks: {sum:#x}"
         );
         let mut late: Vec<Tuple> = (49..3 * PER_CHUNK + 500)
             .step_by(50)

@@ -497,8 +497,8 @@ impl QueryServer {
                 // pruning): bounds are conservative, so a disjoint leaf
                 // provably holds no qualifying tuple.
                 let disjoint = matches!(
-                    (sq.measure_range, index.leaves[li].measure_range),
-                    (Some((qlo, qhi)), Some((min, max))) if max < qlo || min > qhi
+                    (sq.measure_range, index.leaves[li].measure),
+                    (Some((qlo, qhi)), Some(m)) if m.max < qlo || m.min > qhi
                 );
                 if disjoint {
                     self.stats
@@ -924,49 +924,8 @@ mod tests {
         assert!(qs.execute(&sq, chunk).is_ok());
     }
 
-    /// A chunk written before the leaf directory recorded the measure SUM
-    /// (flag-1 entries, the storage crate's `v2_measure_flag1.chunk`
-    /// fixture): its aggregates are answered by scanning every leaf, and
-    /// equal a naive fold of its tuples.
-    #[test]
-    fn a_flag1_chunk_aggregates_by_scanning() {
-        let (dfs, _, _) = setup("flag1");
-        let flag1 = include_bytes!("../../storage/tests/fixtures/v2_measure_flag1.chunk");
-        let chunk = ChunkId(7);
-        dfs.write_chunk(chunk, flag1).unwrap();
-        let tuples: Vec<Tuple> = {
-            let reader = ChunkReader::new(&flag1[..]);
-            let index = reader.load_index().unwrap();
-            let pages = reader.read_leaves(&index, 0, index.leaves.len() - 1);
-            pages.unwrap().into_iter().flatten().collect()
-        };
-        assert_eq!(tuples.len(), 700);
-        let qs = QueryServer::new(ServerId(0), NodeId(0), dfs, 1 << 20);
-        for (keys, times) in [
-            (KeyInterval::new(0, 1_999), TimeInterval::full()),
-            (
-                KeyInterval::new(300, 1_500),
-                TimeInterval::new(5_000, 30_000),
-            ),
-        ] {
-            let share = qs.aggregate(&subquery(keys, times, chunk), chunk).unwrap();
-            let mut want = waterwheel_agg::PartialAgg::empty();
-            for t in tuples
-                .iter()
-                .filter(|t| keys.contains(t.key) && times.contains(t.ts))
-            {
-                want.insert(t.payload.len() as u64);
-            }
-            assert!(want.count > 0);
-            assert_eq!(share.agg, want, "{keys:?} x {times:?}");
-            assert_eq!(share.leaves_merged, 0, "flag-1 leaves carry no sum");
-            assert_eq!(share.scanned, want.count);
-        }
-    }
-
-    /// On a chunk written now, an aggregate merges every leaf wholly
-    /// inside its rectangle from the directory and reads only the leaves
-    /// the rectangle's edges cut.
+    /// An aggregate merges every leaf wholly inside its rectangle from the
+    /// directory and reads only the leaves the rectangle's edges cut.
     #[test]
     fn an_aggregate_reads_only_the_leaves_its_rectangle_cuts() {
         let (dfs, chunk, tuples) = setup("cut");

@@ -12,12 +12,11 @@
 //! varint timestamps, delta/dictionary keys, optionally compressed payload
 //! blocks), the leaf directory carries each leaf's *landmark* aggregate —
 //! the count, MIN, MAX and SUM of the measure over all its tuples — and the
-//! file always ends in a CRC-bearing footer with chunk-level measure bounds
-//! and the length of the aggregate summary in front of it. Any other header
-//! version — the retired row-page v1 included — is refused by name. The
-//! index block is checked on every parse against the header's checksum,
-//! whose kernel a header flag bit names: [`codec::checksum`] for chunks
-//! written now, FNV-1a for chunks written before it.
+//! file always ends in a checksummed footer holding the length of the
+//! aggregate summary in front of it. Any other header version — the retired
+//! row-page v1 included — is refused by name. The index block is checked on
+//! every parse against the header's [`codec::checksum`]; a header whose
+//! flag bit says FNV-1a, the kernel before it, is refused.
 
 use std::sync::Arc;
 use waterwheel_agg::{PartialAgg, WheelSummary};
@@ -27,26 +26,28 @@ use waterwheel_index::{columnar, BloomShape, SealedTree};
 
 /// `"WWCHUNK1"` interpreted as a little-endian u64.
 const MAGIC: u64 = u64::from_le_bytes(*b"WWCHUNK1");
-/// Columnar leaf pages, measure bounds, mandatory CRC footer: the only
+/// Columnar leaf pages, landmark directory, mandatory footer: the only
 /// format version written or read.
 pub const VERSION_V2: u32 = 2;
 /// Header flag bit: payload blocks may be compressed.
 const FLAG_COMPRESSED: u32 = 1;
-/// Header flag bit: the index checksum is [`codec::checksum`]; without it,
-/// the FNV-1a of chunks written before that kernel.
+/// Header flag bit: the index checksum is [`codec::checksum`]. Always set;
+/// a header without it (an FNV-1a index) is refused.
 const FLAG_XXH64_INDEX: u32 = 2;
 /// Fixed byte length of the header that precedes the index block.
 pub const HEADER_LEN: usize = 8 + 4 + 4 + 8 + 4 + 8 + 8 + 32;
 /// Offset of the header's index-block length. The index checksum does not
 /// cover it, so it is checked against the file length before use.
 const INDEX_LEN_AT: usize = 8 + 4 + 4 + 8 + 4;
-/// `"WWCHKFT2"` interpreted as a little-endian u64: the footer magic,
-/// distinct from both the chunk and summary magics.
-pub const FOOTER_MAGIC: u64 = u64::from_le_bytes(*b"WWCHKFT2");
+/// `"WWCHKFT3"` interpreted as a little-endian u64: the footer magic,
+/// distinct from both the chunk and summary magics. Any other footer magic
+/// — the retired `WWCHKFT2` (41 bytes, FNV-1a) included — is refused by
+/// name.
+pub const FOOTER_MAGIC: u64 = u64::from_le_bytes(*b"WWCHKFT3");
 /// Fixed byte length of the mandatory footer:
-/// `[measure_flag u8][min u64][max u64][summary_len u64][crc u64][magic u64]`
-/// where `crc` is the FNV-1a hash of the preceding 25 footer bytes.
-pub const V2_FOOTER_LEN: usize = 1 + 8 + 8 + 8 + 8 + 8;
+/// `[summary_len u64][checksum u64][magic u64]`, where `checksum` is the
+/// [`codec::checksum`] of `summary_len`'s eight bytes.
+pub const V2_FOOTER_LEN: usize = 8 + 8 + 8;
 
 /// Per-leaf directory entry: everything a query needs to decide whether to
 /// fetch the leaf page, and where to find it.
@@ -63,15 +64,22 @@ pub struct LeafMeta {
     /// Temporal bloom filter (paper §IV-B), when enabled at seal time
     /// ([`ChunkIndex::leaf_bloom`]).
     pub bloom: Option<LeafBloom>,
-    /// MIN/MAX of the registered measure over the leaf's tuples (`None`
-    /// for chunks written without a measure and for empty leaves). Lets
-    /// executors skip leaves that cannot satisfy a `measure_range` filter.
-    pub measure_range: Option<(u64, u64)>,
-    /// SUM of the measure over the leaf's tuples: with `count` and
-    /// `measure_range`, the leaf's landmark aggregate. `None` wherever
-    /// `measure_range` is, and in directories written before the sum was
-    /// recorded (measure flag 1).
-    pub measure_sum: Option<u128>,
+    /// MIN, MAX and SUM of the registered measure over the leaf's tuples
+    /// (`None` for chunks written without a measure and for empty leaves).
+    pub measure: Option<LeafMeasure>,
+}
+
+/// The measure over one leaf's tuples: with the leaf's count, its landmark
+/// aggregate. MIN/MAX let executors skip leaves that cannot satisfy a
+/// `measure_range` filter; all four let an aggregate merge a leaf unread.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LeafMeasure {
+    /// Smallest measure.
+    pub min: u64,
+    /// Largest measure.
+    pub max: u64,
+    /// Sum of the measures.
+    pub sum: u128,
 }
 
 /// Where a leaf's bloom filter lives in its [`ChunkIndex`]: the filter's
@@ -157,15 +165,15 @@ impl ChunkIndex {
     }
 
     /// Leaf `i`'s landmark aggregate, when every tuple the leaf can hold
-    /// lies inside `rect` and its directory entry carries the sum: the
+    /// lies inside `rect` and its directory entry carries a measure: the
     /// leaf's share of an aggregate over `rect`, without reading its page.
     pub fn leaf_landmark_inside(&self, i: usize, rect: &Region) -> Option<PartialAgg> {
         let meta = &self.leaves[i];
         let inside = rect.keys.covers(&self.leaf_keys(i)?) && rect.times.covers(&meta.time_range?);
-        let (min, max) = meta.measure_range?;
+        let LeafMeasure { min, max, sum } = meta.measure?;
         inside.then_some(PartialAgg {
             count: meta.count as u64,
-            sum: meta.measure_sum?,
+            sum,
             min,
             max,
         })
@@ -187,8 +195,8 @@ pub struct ChunkWriteOptions<'a> {
     pub format_version: u32,
     /// Compress payload blocks.
     pub compression: bool,
-    /// Measure used to compute the per-leaf landmark aggregates and the
-    /// per-chunk MIN/MAX bounds (`None` writes neither).
+    /// Measure used to compute the per-leaf landmark aggregates (`None`
+    /// writes none).
     pub measure: Option<&'a (dyn Fn(&Tuple) -> u64 + Sync)>,
 }
 
@@ -213,8 +221,8 @@ pub fn write_chunk(sealed: &SealedTree) -> Vec<u8> {
 ///
 /// Leaves are stored as columnar images, the directory records each leaf's
 /// count, MIN, MAX and SUM of the measure, and the file ends in a
-/// CRC-bearing footer carrying the chunk-level bounds and the summary
-/// length (zero when no summary was written).
+/// checksummed footer carrying the summary length (zero when no summary was
+/// written).
 pub fn write_chunk_opts(
     sealed: &SealedTree,
     summary: Option<&WheelSummary>,
@@ -251,7 +259,6 @@ pub fn write_chunk_opts(
     }
     index.put_u32(sealed.leaves.len() as u32);
     let mut rel_offset = 0u64;
-    let mut chunk_bounds: Option<(u64, u64)> = None;
     for (leaf, page) in sealed.leaves.iter().zip(&pages) {
         index.put_u32(leaf.entries.len() as u32);
         index.put_u64(rel_offset);
@@ -278,10 +285,6 @@ pub fn write_chunk_opts(
                 index.put_uvarint(hi);
                 index.put_uvarint(sum as u64);
                 index.put_uvarint((sum >> 64) as u64);
-                chunk_bounds = Some(match chunk_bounds {
-                    Some((clo, chi)) => (clo.min(lo), chi.max(hi)),
-                    None => (lo, hi),
-                });
             }
             None => index.put_u32(MEASURE_NONE),
         }
@@ -311,20 +314,10 @@ pub fn write_chunk_opts(
         }
         None => 0,
     };
-    let mut footer = Vec::with_capacity(V2_FOOTER_LEN);
-    let (flag, lo, hi) = match chunk_bounds {
-        Some((lo, hi)) => (1, lo, hi),
-        None => (0, 0, 0),
-    };
-    footer.put_u8(flag);
-    footer.put_u64(lo);
-    footer.put_u64(hi);
-    footer.put_u64(summary_len);
-    let crc = codec::fnv1a(&footer);
-    footer.put_u64(crc);
-    footer.put_u64(FOOTER_MAGIC);
-    debug_assert_eq!(footer.len(), V2_FOOTER_LEN);
-    out.extend_from_slice(&footer);
+    let summary_len = summary_len.to_le_bytes();
+    out.extend_from_slice(&summary_len);
+    out.put_u64(codec::checksum(&summary_len));
+    out.put_u64(FOOTER_MAGIC);
     out
 }
 
@@ -368,12 +361,10 @@ pub fn parse_index(prefix: &[u8], file_len: u64) -> Result<ChunkIndex> {
     let index_bytes = prefix
         .get(HEADER_LEN..data_start as usize)
         .ok_or_else(|| WwError::corrupt("chunk", "index block truncated"))?;
-    let sum = if flags & FLAG_XXH64_INDEX != 0 {
-        codec::checksum
-    } else {
-        codec::fnv1a
-    };
-    if sum(index_bytes) != checksum {
+    if flags & FLAG_XXH64_INDEX == 0 {
+        return Err(WwError::corrupt("chunk", "index summed with FNV-1a"));
+    }
+    if codec::checksum(index_bytes) != checksum {
         return Err(WwError::corrupt("chunk", "index checksum mismatch"));
     }
     let mut dec = Decoder::new(index_bytes, "chunk");
@@ -433,36 +424,38 @@ pub fn parse_index(prefix: &[u8], file_len: u64) -> Result<ChunkIndex> {
         } else {
             None
         };
-        let (measure_range, measure_sum) = match dec.get_u32()? {
-            MEASURE_NONE => (None, None),
-            MEASURE_BOUNDS => (Some((dec.get_u64()?, dec.get_u64()?)), None),
+        // Flag 1, MIN/MAX without the SUM, is retired: refused by number.
+        let measure = match dec.get_u32()? {
+            MEASURE_NONE => None,
             MEASURE_LANDMARK => {
-                let bounds = (dec.get_uvarint()?, dec.get_uvarint()?);
+                let (min, max) = (dec.get_uvarint()?, dec.get_uvarint()?);
                 let sum = dec.get_uvarint()? as u128 | (dec.get_uvarint()? as u128) << 64;
-                (Some(bounds), Some(sum))
+                if min > max {
+                    return Err(WwError::corrupt("chunk", "inverted leaf measure range"));
+                }
+                let n = entry_count as u128;
+                if !(n * min as u128..=n * max as u128).contains(&sum) {
+                    return Err(WwError::corrupt(
+                        "chunk",
+                        "leaf measure sum outside count × [min, max]",
+                    ));
+                }
+                Some(LeafMeasure { min, max, sum })
             }
-            _ => return Err(WwError::corrupt("chunk", "bad leaf measure flag")),
-        };
-        if let Some((lo, hi)) = measure_range {
-            if lo > hi {
-                return Err(WwError::corrupt("chunk", "inverted leaf measure range"));
-            }
-            let n = entry_count as u128;
-            if measure_sum.is_some_and(|sum| !(n * lo as u128..=n * hi as u128).contains(&sum)) {
+            flag => {
                 return Err(WwError::corrupt(
                     "chunk",
-                    "leaf measure sum outside count × [min, max]",
-                ));
+                    format!("unsupported leaf measure flag {flag}"),
+                ))
             }
-        }
+        };
         leaves.push(LeafMeta {
             count: entry_count,
             offset,
             len,
             time_range,
             bloom,
-            measure_range,
-            measure_sum,
+            measure,
         });
     }
     Ok(ChunkIndex {
@@ -482,9 +475,6 @@ const MIN_LEAF_ENTRY_LEN: usize = 28;
 
 /// Leaf measure flag: no measure recorded.
 const MEASURE_NONE: u32 = 0;
-/// Leaf measure flag: MIN and MAX as two fixed u64s. Still read (chunks
-/// written before the SUM was recorded); no longer written.
-const MEASURE_BOUNDS: u32 = 1;
 /// Leaf measure flag: the landmark aggregate — MIN, MAX, then the SUM's
 /// low and high 64 bits, all four as uvarints.
 const MEASURE_LANDMARK: u32 = 2;
@@ -569,25 +559,12 @@ impl<R: RangedRead> ChunkReader<R> {
         if tail_len == file_len {
             check_header(&mut Decoder::new(&tail, "chunk"))?;
         }
-        let footer = self.footer_in(file_len, &tail)?;
-        if footer.summary_len == 0 {
+        let summary_len = self.footer_in(file_len, &tail)?;
+        if summary_len == 0 {
             return Ok(None);
         }
-        let body = self.summary_body(file_len, &tail, footer.summary_len)?;
+        let body = self.summary_body(file_len, &tail, summary_len)?;
         WheelSummary::decode(&body).map(Some)
-    }
-
-    /// Reads the footer: chunk-level MIN/MAX measure bounds and summary
-    /// length, after checking the header's format version.
-    pub fn read_footer(&self) -> Result<ChunkFooter> {
-        let file_len = self.source.len()?;
-        if file_len < HEADER_LEN as u64 {
-            return Err(WwError::corrupt("chunk", "file shorter than header"));
-        }
-        check_header(&mut Decoder::new(&self.source.read_range(0, 12)?, "chunk"))?;
-        let tail_len = (V2_FOOTER_LEN as u64).min(file_len);
-        let tail = self.source.read_range(file_len - tail_len, tail_len)?;
-        parse_footer(file_len, &tail)
     }
 
     /// Fetches the `summary_len` bytes that precede the footer, reusing the
@@ -603,10 +580,11 @@ impl<R: RangedRead> ChunkReader<R> {
         }
     }
 
-    /// Parses the footer at the end of a summary read's `tail`. When it
-    /// fails, a header of another format version (a retired v1 chunk has no
-    /// footer at all) is named as the reason instead.
-    fn footer_in(&self, file_len: u64, tail: &[u8]) -> Result<ChunkFooter> {
+    /// Parses the footer at the end of a summary read's `tail` into the
+    /// summary length. When it fails, a header of another format version (a
+    /// retired v1 chunk has no footer at all) is named as the reason
+    /// instead.
+    fn footer_in(&self, file_len: u64, tail: &[u8]) -> Result<u64> {
         parse_footer(file_len, tail).map_err(|err| {
             self.source
                 .read_range(0, 12)
@@ -666,40 +644,36 @@ impl<R: RangedRead> ChunkReader<R> {
     }
 }
 
-/// Validates the footer at the end of `tail`.
-fn parse_footer(file_len: u64, tail: &[u8]) -> Result<ChunkFooter> {
+/// Validates the footer at the end of `tail` and returns the summary
+/// length it records.
+fn parse_footer(file_len: u64, tail: &[u8]) -> Result<u64> {
     if file_len < (HEADER_LEN + V2_FOOTER_LEN) as u64 || tail.len() < V2_FOOTER_LEN {
         return Err(WwError::corrupt("chunk", "chunk shorter than footer"));
     }
     let footer = &tail[tail.len() - V2_FOOTER_LEN..];
     let mut dec = Decoder::new(footer, "chunk footer");
-    let measure_flag = dec.get_u8()?;
-    let lo = dec.get_u64()?;
-    let hi = dec.get_u64()?;
     let summary_len = dec.get_u64()?;
-    let crc = dec.get_u64()?;
+    let sum = dec.get_u64()?;
     let magic = dec.get_u64()?;
     if magic != FOOTER_MAGIC {
-        return Err(WwError::corrupt("chunk", "bad footer magic"));
+        return Err(WwError::corrupt(
+            "chunk",
+            format!(
+                "unsupported footer format {:?}",
+                String::from_utf8_lossy(&magic.to_le_bytes())
+            ),
+        ));
     }
-    if crc != codec::fnv1a(&footer[..V2_FOOTER_LEN - 16]) {
+    if sum != codec::checksum(&footer[..8]) {
         return Err(WwError::corrupt("chunk", "footer checksum mismatch"));
     }
-    let measure_range = match measure_flag {
-        0 => None,
-        1 if lo <= hi => Some((lo, hi)),
-        _ => return Err(WwError::corrupt("chunk", "bad footer measure bounds")),
-    };
     if summary_len
         .checked_add((HEADER_LEN + V2_FOOTER_LEN) as u64)
         .is_none_or(|total| total > file_len)
     {
         return Err(WwError::corrupt("chunk", "footer summary length invalid"));
     }
-    Ok(ChunkFooter {
-        measure_range,
-        summary_len,
-    })
+    Ok(summary_len)
 }
 
 /// Slices one leaf page out of a coalesced fetch starting at `start`.
@@ -711,17 +685,6 @@ fn page_slice<'a>(bytes: &'a [u8], start: u64, meta: &LeafMeta) -> Result<&'a [u
         .checked_add(usize::try_from(meta.len).map_err(|_| corrupt())?)
         .ok_or_else(corrupt)?;
     bytes.get(page_start..page_end).ok_or_else(corrupt)
-}
-
-/// The chunk footer: chunk-level MIN/MAX measure bounds plus the length of
-/// the trailing aggregate summary (zero when none was written).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChunkFooter {
-    /// MIN/MAX of the registered measure over every tuple in the chunk;
-    /// `None` when the chunk was written without a measure (or is empty).
-    pub measure_range: Option<(u64, u64)>,
-    /// Encoded byte length of the aggregate summary preceding the footer.
-    pub summary_len: u64,
 }
 
 /// In-memory [`RangedRead`] over a byte buffer (tests and cached chunks).
@@ -981,17 +944,17 @@ mod tests {
 
     /// The v2 bytes of a fixed seeded tree, with a summary and a measure,
     /// compressed and raw. Re-pinned when the leaf directory's measure
-    /// entry became the landmark (flag 2) — the compressed image as it was
-    /// before is `tests/fixtures/v2_measure_flag1.chunk` — and when the
-    /// index block and the summary came to be summed with XXH64.
+    /// entry became the landmark (flag 2), when the index block and the
+    /// summary came to be summed with XXH64, and when the footer lost its
+    /// chunk bounds (17 B) and came to be summed with XXH64 too.
     #[test]
     fn v2_bytes_are_pinned() {
         let sealed = seeded_tree(23, 700);
         let summary = summary_of(&sealed);
         assert!(!summary.is_empty());
-        for (compression, len, fnv) in [
-            (false, 19_324, 0x36b3_ae8f_c68f_1153),
-            (true, 13_896, 0x5a06_104d_e9f4_aceb),
+        for (compression, len, sum) in [
+            (false, 19_307, 0x2fa6_5c0a_0913_d313),
+            (true, 13_879, 0x6b5c_686f_1afd_c920),
         ] {
             let opts = ChunkWriteOptions {
                 compression,
@@ -999,7 +962,7 @@ mod tests {
             };
             let bytes = write_chunk_opts(&sealed, Some(&summary), &opts);
             assert_eq!(bytes.len(), len, "compression={compression}");
-            assert_eq!(codec::fnv1a(&bytes), fnv, "compression={compression}");
+            assert_eq!(codec::checksum(&bytes), sum, "compression={compression}");
         }
     }
 
@@ -1009,18 +972,15 @@ mod tests {
         let summary = summary_of(&sealed);
         let bytes = write_chunk_opts(&sealed, Some(&summary), &v2_opts());
         let reader = ChunkReader::new(bytes.as_slice());
-        let footer = reader.read_footer().unwrap();
-        // Measure is payload length: sealed_tree writes 8-byte payloads.
-        assert_eq!(footer.measure_range, Some((8, 8)));
-        assert!(footer.summary_len > 0);
         assert_eq!(reader.read_summary().unwrap().unwrap(), summary);
-        // Per-leaf bounds landed in the directory too.
+        // Measure is payload length: sealed_tree writes 8-byte payloads,
+        // and every leaf's bounds landed in the directory.
         let index = reader.load_index().unwrap();
         assert!(index
             .leaves
             .iter()
             .filter(|l| l.count > 0)
-            .all(|l| l.measure_range == Some((8, 8))));
+            .all(|l| l.measure.is_some_and(|m| (m.min, m.max) == (8, 8))));
     }
 
     #[test]
@@ -1075,10 +1035,10 @@ mod tests {
     fn v2_corrupt_footer_is_detected() {
         let sealed = sealed_tree(100);
         let bytes = write_chunk_opts(&sealed, None, &v2_opts());
-        // Flip a byte inside the footer (the summary_len field): the CRC
-        // must catch it.
+        // Flip a byte inside the footer (the summary_len field): the
+        // footer's checksum must catch it.
         let mut bad = bytes.clone();
-        let i = bad.len() - V2_FOOTER_LEN + 20;
+        let i = bad.len() - V2_FOOTER_LEN + 3;
         bad[i] ^= 0xFF;
         assert!(ChunkReader::new(bad.as_slice()).read_summary().is_err());
         // Truncating the footer is detected too.
@@ -1105,7 +1065,6 @@ mod tests {
         };
         named("load_index", reader.load_index().unwrap_err());
         named("read_summary", reader.read_summary().unwrap_err());
-        named("read_footer", reader.read_footer().unwrap_err());
         // A real v1 file ends in leaf data or a summary trailer, not in a
         // footer: the failed footer check still names the version.
         let mut no_footer = bytes[..bytes.len() - V2_FOOTER_LEN].to_vec();
@@ -1143,48 +1102,58 @@ mod tests {
     const FLAGS_AT: std::ops::Range<usize> = 12..16;
     const CHECKSUM_AT: std::ops::Range<usize> = INDEX_LEN_AT + 8..INDEX_LEN_AT + 16;
 
+    /// Asserts that `err` refuses a retired format as `Corrupt`, naming
+    /// `marker`.
+    fn refused(marker: &str, err: WwError) {
+        assert!(matches!(err, WwError::Corrupt { .. }), "{marker}: {err}");
+        assert!(err.to_string().contains(marker), "{marker}: {err}");
+    }
+
     #[test]
-    fn a_chunk_summed_with_fnv1a_reads_back_and_its_damage_is_refused() {
-        // A chunk written before the XXH64 index checksum: flag bit clear,
-        // index block summed with FNV-1a.
+    fn an_index_summed_with_fnv1a_is_refused() {
+        // Its header flag bit clear: the index block of a chunk written
+        // before the XXH64 kernel, whatever its sum.
+        let mut bytes = write_chunk_opts(&sealed_tree(300), None, &v2_opts());
+        let flags = u32::from_le_bytes(bytes[FLAGS_AT].try_into().unwrap());
+        bytes[FLAGS_AT].copy_from_slice(&(flags & !FLAG_XXH64_INDEX).to_le_bytes());
+        let err = ChunkReader::new(bytes.as_slice()).load_index().unwrap_err();
+        refused("FNV-1a", err);
+    }
+
+    #[test]
+    fn a_flag1_directory_entry_is_refused() {
+        // The first leaf's measure flag rewritten to 1 (MIN/MAX without the
+        // SUM), under a valid index checksum.
         let sealed = sealed_tree(300);
-        let current = write_chunk_opts(&sealed, None, &v2_opts());
-        let index_len = ChunkReader::new(current.as_slice())
-            .load_index()
-            .unwrap()
-            .template_len as usize
-            - HEADER_LEN;
-        let mut legacy = current.clone();
-        let flags = u32::from_le_bytes(legacy[FLAGS_AT].try_into().unwrap());
-        assert_eq!(flags & FLAG_XXH64_INDEX, FLAG_XXH64_INDEX);
-        legacy[FLAGS_AT].copy_from_slice(&(flags & !FLAG_XXH64_INDEX).to_le_bytes());
-        let fnv = codec::fnv1a(&legacy[HEADER_LEN..HEADER_LEN + index_len]);
-        legacy[CHECKSUM_AT].copy_from_slice(&fnv.to_le_bytes());
-        let reader = ChunkReader::new(legacy.as_slice());
-        let index = reader.load_index().unwrap();
-        assert_eq!(index.count, 300);
-        let pages = reader
-            .read_leaves(&index, 0, index.leaves.len() - 1)
-            .unwrap();
-        let want: Vec<Tuple> = sealed.clone().into_tuples();
-        assert_eq!(pages.into_iter().flatten().collect::<Vec<_>>(), want);
-        // One flipped index byte is refused under either kernel.
-        for image in [&legacy, &current] {
-            let mut bad = image.clone();
-            bad[HEADER_LEN + index_len / 2] ^= 0x10;
-            let err = ChunkReader::new(bad.as_slice()).load_index().unwrap_err();
-            assert!(err.to_string().contains("checksum"), "{err}");
-        }
-        // The marker bit picks the kernel: flipped, the sum is checked by
-        // the other one and fails closed.
-        for image in [&legacy, &current] {
-            let mut flipped = image.clone();
-            flipped[FLAGS_AT.start] ^= FLAG_XXH64_INDEX as u8;
-            let err = ChunkReader::new(flipped.as_slice())
-                .load_index()
-                .unwrap_err();
-            assert!(matches!(err, WwError::Corrupt { .. }), "{err}");
-        }
+        let mut bytes = write_chunk_opts(&sealed, None, &v2_opts());
+        let index = ChunkReader::new(bytes.as_slice()).load_index().unwrap();
+        // The entry: count, offset, len; time flag and bounds; bloom flag
+        // and filter; then the measure flag.
+        let mut bloom = Vec::new();
+        sealed.leaves[0].bloom.as_ref().unwrap().encode(&mut bloom);
+        let first_leaf_at = HEADER_LEN + 4 + index.separators.len() * 8 + 4;
+        let flag_at = first_leaf_at + 20 + 4 + 16 + 4 + bloom.len();
+        assert_eq!(bytes[flag_at..flag_at + 4], MEASURE_LANDMARK.to_le_bytes());
+        bytes[flag_at..flag_at + 4].copy_from_slice(&1u32.to_le_bytes());
+        let index_len = index.template_len as usize - HEADER_LEN;
+        let sum = codec::checksum(&bytes[HEADER_LEN..HEADER_LEN + index_len]);
+        bytes[CHECKSUM_AT].copy_from_slice(&sum.to_le_bytes());
+        let err = ChunkReader::new(bytes.as_slice()).load_index().unwrap_err();
+        refused("measure flag 1", err);
+    }
+
+    #[test]
+    fn a_wwchkft2_footer_is_refused_by_name() {
+        // The retired 41-byte footer (chunk bounds, FNV-1a) ends in its
+        // magic like the current one does.
+        let sealed = sealed_tree(300);
+        let mut bytes = write_chunk_opts(&sealed, Some(&summary_of(&sealed)), &v2_opts());
+        let magic_at = bytes.len() - 8;
+        bytes[magic_at..].copy_from_slice(b"WWCHKFT2");
+        let err = ChunkReader::new(bytes.as_slice())
+            .read_summary()
+            .unwrap_err();
+        refused("\"WWCHKFT2\"", err);
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub mod singleflight;
 
 pub use cache::{Block, BlockCache, BlockKey, CacheStats};
 pub use chunk::{
-    write_chunk, write_chunk_opts, ChunkFooter, ChunkIndex, ChunkReader, ChunkWriteOptions,
-    LeafBloom, LeafMeta, RangedRead, VERSION_V2,
+    write_chunk, write_chunk_opts, ChunkIndex, ChunkReader, ChunkWriteOptions, LeafBloom,
+    LeafMeasure, LeafMeta, RangedRead, VERSION_V2,
 };
 pub use dfs::{DfsFile, SimDfs};
 pub use singleflight::Singleflight;

@@ -136,9 +136,6 @@ fn exercise(g: &mut Gen, bytes: &[u8]) -> Result<(), TestCaseError> {
     if let Err(e) = reader.read_summary() {
         prop_assert!(is_typed_decode_error(&e), "read_summary: {e}");
     }
-    if let Err(e) = reader.read_footer() {
-        prop_assert!(is_typed_decode_error(&e), "read_footer: {e}");
-    }
     Ok(())
 }
 
@@ -162,7 +159,6 @@ proptest! {
             .sum();
         prop_assert_eq!(n as u64, index.count);
         reader.read_summary().unwrap();
-        reader.read_footer().unwrap();
     }
 
     /// Corrupted chunks never panic and never produce an untyped error.

@@ -5,20 +5,18 @@
 //! mutation is logged, and chunk files are sealed atomically. This crate
 //! provides the two on-disk primitives those components share:
 //!
-//! * [`Log`] — a segmented, checksummed append log. Each segment starts
-//!   with a magic/version header and holds `[len u32][crc u64][body]`
-//!   frames: the segment version names the checksum kernel over the body
-//!   ([`checksum`] in version 2, FNV-1a in the version-1 segments written
-//!   before it; a log appends to a fresh segment at every open, so one
-//!   segment never mixes the two). Replay distinguishes a **torn tail**
-//!   (the physical truncation a `kill -9` or power cut leaves at the end
-//!   of the *last* segment — tolerated: the torn frame is dropped and the
-//!   file truncated back to its last good frame) from **corruption** (a
-//!   bad checksum on a complete frame, a damaged header, or a torn frame
-//!   in a non-final segment — surfaced as [`WwError::Corrupt`], never a
-//!   panic, never a silently short read). A log whose head is no longer
-//!   needed releases it whole segments at a time ([`Log::delete_below`])
-//!   and reopens from the first segment it kept ([`Log::open_from`]).
+//! * [`Log`] — a segmented, checksummed append log. Each segment starts with
+//!   a magic/version header and holds `[len u32][crc u64][body]` frames, each
+//!   body summed with [`checksum`] (segment version 2; the retired version 1,
+//!   summed with FNV-1a, is refused by name). Replay distinguishes a **torn
+//!   tail** (the physical truncation a `kill -9` or power cut leaves at the
+//!   end of the *last* segment — tolerated: the torn frame is dropped and the
+//!   file truncated back to its last good frame) from **corruption** (a bad
+//!   checksum on a complete frame, a damaged header, or a torn frame in a
+//!   non-final segment — surfaced as [`WwError::Corrupt`], never a panic,
+//!   never a silently short read). A log whose head is no longer needed
+//!   releases it whole segments at a time ([`Log::delete_below`]) and reopens
+//!   from the first segment it kept ([`Log::open_from`]).
 //! * [`write_atomic`] — unique-temp-file + `rename` commit for
 //!   whole-file artifacts (meta snapshots, DFS chunk files), so a crash
 //!   mid-write can never leave a partially visible file.
@@ -39,16 +37,15 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use waterwheel_core::codec::{checksum, fnv1a, Encoder};
+use waterwheel_core::codec::{checksum, Encoder};
 use waterwheel_core::{Result, WwError};
 
 /// Magic prefix of every log segment file (`WWWAL001`, little-endian).
 pub const SEGMENT_MAGIC: u64 = u64::from_le_bytes(*b"WWWAL001");
 /// On-disk format version stamped after the magic: 2, frames summed with
-/// [`checksum`]. Version 1 segments (FNV-1a sums) are still replayed.
+/// [`checksum`]. Any other version is refused; version 1 (FNV-1a sums) by
+/// the name of its kernel.
 pub const SEGMENT_VERSION: u32 = 2;
-/// The segment version whose frames are summed with FNV-1a.
-pub const FNV_SEGMENT_VERSION: u32 = 1;
 /// Segment header: magic (8) + version (4).
 pub const SEGMENT_HEADER_LEN: usize = 12;
 /// Frame header: body length (4) + checksum of the body (8).
@@ -419,16 +416,14 @@ fn replay_segment(path: &Path, is_last: bool, records: &mut Vec<Vec<u8>>) -> Res
             format!("{}: bad magic {magic:#018x}", path.display()),
         ));
     }
-    let kernel = match u32::from_le_bytes(bytes[8..12].try_into().unwrap()) {
-        SEGMENT_VERSION => checksum,
-        FNV_SEGMENT_VERSION => fnv1a,
-        version => {
-            return Err(WwError::corrupt(
-                "wal segment",
-                format!("{}: unsupported version {version}", path.display()),
-            ))
-        }
-    };
+    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    if version != SEGMENT_VERSION {
+        let retired = if version == 1 { " (FNV-1a frames)" } else { "" };
+        return Err(WwError::corrupt(
+            "wal segment",
+            format!("{}: unsupported version {version}{retired}", path.display()),
+        ));
+    }
     let mut pos = SEGMENT_HEADER_LEN;
     loop {
         let remaining = bytes.len() - pos;
@@ -467,7 +462,7 @@ fn replay_segment(path: &Path, is_last: bool, records: &mut Vec<Vec<u8>>) -> Res
             return torn_at("torn frame body");
         }
         let body = &bytes[pos + FRAME_HEADER_LEN..pos + FRAME_HEADER_LEN + len as usize];
-        if kernel(body) != crc {
+        if checksum(body) != crc {
             return Err(WwError::corrupt(
                 "wal segment",
                 format!("{}: checksum mismatch at offset {pos}", path.display()),
@@ -696,58 +691,23 @@ mod tests {
     }
 
     #[test]
-    fn a_version_1_segment_replays_and_the_log_appends_after_it() {
+    fn a_version_1_segment_is_refused_by_its_kernel() {
         let dir = tmp_dir("v1");
-        fs::create_dir_all(&dir).unwrap();
-        // A segment written before the XXH64 kernel: version 1, FNV-1a sums.
-        let segment = |version: u32, sum: fn(&[u8]) -> u64| {
-            let mut seg = Vec::new();
-            seg.put_u64(SEGMENT_MAGIC);
-            seg.put_u32(version);
-            for body in [b"old one".as_slice(), b"old two"] {
-                seg.put_u32(body.len() as u32);
-                seg.put_u64(sum(body));
-                seg.extend_from_slice(body);
-            }
-            seg
-        };
-        let v1 = segment(FNV_SEGMENT_VERSION, fnv1a);
-        fs::write(segment_path(&dir, "log", 0), &v1).unwrap();
-        let (log, replay) = open(&dir, 1 << 20);
-        assert_eq!(
-            replay.records,
-            vec![b"old one".to_vec(), b"old two".to_vec()]
-        );
-        assert_eq!(log.append(b"new").unwrap(), 1);
+        let (log, _) = open(&dir, 1 << 20);
+        log.append(b"one").unwrap();
         log.commit().unwrap();
         drop(log);
-        let fresh = fs::read(segment_path(&dir, "log", 1)).unwrap();
-        assert_eq!(fresh[8..12], SEGMENT_VERSION.to_le_bytes());
-        let (_, replay) = open(&dir, 1 << 20);
-        let want: Vec<&[u8]> = vec![b"old one", b"old two", b"new"];
-        assert_eq!(replay.records, want);
-
-        // A flipped body byte in the version-1 segment is refused, and so is
-        // either segment under the other version's kernel.
-        let mut damaged = v1.clone();
-        *damaged.last_mut().unwrap() ^= 0x01;
-        let relabelled = |mut seg: Vec<u8>, version: u32| {
-            seg[8..12].copy_from_slice(&version.to_le_bytes());
-            seg
-        };
-        for bad in [
-            damaged,
-            relabelled(v1, SEGMENT_VERSION),
-            relabelled(segment(SEGMENT_VERSION, checksum), FNV_SEGMENT_VERSION),
-        ] {
-            let dir = tmp_dir("v1-bad");
-            fs::create_dir_all(&dir).unwrap();
-            fs::write(segment_path(&dir, "log", 0), bad).unwrap();
-            let err = Log::open(&dir, "log", FsyncPolicy::Never, 1 << 20, WalStats::shared())
-                .err()
-                .expect("refused");
-            assert!(err.to_string().contains("checksum mismatch"), "{err}");
-        }
+        // The current segment relabelled as version 1, whose frames were
+        // summed with FNV-1a.
+        let path = segment_path(&dir, "log", 0);
+        let mut seg = fs::read(&path).unwrap();
+        seg[8..12].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(&path, seg).unwrap();
+        let err = Log::open(&dir, "log", FsyncPolicy::Never, 1 << 20, WalStats::shared())
+            .err()
+            .expect("refused");
+        assert!(matches!(err, WwError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("version 1 (FNV-1a"), "{err}");
     }
 
     #[test]

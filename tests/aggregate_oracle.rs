@@ -7,7 +7,8 @@
 use proptest::prelude::*;
 use waterwheel::agg::PartialAgg;
 use waterwheel::core::{
-    AggregateKind, Expr, KeyInterval, Query, QueryId, ServerId, SubQueryTarget, TimeInterval, Tuple,
+    mix64, AggregateKind, Expr, KeyInterval, Query, QueryId, ServerId, SubQueryTarget,
+    TimeInterval, Tuple,
 };
 use waterwheel::net::{Transport, COORDINATOR, META_SERVER};
 use waterwheel::prelude::{SystemConfig, Waterwheel};
@@ -630,11 +631,8 @@ fn a_filtered_aggregate_costs_one_rpc_per_target_and_moves_no_tuples() {
 /// Cheap deterministic suffix so concurrent proptest cases get distinct
 /// roots without pulling in a clock (keeps runs reproducible).
 fn suffix(tuples: &[Tuple], salt: usize) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325 ^ salt as u64;
-    for t in tuples.iter().take(16) {
-        h ^= t.key.wrapping_mul(31).wrapping_add(t.ts);
-        h = h.wrapping_mul(0x100000001B3);
-    }
-    h ^= tuples.len() as u64;
-    h
+    let h = tuples.iter().take(16).fold(salt as u64, |h, t| {
+        mix64(h ^ t.key.wrapping_mul(31).wrapping_add(t.ts))
+    });
+    h ^ tuples.len() as u64
 }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use waterwheel::baselines::{BulkLoadingBTree, ConcurrentBTree};
-use waterwheel::core::{KeyInterval, Query, TimeInterval, Tuple};
+use waterwheel::core::{mix64, KeyInterval, Query, TimeInterval, Tuple};
 use waterwheel::index::{IndexConfig, TemplateBTree, TupleIndex};
 use waterwheel::prelude::{SystemConfig, Waterwheel};
 use waterwheel::workloads::oracle;
@@ -366,11 +366,8 @@ fn concurrent_batch_writers_sealer_and_reader_lose_nothing() {
 /// Cheap deterministic suffix so concurrent proptest cases get distinct
 /// roots without pulling in a clock (keeps runs reproducible).
 fn rand_suffix(tuples: &[Tuple], salt: usize) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325 ^ salt as u64;
-    for t in tuples.iter().take(16) {
-        h ^= t.key.wrapping_mul(31).wrapping_add(t.ts);
-        h = h.wrapping_mul(0x100000001B3);
-    }
-    h ^= tuples.len() as u64;
-    h
+    let h = tuples.iter().take(16).fold(salt as u64, |h, t| {
+        mix64(h ^ t.key.wrapping_mul(31).wrapping_add(t.ts))
+    });
+    h ^ tuples.len() as u64
 }
