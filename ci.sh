@@ -112,6 +112,19 @@ if [ -n "$filters" ]; then
     echo "$filters"; exit 1
 fi
 
+echo "==> one payload materializer (whole-block decompress and unshuffle only in compress.rs and the scalar reference)"
+# Non-test lines, as above. The scan path decompresses into its scratch
+# buffer and gathers only the rows it keeps; DecodedColumns::materialize
+# (the scalar oracle) keeps the whole-block decompress + unshuffle.
+decoders=$(find crates/*/src -name '*.rs' ! -path crates/core/src/compress.rs -exec awk '/#\[cfg\(test\)\]/ { exit }
+    /^impl.*DecodedColumns/ { oracle = 1 } oracle && /^}/ { oracle = 0 }
+    /compress::(decompress|unshuffle)\(/ && !(oracle && FILENAME ~ /crates\/index\/src\/columnar.rs$/) {
+        print FILENAME ":" FNR ": " $0 }' {} \; | sort)
+if [ -n "$decoders" ]; then
+    echo "decode payloads through the columnar scan (compress::decompress_into into its scratch), not whole blocks:"
+    echo "$decoders"; exit 1
+fi
+
 echo "==> non-test lines under crates/*/src (printed, not gated)"
 # Non-blank, non-comment lines above each file's first #[cfg(test)] — the
 # size ROADMAP.md reports, counted the same way every time.

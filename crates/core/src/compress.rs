@@ -12,6 +12,15 @@
 //! is bounded by the caller-supplied output cap — a forged header cannot
 //! make us reserve gigabytes up front.
 //!
+//! [`decompress_into`] is the one decoder: it writes into a caller-owned
+//! buffer (the columnar scan reuses one per worker across leaves) and
+//! copies each back-reference in bulk — a distance-1 run is one fill, a
+//! longer overlapping match a few doubling `extend_from_within` steps.
+//! [`decompress`] wraps it with a fresh `Vec`. The scan path gathers the
+//! rows it keeps straight out of that buffer, so [`unshuffle`] (the
+//! whole-block inverse of [`shuffle`]) serves the scalar reference decoder
+//! and tests.
+//!
 //! Encoded block layout (all integers LEB128 varints):
 //!
 //! ```text
@@ -167,8 +176,24 @@ fn compress_into(input: &[u8], table: &mut MatchTable, out: &mut Vec<u8>) {
 ///
 /// `max_out` bounds both allocation and output length: a block whose header
 /// claims more than `max_out` bytes is rejected as corrupt before any
-/// allocation happens.
+/// allocation happens. A wrapper around [`decompress_into`] with a fresh
+/// buffer.
 pub fn decompress(input: &[u8], max_out: usize) -> Result<Vec<u8>> {
+    let mut out = Vec::new();
+    decompress_into(input, max_out, &mut out)?;
+    Ok(out)
+}
+
+/// Decompresses a block written by [`compress`] into `out`, replacing its
+/// contents, so a caller decoding many blocks reuses one buffer.
+///
+/// The checks, and their order, are those of [`decompress`]: a header
+/// claiming more than `max_out` bytes is refused before `out` grows, and
+/// `out` reserves at most the first 64 KiB before any byte is verified,
+/// growing past that only as the block really produces bytes. On error
+/// `out` holds an unspecified prefix.
+pub fn decompress_into(input: &[u8], max_out: usize, out: &mut Vec<u8>) -> Result<()> {
+    out.clear();
     let mut dec = Decoder::new(input, "lz block");
     let raw_len = dec.get_uvarint()? as usize;
     if raw_len > max_out {
@@ -177,7 +202,7 @@ pub fn decompress(input: &[u8], max_out: usize) -> Result<Vec<u8>> {
             format!("claims {raw_len} bytes, cap {max_out}"),
         ));
     }
-    let mut out: Vec<u8> = Vec::with_capacity(raw_len.min(DECODE_PREALLOC_CAP));
+    out.reserve(raw_len.min(DECODE_PREALLOC_CAP));
     loop {
         let lit_len = dec.get_uvarint()? as usize;
         if lit_len > raw_len - out.len() {
@@ -199,18 +224,31 @@ pub fn decompress(input: &[u8], max_out: usize) -> Result<Vec<u8>> {
         if match_len > raw_len - out.len() {
             return Err(WwError::corrupt("lz block", "match run past raw length"));
         }
-        // Byte-at-a-time copy: matches may overlap their own output
-        // (distance 1 is a run), so a bulk copy_from_slice is incorrect.
-        let start = out.len() - dist;
-        for j in 0..match_len {
-            let b = out[start + j];
-            out.push(b);
-        }
+        copy_match(out, dist, match_len);
     }
     if dec.remaining() != 0 {
         return Err(WwError::corrupt("lz block", "trailing bytes after block"));
     }
-    Ok(out)
+    Ok(())
+}
+
+/// Appends `len` bytes, each a copy of the byte `dist` before it. The
+/// source may overlap what is being written (distance 1 is a run), so the
+/// copy goes in steps: the bytes from the match start to the current end
+/// repeat with period `dist`, so each step can append all of them, and
+/// the step doubles until the match is done.
+fn copy_match(out: &mut Vec<u8>, dist: usize, len: usize) {
+    let start = out.len() - dist;
+    if dist == 1 {
+        let b = out[start];
+        out.resize(out.len() + len, b);
+        return;
+    }
+    let end = out.len() + len;
+    while out.len() < end {
+        let step = (out.len() - start).min(end - out.len());
+        out.extend_from_within(start..start + step);
+    }
 }
 
 /// Transposes a block of `input.len() / stride` fixed-width records into
@@ -310,6 +348,96 @@ mod tests {
         let shuffled = compress(&shuffle(&block, 12));
         assert!(shuffled.len() < plain.len());
         assert_eq!(unshuffle(&shuffle(&block, 12), 12), block);
+    }
+
+    /// The byte-at-a-time decoder the bulk match copy replaced: every
+    /// match byte is pushed on its own, so overlaps need no reasoning.
+    fn reference_decompress(input: &[u8]) -> Vec<u8> {
+        let mut dec = Decoder::new(input, "lz block");
+        let raw_len = dec.get_uvarint().unwrap() as usize;
+        let mut out = Vec::new();
+        loop {
+            let lit_len = dec.get_uvarint().unwrap() as usize;
+            out.extend_from_slice(dec.get_raw(lit_len).unwrap());
+            if out.len() == raw_len {
+                return out;
+            }
+            let match_len = dec.get_uvarint().unwrap() as usize + MIN_MATCH;
+            let dist = dec.get_uvarint().unwrap() as usize;
+            for _ in 0..match_len {
+                out.push(out[out.len() - dist]);
+            }
+        }
+    }
+
+    /// A block of `lead` literal bytes followed by one match.
+    fn one_match_block(lead: &[u8], dist: usize, len: usize) -> Vec<u8> {
+        let mut enc = Vec::new();
+        enc.put_uvarint((lead.len() + len) as u64);
+        enc.put_uvarint(lead.len() as u64);
+        enc.extend_from_slice(lead);
+        enc.put_uvarint((len - MIN_MATCH) as u64);
+        enc.put_uvarint(dist as u64);
+        enc.put_uvarint(0);
+        enc
+    }
+
+    #[test]
+    fn bulk_match_copies_equal_the_byte_at_a_time_decoder() {
+        let mut x = 0x9d2c_5680_1f3b_4a77u64;
+        let mut byte = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        };
+        let mut out = Vec::new();
+        for dist in 1..=64usize {
+            // The copy appends dist, 2·dist, 4·dist, … bytes, so its steps
+            // end after dist·(2^k − 1) bytes; try each side of every end.
+            let mut lens = vec![MIN_MATCH, MIN_MATCH + 1];
+            for k in 1..=6u32 {
+                let edge = dist * ((1 << k) - 1);
+                lens.extend([edge.saturating_sub(1), edge, edge + 1]);
+            }
+            for len in lens.into_iter().filter(|&l| l >= MIN_MATCH) {
+                for extra in [0usize, 3] {
+                    let lead: Vec<u8> = (0..dist + extra).map(|_| byte()).collect();
+                    let enc = one_match_block(&lead, dist, len);
+                    let want = reference_decompress(&enc);
+                    assert_eq!(want.len(), lead.len() + len);
+                    decompress_into(&enc, want.len(), &mut out).unwrap();
+                    assert_eq!(out, want, "distance {dist}, length {len}, lead {extra}");
+                    assert_eq!(decompress(&enc, want.len()).unwrap(), want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_reused_buffer_holds_only_the_last_block() {
+        let a: Vec<u8> = (0..5_000u32).map(|i| (i % 251) as u8).collect();
+        let b = b"the quick brown fox jumps over the lazy dog, the lazy dog".to_vec();
+        let (enc_a, enc_b) = (compress(&a), compress(&b));
+        let mut out = Vec::new();
+        decompress_into(&enc_a, a.len(), &mut out).unwrap();
+        assert_eq!(out, a);
+        decompress_into(&enc_b, b.len(), &mut out).unwrap();
+        assert_eq!(out, decompress(&enc_b, b.len()).unwrap());
+        // A back-reference reaching into the previous block's bytes is
+        // out of range, as it is for a fresh buffer.
+        decompress_into(&enc_a, a.len(), &mut out).unwrap();
+        let reach_back = one_match_block(b"ab", 3, MIN_MATCH);
+        assert!(decompress_into(&reach_back, 64, &mut out).is_err());
+    }
+
+    #[test]
+    fn an_oversized_header_allocates_nothing() {
+        let mut huge = Vec::new();
+        huge.put_uvarint(1 << 40);
+        let mut out = Vec::new();
+        assert!(decompress_into(&huge, 1024, &mut out).is_err());
+        assert_eq!(out.capacity(), 0);
     }
 
     #[test]

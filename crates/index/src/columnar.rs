@@ -36,9 +36,12 @@
 //!   filter with a selection vector (16-wide interval masks; dictionary
 //!   leaves evaluate the key predicate once per dictionary entry via two
 //!   binary searches, never per row). Only selected rows materialize
-//!   `Tuple`s, and every payload is a zero-copy [`Bytes`] slice of the
-//!   leaf's single decompressed block. Buffers come from a caller-owned
-//!   [`ScanScratch`] so pipelined workers reuse them across leaves.
+//!   `Tuple`s: the payload block is decompressed into a reused buffer,
+//!   the survivors' bytes are gathered out of it (unshuffled plane by
+//!   plane for a shuffled block) into one allocation sized to them, and
+//!   every payload is a zero-copy [`Bytes`] slice of that allocation.
+//!   Buffers come from a caller-owned [`ScanScratch`] so pipelined workers
+//!   reuse them across leaves.
 //! * **Scalar reference** — [`decode_leaf_scalar`] / [`scan_leaf_scalar`]
 //!   keep the original row-at-a-time implementation. They are the oracle
 //!   the vectorized kernels are property-tested against (in-module and
@@ -46,9 +49,12 @@
 //!
 //! Both layers implement late materialization: the payload block —
 //! including its decompression — is touched only when at least one row
-//! survives the key/time intervals.
+//! survives the key/time intervals. When one does, both decompress and
+//! length-check the whole block, so they accept and reject the same
+//! images; only the scalar reference unshuffles all of it.
 
 use bytes::Bytes;
+use std::sync::Arc;
 use waterwheel_core::codec::{unzigzag, zigzag, Decoder, Encoder};
 use waterwheel_core::compress;
 use waterwheel_core::{KeyInterval, Result, TimeInterval, Tuple, WwError};
@@ -392,8 +398,8 @@ pub fn scan_leaf_scalar(
 ///
 /// One scratch per worker: the pipelined leaf readers and filter workers in
 /// the query server hold a `ScanScratch` across leaves, so column decoding,
-/// selection, and payload offset computation reuse the same allocations
-/// instead of growing fresh vectors per leaf.
+/// selection, payload offsets and payload decompression reuse the same
+/// allocations instead of growing fresh vectors per leaf.
 #[derive(Debug, Default)]
 pub struct ScanScratch {
     timestamps: Vec<u64>,
@@ -402,8 +408,22 @@ pub struct ScanScratch {
     dict_indexes: Vec<u32>,
     varints: Vec<u64>,
     selection: Vec<u32>,
-    offsets: Vec<usize>,
+    payload: PayloadScratch,
 }
+
+/// The payload column's share of a [`ScanScratch`].
+#[derive(Debug, Default)]
+struct PayloadScratch {
+    lens: Vec<u64>,
+    offsets: Vec<usize>,
+    /// The leaf's decompressed payload block; survivors are gathered out
+    /// of it. Dropped after a leaf that grew it past [`MAX_KEPT_BLOCK`].
+    block: Vec<u8>,
+}
+
+/// Most decompressed-block capacity a scratch keeps between leaves: one
+/// outsized leaf must not leave every worker holding its block.
+const MAX_KEPT_BLOCK: usize = 1 << 20;
 
 impl ScanScratch {
     /// A scratch with empty buffers; they grow to leaf size on first use.
@@ -629,26 +649,50 @@ fn select_rows(
 }
 
 /// Decodes the payload tail (`[count lens][mode][block]`) and materializes
-/// the selected rows. The block is decompressed once into a shared
-/// [`Bytes`] allocation; every tuple's payload is a zero-copy slice of it,
-/// so materializing N survivors costs one block allocation, not N.
+/// the selected rows.
 ///
-/// Note the sharing trade: a retained tuple pins its leaf's whole payload
-/// block (a few KB) until dropped — the right trade for scan results that
-/// are consumed promptly, which is what the query path does.
+/// The whole column is validated as the scalar reference validates it:
+/// every length, and the whole block decompressed (into the scratch's
+/// reused buffer) and length-checked. Only the survivors' bytes are then
+/// gathered — unshuffled plane by plane for a shuffled block, one copy per
+/// row (or one for a contiguous run) otherwise — into a single allocation
+/// sized to them, which becomes the shared [`Bytes`] every survivor's
+/// payload slices. N survivors cost one payload allocation, not N, and a
+/// retained tuple pins only the survivors' bytes, not the leaf's block.
 fn materialize_rows(
     payload: &[u8],
     count: usize,
     keys_col: KeysRef<'_>,
     timestamps: &[u64],
     selection: &[u32],
-    lens: &mut Vec<u64>,
-    offsets: &mut Vec<usize>,
+    scratch: &mut PayloadScratch,
 ) -> Result<Vec<Tuple>> {
     if selection.is_empty() {
         return Ok(Vec::new());
     }
+    let rows = gather_rows(payload, count, keys_col, timestamps, selection, scratch);
+    if scratch.block.capacity() > MAX_KEPT_BLOCK {
+        scratch.block = Vec::new();
+    }
+    rows
+}
+
+/// [`materialize_rows`] for a non-empty selection; leaves the decompressed
+/// block in `scratch.block` for the caller to keep or drop.
+fn gather_rows(
+    payload: &[u8],
+    count: usize,
+    keys_col: KeysRef<'_>,
+    timestamps: &[u64],
+    selection: &[u32],
+    scratch: &mut PayloadScratch,
+) -> Result<Vec<Tuple>> {
     let corrupt = |msg: &'static str| WwError::corrupt("chunk leaf", msg);
+    let PayloadScratch {
+        lens,
+        offsets,
+        block,
+    } = scratch;
     let mut dec = Decoder::new(payload, "chunk leaf");
     lens.clear();
     dec.get_uvarints(count, lens)?;
@@ -667,30 +711,30 @@ fn materialize_rows(
     if dec.remaining() != 0 {
         return Err(corrupt("trailing bytes after payload block"));
     }
-    let block: Bytes = match mode {
+    let (src, stride): (&[u8], Option<usize>) = match mode {
         PAYLOAD_RAW => {
             if body.len() != total {
                 return Err(corrupt("payload block has wrong length"));
             }
-            Bytes::copy_from_slice(body)
+            (body, None)
         }
         PAYLOAD_LZ => {
-            let raw = compress::decompress(body, total)?;
-            if raw.len() != total {
+            compress::decompress_into(body, total, block)?;
+            if block.len() != total {
                 return Err(corrupt("payload block has wrong length"));
             }
-            Bytes::from(raw)
+            (block, None)
         }
         PAYLOAD_SHUFFLE_LZ => {
             let stride = lens.first().map(|&l| l as usize).unwrap_or(0);
             if stride == 0 || lens.iter().any(|&l| l as usize != stride) {
                 return Err(corrupt("shuffled payload block with mixed lengths"));
             }
-            let shuffled = compress::decompress(body, total)?;
-            if shuffled.len() != total {
+            compress::decompress_into(body, total, block)?;
+            if block.len() != total {
                 return Err(corrupt("shuffled payload block has wrong length"));
             }
-            Bytes::from(compress::unshuffle(&shuffled, stride))
+            (block, Some(stride))
         }
         _ => return Err(corrupt("unknown payload column mode")),
     };
@@ -702,16 +746,62 @@ fn materialize_rows(
         acc += l as usize;
         offsets.push(acc);
     }
+    // Selections are strictly increasing, so first and last bound a run.
+    let (first, last) = (
+        selection[0] as usize,
+        selection[selection.len() - 1] as usize,
+    );
+    let contiguous = last - first + 1 == selection.len();
+    let gathered: Arc<[u8]> = match stride {
+        None if contiguous => Arc::from(&src[offsets[first]..offsets[last + 1]]),
+        None => {
+            let size = selection
+                .iter()
+                .map(|&i| offsets[i as usize + 1] - offsets[i as usize])
+                .sum();
+            let mut gathered = zeroed(size);
+            let dst = Arc::make_mut(&mut gathered);
+            let mut at = 0;
+            for &i in selection {
+                let row = &src[offsets[i as usize]..offsets[i as usize + 1]];
+                dst[at..at + row.len()].copy_from_slice(row);
+                at += row.len();
+            }
+            gathered
+        }
+        Some(stride) => {
+            let mut gathered = zeroed(selection.len() * stride);
+            let dst = Arc::make_mut(&mut gathered);
+            for (p, plane) in src.chunks_exact(count).enumerate() {
+                for (rec, &i) in dst.chunks_exact_mut(stride).zip(selection) {
+                    rec[p] = plane[i as usize];
+                }
+            }
+            gathered
+        }
+    };
+    let gathered = Bytes::from_arc(gathered);
     let mut out = Vec::with_capacity(selection.len());
+    let mut at = 0;
     for &i in selection {
         let i = i as usize;
+        let len = offsets[i + 1] - offsets[i];
         out.push(Tuple {
             key: keys_col.at(i),
             ts: timestamps[i],
-            payload: block.slice(offsets[i]..offsets[i + 1]),
+            payload: gathered.slice(at..at + len),
         });
+        at += len;
     }
     Ok(out)
+}
+
+/// A zero-filled shared buffer of `len` bytes in one allocation: the
+/// iterator's exact length lets `Arc` allocate once and write in place,
+/// and the fresh `Arc` is unique, so `Arc::make_mut` hands it out without
+/// cloning.
+fn zeroed(len: usize) -> Arc<[u8]> {
+    std::iter::repeat_n(0u8, len).collect()
 }
 
 /// A leaf image with its key and timestamp columns held decoded; the
@@ -814,8 +904,7 @@ impl DecodedLeaf {
             keys_col,
             &self.timestamps,
             &scratch.selection,
-            &mut scratch.varints,
-            &mut scratch.offsets,
+            &mut scratch.payload,
         )
     }
 }
@@ -843,9 +932,9 @@ pub fn decode_leaf_with(
         keys,
         dict_values,
         dict_indexes,
-        varints,
         selection,
-        offsets,
+        payload,
+        ..
     } = scratch;
     let keys_col = if layout.dict {
         KeysRef::Dict {
@@ -863,8 +952,7 @@ pub fn decode_leaf_with(
         keys_col,
         timestamps,
         selection,
-        varints,
-        offsets,
+        payload,
     )
 }
 
@@ -904,9 +992,9 @@ pub fn scan_leaf_with(
         keys: dense,
         dict_values,
         dict_indexes,
-        varints,
         selection,
-        offsets,
+        payload,
+        ..
     } = scratch;
     let keys_col = if layout.dict {
         KeysRef::Dict {
@@ -923,8 +1011,7 @@ pub fn scan_leaf_with(
         keys_col,
         timestamps,
         selection,
-        varints,
-        offsets,
+        payload,
     )
 }
 
@@ -1059,6 +1146,22 @@ mod tests {
         for (i, t) in got.iter().enumerate() {
             assert_eq!(t.payload.as_ptr(), unsafe { base.add(i * 8) });
         }
+    }
+
+    #[test]
+    fn a_scratch_keeps_a_bounded_block_between_leaves() {
+        let mut scratch = ScanScratch::new();
+        let (keys, times) = (KeyInterval::full(), TimeInterval::full());
+        let small = leaf(&(0..64).map(|i| (i, 100 + i, 16)).collect::<Vec<_>>());
+        let img = encode_leaf(&small, true);
+        scan_leaf_with(&img, 64, &keys, &times, true, &mut scratch).unwrap();
+        assert!(scratch.payload.block.capacity() >= 64 * 16);
+        // 600 rows of 2 KiB: a 1.2 MiB block, dropped once the scan is done.
+        let big = leaf(&(0..600).map(|i| (i, 100 + i, 2048)).collect::<Vec<_>>());
+        let img = encode_leaf(&big, true);
+        let got = scan_leaf_with(&img, 600, &keys, &times, true, &mut scratch).unwrap();
+        assert_eq!(got, big);
+        assert_eq!(scratch.payload.block.capacity(), 0);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use waterwheel_index::columnar::{
     decode_leaf_scalar, decode_leaf_with, encode_leaf, scan_leaf_scalar, scan_leaf_with,
     DecodedLeaf, ScanScratch,
 };
-use waterwheel_workloads::{TDriveConfig, TDriveGen};
+use waterwheel_workloads::{NetworkConfig, NetworkGen, TDriveConfig, TDriveGen};
 
 /// Deterministic per-case generator (SplitMix64).
 struct Gen(u64);
@@ -68,6 +68,34 @@ fn random_leaf(g: &mut Gen) -> Vec<Tuple> {
     }
     out.sort_by_key(|t| (t.key, t.ts));
     out
+}
+
+/// A [`random_leaf`] whose payloads are low-entropy fixed-stride records
+/// (stride 1–32): each byte position is constant, drawn from a small
+/// alphabet, or — for a few positions — random. Shuffled, such blocks are
+/// long runs and short-distance overlapping matches, the LZ shapes that
+/// random payload bytes rarely produce.
+fn low_entropy_leaf(g: &mut Gen) -> Vec<Tuple> {
+    let mut leaf = random_leaf(g);
+    let stride = 1 + g.below(32) as usize;
+    let alphabets: Vec<Vec<u8>> = (0..stride)
+        .map(|_| {
+            let size = match g.below(8) {
+                0..=3 => 1,
+                4..=6 => 2 + g.below(3),
+                _ => 256,
+            };
+            (0..size).map(|_| g.next() as u8).collect()
+        })
+        .collect();
+    for t in &mut leaf {
+        let payload: Vec<u8> = alphabets
+            .iter()
+            .map(|a| a[g.below(a.len() as u64) as usize])
+            .collect();
+        t.payload = payload.into();
+    }
+    leaf
 }
 
 /// A seed-chosen query window: sometimes full, sometimes empty, sometimes
@@ -218,6 +246,33 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Valid low-entropy fixed-stride leaves: vectorized ≡ scalar.
+    #[test]
+    fn kernels_match_scalar_on_low_entropy_leaves(seed in 0u64..u64::MAX) {
+        let mut g = Gen(seed);
+        let entries = low_entropy_leaf(&mut g);
+        let mut scratch = ScanScratch::new();
+        for compression in [false, true] {
+            let bytes = encode_leaf(&entries, compression);
+            assert_paths_agree(&mut g, &bytes, entries.len() as u32, &entries, &mut scratch)?;
+        }
+    }
+
+    /// Corrupt low-entropy leaves: the same accept/reject decision.
+    #[test]
+    fn kernels_match_scalar_on_corrupt_low_entropy_leaves(seed in 0u64..u64::MAX) {
+        let mut g = Gen(seed);
+        let entries = low_entropy_leaf(&mut g);
+        let mut bytes = encode_leaf(&entries, true);
+        corrupt(&mut g, &mut bytes);
+        let mut scratch = ScanScratch::new();
+        assert_paths_agree(&mut g, &bytes, entries.len() as u32, &entries, &mut scratch)?;
+    }
+}
+
 /// Selection-vector filtering over realistic data: leaves cut from a
 /// T-Drive-like stream (z-order keys, near-monotonic timestamps, fixed
 /// payload stride) answer windowed scans identically on both paths.
@@ -231,6 +286,41 @@ fn tdrive_leaves_scan_identically() {
     let mut tuples: Vec<Tuple> = gen.take(4_096).collect();
     tuples.sort_by_key(|t| (t.key, t.ts));
     let mut g = Gen(0xD1C7);
+    let mut scratch = ScanScratch::new();
+    for (li, leaf) in tuples.chunks(64).enumerate() {
+        for compression in [false, true] {
+            let bytes = encode_leaf(leaf, compression);
+            for _ in 0..4 {
+                let (keys, times) = random_window(&mut g, leaf);
+                let scalar = scan_leaf_scalar(&bytes, leaf.len() as u32, &keys, &times).unwrap();
+                let fast =
+                    scan_leaf_with(&bytes, leaf.len() as u32, &keys, &times, true, &mut scratch)
+                        .unwrap();
+                assert_eq!(scalar, fast, "leaf {li} diverged on {keys:?} {times:?}");
+                let decoded =
+                    DecodedLeaf::decode(&bytes, leaf.len() as u32, true, &mut scratch).unwrap();
+                assert_eq!(
+                    scalar,
+                    decoded.scan(&keys, &times, &mut scratch).unwrap(),
+                    "decoded leaf {li} diverged"
+                );
+            }
+        }
+    }
+}
+
+/// The same over Network-shaped leaves: source-IP keys and 30-byte
+/// access records with a constant 14-byte tail.
+#[test]
+fn network_leaves_scan_identically() {
+    let gen = NetworkGen::new(NetworkConfig {
+        subnets: 16,
+        seed: 0x0E7_5CA8,
+        ..NetworkConfig::default()
+    });
+    let mut tuples: Vec<Tuple> = gen.take(4_096).collect();
+    tuples.sort_by_key(|t| (t.key, t.ts));
+    let mut g = Gen(0x7E75);
     let mut scratch = ScanScratch::new();
     for (li, leaf) in tuples.chunks(64).enumerate() {
         for compression in [false, true] {
